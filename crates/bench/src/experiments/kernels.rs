@@ -36,19 +36,10 @@
 //! delta-varint position section). Every encoder pair is asserted
 //! byte-identical and the decoder pair reconstruction-identical before
 //! timing.
-//!
-//! The `stream_fold_sparse` entry times the round loop's aggregation
-//! phase end to end: the per-arrival streaming fold (the
-//! `StreamingAggregator` path the socket server and the simulator now
-//! share) against the pre-refactor collect-then-aggregate round, both
-//! producing bit-identical `MaskedUpdate`s over the same K = 30 sparse
-//! uploads.
 
 use super::local_train_baseline::{baseline_local_train, pooled_local_train, BaselineMlp};
 use crate::ExptOpts;
-use gluefl_core::aggregate::{
-    accumulate_sparse, accumulate_sparse_packed, accumulate_weighted_values,
-};
+use gluefl_core::aggregate::{accumulate_into, accumulate_sparse};
 use gluefl_core::batch_local_train_into;
 use gluefl_core::ScratchPool;
 use gluefl_core::TrainSlot;
@@ -59,8 +50,7 @@ use gluefl_tensor::gemm::{
 };
 use gluefl_tensor::rng::derive_seed;
 use gluefl_tensor::{
-    top_k_abs_masked_into, top_k_abs_packed_into, vecops, BitMask, MaskedUpdate, SparseUpdate,
-    TopKScope, TopKScratch,
+    top_k_abs_masked_into, vecops, BitMask, MaskedUpdate, SparseUpdate, TopKScope, TopKScratch,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -179,90 +169,6 @@ pub fn run(opts: &ExptOpts) -> Result<(), String> {
         );
         entries.push(Entry {
             name: "aggregate_masked_30_clients",
-            baseline_ns,
-            new_ns,
-        });
-    }
-
-    // --- packed unique aggregation + packed top-k (the O(q·d) GlueFL
-    // aggregate). Baseline: the dense-era staging — accumulate the 30
-    // clients' unique parts into a d-length buffer and run the dense
-    // top-k over it. New: accumulate straight into (support, packed)
-    // form and select over the packed pair, never touching O(d) floats.
-    // Both paths are gated for identical selections and bit-identical
-    // sums before timing. ---
-    if opts.kernel_selected("aggregate_packed_topk") {
-        let uniques: Vec<SparseUpdate> = (0..clients)
-            .map(|c| {
-                let mut crng = StdRng::seed_from_u64(opts.seed ^ 0x9a77 ^ ((c as u64) << 8));
-                let mut pairs = Vec::new();
-                for i in 0..d as u32 {
-                    if crng.gen::<f64>() < 0.04 {
-                        pairs.push((i, crng.gen_range(-1.0f32..1.0)));
-                    }
-                }
-                SparseUpdate::from_pairs(d, pairs)
-            })
-            .collect();
-        let weights: Vec<f32> = (0..clients).map(|c| 1.0 / (c + 1) as f32).collect();
-        let uentries: Vec<(f32, &SparseUpdate)> =
-            uniques.iter().zip(&weights).map(|(u, &w)| (w, u)).collect();
-        let mut pool = ScratchPool::new();
-        let mut dense_scratch = TopKScratch::with_capacity(d);
-        let mut packed_scratch = TopKScratch::new();
-        let mut support = BitMask::zeros(d);
-        let mut offsets = Vec::new();
-        let mut packed = Vec::new();
-        // Equivalence gate: same selection, bit-identical sums.
-        {
-            let dense = accumulate_sparse(&uentries, d, &mut pool);
-            let want =
-                top_k_abs_masked_into(&dense, k, TopKScope::Outside(&mask), &mut dense_scratch)
-                    .to_vec();
-            accumulate_sparse_packed(&uentries, d, &mut support, &mut offsets, &mut packed);
-            let got = top_k_abs_packed_into(
-                &support,
-                &packed,
-                k,
-                TopKScope::Outside(&mask),
-                &mut packed_scratch,
-            );
-            assert_eq!(got, want.as_slice(), "packed aggregate top-k diverged");
-            let mut r = 0usize;
-            support.for_each_one(|i| {
-                assert_eq!(
-                    packed[r].to_bits(),
-                    dense[i].to_bits(),
-                    "packed sum diverged at {i}"
-                );
-                r += 1;
-            });
-            pool.put(dense);
-        }
-        let (baseline_ns, new_ns) = time_pair_ns(
-            reps,
-            || {
-                let dense = accumulate_sparse(&uentries, d, &mut pool);
-                let n =
-                    top_k_abs_masked_into(&dense, k, TopKScope::Outside(&mask), &mut dense_scratch)
-                        .len();
-                pool.put(dense);
-                n
-            },
-            || {
-                accumulate_sparse_packed(&uentries, d, &mut support, &mut offsets, &mut packed);
-                top_k_abs_packed_into(
-                    &support,
-                    &packed,
-                    k,
-                    TopKScope::Outside(&mask),
-                    &mut packed_scratch,
-                )
-                .len()
-            },
-        );
-        entries.push(Entry {
-            name: "aggregate_packed_topk",
             baseline_ns,
             new_ns,
         });
@@ -608,9 +514,6 @@ pub fn run(opts: &ExptOpts) -> Result<(), String> {
 
     // --- wire codec: sparse-frame encode/decode (gluefl-wire). ---
     run_wire_entries(opts, reps, d, &values, &mut entries);
-
-    // --- streaming aggregation: per-arrival fold vs collect-then-fold. ---
-    run_stream_entries(opts, reps, d, &mut entries);
 
     // --- million-client control plane: availability + round planning. ---
     run_scale_kernels(opts, reps, &mut entries);
@@ -963,128 +866,6 @@ fn run_wire_entries(
             new_ns,
         });
     }
-}
-
-/// Times the round loop's aggregation phase end to end: the streaming
-/// per-arrival fold ([`gluefl_core::stream::StreamingAggregator`], the
-/// path the socket server and the simulator now share) against the
-/// pre-refactor collect-then-aggregate round — every kept upload staged
-/// in an `O(K·nnz)` buffer, then one batch [`Strategy::aggregate`] over
-/// the id-sorted set.
-///
-/// The shape is the paper's upload profile: K = 30 kept clients, each a
-/// sparse STC upload with `nnz ≈ 4%·d` on its own random support, folded
-/// under an [`StcStrategy`] (whose fold seams are stateless, so both
-/// twins can be re-timed from identically constructed instances). Each
-/// side clones every upload per invocation — the stand-in for the decode
-/// step producing a fresh upload — so the measured difference is the
-/// staging buffer and deferred fold against fold-on-arrival with buffers
-/// recycled through the [`ScratchPool`]. The gate asserts the two paths'
-/// `MaskedUpdate`s (mask identity and value bits) agree exactly.
-///
-/// [`Strategy::aggregate`]: gluefl_core::strategies::Strategy::aggregate
-/// [`StcStrategy`]: gluefl_core::strategies::StcStrategy
-fn run_stream_entries(opts: &ExptOpts, reps: usize, d: usize, entries: &mut Vec<Entry>) {
-    if !opts.kernel_selected("stream_fold_sparse") {
-        return;
-    }
-    use gluefl_core::strategies::{Group, StcStrategy, Strategy, Upload};
-    use gluefl_core::stream::StreamingAggregator;
-
-    let clients = 30usize;
-    let round = 0u32;
-    let q = 0.04f64;
-    // One sparse upload per kept client, each on its own ~4% support.
-    let uploads: Vec<(usize, Group, Upload)> = (0..clients)
-        .map(|c| {
-            let mut crng = StdRng::seed_from_u64(opts.seed ^ 0x5f01 ^ ((c as u64) << 8));
-            let mut pairs = Vec::new();
-            for i in 0..d as u32 {
-                if crng.gen::<f64>() < q {
-                    pairs.push((i, crng.gen_range(-1.0f32..1.0)));
-                }
-            }
-            (
-                c,
-                Group::Fresh,
-                Upload::Sparse(SparseUpdate::from_pairs(d, pairs)),
-            )
-        })
-        .collect();
-    let ids: Vec<(usize, Group)> = uploads.iter().map(|&(c, g, _)| (c, g)).collect();
-    let mk_strategy = || {
-        StcStrategy::new(
-            clients,
-            clients,
-            1.0,
-            vec![1.0 / clients as f64; clients],
-            q,
-            d,
-            d,
-            BitMask::zeros(d),
-        )
-    };
-
-    // Equivalence gate: batch aggregate ≡ streaming fold, bit for bit.
-    let mut strat_base = mk_strategy();
-    let mut pool_base = ScratchPool::new();
-    let want = strat_base.aggregate(round, &uploads, &mut pool_base);
-    let mut strat_new = mk_strategy();
-    let mut pool_new = ScratchPool::new();
-    let mut gate = StreamingAggregator::begin(round, &ids, &mut strat_new, &mut pool_new);
-    for (c, _, upload) in &uploads {
-        gate.accept(&mut strat_new, *c, upload.clone(), &mut pool_new)
-            .expect("kept client accepted");
-    }
-    assert!(gate.complete());
-    let got = gate.finish(&mut strat_new, &mut pool_new);
-    assert_eq!(want.mask(), got.mask(), "fold masks diverged");
-    assert!(
-        want.values()
-            .iter()
-            .zip(got.values())
-            .all(|(a, b)| a.to_bits() == b.to_bits()),
-        "fold values diverged"
-    );
-    pool_base.put_update(want);
-    pool_new.put_update(got);
-
-    let (baseline_ns, new_ns) = time_pair_ns(
-        reps,
-        || {
-            // Pre-refactor round: stage a copy of every arrival, then
-            // one batch aggregate over the full staged set.
-            let staged: Vec<(usize, Group, Upload)> = uploads
-                .iter()
-                .map(|(c, g, u)| (*c, *g, u.clone()))
-                .collect();
-            let out = strat_base.aggregate(round, &staged, &mut pool_base);
-            let n = out.nnz();
-            pool_base.put_update(out);
-            for (_, _, u) in staged {
-                pool_base.reclaim_upload(u);
-            }
-            n
-        },
-        || {
-            // Streaming round: each arrival folds immediately and its
-            // buffers go straight back to the pool.
-            let mut gate = StreamingAggregator::begin(round, &ids, &mut strat_new, &mut pool_new);
-            for (c, _, u) in &uploads {
-                gate.accept(&mut strat_new, *c, u.clone(), &mut pool_new)
-                    .expect("kept client accepted");
-            }
-            let out = gate.finish(&mut strat_new, &mut pool_new);
-            let n = out.nnz();
-            pool_new.put_update(out);
-            n
-        },
-    );
-    entries.push(Entry {
-        name: "stream_fold_sparse",
-        baseline_ns,
-        new_ns,
-    });
 }
 
 /// Times the million-client control-plane kernels — the per-round costs
@@ -1569,7 +1350,8 @@ fn fused_aggregate(
         .map(|((_, unique), &w)| (w, unique))
         .collect();
     let nnz = mask.count_ones();
-    let shr_vals = accumulate_weighted_values(&shared_entries, nnz, pool);
+    let mut shr_vals = pool.take_zeroed(nnz);
+    accumulate_into(&shared_entries, &mut shr_vals);
     let mut combined = accumulate_sparse(&unique_entries, dim, pool);
     mask.scatter_add(&mut combined, &shr_vals, 1.0);
     pool.put(shr_vals);
@@ -1601,13 +1383,11 @@ mod tests {
         assert!(json.contains("gemm_nt_b16"));
         assert!(json.contains("gemm_nn_eval_b1024"));
         assert!(json.contains("gemm_batch_clients"));
-        assert!(json.contains("aggregate_packed_topk"));
         #[cfg(feature = "parallel")]
         assert!(json.contains("topk_parallel"));
         assert!(json.contains("wire_encode_sparse"));
         assert!(json.contains("wire_decode_sparse"));
         assert!(json.contains("wire_encode_varint"));
-        assert!(json.contains("stream_fold_sparse"));
         assert!(json.contains("avail_advance_1m"));
         assert!(json.contains("plan_round_1m"));
         assert!(json.contains("speedup"));
@@ -1632,12 +1412,10 @@ mod tests {
         assert!(json.contains("gemm_nn_eval_b1024"));
         assert!(json.contains("gemm_batch_clients"));
         assert!(!json.contains("topk_outside_16pct_mask"));
-        assert!(!json.contains("aggregate_packed_topk"));
         assert!(!json.contains("local_train_step"));
         assert!(!json.contains("wire_encode_sparse"));
         assert!(!json.contains("wire_encode_varint"));
         assert!(!json.contains("masked_apply_rle"));
-        assert!(!json.contains("stream_fold_sparse"));
         // --check against the filtered output: the committed full ledger
         // covers the subset, so the gate passes…
         let full = dir.join("full.json");

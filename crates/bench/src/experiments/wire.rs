@@ -31,7 +31,7 @@
 
 use super::common::{run_config, setup};
 use crate::ExptOpts;
-use gluefl_core::{RunResult, StrategyConfig, WireCodec, WirePolicy};
+use gluefl_core::{RunResult, SimConfig, StrategyConfig, WireCodec, WirePolicy};
 use gluefl_data::DatasetProfile;
 use gluefl_ml::DatasetModel;
 use gluefl_tensor::wire::bytes_to_mb;
@@ -88,6 +88,13 @@ fn arms() -> Vec<Arm> {
 /// # Errors
 /// Never fails currently; the `Result` matches the experiment interface.
 pub fn run(opts: &ExptOpts) -> Result<(), String> {
+    sweep(opts, |_| {})
+}
+
+/// The sweep behind [`run`]; `shape` edits every arm's config after the
+/// paper setup and before the arm's overrides (the unit test shrinks the
+/// model and dataset with it).
+fn sweep(opts: &ExptOpts, shape: impl Fn(&mut SimConfig)) -> Result<(), String> {
     let (dataset, model) = (DatasetProfile::Femnist, DatasetModel::ShuffleNet);
     let k = {
         let cfg = setup(dataset, model, StrategyConfig::FedAvg, opts);
@@ -117,6 +124,7 @@ pub fn run(opts: &ExptOpts) -> Result<(), String> {
         let mut f32_wire: Option<u64> = None;
         for arm in arms() {
             let mut cfg = setup(dataset, model, strategy.clone(), opts);
+            shape(&mut cfg);
             // No over-commitment: measured frame lengths drive upload
             // times, so under keep-fastest a cheaper encoding can change
             // which stragglers are dropped. Pinning keep == invited puts
@@ -205,9 +213,10 @@ pub fn run(opts: &ExptOpts) -> Result<(), String> {
 mod tests {
     use super::*;
 
-    /// The sweep runs end to end in quick mode, writes its CSV, and the
-    /// structural assertions (F32 measured ≡ analytic; entropy F32
-    /// accuracy ≡ legacy F32 at ≤ bytes) hold.
+    /// The sweep runs end to end over all 14 arms on a small model and
+    /// dataset (CI runs the unshrunk `expt wire --quick` in release),
+    /// writes its CSV, and the structural assertions (F32 measured ≡
+    /// analytic; entropy F32 accuracy ≡ legacy F32 at ≤ bytes) hold.
     #[test]
     fn sweep_runs_and_writes_csv() {
         let dir = std::env::temp_dir().join("gluefl_wire_sweep_test");
@@ -218,7 +227,13 @@ mod tests {
             out_dir: dir.clone(),
             ..ExptOpts::default()
         };
-        run(&opts).unwrap();
+        sweep(&opts, |cfg| {
+            cfg.model.hidden = vec![16];
+            cfg.dataset.feature_dim = 12;
+            cfg.dataset.classes = 8;
+            cfg.dataset.test_samples = 200;
+        })
+        .unwrap();
         let csv = std::fs::read_to_string(dir.join("wire_policies.csv")).unwrap();
         assert!(csv.lines().count() >= 15, "expected 14 arms + header");
         assert!(csv.contains("quant-u8 +ec"));

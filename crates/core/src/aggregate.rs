@@ -16,21 +16,24 @@
 //!   per (client, shard) pair — cheap next to the adds themselves.
 //!
 //! The serial path is the plain per-client loop; with the `parallel`
-//! feature (alias: `rayon`) shards run on `std::thread` workers. Parity is
-//! verified bitwise by the tests here and end-to-end by the simulator's
-//! `parallel_aggregation_bit_identical_to_serial` test.
+//! feature shards run on the vendored `gluefl-pool` workers. Parity is
+//! verified bitwise by the tests here. The strategies' folds pass one
+//! entry per call (each arriving upload is folded on its own), so the
+//! multi-entry sharded branch is exercised by these tests and the kernel
+//! ledger only.
 //!
 //! # Emitting the masked layout
 //!
 //! Strategies return a [`gluefl_tensor::MaskedUpdate`] (mask + packed
-//! values), and where the uploads are mask-aligned the shards accumulate
-//! *directly into that packed layout*: [`accumulate_weighted_values`]
-//! treats each client's value array as contiguous — GlueFL's shared parts
-//! and APF's known-mask uploads aggregate without ever materialising a
-//! dense `d`-sized buffer. Only reductions that need a subsequent
-//! position-space top-k (STC's server mask, GlueFL's unique part) stage
-//! through a dense accumulator, and that buffer stays inside the
-//! strategy; the simulator only ever sees the packed update.
+//! values), and where the uploads are mask-aligned the fold accumulates
+//! *directly into that packed layout*: a mask-aligned value array is a
+//! contiguous [`RangeAddable`] entry — GlueFL's shared parts and APF's
+//! known-mask uploads aggregate without ever materialising a dense
+//! `d`-sized buffer, and GlueFL's unique parts are scattered into packed
+//! form by [`scatter_add_packed`]. Only STC's server mask, which needs a
+//! position-space top-k, stages through a dense accumulator, and that
+//! buffer stays inside the strategy; the engine only ever sees the
+//! packed update.
 
 use crate::scratch::ScratchPool;
 use crate::strategies::Upload;
@@ -64,25 +67,8 @@ impl RangeAddable for &[f32] {
     }
 }
 
-/// Accumulates `Σ wᵢ · uploadᵢ` over `dim`-dimensional uploads into a
-/// pooled buffer. Pass `(weight, upload)` pairs in the canonical kept
-/// order (sorted by client id); the result is bit-identical with and
-/// without the `parallel` feature.
-///
-/// # Panics
-/// Panics if an upload's dimension is smaller than `dim`.
-#[must_use]
-pub fn accumulate_uploads(
-    entries: &[(f32, &Upload)],
-    dim: usize,
-    pool: &mut ScratchPool,
-) -> Vec<f32> {
-    let mut acc = pool.take_zeroed(dim);
-    accumulate_into(entries, &mut acc);
-    acc
-}
-
-/// Accumulates `Σ wᵢ · sparseᵢ` (e.g. the unique parts of GlueFL uploads).
+/// Accumulates `Σ wᵢ · sparseᵢ` into a dense pooled buffer — the
+/// reference the packed scatter is pinned against.
 ///
 /// # Panics
 /// Panics if an update's dimension is smaller than `dim`.
@@ -93,22 +79,6 @@ pub fn accumulate_sparse(
     pool: &mut ScratchPool,
 ) -> Vec<f32> {
     let mut acc = pool.take_zeroed(dim);
-    accumulate_into(entries, &mut acc);
-    acc
-}
-
-/// Accumulates `Σ wᵢ · valuesᵢ` over equal-length contiguous value arrays
-/// (the mask-aligned shared parts of GlueFL uploads).
-///
-/// # Panics
-/// Panics if any values slice is shorter than `len`.
-#[must_use]
-pub fn accumulate_weighted_values(
-    entries: &[(f32, &[f32])],
-    len: usize,
-    pool: &mut ScratchPool,
-) -> Vec<f32> {
-    let mut acc = pool.take_zeroed(len);
     accumulate_into(entries, &mut acc);
     acc
 }
@@ -136,73 +106,16 @@ pub(crate) fn packed_rank(words: &[u64], offsets: &[u32], i: usize) -> usize {
     (offsets[i >> 6] + (words[i >> 6] & ((1u64 << (i & 63)) - 1)).count_ones()) as usize
 }
 
-/// Accumulates `Σ wᵢ · sparseᵢ` directly in packed `(support, values)`
-/// form — `O(Σ nnzᵢ + d/64)` instead of the `O(d)` of staging through a
-/// dense buffer. `support` becomes the union of the entries' supports,
-/// `out[r]` the sum at the `r`-th set position, and `offsets` is left
-/// holding the support's rank prefix (callers can reuse it with
-/// [`BitMask::as_words`] for further O(1) rank lookups).
-///
-/// Bit-identical to densifying: every packed position receives its
-/// contributions as `+= w·v` in entry order starting from `+0.0`, exactly
-/// the adds [`accumulate_sparse`] performs at that position.
-///
-/// # Panics
-/// Panics if an entry holds a position at or above `dim`.
-pub fn accumulate_sparse_packed(
-    entries: &[(f32, &SparseUpdate)],
-    dim: usize,
-    support: &mut BitMask,
-    offsets: &mut Vec<u32>,
-    out: &mut Vec<f32>,
-) {
-    support.reset(dim);
-    for (_, u) in entries {
-        for &i in u.indices() {
-            support.set(i as usize, true);
-        }
-    }
-    let total = build_rank_offsets(support, offsets);
-    out.clear();
-    out.resize(total, 0.0);
-    let words = support.as_words();
-    if dim <= SHARD || entries.len() <= 1 {
-        for (w, u) in entries {
-            for (&i, &v) in u.indices().iter().zip(u.values()) {
-                out[packed_rank(words, offsets, i as usize)] += *w * v;
-            }
-        }
-        return;
-    }
-    // Shard by position range, like the dense driver below: each shard's
-    // accumulator window, mask words, and rank prefix stay cache-resident
-    // while every entry's in-range coordinates stream through — instead
-    // of each entry walking the whole packed accumulator in turn. An
-    // entry's indices are sorted, so one cursor per entry advances
-    // monotonically across shards. A position lives in exactly one shard
-    // and shards replay entries in order, so per position the adds still
-    // land in entry order: bit-identical to the plain loop.
-    let mut cursors = vec![0usize; entries.len()];
-    let mut lo = 0;
-    while lo < dim {
-        let hi = (lo + SHARD).min(dim);
-        for ((w, u), cur) in entries.iter().zip(&mut cursors) {
-            let idx = u.indices();
-            let vals = u.values();
-            while *cur < idx.len() && (idx[*cur] as usize) < hi {
-                out[packed_rank(words, offsets, idx[*cur] as usize)] += *w * vals[*cur];
-                *cur += 1;
-            }
-        }
-        lo = hi;
-    }
-}
-
-/// Streaming twin of [`accumulate_sparse_packed`]: scatters pre-weighted
-/// addends recorded as flat `(position, addend)` streams (entries
-/// concatenated in fold order) into packed form. Per packed position the
-/// adds replay in stream order from `+0.0`, so folding `w·v` pairs here is
-/// bit-identical to the dense `acc[i] += w·v` loop.
+/// Scatters pre-weighted addends recorded as flat `(position, addend)`
+/// streams (entries concatenated in fold order) into packed
+/// `(support, values)` form — `O(stream + d/64)` instead of the `O(d)` of
+/// staging through a dense buffer. `support` becomes the set of streamed
+/// positions, `out[r]` the sum at the `r`-th set position, and `offsets`
+/// is left holding the support's rank prefix (reusable with
+/// [`BitMask::as_words`] for O(1) rank lookups via `packed_rank`). Per
+/// packed position the adds replay in stream order from `+0.0`, so
+/// folding `w·v` pairs here is bit-identical to the dense
+/// `acc[i] += w·v` loop ([`accumulate_sparse`]).
 ///
 /// # Panics
 /// Panics if the streams' lengths differ or a position is at or above
@@ -236,9 +149,11 @@ pub fn scatter_add_packed(
     }
     // The stream is a concatenation of strictly ascending runs (one per
     // folded entry). Split it at the descents, then shard by position
-    // range exactly as in [`accumulate_sparse_packed`]: per shard the
-    // runs replay in stream order and a position occurs at most once per
-    // run, so every position's adds keep their stream order bit-for-bit.
+    // range like the dense driver below, so each shard's accumulator
+    // window, mask words and rank prefix stay cache-resident: per shard
+    // the runs replay in stream order and a position occurs at most once
+    // per run, so every position's adds keep their stream order
+    // bit-for-bit.
     // Two adjacent runs that happen to stay ascending across the seam
     // merge harmlessly — the merged run is still strictly ascending.
     let mut runs = vec![0usize];
@@ -394,8 +309,8 @@ mod tests {
                     .enumerate()
                     .map(|(i, u)| (1.0 / (i + 1) as f32, u))
                     .collect();
-                let mut pool = ScratchPool::new();
-                let got = accumulate_uploads(&entries, dim, &mut pool);
+                let mut got = vec![0.0f32; dim];
+                accumulate_into(&entries, &mut got);
                 assert_eq!(got, sequential_reference(&entries, dim), "dim={dim} n={n}");
             }
         }
@@ -413,8 +328,8 @@ mod tests {
             .enumerate()
             .map(|(i, a)| (0.1 * (i + 1) as f32, a.as_slice()))
             .collect();
-        let mut pool = ScratchPool::new();
-        let got = accumulate_weighted_values(&entries, len, &mut pool);
+        let mut got = vec![0.0f32; len];
+        accumulate_into(&entries, &mut got);
 
         let mut expected = vec![0.0f32; len];
         for (w, a) in &entries {
@@ -436,21 +351,22 @@ mod tests {
             .enumerate()
             .map(|(i, u)| ((i as f32).sin(), u))
             .collect();
-        let mut pool = ScratchPool::new();
+        let (mut threaded, mut serial) = (vec![0.0f32; dim], vec![0.0f32; dim]);
         set_parallel_enabled(true);
-        let threaded = accumulate_uploads(&entries, dim, &mut pool);
+        accumulate_into(&entries, &mut threaded);
         set_parallel_enabled(false);
-        let serial = accumulate_uploads(&entries, dim, &mut pool);
+        accumulate_into(&entries, &mut serial);
         set_parallel_enabled(true);
         assert_eq!(threaded, serial);
     }
 
-    /// The packed accumulation must equal the dense accumulation exactly:
-    /// same union support, and at every set position the same bits as the
+    /// The packed scatter must equal the dense accumulation exactly: same
+    /// union support, and at every set position the same bits as the
     /// dense accumulator (including cancellations to ±0.0).
     #[test]
-    fn packed_accumulation_matches_dense_bitwise() {
-        let dim = 5000;
+    fn packed_scatter_matches_dense_bitwise() {
+        // Past one shard, so the run-splitting sharded scatter runs too.
+        let dim = SHARD + 5000;
         let mut rng = StdRng::seed_from_u64(11);
         for n in [1usize, 2, 9] {
             let updates: Vec<SparseUpdate> = (0..n)
@@ -472,10 +388,23 @@ mod tests {
             let mut pool = ScratchPool::new();
             let dense = accumulate_sparse(&entries, dim, &mut pool);
 
+            let mut idx_stream: Vec<u32> = Vec::new();
+            let mut val_stream: Vec<f32> = Vec::new();
+            for (w, u) in &entries {
+                idx_stream.extend_from_slice(u.indices());
+                val_stream.extend(u.values().iter().map(|&v| *w * v));
+            }
             let mut support = BitMask::zeros(dim);
             let mut offsets = Vec::new();
             let mut packed = Vec::new();
-            accumulate_sparse_packed(&entries, dim, &mut support, &mut offsets, &mut packed);
+            scatter_add_packed(
+                &idx_stream,
+                &val_stream,
+                dim,
+                &mut support,
+                &mut offsets,
+                &mut packed,
+            );
             assert_eq!(support.count_ones(), packed.len());
             let mut r = 0;
             for (i, &dv) in dense.iter().enumerate() {
@@ -490,32 +419,6 @@ mod tests {
                     assert_eq!(dv.to_bits(), 0.0f32.to_bits(), "dense nonzero off-support");
                 }
             }
-
-            // The streaming form over the concatenated (index, w·v) pairs
-            // must land on exactly the same packed sum.
-            let mut idx_stream: Vec<u32> = Vec::new();
-            let mut val_stream: Vec<f32> = Vec::new();
-            for (w, u) in &entries {
-                idx_stream.extend_from_slice(u.indices());
-                for &v in u.values() {
-                    val_stream.push(*w * v);
-                }
-            }
-            let mut support2 = BitMask::zeros(dim);
-            let mut packed2 = Vec::new();
-            scatter_add_packed(
-                &idx_stream,
-                &val_stream,
-                dim,
-                &mut support2,
-                &mut offsets,
-                &mut packed2,
-            );
-            assert_eq!(support2, support);
-            assert!(packed
-                .iter()
-                .zip(&packed2)
-                .all(|(a, b)| a.to_bits() == b.to_bits()));
         }
     }
 

@@ -1,0 +1,574 @@
+//! The client half of every strategy, and the state both halves derive
+//! from a [`SimConfig`] alone.
+//!
+//! A strategy is split along the line FedScale draws between its
+//! aggregator and its executors. The **server half** is the
+//! [`crate::strategies::Strategy`] trait: sampling, the round mask, the
+//! fold, the mask shift. The **client half** is [`ClientCompressor`]:
+//! what a client does to its trained delta before it leaves the device —
+//! re-scaled error compensation, the split along the broadcast mask
+//! `M_t`, the unique top-k, and feeding the wire codec's loss back into
+//! the residual bank. The simulator holds one compressor for all `N`
+//! simulated clients (the residual bank is keyed by client id), a socket
+//! client holds one for itself; both run exactly this code, so there is
+//! nothing to keep in step between them.
+//!
+//! The two halves share no mutable state. What they must agree on —
+//! whether a round regenerates the shared mask, how large the unique
+//! top-k is, the sticky/fresh propensity weight — are pure functions of
+//! [`GlueFlParams`], and the round mask itself reaches the client inside
+//! the broadcast.
+
+use crate::config::{GlueFlParams, SimConfig, StrategyConfig};
+use crate::scratch::ScratchPool;
+use crate::strategies::{Group, Upload};
+use crate::wire_link;
+use gluefl_compress::mask_shift::ClientSplit;
+use gluefl_compress::stc::{keep_count, TernaryUpdate};
+use gluefl_compress::{CompensationMode, ErrorCompensator};
+use gluefl_data::SyntheticFlDataset;
+use gluefl_ml::Mlp;
+use gluefl_sampling::ClientId;
+use gluefl_tensor::rng::{derive_seed, seeded_rng};
+use gluefl_tensor::wire::HEADER_BYTES;
+use gluefl_tensor::{top_k_abs_masked_into, BitMask, SparseUpdate, TopKScope};
+use gluefl_wire::{Codec, FrameWriter, WirePolicy};
+use std::sync::Arc;
+
+/// What every participant of a run — the round engine, the in-process
+/// clients, a socket client — derives from the [`SimConfig`] alone: the
+/// synthetic dataset, the freshly initialised model, and the split of
+/// its flat parameters into trainable positions and BatchNorm
+/// statistics. Deterministic in `cfg.seed`, so two processes given the
+/// same config hold bit-identical copies.
+#[derive(Debug)]
+pub struct RunSetup {
+    /// The synthetic population (shared, never mutated).
+    pub data: Arc<SyntheticFlDataset>,
+    /// The initial global model. Clients use only its topology; the
+    /// weights they train on arrive in every broadcast.
+    pub model: Mlp,
+    /// Flat indices of the BN-statistic positions, ascending.
+    pub stats_positions: Vec<usize>,
+    /// Mask of trainable positions (complement of the BN statistics).
+    pub trainable_mask: BitMask,
+}
+
+impl RunSetup {
+    /// Generates the dataset and initialises the model for `cfg`.
+    #[must_use]
+    pub fn new(cfg: &SimConfig) -> Self {
+        let data =
+            SyntheticFlDataset::generate(cfg.dataset.clone(), derive_seed(cfg.seed, "data", 0));
+        let mut init_rng = seeded_rng(cfg.seed, "model-init", 0);
+        let model = cfg
+            .model
+            .build(data.feature_dim(), data.classes(), &mut init_rng);
+        let trainable_mask = model.layout().trainable_mask();
+        let stats_positions = trainable_mask.iter_zeros().collect();
+        Self {
+            data: Arc::new(data),
+            model,
+            stats_positions,
+            trainable_mask,
+        }
+    }
+
+    /// Mask of the BN-statistic positions: what no strategy may select.
+    #[must_use]
+    pub fn stats_excluded(&self) -> BitMask {
+        self.trainable_mask.not()
+    }
+
+    /// Number of trainable positions (the base of every `q` ratio).
+    #[must_use]
+    pub fn trainable(&self) -> usize {
+        self.model.layout().trainable_count()
+    }
+}
+
+/// A masking strategy's client was asked to compress without the round
+/// mask its upload is aligned to.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct MissingRoundMask;
+
+impl std::fmt::Display for MissingRoundMask {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "strategy requires a round mask; none was broadcast")
+    }
+}
+
+impl std::error::Error for MissingRoundMask {}
+
+/// Per-strategy compression state.
+#[derive(Debug)]
+enum Scheme {
+    /// FedAvg / MD-FedAvg: the dense delta is the upload.
+    Dense,
+    /// STC: error feedback, top-`q` outside the BN statistics, optional
+    /// ternary quantization.
+    Stc {
+        q: f64,
+        quantize: bool,
+        ec: ErrorCompensator,
+    },
+    /// APF: values under the broadcast active mask.
+    Apf,
+    /// GlueFL: re-scaled error compensation, shared part under the
+    /// broadcast mask `M_t`, unique top-k outside `M_t ∪ stats`.
+    GlueFl {
+        params: GlueFlParams,
+        /// Importance weights `p_i` of the whole population.
+        weights: Vec<f64>,
+        /// Round size `K`.
+        k: usize,
+        ec: ErrorCompensator,
+        /// Reused `M_t ∪ stats` scope.
+        scope: BitMask,
+    },
+}
+
+/// The client half of the configured strategy (see the module docs).
+///
+/// Call order per round, for each client it serves:
+/// [`compress`](Self::compress) once after local training, then
+/// [`offer`](Self::offer) to price the staged upload, then — only if the
+/// server grants the upload — [`encode_kept`](Self::encode_kept).
+/// Uploads draw their storage from the caller's [`ScratchPool`] and go
+/// back to it with [`ScratchPool::reclaim_upload`].
+#[derive(Debug)]
+pub struct ClientCompressor {
+    scheme: Scheme,
+    /// Number of trainable positions (ratio base).
+    trainable: usize,
+    dim: usize,
+    /// Positions no top-k may select (BN statistics).
+    stats_excluded: BitMask,
+    wire: WirePolicy,
+    seed: u64,
+}
+
+impl ClientCompressor {
+    /// Builds the client half for `cfg.strategy` — the counterpart of
+    /// [`crate::strategies::build_strategy`], from the same layout
+    /// arguments: the population's importance `weights`, the number of
+    /// `trainable` positions, the model `dim`, and the BN-statistic mask.
+    #[must_use]
+    pub fn new(
+        cfg: &SimConfig,
+        weights: &[f64],
+        trainable: usize,
+        dim: usize,
+        stats_excluded: BitMask,
+    ) -> Self {
+        let scheme = match &cfg.strategy {
+            StrategyConfig::FedAvg | StrategyConfig::MdFedAvg => Scheme::Dense,
+            StrategyConfig::Stc { q } | StrategyConfig::StcQuantized { q } => Scheme::Stc {
+                q: *q,
+                quantize: matches!(cfg.strategy, StrategyConfig::StcQuantized { .. }),
+                ec: ErrorCompensator::new(CompensationMode::Raw, dim),
+            },
+            StrategyConfig::Apf { .. } => Scheme::Apf,
+            StrategyConfig::GlueFl(params) => Scheme::GlueFl {
+                params: params.clone(),
+                weights: weights.to_vec(),
+                k: cfg.round_size,
+                ec: ErrorCompensator::new(params.compensation, dim),
+                scope: BitMask::zeros(dim),
+            },
+        };
+        Self {
+            scheme,
+            trainable,
+            dim,
+            stats_excluded,
+            wire: cfg.wire,
+            seed: cfg.seed,
+        }
+    }
+
+    /// [`ClientCompressor::new`] over a [`RunSetup`].
+    #[must_use]
+    pub fn for_run(cfg: &SimConfig, setup: &RunSetup) -> Self {
+        Self::new(
+            cfg,
+            setup.data.client_weights(),
+            setup.trainable(),
+            setup.model.num_params(),
+            setup.stats_excluded(),
+        )
+    }
+
+    /// Compresses client `id`'s trainable delta (BN-statistic positions
+    /// zeroed) into its upload, applying and recording error
+    /// compensation in place. `round_mask` is the mask the server
+    /// broadcast for this round (`None` for strategies without one).
+    ///
+    /// # Errors
+    /// [`MissingRoundMask`] when a masking strategy gets no mask.
+    pub fn compress(
+        &mut self,
+        round: u32,
+        id: ClientId,
+        group: Group,
+        delta: &mut [f32],
+        round_mask: Option<&BitMask>,
+        scratch: &mut ScratchPool,
+    ) -> Result<Upload, MissingRoundMask> {
+        match &mut self.scheme {
+            Scheme::Dense => Ok(Upload::Dense(scratch.take_copy(delta))),
+            Scheme::Stc { q, quantize, ec } => {
+                // Error feedback: add the residual from the client's
+                // previous participation, sparsify, remember the new one.
+                ec.apply(id, delta, 1.0);
+                let (ix, vals) = scratch.take_sparse();
+                let idx = top_k_abs_masked_into(
+                    delta,
+                    keep_count(self.trainable, *q),
+                    TopKScope::Outside(&self.stats_excluded),
+                    &mut scratch.topk,
+                );
+                let sparse = SparseUpdate::gather_in(delta, idx, ix, vals);
+                if *quantize {
+                    // The residual must reflect what the server receives
+                    // (the dequantized values), so quantization loss is
+                    // carried into the next round too.
+                    let ternary = TernaryUpdate::quantize(&sparse);
+                    ec.record_sent_parts(id, delta, &[&ternary.dequantize()], 1.0);
+                    Ok(Upload::Ternary(ternary))
+                } else {
+                    ec.record_sent_parts(id, delta, &[&sparse], 1.0);
+                    Ok(Upload::Sparse(sparse))
+                }
+            }
+            Scheme::Apf => {
+                // Frozen parameters do not move locally; the upload
+                // carries the active positions, which the server knows.
+                let mask = round_mask.ok_or(MissingRoundMask)?;
+                let (ix, vals) = scratch.take_sparse();
+                Ok(Upload::KnownMask(SparseUpdate::from_dense_masked_in(
+                    delta, mask, ix, vals,
+                )))
+            }
+            Scheme::GlueFl {
+                params,
+                weights,
+                k,
+                ec,
+                scope,
+            } => {
+                let mask = round_mask.ok_or(MissingRoundMask)?;
+                let weight = params.client_weight(weights.len(), *k, group, weights[id]);
+                // Re-scaled error compensation (Equation 7).
+                ec.apply(id, delta, weight);
+                // Shared part: values under M_t (empty when regenerating);
+                // unique part: top-k outside M_t ∪ stats.
+                let regen = params.is_regen_round(round);
+                let shared = if regen {
+                    SparseUpdate::empty(self.dim)
+                } else {
+                    let (ix, vals) = scratch.take_sparse();
+                    SparseUpdate::from_dense_masked_in(delta, mask, ix, vals)
+                };
+                let top_scope: &BitMask = if regen {
+                    &self.stats_excluded
+                } else {
+                    scope.copy_from(mask);
+                    scope.union_with(&self.stats_excluded);
+                    scope
+                };
+                let (ix, vals) = scratch.take_sparse();
+                let idx = top_k_abs_masked_into(
+                    delta,
+                    params.unique_keep(self.trainable, round),
+                    TopKScope::Outside(top_scope),
+                    &mut scratch.topk,
+                );
+                let unique = SparseUpdate::gather_in(delta, idx, ix, vals);
+                // Residual h = Δ − (Δ̃_shr + Δ̃_uni), recorded without
+                // materialising the dense `sent` vector.
+                ec.record_sent_parts(id, delta, &[&shared, &unique], weight);
+                Ok(Upload::MaskSplit(ClientSplit { shared, unique }))
+            }
+        }
+    }
+
+    /// Prices a staged upload plus its `stats_len`-value BN-statistic
+    /// frame as `(analytic bytes, wire bytes)`: the
+    /// [`gluefl_tensor::WireCost`] model, and the exact length
+    /// [`encode_kept`](Self::encode_kept) would produce under the run's
+    /// [`WirePolicy`] — computed from the upload's shape and index
+    /// pattern, so nothing is serialized before the keep decision.
+    #[must_use]
+    pub fn offer(&self, upload: &Upload, stats_len: usize) -> (u64, u64) {
+        let analytic = upload.bytes() + stats_len as u64 * 4 + HEADER_BYTES;
+        let wire = wire_link::encoded_len(upload, &self.wire)
+            + FrameWriter::new(self.wire).known_mask_len(stats_len);
+        debug_assert!(
+            !(self.wire.is_legacy() && self.wire.codec == Codec::F32) || wire == analytic,
+            "legacy-F32 predicted bytes {wire} diverged from analytic {analytic}"
+        );
+        (analytic, wire)
+    }
+
+    /// Serializes client `id`'s granted upload and its BN-statistic
+    /// values into `out` (upload frame(s), then one mask-aligned stats
+    /// frame) and returns the byte count. Under a lossy codec with
+    /// `quant_ec` on, what each frame failed to ship is folded into the
+    /// client's residual bank, so codec loss re-enters the next round
+    /// alongside the top-k residual. Only granted uploads are ever
+    /// serialized, which is what keeps every driver's banks identical.
+    /// Quantization seeds derive from `(seed, round, id)`, never from
+    /// processing order.
+    pub fn encode_kept(
+        &mut self,
+        round: u32,
+        id: ClientId,
+        upload: &Upload,
+        stats: &[f32],
+        out: &mut Vec<u8>,
+    ) -> usize {
+        let key = (u64::from(round) << 32) | id as u64;
+        let scheme = &mut self.scheme;
+        let ulen = wire_link::encode_upload_with_feedback(
+            upload,
+            round,
+            &self.wire,
+            derive_seed(self.seed, "wire-quant", key),
+            out,
+            &mut |indices, sent, shipped| match scheme {
+                Scheme::Stc { ec, .. } | Scheme::GlueFl { ec, .. } => {
+                    ec.fold_shipped_error(id, indices, sent, shipped);
+                }
+                Scheme::Dense | Scheme::Apf => {}
+            },
+        );
+        let slen = FrameWriter::new(self.wire).known_mask(
+            out,
+            round,
+            wire_link::rounding_for(
+                self.wire.codec,
+                derive_seed(self.seed, "wire-quant-stats", key),
+            ),
+            self.dim,
+            stats,
+        );
+        ulen + slen
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use gluefl_data::DatasetProfile;
+    use gluefl_ml::DatasetModel;
+
+    fn compressor(strategy: StrategyConfig, dim: usize, excluded: BitMask) -> ClientCompressor {
+        let mut cfg = SimConfig::paper_setup(
+            DatasetProfile::Femnist,
+            DatasetModel::ShuffleNet,
+            strategy,
+            0.02,
+            1,
+            0,
+        );
+        cfg.round_size = 4;
+        let trainable = dim - excluded.count_ones();
+        ClientCompressor::new(&cfg, &[0.05; 20], trainable, dim, excluded)
+    }
+
+    fn gluefl_params() -> GlueFlParams {
+        GlueFlParams {
+            q: 0.3,
+            q_shr: 0.2,
+            sticky_group: 8,
+            sticky_draw: 3,
+            regen_interval: Some(5),
+            compensation: CompensationMode::Rescaled,
+            equal_weights: false,
+        }
+    }
+
+    #[test]
+    fn dense_upload_is_the_delta() {
+        let mut c = compressor(StrategyConfig::FedAvg, 8, BitMask::zeros(8));
+        let mut pool = ScratchPool::new();
+        let up = c
+            .compress(0, 0, Group::Fresh, &mut [1.0; 8], None, &mut pool)
+            .unwrap();
+        assert_eq!(up, Upload::Dense(vec![1.0; 8]));
+        assert_eq!(up.bytes(), 8 * 4 + 16);
+    }
+
+    #[test]
+    fn stc_sends_top_q_and_carries_the_residual() {
+        let mut c = compressor(StrategyConfig::Stc { q: 0.25 }, 8, BitMask::zeros(8));
+        let mut pool = ScratchPool::new();
+        let mut d1 = vec![4.0f32, 3.0, 2.0, 1.0, 0.0, 0.0, 0.0, 0.0];
+        let up = c
+            .compress(0, 5, Group::Fresh, &mut d1, None, &mut pool)
+            .unwrap();
+        assert!(matches!(&up, Upload::Sparse(u) if u.indices() == [0, 1]));
+        // Zero fresh delta next time: compensation resurrects what the
+        // first top-2 dropped.
+        let up = c
+            .compress(1, 5, Group::Fresh, &mut [0.0; 8], None, &mut pool)
+            .unwrap();
+        match up {
+            Upload::Sparse(u) => {
+                assert_eq!(u.indices(), &[2, 3]);
+                assert_eq!(u.values(), &[2.0, 1.0]);
+            }
+            other => panic!("expected sparse upload, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn stc_never_selects_statistic_positions() {
+        let excluded = BitMask::from_indices(8, [0usize]);
+        let mut c = compressor(StrategyConfig::Stc { q: 0.25 }, 8, excluded);
+        let mut pool = ScratchPool::new();
+        let mut delta = vec![100.0f32, 1.0, 2.0, 3.0, 0.0, 0.0, 0.0, 0.0];
+        let up = c
+            .compress(0, 0, Group::Fresh, &mut delta, None, &mut pool)
+            .unwrap();
+        assert!(matches!(&up, Upload::Sparse(u) if !u.indices().contains(&0)));
+    }
+
+    #[test]
+    fn quantized_stc_keeps_signs_and_costs_fewer_bytes() {
+        let delta = vec![4.0f32, -3.0, 2.0, -1.0, 0.0, 0.0, 0.0, 0.0];
+        let mut pool = ScratchPool::new();
+        let mut plain = compressor(StrategyConfig::Stc { q: 0.5 }, 8, BitMask::zeros(8));
+        let mut quant = compressor(
+            StrategyConfig::StcQuantized { q: 0.5 },
+            8,
+            BitMask::zeros(8),
+        );
+        let up_plain = plain
+            .compress(0, 0, Group::Fresh, &mut delta.clone(), None, &mut pool)
+            .unwrap();
+        let up_quant = quant
+            .compress(0, 0, Group::Fresh, &mut delta.clone(), None, &mut pool)
+            .unwrap();
+        assert!(up_quant.bytes() < up_plain.bytes());
+        match up_quant {
+            Upload::Ternary(t) => {
+                let back = t.dequantize();
+                assert_eq!(back.indices(), &[0, 1, 2, 3]);
+                assert!(back.values()[0] > 0.0 && back.values()[1] < 0.0);
+                // μ = mean(4, 3, 2, 1) = 2.5.
+                assert!((t.mu - 2.5).abs() < 1e-6);
+            }
+            other => panic!("expected ternary upload, got {other:?}"),
+        }
+        // Sent sign·μ = ±2.5, so the residual (1.5, −0.5, −0.5, 1.5)
+        // comes back on a zero delta with both signs present.
+        let up = quant
+            .compress(1, 0, Group::Fresh, &mut [0.0; 8], None, &mut pool)
+            .unwrap();
+        let Upload::Ternary(t) = up else {
+            panic!("expected ternary upload")
+        };
+        let back = t.dequantize();
+        assert!(back.values().iter().any(|v| *v > 0.0));
+        assert!(back.values().iter().any(|v| *v < 0.0));
+    }
+
+    #[test]
+    fn masking_strategies_require_the_round_mask() {
+        let mut pool = ScratchPool::new();
+        let apf = StrategyConfig::Apf {
+            config: gluefl_compress::ApfConfig::default(),
+        };
+        for strategy in [apf, StrategyConfig::GlueFl(gluefl_params())] {
+            let mut c = compressor(strategy, 20, BitMask::zeros(20));
+            assert_eq!(
+                c.compress(1, 0, Group::Fresh, &mut [1.0; 20], None, &mut pool),
+                Err(MissingRoundMask)
+            );
+        }
+    }
+
+    #[test]
+    fn gluefl_splits_along_the_mask() {
+        let mut c = compressor(
+            StrategyConfig::GlueFl(gluefl_params()),
+            20,
+            BitMask::zeros(20),
+        );
+        let mask = BitMask::from_indices(20, [1usize, 4, 9, 16]);
+        let mut pool = ScratchPool::new();
+        let mut delta: Vec<f32> = (0..20).map(|i| i as f32 - 10.0).collect();
+        let up = c
+            .compress(1, 0, Group::Sticky, &mut delta, Some(&mask), &mut pool)
+            .unwrap();
+        let Upload::MaskSplit(split) = up else {
+            panic!("expected mask split")
+        };
+        assert_eq!(split.shared.support(), mask);
+        assert_eq!(split.unique.support().overlap(&mask), 0);
+        // q − q_shr = 10% of 20 = 2 unique coordinates.
+        assert_eq!(split.unique.nnz(), 2);
+        // Regeneration round: no shared part, the full q = 30% unique.
+        let mut delta: Vec<f32> = (0..20).map(|i| i as f32 * 0.1).collect();
+        let up = c
+            .compress(5, 1, Group::Sticky, &mut delta, Some(&mask), &mut pool)
+            .unwrap();
+        let Upload::MaskSplit(split) = up else {
+            panic!("expected mask split")
+        };
+        assert!(split.shared.is_empty());
+        assert_eq!(split.unique.nnz(), 6);
+    }
+
+    #[test]
+    fn rescaled_compensation_survives_group_switch() {
+        let mut c = compressor(
+            StrategyConfig::GlueFl(gluefl_params()),
+            20,
+            BitMask::zeros(20),
+        );
+        let mask = BitMask::from_indices(20, [0usize, 1, 2, 3]);
+        // Fresh weight 12·0.05 = 0.6; three large values outside the
+        // mask, top-2 keeps two and the third becomes residual.
+        let mut d = vec![0.0f32; 20];
+        d[10] = 5.0;
+        d[11] = 4.0;
+        d[12] = 3.0;
+        let mut pool = ScratchPool::new();
+        let _ = c.compress(1, 0, Group::Fresh, &mut d, Some(&mask), &mut pool);
+        // As a sticky client (weight 8/3·0.05) the residual returns
+        // scaled by ν_fresh/ν_sticky = 4.5.
+        let up = c
+            .compress(2, 0, Group::Sticky, &mut [0.0; 20], Some(&mask), &mut pool)
+            .unwrap();
+        let Upload::MaskSplit(split) = up else {
+            panic!("expected mask split")
+        };
+        let mut dense = split.shared.to_dense();
+        split.unique.apply(&mut dense);
+        let expected = 3.0 * (0.6 / (8.0 / 3.0 * 0.05));
+        assert!(
+            (dense[12] - expected as f32).abs() < 1e-3,
+            "residual {} vs expected {expected}",
+            dense[12]
+        );
+    }
+
+    #[test]
+    fn offer_predicts_the_encoded_length() {
+        let mut c = compressor(StrategyConfig::Stc { q: 0.25 }, 8, BitMask::zeros(8));
+        let mut pool = ScratchPool::new();
+        let mut delta = vec![4.0f32, 3.0, 2.0, 1.0, 0.0, 0.0, 0.0, 0.0];
+        let up = c
+            .compress(0, 3, Group::Fresh, &mut delta, None, &mut pool)
+            .unwrap();
+        let stats = [0.5f32, -0.25];
+        let (analytic, wire) = c.offer(&up, stats.len());
+        let mut out = Vec::new();
+        assert_eq!(c.encode_kept(0, 3, &up, &stats, &mut out) as u64, wire);
+        assert_eq!(out.len() as u64, wire);
+        assert_eq!(analytic, wire, "legacy F32 frames match the analytic model");
+    }
+}

@@ -1,5 +1,6 @@
 //! Simulation configuration.
 
+use crate::strategies::Group;
 use gluefl_compress::{ApfConfig, CompensationMode};
 use gluefl_data::{DatasetConfig, DatasetProfile};
 use gluefl_ml::{DatasetModel, ModelProfile};
@@ -48,6 +49,49 @@ impl GlueFlParams {
             compensation: CompensationMode::Rescaled,
             equal_weights: false,
         }
+    }
+
+    /// Whether `round` is a shared-mask regeneration round (§3.3): the
+    /// server re-seeds `M_t` from the unique aggregate alone, and clients
+    /// send no shared part.
+    #[must_use]
+    pub fn is_regen_round(&self, round: u32) -> bool {
+        match self.regen_interval {
+            Some(i) => round > 0 && round.is_multiple_of(i),
+            None => false,
+        }
+    }
+
+    /// Size of the unique top-k this round, for clients and for the
+    /// server's re-masking alike: `q − q_shr` of the `trainable`
+    /// positions normally, the full `q` on regeneration rounds.
+    #[must_use]
+    pub fn unique_keep(&self, trainable: usize, round: u32) -> usize {
+        let ratio = if self.is_regen_round(round) {
+            self.q
+        } else {
+            self.q - self.q_shr
+        };
+        gluefl_compress::stc::keep_count(trainable, ratio)
+    }
+
+    /// The aggregation weight of a client with importance weight `p_i`
+    /// drawn from `group` in a population of `n` with round size `k`:
+    /// the inverse-propensity factor of Theorem 1 times `p_i` (or the
+    /// biased `1/K` under [`GlueFlParams::equal_weights`]). It is also
+    /// the scale of the client's re-scaled error compensation
+    /// (Equation 7), which is why both halves compute it from here.
+    #[must_use]
+    pub fn client_weight(&self, n: usize, k: usize, group: Group, p_i: f64) -> f64 {
+        if self.equal_weights {
+            return 1.0 / k as f64;
+        }
+        let w = gluefl_sampling::sticky_weights(n, self.sticky_group, self.sticky_draw, k);
+        let factor = match group {
+            Group::Sticky => w.sticky_factor,
+            Group::Fresh => w.fresh_factor,
+        };
+        factor * p_i
     }
 }
 

@@ -1,0 +1,719 @@
+//! The round engine: the server procedure of Algorithm 3, once.
+//!
+//! [`RoundEngine`] owns everything the server side of a run owns — the
+//! global model, the strategy's server half, the staleness tracker, the
+//! link/speed/availability models, the run RNG and the [`ScratchPool`] —
+//! and [`RoundEngine::step`] is the only place a round is sequenced:
+//!
+//! 1. **plan** — the strategy draws invitations among clients that are
+//!    both online (availability model) and reachable ([`RoundIo`]);
+//! 2. **broadcast** — every invited client is charged the positions it
+//!    is stale on plus the strategy's mask, and the broadcast (one dense
+//!    `F32` model frame plus the mask frame, if any) is serialized once;
+//! 3. **invite / offers** — [`RoundIo::invite`] hands the broadcast to
+//!    all invited clients, which train and compress;
+//!    [`RoundIo::offers`] collects each one's predicted upload byte
+//!    counts, which are the round's upload volume and, over the sampled
+//!    links, the modeled transfer times;
+//! 4. **keep** — the fastest `C` sticky / `K − C` fresh finishers are
+//!    kept (§5.6); [`RoundIo::grant`] tells the clients, and only kept
+//!    uploads are ever serialized;
+//! 5. **fold** — each arrival from [`RoundIo::next_upload`] is decoded
+//!    through the one upload grammar
+//!    ([`wire_link::decode_upload_with_stats`]), validated against the
+//!    strategy, the model dimension and the BN-statistic layout, and
+//!    folded on the spot through the
+//!    [`StreamingAggregator`]; a lost or invalid upload is skipped and
+//!    the round completes without it;
+//! 6. **finish** — the strategy's finishing step (top-k, mask shift)
+//!    yields the [`gluefl_tensor::MaskedUpdate`], which is applied with
+//!    the word-level masked kernels; BN statistics get the Appendix-D
+//!    plain mean over the *delivered* uploads; the staleness tracker
+//!    records the changed positions; the strategy rebalances; the
+//!    modeled round time is the slowest kept client; the model is
+//!    evaluated on schedule.
+//!
+//! Who the clients are is the [`RoundIo`]'s business. Its steps are per
+//! *round*, not per client, so an implementation is free to train all
+//! invited clients in one batched call ([`crate::Simulation`]) or to
+//! wait on sockets under deadlines (`gluefl-transport`'s server). The
+//! engine never reads a clock except through the attached telemetry
+//! recorder, and never blocks except inside the IO.
+//!
+//! Because both drivers run this one sequence over the same client half
+//! ([`crate::ClientCompressor`]), their [`RoundRecord`]s and final
+//! parameters are equal bit for bit by construction; the loopback suite
+//! checks that the socket IO delivers what the in-process one does.
+
+use crate::client::RunSetup;
+use crate::config::{SimConfig, StrategyConfig};
+use crate::metrics::RoundRecord;
+use crate::scratch::ScratchPool;
+use crate::staleness::StalenessTracker;
+use crate::strategies::{build_strategy, Group, Strategy, Upload};
+use crate::stream::StreamingAggregator;
+use crate::wire_link;
+use gluefl_data::SyntheticFlDataset;
+use gluefl_ml::Mlp;
+use gluefl_net::timing::{fastest, seconds_for_bytes, ClientRoundTime};
+use gluefl_net::{LazyAvailability, LinkCache, SpeedCache};
+use gluefl_sampling::ClientId;
+use gluefl_telemetry::{EventKind, Histogram, Phase, Telemetry, PHASE_COUNT};
+use gluefl_tensor::rng::{derive_seed, seeded_rng};
+use gluefl_tensor::BitMask;
+use gluefl_wire::{Codec, FrameWriter, Rounding, WireError, WirePolicy};
+use rand::rngs::StdRng;
+use std::sync::Arc;
+
+/// Modeled upload time of an invited client that never offered: large
+/// enough to lose every [`fastest`] comparison, finite so the sort never
+/// sees a NaN/∞ ordering panic.
+const MISSING_OFFER_SECS: f64 = 1e30;
+
+/// What a round sends to every invited client.
+#[derive(Debug, Clone, Copy)]
+pub struct Broadcast<'a> {
+    /// The serialized form: one dense `F32` model frame, then the
+    /// strategy's mask frame if it ships one. Weights always travel at
+    /// full precision — clients must train on the exact global weights
+    /// the download accounting assumes — while the mask frame may take
+    /// the RLE layout when the run's [`WirePolicy`] admits it.
+    pub frames: &'a [u8],
+    /// The global parameters inside the model frame, for an IO that
+    /// shares the engine's address space and need not decode them.
+    pub params: &'a [f32],
+    /// The round mask inside the mask frame, likewise.
+    pub mask: Option<&'a BitMask>,
+}
+
+/// One resolved kept slot, as reported by [`RoundIo::next_upload`]. The
+/// index is the client's position in the round's invitation list.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Arrival {
+    /// The client's upload bytes are in the payload buffer.
+    Delivered(usize),
+    /// The client will not deliver (never offered, disconnected, missed
+    /// its deadline): fold without it.
+    Lost(usize),
+}
+
+/// How the engine reaches a round's clients. One call per step per
+/// round, in this order: [`invite`](Self::invite),
+/// [`offers`](Self::offers), [`grant`](Self::grant), then
+/// [`next_upload`](Self::next_upload) until it returns `None` — by which
+/// time every granted slot must have been reported exactly once, as
+/// [`Arrival::Delivered`] or [`Arrival::Lost`].
+pub trait RoundIo {
+    /// Whether client `id` can be invited at all (a socket IO answers
+    /// "is its connection alive"). Queried during planning, only for the
+    /// candidates the strategy considers.
+    fn reachable(&self, id: ClientId) -> bool;
+
+    /// Delivers the broadcast to every invited client, with its group
+    /// tag; the clients start local training.
+    fn invite(&mut self, round: u32, invited: &[(ClientId, Group)], broadcast: &Broadcast<'_>);
+
+    /// Collects the invited clients' offers: `offers[i]` becomes the
+    /// `(analytic bytes, wire bytes)` the `i`-th invited client predicts
+    /// for its upload, or stays `None` if it never answered. `times[i]`
+    /// holds that client's modeled download and compute seconds, for an
+    /// IO that turns modeled time into patience.
+    fn offers(&mut self, round: u32, times: &[ClientRoundTime], offers: &mut [Option<(u64, u64)>]);
+
+    /// Announces the keep decision: the invitation indices in `kept` are
+    /// granted their upload slot, everyone else is dismissed. `times`
+    /// now carries the modeled upload seconds too.
+    fn grant(&mut self, round: u32, kept: &[usize], times: &[ClientRoundTime]);
+
+    /// Waits for the next granted slot to resolve. On
+    /// [`Arrival::Delivered`] the upload's bytes (upload frames, then the
+    /// BN-statistic frame) have been placed in `payload`. `None` once
+    /// every granted slot has been reported.
+    fn next_upload(&mut self, round: u32, payload: &mut Vec<u8>) -> Option<Arrival>;
+
+    /// The engine could not use the bytes delivered for invitation index
+    /// `slot` and folded without them.
+    fn rejected(&mut self, round: u32, slot: usize, err: &WireError);
+}
+
+/// The attached recorder plus the instrument the round hot path records
+/// through — pre-registered so the round never touches the recorder's
+/// registry lock.
+#[derive(Clone)]
+struct EngineRecorder {
+    hub: Arc<Telemetry>,
+    /// Per-upload offered wire bytes (upload + BN-statistic frames).
+    wire_up_bytes: Histogram,
+}
+
+/// Reads the recorder clock, or 0 with no recorder attached — the whole
+/// cost of disabled instrumentation is this one untaken branch per phase
+/// boundary.
+#[inline]
+fn tick(tel: &Option<EngineRecorder>) -> u64 {
+    match tel {
+        Some(t) => t.hub.now_nanos(),
+        None => 0,
+    }
+}
+
+/// The server side of a run; see the [module docs](self).
+pub struct RoundEngine {
+    cfg: SimConfig,
+    data: Arc<SyntheticFlDataset>,
+    model: Mlp,
+    strategy: Box<dyn Strategy>,
+    staleness: StalenessTracker,
+    /// On-demand per-client links; only participants are ever sampled.
+    links: LinkCache,
+    /// On-demand per-client compute speeds.
+    speeds: SpeedCache,
+    /// Lazy availability process; `None` means every client is always
+    /// online. Clients are materialised on first touch, so the resident
+    /// state is O(touched clients), not O(N).
+    availability: Option<LazyAvailability>,
+    /// Flat indices of BN-statistic positions.
+    stats_positions: Vec<usize>,
+    /// Multiplier applied to byte counts when computing transfer *times*
+    /// (1.0 unless `cfg.paper_time_model`).
+    time_byte_factor: f64,
+    /// Parameter count used for compute-time estimation.
+    time_params: usize,
+    rng: StdRng,
+    round: u32,
+    skipped_uploads: usize,
+    scratch: ScratchPool,
+    /// Reused `(client, group)` invitation list.
+    invited: Vec<(ClientId, Group)>,
+    /// Decoded BN-statistic values of the round's kept uploads
+    /// (kept × stats).
+    stats_saved: Vec<f32>,
+    /// Reused list of changed positions per round.
+    changed: Vec<usize>,
+    tel: Option<EngineRecorder>,
+}
+
+impl RoundEngine {
+    /// Builds the server side of `cfg`'s run from what [`RunSetup`]
+    /// derived; every other piece of state (strategy, links, speeds,
+    /// availability, RNG) derives deterministically from `cfg.seed`.
+    #[must_use]
+    pub fn new(cfg: SimConfig, setup: RunSetup) -> Self {
+        let stats_excluded = setup.stats_excluded();
+        let trainable = setup.trainable();
+        let RunSetup {
+            data,
+            model,
+            stats_positions,
+            ..
+        } = setup;
+        let n = data.num_clients();
+        let dim = model.num_params();
+        let mut strat_rng = seeded_rng(cfg.seed, "strategy", 0);
+        let strategy = build_strategy(
+            &cfg,
+            data.client_weights(),
+            trainable,
+            dim,
+            stats_excluded,
+            &mut strat_rng,
+        );
+        let availability = cfg.availability.map(|a| {
+            LazyAvailability::new(
+                n,
+                a.online_fraction,
+                a.mean_session_rounds,
+                derive_seed(cfg.seed, "availability", 0),
+            )
+        });
+        let (time_byte_factor, time_params) = if cfg.paper_time_model {
+            (
+                cfg.model.paper_scale_factor(dim),
+                cfg.model.reference_params as usize,
+            )
+        } else {
+            (1.0, dim)
+        };
+        Self {
+            links: LinkCache::new(cfg.network, derive_seed(cfg.seed, "network", 0)),
+            speeds: SpeedCache::new(cfg.device, derive_seed(cfg.seed, "devices", 0)),
+            staleness: StalenessTracker::new(dim, n),
+            rng: seeded_rng(cfg.seed, "simulation", 0),
+            cfg,
+            data,
+            model,
+            strategy,
+            availability,
+            stats_positions,
+            time_byte_factor,
+            time_params,
+            round: 0,
+            skipped_uploads: 0,
+            scratch: ScratchPool::new(),
+            invited: Vec::new(),
+            stats_saved: Vec::new(),
+            changed: Vec::new(),
+            tel: None,
+        }
+    }
+
+    /// Attaches a telemetry recorder: every subsequent
+    /// [`RoundEngine::step`] measures its phases into
+    /// [`RoundRecord::phase_nanos`], records them on the recorder's
+    /// per-phase span table, and journals a round-done event. Without a
+    /// recorder all of that is skipped and the measured fields stay zero.
+    pub fn set_telemetry(&mut self, tel: Arc<Telemetry>) {
+        self.tel = Some(EngineRecorder {
+            wire_up_bytes: tel.histogram("gluefl_wire_up_bytes", &[]),
+            hub: tel,
+        });
+    }
+
+    /// The attached recorder, if any.
+    #[must_use]
+    pub fn telemetry(&self) -> Option<&Arc<Telemetry>> {
+        self.tel.as_ref().map(|t| &t.hub)
+    }
+
+    /// The run config.
+    #[must_use]
+    pub fn config(&self) -> &SimConfig {
+        &self.cfg
+    }
+
+    /// The current global model.
+    #[must_use]
+    pub fn model(&self) -> &Mlp {
+        &self.model
+    }
+
+    /// The dataset in use.
+    #[must_use]
+    pub fn data(&self) -> &SyntheticFlDataset {
+        &self.data
+    }
+
+    /// The strategy's display name.
+    #[must_use]
+    pub fn strategy_name(&self) -> String {
+        self.strategy.name()
+    }
+
+    /// The staleness tracker (position change history + client versions).
+    #[must_use]
+    pub fn staleness(&self) -> &StalenessTracker {
+        &self.staleness
+    }
+
+    /// Kept uploads folded without so far: lost by the IO, or delivered
+    /// as bytes the engine rejected. 0 in a failure-free run.
+    #[must_use]
+    pub fn skipped_uploads(&self) -> usize {
+        self.skipped_uploads
+    }
+
+    /// Executes one round through `io` and returns its record.
+    ///
+    /// # Panics
+    /// Panics if `io` breaks the [`RoundIo`] contract (a granted slot
+    /// reported twice or never, an index outside the keep set) — never
+    /// on the *content* of delivered bytes.
+    pub fn step(&mut self, io: &mut dyn RoundIo) -> RoundRecord {
+        let round = self.round;
+        self.round += 1;
+        // Phase boundaries accumulate into a local table; the recorder
+        // handle is cloned out of `self` (two `Arc` bumps) so measurement
+        // never fights the `&mut self` borrows below.
+        let tel = self.tel.clone();
+        let step_start = tick(&tel);
+        let mut phase_ns = [0u64; PHASE_COUNT];
+
+        // --- Plan: the strategy asks about exactly the candidates it
+        // considers, each answered by the IO and by advancing that
+        // client's private availability trajectory to `round`. No
+        // per-round O(N) scan happens anywhere. ---
+        let plan = {
+            let io = &*io;
+            match &mut self.availability {
+                Some(av) => {
+                    let mut query = |id: ClientId| io.reachable(id) && av.is_online(id, round);
+                    self.strategy.plan_round(round, &mut self.rng, &mut query)
+                }
+                None => {
+                    let mut query = |id: ClientId| io.reachable(id);
+                    self.strategy.plan_round(round, &mut self.rng, &mut query)
+                }
+            }
+        };
+        let mut invited = std::mem::take(&mut self.invited);
+        invited.clear();
+        invited.extend(plan.invited());
+        phase_ns[Phase::Draw.index()] = tick(&tel).saturating_sub(step_start);
+        let mut rec = RoundRecord {
+            round,
+            invited: invited.len(),
+            ..Default::default()
+        };
+        if invited.is_empty() {
+            self.invited = invited;
+            self.finish_record(&tel, step_start, phase_ns, 0, &mut rec);
+            return rec;
+        }
+
+        // --- Download accounting (every invited client syncs) and the
+        // broadcast frames. ---
+        let broadcast_start = tick(&tel);
+        let mask_bytes = self.strategy.mask_download_bytes(round);
+        let download_bytes: Vec<u64> = invited
+            .iter()
+            .map(|&(id, _)| self.staleness.download_bytes(id) + mask_bytes)
+            .collect();
+        for &(id, _) in &invited {
+            self.staleness.mark_synced(id);
+        }
+        rec.down_bytes = download_bytes.iter().sum();
+        let mut frames = self.scratch.take_bytes();
+        let writer = FrameWriter::new(WirePolicy {
+            codec: Codec::F32,
+            ..self.cfg.wire
+        });
+        let _ = writer.dense(&mut frames, round, Rounding::Nearest, self.model.params());
+        if let Some(mask) = self.strategy.round_mask(round) {
+            let _ = writer.mask(&mut frames, round, mask);
+        }
+        rec.wire_broadcast_bytes = frames.len() as u64;
+        phase_ns[Phase::Broadcast.index()] = tick(&tel).saturating_sub(broadcast_start);
+
+        // --- Invite: clients train. ---
+        let train_start = tick(&tel);
+        io.invite(
+            round,
+            &invited,
+            &Broadcast {
+                frames: &frames,
+                params: self.model.params(),
+                mask: self.strategy.round_mask(round),
+            },
+        );
+        self.scratch.put_bytes(frames);
+        phase_ns[Phase::Train.index()] = tick(&tel).saturating_sub(train_start);
+
+        // --- Offers: predicted upload bytes → volume and modeled times.
+        // Nothing is serialized yet: a frame's length depends only on the
+        // upload's shape and index pattern, so the keep selection below
+        // runs on offered lengths, the information order of a real
+        // server. Every invited client's offered bytes count toward the
+        // volume metrics, kept or not. ---
+        let offer_start = tick(&tel);
+        let mut times: Vec<ClientRoundTime> = invited
+            .iter()
+            .zip(&download_bytes)
+            .map(|(&(id, _), &down)| ClientRoundTime {
+                download_secs: seconds_for_bytes(
+                    (down as f64 * self.time_byte_factor) as u64,
+                    self.links.get(id).down_mbps,
+                ),
+                compute_secs: self.cfg.local_steps as f64
+                    * self
+                        .cfg
+                        .device
+                        .step_seconds(self.time_params, self.speeds.get(id)),
+                upload_secs: MISSING_OFFER_SECS,
+            })
+            .collect();
+        let mut offers: Vec<Option<(u64, u64)>> = vec![None; invited.len()];
+        io.offers(round, &times, &mut offers);
+        for ((&(id, _), time), offer) in invited.iter().zip(&mut times).zip(&offers) {
+            if let Some((analytic, wire)) = *offer {
+                rec.up_bytes += analytic;
+                rec.wire_up_bytes += wire;
+                if let Some(t) = &tel {
+                    t.wire_up_bytes.observe(wire);
+                }
+                time.upload_secs = seconds_for_bytes(
+                    (wire as f64 * self.time_byte_factor) as u64,
+                    self.links.get(id).up_mbps,
+                );
+            }
+        }
+        phase_ns[Phase::Encode.index()] = tick(&tel).saturating_sub(offer_start);
+
+        // --- Keep the fastest per group (over-commitment, §5.6). ---
+        let sticky_n = plan.sticky_invites.len();
+        let (sticky_times, fresh_times) = times.split_at(sticky_n);
+        let kept_sticky = fastest(sticky_times, plan.keep_sticky);
+        let mut kept_fresh = fastest(fresh_times, plan.keep_fresh);
+        kept_fresh.iter_mut().for_each(|i| *i += sticky_n);
+        let kept: Vec<usize> = kept_sticky.iter().chain(&kept_fresh).copied().collect();
+        rec.kept = kept.len();
+        io.grant(round, &kept, &times);
+
+        // --- Fold each arrival the moment it resolves. Arrival order is
+        // whatever the IO produces; the gate parks early arrivals so the
+        // strategy folds in ascending client-id order regardless. ---
+        let fold_start = tick(&tel);
+        let kept_pairs: Vec<(ClientId, Group)> = kept.iter().map(|&i| invited[i]).collect();
+        let mut gate =
+            StreamingAggregator::begin(round, &kept_pairs, &mut *self.strategy, &mut self.scratch);
+        let stats_len = self.stats_positions.len();
+        self.stats_saved.clear();
+        self.stats_saved.resize(kept.len() * stats_len, 0.0);
+        // Kept-slot number of each invitation index, `usize::MAX` when
+        // not kept; a delivered slot is marked by `delivered`.
+        let mut slot_of = vec![usize::MAX; invited.len()];
+        for (slot, &i) in kept.iter().enumerate() {
+            slot_of[i] = slot;
+        }
+        let mut delivered = vec![false; kept.len()];
+        let mut payload = self.scratch.take_bytes();
+        phase_ns[Phase::Fold.index()] = tick(&tel).saturating_sub(fold_start);
+        loop {
+            let wait_start = tick(&tel);
+            payload.clear();
+            let Some(arrival) = io.next_upload(round, &mut payload) else {
+                break;
+            };
+            let decode_start = tick(&tel);
+            phase_ns[Phase::Encode.index()] += decode_start.saturating_sub(wait_start);
+            let (i, upload) = match arrival {
+                Arrival::Delivered(i) => {
+                    let slot = slot_of[i];
+                    assert!(
+                        slot != usize::MAX,
+                        "RoundIo delivered a slot that was not kept"
+                    );
+                    match self.decode_arrival(round, &payload, slot) {
+                        Ok(upload) => {
+                            delivered[slot] = true;
+                            (i, Some(upload))
+                        }
+                        Err(e) => {
+                            io.rejected(round, i, &e);
+                            (i, None)
+                        }
+                    }
+                }
+                Arrival::Lost(i) => (i, None),
+            };
+            let fold_start = tick(&tel);
+            phase_ns[Phase::Decode.index()] += fold_start.saturating_sub(decode_start);
+            let id = invited[i].0;
+            match upload {
+                Some(upload) => gate.accept(&mut *self.strategy, id, upload, &mut self.scratch),
+                None => {
+                    self.skipped_uploads += 1;
+                    gate.skip(&mut *self.strategy, id, &mut self.scratch)
+                }
+            }
+            .expect("RoundIo resolves each kept slot exactly once");
+            phase_ns[Phase::Fold.index()] += tick(&tel).saturating_sub(fold_start);
+        }
+        self.scratch.put_bytes(payload);
+        let topk_start = tick(&tel);
+        let update = gate.finish(&mut *self.strategy, &mut self.scratch);
+        phase_ns[Phase::TopK.index()] = tick(&tel).saturating_sub(topk_start);
+
+        // --- Apply the masked update and record changed positions. A
+        // masking strategy's update covers O(q·d) positions; the
+        // word-level scatter / masked AXPY touches only those, and the
+        // changed-position scan walks the mask instead of the dense
+        // vector. ---
+        let apply_start = tick(&tel);
+        update.add_to(self.model.params_mut());
+        let mut changed = std::mem::take(&mut self.changed);
+        changed.clear();
+        update.for_each_nonzero(|j, _| {
+            // Strategy contract: BN-statistic positions are uncovered or
+            // carry exact zeros — a nonzero here would double-apply with
+            // the Appendix-D mean below.
+            debug_assert!(
+                self.stats_positions.binary_search(&j).is_err(),
+                "strategy update has a nonzero value at BN-statistic position {j}"
+            );
+            changed.push(j);
+        });
+        // BatchNorm statistics: plain mean over the delivered uploads'
+        // stats frames (Appendix D), added straight into the parameters.
+        let delivered_count = delivered.iter().filter(|&&d| d).count();
+        if delivered_count > 0 {
+            let inv_k = 1.0 / delivered_count as f32;
+            let params = self.model.params_mut();
+            for (j, &p) in self.stats_positions.iter().enumerate() {
+                let mean: f32 = (0..kept.len())
+                    .filter(|&slot| delivered[slot])
+                    .map(|slot| self.stats_saved[slot * stats_len + j])
+                    .sum::<f32>()
+                    * inv_k;
+                params[p] += mean;
+                if mean != 0.0 {
+                    changed.push(p);
+                }
+            }
+        }
+        rec.changed_positions = changed.len();
+        self.staleness.record_update(changed.iter().copied());
+        self.changed = changed;
+        self.scratch.put_update(update);
+        phase_ns[Phase::Apply.index()] = tick(&tel).saturating_sub(apply_start);
+
+        // --- Post-round bookkeeping (sticky rebalance). ---
+        let rebalance_start = tick(&tel);
+        let ids = |idx: &[usize]| -> Vec<ClientId> { idx.iter().map(|&i| invited[i].0).collect() };
+        self.strategy
+            .finish_round(round, &mut self.rng, &ids(&kept_sticky), &ids(&kept_fresh));
+        phase_ns[Phase::Rebalance.index()] = tick(&tel).saturating_sub(rebalance_start);
+        self.invited = invited;
+
+        // --- Modeled timing over kept clients: the round lasts as long
+        // as its slowest kept client. ---
+        let kn = kept.len().max(1) as f64;
+        for t in kept.iter().map(|&i| &times[i]) {
+            rec.round_secs = rec.round_secs.max(t.total_secs());
+            rec.slowest_download_secs = rec.slowest_download_secs.max(t.download_secs);
+            rec.slowest_upload_secs = rec.slowest_upload_secs.max(t.upload_secs);
+            rec.slowest_compute_secs = rec.slowest_compute_secs.max(t.compute_secs);
+            rec.mean_download_secs += t.download_secs;
+            rec.mean_upload_secs += t.upload_secs;
+            rec.mean_compute_secs += t.compute_secs;
+        }
+        rec.mean_download_secs /= kn;
+        rec.mean_upload_secs /= kn;
+        rec.mean_compute_secs /= kn;
+
+        self.finish_record(&tel, step_start, phase_ns, delivered_count, &mut rec);
+        rec
+    }
+
+    /// Decodes one delivered payload and checks that the engine can use
+    /// it: the upload variant is the one the configured strategy folds,
+    /// dimensions agree with the model, explicit index lists are strictly
+    /// increasing and in range (the accumulation kernels index with
+    /// them), and the stats frame matches the BN-statistic layout. On
+    /// success the stats values are in kept slot `slot` of `stats_saved`.
+    fn decode_arrival(
+        &mut self,
+        round: u32,
+        payload: &[u8],
+        slot: usize,
+    ) -> Result<Upload, WireError> {
+        let dim = self.model.num_params();
+        let stats_len = self.stats_positions.len();
+        let (upload, stats_frame) = wire_link::decode_upload_with_stats(
+            payload,
+            self.strategy.round_mask(round),
+            &mut self.scratch,
+        )?;
+        let err = if upload.dim() != dim || stats_frame.dim != dim {
+            Some(WireError::DimMismatch {
+                declared: if upload.dim() != dim {
+                    upload.dim()
+                } else {
+                    stats_frame.dim
+                },
+                expected: dim,
+            })
+        } else if !upload_matches(&self.cfg.strategy, &upload)
+            || !upload_indices_ok(&upload, dim)
+            || stats_frame.nnz != stats_len
+        {
+            Some(WireError::UnexpectedKind(0))
+        } else {
+            None
+        };
+        if let Some(e) = err {
+            // The frames decoded but the receiver can't use them: count
+            // the rejection in the same typed-error table the wire layer
+            // keeps.
+            gluefl_wire::stats::record_decode_error(&e);
+            self.scratch.reclaim_upload(upload);
+            return Err(e);
+        }
+        let mut values = self.scratch.take_cleared();
+        stats_frame.values_into(&mut values);
+        self.stats_saved[slot * stats_len..(slot + 1) * stats_len].copy_from_slice(&values);
+        self.scratch.put(values);
+        Ok(upload)
+    }
+
+    /// Closes a round's record: publishes the measured phases (one span
+    /// per non-[`Phase::Train`] phase — training spans are emitted by the
+    /// training paths themselves, block by block) and a round-done
+    /// journal event, then evaluates on schedule. Evaluation is outside
+    /// [`RoundRecord::step_nanos`].
+    fn finish_record(
+        &mut self,
+        tel: &Option<EngineRecorder>,
+        step_start: u64,
+        phase_ns: [u64; PHASE_COUNT],
+        delivered: usize,
+        rec: &mut RoundRecord,
+    ) {
+        rec.phase_nanos = phase_ns;
+        rec.step_nanos = tick(tel).saturating_sub(step_start);
+        if let Some(t) = tel {
+            for p in Phase::ALL {
+                let n = phase_ns[p.index()];
+                if n > 0 && p != Phase::Train {
+                    t.hub.record_phase(p, n, rec.round, -1);
+                }
+            }
+            let kept = u32::try_from(delivered).unwrap_or(u32::MAX);
+            t.hub.event(rec.round, -1, EventKind::RoundDone { kept });
+        }
+        let every = self.cfg.eval_every.max(1);
+        if (rec.round + 1).is_multiple_of(every) || rec.round + 1 == self.cfg.rounds {
+            // Evaluate through a pooled slot so eval rounds reuse warm
+            // forward buffers. The forward pass is the same GEMM-backed
+            // kernel path training uses; at test-set batch sizes the
+            // `parallel` feature shards GEMM row blocks across threads
+            // (bit-identical to serial — rows never share an accumulator).
+            let mut slot = self.scratch.take_train_slot();
+            let (tx, ty) = self.data.test_set();
+            let m = self.model.evaluate_into(tx, ty, &mut slot.scratch);
+            self.scratch.put_train_slot(slot);
+            rec.accuracy = Some(if self.cfg.use_top5 { m.top5 } else { m.top1 });
+            rec.loss = Some(m.loss);
+        }
+    }
+}
+
+impl std::fmt::Debug for RoundEngine {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("RoundEngine")
+            .field("strategy", &self.strategy.name())
+            .field("round", &self.round)
+            .field("clients", &self.data.num_clients())
+            .field("dim", &self.model.num_params())
+            .finish()
+    }
+}
+
+/// Whether the upload variant is the one the configured strategy's fold
+/// accepts (anything else would panic inside the fold).
+fn upload_matches(strategy_cfg: &StrategyConfig, upload: &Upload) -> bool {
+    matches!(
+        (strategy_cfg, upload),
+        (
+            StrategyConfig::FedAvg | StrategyConfig::MdFedAvg,
+            Upload::Dense(_)
+        ) | (StrategyConfig::Stc { .. }, Upload::Sparse(_))
+            | (StrategyConfig::StcQuantized { .. }, Upload::Ternary(_))
+            | (StrategyConfig::Apf { .. }, Upload::KnownMask(_))
+            | (StrategyConfig::GlueFl(_), Upload::MaskSplit(_))
+    )
+}
+
+/// Every explicit-position index list inside an upload must be strictly
+/// increasing and within the model dimension.
+fn upload_indices_ok(upload: &Upload, dim: usize) -> bool {
+    let ok = |indices: &[u32]| {
+        indices.windows(2).all(|w| w[0] < w[1])
+            && indices.last().is_none_or(|&last| (last as usize) < dim)
+    };
+    match upload {
+        Upload::Dense(_) | Upload::KnownMask(_) => true,
+        Upload::Sparse(u) => ok(u.indices()),
+        Upload::Ternary(t) => ok(&t.indices),
+        Upload::MaskSplit(s) => ok(s.unique.indices()),
+    }
+}

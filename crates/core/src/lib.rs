@@ -6,8 +6,10 @@
 //! non-IID datasets ([`gluefl_data`]), a flat-parameter neural net
 //! ([`gluefl_ml`]), compression/masking ([`gluefl_compress`]), client
 //! sampling ([`gluefl_sampling`]), and network simulation
-//! ([`gluefl_net`]) — into a deterministic round-by-round simulator with
-//! four strategies:
+//! ([`gluefl_net`]) — into one deterministic round [`engine`], an
+//! in-process driver for it ([`Simulation`]; `gluefl-transport` holds the
+//! socket one), and four strategies, each split into a server half
+//! ([`strategies::Strategy`]) and a client half ([`ClientCompressor`]):
 //!
 //! | Strategy | Sampling | Compression |
 //! |---|---|---|
@@ -18,7 +20,7 @@
 //!
 //! Each round's aggregate crosses the strategy seam as a [`MaskedUpdate`]
 //! (support mask + packed values; see the [`strategies::Strategy`] docs
-//! for the contract), which the simulator applies with word-level masked
+//! for the contract), which the engine applies with word-level masked
 //! kernels — sparse rounds never walk the dense parameter vector.
 //!
 //! # Quickstart
@@ -50,7 +52,9 @@
 #![warn(missing_docs)]
 
 pub mod aggregate;
+mod client;
 mod config;
+pub mod engine;
 mod metrics;
 pub mod scratch;
 mod simulator;
@@ -60,11 +64,16 @@ pub mod stream;
 pub mod theory;
 pub mod wire_link;
 
+pub use client::{ClientCompressor, MissingRoundMask, RunSetup};
 pub use config::{AvailabilityConfig, GlueFlParams, SimConfig, StrategyConfig};
+pub use engine::RoundEngine;
 pub use gluefl_tensor::MaskedUpdate;
 pub use gluefl_wire::Codec as WireCodec;
 pub use gluefl_wire::{IndexLayout, WirePolicy};
 pub use metrics::{CumulativeMetrics, RoundRecord, RunResult};
 pub use scratch::{ScratchPool, TrainSlot};
-pub use simulator::{batch_local_train_into, local_train_into, run_strategy, Simulation};
+pub use simulator::{
+    batch_local_train_into, local_train_into, local_train_seed, run_strategy, InProcessClients,
+    Simulation,
+};
 pub use staleness::StalenessTracker;

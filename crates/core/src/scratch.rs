@@ -1,10 +1,11 @@
-//! Per-simulation scratch buffers for the round hot path.
+//! Scratch buffers for the round hot path.
 //!
-//! One [`ScratchPool`] is owned by each [`crate::Simulation`] and threaded
-//! through [`crate::strategies::Strategy::compress`] and
-//! [`crate::strategies::Strategy::aggregate`], so the per-round kernels
-//! (top-k selection, dense accumulation, sparse extraction, mask algebra,
-//! residual bookkeeping) reuse the same allocations round after round.
+//! The round engine owns one [`ScratchPool`] and threads it through the
+//! strategy's fold ([`crate::strategies::Strategy::fold_upload`] and
+//! friends); each client side owns another and threads it through
+//! [`crate::ClientCompressor::compress`]. The per-round kernels (top-k
+//! selection, dense accumulation, sparse extraction, mask algebra,
+//! residual bookkeeping) so reuse the same allocations round after round.
 //! After the first round the hot path performs no steady-state heap
 //! allocation:
 //!
@@ -22,10 +23,10 @@
 //!   `copy_from_slice` and every minibatch step reuses warm activation,
 //!   cache, gradient, and velocity buffers.
 //!
-//! The simulator closes the loop: after aggregation it hands every
-//! consumed [`crate::strategies::Upload`] back via
+//! The drivers close the loop: every consumed
+//! [`crate::strategies::Upload`] goes back via
 //! [`ScratchPool::reclaim_upload`] and the applied
-//! [`gluefl_tensor::MaskedUpdate`] back via [`ScratchPool::put_update`].
+//! [`gluefl_tensor::MaskedUpdate`] via [`ScratchPool::put_update`].
 //!
 //! Ownership contract: buffers handed out by the `take_*` methods belong
 //! to the caller until returned with the matching `put_*`; the pool never
@@ -164,9 +165,8 @@ impl ScratchPool {
         self.put(values);
     }
 
-    /// Recycles the buffers inside a consumed upload (called by the
-    /// simulator once the round's aggregation is done, for kept and
-    /// dropped uploads alike).
+    /// Recycles the buffers inside a consumed upload (folded, encoded or
+    /// dropped alike).
     pub fn reclaim_upload(&mut self, upload: Upload) {
         match upload {
             Upload::Dense(values) => self.put(values),

@@ -1,149 +1,57 @@
-//! The round-by-round federated training simulator.
+//! The in-process driver: the round engine over simulated clients.
 //!
-//! One [`Simulation`] owns the global model, the synthetic dataset, the
-//! network/device/availability state, the staleness tracker, and a
-//! [`Strategy`]. Each round follows the FedScale-style protocol of §5.1:
+//! A [`Simulation`] is a [`RoundEngine`] plus an in-process
+//! [`RoundIo`] — all `N` clients live in this address space, share one
+//! [`ClientCompressor`] (its residual bank is keyed by client id) and
+//! one pooled training workspace. The round itself — plan, broadcast,
+//! keep-fastest, streaming fold, apply, BN-statistic mean, staleness,
+//! rebalance, eval — is sequenced by the engine
+//! ([`crate::engine`]); this module supplies what clients do:
 //!
-//! 1. the strategy invites `OC × K` clients (§5.6);
-//! 2. every invited client downloads the positions it is stale on
-//!    (§2.3's partial synchronisation) plus any strategy mask, trains `E`
-//!    local SGD steps, and uploads its compressed delta — all invited
-//!    clients' bytes count toward the volume metrics, kept or not (the
-//!    exact frame lengths are *predicted* from each upload's shape, so
-//!    nothing is serialized before the keep decision);
-//! 3. the fastest `C` sticky / `K−C` fresh finishers are kept; the round's
-//!    wall-clock time is the slowest kept client;
-//! 4. kept uploads — and only kept uploads — are serialized, decoded, and
-//!    folded one at a time through the [`crate::stream::StreamingAggregator`]
-//!    into the round's [`gluefl_tensor::MaskedUpdate`] (support mask +
-//!    packed values), which is applied with the word-level scatter /
-//!    masked-AXPY kernels — only the covered positions are touched;
-//!    BatchNorm statistics are aggregated with a plain `1/K` mean
-//!    (Appendix D) and added directly;
-//! 5. the staleness tracker records which positions changed (scanned from
-//!    the update's mask, not a dense walk).
-//!
-//! Local training of invited clients is allocation-free in steady state:
-//! each worker owns a pooled [`crate::scratch::TrainSlot`] (parameter
-//! buffer + [`gluefl_ml::TrainScratch`]), so a client "clone" is a
-//! `copy_from_slice` and every minibatch step reuses warm activation,
-//! cache, gradient, and velocity buffers (see [`local_train_into`]).
-//! Under the `parallel` feature the client loop is sharded across the
-//! vendored [`gluefl_pool`] work-stealing pool; results are bit-identical
-//! to serial execution because every client's RNG is derived from
-//! `(seed, round, client)` rather than thread schedule.
+//! * on `invite`, every invited client trains `E` local SGD steps from
+//!   the broadcast weights. Training is allocation-free in steady state:
+//!   each worker owns a pooled [`TrainSlot`] (parameter buffer +
+//!   [`gluefl_ml::TrainScratch`]), so a client "clone" is a
+//!   `copy_from_slice` and every minibatch step reuses warm buffers
+//!   (see [`local_train_into`]). Serial builds train all invited
+//!   clients in lockstep through the batched-client GEMM path
+//!   ([`batch_local_train_into`]); under the `parallel` feature the
+//!   client loop is sharded across the vendored [`gluefl_pool`]
+//!   work-stealing pool. Results are bit-identical either way because
+//!   every client's RNG is derived from `(seed, round, client)` rather
+//!   than thread schedule;
+//! * on `offers`, each trained delta is compressed in place by the
+//!   client half and priced ([`ClientCompressor::offer`]) — nothing is
+//!   serialized before the keep decision;
+//! * each granted upload is serialized into the engine's buffer
+//!   ([`ClientCompressor::encode_kept`]) when the engine asks for the
+//!   next arrival; dropped clients are never serialized at all, their
+//!   pooled buffers go straight back.
 
+use crate::client::{ClientCompressor, RunSetup};
 use crate::config::{SimConfig, StrategyConfig};
+use crate::engine::{Arrival, Broadcast, RoundEngine, RoundIo};
 use crate::metrics::{RoundRecord, RunResult};
 use crate::scratch::{ScratchPool, TrainSlot};
 use crate::staleness::StalenessTracker;
-use crate::strategies::{build_strategy, Group, Strategy, Upload};
-use crate::wire_link;
+use crate::strategies::{Group, Upload};
 use gluefl_data::SyntheticFlDataset;
 use gluefl_ml::{BatchTrainScratch, Mlp, MlpTopology};
-use gluefl_net::timing::{fastest, seconds_for_bytes, ClientRoundTime};
-use gluefl_net::{LazyAvailability, LinkCache, SpeedCache};
-use gluefl_sampling::AllOnline;
-use gluefl_telemetry::{EventKind, Phase, Telemetry, PHASE_COUNT};
-use gluefl_tensor::rng::{derive_seed, seeded_rng};
-use gluefl_tensor::vecops;
-use gluefl_tensor::wire::HEADER_BYTES;
+use gluefl_net::timing::ClientRoundTime;
+use gluefl_sampling::ClientId;
+use gluefl_telemetry::{Histogram, Phase, Telemetry};
+use gluefl_tensor::rng::derive_seed;
+use gluefl_tensor::{vecops, BitMask};
+use gluefl_wire::WireError;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::Arc;
 
-/// The attached recorder plus the instrument handles the round hot
-/// path records through — pre-registered at attach time so the per-round
-/// loop never touches the recorder's registry lock.
-#[derive(Clone)]
-struct SimRecorder {
-    hub: Arc<Telemetry>,
-    /// Per-upload measured wire bytes (upload + BN-statistic frames).
-    wire_up_bytes: gluefl_telemetry::Histogram,
-    /// Per-client update ℓ2 norm, in thousandths (the per-client
-    /// statistic Optimal Client Sampling–style importance sampling
-    /// needs each round).
-    update_norm_milli: gluefl_telemetry::Histogram,
-}
-
-/// Reads the recorder clock, or 0 with no recorder attached — the
-/// entire cost of disabled instrumentation is this one untaken branch
-/// per phase boundary.
-#[inline]
-fn tick(tel: &Option<SimRecorder>) -> u64 {
-    match tel {
-        Some(t) => t.hub.now_nanos(),
-        None => 0,
-    }
-}
-
-/// Commits a finished round's measured phases to the recorder: one
-/// span per non-[`Phase::Train`] phase (training spans are emitted by
-/// the training paths themselves, block by block) plus a
-/// round-done journal event.
-fn commit_phases(tel: &Option<SimRecorder>, round: u32, rec: &RoundRecord) {
-    if let Some(t) = tel {
-        for p in Phase::ALL {
-            let n = rec.phase_nanos[p.index()];
-            if n > 0 && p != Phase::Train {
-                t.hub.record_phase(p, n, round, -1);
-            }
-        }
-        t.hub.event(
-            round,
-            -1,
-            EventKind::RoundDone {
-                kept: rec.kept as u32,
-            },
-        );
-    }
-}
-
 /// A configured, running federated-learning simulation.
+#[derive(Debug)]
 pub struct Simulation {
-    cfg: SimConfig,
-    data: SyntheticFlDataset,
-    model: Mlp,
-    strategy: Box<dyn Strategy>,
-    staleness: StalenessTracker,
-    /// On-demand per-client links; only participants are ever sampled.
-    links: LinkCache,
-    /// On-demand per-client compute speeds.
-    speeds: SpeedCache,
-    /// Lazy availability process; `None` means every client is always
-    /// online. Clients are materialised on first touch, so the resident
-    /// state is O(touched clients), not O(N).
-    availability: Option<LazyAvailability>,
-    /// Flat indices of BN-statistic positions.
-    stats_positions: Vec<usize>,
-    /// Mask of trainable positions (complement of the BN statistics).
-    trainable_mask: gluefl_tensor::BitMask,
-    /// Multiplier applied to byte counts when computing transfer *times*
-    /// (1.0 unless `cfg.paper_time_model`).
-    time_byte_factor: f64,
-    /// Parameter count used for compute-time estimation.
-    time_params: usize,
-    rng: StdRng,
-    round: u32,
-    /// Scratch buffers threaded through the strategy seam; makes the
-    /// per-round hot path allocation-free in steady state.
-    scratch: ScratchPool,
-    /// Reused copy of the global parameters handed to local training.
-    global_buf: Vec<f32>,
-    /// Reused `(client, group)` invitation list.
-    invited_buf: Vec<(usize, Group)>,
-    /// Recycled client-delta buffers (one per invited client per round).
-    delta_bufs: Vec<Vec<f32>>,
-    /// Per-round saves of BN-statistic delta entries (invited × stats).
-    stats_saved: Vec<f32>,
-    /// Reused list of changed positions per round.
-    changed_buf: Vec<usize>,
-    /// Cached measured length of the reference broadcast frames (dense
-    /// model + mask bitmap) — a run constant, measured on first use.
-    wire_broadcast_len: Option<u64>,
-    /// Attached recorder; `None` (the default) records nothing and
-    /// costs one untaken branch per phase boundary.
-    tel: Option<SimRecorder>,
+    engine: RoundEngine,
+    clients: InProcessClients,
 }
 
 impl Simulation {
@@ -151,74 +59,11 @@ impl Simulation {
     /// speeds, masks) derives deterministically from `cfg.seed`.
     #[must_use]
     pub fn new(cfg: SimConfig) -> Self {
-        let data =
-            SyntheticFlDataset::generate(cfg.dataset.clone(), derive_seed(cfg.seed, "data", 0));
-        let n = data.num_clients();
-        let mut init_rng = seeded_rng(cfg.seed, "model-init", 0);
-        let model = cfg
-            .model
-            .build(data.feature_dim(), data.classes(), &mut init_rng);
-        let dim = model.num_params();
-        let layout = model.layout();
-        let trainable = layout.trainable_count();
-        let trainable_mask = layout.trainable_mask();
-        let stats_excluded = trainable_mask.not();
-        let stats_positions: Vec<usize> = stats_excluded.iter_ones().collect();
-
-        let mut strat_rng = seeded_rng(cfg.seed, "strategy", 0);
-        let strategy = build_strategy(
-            &cfg,
-            data.client_weights(),
-            trainable,
-            dim,
-            stats_excluded,
-            &mut strat_rng,
-        );
-
-        let links = LinkCache::new(cfg.network, derive_seed(cfg.seed, "network", 0));
-        let speeds = SpeedCache::new(cfg.device, derive_seed(cfg.seed, "devices", 0));
-        let availability = cfg.availability.map(|a| {
-            LazyAvailability::new(
-                n,
-                a.online_fraction,
-                a.mean_session_rounds,
-                derive_seed(cfg.seed, "availability", 0),
-            )
-        });
-
-        let staleness = StalenessTracker::new(dim, n);
-        let rng = seeded_rng(cfg.seed, "simulation", 0);
-        let (time_byte_factor, time_params) = if cfg.paper_time_model {
-            (
-                cfg.model.paper_scale_factor(dim),
-                cfg.model.reference_params as usize,
-            )
-        } else {
-            (1.0, dim)
-        };
+        let setup = RunSetup::new(&cfg);
+        let clients = InProcessClients::new(&cfg, &setup);
         Self {
-            cfg,
-            data,
-            model,
-            strategy,
-            staleness,
-            links,
-            speeds,
-            availability,
-            stats_positions,
-            trainable_mask,
-            time_byte_factor,
-            time_params,
-            rng,
-            round: 0,
-            scratch: ScratchPool::new(),
-            global_buf: Vec::new(),
-            invited_buf: Vec::new(),
-            delta_bufs: Vec::new(),
-            stats_saved: Vec::new(),
-            changed_buf: Vec::new(),
-            wire_broadcast_len: None,
-            tel: None,
+            engine: RoundEngine::new(cfg, setup),
+            clients,
         }
     }
 
@@ -228,11 +73,11 @@ impl Simulation {
     /// and round events. Without a recorder all of that is skipped and
     /// the measured fields stay zero.
     pub fn set_telemetry(&mut self, tel: Arc<Telemetry>) {
-        self.tel = Some(SimRecorder {
-            wire_up_bytes: tel.histogram("gluefl_wire_up_bytes", &[]),
+        self.clients.tel = Some(ClientRecorder {
             update_norm_milli: tel.histogram("gluefl_client_update_norm_milli", &[]),
-            hub: tel,
+            hub: Arc::clone(&tel),
         });
+        self.engine.set_telemetry(tel);
     }
 
     /// Builder-style [`Simulation::set_telemetry`].
@@ -245,57 +90,31 @@ impl Simulation {
     /// The attached recorder, if any.
     #[must_use]
     pub fn telemetry(&self) -> Option<&Arc<Telemetry>> {
-        self.tel.as_ref().map(|t| &t.hub)
-    }
-
-    /// Serializes the round's reference broadcast — one dense full-model
-    /// frame plus the strategy's mask frame — through a pooled arena and
-    /// returns the measured byte count. Model weights always travel at
-    /// full F32 precision (clients must train on the exact global
-    /// weights the download accounting assumes); the mask frame may use
-    /// the RLE layout when the configured policy admits it.
-    fn measure_broadcast(&mut self, round: u32) -> u64 {
-        let writer = gluefl_wire::FrameWriter::new(gluefl_wire::WirePolicy {
-            codec: gluefl_wire::Codec::F32,
-            ..self.cfg.wire
-        });
-        let mut bbuf = self.scratch.take_bytes();
-        let mut measured = writer.dense(
-            &mut bbuf,
-            round,
-            gluefl_wire::Rounding::Nearest,
-            self.model.params(),
-        ) as u64;
-        if let Some(mask) = self.strategy.round_mask(round) {
-            measured += writer.mask(&mut bbuf, round, mask) as u64;
-        }
-        debug_assert!(gluefl_wire::decode_frame_prefix(&bbuf).is_ok());
-        self.scratch.put_bytes(bbuf);
-        measured
+        self.engine.telemetry()
     }
 
     /// The simulation config.
     #[must_use]
     pub fn config(&self) -> &SimConfig {
-        &self.cfg
+        self.engine.config()
     }
 
     /// The current global model.
     #[must_use]
     pub fn model(&self) -> &Mlp {
-        &self.model
+        self.engine.model()
     }
 
     /// The dataset in use.
     #[must_use]
     pub fn data(&self) -> &SyntheticFlDataset {
-        &self.data
+        self.engine.data()
     }
 
     /// The strategy's display name.
     #[must_use]
     pub fn strategy_name(&self) -> String {
-        self.strategy.name()
+        self.engine.strategy_name()
     }
 
     /// The staleness tracker (position change history + client versions).
@@ -304,412 +123,178 @@ impl Simulation {
     /// skipped `r` rounds have to download?" (Figure 2b).
     #[must_use]
     pub fn staleness(&self) -> &StalenessTracker {
-        &self.staleness
+        self.engine.staleness()
     }
 
     /// Runs all configured rounds and returns the collected results.
     pub fn run(&mut self) -> RunResult {
-        let mut records = Vec::with_capacity(self.cfg.rounds as usize);
-        for _ in 0..self.cfg.rounds {
-            records.push(self.step());
-        }
-        RunResult::from_rounds(self.strategy.name(), records, self.cfg.target_accuracy)
+        let cfg = self.engine.config();
+        let (rounds, target) = (cfg.rounds, cfg.target_accuracy);
+        let records = (0..rounds).map(|_| self.step()).collect();
+        RunResult::from_rounds(self.engine.strategy_name(), records, target)
     }
 
     /// Executes one round and returns its record.
     pub fn step(&mut self) -> RoundRecord {
-        let round = self.round;
-        self.round += 1;
-        // Phase measurement: `tick` reads the recorder clock (or 0 when
-        // none is attached), phase boundaries accumulate into a local
-        // table, and `commit_phases` publishes the finished round. The
-        // recorder handle is cloned out of `self` (three `Arc` bumps)
-        // so measurement never fights the `&mut self` borrows below.
-        let tel = self.tel.clone();
-        let step_start = tick(&tel);
-        let mut phase_ns = [0u64; PHASE_COUNT];
-        // Plan through the lazy availability process: the strategy asks
-        // about exactly the candidates it considers, each answered by
-        // advancing that client's private session trajectory to `round`.
-        // No per-round O(N) scan happens anywhere.
-        let plan = match &mut self.availability {
-            Some(av) => {
-                let mut query = |id: usize| av.is_online(id, round);
-                self.strategy.plan_round(round, &mut self.rng, &mut query)
-            }
-            None => self
-                .strategy
-                .plan_round(round, &mut self.rng, &mut AllOnline),
-        };
-        let mut invited = std::mem::take(&mut self.invited_buf);
-        invited.clear();
-        invited.extend(plan.invited());
-        phase_ns[Phase::Draw.index()] = tick(&tel).saturating_sub(step_start);
-        let mut rec = RoundRecord {
-            round,
-            invited: invited.len(),
-            ..Default::default()
-        };
-        if invited.is_empty() {
-            self.invited_buf = invited;
-            rec.phase_nanos = phase_ns;
-            rec.step_nanos = tick(&tel).saturating_sub(step_start);
-            commit_phases(&tel, round, &rec);
-            self.maybe_eval(round, &mut rec);
-            return rec;
+        self.engine.step(&mut self.clients)
+    }
+}
+
+/// The client-side recorder: the hub for training spans plus the
+/// pre-registered per-client update-norm instrument.
+struct ClientRecorder {
+    hub: Arc<Telemetry>,
+    /// Per-client update ℓ2 norm, in thousandths (the per-client
+    /// statistic Optimal Client Sampling–style importance sampling
+    /// needs each round).
+    update_norm_milli: Histogram,
+}
+
+/// The in-process [`RoundIo`]: every client of the population, simulated
+/// here. Holds one round's worth of client state between the engine's
+/// steps — trained deltas, BN-statistic drift, staged uploads — in
+/// buffers recycled from round to round. Public so a test can wrap it
+/// and script what the engine gets to see.
+pub struct InProcessClients {
+    cfg: SimConfig,
+    data: Arc<SyntheticFlDataset>,
+    topo: MlpTopology,
+    /// Flat indices of BN-statistic positions.
+    stats_positions: Vec<usize>,
+    /// Mask of trainable positions (complement of the BN statistics).
+    trainable_mask: BitMask,
+    compressor: ClientCompressor,
+    scratch: ScratchPool,
+    /// The round's invitation list and broadcast mask.
+    invited: Vec<(ClientId, Group)>,
+    round_mask: Option<BitMask>,
+    /// Trained deltas, one per invited client (compressed in place), and
+    /// the recycled buffers they are drawn from.
+    deltas: Vec<Vec<f32>>,
+    delta_bufs: Vec<Vec<f32>>,
+    /// BN-statistic drift per invited client (invited × stats).
+    stats: Vec<f32>,
+    /// Staged uploads, per invited client.
+    uploads: Vec<Option<Upload>>,
+    /// Granted invitation indices not yet handed to the engine.
+    pending: Vec<usize>,
+    tel: Option<ClientRecorder>,
+}
+
+impl std::fmt::Debug for InProcessClients {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("InProcessClients")
+            .field("clients", &self.data.num_clients())
+            .finish_non_exhaustive()
+    }
+}
+
+impl RoundIo for InProcessClients {
+    fn reachable(&self, _id: ClientId) -> bool {
+        true
+    }
+
+    fn invite(&mut self, round: u32, invited: &[(ClientId, Group)], broadcast: &Broadcast<'_>) {
+        // Recycle the previous round: its dropped clients' uploads were
+        // priced but never encoded.
+        for upload in self.uploads.drain(..).flatten() {
+            self.scratch.reclaim_upload(upload);
         }
-
-        // --- Download accounting (every invited client syncs). ---
-        let broadcast_start = tick(&tel);
-        let mask_bytes = self.strategy.mask_download_bytes(round);
-        let download_bytes: Vec<u64> = invited
-            .iter()
-            .map(|&(id, _)| self.staleness.download_bytes(id) + mask_bytes)
-            .collect();
-        for &(id, _) in &invited {
-            self.staleness.mark_synced(id);
+        self.delta_bufs.append(&mut self.deltas);
+        self.invited.clear();
+        self.invited.extend_from_slice(invited);
+        match (broadcast.mask, &mut self.round_mask) {
+            (Some(mask), Some(own)) => own.copy_from(mask),
+            (mask, own) => *own = mask.cloned(),
         }
+        self.train_invited(round, broadcast.params);
+    }
 
-        // --- Measured broadcast (wire layer). ---
-        // One dense full-model frame plus the round's mask frame (when
-        // the strategy ships one), serialized through the real codec at
-        // full F32 precision — clients must train on the exact global
-        // weights the analytic per-client download accounting assumes.
-        // Under the legacy layouts the frame lengths depend only on `dim`
-        // and the strategy's mask presence, so the measurement is
-        // performed once (and re-checked against the analytic model every
-        // round in debug builds) rather than paying an O(4d) serialize
-        // per round for a run constant. With the entropy layouts the mask
-        // frame's length follows the mask's run structure — which changes
-        // every round under GlueFL's mask shifting — so it is measured
-        // per round.
-        rec.wire_broadcast_bytes = if self.cfg.wire.is_legacy() {
-            match self.wire_broadcast_len {
-                Some(cached) => {
-                    debug_assert_eq!(
-                        cached,
-                        self.measure_broadcast(round),
-                        "broadcast frame length changed mid-run"
-                    );
-                    cached
-                }
-                None => {
-                    let measured = self.measure_broadcast(round);
-                    debug_assert_eq!(
-                        measured,
-                        gluefl_tensor::WireCost::dense(self.model.num_params()).total_bytes()
-                            + mask_bytes,
-                        "measured broadcast diverged from the analytic download model"
-                    );
-                    self.wire_broadcast_len = Some(measured);
-                    measured
-                }
-            }
-        } else {
-            self.measure_broadcast(round)
-        };
-        phase_ns[Phase::Broadcast.index()] = tick(&tel).saturating_sub(broadcast_start);
-
-        // --- Local training (parallel, deterministic). ---
-        // Training writes two things per client: the trainable delta
-        // (BN-statistic positions already zeroed by the fused
-        // masked-subtraction kernel) and the BN-statistic drift, saved
-        // aside for the Appendix-D mean.
-        let lr = self.cfg.lr_at_round(round);
-        let dim = self.model.num_params();
+    fn offers(
+        &mut self,
+        round: u32,
+        _times: &[ClientRoundTime],
+        offers: &mut [Option<(u64, u64)>],
+    ) {
         let stats_len = self.stats_positions.len();
-        self.stats_saved.clear();
-        self.stats_saved.resize(invited.len() * stats_len, 0.0);
-        let mut global = std::mem::take(&mut self.global_buf);
-        global.clear();
-        global.extend_from_slice(self.model.params());
-        let mut stats_saved = std::mem::take(&mut self.stats_saved);
-        let train_start = tick(&tel);
-        let mut deltas = self.train_invited(&invited, &global, lr, round, &mut stats_saved);
-        phase_ns[Phase::Train.index()] = tick(&tel).saturating_sub(train_start);
-        self.stats_saved = stats_saved;
-        self.global_buf = global;
-
-        // --- Compression + predicted wire accounting + timing. ---
-        // Deltas are compressed in place (no per-client dense clone), but
-        // nothing is serialized yet: every wire frame's length depends
-        // only on its shape (kind, codec, dim, nnz), never its values, so
-        // each client's exact upload byte count is *predicted* from the
-        // compressed upload ([`wire_link::encoded_len`]) plus the round's
-        // BN-statistic frame length. The predictions are the round's
-        // measured upload volume and drive the transfer times, and the
-        // keep selection below runs before a single frame is encoded —
-        // the information order of a real server, which learns offered
-        // lengths before any upload bytes arrive. Dropped clients are
-        // never serialized (let alone decoded); their pooled buffers go
-        // straight back. Under the default (legacy F32) policy the
-        // predicted bytes equal the analytic model (debug-asserted per
-        // client, pinned end-to-end by the `wire_roundtrip` suite); the
-        // lossy codecs and entropy layouts shrink the measured bytes —
-        // and the prediction stays exact for them too, because
-        // `encoded_len` prices the upload's actual index pattern.
-        let stats_upload_bytes = stats_len as u64 * 4 + HEADER_BYTES;
-        let policy = self.cfg.wire;
-        let codec = policy.codec;
-        let writer = gluefl_wire::FrameWriter::new(policy);
-        // BN-statistic frames are mask-aligned (no position section), so
-        // their length is shape-only under every policy.
-        let stats_frame_len = writer.known_mask_len(stats_len);
-        let mut uploads: Vec<Option<Upload>> = Vec::with_capacity(invited.len());
-        let mut wire_lens: Vec<u64> = Vec::with_capacity(invited.len());
-        let mut times: Vec<ClientRoundTime> = Vec::with_capacity(invited.len());
-        let mut up_bytes_total = 0u64;
-        let mut wire_up_total = 0u64;
-        let compress_start = tick(&tel);
-        for (i, &(id, group)) in invited.iter().enumerate() {
-            let delta = &mut deltas[i];
-            if let Some(t) = &tel {
-                // The per-client update-norm statistic importance
-                // sampling needs (Chen et al.) — measured on the raw
-                // delta before compression consumes it.
+        for ((&(id, group), delta), offer) in self.invited.iter().zip(&mut self.deltas).zip(offers)
+        {
+            if let Some(t) = &self.tel {
+                // Measured on the raw delta, before compression consumes it.
                 let norm2: f64 = delta.iter().map(|&v| f64::from(v) * f64::from(v)).sum();
                 t.update_norm_milli.observe((norm2.sqrt() * 1e3) as u64);
             }
             let upload = self
-                .strategy
-                .compress(round, id, group, delta, &mut self.scratch);
-            let analytic_up = upload.bytes() + stats_upload_bytes;
-            let wire_up = wire_link::encoded_len(&upload, &policy) + stats_frame_len;
-            debug_assert!(
-                !(policy.is_legacy() && codec == gluefl_wire::Codec::F32) || wire_up == analytic_up,
-                "legacy-F32 predicted bytes {wire_up} diverged from analytic {analytic_up}"
-            );
-            if let Some(t) = &tel {
-                t.wire_up_bytes.observe(wire_up);
-            }
-            uploads.push(Some(upload));
-            wire_lens.push(wire_up);
-
-            up_bytes_total += analytic_up;
-            wire_up_total += wire_up;
-            let link = self.links.get(id);
-            let t_down = (download_bytes[i] as f64 * self.time_byte_factor) as u64;
-            let t_up = (wire_up as f64 * self.time_byte_factor) as u64;
-            times.push(ClientRoundTime {
-                download_secs: seconds_for_bytes(t_down, link.down_mbps),
-                compute_secs: self.cfg.local_steps as f64
-                    * self
-                        .cfg
-                        .device
-                        .step_seconds(self.time_params, self.speeds.get(id)),
-                upload_secs: seconds_for_bytes(t_up, link.up_mbps),
-            });
+                .compressor
+                .compress(
+                    round,
+                    id,
+                    group,
+                    delta,
+                    self.round_mask.as_ref(),
+                    &mut self.scratch,
+                )
+                .expect("the engine broadcasts the mask of every masking strategy");
+            *offer = Some(self.compressor.offer(&upload, stats_len));
+            self.uploads.push(Some(upload));
         }
-        phase_ns[Phase::Encode.index()] += tick(&tel).saturating_sub(compress_start);
-        rec.down_bytes = download_bytes.iter().sum();
-        rec.up_bytes = up_bytes_total;
-        rec.wire_up_bytes = wire_up_total;
-
-        // --- Keep the fastest per group (over-commitment, §5.6). ---
-        let sticky_n = plan.sticky_invites.len();
-        let (sticky_times, fresh_times) = times.split_at(sticky_n);
-        let kept_sticky_local = fastest(sticky_times, plan.keep_sticky);
-        let kept_fresh_local = fastest(fresh_times, plan.keep_fresh);
-        let kept_idx: Vec<usize> = kept_sticky_local
-            .iter()
-            .copied()
-            .chain(kept_fresh_local.iter().map(|&i| i + sticky_n))
-            .collect();
-        rec.kept = kept_idx.len();
-
-        // --- Serialize, deserialize, and fold kept uploads as a stream. ---
-        // Only kept uploads ever touch the codec. Each one is encoded
-        // into a pooled arena (the quantization seed derives from
-        // (seed, round, client), so encoding is rerun-stable and
-        // independent of processing order), decoded through the same
-        // grammar a network server applies to arriving bytes
-        // ([`wire_link::decode_upload_with_stats`]), and handed to the
-        // [`StreamingAggregator`], which folds it into the round's
-        // partial sums the moment its turn comes. The aggregation input
-        // is what the wire delivered, not what the clients computed, and
-        // each kept client's BN-statistic values are likewise replaced by
-        // their decoded frame. Arrivals run in keep-selection order —
-        // which is *not* client-id order — so the gate's parking path is
-        // exercised every round; there is no collect-then-aggregate
-        // staging of decoded uploads, the strategy consumes each on the
-        // spot and its buffers go back to the pool.
-        let kept_pairs: Vec<(usize, Group)> = kept_idx.iter().map(|&i| invited[i]).collect();
-        let mut gate = crate::stream::StreamingAggregator::begin(
-            round,
-            &kept_pairs,
-            &mut *self.strategy,
-            &mut self.scratch,
-        );
-        for &i in &kept_idx {
-            let (id, _) = invited[i];
-            let upload = uploads[i].take().expect("kept indices are unique");
-            let encode_start = tick(&tel);
-            let mut wbuf = self.scratch.take_bytes();
-            let client_key = (u64::from(round) << 32) | id as u64;
-            // Lossy codecs report what each frame actually shipped; the
-            // strategy folds the codec residual into the client's
-            // error-compensation bank. Only kept uploads — the only ones
-            // serialized — feed back, on both this driver and the real
-            // transport, so loopback runs stay bit-identical.
-            let strategy = &mut self.strategy;
-            let ulen = wire_link::encode_upload_with_feedback(
-                &upload,
-                round,
-                &policy,
-                derive_seed(self.cfg.seed, "wire-quant", client_key),
-                &mut wbuf,
-                &mut |ix, sent, shipped| strategy.fold_codec_error(id, ix, sent, shipped),
-            );
-            let slen = writer.known_mask(
-                &mut wbuf,
-                round,
-                wire_link::rounding_for(
-                    codec,
-                    derive_seed(self.cfg.seed, "wire-quant-stats", client_key),
-                ),
-                dim,
-                &self.stats_saved[i * stats_len..(i + 1) * stats_len],
-            );
-            debug_assert_eq!(
-                (ulen + slen) as u64,
-                wire_lens[i],
-                "encoded frame bytes diverged from the predicted length"
-            );
-            self.scratch.reclaim_upload(upload);
-            let decode_start = tick(&tel);
-            let (decoded, stats_frame) = wire_link::decode_upload_with_stats(
-                &wbuf,
-                self.strategy.round_mask(round),
-                &mut self.scratch,
-            )
-            .expect("in-process wire round-trip cannot corrupt");
-            let mut stats_back = self.scratch.take_cleared();
-            stats_frame.values_into(&mut stats_back);
-            self.stats_saved[i * stats_len..(i + 1) * stats_len].copy_from_slice(&stats_back);
-            self.scratch.put(stats_back);
-            let fold_start = tick(&tel);
-            gate.accept(&mut *self.strategy, id, decoded, &mut self.scratch)
-                .expect("keep set admits each kept client exactly once");
-            let fold_end = tick(&tel);
-            phase_ns[Phase::Encode.index()] += decode_start.saturating_sub(encode_start);
-            phase_ns[Phase::Decode.index()] += fold_start.saturating_sub(decode_start);
-            phase_ns[Phase::Fold.index()] += fold_end.saturating_sub(fold_start);
-            self.scratch.put_bytes(wbuf);
-        }
-        let topk_start = tick(&tel);
-        let update = gate.finish(&mut *self.strategy, &mut self.scratch);
-        phase_ns[Phase::TopK.index()] = tick(&tel).saturating_sub(topk_start);
-
-        // Dropped clients' uploads were measured (predicted) above but
-        // never encoded; recycle their pooled buffers.
-        for upload in uploads.into_iter().flatten() {
-            self.scratch.reclaim_upload(upload);
-        }
-
-        // --- Apply the masked update and record changed positions. ---
-        // A masking strategy's update covers O(q·d) positions; the
-        // word-level scatter / masked AXPY touches only those, and the
-        // changed-position scan walks the mask instead of the dense
-        // vector. Per covered position the arithmetic is the same single
-        // `+=` as the old dense walk — bit-identical trajectories.
-        let apply_start = tick(&tel);
-        update.add_to(self.model.params_mut());
-        let mut changed = std::mem::take(&mut self.changed_buf);
-        changed.clear();
-        update.for_each_nonzero(|j, _| {
-            // Strategy contract: BN-statistic positions are uncovered or
-            // carry exact zeros — a nonzero here would double-apply with
-            // the Appendix-D mean below.
-            debug_assert!(
-                self.stats_positions.binary_search(&j).is_err(),
-                "strategy update has a nonzero value at BN-statistic position {j}"
-            );
-            changed.push(j);
-        });
-
-        // --- BatchNorm statistics: plain 1/K mean (Appendix D). ---
-        // Stats positions are never covered by a masking strategy's mask
-        // (FedAvg's full mask covers them with exact zeros), so the means
-        // are added straight into the parameters.
-        if !kept_idx.is_empty() {
-            let inv_k = 1.0 / kept_idx.len() as f32;
-            let params = self.model.params_mut();
-            for (j, &p) in self.stats_positions.iter().enumerate() {
-                let mean: f32 = kept_idx
-                    .iter()
-                    .map(|&i| self.stats_saved[i * stats_len + j])
-                    .sum::<f32>()
-                    * inv_k;
-                params[p] += mean;
-                if mean != 0.0 {
-                    changed.push(p);
-                }
-            }
-        }
-        rec.changed_positions = changed.len();
-        self.staleness.record_update(changed.iter().copied());
-        self.changed_buf = changed;
-        self.scratch.put_update(update);
-        phase_ns[Phase::Apply.index()] = tick(&tel).saturating_sub(apply_start);
-
-        // --- Post-round bookkeeping (sticky rebalance). ---
-        let rebalance_start = tick(&tel);
-        let kept_sticky_ids: Vec<usize> = kept_sticky_local.iter().map(|&i| invited[i].0).collect();
-        let kept_fresh_ids: Vec<usize> = kept_fresh_local
-            .iter()
-            .map(|&i| invited[i + sticky_n].0)
-            .collect();
-        self.strategy
-            .finish_round(round, &mut self.rng, &kept_sticky_ids, &kept_fresh_ids);
-        phase_ns[Phase::Rebalance.index()] = tick(&tel).saturating_sub(rebalance_start);
-
-        // --- Recycle the per-round buffers. ---
-        debug_assert!(deltas.iter().all(|d| d.len() == dim));
-        self.delta_bufs.append(&mut deltas);
-        self.invited_buf = invited;
-
-        // --- Timing metrics over kept clients. ---
-        let kept_times: Vec<ClientRoundTime> = kept_idx.iter().map(|&i| times[i]).collect();
-        rec.round_secs = kept_times
-            .iter()
-            .map(ClientRoundTime::total_secs)
-            .fold(0.0, f64::max);
-        rec.slowest_download_secs = kept_times
-            .iter()
-            .map(|t| t.download_secs)
-            .fold(0.0, f64::max);
-        rec.slowest_upload_secs = kept_times.iter().map(|t| t.upload_secs).fold(0.0, f64::max);
-        rec.slowest_compute_secs = kept_times
-            .iter()
-            .map(|t| t.compute_secs)
-            .fold(0.0, f64::max);
-        let kn = kept_times.len().max(1) as f64;
-        rec.mean_download_secs = kept_times.iter().map(|t| t.download_secs).sum::<f64>() / kn;
-        rec.mean_upload_secs = kept_times.iter().map(|t| t.upload_secs).sum::<f64>() / kn;
-        rec.mean_compute_secs = kept_times.iter().map(|t| t.compute_secs).sum::<f64>() / kn;
-
-        rec.phase_nanos = phase_ns;
-        rec.step_nanos = tick(&tel).saturating_sub(step_start);
-        commit_phases(&tel, round, &rec);
-        self.maybe_eval(round, &mut rec);
-        rec
     }
 
-    fn maybe_eval(&mut self, round: u32, rec: &mut RoundRecord) {
-        let every = self.cfg.eval_every.max(1);
-        if (round + 1).is_multiple_of(every) || round + 1 == self.cfg.rounds {
-            // Evaluate through a pooled slot so eval rounds reuse warm
-            // forward buffers instead of building a fresh workspace. The
-            // forward pass is the same GEMM-backed kernel path training
-            // uses; at test-set batch sizes the `parallel` feature shards
-            // GEMM row blocks across threads inside the kernel
-            // (bit-identical to serial — rows never share an accumulator).
-            let mut slot = self.scratch.take_train_slot();
-            let (tx, ty) = self.data.test_set();
-            let m = self.model.evaluate_into(tx, ty, &mut slot.scratch);
-            self.scratch.put_train_slot(slot);
-            rec.accuracy = Some(if self.cfg.use_top5 { m.top5 } else { m.top1 });
-            rec.loss = Some(m.loss);
+    fn grant(&mut self, _round: u32, kept: &[usize], _times: &[ClientRoundTime]) {
+        // Delivered in descending pop order = ascending client id, the
+        // order the engine's gate folds in: it never has to park, so at
+        // most one decoded upload is alive at a time.
+        self.pending.clear();
+        self.pending.extend_from_slice(kept);
+        self.pending
+            .sort_unstable_by_key(|&i| std::cmp::Reverse(self.invited[i].0));
+    }
+
+    fn next_upload(&mut self, round: u32, payload: &mut Vec<u8>) -> Option<Arrival> {
+        let i = self.pending.pop()?;
+        let upload = self.uploads[i].take().expect("kept indices are unique");
+        let stats_len = self.stats_positions.len();
+        let len = self.compressor.encode_kept(
+            round,
+            self.invited[i].0,
+            &upload,
+            &self.stats[i * stats_len..(i + 1) * stats_len],
+            payload,
+        );
+        debug_assert_eq!(
+            len as u64,
+            self.compressor.offer(&upload, stats_len).1,
+            "encoded frame bytes diverged from the offered length"
+        );
+        self.scratch.reclaim_upload(upload);
+        Some(Arrival::Delivered(i))
+    }
+
+    fn rejected(&mut self, round: u32, slot: usize, err: &WireError) {
+        unreachable!("round {round}: in-process upload {slot} failed its own round trip: {err}")
+    }
+}
+
+impl InProcessClients {
+    /// The clients of `cfg`'s run, over the dataset and layout in `setup`.
+    #[must_use]
+    pub fn new(cfg: &SimConfig, setup: &RunSetup) -> Self {
+        Self {
+            cfg: cfg.clone(),
+            data: Arc::clone(&setup.data),
+            topo: setup.model.topology().clone(),
+            stats_positions: setup.stats_positions.clone(),
+            trainable_mask: setup.trainable_mask.clone(),
+            compressor: ClientCompressor::for_run(cfg, setup),
+            scratch: ScratchPool::new(),
+            invited: Vec::new(),
+            round_mask: None,
+            deltas: Vec::new(),
+            delta_bufs: Vec::new(),
+            stats: Vec::new(),
+            uploads: Vec::new(),
+            pending: Vec::new(),
+            tel: None,
         }
     }
 
@@ -717,7 +302,7 @@ impl Simulation {
     /// 1 on serial builds; up to the machine's parallelism when the
     /// `parallel` feature is enabled (and not disabled at runtime via
     /// [`crate::aggregate::set_parallel_enabled`]).
-    fn train_threads(&self, clients: usize) -> usize {
+    fn train_threads(clients: usize) -> usize {
         #[cfg(feature = "parallel")]
         if crate::aggregate::parallel_enabled() {
             return std::thread::available_parallelism()
@@ -729,51 +314,47 @@ impl Simulation {
         1
     }
 
-    /// Trains every invited client locally — client-sharded across worker
-    /// threads under the `parallel` feature, in lockstep through the
-    /// batched-client GEMM path ([`batch_local_train_into`]) otherwise,
-    /// with bit-identical results either way — writing trainable deltas
-    /// into recycled buffers (invitation order) and the BN-statistic
-    /// drift into `stats_saved` (`invited × stats` flat). Each worker
-    /// reuses one pooled [`TrainSlot`] (or the pooled
-    /// [`BatchTrainScratch`]), so steady-state training allocates nothing
-    /// per minibatch step.
-    fn train_invited(
-        &mut self,
-        invited: &[(usize, Group)],
-        global: &[f32],
-        lr: f32,
-        round: u32,
-        stats_saved: &mut [f32],
-    ) -> Vec<Vec<f32>> {
-        let dim = self.model.num_params();
+    /// Trains every invited client from `global` — client-sharded across
+    /// worker threads under the `parallel` feature, in lockstep through
+    /// the batched-client GEMM path ([`batch_local_train_into`])
+    /// otherwise, with bit-identical results either way — writing
+    /// trainable deltas (BN-statistic positions already zeroed by the
+    /// fused masked-subtraction kernel) into `self.deltas` in invitation
+    /// order and the BN-statistic drift into `self.stats`
+    /// (`invited × stats` flat). Each worker reuses one pooled
+    /// [`TrainSlot`] (or the pooled [`BatchTrainScratch`]), so
+    /// steady-state training allocates nothing per minibatch step.
+    fn train_invited(&mut self, round: u32, global: &[f32]) {
+        let invited = &self.invited;
+        let dim = global.len();
         let stats_len = self.stats_positions.len();
-        assert_eq!(stats_saved.len(), invited.len() * stats_len);
-        let tel = self.tel.clone();
-        let threads = self.train_threads(invited.len());
+        self.stats.clear();
+        self.stats.resize(invited.len() * stats_len, 0.0);
+        let stats_saved = &mut self.stats[..];
+        let tel = self.tel.as_ref().map(|t| &*t.hub);
+        let now = || tel.map_or(0, Telemetry::now_nanos);
+        let threads = Self::train_threads(invited.len());
         let mut slots: Vec<TrainSlot> = (0..threads)
             .map(|_| self.scratch.take_train_slot())
             .collect();
-        let mut results: Vec<Vec<f32>> = (0..invited.len())
-            .map(|_| {
-                let mut buf = self.delta_bufs.pop().unwrap_or_default();
-                buf.clear();
-                buf.resize(dim, 0.0);
-                buf
-            })
-            .collect();
+        self.deltas.extend((0..invited.len()).map(|_| {
+            let mut buf = self.delta_bufs.pop().unwrap_or_default();
+            buf.clear();
+            buf.resize(dim, 0.0);
+            buf
+        }));
+        let results = &mut self.deltas;
         let cfg = &self.cfg;
-        let data = &self.data;
-        let topo = self.model.topology();
+        let lr = cfg.lr_at_round(round);
+        let data = &*self.data;
+        let topo = &self.topo;
         let stats_positions = &self.stats_positions;
         let trainable_mask = &self.trainable_mask;
-        let seed = cfg.seed;
-        let worker = |&(id, _): &(usize, Group),
+        let client_seed = |id: ClientId| local_train_seed(cfg.seed, round, id);
+        let worker = |&(id, _): &(ClientId, Group),
                       out: &mut [f32],
                       stats_out: &mut [f32],
                       slot: &mut TrainSlot| {
-            let client_seed =
-                derive_seed(seed, "local-train", (u64::from(round) << 32) | id as u64);
             local_train_into(
                 topo,
                 global,
@@ -783,7 +364,7 @@ impl Simulation {
                 cfg.batch_size,
                 lr,
                 cfg.momentum,
-                client_seed,
+                client_seed(id),
                 out,
                 stats_positions,
                 stats_out,
@@ -799,11 +380,8 @@ impl Simulation {
             // Lockstep batched path: one stacked GEMM per layer across all
             // invited clients (shared weights at step 0, per-client tiles
             // after), bit-identical to the per-client loop below.
-            let ids: Vec<usize> = invited.iter().map(|&(id, _)| id).collect();
-            let client_seeds: Vec<u64> = ids
-                .iter()
-                .map(|&id| derive_seed(seed, "local-train", (u64::from(round) << 32) | id as u64))
-                .collect();
+            let ids: Vec<ClientId> = invited.iter().map(|&(id, _)| id).collect();
+            let client_seeds: Vec<u64> = ids.iter().map(|&id| client_seed(id)).collect();
             let mut batch_scratch = self.scratch.take_batch_train();
             batch_local_train_into(
                 topo,
@@ -815,18 +393,18 @@ impl Simulation {
                 cfg.batch_size,
                 lr,
                 cfg.momentum,
-                &mut results,
+                results,
                 stats_positions,
                 stats_saved,
                 trainable_mask,
                 &mut batch_scratch,
-                tel.as_ref().map(|t| (&*t.hub, round)),
+                tel.map(|t| (t, round)),
             );
             self.scratch.put_batch_train(batch_scratch);
         } else if threads <= 1 || invited.len() <= 1 {
-            let train_start = tick(&tel);
+            let train_start = now();
             let slot = slots.first_mut().expect("at least one train slot");
-            for (i, (inv, out)) in invited.iter().zip(&mut results).enumerate() {
+            for (i, (inv, out)) in invited.iter().zip(results.iter_mut()).enumerate() {
                 worker(
                     inv,
                     out,
@@ -834,18 +412,13 @@ impl Simulation {
                     slot,
                 );
             }
-            if let Some(t) = &tel {
-                t.hub.record_phase(
-                    Phase::Train,
-                    tick(&tel).saturating_sub(train_start),
-                    round,
-                    -1,
-                );
+            if let Some(t) = tel {
+                t.record_phase(Phase::Train, now().saturating_sub(train_start), round, -1);
             }
         } else {
             #[cfg(feature = "parallel")]
             {
-                let train_start = tick(&tel);
+                let train_start = now();
                 // One job per (client chunk, train slot): each job owns
                 // its slot, so the pool's workers never share mutable
                 // training state, and every client is internally serial —
@@ -882,13 +455,8 @@ impl Simulation {
                         }
                     },
                 );
-                if let Some(t) = &tel {
-                    t.hub.record_phase(
-                        Phase::Train,
-                        tick(&tel).saturating_sub(train_start),
-                        round,
-                        -1,
-                    );
+                if let Some(t) = tel {
+                    t.record_phase(Phase::Train, now().saturating_sub(train_start), round, -1);
                 }
             }
             #[cfg(not(feature = "parallel"))]
@@ -897,19 +465,15 @@ impl Simulation {
         for slot in slots {
             self.scratch.put_train_slot(slot);
         }
-        results
     }
 }
 
-impl std::fmt::Debug for Simulation {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Simulation")
-            .field("strategy", &self.strategy.name())
-            .field("round", &self.round)
-            .field("clients", &self.data.num_clients())
-            .field("dim", &self.model.num_params())
-            .finish()
-    }
+/// The seed of client `id`'s local training in `round` — what makes a
+/// client's minibatch stream the same in every driver and on every
+/// thread schedule.
+#[must_use]
+pub fn local_train_seed(seed: u64, round: u32, id: ClientId) -> u64 {
+    derive_seed(seed, "local-train", (u64::from(round) << 32) | id as u64)
 }
 
 /// One client's local training, allocation-free in steady state.
@@ -1138,6 +702,7 @@ mod tests {
     use crate::config::GlueFlParams;
     use gluefl_data::DatasetProfile;
     use gluefl_ml::DatasetModel;
+    use gluefl_telemetry::{EventKind, PHASE_COUNT};
 
     fn tiny_cfg(strategy: StrategyConfig) -> SimConfig {
         let mut cfg = SimConfig::paper_setup(

@@ -2,11 +2,11 @@
 //! (Chen et al. 2021; the paper's parameter-freezing baseline).
 
 use super::{bitmap_bytes, FoldAcc, Group, RoundPlan, Strategy, Upload};
-use crate::aggregate::{accumulate_into, accumulate_weighted_values};
+use crate::aggregate::accumulate_into;
 use crate::scratch::ScratchPool;
 use gluefl_compress::{Apf, ApfConfig};
 use gluefl_sampling::{ClientId, OnlineQuery, UniformSampler};
-use gluefl_tensor::{BitMask, MaskedUpdate, SparseUpdate};
+use gluefl_tensor::{BitMask, MaskedUpdate};
 use rand::rngs::StdRng;
 
 /// APF with uniform sampling: the server maintains a per-parameter freeze
@@ -26,7 +26,7 @@ pub struct ApfStrategy {
     weights: Vec<f64>,
     apf: Apf,
     /// Cached copy of [`Apf::active_mask`] for the current round
-    /// (refreshed after each observe, so `compress` never allocates).
+    /// (refreshed after each observe): the mask the round broadcasts.
     active: BitMask,
     dim: usize,
 }
@@ -98,58 +98,9 @@ impl Strategy for ApfStrategy {
 
     fn round_mask(&self, _round: u32) -> Option<&BitMask> {
         // The active mask: broadcast at sync time and the alignment of
-        // every known-mask upload this round (aggregate() refreshes it
+        // every known-mask upload this round (fold_finish refreshes it
         // only after consuming the round's uploads).
         Some(&self.active)
-    }
-
-    fn compress(
-        &mut self,
-        _round: u32,
-        _id: ClientId,
-        _group: Group,
-        delta: &mut [f32],
-        scratch: &mut ScratchPool,
-    ) -> Upload {
-        // Clients freeze the frozen parameters locally, so their deltas
-        // are zero there; the upload carries only active positions, whose
-        // identities the server already knows (known-mask encoding).
-        let (ix, vals) = scratch.take_sparse();
-        let sparse = SparseUpdate::from_dense_masked_in(delta, &self.active, ix, vals);
-        Upload::KnownMask(sparse)
-    }
-
-    fn aggregate(
-        &mut self,
-        _round: u32,
-        kept: &[(ClientId, Group, Upload)],
-        scratch: &mut ScratchPool,
-    ) -> MaskedUpdate {
-        // Every upload is aligned to the round's active mask, so the
-        // shards accumulate straight into the packed layout (frozen
-        // positions are structurally absent — nothing to re-zero).
-        let active_nnz = self.active.count_ones();
-        let entries: Vec<(f32, &[f32])> = kept
-            .iter()
-            .map(|(id, group, upload)| {
-                let w = self.client_weight(*id, *group) as f32;
-                match upload {
-                    Upload::KnownMask(u) => {
-                        assert_eq!(u.nnz(), active_nnz, "upload not aligned to the active mask");
-                        (w, u.values())
-                    }
-                    other => panic!("APF aggregate received non-known-mask upload {other:?}"),
-                }
-            })
-            .collect();
-        let values = accumulate_weighted_values(&entries, active_nnz, scratch);
-        self.apf.observe_masked(&values, &self.active);
-        let mut mask = scratch.take_mask(self.dim);
-        mask.copy_from(&self.active);
-        // The observe above may have frozen/thawed parameters: refresh
-        // the cached mask for the next round's compress calls.
-        self.apf.fill_active_mask(&mut self.active);
-        MaskedUpdate::new(mask, values)
     }
 
     fn fold_begin(&mut self, _round: u32, scratch: &mut ScratchPool) -> FoldAcc {
@@ -211,6 +162,8 @@ impl Strategy for ApfStrategy {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::stream::fold_in_id_order;
+    use gluefl_tensor::SparseUpdate;
 
     fn cfg() -> ApfConfig {
         ApfConfig {
@@ -226,74 +179,55 @@ mod tests {
         ApfStrategy::new(10, 3, 1.0, vec![0.1; 10], cfg(), 6)
     }
 
-    #[test]
-    fn everything_active_initially() {
-        let mut s = strategy();
-        let mut delta = vec![1.0f32; 6];
+    /// Twenty rounds where positions 0..3 oscillate and 3..6 move
+    /// steadily, three clients each uploading under the round's active
+    /// mask; `each_round` sees the mask in force and the aggregate.
+    fn drive(s: &mut ApfStrategy, mut each_round: impl FnMut(u32, &BitMask, &MaskedUpdate)) {
         let mut pool = ScratchPool::new();
-        let up = s.compress(0, 0, Group::Fresh, &mut delta, &mut pool);
-        match up {
-            Upload::KnownMask(u) => assert_eq!(u.nnz(), 6),
-            other => panic!("expected known-mask upload, got {other:?}"),
+        for r in 0..20 {
+            let sign = if r % 2 == 0 { 1.0 } else { -1.0 };
+            let delta = [sign * 0.5, sign * 0.5, sign * 0.5, 0.5, 0.5, 0.5];
+            let active = s.round_mask(r).expect("APF broadcasts its mask").clone();
+            let kept: Vec<(ClientId, Group, Upload)> = (0..3)
+                .map(|id| {
+                    let up = SparseUpdate::from_dense_masked(&delta, &active);
+                    (id, Group::Fresh, Upload::KnownMask(up))
+                })
+                .collect();
+            let agg = fold_in_id_order(s, r, &kept, &mut pool);
+            each_round(r, &active, &agg);
         }
     }
 
     #[test]
-    fn oscillating_positions_get_frozen_and_uploads_shrink() {
-        let mut pool = ScratchPool::new();
+    fn everything_active_initially() {
+        let s = strategy();
+        assert_eq!(s.round_mask(0).unwrap().count_ones(), 6);
+    }
+
+    #[test]
+    fn oscillating_positions_get_frozen_and_the_mask_shrinks() {
         let mut s = strategy();
-        // Positions 0..3 oscillate; 3..6 move steadily.
-        for r in 0..20 {
-            let sign = if r % 2 == 0 { 1.0 } else { -1.0 };
-            let kept: Vec<(ClientId, Group, Upload)> = (0..3)
-                .map(|id| {
-                    let mut delta = vec![0.0f32; 6];
-                    for (j, d) in delta.iter_mut().enumerate() {
-                        *d = if j < 3 { sign * 0.5 } else { 0.5 };
-                    }
-                    let up = s.compress(r, id, Group::Fresh, &mut delta, &mut pool);
-                    (id, Group::Fresh, up)
-                })
-                .collect();
-            let _ = s.aggregate(r, &kept, &mut pool);
-        }
+        drive(&mut s, |_, _, _| {});
         assert!(s.frozen_fraction() > 0.0, "nothing froze");
         // Steady positions must still be active.
-        let mut probe = vec![1.0f32; 6];
-        let up = s.compress(99, 0, Group::Fresh, &mut probe, &mut pool);
-        match up {
-            Upload::KnownMask(u) => {
-                assert!(u.indices().contains(&4) && u.indices().contains(&5));
-                assert!(u.nnz() < 6, "no position was dropped");
-            }
-            other => panic!("expected known-mask upload, got {other:?}"),
-        }
+        let active = s.round_mask(20).unwrap();
+        assert!(active.get(4) && active.get(5));
+        assert!(active.count_ones() < 6, "no position was dropped");
     }
 
     #[test]
     fn frozen_positions_do_not_change_in_aggregate() {
-        let mut pool = ScratchPool::new();
         let mut s = strategy();
-        // Freeze positions 0..3 as above. The mask relevant to round r is
-        // the one in force *before* aggregation advances the APF state.
-        for r in 0..20 {
-            let sign = if r % 2 == 0 { 1.0 } else { -1.0 };
-            let active_before = s.apf.active_mask();
-            let kept: Vec<(ClientId, Group, Upload)> = (0..3)
-                .map(|id| {
-                    let mut delta = vec![sign * 0.5, sign * 0.5, sign * 0.5, 0.5, 0.5, 0.5];
-                    let up = s.compress(r, id, Group::Fresh, &mut delta, &mut pool);
-                    (id, Group::Fresh, up)
-                })
-                .collect();
-            let agg = s.aggregate(r, &kept, &mut pool);
-            // The update's support is exactly the round's active mask, so
-            // frozen positions are structurally excluded from the apply.
-            assert_eq!(agg.mask(), &active_before, "round {r}");
+        // The update's support is exactly the mask in force *before* the
+        // fold advances the APF state, so frozen positions are
+        // structurally excluded from the apply.
+        drive(&mut s, |r, active_before, agg| {
+            assert_eq!(agg.mask(), active_before, "round {r}");
             agg.for_each_nonzero(|j, _| {
                 assert!(active_before.get(j), "frozen position {j} changed");
             });
-        }
+        });
     }
 
     #[test]

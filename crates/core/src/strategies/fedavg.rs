@@ -1,7 +1,7 @@
 //! FedAvg with uniform client sampling (McMahan et al. 2017; §2.1).
 
 use super::{FoldAcc, Group, RoundPlan, Strategy, Upload};
-use crate::aggregate::{accumulate_into, accumulate_uploads};
+use crate::aggregate::accumulate_into;
 use crate::scratch::ScratchPool;
 use gluefl_sampling::{ClientId, OnlineQuery, UniformSampler};
 use gluefl_tensor::MaskedUpdate;
@@ -63,36 +63,6 @@ impl Strategy for FedAvgStrategy {
         0
     }
 
-    fn compress(
-        &mut self,
-        _round: u32,
-        _id: ClientId,
-        _group: Group,
-        delta: &mut [f32],
-        scratch: &mut ScratchPool,
-    ) -> Upload {
-        Upload::Dense(scratch.take_copy(delta))
-    }
-
-    fn aggregate(
-        &mut self,
-        _round: u32,
-        kept: &[(ClientId, Group, Upload)],
-        scratch: &mut ScratchPool,
-    ) -> MaskedUpdate {
-        let entries: Vec<(f32, &Upload)> = kept
-            .iter()
-            .map(|(id, group, upload)| (self.client_weight(*id, *group) as f32, upload))
-            .collect();
-        let acc = accumulate_uploads(&entries, self.dim, scratch);
-        // Dense update, expressed as a full mask: the packed layout then
-        // *is* the dense accumulator, so no copy happens here and the
-        // simulator's masked apply degenerates to the dense AXPY.
-        let mut mask = scratch.take_mask(self.dim);
-        mask.fill_ones();
-        MaskedUpdate::new(mask, acc)
-    }
-
     fn fold_begin(&mut self, _round: u32, scratch: &mut ScratchPool) -> FoldAcc {
         FoldAcc {
             dense: Some(scratch.take_zeroed(self.dim)),
@@ -138,6 +108,7 @@ impl Strategy for FedAvgStrategy {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::stream::fold_in_id_order;
     use rand::SeedableRng;
 
     fn strategy() -> FedAvgStrategy {
@@ -170,12 +141,12 @@ mod tests {
             (1usize, Group::Fresh, Upload::Dense(vec![-1.0; 8])),
         ];
         let mut pool = ScratchPool::new();
-        let agg = s.aggregate(0, &kept, &mut pool);
+        let agg = fold_in_id_order(&mut s, 0, &kept, &mut pool);
         assert!(agg.is_dense(), "FedAvg must return a full-mask update");
         assert!(agg.values().iter().all(|v| v.abs() < 1e-9));
         // One client: agg = weight · delta.
         let kept = vec![(2usize, Group::Fresh, Upload::Dense(vec![2.0; 8]))];
-        let agg = s.aggregate(0, &kept, &mut pool);
+        let agg = fold_in_id_order(&mut s, 0, &kept, &mut pool);
         let w = s.client_weight(2, Group::Fresh) as f32;
         assert!(agg.values().iter().all(|v| (*v - 2.0 * w).abs() < 1e-6));
     }
@@ -204,7 +175,7 @@ mod tests {
                 })
                 .collect();
             let mut pool = ScratchPool::new();
-            let agg = s.aggregate(0, &kept, &mut pool);
+            let agg = fold_in_id_order(&mut s, 0, &kept, &mut pool);
             for (a, g) in acc.iter_mut().zip(agg.values()) {
                 *a += f64::from(*g);
             }
@@ -219,12 +190,9 @@ mod tests {
     }
 
     #[test]
-    fn dense_upload_and_no_mask_bytes() {
-        let mut s = strategy();
-        let mut delta = vec![1.0f32; 8];
-        let mut pool = ScratchPool::new();
-        let up = s.compress(0, 0, Group::Fresh, &mut delta, &mut pool);
-        assert_eq!(up.bytes(), 8 * 4 + 16);
+    fn no_mask_is_broadcast() {
+        let s = strategy();
         assert_eq!(s.mask_download_bytes(0), 0);
+        assert!(s.round_mask(0).is_none());
     }
 }

@@ -1,25 +1,20 @@
 //! GlueFL: sticky sampling + mask shifting (Algorithm 3).
 
 use super::{bitmap_bytes, FoldAcc, Group, RoundPlan, Strategy, Upload};
-use crate::aggregate::{
-    accumulate_into, accumulate_sparse_packed, accumulate_weighted_values, packed_rank,
-    scatter_add_packed,
-};
+use crate::aggregate::{accumulate_into, packed_rank, scatter_add_packed};
 use crate::config::GlueFlParams;
 use crate::scratch::ScratchPool;
-use gluefl_compress::mask_shift::{shift_mask_packed_into, ClientSplit};
+use gluefl_compress::mask_shift::shift_mask_packed_into;
 use gluefl_compress::stc::keep_count;
-use gluefl_compress::ErrorCompensator;
 use gluefl_sampling::overcommit::{plan as oc_plan, OcStrategy};
-use gluefl_sampling::{sticky_weights, ClientId, OnlineQuery, StickySampler};
-use gluefl_tensor::{
-    top_k_abs_masked_into, top_k_abs_packed_into, BitMask, MaskedUpdate, SparseUpdate, TopKScope,
-};
+use gluefl_sampling::{ClientId, OnlineQuery, StickySampler};
+use gluefl_tensor::{top_k_abs_packed_into, BitMask, MaskedUpdate, TopKScope};
 use rand::rngs::StdRng;
 
-/// The paper's framework: sticky sampling (§3.1) for client selection,
-/// mask shifting (§3.2) for compression, with shared-mask regeneration and
-/// re-scaled error compensation (§3.3).
+/// The server half of the paper's framework: sticky sampling (§3.1) for
+/// client selection, mask shifting (§3.2) with shared-mask regeneration
+/// (§3.3). The client half — the split along `M_t`, the unique top-k and
+/// the re-scaled error compensation — is [`crate::ClientCompressor`].
 #[derive(Debug)]
 pub struct GlueFlStrategy {
     sampler: StickySampler,
@@ -32,8 +27,6 @@ pub struct GlueFlStrategy {
     shared_mask: BitMask,
     /// Cached `|M_t|` (the length of every mask-aligned shared upload).
     shared_nnz: usize,
-    /// Cached `M_t ∪ stats`: the scope clients' unique top-k must avoid.
-    scope_mask: BitMask,
     /// Positions that may never be masked/selected (BN statistics).
     stats_excluded: BitMask,
     /// Cached `¬stats`: positions eligible for the shared mask.
@@ -41,7 +34,6 @@ pub struct GlueFlStrategy {
     /// Number of trainable positions (base for `q` ratios).
     trainable: usize,
     dim: usize,
-    ec: ErrorCompensator,
 }
 
 impl GlueFlStrategy {
@@ -87,9 +79,7 @@ impl GlueFlStrategy {
         use rand::seq::SliceRandom;
         let (sel, _) = picked.partial_shuffle(rng, k_mask);
         let shared_mask = BitMask::from_indices(dim, sel.iter().copied());
-        let ec = ErrorCompensator::new(params.compensation, dim);
         let shared_nnz = shared_mask.count_ones();
-        let scope_mask = shared_mask.or(&stats_excluded);
         let eligible = stats_excluded.not();
         Self {
             sampler,
@@ -100,23 +90,11 @@ impl GlueFlStrategy {
             weights,
             shared_mask,
             shared_nnz,
-            scope_mask,
             stats_excluded,
             eligible,
             trainable,
             dim,
-            ec,
         }
-    }
-
-    /// Installs a freshly shifted/regenerated shared mask (swapping the
-    /// old one out for the caller to recycle) and refreshes the caches
-    /// derived from it in place — no allocation.
-    fn set_shared_mask(&mut self, mask: BitMask) -> BitMask {
-        self.shared_nnz = mask.count_ones();
-        self.scope_mask.copy_from(&mask);
-        self.scope_mask.union_with(&self.stats_excluded);
-        std::mem::replace(&mut self.shared_mask, mask)
     }
 
     /// The current shared mask `M_t`.
@@ -131,28 +109,9 @@ impl GlueFlStrategy {
         &self.sampler
     }
 
-    /// Whether `round` is a shared-mask regeneration round (§3.3).
-    #[must_use]
-    pub fn is_regen_round(&self, round: u32) -> bool {
-        match self.params.regen_interval {
-            Some(i) => round > 0 && round.is_multiple_of(i),
-            None => false,
-        }
-    }
-
-    /// Per-client unique top-k for this round: `q − q_shr` normally, the
-    /// full `q` on regeneration rounds (where the shared mask is unused).
-    fn unique_keep(&self, round: u32) -> usize {
-        if self.is_regen_round(round) {
-            keep_count(self.trainable, self.params.q)
-        } else {
-            keep_count(self.trainable, self.params.q - self.params.q_shr)
-        }
-    }
-
-    /// Finishing steps shared by [`Strategy::aggregate`] and
-    /// [`Strategy::fold_finish`], entirely in packed space — `O(q·d)`
-    /// values touched, no dense `d`-length staging:
+    /// The finishing steps of [`Strategy::fold_finish`], entirely in
+    /// packed space — `O(q·d)` values touched, no dense `d`-length
+    /// staging:
     ///
     /// 1. Δ̃_uni = top `q−q_shr` of the packed unique aggregate (line 23),
     ///    selected by the packed top-k (positions off `uni_support` are
@@ -177,8 +136,8 @@ impl GlueFlStrategy {
         uni_vals: &[f32],
         scratch: &mut ScratchPool,
     ) -> MaskedUpdate {
-        let regen = self.is_regen_round(round);
-        let unique_k = self.unique_keep(round);
+        let regen = self.params.is_regen_round(round);
+        let unique_k = self.params.unique_keep(self.trainable, round);
         let mut mask = scratch.take_mask(self.dim);
         if !regen {
             mask.copy_from(&self.shared_mask);
@@ -218,8 +177,8 @@ impl GlueFlStrategy {
             &mut scratch.topk,
             &mut next_mask,
         );
-        let old = self.set_shared_mask(next_mask);
-        scratch.put_mask(old);
+        self.shared_nnz = next_mask.count_ones();
+        scratch.put_mask(std::mem::replace(&mut self.shared_mask, next_mask));
         MaskedUpdate::new(mask, values)
     }
 }
@@ -252,20 +211,8 @@ impl Strategy for GlueFlStrategy {
     }
 
     fn client_weight(&self, id: ClientId, group: Group) -> f64 {
-        if self.params.equal_weights {
-            return 1.0 / self.k as f64;
-        }
-        let w = sticky_weights(
-            self.sampler.population(),
-            self.params.sticky_group,
-            self.params.sticky_draw,
-            self.k,
-        );
-        let factor = match group {
-            Group::Sticky => w.sticky_factor,
-            Group::Fresh => w.fresh_factor,
-        };
-        factor * self.weights[id]
+        self.params
+            .client_weight(self.sampler.population(), self.k, group, self.weights[id])
     }
 
     fn mask_download_bytes(&self, _round: u32) -> u64 {
@@ -276,114 +223,8 @@ impl Strategy for GlueFlStrategy {
 
     fn round_mask(&self, _round: u32) -> Option<&BitMask> {
         // M_t: broadcast at sync time, and the alignment of every
-        // shared-part upload until aggregate() shifts it.
+        // shared-part upload until fold_finish shifts it.
         Some(&self.shared_mask)
-    }
-
-    fn compress(
-        &mut self,
-        round: u32,
-        id: ClientId,
-        group: Group,
-        delta: &mut [f32],
-        scratch: &mut ScratchPool,
-    ) -> Upload {
-        let weight = self.client_weight(id, group);
-        // Re-scaled error compensation (Equation 7).
-        self.ec.apply(id, delta, weight);
-
-        let regen = self.is_regen_round(round);
-        let unique_k = self.unique_keep(round);
-        // Shared part: values under M_t (empty on regeneration rounds).
-        let shared = if regen {
-            SparseUpdate::empty(self.dim)
-        } else {
-            let (ix, vals) = scratch.take_sparse();
-            SparseUpdate::from_dense_masked_in(delta, &self.shared_mask, ix, vals)
-        };
-        // Unique part: top-(q−q_shr) outside M_t ∪ stats (cached).
-        let scope = if regen {
-            &self.stats_excluded
-        } else {
-            &self.scope_mask
-        };
-        let (ix, vals) = scratch.take_sparse();
-        let idx = top_k_abs_masked_into(
-            delta,
-            unique_k,
-            TopKScope::Outside(scope),
-            &mut scratch.topk,
-        );
-        let unique = SparseUpdate::gather_in(delta, idx, ix, vals);
-
-        // Residual: h = Δ − (Δ̃_shr + Δ̃_uni), recorded without
-        // materialising the dense `sent` vector.
-        self.ec
-            .record_sent_parts(id, delta, &[&shared, &unique], weight);
-
-        Upload::MaskSplit(ClientSplit { shared, unique })
-    }
-
-    fn fold_codec_error(&mut self, id: ClientId, indices: &[u32], sent: &[f32], shipped: &[f32]) {
-        // Codec loss joins the top-k residual h in the client's bank, so
-        // the rescaled compensation of Equation 7 re-sends it next time.
-        self.ec.fold_shipped_error(id, indices, sent, shipped);
-    }
-
-    fn aggregate(
-        &mut self,
-        round: u32,
-        kept: &[(ClientId, Group, Upload)],
-        scratch: &mut ScratchPool,
-    ) -> MaskedUpdate {
-        let regen = self.is_regen_round(round);
-        let mut shared_entries: Vec<(f32, &[f32])> = Vec::with_capacity(kept.len());
-        let mut unique_entries: Vec<(f32, &SparseUpdate)> = Vec::with_capacity(kept.len());
-        for (id, group, upload) in kept {
-            let w = self.client_weight(*id, *group) as f32;
-            match upload {
-                Upload::MaskSplit(split) => {
-                    if !regen {
-                        assert_eq!(
-                            split.shared.nnz(),
-                            self.shared_nnz,
-                            "shared part not aligned to the current mask"
-                        );
-                        shared_entries.push((w, split.shared.values()));
-                    }
-                    unique_entries.push((w, &split.unique));
-                }
-                other => panic!("GlueFL aggregate received non-split upload {other:?}"),
-            }
-        }
-        // Shared parts all carry the same support M_t, so they are summed
-        // as contiguous value arrays (no per-element index indirection) —
-        // the shards already emit the masked (packed) layout.
-        let shr_vals = accumulate_weighted_values(&shared_entries, self.shared_nnz, scratch);
-        // Unique aggregate directly in packed (support, values) form —
-        // O(Σ nnz + d/64) work, no dense d-length staging anywhere on the
-        // aggregate path.
-        let mut uni_support = scratch.take_mask(self.dim);
-        let (mut uni_offsets, mut uni_vals) = scratch.take_sparse();
-        accumulate_sparse_packed(
-            &unique_entries,
-            self.dim,
-            &mut uni_support,
-            &mut uni_offsets,
-            &mut uni_vals,
-        );
-        let update = self.finish_packed(
-            round,
-            &shr_vals,
-            &uni_support,
-            &uni_offsets,
-            &uni_vals,
-            scratch,
-        );
-        scratch.put(shr_vals);
-        scratch.put_mask(uni_support);
-        scratch.put_sparse(uni_offsets, uni_vals);
-        update
     }
 
     fn fold_begin(&mut self, _round: u32, scratch: &mut ScratchPool) -> FoldAcc {
@@ -410,7 +251,7 @@ impl Strategy for GlueFlStrategy {
         upload: &Upload,
         _scratch: &mut ScratchPool,
     ) {
-        let regen = self.is_regen_round(round);
+        let regen = self.params.is_regen_round(round);
         let w = self.client_weight(id, group) as f32;
         let stream_vals = acc
             .dense
@@ -489,6 +330,8 @@ impl Strategy for GlueFlStrategy {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::stream::fold_in_id_order;
+    use gluefl_compress::mask_shift::client_split;
     use gluefl_compress::CompensationMode;
     use rand::SeedableRng;
 
@@ -504,7 +347,7 @@ mod tests {
         }
     }
 
-    fn strategy(seed: u64) -> GlueFlStrategy {
+    fn strategy_with(p: GlueFlParams, dim: usize, seed: u64) -> GlueFlStrategy {
         let mut rng = StdRng::seed_from_u64(seed);
         GlueFlStrategy::new(
             20,
@@ -512,12 +355,22 @@ mod tests {
             1.0,
             OcStrategy::Proportional,
             vec![0.05; 20],
-            params(),
-            20,
-            20,
-            BitMask::zeros(20),
+            p,
+            dim,
+            dim,
+            BitMask::zeros(dim),
             &mut rng,
         )
+    }
+
+    fn strategy(seed: u64) -> GlueFlStrategy {
+        strategy_with(params(), 20, seed)
+    }
+
+    /// What an honest client uploads for `delta` in a mask-shift round.
+    fn split_upload(s: &GlueFlStrategy, round: u32, delta: &[f32]) -> Upload {
+        let unique_k = s.params.unique_keep(s.trainable, round);
+        Upload::MaskSplit(client_split(delta, s.shared_mask(), unique_k))
     }
 
     #[test]
@@ -553,70 +406,29 @@ mod tests {
     fn equal_weights_variant() {
         let mut p = params();
         p.equal_weights = true;
-        let mut rng = StdRng::seed_from_u64(4);
-        let s = GlueFlStrategy::new(
-            20,
-            4,
-            1.0,
-            OcStrategy::Proportional,
-            vec![0.05; 20],
-            p,
-            20,
-            20,
-            BitMask::zeros(20),
-            &mut rng,
-        );
+        let s = strategy_with(p, 20, 4);
         assert_eq!(s.name(), "gluefl-equal");
         assert_eq!(s.client_weight(0, Group::Sticky), 0.25);
         assert_eq!(s.client_weight(0, Group::Fresh), 0.25);
     }
 
     #[test]
-    fn compress_splits_along_mask() {
-        let mut s = strategy(5);
-        let mask = s.shared_mask().clone();
-        let mut delta: Vec<f32> = (0..20).map(|i| i as f32 - 10.0).collect();
-        let mut pool = ScratchPool::new();
-        let up = s.compress(1, 0, Group::Sticky, &mut delta, &mut pool);
-        match up {
-            Upload::MaskSplit(split) => {
-                assert_eq!(split.shared.support(), mask);
-                assert_eq!(split.unique.support().overlap(&mask), 0);
-                // q−q_shr = 10% of 20 = 2 unique coordinates.
-                assert_eq!(split.unique.nnz(), 2);
-            }
-            other => panic!("expected mask split, got {other:?}"),
-        }
+    fn regeneration_rounds_follow_the_interval() {
+        let p = params();
+        assert!(p.is_regen_round(5));
+        assert!(!p.is_regen_round(4));
+        assert!(!p.is_regen_round(0)); // round 0 never regenerates
+        assert_eq!(p.unique_keep(20, 4), 2); // q − q_shr = 10% of 20
+        assert_eq!(p.unique_keep(20, 5), 6); // the full q = 30%
     }
 
     #[test]
-    fn regen_round_sends_no_shared_part() {
-        let mut s = strategy(6);
-        assert!(s.is_regen_round(5));
-        assert!(!s.is_regen_round(4));
-        assert!(!s.is_regen_round(0)); // round 0 never regenerates
-        let mut delta: Vec<f32> = (0..20).map(|i| (i as f32) * 0.1).collect();
-        let mut pool = ScratchPool::new();
-        let up = s.compress(5, 0, Group::Sticky, &mut delta, &mut pool);
-        match up {
-            Upload::MaskSplit(split) => {
-                assert!(split.shared.is_empty());
-                // Full q = 30% of 20 = 6 coordinates.
-                assert_eq!(split.unique.nnz(), 6);
-            }
-            other => panic!("expected mask split, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn aggregate_updates_mask_to_top_qshr_of_combined() {
+    fn fold_updates_mask_to_top_qshr_of_combined() {
         let mut s = strategy(7);
-        let mut delta: Vec<f32> = (0..20).map(|i| if i < 6 { 10.0 } else { 0.01 }).collect();
+        let delta: Vec<f32> = (0..20).map(|i| if i < 6 { 10.0 } else { 0.01 }).collect();
         let mut pool = ScratchPool::new();
-        let up = s.compress(1, 0, Group::Sticky, &mut delta.clone(), &mut pool);
-        let _ = up;
-        let up = s.compress(1, 1, Group::Sticky, &mut delta, &mut pool);
-        let agg = s.aggregate(1, &[(1, Group::Sticky, up)], &mut pool);
+        let up = split_upload(&s, 1, &delta);
+        let agg = fold_in_id_order(&mut s, 1, &[(1, Group::Sticky, up)], &mut pool);
         assert_eq!(agg.dim(), 20);
         // New mask has q_shr density.
         assert_eq!(s.shared_mask().count_ones(), 4);
@@ -632,19 +444,7 @@ mod tests {
         // intentionally break this, so disable them here.)
         let mut p = params();
         p.regen_interval = None;
-        let mut init_rng = StdRng::seed_from_u64(8);
-        let mut s = GlueFlStrategy::new(
-            20,
-            4,
-            1.0,
-            OcStrategy::Proportional,
-            vec![0.05; 20],
-            p,
-            20,
-            20,
-            BitMask::zeros(20),
-            &mut init_rng,
-        );
+        let mut s = strategy_with(p, 20, 8);
         let mut rng = StdRng::seed_from_u64(9);
         let mut prev_support: Option<BitMask> = None;
         for round in 1..6u32 {
@@ -652,12 +452,11 @@ mod tests {
             let kept: Vec<(ClientId, Group, Upload)> = (0..3)
                 .map(|id| {
                     use rand::Rng;
-                    let mut delta: Vec<f32> = (0..20).map(|_| rng.gen_range(-1.0..1.0)).collect();
-                    let up = s.compress(round, id, Group::Sticky, &mut delta, &mut pool);
-                    (id, Group::Sticky, up)
+                    let delta: Vec<f32> = (0..20).map(|_| rng.gen_range(-1.0..1.0)).collect();
+                    (id, Group::Sticky, split_upload(&s, round, &delta))
                 })
                 .collect();
-            let agg = s.aggregate(round, &kept, &mut pool);
+            let agg = fold_in_id_order(&mut s, round, &kept, &mut pool);
             let mut nonzero = Vec::new();
             agg.for_each_nonzero(|i, _| nonzero.push(i));
             let support = BitMask::from_indices(20, nonzero);
@@ -672,116 +471,32 @@ mod tests {
         }
     }
 
-    /// The aggregate is O(q·d) in memory as well as time: at d = 100 000
-    /// with sparse clients, no pooled staging buffer ever reaches d/2
-    /// floats — the dense combined/unique accumulators of the old
-    /// implementation are gone. Both the one-shot and the streaming fold
-    /// paths are checked, against a pool that has never seen a dense
-    /// buffer.
+    /// The fold is O(q·d) in memory as well as time: at d = 100 000 with
+    /// sparse clients, no pooled staging buffer ever reaches d/2 floats —
+    /// checked against a pool that has never seen a dense buffer.
     #[test]
-    fn aggregate_stages_no_dense_buffer() {
+    fn fold_stages_no_dense_buffer() {
         let dim = 100_000;
         let mut p = params();
         p.q = 0.01;
         p.q_shr = 0.005;
-        let mk = |seed: u64| {
-            let mut rng = StdRng::seed_from_u64(seed);
-            GlueFlStrategy::new(
-                20,
-                4,
-                1.0,
-                OcStrategy::Proportional,
-                vec![0.05; 20],
-                p.clone(),
-                dim,
-                dim,
-                BitMask::zeros(dim),
-                &mut rng,
-            )
-        };
-        let mut compress_pool = ScratchPool::new();
-        let make_kept =
-            |s: &mut GlueFlStrategy, pool: &mut ScratchPool| -> Vec<(ClientId, Group, Upload)> {
-                (0..3)
-                    .map(|id| {
-                        let mut delta: Vec<f32> = (0..dim)
-                            .map(|i| ((i * 7 + id * 13) % 101) as f32 / 50.0 - 1.0)
-                            .collect();
-                        let up = s.compress(1, id, Group::Sticky, &mut delta, pool);
-                        (id, Group::Sticky, up)
-                    })
-                    .collect()
-            };
-
-        let mut s = mk(21);
-        let kept = make_kept(&mut s, &mut compress_pool);
-        let mut agg_pool = ScratchPool::new();
-        let update = s.aggregate(1, &kept, &mut agg_pool);
+        let mut s = strategy_with(p, dim, 21);
+        let kept: Vec<(ClientId, Group, Upload)> = (0..3)
+            .map(|id| {
+                let delta: Vec<f32> = (0..dim)
+                    .map(|i| ((i * 7 + id * 13) % 101) as f32 / 50.0 - 1.0)
+                    .collect();
+                (id, Group::Sticky, split_upload(&s, 1, &delta))
+            })
+            .collect();
+        let mut pool = ScratchPool::new();
+        let update = fold_in_id_order(&mut s, 1, &kept, &mut pool);
         assert!(update.mask().count_ones() > 0);
         assert!(
-            agg_pool.max_idle_value_capacity() < dim / 2,
-            "aggregate staged a near-dense buffer: {} floats",
-            agg_pool.max_idle_value_capacity()
-        );
-
-        // Streaming fold path, fresh pool: same bound.
-        let mut s2 = mk(21);
-        let kept2 = make_kept(&mut s2, &mut compress_pool);
-        let mut fold_pool = ScratchPool::new();
-        let mut acc = s2.fold_begin(1, &mut fold_pool);
-        for (id, group, up) in &kept2 {
-            s2.fold_upload(1, &mut acc, *id, *group, up, &mut fold_pool);
-        }
-        let folded = s2.fold_finish(1, acc, &mut fold_pool);
-        assert!(
-            fold_pool.max_idle_value_capacity() < dim / 2,
+            pool.max_idle_value_capacity() < dim / 2,
             "fold staged a near-dense buffer: {} floats",
-            fold_pool.max_idle_value_capacity()
+            pool.max_idle_value_capacity()
         );
-        // And the two paths agree bitwise, as everywhere else.
-        assert_eq!(folded.mask(), update.mask());
-        assert!(folded
-            .values()
-            .iter()
-            .zip(update.values())
-            .all(|(a, b)| a.to_bits() == b.to_bits()));
-    }
-
-    #[test]
-    fn rescaled_compensation_survives_group_switch() {
-        let mut s = strategy(10);
-        // Client 0 participates as Fresh (weight 12·0.05 = 0.6), residual
-        // recorded; later participates as Sticky (weight 8/3·0.05 ≈ 0.133).
-        // Craft a delta where one coordinate is dropped: make 3 positions
-        // outside the mask large, so top-2 keeps the two largest.
-        let mask = s.shared_mask().clone();
-        let outside: Vec<usize> = (0..20).filter(|&i| !mask.get(i)).collect();
-        let mut d = vec![0.0f32; 20];
-        d[outside[0]] = 5.0;
-        d[outside[1]] = 4.0;
-        d[outside[2]] = 3.0; // dropped by top-2 → residual
-        let mut pool = ScratchPool::new();
-        let _ = s.compress(1, 0, Group::Fresh, &mut d, &mut pool);
-        // Next round, zero delta: compensation should re-inject the
-        // residual scaled by ν_fresh/ν_sticky = 0.6/0.1333... = 4.5.
-        let mut d2 = vec![0.0f32; 20];
-        let up = s.compress(2, 0, Group::Sticky, &mut d2, &mut pool);
-        match up {
-            Upload::MaskSplit(split) => {
-                let dense = {
-                    let mut v = split.shared.to_dense();
-                    split.unique.apply(&mut v);
-                    v
-                };
-                let expected = 3.0 * (0.6 / (8.0 / 3.0 * 0.05));
-                assert!(
-                    (dense[outside[2]] - expected as f32).abs() < 1e-3,
-                    "residual {} vs expected {expected}",
-                    dense[outside[2]]
-                );
-            }
-            other => panic!("expected mask split, got {other:?}"),
-        }
     }
 
     #[test]
@@ -799,18 +514,6 @@ mod tests {
     fn rejects_qshr_above_q() {
         let mut p = params();
         p.q_shr = 0.5;
-        let mut rng = StdRng::seed_from_u64(0);
-        let _ = GlueFlStrategy::new(
-            20,
-            4,
-            1.0,
-            OcStrategy::Proportional,
-            vec![0.05; 20],
-            p,
-            20,
-            20,
-            BitMask::zeros(20),
-            &mut rng,
-        );
+        let _ = strategy_with(p, 20, 0);
     }
 }

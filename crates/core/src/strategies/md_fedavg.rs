@@ -1,7 +1,7 @@
 //! FedAvg with multinomial (MD) client sampling (Li et al. 2020a).
 
 use super::{FoldAcc, Group, RoundPlan, Strategy, Upload};
-use crate::aggregate::{accumulate_into, accumulate_uploads};
+use crate::aggregate::accumulate_into;
 use crate::scratch::ScratchPool;
 use gluefl_sampling::{ClientId, MdSampler, OnlineQuery};
 use gluefl_tensor::MaskedUpdate;
@@ -104,34 +104,6 @@ impl Strategy for MdFedAvgStrategy {
 
     fn mask_download_bytes(&self, _round: u32) -> u64 {
         0
-    }
-
-    fn compress(
-        &mut self,
-        _round: u32,
-        _id: ClientId,
-        _group: Group,
-        delta: &mut [f32],
-        scratch: &mut ScratchPool,
-    ) -> Upload {
-        Upload::Dense(scratch.take_copy(delta))
-    }
-
-    fn aggregate(
-        &mut self,
-        _round: u32,
-        kept: &[(ClientId, Group, Upload)],
-        scratch: &mut ScratchPool,
-    ) -> MaskedUpdate {
-        let entries: Vec<(f32, &Upload)> = kept
-            .iter()
-            .map(|(id, group, upload)| (self.client_weight(*id, *group) as f32, upload))
-            .collect();
-        let acc = accumulate_uploads(&entries, self.dim, scratch);
-        // Dense update under a full mask (same layout as FedAvg).
-        let mut mask = scratch.take_mask(self.dim);
-        mask.fill_ones();
-        MaskedUpdate::new(mask, acc)
     }
 
     fn fold_begin(&mut self, _round: u32, scratch: &mut ScratchPool) -> FoldAcc {
@@ -257,7 +229,7 @@ mod tests {
             .map(|&id| (id, Group::Fresh, Upload::Dense(vec![1.0f32; 6])))
             .collect();
         let mut pool = ScratchPool::new();
-        let agg = s.aggregate(0, &kept, &mut pool);
+        let agg = crate::stream::fold_in_id_order(&mut s, 0, &kept, &mut pool);
         // Weights sum to 1, every delta is all-ones → aggregate all-ones.
         assert!(agg.is_dense());
         for v in agg.values() {

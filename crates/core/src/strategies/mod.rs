@@ -1,13 +1,15 @@
-//! The four training strategies of the paper's evaluation.
+//! The server halves of the paper's training strategies.
 //!
 //! Every strategy implements [`Strategy`], the seam between the generic
-//! round simulator ([`crate::Simulation`]) and algorithm-specific
-//! behaviour: who is invited, how client deltas are compressed, how
-//! uploads are aggregated, and what bookkeeping happens between rounds.
+//! round engine ([`crate::engine::RoundEngine`]) and algorithm-specific
+//! *server* behaviour: who is invited, which mask the round broadcasts,
+//! how arriving uploads are folded, and what bookkeeping happens between
+//! rounds. What a client does to its delta before uploading is the other
+//! half, [`crate::ClientCompressor`].
 //!
 //! Strategies operate on *trainable* positions only — BatchNorm statistics
-//! are zeroed in the deltas they see and are aggregated separately by the
-//! simulator with the Appendix-D plain-mean rule.
+//! are zeroed in the deltas clients compress and are aggregated separately
+//! by the engine with the Appendix-D plain-mean rule.
 
 mod apf;
 mod fedavg;
@@ -157,7 +159,7 @@ impl Upload {
     }
 }
 
-/// In-flight state of an incremental aggregation between
+/// In-flight state of a round's aggregation between
 /// [`Strategy::fold_begin`] and [`Strategy::fold_finish`].
 ///
 /// The accumulators are pooled buffers whose meaning is strategy-defined:
@@ -192,29 +194,38 @@ impl FoldAcc {
     }
 }
 
-/// The strategy seam used by the round simulator.
+/// The server half of a strategy, driven by the round engine.
 ///
 /// Call order per round `t`:
 /// 1. [`Strategy::plan_round`] — invitations (with over-commitment);
-/// 2. [`Strategy::compress`] — once per invited client, after local
-///    training (may mutate the delta via error compensation);
-/// 3. [`Strategy::aggregate`] — once, over the *kept* uploads; returns
-///    the round's server update as a [`MaskedUpdate`] over trainable
-///    positions. Streaming consumers use the equivalent incremental form
-///    instead: [`Strategy::fold_begin`], then [`Strategy::fold_upload`]
-///    once per kept upload in ascending client-id order, then
-///    [`Strategy::fold_finish`];
+/// 2. [`Strategy::mask_download_bytes`] and [`Strategy::round_mask`] —
+///    what the broadcast carries besides the model;
+/// 3. [`Strategy::fold_begin`], then [`Strategy::fold_upload`] once per
+///    delivered kept upload in **ascending client-id order**, then
+///    [`Strategy::fold_finish`], which returns the round's server update
+///    as a [`MaskedUpdate`] over trainable positions and shifts any mask
+///    state. [`crate::stream::StreamingAggregator`] is the ordering gate
+///    that turns arrival order into that order;
 /// 4. [`Strategy::finish_round`] — post-round bookkeeping (sticky group
 ///    rebalancing).
 ///
+/// # Bit-exactness
+///
+/// Every strategy's fold adds per-position contributions as one `+= w·v`
+/// per upload, so the id-ordered fold is one fixed sequence of `f32`
+/// operations per position: any driver that feeds the same uploads gets
+/// the same bits, whatever order they arrived in
+/// (`crates/core/tests/streaming_fold.rs` pins this for all six
+/// configurations × five wire policies).
+///
 /// # The `MaskedUpdate` contract
 ///
-/// Aggregation returns a [`MaskedUpdate`] — a support mask plus values
+/// The fold returns a [`MaskedUpdate`] — a support mask plus values
 /// packed in position order — rather than a dense `Vec<f32>`. Masking
 /// strategies (GlueFL, STC, APF) cover only the `O(q·d)` positions their
 /// algorithm actually changes; dense strategies (FedAvg variants) return
 /// their accumulator under a full mask, which makes the packed layout
-/// coincide with the dense vector. The simulator applies the update with
+/// coincide with the dense vector. The engine applies the update with
 /// [`gluefl_tensor::MaskedUpdate::add_to`] (word-level scatter /
 /// [`gluefl_tensor::vecops::masked_axpy`]) and scans changed positions
 /// with [`gluefl_tensor::MaskedUpdate::for_each_nonzero`], so the apply
@@ -227,18 +238,18 @@ impl FoldAcc {
 /// with *exact-zero* values (FedAvg's full mask and APF's active mask,
 /// since client deltas are zeroed at statistic positions before
 /// compression). Either way the masked apply leaves statistics untouched;
-/// the simulator aggregates them separately (Appendix-D plain mean) and
+/// the engine aggregates them separately (Appendix-D plain mean) and
 /// adds the means straight into the parameters afterwards.
 ///
 /// # Pooling
 ///
-/// `compress` and `aggregate` receive the simulation's [`ScratchPool`];
-/// strategies route top-k selections, dense accumulators, sparse
-/// index/value arenas, and support masks through it so the per-round hot
-/// path is allocation-free in steady state. The mask and values inside
-/// the returned [`MaskedUpdate`] come from the pool; the simulator hands
-/// them back with [`ScratchPool::put_update`] after applying, and returns
-/// every consumed upload's buffers with [`ScratchPool::reclaim_upload`].
+/// The fold methods receive the engine's [`ScratchPool`]; strategies
+/// route top-k selections, accumulators and support masks through it so
+/// the per-round hot path is allocation-free in steady state. The mask
+/// and values inside the returned [`MaskedUpdate`] come from the pool;
+/// the engine hands them back with [`ScratchPool::put_update`] after
+/// applying, and the gate returns every folded upload's buffers with
+/// [`ScratchPool::reclaim_upload`].
 pub trait Strategy: Send {
     /// Display name for reports.
     fn name(&self) -> String;
@@ -267,8 +278,8 @@ pub trait Strategy: Send {
     /// broadcast to syncing clients at download time (the bytes charged
     /// by [`Strategy::mask_download_bytes`]) and it implicitly positions
     /// any mask-aligned upload this round ([`Upload::KnownMask`] and the
-    /// shared part of [`Upload::MaskSplit`]). The simulator encodes it as
-    /// a wire mask frame and hands it to the wire decoder to rebuild
+    /// shared part of [`Upload::MaskSplit`]). The engine encodes it as a
+    /// wire mask frame and hands it to the wire decoder to rebuild
     /// mask-aligned payloads. `None` for strategies without a mask
     /// (dense and explicit-position uploads).
     fn round_mask(&self, round: u32) -> Option<&gluefl_tensor::BitMask> {
@@ -276,76 +287,22 @@ pub trait Strategy: Send {
         None
     }
 
-    /// Compresses a trainable delta (stats positions zeroed) into an
-    /// upload. May apply/record error compensation.
-    fn compress(
-        &mut self,
-        round: u32,
-        id: ClientId,
-        group: Group,
-        delta: &mut [f32],
-        scratch: &mut ScratchPool,
-    ) -> Upload;
-
-    /// Reports the wire codec's loss on a client's serialized upload:
-    /// `sent` is what [`Strategy::compress`] handed the encoder at
-    /// `indices`, `shipped` is what the lossy codec actually delivered
-    /// (what the server will reconstruct). Fired by the drivers once per
-    /// value-bearing frame of a *kept* upload when the wire policy runs a
-    /// lossy codec with `quant_ec` on; never fired under `F32`.
-    /// Strategies with error-compensation memory fold `sent − shipped`
-    /// into the client's residual bank so codec loss re-enters the next
-    /// round; the default keeps the pre-existing behaviour of dropping
-    /// it.
-    fn fold_codec_error(&mut self, id: ClientId, indices: &[u32], sent: &[f32], shipped: &[f32]) {
-        let _ = (id, indices, sent, shipped);
-    }
-
-    /// Aggregates the kept uploads into a [`MaskedUpdate`] over trainable
-    /// positions and performs mask updates (see the trait-level
-    /// `MaskedUpdate` contract).
-    ///
-    /// Implementations should route accumulation through
-    /// [`crate::aggregate`] so the reduction order stays deterministic
-    /// under the `parallel` feature, and draw the returned mask/values
-    /// from `scratch`.
-    fn aggregate(
-        &mut self,
-        round: u32,
-        kept: &[(ClientId, Group, Upload)],
-        scratch: &mut ScratchPool,
-    ) -> MaskedUpdate;
-
-    /// Begins an incremental aggregation for round `round`: allocates the
-    /// strategy's partial-sum accumulator(s) from `scratch`.
-    ///
-    /// # Bit-exactness contract
-    ///
-    /// Folding each kept upload with [`Strategy::fold_upload`] in
-    /// **ascending client-id order** and then calling
-    /// [`Strategy::fold_finish`] produces a [`MaskedUpdate`] (and
-    /// performs mask/state updates) bit-identical to a single
-    /// [`Strategy::aggregate`] call over the same uploads sorted by
-    /// client id. This holds because every strategy's batch accumulation
-    /// adds per-position contributions in entry order — exactly the order
-    /// the per-upload fold replays — and `f32` addition per position is
-    /// then the same sequence of operations. The property suite
-    /// (`crates/core/tests/streaming_fold.rs`) pins the identity for all
-    /// six strategy configurations × three value codecs.
+    /// Begins the aggregation for round `round`: allocates the strategy's
+    /// partial-sum accumulator(s) from `scratch`.
     fn fold_begin(&mut self, round: u32, scratch: &mut ScratchPool) -> FoldAcc;
 
     /// Folds one kept upload into the accumulator. Must be called in
-    /// ascending client-id order across kept uploads (see
-    /// [`Strategy::fold_begin`] for the bit-exactness contract). The
-    /// upload is borrowed — the caller keeps ownership and can return its
-    /// buffers to the pool immediately afterwards, so a streaming server
-    /// never stages more than the out-of-order arrivals.
+    /// ascending client-id order across kept uploads (see the trait-level
+    /// bit-exactness note). The upload is borrowed — the caller keeps
+    /// ownership and can return its buffers to the pool immediately
+    /// afterwards, so a streaming server never stages more than the
+    /// out-of-order arrivals.
     ///
     /// # Panics
-    /// Panics on an upload variant or alignment the strategy's
-    /// [`Strategy::aggregate`] would reject (e.g. a non-split upload
-    /// handed to GlueFL, or a known-mask upload misaligned with APF's
-    /// active set).
+    /// Panics on an upload variant or alignment the strategy cannot fold
+    /// (e.g. a non-split upload handed to GlueFL, or a known-mask upload
+    /// misaligned with APF's active set); the engine validates arrivals
+    /// before they reach the gate.
     fn fold_upload(
         &mut self,
         round: u32,
@@ -356,10 +313,9 @@ pub trait Strategy: Send {
         scratch: &mut ScratchPool,
     );
 
-    /// Completes an incremental aggregation: performs the strategy's
-    /// finishing work (top-k re-masking, mask shifting, state updates —
-    /// whatever [`Strategy::aggregate`] does after accumulation), returns
-    /// the accumulator buffers to `scratch`, and yields the round's
+    /// Completes the aggregation: performs the strategy's finishing work
+    /// (top-k re-masking, mask shifting, state updates), returns the
+    /// accumulator buffers to `scratch`, and yields the round's
     /// [`MaskedUpdate`].
     fn fold_finish(&mut self, round: u32, acc: FoldAcc, scratch: &mut ScratchPool) -> MaskedUpdate;
 
@@ -373,7 +329,9 @@ pub trait Strategy: Send {
     );
 }
 
-/// Builds the configured strategy.
+/// Builds the server half of the configured strategy
+/// ([`crate::ClientCompressor::new`] builds the client half from the
+/// same layout arguments).
 ///
 /// # Panics
 /// Panics if the strategy parameters are inconsistent with the population

@@ -1,18 +1,18 @@
 //! STC: top-`q` masking on clients and server (Sattler et al. 2019).
 
 use super::{FoldAcc, Group, RoundPlan, Strategy, Upload};
-use crate::aggregate::{accumulate_into, accumulate_uploads};
+use crate::aggregate::accumulate_into;
 use crate::scratch::ScratchPool;
 use gluefl_compress::stc::keep_count;
-use gluefl_compress::{CompensationMode, ErrorCompensator};
 use gluefl_sampling::{ClientId, OnlineQuery, UniformSampler};
-use gluefl_tensor::{top_k_abs_masked_into, BitMask, MaskedUpdate, SparseUpdate, TopKScope};
+use gluefl_tensor::{top_k_abs_masked_into, BitMask, MaskedUpdate, TopKScope};
 use rand::rngs::StdRng;
 
-/// The masking-only STC of Algorithm 1: clients upload `top_q(Δ_i)` (with
-/// classic error feedback), the server aggregates with `(N/K)p_i` weights
-/// and re-masks the aggregate with another `top_q`, so only `q·d`
-/// positions change per round.
+/// The server half of the masking-only STC of Algorithm 1: clients upload
+/// `top_q(Δ_i)` with classic error feedback
+/// ([`crate::ClientCompressor`]), the server aggregates with `(N/K)p_i`
+/// weights and re-masks the aggregate with another `top_q`, so only
+/// `q·d` positions change per round.
 #[derive(Debug)]
 pub struct StcStrategy {
     sampler: UniformSampler,
@@ -25,8 +25,7 @@ pub struct StcStrategy {
     dim: usize,
     /// Positions strategies must not select (BN statistics).
     stats_excluded: BitMask,
-    ec: ErrorCompensator,
-    /// Apply STC's ternary quantization to uploads (footnote 1).
+    /// Clients ternary-quantize their uploads (footnote 1).
     quantize: bool,
 }
 
@@ -56,14 +55,13 @@ impl StcStrategy {
             trainable,
             dim,
             stats_excluded,
-            ec: ErrorCompensator::new(CompensationMode::Raw, dim),
             quantize: false,
         }
     }
 
-    /// Enables ternary quantization of uploads: every kept value is sent
-    /// as `sign·μ` (one bit each plus one shared magnitude). Error
-    /// feedback then also carries the quantization residual.
+    /// Marks the run as ternary-quantized: clients send every kept value
+    /// as `sign·μ` (one bit each plus one shared magnitude), and the fold
+    /// consumes [`Upload::Ternary`].
     #[must_use]
     pub fn with_quantization(mut self) -> Self {
         self.quantize = true;
@@ -109,78 +107,6 @@ impl Strategy for StcStrategy {
         0
     }
 
-    fn compress(
-        &mut self,
-        _round: u32,
-        id: ClientId,
-        _group: Group,
-        delta: &mut [f32],
-        scratch: &mut ScratchPool,
-    ) -> Upload {
-        // Error feedback: add the residual from the client's previous
-        // participation, then sparsify, then remember the new residual.
-        self.ec.apply(id, delta, 1.0);
-        let k = keep_count(self.trainable, self.q);
-        let (ix, vals) = scratch.take_sparse();
-        let idx = top_k_abs_masked_into(
-            delta,
-            k,
-            TopKScope::Outside(&self.stats_excluded),
-            &mut scratch.topk,
-        );
-        let sparse = SparseUpdate::gather_in(delta, idx, ix, vals);
-        if self.quantize {
-            // The residual must reflect what the server actually receives
-            // (the dequantized values), so quantization loss is carried
-            // into the next round too.
-            let ternary = gluefl_compress::stc::TernaryUpdate::quantize(&sparse);
-            self.ec
-                .record_sent_parts(id, delta, &[&ternary.dequantize()], 1.0);
-            Upload::Ternary(ternary)
-        } else {
-            self.ec.record_sent_parts(id, delta, &[&sparse], 1.0);
-            Upload::Sparse(sparse)
-        }
-    }
-
-    fn fold_codec_error(&mut self, id: ClientId, indices: &[u32], sent: &[f32], shipped: &[f32]) {
-        // Only the non-quantized (sparse f32) path ships value-bearing
-        // frames; ternary frames are exact given µ and never report.
-        self.ec.fold_shipped_error(id, indices, sent, shipped);
-    }
-
-    fn aggregate(
-        &mut self,
-        _round: u32,
-        kept: &[(ClientId, Group, Upload)],
-        scratch: &mut ScratchPool,
-    ) -> MaskedUpdate {
-        let entries: Vec<(f32, &Upload)> = kept
-            .iter()
-            .map(|(id, group, upload)| (self.client_weight(*id, *group) as f32, upload))
-            .collect();
-        let acc = accumulate_uploads(&entries, self.dim, scratch);
-        // Server-side masking (Algorithm 1 line 17): the update *is* the
-        // top q of the aggregate, so the mask/packed-values layout is
-        // emitted directly — no dense re-materialisation.
-        let mut mask = scratch.take_mask(self.dim);
-        let mut values = scratch.take_cleared();
-        let k = keep_count(self.trainable, self.q);
-        let idx = top_k_abs_masked_into(
-            &acc,
-            k,
-            TopKScope::Outside(&self.stats_excluded),
-            &mut scratch.topk,
-        );
-        // `idx` is strictly increasing, so pushes land in mask-bit order.
-        for &i in idx {
-            mask.set(i, true);
-            values.push(acc[i]);
-        }
-        scratch.put(acc);
-        MaskedUpdate::new(mask, values)
-    }
-
     fn fold_begin(&mut self, _round: u32, scratch: &mut ScratchPool) -> FoldAcc {
         FoldAcc {
             dense: Some(scratch.take_zeroed(self.dim)),
@@ -215,8 +141,10 @@ impl Strategy for StcStrategy {
         scratch: &mut ScratchPool,
     ) -> MaskedUpdate {
         let acc = acc.dense.expect("fold_begin allocates the accumulator");
-        // Identical finishing step to `aggregate`: server-side top-q
-        // re-masking over the streamed partial sum.
+        // Server-side masking (Algorithm 1 line 17): the update *is* the
+        // top q of the aggregate, emitted directly as mask + packed
+        // values. `idx` is strictly increasing, so pushes land in
+        // mask-bit order.
         let mut mask = scratch.take_mask(self.dim);
         let mut values = scratch.take_cleared();
         let k = keep_count(self.trainable, self.q);
@@ -240,44 +168,12 @@ impl Strategy for StcStrategy {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::stream::fold_in_id_order;
+    use gluefl_tensor::SparseUpdate;
     use rand::SeedableRng;
 
     fn strategy(q: f64) -> StcStrategy {
         StcStrategy::new(10, 3, 1.0, vec![0.1; 10], q, 8, 8, BitMask::zeros(8))
-    }
-
-    #[test]
-    fn upload_is_top_q_sparse() {
-        let mut s = strategy(0.25);
-        let mut delta = vec![0.1f32, -9.0, 0.2, 8.0, 0.0, 0.0, 0.0, 0.0];
-        let mut pool = ScratchPool::new();
-        let up = s.compress(0, 0, Group::Fresh, &mut delta, &mut pool);
-        match up {
-            Upload::Sparse(u) => {
-                assert_eq!(u.indices(), &[1, 3]);
-            }
-            other => panic!("expected sparse upload, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn error_feedback_carries_residual() {
-        let mut s = strategy(0.25);
-        // Round 1: client 5 sends top-2 of [4,3,2,1,...]; residual = rest.
-        let mut d1 = vec![4.0f32, 3.0, 2.0, 1.0, 0.0, 0.0, 0.0, 0.0];
-        let mut pool = ScratchPool::new();
-        let _ = s.compress(0, 5, Group::Fresh, &mut d1, &mut pool);
-        // Round 2: zero fresh delta; compensation resurrects the residual,
-        // so the upload now contains the previously-dropped coordinates.
-        let mut d2 = vec![0.0f32; 8];
-        let up = s.compress(1, 5, Group::Fresh, &mut d2, &mut pool);
-        match up {
-            Upload::Sparse(u) => {
-                assert_eq!(u.indices(), &[2, 3]);
-                assert_eq!(u.values(), &[2.0, 1.0]);
-            }
-            other => panic!("expected sparse upload, got {other:?}"),
-        }
     }
 
     #[test]
@@ -290,7 +186,7 @@ mod tests {
             (1usize, Group::Fresh, mk(vec![(0, 5.0), (7, 6.0)])),
         ];
         let mut pool = ScratchPool::new();
-        let agg = s.aggregate(0, &kept, &mut pool);
+        let agg = fold_in_id_order(&mut s, 0, &kept, &mut pool);
         // top 25% of 8 = 2 positions survive: 0 (sum 10·w) and 7 (6·w).
         let mut nonzero = Vec::new();
         agg.for_each_nonzero(|i, _| nonzero.push(i));
@@ -313,80 +209,11 @@ mod tests {
             })
             .collect();
         let mut pool = ScratchPool::new();
-        let agg = s.aggregate(0, &kept, &mut pool);
+        let agg = fold_in_id_order(&mut s, 0, &kept, &mut pool);
         assert!(agg.nnz() <= 2, "mask covers {} > q·d = 2", agg.nnz());
         let mut changed = 0usize;
         agg.for_each_nonzero(|_, _| changed += 1);
         assert!(changed <= 2, "changed {changed} exceeds q·d = 2");
-    }
-
-    #[test]
-    fn stats_positions_never_selected() {
-        let mut excluded = BitMask::zeros(8);
-        excluded.set(0, true); // pretend position 0 is a BN statistic
-        let mut s = StcStrategy::new(10, 3, 1.0, vec![0.1; 10], 0.25, 7, 8, excluded);
-        let mut delta = vec![100.0f32, 1.0, 2.0, 3.0, 0.0, 0.0, 0.0, 0.0];
-        let mut pool = ScratchPool::new();
-        let up = s.compress(0, 0, Group::Fresh, &mut delta, &mut pool);
-        match up {
-            Upload::Sparse(u) => {
-                assert!(!u.indices().contains(&0), "selected excluded position");
-            }
-            other => panic!("expected sparse upload, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn quantized_upload_costs_fewer_bytes() {
-        let mut plain = strategy(0.5);
-        let mut quant = StcStrategy::new(10, 3, 1.0, vec![0.1; 10], 0.5, 8, 8, BitMask::zeros(8))
-            .with_quantization();
-        let delta = vec![4.0f32, -3.0, 2.0, -1.0, 0.5, 0.25, 0.1, 0.05];
-        let mut pool = ScratchPool::new();
-        let up_plain = plain.compress(0, 0, Group::Fresh, &mut delta.clone(), &mut pool);
-        let up_quant = quant.compress(0, 0, Group::Fresh, &mut delta.clone(), &mut pool);
-        assert!(up_quant.bytes() < up_plain.bytes());
-    }
-
-    #[test]
-    fn quantized_upload_preserves_signs_and_support() {
-        let mut s = StcStrategy::new(10, 3, 1.0, vec![0.1; 10], 0.5, 8, 8, BitMask::zeros(8))
-            .with_quantization();
-        let mut delta = vec![4.0f32, -3.0, 2.0, -1.0, 0.0, 0.0, 0.0, 0.0];
-        let mut pool = ScratchPool::new();
-        let up = s.compress(0, 0, Group::Fresh, &mut delta, &mut pool);
-        match up {
-            Upload::Ternary(t) => {
-                let back = t.dequantize();
-                assert_eq!(back.indices(), &[0, 1, 2, 3]);
-                assert!(back.values()[0] > 0.0 && back.values()[1] < 0.0);
-                // μ = mean(4, 3, 2, 1) = 2.5.
-                assert!((t.mu - 2.5).abs() < 1e-6);
-            }
-            other => panic!("expected ternary upload, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn quantization_error_is_carried_by_feedback() {
-        let mut s = StcStrategy::new(10, 3, 1.0, vec![0.1; 10], 1.0, 4, 4, BitMask::zeros(4))
-            .with_quantization();
-        // q = 1: everything is kept, only quantization loses information.
-        let mut d1 = vec![4.0f32, 2.0, 0.0, 0.0];
-        let mut pool = ScratchPool::new();
-        let _ = s.compress(0, 7, Group::Fresh, &mut d1, &mut pool);
-        // Sent sign·μ = ±3: residuals are (1, −1, 0, 0).
-        let mut d2 = vec![0.0f32; 4];
-        let up = s.compress(1, 7, Group::Fresh, &mut d2, &mut pool);
-        match up {
-            Upload::Ternary(t) => {
-                let back = t.dequantize();
-                // Residual (1, −1) quantizes to signs (+, −) with μ ≈ ...
-                assert!(back.values().iter().any(|v| *v > 0.0));
-                assert!(back.values().iter().any(|v| *v < 0.0));
-            }
-            other => panic!("expected ternary upload, got {other:?}"),
-        }
     }
 
     #[test]

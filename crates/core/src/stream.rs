@@ -1,10 +1,9 @@
 //! Streaming aggregation: fold kept uploads as they arrive.
 //!
 //! [`StreamingAggregator`] is the ordering gate between a transport that
-//! receives uploads in *arrival* order (sockets, or the simulator's
-//! keep-selection order) and the [`Strategy`] fold seam, whose
-//! bit-exactness contract requires folding in ascending client-id order
-//! (see [`Strategy::fold_begin`]). The gate folds an upload the moment
+//! receives uploads in *arrival* order and the [`Strategy`] fold seam,
+//! whose bit-exactness contract requires folding in ascending client-id
+//! order (see the [`Strategy`] docs). The gate folds an upload the moment
 //! every lower-id kept upload has been folded, and *parks* early arrivals
 //! until their turn. Each folded upload's buffers go straight back to the
 //! [`ScratchPool`], so the only staging that ever exists is the
@@ -59,8 +58,8 @@ enum Slot {
 ///
 /// Construction fixes the keep set; [`accept`](Self::accept) feeds
 /// arrivals in any order; [`finish`](Self::finish) yields the round's
-/// [`MaskedUpdate`], bit-identical to a batch
-/// [`Strategy::aggregate`] over the same uploads sorted by client id.
+/// [`MaskedUpdate`], bit-identical to [`fold_in_id_order`] over the same
+/// uploads.
 #[derive(Debug)]
 pub struct StreamingAggregator {
     round: u32,
@@ -232,6 +231,25 @@ impl StreamingAggregator {
     }
 }
 
+/// The reference fold: opens the strategy's accumulator, folds `kept` in
+/// ascending client-id order, and finishes — no gate, no parking. Every
+/// arrival order through a [`StreamingAggregator`] must reproduce this
+/// bit for bit; tests use it wherever they need "the round's aggregate".
+pub fn fold_in_id_order(
+    strategy: &mut dyn Strategy,
+    round: u32,
+    kept: &[(ClientId, Group, Upload)],
+    scratch: &mut ScratchPool,
+) -> MaskedUpdate {
+    let mut order: Vec<&(ClientId, Group, Upload)> = kept.iter().collect();
+    order.sort_by_key(|(id, _, _)| *id);
+    let mut acc = strategy.fold_begin(round, scratch);
+    for (id, group, upload) in order {
+        strategy.fold_upload(round, &mut acc, *id, *group, upload, scratch);
+    }
+    strategy.fold_finish(round, acc, scratch)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -253,12 +271,12 @@ mod tests {
     }
 
     #[test]
-    fn reverse_arrival_matches_batch() {
+    fn reverse_arrival_matches_id_order() {
         let dim = 9;
         let kept = uploads(5, dim);
-        let mut batch_s = FedAvgStrategy::new(8, 5, 1.0, vec![0.125; 8], dim);
+        let mut ref_s = FedAvgStrategy::new(8, 5, 1.0, vec![0.125; 8], dim);
         let mut pool = ScratchPool::new();
-        let want = batch_s.aggregate(0, &kept, &mut pool);
+        let want = fold_in_id_order(&mut ref_s, 0, &kept, &mut pool);
 
         let mut stream_s = FedAvgStrategy::new(8, 5, 1.0, vec![0.125; 8], dim);
         let ids: Vec<(ClientId, Group)> = kept.iter().map(|&(c, g, _)| (c, g)).collect();
@@ -304,11 +322,11 @@ mod tests {
     fn skipped_client_unblocks_later_ids() {
         let dim = 4;
         let kept = uploads(3, dim);
-        // Batch reference over clients {1, 2} only.
-        let mut batch_s = FedAvgStrategy::new(8, 3, 1.0, vec![0.125; 8], dim);
+        // Reference over clients {1, 2} only.
+        let mut ref_s = FedAvgStrategy::new(8, 3, 1.0, vec![0.125; 8], dim);
         let mut pool = ScratchPool::new();
         let survivors: Vec<_> = kept.iter().filter(|&&(c, _, _)| c != 0).cloned().collect();
-        let want = batch_s.aggregate(0, &survivors, &mut pool);
+        let want = fold_in_id_order(&mut ref_s, 0, &survivors, &mut pool);
 
         let mut s = FedAvgStrategy::new(8, 3, 1.0, vec![0.125; 8], dim);
         let ids: Vec<(ClientId, Group)> = kept.iter().map(|&(c, g, _)| (c, g)).collect();

@@ -20,13 +20,13 @@
 //! With [`Codec::F32`] the round trip is bit-exact, and under the
 //! default (legacy) policy every frame's length equals the analytic
 //! [`gluefl_tensor::WireCost`] total that [`Upload::bytes`] reports —
-//! the simulator debug-asserts this identity every round, and the
+//! the client half debug-asserts this identity for every offer, and the
 //! `wire_roundtrip` integration suite pins it end-to-end. With the lossy
 //! codecs ([`Codec::F16`], [`Codec::QuantU8`]) the decoded values differ
 //! within the codec's error envelope; when [`WirePolicy::quant_ec`] is
 //! on, [`encode_upload_with_feedback`] reports the *dequantized* values
-//! each frame actually shipped back to the sender, so strategies with
-//! error-compensation memory fold the codec residual into the next
+//! each frame actually shipped back to the sender, so a client half with
+//! error-compensation memory folds the codec residual into the next
 //! round alongside the top-k residual.
 
 use crate::scratch::ScratchPool;
@@ -38,7 +38,7 @@ use gluefl_wire::{
     decode_frame_prefix, Codec, Frame, FrameKind, FrameWriter, Rounding, WireError, WirePolicy,
 };
 
-/// The rounding mode a codec uses on the simulator's paths: quantization
+/// The rounding mode a codec uses on the round paths: quantization
 /// rounds stochastically with the given seed (derive it from
 /// `(master seed, round, client)` so serial ≡ parallel holds); the other
 /// codecs round deterministically.
@@ -56,11 +56,11 @@ pub fn rounding_for(codec: Codec, quant_seed: u64) -> Rounding {
 /// Under the legacy menu frame lengths depend only on the upload's
 /// *shape* `(kind, codec, dim, nnz)`; the entropy layouts price the
 /// actual index pattern — but the upload carries its indices, so the
-/// prediction stays exact either way. This is the seam that lets a
-/// scheduler (the simulator's keep selection, the server's deadline
-/// policy) price every invited client's upload *before* deciding whose
-/// bytes to encode, decode, or even receive: the over-committed
-/// remainder is never serialized at all. The simulator debug-asserts
+/// prediction stays exact either way. This is the seam that lets the
+/// round engine's keep selection (and a socket server's deadline policy)
+/// price every invited client's upload *before* deciding whose bytes to
+/// encode, decode, or even receive: the over-committed remainder is
+/// never serialized at all. The in-process clients debug-assert
 /// `encoded_len == encode_upload(..)` for every kept upload each round.
 #[must_use]
 pub fn encoded_len(upload: &Upload, policy: &WirePolicy) -> u64 {
@@ -100,10 +100,10 @@ pub fn encode_upload(
 /// mask-aligned frame under a lossy codec (with [`WirePolicy::quant_ec`]
 /// on), `feedback(indices, sent, shipped)` receives the frame's
 /// coordinate indices, the values handed to the encoder, and the
-/// dequantized values a receiver will reconstruct. Strategies with
-/// error-compensation memory fold `sent − shipped` into their residual
-/// bank ([`crate::strategies::Strategy::fold_codec_error`]), so codec
-/// loss is carried into the next round instead of silently dropped.
+/// dequantized values a receiver will reconstruct. The client half folds
+/// `sent − shipped` into its residual bank
+/// ([`crate::ClientCompressor::encode_kept`]), so codec loss is carried
+/// into the next round instead of silently dropped.
 ///
 /// The callback never fires under [`Codec::F32`] (shipped ≡ sent), for
 /// ternary frames (their fixed sign/µ layout is exact given `µ`), or
@@ -266,8 +266,7 @@ pub fn decode_upload(
 }
 
 /// Parses a round upload payload — the upload's frame(s) followed by the
-/// BN-statistics known-mask frame — as transmitted by a real client (and
-/// staged by the simulator): `upload := dense | sparse | ternary |
+/// BN-statistics known-mask frame — as every client transmits it: `upload := dense | sparse | ternary |
 /// known-mask | known-mask sparse`, then exactly one known-mask stats
 /// frame. The grammar is prefix-decidable with [`decode_frame_prefix`]
 /// alone (a known-mask first frame is a split upload iff a sparse frame

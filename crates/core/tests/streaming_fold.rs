@@ -1,27 +1,30 @@
-//! Streaming fold ≡ batch aggregate, bit-exact, for every strategy.
+//! Any arrival order ≡ the id-ordered fold, bit-exact, for every strategy.
 //!
 //! The [`gluefl_core::stream::StreamingAggregator`] promises that folding
 //! kept uploads one at a time — in whatever order they arrive — produces
-//! the same `MaskedUpdate`, to the bit, as the batch
-//! [`Strategy::aggregate`] over the id-sorted keep set. These properties
-//! drive all six strategy configurations × all three wire codecs through
-//! real encode/decode round-trips for several rounds, deliver the kept
-//! uploads in proptest-shuffled arrival orders, and compare the two
-//! aggregation paths round by round (state evolution included: a
-//! divergence in round `r`'s fold would shift every later round's masks).
-//! The entropy wire policy (delta-varint indices, RLE mask sections)
-//! rides through the same properties: the position layout changes the
-//! bytes, never the decoded uploads.
+//! the same `MaskedUpdate`, to the bit, as folding them in ascending
+//! client-id order ([`fold_in_id_order`], the reference every driver's
+//! result is defined by). These properties drive all six strategy
+//! configurations × five wire policies through real encode/decode
+//! round-trips for several rounds, deliver the kept uploads in
+//! proptest-shuffled arrival orders, and compare the two folds round by
+//! round (state evolution included: a divergence in round `r`'s fold
+//! would shift every later round's masks). The entropy wire policy
+//! (delta-varint indices, RLE mask sections) rides through the same
+//! properties: the position layout changes the bytes, never the decoded
+//! uploads.
 //!
 //! The keep-K cutoff identity rides along: the over-committed remainder
 //! of each round's invites is dropped without ever being decoded or
-//! folded, and the fold still matches the batch aggregate over exactly
-//! the kept set.
+//! folded, and the gate still matches the reference over exactly the
+//! kept set.
 
 use gluefl_compress::{ApfConfig, CompensationMode};
 use gluefl_core::strategies::{build_strategy, Group, Upload};
-use gluefl_core::stream::StreamingAggregator;
-use gluefl_core::{wire_link, GlueFlParams, ScratchPool, SimConfig, StrategyConfig};
+use gluefl_core::stream::{fold_in_id_order, StreamingAggregator};
+use gluefl_core::{
+    wire_link, ClientCompressor, GlueFlParams, ScratchPool, SimConfig, StrategyConfig,
+};
 use gluefl_data::DatasetProfile;
 use gluefl_ml::DatasetModel;
 use gluefl_sampling::AllOnline;
@@ -113,8 +116,8 @@ fn bits(u: &MaskedUpdate) -> Vec<u32> {
 }
 
 /// Runs `ROUNDS` rounds of one strategy under one wire policy twice —
-/// batch aggregate vs streaming fold with `order` as the arrival shuffle
-/// — and asserts bit-identical updates every round.
+/// id-ordered reference fold vs the gate with `order` as the arrival
+/// shuffle — and asserts bit-identical updates every round.
 fn check_strategy(strategy_cfg: StrategyConfig, policy: WirePolicy, seed: u64, order: &[u64]) {
     let cfg = cfg_for(strategy_cfg, seed);
     let weights = vec![1.0 / N as f64; N];
@@ -123,6 +126,9 @@ fn check_strategy(strategy_cfg: StrategyConfig, policy: WirePolicy, seed: u64, o
     let mut rng_b = rng_a.clone();
     let mut strat_a = build_strategy(&cfg, &weights, trainable, DIM, stats_excluded(), &mut rng_a);
     let mut strat_b = build_strategy(&cfg, &weights, trainable, DIM, stats_excluded(), &mut rng_b);
+    // One client half feeds both server halves: the same uploads reach
+    // the reference fold and the gate.
+    let mut clients = ClientCompressor::new(&cfg, &weights, trainable, DIM, stats_excluded());
     let mut pool_a = ScratchPool::new();
     let mut pool_b = ScratchPool::new();
 
@@ -135,17 +141,17 @@ fn check_strategy(strategy_cfg: StrategyConfig, policy: WirePolicy, seed: u64, o
         let invited: Vec<(usize, Group)> = plan_a.invited().collect();
         assert_eq!(invited, plan_b.invited().collect::<Vec<_>>());
 
-        // Compress on both sides (error-compensation state must evolve
-        // identically for every *invited* client, kept or dropped).
+        // Compress every *invited* client, kept or dropped (its
+        // error-compensation residual evolves either way).
+        assert_eq!(strat_a.round_mask(round), strat_b.round_mask(round));
         let mut uploads: Vec<(usize, Group, Upload)> = Vec::new();
         for &(id, group) in &invited {
-            let mut da = delta_for(seed, round, id);
-            let mut db = da.clone();
-            let ua = strat_a.compress(round, id, group, &mut da, &mut pool_a);
-            let ub = strat_b.compress(round, id, group, &mut db, &mut pool_b);
-            assert_eq!(ua, ub, "compress diverged for client {id}");
-            pool_b.reclaim_upload(ub);
-            uploads.push((id, group, ua));
+            let mut delta = delta_for(seed, round, id);
+            let mask = strat_a.round_mask(round);
+            let upload = clients
+                .compress(round, id, group, &mut delta, mask, &mut pool_a)
+                .expect("masking strategies expose their round mask");
+            uploads.push((id, group, upload));
         }
 
         // Keep-K cutoff: first `keep_sticky` sticky + `keep_fresh` fresh
@@ -163,8 +169,8 @@ fn check_strategy(strategy_cfg: StrategyConfig, policy: WirePolicy, seed: u64, o
             }
         }
 
-        // Wire round-trip each kept upload once; both aggregation paths
-        // consume the same decoded bytes, exactly like a server would.
+        // Wire round-trip each kept upload once; both folds consume the
+        // same decoded bytes, exactly like a server would.
         let decoded: Vec<(usize, Group, Upload)> = {
             let mask = strat_a.round_mask(round);
             kept.iter()
@@ -189,13 +195,8 @@ fn check_strategy(strategy_cfg: StrategyConfig, policy: WirePolicy, seed: u64, o
             pool_a.reclaim_upload(upload);
         }
 
-        // Batch reference: id-sorted aggregate on side A.
-        let mut batch_input = decoded.clone();
-        batch_input.sort_by_key(|(id, _, _)| *id);
-        let want = strat_a.aggregate(round, &batch_input, &mut pool_a);
-        for (_, _, upload) in batch_input {
-            pool_a.reclaim_upload(upload);
-        }
+        // Reference: the id-ordered fold on side A.
+        let want = fold_in_id_order(&mut *strat_a, round, &decoded, &mut pool_a);
 
         // Streaming fold on side B, arrivals shuffled by the proptest
         // sort keys (stable sort, so equal keys stay deterministic).
@@ -213,12 +214,12 @@ fn check_strategy(strategy_cfg: StrategyConfig, policy: WirePolicy, seed: u64, o
         assert_eq!(
             want.mask(),
             got.mask(),
-            "round {round}: fold mask diverged from batch aggregate"
+            "round {round}: gate mask diverged from the id-ordered fold"
         );
         assert_eq!(
             bits(&want),
             bits(&got),
-            "round {round}: fold values diverged from batch aggregate"
+            "round {round}: gate values diverged from the id-ordered fold"
         );
         pool_a.put_update(want);
         pool_b.put_update(got);
@@ -242,9 +243,9 @@ fn check_strategy(strategy_cfg: StrategyConfig, policy: WirePolicy, seed: u64, o
 }
 
 proptest! {
-    /// Every strategy × F32: shuffled streaming fold ≡ batch aggregate.
+    /// Every strategy × F32: shuffled arrivals ≡ the id-ordered fold.
     #[test]
-    fn fold_matches_batch_f32(
+    fn any_order_matches_id_order_f32(
         seed in 0u64..100_000,
         order in proptest::collection::vec(any::<u64>(), 16),
     ) {
@@ -253,10 +254,10 @@ proptest! {
         }
     }
 
-    /// Every strategy × the lossy F16 codec: both paths see the same
+    /// Every strategy × the lossy F16 codec: both folds see the same
     /// decoded (precision-reduced) values, so they still agree bit-exactly.
     #[test]
-    fn fold_matches_batch_f16(
+    fn any_order_matches_id_order_f16(
         seed in 0u64..100_000,
         order in proptest::collection::vec(any::<u64>(), 16),
     ) {
@@ -267,7 +268,7 @@ proptest! {
 
     /// Every strategy × the stochastically-rounded QuantU8 codec.
     #[test]
-    fn fold_matches_batch_quant_u8(
+    fn any_order_matches_id_order_quant_u8(
         seed in 0u64..100_000,
         order in proptest::collection::vec(any::<u64>(), 16),
     ) {
@@ -280,7 +281,7 @@ proptest! {
     /// sections), bit-exact F32 values: the position layout changes the
     /// bytes, never the decoded uploads.
     #[test]
-    fn fold_matches_batch_entropy_f32(
+    fn any_order_matches_id_order_entropy_f32(
         seed in 0u64..100_000,
         order in proptest::collection::vec(any::<u64>(), 16),
     ) {
@@ -291,7 +292,7 @@ proptest! {
 
     /// Every strategy × entropy layouts on top of QuantU8.
     #[test]
-    fn fold_matches_batch_entropy_quant_u8(
+    fn any_order_matches_id_order_entropy_quant_u8(
         seed in 0u64..100_000,
         order in proptest::collection::vec(any::<u64>(), 16),
     ) {

@@ -25,7 +25,7 @@
 //!
 //! All allocation lives in [`TopKScratch`]; the `*_into` entry points are
 //! allocation-free after warm-up, which is what the per-round hot paths
-//! (`Strategy::compress` / `Strategy::aggregate`) use.
+//! (client-side compression, the server-side fold) use.
 
 use crate::BitMask;
 

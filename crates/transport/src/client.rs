@@ -1,214 +1,33 @@
-//! The client side of the round loop: a [`ClientNode`] that trains and
-//! compresses exactly like one simulated client, plus [`run_client`],
-//! the blocking socket loop that speaks the envelope protocol.
+//! The client side of the round loop: a [`ClientNode`] — one client's
+//! training and compression state — plus [`run_client`], the blocking
+//! socket loop that speaks the envelope protocol.
 //!
 //! # Bit-exactness
 //!
-//! A real client must reproduce, to the bit, what the in-process
-//! [`gluefl_core::Simulation`] computes for the same `(seed, round, id)`:
-//! the same synthetic shard, the same local-SGD delta
-//! ([`gluefl_core::local_train_into`] with the `"local-train"` derived
-//! seed), and the same compressed upload. Compression is mirrored here
-//! per strategy (the private `ClientCompressor`) rather than through a
-//! [`gluefl_core::strategies::Strategy`] instance, because the strategy
-//! object holds *server* state (samplers, masks) a client does not have —
-//! but the client-visible parts (error-compensation residuals keyed by
-//! client id, top-k scopes, propensity weights) depend only on the
-//! client's own history and the round's broadcast mask, which arrives in
-//! every `INVITE`. The loopback suite pins the mirror against the
-//! simulator for every strategy.
+//! A real client computes, to the bit, what the in-process
+//! [`gluefl_core::Simulation`] computes for the same `(seed, round, id)`,
+//! because it runs the same code on the same inputs: the dataset shard
+//! and model layout come from [`RunSetup`], the local-SGD delta from
+//! [`gluefl_core::local_train_into`] with the `"local-train"` derived
+//! seed, and the upload from the strategy's client half,
+//! [`ClientCompressor`] — one instance here serving one client, one
+//! instance in the simulator serving all of them. The server-side state
+//! a client lacks (samplers, mask evolution) it never needs: the round's
+//! mask arrives in every `INVITE`.
 
 use crate::proto::{read_msg_blocking, write_msg, MsgKind, ProtoError, PROTO_VERSION};
 use crate::TransportError;
-use gluefl_compress::stc::keep_count;
-use gluefl_compress::{CompensationMode, ErrorCompensator};
 use gluefl_core::strategies::{Group, Upload};
-use gluefl_core::{local_train_into, wire_link, ScratchPool, SimConfig, StrategyConfig, TrainSlot};
-use gluefl_data::SyntheticFlDataset;
-use gluefl_ml::Mlp;
-use gluefl_sampling::sticky_weights;
+use gluefl_core::{
+    local_train_into, local_train_seed, ClientCompressor, RunSetup, ScratchPool, SimConfig,
+    TrainSlot,
+};
 use gluefl_telemetry::{Counter, Phase, Telemetry};
-use gluefl_tensor::rng::{derive_seed, seeded_rng};
-use gluefl_tensor::wire::HEADER_BYTES;
-use gluefl_tensor::{top_k_abs_masked_into, BitMask, SparseUpdate, TopKScope};
-use gluefl_wire::{decode_frame_prefix, FrameKind, FrameWriter};
+use gluefl_tensor::BitMask;
+use gluefl_wire::{decode_frame_prefix, FrameKind};
 use std::io::Write as _;
 use std::net::TcpStream;
 use std::sync::Arc;
-
-/// The client-side mirror of one strategy's `compress` path.
-///
-/// Each variant holds exactly the state the corresponding
-/// [`gluefl_core::strategies::Strategy`] keeps *per client*: the error
-/// compensator's residual map is keyed by client id and only ever touched
-/// inside `compress`, so a client carrying its own compensator stays
-/// bit-identical to the server-side strategy carrying everyone's.
-enum ClientCompressor {
-    /// FedAvg / MD-FedAvg: the dense delta is the upload.
-    Dense,
-    /// STC: error feedback, top-`q` outside the BN statistics, optional
-    /// ternary quantization.
-    Stc {
-        q: f64,
-        quantize: bool,
-        ec: ErrorCompensator,
-    },
-    /// APF: values under the broadcast active mask.
-    Apf,
-    /// GlueFL: re-scaled error compensation, shared part under the
-    /// broadcast mask `M_t`, unique top-`(q−q_shr)` outside `M_t ∪ stats`.
-    GlueFl {
-        params: gluefl_core::GlueFlParams,
-        /// This client's importance weight `p_i`.
-        own_weight: f64,
-        /// Population size (for the propensity factors).
-        n: usize,
-        /// Round size `K`.
-        k: usize,
-        ec: ErrorCompensator,
-        /// Reused `broadcast mask ∪ stats` scope.
-        scope: BitMask,
-    },
-}
-
-impl ClientCompressor {
-    /// Whether `round` regenerates GlueFL's shared mask (mirror of
-    /// `GlueFlStrategy::is_regen_round`).
-    fn is_regen_round(params: &gluefl_core::GlueFlParams, round: u32) -> bool {
-        match params.regen_interval {
-            Some(i) => round > 0 && round.is_multiple_of(i),
-            None => false,
-        }
-    }
-
-    /// This client's aggregation weight (mirror of
-    /// `Strategy::client_weight` for the strategies whose compress path
-    /// consumes it).
-    fn gluefl_weight(
-        params: &gluefl_core::GlueFlParams,
-        own_weight: f64,
-        n: usize,
-        k: usize,
-        group: Group,
-    ) -> f64 {
-        if params.equal_weights {
-            return 1.0 / k as f64;
-        }
-        let w = sticky_weights(n, params.sticky_group, params.sticky_draw, k);
-        let factor = match group {
-            Group::Sticky => w.sticky_factor,
-            Group::Fresh => w.fresh_factor,
-        };
-        factor * own_weight
-    }
-
-    /// Compresses this client's trained delta exactly as the server-side
-    /// strategy would. `broadcast_mask` is the round mask decoded from
-    /// the `INVITE` (`None` for dense/sparse strategies).
-    #[allow(clippy::too_many_arguments)]
-    fn compress(
-        &mut self,
-        round: u32,
-        id: usize,
-        group: Group,
-        delta: &mut [f32],
-        broadcast_mask: Option<&BitMask>,
-        trainable: usize,
-        dim: usize,
-        stats_excluded: &BitMask,
-        scratch: &mut ScratchPool,
-    ) -> Result<Upload, TransportError> {
-        match self {
-            ClientCompressor::Dense => Ok(Upload::Dense(scratch.take_copy(delta))),
-            ClientCompressor::Stc { q, quantize, ec } => {
-                ec.apply(id, delta, 1.0);
-                let k = keep_count(trainable, *q);
-                let (ix, vals) = scratch.take_sparse();
-                let idx = top_k_abs_masked_into(
-                    delta,
-                    k,
-                    TopKScope::Outside(stats_excluded),
-                    &mut scratch.topk,
-                );
-                let sparse = SparseUpdate::gather_in(delta, idx, ix, vals);
-                if *quantize {
-                    let ternary = gluefl_compress::stc::TernaryUpdate::quantize(&sparse);
-                    ec.record_sent_parts(id, delta, &[&ternary.dequantize()], 1.0);
-                    Ok(Upload::Ternary(ternary))
-                } else {
-                    ec.record_sent_parts(id, delta, &[&sparse], 1.0);
-                    Ok(Upload::Sparse(sparse))
-                }
-            }
-            ClientCompressor::Apf => {
-                let mask = broadcast_mask.ok_or(TransportError::MissingBroadcastMask)?;
-                let (ix, vals) = scratch.take_sparse();
-                Ok(Upload::KnownMask(SparseUpdate::from_dense_masked_in(
-                    delta, mask, ix, vals,
-                )))
-            }
-            ClientCompressor::GlueFl {
-                params,
-                own_weight,
-                n,
-                k,
-                ec,
-                scope,
-            } => {
-                let mask = broadcast_mask.ok_or(TransportError::MissingBroadcastMask)?;
-                let weight = Self::gluefl_weight(params, *own_weight, *n, *k, group);
-                ec.apply(id, delta, weight);
-
-                let regen = Self::is_regen_round(params, round);
-                let unique_k = if regen {
-                    keep_count(trainable, params.q)
-                } else {
-                    keep_count(trainable, params.q - params.q_shr)
-                };
-                let shared = if regen {
-                    SparseUpdate::empty(dim)
-                } else {
-                    let (ix, vals) = scratch.take_sparse();
-                    SparseUpdate::from_dense_masked_in(delta, mask, ix, vals)
-                };
-                let top_scope: &BitMask = if regen {
-                    stats_excluded
-                } else {
-                    scope.copy_from(mask);
-                    scope.union_with(stats_excluded);
-                    scope
-                };
-                let (ix, vals) = scratch.take_sparse();
-                let idx = top_k_abs_masked_into(
-                    delta,
-                    unique_k,
-                    TopKScope::Outside(top_scope),
-                    &mut scratch.topk,
-                );
-                let unique = SparseUpdate::gather_in(delta, idx, ix, vals);
-                ec.record_sent_parts(id, delta, &[&shared, &unique], weight);
-                Ok(Upload::MaskSplit(
-                    gluefl_compress::mask_shift::ClientSplit { shared, unique },
-                ))
-            }
-        }
-    }
-
-    /// Mirror of [`gluefl_core::strategies::Strategy::fold_codec_error`]:
-    /// folds the wire codec's loss on a *granted* upload into the
-    /// client's own residual bank. Fired from `encode_granted` — the
-    /// moment the bytes are serialized, matching the simulator, which
-    /// only ever encodes kept uploads — so loopback runs stay
-    /// bit-identical.
-    fn fold_codec_error(&mut self, id: usize, indices: &[u32], sent: &[f32], shipped: &[f32]) {
-        match self {
-            ClientCompressor::Stc { ec, .. } | ClientCompressor::GlueFl { ec, .. } => {
-                ec.fold_shipped_error(id, indices, sent, shipped);
-            }
-            ClientCompressor::Dense | ClientCompressor::Apf => {}
-        }
-    }
-}
 
 /// One real client: its data shard, model topology, training slot, and
 /// compression state, all derived from the shared [`SimConfig`].
@@ -218,15 +37,10 @@ impl ClientCompressor {
 pub struct ClientNode {
     cfg: SimConfig,
     id: usize,
-    data: SyntheticFlDataset,
-    /// Built only for its layout/topology; the trained parameters come
-    /// from the server's broadcast every round.
-    model: Mlp,
-    stats_positions: Vec<usize>,
-    trainable_mask: BitMask,
-    stats_excluded: BitMask,
-    trainable: usize,
-    dim: usize,
+    /// Dataset, model layout and BN-statistic positions; the model's
+    /// weights are unused — the trained parameters come from the
+    /// server's broadcast every round.
+    setup: RunSetup,
     compressor: ClientCompressor,
     slot: TrainSlot,
     scratch: ScratchPool,
@@ -244,62 +58,24 @@ pub struct ClientNode {
 
 impl ClientNode {
     /// Builds the client for `id` from the run config. Dataset and model
-    /// layout derive from `cfg.seed` exactly as in
-    /// [`gluefl_core::Simulation::new`], so both sides agree on shards,
-    /// shapes, and BN-statistic positions.
+    /// layout derive from `cfg.seed` through the same [`RunSetup`] the
+    /// server builds, so both sides agree on shards, shapes, and
+    /// BN-statistic positions.
     ///
     /// # Panics
     /// Panics if `id` is outside the configured population.
     #[must_use]
     pub fn new(cfg: SimConfig, id: usize) -> Self {
-        let data =
-            SyntheticFlDataset::generate(cfg.dataset.clone(), derive_seed(cfg.seed, "data", 0));
-        assert!(id < data.num_clients(), "client id outside population");
-        let mut init_rng = seeded_rng(cfg.seed, "model-init", 0);
-        let model = cfg
-            .model
-            .build(data.feature_dim(), data.classes(), &mut init_rng);
-        let dim = model.num_params();
-        let layout = model.layout();
-        let trainable = layout.trainable_count();
-        let trainable_mask = layout.trainable_mask();
-        let stats_excluded = trainable_mask.not();
-        let stats_positions: Vec<usize> = stats_excluded.iter_ones().collect();
-        let n = data.num_clients();
-        let k = cfg.round_size;
-        let compressor = match &cfg.strategy {
-            StrategyConfig::FedAvg | StrategyConfig::MdFedAvg => ClientCompressor::Dense,
-            StrategyConfig::Stc { q } => ClientCompressor::Stc {
-                q: *q,
-                quantize: false,
-                ec: ErrorCompensator::new(CompensationMode::Raw, dim),
-            },
-            StrategyConfig::StcQuantized { q } => ClientCompressor::Stc {
-                q: *q,
-                quantize: true,
-                ec: ErrorCompensator::new(CompensationMode::Raw, dim),
-            },
-            StrategyConfig::Apf { .. } => ClientCompressor::Apf,
-            StrategyConfig::GlueFl(params) => ClientCompressor::GlueFl {
-                params: params.clone(),
-                own_weight: data.client_weights()[id],
-                n,
-                k,
-                ec: ErrorCompensator::new(params.compensation, dim),
-                scope: BitMask::zeros(dim),
-            },
-        };
+        let setup = RunSetup::new(&cfg);
+        assert!(
+            id < setup.data.num_clients(),
+            "client id outside population"
+        );
         Self {
+            compressor: ClientCompressor::for_run(&cfg, &setup),
             cfg,
             id,
-            data,
-            model,
-            stats_positions,
-            trainable_mask,
-            stats_excluded,
-            trainable,
-            dim,
-            compressor,
+            setup,
             slot: TrainSlot::default(),
             scratch: ScratchPool::new(),
             global: Vec::new(),
@@ -334,9 +110,10 @@ impl ClientNode {
             1 => Group::Sticky,
             other => return Err(TransportError::BadGroup(other)),
         };
+        let dim = self.setup.model.num_params();
         // Broadcast frame 1: the dense F32 global model.
         let (model_frame, rest) = decode_frame_prefix(frames)?;
-        if model_frame.kind != FrameKind::Dense || model_frame.dim != self.dim {
+        if model_frame.kind != FrameKind::Dense || model_frame.dim != dim {
             return Err(TransportError::BadBroadcast);
         }
         self.global.clear();
@@ -347,7 +124,7 @@ impl ClientNode {
         } else {
             let (mask_frame, tail) = decode_frame_prefix(rest)?;
             if !matches!(mask_frame.kind, FrameKind::Mask | FrameKind::MaskRle)
-                || mask_frame.dim != self.dim
+                || mask_frame.dim != dim
                 || !tail.is_empty()
             {
                 return Err(TransportError::BadBroadcast);
@@ -358,103 +135,70 @@ impl ClientNode {
         };
 
         // Local training — identical inputs to the simulator's worker.
-        let lr = self.cfg.lr_at_round(round);
         self.delta.clear();
-        self.delta.resize(self.dim, 0.0);
+        self.delta.resize(dim, 0.0);
         self.stats_out.clear();
-        self.stats_out.resize(self.stats_positions.len(), 0.0);
-        let client_seed = derive_seed(
-            self.cfg.seed,
-            "local-train",
-            (u64::from(round) << 32) | self.id as u64,
-        );
+        self.stats_out.resize(self.setup.stats_positions.len(), 0.0);
         local_train_into(
-            self.model.topology(),
+            self.setup.model.topology(),
             &self.global,
-            &self.data,
+            &self.setup.data,
             self.id,
             self.cfg.local_steps,
             self.cfg.batch_size,
-            lr,
+            self.cfg.lr_at_round(round),
             self.cfg.momentum,
-            client_seed,
+            local_train_seed(self.cfg.seed, round, self.id),
             &mut self.delta,
-            &self.stats_positions,
+            &self.setup.stats_positions,
             &mut self.stats_out,
-            &self.trainable_mask,
+            &self.setup.trainable_mask,
             &mut self.slot,
         );
 
         // Compress and price the upload (discarding any stale pending
         // upload from a round whose grant never arrived).
-        if let Some((_, stale)) = self.pending.take() {
-            self.scratch.reclaim_upload(stale);
-        }
-        let upload = self.compressor.compress(
-            round,
-            self.id,
-            group,
-            &mut self.delta,
-            self.round_mask.as_ref(),
-            self.trainable,
-            self.dim,
-            &self.stats_excluded,
-            &mut self.scratch,
-        )?;
-        let stats_len = self.stats_positions.len();
-        let policy = self.cfg.wire;
-        let analytic = upload.bytes() + stats_len as u64 * 4 + HEADER_BYTES;
-        let wire = wire_link::encoded_len(&upload, &policy)
-            + FrameWriter::new(policy).known_mask_len(stats_len);
+        self.discard_pending();
+        let upload = self
+            .compressor
+            .compress(
+                round,
+                self.id,
+                group,
+                &mut self.delta,
+                self.round_mask.as_ref(),
+                &mut self.scratch,
+            )
+            .map_err(|_| TransportError::MissingBroadcastMask)?;
+        let offer = self.compressor.offer(&upload, self.stats_out.len());
         self.pending = Some((round, upload));
-        Ok((analytic, wire))
+        Ok(offer)
     }
 
     /// Serializes the staged upload (frames + BN-statistics frame) into
-    /// `out` — the byte-exact payload the simulator stages in-process.
+    /// `out` — the byte-exact payload the simulator stages in-process —
+    /// folding any lossy-codec residual into the client's own
+    /// error-compensation bank: a grant means this upload is kept.
     /// Consumes the pending upload.
     ///
     /// # Errors
     /// [`TransportError::NoPendingUpload`] when no upload is staged for
     /// `round`.
     pub fn encode_granted(&mut self, round: u32, out: &mut Vec<u8>) -> Result<(), TransportError> {
-        match self.pending.take() {
-            Some((r, upload)) if r == round => {
-                let policy = self.cfg.wire;
-                let key = (u64::from(round) << 32) | self.id as u64;
-                // A grant means this upload is kept: serialize it and
-                // fold any lossy-codec residual into the client's own
-                // error-compensation bank, exactly as the simulator's
-                // driver does for kept uploads.
-                let id = self.id;
-                let compressor = &mut self.compressor;
-                let _ = wire_link::encode_upload_with_feedback(
-                    &upload,
-                    round,
-                    &policy,
-                    derive_seed(self.cfg.seed, "wire-quant", key),
-                    out,
-                    &mut |ix, sent, shipped| compressor.fold_codec_error(id, ix, sent, shipped),
-                );
-                let _ = FrameWriter::new(policy).known_mask(
-                    out,
-                    round,
-                    wire_link::rounding_for(
-                        policy.codec,
-                        derive_seed(self.cfg.seed, "wire-quant-stats", key),
-                    ),
-                    self.dim,
-                    &self.stats_out,
-                );
-                self.scratch.reclaim_upload(upload);
+        let staged = self.pending.take();
+        let result = match &staged {
+            Some((r, upload)) if *r == round => {
+                let _ = self
+                    .compressor
+                    .encode_kept(round, self.id, upload, &self.stats_out, out);
                 Ok(())
             }
-            Some((_, stale)) => {
-                self.scratch.reclaim_upload(stale);
-                Err(TransportError::NoPendingUpload)
-            }
-            None => Err(TransportError::NoPendingUpload),
+            _ => Err(TransportError::NoPendingUpload),
+        };
+        if let Some((_, upload)) = staged {
+            self.scratch.reclaim_upload(upload);
         }
+        result
     }
 
     /// Discards the staged upload after a negative grant (the client was
@@ -552,6 +296,29 @@ pub fn run_client_traced(
     }
     if let Some(t) = &tel {
         t.received(MsgKind::Welcome, payload.len());
+    }
+    // The server announces the run it is about to drive; a client built
+    // from a different config would train on a different population.
+    if payload.len() != 8 {
+        return Err(TransportError::UnexpectedMessage(env.kind));
+    }
+    let population = u32::from_le_bytes(payload[..4].try_into().expect("4 B"));
+    let rounds = u32::from_le_bytes(payload[4..].try_into().expect("4 B"));
+    for (field, ours, theirs) in [
+        (
+            "population",
+            node.setup.data.num_clients() as u64,
+            u64::from(population),
+        ),
+        ("rounds", u64::from(node.cfg.rounds), u64::from(rounds)),
+    ] {
+        if ours != theirs {
+            return Err(TransportError::ConfigMismatch {
+                field,
+                ours,
+                theirs,
+            });
+        }
     }
 
     let mut out = Vec::new();

@@ -1,5 +1,9 @@
 //! Real-socket federated rounds: a TCP server/client pair speaking
-//! `gluefl-wire` frames, reproducing the in-process simulator bit-exactly.
+//! `gluefl-wire` frames. The server drives [`gluefl_core::RoundEngine`]
+//! — the engine the in-process simulator drives — through a socket IO,
+//! and each client runs the strategy's client half
+//! ([`gluefl_core::ClientCompressor`]), so a socket run reproduces the
+//! simulator bit for bit.
 //!
 //! # Framing
 //!
@@ -67,6 +71,16 @@ pub enum TransportError {
     MissingBroadcastMask,
     /// A `GRANT` arrived for a round with no staged upload.
     NoPendingUpload,
+    /// The run the server announced in `WELCOME` is not the one this
+    /// client was configured for.
+    ConfigMismatch {
+        /// Which announced value disagrees: `"population"` or `"rounds"`.
+        field: &'static str,
+        /// The value in this client's own config.
+        ours: u64,
+        /// The value the server announced.
+        theirs: u64,
+    },
     /// Fewer clients than expected completed `HELLO` in time.
     HandshakeTimeout {
         /// Clients that finished the handshake.
@@ -87,6 +101,14 @@ impl std::fmt::Display for TransportError {
             Self::BadBroadcast => write!(f, "broadcast frames do not match the model"),
             Self::MissingBroadcastMask => write!(f, "strategy requires a mask frame; none sent"),
             Self::NoPendingUpload => write!(f, "GRANT for a round with no staged upload"),
+            Self::ConfigMismatch {
+                field,
+                ours,
+                theirs,
+            } => write!(
+                f,
+                "config mismatch: server runs {field} = {theirs}, this client was built for {ours}"
+            ),
             Self::HandshakeTimeout {
                 connected,
                 expected,

@@ -1,58 +1,45 @@
-//! The orchestrating server: a real-socket round loop that reproduces
-//! [`gluefl_core::Simulation`] bit-exactly when every client behaves,
-//! and completes every round (skipping the offender) when one does not.
+//! The orchestrating server: [`gluefl_core::RoundEngine`] driven over
+//! real sockets.
 //!
-//! # Round protocol
+//! [`Server::run`] accepts the configured clients (`HELLO`/`WELCOME`),
+//! then steps the engine once per round through a socket
+//! [`RoundIo`] and finally sends `FIN`. The engine sequences the round
+//! (see [`gluefl_core::engine`]); this module owns everything that is
+//! about connections rather than about federated learning:
 //!
-//! Per round the server:
-//!
-//! 1. plans invitations through the strategy's `OnlineQuery` seam
-//!    (availability ∧ connection-alive);
-//! 2. serializes the broadcast once (dense F32 model frame + the
-//!    strategy's mask frame) and sends each invited client an `INVITE`
-//!    carrying its group tag plus that cached frame pair;
-//! 3. collects `OFFER`s — each client's predicted upload byte counts —
-//!    under per-client deadlines derived from the *modeled* download and
-//!    compute times ([`wall_deadline`]);
-//! 4. keeps the fastest offers per group (the modeled times use the same
-//!    [`fastest`] rule as the simulator) and `GRANT`s exactly the keep
-//!    set — the over-committed remainder is told to discard, so its
-//!    upload bytes never reach the decoder; a remainder client that
-//!    uploads anyway has its payload drained and dropped unread;
-//! 5. decodes each granted upload **as it arrives**
-//!    ([`wire_link::decode_upload_with_stats`]) and folds it immediately
-//!    through the [`StreamingAggregator`] — there is no
-//!    collect-then-aggregate staging; a hostile or dead client is
-//!    skipped (`gate.skip`) and the round completes without it;
-//! 6. applies the masked update, averages BN statistics (Appendix D),
-//!    evolves sticky state, and evaluates on schedule — all in the
-//!    simulator's exact order, so the per-round [`RoundRecord`]s match
-//!    the in-process run field for field.
+//! * one reader thread per connection, feeding complete messages (or the
+//!   connection's failure) into one channel;
+//! * `INVITE`: the engine's broadcast frames behind a group tag, written
+//!   to every invited client;
+//! * `OFFER` collection under per-client wall-clock deadlines derived
+//!   from the *modeled* download and compute times ([`wall_deadline`]);
+//! * `GRANT` to exactly the keep set — the over-committed remainder is
+//!   told to discard, so its upload bytes never reach the decoder; a
+//!   remainder client that uploads anyway has its payload drained and
+//!   dropped unread;
+//! * `UPLOAD` arrivals handed to the engine **as they arrive**, again
+//!   under deadlines — there is no collect-then-aggregate staging;
+//! * the failure policy: a connection that closes, stalls mid-message,
+//!   breaks protocol, misses a deadline or delivers bytes the engine
+//!   rejects is shut down and never invited again, its kept slot is
+//!   reported lost, and the round completes without it. Kill, skip,
+//!   stall, deadline and decode-error counters fire at exactly those
+//!   points.
 
 use crate::proto::{read_msg, stall_ticks_for, write_msg, MsgKind, ProtoError, PROTO_VERSION};
 use crate::TransportError;
-use gluefl_core::strategies::{build_strategy, Group, Strategy, Upload};
-use gluefl_core::stream::StreamingAggregator;
-use gluefl_core::{
-    wire_link, RoundRecord, ScratchPool, SimConfig, StalenessTracker, StrategyConfig,
-};
-use gluefl_data::SyntheticFlDataset;
-use gluefl_net::timing::{fastest, seconds_for_bytes, wall_deadline, ClientRoundTime};
-use gluefl_net::{LazyAvailability, LinkCache, SpeedCache};
+use gluefl_core::engine::{Arrival, Broadcast, RoundIo};
+use gluefl_core::strategies::Group;
+use gluefl_core::{RoundEngine, RoundRecord, RunSetup, SimConfig};
+use gluefl_net::timing::{wall_deadline, ClientRoundTime};
 use gluefl_telemetry::{Counter, Dir, EventKind, Telemetry};
-use gluefl_tensor::rng::{derive_seed, seeded_rng};
-use gluefl_wire::{Codec, Rounding};
+use gluefl_wire::WireError;
 use std::io;
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::sync::mpsc;
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-
-/// Modeled upload time assigned to an invited client that never offered:
-/// large enough to lose every [`fastest`] comparison, finite so the sort
-/// never sees a NaN/∞ ordering panic.
-const MISSING_OFFER_SECS: f64 = 1e30;
 
 /// Transport-level knobs of the server (the training run itself is fully
 /// described by the [`SimConfig`]).
@@ -241,28 +228,304 @@ struct Conn {
     reader: Option<JoinHandle<()>>,
 }
 
-/// Marks a connection dead: no further events are honored and the socket
-/// is shut down so its reader thread unblocks and exits. The kill
-/// counter and journal event fire on the same `alive` transition the
-/// [`ServerReport::dead_clients`] count uses, so the two always agree.
-fn kill(
-    id: usize,
-    alive: &mut [bool],
-    conns: &[Option<Conn>],
-    dead: &mut usize,
-    tel: &Option<NetRecorder>,
-    round: u32,
-) {
-    if alive[id] {
-        alive[id] = false;
-        *dead += 1;
-        if let Some(t) = tel {
-            t.kills.inc();
-            t.hub.event(round, id as i64, EventKind::ClientKilled);
+/// What a kept upload slot is waiting for.
+#[derive(Clone, Copy, PartialEq)]
+enum UploadSlot {
+    /// Not granted this round.
+    NotKept,
+    /// Granted; the upload must arrive by the deadline.
+    Pending(Instant),
+    /// Delivered to the engine or reported lost.
+    Resolved,
+}
+
+/// The socket [`RoundIo`]: the registered connections, which of them are
+/// still alive, and one round's worth of offer/upload bookkeeping.
+struct SocketIo {
+    net: ServerConfig,
+    tel: Option<NetRecorder>,
+    conns: Vec<Option<Conn>>,
+    /// Indexed by client id; an id past the connected range is never alive.
+    alive: Vec<bool>,
+    rx: mpsc::Receiver<(usize, ReaderEvent)>,
+    dead_clients: usize,
+    /// The round's invited client ids, and each id's invitation index
+    /// (`usize::MAX` when not invited this round).
+    invited: Vec<usize>,
+    invited_ix: Vec<usize>,
+    /// Per invitation index: whether the client offered, and the state of
+    /// its upload slot.
+    offered: Vec<bool>,
+    uploads: Vec<UploadSlot>,
+    /// Kept slots already known lost, not yet reported to the engine.
+    lost: Vec<usize>,
+    /// Reused `INVITE` payload (group tag + broadcast frames).
+    invite_buf: Vec<u8>,
+}
+
+impl SocketIo {
+    /// Marks a connection dead: no further events are honored and the
+    /// socket is shut down so its reader thread unblocks and exits. The
+    /// kill counter and journal event fire on the same `alive` transition
+    /// [`ServerReport::dead_clients`] counts, so the two always agree.
+    fn kill(&mut self, round: u32, id: usize) {
+        if self.alive[id] {
+            self.alive[id] = false;
+            self.dead_clients += 1;
+            if let Some(t) = &self.tel {
+                t.kills.inc();
+                t.hub.event(round, id as i64, EventKind::ClientKilled);
+            }
+            if let Some(conn) = &self.conns[id] {
+                let _ = conn.writer.shutdown(Shutdown::Both);
+            }
         }
-        if let Some(conn) = &conns[id] {
-            let _ = conn.writer.shutdown(Shutdown::Both);
+    }
+
+    /// Writes one message to client `id`, killing the connection when the
+    /// write fails. Returns whether it was sent.
+    fn send(&mut self, round: u32, id: usize, kind: MsgKind, payload: &[u8]) -> bool {
+        let conn = self.conns[id]
+            .as_mut()
+            .expect("alive client has a connection");
+        if write_msg(&mut conn.writer, kind, round, payload).is_err() {
+            self.kill(round, id);
+            return false;
         }
+        if let Some(t) = &self.tel {
+            t.sent(kind, payload.len());
+        }
+        true
+    }
+
+    /// Blocks for the next reader event from a live connection, at most
+    /// until `deadline`. Returns the sender's id, its invitation index
+    /// (`usize::MAX` when not invited this round) and the event; `None`
+    /// on timeout (or when every reader thread is gone).
+    fn next_event(&mut self, round: u32, deadline: Instant) -> Option<(usize, usize, ReaderEvent)> {
+        loop {
+            let timeout = deadline
+                .saturating_duration_since(Instant::now())
+                .max(Duration::from_millis(1));
+            let (id, event) = self.rx.recv_timeout(timeout).ok()?;
+            if let Some(t) = &self.tel {
+                t.reader_event(round, id, &event);
+            }
+            if self.alive[id] {
+                return Some((id, self.invited_ix[id], event));
+            }
+        }
+    }
+
+    /// Reports a kept slot lost (the skip counter fires here and in
+    /// [`RoundIo::rejected`] — once per skipped upload).
+    fn lose(&mut self, round: u32, i: usize) -> Arrival {
+        self.uploads[i] = UploadSlot::Resolved;
+        if let Some(t) = &self.tel {
+            t.skip(round, self.invited[i]);
+        }
+        Arrival::Lost(i)
+    }
+}
+
+impl RoundIo for SocketIo {
+    fn reachable(&self, id: usize) -> bool {
+        self.alive[id]
+    }
+
+    fn invite(&mut self, round: u32, invited: &[(usize, Group)], broadcast: &Broadcast<'_>) {
+        for &id in &self.invited {
+            self.invited_ix[id] = usize::MAX;
+        }
+        self.invited.clear();
+        for (i, &(id, group)) in invited.iter().enumerate() {
+            self.invited.push(id);
+            self.invited_ix[id] = i;
+            if self.alive[id] {
+                let mut buf = std::mem::take(&mut self.invite_buf);
+                buf.clear();
+                buf.push(u8::from(group == Group::Sticky));
+                buf.extend_from_slice(broadcast.frames);
+                self.send(round, id, MsgKind::Invite, &buf);
+                self.invite_buf = buf;
+            }
+        }
+    }
+
+    fn offers(&mut self, round: u32, times: &[ClientRoundTime], offers: &mut [Option<(u64, u64)>]) {
+        let phase_start = Instant::now();
+        let deadlines: Vec<Instant> = times
+            .iter()
+            .map(|t| {
+                phase_start
+                    + wall_deadline(
+                        t.download_secs + t.compute_secs,
+                        self.net.offer_timeout,
+                        self.net.secs_per_modeled_sec,
+                    )
+            })
+            .collect();
+        // Resolved = offered, or dead.
+        let mut resolved: Vec<bool> = self.invited.iter().map(|&id| !self.alive[id]).collect();
+        loop {
+            let now = Instant::now();
+            for i in 0..resolved.len() {
+                if !resolved[i] && now >= deadlines[i] {
+                    resolved[i] = true;
+                    let id = self.invited[i];
+                    if let Some(t) = &self.tel {
+                        t.offer_deadlines.inc();
+                        t.hub.event(
+                            round,
+                            id as i64,
+                            EventKind::DeadlineExpired { which: "offer" },
+                        );
+                    }
+                    self.kill(round, id);
+                }
+            }
+            let pending = deadlines.iter().zip(&resolved).filter(|&(_, &r)| !r);
+            let Some(next) = pending.map(|(d, _)| *d).min() else {
+                break;
+            };
+            let Some((id, ix, event)) = self.next_event(round, next) else {
+                continue;
+            };
+            match event {
+                ReaderEvent::Msg(env, payload)
+                    if env.kind == MsgKind::Offer
+                        && env.round == round
+                        && ix != usize::MAX
+                        && !resolved[ix]
+                        && payload.len() == 16 =>
+                {
+                    let analytic = u64::from_le_bytes(payload[..8].try_into().expect("8 B"));
+                    let wire = u64::from_le_bytes(payload[8..16].try_into().expect("8 B"));
+                    offers[ix] = Some((analytic, wire));
+                    resolved[ix] = true;
+                }
+                _ => {
+                    // Closed, failed, or a protocol violation.
+                    self.kill(round, id);
+                    if ix != usize::MAX {
+                        resolved[ix] = true;
+                    }
+                }
+            }
+        }
+        self.offered.clear();
+        self.offered.extend(offers.iter().map(Option::is_some));
+    }
+
+    fn grant(&mut self, round: u32, kept: &[usize], times: &[ClientRoundTime]) {
+        let phase_start = Instant::now();
+        self.uploads.clear();
+        self.uploads.resize(self.invited.len(), UploadSlot::NotKept);
+        for &i in kept {
+            self.uploads[i] = UploadSlot::Pending(
+                phase_start
+                    + wall_deadline(
+                        times[i].upload_secs,
+                        self.net.upload_timeout,
+                        self.net.secs_per_modeled_sec,
+                    ),
+            );
+        }
+        for i in 0..self.invited.len() {
+            let id = self.invited[i];
+            if !self.alive[id] || !self.offered[i] {
+                continue;
+            }
+            let granted = self.uploads[i] != UploadSlot::NotKept;
+            if self.send(round, id, MsgKind::Grant, &[u8::from(granted)]) && granted {
+                if let Some(t) = &self.tel {
+                    t.offers_granted.inc();
+                    t.hub.event(round, id as i64, EventKind::OfferGranted);
+                }
+            }
+        }
+        // A kept client that never offered, or died since, cannot deliver.
+        self.lost.clear();
+        for &i in kept.iter().rev() {
+            if !self.alive[self.invited[i]] || !self.offered[i] {
+                self.lost.push(i);
+            }
+        }
+    }
+
+    fn next_upload(&mut self, round: u32, payload: &mut Vec<u8>) -> Option<Arrival> {
+        loop {
+            if let Some(i) = self.lost.pop() {
+                return Some(self.lose(round, i));
+            }
+            // Expire the first overdue slot; otherwise wait for the
+            // earliest pending deadline.
+            let now = Instant::now();
+            let mut next: Option<Instant> = None;
+            for i in 0..self.uploads.len() {
+                let UploadSlot::Pending(deadline) = self.uploads[i] else {
+                    continue;
+                };
+                if now >= deadline {
+                    let id = self.invited[i];
+                    if let Some(t) = &self.tel {
+                        t.upload_deadlines.inc();
+                        t.hub.event(
+                            round,
+                            id as i64,
+                            EventKind::DeadlineExpired { which: "upload" },
+                        );
+                    }
+                    let lost = self.lose(round, i);
+                    self.kill(round, id);
+                    return Some(lost);
+                }
+                next = Some(next.map_or(deadline, |n| n.min(deadline)));
+            }
+            let Some((id, ix, event)) = self.next_event(round, next?) else {
+                continue;
+            };
+            let slot = if ix == usize::MAX {
+                UploadSlot::NotKept
+            } else {
+                self.uploads[ix]
+            };
+            match event {
+                ReaderEvent::Msg(env, body)
+                    if env.kind == MsgKind::Upload && env.round == round =>
+                {
+                    match slot {
+                        // The over-committed remainder (or an uninvited
+                        // peer) sent bytes anyway: the reader already
+                        // drained them off the socket; drop the payload
+                        // without decoding a byte.
+                        UploadSlot::NotKept => drop(body),
+                        // Duplicate upload: protocol violation.
+                        UploadSlot::Resolved => self.kill(round, id),
+                        UploadSlot::Pending(_) => {
+                            self.uploads[ix] = UploadSlot::Resolved;
+                            *payload = body;
+                            return Some(Arrival::Delivered(ix));
+                        }
+                    }
+                }
+                _ => {
+                    self.kill(round, id);
+                    if matches!(slot, UploadSlot::Pending(_)) {
+                        return Some(self.lose(round, ix));
+                    }
+                }
+            }
+        }
+    }
+
+    fn rejected(&mut self, round: u32, slot: usize, err: &WireError) {
+        let id = self.invited[slot];
+        if let Some(t) = &self.tel {
+            t.decode_error(round, id, err);
+            t.skip(round, id);
+        }
+        self.kill(round, id);
     }
 }
 
@@ -306,7 +569,6 @@ impl Server {
     /// # Panics
     /// Panics only on internal invariant violations (a kept slot left
     /// unresolved), never on hostile input.
-    #[allow(clippy::too_many_lines)]
     pub fn run(self) -> Result<ServerReport, TransportError> {
         let Server {
             listener,
@@ -315,52 +577,13 @@ impl Server {
         } = self;
         let stall_ticks = stall_ticks_for(net.stall_grace, net.read_tick);
         let tel = net.telemetry.clone().map(NetRecorder::new);
-
-        // --- Training state, mirroring Simulation::new exactly. ---
-        let data =
-            SyntheticFlDataset::generate(cfg.dataset.clone(), derive_seed(cfg.seed, "data", 0));
-        let n = data.num_clients();
-        let mut init_rng = seeded_rng(cfg.seed, "model-init", 0);
-        let mut model = cfg
-            .model
-            .build(data.feature_dim(), data.classes(), &mut init_rng);
-        let dim = model.num_params();
-        let layout = model.layout();
-        let trainable = layout.trainable_count();
-        let trainable_mask = layout.trainable_mask();
-        let stats_excluded = trainable_mask.not();
-        let stats_positions: Vec<usize> = stats_excluded.iter_ones().collect();
-        let stats_len = stats_positions.len();
-        let mut strat_rng = seeded_rng(cfg.seed, "strategy", 0);
-        let mut strategy = build_strategy(
-            &cfg,
-            data.client_weights(),
-            trainable,
-            dim,
-            stats_excluded,
-            &mut strat_rng,
-        );
-        let mut links = LinkCache::new(cfg.network, derive_seed(cfg.seed, "network", 0));
-        let mut speeds = SpeedCache::new(cfg.device, derive_seed(cfg.seed, "devices", 0));
-        let mut availability = cfg.availability.map(|a| {
-            LazyAvailability::new(
-                n,
-                a.online_fraction,
-                a.mean_session_rounds,
-                derive_seed(cfg.seed, "availability", 0),
-            )
-        });
-        let mut staleness = StalenessTracker::new(dim, n);
-        let mut rng = seeded_rng(cfg.seed, "simulation", 0);
-        let (time_byte_factor, time_params) = if cfg.paper_time_model {
-            (
-                cfg.model.paper_scale_factor(dim),
-                cfg.model.reference_params as usize,
-            )
-        } else {
-            (1.0, dim)
-        };
-        let mut scratch = ScratchPool::new();
+        let rounds = cfg.rounds;
+        let setup = RunSetup::new(&cfg);
+        let n = setup.data.num_clients();
+        let mut engine = RoundEngine::new(cfg, setup);
+        if let Some(hub) = &net.telemetry {
+            engine.set_telemetry(Arc::clone(hub));
+        }
 
         // --- Handshake phase. ---
         let (tx, rx) = mpsc::channel::<(usize, ReaderEvent)>();
@@ -377,7 +600,7 @@ impl Server {
                         &net,
                         &alive,
                         u32::try_from(n).unwrap_or(u32::MAX),
-                        cfg.rounds,
+                        rounds,
                         stall_ticks,
                         &tx,
                         &mut conns,
@@ -399,472 +622,38 @@ impl Server {
                 expected: net.clients,
             });
         }
+        // Only reader threads hold senders from here on.
+        drop(tx);
 
-        let mut dead_clients = 0usize;
-        let mut skipped_uploads = 0usize;
-
-        // Round-scoped buffers.
-        let mut records = Vec::with_capacity(cfg.rounds as usize);
-        let mut invited: Vec<(usize, Group)> = Vec::new();
-        let mut invited_ix = vec![usize::MAX; n];
-        let mut bbuf: Vec<u8> = Vec::new();
-        let mut invite_buf: Vec<u8> = Vec::new();
-        let mut stats_saved: Vec<f32> = Vec::new();
-        let mut changed: Vec<usize> = Vec::new();
-
-        for round in 0..cfg.rounds {
-            // --- Plan (strategy RNG + availability, alive-gated). ---
-            let plan = {
-                let alive = &alive;
-                match &mut availability {
-                    Some(av) => {
-                        let mut query = |id: usize| alive[id] && av.is_online(id, round);
-                        strategy.plan_round(round, &mut rng, &mut query)
-                    }
-                    None => {
-                        let mut query = |id: usize| alive[id];
-                        strategy.plan_round(round, &mut rng, &mut query)
-                    }
-                }
-            };
-            invited.clear();
-            invited.extend(plan.invited());
-            let mut rec = RoundRecord {
-                round,
-                invited: invited.len(),
-                ..Default::default()
-            };
-            if invited.is_empty() {
-                maybe_eval(&cfg, &data, &model, &mut scratch, round, &mut rec);
-                records.push(rec);
-                continue;
-            }
-            for (i, &(id, _)) in invited.iter().enumerate() {
-                invited_ix[id] = i;
-            }
-
-            // --- Download accounting (every invited client syncs). ---
-            let mask_bytes = strategy.mask_download_bytes(round);
-            let download_bytes: Vec<u64> = invited
-                .iter()
-                .map(|&(id, _)| staleness.download_bytes(id) + mask_bytes)
-                .collect();
-            for &(id, _) in &invited {
-                staleness.mark_synced(id);
-            }
-            rec.down_bytes = download_bytes.iter().sum();
-
-            // --- Serialize the broadcast once; INVITE every client. ---
-            // Model weights always travel at full F32 precision; the mask
-            // frame may take the RLE layout when the policy admits it —
-            // mirroring the simulator's `measure_broadcast`.
-            let broadcast_writer = gluefl_wire::FrameWriter::new(gluefl_wire::WirePolicy {
-                codec: Codec::F32,
-                ..cfg.wire
-            });
-            bbuf.clear();
-            let _ = broadcast_writer.dense(&mut bbuf, round, Rounding::Nearest, model.params());
-            if let Some(mask) = strategy.round_mask(round) {
-                let _ = broadcast_writer.mask(&mut bbuf, round, mask);
-            }
-            rec.wire_broadcast_bytes = bbuf.len() as u64;
-            for &(id, group) in &invited {
-                if !alive[id] {
-                    continue;
-                }
-                invite_buf.clear();
-                invite_buf.push(u8::from(group == Group::Sticky));
-                invite_buf.extend_from_slice(&bbuf);
-                let conn = conns[id].as_mut().expect("alive client has a connection");
-                if write_msg(&mut conn.writer, MsgKind::Invite, round, &invite_buf).is_err() {
-                    kill(id, &mut alive, &conns, &mut dead_clients, &tel, round);
-                } else if let Some(t) = &tel {
-                    t.sent(MsgKind::Invite, invite_buf.len());
-                }
-            }
-
-            // --- Offer phase: per-client deadlines from modeled times. ---
-            let phase_start = Instant::now();
-            let mut times: Vec<ClientRoundTime> = Vec::with_capacity(invited.len());
-            let mut deadlines: Vec<Instant> = Vec::with_capacity(invited.len());
-            for (i, &(id, _)) in invited.iter().enumerate() {
-                let link = links.get(id);
-                let t_down = (download_bytes[i] as f64 * time_byte_factor) as u64;
-                let download_secs = seconds_for_bytes(t_down, link.down_mbps);
-                let compute_secs =
-                    cfg.local_steps as f64 * cfg.device.step_seconds(time_params, speeds.get(id));
-                times.push(ClientRoundTime {
-                    download_secs,
-                    compute_secs,
-                    upload_secs: MISSING_OFFER_SECS,
-                });
-                deadlines.push(
-                    phase_start
-                        + wall_deadline(
-                            download_secs + compute_secs,
-                            net.offer_timeout,
-                            net.secs_per_modeled_sec,
-                        ),
-                );
-            }
-            let mut offers: Vec<Option<(u64, u64)>> = vec![None; invited.len()];
-            let mut resolved: Vec<bool> = invited.iter().map(|&(id, _)| !alive[id]).collect();
-            let mut pending = resolved.iter().filter(|&&r| !r).count();
-            while pending > 0 {
-                let now = Instant::now();
-                for i in 0..invited.len() {
-                    if !resolved[i] && now >= deadlines[i] {
-                        resolved[i] = true;
-                        pending -= 1;
-                        if let Some(t) = &tel {
-                            t.offer_deadlines.inc();
-                            t.hub.event(
-                                round,
-                                invited[i].0 as i64,
-                                EventKind::DeadlineExpired { which: "offer" },
-                            );
-                        }
-                        kill(
-                            invited[i].0,
-                            &mut alive,
-                            &conns,
-                            &mut dead_clients,
-                            &tel,
-                            round,
-                        );
-                    }
-                }
-                if pending == 0 {
-                    break;
-                }
-                let next = deadlines
-                    .iter()
-                    .zip(resolved.iter())
-                    .filter(|&(_, &r)| !r)
-                    .map(|(d, _)| *d)
-                    .min()
-                    .expect("pending > 0 implies an unresolved deadline");
-                let timeout = next
-                    .saturating_duration_since(Instant::now())
-                    .max(Duration::from_millis(1));
-                let (id, event) = match rx.recv_timeout(timeout) {
-                    Ok(pair) => pair,
-                    Err(mpsc::RecvTimeoutError::Timeout) => continue,
-                    Err(mpsc::RecvTimeoutError::Disconnected) => break,
-                };
-                if let Some(t) = &tel {
-                    t.reader_event(round, id, &event);
-                }
-                if !alive[id] {
-                    continue;
-                }
-                let ix = if id < n { invited_ix[id] } else { usize::MAX };
-                match event {
-                    ReaderEvent::Msg(env, payload)
-                        if env.kind == MsgKind::Offer
-                            && env.round == round
-                            && ix != usize::MAX
-                            && !resolved[ix]
-                            && payload.len() == 16 =>
-                    {
-                        let analytic = u64::from_le_bytes(payload[..8].try_into().expect("8 B"));
-                        let wire = u64::from_le_bytes(payload[8..16].try_into().expect("8 B"));
-                        offers[ix] = Some((analytic, wire));
-                        resolved[ix] = true;
-                        pending -= 1;
-                    }
-                    _ => {
-                        // Closed, failed, or a protocol violation.
-                        kill(id, &mut alive, &conns, &mut dead_clients, &tel, round);
-                        if ix != usize::MAX && !resolved[ix] {
-                            resolved[ix] = true;
-                            pending -= 1;
-                        }
-                    }
-                }
-            }
-
-            // --- Price offers; account volume; finish modeled times. ---
-            for (i, &(id, _)) in invited.iter().enumerate() {
-                if let Some((analytic, wire)) = offers[i] {
-                    rec.up_bytes += analytic;
-                    rec.wire_up_bytes += wire;
-                    let link = links.get(id);
-                    let t_up = (wire as f64 * time_byte_factor) as u64;
-                    times[i].upload_secs = seconds_for_bytes(t_up, link.up_mbps);
-                }
-            }
-
-            // --- Keep the fastest per group (over-commitment, §5.6). ---
-            let sticky_n = plan.sticky_invites.len();
-            let (sticky_times, fresh_times) = times.split_at(sticky_n);
-            let kept_sticky_local = fastest(sticky_times, plan.keep_sticky);
-            let kept_fresh_local = fastest(fresh_times, plan.keep_fresh);
-            let kept_idx: Vec<usize> = kept_sticky_local
-                .iter()
-                .copied()
-                .chain(kept_fresh_local.iter().map(|&i| i + sticky_n))
-                .collect();
-            rec.kept = kept_idx.len();
-            let mut kept_slot = vec![usize::MAX; invited.len()];
-            for (j, &i) in kept_idx.iter().enumerate() {
-                kept_slot[i] = j;
-            }
-
-            // --- GRANT the keep set; dismiss the remainder. ---
-            for (i, &(id, _)) in invited.iter().enumerate() {
-                if !alive[id] || offers[i].is_none() {
-                    continue;
-                }
-                let conn = conns[id].as_mut().expect("alive client has a connection");
-                let granted = [u8::from(kept_slot[i] != usize::MAX)];
-                if write_msg(&mut conn.writer, MsgKind::Grant, round, &granted).is_err() {
-                    kill(id, &mut alive, &conns, &mut dead_clients, &tel, round);
-                } else if let Some(t) = &tel {
-                    t.sent(MsgKind::Grant, granted.len());
-                    if granted[0] == 1 {
-                        t.offers_granted.inc();
-                        t.hub.event(round, id as i64, EventKind::OfferGranted);
-                    }
-                }
-            }
-
-            // --- Upload phase: decode + fold each arrival immediately. ---
-            let kept_pairs: Vec<(usize, Group)> = kept_idx.iter().map(|&i| invited[i]).collect();
-            let mut gate =
-                StreamingAggregator::begin(round, &kept_pairs, &mut *strategy, &mut scratch);
-            stats_saved.clear();
-            stats_saved.resize(kept_idx.len() * stats_len, 0.0);
-            let mut delivered = vec![false; kept_idx.len()];
-            let mut up_resolved = vec![false; kept_idx.len()];
-            let phase_start = Instant::now();
-            let mut up_deadlines: Vec<Instant> = Vec::with_capacity(kept_idx.len());
-            let mut pending = 0usize;
-            for (j, &i) in kept_idx.iter().enumerate() {
-                let (id, _) = invited[i];
-                up_deadlines.push(
-                    phase_start
-                        + wall_deadline(
-                            times[i].upload_secs,
-                            net.upload_timeout,
-                            net.secs_per_modeled_sec,
-                        ),
-                );
-                if alive[id] && offers[i].is_some() {
-                    pending += 1;
-                } else {
-                    let _ = gate.skip(&mut *strategy, id, &mut scratch);
-                    skipped_uploads += 1;
-                    if let Some(t) = &tel {
-                        t.skip(round, id);
-                    }
-                    up_resolved[j] = true;
-                }
-            }
-            while pending > 0 {
-                let now = Instant::now();
-                for j in 0..kept_idx.len() {
-                    if !up_resolved[j] && now >= up_deadlines[j] {
-                        up_resolved[j] = true;
-                        pending -= 1;
-                        let id = invited[kept_idx[j]].0;
-                        let _ = gate.skip(&mut *strategy, id, &mut scratch);
-                        skipped_uploads += 1;
-                        if let Some(t) = &tel {
-                            t.upload_deadlines.inc();
-                            t.hub.event(
-                                round,
-                                id as i64,
-                                EventKind::DeadlineExpired { which: "upload" },
-                            );
-                            t.skip(round, id);
-                        }
-                        kill(id, &mut alive, &conns, &mut dead_clients, &tel, round);
-                    }
-                }
-                if pending == 0 {
-                    break;
-                }
-                let next = up_deadlines
-                    .iter()
-                    .zip(up_resolved.iter())
-                    .filter(|&(_, &r)| !r)
-                    .map(|(d, _)| *d)
-                    .min()
-                    .expect("pending > 0 implies an unresolved deadline");
-                let timeout = next
-                    .saturating_duration_since(Instant::now())
-                    .max(Duration::from_millis(1));
-                let (id, event) = match rx.recv_timeout(timeout) {
-                    Ok(pair) => pair,
-                    Err(mpsc::RecvTimeoutError::Timeout) => continue,
-                    Err(mpsc::RecvTimeoutError::Disconnected) => break,
-                };
-                if let Some(t) = &tel {
-                    t.reader_event(round, id, &event);
-                }
-                if !alive[id] {
-                    continue;
-                }
-                let ix = if id < n { invited_ix[id] } else { usize::MAX };
-                let slot = if ix == usize::MAX {
-                    usize::MAX
-                } else {
-                    kept_slot[ix]
-                };
-                match event {
-                    ReaderEvent::Msg(env, payload)
-                        if env.kind == MsgKind::Upload && env.round == round =>
-                    {
-                        if slot == usize::MAX {
-                            // The over-committed remainder (or an
-                            // uninvited peer) sent bytes anyway: the
-                            // reader already drained them off the socket;
-                            // drop the payload without decoding a byte.
-                            drop(payload);
-                            continue;
-                        }
-                        if up_resolved[slot] {
-                            // Duplicate upload: protocol violation.
-                            kill(id, &mut alive, &conns, &mut dead_clients, &tel, round);
-                            continue;
-                        }
-                        let ok = accept_upload(
-                            &payload,
-                            round,
-                            &cfg.strategy,
-                            &mut *strategy,
-                            &mut gate,
-                            &mut scratch,
-                            id,
-                            dim,
-                            stats_len,
-                            &mut stats_saved[slot * stats_len..(slot + 1) * stats_len],
-                            &tel,
-                        );
-                        if ok {
-                            delivered[slot] = true;
-                        } else {
-                            let _ = gate.skip(&mut *strategy, id, &mut scratch);
-                            skipped_uploads += 1;
-                            if let Some(t) = &tel {
-                                t.skip(round, id);
-                            }
-                            kill(id, &mut alive, &conns, &mut dead_clients, &tel, round);
-                        }
-                        up_resolved[slot] = true;
-                        pending -= 1;
-                    }
-                    _ => {
-                        kill(id, &mut alive, &conns, &mut dead_clients, &tel, round);
-                        if slot != usize::MAX && !up_resolved[slot] {
-                            let _ = gate.skip(&mut *strategy, id, &mut scratch);
-                            skipped_uploads += 1;
-                            if let Some(t) = &tel {
-                                t.skip(round, id);
-                            }
-                            up_resolved[slot] = true;
-                            pending -= 1;
-                        }
-                    }
-                }
-            }
-            assert!(gate.complete(), "every kept slot must be resolved");
-            let update = gate.finish(&mut *strategy, &mut scratch);
-
-            // --- Apply the masked update; scan changed positions. ---
-            update.add_to(model.params_mut());
-            changed.clear();
-            update.for_each_nonzero(|j, _| {
-                debug_assert!(
-                    stats_positions.binary_search(&j).is_err(),
-                    "strategy update has a nonzero value at BN-statistic position {j}"
-                );
-                changed.push(j);
-            });
-
-            // --- BN statistics: plain mean over delivered stats frames
-            // (identical to the simulator's 1/K mean when none skipped). ---
-            let delivered_count = delivered.iter().filter(|&&d| d).count();
-            if delivered_count > 0 {
-                let inv_k = 1.0 / delivered_count as f32;
-                let params = model.params_mut();
-                for (j, &p) in stats_positions.iter().enumerate() {
-                    let mean: f32 = (0..kept_idx.len())
-                        .filter(|&kj| delivered[kj])
-                        .map(|kj| stats_saved[kj * stats_len + j])
-                        .sum::<f32>()
-                        * inv_k;
-                    params[p] += mean;
-                    if mean != 0.0 {
-                        changed.push(p);
-                    }
-                }
-            }
-            rec.changed_positions = changed.len();
-            staleness.record_update(changed.iter().copied());
-            scratch.put_update(update);
-
-            // --- Post-round bookkeeping (sticky rebalance). ---
-            let kept_sticky_ids: Vec<usize> =
-                kept_sticky_local.iter().map(|&i| invited[i].0).collect();
-            let kept_fresh_ids: Vec<usize> = kept_fresh_local
-                .iter()
-                .map(|&i| invited[i + sticky_n].0)
-                .collect();
-            strategy.finish_round(round, &mut rng, &kept_sticky_ids, &kept_fresh_ids);
-
-            // --- Timing metrics over kept clients. ---
-            let kept_times: Vec<ClientRoundTime> = kept_idx.iter().map(|&i| times[i]).collect();
-            rec.round_secs = kept_times
-                .iter()
-                .map(ClientRoundTime::total_secs)
-                .fold(0.0, f64::max);
-            rec.slowest_download_secs = kept_times
-                .iter()
-                .map(|t| t.download_secs)
-                .fold(0.0, f64::max);
-            rec.slowest_upload_secs = kept_times.iter().map(|t| t.upload_secs).fold(0.0, f64::max);
-            rec.slowest_compute_secs = kept_times
-                .iter()
-                .map(|t| t.compute_secs)
-                .fold(0.0, f64::max);
-            let kn = kept_times.len().max(1) as f64;
-            rec.mean_download_secs = kept_times.iter().map(|t| t.download_secs).sum::<f64>() / kn;
-            rec.mean_upload_secs = kept_times.iter().map(|t| t.upload_secs).sum::<f64>() / kn;
-            rec.mean_compute_secs = kept_times.iter().map(|t| t.compute_secs).sum::<f64>() / kn;
-
-            maybe_eval(&cfg, &data, &model, &mut scratch, round, &mut rec);
-            records.push(rec);
-            if let Some(t) = &tel {
-                t.hub.event(
-                    round,
-                    -1,
-                    EventKind::RoundDone {
-                        kept: u32::try_from(delivered_count).unwrap_or(u32::MAX),
-                    },
-                );
-            }
-
-            // Reset the invited-index map for the next round.
-            for &(id, _) in &invited {
-                invited_ix[id] = usize::MAX;
-            }
-        }
+        let mut io = SocketIo {
+            invited_ix: vec![usize::MAX; alive.len()],
+            net,
+            tel,
+            conns,
+            alive,
+            rx,
+            dead_clients: 0,
+            invited: Vec::new(),
+            offered: Vec::new(),
+            uploads: Vec::new(),
+            lost: Vec::new(),
+            invite_buf: Vec::new(),
+        };
+        let records: Vec<RoundRecord> = (0..rounds).map(|_| engine.step(&mut io)).collect();
 
         // --- FIN + teardown. ---
-        for (id, conn) in conns.iter_mut().enumerate() {
+        for (id, conn) in io.conns.iter_mut().enumerate() {
             if let Some(conn) = conn {
-                if alive[id] && write_msg(&mut conn.writer, MsgKind::Fin, cfg.rounds, &[]).is_ok() {
-                    if let Some(t) = &tel {
+                if io.alive[id] && write_msg(&mut conn.writer, MsgKind::Fin, rounds, &[]).is_ok() {
+                    if let Some(t) = &io.tel {
                         t.sent(MsgKind::Fin, 0);
                     }
                 }
                 let _ = conn.writer.shutdown(Shutdown::Both);
             }
         }
-        drop(rx);
-        for conn in conns.iter_mut().flatten() {
+        drop(io.rx);
+        for conn in io.conns.iter_mut().flatten() {
             if let Some(handle) = conn.reader.take() {
                 let _ = handle.join();
             }
@@ -872,10 +661,10 @@ impl Server {
 
         Ok(ServerReport {
             records,
-            strategy: strategy.name(),
-            final_params_fnv: crate::fnv1a_f32_bits(model.params()),
-            skipped_uploads,
-            dead_clients,
+            strategy: engine.strategy_name(),
+            final_params_fnv: crate::fnv1a_f32_bits(engine.model().params()),
+            skipped_uploads: engine.skipped_uploads(),
+            dead_clients: io.dead_clients,
         })
     }
 }
@@ -944,120 +733,4 @@ fn handshake(
         reader: Some(reader),
     });
     Some(id)
-}
-
-/// Decodes, validates, and folds one upload payload. Returns `false`
-/// (without panicking) for anything hostile: wire errors, a variant the
-/// strategy would reject, misaligned dimensions, unsorted or
-/// out-of-range indices, or a stats frame that disagrees with the model
-/// layout.
-#[allow(clippy::too_many_arguments)]
-fn accept_upload(
-    payload: &[u8],
-    round: u32,
-    strategy_cfg: &StrategyConfig,
-    strategy: &mut dyn Strategy,
-    gate: &mut StreamingAggregator,
-    scratch: &mut ScratchPool,
-    id: usize,
-    dim: usize,
-    stats_len: usize,
-    stats_out: &mut [f32],
-    tel: &Option<NetRecorder>,
-) -> bool {
-    let decoded = wire_link::decode_upload_with_stats(payload, strategy.round_mask(round), scratch);
-    let (upload, stats_frame) = match decoded {
-        Ok(pair) => pair,
-        Err(e) => {
-            if let Some(t) = tel {
-                t.decode_error(round, id, &e);
-            }
-            return false;
-        }
-    };
-    let sane = upload_matches(strategy_cfg, &upload)
-        && upload.dim() == dim
-        && upload_indices_ok(&upload, dim)
-        && stats_frame.dim == dim
-        && stats_frame.nnz == stats_len;
-    if !sane {
-        // The frames decoded but the receiver can't use them: fold the
-        // rejection into the same typed-error table the wire layer uses.
-        if let Some(t) = tel {
-            let e = if upload.dim() != dim || stats_frame.dim != dim {
-                gluefl_wire::WireError::DimMismatch {
-                    declared: if upload.dim() != dim {
-                        upload.dim()
-                    } else {
-                        stats_frame.dim
-                    },
-                    expected: dim,
-                }
-            } else {
-                gluefl_wire::WireError::UnexpectedKind(0)
-            };
-            gluefl_wire::stats::record_decode_error(&e);
-            t.decode_error(round, id, &e);
-        }
-        scratch.reclaim_upload(upload);
-        return false;
-    }
-    let mut stats_back = scratch.take_cleared();
-    stats_frame.values_into(&mut stats_back);
-    stats_out.copy_from_slice(&stats_back);
-    scratch.put(stats_back);
-    gate.accept(strategy, id, upload, scratch).is_ok()
-}
-
-/// Whether the upload variant is the one the configured strategy's fold
-/// path accepts (anything else would panic inside the fold).
-fn upload_matches(strategy_cfg: &StrategyConfig, upload: &Upload) -> bool {
-    matches!(
-        (strategy_cfg, upload),
-        (
-            StrategyConfig::FedAvg | StrategyConfig::MdFedAvg,
-            Upload::Dense(_)
-        ) | (StrategyConfig::Stc { .. }, Upload::Sparse(_))
-            | (StrategyConfig::StcQuantized { .. }, Upload::Ternary(_))
-            | (StrategyConfig::Apf { .. }, Upload::KnownMask(_))
-            | (StrategyConfig::GlueFl(_), Upload::MaskSplit(_))
-    )
-}
-
-/// Explicit-position index lists must be strictly increasing and within
-/// the model dimension (the accumulation kernels index with them).
-fn indices_ok(indices: &[u32], dim: usize) -> bool {
-    indices.windows(2).all(|w| w[0] < w[1])
-        && indices.last().is_none_or(|&last| (last as usize) < dim)
-}
-
-/// Validates every explicit index list inside an upload.
-fn upload_indices_ok(upload: &Upload, dim: usize) -> bool {
-    match upload {
-        Upload::Dense(_) | Upload::KnownMask(_) => true,
-        Upload::Sparse(u) => indices_ok(u.indices(), dim),
-        Upload::Ternary(t) => indices_ok(&t.indices, dim),
-        Upload::MaskSplit(s) => indices_ok(s.unique.indices(), dim),
-    }
-}
-
-/// Shared tail of the round loop: evaluate on schedule, exactly like the
-/// simulator.
-fn maybe_eval(
-    cfg: &SimConfig,
-    data: &SyntheticFlDataset,
-    model: &gluefl_ml::Mlp,
-    scratch: &mut ScratchPool,
-    round: u32,
-    rec: &mut RoundRecord,
-) {
-    let every = cfg.eval_every.max(1);
-    if (round + 1).is_multiple_of(every) || round + 1 == cfg.rounds {
-        let mut slot = scratch.take_train_slot();
-        let (tx, ty) = data.test_set();
-        let m = model.evaluate_into(tx, ty, &mut slot.scratch);
-        scratch.put_train_slot(slot);
-        rec.accuracy = Some(if cfg.use_top5 { m.top5 } else { m.top1 });
-        rec.loss = Some(m.loss);
-    }
 }

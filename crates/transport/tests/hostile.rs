@@ -417,6 +417,48 @@ fn run_single_rogue(mode: Rogue, seed: u64) -> gluefl_telemetry::Snapshot {
     tel.snapshot()
 }
 
+/// A client built for a different population (`--clients 9` against a
+/// `--clients 8` server, say) must not train along on a different
+/// synthetic dataset: it learns the server's run from `WELCOME`, refuses
+/// with a typed error, and the server carries on without it.
+#[test]
+fn client_with_a_different_config_refuses_the_run() {
+    let clients = 4;
+    let mut cfg = smoke_config("fedavg", clients, 2, 45);
+    // Everyone is invited every round, so the server notices the drifted
+    // client's closed connection in round 0.
+    cfg.round_size = clients;
+    cfg.oc = 1.0;
+    let server = Server::bind(cfg.clone(), ServerConfig::local(clients)).expect("bind");
+    let addr = server.local_addr().to_string();
+    let handles: Vec<_> = (0..clients)
+        .map(|id| {
+            let (addr, mut cfg) = (addr.clone(), cfg.clone());
+            if id == 2 {
+                cfg.dataset.clients += 1;
+            }
+            std::thread::spawn(move || run_client(&addr, cfg, id))
+        })
+        .collect();
+    let report = server.run().expect("server completes");
+    assert_eq!(report.records.len(), 2, "both rounds must complete");
+    assert_eq!(report.dead_clients, 1, "only the drifted client is lost");
+    for (id, h) in handles.into_iter().enumerate() {
+        match h.join().expect("client must not panic") {
+            Err(TransportError::ConfigMismatch {
+                field,
+                ours,
+                theirs,
+            }) => {
+                assert_eq!((id, field), (2, "population"));
+                assert_eq!((ours, theirs), (clients as u64 + 1, clients as u64));
+            }
+            Ok(()) | Err(TransportError::Proto(_)) if id != 2 => {}
+            other => panic!("client {id}: unexpected outcome {other:?}"),
+        }
+    }
+}
+
 #[test]
 fn granted_mask_frame_counts_one_unexpected_kind_decode_error() {
     let snap = run_single_rogue(Rogue::MaskFrameAsUpload, 42);

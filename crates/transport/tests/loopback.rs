@@ -6,10 +6,7 @@
 //! fingerprint over the final parameter bits.
 //!
 //! 25 clients, 6 rounds, eval every 2 — comfortably past the ≥20-client
-//! / ≥5-round bar — once per upload-variant family. MD-FedAvg is absent
-//! by design: multinomial sampling may invite the same client twice in
-//! one round, which the one-slot-per-connection wire protocol does not
-//! represent.
+//! / ≥5-round bar — once per strategy and upload-variant family.
 
 use gluefl_core::{Simulation, WirePolicy};
 use gluefl_telemetry::Telemetry;
@@ -78,6 +75,14 @@ fn loopback_matches_simulator_gluefl() {
 #[test]
 fn loopback_matches_simulator_fedavg() {
     assert_loopback_matches_simulator("fedavg", 7);
+}
+
+/// Multinomial draws collapse into one invitation per client with a
+/// multiplicity weight, so MD-FedAvg fits the one-slot-per-connection
+/// protocol like every other strategy.
+#[test]
+fn loopback_matches_simulator_md_fedavg() {
+    assert_loopback_matches_simulator("md", 19);
 }
 
 #[test]

@@ -1,20 +1,17 @@
 //! Masked-apply equivalence: the `MaskedUpdate` pipeline (compress →
-//! aggregate → word-level masked apply, with all buffers recycled through
+//! fold → word-level masked apply, with all buffers recycled through
 //! the [`ScratchPool`]) must produce **bit-identical** global parameters
 //! to the dense-apply reference (densify the update, dense `add_assign`)
 //! over many rounds, for GlueFL, STC, and FedAvg.
 //!
-//! The test runs under both feature configurations: the plain build
-//! exercises the serial sharded aggregation, and
-//! `cargo test --features parallel` (CI's parity gate) exercises the
-//! threaded shards feeding the same masked layout.
+//! Both halves are built from one `SimConfig`, as every driver builds
+//! them: the server half by `build_strategy`, the client half by
+//! `ClientCompressor::new`.
 
 use gluefl_compress::{ApfConfig, CompensationMode};
-use gluefl_core::strategies::{
-    ApfStrategy, FedAvgStrategy, GlueFlStrategy, StcStrategy, Strategy, Upload,
-};
-use gluefl_core::{GlueFlParams, ScratchPool};
-use gluefl_sampling::overcommit::OcStrategy;
+use gluefl_core::strategies::{build_strategy, Group, Upload};
+use gluefl_core::stream::fold_in_id_order;
+use gluefl_core::{ClientCompressor, GlueFlParams, ScratchPool, SimConfig, StrategyConfig};
 use gluefl_suite::tensor::{vecops, BitMask};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -35,9 +32,22 @@ fn stats_excluded() -> BitMask {
 /// through the dense reference (`to_dense` + `add_assign`). Both must
 /// stay bit-identical, and the masked changed-position scan must agree
 /// with a dense scan.
-fn assert_masked_apply_matches_dense_reference(mut strategy: Box<dyn Strategy>, seed: u64) {
-    let name = strategy.name();
+fn assert_masked_apply_matches_dense_reference(strategy_cfg: StrategyConfig, seed: u64) {
+    let mut cfg = SimConfig::paper_setup(
+        gluefl_data::DatasetProfile::Femnist,
+        gluefl_ml::DatasetModel::ShuffleNet,
+        strategy_cfg,
+        0.02,
+        ROUNDS,
+        seed,
+    );
+    cfg.round_size = K;
+    cfg.oc = 1.0;
+    let weights = vec![1.0 / N as f64; N];
     let mut rng = StdRng::seed_from_u64(seed);
+    let mut strategy = build_strategy(&cfg, &weights, DIM - STATS, DIM, stats_excluded(), &mut rng);
+    let mut clients = ClientCompressor::new(&cfg, &weights, DIM - STATS, DIM, stats_excluded());
+    let name = strategy.name();
     let mut pool = ScratchPool::new();
     let mut delta_rng = StdRng::seed_from_u64(seed ^ 0xD17A);
     let mut params_masked: Vec<f32> = (0..DIM)
@@ -47,10 +57,10 @@ fn assert_masked_apply_matches_dense_reference(mut strategy: Box<dyn Strategy>, 
 
     for round in 0..ROUNDS {
         let plan = strategy.plan_round(round, &mut rng, &mut gluefl_sampling::AllOnline);
-        let mut kept: Vec<(usize, gluefl_core::strategies::Group, Upload)> = Vec::new();
+        let mut kept: Vec<(usize, Group, Upload)> = Vec::new();
         for (id, group) in plan.invited() {
             // Trainable random delta with BN-statistic positions zeroed,
-            // exactly as local training hands deltas to `compress`.
+            // exactly as local training hands deltas to the client half.
             let mut delta: Vec<f32> = (0..DIM)
                 .map(|i| {
                     if i >= DIM - STATS {
@@ -60,11 +70,13 @@ fn assert_masked_apply_matches_dense_reference(mut strategy: Box<dyn Strategy>, 
                     }
                 })
                 .collect();
-            let upload = strategy.compress(round, id, group, &mut delta, &mut pool);
+            let mask = strategy.round_mask(round);
+            let upload = clients
+                .compress(round, id, group, &mut delta, mask, &mut pool)
+                .expect("masking strategies expose their round mask");
             kept.push((id, group, upload));
         }
-        kept.sort_by_key(|(id, _, _)| *id);
-        let update = strategy.aggregate(round, &kept, &mut pool);
+        let update = fold_in_id_order(&mut *strategy, round, &kept, &mut pool);
 
         // Masked pipeline: word-level scatter / masked AXPY.
         update.add_to(&mut params_masked);
@@ -111,9 +123,7 @@ fn assert_masked_apply_matches_dense_reference(mut strategy: Box<dyn Strategy>, 
 
 #[test]
 fn fedavg_masked_pipeline_is_bit_identical_to_dense_apply() {
-    let weights = vec![1.0 / N as f64; N];
-    let s = Box::new(FedAvgStrategy::new(N, K, 1.0, weights, DIM));
-    assert_masked_apply_matches_dense_reference(s, 11);
+    assert_masked_apply_matches_dense_reference(StrategyConfig::FedAvg, 11);
 }
 
 #[test]
@@ -123,7 +133,6 @@ fn apf_masked_pipeline_is_bit_identical_to_dense_apply() {
     // Strategy contract — and whose aggregation runs entirely in the
     // packed layout; a short warm-up makes freezing shrink the mask
     // within the tested window.
-    let weights = vec![1.0 / N as f64; N];
     let config = ApfConfig {
         threshold: 0.1,
         ema_beta: 0.9,
@@ -131,24 +140,12 @@ fn apf_masked_pipeline_is_bit_identical_to_dense_apply() {
         max_period: 8,
         warmup_rounds: 3,
     };
-    let s = Box::new(ApfStrategy::new(N, K, 1.0, weights, config, DIM));
-    assert_masked_apply_matches_dense_reference(s, 44);
+    assert_masked_apply_matches_dense_reference(StrategyConfig::Apf { config }, 44);
 }
 
 #[test]
 fn stc_masked_pipeline_is_bit_identical_to_dense_apply() {
-    let weights = vec![1.0 / N as f64; N];
-    let s = Box::new(StcStrategy::new(
-        N,
-        K,
-        1.0,
-        weights,
-        0.25,
-        DIM - STATS,
-        DIM,
-        stats_excluded(),
-    ));
-    assert_masked_apply_matches_dense_reference(s, 22);
+    assert_masked_apply_matches_dense_reference(StrategyConfig::Stc { q: 0.25 }, 22);
 }
 
 #[test]
@@ -164,19 +161,5 @@ fn gluefl_masked_pipeline_is_bit_identical_to_dense_apply() {
         compensation: CompensationMode::Rescaled,
         equal_weights: false,
     };
-    let weights = vec![1.0 / N as f64; N];
-    let mut init_rng = StdRng::seed_from_u64(7);
-    let s = Box::new(GlueFlStrategy::new(
-        N,
-        K,
-        1.0,
-        OcStrategy::Proportional,
-        weights,
-        params,
-        DIM - STATS,
-        DIM,
-        stats_excluded(),
-        &mut init_rng,
-    ));
-    assert_masked_apply_matches_dense_reference(s, 33);
+    assert_masked_apply_matches_dense_reference(StrategyConfig::GlueFl(params), 33);
 }
