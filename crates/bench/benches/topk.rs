@@ -1,4 +1,4 @@
-//! Top-k selection: introselect (ours) vs full sort, across dimensions.
+//! Top-k selection: bracket select (ours) vs full sort, across dimensions.
 //!
 //! Top-k runs on every client for every round (Algorithm 3 line 17) and
 //! on the server (line 26); it must stay O(d).
@@ -26,7 +26,7 @@ fn bench_topk(c: &mut Criterion) {
     for d in [10_000usize, 100_000, 1_000_000] {
         let v = values(d);
         let k = d / 10;
-        group.bench_with_input(BenchmarkId::new("introselect", d), &v, |b, v| {
+        group.bench_with_input(BenchmarkId::new("bracket_select", d), &v, |b, v| {
             b.iter(|| black_box(top_k_abs(black_box(v), k)));
         });
         if d <= 100_000 {

@@ -70,14 +70,56 @@ impl Entry {
     }
 }
 
+/// The sizes of one ledger run — what `--quick` shrinks, and what the
+/// unit tests shrink further so the debug profile gets through every
+/// pair's equality gate in about a second.
+struct Shape {
+    /// Flat-vector dimension of the top-k, aggregate, apply and wire rows.
+    d: usize,
+    /// Timing samples per kernel pair.
+    reps: usize,
+    /// `(clients, local steps)` of the `local_train_*` rows.
+    train: (usize, usize),
+    /// Cap on the back-to-back invocations inside one GEMM timing sample.
+    gemm_inner: usize,
+    /// Population of the control-plane rows.
+    population: usize,
+}
+
+impl Shape {
+    /// Paper scale (a ShuffleNet-sized flat model, q_shr = 16%, q = 20%),
+    /// or the `--quick` smoke at a tenth of it.
+    fn of(opts: &ExptOpts) -> Self {
+        if opts.quick {
+            Self {
+                d: 100_000,
+                reps: 3,
+                train: (6, 3),
+                gemm_inner: usize::MAX,
+                population: 100_000,
+            }
+        } else {
+            Self {
+                d: 1_000_000,
+                reps: 9,
+                train: (30, 10),
+                gemm_inner: usize::MAX,
+                population: 1_000_000,
+            }
+        }
+    }
+}
+
 /// Runs the kernel benchmark suite and writes `BENCH_kernels.json`.
 ///
 /// # Errors
 /// Returns an error when the output directory cannot be written.
 pub fn run(opts: &ExptOpts) -> Result<(), String> {
-    // Paper scale: ShuffleNet-sized flat model, q_shr = 16%, q = 20%.
-    let d = if opts.quick { 100_000 } else { 1_000_000 };
-    let reps = if opts.quick { 3 } else { 9 };
+    run_shaped(opts, &Shape::of(opts))
+}
+
+fn run_shaped(opts: &ExptOpts, shape: &Shape) -> Result<(), String> {
+    let (d, reps) = (shape.d, shape.reps);
     let clients = 30;
 
     let mut rng = StdRng::seed_from_u64(opts.seed);
@@ -100,30 +142,6 @@ pub fn run(opts: &ExptOpts) -> Result<(), String> {
         );
         entries.push(Entry {
             name: "topk_outside_16pct_mask",
-            baseline_ns,
-            new_ns,
-        });
-    }
-
-    // --- pool-parallel top-k candidate pass (parallel builds only). ---
-    // The All-scope selection over the full 1M-dim vector routes its
-    // candidate pass through the work-stealing pool; the baseline is the
-    // same verbatim pre-refactor twin (an all-zeros Outside scope visits
-    // every position).
-    #[cfg(feature = "parallel")]
-    if opts.kernel_selected("topk_parallel") {
-        let zeros = BitMask::zeros(d);
-        let expected = baseline_top_k_outside(&values, k, &zeros);
-        let mut scratch = TopKScratch::with_capacity(d);
-        let got = top_k_abs_masked_into(&values, k, TopKScope::All, &mut scratch);
-        assert_eq!(got, expected.as_slice(), "parallel top-k diverged");
-        let (baseline_ns, new_ns) = time_pair_ns(
-            reps,
-            || baseline_top_k_outside(&values, k, &zeros).len(),
-            || top_k_abs_masked_into(&values, k, TopKScope::All, &mut scratch).len(),
-        );
-        entries.push(Entry {
-            name: "topk_parallel",
             baseline_ns,
             new_ns,
         });
@@ -292,7 +310,7 @@ pub fn run(opts: &ExptOpts) -> Result<(), String> {
     // serial entries measure the allocator overhead plus the GEMM win on
     // the matmul-bound minibatch steps.
     if opts.kernel_selected("local_train_step") || opts.kernel_selected("local_train_round") {
-        let (clients, steps) = if opts.quick { (6, 3) } else { (30, 10) };
+        let (clients, steps) = shape.train;
         let batch = 16;
         let (lr, momentum) = (0.05f32, 0.9f32);
         let mut ds_cfg = DatasetProfile::Femnist.config(0.02);
@@ -510,18 +528,21 @@ pub fn run(opts: &ExptOpts) -> Result<(), String> {
     }
 
     // --- blocked GEMM vs plain-loop reference (the linear-layer spine). ---
-    run_gemm_entries(opts, reps, &mut entries);
+    run_gemm_entries(opts, shape, &mut entries);
 
     // --- wire codec: sparse-frame encode/decode (gluefl-wire). ---
     run_wire_entries(opts, reps, d, &values, &mut entries);
 
     // --- million-client control plane: availability + round planning. ---
-    run_scale_kernels(opts, reps, &mut entries);
+    run_scale_kernels(opts, shape, &mut entries);
 
     // --- Report. ---
     let mut json = String::from("{\n");
     let _ = writeln!(json, "  \"dim\": {d},");
     let _ = writeln!(json, "  \"clients\": {clients},");
+    // Thread-dependent rows mean nothing without the core count.
+    let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+    let _ = writeln!(json, "  \"cores\": {cores},");
     let _ = writeln!(json, "  \"kernels\": [");
     for (i, e) in entries.iter().enumerate() {
         println!(
@@ -560,7 +581,8 @@ pub fn run(opts: &ExptOpts) -> Result<(), String> {
 /// trio on the 192 → 96 hidden layer, plus an eval-sized forward batch
 /// on the 64 → 192 input layer. Every pair is asserted **bit-identical**
 /// before timing — blocking must not reassociate any reduction.
-fn run_gemm_entries(opts: &ExptOpts, reps: usize, entries: &mut Vec<Entry>) {
+fn run_gemm_entries(opts: &ExptOpts, shape: &Shape, entries: &mut Vec<Entry>) {
+    let reps = shape.reps;
     // (name, m = batch, n = out_dim, k = in_dim, inner timing reps).
     let shapes: [(&'static str, usize, usize, usize, usize); 4] = [
         ("gemm_nn_b16", 16, 96, 192, 64),
@@ -572,6 +594,7 @@ fn run_gemm_entries(opts: &ExptOpts, reps: usize, entries: &mut Vec<Entry>) {
         if !opts.kernel_selected(name) {
             continue;
         }
+        let inner = inner.min(shape.gemm_inner);
         let mut rng = StdRng::seed_from_u64(opts.seed ^ 0x6e44);
         let x: Vec<f32> = (0..m * k).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
         let w: Vec<f32> = (0..n * k).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
@@ -666,7 +689,8 @@ fn run_gemm_entries(opts: &ExptOpts, reps: usize, entries: &mut Vec<Entry>) {
     // stacked GEMM, row-sharded across the pool under `parallel`) vs the
     // per-client `gemm_nn` loop it replaced. Gated bit-identical.
     if opts.kernel_selected("gemm_batch_clients") {
-        let (kclients, mb, n, kk, inner) = (30usize, 16usize, 192usize, 64usize, 8usize);
+        let (kclients, mb, n, kk) = (30usize, 16usize, 192usize, 64usize);
+        let inner = 8.min(shape.gemm_inner);
         let mut rng = StdRng::seed_from_u64(opts.seed ^ 0xba7c);
         let a: Vec<f32> = (0..kclients * mb * kk)
             .map(|_| rng.gen_range(-1.0f32..1.0))
@@ -888,12 +912,12 @@ fn run_wire_entries(
 ///   size.
 ///
 /// N is 10⁶ (10⁵ under `--quick`).
-fn run_scale_kernels(opts: &ExptOpts, reps: usize, entries: &mut Vec<Entry>) {
+fn run_scale_kernels(opts: &ExptOpts, shape: &Shape, entries: &mut Vec<Entry>) {
     use gluefl_net::{AvailabilityTraceRef, LazyAvailability};
     use gluefl_sampling::overcommit::{plan as oc_plan, OcStrategy};
     use gluefl_sampling::{AllOnline, StickySampler};
 
-    let n = if opts.quick { 100_000 } else { 1_000_000 };
+    let (n, reps) = (shape.population, shape.reps);
     let (f, mean) = (0.7f64, 24.0f64);
     let seed = opts.seed ^ 0xa5a5;
 
@@ -1362,6 +1386,17 @@ fn fused_aggregate(
 mod tests {
     use super::*;
 
+    /// Every pair's equality gate and the whole report path on sizes the
+    /// debug profile finishes quickly; CI's serial leg runs the unshrunk
+    /// `expt kernels --quick` in release.
+    const TINY: Shape = Shape {
+        d: 20_000,
+        reps: 1,
+        train: (3, 2),
+        gemm_inner: 1,
+        population: 20_000,
+    };
+
     #[test]
     fn kernel_pairs_agree_and_report_is_written() {
         let dir = std::env::temp_dir().join("gluefl_kernels_test");
@@ -1370,7 +1405,7 @@ mod tests {
             out_dir: dir.clone(),
             ..ExptOpts::default()
         };
-        run(&opts).unwrap();
+        run_shaped(&opts, &TINY).unwrap();
         let json = std::fs::read_to_string(dir.join("BENCH_kernels.json")).unwrap();
         assert!(json.contains("topk_outside_16pct_mask"));
         assert!(json.contains("aggregate_masked_30_clients"));
@@ -1383,8 +1418,6 @@ mod tests {
         assert!(json.contains("gemm_nt_b16"));
         assert!(json.contains("gemm_nn_eval_b1024"));
         assert!(json.contains("gemm_batch_clients"));
-        #[cfg(feature = "parallel")]
-        assert!(json.contains("topk_parallel"));
         assert!(json.contains("wire_encode_sparse"));
         assert!(json.contains("wire_decode_sparse"));
         assert!(json.contains("wire_encode_varint"));
@@ -1404,7 +1437,7 @@ mod tests {
             filter: Some("gemm".into()),
             ..ExptOpts::default()
         };
-        run(&opts).unwrap();
+        run_shaped(&opts, &TINY).unwrap();
         let json = std::fs::read_to_string(dir.join("BENCH_kernels.json")).unwrap();
         assert!(json.contains("gemm_nn_b16"));
         assert!(json.contains("gemm_tn_b16"));
@@ -1432,7 +1465,7 @@ mod tests {
             check: Some(full),
             ..opts.clone()
         };
-        run(&opts_checked).unwrap();
+        run_shaped(&opts_checked, &TINY).unwrap();
         // …and a ledger missing a *selected* entry still fails.
         let stale = dir.join("stale.json");
         std::fs::write(&stale, "{\"kernels\": [{\"name\": \"gemm_nn_b16\"}]}").unwrap();
@@ -1440,7 +1473,7 @@ mod tests {
             check: Some(stale),
             ..opts
         };
-        let err = run(&opts_stale).unwrap_err();
+        let err = run_shaped(&opts_stale, &TINY).unwrap_err();
         assert!(err.contains("gemm_tn_b16"), "unexpected error: {err}");
     }
 

@@ -38,6 +38,12 @@ impl std::str::FromStr for CompensationMode {
 /// (optionally re-scaled) residual into the new delta before compression,
 /// and [`ErrorCompensator::record`] stores the new residual.
 ///
+/// The round hot path never copies a delta into the bank:
+/// [`ErrorCompensator::record_sent_parts`] takes the compensated delta's
+/// buffer itself as the new residual and gives the caller the client's
+/// previous residual buffer in exchange, so a returning client costs no
+/// dimension-sized copy or allocation at all.
+///
 /// # Example
 ///
 /// ```
@@ -122,6 +128,9 @@ impl ErrorCompensator {
     /// Stores the new residual `h = Δ − sent` for the client, along with
     /// the weight used this round. No-op in [`CompensationMode::None`].
     ///
+    /// This is the dense reference form; the round hot path uses
+    /// [`ErrorCompensator::record_sent_parts`].
+    ///
     /// # Panics
     /// Panics if the slices differ in length from `dim`.
     pub fn record(&mut self, client: usize, delta: &[f32], sent_dense: &[f32], weight: f64) {
@@ -130,27 +139,33 @@ impl ErrorCompensator {
         if self.mode == CompensationMode::None {
             return;
         }
-        let mem = self.residual_slot(client, weight);
-        for ((r, d), s) in mem.iter_mut().zip(delta).zip(sent_dense) {
-            *r = d - s;
-        }
+        let mem = self.memory_of(client, weight);
+        mem.residual.clear();
+        mem.residual
+            .extend(delta.iter().zip(sent_dense).map(|(d, s)| d - s));
     }
 
     /// Like [`ErrorCompensator::record`], with the sent update given as
-    /// sparse parts instead of a dense vector: the residual is
-    /// `Δ − Σ parts`. Parts must have pairwise-disjoint supports (as the
-    /// shared/unique split of Algorithm 3 does); an overlapping position
-    /// would be subtracted twice.
+    /// sparse parts instead of a dense vector — the residual is
+    /// `Δ − Σ parts` — and the delta **handed over** instead of copied:
+    /// the buffer behind `delta` becomes the client's residual (the sent
+    /// parts are subtracted from it in place, which is the same
+    /// arithmetic as copy-then-subtract), and `delta` is left holding the
+    /// client's previous residual buffer — `dim` stale values, ready to be
+    /// overwritten by the next round's delta — or an empty vector on the
+    /// client's first participation. In [`CompensationMode::None`]
+    /// nothing is stored and `delta` is untouched.
     ///
-    /// This is the allocation-free form used by the round hot path — no
-    /// dense `sent` buffer is materialised.
+    /// Parts must have pairwise-disjoint supports (as the shared/unique
+    /// split of Algorithm 3 does); an overlapping position would be
+    /// subtracted twice.
     ///
     /// # Panics
     /// Panics if `delta.len() != dim` or any part's dimension differs.
     pub fn record_sent_parts(
         &mut self,
         client: usize,
-        delta: &[f32],
+        delta: &mut Vec<f32>,
         sent_parts: &[&gluefl_tensor::SparseUpdate],
         weight: f64,
     ) {
@@ -161,11 +176,11 @@ impl ErrorCompensator {
         if self.mode == CompensationMode::None {
             return;
         }
-        let mem = self.residual_slot(client, weight);
-        mem.copy_from_slice(delta);
+        let mem = self.memory_of(client, weight);
+        std::mem::swap(&mut mem.residual, delta);
         for part in sent_parts {
             for (i, v) in part.iter() {
-                mem[i] -= v;
+                mem.residual[i] -= v;
             }
         }
     }
@@ -204,15 +219,15 @@ impl ErrorCompensator {
         }
     }
 
-    /// Returns the client's residual buffer (reused across rounds once a
-    /// client has participated) with the stored weight updated.
-    fn residual_slot(&mut self, client: usize, weight: f64) -> &mut [f32] {
+    /// The client's memory — created with no residual buffer yet on its
+    /// first participation — with the stored weight updated.
+    fn memory_of(&mut self, client: usize, weight: f64) -> &mut ClientMemory {
         let mem = self.memory.entry(client).or_insert_with(|| ClientMemory {
-            residual: vec![0.0; self.dim],
+            residual: Vec::new(),
             weight,
         });
         mem.weight = weight;
-        &mut mem.residual
+        mem
     }
 
     /// Drops a client's stored residual (e.g. when it leaves the
@@ -294,6 +309,71 @@ mod tests {
                 "coordinate {i}"
             );
         }
+    }
+
+    /// The hand-off record stores exactly the bits the dense reference
+    /// stores — NaN and ∞ included — and trades buffers instead of
+    /// copying: the delta's allocation becomes the residual, the previous
+    /// residual's allocation comes back.
+    #[test]
+    fn record_sent_parts_swaps_buffers_and_matches_the_dense_record() {
+        use gluefl_tensor::SparseUpdate;
+        let dim = 8;
+        let deltas = [
+            vec![1.0f32, f32::NAN, -2.5, f32::INFINITY, 0.0, -0.0, 3.0, 1e-40],
+            vec![
+                0.5f32,
+                2.0,
+                f32::NEG_INFINITY,
+                1.0,
+                f32::NAN,
+                4.0,
+                -3.0,
+                0.25,
+            ],
+        ];
+        let mut dense = ErrorCompensator::new(CompensationMode::Raw, dim);
+        let mut swapping = ErrorCompensator::new(CompensationMode::Raw, dim);
+        let mut returned = Vec::new();
+        for (round, delta) in deltas.iter().enumerate() {
+            // Two disjoint sent parts, as in the shared/unique split.
+            let shared = SparseUpdate::gather(delta, &[1, 3]);
+            let unique = SparseUpdate::gather(delta, &[6]);
+            let mut sent = shared.to_dense();
+            unique.apply(&mut sent);
+            dense.record(4, delta, &sent, 2.0);
+
+            let mut handed = delta.clone();
+            let delta_ptr = handed.as_ptr();
+            let previous_ptr = swapping.memory.get(&4).map(|m| m.residual.as_ptr());
+            swapping.record_sent_parts(4, &mut handed, &[&shared, &unique], 2.0);
+            let stored = &swapping.memory[&4];
+            assert_eq!(stored.residual.as_ptr(), delta_ptr, "round {round}: copied");
+            assert_eq!(stored.weight, 2.0);
+            match previous_ptr {
+                None => assert_eq!(handed.capacity(), 0, "first round returns no buffer"),
+                Some(ptr) => {
+                    assert_eq!(handed.as_ptr(), ptr, "previous residual not returned");
+                    assert_eq!(handed.len(), dim);
+                }
+            }
+            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(
+                bits(&stored.residual),
+                bits(&dense.memory[&4].residual),
+                "round {round}"
+            );
+            returned = handed;
+        }
+        assert_eq!(returned.len(), dim);
+        assert_eq!(swapping.tracked_clients(), 1);
+        // Compensation off: nothing is stored and the delta stays put.
+        let mut off = ErrorCompensator::new(CompensationMode::None, dim);
+        let mut delta = deltas[0].clone();
+        let ptr = delta.as_ptr();
+        off.record_sent_parts(4, &mut delta, &[], 1.0);
+        assert_eq!((delta.as_ptr(), delta.len()), (ptr, dim));
+        assert_eq!(off.tracked_clients(), 0);
     }
 
     #[test]

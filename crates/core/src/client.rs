@@ -134,8 +134,9 @@ enum Scheme {
 /// [`compress`](Self::compress) once after local training, then
 /// [`offer`](Self::offer) to price the staged upload, then — only if the
 /// server grants the upload — [`encode_kept`](Self::encode_kept).
-/// Uploads draw their storage from the caller's [`ScratchPool`] and go
-/// back to it with [`ScratchPool::reclaim_upload`].
+/// Uploads draw their storage from the caller's [`ScratchPool`] (or, for
+/// a dense upload, are the delta buffer itself) and go back to it with
+/// [`ScratchPool::reclaim_upload`].
 #[derive(Debug)]
 pub struct ClientCompressor {
     scheme: Scheme,
@@ -204,6 +205,18 @@ impl ClientCompressor {
     /// compensation in place. `round_mask` is the mask the server
     /// broadcast for this round (`None` for strategies without one).
     ///
+    /// The delta's buffer is **handed over**, never copied. The dense
+    /// scheme moves it into the upload (it comes back through
+    /// [`ScratchPool::reclaim_upload`]); a scheme with error feedback
+    /// makes it the client's new residual
+    /// ([`ErrorCompensator::record_sent_parts`]). What `delta` holds on
+    /// return is a buffer for the caller's *next* delta and nothing
+    /// else: the client's previous residual (`dim` stale values), an
+    /// empty vector when there was none or the buffer left with the
+    /// upload, or — APF, compensation off — the delta itself. A caller
+    /// reuses it when its length is `dim` and otherwise draws one with
+    /// [`ScratchPool::take_full`].
+    ///
     /// # Errors
     /// [`MissingRoundMask`] when a masking strategy gets no mask.
     pub fn compress(
@@ -211,12 +224,12 @@ impl ClientCompressor {
         round: u32,
         id: ClientId,
         group: Group,
-        delta: &mut [f32],
+        delta: &mut Vec<f32>,
         round_mask: Option<&BitMask>,
         scratch: &mut ScratchPool,
     ) -> Result<Upload, MissingRoundMask> {
         match &mut self.scheme {
-            Scheme::Dense => Ok(Upload::Dense(scratch.take_copy(delta))),
+            Scheme::Dense => Ok(Upload::Dense(std::mem::take(delta))),
             Scheme::Stc { q, quantize, ec } => {
                 // Error feedback: add the residual from the client's
                 // previous participation, sparsify, remember the new one.
@@ -285,11 +298,21 @@ impl ClientCompressor {
                     &mut scratch.topk,
                 );
                 let unique = SparseUpdate::gather_in(delta, idx, ix, vals);
-                // Residual h = Δ − (Δ̃_shr + Δ̃_uni), recorded without
-                // materialising the dense `sent` vector.
+                // Residual h = Δ − (Δ̃_shr + Δ̃_uni): the delta's buffer
+                // becomes the residual, minus the sent parts in place.
                 ec.record_sent_parts(id, delta, &[&shared, &unique], weight);
                 Ok(Upload::MaskSplit(ClientSplit { shared, unique }))
             }
+        }
+    }
+
+    /// Number of clients whose residual the error-feedback bank holds —
+    /// one dimension-sized buffer each (0 for schemes without a bank).
+    #[must_use]
+    pub fn tracked_residuals(&self) -> usize {
+        match &self.scheme {
+            Scheme::Stc { ec, .. } | Scheme::GlueFl { ec, .. } => ec.tracked_clients(),
+            Scheme::Dense | Scheme::Apf => 0,
         }
     }
 
@@ -394,7 +417,7 @@ mod tests {
         let mut c = compressor(StrategyConfig::FedAvg, 8, BitMask::zeros(8));
         let mut pool = ScratchPool::new();
         let up = c
-            .compress(0, 0, Group::Fresh, &mut [1.0; 8], None, &mut pool)
+            .compress(0, 0, Group::Fresh, &mut vec![1.0; 8], None, &mut pool)
             .unwrap();
         assert_eq!(up, Upload::Dense(vec![1.0; 8]));
         assert_eq!(up.bytes(), 8 * 4 + 16);
@@ -412,7 +435,7 @@ mod tests {
         // Zero fresh delta next time: compensation resurrects what the
         // first top-2 dropped.
         let up = c
-            .compress(1, 5, Group::Fresh, &mut [0.0; 8], None, &mut pool)
+            .compress(1, 5, Group::Fresh, &mut vec![0.0; 8], None, &mut pool)
             .unwrap();
         match up {
             Upload::Sparse(u) => {
@@ -465,7 +488,7 @@ mod tests {
         // Sent sign·μ = ±2.5, so the residual (1.5, −0.5, −0.5, 1.5)
         // comes back on a zero delta with both signs present.
         let up = quant
-            .compress(1, 0, Group::Fresh, &mut [0.0; 8], None, &mut pool)
+            .compress(1, 0, Group::Fresh, &mut vec![0.0; 8], None, &mut pool)
             .unwrap();
         let Upload::Ternary(t) = up else {
             panic!("expected ternary upload")
@@ -484,7 +507,7 @@ mod tests {
         for strategy in [apf, StrategyConfig::GlueFl(gluefl_params())] {
             let mut c = compressor(strategy, 20, BitMask::zeros(20));
             assert_eq!(
-                c.compress(1, 0, Group::Fresh, &mut [1.0; 20], None, &mut pool),
+                c.compress(1, 0, Group::Fresh, &mut vec![1.0; 20], None, &mut pool),
                 Err(MissingRoundMask)
             );
         }
@@ -541,7 +564,14 @@ mod tests {
         // As a sticky client (weight 8/3·0.05) the residual returns
         // scaled by ν_fresh/ν_sticky = 4.5.
         let up = c
-            .compress(2, 0, Group::Sticky, &mut [0.0; 20], Some(&mask), &mut pool)
+            .compress(
+                2,
+                0,
+                Group::Sticky,
+                &mut vec![0.0; 20],
+                Some(&mask),
+                &mut pool,
+            )
             .unwrap();
         let Upload::MaskSplit(split) = up else {
             panic!("expected mask split")

@@ -628,10 +628,7 @@ impl RoundEngine {
             self.scratch.reclaim_upload(upload);
             return Err(e);
         }
-        let mut values = self.scratch.take_cleared();
-        stats_frame.values_into(&mut values);
-        self.stats_saved[slot * stats_len..(slot + 1) * stats_len].copy_from_slice(&values);
-        self.scratch.put(values);
+        stats_frame.values_to(&mut self.stats_saved[slot * stats_len..(slot + 1) * stats_len]);
         Ok(upload)
     }
 

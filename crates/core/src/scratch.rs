@@ -10,8 +10,9 @@
 //! allocation:
 //!
 //! * dense `f32` buffers ([`ScratchPool::take_zeroed`] /
-//!   [`ScratchPool::take_cleared`] / [`ScratchPool::take_copy`]) back
-//!   accumulators, packed value arrays, and dense upload clones;
+//!   [`ScratchPool::take_cleared`] / [`ScratchPool::take_full`]) back
+//!   accumulators, packed value arrays, and trained deltas — a dense
+//!   upload *is* its delta buffer, so it comes back here too;
 //! * sparse `(u32, f32)` arenas ([`ScratchPool::take_sparse`]) back the
 //!   [`gluefl_tensor::SparseUpdate`]s built during compression;
 //! * pooled [`gluefl_tensor::BitMask`]s ([`ScratchPool::take_mask`]) back
@@ -103,13 +104,18 @@ impl ScratchPool {
         }
     }
 
-    /// Hands out a recycled buffer holding a copy of `src` (the pooled
-    /// replacement for `src.to_vec()` on the compress path).
+    /// Hands out a buffer of length `len` with **unspecified contents**,
+    /// for callers that overwrite every position (a trained delta): an
+    /// idle buffer that already has that length is reused as it is — no
+    /// fill, no copy — and only when there is none a zeroed one is
+    /// allocated. Smaller idle buffers (sparse value arrays) are left for
+    /// the callers that want them.
     #[must_use]
-    pub fn take_copy(&mut self, src: &[f32]) -> Vec<f32> {
-        let mut buf = self.take_cleared();
-        buf.extend_from_slice(src);
-        buf
+    pub fn take_full(&mut self, len: usize) -> Vec<f32> {
+        match self.free.iter().rposition(|buf| buf.len() == len) {
+            Some(at) => self.free.swap_remove(at),
+            None => vec![0.0; len],
+        }
     }
 
     /// Returns a buffer to the pool for reuse.
@@ -327,11 +333,15 @@ mod tests {
     }
 
     #[test]
-    fn take_copy_clones_through_recycled_storage() {
+    fn take_full_reuses_only_buffers_of_that_length() {
         let mut pool = ScratchPool::new();
         pool.put(vec![9.0; 32]);
-        let c = pool.take_copy(&[1.0, 2.0]);
-        assert_eq!(c, vec![1.0, 2.0]);
+        pool.put(vec![1.0; 4]);
+        let full = pool.take_full(32);
+        assert_eq!(full, vec![9.0; 32], "reused as is: no fill, no copy");
+        assert_eq!(pool.idle_buffers(), 1, "the short buffer stays pooled");
+        assert_eq!(pool.take_full(32), vec![0.0; 32], "none left: a fresh one");
+        assert_eq!(pool.idle_buffers(), 1);
     }
 
     #[test]

@@ -22,7 +22,10 @@
 //!   than thread schedule;
 //! * on `offers`, each trained delta is compressed in place by the
 //!   client half and priced ([`ClientCompressor::offer`]) — nothing is
-//!   serialized before the keep decision;
+//!   serialized before the keep decision. The delta's buffer is handed
+//!   over, not copied: it becomes the client's residual (and the previous
+//!   residual's buffer the next round's delta buffer) or, for a dense
+//!   strategy, the upload itself;
 //! * each granted upload is serialized into the engine's buffer
 //!   ([`ClientCompressor::encode_kept`]) when the engine asks for the
 //!   next arrival; dropped clients are never serialized at all, their
@@ -168,8 +171,9 @@ pub struct InProcessClients {
     /// The round's invitation list and broadcast mask.
     invited: Vec<(ClientId, Group)>,
     round_mask: Option<BitMask>,
-    /// Trained deltas, one per invited client (compressed in place), and
-    /// the recycled buffers they are drawn from.
+    /// Trained deltas, one per invited client — after compression,
+    /// whatever [`ClientCompressor::compress`] handed back in exchange —
+    /// and the full-length buffers among those, kept for the next round.
     deltas: Vec<Vec<f32>>,
     delta_bufs: Vec<Vec<f32>>,
     /// BN-statistic drift per invited client (invited × stats).
@@ -200,7 +204,8 @@ impl RoundIo for InProcessClients {
         for upload in self.uploads.drain(..).flatten() {
             self.scratch.reclaim_upload(upload);
         }
-        self.delta_bufs.append(&mut self.deltas);
+        self.delta_bufs
+            .extend(self.deltas.drain(..).filter(|buf| !buf.is_empty()));
         self.invited.clear();
         self.invited.extend_from_slice(invited);
         match (broadcast.mask, &mut self.round_mask) {
@@ -221,8 +226,8 @@ impl RoundIo for InProcessClients {
         {
             if let Some(t) = &self.tel {
                 // Measured on the raw delta, before compression consumes it.
-                let norm2: f64 = delta.iter().map(|&v| f64::from(v) * f64::from(v)).sum();
-                t.update_norm_milli.observe((norm2.sqrt() * 1e3) as u64);
+                t.update_norm_milli
+                    .observe((vecops::l2_norm(delta) * 1e3) as u64);
             }
             let upload = self
                 .compressor
@@ -337,12 +342,13 @@ impl InProcessClients {
         let mut slots: Vec<TrainSlot> = (0..threads)
             .map(|_| self.scratch.take_train_slot())
             .collect();
-        self.deltas.extend((0..invited.len()).map(|_| {
-            let mut buf = self.delta_bufs.pop().unwrap_or_default();
-            buf.clear();
-            buf.resize(dim, 0.0);
-            buf
-        }));
+        // Training overwrites every position, so a delta buffer is
+        // reused as it is: last round's hand-backs first, then the pool
+        // (where a dense strategy's uploads returned theirs).
+        let (recycled, pool) = (&mut self.delta_bufs, &mut self.scratch);
+        self.deltas.extend(
+            (0..invited.len()).map(|_| recycled.pop().unwrap_or_else(|| pool.take_full(dim))),
+        );
         let results = &mut self.deltas;
         let cfg = &self.cfg;
         let lr = cfg.lr_at_round(round);
@@ -986,6 +992,71 @@ mod tests {
                     "BN statistic drift diverged (bn={batch_norm}, K={clients})"
                 );
             }
+        }
+    }
+
+    /// Dimension-sized buffers alive on the client side after a round,
+    /// outside the residual bank: hand-backs waiting to be the next
+    /// deltas, dense uploads still staged, dense uploads back in the pool.
+    fn live_delta_buffers(c: &InProcessClients, dim: usize) -> usize {
+        let handed_back = c.deltas.iter().chain(&c.delta_bufs);
+        let staged = c.uploads.iter().flatten();
+        handed_back.filter(|buf| buf.len() == dim).count()
+            + staged.filter(|u| matches!(u, Upload::Dense(_))).count()
+            + if c.scratch.max_idle_value_capacity() >= dim {
+                c.scratch.idle_buffers()
+            } else {
+                0
+            }
+    }
+
+    /// The delta hand-off leaks nothing and copies nothing: every round
+    /// allocates exactly one dimension-sized buffer per *first-time*
+    /// client (its residual-to-be) and otherwise trades buffers, so the
+    /// live count is `tracked residuals + invited` under GlueFL and a flat
+    /// `invited` under FedAvg, which keeps no bank.
+    #[test]
+    fn delta_hand_off_keeps_the_live_buffer_count_flat() {
+        let rounds = 8;
+        // GlueFL: residual bank + swapped delta buffers.
+        let mut cfg = tiny_cfg(StrategyConfig::FedAvg);
+        cfg.strategy = StrategyConfig::GlueFl(tiny_gluefl_params(cfg.round_size));
+        let mut sim = Simulation::new(cfg);
+        let dim = sim.model().num_params();
+        let mut invited = None;
+        for round in 0..rounds {
+            let tracked_before = sim.clients.compressor.tracked_residuals();
+            let rec = sim.step();
+            assert_eq!(*invited.get_or_insert(rec.invited), rec.invited);
+            let c = &sim.clients;
+            let tracked = c.compressor.tracked_residuals();
+            // Each first-time client kept its delta as its residual and
+            // handed nothing back; everyone else traded one for one.
+            assert_eq!(
+                tracked + live_delta_buffers(c, dim),
+                tracked_before + rec.invited,
+                "round {round}: a delta buffer leaked or was copied"
+            );
+            assert!(
+                c.scratch.max_idle_value_capacity() < dim,
+                "round {round}: a delta-sized buffer strayed into the sparse pool"
+            );
+        }
+        assert!(
+            sim.clients.compressor.tracked_residuals() > invited.unwrap(),
+            "the run must outlast its first cohort for the bound to mean anything"
+        );
+
+        // FedAvg: the delta is the upload; kept or dropped, it returns.
+        let mut sim = Simulation::new(tiny_cfg(StrategyConfig::FedAvg));
+        for round in 0..rounds {
+            let rec = sim.step();
+            assert_eq!(sim.clients.compressor.tracked_residuals(), 0);
+            assert_eq!(
+                live_delta_buffers(&sim.clients, dim),
+                rec.invited,
+                "round {round}: dense uploads must circulate, not accumulate"
+            );
         }
     }
 

@@ -1,27 +1,37 @@
 //! Exact top-k selection by absolute value.
 //!
 //! Sparsification in STC and GlueFL is the `top_q(·)` operator: keep the `k`
-//! coordinates of a delta with the largest magnitudes. The kernel here is a
-//! two-pass threshold-count selection over a reusable scratch arena:
+//! coordinates of a delta with the largest magnitudes. The kernel here is
+//! an exact *bracket select* over integer rank keys, built so that the
+//! dimension-sized input is streamed once and everything after that works
+//! on a short list:
 //!
-//! 1. **Candidate pass** — the scope's candidate positions are enumerated
-//!    at word level (`u64` words walked with `trailing_zeros`, so an
-//!    `Outside` scope over a dense mask costs `O(d/64 + candidates)`
-//!    instead of `d` per-bit tests) and their magnitude keys are packed
-//!    into a flat `f32` arena.
-//! 2. **Threshold** — introselect (`select_nth_unstable_by`, O(n) average)
-//!    over the flat keys finds the k-th largest magnitude. Selecting over
-//!    contiguous keys instead of indices avoids an indirect `values[i]`
-//!    load per comparison.
-//! 3. **Emit pass** — candidates are re-walked in increasing position
-//!    order; every key above the threshold is emitted, and ties *at* the
-//!    threshold fill the remaining slots smallest-index-first. The output
-//!    is therefore already sorted — no final sort — and the tie-break
-//!    (magnitude, then smaller index) is identical to a full stable
-//!    ranking, so results are reproducible across runs and platforms.
+//! 1. **Rank keys.** A magnitude maps to a monotone `u32`: NaN → 1, else
+//!    the bits of `|v|` plus 2 (so `±0` → 2, `∞` is the largest, and two
+//!    keys are equal exactly when the magnitudes are). Integer keys make
+//!    every comparison total — there is no float ordering to unwrap.
+//! 2. **Bracket.** A fixed strided sample of the in-scope keys (no RNG)
+//!    is sorted and a bracket `[lo, hi]` is read off around the `k/n`
+//!    quantile, a few standard deviations of the sample quantile wide.
+//! 3. **Listing pass** — the only pass over the input. Per 64-position
+//!    word the keys are computed in vector lanes, compared against `lo`
+//!    into a bitmask, masked with the scope's word, and the surviving
+//!    positions are appended, in increasing order, as packed entries
+//!    `key << 32 | !position`. A word with no in-scope bit is skipped.
+//! 4. **Select and emit.** Entries above `hi` are certainly selected;
+//!    if they number fewer than `k` and the list holds at least `k`, the
+//!    k-th largest lies inside the bracket and an integer `select_nth`
+//!    over only the in-bracket entries (a few percent of the candidates)
+//!    finds it. Entry order is (magnitude descending, index ascending),
+//!    so "everything at or above the k-th entry" *is* the documented
+//!    tie-break: strictly larger magnitudes, then threshold ties
+//!    smallest-index-first. The emit walks the short list, which is
+//!    already in position order — no final sort.
 //!
-//! NaN magnitudes are mapped below every finite magnitude before any
-//! comparison, in both passes, so the selection is total and exact.
+//! Exactness never depends on the sample: a bracket that misses (or a
+//! scope too small to sample) runs the **same code** with the full
+//! bracket `[1, u32::MAX]`, which lists every candidate and is the plain
+//! select. The sample only decides how short the list is.
 //!
 //! All allocation lives in [`TopKScratch`]; the `*_into` entry points are
 //! allocation-free after warm-up, which is what the per-round hot paths
@@ -51,8 +61,12 @@ pub enum TopKScope<'a> {
 /// dimension.
 #[derive(Debug, Clone, Default)]
 pub struct TopKScratch {
-    /// Magnitude keys of the scope's candidates (NaN mapped to −1).
-    keys: Vec<f32>,
+    /// The listed candidates (`key << 32 | !position`), position-ascending.
+    entries: Vec<u64>,
+    /// The in-bracket entries the k-th largest is selected over.
+    bracket: Vec<u64>,
+    /// Strided sample of in-scope rank keys.
+    sample: Vec<u32>,
     /// Output arena for the selected indices.
     out: Vec<usize>,
 }
@@ -68,21 +82,59 @@ impl TopKScratch {
     #[must_use]
     pub fn with_capacity(dim: usize) -> Self {
         Self {
-            keys: Vec::with_capacity(dim),
+            entries: Vec::with_capacity(dim),
+            bracket: Vec::with_capacity(dim),
+            sample: Vec::with_capacity(SAMPLE),
             out: Vec::with_capacity(dim),
         }
     }
 }
 
-/// The magnitude rank key: NaN sorts below every finite magnitude.
+/// Rank key of a NaN magnitude: below every number.
+const NAN_KEY: u32 = 1;
+/// Rank key of `±0.0`, the smallest number.
+const ZERO_KEY: u32 = 2;
+/// The bracket that lists every candidate: the plain exact select.
+const FULL_BRACKET: (u32, u32) = (NAN_KEY, u32::MAX);
+
+/// Positions the bracket sample reads.
+const SAMPLE: usize = 1024;
+/// Fewer usable sample keys than this say too little about the quantile.
+const MIN_SAMPLE: usize = 64;
+/// At or below this many candidates the full select is already cheap.
+const SELECT_ALL_BELOW: usize = 4 * SAMPLE;
+/// Half-width of the bracket in standard deviations of the sample
+/// quantile: wide enough that a miss is a ~10⁻⁴ event on exchangeable
+/// input, narrow enough that the bracket holds a few percent of the keys.
+const BRACKET_SIGMAS: f64 = 4.0;
+
+/// The magnitude rank key: monotone in `|v|`, NaN below every number.
 #[inline]
-fn key_of(v: f32) -> f32 {
-    let m = v.abs();
-    if m.is_nan() {
-        -1.0
+fn rank_key(v: f32) -> u32 {
+    const INF_BITS: u32 = 0x7F80_0000;
+    let magnitude = v.to_bits() & 0x7FFF_FFFF;
+    if magnitude > INF_BITS {
+        NAN_KEY
     } else {
-        m
+        magnitude + ZERO_KEY
     }
+}
+
+/// A candidate packed so that descending entry order is (key descending,
+/// position ascending) — the selection's ranking.
+#[inline]
+fn entry(key: u32, pos: usize) -> u64 {
+    u64::from(key) << 32 | u64::from(!(pos as u32))
+}
+
+#[inline]
+fn entry_key(e: u64) -> u32 {
+    (e >> 32) as u32
+}
+
+#[inline]
+fn entry_pos(e: u64) -> usize {
+    !(e as u32) as usize
 }
 
 /// The scope's candidate bits within word `wi` of a `len`-bit space.
@@ -102,43 +154,6 @@ fn scope_word(scope: TopKScope<'_>, wi: usize, len: usize) -> u64 {
     }
 }
 
-/// Walks the scope's candidate positions within words
-/// `[wi_lo, wi_hi)` in increasing order, calling `f(position, key)`.
-#[inline]
-fn for_each_candidate_in_words(
-    values: &[f32],
-    scope: TopKScope<'_>,
-    wi_lo: usize,
-    wi_hi: usize,
-    mut f: impl FnMut(usize, f32),
-) {
-    for wi in wi_lo..wi_hi {
-        let mut w = scope_word(scope, wi, values.len());
-        let base = wi * 64;
-        while w != 0 {
-            let i = base + w.trailing_zeros() as usize;
-            f(i, key_of(values[i]));
-            w &= w - 1;
-        }
-    }
-}
-
-/// Walks the scope's candidate positions in increasing order, calling
-/// `f(position, key)` for each.
-#[inline]
-fn for_each_candidate(values: &[f32], scope: TopKScope<'_>, mut f: impl FnMut(usize, f32)) {
-    match scope {
-        TopKScope::All => {
-            for (i, &v) in values.iter().enumerate() {
-                f(i, key_of(v));
-            }
-        }
-        TopKScope::Inside(_) | TopKScope::Outside(_) => {
-            for_each_candidate_in_words(values, scope, 0, values.len().div_ceil(64), f);
-        }
-    }
-}
-
 /// Number of candidate positions the scope admits over a `len`-bit space.
 fn scope_count(scope: TopKScope<'_>, len: usize) -> usize {
     match scope {
@@ -148,61 +163,155 @@ fn scope_count(scope: TopKScope<'_>, len: usize) -> usize {
     }
 }
 
-/// Minimum value count before the candidate pass shards across the pool.
-#[cfg(feature = "parallel")]
-const PAR_MIN_KEYS: usize = 1 << 17;
-/// Words per parallel candidate-pass job (1 << 14 words = 2²⁰ bits).
-#[cfg(feature = "parallel")]
-const PAR_KEY_WORDS: usize = 1 << 14;
-
-/// Packs the scope's candidate keys into `keys` in increasing position
-/// order — serial, or sharded across the [`gluefl_pool`] for large
-/// inputs under the `parallel` feature. The parallel pass gives each job
-/// a word range whose candidate count is pre-computed from the scope
-/// mask's popcounts, so every job writes a disjoint `keys` sub-slice and
-/// the concatenation is exactly the serial order: the packed keys — and
-/// therefore the selection — are bit-identical to serial.
-fn pack_candidate_keys(values: &[f32], scope: TopKScope<'_>, keys: &mut Vec<f32>) {
-    keys.clear();
-    #[cfg(feature = "parallel")]
-    if values.len() >= PAR_MIN_KEYS {
-        let threads = std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(1);
-        if threads > 1 {
-            let nwords = values.len().div_ceil(64);
-            // Candidate count per word-range job.
-            let ranges: Vec<(usize, usize, usize)> = (0..nwords.div_ceil(PAR_KEY_WORDS))
-                .map(|j| {
-                    let lo = j * PAR_KEY_WORDS;
-                    let hi = (lo + PAR_KEY_WORDS).min(nwords);
-                    let count: usize = (lo..hi)
-                        .map(|wi| scope_word(scope, wi, values.len()).count_ones() as usize)
-                        .sum();
-                    (lo, hi, count)
-                })
-                .collect();
-            let total: usize = ranges.iter().map(|&(_, _, c)| c).sum();
-            keys.resize(total, 0.0);
-            let mut jobs = Vec::with_capacity(ranges.len());
-            let mut rest: &mut [f32] = keys;
-            for (lo, hi, count) in ranges {
-                let (chunk, tail) = rest.split_at_mut(count);
-                rest = tail;
-                jobs.push((lo, hi, chunk));
-            }
-            gluefl_pool::run(threads, jobs, |(lo, hi, chunk): (_, _, &mut [f32])| {
-                let mut at = 0;
-                for_each_candidate_in_words(values, scope, lo, hi, |_, key| {
-                    chunk[at] = key;
-                    at += 1;
-                });
-                debug_assert_eq!(at, chunk.len());
-            });
-            return;
+/// Emits every position the scope admits, in increasing order.
+fn emit_scope(scope: TopKScope<'_>, len: usize, out: &mut Vec<usize>) {
+    for wi in 0..len.div_ceil(64) {
+        let mut w = scope_word(scope, wi, len);
+        while w != 0 {
+            out.push(wi * 64 + w.trailing_zeros() as usize);
+            w &= w - 1;
         }
     }
-    for_each_candidate(values, scope, |_, key| keys.push(key));
+}
+
+/// Checks a selection's shape and returns the scope's candidate count.
+fn checked_scope_count(scope: TopKScope<'_>, len: usize) -> usize {
+    assert!(
+        u32::try_from(len).is_ok(),
+        "top-k positions are packed into 32 bits"
+    );
+    match scope {
+        TopKScope::Inside(m) | TopKScope::Outside(m) => {
+            assert_eq!(m.len(), len, "scope mask length mismatch");
+        }
+        TopKScope::All => {}
+    }
+    scope_count(scope, len)
+}
+
+/// The stride of the bracket sample over a `len`-position input. Odd, so
+/// it never locks onto the power-of-two row widths of a weight matrix.
+fn sample_stride(len: usize) -> usize {
+    (len / SAMPLE).max(1) | 1
+}
+
+/// A bracket `[lo, hi]` of rank keys expected to contain the `k`-th
+/// largest of the scope's `n` candidates, estimated from a strided sample
+/// of the in-scope keys. Falls back to [`FULL_BRACKET`] when the scope is
+/// small or too little of the sample lands in it.
+fn sample_bracket(
+    values: &[f32],
+    scope: TopKScope<'_>,
+    k: usize,
+    n: usize,
+    sample: &mut Vec<u32>,
+) -> (u32, u32) {
+    if n <= SELECT_ALL_BELOW {
+        return FULL_BRACKET;
+    }
+    let len = values.len();
+    sample.clear();
+    for i in (0..len).step_by(sample_stride(len)).take(SAMPLE) {
+        if scope_word(scope, i / 64, len) >> (i % 64) & 1 == 1 {
+            sample.push(rank_key(values[i]));
+        }
+    }
+    let s = sample.len();
+    if s < MIN_SAMPLE {
+        return FULL_BRACKET;
+    }
+    sample.sort_unstable_by(|a, b| b.cmp(a));
+    // The k-th largest sits near rank p·s of the descending sample; the
+    // sample quantile's standard deviation is sqrt(s·p·(1−p)) ranks.
+    let p = k as f64 / n as f64;
+    let rank = (p * s as f64) as usize;
+    let margin = (BRACKET_SIGMAS * (s as f64 * p * (1.0 - p)).sqrt()).ceil() as usize + 2;
+    let hi = if rank >= margin {
+        sample[rank - margin]
+    } else {
+        u32::MAX
+    };
+    let lo = if rank + margin < s {
+        sample[rank + margin]
+    } else {
+        NAN_KEY
+    };
+    (lo, hi)
+}
+
+/// Appends the in-scope candidates of one 64-position word whose key is
+/// at least `lo`, in increasing position order. The key and compare loops
+/// are straight-line over fixed-size arrays so they compile to vector
+/// code; only the hits are visited one by one.
+#[inline]
+fn list_word(chunk: &[f32; 64], in_scope: u64, base: usize, lo: u32, entries: &mut Vec<u64>) {
+    let mut keys = [0u32; 64];
+    for (key, &v) in keys.iter_mut().zip(chunk) {
+        *key = rank_key(v);
+    }
+    let mut hits = 0u64;
+    for (j, &key) in keys.iter().enumerate() {
+        hits |= u64::from(key >= lo) << j;
+    }
+    hits &= in_scope;
+    while hits != 0 {
+        let j = hits.trailing_zeros() as usize;
+        entries.push(entry(keys[j], base + j));
+        hits &= hits - 1;
+    }
+}
+
+/// The listing pass: every in-scope candidate with key `>= lo`, packed,
+/// in increasing position order.
+fn list_at_least(values: &[f32], scope: TopKScope<'_>, lo: u32, entries: &mut Vec<u64>) {
+    entries.clear();
+    let len = values.len();
+    let mut chunks = values.chunks_exact(64);
+    for (wi, chunk) in chunks.by_ref().enumerate() {
+        let in_scope = scope_word(scope, wi, len);
+        if in_scope != 0 {
+            let chunk = chunk.try_into().expect("chunks_exact(64)");
+            list_word(chunk, in_scope, wi * 64, lo, entries);
+        }
+    }
+    let tail = chunks.remainder();
+    if !tail.is_empty() {
+        // `scope_word` admits no bit past `len`, so the padding is inert.
+        let wi = len / 64;
+        let mut padded = [0.0f32; 64];
+        padded[..tail.len()].copy_from_slice(tail);
+        list_word(&padded, scope_word(scope, wi, len), wi * 64, lo, entries);
+    }
+}
+
+/// Emits the positions of the `k` largest `entries` (position-ascending
+/// in, position-ascending out), selecting the k-th largest over only the
+/// entries with key `<= hi`. Returns `false`, emitting nothing, when the
+/// k-th largest is not among those: `k` or more entries lie above `hi`,
+/// or the list is shorter than `k`.
+fn emit_top_entries(
+    entries: &[u64],
+    k: usize,
+    hi: u32,
+    bracket: &mut Vec<u64>,
+    out: &mut Vec<usize>,
+) -> bool {
+    let ceiling = entry(hi, 0);
+    bracket.clear();
+    bracket.extend(entries.iter().filter(|&&e| e <= ceiling));
+    let above = entries.len() - bracket.len();
+    if above >= k || k > entries.len() {
+        return false;
+    }
+    let kth_largest = bracket.len() - (k - above);
+    let (_, &mut threshold, _) = bracket.select_nth_unstable(kth_largest);
+    out.extend(
+        entries
+            .iter()
+            .filter(|&&e| e >= threshold)
+            .map(|&e| entry_pos(e)),
+    );
+    true
 }
 
 /// Returns the indices of the `k` largest-magnitude entries of `values`,
@@ -259,7 +368,8 @@ pub fn top_k_abs_masked(values: &[f32], k: usize, scope: TopKScope<'_>) -> Vec<u
 ///
 /// # Panics
 ///
-/// Panics if a scope mask's length differs from `values.len()`.
+/// Panics if a scope mask's length differs from `values.len()`, or if
+/// `values` has more than `u32::MAX` positions.
 ///
 /// # Example
 ///
@@ -276,67 +386,43 @@ pub fn top_k_abs_masked_into<'s>(
     scope: TopKScope<'_>,
     scratch: &'s mut TopKScratch,
 ) -> &'s [usize] {
-    match scope {
-        TopKScope::Inside(m) | TopKScope::Outside(m) => {
-            assert_eq!(m.len(), values.len(), "scope mask length mismatch");
-        }
-        TopKScope::All => {}
-    }
-    scratch.out.clear();
+    let n = checked_scope_count(scope, values.len());
+    let TopKScratch {
+        entries,
+        bracket,
+        sample,
+        out,
+    } = scratch;
+    out.clear();
     if k == 0 {
-        return &scratch.out;
+        return out;
     }
-
-    // Pass 1: pack candidate keys into the flat arena (sharded across the
-    // pool for large inputs under `parallel`, bit-identical to serial).
-    pack_candidate_keys(values, scope, &mut scratch.keys);
-    let n = scratch.keys.len();
-    if n == 0 {
-        return &scratch.out;
-    }
-
     if k >= n {
         // The scope has no more than k candidates: emit them all.
-        let out = &mut scratch.out;
-        for_each_candidate(values, scope, |i, _| out.push(i));
-        return &scratch.out;
+        emit_scope(scope, values.len(), out);
+        return out;
     }
-
-    // Introselect the k-th largest key (descending order). Keys are never
-    // NaN (mapped to −1 above), so partial_cmp is total here.
-    scratch
-        .keys
-        .select_nth_unstable_by(k - 1, |a, b| b.partial_cmp(a).expect("keys are never NaN"));
-    let thr = scratch.keys[k - 1];
-    // After partitioning, the first k slots hold the top-k keys (in some
-    // order); count how many beat the threshold strictly. The remaining
-    // slots go to threshold ties, smallest index first.
-    let strictly = scratch.keys[..k].iter().filter(|&&x| x > thr).count();
-    let mut ties_left = k - strictly;
-
-    // Pass 2: emit in increasing index order.
-    let out = &mut scratch.out;
-    for_each_candidate(values, scope, |i, key| {
-        if key > thr {
-            out.push(i);
-        } else if key == thr && ties_left > 0 {
-            out.push(i);
-            ties_left -= 1;
+    // The sampled bracket first; if the k-th largest is not inside it,
+    // the full bracket, which cannot miss (k < n).
+    for (lo, hi) in [sample_bracket(values, scope, k, n, sample), FULL_BRACKET] {
+        list_at_least(values, scope, lo, entries);
+        if emit_top_entries(entries, k, hi, bracket, out) {
+            break;
         }
-    });
-    debug_assert_eq!(scratch.out.len(), k);
-    &scratch.out
+    }
+    debug_assert_eq!(out.len(), k);
+    out
 }
 
 /// Walks the support∩scope positions in increasing order, calling
-/// `f(position, key)` where the key is `key_of` of the position's packed
-/// value (`rank` within the support mask indexes `packed`).
+/// `f(position, key)` where the key is the rank key of the position's
+/// packed value (`rank` within the support mask indexes `packed`).
 #[inline]
 fn for_each_packed_candidate(
     support: &BitMask,
     packed: &[f32],
     scope: TopKScope<'_>,
-    mut f: impl FnMut(usize, f32),
+    mut f: impl FnMut(usize, u32),
 ) {
     let dim = support.len();
     let mut rank = 0usize;
@@ -350,7 +436,7 @@ fn for_each_packed_candidate(
         while w != 0 {
             let bit = w.trailing_zeros() as usize;
             if cw >> bit & 1 == 1 {
-                f(base + bit, key_of(packed[rank]));
+                f(base + bit, rank_key(packed[rank]));
             }
             rank += 1;
             w &= w - 1;
@@ -365,11 +451,12 @@ fn for_each_packed_candidate(
 /// materialising that vector.
 ///
 /// The cost is `O(dim/64 + support_nnz)` instead of `O(dim)`: positions
-/// outside the support all share the virtual key `0.0`, so the selection
-/// only ranks the packed candidates and falls back to counting-based
-/// zero/NaN tie fills when fewer than `k` candidates have positive
-/// magnitude. This is what lets GlueFL's aggregate run its mask-shift
-/// top-k directly over the packed accumulator.
+/// outside the support all share the virtual key of `0.0`, so the
+/// selection only lists the packed candidates (then selects and emits
+/// exactly as the dense kernel does over its list) and falls back to
+/// counting-based zero/NaN tie fills when fewer than `k` candidates have
+/// positive magnitude. This is what lets GlueFL's aggregate run its
+/// mask-shift top-k directly over the packed accumulator.
 ///
 /// Ordering, tie-breaks (smaller index first), and NaN handling (selected
 /// last) are exactly those of the dense kernel; `k >= scope size` emits
@@ -402,83 +489,58 @@ pub fn top_k_abs_packed_into<'s>(
         packed.len(),
         "packed length must equal the support popcount"
     );
-    match scope {
-        TopKScope::Inside(m) | TopKScope::Outside(m) => {
-            assert_eq!(m.len(), support.len(), "scope mask length mismatch");
-        }
-        TopKScope::All => {}
-    }
     let dim = support.len();
-    scratch.out.clear();
+    let total = checked_scope_count(scope, dim);
+    let TopKScratch {
+        entries,
+        bracket,
+        out,
+        ..
+    } = scratch;
+    out.clear();
     if k == 0 {
-        return &scratch.out;
-    }
-    let total = scope_count(scope, dim);
-    if total == 0 {
-        return &scratch.out;
+        return out;
     }
     if k >= total {
         // Dense `k >= n` branch: every scope position is emitted.
-        let out = &mut scratch.out;
-        for wi in 0..dim.div_ceil(64) {
-            let mut w = scope_word(scope, wi, dim);
-            let base = wi * 64;
-            while w != 0 {
-                out.push(base + w.trailing_zeros() as usize);
-                w &= w - 1;
-            }
-        }
-        return &scratch.out;
+        emit_scope(scope, dim, out);
+        return out;
     }
 
-    // Pass 1: keys of the support∩scope candidates only; every other
-    // scope position carries the virtual key 0.0 and is accounted for by
-    // counting, not materialisation.
-    scratch.keys.clear();
-    let keys = &mut scratch.keys;
-    for_each_packed_candidate(support, packed, scope, |_, key| keys.push(key));
-    let positives = scratch.keys.iter().filter(|&&x| x > 0.0).count();
+    // List the support∩scope candidates only; every other scope position
+    // carries the virtual key of 0.0 and is accounted for by counting,
+    // not materialisation.
+    entries.clear();
+    for_each_packed_candidate(support, packed, scope, |i, key| entries.push(entry(key, i)));
+    let positives = entries.iter().filter(|&&e| entry_key(e) > ZERO_KEY).count();
 
     if positives >= k {
         // The k-th largest virtual key is positive, so no zero-valued
         // position outside the support can be selected: the dense
-        // selection restricted to the packed candidates is exact. The
-        // threshold, strict count, and tie fill are computed exactly as
-        // in the dense kernel (zeros and NaNs sort below every positive
-        // key, so dropping them changes neither).
-        scratch
-            .keys
-            .select_nth_unstable_by(k - 1, |a, b| b.partial_cmp(a).expect("keys are never NaN"));
-        let thr = scratch.keys[k - 1];
-        debug_assert!(thr > 0.0);
-        let strictly = scratch.keys[..k].iter().filter(|&&x| x > thr).count();
-        let mut ties_left = k - strictly;
-        let out = &mut scratch.out;
-        for_each_packed_candidate(support, packed, scope, |i, key| {
-            if key > thr {
-                out.push(i);
-            } else if key == thr && ties_left > 0 {
-                out.push(i);
-                ties_left -= 1;
-            }
-        });
-        debug_assert_eq!(scratch.out.len(), k);
-        return &scratch.out;
+        // selection restricted to the packed candidates is exact (zeros
+        // and NaNs sort below every positive key, so dropping the
+        // virtual ones changes nothing).
+        let found = emit_top_entries(entries, k, u32::MAX, bracket, out);
+        debug_assert!(found && out.len() == k);
+        return out;
     }
 
     // Degenerate fill-up: fewer than k positive magnitudes in scope. The
-    // dense threshold is 0.0 (zero-key positions fill the remainder,
-    // smallest index first) or −1.0 (all zeros consumed too; NaN-key
-    // candidates fill up). Walk the scope ascending with virtual keys and
-    // stop as soon as both the above-threshold and tie budgets are spent.
-    let zero_keys =
-        (total - scratch.keys.len()) + scratch.keys.iter().filter(|&&x| x == 0.0).count();
+    // dense threshold is the zero key (zero-key positions fill the
+    // remainder, smallest index first) or the NaN key (all zeros consumed
+    // too; NaN-key candidates fill up). Walk the scope ascending with
+    // virtual keys and stop as soon as both the above-threshold and tie
+    // budgets are spent.
+    let zero_keys = (total - entries.len())
+        + entries
+            .iter()
+            .filter(|&&e| entry_key(e) == ZERO_KEY)
+            .count();
     let (thr, mut ties_left, mut above_left) = if positives + zero_keys >= k {
-        (0.0f32, k - positives, positives)
+        (ZERO_KEY, k - positives, positives)
     } else {
-        (-1.0f32, k - positives - zero_keys, positives + zero_keys)
+        (NAN_KEY, k - positives - zero_keys, positives + zero_keys)
     };
-    let out = &mut scratch.out;
     let support_words = support.as_words();
     let mut rank_base = 0usize;
     'words: for (wi, &sw) in support_words.iter().enumerate() {
@@ -488,9 +550,9 @@ pub fn top_k_abs_packed_into<'s>(
             let bit = w.trailing_zeros() as usize;
             let key = if sw >> bit & 1 == 1 {
                 let rank = rank_base + (sw & ((1u64 << bit) - 1)).count_ones() as usize;
-                key_of(packed[rank])
+                rank_key(packed[rank])
             } else {
-                0.0
+                ZERO_KEY
             };
             if key > thr {
                 out.push(base + bit);
@@ -506,8 +568,8 @@ pub fn top_k_abs_packed_into<'s>(
         }
         rank_base += sw.count_ones() as usize;
     }
-    debug_assert_eq!(scratch.out.len(), k);
-    &scratch.out
+    debug_assert_eq!(out.len(), k);
+    out
 }
 
 #[cfg(test)]
@@ -516,25 +578,29 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
-    /// Reference implementation: full sort.
-    fn top_k_by_sort(values: &[f32], k: usize) -> Vec<usize> {
-        let mut idx: Vec<usize> = (0..values.len()).collect();
+    /// Reference implementation: full sort of the candidates `keep` admits.
+    fn top_k_by_sort_where(values: &[f32], k: usize, keep: impl Fn(usize) -> bool) -> Vec<usize> {
+        let magnitude = |i: usize| {
+            if values[i].is_nan() {
+                -1.0
+            } else {
+                values[i].abs()
+            }
+        };
+        let mut idx: Vec<usize> = (0..values.len()).filter(|&i| keep(i)).collect();
         idx.sort_by(|&a, &b| {
-            let ma = if values[a].abs().is_nan() {
-                -1.0
-            } else {
-                values[a].abs()
-            };
-            let mb = if values[b].abs().is_nan() {
-                -1.0
-            } else {
-                values[b].abs()
-            };
-            mb.partial_cmp(&ma).unwrap().then(a.cmp(&b))
+            magnitude(b)
+                .partial_cmp(&magnitude(a))
+                .unwrap()
+                .then(a.cmp(&b))
         });
-        idx.truncate(k.min(values.len()));
+        idx.truncate(k);
         idx.sort_unstable();
         idx
+    }
+
+    fn top_k_by_sort(values: &[f32], k: usize) -> Vec<usize> {
+        top_k_by_sort_where(values, k, |_| true)
     }
 
     #[test]
@@ -640,36 +706,14 @@ mod tests {
             let mask = BitMask::from_indices(n, (0..n).filter(|_| rng.gen::<f64>() < density));
             let k = rng.gen_range(0..=n);
 
-            // Reference: rank only the scope's candidates via full sort.
-            let reference = |keep: &dyn Fn(usize) -> bool| -> Vec<usize> {
-                let cands: Vec<usize> = (0..n).filter(|&i| keep(i)).collect();
-                let mut idx = cands.clone();
-                idx.sort_by(|&a, &b| {
-                    let ma = if values[a].abs().is_nan() {
-                        -1.0
-                    } else {
-                        values[a].abs()
-                    };
-                    let mb = if values[b].abs().is_nan() {
-                        -1.0
-                    } else {
-                        values[b].abs()
-                    };
-                    mb.partial_cmp(&ma).unwrap().then(a.cmp(&b))
-                });
-                idx.truncate(k.min(cands.len()));
-                idx.sort_unstable();
-                idx
-            };
-
             assert_eq!(
                 top_k_abs_masked(&values, k, TopKScope::Inside(&mask)),
-                reference(&|i| mask.get(i)),
+                top_k_by_sort_where(&values, k, |i| mask.get(i)),
                 "trial {trial} inside n={n} k={k}"
             );
             assert_eq!(
                 top_k_abs_masked(&values, k, TopKScope::Outside(&mask)),
-                reference(&|i| !mask.get(i)),
+                top_k_by_sort_where(&values, k, |i| !mask.get(i)),
                 "trial {trial} outside n={n} k={k}"
             );
         }
@@ -767,48 +811,194 @@ mod tests {
         let _ = top_k_abs_packed_into(&support, &[1.0], 1, TopKScope::All, &mut scratch);
     }
 
-    /// The pool-sharded candidate pass must select exactly what the
-    /// serial walk selects: inputs above `PAR_MIN_KEYS` take the parallel
-    /// pass, and the scoped reference below recomputes the selection with
-    /// an explicitly serial key pack.
-    #[cfg(feature = "parallel")]
-    #[test]
-    fn parallel_candidate_pass_is_bit_identical_to_serial() {
-        let mut rng = StdRng::seed_from_u64(31);
-        let n = super::PAR_MIN_KEYS + 4321; // off word-boundary tail
-        let values: Vec<f32> = (0..n)
-            .map(|_| match rng.gen_range(0..8) {
-                0 => 0.0,
-                1 => f32::NAN,
-                2 => rng.gen_range(-2i32..3) as f32,
+    /// Input families that stress the bracket select: each returns a
+    /// vector of `n` values.
+    fn stress_inputs(rng: &mut StdRng, n: usize) -> Vec<(&'static str, Vec<f32>)> {
+        let uniform: Vec<f32> = (0..n).map(|_| rng.gen_range(-1.0..1.0)).collect();
+        // More than half of all positions tie exactly at the threshold of
+        // any mid-range k.
+        let tied: Vec<f32> = (0..n)
+            .map(|_| match rng.gen_range(0..10) {
+                0 => 2.0,
+                1 => 0.25,
+                _ => {
+                    if rng.gen() {
+                        1.0
+                    } else {
+                        -1.0
+                    }
+                }
+            })
+            .collect();
+        let specials: Vec<f32> = (0..n)
+            .map(|_| match rng.gen_range(0..9) {
+                0 => f32::NAN,
+                1 => f32::INFINITY,
+                2 => f32::NEG_INFINITY,
+                3 => 0.0,
+                4 => -0.0,
+                5 => f32::MIN_POSITIVE / 8.0,
+                6 => -f32::MIN_POSITIVE / 2.0,
                 _ => rng.gen_range(-1.0..1.0),
             })
             .collect();
-        let mask = BitMask::from_indices(n, (0..n).filter(|_| rng.gen::<f64>() < 0.2));
-        let mut scratch = TopKScratch::new();
-        for k in [1, 97, n / 50, n / 3] {
-            for (name, scope) in [
-                ("all", TopKScope::All),
-                ("inside", TopKScope::Inside(&mask)),
-                ("outside", TopKScope::Outside(&mask)),
-            ] {
-                // Serial reference: pack keys with the plain walk, then
-                // run the same threshold + emit logic via a sort-based
-                // top-k over candidate (key, index) pairs.
-                let mut cands: Vec<(usize, f32)> = Vec::new();
-                super::for_each_candidate(&values, scope, |i, key| cands.push((i, key)));
-                let mut ranked = cands.clone();
-                ranked.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap().then(a.0.cmp(&b.0)));
-                let mut want: Vec<usize> = ranked
-                    .iter()
-                    .take(k.min(cands.len()))
-                    .map(|c| c.0)
-                    .collect();
-                want.sort_unstable();
+        // Heavy-tailed: most mass near zero, like a trained delta.
+        let cubed: Vec<f32> = uniform.iter().map(|x| x * x * x * 1e-3).collect();
+        vec![
+            ("uniform", uniform),
+            ("all-equal", vec![1.5; n]),
+            ("all-zero", vec![0.0; n]),
+            ("tied", tied),
+            ("specials", specials),
+            ("cubed", cubed),
+        ]
+    }
 
-                let got = top_k_abs_masked_into(&values, k, scope, &mut scratch).to_vec();
-                assert_eq!(got, want, "scope {name} k={k}");
+    /// Exactness against the sort reference on the shapes the bracket
+    /// select has to get right: sizes on both sides of the sampling
+    /// cut-over with `dim % 64 != 0`, degenerate brackets (all-equal,
+    /// all-zero), heavy threshold ties, non-finite and denormal values,
+    /// the `k` corner cases, and scopes from dense to smaller than the
+    /// sample.
+    #[test]
+    fn bracket_select_matches_sort_reference_on_stress_shapes() {
+        let mut rng = StdRng::seed_from_u64(37);
+        let mut scratch = TopKScratch::new();
+        for n in [1, 63, 64, 65, 1000, SELECT_ALL_BELOW + 37, 20_011] {
+            for (family, values) in stress_inputs(&mut rng, n) {
+                let masks = [0.16, 0.5, 0.97, 1.0 - 20.0 / n as f64].map(|density| {
+                    BitMask::from_indices(n, (0..n).filter(|_| rng.gen::<f64>() < density))
+                });
+                for k in [1, n / 25, n / 5, n / 2, n.saturating_sub(1), n, n + 3] {
+                    let got = top_k_abs_masked_into(&values, k, TopKScope::All, &mut scratch);
+                    assert_eq!(got, top_k_by_sort(&values, k), "{family} all n={n} k={k}");
+                    for mask in &masks {
+                        let got = top_k_abs_masked_into(
+                            &values,
+                            k,
+                            TopKScope::Inside(mask),
+                            &mut scratch,
+                        );
+                        assert_eq!(
+                            got,
+                            top_k_by_sort_where(&values, k, |i| mask.get(i)),
+                            "{family} inside n={n} k={k}"
+                        );
+                        let got = top_k_abs_masked_into(
+                            &values,
+                            k,
+                            TopKScope::Outside(mask),
+                            &mut scratch,
+                        );
+                        assert_eq!(
+                            got,
+                            top_k_by_sort_where(&values, k, |i| !mask.get(i)),
+                            "{family} outside n={n} k={k}"
+                        );
+                    }
+                }
             }
         }
+    }
+
+    /// An input the strided sample cannot see: every sampled position is
+    /// tiny, every other position is large. The sampled bracket must miss
+    /// — and the full-bracket retry must still return the exact set.
+    #[test]
+    fn a_sample_that_misses_falls_back_to_the_full_bracket() {
+        let mut rng = StdRng::seed_from_u64(41);
+        let n = 50_003;
+        let stride = sample_stride(n);
+        let values: Vec<f32> = (0..n)
+            .map(|i| {
+                if i % stride == 0 {
+                    rng.gen_range(-1e-6..1e-6)
+                } else {
+                    rng.gen_range(-1.0f32..1.0) + 2.0
+                }
+            })
+            .collect();
+        let mut scratch = TopKScratch::new();
+        for k in [n / 25, n / 2] {
+            let (lo, hi) = sample_bracket(&values, TopKScope::All, k, n, &mut scratch.sample);
+            assert_ne!((lo, hi), FULL_BRACKET, "the sample must have been used");
+            list_at_least(&values, TopKScope::All, lo, &mut scratch.entries);
+            scratch.out.clear();
+            assert!(
+                !emit_top_entries(
+                    &scratch.entries,
+                    k,
+                    hi,
+                    &mut scratch.bracket,
+                    &mut scratch.out
+                ),
+                "the sampled bracket should miss at k={k}"
+            );
+            assert!(scratch.out.is_empty(), "a miss emits nothing");
+            assert_eq!(
+                top_k_abs_masked_into(&values, k, TopKScope::All, &mut scratch),
+                top_k_by_sort(&values, k),
+                "k={k}"
+            );
+        }
+    }
+
+    /// On exchangeable input the sampled bracket holds the k-th largest
+    /// and keeps the list short — the property the kernel's speed (never
+    /// its result) rests on.
+    #[test]
+    fn a_representative_sample_brackets_the_threshold() {
+        let mut rng = StdRng::seed_from_u64(43);
+        let n = 100_003;
+        let values: Vec<f32> = (0..n).map(|_| rng.gen_range(-1.0..1.0)).collect();
+        let mask = BitMask::from_indices(n, (0..n).filter(|_| rng.gen::<f64>() < 0.16));
+        let scope = TopKScope::Outside(&mask);
+        let candidates = n - mask.count_ones();
+        let mut scratch = TopKScratch::new();
+        for k in [candidates / 25, candidates / 5] {
+            let (lo, hi) = sample_bracket(&values, scope, k, candidates, &mut scratch.sample);
+            list_at_least(&values, scope, lo, &mut scratch.entries);
+            scratch.out.clear();
+            assert!(emit_top_entries(
+                &scratch.entries,
+                k,
+                hi,
+                &mut scratch.bracket,
+                &mut scratch.out
+            ));
+            assert!(
+                scratch.entries.len() < k + candidates / 10,
+                "listed {} of {candidates} candidates for k={k}",
+                scratch.entries.len()
+            );
+            assert_eq!(
+                scratch.out,
+                top_k_by_sort_where(&values, k, |i| !mask.get(i))
+            );
+        }
+    }
+
+    #[test]
+    fn rank_keys_order_magnitudes_with_nan_last() {
+        let ascending = [
+            f32::NAN,
+            0.0,
+            f32::MIN_POSITIVE / 4.0,
+            f32::MIN_POSITIVE,
+            1.0,
+            f32::MAX,
+            f32::INFINITY,
+        ];
+        for pair in ascending.windows(2) {
+            assert!(rank_key(pair[0]) < rank_key(pair[1]), "{pair:?}");
+        }
+        assert_eq!(rank_key(-0.0), rank_key(0.0));
+        assert_eq!(rank_key(-3.5), rank_key(3.5));
+        assert_eq!(rank_key(f32::NAN), rank_key(-f32::NAN));
+        assert_eq!(rank_key(f32::NEG_INFINITY), rank_key(f32::INFINITY));
+        // Packed entries rank by key, then by smaller position.
+        assert!(entry(5, 3) > entry(5, 4));
+        assert!(entry(6, 4) > entry(5, 3));
+        assert_eq!((entry_key(entry(7, 9)), entry_pos(entry(7, 9))), (7, 9));
     }
 }

@@ -137,7 +137,7 @@ fn scoped_topk_reference(values: &[f32], k: usize, keep: impl Fn(usize) -> bool)
 }
 
 proptest! {
-    /// The word-level two-pass kernel is exactly the full-sort reference,
+    /// The bracket-select kernel is exactly the full-sort reference,
     /// for every scope, across dimensions, k, and mask densities.
     #[test]
     fn topk_kernel_matches_reference_across_scopes(
@@ -173,6 +173,55 @@ proptest! {
         let n = v.len().min(ones.len());
         let v: Vec<f32> = v[..n].iter().map(|&x| x as f32).collect();
         let mask = BitMask::from_indices(n, (0..n).filter(|&i| ones[i]));
+        prop_assert_eq!(
+            top_k_abs_masked(&v, k, TopKScope::Outside(&mask)),
+            scoped_topk_reference(&v, k, |i| !mask.get(i))
+        );
+    }
+
+    /// Above the sampling cut-over — where the bracket comes from the
+    /// strided sample instead of covering everything — the selection is
+    /// still exactly the full-sort reference: lengths off the word
+    /// boundary, values from continuous to a handful of tied levels with
+    /// NaNs mixed in, every scope at any density (down to scopes smaller
+    /// than the sample), any k up to past the candidate count.
+    #[test]
+    fn topk_bracket_select_matches_reference_at_sampled_sizes(
+        n in 4200usize..9000,
+        levels in 0u32..6,
+        density_pct in 0u32..101,
+        k_permille in 0usize..1100,
+        seed in any::<u64>(),
+    ) {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(seed);
+        let v: Vec<f32> = (0..n)
+            .map(|_| {
+                if rng.gen_range(0u32..50) == 0 {
+                    f32::NAN
+                } else if levels == 0 {
+                    let x: f32 = rng.gen_range(-1.0..1.0);
+                    x * x * x
+                } else {
+                    let sign = if rng.gen() { 1.0 } else { -1.0 };
+                    sign * rng.gen_range(0..=levels) as f32
+                }
+            })
+            .collect();
+        let mask = BitMask::from_indices(
+            n,
+            (0..n).filter(|_| rng.gen_range(0u32..100) < density_pct),
+        );
+        let k = n * k_permille / 1000;
+        prop_assert_eq!(
+            top_k_abs_masked(&v, k, TopKScope::All),
+            scoped_topk_reference(&v, k, |_| true)
+        );
+        prop_assert_eq!(
+            top_k_abs_masked(&v, k, TopKScope::Inside(&mask)),
+            scoped_topk_reference(&v, k, |i| mask.get(i))
+        );
         prop_assert_eq!(
             top_k_abs_masked(&v, k, TopKScope::Outside(&mask)),
             scoped_topk_reference(&v, k, |i| !mask.get(i))

@@ -48,7 +48,8 @@ pub struct ClientNode {
     global: Vec<f32>,
     /// The round's decoded broadcast mask, if the strategy ships one.
     round_mask: Option<BitMask>,
-    /// Reused trained-delta buffer.
+    /// The trained delta; between rounds, the buffer
+    /// [`ClientCompressor::compress`] handed back for the next one.
     delta: Vec<f32>,
     /// Reused BN-statistic drift buffer.
     stats_out: Vec<f32>,
@@ -135,8 +136,11 @@ impl ClientNode {
         };
 
         // Local training — identical inputs to the simulator's worker.
-        self.delta.clear();
-        self.delta.resize(dim, 0.0);
+        // It overwrites every position of the delta buffer, so whatever
+        // full-length buffer compression handed back is reused as it is.
+        if self.delta.len() != dim {
+            self.delta = self.scratch.take_full(dim);
+        }
         self.stats_out.clear();
         self.stats_out.resize(self.setup.stats_positions.len(), 0.0);
         local_train_into(

@@ -137,26 +137,27 @@ pub fn encode_values(out: &mut Vec<u8>, codec: Codec, rounding: Rounding, values
     out.len() - start
 }
 
-/// Decodes a value section of exactly `n` values into `out` (appended).
+/// Decodes a value section of exactly `n` values, handing each to `sink`
+/// in order.
 ///
 /// The caller (frame decoding) guarantees `bytes.len() ==
 /// codec.value_section_len(n)`; this function panics otherwise.
-pub fn decode_values_into(out: &mut Vec<f32>, codec: Codec, bytes: &[u8], n: usize) {
+#[inline]
+pub(crate) fn decode_values(codec: Codec, bytes: &[u8], n: usize, mut sink: impl FnMut(f32)) {
     assert_eq!(
         bytes.len(),
         codec.value_section_len(n),
         "value section length mismatch"
     );
-    out.reserve(n);
     match codec {
         Codec::F32 => {
             for chunk in bytes.chunks_exact(4) {
-                out.push(f32::from_le_bytes(chunk.try_into().expect("4-byte chunk")));
+                sink(f32::from_le_bytes(chunk.try_into().expect("4-byte chunk")));
             }
         }
         Codec::F16 => {
             for chunk in bytes.chunks_exact(2) {
-                out.push(f16_bits_to_f32(u16::from_le_bytes(
+                sink(f16_bits_to_f32(u16::from_le_bytes(
                     chunk.try_into().expect("2-byte chunk"),
                 )));
             }
@@ -170,13 +171,22 @@ pub fn decode_values_into(out: &mut Vec<f32>, codec: Codec, bytes: &[u8], n: usi
                 let (levels, tail) = tail.split_at(block_len);
                 let scale = f32::from_le_bytes(scale_bytes.try_into().expect("4-byte scale"));
                 for &q in levels {
-                    out.push(f32::from(i16::from(q) - 128) * scale);
+                    sink(f32::from(i16::from(q) - 128) * scale);
                 }
                 rest = tail;
                 remaining -= block_len;
             }
         }
     }
+}
+
+/// Decodes a value section of exactly `n` values into `out` (appended).
+///
+/// # Panics
+/// Panics if `bytes.len() != codec.value_section_len(n)`.
+pub fn decode_values_into(out: &mut Vec<f32>, codec: Codec, bytes: &[u8], n: usize) {
+    out.reserve(n);
+    decode_values(codec, bytes, n, |v| out.push(v));
 }
 
 /// Quantizes one value to a `u8` level around zero-point 128.

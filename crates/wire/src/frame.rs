@@ -64,7 +64,7 @@
 //! positive run lengths. Every failure is a typed [`WireError`];
 //! untrusted input never panics.
 
-use crate::codec::{decode_values_into, encode_values, Codec, Rounding};
+use crate::codec::{decode_values, encode_values, Codec, Rounding};
 use crate::crc::{crc16, crc16_update};
 use crate::error::WireError;
 use crate::policy::WirePolicy;
@@ -982,18 +982,28 @@ pub fn decode_frame(buf: &[u8]) -> Result<Frame<'_>, WireError> {
 }
 
 impl Frame<'_> {
-    /// Appends the decoded values to `out`: `dim` values for dense
-    /// frames, `nnz` for sparse/known-mask frames, `nnz` copies of `±µ`
-    /// for ternary frames, nothing for mask frames.
-    pub fn values_into(&self, out: &mut Vec<f32>) {
+    /// Number of values the frame decodes to: `dim` for dense frames,
+    /// `nnz` for sparse/known-mask frames and (as copies of `±µ`) for
+    /// ternary frames, none for mask frames.
+    fn value_count(&self) -> usize {
         match self.kind {
-            FrameKind::Dense => decode_values_into(out, self.codec, self.values, self.dim),
-            FrameKind::SparseBitmap
+            FrameKind::Dense => self.dim,
+            FrameKind::Mask | FrameKind::MaskRle => 0,
+            _ => self.nnz,
+        }
+    }
+
+    /// Hands the decoded values to `sink`, in order.
+    #[inline]
+    fn for_each_value(&self, mut sink: impl FnMut(f32)) {
+        match self.kind {
+            FrameKind::Dense
+            | FrameKind::SparseBitmap
             | FrameKind::SparseIndex
             | FrameKind::SparseDelta
             | FrameKind::SparseRle
             | FrameKind::KnownMask => {
-                decode_values_into(out, self.codec, self.values, self.nnz);
+                decode_values(self.codec, self.values, self.value_count(), sink);
             }
             FrameKind::Mask | FrameKind::MaskRle => {}
             FrameKind::TernaryBitmap
@@ -1001,13 +1011,31 @@ impl Frame<'_> {
             | FrameKind::TernaryDelta
             | FrameKind::TernaryRle => {
                 let mu = self.ternary_mu();
-                out.reserve(self.nnz);
                 for j in 0..self.nnz {
                     let positive = self.values[4 + j / 8] >> (j % 8) & 1 == 1;
-                    out.push(if positive { mu } else { -mu });
+                    sink(if positive { mu } else { -mu });
                 }
             }
         }
+    }
+
+    /// Appends the decoded values to `out`: `dim` values for dense
+    /// frames, `nnz` for sparse/known-mask frames, `nnz` copies of `±µ`
+    /// for ternary frames, nothing for mask frames.
+    pub fn values_into(&self, out: &mut Vec<f32>) {
+        out.reserve(self.value_count());
+        self.for_each_value(|v| out.push(v));
+    }
+
+    /// Decodes the same values as [`Frame::values_into`] straight into
+    /// `out`, for a receiver that already owns their destination.
+    ///
+    /// # Panics
+    /// Panics if `out.len()` differs from the frame's value count.
+    pub fn values_to(&self, out: &mut [f32]) {
+        assert_eq!(out.len(), self.value_count(), "value count mismatch");
+        let mut slots = out.iter_mut();
+        self.for_each_value(|v| *slots.next().expect("one slot per value") = v);
     }
 
     /// Appends the frame's coordinate indices (increasing) to `out`.
