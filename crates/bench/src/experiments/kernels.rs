@@ -35,7 +35,9 @@
 //! positions) and the v2 entropy layout (`wire_encode_varint`, the
 //! delta-varint position section). Every encoder pair is asserted
 //! byte-identical and the decoder pair reconstruction-identical before
-//! timing.
+//! timing. `crc16_frame` is the frame checksum on its own — the same
+//! bit-at-a-time register against [`gluefl_wire::crc::crc16`]'s fold —
+//! over one dense frame of the whole `d`-vector.
 
 use super::local_train_baseline::{baseline_local_train, pooled_local_train, BaselineMlp};
 use crate::ExptOpts;
@@ -780,6 +782,7 @@ fn run_wire_entries(
     if !opts.kernel_selected("wire_encode_sparse")
         && !opts.kernel_selected("wire_decode_sparse")
         && !opts.kernel_selected("wire_encode_varint")
+        && !opts.kernel_selected("crc16_frame")
     {
         return;
     }
@@ -847,6 +850,30 @@ fn run_wire_entries(
         );
         entries.push(Entry {
             name: "wire_decode_sparse",
+            baseline_ns,
+            new_ns,
+        });
+    }
+
+    // The frame checksum alone, over one dense frame of the whole vector
+    // (the FedAvg broadcast / upload): the definitional bit-at-a-time
+    // register against the production fold.
+    if opts.kernel_selected("crc16_frame") {
+        use gluefl_wire::crc::{crc16, crc16_bitwise};
+        let mut dense_frame = Vec::new();
+        let _ = legacy_writer.dense(&mut dense_frame, round, Rounding::Nearest, dense);
+        assert_eq!(
+            crc16_bitwise(&dense_frame),
+            crc16(&dense_frame),
+            "CRC-16 paths diverged"
+        );
+        let (baseline_ns, new_ns) = time_pair_ns(
+            reps,
+            || usize::from(crc16_bitwise(&dense_frame)),
+            || usize::from(crc16(&dense_frame)),
+        );
+        entries.push(Entry {
+            name: "crc16_frame",
             baseline_ns,
             new_ns,
         });
@@ -1421,6 +1448,7 @@ mod tests {
         assert!(json.contains("wire_encode_sparse"));
         assert!(json.contains("wire_decode_sparse"));
         assert!(json.contains("wire_encode_varint"));
+        assert!(json.contains("crc16_frame"));
         assert!(json.contains("avail_advance_1m"));
         assert!(json.contains("plan_round_1m"));
         assert!(json.contains("speedup"));

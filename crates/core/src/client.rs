@@ -147,6 +147,9 @@ pub struct ClientCompressor {
     stats_excluded: BitMask,
     wire: WirePolicy,
     seed: u64,
+    /// Dequantized values of the lossy frame just encoded (scratch for
+    /// [`wire_link::encode_upload_with_feedback`]).
+    shipped: Vec<f32>,
 }
 
 impl ClientCompressor {
@@ -185,6 +188,7 @@ impl ClientCompressor {
             stats_excluded,
             wire: cfg.wire,
             seed: cfg.seed,
+            shipped: Vec::new(),
         }
     }
 
@@ -359,6 +363,7 @@ impl ClientCompressor {
             &self.wire,
             derive_seed(self.seed, "wire-quant", key),
             out,
+            &mut self.shipped,
             &mut |indices, sent, shipped| match scheme {
                 Scheme::Stc { ec, .. } | Scheme::GlueFl { ec, .. } => {
                     ec.fold_shipped_error(id, indices, sent, shipped);

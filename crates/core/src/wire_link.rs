@@ -4,8 +4,9 @@
 //! [`encode_upload`] serializes an upload into the wire frames a real
 //! client would transmit — one frame for dense/sparse/known-mask/ternary
 //! uploads, two (shared known-mask + unique sparse) for GlueFL's
-//! [`Upload::MaskSplit`] — and [`decode_upload`] parses the bytes back
-//! into an `Upload`, drawing index/value storage from the
+//! [`Upload::MaskSplit`] — and [`decode_upload_with_stats`] parses an
+//! upload payload (those frames plus the stats frame every sender
+//! appends) back into an `Upload`, drawing index/value storage from the
 //! [`ScratchPool`] so the receive path is allocation-free in steady
 //! state. Mask-aligned payloads carry no position bytes, so decoding
 //! them requires the round's mask
@@ -92,7 +93,15 @@ pub fn encode_upload(
     quant_seed: u64,
     out: &mut Vec<u8>,
 ) -> usize {
-    encode_upload_with_feedback(upload, round, policy, quant_seed, out, &mut |_, _, _| {})
+    encode_upload_with_feedback(
+        upload,
+        round,
+        policy,
+        quant_seed,
+        out,
+        &mut Vec::new(),
+        &mut |_, _, _| {},
+    )
 }
 
 /// Like [`encode_upload`], additionally reporting what each lossy
@@ -108,12 +117,17 @@ pub fn encode_upload(
 /// The callback never fires under [`Codec::F32`] (shipped ≡ sent), for
 /// ternary frames (their fixed sign/µ layout is exact given `µ`), or
 /// for dense uploads (the dense strategies keep no residual bank).
+///
+/// `shipped` is the caller's scratch for the dequantized values — it is
+/// overwritten per lossy frame, so a sender that keeps it across calls
+/// reports without allocating.
 pub fn encode_upload_with_feedback(
     upload: &Upload,
     round: u32,
     policy: &WirePolicy,
     quant_seed: u64,
     out: &mut Vec<u8>,
+    shipped: &mut Vec<f32>,
     feedback: &mut ShippedFeedback<'_>,
 ) -> usize {
     let w = FrameWriter::new(*policy);
@@ -125,7 +139,7 @@ pub fn encode_upload_with_feedback(
             let start = out.len();
             let n = w.sparse(out, round, rounding, u.dim(), u.indices(), u.values());
             if lossy {
-                report_shipped(out, start, u.indices(), u.values(), feedback);
+                report_shipped(out, start, u.indices(), u.values(), shipped, feedback);
             }
             n
         }
@@ -133,7 +147,7 @@ pub fn encode_upload_with_feedback(
             let start = out.len();
             let n = w.known_mask(out, round, rounding, u.dim(), u.values());
             if lossy {
-                report_shipped(out, start, u.indices(), u.values(), feedback);
+                report_shipped(out, start, u.indices(), u.values(), shipped, feedback);
             }
             n
         }
@@ -153,6 +167,7 @@ pub fn encode_upload_with_feedback(
                     start,
                     split.shared.indices(),
                     split.shared.values(),
+                    shipped,
                     feedback,
                 );
             }
@@ -171,6 +186,7 @@ pub fn encode_upload_with_feedback(
                     start,
                     split.unique.indices(),
                     split.unique.values(),
+                    shipped,
                     feedback,
                 );
             }
@@ -179,90 +195,24 @@ pub fn encode_upload_with_feedback(
     }
 }
 
-/// Decodes the frame just appended at `out[start..]` and hands its
-/// reconstructed (dequantized) values to `feedback` alongside the exact
-/// values the sender meant to ship.
+/// Decodes the frame just appended at `out[start..]` into `shipped` and
+/// hands those reconstructed (dequantized) values to `feedback`
+/// alongside the exact values the sender meant to ship.
 fn report_shipped(
     out: &[u8],
     start: usize,
     indices: &[u32],
     sent: &[f32],
+    shipped: &mut Vec<f32>,
     feedback: &mut ShippedFeedback<'_>,
 ) {
     if sent.is_empty() {
         return; // e.g. the empty shared part of a regeneration round
     }
     let (frame, _) = decode_frame_prefix(&out[start..]).expect("a just-encoded frame decodes");
-    let mut shipped = Vec::with_capacity(sent.len());
-    frame.values_into(&mut shipped);
-    feedback(indices, sent, &shipped);
-}
-
-/// Parses the wire frames in `buf` back into an [`Upload`], pooling all
-/// rebuilt storage through `scratch`. `round_mask` supplies the mask that
-/// positions mask-aligned payloads (required unless such a frame is
-/// empty).
-///
-/// # Errors
-/// Propagates any [`WireError`] from frame decoding, and reports
-/// upload-grammar violations as typed errors too — a mask broadcast
-/// arriving as an upload or a split upload not led by its known-mask
-/// part ([`WireError::UnexpectedKind`]), a mask-aligned frame whose
-/// `dim` disagrees with the round mask ([`WireError::DimMismatch`]), or
-/// one whose `nnz` disagrees with the mask's popcount
-/// ([`WireError::NnzMismatch`]). Checksum-valid but hostile bytes never
-/// panic the receiver.
-pub fn decode_upload(
-    buf: &[u8],
-    round_mask: Option<&BitMask>,
-    scratch: &mut ScratchPool,
-) -> Result<Upload, WireError> {
-    let (first, rest) = decode_frame_prefix(buf)?;
-    if rest.is_empty() {
-        return Ok(match first.kind {
-            FrameKind::Dense => {
-                let mut values = scratch.take_cleared();
-                first.values_into(&mut values);
-                Upload::Dense(values)
-            }
-            k if is_sparse_kind(k) => Upload::Sparse(decode_sparse_frame(&first, scratch)),
-            FrameKind::KnownMask => {
-                Upload::KnownMask(decode_known_mask_frame(&first, round_mask, scratch)?)
-            }
-            k if is_ternary_kind(k) => {
-                let (mut indices, spare_values) = scratch.take_sparse();
-                scratch.put(spare_values);
-                first.indices_into(&mut indices);
-                let mut signs = scratch.take_signs();
-                first.ternary_signs_into(&mut signs);
-                Upload::Ternary(TernaryUpdate::from_parts(
-                    first.dim,
-                    first.ternary_mu(),
-                    indices,
-                    signs,
-                ))
-            }
-            // A mask broadcast is a download-direction message; as an
-            // upload it is a protocol violation, not corruption.
-            other => return Err(WireError::UnexpectedKind(other.id())),
-        });
-    }
-    // Two concatenated frames: GlueFL's shared (known-mask) + unique
-    // (sparse) split upload.
-    let (second, tail) = decode_frame_prefix(rest)?;
-    if !tail.is_empty() {
-        return Err(WireError::TrailingBytes { extra: tail.len() });
-    }
-    if first.kind != FrameKind::KnownMask {
-        // A split upload must lead with the shared known-mask part.
-        return Err(WireError::UnexpectedKind(first.kind.id()));
-    }
-    if !is_sparse_kind(second.kind) {
-        return Err(WireError::UnexpectedKind(second.kind.id()));
-    }
-    let shared = decode_known_mask_frame(&first, round_mask, scratch)?;
-    let unique = decode_sparse_frame(&second, scratch);
-    Ok(Upload::MaskSplit(ClientSplit { shared, unique }))
+    shipped.clear();
+    frame.values_into(shipped);
+    feedback(indices, sent, shipped);
 }
 
 /// Parses a round upload payload — the upload's frame(s) followed by the
@@ -271,16 +221,23 @@ pub fn decode_upload(
 /// frame. The grammar is prefix-decidable with [`decode_frame_prefix`]
 /// alone (a known-mask first frame is a split upload iff a sparse frame
 /// follows it), so a streaming receiver needs no out-of-band length
-/// split between the upload and stats sections. The returned stats
-/// [`Frame`] borrows `buf`; the caller decodes its values (the frame's
-/// `dim`/`nnz` are validated against the model layout by the caller,
-/// which knows both).
+/// split between the upload and stats sections. All rebuilt storage is
+/// pooled through `scratch`; `round_mask` supplies the mask that
+/// positions mask-aligned payloads (required unless such a frame is
+/// empty). The returned stats [`Frame`] borrows `buf`; the caller
+/// decodes its values (the frame's `dim`/`nnz` are validated against
+/// the model layout by the caller, which knows both).
 ///
 /// # Errors
-/// Propagates every [`WireError`] from [`decode_upload`]'s grammar, plus
-/// [`WireError::UnexpectedKind`] when the stats slot holds anything but
-/// a known-mask frame and [`WireError::TrailingBytes`] for bytes past
-/// the stats frame.
+/// Propagates any [`WireError`] from frame decoding, and reports
+/// upload-grammar violations as typed errors too — a mask broadcast
+/// arriving as an upload, or a stats slot holding anything but a
+/// known-mask frame ([`WireError::UnexpectedKind`]), a mask-aligned
+/// frame whose `dim` disagrees with the round mask
+/// ([`WireError::DimMismatch`]) or whose `nnz` disagrees with the
+/// mask's popcount ([`WireError::NnzMismatch`]), and bytes past the
+/// stats frame ([`WireError::TrailingBytes`]). Checksum-valid but
+/// hostile bytes never panic the receiver.
 pub fn decode_upload_with_stats<'a>(
     buf: &'a [u8],
     round_mask: Option<&BitMask>,
@@ -411,6 +368,24 @@ mod tests {
     use super::*;
     use gluefl_compress::stc::sparsify;
     use gluefl_wire::IndexLayout;
+
+    /// Decodes an upload's frames the way every receiver gets them:
+    /// followed by the stats frame each sender appends (empty here).
+    fn decode_upload(
+        frames: &[u8],
+        mask: Option<&BitMask>,
+        scratch: &mut ScratchPool,
+    ) -> Result<Upload, WireError> {
+        let mut payload = frames.to_vec();
+        let _ = FrameWriter::new(WirePolicy::default()).known_mask(
+            &mut payload,
+            0,
+            Rounding::Nearest,
+            0,
+            &[],
+        );
+        decode_upload_with_stats(&payload, mask, scratch).map(|(upload, _)| upload)
+    }
 
     fn roundtrip(upload: &Upload, mask: Option<&BitMask>) -> (Upload, usize) {
         let mut scratch = ScratchPool::new();
@@ -550,6 +525,7 @@ mod tests {
                 &policy,
                 7,
                 &mut buf,
+                &mut Vec::new(),
                 &mut |ix, sent, shipped| calls.push((ix.to_vec(), sent.to_vec(), shipped.to_vec())),
             );
             // Shared + unique parts both report.
@@ -576,6 +552,7 @@ mod tests {
             &WirePolicy::default(),
             7,
             &mut buf,
+            &mut Vec::new(),
             &mut |_, _, _| fired = true,
         );
         assert!(!fired);
@@ -583,9 +560,15 @@ mod tests {
         let mut policy = WirePolicy::legacy(Codec::QuantU8);
         policy.quant_ec = false;
         let mut buf = Vec::new();
-        let _ = encode_upload_with_feedback(&split, 1, &policy, 7, &mut buf, &mut |_, _, _| {
-            fired = true
-        });
+        let _ = encode_upload_with_feedback(
+            &split,
+            1,
+            &policy,
+            7,
+            &mut buf,
+            &mut Vec::new(),
+            &mut |_, _, _| fired = true,
+        );
         assert!(!fired);
         // Ternary: fixed layout, no codec residual to report.
         let ternary = Upload::Ternary(TernaryUpdate::quantize(&sparsify(&dense, 0.05)));
@@ -596,6 +579,7 @@ mod tests {
             &WirePolicy::legacy(Codec::QuantU8),
             7,
             &mut buf,
+            &mut Vec::new(),
             &mut |_, _, _| fired = true,
         );
         assert!(!fired);

@@ -30,7 +30,7 @@ use gluefl_ml::DatasetModel;
 use gluefl_sampling::AllOnline;
 use gluefl_tensor::rng::derive_seed;
 use gluefl_tensor::{BitMask, MaskedUpdate};
-use gluefl_wire::{Codec, WirePolicy};
+use gluefl_wire::{Codec, FrameWriter, Rounding, WirePolicy};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -185,7 +185,15 @@ fn check_strategy(strategy_cfg: StrategyConfig, policy: WirePolicy, seed: u64, o
                         &mut buf,
                     );
                     assert_eq!(ulen as u64, wire_link::encoded_len(upload, &policy));
-                    let dec = wire_link::decode_upload(&buf[..ulen], mask, &mut pool_a)
+                    // The (empty) stats frame every sender appends.
+                    let _ = FrameWriter::new(policy).known_mask(
+                        &mut buf,
+                        round,
+                        Rounding::Nearest,
+                        0,
+                        &[],
+                    );
+                    let (dec, _) = wire_link::decode_upload_with_stats(&buf, mask, &mut pool_a)
                         .expect("clean round-trip");
                     (*id, *group, dec)
                 })

@@ -108,6 +108,14 @@ fn corpus() -> Vec<Corpus> {
             600,
             WirePolicy::entropy(Codec::QuantU8),
         ),
+        // A ≥ 16 KB frame: its checksum runs through the CRC fold, not
+        // the short-input table the entries above stay inside.
+        encode_entry(
+            &Upload::Dense((0..4200).map(|i| (i as f32 * 0.37).cos()).collect()),
+            None,
+            &stats,
+            4200,
+        ),
     ]
 }
 

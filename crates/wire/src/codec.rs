@@ -105,17 +105,39 @@ pub enum Rounding {
     },
 }
 
+/// Values staged on the stack per `extend_from_slice` when encoding
+/// fixed-width little-endian sections (1 KB of `f32`s).
+const STAGE_VALUES: usize = 256;
+
+/// Appends `values` to `out` as little-endian 4-byte words, through a
+/// stack staging block: the conversion loop writes a fixed-size array
+/// (so it vectorizes to a plain copy on little-endian targets) and `out`
+/// grows by bulk appends — never zero-filled first, never pushed one
+/// value at a time.
+pub(crate) fn extend_le_words<T: Copy>(
+    out: &mut Vec<u8>,
+    values: &[T],
+    to_le: impl Fn(T) -> [u8; 4],
+) {
+    out.reserve(4 * values.len());
+    let mut staging = [0u8; 4 * STAGE_VALUES];
+    for block in values.chunks(STAGE_VALUES) {
+        for (bytes, &v) in staging.chunks_exact_mut(4).zip(block) {
+            bytes.copy_from_slice(&to_le(v));
+        }
+        out.extend_from_slice(&staging[..4 * block.len()]);
+    }
+}
+
 /// Appends `values` to `out` in this codec's layout. Returns the number
 /// of bytes appended (always `codec.value_section_len(values.len())`).
+///
+/// [`Codec::F32`] sections are written in bulk (a staged copy at memory
+/// speed); the other codecs convert value by value.
 pub fn encode_values(out: &mut Vec<u8>, codec: Codec, rounding: Rounding, values: &[f32]) -> usize {
     let start = out.len();
     match codec {
-        Codec::F32 => {
-            out.resize(start + 4 * values.len(), 0);
-            for (chunk, v) in out[start..].chunks_exact_mut(4).zip(values) {
-                chunk.copy_from_slice(&v.to_le_bytes());
-            }
-        }
+        Codec::F32 => extend_le_words(out, values, f32::to_le_bytes),
         Codec::F16 => {
             out.resize(start + 2 * values.len(), 0);
             for (chunk, &v) in out[start..].chunks_exact_mut(2).zip(values) {
@@ -137,56 +159,82 @@ pub fn encode_values(out: &mut Vec<u8>, codec: Codec, rounding: Rounding, values
     out.len() - start
 }
 
-/// Decodes a value section of exactly `n` values, handing each to `sink`
-/// in order.
+/// The values of an F32 section, in order.
+fn f32_values(bytes: &[u8]) -> impl Iterator<Item = f32> + '_ {
+    bytes
+        .chunks_exact(4)
+        .map(|chunk| f32::from_le_bytes(chunk.try_into().expect("4-byte chunk")))
+}
+
+/// The values of an F16 section, in order.
+fn f16_values(bytes: &[u8]) -> impl Iterator<Item = f32> + '_ {
+    bytes
+        .chunks_exact(2)
+        .map(|chunk| f16_bits_to_f32(u16::from_le_bytes(chunk.try_into().expect("2-byte chunk"))))
+}
+
+/// The values of a QuantU8 section, in order: every block is a 4-byte
+/// scale followed by up to [`QUANT_BLOCK`] levels (only the last block
+/// is short).
+fn quant_values(bytes: &[u8]) -> impl Iterator<Item = f32> + '_ {
+    bytes.chunks(4 + QUANT_BLOCK).flat_map(|block| {
+        let (scale, levels) = block.split_at(4);
+        let scale = f32::from_le_bytes(scale.try_into().expect("4-byte scale"));
+        levels
+            .iter()
+            .map(move |&q| f32::from(i16::from(q) - 128) * scale)
+    })
+}
+
+/// Writes `values` over `out`, slot by slot.
+pub(crate) fn fill(out: &mut [f32], values: impl Iterator<Item = f32>) {
+    for (slot, v) in out.iter_mut().zip(values) {
+        *slot = v;
+    }
+}
+
+/// Decodes a value section of exactly `n` values into `out` (appended).
 ///
-/// The caller (frame decoding) guarantees `bytes.len() ==
-/// codec.value_section_len(n)`; this function panics otherwise.
-#[inline]
-pub(crate) fn decode_values(codec: Codec, bytes: &[u8], n: usize, mut sink: impl FnMut(f32)) {
+/// Each codec's section is one iterator handed to `Vec::extend`; for the
+/// fixed-width codecs its length is known up front, so the F32 case is a
+/// bulk copy rather than a per-value `push`.
+///
+/// # Panics
+/// Panics if `bytes.len() != codec.value_section_len(n)` — frame decoding
+/// guarantees the equality.
+pub fn decode_values_into(out: &mut Vec<f32>, codec: Codec, bytes: &[u8], n: usize) {
     assert_eq!(
         bytes.len(),
         codec.value_section_len(n),
         "value section length mismatch"
     );
     match codec {
-        Codec::F32 => {
-            for chunk in bytes.chunks_exact(4) {
-                sink(f32::from_le_bytes(chunk.try_into().expect("4-byte chunk")));
-            }
-        }
-        Codec::F16 => {
-            for chunk in bytes.chunks_exact(2) {
-                sink(f16_bits_to_f32(u16::from_le_bytes(
-                    chunk.try_into().expect("2-byte chunk"),
-                )));
-            }
-        }
+        Codec::F32 => out.extend(f32_values(bytes)),
+        Codec::F16 => out.extend(f16_values(bytes)),
         Codec::QuantU8 => {
-            let mut rest = bytes;
-            let mut remaining = n;
-            while remaining > 0 {
-                let block_len = remaining.min(QUANT_BLOCK);
-                let (scale_bytes, tail) = rest.split_at(4);
-                let (levels, tail) = tail.split_at(block_len);
-                let scale = f32::from_le_bytes(scale_bytes.try_into().expect("4-byte scale"));
-                for &q in levels {
-                    sink(f32::from(i16::from(q) - 128) * scale);
-                }
-                rest = tail;
-                remaining -= block_len;
-            }
+            out.reserve(n);
+            out.extend(quant_values(bytes));
         }
     }
 }
 
-/// Decodes a value section of exactly `n` values into `out` (appended).
+/// Decodes a value section of exactly `out.len()` values over `out`, for
+/// a receiver that already owns the destination (one zipped pass, no
+/// intermediate vector).
 ///
 /// # Panics
-/// Panics if `bytes.len() != codec.value_section_len(n)`.
-pub fn decode_values_into(out: &mut Vec<f32>, codec: Codec, bytes: &[u8], n: usize) {
-    out.reserve(n);
-    decode_values(codec, bytes, n, |v| out.push(v));
+/// Panics if `bytes.len() != codec.value_section_len(out.len())`.
+pub(crate) fn decode_values_to(out: &mut [f32], codec: Codec, bytes: &[u8]) {
+    assert_eq!(
+        bytes.len(),
+        codec.value_section_len(out.len()),
+        "value section length mismatch"
+    );
+    match codec {
+        Codec::F32 => fill(out, f32_values(bytes)),
+        Codec::F16 => fill(out, f16_values(bytes)),
+        Codec::QuantU8 => fill(out, quant_values(bytes)),
+    }
 }
 
 /// Quantizes one value to a `u8` level around zero-point 128.

@@ -64,7 +64,9 @@
 //! positive run lengths. Every failure is a typed [`WireError`];
 //! untrusted input never panics.
 
-use crate::codec::{decode_values, encode_values, Codec, Rounding};
+use crate::codec::{
+    decode_values_into, decode_values_to, encode_values, extend_le_words, fill, Codec, Rounding,
+};
 use crate::crc::{crc16, crc16_update};
 use crate::error::WireError;
 use crate::policy::WirePolicy;
@@ -537,11 +539,7 @@ fn extend_bitmap_from_indices(out: &mut Vec<u8>, bitmap_len: usize, indices: &[u
 }
 
 fn extend_index_list(out: &mut Vec<u8>, indices: &[u32]) {
-    let start = out.len();
-    out.resize(start + 4 * indices.len(), 0);
-    for (chunk, i) in out[start..].chunks_exact_mut(4).zip(indices) {
-        chunk.copy_from_slice(&i.to_le_bytes());
-    }
+    extend_le_words(out, indices, u32::to_le_bytes);
 }
 
 /// Writes the position section matching `kind` for sorted `indices`.
@@ -993,38 +991,30 @@ impl Frame<'_> {
         }
     }
 
-    /// Hands the decoded values to `sink`, in order.
-    #[inline]
-    fn for_each_value(&self, mut sink: impl FnMut(f32)) {
-        match self.kind {
-            FrameKind::Dense
-            | FrameKind::SparseBitmap
-            | FrameKind::SparseIndex
-            | FrameKind::SparseDelta
-            | FrameKind::SparseRle
-            | FrameKind::KnownMask => {
-                decode_values(self.codec, self.values, self.value_count(), sink);
+    /// A ternary frame's values: `+µ` or `−µ` per sign bit, in order.
+    fn ternary_values(&self) -> impl Iterator<Item = f32> + '_ {
+        let mu = self.ternary_mu();
+        let signs = &self.values[4..];
+        (0..self.nnz).map(move |j| {
+            if signs[j / 8] >> (j % 8) & 1 == 1 {
+                mu
+            } else {
+                -mu
             }
-            FrameKind::Mask | FrameKind::MaskRle => {}
-            FrameKind::TernaryBitmap
-            | FrameKind::TernaryIndex
-            | FrameKind::TernaryDelta
-            | FrameKind::TernaryRle => {
-                let mu = self.ternary_mu();
-                for j in 0..self.nnz {
-                    let positive = self.values[4 + j / 8] >> (j % 8) & 1 == 1;
-                    sink(if positive { mu } else { -mu });
-                }
-            }
-        }
+        })
     }
 
     /// Appends the decoded values to `out`: `dim` values for dense
     /// frames, `nnz` for sparse/known-mask frames, `nnz` copies of `±µ`
     /// for ternary frames, nothing for mask frames.
     pub fn values_into(&self, out: &mut Vec<f32>) {
-        out.reserve(self.value_count());
-        self.for_each_value(|v| out.push(v));
+        match self.kind {
+            FrameKind::Mask | FrameKind::MaskRle => {}
+            kind if kind.uses_value_codec() => {
+                decode_values_into(out, self.codec, self.values, self.value_count());
+            }
+            _ => out.extend(self.ternary_values()),
+        }
     }
 
     /// Decodes the same values as [`Frame::values_into`] straight into
@@ -1034,8 +1024,11 @@ impl Frame<'_> {
     /// Panics if `out.len()` differs from the frame's value count.
     pub fn values_to(&self, out: &mut [f32]) {
         assert_eq!(out.len(), self.value_count(), "value count mismatch");
-        let mut slots = out.iter_mut();
-        self.for_each_value(|v| *slots.next().expect("one slot per value") = v);
+        match self.kind {
+            FrameKind::Mask | FrameKind::MaskRle => {}
+            kind if kind.uses_value_codec() => decode_values_to(out, self.codec, self.values),
+            _ => fill(out, self.ternary_values()),
+        }
     }
 
     /// Appends the frame's coordinate indices (increasing) to `out`.
@@ -1046,10 +1039,11 @@ impl Frame<'_> {
     pub fn indices_into(&self, out: &mut Vec<u32>) {
         match self.kind {
             FrameKind::SparseIndex | FrameKind::TernaryIndex => {
-                out.reserve(self.nnz);
-                for chunk in self.positions.chunks_exact(4) {
-                    out.push(u32::from_le_bytes(chunk.try_into().expect("4 bytes")));
-                }
+                out.extend(
+                    self.positions
+                        .chunks_exact(4)
+                        .map(|chunk| u32::from_le_bytes(chunk.try_into().expect("4 bytes"))),
+                );
             }
             FrameKind::SparseBitmap | FrameKind::TernaryBitmap => {
                 out.reserve(self.nnz);

@@ -78,6 +78,49 @@ fn sample_mask_rle() -> Vec<u8> {
     buf
 }
 
+/// A dense F32 frame of ≥ 16 KB: far past the CRC fold's cut-over, so
+/// its checksum runs through the fold rather than the short-input table.
+fn large_dense() -> Vec<u8> {
+    let values: Vec<f32> = (0..4100u32)
+        .map(|i| (i.wrapping_mul(2_654_435_761) >> 8) as f32 - 8.0e6)
+        .collect();
+    let mut buf = Vec::new();
+    let _ = legacy(Codec::F32).dense(&mut buf, 5, Rounding::Nearest, &values);
+    assert!(buf.len() >= 16 << 10);
+    buf
+}
+
+/// A ≥ 16 KB `SparseDelta` frame: 3 600 irregular gaps (one- to
+/// three-byte varints) ahead of a 14 KB value section.
+fn large_sparse_delta() -> (Vec<u8>, usize) {
+    let mut next = 0u32;
+    let indices: Vec<u32> = (0..3600u32)
+        .map(|j| {
+            let gap = match j % 7 {
+                0 => 20_000 + j,
+                1 | 2 => 200 + j % 50,
+                _ => j % 5,
+            };
+            next += gap + 1;
+            next - 1
+        })
+        .collect();
+    let values: Vec<f32> = indices.iter().map(|&i| i as f32 * 0.5 - 1.0e4).collect();
+    let mut buf = Vec::new();
+    let _ = FrameWriter::new(WirePolicy::entropy(Codec::F32)).sparse(
+        &mut buf,
+        5,
+        Rounding::Nearest,
+        16_000_000,
+        &indices,
+        &values,
+    );
+    assert_eq!(decode_frame(&buf).unwrap().kind, FrameKind::SparseDelta);
+    assert!(buf.len() >= 16 << 10);
+    let values_start = buf.len() - 4 * values.len();
+    (buf, values_start)
+}
+
 /// A handcrafted v2 frame: 16-byte header for `kind_id` (codec F32)
 /// followed by `payload`, checksum stamped valid — the harness for
 /// structural corruptions inside entropy position sections.
@@ -106,6 +149,8 @@ fn truncation_at_every_length_is_a_typed_error() {
             let _ = legacy(Codec::QuantU8).dense(&mut b, 0, Rounding::Nearest, &[1.0; 100]);
             b
         },
+        large_dense(),
+        large_sparse_delta().0,
     ] {
         for cut in 0..buf.len() {
             match decode_frame(&buf[..cut]) {
@@ -145,6 +190,59 @@ fn any_single_payload_bit_flip_is_detected() {
             decode_frame(&bad).is_err(),
             "payload bit {i} flip undetected"
         );
+    }
+}
+
+/// Every payload bit of a folded-size frame: a flip anywhere behind
+/// the position scan is exactly a checksum mismatch; a flip inside a
+/// varint section may trip the structural scan first, and must still be
+/// an error.
+#[test]
+fn every_payload_bit_flip_on_folded_frames_is_detected() {
+    let (delta, delta_values_start) = large_sparse_delta();
+    for (mut buf, checksummed_from) in [(large_dense(), HEADER_BYTES), (delta, delta_values_start)]
+    {
+        for i in HEADER_BYTES * 8..buf.len() * 8 {
+            buf[i / 8] ^= 1 << (i % 8);
+            let verdict = decode_frame(&buf);
+            if i / 8 >= checksummed_from {
+                assert!(
+                    matches!(verdict, Err(WireError::ChecksumMismatch { .. })),
+                    "payload bit {i}: {verdict:?}"
+                );
+            } else {
+                assert!(verdict.is_err(), "position bit {i} flip undetected");
+            }
+            buf[i / 8] ^= 1 << (i % 8);
+        }
+        assert!(decode_frame(&buf).is_ok());
+    }
+}
+
+/// A 16-bit CRC detects every error burst of up to 16 bits: at each
+/// payload bit of a folded-size frame, one burst of random length 2–16
+/// (both end bits flipped, random interior, wire bit order).
+#[test]
+fn every_short_burst_on_folded_frames_is_detected() {
+    let mut rng = StdRng::seed_from_u64(0xB0057);
+    for mut buf in [large_dense(), large_sparse_delta().0] {
+        let bits = buf.len() * 8;
+        for start in HEADER_BYTES * 8..bits - 16 {
+            let len = rng.gen_range(2usize..=16);
+            let pattern = rng.gen_range(0u32..1 << 16) | 1 | 1 << (len - 1);
+            let flip = |buf: &mut [u8]| {
+                for k in (0..len).filter(|k| pattern >> k & 1 == 1) {
+                    buf[(start + k) / 8] ^= 0x80 >> ((start + k) % 8);
+                }
+            };
+            flip(&mut buf);
+            assert!(
+                decode_frame(&buf).is_err(),
+                "burst of {len} bits at bit {start} undetected"
+            );
+            flip(&mut buf);
+        }
+        assert!(decode_frame(&buf).is_ok());
     }
 }
 
@@ -399,6 +497,8 @@ fn decode_fuzz_never_panics() {
         sample_sparse_bitmap(),
         sample_sparse_delta(),
         sample_mask_rle(),
+        large_dense(),
+        large_sparse_delta().0,
     ];
     for _ in 0..4096 {
         let mut buf = templates[rng.gen_range(0..templates.len())].clone();
