@@ -47,9 +47,7 @@ use gluefl_core::ScratchPool;
 use gluefl_core::TrainSlot;
 use gluefl_data::{DatasetProfile, SyntheticFlDataset};
 use gluefl_ml::{BatchTrainScratch, Mlp, MlpConfig, Sgd, TrainScratch};
-use gluefl_tensor::gemm::{
-    gemm_nn, gemm_nn_batch, gemm_nn_ref, gemm_nt, gemm_nt_ref, gemm_tn, gemm_tn_ref, BatchOperand,
-};
+use gluefl_tensor::gemm::{gemm_nn, gemm_nn_ref, gemm_nt, gemm_nt_ref, gemm_tn, gemm_tn_ref};
 use gluefl_tensor::rng::derive_seed;
 use gluefl_tensor::{
     top_k_abs_masked_into, vecops, BitMask, MaskedUpdate, SparseUpdate, TopKScope, TopKScratch,
@@ -301,8 +299,9 @@ fn run_shaped(opts: &ExptOpts, shape: &Shape) -> Result<(), String> {
     // --- local client training (the K × steps per-round inner loop). ---
     // Baseline: the pre-refactor path — deep model clone per client,
     // fresh activation/cache/gradient/velocity allocations per minibatch.
-    // New: `local_train_into` over one pooled `TrainSlot` (parameter
-    // buffer `copy_from_slice`, reused `TrainScratch`). Both are gated
+    // New: `local_train_into` over one pooled `TrainSlot` (first step
+    // reads the global model, every update is the epilogue of
+    // backward-weights, the last step writes the delta). Both are gated
     // for bit-identical deltas before timing. The shape mirrors the
     // simulator's paper setup: FEMNIST profile (64 features, 62 classes),
     // ShuffleNet-like hidden [192, 96] with BatchNorm (~38k params),
@@ -415,9 +414,9 @@ fn run_shaped(opts: &ExptOpts, shape: &Shape) -> Result<(), String> {
         // Per-round: every client starts from the global weights and
         // trains `steps` minibatches — the simulator's whole training
         // phase. Baseline: the clone-era per-client loop (deep model
-        // clone + fresh allocations per minibatch). New: the lockstep
-        // *batched* driver — all K clients stacked into batched GEMMs
-        // from one pooled `BatchTrainScratch`, exactly the arm
+        // clone + fresh allocations per minibatch). New: the cohort
+        // entry point — the fused per-client routine over one pooled
+        // workspace, client after client — exactly what
         // `Simulation::train_invited` runs.
         if opts.kernel_selected("local_train_round") {
             let mut out_b = vec![0.0f32; dm];
@@ -432,8 +431,8 @@ fn run_shaped(opts: &ExptOpts, shape: &Shape) -> Result<(), String> {
             let mut outs: Vec<Vec<f32>> = (0..clients).map(|_| vec![0.0f32; dm]).collect();
             let stats_len = stats_positions.len();
             let mut stats_all = vec![0.0f32; clients * stats_len];
-            // Equivalence gate: the one-call batched driver reproduces
-            // the clone-era baseline bitwise for every client.
+            // Equivalence gate: the cohort loop reproduces the
+            // clone-era baseline bitwise for every client.
             batch_local_train_into(
                 topo,
                 &global,
@@ -476,7 +475,7 @@ fn run_shaped(opts: &ExptOpts, shape: &Shape) -> Result<(), String> {
                                 .zip(&stats_all[id * stats_len..][..stats_len])
                         )
                         .all(|(a, b)| a.to_bits() == b.to_bits()),
-                    "batched round driver diverged for client {id}"
+                    "cohort training loop diverged for client {id}"
                 );
             }
             let (baseline_ns, new_ns) = time_pair_ns(
@@ -681,84 +680,6 @@ fn run_gemm_entries(opts: &ExptOpts, shape: &Shape, entries: &mut Vec<Entry>) {
         };
         entries.push(Entry {
             name,
-            baseline_ns: batch_baseline_ns / inner as f64,
-            new_ns: batch_new_ns / inner as f64,
-        });
-    }
-
-    // Batched-client stacking: the round's 30 × (16 × 64 → 192) step-0
-    // forwards in one `gemm_nn_batch` call (shared weights → a single
-    // stacked GEMM, row-sharded across the pool under `parallel`) vs the
-    // per-client `gemm_nn` loop it replaced. Gated bit-identical.
-    if opts.kernel_selected("gemm_batch_clients") {
-        let (kclients, mb, n, kk) = (30usize, 16usize, 192usize, 64usize);
-        let inner = 8.min(shape.gemm_inner);
-        let mut rng = StdRng::seed_from_u64(opts.seed ^ 0xba7c);
-        let a: Vec<f32> = (0..kclients * mb * kk)
-            .map(|_| rng.gen_range(-1.0f32..1.0))
-            .collect();
-        let w: Vec<f32> = (0..n * kk).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
-        let bias: Vec<f32> = (0..n).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
-        let mut got = vec![0.0f32; kclients * mb * n];
-        let mut want = vec![0.0f32; kclients * mb * n];
-        gemm_nn_batch(
-            &a,
-            &BatchOperand::Shared(&w),
-            &BatchOperand::Shared(&bias),
-            kclients,
-            mb,
-            n,
-            kk,
-            &mut got,
-        );
-        for c in 0..kclients {
-            gemm_nn(
-                &a[c * mb * kk..][..mb * kk],
-                &w,
-                &bias,
-                mb,
-                n,
-                kk,
-                &mut want[c * mb * n..][..mb * n],
-            );
-        }
-        assert_bits_identical(&got, &want, "gemm_batch_clients");
-        let (batch_baseline_ns, batch_new_ns) = time_pair_ns(
-            reps,
-            || {
-                for _ in 0..inner {
-                    for c in 0..kclients {
-                        gemm_nn(
-                            &a[c * mb * kk..][..mb * kk],
-                            &w,
-                            &bias,
-                            mb,
-                            n,
-                            kk,
-                            &mut want[c * mb * n..][..mb * n],
-                        );
-                    }
-                }
-                want.len()
-            },
-            || {
-                for _ in 0..inner {
-                    gemm_nn_batch(
-                        &a,
-                        &BatchOperand::Shared(&w),
-                        &BatchOperand::Shared(&bias),
-                        kclients,
-                        mb,
-                        n,
-                        kk,
-                        &mut got,
-                    );
-                }
-                got.len()
-            },
-        );
-        entries.push(Entry {
-            name: "gemm_batch_clients",
             baseline_ns: batch_baseline_ns / inner as f64,
             new_ns: batch_new_ns / inner as f64,
         });
@@ -1444,7 +1365,6 @@ mod tests {
         assert!(json.contains("gemm_tn_b16"));
         assert!(json.contains("gemm_nt_b16"));
         assert!(json.contains("gemm_nn_eval_b1024"));
-        assert!(json.contains("gemm_batch_clients"));
         assert!(json.contains("wire_encode_sparse"));
         assert!(json.contains("wire_decode_sparse"));
         assert!(json.contains("wire_encode_varint"));
@@ -1471,7 +1391,6 @@ mod tests {
         assert!(json.contains("gemm_tn_b16"));
         assert!(json.contains("gemm_nt_b16"));
         assert!(json.contains("gemm_nn_eval_b1024"));
-        assert!(json.contains("gemm_batch_clients"));
         assert!(!json.contains("topk_outside_16pct_mask"));
         assert!(!json.contains("local_train_step"));
         assert!(!json.contains("wire_encode_sparse"));
@@ -1485,7 +1404,6 @@ mod tests {
             "{\"kernels\": [
     {\"name\": \"gemm_nn_b16\"}, {\"name\": \"gemm_tn_b16\"},
     {\"name\": \"gemm_nt_b16\"}, {\"name\": \"gemm_nn_eval_b1024\"},
-    {\"name\": \"gemm_batch_clients\"},
     {\"name\": \"topk_outside_16pct_mask\"}]}",
         )
         .unwrap();

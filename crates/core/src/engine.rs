@@ -35,7 +35,7 @@
 //!
 //! Who the clients are is the [`RoundIo`]'s business. Its steps are per
 //! *round*, not per client, so an implementation is free to train all
-//! invited clients in one batched call ([`crate::Simulation`]) or to
+//! invited clients in one call ([`crate::Simulation`]) or to
 //! wait on sockets under deadlines (`gluefl-transport`'s server). The
 //! engine never reads a clock except through the attached telemetry
 //! recorder, and never blocks except inside the IO.

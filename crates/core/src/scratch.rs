@@ -19,10 +19,10 @@
 //!   the per-round support masks of [`gluefl_tensor::MaskedUpdate`]s and
 //!   GlueFL's shifted shared mask;
 //! * pooled [`TrainSlot`]s ([`ScratchPool::take_train_slot`]) back local
-//!   training: each holds a client parameter buffer and a
-//!   [`gluefl_ml::TrainScratch`], so a client "clone" is a
-//!   `copy_from_slice` and every minibatch step reuses warm activation,
-//!   cache, gradient, and velocity buffers.
+//!   training and evaluation: one per worker, holding one client's
+//!   working weights and a [`gluefl_ml::TrainScratch`], so every client
+//!   and every minibatch step reuses warm activation, cache and
+//!   velocity buffers.
 //!
 //! The drivers close the loop: every consumed
 //! [`crate::strategies::Upload`] goes back via
@@ -35,30 +35,12 @@
 //! parallel sections take the buffers they need up front.
 
 use crate::strategies::Upload;
-use gluefl_ml::{BatchTrainScratch, TrainScratch};
+pub use gluefl_ml::TrainSlot;
 use gluefl_tensor::{BitMask, MaskedUpdate, TopKScratch};
 
 /// Upper bound on idle buffers kept per arena (the round working set is
 /// far below this; the cap only guards against pathological churn).
 const MAX_IDLE: usize = 64;
-
-/// A pooled per-worker local-training workspace: the client parameter
-/// buffer (the `copy_from_slice` target that replaces the old per-client
-/// model deep clone) plus the [`TrainScratch`] holding activations,
-/// backward caches, gradient, SGD velocity, and minibatch staging.
-///
-/// The simulator takes one slot per training worker up front
-/// ([`ScratchPool::take_train_slot`]) — serial training reuses a single
-/// slot for every client; `parallel` builds hand one slot to each
-/// `std::thread::scope` worker — and returns them after the round, so
-/// steady-state local training performs no per-minibatch heap allocation.
-#[derive(Debug, Default)]
-pub struct TrainSlot {
-    /// The worker's flat model parameters (one client at a time).
-    pub params: Vec<f32>,
-    /// The worker's reusable training buffers.
-    pub scratch: TrainScratch,
-}
 
 /// Reusable buffers threaded through the strategy seam.
 #[derive(Debug, Default)]
@@ -69,7 +51,6 @@ pub struct ScratchPool {
     free_indices: Vec<Vec<u32>>,
     free_masks: Vec<BitMask>,
     free_train: Vec<TrainSlot>,
-    free_batch_train: Vec<BatchTrainScratch>,
     free_bytes: Vec<Vec<u8>>,
     free_signs: Vec<Vec<bool>>,
 }
@@ -237,8 +218,10 @@ impl ScratchPool {
         }
     }
 
-    /// Hands out a local-training slot (warm parameter buffer + training
-    /// scratch) for one worker, recycling a returned slot when available.
+    /// Hands out a local-training slot (one client's working weights +
+    /// training scratch) for one worker — the simulator takes one per
+    /// training shard up front, a serial build exactly one — recycling a
+    /// returned slot when available.
     #[must_use]
     pub fn take_train_slot(&mut self) -> TrainSlot {
         self.free_train.pop().unwrap_or_default()
@@ -248,22 +231,6 @@ impl ScratchPool {
     pub fn put_train_slot(&mut self, slot: TrainSlot) {
         if self.free_train.len() < MAX_IDLE {
             self.free_train.push(slot);
-        }
-    }
-
-    /// Hands out the lockstep batched-training workspace (stacked
-    /// per-client parameter/velocity/gradient blocks and activations; see
-    /// [`gluefl_ml::BatchTrainScratch`]), recycling a returned one when
-    /// available.
-    #[must_use]
-    pub fn take_batch_train(&mut self) -> BatchTrainScratch {
-        self.free_batch_train.pop().unwrap_or_default()
-    }
-
-    /// Returns a batched-training workspace to the pool for reuse.
-    pub fn put_batch_train(&mut self, scratch: BatchTrainScratch) {
-        if self.free_batch_train.len() < MAX_IDLE {
-            self.free_batch_train.push(scratch);
         }
     }
 

@@ -9,17 +9,17 @@
 //! ([`crate::engine`]); this module supplies what clients do:
 //!
 //! * on `invite`, every invited client trains `E` local SGD steps from
-//!   the broadcast weights. Training is allocation-free in steady state:
-//!   each worker owns a pooled [`TrainSlot`] (parameter buffer +
-//!   [`gluefl_ml::TrainScratch`]), so a client "clone" is a
-//!   `copy_from_slice` and every minibatch step reuses warm buffers
-//!   (see [`local_train_into`]). Serial builds train all invited
-//!   clients in lockstep through the batched-client GEMM path
-//!   ([`batch_local_train_into`]); under the `parallel` feature the
-//!   client loop is sharded across the vendored [`gluefl_pool`]
-//!   work-stealing pool. Results are bit-identical either way because
-//!   every client's RNG is derived from `(seed, round, client)` rather
-//!   than thread schedule;
+//!   the broadcast weights, one client after another through the one
+//!   per-client routine ([`train_client_into`], also what a socket
+//!   client runs): one client's whole training state stays
+//!   cache-resident in the worker's pooled [`TrainSlot`] while the
+//!   cohort streams through it, each step touches each weight once, and
+//!   nothing is allocated in steady state. Under the `parallel` feature
+//!   the cohort is cut into one chunk per worker of the vendored
+//!   [`gluefl_pool`] and each chunk runs that same loop
+//!   ([`batch_local_train_into`]) — scheduling only. Results are
+//!   bit-identical either way because every client's RNG is derived
+//!   from `(seed, round, client)` rather than thread schedule;
 //! * on `offers`, each trained delta is compressed in place by the
 //!   client half and priced ([`ClientCompressor::offer`]) — nothing is
 //!   serialized before the keep decision. The delta's buffer is handed
@@ -38,7 +38,7 @@ use crate::metrics::{RoundRecord, RunResult};
 use crate::scratch::{ScratchPool, TrainSlot};
 use crate::staleness::StalenessTracker;
 use crate::strategies::{Group, Upload};
-use gluefl_data::SyntheticFlDataset;
+use gluefl_data::{ClientDataset, SyntheticFlDataset};
 use gluefl_ml::{BatchTrainScratch, Mlp, MlpTopology};
 use gluefl_net::timing::ClientRoundTime;
 use gluefl_sampling::ClientId;
@@ -185,6 +185,17 @@ pub struct InProcessClients {
     tel: Option<ClientRecorder>,
 }
 
+/// One training worker's share of a round's cohort: its clients, where
+/// their deltas and BN-statistic drift go, and the workspace they are
+/// trained in.
+struct TrainShard<'a> {
+    ids: &'a [ClientId],
+    seeds: &'a [u64],
+    outs: &'a mut [Vec<f32>],
+    stats: &'a mut [f32],
+    slot: &'a mut TrainSlot,
+}
+
 impl std::fmt::Debug for InProcessClients {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("InProcessClients")
@@ -319,25 +330,20 @@ impl InProcessClients {
         1
     }
 
-    /// Trains every invited client from `global` — client-sharded across
-    /// worker threads under the `parallel` feature, in lockstep through
-    /// the batched-client GEMM path ([`batch_local_train_into`])
-    /// otherwise, with bit-identical results either way — writing
-    /// trainable deltas (BN-statistic positions already zeroed by the
-    /// fused masked-subtraction kernel) into `self.deltas` in invitation
-    /// order and the BN-statistic drift into `self.stats`
-    /// (`invited × stats` flat). Each worker reuses one pooled
-    /// [`TrainSlot`] (or the pooled [`BatchTrainScratch`]), so
-    /// steady-state training allocates nothing per minibatch step.
+    /// Trains every invited client from `global`, writing trainable
+    /// deltas (BN-statistic positions zeroed) into `self.deltas` in
+    /// invitation order and the BN-statistic drift into `self.stats`
+    /// (`invited × stats` flat). The cohort is cut into one shard per
+    /// training worker — a single shard on serial builds — and every
+    /// shard runs [`batch_local_train_into`] over its own pooled
+    /// [`TrainSlot`]; sharding is scheduling, not a second way to train.
     fn train_invited(&mut self, round: u32, global: &[f32]) {
         let invited = &self.invited;
         let dim = global.len();
         let stats_len = self.stats_positions.len();
         self.stats.clear();
         self.stats.resize(invited.len() * stats_len, 0.0);
-        let stats_saved = &mut self.stats[..];
         let tel = self.tel.as_ref().map(|t| &*t.hub);
-        let now = || tel.map_or(0, Telemetry::now_nanos);
         let threads = Self::train_threads(invited.len());
         let mut slots: Vec<TrainSlot> = (0..threads)
             .map(|_| self.scratch.take_train_slot())
@@ -349,125 +355,67 @@ impl InProcessClients {
         self.deltas.extend(
             (0..invited.len()).map(|_| recycled.pop().unwrap_or_else(|| pool.take_full(dim))),
         );
-        let results = &mut self.deltas;
         let cfg = &self.cfg;
+        let ids: Vec<ClientId> = invited.iter().map(|&(id, _)| id).collect();
+        let seeds: Vec<u64> = ids
+            .iter()
+            .map(|&id| local_train_seed(cfg.seed, round, id))
+            .collect();
+        // NOTE: the stats slices are carved by client count —
+        // `chunks_mut(chunk * stats_len)` would reject models without BN
+        // statistics (chunk size zero).
+        let chunk = invited.len().div_ceil(threads).max(1);
+        let mut stats_rest = &mut self.stats[..];
+        let mut shards = Vec::with_capacity(threads);
+        for (((ids, seeds), outs), slot) in ids
+            .chunks(chunk)
+            .zip(seeds.chunks(chunk))
+            .zip(self.deltas.chunks_mut(chunk))
+            .zip(&mut slots)
+        {
+            let (stats, rest) = stats_rest.split_at_mut(ids.len() * stats_len);
+            stats_rest = rest;
+            shards.push(TrainShard {
+                ids,
+                seeds,
+                outs,
+                stats,
+                slot,
+            });
+        }
+        // Concurrent shards would each time the same wall-clock window,
+        // so they share one enclosing span; a lone shard records its own
+        // spans block by block.
+        let lone = shards.len() <= 1;
+        let trace = tel.map(|t| (t, round));
+        let enclosing = trace
+            .filter(|_| !lone)
+            .map(|(t, round)| t.span(Phase::Train, round));
         let lr = cfg.lr_at_round(round);
-        let data = &*self.data;
-        let topo = &self.topo;
-        let stats_positions = &self.stats_positions;
-        let trainable_mask = &self.trainable_mask;
-        let client_seed = |id: ClientId| local_train_seed(cfg.seed, round, id);
-        let worker = |&(id, _): &(ClientId, Group),
-                      out: &mut [f32],
-                      stats_out: &mut [f32],
-                      slot: &mut TrainSlot| {
-            local_train_into(
-                topo,
+        let train = |shard: TrainShard<'_>| {
+            batch_local_train_into(
+                &self.topo,
                 global,
-                data,
-                id,
+                &self.data,
+                shard.ids,
+                shard.seeds,
                 cfg.local_steps,
                 cfg.batch_size,
                 lr,
                 cfg.momentum,
-                client_seed(id),
-                out,
-                stats_positions,
-                stats_out,
-                trainable_mask,
-                slot,
+                shard.outs,
+                &self.stats_positions,
+                shard.stats,
+                &self.trainable_mask,
+                shard.slot,
+                trace.filter(|_| lone),
             );
         };
-        // NOTE: iteration is driven by the invited/result pairing and the
-        // stats slices are carved by index — zipping with
-        // `stats_saved.chunks_mut(..)` would silently yield zero
-        // iterations for models without BN statistics (empty slice).
-        if threads <= 1 && invited.len() > 1 {
-            // Lockstep batched path: one stacked GEMM per layer across all
-            // invited clients (shared weights at step 0, per-client tiles
-            // after), bit-identical to the per-client loop below.
-            let ids: Vec<ClientId> = invited.iter().map(|&(id, _)| id).collect();
-            let client_seeds: Vec<u64> = ids.iter().map(|&id| client_seed(id)).collect();
-            let mut batch_scratch = self.scratch.take_batch_train();
-            batch_local_train_into(
-                topo,
-                global,
-                data,
-                &ids,
-                &client_seeds,
-                cfg.local_steps,
-                cfg.batch_size,
-                lr,
-                cfg.momentum,
-                results,
-                stats_positions,
-                stats_saved,
-                trainable_mask,
-                &mut batch_scratch,
-                tel.map(|t| (t, round)),
-            );
-            self.scratch.put_batch_train(batch_scratch);
-        } else if threads <= 1 || invited.len() <= 1 {
-            let train_start = now();
-            let slot = slots.first_mut().expect("at least one train slot");
-            for (i, (inv, out)) in invited.iter().zip(results.iter_mut()).enumerate() {
-                worker(
-                    inv,
-                    out,
-                    &mut stats_saved[i * stats_len..(i + 1) * stats_len],
-                    slot,
-                );
-            }
-            if let Some(t) = tel {
-                t.record_phase(Phase::Train, now().saturating_sub(train_start), round, -1);
-            }
-        } else {
-            #[cfg(feature = "parallel")]
-            {
-                let train_start = now();
-                // One job per (client chunk, train slot): each job owns
-                // its slot, so the pool's workers never share mutable
-                // training state, and every client is internally serial —
-                // bit-identical to the serial loop for any schedule.
-                let chunk = invited.len().div_ceil(threads);
-                let mut jobs = Vec::with_capacity(threads);
-                let mut stats_rest: &mut [f32] = stats_saved;
-                for ((res_chunk, inv_chunk), slot) in results
-                    .chunks_mut(chunk)
-                    .zip(invited.chunks(chunk))
-                    .zip(&mut slots)
-                {
-                    let take = res_chunk.len() * stats_len;
-                    let (stats_chunk, rest) = std::mem::take(&mut stats_rest).split_at_mut(take);
-                    stats_rest = rest;
-                    jobs.push((res_chunk, inv_chunk, stats_chunk, slot));
-                }
-                gluefl_pool::run(
-                    threads,
-                    jobs,
-                    |(res_chunk, inv_chunk, stats_chunk, slot): (
-                        &mut [Vec<f32>],
-                        _,
-                        &mut [f32],
-                        &mut TrainSlot,
-                    )| {
-                        for (j, (out, inv)) in res_chunk.iter_mut().zip(inv_chunk).enumerate() {
-                            worker(
-                                inv,
-                                out,
-                                &mut stats_chunk[j * stats_len..(j + 1) * stats_len],
-                                slot,
-                            );
-                        }
-                    },
-                );
-                if let Some(t) = tel {
-                    t.record_phase(Phase::Train, now().saturating_sub(train_start), round, -1);
-                }
-            }
-            #[cfg(not(feature = "parallel"))]
-            unreachable!("train_threads() returns 1 without the parallel feature");
-        }
+        #[cfg(feature = "parallel")]
+        gluefl_pool::run(threads, shards, train);
+        #[cfg(not(feature = "parallel"))]
+        shards.into_iter().for_each(train);
+        drop(enclosing);
         for slot in slots {
             self.scratch.put_train_slot(slot);
         }
@@ -482,27 +430,70 @@ pub fn local_train_seed(seed: u64, round: u32, id: ClientId) -> u64 {
     derive_seed(seed, "local-train", (u64::from(round) << 32) | id as u64)
 }
 
-/// One client's local training, allocation-free in steady state.
+/// One client's local training — the routine every driver runs: the
+/// in-process cohort loop, each `parallel` shard of it, and a socket
+/// client's `INVITE` handler.
 ///
-/// The global parameters are `copy_from_slice`d into the slot's pooled
-/// buffer (replacing the old per-client `Mlp` deep clone), then `steps`
-/// minibatch SGD-with-momentum steps run through the slot's
-/// [`gluefl_ml::TrainScratch`]: minibatches are staged into recycled
-/// buffers, [`MlpTopology::loss_and_grad_into`] writes activations,
-/// caches, and the gradient into the scratch, and the pooled velocity
-/// (zeroed per client, so momentum spans exactly the `E` local steps as
-/// in the paper) drives the update. Finally the parameter delta is split:
-/// the trainable part goes into `out` via the fused masked-subtraction
-/// kernel (BN-statistic positions land as zeros in a single pass), and
-/// the BN-statistic drift goes into `stats_out`.
+/// `steps` minibatch SGD-with-momentum steps from `global` over the
+/// client's shard `ds`, through [`MlpTopology::train_delta_into`]: the
+/// first step reads the shared `global`, every step applies its update
+/// as the epilogue of backward-weights, the last writes the delta — the
+/// velocity starts at zero per client, so momentum spans exactly the `E`
+/// local steps as in the paper. The delta is then split: trainable
+/// positions stay in `out`, the BN-statistic drift moves to `stats_out`
+/// and its positions in `out` become zero.
 ///
 /// Deterministic in the arguments alone — the RNG is seeded per call, so
-/// results are independent of which worker thread runs the client and
-/// bit-identical to the pre-pooling clone-based implementation.
+/// results are independent of which worker runs the client and of what
+/// `slot` served before — and allocation-free once `slot` is warm.
 ///
 /// # Panics
 /// Panics if `lr <= 0`, `momentum` is outside `[0, 1)`, or the buffer
 /// shapes disagree with the topology.
+#[allow(clippy::too_many_arguments)]
+pub fn train_client_into(
+    topo: &MlpTopology,
+    global: &[f32],
+    ds: &ClientDataset,
+    steps: usize,
+    batch: usize,
+    lr: f32,
+    momentum: f32,
+    seed: u64,
+    out: &mut [f32],
+    stats_positions: &[usize],
+    stats_out: &mut [f32],
+    slot: &mut TrainSlot,
+) {
+    assert!(lr > 0.0, "learning rate must be positive");
+    assert!((0.0..1.0).contains(&momentum), "momentum must be in [0,1)");
+    assert_eq!(
+        stats_out.len(),
+        stats_positions.len(),
+        "stats buffer/positions length mismatch"
+    );
+    let mut rng = StdRng::seed_from_u64(seed);
+    topo.train_delta_into(
+        global,
+        steps,
+        lr,
+        momentum,
+        |bx, by| ds.sample_batch_into(&mut rng, batch, bx, by),
+        slot,
+        out,
+    );
+    for (s, &p) in stats_out.iter_mut().zip(stats_positions) {
+        *s = std::mem::replace(&mut out[p], 0.0);
+    }
+}
+
+/// [`train_client_into`] for client `id` of `data`, materialising the
+/// client's shard first (a full synthesis pass — callers that train the
+/// same client every round hold the [`ClientDataset`] instead).
+/// `_trainable_mask` is implied by the topology and `stats_positions`.
+///
+/// # Panics
+/// As [`train_client_into`].
 #[allow(clippy::too_many_arguments)]
 pub fn local_train_into(
     topo: &MlpTopology,
@@ -517,64 +508,40 @@ pub fn local_train_into(
     out: &mut [f32],
     stats_positions: &[usize],
     stats_out: &mut [f32],
-    trainable_mask: &gluefl_tensor::BitMask,
+    _trainable_mask: &gluefl_tensor::BitMask,
     slot: &mut TrainSlot,
 ) {
-    assert!(lr > 0.0, "learning rate must be positive");
-    assert!((0.0..1.0).contains(&momentum), "momentum must be in [0,1)");
-    assert_eq!(
-        stats_out.len(),
-        stats_positions.len(),
-        "stats buffer/positions length mismatch"
+    train_client_into(
+        topo,
+        global,
+        &data.client(id),
+        steps,
+        batch,
+        lr,
+        momentum,
+        seed,
+        out,
+        stats_positions,
+        stats_out,
+        slot,
     );
-    let TrainSlot { params, scratch } = slot;
-    params.clear();
-    params.extend_from_slice(global);
-    scratch.ensure(topo, batch);
-    scratch.reset_velocity();
-    let ds = data.client(id);
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut bx = std::mem::take(&mut scratch.batch_x);
-    let mut by = std::mem::take(&mut scratch.batch_y);
-    for _ in 0..steps {
-        ds.sample_batch_into(&mut rng, batch, &mut bx, &mut by);
-        let _ = topo.loss_and_grad_into(params, &bx, &by, scratch);
-        scratch.sgd_step(params, lr, momentum);
-    }
-    scratch.batch_x = bx;
-    scratch.batch_y = by;
-    for (s, &p) in stats_out.iter_mut().zip(stats_positions) {
-        *s = params[p] - global[p];
-    }
-    vecops::masked_sub_into(out, params, global, trainable_mask);
 }
 
-/// Trains `ids.len()` clients in lockstep through the batched-client GEMM
-/// kernels, bit-identical to calling [`local_train_into`] once per client.
+/// Clients per [`Phase::Train`] span of [`batch_local_train_into`]: a
+/// cohort's training shows in the journal as a few spans, not one per
+/// client and not one opaque block.
+const CLIENTS_PER_TRAIN_SPAN: usize = 8;
+
+/// The cohort entry point: trains clients `ids` one after another with
+/// [`local_train_into`], client `c` seeded with `seeds[c]`, its
+/// trainable delta written to `outs[c]` and its BN-statistic drift to
+/// `stats_saved[c·stats ..]`. One workspace serves the whole cohort —
+/// it holds one client's state at a time, so the working set is a
+/// client's, whatever `ids.len()` is.
 ///
-/// All invited clients of a round start from the same `global` parameters
-/// and run the same number of local steps, so their per-layer GEMMs can be
-/// stacked: step 0 runs one `(K·mb) × in_dim` multiply against the shared
-/// weight matrix, later steps read each client's weight tile from the
-/// stacked parameter block (see [`gluefl_ml::BatchTrainScratch`]). Each
-/// client's minibatch stream comes from its own RNG seeded with
-/// `seeds[c]`, so the samples — and therefore the whole trajectory — match
-/// the serial path draw for draw. Outputs are written exactly as the
-/// serial path writes them: `outs[c]` gets the trainable delta via the
-/// fused masked subtraction and `stats_saved` the flat `K × stats`
-/// BN-statistic drift.
-///
-/// Clients run in blocks of eight (`CLIENT_BLOCK`): each block finishes all its
-/// steps before the next begins, so one block's stacked
-/// parameter/velocity/gradient state stays cache-resident per step
-/// instead of the whole cohort's cycling through every step. Blocking
-/// cannot change any bits — clients never share an accumulator, and each
-/// block replays exactly the per-client work in the same order.
-///
-/// When `trace` carries a recorder and a round number, every client
-/// block emits one [`Phase::Train`] span; `None` (the ledger baseline
-/// and the parity tests) measures nothing and costs one untaken branch
-/// per block.
+/// When `trace` carries a recorder and a round number, every run of
+/// eight clients emits one [`Phase::Train`] span; `None` (the ledger
+/// baseline and the parity tests) measures nothing.
 ///
 /// # Panics
 /// Panics if `ids`, `seeds`, and `outs` disagree in length, `ids` is
@@ -598,8 +565,6 @@ pub fn batch_local_train_into(
     scratch: &mut BatchTrainScratch,
     trace: Option<(&Telemetry, u32)>,
 ) {
-    assert!(lr > 0.0, "learning rate must be positive");
-    assert!((0.0..1.0).contains(&momentum), "momentum must be in [0,1)");
     assert!(!ids.is_empty(), "need at least one client");
     assert_eq!(seeds.len(), ids.len(), "one seed per client");
     assert_eq!(outs.len(), ids.len(), "one delta buffer per client");
@@ -609,90 +574,33 @@ pub fn batch_local_train_into(
         ids.len() * stats_len,
         "stats buffer/positions length mismatch"
     );
-    let mut outs = outs;
-    let mut stats_saved = stats_saved;
-    let mut at = 0;
-    while at < ids.len() {
-        let bl = (ids.len() - at).min(CLIENT_BLOCK);
-        let (out_block, outs_rest) = outs.split_at_mut(bl);
-        let (stats_block, stats_rest) = stats_saved.split_at_mut(bl * stats_len);
-        let block_start = trace.map(|(t, _)| t.now_nanos());
-        batch_train_block(
-            topo,
-            global,
-            data,
-            &ids[at..at + bl],
-            &seeds[at..at + bl],
-            steps,
-            batch,
-            lr,
-            momentum,
-            out_block,
-            stats_positions,
-            stats_block,
-            trainable_mask,
-            scratch,
-        );
-        if let (Some((t, round)), Some(start)) = (trace, block_start) {
-            t.record_phase(Phase::Train, t.now_nanos().saturating_sub(start), round, -1);
+    let mut stats_rest = stats_saved;
+    for ((ids, seeds), outs) in ids
+        .chunks(CLIENTS_PER_TRAIN_SPAN)
+        .zip(seeds.chunks(CLIENTS_PER_TRAIN_SPAN))
+        .zip(outs.chunks_mut(CLIENTS_PER_TRAIN_SPAN))
+    {
+        let _span = trace.map(|(t, round)| t.span(Phase::Train, round));
+        for ((&id, &seed), out) in ids.iter().zip(seeds).zip(outs) {
+            let (stats_out, rest) = std::mem::take(&mut stats_rest).split_at_mut(stats_len);
+            stats_rest = rest;
+            local_train_into(
+                topo,
+                global,
+                data,
+                id,
+                steps,
+                batch,
+                lr,
+                momentum,
+                seed,
+                out,
+                stats_positions,
+                stats_out,
+                trainable_mask,
+                scratch,
+            );
         }
-        outs = outs_rest;
-        stats_saved = stats_rest;
-        at += bl;
-    }
-}
-
-/// Clients per lockstep block of [`batch_local_train_into`]. Eight keeps
-/// a block's stacked parameter, velocity, and gradient state within a
-/// per-core cache footprint while still feeding the batched kernels
-/// enough rows to stack.
-const CLIENT_BLOCK: usize = 8;
-
-#[allow(clippy::too_many_arguments)]
-fn batch_train_block(
-    topo: &MlpTopology,
-    global: &[f32],
-    data: &SyntheticFlDataset,
-    ids: &[usize],
-    seeds: &[u64],
-    steps: usize,
-    batch: usize,
-    lr: f32,
-    momentum: f32,
-    outs: &mut [Vec<f32>],
-    stats_positions: &[usize],
-    stats_saved: &mut [f32],
-    trainable_mask: &gluefl_tensor::BitMask,
-    scratch: &mut BatchTrainScratch,
-) {
-    let stats_len = stats_positions.len();
-    scratch.begin(topo, global, ids.len(), batch);
-    let row = batch * topo.config().input_dim;
-    let mut rngs: Vec<StdRng> = seeds.iter().map(|&s| StdRng::seed_from_u64(s)).collect();
-    // Materialise every client's local dataset once — `data.client` is a
-    // full synthesis pass, so calling it per step would dominate the
-    // round.
-    let datasets: Vec<_> = ids.iter().map(|&id| data.client(id)).collect();
-    // `sample_batch_into` clears its buffers, so each client samples into
-    // a reused staging pair that is then copied into the client's block of
-    // the stacked minibatch.
-    let mut bx: Vec<f32> = Vec::new();
-    let mut by: Vec<usize> = Vec::new();
-    for s in 0..steps {
-        for ((c, rng), ds) in rngs.iter_mut().enumerate().zip(&datasets) {
-            ds.sample_batch_into(rng, batch, &mut bx, &mut by);
-            scratch.batch_x[c * row..(c + 1) * row].copy_from_slice(&bx);
-            scratch.batch_y[c * batch..(c + 1) * batch].copy_from_slice(&by);
-        }
-        scratch.step(topo, s, lr, momentum);
-    }
-    for (c, out) in outs.iter_mut().enumerate() {
-        let params = scratch.client_params(topo, c);
-        let stats_out = &mut stats_saved[c * stats_len..(c + 1) * stats_len];
-        for (st, &p) in stats_out.iter_mut().zip(stats_positions) {
-            *st = params[p] - global[p];
-        }
-        vecops::masked_sub_into(out, params, global, trainable_mask);
     }
 }
 
@@ -911,88 +819,67 @@ mod tests {
         assert_eq!(reused.scratch.batch_y.as_ptr(), batch_y_ptr);
     }
 
-    /// The lockstep batched-client driver must be bit-identical to one
-    /// [`local_train_into`] call per client — trainable deltas and
-    /// BN-statistic drift alike — for BN on and off, one client and many,
-    /// and across scratch reuse between rounds of different sizes.
+    /// The cohort entry point journals one [`Phase::Train`] span per run
+    /// of eight clients (the last run may be short) and nothing without
+    /// a recorder — the span count a traced round is read against.
     #[test]
-    fn batched_round_driver_matches_per_client_serial_bitwise() {
+    fn cohort_training_emits_one_span_per_eight_clients() {
         use gluefl_tensor::rng::derive_seed;
-        let mut batch_scratch = BatchTrainScratch::new(); // reused across all shapes
-        for batch_norm in [false, true] {
-            let mut cfg = tiny_cfg(StrategyConfig::FedAvg);
-            cfg.model.batch_norm = batch_norm;
-            let sim = Simulation::new(cfg.clone());
-            let topo = sim.model().topology();
-            let dim = sim.model().num_params();
-            let global = sim.model().params().to_vec();
-            let mask = sim.model().layout().trainable_mask();
-            let stats: Vec<usize> = mask.not().iter_ones().collect();
-            for clients in [1usize, 3, 7] {
-                let ids: Vec<usize> = (0..clients).collect();
-                let seeds: Vec<u64> = ids
-                    .iter()
-                    .map(|&id| derive_seed(cfg.seed, "local-train", id as u64))
-                    .collect();
-                let mut slot = TrainSlot::default();
-                let mut want = Vec::new();
-                let mut want_stats = vec![0.0f32; clients * stats.len()];
-                for (c, (&id, &seed)) in ids.iter().zip(&seeds).enumerate() {
-                    let mut out = vec![0.0f32; dim];
-                    local_train_into(
-                        topo,
-                        &global,
-                        sim.data(),
-                        id,
-                        cfg.local_steps,
-                        cfg.batch_size,
-                        0.05,
-                        cfg.momentum,
-                        seed,
-                        &mut out,
-                        &stats,
-                        &mut want_stats[c * stats.len()..(c + 1) * stats.len()],
-                        &mask,
-                        &mut slot,
-                    );
-                    want.push(out);
-                }
-                let mut got: Vec<Vec<f32>> = (0..clients).map(|_| vec![0.0f32; dim]).collect();
-                let mut got_stats = vec![0.0f32; clients * stats.len()];
+        let cfg = tiny_cfg(StrategyConfig::FedAvg);
+        let sim = Simulation::new(cfg.clone());
+        let dim = sim.model().num_params();
+        let mask = sim.model().layout().trainable_mask();
+        let stats: Vec<usize> = mask.not().iter_ones().collect();
+        let mut slot = TrainSlot::default();
+        for (clients, spans) in [(1usize, 1u64), (8, 1), (9, 2), (17, 3)] {
+            let ids: Vec<usize> = (0..clients).collect();
+            let seeds: Vec<u64> = ids
+                .iter()
+                .map(|&id| derive_seed(cfg.seed, "local-train", id as u64))
+                .collect();
+            let mut outs = vec![vec![0.0f32; dim]; clients];
+            let mut stats_saved = vec![0.0f32; clients * stats.len()];
+            let tel = Telemetry::new();
+            for trace in [None, Some((&tel, 3))] {
                 batch_local_train_into(
-                    topo,
-                    &global,
+                    sim.model().topology(),
+                    sim.model().params(),
                     sim.data(),
                     &ids,
                     &seeds,
-                    cfg.local_steps,
+                    1,
                     cfg.batch_size,
                     0.05,
                     cfg.momentum,
-                    &mut got,
+                    &mut outs,
                     &stats,
-                    &mut got_stats,
+                    &mut stats_saved,
                     &mask,
-                    &mut batch_scratch,
-                    None,
+                    &mut slot,
+                    trace,
                 );
-                for (c, (w, g)) in want.iter().zip(&got).enumerate() {
-                    assert!(
-                        w.iter()
-                            .zip(g.iter())
-                            .all(|(a, b)| a.to_bits() == b.to_bits()),
-                        "delta diverged for client {c} (bn={batch_norm}, K={clients})"
-                    );
-                }
-                assert!(
-                    want_stats
-                        .iter()
-                        .zip(&got_stats)
-                        .all(|(a, b)| a.to_bits() == b.to_bits()),
-                    "BN statistic drift diverged (bn={batch_norm}, K={clients})"
-                );
+                let want = if trace.is_some() { spans } else { 0 };
+                assert_eq!(tel.phase_spans(Phase::Train), want, "K = {clients}");
             }
         }
+    }
+
+    /// Concurrent shards all time the same wall-clock window, so a
+    /// sharded round journals one enclosing [`Phase::Train`] span, not a
+    /// sum that exceeds the step.
+    #[cfg(feature = "parallel")]
+    #[test]
+    fn sharded_training_records_one_enclosing_span() {
+        let _guard = crate::aggregate::parallel_toggle_lock();
+        crate::aggregate::set_parallel_enabled(true);
+        let tel = Arc::new(Telemetry::new());
+        let mut sim =
+            Simulation::new(tiny_cfg(StrategyConfig::FedAvg)).with_telemetry(Arc::clone(&tel));
+        let rec = sim.step();
+        if InProcessClients::train_threads(rec.invited) > 1 {
+            assert_eq!(tel.phase_spans(Phase::Train), 1);
+        }
+        assert!(tel.phase_nanos(Phase::Train) <= rec.step_nanos);
     }
 
     /// Dimension-sized buffers alive on the client side after a round,

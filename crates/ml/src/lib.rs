@@ -19,6 +19,13 @@
 //!   an immutable, `Sync` [`MlpTopology`] (shared across clients and
 //!   worker threads) and the flat parameter buffer, so a federated
 //!   client "clone" is a `copy_from_slice`.
+//! * [`MlpTopology::train_delta_into`] — one federated client's local
+//!   training, global weights in, delta out, over a per-worker
+//!   [`TrainSlot`]: the SGD update runs as the epilogue of the
+//!   backward-weights GEMM, the first step reads the shared global model
+//!   in place and the last writes the delta, so a step touches each
+//!   weight once and no gradient is ever stored. Bit-identical to the
+//!   gradient-materialising reference below.
 //! * [`TrainScratch`] — the pooled training workspace (activations,
 //!   backward caches, gradient, SGD velocity, minibatch staging) behind
 //!   the allocation-free `_into` kernel family
@@ -66,18 +73,17 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod batch;
 mod init;
 mod layout;
+mod local;
 pub mod loss;
 mod mlp;
 mod optimizer;
 mod profiles;
 mod scratch;
 
-pub use batch::BatchTrainScratch;
 pub use layout::{ParamKind, ParamLayout, ParamLayoutBuilder, Segment};
 pub use mlp::{BatchNorm, EvalMetrics, Mlp, MlpConfig, MlpTopology};
 pub use optimizer::{sgd_momentum_step, step_decay_lr, Sgd};
 pub use profiles::{DatasetModel, ModelProfile};
-pub use scratch::TrainScratch;
+pub use scratch::{BatchTrainScratch, TrainScratch, TrainSlot};

@@ -148,11 +148,25 @@ impl MlpTopology {
         self.layout.total()
     }
 
-    fn check_params(&self, params: &[f32]) {
+    /// The flat range that follows linear layer `i`'s weight matrix up to
+    /// the next layer's: its bias and, for a hidden layer with
+    /// BatchNorm, γ, β and the running statistics — everything of the
+    /// layer that is vector-sized rather than matrix-sized.
+    pub(crate) fn tail(&self, i: usize) -> std::ops::Range<usize> {
+        let lin = self.linears[i];
+        debug_assert_eq!(lin.b_off, lin.w_off + lin.in_dim * lin.out_dim);
+        let end = self
+            .linears
+            .get(i + 1)
+            .map_or(self.num_params(), |next| next.w_off);
+        lin.b_off..end
+    }
+
+    pub(crate) fn check_params(&self, params: &[f32]) {
         assert_eq!(params.len(), self.num_params(), "parameter length mismatch");
     }
 
-    fn check_batch(&self, x: &[f32], y: &[usize]) -> usize {
+    pub(crate) fn check_batch(&self, x: &[f32], y: &[usize]) -> usize {
         assert_eq!(x.len() % self.cfg.input_dim, 0, "input shape mismatch");
         let batch = x.len() / self.cfg.input_dim;
         assert_eq!(batch, y.len(), "batch/label count mismatch");
@@ -317,7 +331,9 @@ impl MlpTopology {
         self.forward_into(params, x, batch, mode, layers, logits);
         log_softmax_rows(logits, batch, classes);
         let loss = nll_and_grad(logits, y, classes, d_logits);
-        grad.fill(0.0);
+        // Only this path materialises the gradient, so only it sizes it.
+        grad.clear();
+        grad.resize(params.len(), 0.0);
         self.backward_into(
             params,
             x,
@@ -342,7 +358,7 @@ impl MlpTopology {
 
     /// Runs the forward pass, writing raw logits into `logits` and the
     /// backward caches into `layers`. Reads `params` only.
-    fn forward_into(
+    pub(crate) fn forward_into(
         &self,
         params: &[f32],
         x: &[f32],
@@ -423,25 +439,22 @@ impl MlpTopology {
         let mut d_next: &mut Vec<f32> = buf_c;
         for i in (0..n_hidden).rev() {
             let ls = &layers[i];
-            // ReLU backward.
-            for (d, &m) in d_cur.iter_mut().zip(&ls.relu_mask) {
-                if !m {
-                    *d = 0.0;
-                }
-            }
+            relu_backward(d_cur, &ls.relu_mask);
             // BatchNorm backward.
             let d_pre: &[f32] = match self.bns[i] {
                 Some(bn) => {
                     d_bn.clear();
                     d_bn.resize(batch * bn.dim, 0.0);
+                    let (d_gamma, d_beta) =
+                        grad[bn.gamma_off..bn.beta_off + bn.dim].split_at_mut(bn.dim);
                     bn_backward_into(
-                        params,
-                        bn,
+                        &params[bn.gamma_off..bn.gamma_off + bn.dim],
                         &ls.x_hat,
                         &ls.inv_std,
                         batch,
                         d_cur,
-                        grad,
+                        d_gamma,
+                        d_beta,
                         sum_dy,
                         sum_dy_xhat,
                         d_bn,
@@ -463,7 +476,12 @@ impl MlpTopology {
     /// Applies the deferred BatchNorm running-statistics updates (PyTorch
     /// semantics: `running ← (1−m)·running + m·batch_stat`, unbiased
     /// variance, `num_batches_tracked += 1`).
-    fn apply_bn_stat_updates(&self, params: &mut [f32], batch: usize, layers: &[LayerScratch]) {
+    pub(crate) fn apply_bn_stat_updates(
+        &self,
+        params: &mut [f32],
+        batch: usize,
+        layers: &[LayerScratch],
+    ) {
         let unbias = if batch > 1 {
             batch as f32 / (batch as f32 - 1.0)
         } else {
@@ -528,15 +546,30 @@ fn linear_backward_into(
     d_in.resize(batch * lin.in_dim, 0.0);
     // Disjoint gradient ranges (asserted at layout-build time).
     debug_assert!(lin.b_off >= lin.w_off + lin.in_dim * lin.out_dim || lin.b_off < lin.w_off);
-    let gb = &mut grad[lin.b_off..lin.b_off + lin.out_dim];
-    for drow in d_out.chunks_exact(lin.out_dim) {
+    bias_grad_into(d_out, &mut grad[lin.b_off..lin.b_off + lin.out_dim]);
+    let gw = &mut grad[lin.w_off..lin.w_off + lin.in_dim * lin.out_dim];
+    gemm::gemm_nt(d_out, input, batch, lin.out_dim, lin.in_dim, gw);
+    gemm::gemm_tn(d_out, w, batch, lin.out_dim, lin.in_dim, d_in);
+}
+
+/// Accumulates the bias gradient — `d_out`'s column sums, rows
+/// ascending — into `gb` (one entry per output feature).
+pub(crate) fn bias_grad_into(d_out: &[f32], gb: &mut [f32]) {
+    for drow in d_out.chunks_exact(gb.len()) {
         for (g, &d) in gb.iter_mut().zip(drow) {
             *g += d;
         }
     }
-    let gw = &mut grad[lin.w_off..lin.w_off + lin.in_dim * lin.out_dim];
-    gemm::gemm_nt(d_out, input, batch, lin.out_dim, lin.in_dim, gw);
-    gemm::gemm_tn(d_out, w, batch, lin.out_dim, lin.in_dim, d_in);
+}
+
+/// ReLU backward: zeroes the activation gradient wherever the forward
+/// pass clamped.
+pub(crate) fn relu_backward(d: &mut [f32], relu_mask: &[bool]) {
+    for (d, &m) in d.iter_mut().zip(relu_mask) {
+        if !m {
+            *d = 0.0;
+        }
+    }
 }
 
 /// BatchNorm forward into pre-sized scratch slices. In training mode the
@@ -593,23 +626,23 @@ pub(crate) fn bn_forward_into(
 }
 
 /// BatchNorm backward (training mode, batch statistics). Accumulates
-/// dγ, dβ into `grad` and writes d(pre-BN input) into the pre-sized
-/// `d_in` slice (`batch × dim`, fully overwritten).
+/// dγ, dβ into `d_gamma` / `d_beta` and writes d(pre-BN input) into the
+/// pre-sized `d_in` slice (`batch × dim`, fully overwritten). `gamma` is
+/// the layer's (pre-update) scale vector; its length is the layer width.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn bn_backward_into(
-    params: &[f32],
-    bn: BatchNorm,
+    gamma: &[f32],
     x_hat: &[f32],
     inv_std: &[f32],
     batch: usize,
     d_out: &[f32],
-    grad: &mut [f32],
+    d_gamma: &mut [f32],
+    d_beta: &mut [f32],
     sum_dy: &mut Vec<f32>,
     sum_dy_xhat: &mut Vec<f32>,
     d_in: &mut [f32],
 ) {
-    let dim = bn.dim;
-    let gamma = &params[bn.gamma_off..bn.gamma_off + dim];
+    let dim = gamma.len();
     let b = batch as f32;
     // Per-feature reductions.
     sum_dy.clear();
@@ -624,8 +657,8 @@ pub(crate) fn bn_backward_into(
         }
     }
     for o in 0..dim {
-        grad[bn.gamma_off + o] += sum_dy_xhat[o];
-        grad[bn.beta_off + o] += sum_dy[o];
+        d_gamma[o] += sum_dy_xhat[o];
+        d_beta[o] += sum_dy[o];
     }
     assert_eq!(d_in.len(), batch * dim, "BN backward d_in shape mismatch");
     for r in 0..batch {

@@ -3,7 +3,8 @@
 //! A [`TrainScratch`] owns the activations, per-layer backward caches,
 //! logit/gradient buffers, SGD velocity, and minibatch staging arrays used
 //! by the `_into` training kernels on [`crate::MlpTopology`]
-//! ([`crate::MlpTopology::loss_and_grad_into`] and friends). Callers keep
+//! ([`crate::MlpTopology::train_delta_into`],
+//! [`crate::MlpTopology::loss_and_grad_into`] and friends). Callers keep
 //! one scratch per worker and thread it through every step; after
 //! [`TrainScratch::ensure`] has sized the buffers once, a steady-state
 //! minibatch step performs **no heap allocation** — the contract the
@@ -11,7 +12,17 @@
 //!
 //! The scratch is model-shape agnostic: `ensure` re-sizes for whatever
 //! `(topology, batch)` pair it is handed, so one pooled scratch can serve
-//! clients of different models across rounds (buffers only grow).
+//! clients of different models across rounds (buffers only grow). The
+//! two `d`-sized buffers are sized by the paths that use them, not by
+//! `ensure`: the velocity by the optimizer steps, the flat gradient only
+//! by the reference path that materialises it
+//! ([`crate::MlpTopology::loss_and_grad_into`]) — local training never
+//! stores a gradient, and evaluation needs neither.
+//!
+//! A [`TrainSlot`] is what one training worker holds: a scratch plus the
+//! client's working weights. It is independent of how many clients the
+//! worker serves — one client's whole training state (458 KB at the
+//! paper shape) stays cache-resident while the cohort streams through.
 
 use crate::mlp::MlpTopology;
 use crate::optimizer::sgd_momentum_step;
@@ -55,10 +66,14 @@ pub struct TrainScratch {
     pub(crate) logits: Vec<f32>,
     /// Loss gradient w.r.t. the logits, `batch × classes`.
     pub(crate) d_logits: Vec<f32>,
-    /// Flat parameter gradient, `d` (valid after a `loss_and_grad_into`).
+    /// Flat parameter gradient, `d` (valid after a `loss_and_grad_into`,
+    /// the only path that sizes it).
     pub(crate) grad: Vec<f32>,
     /// SGD momentum buffer, `d` (reset per client, reused across steps).
     pub(crate) velocity: Vec<f32>,
+    /// Fused-step gradients of everything outside the weight matrices:
+    /// one buffer per linear layer, covering [`MlpTopology::tail`].
+    pub(crate) tail_grads: Vec<Vec<f32>>,
     /// Rotating activation-gradient buffers for the backward pass.
     pub(crate) d_bufs: [Vec<f32>; 3],
     /// BN backward per-feature reduction `Σ dy`, `max hidden width`.
@@ -88,6 +103,34 @@ pub(crate) fn reserve_total(buf: &mut Vec<f32>, cap: usize) {
         buf.reserve(cap - buf.len());
     }
 }
+
+/// One training worker's workspace: the client's working weights plus
+/// the [`TrainScratch`] holding activations, backward caches, velocity
+/// and minibatch staging. A worker reuses one slot for every client it
+/// trains ([`crate::MlpTopology::train_delta_into`] leaves nothing of
+/// one client behind for the next), so steady-state local training
+/// allocates nothing.
+#[derive(Debug, Default)]
+pub struct TrainSlot {
+    /// The client's weights between its first and last local step; with
+    /// a single step, only the vector-sized ranges are ever written.
+    pub params: Vec<f32>,
+    /// The worker's reusable training buffers.
+    pub scratch: TrainScratch,
+}
+
+impl TrainSlot {
+    /// Creates an empty slot; buffers are sized by the first client.
+    #[must_use]
+    pub fn new() -> Self {
+        Self::default()
+    }
+}
+
+/// The workspace the cohort entry point takes: the per-worker
+/// [`TrainSlot`] under the name it had when a cohort was trained as one
+/// stacked batch. It holds one client's state, whatever the cohort size.
+pub type BatchTrainScratch = TrainSlot;
 
 impl TrainScratch {
     /// Creates an empty scratch; buffers are sized lazily by
@@ -122,8 +165,6 @@ impl TrainScratch {
         }
         size_to(&mut self.logits, batch * cfg.classes);
         size_to(&mut self.d_logits, batch * cfg.classes);
-        size_to(&mut self.grad, topo.num_params());
-        size_to(&mut self.velocity, topo.num_params());
         for d in &mut self.d_bufs {
             reserve_total(d, batch * max_width.max(cfg.classes));
         }
@@ -163,6 +204,7 @@ impl TrainScratch {
     /// # Panics
     /// Panics if `params.len()` differs from the gradient length.
     pub fn sgd_step(&mut self, params: &mut [f32], lr: f32, momentum: f32) {
+        size_to(&mut self.velocity, params.len());
         sgd_momentum_step(params, &self.grad, &mut self.velocity, lr, momentum);
     }
 }
@@ -196,8 +238,8 @@ mod tests {
         assert_eq!(s.layers[0].z.len(), 3 * 7);
         assert_eq!(s.layers[1].act.len(), 3 * 6);
         assert_eq!(s.logits.len(), 3 * 4);
-        assert_eq!(s.grad.len(), m.num_params());
-        assert_eq!(s.velocity.len(), m.num_params());
+        // The d-sized buffers belong to the paths that use them.
+        assert!(s.grad.is_empty() && s.velocity.is_empty());
     }
 
     #[test]
@@ -205,10 +247,10 @@ mod tests {
         let m = topo(true);
         let mut s = TrainScratch::new();
         s.ensure(m.topology(), 4);
-        let grad_ptr = s.grad.as_ptr();
+        let logits_ptr = s.logits.as_ptr();
         let z_ptr = s.layers[0].z.as_ptr();
         s.ensure(m.topology(), 4);
-        assert_eq!(s.grad.as_ptr(), grad_ptr);
+        assert_eq!(s.logits.as_ptr(), logits_ptr);
         assert_eq!(s.layers[0].z.as_ptr(), z_ptr);
     }
 
@@ -223,12 +265,26 @@ mod tests {
         assert_eq!(s.layers[1].relu_mask.len(), 8 * 6);
     }
 
+    /// `ensure` no longer sizes the velocity; the first optimizer step
+    /// does, starting it at zero like a fresh [`crate::Sgd`].
+    #[test]
+    fn sgd_step_sizes_a_zero_velocity_on_first_use() {
+        let mut m = topo(true);
+        let (x, y) = (vec![0.25f32; 5 * 2], vec![1usize, 3]);
+        let mut s = TrainScratch::new();
+        let _ = m.loss_and_grad_into(&x, &y, &mut s);
+        let mut want = m.params().to_vec();
+        crate::Sgd::new(want.len(), 0.1, 0.9).step(&mut want, s.grad());
+        s.sgd_step(m.params_mut(), 0.1, 0.9);
+        assert_eq!(m.params(), &want[..]);
+        assert_eq!(s.velocity.len(), want.len());
+    }
+
     #[test]
     fn reset_velocity_zeroes_pool() {
         let m = topo(false);
         let mut s = TrainScratch::new();
-        s.ensure(m.topology(), 1);
-        s.velocity.fill(3.0);
+        s.velocity.resize(m.num_params(), 3.0);
         s.reset_velocity();
         assert!(s.velocity.iter().all(|v| *v == 0.0));
     }

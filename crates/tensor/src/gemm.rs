@@ -13,7 +13,8 @@
 //!   `out[r][j] = Σ_o a[r][o]·b[o][j]`.
 //! * [`gemm_nt`] — backward weights, *accumulating*: `out += aᵀ · b`
 //!   with `a = d_out` (`m × p`) and `b = x` (`m × n`), i.e.
-//!   `out[o][j] += Σ_r a[r][o]·b[r][j]`.
+//!   `out[o][j] += Σ_r a[r][o]·b[r][j]` — and [`gemm_nt_sgd`], the same
+//!   product consumed by the optimizer instead of stored.
 //!
 //! Every kernel has a plain-loop reference twin ([`gemm_nn_ref`],
 //! [`gemm_tn_ref`], [`gemm_nt_ref`]) and is **bit-exact** against it:
@@ -36,19 +37,32 @@
 //!   pre-GEMM per-element loops (the `local_train_*` ledger gates remain
 //!   bit-exact).
 //!
-//! # Batched-client kernels
+//! # The backward-weights epilogue
 //!
-//! Local federated training runs K clients at minibatch 16, which caps
-//! the register tile at m = 16 per GEMM. [`gemm_nn_batch`] /
-//! [`gemm_tn_batch`] stack the K clients' minibatches into one
-//! `(K·16) × in_dim` call: on step 0 of a round every client still holds
-//! the global weights ([`BatchOperand::Shared`] — one big GEMM), and
-//! from step 1 each client multiplies its own packed weight tile viewed
-//! in place inside its flat parameter vector
-//! ([`BatchOperand::PerClient`] — clients become pool jobs). Stacking is
-//! bit-exact against the per-client calls because an output element's
-//! reduction chain depends only on `k` and the tile constants, never on
-//! the row count of the call.
+//! [`gemm_nt`] and [`gemm_nt_sgd`] are one kernel: a walker that reduces
+//! each `NT_OR × JB` tile of `aᵀ·b` over the whole batch in registers,
+//! then hands the finished tile to an *epilogue*. [`gemm_nt`]'s epilogue
+//! starts every chain from `out` and stores it back (the gradient is
+//! materialised — what [`gemm_nt_ref`] pins). [`gemm_nt_sgd`]'s starts
+//! every chain from `0.0` and applies the SGD-with-momentum update
+//! `v' = μ·v + g; w' = w − γ·v'` to the tile while `g` is still in
+//! registers, so a training step reads and writes each weight once and
+//! the gradient never touches memory. The contract that keeps the fused
+//! form bit-identical to *zero the gradient, [`gemm_nt`], update*:
+//!
+//! * `g`'s chain is `0.0` plus its terms in ascending `r` — the chain
+//!   the accumulating form builds on a zeroed buffer, for any `m`;
+//! * the update is the same two expressions, evaluated in `f32` on that
+//!   `g`; a velocity known to be zero is still multiplied and added
+//!   (`μ·0.0 + g`), so signed zeros come out as the stored form's do;
+//! * the epilogue overwrites `W`, so a layer's backward-data product
+//!   ([`gemm_tn`], which reads the pre-update `W`) must run **before**
+//!   its fused backward-weights call.
+//!
+//! [`SgdIo`] names which of `w`, `v`, `w'`, `v'` touch memory: a
+//! client's first step reads the shared global weights and a zero
+//! velocity it never loads, its last step writes only the delta
+//! `w' − global`.
 //!
 //! # Example
 //!
@@ -85,7 +99,7 @@ const JB: usize = 16;
 const TN_MR: usize = 4;
 /// Rows of `out` per register tile in [`gemm_nt`].
 const NT_OR: usize = 4;
-/// Reduction cache tile in [`gemm_tn`] / [`gemm_nt`].
+/// Reduction cache tile in [`gemm_tn`].
 const RED_C: usize = 512;
 
 /// Minimum rows before [`gemm_nn`] shards row blocks across threads.
@@ -433,8 +447,48 @@ pub fn gemm_tn_ref(a: &[f32], b: &[f32], m: usize, p: usize, n: usize, out: &mut
 }
 
 // ---------------------------------------------------------------------------
-// NT: out += aᵀ · b (backward weights, accumulating).
+// NT: g = aᵀ · b (backward weights), handed tile by tile to an epilogue.
 // ---------------------------------------------------------------------------
+
+/// What the backward-weights tile walker does with each reduced run of
+/// `len ≤ JB` consecutive elements of the `p × n` product: where the
+/// chains start, and where the finished values go. `at` is the run's
+/// flat offset (`o·n + j`); only the first `len` lanes of `acc` count.
+trait NtEpilogue {
+    /// Writes the starting value of every chain of the run into `acc`.
+    fn start(&self, at: usize, len: usize, acc: &mut [f32; JB]);
+    /// Consumes the finished chains of the run.
+    fn finish(&mut self, at: usize, len: usize, acc: &[f32; JB]);
+}
+
+/// The run `src[at..at + len]` in a register-sized block (lanes past
+/// `len` are zero), so the epilogue arithmetic is always `JB` wide.
+#[inline(always)]
+fn load_run(src: &[f32], at: usize, len: usize) -> [f32; JB] {
+    let mut run = [0.0f32; JB];
+    run[..len].copy_from_slice(&src[at..at + len]);
+    run
+}
+
+#[inline(always)]
+fn store_run(dst: &mut [f32], at: usize, len: usize, run: &[f32; JB]) {
+    dst[at..at + len].copy_from_slice(&run[..len]);
+}
+
+/// [`gemm_nt`]'s epilogue: chains start from `out` and are stored back.
+struct Accumulate<'a>(&'a mut [f32]);
+
+impl NtEpilogue for Accumulate<'_> {
+    #[inline(always)]
+    fn start(&self, at: usize, len: usize, acc: &mut [f32; JB]) {
+        *acc = load_run(self.0, at, len);
+    }
+
+    #[inline(always)]
+    fn finish(&mut self, at: usize, len: usize, acc: &[f32; JB]) {
+        store_run(self.0, at, len, acc);
+    }
+}
 
 /// Blocked accumulating backward-weights matmul:
 /// `out[o][j] += Σ_r a[r][o]·b[r][j]` (`a: m × p`, `b: m × n`,
@@ -445,28 +499,174 @@ pub fn gemm_tn_ref(a: &[f32], b: &[f32], m: usize, p: usize, n: usize, out: &mut
 /// Panics if any slice length disagrees with `(m, p, n)`.
 pub fn gemm_nt(a: &[f32], b: &[f32], m: usize, p: usize, n: usize, out: &mut [f32]) {
     check_dims(a, b, m, p, m * n, out, p * n);
-    // Reduction tiles ascend over r and every chain starts from the
-    // existing `out` value, so each element is the naive
-    // `acc = out[o][j]; for r { acc += a[r][o]·b[r][j] }` exactly.
-    let mut r0 = 0;
-    while r0 < m {
-        let rt = (m - r0).min(RED_C);
-        let mut o0 = 0;
-        while o0 < p {
-            let pt = (p - o0).min(NT_OR);
-            let mut j0 = 0;
-            while j0 < n {
-                let jt = (n - j0).min(JB);
-                if pt == NT_OR && jt == JB {
-                    nt_micro(a, b, p, n, r0, rt, o0, j0, out);
-                } else {
-                    nt_edge(a, b, p, n, r0, rt, o0, pt, j0, jt, out);
-                }
-                j0 += jt;
+    nt_tiles(a, b, m, p, n, &mut Accumulate(out));
+}
+
+/// Where one SGD-with-momentum step of [`gemm_nt_sgd`] reads the weights
+/// and velocity it updates, and where the result goes. Every slice is
+/// the `p × n` weight matrix's range of its vector. The update is always
+/// `v' = μ·v + g; w' = w − γ·v'`; the forms differ only in which of
+/// `w`, `v`, `w'`, `v'` touch memory.
+#[derive(Debug)]
+pub enum SgdIo<'a> {
+    /// A middle step: `v ← v'`, `w ← w'`, in place.
+    InPlace {
+        /// Weights, updated in place.
+        w: &'a mut [f32],
+        /// Velocity, updated in place.
+        v: &'a mut [f32],
+    },
+    /// The first of several steps: the weights are read from `from`
+    /// (the model every client starts from) and the velocity is zero by
+    /// definition, so neither `w` nor `v` is read — both are overwritten.
+    First {
+        /// Pre-update weights.
+        from: &'a [f32],
+        /// Receives `w'`.
+        w: &'a mut [f32],
+        /// Receives `v'`.
+        v: &'a mut [f32],
+    },
+    /// The last of several steps: only the delta `out ← w' − base` is
+    /// wanted, so `w` and `v` are read and left untouched.
+    Last {
+        /// Pre-update weights.
+        w: &'a [f32],
+        /// Pre-update velocity.
+        v: &'a [f32],
+        /// The weights the delta is taken against.
+        base: &'a [f32],
+        /// Receives `w' − base`.
+        out: &'a mut [f32],
+    },
+    /// The only step, first and last at once: weights read from `base`,
+    /// zero velocity, `out ← w' − base`.
+    Only {
+        /// Pre-update weights, and what the delta is taken against.
+        base: &'a [f32],
+        /// Receives `w' − base`.
+        out: &'a mut [f32],
+    },
+}
+
+/// [`gemm_nt_sgd`]'s epilogue: chains start from `0.0` and the finished
+/// gradient run is consumed by the SGD update while still in registers.
+struct Sgd<'a> {
+    lr: f32,
+    momentum: f32,
+    io: SgdIo<'a>,
+}
+
+impl NtEpilogue for Sgd<'_> {
+    #[inline(always)]
+    fn start(&self, _at: usize, _len: usize, acc: &mut [f32; JB]) {
+        *acc = [0.0; JB];
+    }
+
+    #[inline(always)]
+    fn finish(&mut self, at: usize, len: usize, g: &[f32; JB]) {
+        const ZERO: [f32; JB] = [0.0; JB];
+        let (lr, mu) = (self.lr, self.momentum);
+        // The one place the update is written: `(w, v) → (w', v')`. A
+        // velocity known to be zero still goes through it (`μ·0.0 + g`):
+        // that is what turns a `-0.0` gradient into the `+0.0` velocity
+        // the unfused update stores.
+        let step = |mut w: [f32; JB], mut v: [f32; JB]| {
+            for ((w, v), g) in w.iter_mut().zip(&mut v).zip(g) {
+                *v = mu * *v + g;
+                *w -= lr * *v;
             }
-            o0 += pt;
+            (w, v)
+        };
+        let minus = |mut w: [f32; JB], base: [f32; JB]| {
+            for (w, b) in w.iter_mut().zip(base) {
+                *w -= b;
+            }
+            w
+        };
+        match &mut self.io {
+            SgdIo::InPlace { w, v } => {
+                let (w1, v1) = step(load_run(w, at, len), load_run(v, at, len));
+                store_run(w, at, len, &w1);
+                store_run(v, at, len, &v1);
+            }
+            SgdIo::First { from, w, v } => {
+                let (w1, v1) = step(load_run(from, at, len), ZERO);
+                store_run(w, at, len, &w1);
+                store_run(v, at, len, &v1);
+            }
+            SgdIo::Last { w, v, base, out } => {
+                let (w1, _) = step(load_run(w, at, len), load_run(v, at, len));
+                store_run(out, at, len, &minus(w1, load_run(base, at, len)));
+            }
+            SgdIo::Only { base, out } => {
+                let base = load_run(base, at, len);
+                let (w1, _) = step(base, ZERO);
+                store_run(out, at, len, &minus(w1, base));
+            }
         }
-        r0 += rt;
+    }
+}
+
+/// Backward-weights matmul with the SGD-with-momentum update as its
+/// epilogue: for every element of the `p × n` weight matrix,
+/// `g = Σ_r a[r][o]·b[r][j]`, `v' = μ·v + g`, `w' = w − γ·v'`, with the
+/// operands read and the results written as `io` says (see [`SgdIo`]).
+/// The gradient is never stored.
+///
+/// **Bit-exact against the unfused sequence** — [`gemm_nt`] into a
+/// zero-filled gradient, then `v ← μ·v + g; w ← w − γ·v` element by
+/// element (and `w' − base` for the delta forms): `g`'s chain starts at
+/// `0.0` and adds its terms in ascending `r`, exactly the chain
+/// [`gemm_nt`] builds on a zeroed buffer, and the update evaluates the
+/// same two expressions on it.
+///
+/// # Panics
+/// Panics if any slice length disagrees with `(m, p, n)`.
+#[allow(clippy::too_many_arguments)] // the gemm_nt signature plus the optimizer's two scalars
+pub fn gemm_nt_sgd(
+    a: &[f32],
+    b: &[f32],
+    m: usize,
+    p: usize,
+    n: usize,
+    lr: f32,
+    momentum: f32,
+    io: SgdIo<'_>,
+) {
+    let sized = |s: &[f32]| s.len() == p * n;
+    let operands_fit = match &io {
+        SgdIo::InPlace { w, v } => sized(w) && sized(v),
+        SgdIo::First { from, w, v } => sized(from) && sized(w) && sized(v),
+        SgdIo::Last { w, v, base, out } => sized(w) && sized(v) && sized(base) && sized(out),
+        SgdIo::Only { base, out } => sized(base) && sized(out),
+    };
+    assert!(operands_fit, "gemm: SGD operand shape mismatch");
+    assert_eq!(a.len(), m * p, "gemm: `a` shape mismatch");
+    assert_eq!(b.len(), m * n, "gemm: `b` shape mismatch");
+    nt_tiles(a, b, m, p, n, &mut Sgd { lr, momentum, io });
+}
+
+/// The one backward-weights tile walker: every `NT_OR × JB` tile of the
+/// `p × n` product is reduced over the whole batch in registers and
+/// handed to the epilogue once. Each element's chain is its starting
+/// value plus `a[r][o]·b[r][j]` in ascending `r` — the naive loop's
+/// order, for any `m`.
+fn nt_tiles<E: NtEpilogue>(a: &[f32], b: &[f32], m: usize, p: usize, n: usize, ep: &mut E) {
+    let mut o0 = 0;
+    while o0 < p {
+        let pt = (p - o0).min(NT_OR);
+        let mut j0 = 0;
+        while j0 < n {
+            let jt = (n - j0).min(JB);
+            if pt == NT_OR && jt == JB {
+                nt_micro(a, b, m, p, n, o0, j0, ep);
+            } else {
+                nt_edge(a, b, m, p, n, o0, pt, j0, jt, ep);
+            }
+            j0 += jt;
+        }
+        o0 += pt;
     }
 }
 
@@ -475,24 +675,23 @@ pub fn gemm_nt(a: &[f32], b: &[f32], m: usize, p: usize, n: usize, out: &mut [f3
 /// sixteen-wide column block vectorizes across independent gradient
 /// columns (never across `r`, the reduction).
 #[allow(clippy::too_many_arguments)]
-#[inline]
-fn nt_micro(
+#[inline(always)]
+fn nt_micro<E: NtEpilogue>(
     a: &[f32],
     b: &[f32],
+    m: usize,
     p: usize,
     n: usize,
-    r0: usize,
-    rt: usize,
     o0: usize,
     j0: usize,
-    out: &mut [f32],
+    ep: &mut E,
 ) {
     let mut acc = [[0.0f32; JB]; NT_OR];
     for (o, row) in acc.iter_mut().enumerate() {
-        row.copy_from_slice(&out[(o0 + o) * n + j0..][..JB]);
+        ep.start((o0 + o) * n + j0, JB, row);
     }
     let [acc0, acc1, acc2, acc3] = &mut acc;
-    for r in r0..r0 + rt {
+    for r in 0..m {
         let av: &[f32; NT_OR] = a[r * p + o0..][..NT_OR].try_into().expect("NT_OR block");
         let br: &[f32; JB] = b[r * n + j0..][..JB].try_into().expect("JB block");
         // One flat loop over columns with the rows hand-jammed: the only
@@ -507,34 +706,35 @@ fn nt_micro(
         }
     }
     for (o, row) in acc.iter().enumerate() {
-        out[(o0 + o) * n + j0..][..JB].copy_from_slice(row);
+        ep.finish((o0 + o) * n + j0, JB, row);
     }
 }
 
-/// Remainder tile of [`gemm_nt`]: per-element chains in the same
-/// ascending-r order.
+/// Remainder tile of [`nt_tiles`]: one row run at a time, per-element
+/// chains in the same ascending-r order.
 #[allow(clippy::too_many_arguments)]
-fn nt_edge(
+fn nt_edge<E: NtEpilogue>(
     a: &[f32],
     b: &[f32],
+    m: usize,
     p: usize,
     n: usize,
-    r0: usize,
-    rt: usize,
     o0: usize,
     pt: usize,
     j0: usize,
     jt: usize,
-    out: &mut [f32],
+    ep: &mut E,
 ) {
     for o in o0..o0 + pt {
-        for j in j0..j0 + jt {
-            let mut acc = out[o * n + j];
-            for r in r0..r0 + rt {
-                acc += a[r * p + o] * b[r * n + j];
+        let mut acc = [0.0f32; JB];
+        ep.start(o * n + j0, jt, &mut acc);
+        for r in 0..m {
+            let x = a[r * p + o];
+            for (s, &w) in acc.iter_mut().zip(&b[r * n + j0..][..jt]) {
+                *s += x * w;
             }
-            out[o * n + j] = acc;
         }
+        ep.finish(o * n + j0, jt, &acc);
     }
 }
 
@@ -552,207 +752,6 @@ pub fn gemm_nt_ref(a: &[f32], b: &[f32], m: usize, p: usize, n: usize, out: &mut
                 acc += a[r * p + o] * b[r * n + j];
             }
             out[o * n + j] = acc;
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Batched-client kernels: K clients' minibatches in one call.
-// ---------------------------------------------------------------------------
-
-/// One weight/bias operand of a batched-client GEMM.
-///
-/// On step 0 of a round every client still holds the global weights, so
-/// the whole batch multiplies against **one** shared matrix
-/// ([`BatchOperand::Shared`]) and the kernel degenerates to a single
-/// stacked `(K·mb) × n` GEMM — the shape that finally exceeds the m = 16
-/// register-tile cap per client. From step 1 on, the clients' weights
-/// have diverged; [`BatchOperand::PerClient`] views client `c`'s packed
-/// tile at `base[c·stride + off ..]` — for the ml crate that is the
-/// contiguous `W`/`bias` segment inside client `c`'s flat parameter
-/// vector (stride = the parameter count), so no copy is ever made.
-#[derive(Debug, Clone, Copy)]
-pub enum BatchOperand<'a> {
-    /// One operand matrix shared by every client.
-    Shared(&'a [f32]),
-    /// Per-client packed tiles: client `c`'s operand is
-    /// `base[c·stride + off ..][..len]`.
-    PerClient {
-        /// Backing buffer holding every client's tile.
-        base: &'a [f32],
-        /// Distance between consecutive clients' tiles.
-        stride: usize,
-        /// Offset of the tile inside each client's stride.
-        off: usize,
-    },
-}
-
-impl<'a> BatchOperand<'a> {
-    /// Client `c`'s `len`-element tile.
-    #[inline]
-    fn tile(&self, c: usize, len: usize) -> &'a [f32] {
-        match *self {
-            Self::Shared(s) => &s[..len],
-            Self::PerClient { base, stride, off } => &base[c * stride + off..][..len],
-        }
-    }
-
-    /// Validates that every client's tile of `len` elements is in bounds.
-    fn check(&self, clients: usize, len: usize, what: &str) {
-        match *self {
-            Self::Shared(s) => assert_eq!(s.len(), len, "gemm batch: `{what}` shape mismatch"),
-            Self::PerClient { base, stride, off } => {
-                if clients > 0 {
-                    assert!(
-                        (clients - 1) * stride + off + len <= base.len(),
-                        "gemm batch: `{what}` tiles out of bounds"
-                    );
-                }
-            }
-        }
-    }
-}
-
-/// Batched-client forward matmul: client `c` occupies rows
-/// `[c·mb, (c+1)·mb)` of the stacked `a` (`(clients·mb) × k`) and `out`
-/// (`(clients·mb) × n`), and multiplies against its own `n × k` weight
-/// tile and `n`-long bias tile from `w`/`bias`.
-///
-/// **Bit-exact against per-client [`gemm_nn`] calls on the same rows**:
-/// each output element's reduction chain depends only on `k` and the
-/// tile constants, never on how many rows the call carries, so stacking
-/// clients cannot reassociate anything. With both operands
-/// [`BatchOperand::Shared`] the call collapses to one stacked
-/// [`gemm_nn`] (which row-shards across the `gluefl_pool` workers under the
-/// `parallel` feature); otherwise clients become pool jobs.
-///
-/// # Panics
-/// Panics if any slice length disagrees with `(clients, mb, n, k)`.
-#[allow(clippy::too_many_arguments)] // mirrors the (a, w, bias, dims..., out) GEMM signature family
-pub fn gemm_nn_batch(
-    a: &[f32],
-    w: &BatchOperand<'_>,
-    bias: &BatchOperand<'_>,
-    clients: usize,
-    mb: usize,
-    n: usize,
-    k: usize,
-    out: &mut [f32],
-) {
-    assert_eq!(a.len(), clients * mb * k, "gemm batch: `a` shape mismatch");
-    assert_eq!(
-        out.len(),
-        clients * mb * n,
-        "gemm batch: `out` shape mismatch"
-    );
-    w.check(clients, n * k, "w");
-    bias.check(clients, n, "bias");
-    if clients == 0 || mb == 0 || n == 0 {
-        return;
-    }
-    if let (BatchOperand::Shared(wv), BatchOperand::Shared(bv)) = (w, bias) {
-        // Step-0 shape: one big GEMM over the stacked batch.
-        gemm_nn(a, wv, bv, clients * mb, n, k, out);
-        return;
-    }
-    #[cfg(feature = "parallel")]
-    if clients > 1 && clients * mb * n * k >= PAR_MIN_MULS {
-        let threads = std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(1)
-            .min(clients);
-        if threads > 1 {
-            let jobs: Vec<(usize, &mut [f32])> = out.chunks_mut(mb * n).enumerate().collect();
-            gluefl_pool::run(threads, jobs, |(c, out_block)| {
-                gemm_nn_serial(
-                    &a[c * mb * k..][..mb * k],
-                    w.tile(c, n * k),
-                    bias.tile(c, n),
-                    mb,
-                    n,
-                    k,
-                    out_block,
-                );
-            });
-            return;
-        }
-    }
-    for (c, out_block) in out.chunks_mut(mb * n).enumerate() {
-        gemm_nn_serial(
-            &a[c * mb * k..][..mb * k],
-            w.tile(c, n * k),
-            bias.tile(c, n),
-            mb,
-            n,
-            k,
-            out_block,
-        );
-    }
-}
-
-/// Batched-client backward-data matmul: client `c` occupies rows
-/// `[c·mb, (c+1)·mb)` of the stacked `a` (`(clients·mb) × p`) and `out`
-/// (`(clients·mb) × n`), multiplying against its own `p × n` tile of
-/// `b`. Bit-exact against per-client [`gemm_tn`] calls on the same rows
-/// (rows never share an accumulator). With a shared operand the call is
-/// one stacked [`gemm_tn`], client-block-sharded across the
-/// `gluefl_pool` workers under the `parallel` feature.
-///
-/// # Panics
-/// Panics if any slice length disagrees with `(clients, mb, p, n)`.
-pub fn gemm_tn_batch(
-    a: &[f32],
-    b: &BatchOperand<'_>,
-    clients: usize,
-    mb: usize,
-    p: usize,
-    n: usize,
-    out: &mut [f32],
-) {
-    assert_eq!(a.len(), clients * mb * p, "gemm batch: `a` shape mismatch");
-    assert_eq!(
-        out.len(),
-        clients * mb * n,
-        "gemm batch: `out` shape mismatch"
-    );
-    b.check(clients, p * n, "b");
-    if clients == 0 || mb == 0 {
-        return;
-    }
-    #[cfg(feature = "parallel")]
-    if clients > 1 && clients * mb * p * n >= PAR_MIN_MULS {
-        let threads = std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(1)
-            .min(clients);
-        if threads > 1 {
-            let jobs: Vec<(usize, &mut [f32])> = out.chunks_mut(mb * n).enumerate().collect();
-            gluefl_pool::run(threads, jobs, |(c, out_block)| {
-                gemm_tn(
-                    &a[c * mb * p..][..mb * p],
-                    b.tile(c, p * n),
-                    mb,
-                    p,
-                    n,
-                    out_block,
-                );
-            });
-            return;
-        }
-    }
-    match b {
-        BatchOperand::Shared(bv) => gemm_tn(a, bv, clients * mb, p, n, out),
-        BatchOperand::PerClient { .. } => {
-            for (c, out_block) in out.chunks_mut(mb * n).enumerate() {
-                gemm_tn(
-                    &a[c * mb * p..][..mb * p],
-                    b.tile(c, p * n),
-                    mb,
-                    p,
-                    n,
-                    out_block,
-                );
-            }
         }
     }
 }
@@ -858,118 +857,15 @@ mod tests {
         gemm_nn(&[0.0; 3], &[0.0; 4], &[0.0; 2], 2, 2, 2, &mut out);
     }
 
-    /// Batched-client calls must reproduce the per-client kernels bit
-    /// for bit — shared step-0 weights and diverged per-client tiles,
-    /// on-tile and off-tile client counts and minibatch sizes alike.
-    fn check_batch(clients: usize, mb: usize, n: usize, k: usize, seed: u64, shared: bool) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let a = fill(&mut rng, clients * mb * k);
-        // Per-client tiles live inside a padded per-client "params"
-        // stride, mimicking the ml crate's flat parameter vectors.
-        let stride = n * k + n + 3;
-        let params = fill(&mut rng, clients.max(1) * stride);
-        let shared_w = fill(&mut rng, n * k);
-        let shared_b = fill(&mut rng, n);
-        let (w, bias) = if shared {
-            (
-                BatchOperand::Shared(&shared_w),
-                BatchOperand::Shared(&shared_b),
-            )
-        } else {
-            (
-                BatchOperand::PerClient {
-                    base: &params,
-                    stride,
-                    off: 0,
-                },
-                BatchOperand::PerClient {
-                    base: &params,
-                    stride,
-                    off: n * k,
-                },
-            )
-        };
-        let mut got = vec![0.0f32; clients * mb * n];
-        gemm_nn_batch(&a, &w, &bias, clients, mb, n, k, &mut got);
-        let mut want = vec![0.0f32; clients * mb * n];
-        for c in 0..clients {
-            let (wc, bc) = if shared {
-                (&shared_w[..], &shared_b[..])
-            } else {
-                (
-                    &params[c * stride..][..n * k],
-                    &params[c * stride + n * k..][..n],
-                )
-            };
-            gemm_nn(
-                &a[c * mb * k..][..mb * k],
-                wc,
-                bc,
-                mb,
-                n,
-                k,
-                &mut want[c * mb * n..][..mb * n],
-            );
-        }
-        assert_bits_eq(&got, &want, "nn batch");
-        // TN: stacked d_out is (clients·mb) × n against n × k tiles.
-        let d_out = fill(&mut rng, clients * mb * n);
-        let b_op = if shared {
-            BatchOperand::Shared(&shared_w)
-        } else {
-            BatchOperand::PerClient {
-                base: &params,
-                stride,
-                off: 0,
-            }
-        };
-        let mut got = vec![0.0f32; clients * mb * k];
-        gemm_tn_batch(&d_out, &b_op, clients, mb, n, k, &mut got);
-        let mut want = vec![0.0f32; clients * mb * k];
-        for c in 0..clients {
-            let bc = if shared {
-                &shared_w[..]
-            } else {
-                &params[c * stride..][..n * k]
-            };
-            gemm_tn(
-                &d_out[c * mb * n..][..mb * n],
-                bc,
-                mb,
-                n,
-                k,
-                &mut want[c * mb * k..][..mb * k],
-            );
-        }
-        assert_bits_eq(&got, &want, "tn batch");
-    }
-
     #[test]
-    fn batched_clients_match_per_client_calls_bitwise() {
-        for (i, &(clients, mb)) in [(1, 16), (30, 16), (3, 5), (7, 1), (2, 16)]
-            .iter()
-            .enumerate()
-        {
-            check_batch(clients, mb, 96, 192, 40 + i as u64, true);
-            check_batch(clients, mb, 96, 192, 60 + i as u64, false);
-            check_batch(clients, mb, 7, 9, 80 + i as u64, false);
-        }
-    }
-
-    #[test]
-    fn batched_zero_clients_is_a_no_op() {
-        let w = [0.5f32; 6];
-        let b = [0.1f32; 2];
-        gemm_nn_batch(
-            &[],
-            &BatchOperand::Shared(&w),
-            &BatchOperand::Shared(&b),
-            0,
-            4,
-            2,
-            3,
-            &mut [],
-        );
+    #[should_panic(expected = "SGD operand shape mismatch")]
+    fn sgd_operand_shape_mismatch_panics() {
+        let (mut w, mut v) = ([0.0f32; 4], [0.0f32; 3]);
+        let io = SgdIo::InPlace {
+            w: &mut w,
+            v: &mut v,
+        };
+        gemm_nt_sgd(&[0.0; 2], &[0.0; 2], 1, 2, 2, 0.1, 0.9, io);
     }
 
     /// Under the `parallel` feature, a batch large enough to trigger row

@@ -6,9 +6,13 @@
 //! naive triple loop exactly — across adversarial shapes (batch 1, unit
 //! input/output dimensions, and dimensions straddling the register/cache
 //! block sizes), arbitrary data, and accumulation on top of arbitrary
-//! pre-existing gradients.
+//! pre-existing gradients — and the backward-weights kernel's SGD
+//! epilogue against the unfused *zeroed gradient, reference product,
+//! update* sequence.
 
-use gluefl_tensor::gemm::{gemm_nn, gemm_nn_ref, gemm_nt, gemm_nt_ref, gemm_tn, gemm_tn_ref};
+use gluefl_tensor::gemm::{
+    gemm_nn, gemm_nn_ref, gemm_nt, gemm_nt_ref, gemm_nt_sgd, gemm_tn, gemm_tn_ref, SgdIo,
+};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -23,6 +27,17 @@ fn bits_eq(got: &[f32], want: &[f32]) -> bool {
             .iter()
             .zip(want)
             .all(|(g, w)| g.to_bits() == w.to_bits())
+}
+
+/// [`bits_eq`], except that any NaN matches any NaN: which operand's
+/// payload and sign an `x + y` of two NaNs keeps is the instruction
+/// selector's choice (IEEE 754 leaves it open), not the kernel's.
+fn bits_eq_or_both_nan(got: &[f32], want: &[f32]) -> bool {
+    got.len() == want.len()
+        && got
+            .iter()
+            .zip(want)
+            .all(|(g, w)| g.to_bits() == w.to_bits() || (g.is_nan() && w.is_nan()))
 }
 
 /// Dimension strategy: small enough to hit batch 1 / unit dims often,
@@ -142,117 +157,179 @@ fn parallel_forward_matches_reference_bitwise() {
 }
 
 // ---------------------------------------------------------------------------
-// Batched-client kernels: stacking K clients into one call must be
-// bit-exact against K per-client calls on the same rows — whether the
-// operand is shared (step 0: identical weights) or per-client packed
-// tiles (later steps: diverged weights), and for any K including 1 and
-// counts that don't divide the worker count.
+// The SGD epilogue: backward-weights with the optimizer update fused in
+// must be bit-exact against the unfused sequence — a zeroed gradient,
+// the reference backward-weights product, then the two-expression update
+// element by element — in each of the four operand forms.
 // ---------------------------------------------------------------------------
 
-use gluefl_tensor::gemm::{gemm_nn_batch, gemm_tn_batch, BatchOperand};
-
-proptest! {
-    /// Forward batched layout vs per-client [`gemm_nn`] twin.
-    #[test]
-    fn nn_batch_is_bit_exact_vs_per_client(
-        clients in 1usize..7,
-        mb in 1usize..18,
-        n in dim(),
-        k in dim(),
-        pad in 0usize..5,
-        shared in any::<bool>(),
-        seed in any::<u64>(),
-    ) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let a = fill(&mut rng, clients * mb * k);
-        // Per-client tiles live in a padded stride to exercise the
-        // PerClient offset arithmetic; shared uses one tile for all.
-        let wstride = n * k + pad;
-        let bstride = n + pad;
-        let wbase = fill(&mut rng, clients * wstride + pad);
-        let bbase = fill(&mut rng, clients * bstride + pad);
-        let (w, bias) = if shared {
-            (
-                BatchOperand::Shared(&wbase[..n * k]),
-                BatchOperand::Shared(&bbase[..n]),
-            )
-        } else {
-            (
-                BatchOperand::PerClient { base: &wbase, stride: wstride, off: pad },
-                BatchOperand::PerClient { base: &bbase, stride: bstride, off: pad },
-            )
-        };
-        let mut got = vec![0.0f32; clients * mb * n];
-        gemm_nn_batch(&a, &w, &bias, clients, mb, n, k, &mut got);
-        let mut want = vec![0.0f32; clients * mb * n];
-        for c in 0..clients {
-            let (wt, bt) = if shared {
-                (&wbase[..n * k], &bbase[..n])
-            } else {
-                (
-                    &wbase[c * wstride + pad..][..n * k],
-                    &bbase[c * bstride + pad..][..n],
-                )
-            };
-            gemm_nn(
-                &a[c * mb * k..][..mb * k],
-                wt,
-                bt,
-                mb,
-                n,
-                k,
-                &mut want[c * mb * n..][..mb * n],
-            );
+/// Checks all four [`SgdIo`] forms of one problem against the unfused
+/// sequence; returns the first form that diverged.
+#[allow(clippy::too_many_arguments)]
+fn sgd_forms_diverge(
+    d_out: &[f32],
+    x: &[f32],
+    (m, p, n): (usize, usize, usize),
+    (lr, mu): (f32, f32),
+    w0: &[f32],
+    v0: &[f32],
+    base: &[f32],
+) -> Option<&'static str> {
+    let unfused = |w: &mut [f32], v: &mut [f32]| {
+        let mut g = vec![0.0f32; p * n];
+        gemm_nt_ref(d_out, x, m, p, n, &mut g);
+        for ((w, v), g) in w.iter_mut().zip(v.iter_mut()).zip(&g) {
+            *v = mu * *v + g;
+            *w -= lr * *v;
         }
-        prop_assert!(
-            bits_eq(&got, &want),
-            "nn batch diverged at clients={} mb={} n={} k={} shared={}",
-            clients, mb, n, k, shared
-        );
+    };
+    let delta =
+        |w: &[f32], base: &[f32]| -> Vec<f32> { w.iter().zip(base).map(|(w, b)| w - b).collect() };
+
+    // Middle step: both in place.
+    let (mut w_want, mut v_want) = (w0.to_vec(), v0.to_vec());
+    unfused(&mut w_want, &mut v_want);
+    let (mut w, mut v) = (w0.to_vec(), v0.to_vec());
+    let io = SgdIo::InPlace {
+        w: &mut w,
+        v: &mut v,
+    };
+    gemm_nt_sgd(d_out, x, m, p, n, lr, mu, io);
+    if !bits_eq_or_both_nan(&w, &w_want) || !bits_eq_or_both_nan(&v, &v_want) {
+        return Some("in place");
     }
 
-    /// Backward-data batched layout vs per-client [`gemm_tn`] twin.
+    // Last step: out ≡ (w − γ·v') − base; `w` and `v` are only borrowed
+    // shared, so "untouched" holds by construction.
+    let mut out = vec![f32::NAN; p * n];
+    let io = SgdIo::Last {
+        w: w0,
+        v: v0,
+        base,
+        out: &mut out,
+    };
+    gemm_nt_sgd(d_out, x, m, p, n, lr, mu, io);
+    if !bits_eq_or_both_nan(&out, &delta(&w_want, base)) {
+        return Some("last");
+    }
+
+    // First step: weights from `from`, zero velocity; whatever `w` and
+    // `v` held is overwritten, never read.
+    let (mut w_want, mut v_want) = (w0.to_vec(), vec![0.0f32; p * n]);
+    unfused(&mut w_want, &mut v_want);
+    let (mut w, mut v) = (vec![f32::NAN; p * n], vec![f32::NAN; p * n]);
+    let io = SgdIo::First {
+        from: w0,
+        w: &mut w,
+        v: &mut v,
+    };
+    gemm_nt_sgd(d_out, x, m, p, n, lr, mu, io);
+    if !bits_eq_or_both_nan(&w, &w_want) || !bits_eq_or_both_nan(&v, &v_want) {
+        return Some("first");
+    }
+
+    // Only step: first and last at once.
+    let io = SgdIo::Only {
+        base: w0,
+        out: &mut out,
+    };
+    gemm_nt_sgd(d_out, x, m, p, n, lr, mu, io);
+    if !bits_eq_or_both_nan(&out, &delta(&w_want, w0)) {
+        return Some("only");
+    }
+    None
+}
+
+proptest! {
+    /// Arbitrary data over the adversarial shapes (batch 1, unit
+    /// dimensions, `p`/`n` off the 4 × 16 tile), `μ = 0` included.
     #[test]
-    fn tn_batch_is_bit_exact_vs_per_client(
-        clients in 1usize..7,
-        mb in 1usize..18,
+    fn nt_sgd_epilogue_is_bit_exact_vs_unfused(
+        m in dim(),
         p in dim(),
         n in dim(),
-        pad in 0usize..5,
-        shared in any::<bool>(),
+        plain in any::<bool>(),
         seed in any::<u64>(),
     ) {
         let mut rng = StdRng::seed_from_u64(seed);
-        let a = fill(&mut rng, clients * mb * p);
-        let stride = p * n + pad;
-        let base = fill(&mut rng, clients * stride + pad);
-        let b = if shared {
-            BatchOperand::Shared(&base[..p * n])
-        } else {
-            BatchOperand::PerClient { base: &base, stride, off: pad }
+        let d_out = fill(&mut rng, m * p);
+        let x = fill(&mut rng, m * n);
+        let w0 = fill(&mut rng, p * n);
+        let v0 = fill(&mut rng, p * n);
+        let base = fill(&mut rng, p * n);
+        let mu = if plain { 0.0 } else { rng.gen_range(0.0f32..1.0) };
+        let lr = rng.gen_range(1e-3f32..0.5);
+        let bad = sgd_forms_diverge(&d_out, &x, (m, p, n), (lr, mu), &w0, &v0, &base);
+        prop_assert!(bad.is_none(), "{:?} form diverged at m={} p={} n={} mu={}", bad, m, p, n, mu);
+    }
+
+    /// Signed zeros and non-finite terms: ReLU'd activations and dead
+    /// units make exact `±0.0` gradients (`μ·0.0 + -0.0` is `+0.0`, and
+    /// the fused form must say so too), and a diverged client's NaN/∞
+    /// must propagate exactly as the stored gradient would carry them.
+    #[test]
+    fn nt_sgd_epilogue_preserves_signed_zero_and_non_finite_terms(
+        m in 1usize..6,
+        p in 1usize..10,
+        n in 1usize..36,
+        seed in any::<u64>(),
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut special = |len: usize| -> Vec<f32> {
+            (0..len)
+                .map(|_| match rng.gen_range(0u8..12) {
+                    0..=2 => 0.0,
+                    3..=5 => -0.0,
+                    6 => f32::NAN,
+                    7 => f32::INFINITY,
+                    8 => f32::NEG_INFINITY,
+                    _ => rng.gen_range(-1.0f32..1.0),
+                })
+                .collect()
         };
-        let mut got = vec![0.0f32; clients * mb * n];
-        gemm_tn_batch(&a, &b, clients, mb, p, n, &mut got);
-        let mut want = vec![0.0f32; clients * mb * n];
-        for c in 0..clients {
-            let bt = if shared {
-                &base[..p * n]
-            } else {
-                &base[c * stride + pad..][..p * n]
-            };
-            gemm_tn(
-                &a[c * mb * p..][..mb * p],
-                bt,
-                mb,
-                p,
-                n,
-                &mut want[c * mb * n..][..mb * n],
-            );
+        let d_out = special(m * p);
+        let x = special(m * n);
+        let w0 = special(p * n);
+        let v0 = special(p * n);
+        let base = special(p * n);
+        for mu in [0.0f32, 0.9] {
+            let bad = sgd_forms_diverge(&d_out, &x, (m, p, n), (0.05, mu), &w0, &v0, &base);
+            prop_assert!(bad.is_none(), "{:?} form diverged at m={} p={} n={} mu={}", bad, m, p, n, mu);
         }
-        prop_assert!(
-            bits_eq(&got, &want),
-            "tn batch diverged at clients={} mb={} p={} n={} shared={}",
-            clients, mb, p, n, shared
-        );
+    }
+}
+
+/// The training shapes (paper and wide MLP layers at their batch sizes),
+/// batch 1, and a batch past 512 rows — where the accumulating kernel
+/// used to split the reduction — pinned explicitly, accumulate and SGD
+/// epilogues alike.
+#[test]
+fn nt_epilogues_are_bit_exact_at_training_shapes_and_long_batches() {
+    for (i, &(m, p, n)) in [
+        (16, 192, 64),
+        (16, 96, 192),
+        (16, 62, 96),
+        (4, 4096, 64),
+        (4, 62, 4096),
+        (1, 7, 33),
+        (515, 6, 18),
+        (1030, 4, 16),
+    ]
+    .iter()
+    .enumerate()
+    {
+        let mut rng = StdRng::seed_from_u64(0x5D ^ i as u64);
+        let d_out = fill(&mut rng, m * p);
+        let x = fill(&mut rng, m * n);
+        let w0 = fill(&mut rng, p * n);
+        let v0 = fill(&mut rng, p * n);
+        let base = fill(&mut rng, p * n);
+        let mut got = w0.clone();
+        let mut want = w0.clone();
+        gemm_nt(&d_out, &x, m, p, n, &mut got);
+        gemm_nt_ref(&d_out, &x, m, p, n, &mut want);
+        assert!(bits_eq(&got, &want), "nt diverged at {m}x{p}x{n}");
+        let bad = sgd_forms_diverge(&d_out, &x, (m, p, n), (0.05, 0.9), &w0, &v0, &base);
+        assert!(bad.is_none(), "{bad:?} form diverged at {m}x{p}x{n}");
     }
 }

@@ -8,7 +8,7 @@
 //! [`gluefl_core::Simulation`] computes for the same `(seed, round, id)`,
 //! because it runs the same code on the same inputs: the dataset shard
 //! and model layout come from [`RunSetup`], the local-SGD delta from
-//! [`gluefl_core::local_train_into`] with the `"local-train"` derived
+//! [`gluefl_core::train_client_into`] with the `"local-train"` derived
 //! seed, and the upload from the strategy's client half,
 //! [`ClientCompressor`] — one instance here serving one client, one
 //! instance in the simulator serving all of them. The server-side state
@@ -19,9 +19,10 @@ use crate::proto::{read_msg_blocking, write_msg, MsgKind, ProtoError, PROTO_VERS
 use crate::TransportError;
 use gluefl_core::strategies::{Group, Upload};
 use gluefl_core::{
-    local_train_into, local_train_seed, ClientCompressor, RunSetup, ScratchPool, SimConfig,
+    local_train_seed, train_client_into, ClientCompressor, RunSetup, ScratchPool, SimConfig,
     TrainSlot,
 };
+use gluefl_data::ClientDataset;
 use gluefl_telemetry::{Counter, Phase, Telemetry};
 use gluefl_tensor::BitMask;
 use gluefl_wire::{decode_frame_prefix, FrameKind};
@@ -41,6 +42,9 @@ pub struct ClientNode {
     /// weights are unused — the trained parameters come from the
     /// server's broadcast every round.
     setup: RunSetup,
+    /// This client's shard, materialised once — synthesising it is a
+    /// full pass over the client's samples, too much to repeat per invite.
+    shard: ClientDataset,
     compressor: ClientCompressor,
     slot: TrainSlot,
     scratch: ScratchPool,
@@ -74,6 +78,7 @@ impl ClientNode {
         );
         Self {
             compressor: ClientCompressor::for_run(&cfg, &setup),
+            shard: setup.data.client(id),
             cfg,
             id,
             setup,
@@ -143,11 +148,10 @@ impl ClientNode {
         }
         self.stats_out.clear();
         self.stats_out.resize(self.setup.stats_positions.len(), 0.0);
-        local_train_into(
+        train_client_into(
             self.setup.model.topology(),
             &self.global,
-            &self.setup.data,
-            self.id,
+            &self.shard,
             self.cfg.local_steps,
             self.cfg.batch_size,
             self.cfg.lr_at_round(round),
@@ -156,7 +160,6 @@ impl ClientNode {
             &mut self.delta,
             &self.setup.stats_positions,
             &mut self.stats_out,
-            &self.setup.trainable_mask,
             &mut self.slot,
         );
 

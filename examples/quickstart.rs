@@ -172,14 +172,15 @@ fn main() {
     // they are public so experiments can drive clients directly:
     //   * `MlpTopology` — the immutable architecture, shared by reference
     //     across every client (and worker thread). No model clones.
-    //   * `TrainSlot` — a pooled parameter buffer + `TrainScratch`
-    //     workspace; reusing one slot makes repeated client training
-    //     allocation-free in steady state (the "clone" is a
-    //     `copy_from_slice` into the slot).
-    //   * `local_train_into` — E local SGD-with-momentum steps through the
-    //     GEMM-backed `_into` kernels, deterministic in its arguments
-    //     alone (the seed fixes the minibatch draws, so any worker thread
-    //     produces the same bits).
+    //   * `TrainSlot` — one worker's pooled workspace (a client's working
+    //     weights + `TrainScratch`); reusing one slot makes repeated
+    //     client training allocation-free in steady state, and nothing
+    //     of one client leaks into the next.
+    //   * `local_train_into` — E local SGD-with-momentum steps, each
+    //     touching each weight once (the first reads the global model in
+    //     place, the last writes the delta), deterministic in its
+    //     arguments alone (the seed fixes the minibatch draws, so any
+    //     worker thread produces the same bits).
     let cfg = sim.config().clone();
     let topo = sim.model().topology();
     let global = sim.model().params().to_vec();

@@ -1,27 +1,35 @@
-//! Local-training parity gates for the allocation-free client path.
+//! Local-training parity gates for the fused per-client path.
 //!
-//! Two invariants protect the `TrainScratch` refactor:
+//! Three invariants:
 //!
-//! 1. **Pooling parity** — [`gluefl_core::local_train_into`] (pooled
-//!    parameter buffer, *reused* scratch, pooled velocity, staged
-//!    minibatches) must produce bit-identical deltas to the
-//!    clone-per-client shape of the pre-refactor path: deep model clone
-//!    plus fresh buffers every step (`sample_batch` + `loss_and_grad` +
-//!    a fresh [`Sgd`] per client). Both sides share today's forward/
-//!    backward kernels, so this gate pins the *pooling and reuse*
-//!    semantics (slot recycling, velocity reset, staging hygiene) across
-//!    rounds and clients — an arithmetic regression in the shared
-//!    kernels is instead caught by the truly independent verbatim
-//!    baseline compiled into `expt kernels`
+//! 1. **Fused ≡ unfused** — [`gluefl_core::local_train_into`] (first step
+//!    reading `global`, the SGD update as the epilogue of
+//!    backward-weights, last step writing the delta, one *reused* slot)
+//!    must produce bit-identical deltas to the oracle below, which does
+//!    everything the long way round: deep model clone, a materialised
+//!    gradient and a fresh allocating [`Sgd`] per client, a final masked
+//!    subtraction. The oracle's forward/backward kernels are today's
+//!    (`Mlp::loss_and_grad`, the gradient-materialising reference), so
+//!    this gate pins the *fusion and reuse* semantics — step forms,
+//!    implicit velocity reset, slot recycling, staging hygiene — across
+//!    rounds, clients, step counts and model shapes; an arithmetic
+//!    regression in the shared kernels is instead caught by the truly
+//!    independent verbatim baseline compiled into `expt kernels`
 //!    (`crates/bench/src/experiments/local_train_baseline.rs`, equality-
 //!    gated before timing) and by the ml crate's finite-difference
 //!    gradchecks.
-//! 2. **Serial/parallel parity** — with the `parallel` feature, the
+//! 2. **Cohort ≡ oracle per client** — the cohort entry point
+//!    ([`gluefl_core::batch_local_train_into`], what the simulator and
+//!    every `parallel` shard call) is that routine in a loop, nothing
+//!    more.
+//! 3. **Serial/parallel parity** — with the `parallel` feature, the
 //!    client-sharded training loop (and sharded aggregation, same
 //!    runtime toggle) must reproduce the serial rounds bit for bit for
 //!    both GlueFL and FedAvg. This is CI's `--features parallel` gate.
 
-use gluefl_core::{local_train_into, SimConfig, Simulation, StrategyConfig, TrainSlot};
+use gluefl_core::{
+    batch_local_train_into, local_train_into, SimConfig, Simulation, StrategyConfig, TrainSlot,
+};
 use gluefl_data::DatasetProfile;
 use gluefl_ml::{DatasetModel, Mlp, Sgd};
 use gluefl_tensor::rng::{derive_seed, seeded_rng};
@@ -48,9 +56,9 @@ fn tiny_cfg(strategy: StrategyConfig, rounds: u32) -> SimConfig {
     cfg
 }
 
-/// The pre-refactor client-training path *in structure* (deep model
-/// clone, a fresh allocating optimizer, per-step allocating
-/// minibatch/gradient calls); the arithmetic kernels underneath are
+/// The unfused oracle: deep model clone, a fresh allocating optimizer,
+/// per-step allocating minibatch and materialised-gradient calls, a
+/// final masked subtraction; the arithmetic kernels underneath are
 /// today's — see the module docs for what this does and does not pin.
 #[allow(clippy::too_many_arguments)]
 fn reference_local_train(
@@ -85,87 +93,184 @@ fn reference_local_train(
     vecops::masked_sub_into(out, trained, global, trainable_mask);
 }
 
-/// (1) Pooling parity: pooled scratch path ≡ clone-per-client path,
-/// bit for bit, across 4 simulated rounds of evolving global weights and
-/// a slot reused by every client.
+fn bits_eq(a: &[f32], b: &[f32]) -> bool {
+    a.len() == b.len() && a.iter().zip(b).all(|(a, b)| a.to_bits() == b.to_bits())
+}
+
+/// (1) Fused ≡ unfused, bit for bit, over model shapes (one hidden
+/// layer with BatchNorm, two, one without it and plain SGD — `μ = 0` —
+/// and no hidden layer at all),
+/// 4 simulated rounds of evolving global weights, and **one slot reused
+/// by every client of every shape and step count** — each client gets a
+/// different `E` from {0, 1, 2, 10}, so every mix of first / middle /
+/// last step follows every other through the same buffers and the
+/// implicit velocity reset has to hold (a stale velocity or weight from
+/// a longer client would show in a shorter one, and vice versa).
 #[test]
-fn scratch_path_matches_clone_reference_bitwise() {
-    let cfg = tiny_cfg(StrategyConfig::FedAvg, 1);
-    let sim = Simulation::new(cfg.clone());
-    let model = sim.model();
-    let dim = model.num_params();
-    let trainable_mask = model.layout().trainable_mask();
-    let stats_positions: Vec<usize> = trainable_mask.not().iter_ones().collect();
-    let mut global = model.params().to_vec();
+fn fused_path_matches_unfused_oracle_bitwise() {
     let mut slot = TrainSlot::default();
-    let mut drift = seeded_rng(7, "global-drift", 0);
-    for round in 0..4u32 {
-        let lr = cfg.lr_at_round(round);
-        for id in [0usize, 3, 7, 11, 19] {
-            let seed = derive_seed(
-                cfg.seed,
-                "local-train",
-                (u64::from(round) << 32) | id as u64,
-            );
-            let mut ref_out = vec![0.0f32; dim];
-            let mut ref_stats = vec![0.0f32; stats_positions.len()];
-            reference_local_train(
-                model,
-                &global,
-                sim.data(),
-                id,
-                cfg.local_steps,
-                cfg.batch_size,
-                lr,
-                cfg.momentum,
-                seed,
-                &mut ref_out,
-                &stats_positions,
-                &mut ref_stats,
-                &trainable_mask,
-            );
-            let mut new_out = vec![0.0f32; dim];
-            let mut new_stats = vec![0.0f32; stats_positions.len()];
-            local_train_into(
-                model.topology(),
-                &global,
-                sim.data(),
-                id,
-                cfg.local_steps,
-                cfg.batch_size,
-                lr,
-                cfg.momentum,
-                seed,
-                &mut new_out,
-                &stats_positions,
-                &mut new_stats,
-                &trainable_mask,
-                &mut slot,
-            );
-            assert!(
-                ref_out
-                    .iter()
-                    .zip(&new_out)
-                    .all(|(a, b)| a.to_bits() == b.to_bits()),
-                "trainable delta diverged (round {round}, client {id})"
-            );
-            assert!(
-                ref_stats
-                    .iter()
-                    .zip(&new_stats)
-                    .all(|(a, b)| a.to_bits() == b.to_bits()),
-                "BN-statistic drift diverged (round {round}, client {id})"
-            );
-        }
-        // Drift the global weights so later rounds exercise fresh state.
-        use rand::Rng;
-        for w in global.iter_mut() {
-            *w += drift.gen_range(-0.01f32..0.01f32);
+    for (batch_norm, hidden, momentum) in [
+        (true, vec![20], 0.9),
+        (true, vec![12, 9], 0.9),
+        (false, vec![20], 0.0),
+        (false, vec![], 0.9),
+    ] {
+        let mut cfg = tiny_cfg(StrategyConfig::FedAvg, 1);
+        cfg.model.batch_norm = batch_norm;
+        cfg.model.hidden = hidden.clone();
+        cfg.momentum = momentum;
+        let sim = Simulation::new(cfg.clone());
+        let model = sim.model();
+        let dim = model.num_params();
+        let trainable_mask = model.layout().trainable_mask();
+        let stats_positions: Vec<usize> = trainable_mask.not().iter_ones().collect();
+        assert_eq!(stats_positions.is_empty(), !batch_norm);
+        let mut global = model.params().to_vec();
+        let mut drift = seeded_rng(7, "global-drift", 0);
+        for round in 0..4u32 {
+            let lr = cfg.lr_at_round(round);
+            for (i, id) in [0usize, 3, 7, 11, 19, 23].into_iter().enumerate() {
+                let steps = [10usize, 1, 2, 0, 1, 10][(i + round as usize) % 6];
+                let seed = derive_seed(
+                    cfg.seed,
+                    "local-train",
+                    (u64::from(round) << 32) | id as u64,
+                );
+                let mut ref_out = vec![0.0f32; dim];
+                let mut ref_stats = vec![0.0f32; stats_positions.len()];
+                reference_local_train(
+                    model,
+                    &global,
+                    sim.data(),
+                    id,
+                    steps,
+                    cfg.batch_size,
+                    lr,
+                    cfg.momentum,
+                    seed,
+                    &mut ref_out,
+                    &stats_positions,
+                    &mut ref_stats,
+                    &trainable_mask,
+                );
+                // Stale contents must be overwritten, not accumulated on.
+                let mut new_out = vec![f32::NAN; dim];
+                let mut new_stats = vec![f32::NAN; stats_positions.len()];
+                local_train_into(
+                    model.topology(),
+                    &global,
+                    sim.data(),
+                    id,
+                    steps,
+                    cfg.batch_size,
+                    lr,
+                    cfg.momentum,
+                    seed,
+                    &mut new_out,
+                    &stats_positions,
+                    &mut new_stats,
+                    &trainable_mask,
+                    &mut slot,
+                );
+                let what = format!(
+                    "bn={batch_norm} hidden={hidden:?} round {round} client {id} E={steps}"
+                );
+                assert!(
+                    bits_eq(&ref_out, &new_out),
+                    "trainable delta diverged ({what})"
+                );
+                assert!(
+                    bits_eq(&ref_stats, &new_stats),
+                    "BN-statistic drift diverged ({what})"
+                );
+                if steps == 0 {
+                    assert!(new_out.iter().chain(&new_stats).all(|v| v.to_bits() == 0));
+                }
+            }
+            // Drift the global weights so later rounds exercise fresh state.
+            use rand::Rng;
+            for w in global.iter_mut() {
+                *w += drift.gen_range(-0.01f32..0.01f32);
+            }
         }
     }
 }
 
-/// (2) Serial vs parallel client sharding: 4+ rounds of GlueFL and
+/// (2) The cohort entry point is the per-client routine in a loop: for
+/// one client, an off-block three and a nine that spans two trace
+/// blocks, with and without BN statistics (an empty statistics slice per
+/// client must not end the loop early), every client's delta and drift
+/// equal the oracle's — through one workspace reused across all shapes.
+#[test]
+fn cohort_entry_point_matches_unfused_oracle_per_client() {
+    let mut workspace = gluefl_ml::BatchTrainScratch::new();
+    for batch_norm in [false, true] {
+        let mut cfg = tiny_cfg(StrategyConfig::FedAvg, 1);
+        cfg.model.batch_norm = batch_norm;
+        let sim = Simulation::new(cfg.clone());
+        let model = sim.model();
+        let dim = model.num_params();
+        let global = model.params();
+        let trainable_mask = model.layout().trainable_mask();
+        let stats_positions: Vec<usize> = trainable_mask.not().iter_ones().collect();
+        let stats_len = stats_positions.len();
+        for clients in [1usize, 3, 9] {
+            let ids: Vec<usize> = (0..clients).map(|c| c * 2 + 1).collect();
+            let seeds: Vec<u64> = ids
+                .iter()
+                .map(|&id| derive_seed(cfg.seed, "local-train", id as u64))
+                .collect();
+            let mut got: Vec<Vec<f32>> = (0..clients).map(|_| vec![f32::NAN; dim]).collect();
+            let mut got_stats = vec![f32::NAN; clients * stats_len];
+            batch_local_train_into(
+                model.topology(),
+                global,
+                sim.data(),
+                &ids,
+                &seeds,
+                cfg.local_steps,
+                cfg.batch_size,
+                0.05,
+                cfg.momentum,
+                &mut got,
+                &stats_positions,
+                &mut got_stats,
+                &trainable_mask,
+                &mut workspace,
+                None,
+            );
+            for (c, (&id, &seed)) in ids.iter().zip(&seeds).enumerate() {
+                let mut want = vec![0.0f32; dim];
+                let mut want_stats = vec![0.0f32; stats_len];
+                reference_local_train(
+                    model,
+                    global,
+                    sim.data(),
+                    id,
+                    cfg.local_steps,
+                    cfg.batch_size,
+                    0.05,
+                    cfg.momentum,
+                    seed,
+                    &mut want,
+                    &stats_positions,
+                    &mut want_stats,
+                    &trainable_mask,
+                );
+                assert!(
+                    bits_eq(&want, &got[c]),
+                    "delta diverged for client {c} (bn={batch_norm}, K={clients})"
+                );
+                assert!(
+                    bits_eq(&want_stats, &got_stats[c * stats_len..(c + 1) * stats_len]),
+                    "BN-statistic drift diverged for client {c} (bn={batch_norm}, K={clients})"
+                );
+            }
+        }
+    }
+}
+
+/// (3) Serial vs parallel client sharding: 4+ rounds of GlueFL and
 /// FedAvg must be bit-identical under the runtime toggle. Single test fn
 /// (the toggle is process-global within this binary).
 #[cfg(feature = "parallel")]
