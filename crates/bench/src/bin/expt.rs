@@ -2,17 +2,11 @@
 //!
 //! ```text
 //! expt <id> [--rounds N] [--scale F] [--seed N] [--out DIR] [--paper-scale] [--quick]
-//!           [--check FILE] [--filter KERNEL]
+//!           [--wire SPEC]
 //! ```
 //!
-//! `--check FILE` (used with `kernels`) fails the run when the committed
-//! ledger `FILE` is missing any kernel entry the benchmark emits — CI's
-//! ledger-freshness gate. `--filter KERNEL` (also `kernels`) re-runs only
-//! the ledger entries whose name contains the substring — the fast loop
-//! while tuning one kernel.
-//!
 //! `<id>` is one of: fig1, fig2, table2, fig5, fig6, fig7, fig8, fig9,
-//! fig10, fig11, table3a, table3b, prop12, or `all`.
+//! fig10, fig11, table3a, table3b, prop12, wire, scale, or `all`.
 
 use gluefl_bench::{experiments, ExptOpts};
 
@@ -21,7 +15,7 @@ fn main() {
     if args.is_empty() || args[0] == "--help" || args[0] == "-h" {
         eprintln!(
             "usage: expt <experiment> [--rounds N] [--scale F] [--seed N] \
-             [--out DIR] [--paper-scale] [--quick] [--check FILE] [--filter KERNEL]\n\
+             [--out DIR] [--paper-scale] [--quick] [--wire SPEC]\n\
              experiments: {} | all",
             experiments::ALL.join(" | ")
         );

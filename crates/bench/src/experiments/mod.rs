@@ -1,4 +1,5 @@
-//! One module per paper artifact. See DESIGN.md §4 for the mapping.
+//! One module per paper artifact (`fig*`, `table*`, `prop12`), plus the
+//! wire-policy sweep (`wire`) and the control-plane scale run (`scale`).
 
 pub mod common;
 pub mod fig1;
@@ -10,13 +11,10 @@ pub mod fig6;
 pub mod fig7;
 pub mod fig8;
 pub mod fig9;
-pub mod kernels;
-mod local_train_baseline;
 pub mod prop12;
 pub mod scale;
 pub mod table2;
 pub mod table3;
-pub mod trace;
 pub mod wire;
 
 use crate::ExptOpts;
@@ -24,7 +22,7 @@ use crate::ExptOpts;
 /// All experiment ids, in the paper's order.
 pub const ALL: &[&str] = &[
     "fig1", "fig2", "table2", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11", "table3a",
-    "table3b", "prop12", "wire", "kernels", "scale", "trace",
+    "table3b", "prop12", "wire", "scale",
 ];
 
 /// Dispatches an experiment by id.
@@ -47,9 +45,7 @@ pub fn run(id: &str, opts: &ExptOpts) -> Result<(), String> {
         "table3b" => table3::run_3b(opts),
         "prop12" => prop12::run(opts),
         "wire" => wire::run(opts),
-        "kernels" => kernels::run(opts),
         "scale" => scale::run(opts),
-        "trace" => trace::run(opts),
         "all" => {
             for id in ALL {
                 println!("\n================ {id} ================");

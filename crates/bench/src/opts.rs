@@ -18,14 +18,6 @@ pub struct ExptOpts {
     pub paper_scale: bool,
     /// Quick mode: fewer rounds / smaller sweeps for smoke testing.
     pub quick: bool,
-    /// Ledger-freshness gate (`expt kernels` only): path to a committed
-    /// `BENCH_kernels.json`; the run fails if that file is missing any
-    /// kernel entry the benchmark emits.
-    pub check: Option<PathBuf>,
-    /// Kernel-name substring filter (`expt kernels` only): when set, only
-    /// ledger entries whose name contains the substring are measured and
-    /// emitted — the fast path for re-running one kernel while tuning.
-    pub filter: Option<String>,
     /// Wire policy override (`--wire SPEC`): applied to every experiment
     /// configuration built through `setup`. `SPEC` is
     /// `{legacy|entropy}-{f32|f16|quant-u8}[-no-ec]`, e.g.
@@ -73,8 +65,6 @@ impl Default for ExptOpts {
             out_dir: PathBuf::from("results"),
             paper_scale: false,
             quick: false,
-            check: None,
-            filter: None,
             wire: None,
         }
     }
@@ -82,8 +72,7 @@ impl Default for ExptOpts {
 
 impl ExptOpts {
     /// Parses `--rounds N --scale F --seed N --out DIR --paper-scale
-    /// --quick --check FILE --filter KERNEL --wire SPEC` from raw
-    /// arguments.
+    /// --quick --wire SPEC` from raw arguments.
     ///
     /// # Errors
     /// Returns a message naming the offending flag or value.
@@ -109,14 +98,6 @@ impl ExptOpts {
                     opts.out_dir = PathBuf::from(it.next().ok_or("--out needs a value")?.clone());
                 }
                 "--paper-scale" => opts.paper_scale = true,
-                "--check" => {
-                    opts.check = Some(PathBuf::from(
-                        it.next().ok_or("--check needs a value")?.clone(),
-                    ));
-                }
-                "--filter" => {
-                    opts.filter = Some(it.next().ok_or("--filter needs a value")?.clone());
-                }
                 "--wire" => {
                     opts.wire = Some(parse_wire_policy(it.next().ok_or("--wire needs a value")?)?);
                 }
@@ -129,13 +110,6 @@ impl ExptOpts {
             }
         }
         Ok(opts)
-    }
-
-    /// Whether a named ledger entry is selected by `--filter` (substring
-    /// match; everything is selected when no filter is set).
-    #[must_use]
-    pub fn kernel_selected(&self, name: &str) -> bool {
-        self.filter.as_deref().is_none_or(|f| name.contains(f))
     }
 }
 
@@ -183,30 +157,6 @@ mod tests {
         assert_eq!(o.seed, 7);
         assert_eq!(o.out_dir, PathBuf::from("/tmp/x"));
         assert!(o.paper_scale);
-    }
-
-    #[test]
-    fn parses_check_flag() {
-        let o = parse(&["--check", "BENCH_kernels.json"]).unwrap();
-        assert_eq!(o.check, Some(PathBuf::from("BENCH_kernels.json")));
-        assert!(parse(&["--check"]).is_err());
-    }
-
-    #[test]
-    fn parses_filter_flag_and_selects_by_substring() {
-        let o = parse(&["--filter", "gemm"]).unwrap();
-        assert_eq!(o.filter.as_deref(), Some("gemm"));
-        assert!(o.kernel_selected("gemm_nn_b16"));
-        assert!(o.kernel_selected("gemm_tn_b16"));
-        assert!(!o.kernel_selected("local_train_round"));
-        assert!(parse(&["--filter"]).is_err());
-    }
-
-    #[test]
-    fn no_filter_selects_everything() {
-        let o = parse(&[]).unwrap();
-        assert!(o.kernel_selected("gemm_nn_b16"));
-        assert!(o.kernel_selected("local_train_round"));
     }
 
     #[test]

@@ -70,8 +70,8 @@ pub struct RoundRecord {
     pub phase_nanos: [u64; PHASE_COUNT],
     /// *Measured* wall-clock nanoseconds of the whole round step,
     /// excluding evaluation; zero without an attached recorder. The
-    /// per-phase spans above account for within 5% of this (pinned by
-    /// `expt trace` and the simulator tests).
+    /// per-phase spans above account for within 5% of this (gated by
+    /// the round benchmark's `core.step_uncovered_pct`).
     pub step_nanos: u64,
 }
 

@@ -540,8 +540,8 @@ const CLIENTS_PER_TRAIN_SPAN: usize = 8;
 /// client's, whatever `ids.len()` is.
 ///
 /// When `trace` carries a recorder and a round number, every run of
-/// eight clients emits one [`Phase::Train`] span; `None` (the ledger
-/// baseline and the parity tests) measures nothing.
+/// eight clients emits one [`Phase::Train`] span; `None` (the parity
+/// tests) measures nothing.
 ///
 /// # Panics
 /// Panics if `ids`, `seeds`, and `outs` disagree in length, `ids` is
@@ -714,10 +714,9 @@ mod tests {
         }
     }
 
-    /// With the `parallel` feature, the threaded hot paths — sharded
-    /// aggregation *and* client-parallel local training, both gated by
-    /// the same runtime toggle — must produce bit-identical results to
-    /// the serial execution of the same binary, for every strategy,
+    /// With the `parallel` feature, client-parallel local training
+    /// (gated by the runtime toggle) must produce bit-identical results
+    /// to the serial execution of the same binary, for every strategy,
     /// including accuracies down to the last bit.
     #[cfg(feature = "parallel")]
     #[test]
@@ -969,8 +968,8 @@ mod tests {
             );
             // Phases are disjoint sub-intervals of the step; only
             // bookkeeping between them (keep-fastest selection, cost
-            // metrics) is unmeasured. The 5% acceptance bound is pinned
-            // on the realistic `expt trace` config; this tiny model
+            // metrics) is unmeasured. The 5% acceptance bound is gated
+            // on the round benchmark's workloads; this tiny model
             // leaves more headroom for clock granularity and noise.
             assert!(
                 covered as f64 >= rec.step_nanos as f64 * 0.5,

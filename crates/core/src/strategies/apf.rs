@@ -2,11 +2,10 @@
 //! (Chen et al. 2021; the paper's parameter-freezing baseline).
 
 use super::{bitmap_bytes, FoldAcc, Group, RoundPlan, Strategy, Upload};
-use crate::aggregate::accumulate_into;
 use crate::scratch::ScratchPool;
 use gluefl_compress::{Apf, ApfConfig};
 use gluefl_sampling::{ClientId, OnlineQuery, UniformSampler};
-use gluefl_tensor::{BitMask, MaskedUpdate};
+use gluefl_tensor::{vecops, BitMask, MaskedUpdate};
 use rand::rngs::StdRng;
 
 /// APF with uniform sampling: the server maintains a per-parameter freeze
@@ -135,7 +134,7 @@ impl Strategy for ApfStrategy {
                     packed.len(),
                     "upload not aligned to the active mask"
                 );
-                accumulate_into(&[(w, u.values())], packed);
+                vecops::axpy(packed, w, u.values());
             }
             other => panic!("APF aggregate received non-known-mask upload {other:?}"),
         }

@@ -1,7 +1,6 @@
 //! FedAvg with uniform client sampling (McMahan et al. 2017; §2.1).
 
 use super::{FoldAcc, Group, RoundPlan, Strategy, Upload};
-use crate::aggregate::accumulate_into;
 use crate::scratch::ScratchPool;
 use gluefl_sampling::{ClientId, OnlineQuery, UniformSampler};
 use gluefl_tensor::MaskedUpdate;
@@ -86,7 +85,7 @@ impl Strategy for FedAvgStrategy {
             .dense
             .as_mut()
             .expect("fold_begin allocates the accumulator");
-        accumulate_into(&[(w, upload)], dense);
+        upload.add_weighted_into(dense, w);
         acc.count += 1;
     }
 

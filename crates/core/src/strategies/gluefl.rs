@@ -1,14 +1,14 @@
 //! GlueFL: sticky sampling + mask shifting (Algorithm 3).
 
 use super::{bitmap_bytes, FoldAcc, Group, RoundPlan, Strategy, Upload};
-use crate::aggregate::{accumulate_into, packed_rank, scatter_add_packed};
+use crate::aggregate::{packed_rank, scatter_add_packed};
 use crate::config::GlueFlParams;
 use crate::scratch::ScratchPool;
 use gluefl_compress::mask_shift::shift_mask_packed_into;
 use gluefl_compress::stc::keep_count;
 use gluefl_sampling::overcommit::{plan as oc_plan, OcStrategy};
 use gluefl_sampling::{ClientId, OnlineQuery, StickySampler};
-use gluefl_tensor::{top_k_abs_packed_into, BitMask, MaskedUpdate, TopKScope};
+use gluefl_tensor::{top_k_abs_packed_into, vecops, BitMask, MaskedUpdate, TopKScope};
 use rand::rngs::StdRng;
 
 /// The server half of the paper's framework: sticky sampling (§3.1) for
@@ -273,7 +273,7 @@ impl Strategy for GlueFlStrategy {
                         self.shared_nnz,
                         "shared part not aligned to the current mask"
                     );
-                    accumulate_into(&[(w, split.shared.values())], shr_acc);
+                    vecops::axpy(shr_acc, w, split.shared.values());
                 }
                 // Defer the unique part as a flat (position, w·v) stream;
                 // the fold_finish scatter replays these adds in exactly

@@ -1,7 +1,6 @@
 //! FedAvg with multinomial (MD) client sampling (Li et al. 2020a).
 
 use super::{FoldAcc, Group, RoundPlan, Strategy, Upload};
-use crate::aggregate::accumulate_into;
 use crate::scratch::ScratchPool;
 use gluefl_sampling::{ClientId, MdSampler, OnlineQuery};
 use gluefl_tensor::MaskedUpdate;
@@ -129,7 +128,7 @@ impl Strategy for MdFedAvgStrategy {
             .dense
             .as_mut()
             .expect("fold_begin allocates the accumulator");
-        accumulate_into(&[(w, upload)], dense);
+        upload.add_weighted_into(dense, w);
         acc.count += 1;
     }
 

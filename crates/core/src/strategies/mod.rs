@@ -118,42 +118,17 @@ impl Upload {
     /// dimension exactly).
     pub fn add_weighted_into(&self, acc: &mut [f32], weight: f32) {
         assert_eq!(acc.len(), self.dim(), "upload dimension mismatch");
-        self.add_weighted_range_into(acc, weight, 0);
-    }
-
-    /// Accumulates `weight ×` the upload's entries with positions in
-    /// `[lo, lo + out.len())` into `out` (`out[0]` ↔ global position
-    /// `lo`). The per-position accumulation order equals
-    /// [`Upload::add_weighted_into`]'s, which is what makes dimension-
-    /// sharded parallel aggregation bit-identical to the serial path.
-    ///
-    /// # Panics
-    /// Panics if the range exceeds the upload's dimension.
-    pub fn add_weighted_range_into(&self, out: &mut [f32], weight: f32, lo: usize) {
         match self {
-            Upload::Dense(v) => {
-                let hi = lo + out.len();
-                assert!(hi <= v.len(), "upload dimension mismatch");
-                gluefl_tensor::vecops::axpy(out, weight, &v[lo..hi]);
-            }
-            Upload::Sparse(u) | Upload::KnownMask(u) => {
-                u.add_scaled_range_into(out, weight, lo);
-            }
+            Upload::Dense(v) => gluefl_tensor::vecops::axpy(acc, weight, v),
+            Upload::Sparse(u) | Upload::KnownMask(u) => u.add_scaled_into(acc, weight),
             Upload::Ternary(t) => {
-                let hi = lo + out.len();
-                assert!(hi <= t.dim(), "upload dimension mismatch");
-                let start = t.indices.partition_point(|&i| (i as usize) < lo);
-                for idx in start..t.indices.len() {
-                    let i = t.indices[idx] as usize;
-                    if i >= hi {
-                        break;
-                    }
-                    out[i - lo] += weight * if t.signs[idx] { t.mu } else { -t.mu };
+                for (&i, &sign) in t.indices.iter().zip(&t.signs) {
+                    acc[i as usize] += weight * if sign { t.mu } else { -t.mu };
                 }
             }
             Upload::MaskSplit(s) => {
-                s.shared.add_scaled_range_into(out, weight, lo);
-                s.unique.add_scaled_range_into(out, weight, lo);
+                s.shared.add_scaled_into(acc, weight);
+                s.unique.add_scaled_into(acc, weight);
             }
         }
     }

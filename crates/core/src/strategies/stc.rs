@@ -1,7 +1,6 @@
 //! STC: top-`q` masking on clients and server (Sattler et al. 2019).
 
 use super::{FoldAcc, Group, RoundPlan, Strategy, Upload};
-use crate::aggregate::accumulate_into;
 use crate::scratch::ScratchPool;
 use gluefl_compress::stc::keep_count;
 use gluefl_sampling::{ClientId, OnlineQuery, UniformSampler};
@@ -130,7 +129,7 @@ impl Strategy for StcStrategy {
             .dense
             .as_mut()
             .expect("fold_begin allocates the accumulator");
-        accumulate_into(&[(w, upload)], dense);
+        upload.add_weighted_into(dense, w);
         acc.count += 1;
     }
 

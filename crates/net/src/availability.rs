@@ -14,8 +14,8 @@
 //! * [`AvailabilityTraceRef`] — the eager reference twin: a dense
 //!   `Vec<bool>` advanced one round at a time for *all* clients, consuming
 //!   the identical per-client streams. Bit-identical to the lazy process by
-//!   construction; retained for tests, examples that want population-wide
-//!   statistics, and as the O(N) baseline in `expt kernels`.
+//!   construction; retained for tests and for examples that want
+//!   population-wide statistics.
 //! * [`DiurnalAvailability`] — a day/night-modulated dense variant used in
 //!   examples.
 //!

@@ -28,10 +28,11 @@
 //! Instrumented code holds an `Option<Arc<Telemetry>>` (or
 //! `Option<&Telemetry>`) and branches **once per phase or per frame**,
 //! never per element. With `None` the entire layer is a handful of
-//! predictable untaken branches per round — invisible in the
-//! `expt kernels` ledger. There is no global state and no feature
-//! flag to misconfigure: a `Simulation` or transport server without a
-//! recorder attached simply records nothing.
+//! predictable untaken branches per round (the round benchmark's
+//! `telemetry.overhead_pct` is the measured cost of attaching one).
+//! There is no global state and no feature flag to misconfigure: a
+//! `Simulation` or transport server without a recorder attached simply
+//! records nothing.
 //!
 //! # Example
 //!

@@ -135,7 +135,7 @@ fn counters_sum_exactly_across_pool_workers() {
 }
 
 /// The snapshot built by the recorder round-trips bit-exactly through
-/// the text exposition renderer and parser (acceptance criterion).
+/// the text exposition renderer and parser.
 #[test]
 fn snapshot_round_trips_through_text_exposition() {
     let (clock, handle) = Clock::manual();

@@ -34,8 +34,8 @@
 //!   the vendored `gluefl_pool` work-stealing pool, each job running
 //!   the serial kernel;
 //! * training/eval trajectories upstream stay bit-identical to the
-//!   pre-GEMM per-element loops (the `local_train_*` ledger gates remain
-//!   bit-exact).
+//!   pre-GEMM per-element loops (`tests/gemm_properties.rs` pins every
+//!   kernel to its reference twin).
 //!
 //! # The backward-weights epilogue
 //!
@@ -289,7 +289,7 @@ fn nn_edge(
 }
 
 /// Plain-loop reference twin of [`gemm_nn`] (identical semantics and
-/// bits; kept for property tests and the `expt kernels` ledger baseline).
+/// bits; kept as the reference the property tests compare against).
 ///
 /// # Panics
 /// Panics if any slice length disagrees with `(m, n, k)`.

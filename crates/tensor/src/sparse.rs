@@ -253,39 +253,6 @@ impl SparseUpdate {
         }
     }
 
-    /// Adds `scale ×` the stored values whose positions fall in
-    /// `[lo, lo + out.len())` into `out`, where `out[0]` corresponds to
-    /// global position `lo`.
-    ///
-    /// This is the shard kernel behind deterministic parallel
-    /// aggregation: disjoint position ranges touch disjoint output
-    /// slices, and within a position the accumulation order is the
-    /// caller's call order — identical to [`SparseUpdate::add_scaled_into`].
-    ///
-    /// # Panics
-    /// Panics if `lo + out.len()` exceeds the update's dimension.
-    ///
-    /// # Example
-    /// ```
-    /// use gluefl_tensor::SparseUpdate;
-    /// let u = SparseUpdate::from_pairs(8, vec![(1, 1.0), (4, 2.0), (6, 3.0)]);
-    /// let mut shard = vec![0.0f32; 3]; // positions 3..6
-    /// u.add_scaled_range_into(&mut shard, 10.0, 3);
-    /// assert_eq!(shard, vec![0.0, 20.0, 0.0]);
-    /// ```
-    pub fn add_scaled_range_into(&self, out: &mut [f32], scale: f32, lo: usize) {
-        let hi = lo + out.len();
-        assert!(hi <= self.dim, "range {lo}..{hi} exceeds dim {}", self.dim);
-        let start = self.indices.partition_point(|&i| (i as usize) < lo);
-        for t in start..self.indices.len() {
-            let i = self.indices[t] as usize;
-            if i >= hi {
-                break;
-            }
-            out[i - lo] += scale * self.values[t];
-        }
-    }
-
     /// Densifies into a fresh `Vec<f32>` with zeros elsewhere.
     #[must_use]
     pub fn to_dense(&self) -> Vec<f32> {

@@ -302,24 +302,6 @@ proptest! {
         m.apply_to(&mut ref_sub);
         prop_assert_eq!(fused_sub, ref_sub);
     }
-
-    /// Range-sharded sparse accumulation partitions the full scatter for
-    /// any shard size.
-    #[test]
-    fn sparse_range_add_partitions(
-        pairs in proptest::collection::btree_map(0u32..300, -5.0f32..5.0, 0..80),
-        shard in 1usize..310,
-    ) {
-        let dim = 300;
-        let u = SparseUpdate::from_pairs(dim, pairs.into_iter().collect());
-        let mut full = vec![0.0f32; dim];
-        u.add_scaled_into(&mut full, 1.5);
-        let mut sharded = vec![0.0f32; dim];
-        for (t, chunk) in sharded.chunks_mut(shard).enumerate() {
-            u.add_scaled_range_into(chunk, 1.5, t * shard);
-        }
-        prop_assert_eq!(full, sharded);
-    }
 }
 
 // ---------------------------------------------------------------------------

@@ -71,7 +71,7 @@
 //! message order.
 //!
 //! [`crc16_bitwise`] is the definitional bit-at-a-time form, kept public
-//! so benchmarks and tests can pin the fast path against it.
+//! so tests can pin the fast path and the frame layout against it.
 
 const POLY: u16 = 0x1021;
 const INIT: u16 = 0xFFFF;
@@ -215,8 +215,8 @@ fn table_update(state: u16, bytes: &[u8]) -> u16 {
 }
 
 /// Bit-at-a-time CRC-16/CCITT-FALSE — the definitional form the fast
-/// paths are derived from. Used as the benchmark baseline and as the
-/// cross-check in tests; byte-for-byte identical to [`crc16`].
+/// paths are derived from and the cross-check in tests; byte-for-byte
+/// identical to [`crc16`].
 #[must_use]
 pub fn crc16_bitwise(bytes: &[u8]) -> u16 {
     bitwise_update(INIT, bytes)

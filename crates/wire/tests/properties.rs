@@ -287,3 +287,58 @@ fn adversarial_corner_shapes_match_analytic() {
         assert_eq!(vals, values, "dim={dim} nnz={nnz}");
     }
 }
+
+/// Golden bytes: frames assembled by hand from the layout table at the
+/// top of `frame.rs` (header fields little-endian, checksum over bytes
+/// 0..14 and the payload from the definitional `crc16_bitwise`) must be
+/// exactly what the writer emits — the one check of the documented byte
+/// layout that does not go through the writer or the decoder.
+#[test]
+fn writer_emits_the_documented_byte_layout() {
+    const ROUND: u32 = 7;
+    let values = [1.5f32, -0.25, 3.0e-3];
+    let check = |policy: WirePolicy, dim: u32, indices: &[u32], packed: u8, positions: &[u8]| {
+        let mut golden = vec![0xA7, packed];
+        golden.extend_from_slice(&ROUND.to_le_bytes());
+        golden.extend_from_slice(&dim.to_le_bytes());
+        golden.extend_from_slice(&3u32.to_le_bytes()); // nnz
+        golden.extend_from_slice(positions);
+        golden.extend(values.iter().flat_map(|v| v.to_le_bytes()));
+        let crc = gluefl_wire::crc::crc16_bitwise(&golden).to_le_bytes();
+        golden.splice(14..14, crc);
+
+        let dim = dim as usize;
+        let mut buf = Vec::new();
+        FrameWriter::new(policy).sparse(&mut buf, ROUND, Rounding::Nearest, dim, indices, &values);
+        assert_eq!(buf, golden, "packed={packed:#010b}");
+
+        let frame = decode_frame(&buf).unwrap();
+        assert_eq!((frame.round, frame.dim, frame.nnz), (ROUND, dim, 3));
+        let (mut idx, mut vals) = (Vec::new(), Vec::new());
+        frame.indices_into(&mut idx);
+        frame.values_into(&mut vals);
+        assert_eq!((idx.as_slice(), vals.as_slice()), (indices, &values[..]));
+    };
+    let legacy = WirePolicy::legacy(Codec::F32);
+    // v1 SparseBitmap (kind 1; 3 B ≤ 4·3): bits 3, 4 → byte 0, bit 17 → byte 2.
+    check(
+        legacy,
+        20,
+        &[3, 4, 17],
+        1 << 6 | 1 << 3,
+        &[0b0001_1000, 0, 0b10],
+    );
+    // v1 SparseIndex (kind 2; a 25 B bitmap > 4·3): three LE u32s.
+    let index_list = [3, 0, 0, 0, 4, 0, 0, 0, 150, 0, 0, 0];
+    check(legacy, 200, &[3, 4, 150], 1 << 6 | 2 << 3, &index_list);
+    // v2 SparseDelta (kind 7, fourth kind bit clear): first index 3, then
+    // gap − 1 = 0 and 145, the latter as two LEB128 bytes.
+    let entropy = WirePolicy::entropy(Codec::F32);
+    check(
+        entropy,
+        200,
+        &[3, 4, 150],
+        2 << 6 | 7 << 3,
+        &[3, 0, 0x80 | 17, 1],
+    );
+}

@@ -20,12 +20,16 @@ use gluefl_suite::telemetry::{Field, Level, LogFormat, Logger, Telemetry};
 use gluefl_suite::transport::{run_client_traced, smoke_config};
 use std::sync::Arc;
 
+const USAGE: &str = "usage: gluefl-client --addr HOST:PORT --id N [--strategy S] [--clients N] \
+     [--rounds R] [--seed S] [--log-format text|json] [--log-level L] [--metrics-out FILE]";
+
+/// A flag's value, or its default when absent; a malformed or missing
+/// value ends the process with the message, the usage line and status 2.
 fn parse_flag<T: std::str::FromStr>(args: &[String], flag: &str, default: T) -> T {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
+    gluefl_suite::parse_flag(args, flag, default).unwrap_or_else(|e| {
+        eprintln!("error: {e}\n{USAGE}");
+        std::process::exit(2)
+    })
 }
 
 fn main() {
@@ -41,11 +45,7 @@ fn main() {
     let metrics_out: String = parse_flag(&args, "--metrics-out", String::new());
     let log = Logger::stdout(level, format);
     if addr.is_empty() || id == usize::MAX {
-        eprintln!(
-            "usage: gluefl-client --addr HOST:PORT --id N [--strategy S] [--clients N] \
-             [--rounds R] [--seed S] [--log-format text|json] [--log-level L] \
-             [--metrics-out FILE]"
-        );
+        eprintln!("{USAGE}");
         std::process::exit(2);
     }
     let tel = (!metrics_out.is_empty()).then(|| Arc::new(Telemetry::new()));

@@ -22,12 +22,17 @@ use std::io::{Read as _, Write as _};
 use std::sync::Arc;
 use std::time::Duration;
 
+const USAGE: &str = "usage: gluefl-server [--addr HOST:PORT] [--strategy S] [--clients N] \
+     [--rounds R] [--seed S] [--offer-timeout-secs T] [--upload-timeout-secs T] \
+     [--log-format text|json] [--log-level L] [--metrics-addr HOST:PORT] [--metrics-out FILE]";
+
+/// A flag's value, or its default when absent; a malformed or missing
+/// value ends the process with the message, the usage line and status 2.
 fn parse_flag<T: std::str::FromStr>(args: &[String], flag: &str, default: T) -> T {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
+    gluefl_suite::parse_flag(args, flag, default).unwrap_or_else(|e| {
+        eprintln!("error: {e}\n{USAGE}");
+        std::process::exit(2)
+    })
 }
 
 /// Serves `GET /metrics` (or any request) with the hub's current text

@@ -29,3 +29,64 @@ pub use gluefl_telemetry as telemetry;
 pub use gluefl_tensor as tensor;
 pub use gluefl_transport as transport;
 pub use gluefl_wire as wire;
+
+/// Looks up `flag`'s value in `args` for the `gluefl-server` /
+/// `gluefl-client` command lines: `default` when the flag is absent.
+///
+/// # Errors
+/// Returns a message naming the flag when it is present but its value is
+/// missing (end of arguments, or another `--flag` follows) or does not
+/// parse as `T` — a mistyped `--seed` must not silently train a
+/// different model.
+pub fn parse_flag<T: std::str::FromStr>(
+    args: &[String],
+    flag: &str,
+    default: T,
+) -> Result<T, String> {
+    let Some(i) = args.iter().position(|a| a == flag) else {
+        return Ok(default);
+    };
+    let value = args
+        .get(i + 1)
+        .filter(|v| !v.starts_with("--"))
+        .ok_or_else(|| format!("{flag} needs a value"))?;
+    value
+        .parse()
+        .map_err(|_| format!("invalid value '{value}' for {flag}"))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::parse_flag;
+
+    fn args(list: &[&str]) -> Vec<String> {
+        list.iter().map(|s| (*s).to_owned()).collect()
+    }
+
+    #[test]
+    fn absent_flag_yields_the_default() {
+        assert_eq!(
+            parse_flag(&args(&["--rounds", "5"]), "--seed", 42u64),
+            Ok(42)
+        );
+        assert_eq!(
+            parse_flag(&args(&["--rounds", "5"]), "--rounds", 3u32),
+            Ok(5)
+        );
+    }
+
+    #[test]
+    fn unparsable_value_is_an_error_naming_the_flag() {
+        let e = parse_flag(&args(&["--seed", "4x2"]), "--seed", 42u64).unwrap_err();
+        assert!(e.contains("--seed") && e.contains("4x2"), "{e}");
+        assert!(parse_flag(&args(&["--rounds", "1e2"]), "--rounds", 3u32).is_err());
+    }
+
+    #[test]
+    fn missing_value_is_an_error_naming_the_flag() {
+        let e = parse_flag(&args(&["--id", "0", "--seed"]), "--seed", 42u64).unwrap_err();
+        assert!(e.contains("--seed"), "{e}");
+        let swallowed = args(&["--metrics-out", "--rounds", "3"]);
+        assert!(parse_flag(&swallowed, "--metrics-out", String::new()).is_err());
+    }
+}

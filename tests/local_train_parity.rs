@@ -13,19 +13,18 @@
 //!    this gate pins the *fusion and reuse* semantics — step forms,
 //!    implicit velocity reset, slot recycling, staging hygiene — across
 //!    rounds, clients, step counts and model shapes; an arithmetic
-//!    regression in the shared kernels is instead caught by the truly
-//!    independent verbatim baseline compiled into `expt kernels`
-//!    (`crates/bench/src/experiments/local_train_baseline.rs`, equality-
-//!    gated before timing) and by the ml crate's finite-difference
-//!    gradchecks.
+//!    regression in the shared kernels is instead caught by
+//!    `gemm_properties` (kernels ≡ plain-loop `*_ref` twins), the ml
+//!    crate's finite-difference gradchecks and the round benchmark's
+//!    `records_fnv` / `params_fnv` fingerprints.
 //! 2. **Cohort ≡ oracle per client** — the cohort entry point
 //!    ([`gluefl_core::batch_local_train_into`], what the simulator and
 //!    every `parallel` shard call) is that routine in a loop, nothing
 //!    more.
 //! 3. **Serial/parallel parity** — with the `parallel` feature, the
-//!    client-sharded training loop (and sharded aggregation, same
-//!    runtime toggle) must reproduce the serial rounds bit for bit for
-//!    both GlueFL and FedAvg. This is CI's `--features parallel` gate.
+//!    client-sharded training loop must reproduce the serial rounds
+//!    bit for bit for both GlueFL and FedAvg. This is CI's
+//!    `--features parallel` gate.
 
 use gluefl_core::{
     batch_local_train_into, local_train_into, SimConfig, Simulation, StrategyConfig, TrainSlot,

@@ -11,7 +11,7 @@
 //! 3. **QuantU8 serial ≡ parallel** — deterministic stochastic rounding
 //!    is seeded from `(seed, round, client)`, so a quantized simulation
 //!    is bit-identical between serial execution and the `parallel`
-//!    feature's threaded training/aggregation (CI's parallel leg).
+//!    feature's threaded training (CI's parallel leg).
 
 use gluefl_compress::ApfConfig;
 use gluefl_core::{GlueFlParams, SimConfig, Simulation, StrategyConfig, WireCodec, WirePolicy};
@@ -215,8 +215,8 @@ fn quantized_runs_are_reproducible() {
 }
 
 /// CI's parallel-leg gate for the codec axis: a QuantU8 simulation is
-/// bit-identical between serial execution and threaded
-/// training/aggregation — the quantization seed depends on
+/// bit-identical between serial execution and threaded training —
+/// the quantization seed depends on
 /// `(seed, round, client)`, never on thread schedule.
 #[cfg(feature = "parallel")]
 #[test]
