@@ -38,11 +38,12 @@ impl std::str::FromStr for CompensationMode {
 /// (optionally re-scaled) residual into the new delta before compression,
 /// and [`ErrorCompensator::record`] stores the new residual.
 ///
-/// The round hot path never copies a delta into the bank:
-/// [`ErrorCompensator::record_sent_parts`] takes the compensated delta's
-/// buffer itself as the new residual and gives the caller the client's
-/// previous residual buffer in exchange, so a returning client costs no
-/// dimension-sized copy or allocation at all.
+/// `apply` and `record` are the reference form, one dimension-sized pass
+/// each. The round hot path is [`ErrorCompensator::compress_split`]: one
+/// walk of the delta that applies the compensation, peels off what is
+/// sent and leaves the new residual behind, then trades buffers with the
+/// bank instead of copying — a returning client costs no dimension-sized
+/// copy or allocation at all.
 ///
 /// # Example
 ///
@@ -88,10 +89,24 @@ impl ErrorCompensator {
         self.mode
     }
 
+    /// The delta dimension this compensator was built for.
+    pub(crate) fn dim(&self) -> usize {
+        self.dim
+    }
+
     /// Number of clients with stored residuals.
     #[must_use]
     pub fn tracked_clients(&self) -> usize {
         self.memory.len()
+    }
+
+    /// The client's stored residual `h` and the weight `ν` it was stored
+    /// at, if it has participated before.
+    #[must_use]
+    pub fn stored(&self, client: usize) -> Option<(&[f32], f64)> {
+        self.memory
+            .get(&client)
+            .map(|mem| (mem.residual.as_slice(), mem.weight))
     }
 
     /// Adds the client's carried-over residual into `delta` before
@@ -106,30 +121,38 @@ impl ErrorCompensator {
     /// residual exists and re-scaling is enabled).
     pub fn apply(&mut self, client: usize, delta: &mut [f32], current_weight: f64) {
         assert_eq!(delta.len(), self.dim, "delta dimension mismatch");
-        if self.mode == CompensationMode::None {
-            return;
+        if let Some((residual, scale)) = self.carried(client, current_weight) {
+            for (d, h) in delta.iter_mut().zip(residual) {
+                *d += scale * h;
+            }
         }
-        let Some(mem) = self.memory.get(&client) else {
-            return;
-        };
+    }
+
+    /// What [`apply`](Self::apply) adds for `client` at `current_weight`:
+    /// its stored residual `h` and the scale `s` of `Δ ← Δ + s·h`, or
+    /// `None` when there is nothing to add (mode `None`, or no memory).
+    ///
+    /// # Panics
+    /// Panics if a residual is to be re-scaled to a non-positive weight.
+    pub(crate) fn carried(&self, client: usize, current_weight: f64) -> Option<(&[f32], f32)> {
+        let mem = self.memory.get(&client)?;
         let scale = match self.mode {
-            CompensationMode::None => unreachable!("handled above"),
+            CompensationMode::None => return None,
             CompensationMode::Raw => 1.0,
             CompensationMode::Rescaled => {
                 assert!(current_weight > 0.0, "aggregation weight must be positive");
                 (mem.weight / current_weight) as f32
             }
         };
-        for (d, h) in delta.iter_mut().zip(&mem.residual) {
-            *d += scale * h;
-        }
+        Some((&mem.residual, scale))
     }
 
     /// Stores the new residual `h = Δ − sent` for the client, along with
     /// the weight used this round. No-op in [`CompensationMode::None`].
     ///
-    /// This is the dense reference form; the round hot path uses
-    /// [`ErrorCompensator::record_sent_parts`].
+    /// This is the dense reference form; the round hot path is
+    /// [`ErrorCompensator::compress_split`], which leaves the residual
+    /// in the delta's own buffer and banks that.
     ///
     /// # Panics
     /// Panics if the slices differ in length from `dim`.
@@ -145,68 +168,38 @@ impl ErrorCompensator {
             .extend(delta.iter().zip(sent_dense).map(|(d, s)| d - s));
     }
 
-    /// Like [`ErrorCompensator::record`], with the sent update given as
-    /// sparse parts instead of a dense vector — the residual is
-    /// `Δ − Σ parts` — and the delta **handed over** instead of copied:
-    /// the buffer behind `delta` becomes the client's residual (the sent
-    /// parts are subtracted from it in place, which is the same
-    /// arithmetic as copy-then-subtract), and `delta` is left holding the
-    /// client's previous residual buffer — `dim` stale values, ready to be
-    /// overwritten by the next round's delta — or an empty vector on the
-    /// client's first participation. In [`CompensationMode::None`]
-    /// nothing is stored and `delta` is untouched.
-    ///
-    /// Parts must have pairwise-disjoint supports (as the shared/unique
-    /// split of Algorithm 3 does); an overlapping position would be
-    /// subtracted twice.
-    ///
-    /// # Panics
-    /// Panics if `delta.len() != dim` or any part's dimension differs.
-    pub fn record_sent_parts(
-        &mut self,
-        client: usize,
-        delta: &mut Vec<f32>,
-        sent_parts: &[&gluefl_tensor::SparseUpdate],
-        weight: f64,
-    ) {
-        assert_eq!(delta.len(), self.dim, "delta dimension mismatch");
-        for part in sent_parts {
-            assert_eq!(part.dim(), self.dim, "sent part dimension mismatch");
-        }
-        if self.mode == CompensationMode::None {
-            return;
-        }
-        let mem = self.memory_of(client, weight);
-        std::mem::swap(&mut mem.residual, delta);
-        for part in sent_parts {
-            for (i, v) in part.iter() {
-                mem.residual[i] -= v;
-            }
-        }
+    /// Makes the buffer behind `delta` — which by now holds `Δ − sent` —
+    /// the client's residual at `weight`, without copying: `delta` is
+    /// left holding the client's previous residual buffer (`dim` stale
+    /// values, ready to be overwritten by the next round's delta) or an
+    /// empty vector on the client's first participation.
+    pub(crate) fn bank(&mut self, client: usize, delta: &mut Vec<f32>, weight: f64) {
+        debug_assert_ne!(self.mode, CompensationMode::None, "mode None banks nothing");
+        std::mem::swap(&mut self.memory_of(client, weight).residual, delta);
     }
 
     /// Folds the wire codec's loss into a client's residual bank after
     /// its upload was serialized: `sent` is what the strategy handed the
-    /// encoder at `indices`, `shipped` is what a lossy codec actually
-    /// delivered to the receiver. The true residual of the round is
-    /// `Δ − shipped = (Δ − sent) + (sent − shipped)`; [`Self::record`] /
-    /// [`Self::record_sent_parts`] already stored the first term, so this
-    /// adds the second. No-op when compensation is off or the client has
-    /// no stored memory (nothing was recorded this round); the stored
-    /// weight is untouched — codec loss happened at the same reference
-    /// weight as the top-k loss.
+    /// encoder at `positions` — an explicit index list, or the one-bits
+    /// of the mask a mask-aligned part travels under — and `shipped` is
+    /// what a lossy codec actually delivered to the receiver. The true
+    /// residual of the round is
+    /// `Δ − shipped = (Δ − sent) + (sent − shipped)`; the compress walk
+    /// already stored the first term, so this adds the second. No-op when
+    /// compensation is off or the client has no stored memory (nothing
+    /// was recorded this round); the stored weight is untouched — codec
+    /// loss happened at the same reference weight as the top-k loss.
     ///
     /// # Panics
-    /// Panics if the three slices disagree in length or an index is out
-    /// of range for the model dimension.
+    /// Panics if `sent`, `shipped` and `positions` disagree in length or
+    /// a position is out of range for the model dimension.
     pub fn fold_shipped_error(
         &mut self,
         client: usize,
-        indices: &[u32],
+        positions: impl IntoIterator<Item = usize>,
         sent: &[f32],
         shipped: &[f32],
     ) {
-        assert_eq!(indices.len(), sent.len());
         assert_eq!(sent.len(), shipped.len());
         if self.mode == CompensationMode::None {
             return;
@@ -214,9 +207,12 @@ impl ErrorCompensator {
         let Some(mem) = self.memory.get_mut(&client) else {
             return;
         };
-        for j in 0..indices.len() {
-            mem.residual[indices[j] as usize] += sent[j] - shipped[j];
+        let mut positions = positions.into_iter();
+        for (s, d) in sent.iter().zip(shipped) {
+            let i = positions.next().expect("one position per sent value");
+            mem.residual[i] += s - d;
         }
+        assert!(positions.next().is_none(), "more positions than values");
     }
 
     /// The client's memory — created with no residual buffer yet on its
@@ -311,71 +307,6 @@ mod tests {
         }
     }
 
-    /// The hand-off record stores exactly the bits the dense reference
-    /// stores — NaN and ∞ included — and trades buffers instead of
-    /// copying: the delta's allocation becomes the residual, the previous
-    /// residual's allocation comes back.
-    #[test]
-    fn record_sent_parts_swaps_buffers_and_matches_the_dense_record() {
-        use gluefl_tensor::SparseUpdate;
-        let dim = 8;
-        let deltas = [
-            vec![1.0f32, f32::NAN, -2.5, f32::INFINITY, 0.0, -0.0, 3.0, 1e-40],
-            vec![
-                0.5f32,
-                2.0,
-                f32::NEG_INFINITY,
-                1.0,
-                f32::NAN,
-                4.0,
-                -3.0,
-                0.25,
-            ],
-        ];
-        let mut dense = ErrorCompensator::new(CompensationMode::Raw, dim);
-        let mut swapping = ErrorCompensator::new(CompensationMode::Raw, dim);
-        let mut returned = Vec::new();
-        for (round, delta) in deltas.iter().enumerate() {
-            // Two disjoint sent parts, as in the shared/unique split.
-            let shared = SparseUpdate::gather(delta, &[1, 3]);
-            let unique = SparseUpdate::gather(delta, &[6]);
-            let mut sent = shared.to_dense();
-            unique.apply(&mut sent);
-            dense.record(4, delta, &sent, 2.0);
-
-            let mut handed = delta.clone();
-            let delta_ptr = handed.as_ptr();
-            let previous_ptr = swapping.memory.get(&4).map(|m| m.residual.as_ptr());
-            swapping.record_sent_parts(4, &mut handed, &[&shared, &unique], 2.0);
-            let stored = &swapping.memory[&4];
-            assert_eq!(stored.residual.as_ptr(), delta_ptr, "round {round}: copied");
-            assert_eq!(stored.weight, 2.0);
-            match previous_ptr {
-                None => assert_eq!(handed.capacity(), 0, "first round returns no buffer"),
-                Some(ptr) => {
-                    assert_eq!(handed.as_ptr(), ptr, "previous residual not returned");
-                    assert_eq!(handed.len(), dim);
-                }
-            }
-            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-            assert_eq!(
-                bits(&stored.residual),
-                bits(&dense.memory[&4].residual),
-                "round {round}"
-            );
-            returned = handed;
-        }
-        assert_eq!(returned.len(), dim);
-        assert_eq!(swapping.tracked_clients(), 1);
-        // Compensation off: nothing is stored and the delta stays put.
-        let mut off = ErrorCompensator::new(CompensationMode::None, dim);
-        let mut delta = deltas[0].clone();
-        let ptr = delta.as_ptr();
-        off.record_sent_parts(4, &mut delta, &[], 1.0);
-        assert_eq!((delta.as_ptr(), delta.len()), (ptr, dim));
-        assert_eq!(off.tracked_clients(), 0);
-    }
-
     #[test]
     fn forget_removes_memory() {
         let mut ec = ErrorCompensator::new(CompensationMode::Raw, 1);
@@ -410,7 +341,7 @@ mod tests {
         // Round: delta [1, -2, 0.5, 0], sent the first two coordinates.
         ec.record(0, &[1.0, -2.0, 0.5, 0.0], &[1.0, -2.0, 0.0, 0.0], 1.0);
         // Wire codec delivered [0.9, -2.1] instead of [1.0, -2.0].
-        ec.fold_shipped_error(0, &[0, 1], &[1.0, -2.0], &[0.9, -2.1]);
+        ec.fold_shipped_error(0, [0, 1], &[1.0, -2.0], &[0.9, -2.1]);
         let mut probe = vec![0.0f32; 4];
         ec.apply(0, &mut probe, 1.0);
         // Residual = (Δ − sent) + (sent − shipped) = Δ − shipped.
@@ -423,12 +354,12 @@ mod tests {
     fn fold_shipped_error_without_memory_or_mode_is_inert() {
         // No memory stored: nothing to fold into.
         let mut ec = ErrorCompensator::new(CompensationMode::Raw, 2);
-        ec.fold_shipped_error(7, &[0], &[1.0], &[0.5]);
+        ec.fold_shipped_error(7, [0], &[1.0], &[0.5]);
         assert_eq!(ec.tracked_clients(), 0);
         // Mode None: inert even after a (no-op) record.
         let mut off = ErrorCompensator::new(CompensationMode::None, 2);
         off.record(0, &[1.0, 0.0], &[0.0, 0.0], 1.0);
-        off.fold_shipped_error(0, &[0], &[1.0], &[0.5]);
+        off.fold_shipped_error(0, [0], &[1.0], &[0.5]);
         assert_eq!(off.tracked_clients(), 0);
     }
 

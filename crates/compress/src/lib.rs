@@ -18,7 +18,9 @@
 //! * [`ErrorCompensator`] — per-client error feedback with GlueFL's
 //!   propensity re-scaling `(ν^{φ(t)}/ν^t)·h^{φ(t)}` (§3.3, Equation 7);
 //!   supports the paper's three ablation arms None / EC / REC
-//!   (Figure 11).
+//!   (Figure 11). Its [`ErrorCompensator::compress_split`] is a client's
+//!   whole compress — compensation, split, residual — as one walk of the
+//!   delta ([`SplitWalk`]).
 //!
 //! # Example
 //!
@@ -30,7 +32,7 @@
 //! let shared = BitMask::from_indices(8, [0usize, 2]); // q_shr = 25%
 //! // Client: dense values under the shared mask + top-1 unique outside.
 //! let split = mask_shift::client_split(&delta, &shared, 1);
-//! assert_eq!(split.shared.indices(), &[0, 2]);
+//! assert_eq!(split.shared.values(), &[5.0, 3.0]); // in the mask's order
 //! assert_eq!(split.unique.indices(), &[4]); // |-4.0| largest outside
 //! ```
 
@@ -41,6 +43,8 @@ mod apf;
 mod error_comp;
 pub mod mask_shift;
 pub mod stc;
+mod walk;
 
 pub use apf::{Apf, ApfConfig};
 pub use error_comp::{CompensationMode, ErrorCompensator};
+pub use walk::SplitWalk;

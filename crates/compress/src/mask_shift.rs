@@ -16,16 +16,17 @@
 
 use crate::stc::keep_count;
 use gluefl_tensor::{
-    top_k_abs_masked, top_k_abs_masked_into, top_k_abs_packed_into, BitMask, SparseUpdate,
-    TopKScope, TopKScratch,
+    top_k_abs_masked, top_k_abs_masked_into, top_k_abs_packed_into, BitMask, MaskAligned,
+    SparseUpdate, TopKScope, TopKScratch,
 };
 
 /// A client's two-part masked upload (Algorithm 3 lines 16–17).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ClientSplit {
-    /// `Δ̃_shr = M_t ⊙ Δ`: values under the shared mask (dense w.r.t. the
-    /// mask, so the upload needs no position bytes).
-    pub shared: SparseUpdate,
+    /// `Δ̃_shr = M_t ⊙ Δ`: values under the shared mask, in its position
+    /// order (both sides hold the mask, so neither the upload nor this
+    /// struct spells the positions out).
+    pub shared: MaskAligned,
     /// `Δ̃_uni = top_{q−q_shr}(¬M_t ⊙ Δ)`: locally-important coordinates
     /// outside the mask (uploaded with explicit positions).
     pub unique: SparseUpdate,
@@ -36,12 +37,17 @@ impl ClientSplit {
     /// sparse coordinates.
     #[must_use]
     pub fn upload_bytes(&self) -> u64 {
-        self.shared.wire_cost_known_mask().total_bytes() + self.unique.wire_cost().total_bytes()
+        self.shared.wire_cost().total_bytes() + self.unique.wire_cost().total_bytes()
     }
 }
 
 /// Splits a client delta against the shared mask: dense values under
 /// `mask` plus the `unique_k` largest-magnitude coordinates outside it.
+///
+/// This is the split on its own, a gather pass and a selection pass; a
+/// client's round runs it inside the one walk of
+/// [`crate::ErrorCompensator::compress_split`], which is tested against
+/// this.
 ///
 /// # Panics
 /// Panics if `delta.len() != mask.len()`.
@@ -53,13 +59,13 @@ impl ClientSplit {
 /// let delta = vec![1.0, -7.0, 2.0, 0.5];
 /// let mask = BitMask::from_indices(4, [0usize]);
 /// let split = client_split(&delta, &mask, 2);
-/// assert_eq!(split.shared.indices(), &[0]);
+/// assert_eq!(split.shared.values(), &[1.0]);
 /// assert_eq!(split.unique.indices(), &[1, 2]);
 /// ```
 #[must_use]
 pub fn client_split(delta: &[f32], mask: &BitMask, unique_k: usize) -> ClientSplit {
     assert_eq!(delta.len(), mask.len(), "delta/mask length mismatch");
-    let shared = SparseUpdate::from_dense_masked(delta, mask);
+    let shared = MaskAligned::gather(delta, mask);
     let idx = top_k_abs_masked(delta, unique_k, TopKScope::Outside(mask));
     let unique = SparseUpdate::gather(delta, &idx);
     ClientSplit { shared, unique }
@@ -197,8 +203,11 @@ mod tests {
         let d = delta();
         let mask = BitMask::from_indices(8, [0usize, 2]);
         let s = client_split(&d, &mask, 3);
-        // shared support == mask; unique disjoint from mask.
-        assert_eq!(s.shared.support(), mask);
+        // shared values == the mask's positions; unique disjoint from it.
+        assert_eq!(
+            s.shared.to_dense(&mask),
+            vec![5.0, 0.0, 3.0, 0.0, 0.0, 0.0, 0.0, 0.0]
+        );
         assert_eq!(s.unique.support().overlap(&mask), 0);
         assert_eq!(s.unique.nnz(), 3);
     }
@@ -227,7 +236,7 @@ mod tests {
         let mask = BitMask::from_indices(8, [0usize, 2, 4]);
         let s = client_split(&d, &mask, 1);
         // shared: 3 values × 4B (+header); unique: 1 value + positions.
-        assert_eq!(s.shared.wire_cost_known_mask().payload_bytes(), 12);
+        assert_eq!(s.shared.wire_cost().payload_bytes(), 12);
         assert!(s.unique.wire_cost().position_bytes > 0);
         assert!(s.upload_bytes() >= 12 + 4);
     }

@@ -7,8 +7,9 @@
 //! fold, the mask shift. The **client half** is [`ClientCompressor`]:
 //! what a client does to its trained delta before it leaves the device —
 //! re-scaled error compensation, the split along the broadcast mask
-//! `M_t`, the unique top-k, and feeding the wire codec's loss back into
-//! the residual bank. The simulator holds one compressor for all `N`
+//! `M_t`, the unique top-k and the new residual, all in one walk of the
+//! delta ([`gluefl_compress::ErrorCompensator::compress_split`]) — and
+//! feeding the wire codec's loss back into the residual bank. The simulator holds one compressor for all `N`
 //! simulated clients (the residual bank is keyed by client id), a socket
 //! client holds one for itself; both run exactly this code, so there is
 //! nothing to keep in step between them.
@@ -22,16 +23,15 @@
 use crate::config::{GlueFlParams, SimConfig, StrategyConfig};
 use crate::scratch::ScratchPool;
 use crate::strategies::{Group, Upload};
-use crate::wire_link;
-use gluefl_compress::mask_shift::ClientSplit;
-use gluefl_compress::stc::{keep_count, TernaryUpdate};
-use gluefl_compress::{CompensationMode, ErrorCompensator};
+use crate::wire_link::{self, ShippedAt};
+use gluefl_compress::stc::keep_count;
+use gluefl_compress::{CompensationMode, ErrorCompensator, SplitWalk};
 use gluefl_data::SyntheticFlDataset;
 use gluefl_ml::Mlp;
 use gluefl_sampling::ClientId;
 use gluefl_tensor::rng::{derive_seed, seeded_rng};
 use gluefl_tensor::wire::HEADER_BYTES;
-use gluefl_tensor::{top_k_abs_masked_into, BitMask, SparseUpdate, TopKScope};
+use gluefl_tensor::{BitMask, MaskAligned};
 use gluefl_wire::{Codec, FrameWriter, WirePolicy};
 use std::sync::Arc;
 
@@ -123,8 +123,6 @@ enum Scheme {
         /// Round size `K`.
         k: usize,
         ec: ErrorCompensator,
-        /// Reused `M_t ∪ stats` scope.
-        scope: BitMask,
     },
 }
 
@@ -178,7 +176,6 @@ impl ClientCompressor {
                 weights: weights.to_vec(),
                 k: cfg.round_size,
                 ec: ErrorCompensator::new(params.compensation, dim),
-                scope: BitMask::zeros(dim),
             },
         };
         Self {
@@ -209,11 +206,18 @@ impl ClientCompressor {
     /// compensation in place. `round_mask` is the mask the server
     /// broadcast for this round (`None` for strategies without one).
     ///
+    /// A scheme with error feedback (STC, GlueFL) walks the delta
+    /// **once**: adding the carried-over residual, peeling off the values
+    /// under the round mask, listing the top-k candidates and leaving
+    /// `Δ − sent` behind are the per-word steps of the one pass the
+    /// selection makes ([`ErrorCompensator::compress_split`]). A
+    /// mask-aligned part leaves as a plain value run ([`MaskAligned`]):
+    /// its positions are the round mask's, which the server holds.
+    ///
     /// The delta's buffer is **handed over**, never copied. The dense
     /// scheme moves it into the upload (it comes back through
     /// [`ScratchPool::reclaim_upload`]); a scheme with error feedback
-    /// makes it the client's new residual
-    /// ([`ErrorCompensator::record_sent_parts`]). What `delta` holds on
+    /// makes it the client's new residual. What `delta` holds on
     /// return is a buffer for the caller's *next* delta and nothing
     /// else: the client's previous residual (`dim` stale values), an
     /// empty vector when there was none or the buffer left with the
@@ -237,34 +241,32 @@ impl ClientCompressor {
             Scheme::Stc { q, quantize, ec } => {
                 // Error feedback: add the residual from the client's
                 // previous participation, sparsify, remember the new one.
-                ec.apply(id, delta, 1.0);
-                let (ix, vals) = scratch.take_sparse();
-                let idx = top_k_abs_masked_into(
-                    delta,
-                    keep_count(self.trainable, *q),
-                    TopKScope::Outside(&self.stats_excluded),
-                    &mut scratch.topk,
-                );
-                let sparse = SparseUpdate::gather_in(delta, idx, ix, vals);
+                let walk = SplitWalk {
+                    mask: None,
+                    excluded: &self.stats_excluded,
+                    unique_k: keep_count(self.trainable, *q),
+                    unique: scratch.take_sparse(),
+                    shared: Vec::new(),
+                    topk: &mut scratch.topk,
+                };
                 if *quantize {
                     // The residual must reflect what the server receives
                     // (the dequantized values), so quantization loss is
                     // carried into the next round too.
-                    let ternary = TernaryUpdate::quantize(&sparse);
-                    ec.record_sent_parts(id, delta, &[&ternary.dequantize()], 1.0);
-                    Ok(Upload::Ternary(ternary))
+                    Ok(Upload::Ternary(ec.compress_ternary(id, delta, 1.0, walk)))
                 } else {
-                    ec.record_sent_parts(id, delta, &[&sparse], 1.0);
-                    Ok(Upload::Sparse(sparse))
+                    Ok(Upload::Sparse(
+                        ec.compress_split(id, delta, 1.0, walk).unique,
+                    ))
                 }
             }
             Scheme::Apf => {
                 // Frozen parameters do not move locally; the upload
                 // carries the active positions, which the server knows.
                 let mask = round_mask.ok_or(MissingRoundMask)?;
-                let (ix, vals) = scratch.take_sparse();
-                Ok(Upload::KnownMask(SparseUpdate::from_dense_masked_in(
-                    delta, mask, ix, vals,
+                let values = scratch.take_cleared();
+                Ok(Upload::KnownMask(MaskAligned::gather_in(
+                    delta, mask, values,
                 )))
             }
             Scheme::GlueFl {
@@ -272,40 +274,25 @@ impl ClientCompressor {
                 weights,
                 k,
                 ec,
-                scope,
             } => {
                 let mask = round_mask.ok_or(MissingRoundMask)?;
+                // Re-scaled error compensation (Equation 7) at this
+                // weight; shared part: values under M_t (none when
+                // regenerating); unique part: top-k outside M_t ∪ stats;
+                // residual h = Δ − (Δ̃_shr + Δ̃_uni), left in the delta's
+                // own buffer.
                 let weight = params.client_weight(weights.len(), *k, group, weights[id]);
-                // Re-scaled error compensation (Equation 7).
-                ec.apply(id, delta, weight);
-                // Shared part: values under M_t (empty when regenerating);
-                // unique part: top-k outside M_t ∪ stats.
-                let regen = params.is_regen_round(round);
-                let shared = if regen {
-                    SparseUpdate::empty(self.dim)
-                } else {
-                    let (ix, vals) = scratch.take_sparse();
-                    SparseUpdate::from_dense_masked_in(delta, mask, ix, vals)
+                let walk = SplitWalk {
+                    mask: (!params.is_regen_round(round)).then_some(mask),
+                    excluded: &self.stats_excluded,
+                    unique_k: params.unique_keep(self.trainable, round),
+                    shared: scratch.take_cleared(),
+                    unique: scratch.take_sparse(),
+                    topk: &mut scratch.topk,
                 };
-                let top_scope: &BitMask = if regen {
-                    &self.stats_excluded
-                } else {
-                    scope.copy_from(mask);
-                    scope.union_with(&self.stats_excluded);
-                    scope
-                };
-                let (ix, vals) = scratch.take_sparse();
-                let idx = top_k_abs_masked_into(
-                    delta,
-                    params.unique_keep(self.trainable, round),
-                    TopKScope::Outside(top_scope),
-                    &mut scratch.topk,
-                );
-                let unique = SparseUpdate::gather_in(delta, idx, ix, vals);
-                // Residual h = Δ − (Δ̃_shr + Δ̃_uni): the delta's buffer
-                // becomes the residual, minus the sent parts in place.
-                ec.record_sent_parts(id, delta, &[&shared, &unique], weight);
-                Ok(Upload::MaskSplit(ClientSplit { shared, unique }))
+                Ok(Upload::MaskSplit(
+                    ec.compress_split(id, delta, weight, walk),
+                ))
             }
         }
     }
@@ -345,13 +332,20 @@ impl ClientCompressor {
     /// client's residual bank, so codec loss re-enters the next round
     /// alongside the top-k residual. Only granted uploads are ever
     /// serialized, which is what keeps every driver's banks identical.
+    /// `round_mask` is the mask [`compress`](Self::compress) was given:
+    /// the loss of a mask-aligned frame is folded back at its one-bits.
     /// Quantization seeds derive from `(seed, round, id)`, never from
     /// processing order.
+    ///
+    /// # Panics
+    /// Panics if a lossy mask-aligned frame was encoded and `round_mask`
+    /// is not the mask its values are aligned to.
     pub fn encode_kept(
         &mut self,
         round: u32,
         id: ClientId,
         upload: &Upload,
+        round_mask: Option<&BitMask>,
         stats: &[f32],
         out: &mut Vec<u8>,
     ) -> usize {
@@ -364,10 +358,17 @@ impl ClientCompressor {
             derive_seed(self.seed, "wire-quant", key),
             out,
             &mut self.shipped,
-            &mut |indices, sent, shipped| match scheme {
-                Scheme::Stc { ec, .. } | Scheme::GlueFl { ec, .. } => {
-                    ec.fold_shipped_error(id, indices, sent, shipped);
-                }
+            &mut |at, sent, shipped| match scheme {
+                Scheme::Stc { ec, .. } | Scheme::GlueFl { ec, .. } => match at {
+                    ShippedAt::Indices(indices) => {
+                        let positions = indices.iter().map(|&i| i as usize);
+                        ec.fold_shipped_error(id, positions, sent, shipped);
+                    }
+                    ShippedAt::RoundMask => {
+                        let mask = round_mask.expect("a mask-aligned part was compressed");
+                        ec.fold_shipped_error(id, mask.iter_ones(), sent, shipped);
+                    }
+                },
                 Scheme::Dense | Scheme::Apf => {}
             },
         );
@@ -534,7 +535,7 @@ mod tests {
         let Upload::MaskSplit(split) = up else {
             panic!("expected mask split")
         };
-        assert_eq!(split.shared.support(), mask);
+        assert_eq!(split.shared.values(), [-9.0, -6.0, -1.0, 6.0]);
         assert_eq!(split.unique.support().overlap(&mask), 0);
         // q − q_shr = 10% of 20 = 2 unique coordinates.
         assert_eq!(split.unique.nnz(), 2);
@@ -581,7 +582,7 @@ mod tests {
         let Upload::MaskSplit(split) = up else {
             panic!("expected mask split")
         };
-        let mut dense = split.shared.to_dense();
+        let mut dense = split.shared.to_dense(&mask);
         split.unique.apply(&mut dense);
         let expected = 3.0 * (0.6 / (8.0 / 3.0 * 0.05));
         assert!(
@@ -589,6 +590,62 @@ mod tests {
             "residual {} vs expected {expected}",
             dense[12]
         );
+    }
+
+    /// Under a lossy codec the residual ends up short of what was
+    /// *shipped*, not of what was handed to the encoder — for the shared
+    /// part too, whose loss is folded back by walking the round mask
+    /// (the part itself names no positions): position by position,
+    /// `residual += sent − shipped`, the receiver's decode being
+    /// `shipped`.
+    #[test]
+    fn codec_loss_of_both_parts_is_folded_back_at_their_positions() {
+        let dim = 200;
+        let mut c = compressor(
+            StrategyConfig::GlueFl(gluefl_params()),
+            dim,
+            BitMask::zeros(dim),
+        );
+        c.wire = WirePolicy::legacy(Codec::QuantU8);
+        assert!(c.wire.quant_ec);
+        let mask = BitMask::from_indices(dim, (0..dim).step_by(5));
+        let mut pool = ScratchPool::new();
+        let mut delta: Vec<f32> = (0..dim).map(|i| ((i as f32) * 0.73).sin()).collect();
+        let upload = c
+            .compress(1, 2, Group::Sticky, &mut delta, Some(&mask), &mut pool)
+            .unwrap();
+        let Upload::MaskSplit(sent) = &upload else {
+            panic!("expected mask split")
+        };
+        let stored = |c: &ClientCompressor| match &c.scheme {
+            Scheme::GlueFl { ec, .. } => ec.stored(2).expect("banked").0.to_vec(),
+            _ => unreachable!(),
+        };
+        let mut expected = stored(&c);
+        let mut out = Vec::new();
+        let _ = c.encode_kept(1, 2, &upload, Some(&mask), &[], &mut out);
+        let (received, _) =
+            wire_link::decode_upload_with_stats(&out, Some(&mask), &mut pool).unwrap();
+        let Upload::MaskSplit(shipped) = received else {
+            panic!("expected mask split")
+        };
+        let positions = mask
+            .iter_ones()
+            .chain(sent.unique.indices().iter().map(|&i| i as usize));
+        let sent = sent.shared.values().iter().chain(sent.unique.values());
+        let shipped = shipped
+            .shared
+            .values()
+            .iter()
+            .chain(shipped.unique.values());
+        let mut lossy = 0;
+        for (i, (sent, shipped)) in positions.zip(sent.zip(shipped)) {
+            expected[i] += sent - shipped;
+            lossy += usize::from(sent != shipped);
+        }
+        assert!(lossy > 0, "QuantU8 shipped every value exactly");
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&stored(&c)), bits(&expected));
     }
 
     #[test]
@@ -602,7 +659,10 @@ mod tests {
         let stats = [0.5f32, -0.25];
         let (analytic, wire) = c.offer(&up, stats.len());
         let mut out = Vec::new();
-        assert_eq!(c.encode_kept(0, 3, &up, &stats, &mut out) as u64, wire);
+        assert_eq!(
+            c.encode_kept(0, 3, &up, None, &stats, &mut out) as u64,
+            wire
+        );
         assert_eq!(out.len() as u64, wire);
         assert_eq!(analytic, wire, "legacy F32 frames match the analytic model");
     }

@@ -61,7 +61,7 @@ use gluefl_sampling::ClientId;
 use gluefl_telemetry::{EventKind, Histogram, Phase, Telemetry, PHASE_COUNT};
 use gluefl_tensor::rng::{derive_seed, seeded_rng};
 use gluefl_tensor::BitMask;
-use gluefl_wire::{Codec, FrameWriter, Rounding, WireError, WirePolicy};
+use gluefl_wire::{frame_kind_from_header, Codec, FrameWriter, Rounding, WireError, WirePolicy};
 use rand::rngs::StdRng;
 use std::sync::Arc;
 
@@ -612,11 +612,17 @@ impl RoundEngine {
                 },
                 expected: dim,
             })
-        } else if !upload_matches(&self.cfg.strategy, &upload)
-            || !upload_indices_ok(&upload, dim)
-            || stats_frame.nnz != stats_len
-        {
-            Some(WireError::UnexpectedKind(0))
+        } else if !upload_matches(&self.cfg.strategy, &upload) {
+            let arrived = frame_kind_from_header(payload)
+                .expect("the payload's first frame decoded a moment ago");
+            Some(WireError::UnexpectedKind(arrived.id()))
+        } else if let Err(e) = check_upload_indices(&upload, dim) {
+            Some(e)
+        } else if stats_frame.nnz != stats_len {
+            Some(WireError::NnzMismatch {
+                declared: stats_frame.nnz,
+                actual: stats_len,
+            })
         } else {
             None
         };
@@ -702,15 +708,20 @@ fn upload_matches(strategy_cfg: &StrategyConfig, upload: &Upload) -> bool {
 
 /// Every explicit-position index list inside an upload must be strictly
 /// increasing and within the model dimension.
-fn upload_indices_ok(upload: &Upload, dim: usize) -> bool {
-    let ok = |indices: &[u32]| {
-        indices.windows(2).all(|w| w[0] < w[1])
-            && indices.last().is_none_or(|&last| (last as usize) < dim)
+fn check_upload_indices(upload: &Upload, dim: usize) -> Result<(), WireError> {
+    let check = |indices: &[u32]| {
+        if let Some(at) = indices.windows(2).position(|w| w[0] >= w[1]) {
+            return Err(WireError::IndicesNotIncreasing { position: at + 1 });
+        }
+        match indices.last() {
+            Some(&index) if index as usize >= dim => Err(WireError::IndexOutOfRange { index, dim }),
+            _ => Ok(()),
+        }
     };
     match upload {
-        Upload::Dense(_) | Upload::KnownMask(_) => true,
-        Upload::Sparse(u) => ok(u.indices()),
-        Upload::Ternary(t) => ok(&t.indices),
-        Upload::MaskSplit(s) => ok(s.unique.indices()),
+        Upload::Dense(_) | Upload::KnownMask(_) => Ok(()),
+        Upload::Sparse(u) => check(u.indices()),
+        Upload::Ternary(t) => check(&t.indices),
+        Upload::MaskSplit(s) => check(s.unique.indices()),
     }
 }

@@ -14,7 +14,8 @@
 //!   accumulators, packed value arrays, and trained deltas — a dense
 //!   upload *is* its delta buffer, so it comes back here too;
 //! * sparse `(u32, f32)` arenas ([`ScratchPool::take_sparse`]) back the
-//!   [`gluefl_tensor::SparseUpdate`]s built during compression;
+//!   [`gluefl_tensor::SparseUpdate`]s built during compression (a
+//!   [`gluefl_tensor::MaskAligned`] part is a plain `f32` buffer);
 //! * pooled [`gluefl_tensor::BitMask`]s ([`ScratchPool::take_mask`]) back
 //!   the per-round support masks of [`gluefl_tensor::MaskedUpdate`]s and
 //!   GlueFL's shifted shared mask;
@@ -157,10 +158,11 @@ impl ScratchPool {
     pub fn reclaim_upload(&mut self, upload: Upload) {
         match upload {
             Upload::Dense(values) => self.put(values),
-            Upload::Sparse(u) | Upload::KnownMask(u) => {
+            Upload::Sparse(u) => {
                 let (ix, vals) = u.into_buffers();
                 self.put_sparse(ix, vals);
             }
+            Upload::KnownMask(u) => self.put(u.into_values()),
             Upload::Ternary(t) => {
                 if self.free_indices.len() < MAX_IDLE && t.indices.capacity() > 0 {
                     self.free_indices.push({
@@ -174,10 +176,13 @@ impl ScratchPool {
                 }
             }
             Upload::MaskSplit(s) => {
-                let (ix, vals) = s.shared.into_buffers();
-                self.put_sparse(ix, vals);
+                // The reverse of the order both sides take them in
+                // (shared, then unique): the arenas are stacks, so each
+                // part gets a buffer of its own size back instead of
+                // regrowing the other's.
                 let (ix, vals) = s.unique.into_buffers();
                 self.put_sparse(ix, vals);
+                self.put(s.shared.into_values());
             }
         }
     }

@@ -274,6 +274,7 @@ impl RoundIo for InProcessClients {
             round,
             self.invited[i].0,
             &upload,
+            self.round_mask.as_ref(),
             &self.stats[i * stats_len..(i + 1) * stats_len],
             payload,
         );

@@ -162,7 +162,7 @@ impl Strategy for ApfStrategy {
 mod tests {
     use super::*;
     use crate::stream::fold_in_id_order;
-    use gluefl_tensor::SparseUpdate;
+    use gluefl_tensor::MaskAligned;
 
     fn cfg() -> ApfConfig {
         ApfConfig {
@@ -189,7 +189,7 @@ mod tests {
             let active = s.round_mask(r).expect("APF broadcasts its mask").clone();
             let kept: Vec<(ClientId, Group, Upload)> = (0..3)
                 .map(|id| {
-                    let up = SparseUpdate::from_dense_masked(&delta, &active);
+                    let up = MaskAligned::gather(&delta, &active);
                     (id, Group::Fresh, Upload::KnownMask(up))
                 })
                 .collect();

@@ -227,13 +227,19 @@ impl Strategy for GlueFlStrategy {
         Some(&self.shared_mask)
     }
 
-    fn fold_begin(&mut self, _round: u32, scratch: &mut ScratchPool) -> FoldAcc {
+    fn fold_begin(&mut self, round: u32, scratch: &mut ScratchPool) -> FoldAcc {
         // The packed shared sum (aligned to M_t) plus the deferred unique
         // stream: positions in `indices`, weighted values in `dense` —
         // the union support and packed unique sum are built once at
         // fold_finish, so the streaming path stages no d-length buffer
-        // either.
-        let (stream_idx, stream_vals) = scratch.take_sparse();
+        // either. The stream's final size is known — at most K uploads
+        // of `unique_keep` entries each — and five times larger on a
+        // regeneration round than the pooled buffers of the shift rounds
+        // before it: reserve it here, not by doubling inside the fold.
+        let (mut stream_idx, mut stream_vals) = scratch.take_sparse();
+        let stream_len = self.k * self.params.unique_keep(self.trainable, round);
+        stream_idx.reserve(stream_len);
+        stream_vals.reserve(stream_len);
         FoldAcc {
             dense: Some(stream_vals),
             packed: Some(scratch.take_zeroed(self.shared_nnz)),

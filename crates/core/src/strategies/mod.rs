@@ -28,7 +28,7 @@ use crate::scratch::ScratchPool;
 use gluefl_compress::mask_shift::ClientSplit;
 use gluefl_sampling::{ClientId, OnlineQuery};
 use gluefl_tensor::wire::HEADER_BYTES;
-use gluefl_tensor::{MaskedUpdate, SparseUpdate};
+use gluefl_tensor::{MaskAligned, MaskedUpdate, SparseUpdate};
 use rand::rngs::StdRng;
 
 /// Which pool a participant was drawn from.
@@ -81,8 +81,9 @@ pub enum Upload {
     /// Top-`q` sparse delta, ternary-quantized (STC + footnote-1
     /// quantization: positions + one sign bit per value + one `μ`).
     Ternary(gluefl_compress::stc::TernaryUpdate),
-    /// Values aligned to a mask both sides hold (APF's active set).
-    KnownMask(SparseUpdate),
+    /// Values aligned to a mask both sides hold (APF's active set) —
+    /// values only, the positions are the round mask's.
+    KnownMask(MaskAligned),
     /// GlueFL's two-part shared + unique upload.
     MaskSplit(ClientSplit),
 }
@@ -95,7 +96,7 @@ impl Upload {
             Upload::Dense(v) => gluefl_tensor::WireCost::dense(v.len()).total_bytes(),
             Upload::Sparse(u) => u.wire_cost().total_bytes(),
             Upload::Ternary(t) => t.wire_cost().total_bytes(),
-            Upload::KnownMask(u) => u.wire_cost_known_mask().total_bytes(),
+            Upload::KnownMask(u) => u.wire_cost().total_bytes(),
             Upload::MaskSplit(s) => s.upload_bytes(),
         }
     }
@@ -105,30 +106,33 @@ impl Upload {
     pub fn dim(&self) -> usize {
         match self {
             Upload::Dense(v) => v.len(),
-            Upload::Sparse(u) | Upload::KnownMask(u) => u.dim(),
+            Upload::Sparse(u) => u.dim(),
+            Upload::KnownMask(u) => u.dim(),
             Upload::Ternary(t) => t.dim(),
             Upload::MaskSplit(s) => s.shared.dim(),
         }
     }
 
-    /// Accumulates `weight ×` this upload into a dense vector.
+    /// Accumulates `weight ×` this upload into a dense vector — the fold
+    /// of the strategies whose uploads carry their positions.
     ///
     /// # Panics
     /// Panics on dimension mismatch (`acc.len()` must equal the upload's
-    /// dimension exactly).
+    /// dimension exactly), and on a mask-aligned upload: its positions
+    /// are the round mask's, and the strategy that holds that mask folds
+    /// it in packed space.
     pub fn add_weighted_into(&self, acc: &mut [f32], weight: f32) {
         assert_eq!(acc.len(), self.dim(), "upload dimension mismatch");
         match self {
             Upload::Dense(v) => gluefl_tensor::vecops::axpy(acc, weight, v),
-            Upload::Sparse(u) | Upload::KnownMask(u) => u.add_scaled_into(acc, weight),
+            Upload::Sparse(u) => u.add_scaled_into(acc, weight),
             Upload::Ternary(t) => {
                 for (&i, &sign) in t.indices.iter().zip(&t.signs) {
                     acc[i as usize] += weight * if sign { t.mu } else { -t.mu };
                 }
             }
-            Upload::MaskSplit(s) => {
-                s.shared.add_scaled_into(acc, weight);
-                s.unique.add_scaled_into(acc, weight);
+            Upload::KnownMask(_) | Upload::MaskSplit(_) => {
+                panic!("a mask-aligned upload has no positions to accumulate at")
             }
         }
     }
@@ -406,10 +410,7 @@ mod tests {
             1000,
             (0..100).map(|i| (i as u32, 1.0)).collect(),
         ));
-        let known = Upload::KnownMask(SparseUpdate::from_pairs(
-            1000,
-            (0..100).map(|i| (i as u32, 1.0)).collect(),
-        ));
+        let known = Upload::KnownMask(MaskAligned::new(1000, vec![1.0; 100]));
         assert!(dense.bytes() > sparse.bytes());
         assert!(sparse.bytes() > known.bytes());
     }

@@ -8,9 +8,10 @@
 //! upload payload (those frames plus the stats frame every sender
 //! appends) back into an `Upload`, drawing index/value storage from the
 //! [`ScratchPool`] so the receive path is allocation-free in steady
-//! state. Mask-aligned payloads carry no position bytes, so decoding
-//! them requires the round's mask
-//! ([`crate::strategies::Strategy::round_mask`]).
+//! state. Mask-aligned payloads carry no position bytes and decode to
+//! plain value runs ([`MaskAligned`]) — no positions are rebuilt either;
+//! the round's mask ([`crate::strategies::Strategy::round_mask`]) is
+//! what such a frame's `dim` and `nnz` are checked against.
 //!
 //! What travels is shaped by a [`WirePolicy`] (carried in
 //! `SimConfig::wire`): the value codec, and whether the entropy position
@@ -34,7 +35,7 @@ use crate::scratch::ScratchPool;
 use crate::strategies::Upload;
 use gluefl_compress::mask_shift::ClientSplit;
 use gluefl_compress::stc::TernaryUpdate;
-use gluefl_tensor::{BitMask, SparseUpdate};
+use gluefl_tensor::{BitMask, MaskAligned, SparseUpdate};
 use gluefl_wire::{
     decode_frame_prefix, Codec, Frame, FrameKind, FrameWriter, Rounding, WireError, WirePolicy,
 };
@@ -78,10 +79,20 @@ pub fn encoded_len(upload: &Upload, policy: &WirePolicy) -> u64 {
     }
 }
 
-/// Callback receiving `(indices, sent, shipped)` for each lossy
-/// value-bearing frame: the frame's coordinate indices, the values handed
-/// to the encoder, and the dequantized values a receiver reconstructs.
-pub type ShippedFeedback<'a> = dyn FnMut(&[u32], &[f32], &[f32]) + 'a;
+/// Where the values of a lossy frame sit in the model vector.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ShippedAt<'a> {
+    /// At these explicit, strictly increasing coordinates.
+    Indices(&'a [u32]),
+    /// At the one-bits of the round mask, in order: a mask-aligned frame
+    /// names no positions, sender and receiver both hold the mask.
+    RoundMask,
+}
+
+/// Callback receiving `(at, sent, shipped)` for each lossy value-bearing
+/// frame: where the frame's values sit, the values handed to the
+/// encoder, and the dequantized values a receiver reconstructs.
+pub type ShippedFeedback<'a> = dyn FnMut(ShippedAt<'_>, &[f32], &[f32]) + 'a;
 
 /// Serializes `upload` into wire frames appended to `out`, returning the
 /// encoded byte count. Ternary uploads are already 1-bit quantized and
@@ -107,9 +118,9 @@ pub fn encode_upload(
 /// Like [`encode_upload`], additionally reporting what each lossy
 /// value-bearing frame *actually shipped*: after writing a sparse or
 /// mask-aligned frame under a lossy codec (with [`WirePolicy::quant_ec`]
-/// on), `feedback(indices, sent, shipped)` receives the frame's
-/// coordinate indices, the values handed to the encoder, and the
-/// dequantized values a receiver will reconstruct. The client half folds
+/// on), `feedback(at, sent, shipped)` receives where the frame's values
+/// sit, the values handed to the encoder, and the dequantized values a
+/// receiver will reconstruct. The client half folds
 /// `sent − shipped` into its residual bank
 /// ([`crate::ClientCompressor::encode_kept`]), so codec loss is carried
 /// into the next round instead of silently dropped.
@@ -139,7 +150,8 @@ pub fn encode_upload_with_feedback(
             let start = out.len();
             let n = w.sparse(out, round, rounding, u.dim(), u.indices(), u.values());
             if lossy {
-                report_shipped(out, start, u.indices(), u.values(), shipped, feedback);
+                let at = ShippedAt::Indices(u.indices());
+                report_shipped(out, start, at, u.values(), shipped, feedback);
             }
             n
         }
@@ -147,7 +159,8 @@ pub fn encode_upload_with_feedback(
             let start = out.len();
             let n = w.known_mask(out, round, rounding, u.dim(), u.values());
             if lossy {
-                report_shipped(out, start, u.indices(), u.values(), shipped, feedback);
+                let at = ShippedAt::RoundMask;
+                report_shipped(out, start, at, u.values(), shipped, feedback);
             }
             n
         }
@@ -162,14 +175,8 @@ pub fn encode_upload_with_feedback(
                 split.shared.values(),
             );
             if lossy {
-                report_shipped(
-                    out,
-                    start,
-                    split.shared.indices(),
-                    split.shared.values(),
-                    shipped,
-                    feedback,
-                );
+                let at = ShippedAt::RoundMask;
+                report_shipped(out, start, at, split.shared.values(), shipped, feedback);
             }
             let start = out.len();
             let unique = w.sparse(
@@ -181,14 +188,8 @@ pub fn encode_upload_with_feedback(
                 split.unique.values(),
             );
             if lossy {
-                report_shipped(
-                    out,
-                    start,
-                    split.unique.indices(),
-                    split.unique.values(),
-                    shipped,
-                    feedback,
-                );
+                let at = ShippedAt::Indices(split.unique.indices());
+                report_shipped(out, start, at, split.unique.values(), shipped, feedback);
             }
             shared + unique
         }
@@ -201,7 +202,7 @@ pub fn encode_upload_with_feedback(
 fn report_shipped(
     out: &[u8],
     start: usize,
-    indices: &[u32],
+    at: ShippedAt<'_>,
     sent: &[f32],
     shipped: &mut Vec<f32>,
     feedback: &mut ShippedFeedback<'_>,
@@ -212,7 +213,7 @@ fn report_shipped(
     let (frame, _) = decode_frame_prefix(&out[start..]).expect("a just-encoded frame decodes");
     shipped.clear();
     frame.values_into(shipped);
-    feedback(indices, sent, shipped);
+    feedback(at, sent, shipped);
 }
 
 /// Parses a round upload payload — the upload's frame(s) followed by the
@@ -327,16 +328,16 @@ fn decode_sparse_frame(frame: &Frame<'_>, scratch: &mut ScratchPool) -> SparseUp
     SparseUpdate::from_sorted_buffers(frame.dim, indices, values)
 }
 
-/// Rebuilds a [`SparseUpdate`] from a known-mask frame: the values are in
-/// the frame, the positions come from the mask both sides hold. A frame
-/// that disagrees with the receiver's mask (or arrives when the receiver
-/// holds none) is a typed error — such bytes can be checksum-valid.
+/// Takes a known-mask frame's values as a [`MaskAligned`] part — a copy
+/// of the value section and nothing else; the positions stay in the mask
+/// both sides hold. A frame that disagrees with the receiver's mask (or
+/// arrives when the receiver holds none) is a typed error — such bytes
+/// can be checksum-valid.
 fn decode_known_mask_frame(
     frame: &Frame<'_>,
     round_mask: Option<&BitMask>,
     scratch: &mut ScratchPool,
-) -> Result<SparseUpdate, WireError> {
-    let (mut indices, mut values) = scratch.take_sparse();
+) -> Result<MaskAligned, WireError> {
     if frame.nnz > 0 {
         let Some(mask) = round_mask else {
             // Mask-aligned values sent to a receiver that holds no mask.
@@ -354,13 +355,10 @@ fn decode_known_mask_frame(
                 actual: mask.count_ones(),
             });
         }
-        indices.reserve(frame.nnz);
-        mask.for_each_one(|i| indices.push(u32::try_from(i).expect("dim fits u32")));
-        frame.values_into(&mut values);
     }
-    Ok(SparseUpdate::from_sorted_buffers(
-        frame.dim, indices, values,
-    ))
+    let mut values = scratch.take_cleared();
+    frame.values_into(&mut values);
+    Ok(MaskAligned::new(frame.dim, values))
 }
 
 #[cfg(test)]
@@ -417,7 +415,7 @@ mod tests {
     fn known_mask_round_trip_uses_the_round_mask() {
         let mask = BitMask::from_indices(50, [3usize, 17, 40]);
         let dense: Vec<f32> = (0..50).map(|i| i as f32).collect();
-        let upload = Upload::KnownMask(SparseUpdate::from_dense_masked(&dense, &mask));
+        let upload = Upload::KnownMask(MaskAligned::gather(&dense, &mask));
         let (decoded, n) = roundtrip(&upload, Some(&mask));
         assert_eq!(decoded, upload);
         assert_eq!(n as u64, upload.bytes());
@@ -448,7 +446,7 @@ mod tests {
         // GlueFL regeneration rounds ship an empty shared frame; decoding
         // must not require the mask then.
         let upload = Upload::MaskSplit(ClientSplit {
-            shared: SparseUpdate::empty(100),
+            shared: MaskAligned::empty(100),
             unique: SparseUpdate::from_pairs(100, vec![(5, 1.0)]),
         });
         let (decoded, n) = roundtrip(&upload, None);
@@ -517,7 +515,8 @@ mod tests {
                 rle: layout == IndexLayout::Entropy,
                 quant_ec: true,
             };
-            let mut calls: Vec<(Vec<u32>, Vec<f32>, Vec<f32>)> = Vec::new();
+            // (explicit indices, if any; sent; shipped) per lossy frame.
+            let mut calls = Vec::new();
             let mut buf = Vec::new();
             let _ = encode_upload_with_feedback(
                 &split,
@@ -526,10 +525,24 @@ mod tests {
                 7,
                 &mut buf,
                 &mut Vec::new(),
-                &mut |ix, sent, shipped| calls.push((ix.to_vec(), sent.to_vec(), shipped.to_vec())),
+                &mut |at, sent, shipped| {
+                    let ix = match at {
+                        ShippedAt::Indices(ix) => Some(ix.to_vec()),
+                        ShippedAt::RoundMask => None,
+                    };
+                    calls.push((ix, sent.to_vec(), shipped.to_vec()));
+                },
             );
-            // Shared + unique parts both report.
+            // Shared + unique parts both report: the shared one at the
+            // round mask, the unique one at its own indices.
             assert_eq!(calls.len(), 2);
+            let Upload::MaskSplit(sent) = &split else {
+                unreachable!()
+            };
+            assert_eq!(calls[0].0, None);
+            assert_eq!(calls[0].1, sent.shared.values());
+            assert_eq!(calls[1].0.as_deref(), Some(sent.unique.indices()));
+            assert_eq!(calls[1].1, sent.unique.values());
             // What the callback says shipped is exactly what a receiver
             // decodes.
             let mut scratch = ScratchPool::new();
@@ -593,11 +606,11 @@ mod tests {
             Upload::Dense(dense[..130].to_vec()),
             Upload::Sparse(sparsify(&dense, 0.05)),
             Upload::Sparse(sparsify(&dense, 0.4)), // bitmap-position regime
-            Upload::KnownMask(SparseUpdate::from_dense_masked(&dense, &mask)),
+            Upload::KnownMask(MaskAligned::gather(&dense, &mask)),
             Upload::Ternary(TernaryUpdate::quantize(&sparsify(&dense, 0.02))),
             Upload::MaskSplit(gluefl_compress::mask_shift::client_split(&dense, &mask, 30)),
             Upload::MaskSplit(ClientSplit {
-                shared: SparseUpdate::empty(600),
+                shared: MaskAligned::empty(600),
                 unique: SparseUpdate::from_pairs(600, vec![(5, 1.0)]),
             }),
         ];
@@ -627,7 +640,7 @@ mod tests {
             (Upload::Dense(dense.clone()), None),
             (Upload::Sparse(sparsify(&dense, 0.1)), None),
             (
-                Upload::KnownMask(SparseUpdate::from_dense_masked(&dense, &mask)),
+                Upload::KnownMask(MaskAligned::gather(&dense, &mask)),
                 Some(&mask),
             ),
             (
@@ -768,7 +781,7 @@ mod tests {
 
         // Known-mask values sent to a receiver holding no mask.
         let dense: Vec<f32> = (0..50).map(|i| i as f32).collect();
-        let km = Upload::KnownMask(SparseUpdate::from_dense_masked(&dense, &mask));
+        let km = Upload::KnownMask(MaskAligned::gather(&dense, &mask));
         let mut buf = Vec::new();
         let _ = encode_upload(&km, 0, &WirePolicy::default(), 0, &mut buf);
         assert!(matches!(

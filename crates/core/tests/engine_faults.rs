@@ -9,20 +9,44 @@
 
 use gluefl_core::engine::{Arrival, Broadcast, RoundEngine, RoundIo};
 use gluefl_core::strategies::Group;
+use gluefl_core::strategies::Upload;
+use gluefl_core::wire_link::encode_upload;
 use gluefl_core::{
     GlueFlParams, InProcessClients, RoundRecord, RunSetup, SimConfig, StrategyConfig,
 };
 use gluefl_data::DatasetProfile;
 use gluefl_ml::DatasetModel;
 use gluefl_net::timing::ClientRoundTime;
-use gluefl_wire::WireError;
+use gluefl_tensor::SparseUpdate;
+use gluefl_wire::crc::{crc16, crc16_update};
+use gluefl_wire::{
+    frame_len_from_header, FrameWriter, Rounding, WireError, WirePolicy, HEADER_BYTES,
+};
 use std::collections::VecDeque;
 
 const ROUNDS: u32 = 4;
 
+/// What the lowest granted slot delivers instead of its upload.
+#[derive(Debug, Clone, Copy)]
+enum Fault {
+    /// Bytes that are no frame at all.
+    Garbage,
+    /// A well-formed STC upload (sparse + stats frames) sent to GlueFL.
+    WrongVariant,
+    /// Its own split upload, the unique part replaced by a
+    /// checksum-valid index frame whose two indices are out of order.
+    UnsortedIndices,
+    /// Its own upload frames, then a stats frame one value too long.
+    LongStats,
+}
+
 /// In-process clients with a fault script between them and the engine.
 struct Scripted {
     clients: InProcessClients,
+    fault: Fault,
+    /// Model dimension and BN-statistic count, to forge frames with.
+    dim: usize,
+    stats_len: usize,
     reverse: bool,
     /// The invitation index whose offer is withheld (the last one).
     silent: usize,
@@ -30,7 +54,63 @@ struct Scripted {
     /// deliver in ascending client-id order).
     queue: VecDeque<(usize, Vec<u8>)>,
     collected: bool,
-    rejected: Vec<(u32, usize)>,
+    rejected: Vec<(u32, usize, WireError)>,
+}
+
+/// The frames of an upload payload, split at their boundaries.
+fn frames(payload: &[u8]) -> Vec<&[u8]> {
+    let mut rest = payload;
+    let mut out = Vec::new();
+    while !rest.is_empty() {
+        let len = frame_len_from_header(rest).expect("an honest payload") as usize;
+        let (frame, tail) = rest.split_at(len);
+        out.push(frame);
+        rest = tail;
+    }
+    out
+}
+
+impl Scripted {
+    /// What `fault` makes of the honest `payload` of `round`.
+    fn forge(&self, round: u32, payload: &[u8]) -> Vec<u8> {
+        let writer = FrameWriter::new(WirePolicy::default());
+        let sparse = |pairs| Upload::Sparse(SparseUpdate::from_pairs(self.dim, pairs));
+        let mut out = Vec::new();
+        match self.fault {
+            Fault::Garbage => out = vec![0xA5; 64],
+            Fault::WrongVariant => {
+                let upload = sparse(vec![(1, 1.0), (5, 2.0)]);
+                let _ = encode_upload(&upload, round, &WirePolicy::default(), 0, &mut out);
+                let stats = vec![0.0; self.stats_len];
+                let _ = writer.known_mask(&mut out, round, Rounding::Nearest, self.dim, &stats);
+            }
+            Fault::UnsortedIndices => {
+                let honest = frames(payload);
+                assert_eq!(honest.len(), 3, "shared, unique, stats");
+                let mut unique = Vec::new();
+                let upload = sparse(vec![(3, 1.0), (9, 2.0)]);
+                let _ = encode_upload(&upload, round, &WirePolicy::default(), 0, &mut unique);
+                // Two explicit u32 positions follow the header: swap
+                // them and re-seal the checksum.
+                let (a, b) = (HEADER_BYTES, HEADER_BYTES + 4);
+                for i in 0..4 {
+                    unique.swap(a + i, b + i);
+                }
+                let crc = crc16_update(crc16(&unique[..14]), &unique[HEADER_BYTES..]);
+                unique[14..16].copy_from_slice(&crc.to_le_bytes());
+                out.extend_from_slice(honest[0]);
+                out.extend_from_slice(&unique);
+                out.extend_from_slice(honest[2]);
+            }
+            Fault::LongStats => {
+                let honest = frames(payload);
+                out.extend_from_slice(&payload[..payload.len() - honest[2].len()]);
+                let stats = vec![0.0; self.stats_len + 1];
+                let _ = writer.known_mask(&mut out, round, Rounding::Nearest, self.dim, &stats);
+            }
+        }
+        out
+    }
 }
 
 impl RoundIo for Scripted {
@@ -64,9 +144,11 @@ impl RoundIo for Scripted {
             while let Some(Arrival::Delivered(i)) = self.clients.next_upload(round, &mut buf) {
                 self.queue.push_back((i, std::mem::take(&mut buf)));
             }
-            // (b) the lowest granted slot delivers bytes that are no frame.
-            let victim = self.queue.iter_mut().min_by_key(|(i, _)| *i).expect("kept");
-            victim.1 = vec![0xA5; 64];
+            // (b) the lowest granted slot delivers the scripted fault.
+            let at = (0..self.queue.len())
+                .min_by_key(|&at| self.queue[at].0)
+                .expect("kept");
+            self.queue[at].1 = self.forge(round, &self.queue[at].1);
         }
         // (c) the rest arrive in the scripted order.
         let (i, bytes) = if self.reverse {
@@ -78,8 +160,8 @@ impl RoundIo for Scripted {
         Some(Arrival::Delivered(i))
     }
 
-    fn rejected(&mut self, round: u32, slot: usize, _err: &WireError) {
-        self.rejected.push((round, slot));
+    fn rejected(&mut self, round: u32, slot: usize, err: &WireError) {
+        self.rejected.push((round, slot, *err));
     }
 }
 
@@ -110,24 +192,39 @@ fn tiny_gluefl() -> SimConfig {
     cfg
 }
 
+fn scripted(cfg: &SimConfig, setup: &RunSetup, fault: Fault, reverse: bool) -> Scripted {
+    Scripted {
+        clients: InProcessClients::new(cfg, setup),
+        fault,
+        dim: setup.model.num_params(),
+        stats_len: setup.stats_positions.len(),
+        reverse,
+        silent: 0,
+        queue: VecDeque::new(),
+        collected: false,
+        rejected: Vec::new(),
+    }
+}
+
 /// Runs every round under the fault script; returns the records and the
 /// final parameter bits.
 fn run_scripted(reverse: bool) -> (Vec<RoundRecord>, Vec<u32>) {
     let cfg = tiny_gluefl();
     let keep = cfg.round_size;
     let setup = RunSetup::new(&cfg);
-    let mut io = Scripted {
-        clients: InProcessClients::new(&cfg, &setup),
-        reverse,
-        silent: 0,
-        queue: VecDeque::new(),
-        collected: false,
-        rejected: Vec::new(),
-    };
+    let mut io = scripted(&cfg, &setup, Fault::Garbage, reverse);
     let mut engine = RoundEngine::new(cfg, setup);
+    run_rounds(&mut engine, &mut io, keep)
+}
+
+fn run_rounds(
+    engine: &mut RoundEngine,
+    io: &mut Scripted,
+    keep: usize,
+) -> (Vec<RoundRecord>, Vec<u32>) {
     let mut records = Vec::new();
     for round in 0..ROUNDS {
-        let rec = engine.step(&mut io);
+        let rec = engine.step(io);
         assert_eq!(rec.kept, keep, "round {round}: the keep set must stay full");
         assert!(rec.invited > keep, "over-commitment provides the spares");
         assert_eq!(
@@ -164,4 +261,55 @@ fn faulty_rounds_complete_identically_in_any_delivery_order() {
     let (again_recs, again_bits) = run_scripted(true);
     assert_eq!(reverse_recs, again_recs);
     assert_eq!(reverse_bits, again_bits, "two identical runs diverged");
+}
+
+/// Frames that decode but that the engine cannot use are rejected with
+/// the error that names the fault — the kind that arrived, the index
+/// that is out of order, the stats count that is off — counted once each
+/// in the wire layer's decode-error table, and the round folds without
+/// the slot.
+#[test]
+fn each_unusable_upload_is_rejected_with_its_own_typed_error() {
+    let count = |name: &str| {
+        gluefl_wire::stats::decode_errors()
+            .iter()
+            .find(|(n, _)| *n == name)
+            .map_or(0, |&(_, c)| c)
+    };
+    let cfg = tiny_gluefl();
+    let stats_len = RunSetup::new(&cfg).stats_positions.len();
+    let cases = [
+        (
+            Fault::WrongVariant,
+            // Two indices over a 300-odd-position model: the v1 index
+            // layout, kind id 2 — not the id of a dense frame.
+            WireError::UnexpectedKind(2),
+        ),
+        (
+            Fault::UnsortedIndices,
+            WireError::IndicesNotIncreasing { position: 1 },
+        ),
+        (
+            Fault::LongStats,
+            WireError::NnzMismatch {
+                declared: stats_len + 1,
+                actual: stats_len,
+            },
+        ),
+    ];
+    for (fault, expected) in cases {
+        let before = count(expected.stat_name());
+        let setup = RunSetup::new(&cfg);
+        let mut io = scripted(&cfg, &setup, fault, false);
+        let mut engine = RoundEngine::new(cfg.clone(), setup);
+        let _ = run_rounds(&mut engine, &mut io, cfg.round_size);
+        for (round, rejection) in io.rejected.iter().enumerate() {
+            assert_eq!(rejection.2, expected, "{fault:?}, round {round}");
+        }
+        assert_eq!(
+            count(expected.stat_name()) - before,
+            u64::from(ROUNDS),
+            "{fault:?}: one count per rejection"
+        );
+    }
 }

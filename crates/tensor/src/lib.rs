@@ -13,6 +13,10 @@
 //! * [`SparseUpdate`] — an (indices, values) view of a masked model delta,
 //!   with the wire-size accounting (`bitmap` vs `index` encoding) used for
 //!   all bandwidth measurements in the evaluation.
+//! * [`MaskAligned`] — values in the position order of a mask the
+//!   receiver already holds (GlueFL's shared part, APF's active set): no
+//!   index vector on either side, the mask comes from whoever needs the
+//!   positions.
 //! * [`MaskedUpdate`] — a mask plus *packed* values, the server-side
 //!   aggregate representation: strategies return one per round and the
 //!   simulator applies it with the word-level scatter/[`vecops::masked_axpy`]
@@ -72,6 +76,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod aligned;
 mod bitmask;
 pub mod gemm;
 mod masked;
@@ -81,11 +86,12 @@ mod topk;
 pub mod vecops;
 pub mod wire;
 
+pub use aligned::MaskAligned;
 pub use bitmask::{BitMask, SetBits, ZeroBits};
 pub use masked::MaskedUpdate;
 pub use sparse::SparseUpdate;
 pub use topk::{
-    top_k_abs, top_k_abs_masked, top_k_abs_masked_into, top_k_abs_packed_into, TopKScope,
-    TopKScratch,
+    top_k_abs, top_k_abs_from_into, top_k_abs_masked, top_k_abs_masked_into, top_k_abs_packed_into,
+    word_lanes, LaneSource, TopKScope, TopKScratch,
 };
 pub use wire::{WireCost, WireEncoding, BYTES_PER_VALUE};

@@ -69,36 +69,19 @@ impl SparseUpdate {
         }
     }
 
-    /// Extracts the coordinates of `dense` covered by `mask`
-    /// (the `M ⊙ Δ` of Algorithm 3, kept sparse).
+    /// Extracts the coordinates of `dense` covered by `mask` with their
+    /// positions spelled out. A part the receiver can position itself —
+    /// `M ⊙ Δ` under a mask both sides hold — is a
+    /// [`crate::MaskAligned`] instead.
     ///
     /// # Panics
     /// Panics if `dense.len() != mask.len()`.
     #[must_use]
     pub fn from_dense_masked(dense: &[f32], mask: &BitMask) -> Self {
-        Self::from_dense_masked_in(dense, mask, Vec::new(), Vec::new())
-    }
-
-    /// Buffer-reusing form of [`SparseUpdate::from_dense_masked`]: fills
-    /// the caller's `indices`/`values` buffers (cleared first) instead of
-    /// allocating fresh ones. Pair with [`SparseUpdate::into_buffers`] and
-    /// a pool to keep the compress hot path allocation-free.
-    ///
-    /// # Panics
-    /// Panics if `dense.len() != mask.len()`.
-    #[must_use]
-    pub fn from_dense_masked_in(
-        dense: &[f32],
-        mask: &BitMask,
-        mut indices: Vec<u32>,
-        mut values: Vec<f32>,
-    ) -> Self {
         assert_eq!(dense.len(), mask.len(), "mask/vector length mismatch");
         let nnz = mask.count_ones();
-        indices.clear();
-        indices.reserve(nnz);
-        values.clear();
-        values.reserve(nnz);
+        let mut indices = Vec::with_capacity(nnz);
+        let mut values = Vec::with_capacity(nnz);
         mask.for_each_one(|i| {
             indices.push(i as u32);
             values.push(dense[i]);
@@ -273,12 +256,6 @@ impl SparseUpdate {
     pub fn wire_cost(&self) -> WireCost {
         WireCost::sparse(self.dim, self.nnz())
     }
-
-    /// Wire cost when the receiver already knows the positions (values only).
-    #[must_use]
-    pub fn wire_cost_known_mask(&self) -> WireCost {
-        WireCost::known_mask(self.nnz())
-    }
 }
 
 #[cfg(test)]
@@ -356,15 +333,9 @@ mod tests {
     #[test]
     fn in_place_constructors_reuse_buffers_and_match() {
         let dense = vec![1.0f32, 0.0, 3.0, 4.0];
-        let mask = BitMask::from_indices(4, [0usize, 2]);
-        let fresh = SparseUpdate::from_dense_masked(&dense, &mask);
+        let fresh = SparseUpdate::gather(&dense, &[1, 3]);
         // Recycle dirty buffers through the in-place constructor.
         let (ix, vals) = SparseUpdate::from_pairs(9, vec![(8, 9.0)]).into_buffers();
-        let reused = SparseUpdate::from_dense_masked_in(&dense, &mask, ix, vals);
-        assert_eq!(reused, fresh);
-
-        let fresh = SparseUpdate::gather(&dense, &[1, 3]);
-        let (ix, vals) = reused.into_buffers();
         let reused = SparseUpdate::gather_in(&dense, &[1, 3], ix, vals);
         assert_eq!(reused, fresh);
     }

@@ -13,11 +13,17 @@
 //! 2. **Bracket.** A fixed strided sample of the in-scope keys (no RNG)
 //!    is sorted and a bracket `[lo, hi]` is read off around the `k/n`
 //!    quantile, a few standard deviations of the sample quantile wide.
-//! 3. **Listing pass** — the only pass over the input. Per 64-position
-//!    word the keys are computed in vector lanes, compared against `lo`
-//!    into a bitmask, masked with the scope's word, and the surviving
-//!    positions are appended, in increasing order, as packed entries
-//!    `key << 32 | !position`. A word with no in-scope bit is skipped.
+//! 3. **Listing pass** — the only pass over the input, which it takes
+//!    one 64-position word at a time from a [`LaneSource`]. Per word the
+//!    keys are computed in vector lanes, compared against `lo` into a
+//!    bitmask, masked with the scope's word, and the surviving positions
+//!    are appended, in increasing order, as packed entries
+//!    `key << 32 | !position`. A word with no in-scope bit is not keyed.
+//!    The source of [`top_k_abs_masked_into`] is a plain slice; a caller
+//!    with per-position work of its own (the client's compress walk:
+//!    error compensation, peeling off the mask-aligned part) implements
+//!    the trait, and that work happens *in* this pass instead of in
+//!    passes of its own ([`top_k_abs_from_into`]).
 //! 4. **Select and emit.** Entries above `hi` are certainly selected;
 //!    if they number fewer than `k` and the list holds at least `k`, the
 //!    k-th largest lies inside the bracket and an integer `select_nth`
@@ -31,7 +37,8 @@
 //! Exactness never depends on the sample: a bracket that misses (or a
 //! scope too small to sample) runs the **same code** with the full
 //! bracket `[1, u32::MAX]`, which lists every candidate and is the plain
-//! select. The sample only decides how short the list is.
+//! select — a second listing pass, for which the source presents the
+//! values of the first. The sample only decides how short the list is.
 //!
 //! All allocation lives in [`TopKScratch`]; the `*_into` entry points are
 //! allocation-free after warm-up, which is what the per-round hot paths
@@ -52,6 +59,77 @@ pub enum TopKScope<'a> {
     Inside(&'a BitMask),
     /// Consider only coordinates *not* covered by the mask.
     Outside(&'a BitMask),
+}
+
+/// The listing pass's input: a `dim`-position vector handed over one
+/// 64-position word at a time, and the scope to select within.
+///
+/// [`top_k_abs_from_into`] reads the vector three ways, in this order:
+/// [`peek`](Self::peek) at the ~1000 positions of the bracket sample;
+/// [`word`](Self::word) for every word in ascending order — the listing
+/// pass; and, only when the sampled bracket missed, `word` for every word
+/// once more. A source is free to *produce* the vector during the first
+/// pass (and to do whatever else it has to do per position), as long as
+/// `peek` announces the values that pass will present and a second pass
+/// presents them again.
+pub trait LaneSource {
+    /// Number of positions. At most `u32::MAX`.
+    fn dim(&self) -> usize;
+
+    /// The candidate bits of word `wi`. No bit at or past [`dim`](Self::dim).
+    fn scope_word(&self, wi: usize) -> u64;
+
+    /// The value at position `i`, as the listing pass presents it.
+    fn peek(&self, i: usize) -> f32;
+
+    /// The 64 lanes of word `wi`. Lanes at or past [`dim`](Self::dim) are
+    /// padding (any value); `pad` is there to hold a partial last word,
+    /// see [`word_lanes`].
+    fn word<'a>(&'a mut self, wi: usize, pad: &'a mut [f32; 64]) -> &'a [f32; 64];
+}
+
+/// Word `wi` of `values` as 64 lanes: a view of the slice when the word
+/// is whole, otherwise the partial last word copied into `pad`.
+///
+/// # Panics
+/// Panics if word `wi` starts past the end of `values`.
+#[inline]
+pub fn word_lanes<'a>(values: &'a [f32], wi: usize, pad: &'a mut [f32; 64]) -> &'a [f32; 64] {
+    let tail = &values[wi * 64..];
+    match tail.first_chunk() {
+        Some(whole) => whole,
+        None => {
+            pad[..tail.len()].copy_from_slice(tail);
+            pad
+        }
+    }
+}
+
+/// A slice under a [`TopKScope`]: the source that does nothing but read.
+struct SliceSource<'a> {
+    values: &'a [f32],
+    scope: TopKScope<'a>,
+}
+
+impl LaneSource for SliceSource<'_> {
+    fn dim(&self) -> usize {
+        self.values.len()
+    }
+
+    #[inline]
+    fn scope_word(&self, wi: usize) -> u64 {
+        scope_word(self.scope, wi, self.values.len())
+    }
+
+    #[inline]
+    fn peek(&self, i: usize) -> f32 {
+        self.values[i]
+    }
+
+    #[inline]
+    fn word<'a>(&'a mut self, wi: usize, pad: &'a mut [f32; 64]) -> &'a [f32; 64] {
+        word_lanes(self.values, wi, pad)
+    }
 }
 
 /// Reusable buffers for [`top_k_abs_masked_into`].
@@ -163,10 +241,11 @@ fn scope_count(scope: TopKScope<'_>, len: usize) -> usize {
     }
 }
 
-/// Emits every position the scope admits, in increasing order.
-fn emit_scope(scope: TopKScope<'_>, len: usize, out: &mut Vec<usize>) {
-    for wi in 0..len.div_ceil(64) {
-        let mut w = scope_word(scope, wi, len);
+/// Emits every position of the `nwords` candidate words, in increasing
+/// order.
+fn emit_scope(nwords: usize, scope_word: impl Fn(usize) -> u64, out: &mut Vec<usize>) {
+    for wi in 0..nwords {
+        let mut w = scope_word(wi);
         while w != 0 {
             out.push(wi * 64 + w.trailing_zeros() as usize);
             w &= w - 1;
@@ -174,19 +253,22 @@ fn emit_scope(scope: TopKScope<'_>, len: usize, out: &mut Vec<usize>) {
     }
 }
 
-/// Checks a selection's shape and returns the scope's candidate count.
-fn checked_scope_count(scope: TopKScope<'_>, len: usize) -> usize {
+/// Checks that positions `0..len` fit the packed entries.
+fn check_positions(len: usize) {
     assert!(
         u32::try_from(len).is_ok(),
         "top-k positions are packed into 32 bits"
     );
+}
+
+/// Checks that a scope fits a `len`-position selection.
+fn check_scope(scope: TopKScope<'_>, len: usize) {
     match scope {
         TopKScope::Inside(m) | TopKScope::Outside(m) => {
             assert_eq!(m.len(), len, "scope mask length mismatch");
         }
         TopKScope::All => {}
     }
-    scope_count(scope, len)
 }
 
 /// The stride of the bracket sample over a `len`-position input. Odd, so
@@ -199,9 +281,8 @@ fn sample_stride(len: usize) -> usize {
 /// largest of the scope's `n` candidates, estimated from a strided sample
 /// of the in-scope keys. Falls back to [`FULL_BRACKET`] when the scope is
 /// small or too little of the sample lands in it.
-fn sample_bracket(
-    values: &[f32],
-    scope: TopKScope<'_>,
+fn sample_bracket<S: LaneSource>(
+    source: &S,
     k: usize,
     n: usize,
     sample: &mut Vec<u32>,
@@ -209,11 +290,11 @@ fn sample_bracket(
     if n <= SELECT_ALL_BELOW {
         return FULL_BRACKET;
     }
-    let len = values.len();
+    let len = source.dim();
     sample.clear();
     for i in (0..len).step_by(sample_stride(len)).take(SAMPLE) {
-        if scope_word(scope, i / 64, len) >> (i % 64) & 1 == 1 {
-            sample.push(rank_key(values[i]));
+        if source.scope_word(i / 64) >> (i % 64) & 1 == 1 {
+            sample.push(rank_key(source.peek(i)));
         }
     }
     let s = sample.len();
@@ -262,25 +343,18 @@ fn list_word(chunk: &[f32; 64], in_scope: u64, base: usize, lo: u32, entries: &m
 }
 
 /// The listing pass: every in-scope candidate with key `>= lo`, packed,
-/// in increasing position order.
-fn list_at_least(values: &[f32], scope: TopKScope<'_>, lo: u32, entries: &mut Vec<u64>) {
+/// in increasing position order. Asks the source for every word — it may
+/// have work to do where the scope has none.
+fn list_at_least<S: LaneSource>(source: &mut S, lo: u32, entries: &mut Vec<u64>) {
     entries.clear();
-    let len = values.len();
-    let mut chunks = values.chunks_exact(64);
-    for (wi, chunk) in chunks.by_ref().enumerate() {
-        let in_scope = scope_word(scope, wi, len);
+    // `scope_word` admits no bit past `len`, so the padding is inert.
+    let mut pad = [0.0f32; 64];
+    for wi in 0..source.dim().div_ceil(64) {
+        let in_scope = source.scope_word(wi);
+        let lanes = source.word(wi, &mut pad);
         if in_scope != 0 {
-            let chunk = chunk.try_into().expect("chunks_exact(64)");
-            list_word(chunk, in_scope, wi * 64, lo, entries);
+            list_word(lanes, in_scope, wi * 64, lo, entries);
         }
-    }
-    let tail = chunks.remainder();
-    if !tail.is_empty() {
-        // `scope_word` admits no bit past `len`, so the padding is inert.
-        let wi = len / 64;
-        let mut padded = [0.0f32; 64];
-        padded[..tail.len()].copy_from_slice(tail);
-        list_word(&padded, scope_word(scope, wi, len), wi * 64, lo, entries);
     }
 }
 
@@ -386,7 +460,32 @@ pub fn top_k_abs_masked_into<'s>(
     scope: TopKScope<'_>,
     scratch: &'s mut TopKScratch,
 ) -> &'s [usize] {
-    let n = checked_scope_count(scope, values.len());
+    check_scope(scope, values.len());
+    top_k_abs_from_into(&mut SliceSource { values, scope }, k, scratch)
+}
+
+/// [`top_k_abs_masked_into`] over a [`LaneSource`] instead of a slice:
+/// the same selection — ranking, tie-break, NaN handling, sorted output —
+/// of the vector the source presents, within the scope it declares.
+///
+/// The source is asked for its words only when a selection has to be
+/// made: `k == 0` and `k >=` the scope's size return without a listing
+/// pass. A source that must see every word regardless finishes the walk
+/// itself afterwards.
+///
+/// # Panics
+///
+/// Panics if the source has more than `u32::MAX` positions.
+pub fn top_k_abs_from_into<'s, S: LaneSource>(
+    source: &mut S,
+    k: usize,
+    scratch: &'s mut TopKScratch,
+) -> &'s [usize] {
+    check_positions(source.dim());
+    let nwords = source.dim().div_ceil(64);
+    let n: usize = (0..nwords)
+        .map(|wi| source.scope_word(wi).count_ones() as usize)
+        .sum();
     let TopKScratch {
         entries,
         bracket,
@@ -399,13 +498,13 @@ pub fn top_k_abs_masked_into<'s>(
     }
     if k >= n {
         // The scope has no more than k candidates: emit them all.
-        emit_scope(scope, values.len(), out);
+        emit_scope(nwords, |wi| source.scope_word(wi), out);
         return out;
     }
     // The sampled bracket first; if the k-th largest is not inside it,
     // the full bracket, which cannot miss (k < n).
-    for (lo, hi) in [sample_bracket(values, scope, k, n, sample), FULL_BRACKET] {
-        list_at_least(values, scope, lo, entries);
+    for (lo, hi) in [sample_bracket(source, k, n, sample), FULL_BRACKET] {
+        list_at_least(source, lo, entries);
         if emit_top_entries(entries, k, hi, bracket, out) {
             break;
         }
@@ -490,7 +589,9 @@ pub fn top_k_abs_packed_into<'s>(
         "packed length must equal the support popcount"
     );
     let dim = support.len();
-    let total = checked_scope_count(scope, dim);
+    check_positions(dim);
+    check_scope(scope, dim);
+    let total = scope_count(scope, dim);
     let TopKScratch {
         entries,
         bracket,
@@ -503,7 +604,7 @@ pub fn top_k_abs_packed_into<'s>(
     }
     if k >= total {
         // Dense `k >= n` branch: every scope position is emitted.
-        emit_scope(scope, dim, out);
+        emit_scope(dim.div_ceil(64), |wi| scope_word(scope, wi, dim), out);
         return out;
     }
 
@@ -920,9 +1021,13 @@ mod tests {
             .collect();
         let mut scratch = TopKScratch::new();
         for k in [n / 25, n / 2] {
-            let (lo, hi) = sample_bracket(&values, TopKScope::All, k, n, &mut scratch.sample);
+            let mut source = SliceSource {
+                values: &values,
+                scope: TopKScope::All,
+            };
+            let (lo, hi) = sample_bracket(&source, k, n, &mut scratch.sample);
             assert_ne!((lo, hi), FULL_BRACKET, "the sample must have been used");
-            list_at_least(&values, TopKScope::All, lo, &mut scratch.entries);
+            list_at_least(&mut source, lo, &mut scratch.entries);
             scratch.out.clear();
             assert!(
                 !emit_top_entries(
@@ -956,8 +1061,12 @@ mod tests {
         let candidates = n - mask.count_ones();
         let mut scratch = TopKScratch::new();
         for k in [candidates / 25, candidates / 5] {
-            let (lo, hi) = sample_bracket(&values, scope, k, candidates, &mut scratch.sample);
-            list_at_least(&values, scope, lo, &mut scratch.entries);
+            let mut source = SliceSource {
+                values: &values,
+                scope,
+            };
+            let (lo, hi) = sample_bracket(&source, k, candidates, &mut scratch.sample);
+            list_at_least(&mut source, lo, &mut scratch.entries);
             scratch.out.clear();
             assert!(emit_top_entries(
                 &scratch.entries,

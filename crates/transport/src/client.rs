@@ -195,9 +195,14 @@ impl ClientNode {
         let staged = self.pending.take();
         let result = match &staged {
             Some((r, upload)) if *r == round => {
-                let _ = self
-                    .compressor
-                    .encode_kept(round, self.id, upload, &self.stats_out, out);
+                let _ = self.compressor.encode_kept(
+                    round,
+                    self.id,
+                    upload,
+                    self.round_mask.as_ref(),
+                    &self.stats_out,
+                    out,
+                );
                 Ok(())
             }
             _ => Err(TransportError::NoPendingUpload),

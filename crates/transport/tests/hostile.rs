@@ -20,12 +20,12 @@ use gluefl_core::strategies::Upload;
 use gluefl_core::wire_link::{decode_upload_with_stats, encode_upload};
 use gluefl_core::ScratchPool;
 use gluefl_telemetry::Telemetry;
-use gluefl_tensor::{BitMask, SparseUpdate};
+use gluefl_tensor::{BitMask, MaskAligned};
 use gluefl_transport::proto::{write_msg, MsgKind, ENVELOPE_BYTES, PROTO_MAGIC, PROTO_VERSION};
 use gluefl_transport::{
     run_client, smoke_config, ClientNode, Server, ServerConfig, TransportError,
 };
-use gluefl_wire::{frame_len_from_header, Codec, FrameWriter, Rounding, WirePolicy};
+use gluefl_wire::{frame_len_from_header, Codec, FrameWriter, Rounding, WireError, WirePolicy};
 use std::io::Write as _;
 use std::net::{Shutdown, TcpStream};
 use std::sync::Arc;
@@ -77,7 +77,7 @@ fn corpus() -> Vec<Corpus> {
             4000,
         ),
         encode_entry(
-            &Upload::KnownMask(SparseUpdate::from_dense_masked(
+            &Upload::KnownMask(MaskAligned::gather(
                 &(0..50).map(|i| i as f32).collect::<Vec<_>>(),
                 &km_mask,
             )),
@@ -173,6 +173,64 @@ fn fuzz_mutated_payloads_yield_typed_errors_never_panics() {
     }
 
     assert!(cases >= 4096, "fuzz loop ran only {cases} cases");
+}
+
+/// A mask-aligned part names no positions, so nothing in the frame can
+/// vouch for them: checksum-valid known-mask and split payloads decoded
+/// by a receiver that holds no mask, a mask of another popcount, or a
+/// mask over another dimension are typed errors — and with the right
+/// mask the part comes back as the values alone.
+#[test]
+fn mask_aligned_frames_against_the_wrong_mask_yield_typed_errors() {
+    let mut scratch = ScratchPool::new();
+    let stats = [0.5f32, -2.0];
+    let dense: Vec<f32> = (0..600).map(|i| ((i * 13) % 29) as f32 - 14.0).collect();
+    let mask = BitMask::from_indices(600, (0..600).step_by(4));
+    let fewer = BitMask::from_indices(600, (0..600).step_by(5));
+    let longer = BitMask::from_indices(640, (0..600).step_by(4));
+    let uploads = [
+        Upload::KnownMask(MaskAligned::gather(&dense, &mask)),
+        Upload::MaskSplit(client_split(&dense, &mask, 30)),
+    ];
+    for policy in [
+        WirePolicy::legacy(Codec::F32),
+        WirePolicy::entropy(Codec::QuantU8),
+    ] {
+        for upload in &uploads {
+            let entry = encode_entry_with(upload, None, &stats, 600, policy);
+            let decode = |m, scratch: &mut ScratchPool| {
+                decode_upload_with_stats(&entry.payload, m, scratch).map(|(u, _)| u)
+            };
+            assert!(matches!(
+                decode(None, &mut scratch),
+                Err(WireError::UnexpectedKind(3))
+            ));
+            assert!(matches!(
+                decode(Some(&fewer), &mut scratch),
+                Err(WireError::NnzMismatch {
+                    declared: 150,
+                    actual: 120
+                })
+            ));
+            assert!(matches!(
+                decode(Some(&longer), &mut scratch),
+                Err(WireError::DimMismatch {
+                    declared: 600,
+                    expected: 640
+                })
+            ));
+            let back = decode(Some(&mask), &mut scratch).expect("the mask it was built under");
+            let (Upload::KnownMask(part)
+            | Upload::MaskSplit(gluefl_compress::mask_shift::ClientSplit {
+                shared: part, ..
+            })) = &back
+            else {
+                panic!("expected a mask-aligned upload, got {back:?}")
+            };
+            assert_eq!((part.dim(), part.nnz()), (600, 150));
+            scratch.reclaim_upload(back);
+        }
+    }
 }
 
 /// How a rogue client misbehaves once granted its upload slot.

@@ -689,6 +689,18 @@ pub fn frame_len_from_header(header: &[u8]) -> Result<u64, WireError> {
     Ok(HEADER_BYTES as u64 + positions_len as u64 + values_len)
 }
 
+/// The kind of the frame that starts with `header`, from its fixed
+/// header bytes alone — no payload is read and nothing is counted in
+/// [`crate::stats`]. For a receiver that has decoded a frame and needs
+/// to name its kind again (a typed rejection), or wants it before
+/// committing to a decode.
+///
+/// # Errors
+/// What `decode_frame_prefix` reports for a malformed fixed header.
+pub fn frame_kind_from_header(header: &[u8]) -> Result<FrameKind, WireError> {
+    parse_header(header).map(|parsed| parsed.kind)
+}
+
 /// The validated fixed header fields, before any payload inspection.
 struct ParsedHeader {
     kind: FrameKind,

@@ -85,8 +85,9 @@ mod varint;
 pub use codec::{Codec, Rounding, QUANT_BLOCK};
 pub use error::WireError;
 pub use frame::{
-    decode_frame, decode_frame_prefix, frame_len, frame_len_from_header, sparse_kind, ternary_kind,
-    Frame, FrameKind, FrameWriter, HEADER_BYTES, MAGIC, VERSION, VERSION_ENTROPY,
+    decode_frame, decode_frame_prefix, frame_kind_from_header, frame_len, frame_len_from_header,
+    sparse_kind, ternary_kind, Frame, FrameKind, FrameWriter, HEADER_BYTES, MAGIC, VERSION,
+    VERSION_ENTROPY,
 };
 pub use policy::{
     delta_section_len, rle_section_len, rle_section_len_from_indices, IndexLayout, WirePolicy,
