@@ -7,10 +7,9 @@
 
 use crate::experiments::common;
 use crate::{write_csv, ExptOpts, Table};
-use gluefl_core::{Simulation, StrategyConfig};
+use gluefl_core::{bytes_to_mb, Simulation, StrategyConfig};
 use gluefl_data::DatasetProfile;
 use gluefl_ml::DatasetModel;
-use gluefl_tensor::wire::bytes_to_mb;
 
 /// Runs the experiment.
 ///

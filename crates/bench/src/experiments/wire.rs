@@ -31,10 +31,9 @@
 
 use super::common::{run_config, setup};
 use crate::ExptOpts;
-use gluefl_core::{RunResult, SimConfig, StrategyConfig, WireCodec, WirePolicy};
+use gluefl_core::{bytes_to_mb, RunResult, SimConfig, StrategyConfig, WireCodec, WirePolicy};
 use gluefl_data::DatasetProfile;
 use gluefl_ml::DatasetModel;
-use gluefl_tensor::wire::bytes_to_mb;
 
 /// One policy arm of the sweep.
 struct Arm {

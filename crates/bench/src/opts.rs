@@ -161,12 +161,11 @@ mod tests {
 
     #[test]
     fn parses_wire_policy_specs() {
-        use gluefl_core::{IndexLayout, WireCodec};
+        use gluefl_core::{LayoutMenu, WireCodec};
         let o = parse(&["--wire", "entropy-quant-u8"]).unwrap();
         let w = o.wire.unwrap();
         assert_eq!(w.codec, WireCodec::QuantU8);
-        assert_eq!(w.index_layout, IndexLayout::Entropy);
-        assert!(w.rle);
+        assert_eq!(w.menu, LayoutMenu::Entropy);
         assert!(w.quant_ec);
 
         let w = parse(&["--wire", "legacy-f32"]).unwrap().wire.unwrap();

@@ -4,7 +4,7 @@
 //! round:
 //!
 //! 1. clients send (a) the values of their delta under `M_t` (positions
-//!    are already known to the server — zero position bytes) and (b) their
+//!    are already known to the server, so none travel) and (b) their
 //!    top `q − q_shr` coordinates *outside* `M_t` ([`client_split`]);
 //! 2. the server aggregates both parts, updates the model, and *shifts*
 //!    the mask to the top `q_shr` coordinates of the combined aggregate
@@ -30,15 +30,6 @@ pub struct ClientSplit {
     /// `Δ̃_uni = top_{q−q_shr}(¬M_t ⊙ Δ)`: locally-important coordinates
     /// outside the mask (uploaded with explicit positions).
     pub unique: SparseUpdate,
-}
-
-impl ClientSplit {
-    /// Total uploaded payload bytes: mask-aligned values plus explicit
-    /// sparse coordinates.
-    #[must_use]
-    pub fn upload_bytes(&self) -> u64 {
-        self.shared.wire_cost().total_bytes() + self.unique.wire_cost().total_bytes()
-    }
 }
 
 /// Splits a client delta against the shared mask: dense values under
@@ -228,17 +219,6 @@ mod tests {
         let s = client_split(&d, &mask, 0);
         assert!(s.unique.is_empty());
         assert_eq!(s.shared.nnz(), 1);
-    }
-
-    #[test]
-    fn upload_bytes_counts_known_mask_values_without_positions() {
-        let d = delta();
-        let mask = BitMask::from_indices(8, [0usize, 2, 4]);
-        let s = client_split(&d, &mask, 1);
-        // shared: 3 values × 4B (+header); unique: 1 value + positions.
-        assert_eq!(s.shared.wire_cost().payload_bytes(), 12);
-        assert!(s.unique.wire_cost().position_bytes > 0);
-        assert!(s.upload_bytes() >= 12 + 4);
     }
 
     #[test]

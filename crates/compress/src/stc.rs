@@ -6,7 +6,7 @@
 //! component (every kept value replaced by `sign·μ`) is orthogonal and is
 //! provided separately, matching the paper's masking-only evaluation.
 
-use gluefl_tensor::{top_k_abs, SparseUpdate, WireCost};
+use gluefl_tensor::{top_k_abs, SparseUpdate};
 
 /// Number of coordinates kept by ratio `q` over dimension `dim`:
 /// `round(q·dim)`, at least 1 for `q > 0`.
@@ -123,18 +123,6 @@ impl TernaryUpdate {
     pub fn dim(&self) -> usize {
         self.dim
     }
-
-    /// Wire cost: positions as for any sparse payload, values as one sign
-    /// bit each plus a single f32 `mu`.
-    #[must_use]
-    pub fn wire_cost(&self) -> WireCost {
-        let positions = WireCost::sparse(self.dim, self.nnz()).position_bytes;
-        WireCost {
-            value_bytes: (self.nnz() as u64).div_ceil(8) + 4,
-            position_bytes: positions,
-            encoding: gluefl_tensor::WireEncoding::IndexList,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -199,16 +187,6 @@ mod tests {
         // mu = mean kept magnitude.
         let mean: f32 = u.values().iter().map(|v| v.abs()).sum::<f32>() / u.nnz() as f32;
         assert!((t.mu - mean).abs() < 1e-6);
-    }
-
-    #[test]
-    fn ternary_wire_cost_is_much_smaller() {
-        let delta: Vec<f32> = (0..10_000).map(|i| (i as f32).sin()).collect();
-        let u = sparsify(&delta, 0.1);
-        let t = TernaryUpdate::quantize(&u);
-        // 1000 f32 values = 4000 bytes vs 1000 sign bits = 125 + 4 bytes.
-        assert_eq!(u.wire_cost().value_bytes, 4_000);
-        assert_eq!(t.wire_cost().value_bytes, 129);
     }
 
     #[test]

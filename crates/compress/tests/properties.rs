@@ -44,14 +44,6 @@ proptest! {
         }
     }
 
-    /// Quantization never increases the wire size.
-    #[test]
-    fn ternary_never_costs_more(delta in delta_vec(), q in 0.01f64..=1.0) {
-        let u = sparsify(&delta, q);
-        let t = TernaryUpdate::quantize(&u);
-        prop_assert!(t.wire_cost().total_bytes() <= u.wire_cost().total_bytes() + 4);
-    }
-
     /// client_split: shared ∪ unique supports are disjoint, shared support
     /// equals the mask, and reconstruction agrees with the inputs.
     #[test]

@@ -30,7 +30,6 @@ use gluefl_data::SyntheticFlDataset;
 use gluefl_ml::Mlp;
 use gluefl_sampling::ClientId;
 use gluefl_tensor::rng::{derive_seed, seeded_rng};
-use gluefl_tensor::wire::HEADER_BYTES;
 use gluefl_tensor::{BitMask, MaskAligned};
 use gluefl_wire::{Codec, FrameWriter, WirePolicy};
 use std::sync::Arc;
@@ -308,21 +307,19 @@ impl ClientCompressor {
     }
 
     /// Prices a staged upload plus its `stats_len`-value BN-statistic
-    /// frame as `(analytic bytes, wire bytes)`: the
-    /// [`gluefl_tensor::WireCost`] model, and the exact length
-    /// [`encode_kept`](Self::encode_kept) would produce under the run's
-    /// [`WirePolicy`] — computed from the upload's shape and index
-    /// pattern, so nothing is serialized before the keep decision.
+    /// frame as `(analytic bytes, wire bytes)`: one predictor under two
+    /// policies — the ledger's ([`WirePolicy::legacy`], F32 values) and
+    /// the run's, the latter being the exact length
+    /// [`encode_kept`](Self::encode_kept) would produce — computed from
+    /// the upload's shape and index pattern, so nothing is serialized
+    /// before the keep decision.
     #[must_use]
     pub fn offer(&self, upload: &Upload, stats_len: usize) -> (u64, u64) {
-        let analytic = upload.bytes() + stats_len as u64 * 4 + HEADER_BYTES;
-        let wire = wire_link::encoded_len(upload, &self.wire)
-            + FrameWriter::new(self.wire).known_mask_len(stats_len);
-        debug_assert!(
-            !(self.wire.is_legacy() && self.wire.codec == Codec::F32) || wire == analytic,
-            "legacy-F32 predicted bytes {wire} diverged from analytic {analytic}"
-        );
-        (analytic, wire)
+        let price = |policy: WirePolicy| {
+            wire_link::encoded_len(upload, &policy)
+                + FrameWriter::new(policy).known_mask_len(stats_len)
+        };
+        (price(WirePolicy::legacy(Codec::F32)), price(self.wire))
     }
 
     /// Serializes client `id`'s granted upload and its BN-statistic

@@ -204,7 +204,7 @@ pub struct SimConfig {
     /// back into error compensation. The default
     /// ([`gluefl_wire::WirePolicy::default`]) reproduces the original
     /// behaviour byte for byte: `F32` values, legacy layouts, measured
-    /// wire bytes equal to the analytic `WireCost` model. `F16`/`QuantU8`
+    /// wire bytes equal to the analytic ledger. `F16`/`QuantU8`
     /// trade accuracy for upload bytes (quantization uses deterministic
     /// stochastic rounding seeded per `(round, client)`, so runs stay
     /// reproducible and serial ≡ parallel); with `quant_ec` on, the codec

@@ -61,7 +61,9 @@ use gluefl_sampling::ClientId;
 use gluefl_telemetry::{EventKind, Histogram, Phase, Telemetry, PHASE_COUNT};
 use gluefl_tensor::rng::{derive_seed, seeded_rng};
 use gluefl_tensor::BitMask;
-use gluefl_wire::{frame_kind_from_header, Codec, FrameWriter, Rounding, WireError, WirePolicy};
+use gluefl_wire::{
+    frame_kind_from_header, legacy_mask_len, Codec, FrameWriter, Rounding, WireError, WirePolicy,
+};
 use rand::rngs::StdRng;
 use std::sync::Arc;
 
@@ -363,7 +365,10 @@ impl RoundEngine {
         // --- Download accounting (every invited client syncs) and the
         // broadcast frames. ---
         let broadcast_start = tick(&tel);
-        let mask_bytes = self.strategy.mask_download_bytes(round);
+        let mask_bytes = self
+            .strategy
+            .round_mask(round)
+            .map_or(0, |mask| legacy_mask_len(mask.len()));
         let download_bytes: Vec<u64> = invited
             .iter()
             .map(|&(id, _)| self.staleness.download_bytes(id) + mask_bytes)
@@ -425,8 +430,9 @@ impl RoundEngine {
         io.offers(round, &times, &mut offers);
         for ((&(id, _), time), offer) in invited.iter().zip(&mut times).zip(&offers) {
             if let Some((analytic, wire)) = *offer {
-                rec.up_bytes += analytic;
-                rec.wire_up_bytes += wire;
+                // Offers are the IO's numbers, not the engine's.
+                rec.up_bytes = rec.up_bytes.saturating_add(analytic);
+                rec.wire_up_bytes = rec.wire_up_bytes.saturating_add(wire);
                 if let Some(t) = &tel {
                     t.wire_up_bytes.observe(wire);
                 }

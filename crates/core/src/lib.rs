@@ -69,8 +69,8 @@ pub use config::{AvailabilityConfig, GlueFlParams, SimConfig, StrategyConfig};
 pub use engine::RoundEngine;
 pub use gluefl_tensor::MaskedUpdate;
 pub use gluefl_wire::Codec as WireCodec;
-pub use gluefl_wire::{IndexLayout, WirePolicy};
-pub use metrics::{CumulativeMetrics, RoundRecord, RunResult};
+pub use gluefl_wire::{LayoutMenu, WirePolicy};
+pub use metrics::{bytes_to_mb, CumulativeMetrics, RoundRecord, RunResult};
 pub use scratch::{ScratchPool, TrainSlot};
 pub use simulator::{
     batch_local_train_into, local_train_into, local_train_seed, run_strategy, train_client_into,

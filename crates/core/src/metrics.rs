@@ -16,11 +16,13 @@ use gluefl_telemetry::{Phase, PHASE_COUNT};
 pub struct RoundRecord {
     /// Round index (0-based).
     pub round: u32,
-    /// Downstream bytes this round (all invited clients), from the
-    /// analytic [`gluefl_tensor::WireCost`] model.
+    /// Downstream bytes this round (all invited clients) in the analytic
+    /// ledger: each client's partial download priced as the v1 frame an
+    /// F32 [`WirePolicy::legacy`](crate::WirePolicy::legacy) writer would
+    /// emit for it.
     pub down_bytes: u64,
-    /// Upstream bytes this round (all invited clients), from the analytic
-    /// [`gluefl_tensor::WireCost`] model.
+    /// Upstream bytes this round (all invited clients) in the analytic
+    /// ledger ([`crate::strategies::Upload::bytes`]).
     pub up_bytes: u64,
     /// *Measured* upstream bytes this round: every invited client's
     /// upload and BN-statistic frames as actually serialized by the
@@ -87,6 +89,12 @@ impl RoundRecord {
     pub fn measured_phase_total(&self) -> u64 {
         self.phase_nanos.iter().sum()
     }
+}
+
+/// Converts a byte count to megabytes (10^6 bytes, as in the paper's plots).
+#[must_use]
+pub fn bytes_to_mb(bytes: u64) -> f64 {
+    bytes as f64 / 1e6
 }
 
 impl PartialEq for RoundRecord {
@@ -315,6 +323,11 @@ mod tests {
             accuracy: acc,
             ..Default::default()
         }
+    }
+
+    #[test]
+    fn unit_conversions() {
+        assert!((bytes_to_mb(2_500_000) - 2.5).abs() < 1e-12);
     }
 
     #[test]

@@ -178,8 +178,9 @@ pub struct InProcessClients {
     delta_bufs: Vec<Vec<f32>>,
     /// BN-statistic drift per invited client (invited × stats).
     stats: Vec<f32>,
-    /// Staged uploads, per invited client.
-    uploads: Vec<Option<Upload>>,
+    /// Staged uploads, per invited client, each with the wire bytes it
+    /// was offered at.
+    uploads: Vec<Option<(Upload, u64)>>,
     /// Granted invitation indices not yet handed to the engine.
     pending: Vec<usize>,
     tel: Option<ClientRecorder>,
@@ -212,7 +213,7 @@ impl RoundIo for InProcessClients {
     fn invite(&mut self, round: u32, invited: &[(ClientId, Group)], broadcast: &Broadcast<'_>) {
         // Recycle the previous round: its dropped clients' uploads were
         // priced but never encoded.
-        for upload in self.uploads.drain(..).flatten() {
+        for (upload, _) in self.uploads.drain(..).flatten() {
             self.scratch.reclaim_upload(upload);
         }
         self.delta_bufs
@@ -251,8 +252,9 @@ impl RoundIo for InProcessClients {
                     &mut self.scratch,
                 )
                 .expect("the engine broadcasts the mask of every masking strategy");
-            *offer = Some(self.compressor.offer(&upload, stats_len));
-            self.uploads.push(Some(upload));
+            let (analytic, wire) = self.compressor.offer(&upload, stats_len);
+            *offer = Some((analytic, wire));
+            self.uploads.push(Some((upload, wire)));
         }
     }
 
@@ -268,7 +270,7 @@ impl RoundIo for InProcessClients {
 
     fn next_upload(&mut self, round: u32, payload: &mut Vec<u8>) -> Option<Arrival> {
         let i = self.pending.pop()?;
-        let upload = self.uploads[i].take().expect("kept indices are unique");
+        let (upload, offered) = self.uploads[i].take().expect("kept indices are unique");
         let stats_len = self.stats_positions.len();
         let len = self.compressor.encode_kept(
             round,
@@ -278,9 +280,9 @@ impl RoundIo for InProcessClients {
             &self.stats[i * stats_len..(i + 1) * stats_len],
             payload,
         );
-        debug_assert_eq!(
-            len as u64,
-            self.compressor.offer(&upload, stats_len).1,
+        // The ledger is a prediction; this is where it meets the encoder.
+        assert_eq!(
+            len as u64, offered,
             "encoded frame bytes diverged from the offered length"
         );
         self.scratch.reclaim_upload(upload);
@@ -889,7 +891,7 @@ mod tests {
         let handed_back = c.deltas.iter().chain(&c.delta_bufs);
         let staged = c.uploads.iter().flatten();
         handed_back.filter(|buf| buf.len() == dim).count()
-            + staged.filter(|u| matches!(u, Upload::Dense(_))).count()
+            + staged.filter(|u| matches!(u.0, Upload::Dense(_))).count()
             + if c.scratch.max_idle_value_capacity() >= dim {
                 c.scratch.idle_buffers()
             } else {

@@ -11,7 +11,7 @@
 //! sums, rebuilt once per version bump (O(rounds) per round, O(changed)
 //! for the histogram maintenance).
 
-use gluefl_tensor::wire::{WireCost, HEADER_BYTES};
+use gluefl_wire::{legacy_sparse_len, Codec, FrameWriter, WirePolicy};
 
 /// Tracks per-position change versions and per-client sync versions.
 ///
@@ -123,30 +123,23 @@ impl StalenessTracker {
         dim - self.prefix[v as usize]
     }
 
-    /// Download cost for client `id` to re-sync now: `stale_positions`
-    /// values plus the cheaper of bitmap/index position encoding.
-    /// Returns a zero-value cost (header only) when already current.
+    /// Download bytes (including header) for client `id` to re-sync
+    /// now, priced as the v1 F32 frame that would carry it: a dense
+    /// frame when every position is stale, otherwise a sparse frame of
+    /// `stale_positions` values with the cheaper of bitmap/index
+    /// positions ([`legacy_sparse_len`]) — header only when already
+    /// current.
     ///
     /// # Panics
     /// Panics if `id` is out of range.
     #[must_use]
-    pub fn download_cost(&self, id: usize) -> WireCost {
-        let stale = self.stale_positions(self.client_version[id]);
-        if stale == 0 {
-            WireCost::zero()
-        } else if stale == self.dim() {
-            WireCost::dense(self.dim())
-        } else {
-            WireCost::sparse(self.dim(), stale)
-        }
-    }
-
-    /// Download bytes (including header) for client `id` to re-sync.
-    #[must_use]
     pub fn download_bytes(&self, id: usize) -> u64 {
-        let c = self.download_cost(id);
-        debug_assert!(c.total_bytes() >= HEADER_BYTES);
-        c.total_bytes()
+        let stale = self.stale_positions(self.client_version[id]);
+        if stale == self.dim() {
+            FrameWriter::new(WirePolicy::legacy(Codec::F32)).dense_len(stale)
+        } else {
+            legacy_sparse_len(Codec::F32, self.dim(), stale)
+        }
     }
 
     /// Brute-force recomputation of [`StalenessTracker::stale_positions`]
@@ -163,6 +156,8 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
+
+    const HEADER_BYTES: u64 = gluefl_wire::HEADER_BYTES as u64;
 
     #[test]
     fn fresh_tracker_has_no_staleness() {
@@ -240,18 +235,16 @@ mod tests {
     fn full_model_download_is_dense_encoded() {
         let mut st = StalenessTracker::new(64, 1);
         st.record_update(0..64);
-        let c = st.download_cost(0);
-        assert_eq!(c.value_bytes, 64 * 4);
-        assert_eq!(c.position_bytes, 0); // dense: no positions needed
+        // Dense: no positions needed.
+        assert_eq!(st.download_bytes(0), HEADER_BYTES + 64 * 4);
     }
 
     #[test]
     fn partial_download_uses_cheapest_encoding() {
         let mut st = StalenessTracker::new(3200, 1);
         st.record_update(0..10);
-        let c = st.download_cost(0);
         // 10 of 3200: index list (40 B) < bitmap (400 B).
-        assert_eq!(c.position_bytes, 40);
+        assert_eq!(st.download_bytes(0), HEADER_BYTES + 40 + 10 * 4);
     }
 
     #[test]

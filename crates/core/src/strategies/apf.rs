@@ -1,7 +1,7 @@
 //! APF: Adaptive Parameter Freezing as a server masking strategy
 //! (Chen et al. 2021; the paper's parameter-freezing baseline).
 
-use super::{bitmap_bytes, FoldAcc, Group, RoundPlan, Strategy, Upload};
+use super::{FoldAcc, Group, RoundPlan, Strategy, Upload};
 use crate::scratch::ScratchPool;
 use gluefl_compress::{Apf, ApfConfig};
 use gluefl_sampling::{ClientId, OnlineQuery, UniformSampler};
@@ -88,11 +88,6 @@ impl Strategy for ApfStrategy {
 
     fn client_weight(&self, id: ClientId, _group: Group) -> f64 {
         self.sampler.population() as f64 / self.k as f64 * self.weights[id]
-    }
-
-    fn mask_download_bytes(&self, _round: u32) -> u64 {
-        // The active mask is shipped as a bitmap with each sync.
-        bitmap_bytes(self.dim)
     }
 
     fn round_mask(&self, _round: u32) -> Option<&BitMask> {
@@ -232,7 +227,8 @@ mod tests {
     #[test]
     fn mask_bitmap_is_charged_per_sync() {
         let s = strategy();
-        assert_eq!(s.mask_download_bytes(0), 1 + 16); // ceil(6/8) + header
+        let mask = s.round_mask(0).expect("the active mask travels");
+        assert_eq!(gluefl_wire::legacy_mask_len(mask.len()), 1 + 16); // ceil(6/8) + header
     }
 
     #[test]

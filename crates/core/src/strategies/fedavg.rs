@@ -58,10 +58,6 @@ impl Strategy for FedAvgStrategy {
         self.sampler.population() as f64 / self.k as f64 * self.weights[id]
     }
 
-    fn mask_download_bytes(&self, _round: u32) -> u64 {
-        0
-    }
-
     fn fold_begin(&mut self, _round: u32, scratch: &mut ScratchPool) -> FoldAcc {
         FoldAcc {
             dense: Some(scratch.take_zeroed(self.dim)),
@@ -191,7 +187,6 @@ mod tests {
     #[test]
     fn no_mask_is_broadcast() {
         let s = strategy();
-        assert_eq!(s.mask_download_bytes(0), 0);
         assert!(s.round_mask(0).is_none());
     }
 }

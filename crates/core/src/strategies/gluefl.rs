@@ -1,6 +1,6 @@
 //! GlueFL: sticky sampling + mask shifting (Algorithm 3).
 
-use super::{bitmap_bytes, FoldAcc, Group, RoundPlan, Strategy, Upload};
+use super::{FoldAcc, Group, RoundPlan, Strategy, Upload};
 use crate::aggregate::{packed_rank, scatter_add_packed};
 use crate::config::GlueFlParams;
 use crate::scratch::ScratchPool;
@@ -215,15 +215,10 @@ impl Strategy for GlueFlStrategy {
             .client_weight(self.sampler.population(), self.k, group, self.weights[id])
     }
 
-    fn mask_download_bytes(&self, _round: u32) -> u64 {
-        // The shared mask M_t travels as a bitmap with each sync
-        // (Algorithm 3 line 7).
-        bitmap_bytes(self.dim)
-    }
-
     fn round_mask(&self, _round: u32) -> Option<&BitMask> {
-        // M_t: broadcast at sync time, and the alignment of every
-        // shared-part upload until fold_finish shifts it.
+        // M_t: broadcast with each sync (Algorithm 3 line 7), and the
+        // alignment of every shared-part upload until fold_finish
+        // shifts it.
         Some(&self.shared_mask)
     }
 

@@ -101,10 +101,6 @@ impl Strategy for MdFedAvgStrategy {
         f64::from(self.multiplicity_of(id)) / self.k as f64
     }
 
-    fn mask_download_bytes(&self, _round: u32) -> u64 {
-        0
-    }
-
     fn fold_begin(&mut self, _round: u32, scratch: &mut ScratchPool) -> FoldAcc {
         FoldAcc {
             dense: Some(scratch.take_zeroed(self.dim)),

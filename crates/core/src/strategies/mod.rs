@@ -27,8 +27,8 @@ use crate::config::{SimConfig, StrategyConfig};
 use crate::scratch::ScratchPool;
 use gluefl_compress::mask_shift::ClientSplit;
 use gluefl_sampling::{ClientId, OnlineQuery};
-use gluefl_tensor::wire::HEADER_BYTES;
 use gluefl_tensor::{MaskAligned, MaskedUpdate, SparseUpdate};
+use gluefl_wire::{Codec, WirePolicy};
 use rand::rngs::StdRng;
 
 /// Which pool a participant was drawn from.
@@ -89,16 +89,12 @@ pub enum Upload {
 }
 
 impl Upload {
-    /// Upload payload bytes including per-message framing.
+    /// The analytic ledger's price of this upload: the bytes of the
+    /// frame(s) it travels in under [`WirePolicy::legacy`] with F32
+    /// values, whatever policy the run encodes with.
     #[must_use]
     pub fn bytes(&self) -> u64 {
-        match self {
-            Upload::Dense(v) => gluefl_tensor::WireCost::dense(v.len()).total_bytes(),
-            Upload::Sparse(u) => u.wire_cost().total_bytes(),
-            Upload::Ternary(t) => t.wire_cost().total_bytes(),
-            Upload::KnownMask(u) => u.wire_cost().total_bytes(),
-            Upload::MaskSplit(s) => s.upload_bytes(),
-        }
+        crate::wire_link::encoded_len(self, &WirePolicy::legacy(Codec::F32))
     }
 
     /// Dimension of the underlying parameter vector.
@@ -177,8 +173,8 @@ impl FoldAcc {
 ///
 /// Call order per round `t`:
 /// 1. [`Strategy::plan_round`] — invitations (with over-commitment);
-/// 2. [`Strategy::mask_download_bytes`] and [`Strategy::round_mask`] —
-///    what the broadcast carries besides the model;
+/// 2. [`Strategy::round_mask`] — what the broadcast carries besides the
+///    model;
 /// 3. [`Strategy::fold_begin`], then [`Strategy::fold_upload`] once per
 ///    delivered kept upload in **ascending client-id order**, then
 ///    [`Strategy::fold_finish`], which returns the round's server update
@@ -249,13 +245,9 @@ pub trait Strategy: Send {
     /// (includes the importance weight `p_i`).
     fn client_weight(&self, id: ClientId, group: Group) -> f64;
 
-    /// Extra downstream bytes every synced client receives this round
-    /// beyond the model values (e.g. a mask bitmap).
-    fn mask_download_bytes(&self, round: u32) -> u64;
-
     /// The mask both sides hold during round `round`, if any: it is
-    /// broadcast to syncing clients at download time (the bytes charged
-    /// by [`Strategy::mask_download_bytes`]) and it implicitly positions
+    /// broadcast to syncing clients at download time (every synced
+    /// client is charged its bitmap frame) and it implicitly positions
     /// any mask-aligned upload this round ([`Upload::KnownMask`] and the
     /// shared part of [`Upload::MaskSplit`]). The engine encodes it as a
     /// wire mask frame and hands it to the wire decoder to rebuild
@@ -375,12 +367,6 @@ pub fn build_strategy(
             rng,
         )),
     }
-}
-
-/// Shared helper: header-inclusive byte count of a mask bitmap download.
-#[must_use]
-pub(crate) fn bitmap_bytes(dim: usize) -> u64 {
-    (dim as u64).div_ceil(8) + HEADER_BYTES
 }
 
 #[cfg(test)]

@@ -102,10 +102,6 @@ impl Strategy for StcStrategy {
         self.sampler.population() as f64 / self.k as f64 * self.weights[id]
     }
 
-    fn mask_download_bytes(&self, _round: u32) -> u64 {
-        0
-    }
-
     fn fold_begin(&mut self, _round: u32, scratch: &mut ScratchPool) -> FoldAcc {
         FoldAcc {
             dense: Some(scratch.take_zeroed(self.dim)),

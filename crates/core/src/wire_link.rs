@@ -19,11 +19,11 @@
 //! compete with the v1 bitmap/index pair on exact byte cost. Decoding is
 //! policy-free; frames self-describe their layout.
 //!
-//! With [`Codec::F32`] the round trip is bit-exact, and under the
-//! default (legacy) policy every frame's length equals the analytic
-//! [`gluefl_tensor::WireCost`] total that [`Upload::bytes`] reports —
-//! the client half debug-asserts this identity for every offer, and the
-//! `wire_roundtrip` integration suite pins it end-to-end. With the lossy
+//! With [`Codec::F32`] the round trip is bit-exact, and
+//! [`Upload::bytes`] — the analytic ledger — *is* [`encoded_len`] under
+//! the legacy F32 policy; the in-process clients check every encoded
+//! upload against its offer, and the `wire_roundtrip` integration suite
+//! pins predicted ≡ encoded end-to-end. With the lossy
 //! codecs ([`Codec::F16`], [`Codec::QuantU8`]) the decoded values differ
 //! within the codec's error envelope; when [`WirePolicy::quant_ec`] is
 //! on, [`encode_upload_with_feedback`] reports the *dequantized* values
@@ -62,7 +62,7 @@ pub fn rounding_for(codec: Codec, quant_seed: u64) -> Rounding {
 /// round engine's keep selection (and a socket server's deadline policy)
 /// price every invited client's upload *before* deciding whose bytes to
 /// encode, decode, or even receive: the over-committed remainder is
-/// never serialized at all. The in-process clients debug-assert
+/// never serialized at all. The in-process clients assert
 /// `encoded_len == encode_upload(..)` for every kept upload each round.
 #[must_use]
 pub fn encoded_len(upload: &Upload, policy: &WirePolicy) -> u64 {
@@ -251,8 +251,8 @@ pub fn decode_upload_with_stats<'a>(
             first.values_into(&mut values);
             (Upload::Dense(values), rest)
         }
-        k if is_sparse_kind(k) => (Upload::Sparse(decode_sparse_frame(&first, scratch)), rest),
-        k if is_ternary_kind(k) => {
+        k if k.is_sparse() => (Upload::Sparse(decode_sparse_frame(&first, scratch)), rest),
+        k if k.is_ternary() => {
             let (mut indices, spare_values) = scratch.take_sparse();
             scratch.put(spare_values);
             first.indices_into(&mut indices);
@@ -273,7 +273,7 @@ pub fn decode_upload_with_stats<'a>(
             // upload; anything else means the known-mask frame *is* the
             // upload and the successor is the stats frame.
             let (second, tail) = decode_frame_prefix(rest)?;
-            if is_sparse_kind(second.kind) {
+            if second.kind.is_sparse() {
                 let shared = decode_known_mask_frame(&first, round_mask, scratch)?;
                 let unique = decode_sparse_frame(&second, scratch);
                 (Upload::MaskSplit(ClientSplit { shared, unique }), tail)
@@ -296,28 +296,6 @@ pub fn decode_upload_with_stats<'a>(
         return Err(WireError::TrailingBytes { extra: tail.len() });
     }
     Ok((upload, stats))
-}
-
-/// Every layout an explicit-position sparse upload may arrive in.
-fn is_sparse_kind(kind: FrameKind) -> bool {
-    matches!(
-        kind,
-        FrameKind::SparseBitmap
-            | FrameKind::SparseIndex
-            | FrameKind::SparseDelta
-            | FrameKind::SparseRle
-    )
-}
-
-/// Every layout a ternary upload may arrive in.
-fn is_ternary_kind(kind: FrameKind) -> bool {
-    matches!(
-        kind,
-        FrameKind::TernaryBitmap
-            | FrameKind::TernaryIndex
-            | FrameKind::TernaryDelta
-            | FrameKind::TernaryRle
-    )
 }
 
 /// Rebuilds a [`SparseUpdate`] from an explicit-position sparse frame.
@@ -365,7 +343,6 @@ fn decode_known_mask_frame(
 mod tests {
     use super::*;
     use gluefl_compress::stc::sparsify;
-    use gluefl_wire::IndexLayout;
 
     /// Decodes an upload's frames the way every receiver gets them:
     /// followed by the stats frame each sender appends (empty here).
@@ -508,13 +485,10 @@ mod tests {
         let dense: Vec<f32> = (0..600).map(|i| ((i as f32) * 0.73).sin()).collect();
         let mask = BitMask::from_indices(600, (0..600).step_by(5));
         let split = Upload::MaskSplit(gluefl_compress::mask_shift::client_split(&dense, &mask, 20));
-        for layout in [IndexLayout::Legacy, IndexLayout::Entropy] {
-            let policy = WirePolicy {
-                codec: Codec::QuantU8,
-                index_layout: layout,
-                rle: layout == IndexLayout::Entropy,
-                quant_ec: true,
-            };
+        for policy in [
+            WirePolicy::legacy(Codec::QuantU8),
+            WirePolicy::entropy(Codec::QuantU8),
+        ] {
             // (explicit indices, if any; sent; shipped) per lossy frame.
             let mut calls = Vec::new();
             let mut buf = Vec::new();

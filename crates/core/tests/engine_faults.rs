@@ -48,8 +48,10 @@ struct Scripted {
     dim: usize,
     stats_len: usize,
     reverse: bool,
-    /// The invitation index whose offer is withheld (the last one).
+    /// The invitation index whose offer is withheld (the last one) —
+    /// or, with `absurd_offer`, replaced by `(u64::MAX, u64::MAX)`.
     silent: usize,
+    absurd_offer: bool,
     /// The round's arrivals, collected from the clients up front (they
     /// deliver in ascending client-id order).
     queue: VecDeque<(usize, Vec<u8>)>,
@@ -126,7 +128,8 @@ impl RoundIo for Scripted {
 
     fn offers(&mut self, round: u32, times: &[ClientRoundTime], offers: &mut [Option<(u64, u64)>]) {
         self.clients.offers(round, times, offers);
-        offers[self.silent] = None; // (a) one client never answers
+        // (a) one client never answers, or answers nonsense.
+        offers[self.silent] = self.absurd_offer.then_some((u64::MAX, u64::MAX));
     }
 
     fn grant(&mut self, round: u32, kept: &[usize], times: &[ClientRoundTime]) {
@@ -200,6 +203,7 @@ fn scripted(cfg: &SimConfig, setup: &RunSetup, fault: Fault, reverse: bool) -> S
         stats_len: setup.stats_positions.len(),
         reverse,
         silent: 0,
+        absurd_offer: false,
         queue: VecDeque::new(),
         collected: false,
         rejected: Vec::new(),
@@ -209,10 +213,15 @@ fn scripted(cfg: &SimConfig, setup: &RunSetup, fault: Fault, reverse: bool) -> S
 /// Runs every round under the fault script; returns the records and the
 /// final parameter bits.
 fn run_scripted(reverse: bool) -> (Vec<RoundRecord>, Vec<u32>) {
+    run_scripted_with(reverse, false)
+}
+
+fn run_scripted_with(reverse: bool, absurd_offer: bool) -> (Vec<RoundRecord>, Vec<u32>) {
     let cfg = tiny_gluefl();
     let keep = cfg.round_size;
     let setup = RunSetup::new(&cfg);
     let mut io = scripted(&cfg, &setup, Fault::Garbage, reverse);
+    io.absurd_offer = absurd_offer;
     let mut engine = RoundEngine::new(cfg, setup);
     run_rounds(&mut engine, &mut io, keep)
 }
@@ -261,6 +270,32 @@ fn faulty_rounds_complete_identically_in_any_delivery_order() {
     let (again_recs, again_bits) = run_scripted(true);
     assert_eq!(reverse_recs, again_recs);
     assert_eq!(reverse_bits, again_bits, "two identical runs diverged");
+}
+
+/// An offer is two numbers from the other side of the IO. The socket
+/// server refuses one no upload could honour
+/// (`gluefl_transport::proto::parse_offer`); an IO that lets
+/// `(u64::MAX, u64::MAX)` through must still get a finished round out of
+/// a debug build: the sums saturate, the sender prices itself out of the
+/// keep set, and everyone else's round is the one they would have had
+/// with that client silent.
+#[test]
+fn an_absurd_offer_saturates_the_ledger_and_changes_nothing_else() {
+    let (silent_recs, silent_bits) = run_scripted(false);
+    let (absurd_recs, absurd_bits) = run_scripted_with(false, true);
+    assert_eq!(silent_bits, absurd_bits, "the offer moved the parameters");
+    for (silent, absurd) in silent_recs.iter().zip(&absurd_recs) {
+        assert_eq!(
+            (absurd.up_bytes, absurd.wire_up_bytes),
+            (u64::MAX, u64::MAX)
+        );
+        let rest = RoundRecord {
+            up_bytes: silent.up_bytes,
+            wire_up_bytes: silent.wire_up_bytes,
+            ..*absurd
+        };
+        assert_eq!(rest, *silent, "round {}", silent.round);
+    }
 }
 
 /// Frames that decode but that the engine cannot use are rejected with

@@ -1,8 +1,10 @@
 //! Property-based tests for the staleness tracker: the histogram fast
-//! path must agree with brute force under arbitrary update histories, and
-//! the monotonicity facts the evaluation relies on must always hold.
+//! path must agree with brute force under arbitrary update histories,
+//! the monotonicity facts the evaluation relies on must always hold, and
+//! the download price must be the length of a frame that can be encoded.
 
-use gluefl_core::StalenessTracker;
+use gluefl_core::{StalenessTracker, WireCodec, WirePolicy};
+use gluefl_wire::{FrameWriter, Rounding};
 use proptest::prelude::*;
 
 proptest! {
@@ -80,5 +82,52 @@ proptest! {
             st.stale_positions(st.client_version(0)),
             expected.len()
         );
+    }
+
+    /// The download ledger is a frame length: whatever a client missed,
+    /// `download_bytes` is what a legacy-F32 writer emits for exactly
+    /// that stale set — a dense frame when everything moved, a sparse
+    /// frame otherwise (header only when nothing did).
+    #[test]
+    fn download_bytes_is_the_encoded_frame_length(
+        dim in 1usize..200,
+        full in any::<bool>(),
+        pre in proptest::collection::vec(
+            proptest::collection::btree_set(0usize..200, 0..60), 0..6),
+        post in proptest::collection::vec(
+            proptest::collection::btree_set(0usize..200, 0..60), 0..6)) {
+        let mut st = StalenessTracker::new(dim, 2);
+        for changed in &pre {
+            st.record_update(changed.iter().copied().filter(|&j| j < dim));
+        }
+        // Client 0 syncs here; client 1 never does.
+        st.mark_synced(0);
+        let mut missed: [std::collections::BTreeSet<usize>; 2] = Default::default();
+        missed[1].extend(pre.iter().flatten().copied().filter(|&j| j < dim));
+        for changed in &post {
+            let filtered: Vec<usize> =
+                changed.iter().copied().filter(|&j| j < dim).collect();
+            missed[0].extend(filtered.iter().copied());
+            missed[1].extend(filtered.iter().copied());
+            st.record_update(filtered);
+        }
+        if full {
+            // One round that moves every position: both are fully stale.
+            st.record_update(0..dim);
+            missed = [(0..dim).collect(), (0..dim).collect()];
+        }
+        let writer = FrameWriter::new(WirePolicy::legacy(WireCodec::F32));
+        for (id, stale) in missed.iter().enumerate() {
+            let values = vec![0.5f32; stale.len()];
+            let mut frame = Vec::new();
+            let encoded = if stale.len() == dim {
+                writer.dense(&mut frame, 0, Rounding::Nearest, &values)
+            } else {
+                let indices: Vec<u32> = stale.iter().map(|&j| j as u32).collect();
+                writer.sparse(&mut frame, 0, Rounding::Nearest, dim, &indices, &values)
+            };
+            prop_assert_eq!(st.download_bytes(id), encoded as u64,
+                "client {}: {} of {} stale", id, stale.len(), dim);
+        }
     }
 }

@@ -16,8 +16,6 @@
 //!   the identical per-client streams. Bit-identical to the lazy process by
 //!   construction; retained for tests and for examples that want
 //!   population-wide statistics.
-//! * [`DiurnalAvailability`] — a day/night-modulated dense variant used in
-//!   examples.
 //!
 //! # Counter-based streams and the closed-form skip distribution
 //!
@@ -46,7 +44,6 @@
 //! parallel.
 
 use gluefl_tensor::rng::{derive_seed, splitmix64};
-use rand::Rng;
 use std::collections::HashMap;
 
 /// The splitmix64 golden-ratio increment (stream counter stride).
@@ -368,119 +365,6 @@ impl AvailabilityTraceRef {
     }
 }
 
-/// A diurnal availability process: two-state on/off dynamics modulated by
-/// a day/night cycle, as observed in FedScale's real client-behaviour
-/// trace (devices are predominantly online over night-time charging
-/// hours).
-///
-/// Each client gets a random phase offset; its join probability is scaled
-/// by a sinusoidal daily factor, so the online population swings between
-/// roughly `peak_fraction` and `trough_fraction`.
-///
-/// # Example
-///
-/// ```
-/// use gluefl_net::DiurnalAvailability;
-/// use rand::SeedableRng;
-/// let mut rng = rand::rngs::StdRng::seed_from_u64(3);
-/// let mut trace = DiurnalAvailability::new(200, 0.9, 0.3, 48.0, &mut rng);
-/// for _ in 0..10 { trace.advance(&mut rng); }
-/// let online = trace.online().iter().filter(|&&b| b).count();
-/// assert!(online > 0);
-/// ```
-#[derive(Debug, Clone)]
-pub struct DiurnalAvailability {
-    online: Vec<bool>,
-    phase: Vec<f64>,
-    peak: f64,
-    trough: f64,
-    /// Rounds per simulated day.
-    period_rounds: f64,
-    p_leave: f64,
-    round: u64,
-}
-
-impl DiurnalAvailability {
-    /// Creates a diurnal trace over `n` clients oscillating between
-    /// `trough_fraction` and `peak_fraction` online with a cycle of
-    /// `period_rounds` rounds.
-    ///
-    /// # Panics
-    /// Panics unless `0 < trough <= peak < 1` and `period_rounds >= 2`.
-    #[must_use]
-    pub fn new<R: Rng>(
-        n: usize,
-        peak_fraction: f64,
-        trough_fraction: f64,
-        period_rounds: f64,
-        rng: &mut R,
-    ) -> Self {
-        assert!(
-            trough_fraction > 0.0 && trough_fraction <= peak_fraction && peak_fraction < 1.0,
-            "need 0 < trough <= peak < 1"
-        );
-        assert!(period_rounds >= 2.0, "period must span at least 2 rounds");
-        let mid = (peak_fraction + trough_fraction) / 2.0;
-        Self {
-            online: (0..n).map(|_| rng.gen::<f64>() < mid).collect(),
-            // Mostly-coherent phases (a quarter-cycle of jitter): clients
-            // share a dominant day/night rhythm with some spread, so the
-            // population-level swing stays visible instead of cancelling.
-            phase: (0..n)
-                .map(|_| rng.gen_range(0.0..std::f64::consts::FRAC_PI_2))
-                .collect(),
-            peak: peak_fraction,
-            trough: trough_fraction,
-            period_rounds,
-            // Responsive chain (mean session 4 rounds) so the population
-            // tracks the daily cycle with little lag.
-            p_leave: 0.25,
-            round: 0,
-        }
-    }
-
-    /// Current online flags, indexed by client id.
-    #[must_use]
-    pub fn online(&self) -> &[bool] {
-        &self.online
-    }
-
-    /// Number of clients tracked.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.online.len()
-    }
-
-    /// Returns `true` when no clients are tracked.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.online.is_empty()
-    }
-
-    /// The target online fraction for a client with phase `phi` at the
-    /// current round.
-    fn target_fraction(&self, phi: f64) -> f64 {
-        let t = self.round as f64 / self.period_rounds * std::f64::consts::TAU;
-        let mid = (self.peak + self.trough) / 2.0;
-        let amp = (self.peak - self.trough) / 2.0;
-        mid + amp * (t + phi).sin()
-    }
-
-    /// Advances all clients by one round.
-    pub fn advance<R: Rng>(&mut self, rng: &mut R) {
-        self.round += 1;
-        for i in 0..self.online.len() {
-            let f = self.target_fraction(self.phase[i]);
-            // Stationary fraction f requires p_join = f·p_leave/(1−f).
-            let p_join = (f * self.p_leave / (1.0 - f)).min(1.0);
-            let flip = if self.online[i] { self.p_leave } else { p_join };
-            if rng.gen::<f64>() < flip {
-                self.online[i] = !self.online[i];
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -609,51 +493,5 @@ mod tests {
         }
         assert_eq!(geometric_len(0.0, p), 1);
         assert_eq!(geometric_len(0.999_999, 1.0), 1);
-    }
-
-    #[test]
-    fn diurnal_population_oscillates() {
-        let mut rng = StdRng::seed_from_u64(8);
-        let mut t = DiurnalAvailability::new(3_000, 0.85, 0.25, 50.0, &mut rng);
-        // Warm into the stationary regime, then record per-round counts.
-        for _ in 0..100 {
-            t.advance(&mut rng);
-        }
-        let mut counts = Vec::new();
-        for _ in 0..200 {
-            t.advance(&mut rng);
-            counts.push(t.online().iter().filter(|&&b| b).count() as f64 / 3_000.0);
-        }
-        let max = counts.iter().cloned().fold(0.0, f64::max);
-        let min = counts.iter().cloned().fold(1.0, f64::min);
-        assert!(
-            max - min > 0.1,
-            "population swing too small: {min:.3}..{max:.3}"
-        );
-        assert!(
-            max <= 0.95 && min >= 0.1,
-            "swing out of range {min:.3}..{max:.3}"
-        );
-    }
-
-    #[test]
-    fn diurnal_mean_between_trough_and_peak() {
-        let mut rng = StdRng::seed_from_u64(9);
-        let mut t = DiurnalAvailability::new(2_000, 0.8, 0.4, 40.0, &mut rng);
-        let mut total = 0usize;
-        let rounds = 400;
-        for _ in 0..rounds {
-            t.advance(&mut rng);
-            total += t.online().iter().filter(|&&b| b).count();
-        }
-        let mean = total as f64 / (2_000 * rounds) as f64;
-        assert!((0.4..=0.8).contains(&mean), "mean online fraction {mean}");
-    }
-
-    #[test]
-    #[should_panic(expected = "trough")]
-    fn diurnal_rejects_inverted_fractions() {
-        let mut rng = StdRng::seed_from_u64(0);
-        let _ = DiurnalAvailability::new(10, 0.3, 0.8, 40.0, &mut rng);
     }
 }

@@ -49,6 +49,6 @@ mod bandwidth;
 mod device;
 pub mod timing;
 
-pub use availability::{AvailabilityTraceRef, DiurnalAvailability, LazyAvailability};
+pub use availability::{AvailabilityTraceRef, LazyAvailability};
 pub use bandwidth::{cdf, ClientLink, LinkCache, NetworkProfile};
 pub use device::{DeviceProfile, SpeedCache};

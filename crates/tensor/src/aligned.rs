@@ -1,6 +1,5 @@
 //! Mask-aligned values — a payload whose positions both sides already hold.
 
-use crate::wire::WireCost;
 use crate::BitMask;
 
 /// Values aligned to a mask the holder does **not** carry: one value per
@@ -125,13 +124,6 @@ impl MaskAligned {
         });
         out
     }
-
-    /// Wire cost of this part: values only, the receiver knows the
-    /// positions.
-    #[must_use]
-    pub fn wire_cost(&self) -> WireCost {
-        WireCost::known_mask(self.nnz())
-    }
 }
 
 #[cfg(test)]
@@ -155,7 +147,6 @@ mod tests {
     fn empty_part_costs_a_header_and_densifies_to_zeros() {
         let part = MaskAligned::empty(5);
         assert!(part.is_empty());
-        assert_eq!(part.wire_cost().payload_bytes(), 0);
         assert_eq!(part.to_dense(&BitMask::zeros(5)), vec![0.0; 5]);
     }
 

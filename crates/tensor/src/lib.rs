@@ -10,9 +10,7 @@
 //! * [`top_k_abs`] / [`top_k_abs_masked`] — the `top_q(·)` operator used by
 //!   STC (Algorithm 1 line 12/17) and by GlueFL's mask shifting
 //!   (Algorithm 3 lines 17 and 26).
-//! * [`SparseUpdate`] — an (indices, values) view of a masked model delta,
-//!   with the wire-size accounting (`bitmap` vs `index` encoding) used for
-//!   all bandwidth measurements in the evaluation.
+//! * [`SparseUpdate`] — an (indices, values) view of a masked model delta.
 //! * [`MaskAligned`] — values in the position order of a mask the
 //!   receiver already holds (GlueFL's shared part, APF's active set): no
 //!   index vector on either side, the mask comes from whoever needs the
@@ -84,7 +82,6 @@ pub mod rng;
 mod sparse;
 mod topk;
 pub mod vecops;
-pub mod wire;
 
 pub use aligned::MaskAligned;
 pub use bitmask::{BitMask, SetBits, ZeroBits};
@@ -94,4 +91,3 @@ pub use topk::{
     top_k_abs, top_k_abs_from_into, top_k_abs_masked, top_k_abs_masked_into, top_k_abs_packed_into,
     word_lanes, LaneSource, TopKScope, TopKScratch,
 };
-pub use wire::{WireCost, WireEncoding, BYTES_PER_VALUE};

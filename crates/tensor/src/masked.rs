@@ -15,7 +15,6 @@
 //! `O(d/64 + nnz)` for staleness tracking.
 
 use crate::vecops;
-use crate::wire::WireCost;
 use crate::BitMask;
 
 /// A model update over the positions of a [`BitMask`], with values packed
@@ -156,18 +155,6 @@ impl MaskedUpdate {
         });
         out
     }
-
-    /// Wire cost of shipping this update: dense when the mask is full,
-    /// otherwise sparse with bitmap/index positions (whichever is
-    /// cheaper) — the encoding a server→client broadcast would use.
-    #[must_use]
-    pub fn wire_cost(&self) -> WireCost {
-        if self.is_dense() {
-            WireCost::dense(self.dim())
-        } else {
-            WireCost::sparse(self.dim(), self.nnz())
-        }
-    }
 }
 
 #[cfg(test)]
@@ -255,14 +242,6 @@ mod tests {
         let (m, v) = u.into_parts();
         assert_eq!(m, mask);
         assert_eq!(v, vec![7.0]);
-    }
-
-    #[test]
-    fn wire_cost_dense_vs_sparse() {
-        let full = MaskedUpdate::new(BitMask::ones(64), vec![0.0; 64]);
-        assert_eq!(full.wire_cost(), WireCost::dense(64));
-        let sparse = MaskedUpdate::new(BitMask::from_indices(64, [1usize]), vec![1.0]);
-        assert_eq!(sparse.wire_cost(), WireCost::sparse(64, 1));
     }
 
     #[test]

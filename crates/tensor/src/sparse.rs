@@ -1,6 +1,5 @@
 //! Sparse model updates: (index, value) pairs over a flat parameter vector.
 
-use crate::wire::WireCost;
 use crate::BitMask;
 
 /// A sparse update over a `dim`-dimensional parameter vector.
@@ -249,13 +248,6 @@ impl SparseUpdate {
     pub fn support(&self) -> BitMask {
         BitMask::from_indices(self.dim, self.indices.iter().map(|&i| i as usize))
     }
-
-    /// Wire cost of this update with positions transmitted explicitly
-    /// (bitmap or index list, whichever is cheaper).
-    #[must_use]
-    pub fn wire_cost(&self) -> WireCost {
-        WireCost::sparse(self.dim, self.nnz())
-    }
 }
 
 #[cfg(test)]
@@ -355,14 +347,12 @@ mod tests {
         let u = SparseUpdate::empty(5);
         assert!(u.is_empty());
         assert_eq!(u.to_dense(), vec![0.0; 5]);
-        assert_eq!(u.wire_cost().value_bytes, 0);
     }
 
     #[test]
     fn explicit_zero_values_are_kept() {
         let u = SparseUpdate::from_pairs(4, vec![(0, 0.0)]);
         assert_eq!(u.nnz(), 1);
-        assert_eq!(u.wire_cost().value_bytes, 4);
     }
 
     #[test]

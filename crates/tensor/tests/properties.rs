@@ -1,6 +1,6 @@
 //! Property-based tests for the tensor crate's core invariants.
 
-use gluefl_tensor::{top_k_abs, top_k_abs_masked, BitMask, SparseUpdate, TopKScope, WireCost};
+use gluefl_tensor::{top_k_abs, top_k_abs_masked, BitMask, SparseUpdate, TopKScope};
 use proptest::prelude::*;
 
 fn small_vec() -> impl Strategy<Value = Vec<f32>> {
@@ -98,19 +98,6 @@ proptest! {
         let idx: Vec<usize> = pairs.keys().map(|&i| i as usize).collect();
         let g = SparseUpdate::gather(&w, &idx);
         prop_assert_eq!(g, u);
-    }
-
-    /// Wire cost never exceeds the dense cost by more than the position
-    /// encoding minimum, and value bytes are exact.
-    #[test]
-    fn wire_cost_bounds(dim in 1usize..10_000, frac in 0.0f64..1.0) {
-        let nnz = ((dim as f64) * frac) as usize;
-        let c = WireCost::sparse(dim, nnz);
-        prop_assert_eq!(c.value_bytes, nnz as u64 * 4);
-        // position bytes = min(bitmap, index list)
-        let bitmap = (dim as u64).div_ceil(8);
-        let index = nnz as u64 * 4;
-        prop_assert_eq!(c.position_bytes, bitmap.min(index));
     }
 }
 

@@ -255,6 +255,18 @@ pub fn parse_envelope(header: &[u8; ENVELOPE_BYTES]) -> Result<Envelope, ProtoEr
     Ok(Envelope { kind, round, len })
 }
 
+/// Parses an `OFFER` payload into `(analytic bytes, wire bytes)`.
+/// `None` — a protocol violation — unless it is exactly two `u64`s,
+/// neither above [`MAX_PAYLOAD`]: an upload that large could never be
+/// read, and the server sums what it accepts here.
+#[must_use]
+pub fn parse_offer(payload: &[u8]) -> Option<(u64, u64)> {
+    let (analytic, wire) = payload.split_first_chunk::<8>()?;
+    let analytic = u64::from_le_bytes(*analytic);
+    let wire = u64::from_le_bytes(wire.try_into().ok()?);
+    (analytic.max(wire) <= u64::from(MAX_PAYLOAD)).then_some((analytic, wire))
+}
+
 /// Reads exactly `buf.len()` bytes, classifying the failure modes a
 /// hostile or dying peer can produce (see the module docs).
 ///
@@ -414,6 +426,22 @@ mod tests {
             }
         );
         assert_eq!(payload, vec![1, 2, 3]);
+    }
+
+    #[test]
+    fn offers_are_two_bounded_u64s() {
+        let offer = |analytic: u64, wire: u64| {
+            let mut payload = analytic.to_le_bytes().to_vec();
+            payload.extend_from_slice(&wire.to_le_bytes());
+            payload
+        };
+        let cap = u64::from(MAX_PAYLOAD);
+        assert_eq!(parse_offer(&offer(1200, 800)), Some((1200, 800)));
+        assert_eq!(parse_offer(&offer(cap, cap)), Some((cap, cap)));
+        assert_eq!(parse_offer(&offer(cap + 1, 0)), None);
+        assert_eq!(parse_offer(&offer(0, u64::MAX)), None);
+        assert_eq!(parse_offer(&offer(1, 1)[..15]), None);
+        assert_eq!(parse_offer(&[offer(1, 1), vec![0]].concat()), None);
     }
 
     #[test]

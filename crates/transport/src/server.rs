@@ -26,7 +26,9 @@
 //!   stall, deadline and decode-error counters fire at exactly those
 //!   points.
 
-use crate::proto::{read_msg, stall_ticks_for, write_msg, MsgKind, ProtoError, PROTO_VERSION};
+use crate::proto::{
+    parse_offer, read_msg, stall_ticks_for, write_msg, MsgKind, ProtoError, PROTO_VERSION,
+};
 use crate::TransportError;
 use gluefl_core::engine::{Arrival, Broadcast, RoundIo};
 use gluefl_core::strategies::Group;
@@ -391,20 +393,23 @@ impl RoundIo for SocketIo {
             let Some((id, ix, event)) = self.next_event(round, next) else {
                 continue;
             };
-            match event {
+            let offer = match &event {
                 ReaderEvent::Msg(env, payload)
                     if env.kind == MsgKind::Offer
                         && env.round == round
                         && ix != usize::MAX
-                        && !resolved[ix]
-                        && payload.len() == 16 =>
+                        && !resolved[ix] =>
                 {
-                    let analytic = u64::from_le_bytes(payload[..8].try_into().expect("8 B"));
-                    let wire = u64::from_le_bytes(payload[8..16].try_into().expect("8 B"));
-                    offers[ix] = Some((analytic, wire));
+                    parse_offer(payload)
+                }
+                _ => None,
+            };
+            match offer {
+                Some(offer) => {
+                    offers[ix] = Some(offer);
                     resolved[ix] = true;
                 }
-                _ => {
+                None => {
                     // Closed, failed, or a protocol violation.
                     self.kill(round, id);
                     if ix != usize::MAX {

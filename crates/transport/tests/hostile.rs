@@ -9,8 +9,9 @@
 //!    must be an error (the grammar requires a complete stats frame).
 //! 2. **Socket adversaries**: a real server run where rogue clients
 //!    truncate mid-frame, flip checksummed bytes, slow-loris the
-//!    envelope, disconnect mid-upload, or send a mask frame as an
-//!    upload. The server must finish every round, the honest clients
+//!    envelope, disconnect mid-upload, send a mask frame as an
+//!    upload, or offer an upload of `u64::MAX` bytes. The server must
+//!    finish every round, the honest clients
 //!    must finish cleanly, and each rogue must show up as a skipped
 //!    upload or dead connection — never a panic or a stalled round.
 
@@ -249,6 +250,9 @@ enum Rogue {
     DisconnectMidUpload,
     /// Sends a wire *mask* frame where an upload belongs.
     MaskFrameAsUpload,
+    /// Never gets that far: answers its first invitation with
+    /// `OFFER(u64::MAX, u64::MAX)`.
+    AbsurdOffer,
 }
 
 fn raw_envelope(kind: MsgKind, round: u32, len: usize) -> [u8; ENVELOPE_BYTES] {
@@ -284,6 +288,10 @@ fn run_rogue(addr: &str, cfg: gluefl_core::SimConfig, id: usize, mode: Rogue) {
         };
         match env.kind {
             MsgKind::Invite => {
+                if let Rogue::AbsurdOffer = mode {
+                    let _ = write_msg(&mut stream, MsgKind::Offer, env.round, &[0xFF; 16]);
+                    return;
+                }
                 let (analytic, wire) = node
                     .handle_invite(env.round, &payload)
                     .expect("rogue trains honestly");
@@ -332,6 +340,7 @@ fn run_rogue(addr: &str, cfg: gluefl_core::SimConfig, id: usize, mode: Rogue) {
                         let _ = stream.flush();
                         let _ = stream.shutdown(Shutdown::Both);
                     }
+                    Rogue::AbsurdOffer => unreachable!("left at its first invitation"),
                     Rogue::MaskFrameAsUpload => {
                         let mut buf = Vec::new();
                         let _ = FrameWriter::new(WirePolicy::default()).mask(
@@ -551,6 +560,33 @@ fn granted_byte_flip_counts_one_typed_decode_error() {
         total, 1.0,
         "one corrupted upload must count exactly one typed decode error"
     );
+}
+
+/// An offer no upload could honour is a protocol violation like any
+/// other: the connection is cut once, on receipt — nothing waits for a
+/// deadline, nothing reaches the decoder, and the numbers never reach
+/// the round's byte sums.
+#[test]
+fn absurd_offer_counts_one_kill() {
+    let snap = run_single_rogue(Rogue::AbsurdOffer, 46);
+    assert_eq!(
+        snap.value("gluefl_server_clients_killed_total", &[]),
+        Some(1.0),
+        "the absurd offer must cost exactly its sender"
+    );
+    for quiet in [
+        "gluefl_server_stalls_total",
+        "gluefl_server_decode_errors_total",
+        "gluefl_server_deadlines_expired_total",
+    ] {
+        let total: f64 = snap
+            .samples
+            .iter()
+            .filter(|s| s.name == quiet)
+            .map(|s| s.value)
+            .sum();
+        assert_eq!(total, 0.0, "{quiet}");
+    }
 }
 
 #[test]

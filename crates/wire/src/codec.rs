@@ -4,9 +4,8 @@
 //! Three codecs are defined:
 //!
 //! * [`Codec::F32`] — 4 bytes per value, little-endian IEEE 754 single
-//!   precision. Bit-exact round trip; the analytic
-//!   [`gluefl_tensor::wire::WireCost`] model is written in terms of this
-//!   codec.
+//!   precision. Bit-exact round trip; the analytic byte ledger is
+//!   priced in this codec.
 //! * [`Codec::F16`] — 2 bytes per value, IEEE 754 half precision with
 //!   round-to-nearest-even. Relative error ≤ 2⁻¹¹ in the normal range;
 //!   values above the f16 range saturate to ±∞.

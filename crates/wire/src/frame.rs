@@ -43,19 +43,18 @@
 //! The two entropy position sections are *self-delimiting* (the decoder
 //! walks their canonical LEB128 varints to find the frame end — see
 //! [`FrameKind::SparseDelta`] and [`FrameKind::MaskRle`] for the exact
-//! grammar), which is why [`frame_len`] only prices v1 kinds and the
-//! [`FrameWriter`] length predictors take the actual indices.
+//! grammar), which is why the [`FrameWriter`] length predictors take the
+//! actual indices.
 //!
 //! A [`WirePolicy::legacy`] writer picks bitmap vs. index-list
-//! positions by exactly the
-//! [`WireCost::sparse`](gluefl_tensor::wire::WireCost::sparse) rule (`ceil(dim/8) ≤ 4·nnz` → bitmap,
-//! ties included), so with the [`Codec::F32`] value codec every frame's
-//! encoded length equals the corresponding analytic
-//! [`gluefl_tensor::wire::WireCost`] total — the property test suite
-//! pins this across adversarial `dim`/`nnz`. The [`FrameWriter`]
-//! generalizes the rule: it prices every layout its
-//! [`WirePolicy`] admits in exact bytes and picks the
-//! cheapest (ties: bitmap ≻ index ≻ delta ≻ RLE).
+//! positions by count alone (`ceil(dim/8) ≤ 4·nnz` → bitmap, ties
+//! included), so its frame lengths are closed forms in `(dim, nnz)` —
+//! [`legacy_sparse_len`] / [`legacy_mask_len`], what the analytic byte
+//! ledger is priced with; the property test suite pins them against
+//! encoded frames across adversarial `dim`/`nnz`. The [`FrameWriter`]
+//! generalizes the rule: it prices every layout its [`WirePolicy`]
+//! admits in exact bytes and picks the cheapest (ties: bitmap ≻ index ≻
+//! delta ≻ RLE).
 //!
 //! Decoding borrows the payload (`&[u8]`, zero-copy) and validates
 //! eagerly: magic/version/kind/codec, the checksum, section lengths,
@@ -69,7 +68,10 @@ use crate::codec::{
 };
 use crate::crc::{crc16, crc16_update};
 use crate::error::WireError;
-use crate::policy::WirePolicy;
+use crate::policy::{
+    for_each_delta, for_each_index_run, for_each_mask_run, legacy_positions, rle_section_len,
+    PositionLayout, WirePolicy,
+};
 use crate::varint::{push_varint, read_varint};
 use gluefl_tensor::BitMask;
 
@@ -83,36 +85,45 @@ pub const VERSION: u8 = 1;
 /// header byte uses the former reserved bit as the kind's fourth bit.
 pub const VERSION_ENTROPY: u8 = 2;
 
-/// Fixed frame header length in bytes. Kept identical to the analytic
-/// cost model's [`gluefl_tensor::wire::HEADER_BYTES`] (pinned by a test)
-/// so measured frame lengths and [`gluefl_tensor::wire::WireCost`] totals
-/// are directly comparable.
+/// Fixed frame header length in bytes.
 pub const HEADER_BYTES: usize = 16;
 
-/// Payload shape of a frame (the header's kind field).
+/// What a frame's value section holds — with the position layout, the
+/// two things a [`FrameKind`] names.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Payload {
+    Dense,
+    Sparse,
+    KnownMask,
+    Mask,
+    Ternary,
+}
+
+/// Payload shape of a frame (the header's kind field; the discriminant
+/// is the wire id).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FrameKind {
     /// Dense values over every coordinate (model broadcast, FedAvg
     /// upload); `nnz == dim`.
-    Dense,
+    Dense = 0,
     /// Sparse values with a `dim`-bit position bitmap.
-    SparseBitmap,
+    SparseBitmap = 1,
     /// Sparse values with explicit sorted `u32` positions.
-    SparseIndex,
+    SparseIndex = 2,
     /// Values aligned to a mask the receiver already holds — no position
     /// bytes travel (GlueFL's shared part, APF's active set).
-    KnownMask,
+    KnownMask = 3,
     /// A mask broadcast: positions only, no values (GlueFL's `M_t`).
-    Mask,
+    Mask = 4,
     /// Ternary-quantized sparse values (`sign·µ`) with bitmap positions.
-    TernaryBitmap,
+    TernaryBitmap = 5,
     /// Ternary-quantized sparse values with explicit positions.
-    TernaryIndex,
+    TernaryIndex = 6,
     /// Sparse values with delta-coded varint positions (v2): the first
     /// index, then each gap−1, as canonical LEB128 varints — strictly
     /// increasing by construction, so only the running index needs a
     /// range check. Empty section when `nnz = 0`.
-    SparseDelta,
+    SparseDelta = 7,
     /// A mask broadcast with a run-length position section (v2):
     /// alternating zeros-run / ones-run varints starting with the
     /// (possibly zero) leading zeros-run, ending with the ones-run that
@@ -120,70 +131,112 @@ pub enum FrameKind {
     /// and must be absent. Every ones-run, and every zeros-run after the
     /// first, must be positive ([`WireError::ZeroRun`] otherwise). Empty
     /// section when `nnz = 0`.
-    MaskRle,
+    MaskRle = 8,
     /// Sparse values with run-length positions (v2) — the
     /// [`FrameKind::MaskRle`] section grammar as a sparse frame's
     /// position section.
-    SparseRle,
+    SparseRle = 9,
     /// Ternary-quantized sparse values with delta-coded varint
     /// positions (v2).
-    TernaryDelta,
+    TernaryDelta = 10,
     /// Ternary-quantized sparse values with run-length positions (v2).
-    TernaryRle,
+    TernaryRle = 11,
 }
 
 impl FrameKind {
+    /// Every kind, in wire-id order.
+    const ALL: [FrameKind; 12] = [
+        FrameKind::Dense,
+        FrameKind::SparseBitmap,
+        FrameKind::SparseIndex,
+        FrameKind::KnownMask,
+        FrameKind::Mask,
+        FrameKind::TernaryBitmap,
+        FrameKind::TernaryIndex,
+        FrameKind::SparseDelta,
+        FrameKind::MaskRle,
+        FrameKind::SparseRle,
+        FrameKind::TernaryDelta,
+        FrameKind::TernaryRle,
+    ];
+
     /// The kind's wire id (the 3-bit field of the packed header byte) —
     /// also what [`WireError::UnexpectedKind`] reports when a valid
     /// frame shows up somewhere its kind is not admissible.
     #[must_use]
     pub fn id(self) -> u8 {
-        match self {
-            FrameKind::Dense => 0,
-            FrameKind::SparseBitmap => 1,
-            FrameKind::SparseIndex => 2,
-            FrameKind::KnownMask => 3,
-            FrameKind::Mask => 4,
-            FrameKind::TernaryBitmap => 5,
-            FrameKind::TernaryIndex => 6,
-            FrameKind::SparseDelta => 7,
-            FrameKind::MaskRle => 8,
-            FrameKind::SparseRle => 9,
-            FrameKind::TernaryDelta => 10,
-            FrameKind::TernaryRle => 11,
-        }
+        self as u8
     }
 
     pub(crate) fn from_id(id: u8) -> Result<Self, WireError> {
-        match id {
-            0 => Ok(FrameKind::Dense),
-            1 => Ok(FrameKind::SparseBitmap),
-            2 => Ok(FrameKind::SparseIndex),
-            3 => Ok(FrameKind::KnownMask),
-            4 => Ok(FrameKind::Mask),
-            5 => Ok(FrameKind::TernaryBitmap),
-            6 => Ok(FrameKind::TernaryIndex),
-            7 => Ok(FrameKind::SparseDelta),
-            8 => Ok(FrameKind::MaskRle),
-            9 => Ok(FrameKind::SparseRle),
-            10 => Ok(FrameKind::TernaryDelta),
-            11 => Ok(FrameKind::TernaryRle),
-            other => Err(WireError::BadKind(other)),
+        Self::ALL
+            .get(usize::from(id))
+            .copied()
+            .ok_or(WireError::BadKind(id))
+    }
+
+    /// The kind's payload family and position layout (`None`: no
+    /// position section travels).
+    fn parts(self) -> (Payload, Option<PositionLayout>) {
+        use {Payload as P, PositionLayout as L};
+        match self {
+            FrameKind::Dense => (P::Dense, None),
+            FrameKind::SparseBitmap => (P::Sparse, Some(L::Bitmap)),
+            FrameKind::SparseIndex => (P::Sparse, Some(L::Index)),
+            FrameKind::KnownMask => (P::KnownMask, None),
+            FrameKind::Mask => (P::Mask, Some(L::Bitmap)),
+            FrameKind::TernaryBitmap => (P::Ternary, Some(L::Bitmap)),
+            FrameKind::TernaryIndex => (P::Ternary, Some(L::Index)),
+            FrameKind::SparseDelta => (P::Sparse, Some(L::Delta)),
+            FrameKind::MaskRle => (P::Mask, Some(L::Rle)),
+            FrameKind::SparseRle => (P::Sparse, Some(L::Rle)),
+            FrameKind::TernaryDelta => (P::Ternary, Some(L::Delta)),
+            FrameKind::TernaryRle => (P::Ternary, Some(L::Rle)),
         }
+    }
+
+    fn payload(self) -> Payload {
+        self.parts().0
+    }
+
+    fn layout(self) -> Option<PositionLayout> {
+        self.parts().1
+    }
+
+    /// The kind carrying `payload` with its positions in `layout`.
+    fn of(payload: Payload, layout: PositionLayout) -> Self {
+        *Self::ALL
+            .iter()
+            .find(|kind| kind.parts() == (payload, Some(layout)))
+            .expect("every sparse/ternary layout has a kind")
+    }
+
+    /// The sparse kind whose positions travel in `layout`.
+    pub(crate) fn sparse(layout: PositionLayout) -> Self {
+        Self::of(Payload::Sparse, layout)
+    }
+
+    /// The ternary kind whose positions travel in `layout`.
+    pub(crate) fn ternary(layout: PositionLayout) -> Self {
+        Self::of(Payload::Ternary, layout)
+    }
+
+    /// Whether this is an explicit-position sparse kind, in any layout.
+    #[must_use]
+    pub fn is_sparse(self) -> bool {
+        self.payload() == Payload::Sparse
+    }
+
+    /// Whether this is a ternary-quantized sparse kind, in any layout.
+    #[must_use]
+    pub fn is_ternary(self) -> bool {
+        self.payload() == Payload::Ternary
     }
 
     /// Whether this kind carries codec-encoded values (mask and ternary
     /// frames have fixed value layouts and must declare [`Codec::F32`]).
     fn uses_value_codec(self) -> bool {
-        matches!(
-            self,
-            FrameKind::Dense
-                | FrameKind::SparseBitmap
-                | FrameKind::SparseIndex
-                | FrameKind::KnownMask
-                | FrameKind::SparseDelta
-                | FrameKind::SparseRle
-        )
+        !matches!(self.payload(), Payload::Mask | Payload::Ternary)
     }
 
     /// Whether this kind's position section is self-delimiting varints
@@ -398,9 +451,10 @@ impl FrameWriter {
             "indices/values length mismatch"
         );
         assert_sorted_in_range(indices, dim);
-        let kind = self.policy.sparse_kind(dim, indices);
+        let layout = self.policy.position_layout(dim, indices);
+        let kind = FrameKind::sparse(layout);
         let start = begin_frame(out, kind, self.policy.codec, round, dim, indices.len());
-        extend_positions(out, kind, dim, indices);
+        extend_positions(out, layout, dim, indices);
         encode_values(out, self.policy.codec, rounding, values);
         finish_frame(out, start)
     }
@@ -437,7 +491,10 @@ impl FrameWriter {
         let start = begin_frame(out, kind, Codec::F32, round, mask.len(), mask.count_ones());
         match kind {
             FrameKind::Mask => mask.extend_le_bytes(out),
-            FrameKind::MaskRle => extend_rle_from_mask(out, mask),
+            FrameKind::MaskRle => for_each_mask_run(mask, |zeros, ones| {
+                push_varint(out, zeros);
+                push_varint(out, ones);
+            }),
             _ => unreachable!("mask_kind returns a mask kind"),
         }
         finish_frame(out, start)
@@ -445,8 +502,8 @@ impl FrameWriter {
 
     /// Encodes a ternary-quantized sparse frame: one magnitude `mu` plus
     /// a sign bit per kept coordinate (`true` = `+mu`), positions in the
-    /// cheapest admissible layout ([`WirePolicy::ternary_kind`]). Returns
-    /// the frame length in bytes.
+    /// cheapest admissible layout (the [`WirePolicy::sparse_kind`] rule).
+    /// Returns the frame length in bytes.
     ///
     /// # Panics
     /// Panics if the indices are unsorted, repeated, or `>= dim`, or if
@@ -463,9 +520,9 @@ impl FrameWriter {
         assert_eq!(indices.len(), signs.len(), "indices/signs length mismatch");
         assert_sorted_in_range(indices, dim);
         let nnz = indices.len();
-        let kind = self.policy.ternary_kind(dim, indices);
-        let start = begin_frame(out, kind, Codec::F32, round, dim, nnz);
-        extend_positions(out, kind, dim, indices);
+        let layout = self.policy.position_layout(dim, indices);
+        let start = begin_frame(out, FrameKind::ternary(layout), Codec::F32, round, dim, nnz);
+        extend_positions(out, layout, dim, indices);
         out.extend_from_slice(&mu.to_le_bytes());
         let sign_start = out.len();
         out.resize(sign_start + nnz.div_ceil(8), 0);
@@ -504,7 +561,7 @@ impl FrameWriter {
     #[must_use]
     pub fn mask_len(&self, mask: &BitMask) -> u64 {
         let positions = match self.policy.mask_kind(mask) {
-            FrameKind::MaskRle => crate::policy::rle_section_len(mask),
+            FrameKind::MaskRle => rle_section_len(mask),
             _ => mask.len().div_ceil(8) as u64,
         };
         HEADER_BYTES as u64 + positions
@@ -538,61 +595,17 @@ fn extend_bitmap_from_indices(out: &mut Vec<u8>, bitmap_len: usize, indices: &[u
     }
 }
 
-fn extend_index_list(out: &mut Vec<u8>, indices: &[u32]) {
-    extend_le_words(out, indices, u32::to_le_bytes);
-}
-
-/// Writes the position section matching `kind` for sorted `indices`.
-fn extend_positions(out: &mut Vec<u8>, kind: FrameKind, dim: usize, indices: &[u32]) {
-    match kind {
-        FrameKind::SparseBitmap | FrameKind::TernaryBitmap => {
-            extend_bitmap_from_indices(out, dim.div_ceil(8), indices);
-        }
-        FrameKind::SparseIndex | FrameKind::TernaryIndex => extend_index_list(out, indices),
-        FrameKind::SparseDelta | FrameKind::TernaryDelta => {
-            extend_delta_from_indices(out, indices);
-        }
-        FrameKind::SparseRle | FrameKind::TernaryRle => extend_rle_from_indices(out, indices),
-        _ => unreachable!("{kind:?} has no sparse position section"),
+/// Writes the position section for sorted `indices` in `layout`.
+fn extend_positions(out: &mut Vec<u8>, layout: PositionLayout, dim: usize, indices: &[u32]) {
+    match layout {
+        PositionLayout::Bitmap => extend_bitmap_from_indices(out, dim.div_ceil(8), indices),
+        PositionLayout::Index => extend_le_words(out, indices, u32::to_le_bytes),
+        PositionLayout::Delta => for_each_delta(indices, |v| push_varint(out, v)),
+        PositionLayout::Rle => for_each_index_run(indices, |zeros, ones| {
+            push_varint(out, zeros);
+            push_varint(out, ones);
+        }),
     }
-}
-
-fn extend_delta_from_indices(out: &mut Vec<u8>, indices: &[u32]) {
-    let mut prev: Option<u32> = None;
-    for &i in indices {
-        let v = match prev {
-            None => u64::from(i),
-            Some(p) => u64::from(i - p - 1),
-        };
-        push_varint(out, v);
-        prev = Some(i);
-    }
-}
-
-fn extend_rle_from_indices(out: &mut Vec<u8>, indices: &[u32]) {
-    let mut j = 0usize;
-    let mut pos = 0u64;
-    while j < indices.len() {
-        let start = u64::from(indices[j]);
-        let mut end = start + 1;
-        j += 1;
-        while j < indices.len() && u64::from(indices[j]) == end {
-            end += 1;
-            j += 1;
-        }
-        push_varint(out, start - pos);
-        push_varint(out, end - start);
-        pos = end;
-    }
-}
-
-fn extend_rle_from_mask(out: &mut Vec<u8>, mask: &BitMask) {
-    let mut pos = 0usize;
-    mask.for_each_run(|start, len| {
-        push_varint(out, (start - pos) as u64);
-        push_varint(out, len as u64);
-        pos = start + len;
-    });
 }
 
 /// A decoded frame: parsed header fields plus borrowed (zero-copy)
@@ -616,53 +629,28 @@ pub struct Frame<'a> {
     values: &'a [u8],
 }
 
-/// Exact encoded length in bytes of a **v1** frame with the given header
-/// fields (header + positions + values). v1 frame lengths depend only on
-/// `(kind, codec, dim, nnz)` — never on the values themselves — which is
-/// what lets a sender (or a scheduler) price an upload *before* encoding
-/// it. The v2 entropy kinds are data-dependent; price those with the
-/// [`FrameWriter`] predictors ([`FrameWriter::sparse_len`],
-/// [`FrameWriter::mask_len`], [`FrameWriter::ternary_len`]), which take
-/// the actual indices.
+/// Exact length of the sparse frame a [`WirePolicy::legacy`] writer emits
+/// for *any* `nnz` of `dim` positions: header, the cheaper of the
+/// `dim`-bit bitmap and the `u32` index list (bitmap on a tie), and `nnz`
+/// `codec` values. The legacy menu's choice depends on the count alone,
+/// which is what lets a ledger (or a scheduler) price a transfer it only
+/// knows the size of; it equals [`FrameWriter::sparse_len`] under that
+/// policy for every index set (property-tested).
 ///
 /// # Panics
-/// Panics for the entropy kinds (`SparseDelta`, `MaskRle`, `SparseRle`,
-/// `TernaryDelta`, `TernaryRle`), whose lengths the header does not
-/// determine.
+/// Panics if `nnz > dim`.
 #[must_use]
-pub fn frame_len(kind: FrameKind, codec: Codec, dim: usize, nnz: usize) -> u64 {
-    assert!(
-        !kind.is_entropy(),
-        "{kind:?} frame length is data-dependent; use the FrameWriter predictors"
-    );
-    let (positions, values) = section_lens(kind, codec, dim, nnz);
-    HEADER_BYTES as u64 + positions + values
+pub fn legacy_sparse_len(codec: Codec, dim: usize, nnz: usize) -> u64 {
+    assert!(nnz <= dim, "nnz {nnz} exceeds dim {dim}");
+    HEADER_BYTES as u64 + legacy_positions(dim, nnz).1 + codec.value_section_len(nnz) as u64
 }
 
-/// The position encoding a [`WirePolicy::legacy`] writer picks for
-/// `(dim, nnz)`:
-/// bitmap when `ceil(dim/8) ≤ 4·nnz` (ties included — the
-/// [`WireCost::sparse`](gluefl_tensor::wire::WireCost::sparse) rule),
-/// index list otherwise.
+/// Exact length of the v1 mask broadcast frame over `dim` positions
+/// (header + bitmap) — [`FrameWriter::mask_len`] under
+/// [`WirePolicy::legacy`], whatever the mask holds.
 #[must_use]
-pub fn sparse_kind(dim: usize, nnz: usize) -> FrameKind {
-    if dim.div_ceil(8) <= 4 * nnz {
-        FrameKind::SparseBitmap
-    } else {
-        FrameKind::SparseIndex
-    }
-}
-
-/// The position encoding a [`WirePolicy::legacy`] writer picks for a
-/// ternary frame over `(dim, nnz)` — the same bitmap-vs-index rule as
-/// [`sparse_kind`].
-#[must_use]
-pub fn ternary_kind(dim: usize, nnz: usize) -> FrameKind {
-    if dim.div_ceil(8) <= 4 * nnz {
-        FrameKind::TernaryBitmap
-    } else {
-        FrameKind::TernaryIndex
-    }
+pub fn legacy_mask_len(dim: usize) -> u64 {
+    HEADER_BYTES as u64 + dim.div_ceil(8) as u64
 }
 
 /// Parses a frame header and returns the full frame length it implies
@@ -751,39 +739,22 @@ fn parse_header(buf: &[u8]) -> Result<ParsedHeader, WireError> {
 /// (and structurally validated) by scanning the self-delimiting varints
 /// for v2 kinds.
 fn positions_len(buf: &[u8], h: &ParsedHeader) -> Result<usize, WireError> {
-    match h.kind {
-        FrameKind::SparseDelta | FrameKind::TernaryDelta => {
-            scan_delta_section(buf, HEADER_BYTES, h.dim, h.nnz)
-        }
-        FrameKind::MaskRle | FrameKind::SparseRle | FrameKind::TernaryRle => {
-            scan_rle_section(buf, HEADER_BYTES, h.dim, h.nnz)
-        }
-        kind => {
-            let bitmap = h.dim.div_ceil(8);
-            Ok(match kind {
-                FrameKind::Dense | FrameKind::KnownMask => 0,
-                FrameKind::SparseBitmap | FrameKind::Mask | FrameKind::TernaryBitmap => bitmap,
-                FrameKind::SparseIndex | FrameKind::TernaryIndex => 4 * h.nnz,
-                _ => unreachable!("entropy kinds handled above"),
-            })
-        }
+    match h.kind.layout() {
+        None => Ok(0),
+        Some(PositionLayout::Bitmap) => Ok(h.dim.div_ceil(8)),
+        Some(PositionLayout::Index) => Ok(4 * h.nnz),
+        Some(PositionLayout::Delta) => scan_delta_section(buf, HEADER_BYTES, h.dim, h.nnz),
+        Some(PositionLayout::Rle) => scan_rle_section(buf, HEADER_BYTES, h.dim, h.nnz),
     }
 }
 
 /// Byte length of the value section (fixed given the header fields).
 fn values_len(kind: FrameKind, codec: Codec, dim: usize, nnz: usize) -> u64 {
-    match kind {
-        FrameKind::Dense => codec.value_section_len(dim) as u64,
-        FrameKind::SparseBitmap
-        | FrameKind::SparseIndex
-        | FrameKind::SparseDelta
-        | FrameKind::SparseRle
-        | FrameKind::KnownMask => codec.value_section_len(nnz) as u64,
-        FrameKind::Mask | FrameKind::MaskRle => 0,
-        FrameKind::TernaryBitmap
-        | FrameKind::TernaryIndex
-        | FrameKind::TernaryDelta
-        | FrameKind::TernaryRle => 4 + (nnz as u64).div_ceil(8),
+    match kind.payload() {
+        Payload::Dense => codec.value_section_len(dim) as u64,
+        Payload::Sparse | Payload::KnownMask => codec.value_section_len(nnz) as u64,
+        Payload::Mask => 0,
+        Payload::Ternary => 4 + (nnz as u64).div_ceil(8),
     }
 }
 
@@ -853,20 +824,6 @@ fn clamp_u32(v: u64) -> u32 {
     u32::try_from(v.min(u64::from(u32::MAX))).expect("clamped to u32 range")
 }
 
-/// Expected `(positions, values)` section lengths for a parsed **v1**
-/// header (entropy-kind position lengths are data-dependent and found by
-/// scanning — see [`positions_len`]).
-fn section_lens(kind: FrameKind, codec: Codec, dim: usize, nnz: usize) -> (u64, u64) {
-    let bitmap = (dim as u64).div_ceil(8);
-    let positions = match kind {
-        FrameKind::Dense | FrameKind::KnownMask => 0,
-        FrameKind::SparseBitmap | FrameKind::Mask | FrameKind::TernaryBitmap => bitmap,
-        FrameKind::SparseIndex | FrameKind::TernaryIndex => 4 * nnz as u64,
-        _ => unreachable!("{kind:?} position length is data-dependent"),
-    };
-    (positions, values_len(kind, codec, dim, nnz))
-}
-
 /// Decodes the frame at the start of `buf`, returning it together with
 /// the unconsumed remainder — the streaming form for buffers holding
 /// several concatenated frames (e.g. GlueFL's shared + unique upload).
@@ -915,8 +872,8 @@ fn decode_frame_prefix_inner(buf: &[u8]) -> Result<(Frame<'_>, &[u8]), WireError
 
     // Structural validation of the position section (the entropy kinds
     // were already validated by the scan that delimited them).
-    match kind {
-        FrameKind::SparseBitmap | FrameKind::Mask | FrameKind::TernaryBitmap => {
+    match kind.layout() {
+        Some(PositionLayout::Bitmap) => {
             if !dim.is_multiple_of(8) {
                 let tail = positions[positions.len() - 1];
                 if tail >> (dim % 8) != 0 {
@@ -931,7 +888,7 @@ fn decode_frame_prefix_inner(buf: &[u8]) -> Result<(Frame<'_>, &[u8]), WireError
                 });
             }
         }
-        FrameKind::SparseIndex | FrameKind::TernaryIndex => {
+        Some(PositionLayout::Index) => {
             let mut prev: Option<u32> = None;
             for (j, chunk) in positions.chunks_exact(4).enumerate() {
                 let i = u32::from_le_bytes(chunk.try_into().expect("4 bytes"));
@@ -949,14 +906,7 @@ fn decode_frame_prefix_inner(buf: &[u8]) -> Result<(Frame<'_>, &[u8]), WireError
         _ => {}
     }
     // Ternary sign bitmaps must also pad with zeros beyond nnz.
-    if matches!(
-        kind,
-        FrameKind::TernaryBitmap
-            | FrameKind::TernaryIndex
-            | FrameKind::TernaryDelta
-            | FrameKind::TernaryRle
-    ) && !nnz.is_multiple_of(8)
-    {
+    if kind.is_ternary() && !nnz.is_multiple_of(8) {
         let tail = values[values.len() - 1];
         if tail >> (nnz % 8) != 0 {
             return Err(WireError::NonZeroPadding);
@@ -996,9 +946,9 @@ impl Frame<'_> {
     /// `nnz` for sparse/known-mask frames and (as copies of `±µ`) for
     /// ternary frames, none for mask frames.
     fn value_count(&self) -> usize {
-        match self.kind {
-            FrameKind::Dense => self.dim,
-            FrameKind::Mask | FrameKind::MaskRle => 0,
+        match self.kind.payload() {
+            Payload::Dense => self.dim,
+            Payload::Mask => 0,
             _ => self.nnz,
         }
     }
@@ -1020,12 +970,10 @@ impl Frame<'_> {
     /// frames, `nnz` for sparse/known-mask frames, `nnz` copies of `±µ`
     /// for ternary frames, nothing for mask frames.
     pub fn values_into(&self, out: &mut Vec<f32>) {
-        match self.kind {
-            FrameKind::Mask | FrameKind::MaskRle => {}
-            kind if kind.uses_value_codec() => {
-                decode_values_into(out, self.codec, self.values, self.value_count());
-            }
-            _ => out.extend(self.ternary_values()),
+        match self.kind.payload() {
+            Payload::Mask => {}
+            Payload::Ternary => out.extend(self.ternary_values()),
+            _ => decode_values_into(out, self.codec, self.values, self.value_count()),
         }
     }
 
@@ -1036,10 +984,10 @@ impl Frame<'_> {
     /// Panics if `out.len()` differs from the frame's value count.
     pub fn values_to(&self, out: &mut [f32]) {
         assert_eq!(out.len(), self.value_count(), "value count mismatch");
-        match self.kind {
-            FrameKind::Mask | FrameKind::MaskRle => {}
-            kind if kind.uses_value_codec() => decode_values_to(out, self.codec, self.values),
-            _ => fill(out, self.ternary_values()),
+        match self.kind.payload() {
+            Payload::Mask => {}
+            Payload::Ternary => fill(out, self.ternary_values()),
+            _ => decode_values_to(out, self.codec, self.values),
         }
     }
 
@@ -1049,21 +997,24 @@ impl Frame<'_> {
     /// Panics for dense, known-mask, and mask frames — their positions
     /// are implicit (everything, the receiver's mask, n/a).
     pub fn indices_into(&self, out: &mut Vec<u32>) {
-        match self.kind {
-            FrameKind::SparseIndex | FrameKind::TernaryIndex => {
+        let (Payload::Sparse | Payload::Ternary, Some(layout)) = self.kind.parts() else {
+            panic!("frame kind {:?} has no explicit positions", self.kind);
+        };
+        match layout {
+            PositionLayout::Index => {
                 out.extend(
                     self.positions
                         .chunks_exact(4)
                         .map(|chunk| u32::from_le_bytes(chunk.try_into().expect("4 bytes"))),
                 );
             }
-            FrameKind::SparseBitmap | FrameKind::TernaryBitmap => {
+            PositionLayout::Bitmap => {
                 out.reserve(self.nnz);
                 for_each_bitmap_one(self.positions, |i| {
                     out.push(u32::try_from(i).expect("dim fits u32"));
                 });
             }
-            FrameKind::SparseDelta | FrameKind::TernaryDelta => {
+            PositionLayout::Delta => {
                 out.reserve(self.nnz);
                 let mut pos = 0usize;
                 let mut idx = 0u32;
@@ -1075,7 +1026,7 @@ impl Frame<'_> {
                     out.push(idx);
                 }
             }
-            FrameKind::SparseRle | FrameKind::TernaryRle => {
+            PositionLayout::Rle => {
                 out.reserve(self.nnz);
                 self.for_each_rle_run(|start, len| {
                     for i in start..start + len {
@@ -1083,7 +1034,6 @@ impl Frame<'_> {
                     }
                 });
             }
-            other => panic!("frame kind {other:?} has no explicit positions"),
         }
     }
 
@@ -1092,16 +1042,16 @@ impl Frame<'_> {
     /// # Panics
     /// Panics for kinds without a position bitmap or run-length section.
     pub fn mask_into(&self, mask: &mut BitMask) {
-        match self.kind {
-            FrameKind::Mask | FrameKind::SparseBitmap | FrameKind::TernaryBitmap => {
+        match self.kind.layout() {
+            Some(PositionLayout::Bitmap) => {
                 mask.reset(self.dim);
                 mask.fill_from_le_bytes(self.positions);
             }
-            FrameKind::MaskRle | FrameKind::SparseRle | FrameKind::TernaryRle => {
+            Some(PositionLayout::Rle) => {
                 mask.reset(self.dim);
                 self.for_each_rle_run(|start, len| mask.set_range(start, len));
             }
-            other => panic!("frame kind {other:?} carries no mask section"),
+            _ => panic!("frame kind {:?} carries no mask section", self.kind),
         }
     }
 
@@ -1131,16 +1081,7 @@ impl Frame<'_> {
     /// Panics for non-ternary kinds.
     #[must_use]
     pub fn ternary_mu(&self) -> f32 {
-        assert!(
-            matches!(
-                self.kind,
-                FrameKind::TernaryBitmap
-                    | FrameKind::TernaryIndex
-                    | FrameKind::TernaryDelta
-                    | FrameKind::TernaryRle
-            ),
-            "not a ternary frame"
-        );
+        assert!(self.kind.is_ternary(), "not a ternary frame");
         f32::from_le_bytes(self.values[..4].try_into().expect("4 bytes"))
     }
 
@@ -1149,16 +1090,7 @@ impl Frame<'_> {
     /// # Panics
     /// Panics for non-ternary kinds.
     pub fn ternary_signs_into(&self, out: &mut Vec<bool>) {
-        assert!(
-            matches!(
-                self.kind,
-                FrameKind::TernaryBitmap
-                    | FrameKind::TernaryIndex
-                    | FrameKind::TernaryDelta
-                    | FrameKind::TernaryRle
-            ),
-            "not a ternary frame"
-        );
+        assert!(self.kind.is_ternary(), "not a ternary frame");
         out.reserve(self.nnz);
         for j in 0..self.nnz {
             out.push(self.values[4 + j / 8] >> (j % 8) & 1 == 1);
@@ -1185,17 +1117,26 @@ fn for_each_bitmap_one(bytes: &[u8], mut f: impl FnMut(usize)) {
 mod tests {
     use super::*;
     use crate::policy::{delta_section_len, rle_section_len, rle_section_len_from_indices};
-    use gluefl_tensor::wire::WireCost;
 
     /// Writer reproducing the v1 legacy frame layouts the analytic
-    /// [`WireCost`] model prices.
+    /// ledger is priced in.
     fn legacy(codec: Codec) -> FrameWriter {
         FrameWriter::new(WirePolicy::legacy(codec))
     }
 
+    /// The v1 F32 sparse frame length, restated: the reference the
+    /// writer and [`legacy_sparse_len`] are both held to.
+    fn closed_form_sparse(dim: usize, nnz: usize) -> u64 {
+        (16 + dim.div_ceil(8).min(4 * nnz) + 4 * nnz) as u64
+    }
+
     #[test]
-    fn header_bytes_match_analytic_model() {
-        assert_eq!(HEADER_BYTES as u64, gluefl_tensor::wire::HEADER_BYTES);
+    fn wire_ids_index_the_kind_table() {
+        for (id, kind) in FrameKind::ALL.iter().enumerate() {
+            assert_eq!(usize::from(kind.id()), id);
+            assert_eq!(FrameKind::from_id(kind.id()), Ok(*kind));
+        }
+        assert_eq!(FrameKind::from_id(12), Err(WireError::BadKind(12)));
     }
 
     #[test]
@@ -1215,10 +1156,7 @@ mod tests {
         let dim = 100_000;
         let indices: Vec<u32> = (0..4000u32).map(|i| i * 25).collect();
         let values: Vec<f32> = (0..4000).map(|i| (i as f32 * 0.1).sin()).collect();
-        let writer = FrameWriter::new(WirePolicy {
-            rle: false,
-            ..WirePolicy::entropy(Codec::F32)
-        });
+        let writer = FrameWriter::new(WirePolicy::entropy(Codec::F32));
         let mut buf = Vec::new();
         let n = writer.sparse(&mut buf, 3, Rounding::Nearest, dim, &indices, &values);
         assert_eq!(n, buf.len());
@@ -1353,19 +1291,13 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "data-dependent")]
-    fn frame_len_rejects_entropy_kinds() {
-        let _ = frame_len(FrameKind::SparseDelta, Codec::F32, 100, 10);
-    }
-
-    #[test]
     fn empty_entropy_sparse_frame_is_header_plus_values() {
         // nnz = 0 under the entropy policy still picks the empty index
         // list (precedence), identical to the legacy empty frame.
         let writer = FrameWriter::new(WirePolicy::entropy(Codec::F32));
         let mut buf = Vec::new();
         let n = writer.sparse(&mut buf, 0, Rounding::Nearest, 100, &[], &[]);
-        assert_eq!(n as u64, WireCost::sparse(100, 0).total_bytes());
+        assert_eq!(n, HEADER_BYTES);
         let frame = decode_frame(&buf).unwrap();
         assert_eq!(frame.kind, FrameKind::SparseIndex);
         assert_eq!(frame.nnz, 0);
@@ -1390,7 +1322,8 @@ mod tests {
         let mut buf = Vec::new();
         let n = legacy(Codec::F32).dense(&mut buf, 7, Rounding::Nearest, &values);
         assert_eq!(n, buf.len());
-        assert_eq!(n as u64, WireCost::dense(values.len()).total_bytes());
+        assert_eq!(n, HEADER_BYTES + 4 * values.len());
+        assert_eq!(n as u64, legacy(Codec::F32).dense_len(values.len()));
         let frame = decode_frame(&buf).unwrap();
         assert_eq!(frame.kind, FrameKind::Dense);
         assert_eq!(frame.round, 7);
@@ -1416,9 +1349,10 @@ mod tests {
                 legacy(Codec::F32).sparse(&mut buf, 0, Rounding::Nearest, dim, &indices, &values);
             assert_eq!(
                 n as u64,
-                WireCost::sparse(dim, nnz).total_bytes(),
+                closed_form_sparse(dim, nnz),
                 "dim={dim} nnz={nnz}"
             );
+            assert_eq!(n as u64, legacy_sparse_len(Codec::F32, dim, nnz));
             let frame = decode_frame(&buf).unwrap();
             let mut ix = Vec::new();
             frame.indices_into(&mut ix);
@@ -1434,7 +1368,8 @@ mod tests {
         let values = vec![1.0f32, -2.0, 3.0];
         let mut buf = Vec::new();
         let n = legacy(Codec::F32).known_mask(&mut buf, 3, Rounding::Nearest, 100, &values);
-        assert_eq!(n as u64, WireCost::known_mask(3).total_bytes());
+        assert_eq!(n, HEADER_BYTES + 4 * 3);
+        assert_eq!(n as u64, legacy(Codec::F32).known_mask_len(3));
         let frame = decode_frame(&buf).unwrap();
         assert_eq!(frame.kind, FrameKind::KnownMask);
         assert_eq!(frame.dim, 100);
@@ -1449,6 +1384,7 @@ mod tests {
         let mut buf = Vec::new();
         let n = legacy(Codec::F32).mask(&mut buf, 9, &mask);
         assert_eq!(n, HEADER_BYTES + 77usize.div_ceil(8));
+        assert_eq!(n as u64, legacy_mask_len(77));
         let frame = decode_frame(&buf).unwrap();
         assert_eq!(frame.kind, FrameKind::Mask);
         assert_eq!(frame.nnz, 4);
@@ -1464,8 +1400,8 @@ mod tests {
         let signs: Vec<bool> = (0..500).map(|i| i % 3 != 0).collect();
         let mut buf = Vec::new();
         let n = legacy(Codec::F32).ternary(&mut buf, 4, dim, 0.125, &indices, &signs);
-        // Analytic: positions min(bitmap, 4·nnz) + (ceil(nnz/8) + 4) + header.
-        let positions = WireCost::sparse(dim, indices.len()).position_bytes;
+        // Closed form: positions min(bitmap, 4·nnz) + (ceil(nnz/8) + 4) + header.
+        let positions = dim.div_ceil(8).min(4 * indices.len()) as u64;
         assert_eq!(n as u64, positions + 500u64.div_ceil(8) + 4 + 16);
         let frame = decode_frame(&buf).unwrap();
         assert_eq!(frame.ternary_mu(), 0.125);
@@ -1503,13 +1439,19 @@ mod tests {
 
     #[test]
     fn empty_sparse_frame_is_header_only_plus_rule() {
-        // nnz = 0: index list costs 0 < bitmap, so positions are empty —
-        // same as WireCost::sparse(d, 0).
+        // nnz = 0: index list costs 0 < bitmap, so positions are empty.
         let mut buf = Vec::new();
         let n = legacy(Codec::F32).sparse(&mut buf, 0, Rounding::Nearest, 100, &[], &[]);
-        assert_eq!(n as u64, WireCost::sparse(100, 0).total_bytes());
+        assert_eq!(n, HEADER_BYTES);
+        assert_eq!(legacy_sparse_len(Codec::F32, 100, 0), HEADER_BYTES as u64);
         let frame = decode_frame(&buf).unwrap();
         assert_eq!(frame.nnz, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds dim")]
+    fn legacy_sparse_len_rejects_nnz_over_dim() {
+        let _ = legacy_sparse_len(Codec::F32, 4, 5);
     }
 
     #[test]

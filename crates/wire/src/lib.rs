@@ -1,9 +1,11 @@
 //! `gluefl-wire`: the framed, checksummed binary wire protocol for GlueFL
 //! round messages.
 //!
-//! The rest of the workspace *accounts* for bandwidth with the analytic
-//! [`gluefl_tensor::wire::WireCost`] model; this crate actually
-//! serializes the bytes. Every message of the round protocol — the dense
+//! This crate serializes the bytes, and is the only place in the
+//! workspace that knows what a message costs: the analytic byte ledger
+//! is the length of the frame a [`WirePolicy::legacy`] F32 writer would
+//! emit, from the same predictors that price the frames actually sent.
+//! Every message of the round protocol — the dense
 //! model broadcast, the shared-mask broadcast, and the dense / sparse /
 //! mask-aligned / ternary update uploads — is one [`frame`]: a 16-byte
 //! header (magic, version, kind, codec, round, `dim`, `nnz`,
@@ -15,16 +17,16 @@
 //! residual feeds back into error compensation — and written through a
 //! single [`FrameWriter`] entry point per message kind. The default
 //! policy reproduces the original v1 format byte for byte; opting into
-//! the **entropy layouts** ([`IndexLayout::Entropy`], RLE) lets the
-//! writer also price delta-coded varint index lists and run-length mask
+//! the **entropy layouts** ([`LayoutMenu::Entropy`]) lets the
+//! writer also price delta-coded varint index lists and run-length
 //! sections and pick the cheapest layout per frame in exact bytes.
 //!
 //! Three pluggable **value codecs** ([`Codec`]) decide how `f32`
 //! parameter values travel:
 //!
-//! * [`Codec::F32`] — 4 B/value, bit-exact; with it, every frame's length
-//!   equals the analytic `WireCost` total (property-tested), so the
-//!   simulator's measured bytes and the ledger's analytic bytes coincide.
+//! * [`Codec::F32`] — 4 B/value, bit-exact; with it and the legacy menu
+//!   the simulator's measured bytes and the ledger's analytic bytes
+//!   coincide.
 //! * [`Codec::F16`] — 2 B/value, round-to-nearest-even half precision.
 //! * [`Codec::QuantU8`] — 1 B/value plus one `f32` scale per 64-value
 //!   block, with deterministic [`Rounding::Nearest`] or unbiased,
@@ -53,8 +55,10 @@
 //!     &mut buf, /* round */ 12, Rounding::Nearest,
 //!     1000, &[7, 400, 999], &[0.5, -1.0, 2.0],
 //! );
-//! // Legacy F32 frames match the analytic cost model exactly.
-//! assert_eq!(len as u64, gluefl_tensor::WireCost::sparse(1000, 3).total_bytes());
+//! // Legacy frame lengths are closed forms in the counts: 16 B header,
+//! // 3 u32 indices (cheaper than a 125 B bitmap), 3 f32 values.
+//! assert_eq!(len as u64, gluefl_wire::legacy_sparse_len(Codec::F32, 1000, 3));
+//! assert_eq!(len, 16 + 4 * 3 + 4 * 3);
 //! // The entropy menu prices delta varints and RLE too, and only wins bytes.
 //! let entropy = FrameWriter::new(WirePolicy::entropy(Codec::F32));
 //! assert!(entropy.sparse_len(1000, &[7, 400, 999]) <= len as u64);
@@ -85,10 +89,10 @@ mod varint;
 pub use codec::{Codec, Rounding, QUANT_BLOCK};
 pub use error::WireError;
 pub use frame::{
-    decode_frame, decode_frame_prefix, frame_kind_from_header, frame_len, frame_len_from_header,
-    sparse_kind, ternary_kind, Frame, FrameKind, FrameWriter, HEADER_BYTES, MAGIC, VERSION,
-    VERSION_ENTROPY,
+    decode_frame, decode_frame_prefix, frame_kind_from_header, frame_len_from_header,
+    legacy_mask_len, legacy_sparse_len, Frame, FrameKind, FrameWriter, HEADER_BYTES, MAGIC,
+    VERSION, VERSION_ENTROPY,
 };
 pub use policy::{
-    delta_section_len, rle_section_len, rle_section_len_from_indices, IndexLayout, WirePolicy,
+    delta_section_len, rle_section_len, rle_section_len_from_indices, LayoutMenu, WirePolicy,
 };

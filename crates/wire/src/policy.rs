@@ -17,19 +17,20 @@ use crate::frame::FrameKind;
 use crate::varint::varint_len;
 use gluefl_tensor::BitMask;
 
-/// Which index-list layouts a sparse/ternary frame may use for its
-/// position section.
+/// Which position layouts a frame may use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum IndexLayout {
-    /// Fixed 4-byte little-endian `u32` indices only — the original v1
-    /// layout; frame lengths match the analytic
-    /// [`WireCost`](gluefl_tensor::wire::WireCost) model exactly.
+pub enum LayoutMenu {
+    /// The original v1 pair only — a `dim`-bit bitmap or fixed 4-byte
+    /// little-endian `u32` indices — so a frame's length is a function
+    /// of `(dim, nnz)` alone ([`crate::legacy_sparse_len`]).
     #[default]
     Legacy,
-    /// Additionally consider delta-coded varint indices
-    /// ([`FrameKind::SparseDelta`] / [`FrameKind::TernaryDelta`]): the
-    /// first index, then each gap−1, as canonical LEB128 varints. Near
-    /// the paper's 4% density this is ≈1 byte per index instead of 4.
+    /// Additionally consider the v2 sections, each used only when
+    /// strictly cheaper: delta-coded varint indices
+    /// ([`FrameKind::SparseDelta`] / [`FrameKind::TernaryDelta`] — near
+    /// the paper's 4% density ≈1 byte per index instead of 4) and
+    /// run-length sections ([`FrameKind::MaskRle`],
+    /// [`FrameKind::SparseRle`], [`FrameKind::TernaryRle`]).
     Entropy,
 }
 
@@ -48,12 +49,8 @@ pub enum IndexLayout {
 pub struct WirePolicy {
     /// Value codec for dense/sparse/known-mask payloads.
     pub codec: Codec,
-    /// Index-list layouts admissible for sparse/ternary positions.
-    pub index_layout: IndexLayout,
-    /// Whether run-length sections ([`FrameKind::MaskRle`],
-    /// [`FrameKind::SparseRle`], [`FrameKind::TernaryRle`]) may be used
-    /// when they are strictly cheaper.
-    pub rle: bool,
+    /// Position layouts admissible for sparse/ternary/mask frames.
+    pub menu: LayoutMenu,
     /// With a lossy codec, hand each sender the *dequantized* values it
     /// actually shipped so its error-compensation bank absorbs the codec
     /// residual alongside the top-k residual. No effect under
@@ -70,13 +67,13 @@ impl Default for WirePolicy {
 impl WirePolicy {
     /// The original v1 menu (bitmap / u32 index list, no RLE) with the
     /// given value codec — the layout every pre-entropy frame on disk
-    /// and on the wire was written in.
+    /// and on the wire was written in, and the policy the analytic byte
+    /// ledger (`RoundRecord::{up_bytes, down_bytes}`) is priced under.
     #[must_use]
     pub fn legacy(codec: Codec) -> Self {
         Self {
             codec,
-            index_layout: IndexLayout::Legacy,
-            rle: false,
+            menu: LayoutMenu::Legacy,
             quant_ec: true,
         }
     }
@@ -87,45 +84,17 @@ impl WirePolicy {
     pub fn entropy(codec: Codec) -> Self {
         Self {
             codec,
-            index_layout: IndexLayout::Entropy,
-            rle: true,
+            menu: LayoutMenu::Entropy,
             quant_ec: true,
         }
     }
 
-    /// `true` when only v1 layouts are admissible — frame lengths are
-    /// then data-independent (a pure `(kind, codec, dim, nnz)` function),
-    /// which is what lets callers cache or pre-price frames.
-    #[must_use]
-    pub fn is_legacy(&self) -> bool {
-        self.index_layout == IndexLayout::Legacy && !self.rle
-    }
-
     /// The position layout the writer picks for a sparse frame over
     /// `indices` (strictly increasing, `< dim`): the byte-cheapest
-    /// admissible kind, ties broken bitmap ≻ index ≻ delta ≻ RLE. Under
-    /// [`IndexLayout::Legacy`] without RLE this is exactly the
-    /// [`sparse_kind`](crate::sparse_kind) rule.
+    /// admissible kind, ties broken bitmap ≻ index ≻ delta ≻ RLE.
     #[must_use]
     pub fn sparse_kind(&self, dim: usize, indices: &[u32]) -> FrameKind {
-        match self.position_layout(dim, indices) {
-            PositionLayout::Bitmap => FrameKind::SparseBitmap,
-            PositionLayout::Index => FrameKind::SparseIndex,
-            PositionLayout::Delta => FrameKind::SparseDelta,
-            PositionLayout::Rle => FrameKind::SparseRle,
-        }
-    }
-
-    /// The position layout for a ternary frame — the same cost rule as
-    /// [`WirePolicy::sparse_kind`] mapped onto the ternary kinds.
-    #[must_use]
-    pub fn ternary_kind(&self, dim: usize, indices: &[u32]) -> FrameKind {
-        match self.position_layout(dim, indices) {
-            PositionLayout::Bitmap => FrameKind::TernaryBitmap,
-            PositionLayout::Index => FrameKind::TernaryIndex,
-            PositionLayout::Delta => FrameKind::TernaryDelta,
-            PositionLayout::Rle => FrameKind::TernaryRle,
-        }
+        FrameKind::sparse(self.position_layout(dim, indices))
     }
 
     /// The layout for a mask broadcast: the v1 bitmap [`FrameKind::Mask`],
@@ -133,7 +102,8 @@ impl WirePolicy {
     /// cheaper.
     #[must_use]
     pub fn mask_kind(&self, mask: &BitMask) -> FrameKind {
-        if self.rle && rle_section_len(mask) < mask.len().div_ceil(8) as u64 {
+        if self.menu == LayoutMenu::Entropy && rle_section_len(mask) < mask.len().div_ceil(8) as u64
+        {
             FrameKind::MaskRle
         } else {
             FrameKind::Mask
@@ -144,68 +114,75 @@ impl WirePolicy {
     /// [`WirePolicy::sparse_kind`] would pick.
     #[must_use]
     pub fn position_section_len(&self, dim: usize, indices: &[u32]) -> u64 {
-        match self.position_layout(dim, indices) {
-            PositionLayout::Bitmap => dim.div_ceil(8) as u64,
-            PositionLayout::Index => 4 * indices.len() as u64,
-            PositionLayout::Delta => delta_section_len(indices),
-            PositionLayout::Rle => rle_section_len_from_indices(indices),
-        }
+        self.priced_layout(dim, indices).1
     }
 
-    fn position_layout(&self, dim: usize, indices: &[u32]) -> PositionLayout {
-        let mut best = PositionLayout::Bitmap;
-        let mut best_cost = dim.div_ceil(8) as u64;
-        let index_cost = 4 * indices.len() as u64;
-        if index_cost < best_cost {
-            (best, best_cost) = (PositionLayout::Index, index_cost);
-        }
-        if self.index_layout == IndexLayout::Entropy {
-            let delta_cost = delta_section_len(indices);
-            if delta_cost < best_cost {
-                (best, best_cost) = (PositionLayout::Delta, delta_cost);
+    pub(crate) fn position_layout(&self, dim: usize, indices: &[u32]) -> PositionLayout {
+        self.priced_layout(dim, indices).0
+    }
+
+    /// The cheapest admissible layout for `indices` and its section
+    /// length.
+    fn priced_layout(&self, dim: usize, indices: &[u32]) -> (PositionLayout, u64) {
+        let mut best = legacy_positions(dim, indices.len());
+        if self.menu == LayoutMenu::Entropy {
+            let delta = delta_section_len(indices);
+            if delta < best.1 {
+                best = (PositionLayout::Delta, delta);
             }
-        }
-        if self.rle && rle_section_len_from_indices(indices) < best_cost {
-            best = PositionLayout::Rle;
+            let rle = rle_section_len_from_indices(indices);
+            if rle < best.1 {
+                best = (PositionLayout::Rle, rle);
+            }
         }
         best
     }
 }
 
-/// A position-section layout, before mapping to sparse/ternary kinds.
+/// A position-section layout, before mapping to sparse/ternary/mask kinds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum PositionLayout {
+pub(crate) enum PositionLayout {
     Bitmap,
     Index,
     Delta,
     Rle,
 }
 
-/// Exact byte length of the delta-varint position section for `indices`
-/// (strictly increasing): `varint(ix[0])` then `varint(gap − 1)` per
-/// successor. Empty for zero indices.
-#[must_use]
-pub fn delta_section_len(indices: &[u32]) -> u64 {
-    let mut total = 0u64;
-    let mut prev: Option<u32> = None;
-    for &i in indices {
-        let v = match prev {
-            None => u64::from(i),
-            Some(p) => u64::from(i - p - 1),
-        };
-        total += varint_len(v) as u64;
-        prev = Some(i);
+/// The v1 position section for `nnz` of `dim` positions and its byte
+/// length: the `dim`-bit bitmap when `ceil(dim/8) ≤ 4·nnz` (ties
+/// included), the `u32` index list otherwise. The one statement of the
+/// bitmap/index rule: every writer's layout choice starts from it and
+/// the byte ledger's count-based price ([`crate::legacy_sparse_len`]) is
+/// it.
+pub(crate) fn legacy_positions(dim: usize, nnz: usize) -> (PositionLayout, u64) {
+    let (bitmap, index) = (dim.div_ceil(8) as u64, 4 * nnz as u64);
+    if bitmap <= index {
+        (PositionLayout::Bitmap, bitmap)
+    } else {
+        (PositionLayout::Index, index)
     }
-    total
 }
 
-/// Exact byte length of the run-length position section for `indices`
-/// (strictly increasing): alternating zeros-run / ones-run varints,
-/// ending with the ones-run that reaches the final index (trailing zeros
-/// are implicit). Empty for zero indices.
-#[must_use]
-pub fn rle_section_len_from_indices(indices: &[u32]) -> u64 {
-    let mut total = 0u64;
+/// Calls `f` with each varint of the delta position section for
+/// `indices` (strictly increasing), in order: the first index, then
+/// `gap − 1` per successor. The section's grammar, walked once for both
+/// its length and its bytes.
+pub(crate) fn for_each_delta(indices: &[u32], mut f: impl FnMut(u64)) {
+    let mut prev: Option<u32> = None;
+    for &i in indices {
+        f(match prev {
+            None => u64::from(i),
+            Some(p) => u64::from(i - p - 1),
+        });
+        prev = Some(i);
+    }
+}
+
+/// Calls `f(zeros, ones)` for each maximal run of consecutive `indices`
+/// (strictly increasing), in order: the zeros-run before it and its
+/// length — the two varints the run-length section spends on it
+/// (trailing zeros are implicit).
+pub(crate) fn for_each_index_run(indices: &[u32], mut f: impl FnMut(u64, u64)) {
     let mut j = 0usize;
     let mut pos = 0u64;
     while j < indices.len() {
@@ -216,10 +193,40 @@ pub fn rle_section_len_from_indices(indices: &[u32]) -> u64 {
             end += 1;
             j += 1;
         }
-        total += varint_len(start - pos) as u64;
-        total += varint_len(end - start) as u64;
+        f(start - pos, end - start);
         pos = end;
     }
+}
+
+/// [`for_each_index_run`] over the set positions of `mask`.
+pub(crate) fn for_each_mask_run(mask: &BitMask, mut f: impl FnMut(u64, u64)) {
+    let mut pos = 0usize;
+    mask.for_each_run(|start, len| {
+        f((start - pos) as u64, len as u64);
+        pos = start + len;
+    });
+}
+
+/// Exact byte length of the delta-varint position section for `indices`
+/// (strictly increasing): `varint(ix[0])` then `varint(gap − 1)` per
+/// successor. Empty for zero indices.
+#[must_use]
+pub fn delta_section_len(indices: &[u32]) -> u64 {
+    let mut total = 0u64;
+    for_each_delta(indices, |v| total += varint_len(v) as u64);
+    total
+}
+
+/// Exact byte length of the run-length position section for `indices`
+/// (strictly increasing): alternating zeros-run / ones-run varints,
+/// ending with the ones-run that reaches the final index (trailing zeros
+/// are implicit). Empty for zero indices.
+#[must_use]
+pub fn rle_section_len_from_indices(indices: &[u32]) -> u64 {
+    let mut total = 0u64;
+    for_each_index_run(indices, |zeros, ones| {
+        total += (varint_len(zeros) + varint_len(ones)) as u64;
+    });
     total
 }
 
@@ -229,11 +236,8 @@ pub fn rle_section_len_from_indices(indices: &[u32]) -> u64 {
 #[must_use]
 pub fn rle_section_len(mask: &BitMask) -> u64 {
     let mut total = 0u64;
-    let mut pos = 0usize;
-    mask.for_each_run(|start, len| {
-        total += varint_len((start - pos) as u64) as u64;
-        total += varint_len(len as u64) as u64;
-        pos = start + len;
+    for_each_mask_run(mask, |zeros, ones| {
+        total += (varint_len(zeros) + varint_len(ones)) as u64;
     });
     total
 }
@@ -245,23 +249,29 @@ mod tests {
     #[test]
     fn default_policy_is_the_legacy_menu() {
         let p = WirePolicy::default();
-        assert_eq!(p.codec, Codec::F32);
-        assert!(p.is_legacy());
+        assert_eq!(p, WirePolicy::legacy(Codec::F32));
+        assert_eq!(p.menu, LayoutMenu::Legacy);
         assert!(p.quant_ec);
-        assert!(!WirePolicy::entropy(Codec::F32).is_legacy());
+        assert_ne!(p, WirePolicy::entropy(Codec::F32));
     }
 
     #[test]
     fn legacy_policy_matches_the_v1_sparse_rule() {
         let p = WirePolicy::default();
-        for (dim, nnz) in [(1000usize, 3usize), (1000, 400), (3200, 100), (3200, 99)] {
+        // Very sparse → index list; dense-ish → bitmap; tie → bitmap.
+        for (dim, nnz, want) in [
+            (1000usize, 3usize, FrameKind::SparseIndex),
+            (1000, 400, FrameKind::SparseBitmap),
+            (3200, 100, FrameKind::SparseBitmap),
+            (3200, 99, FrameKind::SparseIndex),
+        ] {
             let step = (dim / nnz) as u32;
             let indices: Vec<u32> = (0..nnz as u32).map(|i| i * step).collect();
-            assert_eq!(
-                p.sparse_kind(dim, &indices),
-                crate::frame::sparse_kind(dim, nnz),
-                "dim={dim} nnz={nnz}"
-            );
+            assert_eq!(p.sparse_kind(dim, &indices), want, "dim={dim} nnz={nnz}");
+            // The closed form the rule is stated as, restated here.
+            let reference = dim.div_ceil(8).min(4 * nnz) as u64;
+            assert_eq!(p.position_section_len(dim, &indices), reference);
+            assert_eq!(legacy_positions(dim, nnz).1, reference);
         }
     }
 

@@ -1,9 +1,11 @@
-//! Property tests pinning the codec to the analytic cost model and to
-//! its round-trip guarantees:
+//! Property tests pinning the codec to its length laws and to its
+//! round-trip guarantees:
 //!
-//! * **F32 length parity** — for every frame kind, the encoded frame
-//!   length equals the corresponding `WireCost` total (including
-//!   `HEADER_BYTES`) across adversarial `dim`/`nnz` combinations;
+//! * **F32 length parity** — for every frame kind, the encoded v1 frame
+//!   length equals a closed form written out below ([`closed_form`], the
+//!   suite's independent reference) and the count-based predictors the
+//!   byte ledger is priced with, across adversarial `dim`/`nnz`
+//!   combinations;
 //! * **F32 bit-exactness** — encode → decode reproduces indices and value
 //!   bits exactly;
 //! * **F16 / QuantU8 bounded error** — decoded values stay within the
@@ -15,13 +17,22 @@
 //!   ([`delta_section_len`] / [`rle_section_len`]), never exceeds the
 //!   legacy layout, and the round trip stays bit-exact.
 
-use gluefl_tensor::wire::{WireCost, HEADER_BYTES};
 use gluefl_tensor::BitMask;
 use gluefl_wire::{
-    decode_frame, delta_section_len, rle_section_len, rle_section_len_from_indices, Codec,
-    FrameKind, FrameWriter, Rounding, WirePolicy, QUANT_BLOCK,
+    decode_frame, delta_section_len, legacy_mask_len, legacy_sparse_len, rle_section_len,
+    rle_section_len_from_indices, Codec, FrameKind, FrameWriter, Rounding, WirePolicy, QUANT_BLOCK,
 };
 use proptest::prelude::*;
+
+const HEADER_BYTES: u64 = 16;
+
+/// Length of a v1 F32 frame carrying `nnz` values of a `dim`-vector with
+/// explicit positions: header, the cheaper of bitmap and `u32` index
+/// list, four bytes a value. The reference every length law below is
+/// held to — arithmetic only, nothing from the crate under test.
+fn closed_form(dim: usize, nnz: usize) -> u64 {
+    (16 + dim.div_ceil(8).min(4 * nnz) + 4 * nnz) as u64
+}
 
 /// Writer producing the v1 (legacy-layout) frames the analytic length
 /// laws are stated over.
@@ -41,19 +52,20 @@ fn sparse_case(dim: usize, ones: &[bool]) -> (Vec<u32>, Vec<f32>) {
 }
 
 proptest! {
-    /// Dense F32 frames cost exactly `WireCost::dense(dim)` total bytes.
+    /// Dense F32 frames cost exactly header + four bytes a value.
     #[test]
     fn dense_f32_length_matches_analytic(dim in 0usize..3000) {
         let values: Vec<f32> = (0..dim).map(|i| i as f32 - 7.5).collect();
         let mut buf = Vec::new();
         let n = legacy(Codec::F32).dense(&mut buf, 1, Rounding::Nearest, &values);
-        prop_assert_eq!(n as u64, WireCost::dense(dim).total_bytes());
+        prop_assert_eq!(n as u64, HEADER_BYTES + 4 * dim as u64);
+        prop_assert_eq!(n as u64, legacy(Codec::F32).dense_len(dim));
         prop_assert_eq!(n, buf.len());
     }
 
-    /// Sparse F32 frames cost exactly `WireCost::sparse(dim, nnz)` total
-    /// bytes — including the bitmap/index-list tie-break — and known-mask
-    /// frames exactly `WireCost::known_mask(nnz)`.
+    /// Sparse F32 frames cost exactly the closed form — including the
+    /// bitmap/index-list tie-break — which is also what both predictors
+    /// (by indices, by count) say; known-mask frames cost header + values.
     #[test]
     fn sparse_f32_length_matches_analytic(
         dim in 1usize..4000,
@@ -63,12 +75,28 @@ proptest! {
         let nnz = indices.len();
         let mut buf = Vec::new();
         let n = legacy(Codec::F32).sparse(&mut buf, 0, Rounding::Nearest, dim, &indices, &values);
-        prop_assert_eq!(n as u64, WireCost::sparse(dim, nnz).total_bytes(),
-            "dim={} nnz={}", dim, nnz);
+        prop_assert_eq!(n as u64, closed_form(dim, nnz), "dim={} nnz={}", dim, nnz);
+        prop_assert_eq!(n as u64, legacy(Codec::F32).sparse_len(dim, &indices));
+        prop_assert_eq!(n as u64, legacy_sparse_len(Codec::F32, dim, nnz));
 
         let mut kbuf = Vec::new();
         let k = legacy(Codec::F32).known_mask(&mut kbuf, 0, Rounding::Nearest, dim, &values);
-        prop_assert_eq!(k as u64, WireCost::known_mask(nnz).total_bytes());
+        prop_assert_eq!(k as u64, HEADER_BYTES + 4 * nnz as u64);
+        prop_assert_eq!(k as u64, legacy(Codec::F32).known_mask_len(nnz));
+    }
+
+    /// The count-based price the byte ledger uses: value bytes are exact
+    /// and position bytes are the cheaper of bitmap and index list, for
+    /// every count — under every codec the positions cost the same.
+    #[test]
+    fn wire_cost_bounds(dim in 1usize..10_000, frac in 0.0f64..1.0) {
+        let nnz = ((dim as f64) * frac) as usize;
+        prop_assert_eq!(legacy_sparse_len(Codec::F32, dim, nnz), closed_form(dim, nnz));
+        let positions = (dim as u64).div_ceil(8).min(4 * nnz as u64);
+        prop_assert_eq!(
+            legacy_sparse_len(Codec::F16, dim, nnz),
+            HEADER_BYTES + positions + 2 * nnz as u64
+        );
     }
 
     /// Mask broadcast frames cost exactly the analytic per-sync bitmap
@@ -79,10 +107,11 @@ proptest! {
         let mut buf = Vec::new();
         let n = legacy(Codec::F32).mask(&mut buf, 0, &mask);
         prop_assert_eq!(n as u64, (dim as u64).div_ceil(8) + HEADER_BYTES);
+        prop_assert_eq!(n as u64, legacy_mask_len(dim));
     }
 
-    /// Ternary frames cost exactly the analytic `TernaryUpdate` wire
-    /// cost: sparse position bytes + one sign bit per value + one µ.
+    /// Ternary frames cost exactly the closed form with the values
+    /// swapped for one sign bit each plus one µ.
     #[test]
     fn ternary_length_matches_analytic(
         dim in 1usize..4000,
@@ -93,12 +122,23 @@ proptest! {
         let signs: Vec<bool> = (0..nnz).map(|j| j % 2 == 0).collect();
         let mut buf = Vec::new();
         let n = legacy(Codec::F32).ternary(&mut buf, 0, dim, 0.5, &indices, &signs);
-        let analytic = WireCost {
-            value_bytes: (nnz as u64).div_ceil(8) + 4,
-            position_bytes: WireCost::sparse(dim, nnz).position_bytes,
-            encoding: gluefl_tensor::WireEncoding::IndexList,
-        };
-        prop_assert_eq!(n as u64, analytic.total_bytes());
+        let reference = closed_form(dim, nnz) - 4 * nnz as u64 + 4 + (nnz as u64).div_ceil(8);
+        prop_assert_eq!(n as u64, reference);
+        prop_assert_eq!(n as u64, legacy(Codec::F32).ternary_len(dim, &indices));
+    }
+
+    /// Ternary quantization never increases the frame: one sign bit per
+    /// value plus µ against four bytes per value, same positions.
+    #[test]
+    fn ternary_never_costs_more(
+        dim in 1usize..4000,
+        ones in proptest::collection::vec(any::<bool>(), 1..64),
+    ) {
+        let (indices, _) = sparse_case(dim, &ones);
+        for policy in [WirePolicy::legacy(Codec::F32), WirePolicy::entropy(Codec::F32)] {
+            let w = FrameWriter::new(policy);
+            prop_assert!(w.ternary_len(dim, &indices) <= w.sparse_len(dim, &indices) + 4);
+        }
     }
 
     /// F32 sparse round trip is bit-exact in both indices and values.
@@ -182,7 +222,7 @@ proptest! {
             HEADER_BYTES + policy.position_section_len(dim, &indices) + 4 * nnz as u64,
             "dim={} nnz={}", dim, nnz
         );
-        prop_assert!(n as u64 <= WireCost::sparse(dim, nnz).total_bytes(),
+        prop_assert!(n as u64 <= closed_form(dim, nnz),
             "entropy layout may never lose to legacy: dim={} nnz={}", dim, nnz);
 
         let frame = decode_frame(&buf).unwrap();
@@ -276,11 +316,8 @@ fn adversarial_corner_shapes_match_analytic() {
         let values: Vec<f32> = indices.iter().map(|&i| i as f32).collect();
         let mut buf = Vec::new();
         let n = legacy(Codec::F32).sparse(&mut buf, 0, Rounding::Nearest, dim, &indices, &values);
-        assert_eq!(
-            n as u64,
-            WireCost::sparse(dim, nnz).total_bytes(),
-            "dim={dim} nnz={nnz}"
-        );
+        assert_eq!(n as u64, closed_form(dim, nnz), "dim={dim} nnz={nnz}");
+        assert_eq!(n as u64, legacy_sparse_len(Codec::F32, dim, nnz));
         let frame = decode_frame(&buf).unwrap();
         let mut vals = Vec::new();
         frame.values_into(&mut vals);

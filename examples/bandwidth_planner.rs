@@ -1,7 +1,8 @@
 //! Sticky-sampling planner: explore S and C choices analytically before
-//! running any training (Propositions 1–2 + Theorem 2), then cross-check
-//! the analytic per-message byte model against *measured* `gluefl-wire`
-//! frames.
+//! running any training (Propositions 1–2 + Theorem 2), then price a
+//! round's messages with the `gluefl-wire` length predictors — the byte
+//! ledger — and check every prediction against the frame actually
+//! encoded, under both layout menus and all three value codecs.
 //!
 //! ```text
 //! cargo run --release --example bandwidth_planner [-- N K S C]
@@ -11,11 +12,10 @@ use gluefl_core::theory::{convergence_bound, theorem2_learning_rate, variance_co
 use gluefl_sampling::analysis::{
     sticky_advantage_horizon, sticky_resample_prob, uniform_resample_prob,
 };
-use gluefl_tensor::wire::HEADER_BYTES;
-use gluefl_tensor::{BitMask, WireCost};
+use gluefl_tensor::BitMask;
 use gluefl_wire::{
     decode_frame_prefix, delta_section_len, rle_section_len, Codec, FrameKind, FrameWriter,
-    Rounding, WirePolicy,
+    Rounding, WirePolicy, HEADER_BYTES,
 };
 
 fn main() {
@@ -75,140 +75,126 @@ fn main() {
          is a favourable trade (§4.2)."
     );
 
-    // --- Per-message bytes: analytic model vs measured wire frames. ---
+    // --- Per-message bytes: predicted vs encoded wire frames. ---
     // A representative GlueFL round at d = 100k parameters, q = 20%,
-    // q_shr = 16%: every message is actually serialized through
-    // gluefl-wire and its frame length printed next to the analytic
-    // WireCost the simulator's ledger uses. With the default F32 codec
-    // the two columns are identical by construction (the property suite
-    // pins it); F16/QuantU8 show what update quantization buys.
+    // q_shr = 16%: every message is priced by the FrameWriter predictor
+    // the simulator's ledger uses, then actually serialized, and the two
+    // must agree to the byte — for every codec and both layout menus.
     let d = 100_000usize;
     let (q, q_shr) = (0.20, 0.16);
     let shared_nnz = (d as f64 * q_shr) as usize;
     let unique_nnz = (d as f64 * (q - q_shr)) as usize;
     let mask = BitMask::from_indices(d, (0..d).step_by(d / shared_nnz));
+    let clustered = BitMask::from_indices(d, (0..d).filter(|i| i % 2048 < 328));
     let shared_vals: Vec<f32> = (0..mask.count_ones())
         .map(|i| (i as f32 * 0.7).sin())
         .collect();
     let unique_ix: Vec<u32> = (1..=unique_nnz as u32).map(|i| i * 5 - 4).collect();
     let unique_vals: Vec<f32> = unique_ix.iter().map(|&i| (i as f32 * 0.3).cos()).collect();
 
-    println!("\nper-message bytes at d = {d}, q = {q}, q_shr = {q_shr}:");
-    println!(
-        "{:<26} {:>12} {:>12} {:>12} {:>12}",
-        "message", "analytic", "wire f32", "wire f16", "wire u8"
-    );
-    type Emit<'a> = &'a dyn Fn(&mut Vec<u8>, Codec) -> usize;
-    let measure = |codec: Codec, emit: Emit| -> usize {
-        let mut buf = Vec::new();
-        emit(&mut buf, codec)
-    };
-    let rows: [(&str, u64, Emit); 3] = [
+    type Predict<'a> = &'a dyn Fn(&FrameWriter) -> u64;
+    type Emit<'a> = &'a dyn Fn(&FrameWriter, &mut Vec<u8>) -> usize;
+    let rows: [(&str, Predict, Emit); 4] = [
         (
-            "mask broadcast (bitmap)",
-            (d as u64).div_ceil(8) + HEADER_BYTES,
-            &|buf, codec| FrameWriter::new(WirePolicy::legacy(codec)).mask(buf, 0, &mask),
+            "mask broadcast (scattered)",
+            &|w| w.mask_len(&mask),
+            &|w, buf| w.mask(buf, 0, &mask),
+        ),
+        (
+            "mask broadcast (clustered)",
+            &|w| w.mask_len(&clustered),
+            &|w, buf| w.mask(buf, 0, &clustered),
         ),
         (
             "shared upload (aligned)",
-            WireCost::known_mask(shared_vals.len()).total_bytes(),
-            &|buf, codec| {
-                FrameWriter::new(WirePolicy::legacy(codec)).known_mask(
-                    buf,
-                    0,
-                    Rounding::Nearest,
-                    d,
-                    &shared_vals,
-                )
-            },
+            &|w| w.known_mask_len(shared_vals.len()),
+            &|w, buf| w.known_mask(buf, 0, Rounding::Nearest, d, &shared_vals),
         ),
         (
             "unique upload (sparse)",
-            WireCost::sparse(d, unique_ix.len()).total_bytes(),
-            &|buf, codec| {
-                FrameWriter::new(WirePolicy::legacy(codec)).sparse(
-                    buf,
-                    0,
-                    Rounding::Nearest,
-                    d,
-                    &unique_ix,
-                    &unique_vals,
-                )
-            },
+            &|w| w.sparse_len(d, &unique_ix),
+            &|w, buf| w.sparse(buf, 0, Rounding::Nearest, d, &unique_ix, &unique_vals),
         ),
     ];
-    for (label, analytic, emit) in rows {
-        let f32_bytes = measure(Codec::F32, emit);
-        assert_eq!(f32_bytes as u64, analytic, "{label}: F32 frame ≠ analytic");
-        println!(
-            "{label:<26} {analytic:>12} {f32_bytes:>12} {:>12} {:>12}",
-            measure(Codec::F16, emit),
-            measure(Codec::QuantU8, emit),
+    // Encodes one message under `policy` and holds the predictor to it.
+    let encode = |label: &str, policy: WirePolicy, predict: Predict, emit: Emit| -> Vec<u8> {
+        let writer = FrameWriter::new(policy);
+        let mut buf = Vec::new();
+        let n = emit(&writer, &mut buf);
+        assert_eq!(n, buf.len());
+        assert_eq!(
+            predict(&writer),
+            n as u64,
+            "{label} under {policy:?}: predicted ≠ encoded"
         );
+        buf
+    };
+
+    println!("\nper-message bytes at d = {d}, q = {q}, q_shr = {q_shr} (v1 layouts):");
+    println!(
+        "{:<28} {:>12} {:>12} {:>12} {:>12}",
+        "message", "ledger", "wire f32", "wire f16", "wire u8"
+    );
+    for (label, predict, emit) in rows {
+        let ledger = predict(&FrameWriter::new(WirePolicy::legacy(Codec::F32)));
+        let [f32_bytes, f16_bytes, u8_bytes] = [Codec::F32, Codec::F16, Codec::QuantU8]
+            .map(|codec| encode(label, WirePolicy::legacy(codec), predict, emit).len());
+        assert_eq!(f32_bytes as u64, ledger, "{label}: F32 frame ≠ ledger");
+        println!("{label:<28} {ledger:>12} {f32_bytes:>12} {f16_bytes:>12} {u8_bytes:>12}");
     }
     println!(
-        "(wire f32 equals the analytic column bit-for-bit; the quantized \
-         columns shrink only the value sections — positions and framing \
-         are codec-independent.)"
+        "(the ledger is the v1 F32 frame length, so the first two columns \
+         agree by definition of the ledger and by test of the encoder; the \
+         quantized columns shrink only the value sections — positions and \
+         framing are codec-independent.)"
     );
 
     // --- Position layouts: fixed v1 sections vs v2 entropy sections. ---
     // Same messages, F32 values pinned — now only the *position* encoding
     // changes. `WirePolicy::entropy` prices every applicable section
     // exactly (bitmap, u32 index list, delta-varint list, RLE runs) and
-    // emits the cheapest, so the measured frame is header + values +
-    // analytic section, byte for byte. Scattered supports keep the
-    // bitmap (one-bit runs make RLE *bigger*); layer-clustered supports
-    // are where RLE pays; sorted index lists nearly always shrink to
-    // delta varints.
-    let clustered = BitMask::from_indices(d, (0..d).filter(|i| i % 2048 < 328));
-    let legacy = FrameWriter::new(WirePolicy::legacy(Codec::F32));
-    let entropy = FrameWriter::new(WirePolicy::entropy(Codec::F32));
+    // emits the cheapest. Scattered supports keep the bitmap (one-bit
+    // runs make RLE *bigger*); layer-clustered supports are where RLE
+    // pays; sorted index lists nearly always shrink to delta varints.
     let layout_name = |buf: &[u8]| match decode_frame_prefix(buf).expect("valid frame").0.kind {
         FrameKind::Mask | FrameKind::SparseBitmap => "bitmap",
         FrameKind::SparseIndex => "u32 index",
         FrameKind::SparseDelta => "delta-varint",
         FrameKind::MaskRle | FrameKind::SparseRle => "rle",
+        FrameKind::KnownMask => "none",
         _ => "other",
     };
     println!("\nposition layouts at the same d, F32 values pinned:");
     println!(
-        "{:<28} {:>10} {:>10} {:>13} {:>17}",
-        "message", "v1 bytes", "v2 bytes", "v2 layout", "analytic section"
+        "{:<28} {:>10} {:>10} {:>13}",
+        "message", "v1 bytes", "v2 bytes", "v2 layout"
     );
-    let shoot_out = |label: &str, v1: &[u8], v2: &[u8], section: u64| {
+    for (label, predict, emit) in rows {
+        let v1 = encode(label, WirePolicy::legacy(Codec::F32), predict, emit);
+        for codec in [Codec::F16, Codec::QuantU8] {
+            let _ = encode(label, WirePolicy::entropy(codec), predict, emit);
+        }
+        let v2 = encode(label, WirePolicy::entropy(Codec::F32), predict, emit);
+        assert!(v2.len() <= v1.len(), "{label}: entropy layout regressed");
         println!(
-            "{label:<28} {:>10} {:>10} {:>13} {:>17}",
+            "{label:<28} {:>10} {:>10} {:>13}",
             v1.len(),
             v2.len(),
-            layout_name(v2),
-            section
+            layout_name(&v2)
         );
-        assert!(v2.len() <= v1.len(), "{label}: entropy layout regressed");
-    };
-
-    let (mut a, mut b) = (Vec::new(), Vec::new());
-    legacy.mask(&mut a, 0, &mask);
-    entropy.mask(&mut b, 0, &mask);
-    shoot_out("mask broadcast (scattered)", &a, &b, (d as u64).div_ceil(8));
-
-    let (mut a, mut b) = (Vec::new(), Vec::new());
-    legacy.mask(&mut a, 0, &clustered);
-    entropy.mask(&mut b, 0, &clustered);
-    let rle = rle_section_len(&clustered);
-    assert_eq!(b.len() as u64, HEADER_BYTES + rle, "rle frame ≠ analytic");
-    shoot_out("mask broadcast (clustered)", &a, &b, rle);
-
-    let (mut a, mut b) = (Vec::new(), Vec::new());
-    legacy.sparse(&mut a, 0, Rounding::Nearest, d, &unique_ix, &unique_vals);
-    entropy.sparse(&mut b, 0, Rounding::Nearest, d, &unique_ix, &unique_vals);
-    let delta = delta_section_len(&unique_ix);
+    }
+    // The two sections that win here cost what their closed forms say.
+    let entropy = FrameWriter::new(WirePolicy::entropy(Codec::F32));
     assert_eq!(
-        b.len() as u64,
-        HEADER_BYTES + delta + 4 * unique_ix.len() as u64,
-        "delta frame ≠ analytic"
+        entropy.mask_len(&clustered),
+        HEADER_BYTES as u64 + rle_section_len(&clustered),
+        "rle frame ≠ section cost"
     );
-    shoot_out("unique upload (sparse)", &a, &b, delta);
+    assert_eq!(
+        entropy.sparse_len(d, &unique_ix),
+        HEADER_BYTES as u64 + delta_section_len(&unique_ix) + 4 * unique_ix.len() as u64,
+        "delta frame ≠ section cost"
+    );
     println!(
         "(v2 frames stay self-describing — the decoder dispatches on the \
          frame kind, so a v2 reader accepts both columns.)"

@@ -6,10 +6,9 @@
 //! ```
 
 use gluefl_compress::ApfConfig;
-use gluefl_core::{GlueFlParams, RunResult, SimConfig, Simulation, StrategyConfig};
+use gluefl_core::{bytes_to_mb, GlueFlParams, RunResult, SimConfig, Simulation, StrategyConfig};
 use gluefl_data::DatasetProfile;
 use gluefl_ml::DatasetModel;
-use gluefl_tensor::wire::bytes_to_mb;
 
 fn main() {
     let rounds: u32 = std::env::args()

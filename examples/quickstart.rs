@@ -21,12 +21,11 @@
 //! threads.
 
 use gluefl_core::{
-    local_train_into, GlueFlParams, SimConfig, Simulation, StrategyConfig, TrainSlot,
+    bytes_to_mb, local_train_into, GlueFlParams, SimConfig, Simulation, StrategyConfig, TrainSlot,
 };
 use gluefl_data::DatasetProfile;
 use gluefl_ml::DatasetModel;
 use gluefl_tensor::rng::derive_seed;
-use gluefl_tensor::wire::bytes_to_mb;
 
 fn main() {
     // `paper_setup` bundles the paper's §5.1 defaults for one

@@ -1,11 +1,13 @@
 //! End-to-end wire-codec gates on the full simulator.
 //!
 //! 1. **F32 measured ≡ analytic** — with the default `F32` codec, the
-//!    bytes actually serialized by `gluefl-wire` for every round's
-//!    uploads equal the analytic `WireCost` accounting bit-for-bit, for
-//!    every strategy (including ternary-quantized STC and GlueFL's
-//!    two-frame split upload), and the measured broadcast equals the
-//!    dense-model + mask-bitmap model.
+//!    bytes offered for every round's uploads equal the analytic ledger
+//!    bit-for-bit, for every strategy (including ternary-quantized STC
+//!    and GlueFL's two-frame split upload) — and every kept upload's
+//!    encoded length is checked against its offer by the in-process
+//!    clients, so a run that completes has met the encoder — and the
+//!    measured broadcast equals the dense-model + mask-bitmap closed
+//!    form.
 //! 2. **Lossy codecs shrink measured bytes** while training still runs
 //!    (finite accuracy, support preserved).
 //! 3. **QuantU8 serial ≡ parallel** — deterministic stochastic rounding
@@ -17,8 +19,10 @@ use gluefl_compress::ApfConfig;
 use gluefl_core::{GlueFlParams, SimConfig, Simulation, StrategyConfig, WireCodec, WirePolicy};
 use gluefl_data::DatasetProfile;
 use gluefl_ml::DatasetModel;
-use gluefl_tensor::wire::HEADER_BYTES;
-use gluefl_tensor::WireCost;
+
+/// Frame header bytes, restated: the closed forms below are this file's
+/// own reference, not the wire crate's.
+const HEADER_BYTES: u64 = 16;
 
 fn cfg(strategy: StrategyConfig, rounds: u32) -> SimConfig {
     let mut cfg = SimConfig::paper_setup(
@@ -80,7 +84,7 @@ fn f32_measured_bytes_equal_analytic_for_every_strategy() {
             );
             assert_eq!(
                 rec.wire_broadcast_bytes,
-                WireCost::dense(dim).total_bytes() + mask_bytes,
+                HEADER_BYTES + 4 * dim as u64 + mask_bytes,
                 "{strategy:?}: measured broadcast diverged at round {}",
                 rec.round
             );
