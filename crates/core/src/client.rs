@@ -27,26 +27,32 @@ use crate::wire_link::{self, ShippedAt};
 use gluefl_compress::stc::keep_count;
 use gluefl_compress::{CompensationMode, ErrorCompensator, SplitWalk};
 use gluefl_data::SyntheticFlDataset;
-use gluefl_ml::Mlp;
+use gluefl_ml::MlpTopology;
 use gluefl_sampling::ClientId;
-use gluefl_tensor::rng::{derive_seed, seeded_rng};
+use gluefl_tensor::rng::derive_seed;
 use gluefl_tensor::{BitMask, MaskAligned};
 use gluefl_wire::{Codec, FrameWriter, WirePolicy};
 use std::sync::Arc;
 
 /// What every participant of a run — the round engine, the in-process
 /// clients, a socket client — derives from the [`SimConfig`] alone: the
-/// synthetic dataset, the freshly initialised model, and the split of
-/// its flat parameters into trainable positions and BatchNorm
-/// statistics. Deterministic in `cfg.seed`, so two processes given the
-/// same config hold bit-identical copies.
+/// synthetic population, the model's architecture, and the split of its
+/// flat parameters into trainable positions and BatchNorm statistics.
+/// Deterministic in `cfg.seed`, so two processes given the same config
+/// hold bit-identical copies.
+///
+/// It is the *cheap, shared* part of a run: O(classes × features +
+/// clients), no weights and no test set. The initial weights and the
+/// held-out test set belong to the evaluator — [`crate::RoundEngine::new`]
+/// draws both — so a socket client, which receives its weights in every
+/// broadcast and never evaluates, pays for neither.
 #[derive(Debug)]
 pub struct RunSetup {
-    /// The synthetic population (shared, never mutated).
+    /// The synthetic population (shared, never mutated; its test set is
+    /// drawn on first use).
     pub data: Arc<SyntheticFlDataset>,
-    /// The initial global model. Clients use only its topology; the
-    /// weights they train on arrive in every broadcast.
-    pub model: Mlp,
+    /// The model's architecture: layout and flat offsets, no weights.
+    pub topology: MlpTopology,
     /// Flat indices of the BN-statistic positions, ascending.
     pub stats_positions: Vec<usize>,
     /// Mask of trainable positions (complement of the BN statistics).
@@ -54,20 +60,17 @@ pub struct RunSetup {
 }
 
 impl RunSetup {
-    /// Generates the dataset and initialises the model for `cfg`.
+    /// Generates the population and lays out the model for `cfg`.
     #[must_use]
     pub fn new(cfg: &SimConfig) -> Self {
         let data =
             SyntheticFlDataset::generate(cfg.dataset.clone(), derive_seed(cfg.seed, "data", 0));
-        let mut init_rng = seeded_rng(cfg.seed, "model-init", 0);
-        let model = cfg
-            .model
-            .build(data.feature_dim(), data.classes(), &mut init_rng);
-        let trainable_mask = model.layout().trainable_mask();
+        let topology = cfg.model.topology(data.feature_dim(), data.classes());
+        let trainable_mask = topology.layout().trainable_mask();
         let stats_positions = trainable_mask.iter_zeros().collect();
         Self {
             data: Arc::new(data),
-            model,
+            topology,
             stats_positions,
             trainable_mask,
         }
@@ -82,7 +85,7 @@ impl RunSetup {
     /// Number of trainable positions (the base of every `q` ratio).
     #[must_use]
     pub fn trainable(&self) -> usize {
-        self.model.layout().trainable_count()
+        self.topology.layout().trainable_count()
     }
 }
 
@@ -195,7 +198,7 @@ impl ClientCompressor {
             cfg,
             setup.data.client_weights(),
             setup.trainable(),
-            setup.model.num_params(),
+            setup.topology.num_params(),
             setup.stats_excluded(),
         )
     }

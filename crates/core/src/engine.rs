@@ -199,16 +199,24 @@ impl RoundEngine {
     /// Builds the server side of `cfg`'s run from what [`RunSetup`]
     /// derived; every other piece of state (strategy, links, speeds,
     /// availability, RNG) derives deterministically from `cfg.seed`.
+    ///
+    /// The engine is the run's one holder of weights and its one
+    /// evaluator, so the two things only those need are paid for here,
+    /// at set-up: the initial weights are drawn from the `"model-init"`
+    /// stream, and the dataset's test set is drawn now rather than by
+    /// the first evaluation.
     #[must_use]
     pub fn new(cfg: SimConfig, setup: RunSetup) -> Self {
         let stats_excluded = setup.stats_excluded();
         let trainable = setup.trainable();
         let RunSetup {
             data,
-            model,
+            topology,
             stats_positions,
             ..
         } = setup;
+        let model = Mlp::init(topology, &mut seeded_rng(cfg.seed, "model-init", 0));
+        let _ = data.test_set();
         let n = data.num_clients();
         let dim = model.num_params();
         let mut strat_rng = seeded_rng(cfg.seed, "strategy", 0);
@@ -729,5 +737,36 @@ fn check_upload_indices(upload: &Upload, dim: usize) -> Result<(), WireError> {
         Upload::Sparse(u) => check(u.indices()),
         Upload::Ternary(t) => check(&t.indices),
         Upload::MaskSplit(s) => check(s.unique.indices()),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use gluefl_data::DatasetProfile;
+    use gluefl_ml::DatasetModel;
+
+    /// The initial weights are drawn by the engine, not by [`RunSetup`];
+    /// the fingerprint is the parameter bits a paper-shape run started
+    /// from when `RunSetup` still drew them.
+    #[test]
+    fn initial_weights_are_the_model_init_draw() {
+        let cfg = SimConfig::paper_setup(
+            DatasetProfile::Femnist,
+            DatasetModel::ShuffleNet,
+            StrategyConfig::FedAvg,
+            0.1,
+            1,
+            31,
+        );
+        let engine = RoundEngine::new(cfg.clone(), RunSetup::new(&cfg));
+        let params = engine.model().params();
+        let fnv = params
+            .iter()
+            .flat_map(|v| v.to_bits().to_le_bytes())
+            .fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+                (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3)
+            });
+        assert_eq!((params.len(), fnv), (38_176, 0x79a0_562f_4922_5a8b));
     }
 }

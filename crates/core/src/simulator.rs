@@ -301,7 +301,7 @@ impl InProcessClients {
         Self {
             cfg: cfg.clone(),
             data: Arc::clone(&setup.data),
-            topo: setup.model.topology().clone(),
+            topo: setup.topology.clone(),
             stats_positions: setup.stats_positions.clone(),
             trainable_mask: setup.trainable_mask.clone(),
             compressor: ClientCompressor::for_run(cfg, setup),

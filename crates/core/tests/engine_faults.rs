@@ -199,7 +199,7 @@ fn scripted(cfg: &SimConfig, setup: &RunSetup, fault: Fault, reverse: bool) -> S
     Scripted {
         clients: InProcessClients::new(cfg, setup),
         fault,
-        dim: setup.model.num_params(),
+        dim: setup.topology.num_params(),
         stats_len: setup.stats_positions.len(),
         reverse,
         silent: 0,

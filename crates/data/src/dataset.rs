@@ -3,6 +3,7 @@
 use gluefl_tensor::rng::{derive_seed, seeded_rng};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::sync::OnceLock;
 
 /// Generation parameters for a [`SyntheticFlDataset`].
 #[derive(Debug, Clone, PartialEq)]
@@ -120,14 +121,20 @@ pub struct SyntheticFlDataset {
     /// Class means, `classes × feature_dim` row-major.
     class_means: Vec<f32>,
     client_meta: Vec<ClientMeta>,
-    test_x: Vec<f32>,
-    test_y: Vec<usize>,
+    /// The held-out `(features, labels)`, drawn by the first
+    /// [`SyntheticFlDataset::test_set`] call.
+    test: OnceLock<(Vec<f32>, Vec<usize>)>,
     /// Normalised client weights `p_i` (∝ sample count, Σ = 1).
     weights: Vec<f64>,
 }
 
 impl SyntheticFlDataset {
-    /// Generates a dataset.
+    /// Generates the population: class means, per-client metadata and
+    /// importance weights — what every participant of a run needs. The
+    /// held-out test set, which only an evaluator reads, is not drawn
+    /// here but by the first [`test_set`](Self::test_set) call, from its
+    /// own `"test-set"` stream, so when it is drawn never changes what
+    /// it holds.
     ///
     /// # Panics
     /// Panics on degenerate configs (zero classes/clients/features).
@@ -184,19 +191,6 @@ impl SyntheticFlDataset {
             });
         }
 
-        // Class-balanced test set (no client bias: the global distribution).
-        let mut trng = seeded_rng(seed, "test-set", 0);
-        let mut test_x = Vec::with_capacity(cfg.test_samples * cfg.feature_dim);
-        let mut test_y = Vec::with_capacity(cfg.test_samples);
-        for i in 0..cfg.test_samples {
-            let c = i % cfg.classes;
-            let mean = &class_means[c * cfg.feature_dim..(c + 1) * cfg.feature_dim];
-            for &m in mean {
-                test_x.push(m + (cfg.noise_sigma * normal(&mut trng)) as f32);
-            }
-            test_y.push(c);
-        }
-
         // Importance weights p_i ∝ |D_i|.
         let total_samples: f64 = client_meta.iter().map(|m| m.num_samples as f64).sum();
         let weights = client_meta
@@ -209,8 +203,7 @@ impl SyntheticFlDataset {
             master_seed: seed,
             class_means,
             client_meta,
-            test_x,
-            test_y,
+            test: OnceLock::new(),
             weights,
         }
     }
@@ -286,10 +279,30 @@ impl SyntheticFlDataset {
         }
     }
 
-    /// The held-out test set `(features, labels)`.
+    /// The held-out, class-balanced test set `(features, labels)`: row
+    /// `i` is class `i mod classes` at its class mean plus noise, with no
+    /// client bias (the global distribution).
+    ///
+    /// Drawn on the first call from the `"test-set"` stream and kept;
+    /// concurrent first calls draw it once and every caller sees the
+    /// same slices.
     #[must_use]
     pub fn test_set(&self) -> (&[f32], &[usize]) {
-        (&self.test_x, &self.test_y)
+        let (x, y) = self.test.get_or_init(|| {
+            let (cfg, dim) = (&self.cfg, self.cfg.feature_dim);
+            let mut rng = seeded_rng(self.master_seed, "test-set", 0);
+            let mut x = Vec::with_capacity(cfg.test_samples * dim);
+            let mut y = Vec::with_capacity(cfg.test_samples);
+            for i in 0..cfg.test_samples {
+                let c = i % cfg.classes;
+                for &m in &self.class_means[c * dim..(c + 1) * dim] {
+                    x.push(m + (cfg.noise_sigma * normal(&mut rng)) as f32);
+                }
+                y.push(c);
+            }
+            (x, y)
+        });
+        (x, y)
     }
 
     /// The master seed the dataset was generated from.
@@ -427,6 +440,50 @@ mod tests {
             .collect();
         let observed: std::collections::HashSet<usize> = d.client(0).y.iter().copied().collect();
         assert!(observed.is_subset(&meta_classes));
+    }
+
+    fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
+        bytes.into_iter().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3)
+        })
+    }
+
+    /// The test set moved from `generate` to the first `test_set` call;
+    /// these fingerprints are what the eager draw produced before the
+    /// move (FEMNIST at 10 % scale, and the small config above).
+    #[test]
+    fn test_set_on_first_use_is_bit_identical_to_the_eager_draw() {
+        let femnist = SyntheticFlDataset::generate(DatasetProfile::Femnist.config(0.1), 31);
+        for (d, want) in [
+            (femnist, (0x430d_7412_4037_ad90, 0x6cd5_aad7_7702_4725)),
+            (small(), (0x82d9_f782_f28d_c4b2, 0xf2a2_df1c_167d_d565)),
+        ] {
+            assert!(d.test.get().is_none(), "generate drew the test set");
+            let (x, y) = d.test_set();
+            let x_fnv = fnv1a(x.iter().flat_map(|v| v.to_bits().to_le_bytes()));
+            let y_fnv = fnv1a(y.iter().flat_map(|&c| (c as u64).to_le_bytes()));
+            assert_eq!((x_fnv, y_fnv), want);
+        }
+    }
+
+    #[test]
+    fn concurrent_first_calls_see_one_test_set() {
+        let d = small();
+        let addrs: Vec<(usize, usize)> = std::thread::scope(|s| {
+            let callers: Vec<_> = (0..4)
+                .map(|_| {
+                    s.spawn(|| {
+                        let (x, y) = d.test_set();
+                        (x.as_ptr() as usize, y.as_ptr() as usize)
+                    })
+                })
+                .collect();
+            callers.into_iter().map(|c| c.join().unwrap()).collect()
+        });
+        let (x, y) = d.test_set();
+        assert!(addrs
+            .iter()
+            .all(|&a| a == (x.as_ptr() as usize, y.as_ptr() as usize)));
     }
 
     #[test]

@@ -89,7 +89,7 @@ pub struct EvalMetrics {
 /// The immutable architecture of an [`Mlp`]: configuration, flat-parameter
 /// layout, and per-layer offsets.
 ///
-/// A topology is built once (by [`Mlp::new`]) and shared by reference —
+/// A topology is built once ([`MlpTopology::new`]) and shared by reference —
 /// it is `Sync`, so parallel client training hands `&MlpTopology` to every
 /// worker thread and each worker brings its own parameter buffer and
 /// [`TrainScratch`]. All training/eval kernels live here; [`Mlp`] wraps
@@ -671,14 +671,17 @@ pub(crate) fn bn_backward_into(
     }
 }
 
-impl Mlp {
-    /// Builds and initialises a model (Kaiming-uniform weights, zero
-    /// biases, BN gamma 1 / beta 0 / mean 0 / var 1 / count 0).
+impl MlpTopology {
+    /// Lays out the architecture of `cfg` — parameter groups, flat
+    /// offsets, trainable vs BN-statistic positions — without allocating
+    /// or drawing any weights: everything a client that receives its
+    /// weights over the wire needs. [`Mlp::new`] is this plus the
+    /// initial weights.
     ///
     /// # Panics
-    /// Panics if `input_dim == 0` or `classes == 0`.
+    /// Panics if `input_dim == 0`, `classes == 0` or a hidden width is 0.
     #[must_use]
-    pub fn new<R: Rng>(cfg: MlpConfig, rng: &mut R) -> Self {
+    pub fn new(cfg: MlpConfig) -> Self {
         assert!(cfg.input_dim > 0, "input_dim must be positive");
         assert!(cfg.classes > 0, "classes must be positive");
         let mut b = ParamLayout::builder();
@@ -737,32 +740,45 @@ impl Mlp {
             b_off,
         });
 
-        let layout = b.finish();
-        let mut params = vec![0.0f32; layout.total()];
-        for l in &linears {
+        Self {
+            cfg,
+            layout: b.finish(),
+            linears,
+            bns,
+        }
+    }
+}
+
+impl Mlp {
+    /// Builds and initialises a model: [`MlpTopology::new`], then
+    /// Kaiming-uniform weights drawn from `rng` layer by layer, zero
+    /// biases, BN gamma 1 / beta 0 / mean 0 / var 1 / count 0.
+    ///
+    /// # Panics
+    /// As [`MlpTopology::new`].
+    #[must_use]
+    pub fn new<R: Rng>(cfg: MlpConfig, rng: &mut R) -> Self {
+        Self::init(MlpTopology::new(cfg), rng)
+    }
+
+    /// Initialises fresh weights over an existing topology — the
+    /// initialisation half of [`Mlp::new`], drawing the same values from
+    /// `rng` in the same order.
+    #[must_use]
+    pub fn init<R: Rng>(topo: MlpTopology, rng: &mut R) -> Self {
+        let mut params = vec![0.0f32; topo.num_params()];
+        for l in &topo.linears {
             kaiming_uniform(
                 rng,
                 &mut params[l.w_off..l.w_off + l.in_dim * l.out_dim],
                 l.in_dim,
             );
         }
-        for bn in bns.iter().flatten() {
-            for g in &mut params[bn.gamma_off..bn.gamma_off + bn.dim] {
-                *g = 1.0;
-            }
-            for v in &mut params[bn.var_off..bn.var_off + bn.dim] {
-                *v = 1.0;
-            }
+        for bn in topo.bns.iter().flatten() {
+            params[bn.gamma_off..bn.gamma_off + bn.dim].fill(1.0);
+            params[bn.var_off..bn.var_off + bn.dim].fill(1.0);
         }
-        Self {
-            topo: MlpTopology {
-                cfg,
-                layout,
-                linears,
-                bns,
-            },
-            params,
-        }
+        Self { topo, params }
     }
 
     /// The shared immutable architecture (see [`MlpTopology`]).
@@ -919,6 +935,47 @@ mod tests {
             .collect();
         let y: Vec<usize> = (0..batch).map(|_| rng.gen_range(0..classes)).collect();
         (x, y)
+    }
+
+    /// `Mlp::new` split into a topology and an init must draw the same
+    /// weights in the same order: the fingerprints are the parameter
+    /// bits the one-piece constructor produced before the split, and the
+    /// two paths leave `rng` at the same point.
+    #[test]
+    fn topology_plus_init_is_the_one_piece_constructor() {
+        let fingerprints = [
+            (0xf16f_84ae_f515_22e6, 0xf0d5_47b2_d44d_25b3),
+            (0xabcb_67de_817d_7196, 0x7201_4ab2_4171_dcb6),
+            (0x0373_b911_f454_bc42, 0xc0be_03cc_c2cc_17e9),
+            (0xe66b_0626_2f55_3620, 0x3507_1fa6_201a_81ce),
+        ];
+        let fnv = |params: &[f32]| {
+            params
+                .iter()
+                .flat_map(|v| v.to_bits().to_le_bytes())
+                .fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+                    (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3)
+                })
+        };
+        for (layers, (plain, with_bn)) in fingerprints.into_iter().enumerate() {
+            for (batch_norm, want) in [(false, plain), (true, with_bn)] {
+                let cfg = MlpConfig {
+                    input_dim: 6,
+                    hidden: [5, 4, 3][..layers].to_vec(),
+                    classes: 3,
+                    batch_norm,
+                };
+                let seed = layers as u64 * 2 + u64::from(batch_norm);
+                let mut rng_a = StdRng::seed_from_u64(seed);
+                let mut rng_b = StdRng::seed_from_u64(seed);
+                let a = Mlp::new(cfg.clone(), &mut rng_a);
+                let b = Mlp::init(MlpTopology::new(cfg), &mut rng_b);
+                assert_eq!(fnv(a.params()), want, "{layers} layers, bn {batch_norm}");
+                assert_eq!(fnv(b.params()), want, "{layers} layers, bn {batch_norm}");
+                assert_eq!(a.topology(), b.topology());
+                assert_eq!(rng_a.gen::<u64>(), rng_b.gen::<u64>());
+            }
+        }
     }
 
     /// Finite-difference gradient check on every trainable parameter of a

@@ -1,6 +1,6 @@
 //! Named model profiles standing in for the paper's architectures.
 
-use crate::mlp::{Mlp, MlpConfig};
+use crate::mlp::{Mlp, MlpConfig, MlpTopology};
 use rand::Rng;
 
 /// The three model architectures of the paper's evaluation (§5.1).
@@ -115,19 +115,23 @@ impl ModelProfile {
         }
     }
 
-    /// Builds the stand-in model for a task with `input_dim` features and
-    /// `classes` classes.
+    /// The stand-in's architecture for a task with `input_dim` features
+    /// and `classes` classes, without weights.
+    #[must_use]
+    pub fn topology(&self, input_dim: usize, classes: usize) -> MlpTopology {
+        MlpTopology::new(MlpConfig {
+            input_dim,
+            hidden: self.hidden.clone(),
+            classes,
+            batch_norm: self.batch_norm,
+        })
+    }
+
+    /// Builds the stand-in model — [`topology`](Self::topology) with
+    /// initial weights drawn from `rng`.
     #[must_use]
     pub fn build<R: Rng>(&self, input_dim: usize, classes: usize, rng: &mut R) -> Mlp {
-        Mlp::new(
-            MlpConfig {
-                input_dim,
-                hidden: self.hidden.clone(),
-                classes,
-                batch_norm: self.batch_norm,
-            },
-            rng,
-        )
+        Mlp::init(self.topology(input_dim, classes), rng)
     }
 
     /// Multiplier to convert simulated bytes to paper-scale bytes:

@@ -7,7 +7,9 @@
 //! A real client computes, to the bit, what the in-process
 //! [`gluefl_core::Simulation`] computes for the same `(seed, round, id)`,
 //! because it runs the same code on the same inputs: the dataset shard
-//! and model layout come from [`RunSetup`], the local-SGD delta from
+//! and model layout come from [`RunSetup`] (the initial weights and the
+//! test set, which only the server's engine needs, it never builds),
+//! the local-SGD delta from
 //! [`gluefl_core::train_client_into`] with the `"local-train"` derived
 //! seed, and the upload from the strategy's client half,
 //! [`ClientCompressor`] — one instance here serving one client, one
@@ -23,6 +25,7 @@ use gluefl_core::{
     TrainSlot,
 };
 use gluefl_data::ClientDataset;
+use gluefl_ml::MlpTopology;
 use gluefl_telemetry::{Counter, Phase, Telemetry};
 use gluefl_tensor::BitMask;
 use gluefl_wire::{decode_frame_prefix, FrameKind};
@@ -33,15 +36,25 @@ use std::sync::Arc;
 /// One real client: its data shard, model topology, training slot, and
 /// compression state, all derived from the shared [`SimConfig`].
 ///
+/// A node holds only its own slice of the run. Its weights arrive in
+/// every `INVITE` and it never evaluates, so it has no initial weights
+/// and no test set; of the population it keeps its own shard and the
+/// population size, and the dataset itself is dropped once the shard is
+/// drawn.
+///
 /// Public so the hostile test battery can drive an honest node and then
 /// corrupt the bytes it produces.
 pub struct ClientNode {
     cfg: SimConfig,
     id: usize,
-    /// Dataset, model layout and BN-statistic positions; the model's
-    /// weights are unused — the trained parameters come from the
-    /// server's broadcast every round.
-    setup: RunSetup,
+    /// Size of the population the node was built for — checked against
+    /// the server's `WELCOME`.
+    population: usize,
+    /// The model's architecture; the weights come from the server's
+    /// broadcast every round.
+    topology: MlpTopology,
+    /// Flat indices of the BN-statistic positions, ascending.
+    stats_positions: Vec<usize>,
     /// This client's shard, materialised once — synthesising it is a
     /// full pass over the client's samples, too much to repeat per invite.
     shard: ClientDataset,
@@ -62,26 +75,27 @@ pub struct ClientNode {
 }
 
 impl ClientNode {
-    /// Builds the client for `id` from the run config. Dataset and model
-    /// layout derive from `cfg.seed` through the same [`RunSetup`] the
-    /// server builds, so both sides agree on shards, shapes, and
-    /// BN-statistic positions.
+    /// Builds the client for `id` from the run config. Population and
+    /// model layout derive from `cfg.seed` through the same [`RunSetup`]
+    /// the server builds, so both sides agree on shards, shapes, and
+    /// BN-statistic positions; the node keeps its shard and the layout
+    /// and lets the population go.
     ///
     /// # Panics
     /// Panics if `id` is outside the configured population.
     #[must_use]
     pub fn new(cfg: SimConfig, id: usize) -> Self {
         let setup = RunSetup::new(&cfg);
-        assert!(
-            id < setup.data.num_clients(),
-            "client id outside population"
-        );
+        let population = setup.data.num_clients();
+        assert!(id < population, "client id outside population");
         Self {
             compressor: ClientCompressor::for_run(&cfg, &setup),
             shard: setup.data.client(id),
             cfg,
             id,
-            setup,
+            population,
+            topology: setup.topology,
+            stats_positions: setup.stats_positions,
             slot: TrainSlot::default(),
             scratch: ScratchPool::new(),
             global: Vec::new(),
@@ -116,7 +130,7 @@ impl ClientNode {
             1 => Group::Sticky,
             other => return Err(TransportError::BadGroup(other)),
         };
-        let dim = self.setup.model.num_params();
+        let dim = self.topology.num_params();
         // Broadcast frame 1: the dense F32 global model.
         let (model_frame, rest) = decode_frame_prefix(frames)?;
         if model_frame.kind != FrameKind::Dense || model_frame.dim != dim {
@@ -147,9 +161,9 @@ impl ClientNode {
             self.delta = self.scratch.take_full(dim);
         }
         self.stats_out.clear();
-        self.stats_out.resize(self.setup.stats_positions.len(), 0.0);
+        self.stats_out.resize(self.stats_positions.len(), 0.0);
         train_client_into(
-            self.setup.model.topology(),
+            &self.topology,
             &self.global,
             &self.shard,
             self.cfg.local_steps,
@@ -158,7 +172,7 @@ impl ClientNode {
             self.cfg.momentum,
             local_train_seed(self.cfg.seed, round, self.id),
             &mut self.delta,
-            &self.setup.stats_positions,
+            &self.stats_positions,
             &mut self.stats_out,
             &mut self.slot,
         );
@@ -317,11 +331,7 @@ pub fn run_client_traced(
     let population = u32::from_le_bytes(payload[..4].try_into().expect("4 B"));
     let rounds = u32::from_le_bytes(payload[4..].try_into().expect("4 B"));
     for (field, ours, theirs) in [
-        (
-            "population",
-            node.setup.data.num_clients() as u64,
-            u64::from(population),
-        ),
+        ("population", node.population as u64, u64::from(population)),
         ("rounds", u64::from(node.cfg.rounds), u64::from(rounds)),
     ] {
         if ours != theirs {
@@ -371,6 +381,29 @@ pub fn run_client_traced(
                 return Ok(());
             }
             other => return Err(TransportError::UnexpectedMessage(other)),
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::smoke_config;
+
+    /// A node keeps exactly the slice of the server's [`RunSetup`] it
+    /// trains with: the layout, the BN-statistic positions, its own shard
+    /// and the population size.
+    #[test]
+    fn node_holds_the_run_setup_layout_and_its_own_shard() {
+        for strategy in ["fedavg", "gluefl"] {
+            let cfg = smoke_config(strategy, 6, 1, 31);
+            let setup = RunSetup::new(&cfg);
+            let node = ClientNode::new(cfg, 5);
+            assert_eq!(node.topology, setup.topology);
+            assert_eq!(node.topology.num_params(), setup.topology.num_params());
+            assert_eq!(node.stats_positions, setup.stats_positions);
+            assert_eq!(node.population, setup.data.num_clients());
+            assert_eq!(node.shard, setup.data.client(5));
         }
     }
 }

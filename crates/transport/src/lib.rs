@@ -27,7 +27,10 @@
 //!
 //! # Deadline state machine
 //!
-//! The server never blocks indefinitely on a client. Each phase arms a
+//! The server never blocks indefinitely on a client, and during the
+//! handshake never on one at all: each connection's `HELLO` is read on
+//! its own thread, so a connection that stays silent past the stall
+//! grace is turned away without delaying the others. Each round phase arms a
 //! per-client wall-clock deadline via [`gluefl_net::timing::wall_deadline`]:
 //! a flat floor plus the client's *modeled* phase time scaled by
 //! `secs_per_modeled_sec`. Within a message, a connection that stops

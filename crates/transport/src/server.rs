@@ -7,8 +7,12 @@
 //! (see [`gluefl_core::engine`]); this module owns everything that is
 //! about connections rather than about federated learning:
 //!
-//! * one reader thread per connection, feeding complete messages (or the
-//!   connection's failure) into one channel;
+//! * one reader thread per connection, started the moment it is
+//!   accepted: it reads the connection's `HELLO` and then feeds complete
+//!   messages (or the connection's failure) into one channel, so the
+//!   accept loop only validates and answers and never waits on a client
+//!   — connections that stay silent, or say something other than a
+//!   valid `HELLO`, are turned away and counted by reason;
 //! * `INVITE`: the engine's broadcast frames behind a group tag, written
 //!   to every invited client;
 //! * `OFFER` collection under per-client wall-clock deadlines derived
@@ -27,7 +31,8 @@
 //!   points.
 
 use crate::proto::{
-    parse_offer, read_msg, stall_ticks_for, write_msg, MsgKind, ProtoError, PROTO_VERSION,
+    parse_envelope, parse_offer, read_exact_classified, read_msg, stall_ticks_for, write_msg,
+    MsgKind, ProtoError, ENVELOPE_BYTES, PROTO_VERSION,
 };
 use crate::TransportError;
 use gluefl_core::engine::{Arrival, Broadcast, RoundIo};
@@ -42,6 +47,9 @@ use std::sync::mpsc;
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
+
+/// `HELLO` payload length: `[proto_version u32][client_id u32]`.
+const HELLO_BYTES: usize = 8;
 
 /// Transport-level knobs of the server (the training run itself is fully
 /// described by the [`SimConfig`]).
@@ -63,7 +71,8 @@ pub struct ServerConfig {
     /// loopback, where modeled hours must not become real ones.
     pub secs_per_modeled_sec: f64,
     /// Grace budget for a connection that started a message and stopped
-    /// making progress (slow-loris kill threshold).
+    /// making progress (slow-loris kill threshold), and for a new
+    /// connection that has sent no byte of its `HELLO`.
     pub stall_grace: Duration,
     /// Socket read-timeout tick of the per-connection reader threads.
     pub read_tick: Duration,
@@ -104,6 +113,8 @@ struct NetRecorder {
     stalls: Counter,
     skips: Counter,
     kills: Counter,
+    /// Connections turned away before `WELCOME`, indexed by [`Refusal`].
+    refused: [Counter; Refusal::ALL.len()],
     /// Bytes received / sent, indexed by `MsgKind::id() - 1`.
     bytes_up: Vec<Counter>,
     bytes_down: Vec<Counter>,
@@ -135,6 +146,12 @@ impl NetRecorder {
             stalls: hub.counter("gluefl_server_stalls_total", &[]),
             skips: hub.counter("gluefl_server_uploads_skipped_total", &[]),
             kills: hub.counter("gluefl_server_clients_killed_total", &[]),
+            refused: Refusal::ALL.map(|r| {
+                hub.counter(
+                    "gluefl_server_handshakes_refused_total",
+                    &[("reason", r.name())],
+                )
+            }),
             bytes_up: dir_counters("up"),
             bytes_down: dir_counters("down"),
             hub,
@@ -174,7 +191,10 @@ impl NetRecorder {
                 self.stalls.inc();
                 self.hub.event(round, id as i64, EventKind::Stall);
             }
-            ReaderEvent::Closed | ReaderEvent::Failed(_) => {}
+            ReaderEvent::Hello { .. }
+            | ReaderEvent::NoHello(_)
+            | ReaderEvent::Closed
+            | ReaderEvent::Failed(_) => {}
         }
     }
 
@@ -212,8 +232,54 @@ pub struct ServerReport {
     pub dead_clients: usize,
 }
 
-/// What a reader thread reports about its connection.
+/// Why a connection was turned away before `WELCOME`: the `reason`
+/// label of `gluefl_server_handshakes_refused_total`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Refusal {
+    /// Sent no byte: not within the stall grace, not before it closed,
+    /// not before the handshake phase ended.
+    Silent,
+    /// Its first message was not a well-formed `HELLO` (bad envelope,
+    /// another kind or length, cut off or stalled part-way, or a socket
+    /// error).
+    Malformed,
+    /// The `HELLO` named another protocol version.
+    Version,
+    /// The claimed id is not below the configured client count.
+    IdOutOfRange,
+    /// Another connection already holds the claimed id.
+    DuplicateId,
+}
+
+impl Refusal {
+    /// Every reason, in counter-index order.
+    const ALL: [Refusal; 5] = [
+        Refusal::Silent,
+        Refusal::Malformed,
+        Refusal::Version,
+        Refusal::IdOutOfRange,
+        Refusal::DuplicateId,
+    ];
+
+    fn name(self) -> &'static str {
+        match self {
+            Refusal::Silent => "silent",
+            Refusal::Malformed => "malformed",
+            Refusal::Version => "version",
+            Refusal::IdOutOfRange => "id_out_of_range",
+            Refusal::DuplicateId => "duplicate_id",
+        }
+    }
+}
+
+/// What a reader thread reports about its connection: first a `HELLO`
+/// or why there is none, then messages until the connection ends.
 enum ReaderEvent {
+    /// The connection's first message, a well-formed `HELLO`: the
+    /// protocol version and client id it claims.
+    Hello { version: u32, id: u32 },
+    /// The connection will never say `HELLO`; its reader has exited.
+    NoHello(Refusal),
     /// A complete message arrived.
     Msg(crate::proto::Envelope, Vec<u8>),
     /// The peer closed cleanly between messages.
@@ -246,10 +312,17 @@ enum UploadSlot {
 struct SocketIo {
     net: ServerConfig,
     tel: Option<NetRecorder>,
+    /// Indexed by client id.
     conns: Vec<Option<Conn>>,
     /// Indexed by client id; an id past the connected range is never alive.
     alive: Vec<bool>,
+    /// Reader events, keyed by connection number (accept order).
     rx: mpsc::Receiver<(usize, ReaderEvent)>,
+    /// Per connection number, the client id it was welcomed as
+    /// (`usize::MAX` until then, and for a connection turned away).
+    client_of: Vec<usize>,
+    /// Reader threads of the connections turned away, joined at teardown.
+    turned_away: Vec<JoinHandle<()>>,
     dead_clients: usize,
     /// The round's invited client ids, and each id's invitation index
     /// (`usize::MAX` when not invited this round).
@@ -309,7 +382,11 @@ impl SocketIo {
             let timeout = deadline
                 .saturating_duration_since(Instant::now())
                 .max(Duration::from_millis(1));
-            let (id, event) = self.rx.recv_timeout(timeout).ok()?;
+            let (conn, event) = self.rx.recv_timeout(timeout).ok()?;
+            let id = self.client_of[conn];
+            if id == usize::MAX {
+                continue; // the last words of a connection turned away
+            }
             if let Some(t) = &self.tel {
                 t.reader_event(round, id, &event);
             }
@@ -327,6 +404,142 @@ impl SocketIo {
             t.skip(round, self.invited[i]);
         }
         Arrival::Lost(i)
+    }
+
+    /// The handshake phase: accepts connections until `net.clients`
+    /// distinct clients have been welcomed or `hello_timeout` passes.
+    /// Every connection's `HELLO` is read by its own reader thread
+    /// ([`open`]); this loop waits only on the listener and the
+    /// event channel, validates what the readers report and answers with
+    /// `WELCOME`, so a connection that never speaks costs one thread and
+    /// delays no one. Connections still silent when the phase ends are
+    /// turned away.
+    fn admit(
+        &mut self,
+        listener: &TcpListener,
+        tx: &mpsc::Sender<(usize, ReaderEvent)>,
+        welcome: &[u8; 8],
+        stall_ticks: u32,
+    ) -> Result<(), TransportError> {
+        listener.set_nonblocking(true).map_err(ProtoError::Io)?;
+        let deadline = Instant::now() + self.net.hello_timeout;
+        // Accepted connections yet to be welcomed, by connection number.
+        let mut lobby: Vec<Option<Conn>> = Vec::new();
+        let mut connected = 0usize;
+        while connected < self.net.clients && Instant::now() < deadline {
+            match listener.accept() {
+                Ok((stream, _)) => {
+                    lobby.push(open(stream, lobby.len(), &self.net, stall_ticks, tx));
+                    self.client_of.push(usize::MAX);
+                }
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
+                    if let Ok((conn, event)) = self.rx.recv_timeout(Duration::from_millis(2)) {
+                        connected += usize::from(self.introduce(conn, event, &mut lobby, welcome));
+                    }
+                }
+                Err(e) => return Err(ProtoError::Io(e).into()),
+            }
+        }
+        // HELLOs already read still get their answer.
+        while let Ok((conn, event)) = self.rx.try_recv() {
+            connected += usize::from(self.introduce(conn, event, &mut lobby, welcome));
+        }
+        for conn in lobby.into_iter().flatten() {
+            self.turn_away(conn, Refusal::Silent);
+        }
+        if connected < self.net.clients {
+            self.close();
+            return Err(TransportError::HandshakeTimeout {
+                connected,
+                expected: self.net.clients,
+            });
+        }
+        Ok(())
+    }
+
+    /// Handles one reader event of the handshake phase; returns whether
+    /// it welcomed a client.
+    fn introduce(
+        &mut self,
+        conn: usize,
+        event: ReaderEvent,
+        lobby: &mut [Option<Conn>],
+        welcome: &[u8; 8],
+    ) -> bool {
+        let welcomed = self.client_of[conn];
+        if welcomed != usize::MAX {
+            // A client spoke (or hung up) before any INVITE: as in the
+            // round loop, that costs it its connection.
+            if let Some(t) = &self.tel {
+                t.reader_event(0, welcomed, &event);
+            }
+            self.kill(0, welcomed);
+            return false;
+        }
+        let Some(c) = lobby[conn].take() else {
+            return false; // the last words of a connection turned away
+        };
+        let claim = match event {
+            ReaderEvent::Hello { version, id } => {
+                let id = id as usize;
+                if version != PROTO_VERSION {
+                    Err(Refusal::Version)
+                } else if id >= self.net.clients {
+                    Err(Refusal::IdOutOfRange)
+                } else if self.conns[id].is_some() {
+                    Err(Refusal::DuplicateId)
+                } else {
+                    Ok(id)
+                }
+            }
+            ReaderEvent::NoHello(reason) => Err(reason),
+            // A reader reports its HELLO (or its absence) before anything.
+            ReaderEvent::Msg(..) | ReaderEvent::Closed | ReaderEvent::Failed(_) => {
+                Err(Refusal::Malformed)
+            }
+        };
+        let id = match claim {
+            Ok(id) => id,
+            Err(reason) => {
+                self.turn_away(c, reason);
+                return false;
+            }
+        };
+        self.conns[id] = Some(c);
+        self.client_of[conn] = id;
+        self.alive[id] = true;
+        if let Some(t) = &self.tel {
+            t.received(0, id, MsgKind::Hello, HELLO_BYTES);
+        }
+        // A failed WELCOME kills the client like any failed send.
+        self.send(0, id, MsgKind::Welcome, welcome);
+        true
+    }
+
+    /// Counts and closes a connection refused before `WELCOME`; its
+    /// reader exits on the shutdown.
+    fn turn_away(&mut self, conn: Conn, reason: Refusal) {
+        if let Some(t) = &self.tel {
+            t.refused[reason as usize].inc();
+        }
+        let _ = conn.writer.shutdown(Shutdown::Both);
+        self.turned_away.extend(conn.reader);
+    }
+
+    /// Shuts every connection down and joins every reader thread (each
+    /// exits on its socket's shutdown).
+    fn close(&mut self) {
+        for conn in self.conns.iter().flatten() {
+            let _ = conn.writer.shutdown(Shutdown::Both);
+        }
+        let readers = self
+            .conns
+            .iter_mut()
+            .flatten()
+            .filter_map(|c| c.reader.take());
+        for handle in readers.chain(self.turned_away.drain(..)) {
+            let _ = handle.join();
+        }
     }
 }
 
@@ -592,51 +805,20 @@ impl Server {
 
         // --- Handshake phase. ---
         let (tx, rx) = mpsc::channel::<(usize, ReaderEvent)>();
-        let mut conns: Vec<Option<Conn>> = (0..net.clients).map(|_| None).collect();
-        let mut alive = vec![false; net.clients.max(n)];
-        listener.set_nonblocking(true).map_err(ProtoError::Io)?;
-        let hello_deadline = Instant::now() + net.hello_timeout;
-        let mut connected = 0usize;
-        while connected < net.clients && Instant::now() < hello_deadline {
-            match listener.accept() {
-                Ok((stream, _)) => {
-                    if let Some(id) = handshake(
-                        stream,
-                        &net,
-                        &alive,
-                        u32::try_from(n).unwrap_or(u32::MAX),
-                        rounds,
-                        stall_ticks,
-                        &tx,
-                        &mut conns,
-                        &tel,
-                    ) {
-                        alive[id] = true;
-                        connected += 1;
-                    }
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(2));
-                }
-                Err(e) => return Err(ProtoError::Io(e).into()),
-            }
-        }
-        if connected < net.clients {
-            return Err(TransportError::HandshakeTimeout {
-                connected,
-                expected: net.clients,
-            });
-        }
-        // Only reader threads hold senders from here on.
-        drop(tx);
-
+        let population = u32::try_from(n).unwrap_or(u32::MAX);
+        let mut welcome = [0u8; 8];
+        welcome[..4].copy_from_slice(&population.to_le_bytes());
+        welcome[4..].copy_from_slice(&rounds.to_le_bytes());
+        let ids = net.clients.max(n);
         let mut io = SocketIo {
-            invited_ix: vec![usize::MAX; alive.len()],
+            conns: (0..net.clients).map(|_| None).collect(),
+            alive: vec![false; ids],
+            invited_ix: vec![usize::MAX; ids],
             net,
             tel,
-            conns,
-            alive,
             rx,
+            client_of: Vec::new(),
+            turned_away: Vec::new(),
             dead_clients: 0,
             invited: Vec::new(),
             offered: Vec::new(),
@@ -644,6 +826,10 @@ impl Server {
             lost: Vec::new(),
             invite_buf: Vec::new(),
         };
+        io.admit(&listener, &tx, &welcome, stall_ticks)?;
+        // Only reader threads hold senders from here on.
+        drop(tx);
+
         let records: Vec<RoundRecord> = (0..rounds).map(|_| engine.step(&mut io)).collect();
 
         // --- FIN + teardown. ---
@@ -654,15 +840,9 @@ impl Server {
                         t.sent(MsgKind::Fin, 0);
                     }
                 }
-                let _ = conn.writer.shutdown(Shutdown::Both);
             }
         }
-        drop(io.rx);
-        for conn in io.conns.iter_mut().flatten() {
-            if let Some(handle) = conn.reader.take() {
-                let _ = handle.join();
-            }
-        }
+        io.close();
 
         Ok(ServerReport {
             records,
@@ -674,68 +854,70 @@ impl Server {
     }
 }
 
-/// Validates and completes one `HELLO` handshake; returns the client id
-/// on success, `None` (connection dropped) otherwise.
-#[allow(clippy::too_many_arguments)]
-fn handshake(
-    mut stream: TcpStream,
+/// Readies an accepted socket and starts its reader as connection
+/// `conn`; `None` (the socket is dropped) when it cannot be configured.
+fn open(
+    stream: TcpStream,
+    conn: usize,
     net: &ServerConfig,
-    alive: &[bool],
-    population: u32,
-    rounds: u32,
     stall_ticks: u32,
     tx: &mpsc::Sender<(usize, ReaderEvent)>,
-    conns: &mut [Option<Conn>],
-    tel: &Option<NetRecorder>,
-) -> Option<usize> {
+) -> Option<Conn> {
     stream.set_nodelay(true).ok()?;
     stream.set_read_timeout(Some(net.read_tick)).ok()?;
-    let mut payload = Vec::new();
-    let env = read_msg(&mut stream, &mut payload, false, stall_ticks).ok()??;
-    if env.kind != MsgKind::Hello || payload.len() != 8 {
-        return None;
-    }
-    let version = u32::from_le_bytes(payload[..4].try_into().expect("4 B"));
-    let id = u32::from_le_bytes(payload[4..].try_into().expect("4 B")) as usize;
-    if version != PROTO_VERSION || id >= net.clients || alive[id] {
-        return None;
-    }
-    if let Some(t) = tel {
-        t.received(0, id, MsgKind::Hello, payload.len());
-    }
-    let mut welcome = [0u8; 8];
-    welcome[..4].copy_from_slice(&population.to_le_bytes());
-    welcome[4..].copy_from_slice(&rounds.to_le_bytes());
-    write_msg(&mut stream, MsgKind::Welcome, 0, &welcome).ok()?;
-    if let Some(t) = tel {
-        t.sent(MsgKind::Welcome, welcome.len());
-    }
     let mut reader_stream = stream.try_clone().ok()?;
-    let reader_tx = tx.clone();
+    let tx = tx.clone();
     let reader = std::thread::spawn(move || {
+        let hello = match read_hello(&mut reader_stream, stall_ticks) {
+            Ok((version, id)) => ReaderEvent::Hello { version, id },
+            Err(reason) => {
+                let _ = tx.send((conn, ReaderEvent::NoHello(reason)));
+                return;
+            }
+        };
+        if tx.send((conn, hello)).is_err() {
+            return; // server gone
+        }
         let mut payload = Vec::new();
         loop {
-            match read_msg(&mut reader_stream, &mut payload, true, stall_ticks) {
-                Ok(Some(env)) => {
-                    let body = std::mem::take(&mut payload);
-                    if reader_tx.send((id, ReaderEvent::Msg(env, body))).is_err() {
-                        return; // server gone
-                    }
-                }
-                Ok(None) => {
-                    let _ = reader_tx.send((id, ReaderEvent::Closed));
-                    return;
-                }
-                Err(e) => {
-                    let _ = reader_tx.send((id, ReaderEvent::Failed(e)));
-                    return;
-                }
+            let event = match read_msg(&mut reader_stream, &mut payload, true, stall_ticks) {
+                Ok(Some(env)) => ReaderEvent::Msg(env, std::mem::take(&mut payload)),
+                Ok(None) => ReaderEvent::Closed,
+                Err(e) => ReaderEvent::Failed(e),
+            };
+            let last = !matches!(event, ReaderEvent::Msg(..));
+            if tx.send((conn, event)).is_err() || last {
+                return;
             }
         }
     });
-    conns[id] = Some(Conn {
+    Some(Conn {
         writer: stream,
         reader: Some(reader),
-    });
-    Some(id)
+    })
+}
+
+/// Reads a connection's first message, which must be a `HELLO`:
+/// `(protocol version, claimed id)`, or why there is none. A connection
+/// that sends no byte within the stall grace, or closes first, is
+/// silent; one that starts a message and does not finish a well-formed
+/// `HELLO` is malformed.
+fn read_hello(stream: &mut TcpStream, stall_ticks: u32) -> Result<(u32, u32), Refusal> {
+    let mut header = [0u8; ENVELOPE_BYTES];
+    match read_exact_classified(stream, &mut header, false, stall_ticks) {
+        Ok(_) => {}
+        Err(ProtoError::Stalled { got: 0, .. } | ProtoError::Truncated { got: 0, .. }) => {
+            return Err(Refusal::Silent)
+        }
+        Err(_) => return Err(Refusal::Malformed),
+    }
+    let mut body = [0u8; HELLO_BYTES];
+    match parse_envelope(&header) {
+        Ok(env) if env.kind == MsgKind::Hello && env.len as usize == HELLO_BYTES => {}
+        _ => return Err(Refusal::Malformed),
+    }
+    read_exact_classified(stream, &mut body, false, stall_ticks).map_err(|_| Refusal::Malformed)?;
+    let (version, id) = body.split_at(4);
+    let word = |b: &[u8]| u32::from_le_bytes(b.try_into().expect("4 B"));
+    Ok((word(version), word(id)))
 }

@@ -14,6 +14,8 @@
 //!    finish every round, the honest clients
 //!    must finish cleanly, and each rogue must show up as a skipped
 //!    upload or dead connection — never a panic or a stalled round.
+//!    Before the rounds, connections that never say `HELLO` or say it
+//!    wrong are turned away, counted by reason, and delay no one.
 
 use gluefl_compress::mask_shift::client_split;
 use gluefl_compress::stc::{sparsify, TernaryUpdate};
@@ -27,7 +29,7 @@ use gluefl_transport::{
     run_client, smoke_config, ClientNode, Server, ServerConfig, TransportError,
 };
 use gluefl_wire::{frame_len_from_header, Codec, FrameWriter, Rounding, WireError, WirePolicy};
-use std::io::Write as _;
+use std::io::{Read as _, Write as _};
 use std::net::{Shutdown, TcpStream};
 use std::sync::Arc;
 use std::time::Duration;
@@ -611,4 +613,150 @@ fn socket_adversaries_cannot_stall_gluefl_rounds() {
     let (skipped, dead) = run_adversarial("gluefl", 16, 4, 77);
     assert!(skipped >= 1, "no rogue upload was ever skipped");
     assert!(dead >= 1, "no rogue connection was ever declared dead");
+}
+
+/// `gluefl_server_handshakes_refused_total{reason}` for every reason.
+fn refusals(snap: &gluefl_telemetry::Snapshot) -> Vec<(&'static str, f64)> {
+    [
+        "silent",
+        "malformed",
+        "version",
+        "id_out_of_range",
+        "duplicate_id",
+    ]
+    .into_iter()
+    .map(|reason| {
+        let n = snap.value(
+            "gluefl_server_handshakes_refused_total",
+            &[("reason", reason)],
+        );
+        (reason, n.expect("refusal counters are registered up front"))
+    })
+    .collect()
+}
+
+/// Connections that open and never speak are read on threads of their
+/// own, so however many there are, no honest client's handshake waits
+/// behind them. With `K · stall_grace` past `hello_timeout`, a server
+/// that read each `HELLO` in turn would give up before reaching the
+/// honest clients, which connect after the silent ones.
+#[test]
+fn silent_connections_cannot_block_the_handshake() {
+    const K: u32 = 4;
+    let clients = 2;
+    let mut cfg = smoke_config("fedavg", clients, 2, 48);
+    cfg.round_size = clients;
+    cfg.oc = 1.0;
+    let tel = Arc::new(Telemetry::new());
+    let mut net = ServerConfig::local(clients);
+    net.stall_grace = Duration::from_secs(1);
+    net.hello_timeout = Duration::from_secs(3);
+    assert!(net.hello_timeout < net.stall_grace * K);
+    net.telemetry = Some(Arc::clone(&tel));
+    let server = Server::bind(cfg.clone(), net).expect("bind");
+    let addr = server.local_addr().to_string();
+
+    // Queued on the listener ahead of every honest client.
+    let silent: Vec<TcpStream> = (0..K)
+        .map(|_| TcpStream::connect(&addr).expect("connect"))
+        .collect();
+    let honest: Vec<_> = (0..clients)
+        .map(|id| {
+            let (addr, cfg) = (addr.clone(), cfg.clone());
+            std::thread::spawn(move || run_client(&addr, cfg, id))
+        })
+        .collect();
+    let report = server
+        .run()
+        .expect("silent connections must not deny the run");
+    assert_eq!(report.records.len(), 2, "both rounds must complete");
+    assert_eq!((report.skipped_uploads, report.dead_clients), (0, 0));
+    for (id, h) in honest.into_iter().enumerate() {
+        match h.join().expect("honest client must not panic") {
+            Ok(()) | Err(TransportError::Proto(_)) => {}
+            Err(e) => panic!("honest client {id} failed: {e}"),
+        }
+    }
+    drop(silent);
+
+    let snap = tel.snapshot();
+    let want: Vec<_> = refusals(&snap)
+        .into_iter()
+        .map(|(reason, _)| (reason, if reason == "silent" { K.into() } else { 0.0 }))
+        .collect();
+    assert_eq!(refusals(&snap), want);
+    assert_eq!(snap.value("gluefl_server_stalls_total", &[]), Some(0.0));
+}
+
+/// Each way a `HELLO` can be refused is counted once under its own
+/// reason, and the run goes on with whoever was welcomed. The server
+/// shuts a refused connection down, so reading it to EOF is how the
+/// test knows each refusal landed before the handshake phase ends.
+#[test]
+fn every_refused_handshake_is_counted_by_reason() {
+    let clients = 2;
+    let mut cfg = smoke_config("fedavg", clients, 2, 49);
+    cfg.round_size = clients;
+    cfg.oc = 1.0;
+    let tel = Arc::new(Telemetry::new());
+    let mut net = ServerConfig::local(clients);
+    net.telemetry = Some(Arc::clone(&tel));
+    let server = Server::bind(cfg.clone(), net).expect("bind");
+    let addr = server.local_addr().to_string();
+    let server = std::thread::spawn(move || server.run());
+
+    let hello = |version: u32, id: u32| {
+        let mut stream = TcpStream::connect(&addr).expect("connect");
+        let mut body = [0u8; 8];
+        body[..4].copy_from_slice(&version.to_le_bytes());
+        body[4..].copy_from_slice(&id.to_le_bytes());
+        write_msg(&mut stream, MsgKind::Hello, 0, &body).expect("hello");
+        stream
+    };
+    let refused = |mut stream: TcpStream| {
+        let mut rest = Vec::new();
+        let _ = stream.read_to_end(&mut rest);
+        assert!(
+            rest.is_empty(),
+            "a refused connection got {} bytes",
+            rest.len()
+        );
+    };
+    let mut garbage = TcpStream::connect(&addr).expect("connect");
+    garbage.write_all(b"GET / HTTP/1.0\r\n\r\n").expect("write");
+    refused(garbage);
+    refused(hello(PROTO_VERSION + 1, 0));
+    refused(hello(PROTO_VERSION, clients as u32));
+    // Client 1's id is taken by a connection that then hangs up.
+    let mut first = hello(PROTO_VERSION, 1);
+    let mut payload = Vec::new();
+    let env =
+        gluefl_transport::proto::read_msg_blocking(&mut first, &mut payload).expect("welcome");
+    assert_eq!(env.kind, MsgKind::Welcome);
+    refused(hello(PROTO_VERSION, 1));
+    drop(first);
+    match run_client(&addr, cfg, 0) {
+        Ok(()) | Err(TransportError::Proto(_)) => {}
+        Err(e) => panic!("honest client failed: {e}"),
+    }
+
+    let report = server
+        .join()
+        .expect("server thread")
+        .expect("server completes");
+    assert_eq!(report.records.len(), 2, "both rounds must complete");
+    assert_eq!(
+        report.dead_clients, 1,
+        "only the client that hung up is lost"
+    );
+    assert_eq!(
+        refusals(&tel.snapshot()),
+        [
+            ("silent", 0.0),
+            ("malformed", 1.0),
+            ("version", 1.0),
+            ("id_out_of_range", 1.0),
+            ("duplicate_id", 1.0),
+        ]
+    );
 }
