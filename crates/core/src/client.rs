@@ -61,8 +61,14 @@ pub struct RunSetup {
 
 impl RunSetup {
     /// Generates the population and lays out the model for `cfg`.
+    ///
+    /// # Panics
+    /// Panics if `cfg.batch_size` is zero: every step would train on an
+    /// empty minibatch, a zero gradient, while the BatchNorm statistics
+    /// still decay. (`local_steps == 0` is legal: a zero delta.)
     #[must_use]
     pub fn new(cfg: &SimConfig) -> Self {
+        assert!(cfg.batch_size > 0, "batch size must be positive");
         let data =
             SyntheticFlDataset::generate(cfg.dataset.clone(), derive_seed(cfg.seed, "data", 0));
         let topology = cfg.model.topology(data.feature_dim(), data.classes());

@@ -1056,6 +1056,17 @@ mod tests {
         );
     }
 
+    /// An empty minibatch used to train nothing without a word (zero
+    /// gradients, BN statistics decaying toward 0); `local_steps == 0`
+    /// stays legal.
+    #[test]
+    #[should_panic(expected = "batch size must be positive")]
+    fn zero_batch_size_is_rejected_at_setup() {
+        let mut cfg = tiny_cfg(StrategyConfig::FedAvg);
+        cfg.batch_size = 0;
+        let _ = Simulation::new(cfg);
+    }
+
     #[test]
     fn availability_reduces_candidates() {
         let mut cfg = tiny_cfg(StrategyConfig::FedAvg);

@@ -23,19 +23,35 @@
 //! added in the same ascending reduction order as the naive triple loop,
 //! starting from the same initial value (`bias[o]`, `0.0`, or the
 //! existing accumulator), and Rust never contracts `mul` + `add` into a
-//! fused multiply-add. Speed comes from register blocking — a tile of
-//! independent accumulator chains hides FMA latency where the naive dot
-//! product is one serial dependency chain — and from cache tiling of the
-//! reduction dimension, not from reordered arithmetic. Two contracts
+//! fused multiply-add (none is emitted: the code is a separate multiply
+//! and add). Speed comes from register blocking — a tile of independent
+//! accumulator chains, one per vector lane, hides the add latency of the
+//! naive dot product's one serial chain — and from cache tiling of the
+//! reduction dimension, not from reordered arithmetic. Three contracts
 //! follow:
 //!
 //! * serial and `--features parallel` builds produce identical bits: the
 //!   parallel path only shards **disjoint row blocks** of `out` across
 //!   the vendored `gluefl_pool` work-stealing pool, each job running
 //!   the serial kernel;
+//! * the SIMD width does not change the bits (CI also runs the suites
+//!   built with `RUSTFLAGS="-C target-cpu=x86-64"`, i.e. SSE2);
 //! * training/eval trajectories upstream stay bit-identical to the
 //!   pre-GEMM per-element loops (`tests/gemm_properties.rs` pins every
 //!   kernel to its reference twin).
+//!
+//! # The forward kernel: batch rows in the vector lanes
+//!
+//! [`gemm_nn`] reduces along the rows of both `a` and `W`, so neither has
+//! independent outputs side by side. The kernel transposes each block of
+//! eight rows of `a` into a t-major stack panel, `panel[t] = [a[r0][t],
+//! …, a[r7][t]]` (one 256-bit vector), and a tile of eight features
+//! multiplies each panel vector by `W[o][t]`, broadcast from `W` **read
+//! in place**. `W` is not repacked: the previous kernel, features in the
+//! lanes, copied `W` t-major on every call — an `n × k` copy that the
+//! batch of 16 (wide shape: 4) rows used only 16 (4) times, and ran its
+//! feature edge (14 of 62 logits) as scalar dot products. A k-tile
+//! carries its partial sums to the next in `out`, so there is no heap.
 //!
 //! # The backward-weights epilogue
 //!
@@ -80,20 +96,20 @@
 //! assert_eq!(out, expected); // bit-exact, not approximately equal
 //! ```
 
-/// Rows of `a` per register tile in [`gemm_nn`].
-const NN_MR: usize = 4;
-/// Rows of `b` (output columns) per register tile in [`gemm_nn`] — wide
-/// enough that the inner loop is whole SIMD vectors (one AVX-512 or two
-/// AVX2 lanes of independent output columns).
-const NN_NR: usize = 16;
-/// k-reduction cache tile in [`gemm_nn`]: one packed `NN_NR`-wide `b`
-/// panel of this many rows (32 KiB) stays L1-resident while the register
-/// tile walks every `a` row past it.
-const NN_KC: usize = 512;
+/// Batch rows per vector in [`gemm_nn`]: eight `f32` lanes, one 256-bit
+/// vector. Measured over 4, 8 and 16: four runs the batch-16 layers
+/// ≈ 1.6× slower, sixteen the batch-4 wide layers ≈ 2× slower.
+const NN_LANES: usize = 8;
+/// Features per register tile in [`gemm_nn`] (measured against 4 and 6).
+const NN_TILE: usize = 8;
+/// Features staged per chunk in [`gemm_nn`] (a multiple of `NN_TILE`).
+const NN_CHUNK: usize = 64;
+/// k-tile of [`gemm_nn`]'s transposed panel (16 KiB of stack).
+const NN_KT: usize = 512;
 
 /// Output columns per register tile in [`gemm_tn`] / [`gemm_nt`] —
-/// sixteen consecutive `f32`s, one AVX-512 (or two AVX2) vector of
-/// independent accumulator chains.
+/// sixteen consecutive `f32`s, two 256-bit vectors of independent
+/// accumulator chains.
 const JB: usize = 16;
 /// Rows of `a` per register tile in [`gemm_tn`].
 const TN_MR: usize = 4;
@@ -124,9 +140,10 @@ fn check_dims(a: &[f32], b: &[f32], m: usize, ak: usize, bk: usize, out: &[f32],
 /// (`a: m × k`, `b: n × k`, `bias: n`, `out: m × n`, all row-major; `out`
 /// is overwritten).
 ///
-/// Bit-exact against [`gemm_nn_ref`]. Under the `parallel` feature, calls
-/// with enough rows of work (large eval batches) shard disjoint row
-/// blocks of `out` across `std::thread::scope` workers; the result is
+/// Bit-exact against [`gemm_nn_ref`], and allocation-free (see "The
+/// forward kernel" in the module docs). Under the `parallel` feature,
+/// calls with enough rows of work (large eval batches) shard disjoint
+/// row blocks of `out` across `gluefl_pool::run` jobs; the result is
 /// bit-identical to the serial kernel because rows never share an
 /// accumulator.
 ///
@@ -171,6 +188,8 @@ fn gemm_nn_sharded(
     });
 }
 
+/// Per block of `NN_LANES` rows and k-tile, one transposed `a` panel;
+/// per chunk of `NN_CHUNK` features, the chains staged lane by lane.
 fn gemm_nn_serial(
     a: &[f32],
     b: &[f32],
@@ -180,112 +199,79 @@ fn gemm_nn_serial(
     k: usize,
     out: &mut [f32],
 ) {
-    // Every element's reduction chain starts at its bias term…
-    for row in out.chunks_exact_mut(n) {
-        row.copy_from_slice(bias);
-    }
-    // …and k-tiles continue it in ascending-t order, so the chain is the
-    // naive `acc = bias[o]; for t { acc += a[r][t]·b[o][t] }` exactly.
-    //
-    // `b` rows are k-contiguous, so a dot-product inner loop would put
-    // the reduction in the vector lanes — where bit-exactness forbids
-    // vectorizing. Instead each NN_NR-wide column panel is repacked
-    // t-major once per k-tile; the microkernel then broadcasts `a` and
-    // runs whole vectors of independent output columns. Packing only
-    // relocates operands, so every chain's order is untouched.
-    let mut bp = [0.0f32; NN_KC * NN_NR];
-    let mut k0 = 0;
-    while k0 < k {
-        let kt = (k - k0).min(NN_KC);
-        let mut o0 = 0;
-        while o0 < n {
-            let nt = (n - o0).min(NN_NR);
-            if nt == NN_NR {
-                for j in 0..NN_NR {
-                    for (t, &w) in b[(o0 + j) * k + k0..][..kt].iter().enumerate() {
-                        bp[t * NN_NR + j] = w;
-                    }
-                }
-                let panel = &bp[..kt * NN_NR];
-                let mut i0 = 0;
-                while i0 < m {
-                    let mt = (m - i0).min(NN_MR);
-                    if mt == NN_MR {
-                        let ar = [
-                            &a[i0 * k + k0..][..kt],
-                            &a[(i0 + 1) * k + k0..][..kt],
-                            &a[(i0 + 2) * k + k0..][..kt],
-                            &a[(i0 + 3) * k + k0..][..kt],
-                        ];
-                        nn_micro(ar, panel, n, i0, o0, out);
+    let mut panel = [[0.0f32; NN_LANES]; NN_KT];
+    let mut stage = [[0.0f32; NN_LANES]; NN_CHUNK];
+    let mut i0 = 0;
+    while i0 < m {
+        let mt = (m - i0).min(NN_LANES);
+        let mut k0 = 0;
+        // At least one pass, so that `k == 0` still writes the bias.
+        loop {
+            let kt = (k - k0).min(NN_KT);
+            // Lanes past the last row repeat it; they are never stored.
+            let rows: [&[f32]; NN_LANES] =
+                std::array::from_fn(|l| &a[(i0 + l.min(mt - 1)) * k + k0..][..kt]);
+            for (t, lanes) in panel[..kt].iter_mut().enumerate() {
+                *lanes = std::array::from_fn(|l| rows[l][t]);
+            }
+            let panel = &panel[..kt];
+            let mut c0 = 0;
+            while c0 < n {
+                let nc = (n - c0).min(NN_CHUNK);
+                // Every chain starts at its bias term, and later k-tiles
+                // continue the partial sums the previous one left in `out`.
+                for (j, chains) in stage[..nc].iter_mut().enumerate() {
+                    if k0 == 0 {
+                        *chains = [bias[c0 + j]; NN_LANES];
                     } else {
-                        nn_edge(a, b, m, n, k, i0, mt, o0, NN_NR, k0, kt, out);
+                        for (l, s) in chains[..mt].iter_mut().enumerate() {
+                            *s = out[(i0 + l) * n + c0 + j];
+                        }
                     }
-                    i0 += mt;
                 }
-            } else {
-                nn_edge(a, b, m, n, k, 0, m, o0, nt, k0, kt, out);
+                for j in (0..nc).step_by(NN_TILE) {
+                    // A short last tile repeats the chunk's last feature;
+                    // the repeats are never stored.
+                    let w =
+                        std::array::from_fn(|f| &b[(c0 + (j + f).min(nc - 1)) * k + k0..][..kt]);
+                    let tile = (&mut stage[j..j + NN_TILE])
+                        .try_into()
+                        .expect("NN_TILE block");
+                    nn_tile(panel, w, tile);
+                }
+                for (l, row) in out[i0 * n..].chunks_exact_mut(n).take(mt).enumerate() {
+                    for (o, chains) in row[c0..c0 + nc].iter_mut().zip(&stage) {
+                        *o = chains[l];
+                    }
+                }
+                c0 += nc;
             }
-            o0 += nt;
+            k0 += kt;
+            if k0 == k {
+                break;
+            }
         }
-        k0 += kt;
+        i0 += mt;
     }
 }
 
-/// Full `NN_MR × NN_NR` register tile over a t-major packed `b` panel:
-/// 64 independent accumulator chains, vectorized across output columns
-/// (never across `t`, which would reassociate the reduction).
-#[inline]
-fn nn_micro(ar: [&[f32]; NN_MR], panel: &[f32], n: usize, i0: usize, o0: usize, out: &mut [f32]) {
-    let kt = ar[0].len();
-    let mut acc = [[0.0f32; NN_NR]; NN_MR];
-    for (i, row) in acc.iter_mut().enumerate() {
-        row.copy_from_slice(&out[(i0 + i) * n + o0..][..NN_NR]);
-    }
-    let [acc0, acc1, acc2, acc3] = &mut acc;
-    for (t, bv) in panel.chunks_exact(NN_NR).take(kt).enumerate() {
-        let (x0, x1, x2, x3) = (ar[0][t], ar[1][t], ar[2][t], ar[3][t]);
-        // Rows hand-jammed into one flat column loop — see [`nt_micro`].
-        for (j, &w) in bv.iter().enumerate() {
-            acc0[j] += x0 * w;
-            acc1[j] += x1 * w;
-            acc2[j] += x2 * w;
-            acc3[j] += x3 * w;
-        }
-    }
-    for (i, row) in acc.iter().enumerate() {
-        out[(i0 + i) * n + o0..][..NN_NR].copy_from_slice(row);
-    }
-}
-
-/// Remainder tile of [`gemm_nn_serial`]: plain per-element chains in the
-/// same ascending-t order.
-#[allow(clippy::too_many_arguments)]
-fn nn_edge(
-    a: &[f32],
-    b: &[f32],
-    _m: usize,
-    n: usize,
-    k: usize,
-    i0: usize,
-    mt: usize,
-    o0: usize,
-    nt: usize,
-    k0: usize,
-    kt: usize,
-    out: &mut [f32],
-) {
-    for i in i0..i0 + mt {
-        let ar = &a[i * k + k0..][..kt];
-        for o in o0..o0 + nt {
-            let br = &b[o * k + k0..][..kt];
-            let mut acc = out[i * n + o];
-            for (&x, &w) in ar.iter().zip(br) {
-                acc += x * w;
+/// `NN_TILE` features × `NN_LANES` rows of chains, each adding
+/// `panel[t][l]·w[f][t]` in ascending `t` — vectorized across rows,
+/// never across `t`. The tile moves to and from the stage as whole lane
+/// vectors: LLVM's SLP vectorizer builds the vector chains from those
+/// stores (a tile scattered straight to `out` compiles to scalar code).
+#[inline(always)]
+fn nn_tile(panel: &[[f32; NN_LANES]], w: [&[f32]; NN_TILE], tile: &mut [[f32; NN_LANES]; NN_TILE]) {
+    let mut acc = *tile;
+    for (t, x) in panel.iter().enumerate() {
+        for (chains, w) in acc.iter_mut().zip(&w) {
+            let w = w[t];
+            for (s, &x) in chains.iter_mut().zip(x) {
+                *s += x * w;
             }
-            out[i * n + o] = acc;
         }
     }
+    *tile = acc;
 }
 
 /// Plain-loop reference twin of [`gemm_nn`] (identical semantics and
@@ -816,7 +802,8 @@ mod tests {
             (1, 192, 64),
             (5, 7, 9),
             (3, 13, 17),
-            (NN_MR + 1, NN_NR + 1, NN_KC + 3),
+            (NN_LANES + 1, NN_CHUNK + 1, NN_KT + 3),
+            (NN_LANES - 1, NN_TILE - 1, 2 * NN_KT + 1),
             (2, JB - 1, 3),
             (7, JB + 1, 2),
         ]

@@ -41,25 +41,74 @@ fn bits_eq_or_both_nan(got: &[f32], want: &[f32]) -> bool {
 }
 
 /// Dimension strategy: small enough to hit batch 1 / unit dims often,
-/// wide enough to straddle the 2/4/8-wide register tiles (the cache-tile
-/// edge `NN_KC + 3` is pinned by an in-module unit test).
+/// wide enough to straddle the register tiles — the forward kernel's
+/// 8-row lane blocks, 8-feature tiles and 64-feature chunks, the
+/// backward kernels' 4 × 16 tiles. The forward kernel's 512-deep k-tile
+/// is straddled by [`nn_rows_straddle_the_lanes_and_k_tiles`].
 fn dim() -> impl Strategy<Value = usize> {
     1usize..70
 }
 
+/// `len` values drawn from signed zeros, NaN, ±∞ and ordinary numbers.
+fn special(rng: &mut StdRng, len: usize) -> Vec<f32> {
+    (0..len)
+        .map(|_| match rng.gen_range(0u8..12) {
+            0..=2 => 0.0,
+            3..=5 => -0.0,
+            6 => f32::NAN,
+            7 => f32::INFINITY,
+            8 => f32::NEG_INFINITY,
+            _ => rng.gen_range(-1.0f32..1.0),
+        })
+        .collect()
+}
+
+/// [`gemm_nn`] into `out` pre-filled with garbage (it overwrites) vs
+/// [`gemm_nn_ref`], compared with `eq`.
+fn nn_matches_ref(
+    a: &[f32],
+    b: &[f32],
+    bias: &[f32],
+    (m, n, k): (usize, usize, usize),
+    garbage: &mut StdRng,
+    eq: fn(&[f32], &[f32]) -> bool,
+) -> bool {
+    let mut got = fill(garbage, m * n);
+    let mut want = vec![0.0f32; m * n];
+    gemm_nn(a, b, bias, m, n, k, &mut got);
+    gemm_nn_ref(a, b, bias, m, n, k, &mut want);
+    eq(&got, &want)
+}
+
 proptest! {
-    /// Forward layout: `out = a·bᵀ + bias` is bit-exact vs the twin.
+    /// Forward layout: `out = a·bᵀ + bias` is bit-exact vs the twin, and
+    /// overwrites whatever `out` held.
     #[test]
     fn nn_blocked_is_bit_exact(m in dim(), n in dim(), k in dim(), seed in any::<u64>()) {
         let mut rng = StdRng::seed_from_u64(seed);
         let a = fill(&mut rng, m * k);
         let b = fill(&mut rng, n * k);
         let bias = fill(&mut rng, n);
-        let mut got = vec![0.0f32; m * n];
-        let mut want = vec![0.0f32; m * n];
-        gemm_nn(&a, &b, &bias, m, n, k, &mut got);
-        gemm_nn_ref(&a, &b, &bias, m, n, k, &mut want);
-        prop_assert!(bits_eq(&got, &want), "nn diverged at m={} n={} k={}", m, n, k);
+        let ok = nn_matches_ref(&a, &b, &bias, (m, n, k), &mut rng, bits_eq);
+        prop_assert!(ok, "nn diverged at m={} n={} k={}", m, n, k);
+    }
+
+    /// Batches from one row to past two 8-row lane blocks (full, short
+    /// and repeated-row lanes), reductions one to three 512-deep k-tiles
+    /// long (partial sums carried across tiles in `out`).
+    #[test]
+    fn nn_rows_straddle_the_lanes_and_k_tiles(
+        m in 1usize..=17,
+        n in dim(),
+        k in 500usize..1100,
+        seed in any::<u64>(),
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let a = fill(&mut rng, m * k);
+        let b = fill(&mut rng, n * k);
+        let bias = fill(&mut rng, n);
+        let ok = nn_matches_ref(&a, &b, &bias, (m, n, k), &mut rng, bits_eq);
+        prop_assert!(ok, "nn diverged at m={} n={} k={}", m, n, k);
     }
 
     /// Backward-data layout: `out = a·b` is bit-exact vs the twin.
@@ -91,38 +140,40 @@ proptest! {
         prop_assert!(bits_eq(&got, &want), "nt diverged at m={} p={} n={}", m, p, n);
     }
 
-    /// Signed zeros survive blocking: ReLU'd activations produce exact
-    /// `±0.0` terms, and the chains must round them identically.
+    /// Signed zeros and non-finite terms survive blocking, in the
+    /// activations, the weights and the bias alike: ReLU'd activations
+    /// produce exact `±0.0` terms, and a diverged model's NaN/∞ must
+    /// propagate into exactly the outputs the naive loop puts them in.
     #[test]
-    fn nn_preserves_signed_zero_terms(m in 1usize..6, n in 1usize..10, k in 1usize..12, seed in any::<u64>()) {
+    fn nn_preserves_signed_zero_and_non_finite_terms(
+        m in 1usize..=17,
+        n in 1usize..20,
+        k in 1usize..12,
+        seed in any::<u64>(),
+    ) {
         let mut rng = StdRng::seed_from_u64(seed);
-        let a: Vec<f32> = (0..m * k)
-            .map(|_| match rng.gen_range(0u8..4) {
-                0 => 0.0,
-                1 => -0.0,
-                _ => rng.gen_range(-1.0f32..1.0),
-            })
-            .collect();
-        let b = fill(&mut rng, n * k);
-        let bias = vec![0.0f32; n];
-        let mut got = vec![0.0f32; m * n];
-        let mut want = vec![0.0f32; m * n];
-        gemm_nn(&a, &b, &bias, m, n, k, &mut got);
-        gemm_nn_ref(&a, &b, &bias, m, n, k, &mut want);
-        prop_assert!(bits_eq(&got, &want), "zero handling diverged");
+        let a = special(&mut rng, m * k);
+        let b = special(&mut rng, n * k);
+        let bias = special(&mut rng, n);
+        let ok = nn_matches_ref(&a, &b, &bias, (m, n, k), &mut rng, bits_eq_or_both_nan);
+        prop_assert!(ok, "special-value handling diverged at m={} n={} k={}", m, n, k);
     }
 }
 
-/// The paper's training and eval shapes, pinned explicitly (the [192, 96]
-/// MLP over 64 features / 62 classes at batch 16, plus an eval batch).
+/// The benchmark's training and eval shapes, pinned explicitly: the
+/// [192, 96] MLP over 64 features / 62 classes at batch 16, the wide
+/// [4096] MLP at batch 4, and eval batches.
 #[test]
 fn paper_shapes_are_bit_exact() {
     for (i, &(m, n, k)) in [
         (16, 192, 64),
         (16, 96, 192),
         (16, 62, 96),
+        (4, 4096, 64),
+        (4, 62, 4096),
         (512, 192, 64),
         (512, 62, 96),
+        (2000, 62, 96),
     ]
     .iter()
     .enumerate()
@@ -131,11 +182,22 @@ fn paper_shapes_are_bit_exact() {
         let a = fill(&mut rng, m * k);
         let b = fill(&mut rng, n * k);
         let bias = fill(&mut rng, n);
-        let mut got = vec![0.0f32; m * n];
-        let mut want = vec![0.0f32; m * n];
-        gemm_nn(&a, &b, &bias, m, n, k, &mut got);
-        gemm_nn_ref(&a, &b, &bias, m, n, k, &mut want);
-        assert!(bits_eq(&got, &want), "nn diverged at {m}x{n}x{k}");
+        let ok = nn_matches_ref(&a, &b, &bias, (m, n, k), &mut rng, bits_eq);
+        assert!(ok, "nn diverged at {m}x{n}x{k}");
+    }
+}
+
+/// Empty dimensions: no rows or no features write nothing; no reduction
+/// terms write the bias into every row, over whatever `out` held.
+#[test]
+fn nn_empty_dimensions_are_exact() {
+    let mut rng = StdRng::seed_from_u64(0xE0);
+    for (m, n, k) in [(0, 5, 7), (5, 0, 7), (0, 0, 0), (3, 5, 0), (17, 62, 0)] {
+        let a = fill(&mut rng, m * k);
+        let b = fill(&mut rng, n * k);
+        let bias = fill(&mut rng, n);
+        let ok = nn_matches_ref(&a, &b, &bias, (m, n, k), &mut rng, bits_eq);
+        assert!(ok, "nn diverged at {m}x{n}x{k}");
     }
 }
 
@@ -275,23 +337,11 @@ proptest! {
         seed in any::<u64>(),
     ) {
         let mut rng = StdRng::seed_from_u64(seed);
-        let mut special = |len: usize| -> Vec<f32> {
-            (0..len)
-                .map(|_| match rng.gen_range(0u8..12) {
-                    0..=2 => 0.0,
-                    3..=5 => -0.0,
-                    6 => f32::NAN,
-                    7 => f32::INFINITY,
-                    8 => f32::NEG_INFINITY,
-                    _ => rng.gen_range(-1.0f32..1.0),
-                })
-                .collect()
-        };
-        let d_out = special(m * p);
-        let x = special(m * n);
-        let w0 = special(p * n);
-        let v0 = special(p * n);
-        let base = special(p * n);
+        let d_out = special(&mut rng, m * p);
+        let x = special(&mut rng, m * n);
+        let w0 = special(&mut rng, p * n);
+        let v0 = special(&mut rng, p * n);
+        let base = special(&mut rng, p * n);
         for mu in [0.0f32, 0.9] {
             let bad = sgd_forms_diverge(&d_out, &x, (m, p, n), (0.05, mu), &w0, &v0, &base);
             prop_assert!(bad.is_none(), "{:?} form diverged at m={} p={} n={} mu={}", bad, m, p, n, mu);

@@ -96,6 +96,71 @@ fn bits_eq(a: &[f32], b: &[f32]) -> bool {
     a.len() == b.len() && a.iter().zip(b).all(|(a, b)| a.to_bits() == b.to_bits())
 }
 
+/// Trains client `id` of `sim` for `steps` steps from `global` with the
+/// fused routine (through the reused `slot`) and with the oracle, and
+/// asserts bit-identical deltas and BN-statistic drifts — all zero when
+/// `steps == 0`. Stale buffer contents must be overwritten, not
+/// accumulated on, so the fused side starts from NaN.
+fn assert_fused_matches_oracle(
+    sim: &Simulation,
+    global: &[f32],
+    (id, steps, lr, seed): (usize, usize, f32, u64),
+    slot: &mut TrainSlot,
+    what: &str,
+) {
+    let cfg = sim.config();
+    let model = sim.model();
+    let dim = model.num_params();
+    let trainable_mask = model.layout().trainable_mask();
+    let stats_positions: Vec<usize> = trainable_mask.not().iter_ones().collect();
+    let mut ref_out = vec![0.0f32; dim];
+    let mut ref_stats = vec![0.0f32; stats_positions.len()];
+    reference_local_train(
+        model,
+        global,
+        sim.data(),
+        id,
+        steps,
+        cfg.batch_size,
+        lr,
+        cfg.momentum,
+        seed,
+        &mut ref_out,
+        &stats_positions,
+        &mut ref_stats,
+        &trainable_mask,
+    );
+    let mut new_out = vec![f32::NAN; dim];
+    let mut new_stats = vec![f32::NAN; stats_positions.len()];
+    local_train_into(
+        model.topology(),
+        global,
+        sim.data(),
+        id,
+        steps,
+        cfg.batch_size,
+        lr,
+        cfg.momentum,
+        seed,
+        &mut new_out,
+        &stats_positions,
+        &mut new_stats,
+        &trainable_mask,
+        slot,
+    );
+    assert!(
+        bits_eq(&ref_out, &new_out),
+        "trainable delta diverged ({what})"
+    );
+    assert!(
+        bits_eq(&ref_stats, &new_stats),
+        "BN-statistic drift diverged ({what})"
+    );
+    if steps == 0 {
+        assert!(new_out.iter().chain(&new_stats).all(|v| v.to_bits() == 0));
+    }
+}
+
 /// (1) Fused ≡ unfused, bit for bit, over model shapes (one hidden
 /// layer with BatchNorm, two, one without it and plain SGD — `μ = 0` —
 /// and no hidden layer at all),
@@ -119,12 +184,8 @@ fn fused_path_matches_unfused_oracle_bitwise() {
         cfg.model.hidden = hidden.clone();
         cfg.momentum = momentum;
         let sim = Simulation::new(cfg.clone());
-        let model = sim.model();
-        let dim = model.num_params();
-        let trainable_mask = model.layout().trainable_mask();
-        let stats_positions: Vec<usize> = trainable_mask.not().iter_ones().collect();
-        assert_eq!(stats_positions.is_empty(), !batch_norm);
-        let mut global = model.params().to_vec();
+        assert_eq!(sim.model().layout().statistic_count() == 0, !batch_norm);
+        let mut global = sim.model().params().to_vec();
         let mut drift = seeded_rng(7, "global-drift", 0);
         for round in 0..4u32 {
             let lr = cfg.lr_at_round(round);
@@ -135,56 +196,10 @@ fn fused_path_matches_unfused_oracle_bitwise() {
                     "local-train",
                     (u64::from(round) << 32) | id as u64,
                 );
-                let mut ref_out = vec![0.0f32; dim];
-                let mut ref_stats = vec![0.0f32; stats_positions.len()];
-                reference_local_train(
-                    model,
-                    &global,
-                    sim.data(),
-                    id,
-                    steps,
-                    cfg.batch_size,
-                    lr,
-                    cfg.momentum,
-                    seed,
-                    &mut ref_out,
-                    &stats_positions,
-                    &mut ref_stats,
-                    &trainable_mask,
-                );
-                // Stale contents must be overwritten, not accumulated on.
-                let mut new_out = vec![f32::NAN; dim];
-                let mut new_stats = vec![f32::NAN; stats_positions.len()];
-                local_train_into(
-                    model.topology(),
-                    &global,
-                    sim.data(),
-                    id,
-                    steps,
-                    cfg.batch_size,
-                    lr,
-                    cfg.momentum,
-                    seed,
-                    &mut new_out,
-                    &stats_positions,
-                    &mut new_stats,
-                    &trainable_mask,
-                    &mut slot,
-                );
                 let what = format!(
                     "bn={batch_norm} hidden={hidden:?} round {round} client {id} E={steps}"
                 );
-                assert!(
-                    bits_eq(&ref_out, &new_out),
-                    "trainable delta diverged ({what})"
-                );
-                assert!(
-                    bits_eq(&ref_stats, &new_stats),
-                    "BN-statistic drift diverged ({what})"
-                );
-                if steps == 0 {
-                    assert!(new_out.iter().chain(&new_stats).all(|v| v.to_bits() == 0));
-                }
+                assert_fused_matches_oracle(&sim, &global, (id, steps, lr, seed), &mut slot, &what);
             }
             // Drift the global weights so later rounds exercise fresh state.
             use rand::Rng;
@@ -192,6 +207,28 @@ fn fused_path_matches_unfused_oracle_bitwise() {
                 *w += drift.gen_range(-0.01f32..0.01f32);
             }
         }
+    }
+}
+
+/// (1b) The wide benchmark shape, where the forward pass differs most
+/// from the paper shape: hidden [4096] with BatchNorm over FEMNIST's 64
+/// features and 62 classes, batch 4 (half a lane block of rows) and a
+/// 4096-deep output-layer reduction; fused ≡ oracle for `E` ∈ {1, 2}.
+#[test]
+fn wide_topology_fused_path_matches_unfused_oracle_bitwise() {
+    let mut cfg = tiny_cfg(StrategyConfig::FedAvg, 1);
+    cfg.model.hidden = vec![4096];
+    cfg.dataset.feature_dim = 64;
+    cfg.dataset.classes = 62;
+    cfg.batch_size = 4;
+    let sim = Simulation::new(cfg.clone());
+    assert!(sim.model().layout().statistic_count() > 0);
+    let global = sim.model().params().to_vec();
+    let mut slot = TrainSlot::default();
+    for (id, steps) in [(0usize, 1usize), (3, 2), (7, 1)] {
+        let seed = derive_seed(cfg.seed, "local-train", id as u64);
+        let what = format!("wide client {id} E={steps}");
+        assert_fused_matches_oracle(&sim, &global, (id, steps, 0.05, seed), &mut slot, &what);
     }
 }
 
