@@ -14,12 +14,21 @@
 //!   client runs): one client's whole training state stays
 //!   cache-resident in the worker's pooled [`TrainSlot`] while the
 //!   cohort streams through it, each step touches each weight once, and
-//!   nothing is allocated in steady state. Under the `parallel` feature
+//!   training allocates nothing in steady state. A client's data shard is
+//!   synthesised when it is invited and not resident, then kept: once a
+//!   round is over at most `S` shards stay, those whose clients were
+//!   invited most recently. `S` is the sticky group's size (0 without
+//!   one), because the sticky group is who the sampler invites again —
+//!   about 70 % of a paper-shape round's invitations find their shard
+//!   resident — while a cache of the whole population would cost
+//!   memory for clients drawn once in `N/K` rounds. A shard is a pure
+//!   function of `(seed, client)` ([`SyntheticFlDataset::client`]), so
+//!   residency never changes a bit. Under the `parallel` feature
 //!   the cohort is cut into one chunk per worker of the vendored
-//!   [`gluefl_pool`] and each chunk runs that same loop
-//!   ([`batch_local_train_into`]) — scheduling only. Results are
-//!   bit-identical either way because every client's RNG is derived
-//!   from `(seed, round, client)` rather than thread schedule;
+//!   [`gluefl_pool`] and each chunk runs that same loop over the
+//!   resident shards — scheduling only. Results are bit-identical
+//!   either way because every client's RNG is derived from
+//!   `(seed, round, client)` rather than thread schedule;
 //! * on `offers`, each trained delta is compressed in place by the
 //!   client half and priced ([`ClientCompressor::offer`]) — nothing is
 //!   serialized before the keep decision. The delta's buffer is handed
@@ -42,7 +51,7 @@ use gluefl_data::{ClientDataset, SyntheticFlDataset};
 use gluefl_ml::{BatchTrainScratch, Mlp, MlpTopology};
 use gluefl_net::timing::ClientRoundTime;
 use gluefl_sampling::ClientId;
-use gluefl_telemetry::{Histogram, Phase, Telemetry};
+use gluefl_telemetry::{Counter, Histogram, Phase, Telemetry};
 use gluefl_tensor::rng::derive_seed;
 use gluefl_tensor::{vecops, BitMask};
 use gluefl_wire::WireError;
@@ -78,6 +87,8 @@ impl Simulation {
     pub fn set_telemetry(&mut self, tel: Arc<Telemetry>) {
         self.clients.tel = Some(ClientRecorder {
             update_norm_milli: tel.histogram("gluefl_client_update_norm_milli", &[]),
+            shards_built: tel.counter("gluefl_client_shards_built_total", &[]),
+            shards_reused: tel.counter("gluefl_client_shards_reused_total", &[]),
             hub: Arc::clone(&tel),
         });
         self.engine.set_telemetry(tel);
@@ -144,28 +155,111 @@ impl Simulation {
 }
 
 /// The client-side recorder: the hub for training spans plus the
-/// pre-registered per-client update-norm instrument.
+/// pre-registered per-client instruments.
 struct ClientRecorder {
     hub: Arc<Telemetry>,
     /// Per-client update ℓ2 norm, in thousandths (the per-client
     /// statistic Optimal Client Sampling–style importance sampling
     /// needs each round).
     update_norm_milli: Histogram,
+    /// Invitations whose shard was synthesised, and those that found it
+    /// resident: together the shard cache's hit rate.
+    shards_built: Counter,
+    shards_reused: Counter,
+}
+
+/// A resident client shard and the last round its client was invited.
+struct Resident {
+    id: ClientId,
+    last: u32,
+    shard: ClientDataset,
+}
+
+/// Client shards kept between invitations, `S` of them once a round is
+/// over (see the module docs for why the bound is the sticky group).
+/// Shards invited in the current round are never evicted, and once `S`
+/// are resident a miss first evicts a stale one, so at most
+/// `max(S, invited)` are resident during a round. An evicted shard is
+/// dropped rather than rebuilt in place: the allocator's best fit over
+/// every free block places a new shard more tightly than the evicted
+/// shard's buffers, which fit the next client only by chance.
+struct ShardCache {
+    /// `S`: shards left resident by [`ShardCache::trim`].
+    capacity: usize,
+    resident: Vec<Resident>,
+}
+
+impl ShardCache {
+    /// Makes every client of `ids` resident for `round`, synthesising
+    /// the missing shards; returns how many it built.
+    fn fill(&mut self, data: &SyntheticFlDataset, round: u32, ids: &[ClientId]) -> usize {
+        // Hits first, so no miss evicts a shard invited this round.
+        for r in &mut self.resident {
+            if ids.contains(&r.id) {
+                r.last = round;
+            }
+        }
+        let mut built = 0;
+        for &id in ids {
+            if self.resident.iter().any(|r| r.id == id) {
+                continue;
+            }
+            if self.resident.len() >= self.capacity {
+                self.evict_stale(round);
+            }
+            self.resident.push(Resident {
+                id,
+                last: round,
+                shard: data.client(id),
+            });
+            built += 1;
+        }
+        built
+    }
+
+    /// Drops the least recently invited shard not invited in `round`,
+    /// if there is one.
+    fn evict_stale(&mut self, round: u32) {
+        let stale = self
+            .resident
+            .iter()
+            .enumerate()
+            .filter(|(_, r)| r.last != round)
+            .min_by_key(|(_, r)| r.last);
+        if let Some((i, _)) = stale {
+            self.resident.swap_remove(i);
+        }
+    }
+
+    /// Client `id`'s resident shard.
+    fn get(&self, id: ClientId) -> &ClientDataset {
+        let r = self.resident.iter().find(|r| r.id == id);
+        &r.expect("invited clients are resident").shard
+    }
+
+    /// Evicts the least recently invited shards down to `S`.
+    fn trim(&mut self) {
+        if self.resident.len() > self.capacity {
+            self.resident.sort_by_key(|r| std::cmp::Reverse(r.last));
+            self.resident.truncate(self.capacity);
+        }
+    }
 }
 
 /// The in-process [`RoundIo`]: every client of the population, simulated
 /// here. Holds one round's worth of client state between the engine's
 /// steps — trained deltas, BN-statistic drift, staged uploads — in
-/// buffers recycled from round to round. Public so a test can wrap it
-/// and script what the engine gets to see.
+/// buffers recycled from round to round, plus the shards of the clients
+/// most recently invited (at most the sticky group's size `S` between
+/// rounds). Public so a test can wrap it and script what the engine
+/// gets to see.
 pub struct InProcessClients {
     cfg: SimConfig,
     data: Arc<SyntheticFlDataset>,
     topo: MlpTopology,
     /// Flat indices of BN-statistic positions.
     stats_positions: Vec<usize>,
-    /// Mask of trainable positions (complement of the BN statistics).
-    trainable_mask: BitMask,
+    cache: ShardCache,
     compressor: ClientCompressor,
     scratch: ScratchPool,
     /// The round's invitation list and broadcast mask.
@@ -186,11 +280,11 @@ pub struct InProcessClients {
     tel: Option<ClientRecorder>,
 }
 
-/// One training worker's share of a round's cohort: its clients, where
-/// their deltas and BN-statistic drift go, and the workspace they are
-/// trained in.
+/// One training worker's share of a round's cohort: its clients' shards,
+/// where their deltas and BN-statistic drift go, and the workspace they
+/// are trained in.
 struct TrainShard<'a> {
-    ids: &'a [ClientId],
+    datasets: &'a [&'a ClientDataset],
     seeds: &'a [u64],
     outs: &'a mut [Vec<f32>],
     stats: &'a mut [f32],
@@ -259,6 +353,8 @@ impl RoundIo for InProcessClients {
     }
 
     fn grant(&mut self, _round: u32, kept: &[usize], _times: &[ClientRoundTime]) {
+        // Training is over: down to the `S` most recently invited shards.
+        self.cache.trim();
         // Delivered in descending pop order = ascending client id, the
         // order the engine's gate folds in: it never has to park, so at
         // most one decoded upload is alive at a time.
@@ -298,12 +394,19 @@ impl InProcessClients {
     /// The clients of `cfg`'s run, over the dataset and layout in `setup`.
     #[must_use]
     pub fn new(cfg: &SimConfig, setup: &RunSetup) -> Self {
+        let sticky_group = match &cfg.strategy {
+            StrategyConfig::GlueFl(p) => p.sticky_group,
+            _ => 0,
+        };
         Self {
             cfg: cfg.clone(),
             data: Arc::clone(&setup.data),
             topo: setup.topology.clone(),
             stats_positions: setup.stats_positions.clone(),
-            trainable_mask: setup.trainable_mask.clone(),
+            cache: ShardCache {
+                capacity: sticky_group,
+                resident: Vec::new(),
+            },
             compressor: ClientCompressor::for_run(cfg, setup),
             scratch: ScratchPool::new(),
             invited: Vec::new(),
@@ -336,18 +439,35 @@ impl InProcessClients {
     /// Trains every invited client from `global`, writing trainable
     /// deltas (BN-statistic positions zeroed) into `self.deltas` in
     /// invitation order and the BN-statistic drift into `self.stats`
-    /// (`invited × stats` flat). The cohort is cut into one shard per
-    /// training worker — a single shard on serial builds — and every
-    /// shard runs [`batch_local_train_into`] over its own pooled
-    /// [`TrainSlot`]; sharding is scheduling, not a second way to train.
+    /// (`invited × stats` flat). The invited clients' missing shards are
+    /// built into the cache first; then the cohort is cut into one shard
+    /// per training worker — a single shard on serial builds — and every
+    /// shard runs the one cohort loop over the cached datasets and its
+    /// own pooled [`TrainSlot`]; sharding is scheduling, not a second
+    /// way to train.
     fn train_invited(&mut self, round: u32, global: &[f32]) {
-        let invited = &self.invited;
+        let ids: Vec<ClientId> = self.invited.iter().map(|&(id, _)| id).collect();
+        let threads = Self::train_threads(ids.len());
+        let chunk = ids.len().div_ceil(threads).max(1);
+        // Concurrent shards would each time the same wall-clock window,
+        // so they share one enclosing span, open from before the misses
+        // are built; a lone shard's build is a span of its own, then the
+        // shard records its spans block by block.
+        let lone = ids.len() <= chunk;
+        let trace = self.tel.as_ref().map(|t| (&*t.hub, round));
+        let build = trace.map(|(t, round)| t.span(Phase::Train, round));
+        let built = self.cache.fill(&self.data, round, &ids);
+        if let Some(t) = &self.tel {
+            t.shards_built.add(built as u64);
+            t.shards_reused.add((ids.len() - built) as u64);
+        }
+        let enclosing = build.filter(|_| !lone);
+        let datasets: Vec<&ClientDataset> = ids.iter().map(|&id| self.cache.get(id)).collect();
+
         let dim = global.len();
         let stats_len = self.stats_positions.len();
         self.stats.clear();
-        self.stats.resize(invited.len() * stats_len, 0.0);
-        let tel = self.tel.as_ref().map(|t| &*t.hub);
-        let threads = Self::train_threads(invited.len());
+        self.stats.resize(ids.len() * stats_len, 0.0);
         let mut slots: Vec<TrainSlot> = (0..threads)
             .map(|_| self.scratch.take_train_slot())
             .collect();
@@ -355,11 +475,9 @@ impl InProcessClients {
         // reused as it is: last round's hand-backs first, then the pool
         // (where a dense strategy's uploads returned theirs).
         let (recycled, pool) = (&mut self.delta_bufs, &mut self.scratch);
-        self.deltas.extend(
-            (0..invited.len()).map(|_| recycled.pop().unwrap_or_else(|| pool.take_full(dim))),
-        );
+        self.deltas
+            .extend((0..ids.len()).map(|_| recycled.pop().unwrap_or_else(|| pool.take_full(dim))));
         let cfg = &self.cfg;
-        let ids: Vec<ClientId> = invited.iter().map(|&(id, _)| id).collect();
         let seeds: Vec<u64> = ids
             .iter()
             .map(|&id| local_train_seed(cfg.seed, round, id))
@@ -367,40 +485,30 @@ impl InProcessClients {
         // NOTE: the stats slices are carved by client count —
         // `chunks_mut(chunk * stats_len)` would reject models without BN
         // statistics (chunk size zero).
-        let chunk = invited.len().div_ceil(threads).max(1);
         let mut stats_rest = &mut self.stats[..];
         let mut shards = Vec::with_capacity(threads);
-        for (((ids, seeds), outs), slot) in ids
+        for (((datasets, seeds), outs), slot) in datasets
             .chunks(chunk)
             .zip(seeds.chunks(chunk))
             .zip(self.deltas.chunks_mut(chunk))
             .zip(&mut slots)
         {
-            let (stats, rest) = stats_rest.split_at_mut(ids.len() * stats_len);
+            let (stats, rest) = stats_rest.split_at_mut(datasets.len() * stats_len);
             stats_rest = rest;
             shards.push(TrainShard {
-                ids,
+                datasets,
                 seeds,
                 outs,
                 stats,
                 slot,
             });
         }
-        // Concurrent shards would each time the same wall-clock window,
-        // so they share one enclosing span; a lone shard records its own
-        // spans block by block.
-        let lone = shards.len() <= 1;
-        let trace = tel.map(|t| (t, round));
-        let enclosing = trace
-            .filter(|_| !lone)
-            .map(|(t, round)| t.span(Phase::Train, round));
         let lr = cfg.lr_at_round(round);
         let train = |shard: TrainShard<'_>| {
-            batch_local_train_into(
+            train_cohort(
                 &self.topo,
                 global,
-                &self.data,
-                shard.ids,
+                shard.datasets,
                 shard.seeds,
                 cfg.local_steps,
                 cfg.batch_size,
@@ -409,7 +517,6 @@ impl InProcessClients {
                 shard.outs,
                 &self.stats_positions,
                 shard.stats,
-                &self.trainable_mask,
                 shard.slot,
                 trace.filter(|_| lone),
             );
@@ -490,9 +597,77 @@ pub fn train_client_into(
     }
 }
 
-/// [`train_client_into`] for client `id` of `data`, materialising the
-/// client's shard first (a full synthesis pass — callers that train the
-/// same client every round hold the [`ClientDataset`] instead).
+/// Clients per [`Phase::Train`] span of the cohort loop: a cohort's
+/// training shows in the journal as a few spans, not one per client and
+/// not one opaque block.
+const CLIENTS_PER_TRAIN_SPAN: usize = 8;
+
+/// The cohort loop, the one every entry point runs:
+/// [`batch_local_train_into`] over shards the caller already holds,
+/// client `c` training on `datasets[c]` through [`train_client_into`].
+/// One workspace serves the whole cohort — it holds one client's state
+/// at a time, so the working set is a client's, whatever the cohort's
+/// size.
+///
+/// # Panics
+/// As [`batch_local_train_into`].
+#[allow(clippy::too_many_arguments)]
+fn train_cohort(
+    topo: &MlpTopology,
+    global: &[f32],
+    datasets: &[&ClientDataset],
+    seeds: &[u64],
+    steps: usize,
+    batch: usize,
+    lr: f32,
+    momentum: f32,
+    outs: &mut [impl AsMut<[f32]>],
+    stats_positions: &[usize],
+    stats_saved: &mut [f32],
+    slot: &mut TrainSlot,
+    trace: Option<(&Telemetry, u32)>,
+) {
+    assert!(!datasets.is_empty(), "need at least one client");
+    assert_eq!(seeds.len(), datasets.len(), "one seed per client");
+    assert_eq!(outs.len(), datasets.len(), "one delta buffer per client");
+    let stats_len = stats_positions.len();
+    assert_eq!(
+        stats_saved.len(),
+        datasets.len() * stats_len,
+        "stats buffer/positions length mismatch"
+    );
+    let mut stats_rest = stats_saved;
+    for ((datasets, seeds), outs) in datasets
+        .chunks(CLIENTS_PER_TRAIN_SPAN)
+        .zip(seeds.chunks(CLIENTS_PER_TRAIN_SPAN))
+        .zip(outs.chunks_mut(CLIENTS_PER_TRAIN_SPAN))
+    {
+        let _span = trace.map(|(t, round)| t.span(Phase::Train, round));
+        for ((ds, &seed), out) in datasets.iter().zip(seeds).zip(outs) {
+            let (stats_out, rest) = std::mem::take(&mut stats_rest).split_at_mut(stats_len);
+            stats_rest = rest;
+            train_client_into(
+                topo,
+                global,
+                ds,
+                steps,
+                batch,
+                lr,
+                momentum,
+                seed,
+                out.as_mut(),
+                stats_positions,
+                stats_out,
+                slot,
+            );
+        }
+    }
+}
+
+/// [`train_client_into`] for client `id` of `data`, through the cohort
+/// loop as a cohort of one. Materialises the client's shard first, a
+/// full synthesis pass: the simulator trains from its shard cache
+/// instead, and a socket client holds its one [`ClientDataset`].
 /// `_trainable_mask` is implied by the topology and `stats_positions`.
 ///
 /// # Panics
@@ -508,39 +683,34 @@ pub fn local_train_into(
     lr: f32,
     momentum: f32,
     seed: u64,
-    out: &mut [f32],
+    mut out: &mut [f32],
     stats_positions: &[usize],
     stats_out: &mut [f32],
     _trainable_mask: &gluefl_tensor::BitMask,
     slot: &mut TrainSlot,
 ) {
-    train_client_into(
+    train_cohort(
         topo,
         global,
-        &data.client(id),
+        &[&data.client(id)],
+        &[seed],
         steps,
         batch,
         lr,
         momentum,
-        seed,
-        out,
+        std::slice::from_mut(&mut out),
         stats_positions,
         stats_out,
         slot,
+        None,
     );
 }
 
-/// Clients per [`Phase::Train`] span of [`batch_local_train_into`]: a
-/// cohort's training shows in the journal as a few spans, not one per
-/// client and not one opaque block.
-const CLIENTS_PER_TRAIN_SPAN: usize = 8;
-
-/// The cohort entry point: trains clients `ids` one after another with
-/// [`local_train_into`], client `c` seeded with `seeds[c]`, its
+/// The cohort loop over clients `ids` of `data`, their shards
+/// materialised first: client `c` is seeded with `seeds[c]`, its
 /// trainable delta written to `outs[c]` and its BN-statistic drift to
-/// `stats_saved[c·stats ..]`. One workspace serves the whole cohort —
-/// it holds one client's state at a time, so the working set is a
-/// client's, whatever `ids.len()` is.
+/// `stats_saved[c·stats ..]`, one workspace serving the whole cohort.
+/// `_trainable_mask` is implied by the topology and `stats_positions`.
 ///
 /// When `trace` carries a recorder and a round number, every run of
 /// eight clients emits one [`Phase::Train`] span; `None` (the parity
@@ -564,47 +734,26 @@ pub fn batch_local_train_into(
     outs: &mut [Vec<f32>],
     stats_positions: &[usize],
     stats_saved: &mut [f32],
-    trainable_mask: &gluefl_tensor::BitMask,
+    _trainable_mask: &gluefl_tensor::BitMask,
     scratch: &mut BatchTrainScratch,
     trace: Option<(&Telemetry, u32)>,
 ) {
-    assert!(!ids.is_empty(), "need at least one client");
-    assert_eq!(seeds.len(), ids.len(), "one seed per client");
-    assert_eq!(outs.len(), ids.len(), "one delta buffer per client");
-    let stats_len = stats_positions.len();
-    assert_eq!(
-        stats_saved.len(),
-        ids.len() * stats_len,
-        "stats buffer/positions length mismatch"
+    let shards: Vec<ClientDataset> = ids.iter().map(|&id| data.client(id)).collect();
+    train_cohort(
+        topo,
+        global,
+        &shards.iter().collect::<Vec<_>>(),
+        seeds,
+        steps,
+        batch,
+        lr,
+        momentum,
+        outs,
+        stats_positions,
+        stats_saved,
+        scratch,
+        trace,
     );
-    let mut stats_rest = stats_saved;
-    for ((ids, seeds), outs) in ids
-        .chunks(CLIENTS_PER_TRAIN_SPAN)
-        .zip(seeds.chunks(CLIENTS_PER_TRAIN_SPAN))
-        .zip(outs.chunks_mut(CLIENTS_PER_TRAIN_SPAN))
-    {
-        let _span = trace.map(|(t, round)| t.span(Phase::Train, round));
-        for ((&id, &seed), out) in ids.iter().zip(seeds).zip(outs) {
-            let (stats_out, rest) = std::mem::take(&mut stats_rest).split_at_mut(stats_len);
-            stats_rest = rest;
-            local_train_into(
-                topo,
-                global,
-                data,
-                id,
-                steps,
-                batch,
-                lr,
-                momentum,
-                seed,
-                out,
-                stats_positions,
-                stats_out,
-                trainable_mask,
-                scratch,
-            );
-        }
-    }
 }
 
 /// Convenience: run one strategy under a config, returning its result.
@@ -947,6 +1096,122 @@ mod tests {
                 "round {round}: dense uploads must circulate, not accumulate"
             );
         }
+    }
+
+    /// A GlueFL config whose sticky group (S = 20) is smaller than a
+    /// round's 39 invitations, so the shard cache evicts every round.
+    fn evicting_cfg() -> SimConfig {
+        let mut cfg = tiny_cfg(StrategyConfig::FedAvg);
+        cfg.strategy = StrategyConfig::GlueFl(GlueFlParams {
+            sticky_group: 20,
+            sticky_draw: 12,
+            ..tiny_gluefl_params(cfg.round_size)
+        });
+        cfg
+    }
+
+    /// Forwards every call to the simulator's clients and records how
+    /// many shards are resident once the round's training is done.
+    struct CacheProbe<'a> {
+        clients: &'a mut InProcessClients,
+        resident_in_round: usize,
+    }
+
+    impl RoundIo for CacheProbe<'_> {
+        fn reachable(&self, id: ClientId) -> bool {
+            self.clients.reachable(id)
+        }
+
+        fn invite(&mut self, round: u32, invited: &[(ClientId, Group)], broadcast: &Broadcast<'_>) {
+            self.clients.invite(round, invited, broadcast);
+            self.resident_in_round = self.clients.cache.resident.len();
+        }
+
+        fn offers(
+            &mut self,
+            round: u32,
+            times: &[ClientRoundTime],
+            offers: &mut [Option<(u64, u64)>],
+        ) {
+            self.clients.offers(round, times, offers);
+        }
+
+        fn grant(&mut self, round: u32, kept: &[usize], times: &[ClientRoundTime]) {
+            self.clients.grant(round, kept, times);
+        }
+
+        fn next_upload(&mut self, round: u32, payload: &mut Vec<u8>) -> Option<Arrival> {
+            self.clients.next_upload(round, payload)
+        }
+
+        fn rejected(&mut self, round: u32, slot: usize, err: &WireError) {
+            self.clients.rejected(round, slot, err);
+        }
+    }
+
+    /// Between rounds at most `S` shards stay resident and during a
+    /// round at most `max(S, invited)`, so a strategy without a sticky
+    /// group (FedAvg, `S = 0`) keeps no more than one round's cohort.
+    /// Every invitation either builds its shard or reuses a resident
+    /// one, and with a sticky group some do reuse theirs.
+    #[test]
+    fn shard_cache_stays_within_its_bound() {
+        let mut sticky = tiny_cfg(StrategyConfig::FedAvg);
+        sticky.strategy = StrategyConfig::GlueFl(tiny_gluefl_params(sticky.round_size));
+        let cases = [
+            (evicting_cfg(), 20),
+            (sticky, 120),
+            (tiny_cfg(StrategyConfig::FedAvg), 0),
+        ];
+        for (cfg, s) in cases {
+            let tel = Arc::new(Telemetry::new());
+            let mut sim = Simulation::new(cfg).with_telemetry(Arc::clone(&tel));
+            assert_eq!(sim.clients.cache.capacity, s);
+            let (mut peak, mut invitations) = (0, 0);
+            for round in 0..12 {
+                let mut probe = CacheProbe {
+                    clients: &mut sim.clients,
+                    resident_in_round: 0,
+                };
+                let rec = sim.engine.step(&mut probe);
+                let during = probe.resident_in_round;
+                assert!(
+                    during <= s.max(rec.invited),
+                    "S = {s}, round {round}: {during} resident"
+                );
+                let after = sim.clients.cache.resident.len();
+                assert!(after <= s, "S = {s}, round {round}: {after} resident after");
+                peak = peak.max(during);
+                invitations += rec.invited;
+            }
+            let snap = tel.snapshot();
+            let count = |name| snap.value(name, &[]).unwrap();
+            let built = count("gluefl_client_shards_built_total");
+            let reused = count("gluefl_client_shards_reused_total");
+            assert_eq!(built + reused, invitations as f64, "S = {s}");
+            assert_eq!(reused > 0.0, s > 0, "S = {s}: {reused} reused");
+            assert!(built > peak as f64, "S = {s}: no shard was ever evicted");
+        }
+    }
+
+    /// Which shards are resident never changes a bit: 25 rounds of the
+    /// evicting config end on the weights captured before the cache
+    /// existed, when every invitation synthesised its shard afresh.
+    #[test]
+    fn shard_evictions_leave_the_run_unchanged() {
+        let mut sim = Simulation::new(evicting_cfg());
+        for _ in 0..25 {
+            let _ = sim.step();
+        }
+        let fnv = sim
+            .model()
+            .params()
+            .iter()
+            .flat_map(|v| v.to_bits().to_le_bytes())
+            .fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+                (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3)
+            });
+        assert_eq!(fnv, 0x8c8e_6051_e662_1177);
     }
 
     #[test]

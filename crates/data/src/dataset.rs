@@ -137,12 +137,17 @@ impl SyntheticFlDataset {
     /// it holds.
     ///
     /// # Panics
-    /// Panics on degenerate configs (zero classes/clients/features).
+    /// Panics on degenerate configs (zero classes/clients/features, a
+    /// client allowed zero samples).
     #[must_use]
     pub fn generate(cfg: DatasetConfig, seed: u64) -> Self {
         assert!(cfg.classes > 0, "need at least one class");
         assert!(cfg.clients > 0, "need at least one client");
         assert!(cfg.feature_dim > 0, "need at least one feature");
+        assert!(
+            cfg.min_samples_per_client >= 1,
+            "every client needs at least one sample"
+        );
         assert!(
             cfg.min_samples_per_client <= cfg.max_samples_per_client,
             "min samples exceeds max samples"
@@ -464,6 +469,37 @@ mod tests {
             let y_fnv = fnv1a(y.iter().flat_map(|&c| (c as u64).to_le_bytes()));
             assert_eq!((x_fnv, y_fnv), want);
         }
+    }
+
+    /// Every shard of FEMNIST at 10 % scale: what the simulator's
+    /// resident shards and every socket client's shard are built from,
+    /// at any SIMD width.
+    #[test]
+    fn femnist_shards_match_their_golden_fingerprint() {
+        let d = SyntheticFlDataset::generate(DatasetProfile::Femnist.config(0.1), 31);
+        assert_eq!(d.num_clients(), 280);
+        let bytes = (0..d.num_clients()).map(|i| d.client(i)).flat_map(|c| {
+            let x = c.x.into_iter().flat_map(|v| v.to_bits().to_le_bytes());
+            let y = c.y.into_iter().flat_map(|l| (l as u64).to_le_bytes());
+            x.chain(y).collect::<Vec<u8>>()
+        });
+        assert_eq!(fnv1a(bytes), 0xd1eb_f4fd_5e5c_86fa);
+    }
+
+    /// A zero-sample client would panic in whichever round first drew a
+    /// minibatch from it; the config is refused up front instead.
+    #[test]
+    #[should_panic(expected = "every client needs at least one sample")]
+    fn zero_sample_clients_are_rejected_at_generation() {
+        let cfg = DatasetConfig {
+            classes: 4,
+            clients: 50,
+            mean_samples_per_client: 1.0,
+            min_samples_per_client: 0,
+            max_samples_per_client: 10,
+            ..small().config().clone()
+        };
+        let _ = SyntheticFlDataset::generate(cfg, 3);
     }
 
     #[test]

@@ -20,6 +20,11 @@
 //! per-client seeds: holding a 10 625-client OpenImage-scale dataset costs
 //! only the class means plus per-client metadata, and
 //! [`SyntheticFlDataset::client`] regenerates identical samples every call.
+//! A shard is therefore a pure function of `(seed, client)`: a holder may
+//! keep it (a socket client keeps its own; the simulator keeps the sticky
+//! group's) or drop and rebuild it without changing a bit. Every client
+//! holds at least one sample — [`SyntheticFlDataset::generate`] refuses a
+//! config that would allow an empty client, which could never be trained.
 //!
 //! # Example
 //!

@@ -18,9 +18,9 @@
 //!    crate's finite-difference gradchecks and the round benchmark's
 //!    `records_fnv` / `params_fnv` fingerprints.
 //! 2. **Cohort ≡ oracle per client** — the cohort entry point
-//!    ([`gluefl_core::batch_local_train_into`], what the simulator and
-//!    every `parallel` shard call) is that routine in a loop, nothing
-//!    more.
+//!    ([`gluefl_core::batch_local_train_into`], a thin caller of the one
+//!    cohort loop the simulator and every `parallel` shard run over
+//!    their resident shards) is that routine in a loop, nothing more.
 //! 3. **Serial/parallel parity** — with the `parallel` feature, the
 //!    client-sharded training loop must reproduce the serial rounds
 //!    bit for bit for both GlueFL and FedAvg. This is CI's
