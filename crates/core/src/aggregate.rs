@@ -15,9 +15,6 @@
 //! every position's adds in stream (= fold) order; that makes it
 //! bit-identical to [`accumulate_sparse`], the plain dense
 //! `acc[i] += w·v` loop the tests pin it against.
-//!
-//! The module also hosts the `parallel` builds' runtime toggle,
-//! `set_parallel_enabled`.
 
 use crate::scratch::ScratchPool;
 use gluefl_tensor::{BitMask, SparseUpdate};
@@ -138,37 +135,6 @@ pub fn scatter_add_packed(
 /// enough to stay cache-resident while every run's in-range entries are
 /// replayed over it.
 const SHARD: usize = 1 << 14;
-
-/// Runtime switch for cohort sharding (`parallel` builds only): lets
-/// tests compare the threaded and serial executions of the *same* binary
-/// bit-for-bit. Defaults to enabled.
-#[cfg(feature = "parallel")]
-static PARALLEL_ENABLED: std::sync::atomic::AtomicBool = std::sync::atomic::AtomicBool::new(true);
-
-/// Enables or disables cohort sharding at runtime (`parallel` builds
-/// only): the simulator's client-parallel local training is the one
-/// thing that consults the flag. Intended for tests that need both
-/// executions in one process; results are bit-identical either way.
-#[cfg(feature = "parallel")]
-pub fn set_parallel_enabled(enabled: bool) {
-    PARALLEL_ENABLED.store(enabled, std::sync::atomic::Ordering::SeqCst);
-}
-
-#[cfg(feature = "parallel")]
-pub(crate) fn parallel_enabled() -> bool {
-    PARALLEL_ENABLED.load(std::sync::atomic::Ordering::SeqCst)
-}
-
-/// Serializes tests that toggle [`set_parallel_enabled`]: the flag is
-/// process-global, so two concurrently running parity tests could put
-/// each other's "serial" arm back on the threaded path and make the
-/// comparison vacuous. Every such test must hold this lock.
-#[cfg(all(test, feature = "parallel"))]
-pub(crate) fn parallel_toggle_lock() -> std::sync::MutexGuard<'static, ()> {
-    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-    LOCK.lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-}
 
 #[cfg(test)]
 mod tests {

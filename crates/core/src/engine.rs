@@ -681,9 +681,9 @@ impl RoundEngine {
         if (rec.round + 1).is_multiple_of(every) || rec.round + 1 == self.cfg.rounds {
             // Evaluate through a pooled slot so eval rounds reuse warm
             // forward buffers. The forward pass is the same GEMM-backed
-            // kernel path training uses; at test-set batch sizes the
-            // `parallel` feature shards GEMM row blocks across threads
-            // (bit-identical to serial — rows never share an accumulator).
+            // kernel path training uses; at test-set batch sizes it
+            // shards GEMM row blocks across threads (bit-identical to one
+            // thread — rows never share an accumulator).
             let mut slot = self.scratch.take_train_slot();
             let (tx, ty) = self.data.test_set();
             let m = self.model.evaluate_into(tx, ty, &mut slot.scratch);

@@ -73,7 +73,7 @@ pub use gluefl_wire::{LayoutMenu, WirePolicy};
 pub use metrics::{bytes_to_mb, CumulativeMetrics, RoundRecord, RunResult};
 pub use scratch::{ScratchPool, TrainSlot};
 pub use simulator::{
-    batch_local_train_into, local_train_into, local_train_seed, run_strategy, train_client_into,
+    batch_local_train_into, local_train_into, local_train_seed, train_client_into,
     InProcessClients, Simulation,
 };
 pub use staleness::StalenessTracker;

@@ -23,11 +23,11 @@
 //!   resident — while a cache of the whole population would cost
 //!   memory for clients drawn once in `N/K` rounds. A shard is a pure
 //!   function of `(seed, client)` ([`SyntheticFlDataset::client`]), so
-//!   residency never changes a bit. Under the `parallel` feature
-//!   the cohort is cut into one chunk per worker of the vendored
-//!   [`gluefl_pool`] and each chunk runs that same loop over the
-//!   resident shards — scheduling only. Results are bit-identical
-//!   either way because every client's RNG is derived from
+//!   residency never changes a bit. The cohort is cut into one chunk
+//!   per worker of the vendored [`gluefl_pool`] (as many as
+//!   [`gluefl_pool::threads`]) and each chunk runs that same loop over
+//!   the resident shards — scheduling only. Results do not depend on
+//!   the worker count because every client's RNG is derived from
 //!   `(seed, round, client)` rather than thread schedule;
 //! * on `offers`, each trained delta is compressed in place by the
 //!   client half and priced ([`ClientCompressor::offer`]) — nothing is
@@ -278,6 +278,8 @@ pub struct InProcessClients {
     /// Granted invitation indices not yet handed to the engine.
     pending: Vec<usize>,
     tel: Option<ClientRecorder>,
+    /// Local-training workers per round (fewer when fewer are invited).
+    threads: usize,
 }
 
 /// One training worker's share of a round's cohort: its clients' shards,
@@ -417,23 +419,8 @@ impl InProcessClients {
             uploads: Vec::new(),
             pending: Vec::new(),
             tel: None,
+            threads: gluefl_pool::threads(),
         }
-    }
-
-    /// Number of local-training workers for `clients` invited clients:
-    /// 1 on serial builds; up to the machine's parallelism when the
-    /// `parallel` feature is enabled (and not disabled at runtime via
-    /// [`crate::aggregate::set_parallel_enabled`]).
-    fn train_threads(clients: usize) -> usize {
-        #[cfg(feature = "parallel")]
-        if crate::aggregate::parallel_enabled() {
-            return std::thread::available_parallelism()
-                .map(std::num::NonZeroUsize::get)
-                .unwrap_or(1)
-                .min(clients.max(1));
-        }
-        let _ = clients;
-        1
     }
 
     /// Trains every invited client from `global`, writing trainable
@@ -441,13 +428,13 @@ impl InProcessClients {
     /// invitation order and the BN-statistic drift into `self.stats`
     /// (`invited × stats` flat). The invited clients' missing shards are
     /// built into the cache first; then the cohort is cut into one shard
-    /// per training worker — a single shard on serial builds — and every
-    /// shard runs the one cohort loop over the cached datasets and its
-    /// own pooled [`TrainSlot`]; sharding is scheduling, not a second
-    /// way to train.
+    /// per training worker — a single shard on a one-CPU machine — and
+    /// every shard runs the one cohort loop over the cached datasets and
+    /// its own pooled [`TrainSlot`]; sharding is scheduling, not a
+    /// second way to train.
     fn train_invited(&mut self, round: u32, global: &[f32]) {
         let ids: Vec<ClientId> = self.invited.iter().map(|&(id, _)| id).collect();
-        let threads = Self::train_threads(ids.len());
+        let threads = self.threads.min(ids.len()).max(1);
         let chunk = ids.len().div_ceil(threads).max(1);
         // Concurrent shards would each time the same wall-clock window,
         // so they share one enclosing span, open from before the misses
@@ -521,10 +508,7 @@ impl InProcessClients {
                 trace.filter(|_| lone),
             );
         };
-        #[cfg(feature = "parallel")]
         gluefl_pool::run(threads, shards, train);
-        #[cfg(not(feature = "parallel"))]
-        shards.into_iter().for_each(train);
         drop(enclosing);
         for slot in slots {
             self.scratch.put_train_slot(slot);
@@ -541,7 +525,7 @@ pub fn local_train_seed(seed: u64, round: u32, id: ClientId) -> u64 {
 }
 
 /// One client's local training — the routine every driver runs: the
-/// in-process cohort loop, each `parallel` shard of it, and a socket
+/// in-process cohort loop, each worker's shard of it, and a socket
 /// client's `INVITE` handler.
 ///
 /// `steps` minibatch SGD-with-momentum steps from `global` over the
@@ -756,12 +740,6 @@ pub fn batch_local_train_into(
     );
 }
 
-/// Convenience: run one strategy under a config, returning its result.
-pub fn run_strategy(mut cfg: SimConfig, strategy: StrategyConfig) -> RunResult {
-    cfg.strategy = strategy;
-    Simulation::new(cfg).run()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -866,42 +844,46 @@ mod tests {
         }
     }
 
-    /// With the `parallel` feature, client-parallel local training
-    /// (gated by the runtime toggle) must produce bit-identical results
-    /// to the serial execution of the same binary, for every strategy,
-    /// including accuracies down to the last bit.
-    #[cfg(feature = "parallel")]
+    /// Client-sharded local training must not change a bit: every
+    /// strategy, the quantized STC upload and a QuantU8 wire included,
+    /// runs 4 rounds on one worker and on three, and the records agree
+    /// down to the accuracy bits. Three workers need not exist on the
+    /// machine — the pool spawns them regardless — so this compares on
+    /// any core count.
     #[test]
     fn parallel_round_bit_identical_to_serial() {
-        let _guard = crate::aggregate::parallel_toggle_lock();
         let configs = || {
             let mut gluefl_cfg = tiny_cfg(StrategyConfig::FedAvg);
             let k = gluefl_cfg.round_size;
             gluefl_cfg.strategy = StrategyConfig::GlueFl(tiny_gluefl_params(k));
+            let mut quant_wire = tiny_cfg(StrategyConfig::FedAvg);
+            quant_wire.wire = gluefl_wire::WirePolicy::legacy(gluefl_wire::Codec::QuantU8);
             vec![
                 tiny_cfg(StrategyConfig::FedAvg),
                 tiny_cfg(StrategyConfig::Stc { q: 0.2 }),
+                tiny_cfg(StrategyConfig::StcQuantized { q: 0.2 }),
                 gluefl_cfg,
+                quant_wire,
             ]
         };
-        let run_all = |parallel: bool| -> Vec<RoundRecord> {
-            crate::aggregate::set_parallel_enabled(parallel);
+        let run_all = |threads: usize| -> Vec<RoundRecord> {
             let mut recs = Vec::new();
             for cfg in configs() {
                 let mut sim = Simulation::new(cfg);
+                sim.clients.threads = threads;
                 for _ in 0..4 {
                     recs.push(sim.step());
                 }
             }
-            crate::aggregate::set_parallel_enabled(true);
             recs
         };
-        let parallel = run_all(true);
-        let serial = run_all(false);
-        assert_eq!(parallel.len(), serial.len());
-        for (p, s) in parallel.iter().zip(&serial) {
+        let sharded = run_all(3);
+        let serial = run_all(1);
+        assert_eq!(sharded.len(), serial.len());
+        for (p, s) in sharded.iter().zip(&serial) {
             assert_eq!(p.down_bytes, s.down_bytes);
             assert_eq!(p.up_bytes, s.up_bytes);
+            assert_eq!(p.wire_up_bytes, s.wire_up_bytes);
             assert_eq!(p.changed_positions, s.changed_positions);
             assert_eq!(
                 p.accuracy.map(f64::to_bits),
@@ -1018,18 +1000,15 @@ mod tests {
     /// Concurrent shards all time the same wall-clock window, so a
     /// sharded round journals one enclosing [`Phase::Train`] span, not a
     /// sum that exceeds the step.
-    #[cfg(feature = "parallel")]
     #[test]
     fn sharded_training_records_one_enclosing_span() {
-        let _guard = crate::aggregate::parallel_toggle_lock();
-        crate::aggregate::set_parallel_enabled(true);
         let tel = Arc::new(Telemetry::new());
         let mut sim =
             Simulation::new(tiny_cfg(StrategyConfig::FedAvg)).with_telemetry(Arc::clone(&tel));
+        sim.clients.threads = 2;
         let rec = sim.step();
-        if InProcessClients::train_threads(rec.invited) > 1 {
-            assert_eq!(tel.phase_spans(Phase::Train), 1);
-        }
+        assert!(rec.invited > 1, "two workers need two clients");
+        assert_eq!(tel.phase_spans(Phase::Train), 1);
         assert!(tel.phase_nanos(Phase::Train) <= rec.step_nanos);
     }
 

@@ -36,8 +36,7 @@
 //!   (forward, backward-data, and accumulating backward-weights
 //!   layouts), which preserve every reduction order — training
 //!   trajectories are bit-identical to the naive per-element loops, and
-//!   large eval batches shard GEMM row blocks across threads under the
-//!   `parallel` feature.
+//!   large eval batches shard GEMM row blocks across threads.
 //! * [`Sgd`] — minibatch SGD with momentum and step decay (the paper's
 //!   optimizer: momentum 0.9, decay 0.98 every 10 rounds), plus the
 //!   pooled-velocity form [`sgd_momentum_step`] used by the scratch path

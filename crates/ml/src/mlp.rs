@@ -506,9 +506,8 @@ impl MlpTopology {
 ///
 /// A thin shim over the blocked [`gemm::gemm_nn`] kernel (`out = x·Wᵀ + b`,
 /// the forward layout). Bit-identical to the per-element loop it replaced
-/// — the GEMM preserves every output's reduction order — and, under the
-/// `parallel` feature, large eval batches shard row blocks across
-/// threads inside the kernel.
+/// — the GEMM preserves every output's reduction order — and large eval
+/// batches shard row blocks across threads inside the kernel.
 fn linear_forward_into(
     params: &[f32],
     lin: LinearSpec,

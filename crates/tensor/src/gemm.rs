@@ -30,10 +30,10 @@
 //! reduction dimension, not from reordered arithmetic. Three contracts
 //! follow:
 //!
-//! * serial and `--features parallel` builds produce identical bits: the
-//!   parallel path only shards **disjoint row blocks** of `out` across
-//!   the vendored `gluefl_pool` work-stealing pool, each job running
-//!   the serial kernel;
+//! * the thread count does not change the bits: eval-sized batches shard
+//!   only **disjoint row blocks** of `out` across the vendored
+//!   `gluefl_pool` work-stealing pool, each job running the serial
+//!   kernel;
 //! * the SIMD width does not change the bits (CI also runs the suites
 //!   built with `RUSTFLAGS="-C target-cpu=x86-64"`, i.e. SSE2);
 //! * training/eval trajectories upstream stay bit-identical to the
@@ -119,10 +119,8 @@ const NT_OR: usize = 4;
 const RED_C: usize = 512;
 
 /// Minimum rows before [`gemm_nn`] shards row blocks across threads.
-#[cfg(feature = "parallel")]
 const PAR_MIN_ROWS: usize = 128;
 /// Minimum `m·n·k` multiply count before sharding is worth a thread spawn.
-#[cfg(feature = "parallel")]
 const PAR_MIN_MULS: usize = 1 << 21;
 
 #[inline]
@@ -141,11 +139,10 @@ fn check_dims(a: &[f32], b: &[f32], m: usize, ak: usize, bk: usize, out: &[f32],
 /// is overwritten).
 ///
 /// Bit-exact against [`gemm_nn_ref`], and allocation-free (see "The
-/// forward kernel" in the module docs). Under the `parallel` feature,
-/// calls with enough rows of work (large eval batches) shard disjoint
-/// row blocks of `out` across `gluefl_pool::run` jobs; the result is
-/// bit-identical to the serial kernel because rows never share an
-/// accumulator.
+/// forward kernel" in the module docs). Calls with enough rows of work
+/// (large eval batches) shard disjoint row blocks of `out` across
+/// `gluefl_pool::run` jobs; the result is bit-identical to the serial
+/// kernel because rows never share an accumulator.
 ///
 /// # Panics
 /// Panics if any slice length disagrees with `(m, n, k)`.
@@ -155,7 +152,6 @@ pub fn gemm_nn(a: &[f32], b: &[f32], bias: &[f32], m: usize, n: usize, k: usize,
     if m == 0 || n == 0 {
         return;
     }
-    #[cfg(feature = "parallel")]
     if m >= PAR_MIN_ROWS && m * n * k >= PAR_MIN_MULS {
         gemm_nn_sharded(a, b, bias, m, n, k, out);
         return;
@@ -166,7 +162,6 @@ pub fn gemm_nn(a: &[f32], b: &[f32], bias: &[f32], m: usize, n: usize, k: usize,
 /// Row-sharded [`gemm_nn`]: each [`gluefl_pool`] job runs the serial
 /// kernel on a disjoint row block, so the output bits cannot depend on
 /// the schedule.
-#[cfg(feature = "parallel")]
 fn gemm_nn_sharded(
     a: &[f32],
     b: &[f32],
@@ -176,10 +171,7 @@ fn gemm_nn_sharded(
     k: usize,
     out: &mut [f32],
 ) {
-    let threads = std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1)
-        .min(m);
+    let threads = gluefl_pool::threads().min(m);
     let rows = m.div_ceil(threads);
     let jobs: Vec<(&[f32], &mut [f32])> =
         a.chunks(rows * k).zip(out.chunks_mut(rows * n)).collect();
@@ -855,9 +847,8 @@ mod tests {
         gemm_nt_sgd(&[0.0; 2], &[0.0; 2], 1, 2, 2, 0.1, 0.9, io);
     }
 
-    /// Under the `parallel` feature, a batch large enough to trigger row
-    /// sharding must still match the reference twin bit for bit.
-    #[cfg(feature = "parallel")]
+    /// A batch large enough to trigger row sharding must still match the
+    /// reference twin bit for bit.
     #[test]
     fn sharded_rows_match_reference_bitwise() {
         let (m, n, k) = (PAR_MIN_ROWS * 3 + 5, 96, 192);

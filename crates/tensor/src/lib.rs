@@ -25,7 +25,7 @@
 //!   in the three layouts the MLP's linear layers need (forward,
 //!   backward-data, accumulating backward-weights), each bit-exact
 //!   against a plain-loop reference twin; large-batch forward calls shard
-//!   disjoint row blocks across threads under the `parallel` feature.
+//!   disjoint row blocks across [`gluefl_pool::threads`] workers.
 //! * [`rng`] — deterministic seed derivation so that every experiment in the
 //!   workspace is exactly reproducible from one master seed.
 //!

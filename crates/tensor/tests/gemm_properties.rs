@@ -201,11 +201,10 @@ fn nn_empty_dimensions_are_exact() {
     }
 }
 
-/// Under the `parallel` feature, an eval-sized batch routes through the
-/// row-sharded path and must still match the serial reference bitwise.
-#[cfg(feature = "parallel")]
+/// An eval-sized batch routes through the row-sharded path and must
+/// still match the serial reference bitwise.
 #[test]
-fn parallel_forward_matches_reference_bitwise() {
+fn sharded_forward_matches_reference_bitwise() {
     let (m, n, k) = (1024, 192, 64);
     let mut rng = StdRng::seed_from_u64(99);
     let a = fill(&mut rng, m * k);

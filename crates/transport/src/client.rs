@@ -396,7 +396,7 @@ mod tests {
     #[test]
     fn node_holds_the_run_setup_layout_and_its_own_shard() {
         for strategy in ["fedavg", "gluefl"] {
-            let cfg = smoke_config(strategy, 6, 1, 31);
+            let cfg = smoke_config(strategy, 6, 1, 31).expect("valid smoke config");
             let setup = RunSetup::new(&cfg);
             let node = ClientNode::new(cfg, 5);
             assert_eq!(node.topology, setup.topology);

@@ -167,10 +167,16 @@ pub fn fnv1a_f32_bits(values: &[f32]) -> u64 {
 /// `strategy_name` is one of `fedavg`, `md`, `stc`, `stc-quant`, `apf`,
 /// `gluefl`.
 ///
-/// # Panics
-/// Panics on an unknown strategy name.
-#[must_use]
-pub fn smoke_config(strategy_name: &str, clients: usize, rounds: u32, seed: u64) -> SimConfig {
+/// # Errors
+/// An unknown strategy name, `clients == 0`, or `gluefl` with fewer
+/// `clients` than its sticky group (6): the run could not be built, so
+/// the CLI binaries reject it before they bind.
+pub fn smoke_config(
+    strategy_name: &str,
+    clients: usize,
+    rounds: u32,
+    seed: u64,
+) -> Result<SimConfig, String> {
     use gluefl_core::{GlueFlParams, StrategyConfig};
     let strategy = match strategy_name {
         "fedavg" => StrategyConfig::FedAvg,
@@ -189,8 +195,24 @@ pub fn smoke_config(strategy_name: &str, clients: usize, rounds: u32, seed: u64)
             compensation: gluefl_compress::CompensationMode::Rescaled,
             equal_weights: false,
         }),
-        other => panic!("unknown strategy {other:?}"),
+        other => {
+            return Err(format!(
+                "unknown strategy {other:?} (one of {})",
+                STRATEGIES.join(", ")
+            ))
+        }
     };
+    if clients == 0 {
+        return Err("--clients must be at least 1".into());
+    }
+    if let StrategyConfig::GlueFl(p) = &strategy {
+        if clients < p.sticky_group {
+            return Err(format!(
+                "--clients {clients} is below gluefl's sticky group of {}",
+                p.sticky_group
+            ));
+        }
+    }
     let mut cfg = SimConfig::paper_setup(
         gluefl_data::DatasetProfile::Femnist,
         gluefl_ml::DatasetModel::ShuffleNet,
@@ -210,5 +232,45 @@ pub fn smoke_config(strategy_name: &str, clients: usize, rounds: u32, seed: u64)
     cfg.batch_size = 8;
     cfg.availability = None;
     cfg.eval_every = rounds;
-    cfg
+    Ok(cfg)
+}
+
+/// The strategy names [`smoke_config`] accepts.
+const STRATEGIES: [&str; 6] = ["fedavg", "md", "stc", "stc-quant", "apf", "gluefl"];
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn smoke_config_accepts_every_listed_strategy() {
+        let names = ["fedavg", "md-fedavg", "stc", "stc-quant", "apf", "gluefl"];
+        for (flag, name) in STRATEGIES.into_iter().zip(names) {
+            let cfg = smoke_config(flag, 8, 2, 1).unwrap_or_else(|e| panic!("{flag}: {e}"));
+            assert_eq!(cfg.strategy.name(), name);
+            assert_eq!(cfg.dataset.clients, 8);
+        }
+    }
+
+    #[test]
+    fn smoke_config_rejects_an_unknown_strategy() {
+        let err = smoke_config("bogus", 8, 2, 1).unwrap_err();
+        assert!(err.contains("unknown strategy \"bogus\""), "{err}");
+    }
+
+    #[test]
+    fn smoke_config_rejects_zero_clients() {
+        for name in STRATEGIES {
+            assert!(smoke_config(name, 0, 2, 1).is_err(), "{name}");
+        }
+    }
+
+    #[test]
+    fn smoke_config_rejects_gluefl_below_its_sticky_group() {
+        for clients in 1..6 {
+            let err = smoke_config("gluefl", clients, 2, 1).unwrap_err();
+            assert!(err.contains("sticky group of 6"), "{err}");
+        }
+        assert!(smoke_config("gluefl", 6, 2, 1).is_ok());
+    }
 }

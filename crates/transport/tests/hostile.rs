@@ -373,7 +373,7 @@ const MODES: [Rogue; 5] = [
 /// asserting the server completes all rounds and every honest client
 /// exits cleanly. Returns (skipped_uploads, dead_clients).
 fn run_adversarial(strategy: &str, clients: usize, rounds: u32, seed: u64) -> (usize, usize) {
-    let mut cfg = smoke_config(strategy, clients, rounds, seed);
+    let mut cfg = smoke_config(strategy, clients, rounds, seed).expect("valid smoke config");
     // Invite exactly the keep set so every invited rogue is granted.
     cfg.oc = 1.0;
     let tel = Arc::new(Telemetry::new());
@@ -465,7 +465,7 @@ fn run_adversarial(strategy: &str, clients: usize, rounds: u32, seed: u64) -> (u
 /// so the rogue is granted deterministically in round 0. Returns the
 /// final metrics snapshot for exact counter assertions.
 fn run_single_rogue(mode: Rogue, seed: u64) -> gluefl_telemetry::Snapshot {
-    let mut cfg = smoke_config("fedavg", 2, 2, seed);
+    let mut cfg = smoke_config("fedavg", 2, 2, seed).expect("valid smoke config");
     cfg.round_size = 2;
     cfg.oc = 1.0;
     let tel = Arc::new(Telemetry::new());
@@ -501,7 +501,7 @@ fn run_single_rogue(mode: Rogue, seed: u64) -> gluefl_telemetry::Snapshot {
 #[test]
 fn client_with_a_different_config_refuses_the_run() {
     let clients = 4;
-    let mut cfg = smoke_config("fedavg", clients, 2, 45);
+    let mut cfg = smoke_config("fedavg", clients, 2, 45).expect("valid smoke config");
     // Everyone is invited every round, so the server notices the drifted
     // client's closed connection in round 0.
     cfg.round_size = clients;
@@ -644,7 +644,7 @@ fn refusals(snap: &gluefl_telemetry::Snapshot) -> Vec<(&'static str, f64)> {
 fn silent_connections_cannot_block_the_handshake() {
     const K: u32 = 4;
     let clients = 2;
-    let mut cfg = smoke_config("fedavg", clients, 2, 48);
+    let mut cfg = smoke_config("fedavg", clients, 2, 48).expect("valid smoke config");
     cfg.round_size = clients;
     cfg.oc = 1.0;
     let tel = Arc::new(Telemetry::new());
@@ -695,7 +695,7 @@ fn silent_connections_cannot_block_the_handshake() {
 #[test]
 fn every_refused_handshake_is_counted_by_reason() {
     let clients = 2;
-    let mut cfg = smoke_config("fedavg", clients, 2, 49);
+    let mut cfg = smoke_config("fedavg", clients, 2, 49).expect("valid smoke config");
     cfg.round_size = clients;
     cfg.oc = 1.0;
     let tel = Arc::new(Telemetry::new());

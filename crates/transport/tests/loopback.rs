@@ -24,7 +24,7 @@ fn assert_loopback_matches_simulator(strategy: &str, seed: u64) {
 }
 
 fn assert_loopback_matches_simulator_with(strategy: &str, seed: u64, wire: WirePolicy) {
-    let mut cfg = smoke_config(strategy, CLIENTS, ROUNDS, seed);
+    let mut cfg = smoke_config(strategy, CLIENTS, ROUNDS, seed).expect("valid smoke config");
     cfg.eval_every = 2;
     cfg.wire = wire;
 
@@ -132,7 +132,7 @@ fn loopback_matches_simulator_stc_quant_codec() {
 /// and the server saw upload bytes.
 #[test]
 fn loopback_matches_simulator_with_telemetry_enabled() {
-    let mut cfg = smoke_config("gluefl", CLIENTS, ROUNDS, 37);
+    let mut cfg = smoke_config("gluefl", CLIENTS, ROUNDS, 37).expect("valid smoke config");
     cfg.eval_every = 2;
 
     let sim_tel = Arc::new(Telemetry::new());

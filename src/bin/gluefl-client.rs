@@ -49,7 +49,10 @@ fn main() {
         std::process::exit(2);
     }
     let tel = (!metrics_out.is_empty()).then(|| Arc::new(Telemetry::new()));
-    let cfg = smoke_config(&strategy, clients, rounds, seed);
+    let cfg = smoke_config(&strategy, clients, rounds, seed).unwrap_or_else(|e| {
+        eprintln!("error: {e}\n{USAGE}");
+        std::process::exit(2)
+    });
     if let Err(e) = run_client_traced(&addr, cfg, id, tel.clone()) {
         log.error(
             "client failed",

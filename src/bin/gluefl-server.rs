@@ -78,7 +78,10 @@ fn main() {
     let tel =
         (!metrics_addr.is_empty() || !metrics_out.is_empty()).then(|| Arc::new(Telemetry::new()));
 
-    let cfg = smoke_config(&strategy, clients, rounds, seed);
+    let cfg = smoke_config(&strategy, clients, rounds, seed).unwrap_or_else(|e| {
+        eprintln!("error: {e}\n{USAGE}");
+        std::process::exit(2)
+    });
     let mut net = ServerConfig::local(clients);
     net.addr = addr;
     net.offer_timeout = Duration::from_secs(offer_secs);

@@ -10,10 +10,6 @@
 //!    form.
 //! 2. **Lossy codecs shrink measured bytes** while training still runs
 //!    (finite accuracy, support preserved).
-//! 3. **QuantU8 serial ≡ parallel** — deterministic stochastic rounding
-//!    is seeded from `(seed, round, client)`, so a quantized simulation
-//!    is bit-identical between serial execution and the `parallel`
-//!    feature's threaded training (CI's parallel leg).
 
 use gluefl_compress::ApfConfig;
 use gluefl_core::{GlueFlParams, SimConfig, Simulation, StrategyConfig, WireCodec, WirePolicy};
@@ -214,53 +210,6 @@ fn quantized_runs_are_reproducible() {
             y.accuracy.map(f64::to_bits),
             "quantized run not reproducible at round {}",
             x.round
-        );
-    }
-}
-
-/// CI's parallel-leg gate for the codec axis: a QuantU8 simulation is
-/// bit-identical between serial execution and threaded training —
-/// the quantization seed depends on
-/// `(seed, round, client)`, never on thread schedule.
-#[cfg(feature = "parallel")]
-#[test]
-fn quantized_run_bit_identical_serial_vs_parallel() {
-    use gluefl_core::aggregate::set_parallel_enabled;
-    let k = cfg(StrategyConfig::FedAvg, 1).round_size;
-    let configs = || {
-        vec![
-            cfg(StrategyConfig::FedAvg, 4),
-            cfg(
-                StrategyConfig::GlueFl(GlueFlParams::paper_default(k, DatasetModel::ShuffleNet)),
-                4,
-            ),
-        ]
-    };
-    let run_all = |parallel: bool| {
-        set_parallel_enabled(parallel);
-        let mut recs = Vec::new();
-        for mut c in configs() {
-            c.wire = WirePolicy::legacy(WireCodec::QuantU8);
-            let mut sim = Simulation::new(c);
-            for _ in 0..4 {
-                recs.push(sim.step());
-            }
-        }
-        set_parallel_enabled(true);
-        recs
-    };
-    let parallel = run_all(true);
-    let serial = run_all(false);
-    assert_eq!(parallel.len(), serial.len());
-    for (p, s) in parallel.iter().zip(&serial) {
-        assert_eq!(p.wire_up_bytes, s.wire_up_bytes);
-        assert_eq!(p.up_bytes, s.up_bytes);
-        assert_eq!(p.changed_positions, s.changed_positions);
-        assert_eq!(
-            p.accuracy.map(f64::to_bits),
-            s.accuracy.map(f64::to_bits),
-            "quantized accuracy bits diverged at round {}",
-            p.round
         );
     }
 }
