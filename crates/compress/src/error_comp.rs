@@ -1,6 +1,6 @@
 //! Error compensation with sticky-sampling re-scaling (§3.3, Eq. 7).
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 /// The paper's Figure-11 ablation arms.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -45,6 +45,14 @@ impl std::str::FromStr for CompensationMode {
 /// bank instead of copying — a returning client costs no dimension-sized
 /// copy or allocation at all.
 ///
+/// A client's memory can leave the bank for the length of its compress:
+/// [`check_out`](Self::check_out) hands it over as a [`Residual`],
+/// [`compress_split_with`](Self::compress_split_with) walks it through a
+/// shared `&self`, and [`check_in`](Self::check_in) puts it back. Every
+/// client's compress reads only its own memory, so a cohort's clients can
+/// be compressed on as many threads as there are clients, and
+/// `compress_split` is exactly that sequence for one client.
+///
 /// # Example
 ///
 /// ```
@@ -64,12 +72,31 @@ pub struct ErrorCompensator {
     mode: CompensationMode,
     dim: usize,
     memory: HashMap<usize, ClientMemory>,
+    /// Clients whose memory is checked out (see [`Residual`]).
+    checked_out: HashSet<usize>,
 }
 
 #[derive(Debug, Clone)]
 struct ClientMemory {
     residual: Vec<f32>,
     weight: f64,
+}
+
+/// One client's compensation memory, checked out of an
+/// [`ErrorCompensator`]'s bank with [`ErrorCompensator::check_out`] and
+/// returned with [`ErrorCompensator::check_in`]. Opaque: only the
+/// compensator that issued it reads or writes it. The default value is
+/// "no memory" — a client that has not participated yet, or any client
+/// under [`CompensationMode::None`].
+#[derive(Debug, Clone, Default)]
+pub struct Residual(Option<ClientMemory>);
+
+impl Residual {
+    /// Whether this holds no memory.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.0.is_none()
+    }
 }
 
 impl ErrorCompensator {
@@ -80,6 +107,39 @@ impl ErrorCompensator {
             mode,
             dim,
             memory: HashMap::new(),
+            checked_out: HashSet::new(),
+        }
+    }
+
+    /// Takes `client`'s memory out of the bank (an empty [`Residual`]
+    /// when it has none) until [`check_in`](Self::check_in); meanwhile
+    /// [`stored`](Self::stored) answers `None` for it.
+    ///
+    /// # Panics
+    /// Panics if `client` is already checked out: two live copies of one
+    /// memory would fork the bank.
+    pub fn check_out(&mut self, client: usize) -> Residual {
+        assert!(
+            self.checked_out.insert(client),
+            "client {client}'s residual is already checked out"
+        );
+        Residual(self.memory.remove(&client))
+    }
+
+    /// Returns `client`'s memory to the bank. Checking in an empty
+    /// [`Residual`] stores nothing.
+    ///
+    /// # Panics
+    /// Panics if a non-empty `residual` is checked in for a client that
+    /// is not checked out.
+    pub fn check_in(&mut self, client: usize, residual: Residual) {
+        let was_out = self.checked_out.remove(&client);
+        if let Some(mem) = residual.0 {
+            assert!(
+                was_out,
+                "client {client}'s residual was checked in without being checked out"
+            );
+            self.memory.insert(client, mem);
         }
     }
 
@@ -121,21 +181,28 @@ impl ErrorCompensator {
     /// residual exists and re-scaling is enabled).
     pub fn apply(&mut self, client: usize, delta: &mut [f32], current_weight: f64) {
         assert_eq!(delta.len(), self.dim, "delta dimension mismatch");
-        if let Some((residual, scale)) = self.carried(client, current_weight) {
+        let memory = self.check_out(client);
+        if let Some((residual, scale)) = self.carried(&memory, current_weight) {
             for (d, h) in delta.iter_mut().zip(residual) {
                 *d += scale * h;
             }
         }
+        self.check_in(client, memory);
     }
 
-    /// What [`apply`](Self::apply) adds for `client` at `current_weight`:
-    /// its stored residual `h` and the scale `s` of `Δ ← Δ + s·h`, or
-    /// `None` when there is nothing to add (mode `None`, or no memory).
+    /// What [`apply`](Self::apply) adds from `memory` at
+    /// `current_weight`: the residual `h` and the scale `s` of
+    /// `Δ ← Δ + s·h`, or `None` when there is nothing to add (mode
+    /// `None`, or no memory).
     ///
     /// # Panics
     /// Panics if a residual is to be re-scaled to a non-positive weight.
-    pub(crate) fn carried(&self, client: usize, current_weight: f64) -> Option<(&[f32], f32)> {
-        let mem = self.memory.get(&client)?;
+    pub(crate) fn carried<'a>(
+        &self,
+        memory: &'a Residual,
+        current_weight: f64,
+    ) -> Option<(&'a [f32], f32)> {
+        let mem = memory.0.as_ref()?;
         let scale = match self.mode {
             CompensationMode::None => return None,
             CompensationMode::Raw => 1.0,
@@ -162,20 +229,22 @@ impl ErrorCompensator {
         if self.mode == CompensationMode::None {
             return;
         }
-        let mem = self.memory_of(client, weight);
+        let mut memory = self.check_out(client);
+        let mem = Self::memory_of(&mut memory, weight);
         mem.residual.clear();
         mem.residual
             .extend(delta.iter().zip(sent_dense).map(|(d, s)| d - s));
+        self.check_in(client, memory);
     }
 
     /// Makes the buffer behind `delta` — which by now holds `Δ − sent` —
-    /// the client's residual at `weight`, without copying: `delta` is
-    /// left holding the client's previous residual buffer (`dim` stale
-    /// values, ready to be overwritten by the next round's delta) or an
-    /// empty vector on the client's first participation.
-    pub(crate) fn bank(&mut self, client: usize, delta: &mut Vec<f32>, weight: f64) {
+    /// the residual in `memory`, at `weight`, without copying: `delta` is
+    /// left holding the previous residual buffer (`dim` stale values,
+    /// ready to be overwritten by the next round's delta) or an empty
+    /// vector on the client's first participation.
+    pub(crate) fn bank(&self, memory: &mut Residual, delta: &mut Vec<f32>, weight: f64) {
         debug_assert_ne!(self.mode, CompensationMode::None, "mode None banks nothing");
-        std::mem::swap(&mut self.memory_of(client, weight).residual, delta);
+        std::mem::swap(&mut Self::memory_of(memory, weight).residual, delta);
     }
 
     /// Folds the wire codec's loss into a client's residual bank after
@@ -191,8 +260,9 @@ impl ErrorCompensator {
     /// loss happened at the same reference weight as the top-k loss.
     ///
     /// # Panics
-    /// Panics if `sent`, `shipped` and `positions` disagree in length or
-    /// a position is out of range for the model dimension.
+    /// Panics if `sent`, `shipped` and `positions` disagree in length, a
+    /// position is out of range for the model dimension, or the client's
+    /// memory is checked out.
     pub fn fold_shipped_error(
         &mut self,
         client: usize,
@@ -201,6 +271,10 @@ impl ErrorCompensator {
         shipped: &[f32],
     ) {
         assert_eq!(sent.len(), shipped.len());
+        assert!(
+            !self.checked_out.contains(&client),
+            "client {client}'s residual is checked out"
+        );
         if self.mode == CompensationMode::None {
             return;
         }
@@ -215,10 +289,10 @@ impl ErrorCompensator {
         assert!(positions.next().is_none(), "more positions than values");
     }
 
-    /// The client's memory — created with no residual buffer yet on its
-    /// first participation — with the stored weight updated.
-    fn memory_of(&mut self, client: usize, weight: f64) -> &mut ClientMemory {
-        let mem = self.memory.entry(client).or_insert_with(|| ClientMemory {
+    /// The memory in `memory` — created with no residual buffer yet on
+    /// the client's first participation — with its weight updated.
+    fn memory_of(memory: &mut Residual, weight: f64) -> &mut ClientMemory {
+        let mem = memory.0.get_or_insert_with(|| ClientMemory {
             residual: Vec::new(),
             weight,
         });

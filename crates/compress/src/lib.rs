@@ -46,5 +46,5 @@ pub mod stc;
 mod walk;
 
 pub use apf::{Apf, ApfConfig};
-pub use error_comp::{CompensationMode, ErrorCompensator};
+pub use error_comp::{CompensationMode, ErrorCompensator, Residual};
 pub use walk::SplitWalk;

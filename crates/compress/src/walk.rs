@@ -22,7 +22,7 @@
 //! unique values are gathered and subtracted in place, and the delta's
 //! buffer is traded for the client's previous residual.
 
-use crate::error_comp::{CompensationMode, ErrorCompensator};
+use crate::error_comp::{CompensationMode, ErrorCompensator, Residual};
 use crate::mask_shift::ClientSplit;
 use crate::stc::TernaryUpdate;
 use gluefl_tensor::{
@@ -137,7 +137,7 @@ impl ErrorCompensator {
     /// once). Nothing is banked yet.
     fn walk(
         &self,
-        client: usize,
+        memory: &Residual,
         delta: &mut [f32],
         weight: f64,
         walk: SplitWalk<'_>,
@@ -162,7 +162,7 @@ impl ErrorCompensator {
         let keep_residual = self.mode() != CompensationMode::None;
         let mut source = DeltaWalk {
             delta,
-            carried: self.carried(client, weight),
+            carried: self.carried(memory, weight),
             mask: mask.map(BitMask::as_words),
             excluded: excluded.as_words(),
             shared: &mut shared,
@@ -217,9 +217,29 @@ impl ErrorCompensator {
         weight: f64,
         walk: SplitWalk<'_>,
     ) -> ClientSplit {
-        let split = self.walk(client, delta, weight, walk, true);
+        let mut memory = self.check_out(client);
+        let split = self.compress_split_with(&mut memory, delta, weight, walk);
+        self.check_in(client, memory);
+        split
+    }
+
+    /// [`compress_split`](Self::compress_split) on a memory checked out
+    /// with [`check_out`](Self::check_out): reads and rewrites only
+    /// `memory`, so any number of clients compress concurrently through
+    /// one shared compensator.
+    ///
+    /// # Panics
+    /// As [`compress_split`](Self::compress_split).
+    pub fn compress_split_with(
+        &self,
+        memory: &mut Residual,
+        delta: &mut Vec<f32>,
+        weight: f64,
+        walk: SplitWalk<'_>,
+    ) -> ClientSplit {
+        let split = self.walk(memory, delta, weight, walk, true);
         if self.mode() != CompensationMode::None {
-            self.bank(client, delta, weight);
+            self.bank(memory, delta, weight);
         }
         split
     }
@@ -239,14 +259,32 @@ impl ErrorCompensator {
         weight: f64,
         walk: SplitWalk<'_>,
     ) -> TernaryUpdate {
+        let mut memory = self.check_out(client);
+        let ternary = self.compress_ternary_with(&mut memory, delta, weight, walk);
+        self.check_in(client, memory);
+        ternary
+    }
+
+    /// [`compress_ternary`](Self::compress_ternary) on a checked-out
+    /// memory, as [`compress_split_with`](Self::compress_split_with).
+    ///
+    /// # Panics
+    /// As [`compress_ternary`](Self::compress_ternary).
+    pub fn compress_ternary_with(
+        &self,
+        memory: &mut Residual,
+        delta: &mut Vec<f32>,
+        weight: f64,
+        walk: SplitWalk<'_>,
+    ) -> TernaryUpdate {
         assert!(walk.mask.is_none(), "a ternary upload has no shared part");
         let ternary =
-            TernaryUpdate::quantize(&self.walk(client, delta, weight, walk, false).unique);
+            TernaryUpdate::quantize(&self.walk(memory, delta, weight, walk, false).unique);
         if self.mode() != CompensationMode::None {
             for (&i, &positive) in ternary.indices.iter().zip(&ternary.signs) {
                 delta[i as usize] -= if positive { ternary.mu } else { -ternary.mu };
             }
-            self.bank(client, delta, weight);
+            self.bank(memory, delta, weight);
         }
         ternary
     }
@@ -399,6 +437,77 @@ mod tests {
         assert_eq!(t.mu, 2.5);
         let (stored, _) = ec.stored(0).expect("banked");
         assert_eq!(stored, [1.5, -0.5, 0.5, 0.0, -0.5, 1.5]);
+    }
+
+    /// Compressing on a checked-out memory is invisible: over every mode,
+    /// a first participation and returning ones at changing weights, the
+    /// check-out → walk → check-in sequence sends, hands back and stores
+    /// the bits, at the weight, that `compress_split` on the bank does —
+    /// while the memory is out the bank reports none for the client.
+    #[test]
+    fn a_checked_out_walk_matches_the_banked_one() {
+        let dim = 150;
+        let mask = BitMask::from_indices(dim, (0..dim).step_by(7));
+        let excluded = BitMask::from_indices(dim, [3usize, 80]);
+        let mut topk = TopKScratch::new();
+        for mode in [
+            CompensationMode::None,
+            CompensationMode::Raw,
+            CompensationMode::Rescaled,
+        ] {
+            let mut banked = ErrorCompensator::new(mode, dim);
+            let mut out = ErrorCompensator::new(mode, dim);
+            for (round, weight) in [2.0, 0.5, 1.25].into_iter().enumerate() {
+                let delta: Vec<f32> = (0..dim)
+                    .map(|i| ((i * (round + 3)) as f32 * 0.37).sin())
+                    .collect();
+                let mut want_handed = delta.clone();
+                let want = banked.compress_split(
+                    9,
+                    &mut want_handed,
+                    weight,
+                    walk(Some(&mask), &excluded, 6, &mut topk),
+                );
+                let mut memory = out.check_out(9);
+                assert_eq!(out.stored(9), None, "{mode:?}: visible while out");
+                let mut handed = delta.clone();
+                let got = out.compress_split_with(
+                    &mut memory,
+                    &mut handed,
+                    weight,
+                    walk(Some(&mask), &excluded, 6, &mut topk),
+                );
+                out.check_in(9, memory);
+                let what = format!("{mode:?} round {round}");
+                assert_eq!(got, want, "{what}");
+                assert_eq!(bits(&handed), bits(&want_handed), "{what}");
+                let stored = |ec: &ErrorCompensator| ec.stored(9).map(|(h, w)| (bits(h), w));
+                assert_eq!(stored(&out), stored(&banked), "{what}");
+                assert_eq!(out.tracked_clients(), banked.tracked_clients(), "{what}");
+            }
+        }
+    }
+
+    /// Checking in nothing stores nothing, and clears the check-out.
+    #[test]
+    fn an_empty_check_in_leaves_the_bank_as_it_was() {
+        let mut ec = ErrorCompensator::new(CompensationMode::Raw, 2);
+        ec.record(1, &[1.0, 2.0], &[0.0, 0.0], 1.0);
+        let memory = ec.check_out(4);
+        assert!(memory.is_empty());
+        ec.check_in(4, memory);
+        assert_eq!(ec.tracked_clients(), 1);
+        assert_eq!(ec.stored(4), None);
+        let again = ec.check_out(4);
+        ec.check_in(4, again);
+    }
+
+    #[test]
+    #[should_panic(expected = "already checked out")]
+    fn a_second_check_out_panics() {
+        let mut ec = ErrorCompensator::new(CompensationMode::Rescaled, 2);
+        let _first = ec.check_out(3);
+        let _second = ec.check_out(3);
     }
 
     #[test]

@@ -25,7 +25,7 @@ use crate::scratch::ScratchPool;
 use crate::strategies::{Group, Upload};
 use crate::wire_link::{self, ShippedAt};
 use gluefl_compress::stc::keep_count;
-use gluefl_compress::{CompensationMode, ErrorCompensator, SplitWalk};
+use gluefl_compress::{CompensationMode, ErrorCompensator, Residual, SplitWalk};
 use gluefl_data::SyntheticFlDataset;
 use gluefl_ml::MlpTopology;
 use gluefl_sampling::ClientId;
@@ -137,9 +137,13 @@ enum Scheme {
 /// The client half of the configured strategy (see the module docs).
 ///
 /// Call order per round, for each client it serves:
+/// [`check_out`](Self::check_out) the client's residual,
 /// [`compress`](Self::compress) once after local training, then
-/// [`offer`](Self::offer) to price the staged upload, then — only if the
-/// server grants the upload — [`encode_kept`](Self::encode_kept).
+/// [`offer`](Self::offer) to price the staged upload, then
+/// [`check_in`](Self::check_in) the residual, then — only if the server
+/// grants the upload — [`encode_kept`](Self::encode_kept). `compress`
+/// and `offer` take `&self`: between check-out and check-in, every
+/// client's turn can run on its own thread.
 /// Uploads draw their storage from the caller's [`ScratchPool`] (or, for
 /// a dense upload, are the delta buffer itself) and go back to it with
 /// [`ScratchPool::reclaim_upload`].
@@ -209,16 +213,38 @@ impl ClientCompressor {
         )
     }
 
+    /// Takes client `id`'s error-feedback residual out of the bank for its
+    /// turn (an empty [`Residual`] for schemes without a bank).
+    ///
+    /// # Panics
+    /// Panics if the client's residual is already checked out.
+    pub fn check_out(&mut self, id: ClientId) -> Residual {
+        match &mut self.scheme {
+            Scheme::Stc { ec, .. } | Scheme::GlueFl { ec, .. } => ec.check_out(id),
+            Scheme::Dense | Scheme::Apf => Residual::default(),
+        }
+    }
+
+    /// Returns client `id`'s residual to the bank after its turn.
+    pub fn check_in(&mut self, id: ClientId, residual: Residual) {
+        match &mut self.scheme {
+            Scheme::Stc { ec, .. } | Scheme::GlueFl { ec, .. } => ec.check_in(id, residual),
+            Scheme::Dense | Scheme::Apf => debug_assert!(residual.is_empty()),
+        }
+    }
+
     /// Compresses client `id`'s trainable delta (BN-statistic positions
     /// zeroed) into its upload, applying and recording error
-    /// compensation in place. `round_mask` is the mask the server
-    /// broadcast for this round (`None` for strategies without one).
+    /// compensation in place on `residual`, the client's memory as
+    /// [`check_out`](Self::check_out) handed it over. `round_mask` is the
+    /// mask the server broadcast for this round (`None` for strategies
+    /// without one).
     ///
     /// A scheme with error feedback (STC, GlueFL) walks the delta
     /// **once**: adding the carried-over residual, peeling off the values
     /// under the round mask, listing the top-k candidates and leaving
     /// `Δ − sent` behind are the per-word steps of the one pass the
-    /// selection makes ([`ErrorCompensator::compress_split`]). A
+    /// selection makes ([`ErrorCompensator::compress_split_with`]). A
     /// mask-aligned part leaves as a plain value run ([`MaskAligned`]):
     /// its positions are the round mask's, which the server holds.
     ///
@@ -235,16 +261,18 @@ impl ClientCompressor {
     ///
     /// # Errors
     /// [`MissingRoundMask`] when a masking strategy gets no mask.
+    #[allow(clippy::too_many_arguments)]
     pub fn compress(
-        &mut self,
+        &self,
         round: u32,
         id: ClientId,
         group: Group,
         delta: &mut Vec<f32>,
         round_mask: Option<&BitMask>,
+        residual: &mut Residual,
         scratch: &mut ScratchPool,
     ) -> Result<Upload, MissingRoundMask> {
-        match &mut self.scheme {
+        match &self.scheme {
             Scheme::Dense => Ok(Upload::Dense(std::mem::take(delta))),
             Scheme::Stc { q, quantize, ec } => {
                 // Error feedback: add the residual from the client's
@@ -261,10 +289,12 @@ impl ClientCompressor {
                     // The residual must reflect what the server receives
                     // (the dequantized values), so quantization loss is
                     // carried into the next round too.
-                    Ok(Upload::Ternary(ec.compress_ternary(id, delta, 1.0, walk)))
+                    Ok(Upload::Ternary(
+                        ec.compress_ternary_with(residual, delta, 1.0, walk),
+                    ))
                 } else {
                     Ok(Upload::Sparse(
-                        ec.compress_split(id, delta, 1.0, walk).unique,
+                        ec.compress_split_with(residual, delta, 1.0, walk).unique,
                     ))
                 }
             }
@@ -299,7 +329,7 @@ impl ClientCompressor {
                     topk: &mut scratch.topk,
                 };
                 Ok(Upload::MaskSplit(
-                    ec.compress_split(id, delta, weight, walk),
+                    ec.compress_split_with(residual, delta, weight, walk),
                 ))
             }
         }
@@ -312,6 +342,15 @@ impl ClientCompressor {
         match &self.scheme {
             Scheme::Stc { ec, .. } | Scheme::GlueFl { ec, .. } => ec.tracked_clients(),
             Scheme::Dense | Scheme::Apf => 0,
+        }
+    }
+
+    /// Client `id`'s banked residual and the weight it was stored at.
+    #[cfg(test)]
+    pub(crate) fn stored(&self, id: ClientId) -> Option<(&[f32], f64)> {
+        match &self.scheme {
+            Scheme::Stc { ec, .. } | Scheme::GlueFl { ec, .. } => ec.stored(id),
+            Scheme::Dense | Scheme::Apf => None,
         }
     }
 
@@ -412,6 +451,31 @@ mod tests {
         ClientCompressor::new(&cfg, &[0.05; 20], trainable, dim, excluded)
     }
 
+    /// One client's compress as a driver runs it: check-out, compress,
+    /// check-in.
+    fn compress(
+        c: &mut ClientCompressor,
+        round: u32,
+        id: ClientId,
+        group: Group,
+        delta: &mut Vec<f32>,
+        round_mask: Option<&BitMask>,
+    ) -> Result<Upload, MissingRoundMask> {
+        let mut residual = c.check_out(id);
+        let mut pool = ScratchPool::new();
+        let upload = c.compress(
+            round,
+            id,
+            group,
+            delta,
+            round_mask,
+            &mut residual,
+            &mut pool,
+        );
+        c.check_in(id, residual);
+        upload
+    }
+
     fn gluefl_params() -> GlueFlParams {
         GlueFlParams {
             q: 0.3,
@@ -427,10 +491,7 @@ mod tests {
     #[test]
     fn dense_upload_is_the_delta() {
         let mut c = compressor(StrategyConfig::FedAvg, 8, BitMask::zeros(8));
-        let mut pool = ScratchPool::new();
-        let up = c
-            .compress(0, 0, Group::Fresh, &mut vec![1.0; 8], None, &mut pool)
-            .unwrap();
+        let up = compress(&mut c, 0, 0, Group::Fresh, &mut vec![1.0; 8], None).unwrap();
         assert_eq!(up, Upload::Dense(vec![1.0; 8]));
         assert_eq!(up.bytes(), 8 * 4 + 16);
     }
@@ -438,17 +499,12 @@ mod tests {
     #[test]
     fn stc_sends_top_q_and_carries_the_residual() {
         let mut c = compressor(StrategyConfig::Stc { q: 0.25 }, 8, BitMask::zeros(8));
-        let mut pool = ScratchPool::new();
         let mut d1 = vec![4.0f32, 3.0, 2.0, 1.0, 0.0, 0.0, 0.0, 0.0];
-        let up = c
-            .compress(0, 5, Group::Fresh, &mut d1, None, &mut pool)
-            .unwrap();
+        let up = compress(&mut c, 0, 5, Group::Fresh, &mut d1, None).unwrap();
         assert!(matches!(&up, Upload::Sparse(u) if u.indices() == [0, 1]));
         // Zero fresh delta next time: compensation resurrects what the
         // first top-2 dropped.
-        let up = c
-            .compress(1, 5, Group::Fresh, &mut vec![0.0; 8], None, &mut pool)
-            .unwrap();
+        let up = compress(&mut c, 1, 5, Group::Fresh, &mut vec![0.0; 8], None).unwrap();
         match up {
             Upload::Sparse(u) => {
                 assert_eq!(u.indices(), &[2, 3]);
@@ -462,30 +518,22 @@ mod tests {
     fn stc_never_selects_statistic_positions() {
         let excluded = BitMask::from_indices(8, [0usize]);
         let mut c = compressor(StrategyConfig::Stc { q: 0.25 }, 8, excluded);
-        let mut pool = ScratchPool::new();
         let mut delta = vec![100.0f32, 1.0, 2.0, 3.0, 0.0, 0.0, 0.0, 0.0];
-        let up = c
-            .compress(0, 0, Group::Fresh, &mut delta, None, &mut pool)
-            .unwrap();
+        let up = compress(&mut c, 0, 0, Group::Fresh, &mut delta, None).unwrap();
         assert!(matches!(&up, Upload::Sparse(u) if !u.indices().contains(&0)));
     }
 
     #[test]
     fn quantized_stc_keeps_signs_and_costs_fewer_bytes() {
         let delta = vec![4.0f32, -3.0, 2.0, -1.0, 0.0, 0.0, 0.0, 0.0];
-        let mut pool = ScratchPool::new();
         let mut plain = compressor(StrategyConfig::Stc { q: 0.5 }, 8, BitMask::zeros(8));
         let mut quant = compressor(
             StrategyConfig::StcQuantized { q: 0.5 },
             8,
             BitMask::zeros(8),
         );
-        let up_plain = plain
-            .compress(0, 0, Group::Fresh, &mut delta.clone(), None, &mut pool)
-            .unwrap();
-        let up_quant = quant
-            .compress(0, 0, Group::Fresh, &mut delta.clone(), None, &mut pool)
-            .unwrap();
+        let up_plain = compress(&mut plain, 0, 0, Group::Fresh, &mut delta.clone(), None).unwrap();
+        let up_quant = compress(&mut quant, 0, 0, Group::Fresh, &mut delta.clone(), None).unwrap();
         assert!(up_quant.bytes() < up_plain.bytes());
         match up_quant {
             Upload::Ternary(t) => {
@@ -499,9 +547,7 @@ mod tests {
         }
         // Sent sign·μ = ±2.5, so the residual (1.5, −0.5, −0.5, 1.5)
         // comes back on a zero delta with both signs present.
-        let up = quant
-            .compress(1, 0, Group::Fresh, &mut vec![0.0; 8], None, &mut pool)
-            .unwrap();
+        let up = compress(&mut quant, 1, 0, Group::Fresh, &mut vec![0.0; 8], None).unwrap();
         let Upload::Ternary(t) = up else {
             panic!("expected ternary upload")
         };
@@ -512,14 +558,13 @@ mod tests {
 
     #[test]
     fn masking_strategies_require_the_round_mask() {
-        let mut pool = ScratchPool::new();
         let apf = StrategyConfig::Apf {
             config: gluefl_compress::ApfConfig::default(),
         };
         for strategy in [apf, StrategyConfig::GlueFl(gluefl_params())] {
             let mut c = compressor(strategy, 20, BitMask::zeros(20));
             assert_eq!(
-                c.compress(1, 0, Group::Fresh, &mut vec![1.0; 20], None, &mut pool),
+                compress(&mut c, 1, 0, Group::Fresh, &mut vec![1.0; 20], None),
                 Err(MissingRoundMask)
             );
         }
@@ -533,11 +578,8 @@ mod tests {
             BitMask::zeros(20),
         );
         let mask = BitMask::from_indices(20, [1usize, 4, 9, 16]);
-        let mut pool = ScratchPool::new();
         let mut delta: Vec<f32> = (0..20).map(|i| i as f32 - 10.0).collect();
-        let up = c
-            .compress(1, 0, Group::Sticky, &mut delta, Some(&mask), &mut pool)
-            .unwrap();
+        let up = compress(&mut c, 1, 0, Group::Sticky, &mut delta, Some(&mask)).unwrap();
         let Upload::MaskSplit(split) = up else {
             panic!("expected mask split")
         };
@@ -547,9 +589,7 @@ mod tests {
         assert_eq!(split.unique.nnz(), 2);
         // Regeneration round: no shared part, the full q = 30% unique.
         let mut delta: Vec<f32> = (0..20).map(|i| i as f32 * 0.1).collect();
-        let up = c
-            .compress(5, 1, Group::Sticky, &mut delta, Some(&mask), &mut pool)
-            .unwrap();
+        let up = compress(&mut c, 5, 1, Group::Sticky, &mut delta, Some(&mask)).unwrap();
         let Upload::MaskSplit(split) = up else {
             panic!("expected mask split")
         };
@@ -571,20 +611,10 @@ mod tests {
         d[10] = 5.0;
         d[11] = 4.0;
         d[12] = 3.0;
-        let mut pool = ScratchPool::new();
-        let _ = c.compress(1, 0, Group::Fresh, &mut d, Some(&mask), &mut pool);
+        let _ = compress(&mut c, 1, 0, Group::Fresh, &mut d, Some(&mask));
         // As a sticky client (weight 8/3·0.05) the residual returns
         // scaled by ν_fresh/ν_sticky = 4.5.
-        let up = c
-            .compress(
-                2,
-                0,
-                Group::Sticky,
-                &mut vec![0.0; 20],
-                Some(&mask),
-                &mut pool,
-            )
-            .unwrap();
+        let up = compress(&mut c, 2, 0, Group::Sticky, &mut vec![0.0; 20], Some(&mask)).unwrap();
         let Upload::MaskSplit(split) = up else {
             panic!("expected mask split")
         };
@@ -617,16 +647,11 @@ mod tests {
         let mask = BitMask::from_indices(dim, (0..dim).step_by(5));
         let mut pool = ScratchPool::new();
         let mut delta: Vec<f32> = (0..dim).map(|i| ((i as f32) * 0.73).sin()).collect();
-        let upload = c
-            .compress(1, 2, Group::Sticky, &mut delta, Some(&mask), &mut pool)
-            .unwrap();
+        let upload = compress(&mut c, 1, 2, Group::Sticky, &mut delta, Some(&mask)).unwrap();
         let Upload::MaskSplit(sent) = &upload else {
             panic!("expected mask split")
         };
-        let stored = |c: &ClientCompressor| match &c.scheme {
-            Scheme::GlueFl { ec, .. } => ec.stored(2).expect("banked").0.to_vec(),
-            _ => unreachable!(),
-        };
+        let stored = |c: &ClientCompressor| c.stored(2).expect("banked").0.to_vec();
         let mut expected = stored(&c);
         let mut out = Vec::new();
         let _ = c.encode_kept(1, 2, &upload, Some(&mask), &[], &mut out);
@@ -657,11 +682,8 @@ mod tests {
     #[test]
     fn offer_predicts_the_encoded_length() {
         let mut c = compressor(StrategyConfig::Stc { q: 0.25 }, 8, BitMask::zeros(8));
-        let mut pool = ScratchPool::new();
         let mut delta = vec![4.0f32, 3.0, 2.0, 1.0, 0.0, 0.0, 0.0, 0.0];
-        let up = c
-            .compress(0, 3, Group::Fresh, &mut delta, None, &mut pool)
-            .unwrap();
+        let up = compress(&mut c, 0, 3, Group::Fresh, &mut delta, None).unwrap();
         let stats = [0.5f32, -0.25];
         let (analytic, wire) = c.offer(&up, stats.len());
         let mut out = Vec::new();

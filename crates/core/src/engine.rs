@@ -11,10 +11,11 @@
 //!    is stale on plus the strategy's mask, and the broadcast (one dense
 //!    `F32` model frame plus the mask frame, if any) is serialized once;
 //! 3. **invite / offers** — [`RoundIo::invite`] hands the broadcast to
-//!    all invited clients, which train and compress;
-//!    [`RoundIo::offers`] collects each one's predicted upload byte
-//!    counts, which are the round's upload volume and, over the sampled
-//!    links, the modeled transfer times;
+//!    all invited clients, which each take their turn: train, compress,
+//!    price ([`crate::ClientTurn::run`]); [`RoundIo::offers`] collects
+//!    each one's predicted upload byte counts, which are the round's
+//!    upload volume and, over the sampled links, the modeled transfer
+//!    times;
 //! 4. **keep** — the fastest `C` sticky / `K − C` fresh finishers are
 //!    kept (§5.6); [`RoundIo::grant`] tells the clients, and only kept
 //!    uploads are ever serialized;
@@ -34,8 +35,8 @@
 //!    evaluated on schedule.
 //!
 //! Who the clients are is the [`RoundIo`]'s business. Its steps are per
-//! *round*, not per client, so an implementation is free to train all
-//! invited clients in one call ([`crate::Simulation`]) or to
+//! *round*, not per client, so an implementation is free to run every
+//! invited client's turn in one call ([`crate::Simulation`]) or to
 //! wait on sockets under deadlines (`gluefl-transport`'s server). The
 //! engine never reads a clock except through the attached telemetry
 //! recorder, and never blocks except inside the IO.
@@ -112,14 +113,19 @@ pub trait RoundIo {
     fn reachable(&self, id: ClientId) -> bool;
 
     /// Delivers the broadcast to every invited client, with its group
-    /// tag; the clients start local training.
+    /// tag; each client takes its turn — trains, compresses its delta
+    /// and prices the staged upload ([`crate::ClientTurn::run`]). The
+    /// in-process IO runs every turn before returning; a socket IO only
+    /// sends the invitations.
     fn invite(&mut self, round: u32, invited: &[(ClientId, Group)], broadcast: &Broadcast<'_>);
 
     /// Collects the invited clients' offers: `offers[i]` becomes the
-    /// `(analytic bytes, wire bytes)` the `i`-th invited client predicts
-    /// for its upload, or stays `None` if it never answered. `times[i]`
+    /// `(analytic bytes, wire bytes)` the `i`-th invited client priced
+    /// its upload at, or stays `None` if it never answered. `times[i]`
     /// holds that client's modeled download and compute seconds, for an
-    /// IO that turns modeled time into patience.
+    /// IO that turns modeled time into patience. The in-process IO only
+    /// copies the prices its turns staged; a socket IO waits for the
+    /// `OFFER`s.
     fn offers(&mut self, round: u32, times: &[ClientRoundTime], offers: &mut [Option<(u64, u64)>]);
 
     /// Announces the keep decision: the invitation indices in `kept` are

@@ -2,8 +2,9 @@
 //!
 //! The round engine owns one [`ScratchPool`] and threads it through the
 //! strategy's fold ([`crate::strategies::Strategy::fold_upload`] and
-//! friends); each client side owns another and threads it through
-//! [`crate::ClientCompressor::compress`]. The per-round kernels (top-k
+//! friends); each client side owns others — a socket client one, the
+//! in-process clients one per cohort job — and threads them through
+//! [`crate::ClientTurn::run`]. The per-round kernels (top-k
 //! selection, dense accumulation, sparse extraction, mask algebra,
 //! residual bookkeeping) so reuse the same allocations round after round.
 //! After the first round the hot path performs no steady-state heap
@@ -20,10 +21,10 @@
 //!   the per-round support masks of [`gluefl_tensor::MaskedUpdate`]s and
 //!   GlueFL's shifted shared mask;
 //! * pooled [`TrainSlot`]s ([`ScratchPool::take_train_slot`]) back local
-//!   training and evaluation: one per worker, holding one client's
-//!   working weights and a [`gluefl_ml::TrainScratch`], so every client
-//!   and every minibatch step reuses warm activation, cache and
-//!   velocity buffers.
+//!   training and evaluation: one per pool, holding one client's working
+//!   weights and a [`gluefl_ml::TrainScratch`], so every client and
+//!   every minibatch step reuses warm activation, cache and velocity
+//!   buffers.
 //!
 //! The drivers close the loop: every consumed
 //! [`crate::strategies::Upload`] goes back via
@@ -33,7 +34,7 @@
 //! Ownership contract: buffers handed out by the `take_*` methods belong
 //! to the caller until returned with the matching `put_*`; the pool never
 //! aliases them. The pool itself must not be shared across threads —
-//! parallel sections take the buffers they need up front.
+//! each job of a parallel section owns a pool of its own.
 
 use crate::strategies::Upload;
 pub use gluefl_ml::TrainSlot;
@@ -224,9 +225,9 @@ impl ScratchPool {
     }
 
     /// Hands out a local-training slot (one client's working weights +
-    /// training scratch) for one worker — the simulator takes one per
-    /// training shard up front, a serial build exactly one — recycling a
-    /// returned slot when available.
+    /// training scratch) for one client's training at a time — a turn
+    /// takes it and puts it back — recycling a returned slot when
+    /// available.
     #[must_use]
     pub fn take_train_slot(&mut self) -> TrainSlot {
         self.free_train.pop().unwrap_or_default()

@@ -1,52 +1,57 @@
 //! The in-process driver: the round engine over simulated clients.
 //!
 //! A [`Simulation`] is a [`RoundEngine`] plus an in-process
-//! [`RoundIo`] — all `N` clients live in this address space, share one
-//! [`ClientCompressor`] (its residual bank is keyed by client id) and
-//! one pooled training workspace. The round itself — plan, broadcast,
-//! keep-fastest, streaming fold, apply, BN-statistic mean, staleness,
-//! rebalance, eval — is sequenced by the engine
-//! ([`crate::engine`]); this module supplies what clients do:
+//! [`RoundIo`] — all `N` clients live in this address space and share
+//! one [`ClientCompressor`] (its residual bank is keyed by client id).
+//! The round itself — plan, broadcast, keep-fastest, streaming fold,
+//! apply, BN-statistic mean, staleness, rebalance, eval — is sequenced
+//! by the engine ([`crate::engine`]); this module supplies what clients
+//! do:
 //!
-//! * on `invite`, every invited client trains `E` local SGD steps from
-//!   the broadcast weights, one client after another through the one
-//!   per-client routine ([`train_client_into`], also what a socket
-//!   client runs): one client's whole training state stays
+//! * on `invite`, every invited client takes its whole turn, as a
+//!   socket client does on its `INVITE`, through the one per-client
+//!   routine ([`ClientTurn::run`]): it builds its data shard if that is
+//!   not resident, trains `E` local SGD steps from the broadcast weights
+//!   ([`train_client_into`]), compresses the delta in place with the
+//!   client half and prices the staged upload
+//!   ([`ClientCompressor::offer`]) — nothing is serialized before the
+//!   keep decision. One client's whole training state stays
 //!   cache-resident in the worker's pooled [`TrainSlot`] while the
 //!   cohort streams through it, each step touches each weight once, and
-//!   training allocates nothing in steady state. A client's data shard is
-//!   synthesised when it is invited and not resident, then kept: once a
-//!   round is over at most `S` shards stay, those whose clients were
-//!   invited most recently. `S` is the sticky group's size (0 without
-//!   one), because the sticky group is who the sampler invites again —
-//!   about 70 % of a paper-shape round's invitations find their shard
-//!   resident — while a cache of the whole population would cost
-//!   memory for clients drawn once in `N/K` rounds. A shard is a pure
-//!   function of `(seed, client)` ([`SyntheticFlDataset::client`]), so
-//!   residency never changes a bit. The cohort is cut into one chunk
-//!   per worker of the vendored [`gluefl_pool`] (as many as
-//!   [`gluefl_pool::threads`]) and each chunk runs that same loop over
-//!   the resident shards — scheduling only. Results do not depend on
-//!   the worker count because every client's RNG is derived from
-//!   `(seed, round, client)` rather than thread schedule;
-//! * on `offers`, each trained delta is compressed in place by the
-//!   client half and priced ([`ClientCompressor::offer`]) — nothing is
-//!   serialized before the keep decision. The delta's buffer is handed
-//!   over, not copied: it becomes the client's residual (and the previous
-//!   residual's buffer the next round's delta buffer) or, for a dense
-//!   strategy, the upload itself;
+//!   a turn allocates nothing in steady state. The delta's buffer is
+//!   handed over, not copied: it becomes the client's residual (and the
+//!   previous residual's buffer the next round's delta buffer) or, for a
+//!   dense strategy, the upload itself. The cohort is cut into one job of
+//!   consecutive invitations per worker of the vendored [`gluefl_pool`]
+//!   (as many as [`gluefl_pool::threads`]), each with its own
+//!   [`ScratchPool`] — scheduling only. A client's compress reads only
+//!   its own delta, its own residual (checked out of the bank before the
+//!   workers start, checked back in after they join) and the round mask,
+//!   and its RNG is derived from `(seed, round, client)`, so results do
+//!   not depend on the worker count or the thread schedule;
+//! * a shard, once built, is kept: once a round is over at most `S`
+//!   shards stay, those whose clients were invited most recently. `S` is
+//!   the sticky group's size (0 without one), because the sticky group
+//!   is who the sampler invites again — about 70 % of a paper-shape
+//!   round's invitations find their shard resident — while a cache of
+//!   the whole population would cost memory for clients drawn once in
+//!   `N/K` rounds. A shard is a pure function of `(seed, client)`
+//!   ([`SyntheticFlDataset::client`]), so neither residency nor which
+//!   worker builds it changes a bit;
+//! * `offers` hands the engine the prices the turns staged;
 //! * each granted upload is serialized into the engine's buffer
 //!   ([`ClientCompressor::encode_kept`]) when the engine asks for the
 //!   next arrival; dropped clients are never serialized at all, their
 //!   pooled buffers go straight back.
 
-use crate::client::{ClientCompressor, RunSetup};
+use crate::client::{ClientCompressor, MissingRoundMask, RunSetup};
 use crate::config::{SimConfig, StrategyConfig};
 use crate::engine::{Arrival, Broadcast, RoundEngine, RoundIo};
 use crate::metrics::{RoundRecord, RunResult};
 use crate::scratch::{ScratchPool, TrainSlot};
 use crate::staleness::StalenessTracker;
 use crate::strategies::{Group, Upload};
+use gluefl_compress::Residual;
 use gluefl_data::{ClientDataset, SyntheticFlDataset};
 use gluefl_ml::{BatchTrainScratch, Mlp, MlpTopology};
 use gluefl_net::timing::ClientRoundTime;
@@ -178,7 +183,7 @@ struct Resident {
 /// Client shards kept between invitations, `S` of them once a round is
 /// over (see the module docs for why the bound is the sticky group).
 /// Shards invited in the current round are never evicted, and once `S`
-/// are resident a miss first evicts a stale one, so at most
+/// are resident each miss first evicts a stale one, so at most
 /// `max(S, invited)` are resident during a round. An evicted shard is
 /// dropped rather than rebuilt in place: the allocator's best fit over
 /// every free block places a new shard more tightly than the evicted
@@ -190,31 +195,37 @@ struct ShardCache {
 }
 
 impl ShardCache {
-    /// Makes every client of `ids` resident for `round`, synthesising
-    /// the missing shards; returns how many it built.
-    fn fill(&mut self, data: &SyntheticFlDataset, round: u32, ids: &[ClientId]) -> usize {
+    /// Readies the cache for `round`'s invitations `ids`: marks their
+    /// resident shards invited again, and makes room for the missing
+    /// ones, which the workers that train their clients build and
+    /// [`insert`](Self::insert) after the join. A missing id invited
+    /// more than once — no strategy does that; MD-FedAvg folds repeated
+    /// draws into one invitation — is built here, once, so that every
+    /// occurrence finds it resident. Returns how many distinct shards
+    /// were missing.
+    fn admit(&mut self, data: &SyntheticFlDataset, round: u32, ids: &[ClientId]) -> usize {
         // Hits first, so no miss evicts a shard invited this round.
         for r in &mut self.resident {
             if ids.contains(&r.id) {
                 r.last = round;
             }
         }
-        let mut built = 0;
-        for &id in ids {
-            if self.resident.iter().any(|r| r.id == id) {
+        let (mut misses, mut on_workers) = (0, 0);
+        for (i, &id) in ids.iter().enumerate() {
+            if self.get(id).is_some() {
                 continue;
             }
-            if self.resident.len() >= self.capacity {
+            misses += 1;
+            if self.resident.len() + on_workers >= self.capacity {
                 self.evict_stale(round);
             }
-            self.resident.push(Resident {
-                id,
-                last: round,
-                shard: data.client(id),
-            });
-            built += 1;
+            if ids[i + 1..].contains(&id) {
+                self.insert(id, round, data.client(id));
+            } else {
+                on_workers += 1;
+            }
         }
-        built
+        misses
     }
 
     /// Drops the least recently invited shard not invited in `round`,
@@ -231,10 +242,19 @@ impl ShardCache {
         }
     }
 
-    /// Client `id`'s resident shard.
-    fn get(&self, id: ClientId) -> &ClientDataset {
+    /// Client `id`'s resident shard, if it is resident.
+    fn get(&self, id: ClientId) -> Option<&ClientDataset> {
         let r = self.resident.iter().find(|r| r.id == id);
-        &r.expect("invited clients are resident").shard
+        r.map(|r| &r.shard)
+    }
+
+    /// Makes `shard`, built for client `id` invited in `round`, resident.
+    fn insert(&mut self, id: ClientId, round: u32, shard: ClientDataset) {
+        self.resident.push(Resident {
+            id,
+            last: round,
+            shard,
+        });
     }
 
     /// Evicts the least recently invited shards down to `S`.
@@ -248,11 +268,11 @@ impl ShardCache {
 
 /// The in-process [`RoundIo`]: every client of the population, simulated
 /// here. Holds one round's worth of client state between the engine's
-/// steps — trained deltas, BN-statistic drift, staged uploads — in
-/// buffers recycled from round to round, plus the shards of the clients
-/// most recently invited (at most the sticky group's size `S` between
-/// rounds). Public so a test can wrap it and script what the engine
-/// gets to see.
+/// steps — staged uploads and their prices, BN-statistic drift, the
+/// buffers compression handed back — in buffers recycled from round to
+/// round, plus the shards of the clients most recently invited (at most
+/// the sticky group's size `S` between rounds). Public so a test can
+/// wrap it and script what the engine gets to see.
 pub struct InProcessClients {
     cfg: SimConfig,
     data: Arc<SyntheticFlDataset>,
@@ -261,36 +281,93 @@ pub struct InProcessClients {
     stats_positions: Vec<usize>,
     cache: ShardCache,
     compressor: ClientCompressor,
-    scratch: ScratchPool,
+    /// One pool per cohort job: the job's training slot, selection arena
+    /// and upload arenas, and the buffers its dense uploads return.
+    pools: Vec<ScratchPool>,
     /// The round's invitation list and broadcast mask.
     invited: Vec<(ClientId, Group)>,
     round_mask: Option<BitMask>,
-    /// Trained deltas, one per invited client — after compression,
-    /// whatever [`ClientCompressor::compress`] handed back in exchange —
-    /// and the full-length buffers among those, kept for the next round.
+    /// Invitations per cohort job this round: invitation `i` ran in job
+    /// `i / chunk`, and its upload goes back to that job's pool.
+    chunk: usize,
+    /// Per invited client, what [`ClientCompressor::compress`] handed
+    /// back in exchange for the delta — and the full-length buffers among
+    /// those, kept for the next round's deltas.
     deltas: Vec<Vec<f32>>,
     delta_bufs: Vec<Vec<f32>>,
     /// BN-statistic drift per invited client (invited × stats).
     stats: Vec<f32>,
-    /// Staged uploads, per invited client, each with the wire bytes it
-    /// was offered at.
-    uploads: Vec<Option<(Upload, u64)>>,
+    /// Staged uploads, per invited client, each with the
+    /// `(analytic, wire)` bytes it was priced at.
+    uploads: Vec<Option<(Upload, (u64, u64))>>,
     /// Granted invitation indices not yet handed to the engine.
     pending: Vec<usize>,
     tel: Option<ClientRecorder>,
-    /// Local-training workers per round (fewer when fewer are invited).
+    /// Cohort jobs per round (fewer when fewer are invited).
     threads: usize,
 }
 
-/// One training worker's share of a round's cohort: its clients' shards,
-/// where their deltas and BN-statistic drift go, and the workspace they
-/// are trained in.
-struct TrainShard<'a> {
-    datasets: &'a [&'a ClientDataset],
-    seeds: &'a [u64],
-    outs: &'a mut [Vec<f32>],
+/// One pool worker's share of a round's cohort: a run of consecutive
+/// invitations, with their clients' shards, buffers, residuals and upload
+/// slots, and the job's own [`ScratchPool`].
+struct CohortJob<'a> {
+    invited: &'a [(ClientId, Group)],
+    /// Each client's resident shard, or `None` for the job to synthesise
+    /// one into the storage waiting in `built`.
+    resident: &'a [Option<&'a ClientDataset>],
+    built: &'a mut [Option<ClientDataset>],
+    deltas: &'a mut [Vec<f32>],
     stats: &'a mut [f32],
-    slot: &'a mut TrainSlot,
+    residuals: &'a mut [Residual],
+    uploads: &'a mut [Option<(Upload, (u64, u64))>],
+    scratch: &'a mut ScratchPool,
+}
+
+impl CohortJob<'_> {
+    /// Runs every client's [`ClientTurn::run`] in invitation order,
+    /// building the shards that are not resident. With `trace`, every
+    /// run of eight clients is one [`Phase::Train`] span.
+    fn run(
+        self,
+        turn: &ClientTurn<'_>,
+        data: &SyntheticFlDataset,
+        trace: Option<(&Telemetry, u32)>,
+    ) {
+        let stats_len = turn.stats_positions.len();
+        let CohortJob {
+            invited,
+            resident,
+            built,
+            deltas,
+            stats,
+            residuals,
+            uploads,
+            scratch,
+        } = self;
+        in_spans(invited.len(), trace, |c| {
+            let (id, group) = invited[c];
+            let shard = match resident[c] {
+                Some(shard) => shard,
+                None => {
+                    let shard = built[c].as_mut().expect("every miss has storage");
+                    data.client_into(id, shard);
+                    shard
+                }
+            };
+            let staged = turn
+                .run(
+                    id,
+                    group,
+                    shard,
+                    &mut deltas[c],
+                    &mut stats[c * stats_len..(c + 1) * stats_len],
+                    &mut residuals[c],
+                    scratch,
+                )
+                .expect("the engine broadcasts the mask of every masking strategy");
+            uploads[c] = Some(staged);
+        });
+    }
 }
 
 impl std::fmt::Debug for InProcessClients {
@@ -309,8 +386,10 @@ impl RoundIo for InProcessClients {
     fn invite(&mut self, round: u32, invited: &[(ClientId, Group)], broadcast: &Broadcast<'_>) {
         // Recycle the previous round: its dropped clients' uploads were
         // priced but never encoded.
-        for (upload, _) in self.uploads.drain(..).flatten() {
-            self.scratch.reclaim_upload(upload);
+        for (i, staged) in self.uploads.drain(..).enumerate() {
+            if let Some((upload, _)) = staged {
+                self.pools[i / self.chunk].reclaim_upload(upload);
+            }
         }
         self.delta_bufs
             .extend(self.deltas.drain(..).filter(|buf| !buf.is_empty()));
@@ -320,37 +399,17 @@ impl RoundIo for InProcessClients {
             (Some(mask), Some(own)) => own.copy_from(mask),
             (mask, own) => *own = mask.cloned(),
         }
-        self.train_invited(round, broadcast.params);
+        self.take_turns(round, broadcast.params);
     }
 
     fn offers(
         &mut self,
-        round: u32,
+        _round: u32,
         _times: &[ClientRoundTime],
         offers: &mut [Option<(u64, u64)>],
     ) {
-        let stats_len = self.stats_positions.len();
-        for ((&(id, group), delta), offer) in self.invited.iter().zip(&mut self.deltas).zip(offers)
-        {
-            if let Some(t) = &self.tel {
-                // Measured on the raw delta, before compression consumes it.
-                t.update_norm_milli
-                    .observe((vecops::l2_norm(delta) * 1e3) as u64);
-            }
-            let upload = self
-                .compressor
-                .compress(
-                    round,
-                    id,
-                    group,
-                    delta,
-                    self.round_mask.as_ref(),
-                    &mut self.scratch,
-                )
-                .expect("the engine broadcasts the mask of every masking strategy");
-            let (analytic, wire) = self.compressor.offer(&upload, stats_len);
-            *offer = Some((analytic, wire));
-            self.uploads.push(Some((upload, wire)));
+        for (offer, staged) in offers.iter_mut().zip(&self.uploads) {
+            *offer = staged.as_ref().map(|&(_, priced)| priced);
         }
     }
 
@@ -368,7 +427,7 @@ impl RoundIo for InProcessClients {
 
     fn next_upload(&mut self, round: u32, payload: &mut Vec<u8>) -> Option<Arrival> {
         let i = self.pending.pop()?;
-        let (upload, offered) = self.uploads[i].take().expect("kept indices are unique");
+        let (upload, (_, offered)) = self.uploads[i].take().expect("kept indices are unique");
         let stats_len = self.stats_positions.len();
         let len = self.compressor.encode_kept(
             round,
@@ -383,7 +442,7 @@ impl RoundIo for InProcessClients {
             len as u64, offered,
             "encoded frame bytes diverged from the offered length"
         );
-        self.scratch.reclaim_upload(upload);
+        self.pools[i / self.chunk].reclaim_upload(upload);
         Some(Arrival::Delivered(i))
     }
 
@@ -410,9 +469,10 @@ impl InProcessClients {
                 resident: Vec::new(),
             },
             compressor: ClientCompressor::for_run(cfg, setup),
-            scratch: ScratchPool::new(),
+            pools: Vec::new(),
             invited: Vec::new(),
             round_mask: None,
+            chunk: 1,
             deltas: Vec::new(),
             delta_bufs: Vec::new(),
             stats: Vec::new(),
@@ -423,95 +483,122 @@ impl InProcessClients {
         }
     }
 
-    /// Trains every invited client from `global`, writing trainable
-    /// deltas (BN-statistic positions zeroed) into `self.deltas` in
-    /// invitation order and the BN-statistic drift into `self.stats`
-    /// (`invited × stats` flat). The invited clients' missing shards are
-    /// built into the cache first; then the cohort is cut into one shard
-    /// per training worker — a single shard on a one-CPU machine — and
-    /// every shard runs the one cohort loop over the cached datasets and
-    /// its own pooled [`TrainSlot`]; sharding is scheduling, not a
-    /// second way to train.
-    fn train_invited(&mut self, round: u32, global: &[f32]) {
-        let ids: Vec<ClientId> = self.invited.iter().map(|&(id, _)| id).collect();
-        let threads = self.threads.min(ids.len()).max(1);
-        let chunk = ids.len().div_ceil(threads).max(1);
-        // Concurrent shards would each time the same wall-clock window,
-        // so they share one enclosing span, open from before the misses
-        // are built; a lone shard's build is a span of its own, then the
-        // shard records its spans block by block.
-        let lone = ids.len() <= chunk;
+    /// Runs every invited client's turn from `global` ([`ClientTurn::run`]:
+    /// build the shard if it is not resident, train, compress, price),
+    /// staging in invitation order the uploads and their prices in
+    /// `self.uploads`, the BN-statistic drift in `self.stats`
+    /// (`invited × stats` flat) and the buffers compression handed back
+    /// in `self.deltas`. The cohort is cut into one job of consecutive
+    /// invitations per pool worker — a single job on a one-CPU machine —
+    /// each with its own [`ScratchPool`]; a job is scheduling, not a
+    /// second way to take a turn. The invited clients' residuals are
+    /// checked out before the workers start and checked back in, in
+    /// invitation order, after they join; the shards the workers built
+    /// become resident then too.
+    ///
+    /// Storage that outlives the round — a missing shard, a delta buffer
+    /// that may become a residual — is allocated here and only filled on
+    /// the workers. Allocated on a worker it would come from that
+    /// thread's malloc arena, and which thread runs which job changes
+    /// from round to round, so the shard cache and the residual bank
+    /// would scatter across arenas that never shrink back.
+    fn take_turns(&mut self, round: u32, global: &[f32]) {
+        let n = self.invited.len();
+        let threads = self.threads.min(n).max(1);
+        let chunk = n.div_ceil(threads).max(1);
+        self.chunk = chunk;
+        // Concurrent jobs would each time the same wall-clock window, so
+        // they share one enclosing span; a lone job records its spans
+        // block by block.
+        let lone = n <= chunk;
         let trace = self.tel.as_ref().map(|t| (&*t.hub, round));
-        let build = trace.map(|(t, round)| t.span(Phase::Train, round));
-        let built = self.cache.fill(&self.data, round, &ids);
+        let enclosing = trace
+            .filter(|_| !lone)
+            .map(|(t, round)| t.span(Phase::Train, round));
+        let ids: Vec<ClientId> = self.invited.iter().map(|&(id, _)| id).collect();
+        let misses = self.cache.admit(&self.data, round, &ids);
         if let Some(t) = &self.tel {
-            t.shards_built.add(built as u64);
-            t.shards_reused.add((ids.len() - built) as u64);
+            t.shards_built.add(misses as u64);
+            t.shards_reused.add((n - misses) as u64);
         }
-        let enclosing = build.filter(|_| !lone);
-        let datasets: Vec<&ClientDataset> = ids.iter().map(|&id| self.cache.get(id)).collect();
+        let resident: Vec<Option<&ClientDataset>> =
+            ids.iter().map(|&id| self.cache.get(id)).collect();
+        let mut built: Vec<Option<ClientDataset>> = ids
+            .iter()
+            .zip(&resident)
+            .map(|(&id, shard)| shard.is_none().then(|| self.data.client_storage(id)))
+            .collect();
 
-        let dim = global.len();
         let stats_len = self.stats_positions.len();
         self.stats.clear();
-        self.stats.resize(ids.len() * stats_len, 0.0);
-        let mut slots: Vec<TrainSlot> = (0..threads)
-            .map(|_| self.scratch.take_train_slot())
-            .collect();
-        // Training overwrites every position, so a delta buffer is
-        // reused as it is: last round's hand-backs first, then the pool
-        // (where a dense strategy's uploads returned theirs).
-        let (recycled, pool) = (&mut self.delta_bufs, &mut self.scratch);
-        self.deltas
-            .extend((0..ids.len()).map(|_| recycled.pop().unwrap_or_else(|| pool.take_full(dim))));
-        let cfg = &self.cfg;
-        let seeds: Vec<u64> = ids
+        self.stats.resize(n * stats_len, 0.0);
+        if self.pools.len() < threads {
+            self.pools.resize_with(threads, ScratchPool::new);
+        }
+        // A turn overwrites every position of its delta buffer, so last
+        // round's hand-backs are reused as they are, then the buffers the
+        // job's dense uploads returned.
+        let (recycled, pools) = (&mut self.delta_bufs, &mut self.pools);
+        self.deltas.extend((0..n).map(|i| {
+            recycled
+                .pop()
+                .unwrap_or_else(|| pools[i / chunk].take_full(global.len()))
+        }));
+        let mut residuals: Vec<Residual> = ids
             .iter()
-            .map(|&id| local_train_seed(cfg.seed, round, id))
+            .map(|&id| self.compressor.check_out(id))
             .collect();
+        self.uploads.resize_with(n, || None);
+        let turn = ClientTurn {
+            cfg: &self.cfg,
+            topo: &self.topo,
+            stats_positions: &self.stats_positions,
+            compressor: &self.compressor,
+            round,
+            global,
+            round_mask: self.round_mask.as_ref(),
+            update_norm: self.tel.as_ref().map(|t| &t.update_norm_milli),
+        };
         // NOTE: the stats slices are carved by client count —
         // `chunks_mut(chunk * stats_len)` would reject models without BN
         // statistics (chunk size zero).
         let mut stats_rest = &mut self.stats[..];
-        let mut shards = Vec::with_capacity(threads);
-        for (((datasets, seeds), outs), slot) in datasets
+        let mut jobs = Vec::with_capacity(threads);
+        for ((((((invited, resident), built), deltas), residuals), uploads), scratch) in self
+            .invited
             .chunks(chunk)
-            .zip(seeds.chunks(chunk))
+            .zip(resident.chunks(chunk))
+            .zip(built.chunks_mut(chunk))
             .zip(self.deltas.chunks_mut(chunk))
-            .zip(&mut slots)
+            .zip(residuals.chunks_mut(chunk))
+            .zip(self.uploads.chunks_mut(chunk))
+            .zip(&mut self.pools)
         {
-            let (stats, rest) = stats_rest.split_at_mut(datasets.len() * stats_len);
+            let (stats, rest) = stats_rest.split_at_mut(invited.len() * stats_len);
             stats_rest = rest;
-            shards.push(TrainShard {
-                datasets,
-                seeds,
-                outs,
+            jobs.push(CohortJob {
+                invited,
+                resident,
+                built,
+                deltas,
                 stats,
-                slot,
+                residuals,
+                uploads,
+                scratch,
             });
         }
-        let lr = cfg.lr_at_round(round);
-        let train = |shard: TrainShard<'_>| {
-            train_cohort(
-                &self.topo,
-                global,
-                shard.datasets,
-                shard.seeds,
-                cfg.local_steps,
-                cfg.batch_size,
-                lr,
-                cfg.momentum,
-                shard.outs,
-                &self.stats_positions,
-                shard.stats,
-                shard.slot,
-                trace.filter(|_| lone),
-            );
-        };
-        gluefl_pool::run(threads, shards, train);
+        let data = &*self.data;
+        gluefl_pool::run(threads, jobs, |job| {
+            job.run(&turn, data, trace.filter(|_| lone));
+        });
         drop(enclosing);
-        for slot in slots {
-            self.scratch.put_train_slot(slot);
+        for (&id, residual) in ids.iter().zip(residuals) {
+            self.compressor.check_in(id, residual);
+        }
+        for (&id, shard) in ids.iter().zip(built) {
+            if let Some(shard) = shard {
+                self.cache.insert(id, round, shard);
+            }
         }
     }
 }
@@ -524,9 +611,107 @@ pub fn local_train_seed(seed: u64, round: u32, id: ClientId) -> u64 {
     derive_seed(seed, "local-train", (u64::from(round) << 32) | id as u64)
 }
 
-/// One client's local training — the routine every driver runs: the
-/// in-process cohort loop, each worker's shard of it, and a socket
-/// client's `INVITE` handler.
+/// What a round hands each invited client, and the client half that
+/// compresses for it: everything [`ClientTurn::run`] reads that does not
+/// belong to one client.
+#[derive(Clone, Copy)]
+pub struct ClientTurn<'a> {
+    /// The run's config: local steps, batch size, learning-rate
+    /// schedule, momentum and seed.
+    pub cfg: &'a SimConfig,
+    /// The model's architecture.
+    pub topo: &'a MlpTopology,
+    /// Flat indices of the BN-statistic positions, ascending.
+    pub stats_positions: &'a [usize],
+    /// The strategy's client half.
+    pub compressor: &'a ClientCompressor,
+    /// The round being played.
+    pub round: u32,
+    /// The broadcast global parameters.
+    pub global: &'a [f32],
+    /// The broadcast round mask, for strategies that ship one.
+    pub round_mask: Option<&'a BitMask>,
+    /// Where each client's update ℓ2 norm goes, in thousandths (the
+    /// per-client statistic Optimal Client Sampling–style importance
+    /// sampling needs each round), if anywhere.
+    pub update_norm: Option<&'a Histogram>,
+}
+
+impl ClientTurn<'_> {
+    /// Client `id`'s whole turn — the routine every driver runs, the
+    /// in-process cohort job for each of its clients and a socket
+    /// client's `INVITE` handler alike: train on `shard` from the
+    /// broadcast weights ([`train_client_into`], seeded by
+    /// [`local_train_seed`]), then compress the delta
+    /// ([`ClientCompressor::compress`], on the client's checked-out
+    /// `residual`) and price the staged upload
+    /// ([`ClientCompressor::offer`]). Returns the upload and its
+    /// `(analytic, wire)` bytes; the BN-statistic drift is left in
+    /// `stats_out`.
+    ///
+    /// `delta` is the buffer the client's previous compress handed back:
+    /// reused as it is when it is `dim` long, otherwise replaced by one
+    /// from `scratch`, whose [`TrainSlot`] the training runs in. On
+    /// return it holds what this compress handed back.
+    ///
+    /// # Errors
+    /// [`MissingRoundMask`] when a masking strategy's broadcast carried
+    /// no mask.
+    ///
+    /// # Panics
+    /// As [`train_client_into`].
+    #[allow(clippy::too_many_arguments)]
+    pub fn run(
+        &self,
+        id: ClientId,
+        group: Group,
+        shard: &ClientDataset,
+        delta: &mut Vec<f32>,
+        stats_out: &mut [f32],
+        residual: &mut Residual,
+        scratch: &mut ScratchPool,
+    ) -> Result<(Upload, (u64, u64)), MissingRoundMask> {
+        let dim = self.topo.num_params();
+        if delta.len() != dim {
+            *delta = scratch.take_full(dim);
+        }
+        let cfg = self.cfg;
+        let mut slot = scratch.take_train_slot();
+        train_client_into(
+            self.topo,
+            self.global,
+            shard,
+            cfg.local_steps,
+            cfg.batch_size,
+            cfg.lr_at_round(self.round),
+            cfg.momentum,
+            local_train_seed(cfg.seed, self.round, id),
+            delta,
+            self.stats_positions,
+            stats_out,
+            &mut slot,
+        );
+        scratch.put_train_slot(slot);
+        if let Some(norm) = self.update_norm {
+            // Measured on the raw delta, before compression consumes it.
+            norm.observe((vecops::l2_norm(delta) * 1e3) as u64);
+        }
+        let upload = self.compressor.compress(
+            self.round,
+            id,
+            group,
+            delta,
+            self.round_mask,
+            residual,
+            scratch,
+        )?;
+        let priced = self.compressor.offer(&upload, stats_out.len());
+        Ok((upload, priced))
+    }
+}
+
+/// One client's local training — the training half of every driver's
+/// turn ([`ClientTurn::run`]).
 ///
 /// `steps` minibatch SGD-with-momentum steps from `global` over the
 /// client's shard `ds`, through [`MlpTopology::train_delta_into`]: the
@@ -581,78 +766,26 @@ pub fn train_client_into(
     }
 }
 
-/// Clients per [`Phase::Train`] span of the cohort loop: a cohort's
-/// training shows in the journal as a few spans, not one per client and
-/// not one opaque block.
+/// Clients per [`Phase::Train`] span of a cohort: a cohort's training
+/// shows in the journal as a few spans, not one per client and not one
+/// opaque block.
 const CLIENTS_PER_TRAIN_SPAN: usize = 8;
 
-/// The cohort loop, the one every entry point runs:
-/// [`batch_local_train_into`] over shards the caller already holds,
-/// client `c` training on `datasets[c]` through [`train_client_into`].
-/// One workspace serves the whole cohort — it holds one client's state
-/// at a time, so the working set is a client's, whatever the cohort's
-/// size.
-///
-/// # Panics
-/// As [`batch_local_train_into`].
-#[allow(clippy::too_many_arguments)]
-fn train_cohort(
-    topo: &MlpTopology,
-    global: &[f32],
-    datasets: &[&ClientDataset],
-    seeds: &[u64],
-    steps: usize,
-    batch: usize,
-    lr: f32,
-    momentum: f32,
-    outs: &mut [impl AsMut<[f32]>],
-    stats_positions: &[usize],
-    stats_saved: &mut [f32],
-    slot: &mut TrainSlot,
-    trace: Option<(&Telemetry, u32)>,
-) {
-    assert!(!datasets.is_empty(), "need at least one client");
-    assert_eq!(seeds.len(), datasets.len(), "one seed per client");
-    assert_eq!(outs.len(), datasets.len(), "one delta buffer per client");
-    let stats_len = stats_positions.len();
-    assert_eq!(
-        stats_saved.len(),
-        datasets.len() * stats_len,
-        "stats buffer/positions length mismatch"
-    );
-    let mut stats_rest = stats_saved;
-    for ((datasets, seeds), outs) in datasets
-        .chunks(CLIENTS_PER_TRAIN_SPAN)
-        .zip(seeds.chunks(CLIENTS_PER_TRAIN_SPAN))
-        .zip(outs.chunks_mut(CLIENTS_PER_TRAIN_SPAN))
-    {
+/// Calls `f` on `0..n` in order, each run of [`CLIENTS_PER_TRAIN_SPAN`]
+/// inside one [`Phase::Train`] span when `trace` carries a recorder and
+/// a round number.
+fn in_spans(n: usize, trace: Option<(&Telemetry, u32)>, mut f: impl FnMut(usize)) {
+    for start in (0..n).step_by(CLIENTS_PER_TRAIN_SPAN) {
         let _span = trace.map(|(t, round)| t.span(Phase::Train, round));
-        for ((ds, &seed), out) in datasets.iter().zip(seeds).zip(outs) {
-            let (stats_out, rest) = std::mem::take(&mut stats_rest).split_at_mut(stats_len);
-            stats_rest = rest;
-            train_client_into(
-                topo,
-                global,
-                ds,
-                steps,
-                batch,
-                lr,
-                momentum,
-                seed,
-                out.as_mut(),
-                stats_positions,
-                stats_out,
-                slot,
-            );
-        }
+        (start..n.min(start + CLIENTS_PER_TRAIN_SPAN)).for_each(&mut f);
     }
 }
 
-/// [`train_client_into`] for client `id` of `data`, through the cohort
-/// loop as a cohort of one. Materialises the client's shard first, a
-/// full synthesis pass: the simulator trains from its shard cache
-/// instead, and a socket client holds its one [`ClientDataset`].
-/// `_trainable_mask` is implied by the topology and `stats_positions`.
+/// [`train_client_into`] for client `id` of `data`. Materialises the
+/// client's shard first, a full synthesis pass: the simulator trains
+/// from its shard cache instead, and a socket client holds its one
+/// [`ClientDataset`]. `_trainable_mask` is implied by the topology and
+/// `stats_positions`.
 ///
 /// # Panics
 /// As [`train_client_into`].
@@ -667,34 +800,35 @@ pub fn local_train_into(
     lr: f32,
     momentum: f32,
     seed: u64,
-    mut out: &mut [f32],
+    out: &mut [f32],
     stats_positions: &[usize],
     stats_out: &mut [f32],
     _trainable_mask: &gluefl_tensor::BitMask,
     slot: &mut TrainSlot,
 ) {
-    train_cohort(
+    train_client_into(
         topo,
         global,
-        &[&data.client(id)],
-        &[seed],
+        &data.client(id),
         steps,
         batch,
         lr,
         momentum,
-        std::slice::from_mut(&mut out),
+        seed,
+        out,
         stats_positions,
         stats_out,
         slot,
-        None,
     );
 }
 
-/// The cohort loop over clients `ids` of `data`, their shards
+/// [`train_client_into`] over clients `ids` of `data`, their shards
 /// materialised first: client `c` is seeded with `seeds[c]`, its
 /// trainable delta written to `outs[c]` and its BN-statistic drift to
-/// `stats_saved[c·stats ..]`, one workspace serving the whole cohort.
-/// `_trainable_mask` is implied by the topology and `stats_positions`.
+/// `stats_saved[c·stats ..]`, one workspace serving the whole cohort —
+/// it holds one client's state at a time, so the working set is a
+/// client's, whatever the cohort's size. `_trainable_mask` is implied by
+/// the topology and `stats_positions`.
 ///
 /// When `trace` carries a recorder and a round number, every run of
 /// eight clients emits one [`Phase::Train`] span; `None` (the parity
@@ -722,22 +856,32 @@ pub fn batch_local_train_into(
     scratch: &mut BatchTrainScratch,
     trace: Option<(&Telemetry, u32)>,
 ) {
-    let shards: Vec<ClientDataset> = ids.iter().map(|&id| data.client(id)).collect();
-    train_cohort(
-        topo,
-        global,
-        &shards.iter().collect::<Vec<_>>(),
-        seeds,
-        steps,
-        batch,
-        lr,
-        momentum,
-        outs,
-        stats_positions,
-        stats_saved,
-        scratch,
-        trace,
+    assert!(!ids.is_empty(), "need at least one client");
+    assert_eq!(seeds.len(), ids.len(), "one seed per client");
+    assert_eq!(outs.len(), ids.len(), "one delta buffer per client");
+    let stats_len = stats_positions.len();
+    assert_eq!(
+        stats_saved.len(),
+        ids.len() * stats_len,
+        "stats buffer/positions length mismatch"
     );
+    let shards: Vec<ClientDataset> = ids.iter().map(|&id| data.client(id)).collect();
+    in_spans(ids.len(), trace, |c| {
+        train_client_into(
+            topo,
+            global,
+            &shards[c],
+            steps,
+            batch,
+            lr,
+            momentum,
+            seeds[c],
+            &mut outs[c],
+            stats_positions,
+            &mut stats_saved[c * stats_len..(c + 1) * stats_len],
+            scratch,
+        );
+    });
 }
 
 #[cfg(test)]
@@ -844,55 +988,151 @@ mod tests {
         }
     }
 
-    /// Client-sharded local training must not change a bit: every
-    /// strategy, the quantized STC upload and a QuantU8 wire included,
-    /// runs 4 rounds on one worker and on three, and the records agree
-    /// down to the accuracy bits. Three workers need not exist on the
-    /// machine — the pool spawns them regardless — so this compares on
-    /// any core count.
+    /// What a run leaves behind that the worker count must not move:
+    /// every round's record, the final weights' bits, and the residual
+    /// bank — how many clients it tracks and every stored residual's bits
+    /// and weight.
+    type RunBits = (
+        Vec<RoundRecord>,
+        Vec<u32>,
+        usize,
+        Vec<Option<(Vec<u32>, f64)>>,
+    );
+
+    fn run_bits(cfg: SimConfig, threads: usize, rounds: usize) -> RunBits {
+        let mut sim = Simulation::new(cfg);
+        sim.clients.threads = threads;
+        let recs = (0..rounds).map(|_| sim.step()).collect();
+        let params = sim.model().params().iter().map(|v| v.to_bits()).collect();
+        let c = &sim.clients.compressor;
+        let bank = (0..sim.data().num_clients())
+            .map(|id| {
+                c.stored(id)
+                    .map(|(h, w)| (h.iter().map(|v| v.to_bits()).collect(), w))
+            })
+            .collect();
+        (recs, params, c.tracked_residuals(), bank)
+    }
+
+    /// Client-sharded turns must not change a bit: every strategy's
+    /// client half — the quantized STC upload, MD-FedAvg's repeated
+    /// invitations, and a QuantU8 wire under FedAvg and under GlueFL,
+    /// whose codec loss is folded into residuals the workers produced —
+    /// runs 4 rounds on one worker and on three, and whole records, final
+    /// weights and the residual bank agree bit for bit. Three workers
+    /// need not exist on the machine — the pool spawns them regardless —
+    /// so this compares on any core count.
     #[test]
     fn parallel_round_bit_identical_to_serial() {
-        let configs = || {
-            let mut gluefl_cfg = tiny_cfg(StrategyConfig::FedAvg);
-            let k = gluefl_cfg.round_size;
-            gluefl_cfg.strategy = StrategyConfig::GlueFl(tiny_gluefl_params(k));
-            let mut quant_wire = tiny_cfg(StrategyConfig::FedAvg);
-            quant_wire.wire = gluefl_wire::WirePolicy::legacy(gluefl_wire::Codec::QuantU8);
-            vec![
-                tiny_cfg(StrategyConfig::FedAvg),
-                tiny_cfg(StrategyConfig::Stc { q: 0.2 }),
-                tiny_cfg(StrategyConfig::StcQuantized { q: 0.2 }),
-                gluefl_cfg,
-                quant_wire,
-            ]
+        let gluefl = || {
+            let mut cfg = tiny_cfg(StrategyConfig::FedAvg);
+            cfg.strategy = StrategyConfig::GlueFl(tiny_gluefl_params(cfg.round_size));
+            cfg
         };
-        let run_all = |threads: usize| -> Vec<RoundRecord> {
-            let mut recs = Vec::new();
-            for cfg in configs() {
-                let mut sim = Simulation::new(cfg);
-                sim.clients.threads = threads;
-                for _ in 0..4 {
-                    recs.push(sim.step());
-                }
-            }
-            recs
+        let quant = |mut cfg: SimConfig| {
+            cfg.wire = gluefl_wire::WirePolicy::legacy(gluefl_wire::Codec::QuantU8);
+            cfg
         };
-        let sharded = run_all(3);
-        let serial = run_all(1);
-        assert_eq!(sharded.len(), serial.len());
-        for (p, s) in sharded.iter().zip(&serial) {
-            assert_eq!(p.down_bytes, s.down_bytes);
-            assert_eq!(p.up_bytes, s.up_bytes);
-            assert_eq!(p.wire_up_bytes, s.wire_up_bytes);
-            assert_eq!(p.changed_positions, s.changed_positions);
-            assert_eq!(
-                p.accuracy.map(f64::to_bits),
-                s.accuracy.map(f64::to_bits),
-                "accuracy bits diverged at round {}",
-                p.round
-            );
-            assert_eq!(p.loss.map(f64::to_bits), s.loss.map(f64::to_bits));
+        let configs = [
+            tiny_cfg(StrategyConfig::FedAvg),
+            tiny_cfg(StrategyConfig::MdFedAvg),
+            tiny_cfg(StrategyConfig::Stc { q: 0.2 }),
+            tiny_cfg(StrategyConfig::StcQuantized { q: 0.2 }),
+            tiny_cfg(StrategyConfig::Apf {
+                config: gluefl_compress::ApfConfig::default(),
+            }),
+            gluefl(),
+            quant(tiny_cfg(StrategyConfig::FedAvg)),
+            quant(gluefl()),
+        ];
+        for cfg in configs {
+            let name = cfg.strategy.name();
+            let (serial, sharded) = (run_bits(cfg.clone(), 1, 4), run_bits(cfg, 3, 4));
+            assert_eq!(sharded.0, serial.0, "{name}: records diverged");
+            assert!(sharded.1 == serial.1, "{name}: weights diverged");
+            assert_eq!(sharded.2, serial.2, "{name}: banks track different clients");
+            assert!(sharded.3 == serial.3, "{name}: a stored residual diverged");
         }
+    }
+
+    /// Invites `invited` in round 0 of a `strategy` run on `threads`
+    /// workers and returns the offers, the staged uploads, the
+    /// BN-statistic bits, the shards built and the shards resident.
+    #[allow(clippy::type_complexity)]
+    fn scripted_turns(
+        strategy: StrategyConfig,
+        threads: usize,
+        invited: &[(ClientId, Group)],
+    ) -> (
+        Vec<Option<(u64, u64)>>,
+        Vec<Option<Upload>>,
+        Vec<u32>,
+        f64,
+        usize,
+    ) {
+        let tel = Arc::new(Telemetry::new());
+        let mut sim = Simulation::new(tiny_cfg(strategy)).with_telemetry(Arc::clone(&tel));
+        sim.clients.threads = threads;
+        let params = sim.model().params().to_vec();
+        let broadcast = Broadcast {
+            frames: &[],
+            params: &params,
+            mask: None,
+        };
+        sim.clients.invite(0, invited, &broadcast);
+        let mut offers = vec![None; invited.len()];
+        sim.clients.offers(0, &[], &mut offers);
+        let c = &sim.clients;
+        let uploads = c
+            .uploads
+            .iter()
+            .map(|u| u.as_ref().map(|(up, _)| up.clone()));
+        let stats = c.stats.iter().map(|v| v.to_bits()).collect();
+        let built = tel
+            .snapshot()
+            .value("gluefl_client_shards_built_total", &[])
+            .unwrap();
+        (
+            offers,
+            uploads.collect(),
+            stats,
+            built,
+            c.cache.resident.len(),
+        )
+    }
+
+    /// One id invited twice in a round — no strategy does that today
+    /// (MD-FedAvg folds repeated draws into one invitation with a
+    /// multiplicity), but the in-process IO must not build that shard
+    /// twice, even with the two occurrences in different jobs, and the
+    /// worker count must still change no bit.
+    #[test]
+    fn a_repeated_invitation_builds_its_shard_once() {
+        let invited = [
+            (3, Group::Fresh),
+            (7, Group::Fresh),
+            (3, Group::Fresh),
+            (11, Group::Fresh),
+        ];
+        let serial = scripted_turns(StrategyConfig::FedAvg, 1, &invited);
+        assert_eq!(
+            (serial.3, serial.4),
+            (3.0, 3),
+            "one shard per distinct client"
+        );
+        assert_eq!(serial.1[0], serial.1[2], "one client, one turn's worth");
+        // Three workers: jobs of two, so id 3 opens both.
+        let sharded = scripted_turns(StrategyConfig::FedAvg, 3, &invited);
+        assert_eq!(sharded, serial);
+    }
+
+    /// A scheme with a residual bank cannot take two turns for one client
+    /// in a round: the second check-out would fork its residual.
+    #[test]
+    #[should_panic(expected = "already checked out")]
+    fn a_repeated_invitation_cannot_fork_a_residual() {
+        let invited = [(3, Group::Fresh), (3, Group::Fresh)];
+        let _ = scripted_turns(StrategyConfig::Stc { q: 0.2 }, 1, &invited);
     }
 
     /// Client training through a *shared* slot must not leak state
@@ -1014,17 +1254,21 @@ mod tests {
 
     /// Dimension-sized buffers alive on the client side after a round,
     /// outside the residual bank: hand-backs waiting to be the next
-    /// deltas, dense uploads still staged, dense uploads back in the pool.
+    /// deltas, dense uploads still staged, dense uploads back in any
+    /// job's pool.
     fn live_delta_buffers(c: &InProcessClients, dim: usize) -> usize {
         let handed_back = c.deltas.iter().chain(&c.delta_bufs);
         let staged = c.uploads.iter().flatten();
-        handed_back.filter(|buf| buf.len() == dim).count()
-            + staged.filter(|u| matches!(u.0, Upload::Dense(_))).count()
-            + if c.scratch.max_idle_value_capacity() >= dim {
-                c.scratch.idle_buffers()
+        let pooled = c.pools.iter().map(|pool| {
+            if pool.max_idle_value_capacity() >= dim {
+                pool.idle_buffers()
             } else {
                 0
             }
+        });
+        handed_back.filter(|buf| buf.len() == dim).count()
+            + staged.filter(|u| matches!(u.0, Upload::Dense(_))).count()
+            + pooled.sum::<usize>()
     }
 
     /// The delta hand-off leaks nothing and copies nothing: every round
@@ -1055,8 +1299,8 @@ mod tests {
                 "round {round}: a delta buffer leaked or was copied"
             );
             assert!(
-                c.scratch.max_idle_value_capacity() < dim,
-                "round {round}: a delta-sized buffer strayed into the sparse pool"
+                c.pools.iter().all(|p| p.max_idle_value_capacity() < dim),
+                "round {round}: a delta-sized buffer strayed into a sparse pool"
             );
         }
         assert!(
@@ -1089,11 +1333,13 @@ mod tests {
         cfg
     }
 
-    /// Forwards every call to the simulator's clients and records how
-    /// many shards are resident once the round's training is done.
+    /// Forwards every call to the simulator's clients and records the
+    /// round's invitations and how many shards are resident once the
+    /// round's training is done.
     struct CacheProbe<'a> {
         clients: &'a mut InProcessClients,
         resident_in_round: usize,
+        invited: Vec<ClientId>,
     }
 
     impl RoundIo for CacheProbe<'_> {
@@ -1104,6 +1350,7 @@ mod tests {
         fn invite(&mut self, round: u32, invited: &[(ClientId, Group)], broadcast: &Broadcast<'_>) {
             self.clients.invite(round, invited, broadcast);
             self.resident_in_round = self.clients.cache.resident.len();
+            self.invited = invited.iter().map(|&(id, _)| id).collect();
         }
 
         fn offers(
@@ -1151,6 +1398,7 @@ mod tests {
                 let mut probe = CacheProbe {
                     clients: &mut sim.clients,
                     resident_in_round: 0,
+                    invited: Vec::new(),
                 };
                 let rec = sim.engine.step(&mut probe);
                 let during = probe.resident_in_round;

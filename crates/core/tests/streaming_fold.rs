@@ -148,9 +148,19 @@ fn check_strategy(strategy_cfg: StrategyConfig, policy: WirePolicy, seed: u64, o
         for &(id, group) in &invited {
             let mut delta = delta_for(seed, round, id);
             let mask = strat_a.round_mask(round);
+            let mut residual = clients.check_out(id);
             let upload = clients
-                .compress(round, id, group, &mut delta, mask, &mut pool_a)
+                .compress(
+                    round,
+                    id,
+                    group,
+                    &mut delta,
+                    mask,
+                    &mut residual,
+                    &mut pool_a,
+                )
                 .expect("masking strategies expose their round mask");
+            clients.check_in(id, residual);
             uploads.push((id, group, upload));
         }
 

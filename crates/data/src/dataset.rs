@@ -260,6 +260,35 @@ impl SyntheticFlDataset {
     /// Panics if `id` is out of range.
     #[must_use]
     pub fn client(&self, id: usize) -> ClientDataset {
+        let mut out = self.client_storage(id);
+        self.client_into(id, &mut out);
+        out
+    }
+
+    /// An empty dataset with exactly the capacity client `id`'s samples
+    /// take, for [`client_into`](Self::client_into) to fill without
+    /// allocating — so a caller can allocate a shard on one thread and
+    /// synthesise it on another.
+    ///
+    /// # Panics
+    /// Panics if `id` is out of range.
+    #[must_use]
+    pub fn client_storage(&self, id: usize) -> ClientDataset {
+        let n = self.client_meta[id].num_samples;
+        let dim = self.cfg.feature_dim;
+        ClientDataset {
+            x: Vec::with_capacity(n * dim),
+            y: Vec::with_capacity(n),
+            feature_dim: dim,
+        }
+    }
+
+    /// [`client`](Self::client) into `out`, replacing what it held and
+    /// reusing its storage.
+    ///
+    /// # Panics
+    /// Panics if `id` is out of range.
+    pub fn client_into(&self, id: usize, out: &mut ClientDataset) {
         let meta = &self.client_meta[id];
         let mut rng = StdRng::seed_from_u64(meta.seed);
         let dim = self.cfg.feature_dim;
@@ -267,8 +296,10 @@ impl SyntheticFlDataset {
         let bias: Vec<f32> = (0..dim)
             .map(|_| (self.cfg.client_bias_sigma * normal(&mut rng)) as f32)
             .collect();
-        let mut x = Vec::with_capacity(meta.num_samples * dim);
-        let mut y = Vec::with_capacity(meta.num_samples);
+        let ClientDataset { x, y, feature_dim } = out;
+        *feature_dim = dim;
+        x.clear();
+        y.clear();
         for _ in 0..meta.num_samples {
             let c = sample_label(&meta.label_probs, rng.gen::<f32>());
             let mean = &self.class_means[c * dim..(c + 1) * dim];
@@ -276,11 +307,6 @@ impl SyntheticFlDataset {
                 x.push(m + bias[j] + (self.cfg.noise_sigma * normal(&mut rng)) as f32);
             }
             y.push(c);
-        }
-        ClientDataset {
-            x,
-            y,
-            feature_dim: dim,
         }
     }
 

@@ -16,9 +16,16 @@ pub enum Phase {
     Draw,
     /// Serializing and accounting the model/mask broadcast.
     Broadcast,
-    /// Local SGD steps on every invited client.
+    /// Local training on every invited client. A client's span covers
+    /// its whole turn — building its data shard, training, compressing
+    /// the delta and pricing the upload — on the in-process clients and
+    /// on a socket client (its `INVITE` handler) alike.
     Train,
-    /// Compressing deltas and serializing upload frames.
+    /// Collecting offers and serializing the kept uploads' frames. On
+    /// the in-process clients that is only the kept uploads'
+    /// serialization, their compress and pricing having run in
+    /// [`Phase::Train`]; on the socket server it includes the wait for
+    /// the clients' `OFFER`s.
     Encode,
     /// Parsing received upload frames back into sparse updates.
     Decode,

@@ -8,11 +8,10 @@
 //! [`gluefl_core::Simulation`] computes for the same `(seed, round, id)`,
 //! because it runs the same code on the same inputs: the dataset shard
 //! and model layout come from [`RunSetup`] (the initial weights and the
-//! test set, which only the server's engine needs, it never builds),
-//! the local-SGD delta from
-//! [`gluefl_core::train_client_into`] with the `"local-train"` derived
-//! seed, and the upload from the strategy's client half,
-//! [`ClientCompressor`] — one instance here serving one client, one
+//! test set, which only the server's engine needs, it never builds), and
+//! its turn — train, compress, price — is the simulator's per-client
+//! routine, [`ClientTurn::run`], over the strategy's client half
+//! [`ClientCompressor`]: one instance here serving one client, one
 //! instance in the simulator serving all of them. The server-side state
 //! a client lacks (samplers, mask evolution) it never needs: the round's
 //! mask arrives in every `INVITE`.
@@ -20,10 +19,7 @@
 use crate::proto::{read_msg_blocking, write_msg, MsgKind, ProtoError, PROTO_VERSION};
 use crate::TransportError;
 use gluefl_core::strategies::{Group, Upload};
-use gluefl_core::{
-    local_train_seed, train_client_into, ClientCompressor, RunSetup, ScratchPool, SimConfig,
-    TrainSlot,
-};
+use gluefl_core::{ClientCompressor, ClientTurn, RunSetup, ScratchPool, SimConfig};
 use gluefl_data::ClientDataset;
 use gluefl_ml::MlpTopology;
 use gluefl_telemetry::{Counter, Phase, Telemetry};
@@ -33,8 +29,9 @@ use std::io::Write as _;
 use std::net::TcpStream;
 use std::sync::Arc;
 
-/// One real client: its data shard, model topology, training slot, and
-/// compression state, all derived from the shared [`SimConfig`].
+/// One real client: its data shard, model topology, scratch pool (its
+/// training slot included) and compression state, all derived from the
+/// shared [`SimConfig`].
 ///
 /// A node holds only its own slice of the run. Its weights arrive in
 /// every `INVITE` and it never evaluates, so it has no initial weights
@@ -59,7 +56,6 @@ pub struct ClientNode {
     /// full pass over the client's samples, too much to repeat per invite.
     shard: ClientDataset,
     compressor: ClientCompressor,
-    slot: TrainSlot,
     scratch: ScratchPool,
     /// The round's decoded global parameters.
     global: Vec<f32>,
@@ -96,7 +92,6 @@ impl ClientNode {
             population,
             topology: setup.topology,
             stats_positions: setup.stats_positions,
-            slot: TrainSlot::default(),
             scratch: ScratchPool::new(),
             global: Vec::new(),
             round_mask: None,
@@ -154,44 +149,34 @@ impl ClientNode {
             Some(mask)
         };
 
-        // Local training — identical inputs to the simulator's worker.
-        // It overwrites every position of the delta buffer, so whatever
-        // full-length buffer compression handed back is reused as it is.
-        if self.delta.len() != dim {
-            self.delta = self.scratch.take_full(dim);
-        }
+        // The turn — identical inputs to the simulator's worker. Any
+        // stale pending upload, from a round whose grant never arrived,
+        // goes back to the pool first.
+        self.discard_pending();
         self.stats_out.clear();
         self.stats_out.resize(self.stats_positions.len(), 0.0);
-        train_client_into(
-            &self.topology,
-            &self.global,
+        let mut residual = self.compressor.check_out(self.id);
+        let turn = ClientTurn {
+            cfg: &self.cfg,
+            topo: &self.topology,
+            stats_positions: &self.stats_positions,
+            compressor: &self.compressor,
+            round,
+            global: &self.global,
+            round_mask: self.round_mask.as_ref(),
+            update_norm: None,
+        };
+        let staged = turn.run(
+            self.id,
+            group,
             &self.shard,
-            self.cfg.local_steps,
-            self.cfg.batch_size,
-            self.cfg.lr_at_round(round),
-            self.cfg.momentum,
-            local_train_seed(self.cfg.seed, round, self.id),
             &mut self.delta,
-            &self.stats_positions,
             &mut self.stats_out,
-            &mut self.slot,
+            &mut residual,
+            &mut self.scratch,
         );
-
-        // Compress and price the upload (discarding any stale pending
-        // upload from a round whose grant never arrived).
-        self.discard_pending();
-        let upload = self
-            .compressor
-            .compress(
-                round,
-                self.id,
-                group,
-                &mut self.delta,
-                self.round_mask.as_ref(),
-                &mut self.scratch,
-            )
-            .map_err(|_| TransportError::MissingBroadcastMask)?;
-        let offer = self.compressor.offer(&upload, self.stats_out.len());
+        self.compressor.check_in(self.id, residual);
+        let (upload, offer) = staged.map_err(|_| TransportError::MissingBroadcastMask)?;
         self.pending = Some((round, upload));
         Ok(offer)
     }

@@ -71,9 +71,11 @@ fn assert_masked_apply_matches_dense_reference(strategy_cfg: StrategyConfig, see
                 })
                 .collect();
             let mask = strategy.round_mask(round);
+            let mut residual = clients.check_out(id);
             let upload = clients
-                .compress(round, id, group, &mut delta, mask, &mut pool)
+                .compress(round, id, group, &mut delta, mask, &mut residual, &mut pool)
                 .expect("masking strategies expose their round mask");
+            clients.check_in(id, residual);
             kept.push((id, group, upload));
         }
         let update = fold_in_id_order(&mut *strategy, round, &kept, &mut pool);

@@ -62,6 +62,7 @@ fn indicator_round(
     for (id, group) in plan.invited() {
         let mut delta = vec![0.0f32; n];
         delta[id] = 1.0;
+        let mut residual = clients.check_out(id);
         let upload = clients
             .compress(
                 round,
@@ -69,9 +70,11 @@ fn indicator_round(
                 group,
                 &mut delta,
                 strategy.round_mask(round),
+                &mut residual,
                 pool,
             )
             .expect("GlueFL exposes its round mask");
+        clients.check_in(id, residual);
         kept.push((id, group, upload));
     }
     let agg = fold_in_id_order(strategy, round, &kept, pool);
