@@ -23,9 +23,12 @@
 //!    through the one upload grammar
 //!    ([`wire_link::decode_upload_with_stats`]), validated against the
 //!    strategy, the model dimension and the BN-statistic layout, and
-//!    folded on the spot through the
-//!    [`StreamingAggregator`]; a lost or invalid upload is skipped and
-//!    the round completes without it;
+//!    folded on the spot through the [`StreamingAggregator`] — decoded
+//!    and folded while the IO produces the next arrival. A producer
+//!    thread owns the IO for this step and runs at most one arrival
+//!    ahead; arrivals are folded in the order the IO produces them, so
+//!    the overlap changes no bit. A lost or invalid upload is skipped
+//!    and the round completes without it;
 //! 6. **finish** — the strategy's finishing step (top-k, mask shift)
 //!    yields the [`gluefl_tensor::MaskedUpdate`], which is applied with
 //!    the word-level masked kernels; BN statistics get the Appendix-D
@@ -39,7 +42,7 @@
 //! invited client's turn in one call ([`crate::Simulation`]) or to
 //! wait on sockets under deadlines (`gluefl-transport`'s server). The
 //! engine never reads a clock except through the attached telemetry
-//! recorder, and never blocks except inside the IO.
+//! recorder, and never blocks except inside the IO or on its producer.
 //!
 //! Because both drivers run this one sequence over the same client half
 //! ([`crate::ClientCompressor`]), their [`RoundRecord`]s and final
@@ -66,7 +69,7 @@ use gluefl_wire::{
     frame_kind_from_header, legacy_mask_len, Codec, FrameWriter, Rounding, WireError, WirePolicy,
 };
 use rand::rngs::StdRng;
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 
 /// Modeled upload time of an invited client that never offered: large
 /// enough to lose every [`fastest`] comparison, finite so the sort never
@@ -106,7 +109,14 @@ pub enum Arrival {
 /// [`next_upload`](Self::next_upload) until it returns `None` — by which
 /// time every granted slot must have been reported exactly once, as
 /// [`Arrival::Delivered`] or [`Arrival::Lost`].
-pub trait RoundIo {
+///
+/// The trait is `Send` because the fold step is a two-stage pipeline:
+/// [`next_upload`](Self::next_upload) and [`rejected`](Self::rejected)
+/// run on a producer thread the engine spawns for that step, while the
+/// engine thread decodes and folds the previous arrival. The other calls
+/// run on the thread that called [`RoundEngine::step`]; no two calls
+/// ever overlap.
+pub trait RoundIo: Send {
     /// Whether client `id` can be invited at all (a socket IO answers
     /// "is its connection alive"). Queried during planning, only for the
     /// candidates the strategy considers.
@@ -140,7 +150,11 @@ pub trait RoundIo {
     fn next_upload(&mut self, round: u32, payload: &mut Vec<u8>) -> Option<Arrival>;
 
     /// The engine could not use the bytes delivered for invitation index
-    /// `slot` and folded without them.
+    /// `slot` and folded without them. Called exactly once per rejected
+    /// delivery, in arrival order, and before [`RoundEngine::step`]
+    /// returns — but not necessarily before the next
+    /// [`next_upload`](Self::next_upload): the producer may already be
+    /// waiting on a later arrival when the engine rejects this one.
     fn rejected(&mut self, round: u32, slot: usize, err: &WireError);
 }
 
@@ -333,7 +347,10 @@ impl RoundEngine {
     /// # Panics
     /// Panics if `io` breaks the [`RoundIo`] contract (a granted slot
     /// reported twice or never, an index outside the keep set) — never
-    /// on the *content* of delivered bytes.
+    /// on the *content* of delivered bytes. A panic inside the IO's
+    /// [`RoundIo::next_upload`] or [`RoundIo::rejected`], which run on
+    /// the fold step's producer thread, is re-raised here with the IO's
+    /// own message.
     pub fn step(&mut self, io: &mut dyn RoundIo) -> RoundRecord {
         let round = self.round;
         self.round += 1;
@@ -468,9 +485,10 @@ impl RoundEngine {
         rec.kept = kept.len();
         io.grant(round, &kept, &times);
 
-        // --- Fold each arrival the moment it resolves. Arrival order is
-        // whatever the IO produces; the gate parks early arrivals so the
-        // strategy folds in ascending client-id order regardless. ---
+        // --- Fold each arrival the moment it resolves, while the IO
+        // produces the next one. Arrival order is whatever the IO
+        // produces; the gate parks early arrivals so the strategy folds
+        // in ascending client-id order regardless. ---
         let fold_start = tick(&tel);
         let kept_pairs: Vec<(ClientId, Group)> = kept.iter().map(|&i| invited[i]).collect();
         let mut gate =
@@ -485,50 +503,98 @@ impl RoundEngine {
             slot_of[i] = slot;
         }
         let mut delivered = vec![false; kept.len()];
-        let mut payload = self.scratch.take_bytes();
-        phase_ns[Phase::Fold.index()] = tick(&tel).saturating_sub(fold_start);
-        loop {
-            let wait_start = tick(&tel);
-            payload.clear();
-            let Some(arrival) = io.next_upload(round, &mut payload) else {
-                break;
-            };
-            let decode_start = tick(&tel);
-            phase_ns[Phase::Encode.index()] += decode_start.saturating_sub(wait_start);
-            let (i, upload) = match arrival {
-                Arrival::Delivered(i) => {
-                    let slot = slot_of[i];
-                    assert!(
-                        slot != usize::MAX,
-                        "RoundIo delivered a slot that was not kept"
-                    );
-                    match self.decode_arrival(round, &payload, slot) {
-                        Ok(upload) => {
-                            delivered[slot] = true;
-                            (i, Some(upload))
-                        }
-                        Err(e) => {
-                            io.rejected(round, i, &e);
-                            (i, None)
-                        }
+        let payloads = [self.scratch.take_bytes(), self.scratch.take_bytes()];
+        // Two stages, one arrival apart. The producer owns the IO and
+        // fills a payload buffer with the next arrival while this thread
+        // decodes, validates and folds the previous one; the two buffers
+        // cycle between them, rejections travel back to the producer.
+        // Every channel end lives inside the scope, so a panic on either
+        // side drops the other side's peer and nothing stays blocked.
+        std::thread::scope(|s| {
+            let (arrival_tx, arrivals) = mpsc::sync_channel::<(Arrival, Vec<u8>)>(1);
+            let (empty_tx, empties) = mpsc::channel::<Vec<u8>>();
+            let (reject_tx, rejections) = mpsc::channel::<(usize, WireError)>();
+            for buf in payloads {
+                let _ = empty_tx.send(buf);
+            }
+            let producer = s.spawn(move || {
+                let mut last = None;
+                while let Ok(mut payload) = empties.recv() {
+                    for (slot, err) in rejections.try_iter() {
+                        io.rejected(round, slot, &err);
+                    }
+                    payload.clear();
+                    let Some(arrival) = io.next_upload(round, &mut payload) else {
+                        last = Some(payload);
+                        break;
+                    };
+                    if arrival_tx.send((arrival, payload)).is_err() {
+                        break;
                     }
                 }
-                Arrival::Lost(i) => (i, None),
-            };
-            let fold_start = tick(&tel);
-            phase_ns[Phase::Decode.index()] += fold_start.saturating_sub(decode_start);
-            let id = invited[i].0;
-            match upload {
-                Some(upload) => gate.accept(&mut *self.strategy, id, upload, &mut self.scratch),
-                None => {
-                    self.skipped_uploads += 1;
-                    gate.skip(&mut *self.strategy, id, &mut self.scratch)
+                // Every arrival is out: deliver the rejections still to
+                // come, then collect the buffers as the engine lets go.
+                drop(arrival_tx);
+                for (slot, err) in rejections {
+                    io.rejected(round, slot, &err);
                 }
+                last.into_iter().chain(empties).collect::<Vec<_>>()
+            });
+            phase_ns[Phase::Fold.index()] = tick(&tel).saturating_sub(fold_start);
+            loop {
+                let wait_start = tick(&tel);
+                let next = arrivals.recv();
+                let decode_start = tick(&tel);
+                phase_ns[Phase::Encode.index()] += decode_start.saturating_sub(wait_start);
+                let Ok((arrival, payload)) = next else {
+                    break;
+                };
+                let (i, upload) = match arrival {
+                    Arrival::Delivered(i) => {
+                        let slot = slot_of[i];
+                        assert!(
+                            slot != usize::MAX,
+                            "RoundIo delivered a slot that was not kept"
+                        );
+                        match self.decode_arrival(round, &payload, slot) {
+                            Ok(upload) => {
+                                delivered[slot] = true;
+                                (i, Some(upload))
+                            }
+                            Err(e) => {
+                                let _ = reject_tx.send((i, e));
+                                (i, None)
+                            }
+                        }
+                    }
+                    Arrival::Lost(i) => (i, None),
+                };
+                // The bytes are spent; the producer may refill the buffer.
+                let _ = empty_tx.send(payload);
+                let fold_start = tick(&tel);
+                phase_ns[Phase::Decode.index()] += fold_start.saturating_sub(decode_start);
+                let id = invited[i].0;
+                match upload {
+                    Some(upload) => gate.accept(&mut *self.strategy, id, upload, &mut self.scratch),
+                    None => {
+                        self.skipped_uploads += 1;
+                        gate.skip(&mut *self.strategy, id, &mut self.scratch)
+                    }
+                }
+                .expect("RoundIo resolves each kept slot exactly once");
+                phase_ns[Phase::Fold.index()] += tick(&tel).saturating_sub(fold_start);
             }
-            .expect("RoundIo resolves each kept slot exactly once");
-            phase_ns[Phase::Fold.index()] += tick(&tel).saturating_sub(fold_start);
-        }
-        self.scratch.put_bytes(payload);
+            // The producer ends once it holds every rejection and buffer.
+            let join_start = tick(&tel);
+            drop((empty_tx, reject_tx));
+            let buffers = producer
+                .join()
+                .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+            for buf in buffers {
+                self.scratch.put_bytes(buf);
+            }
+            phase_ns[Phase::Encode.index()] += tick(&tel).saturating_sub(join_start);
+        });
         let topk_start = tick(&tel);
         let update = gate.finish(&mut *self.strategy, &mut self.scratch);
         phase_ns[Phase::TopK.index()] = tick(&tel).saturating_sub(topk_start);

@@ -6,6 +6,13 @@
 //! a chosen order. The engine must complete every round, skip exactly
 //! the corrupted slot, and land on the same parameters — bit for bit —
 //! whatever the delivery order, run after run.
+//!
+//! The engine folds one arrival while a producer thread pulls the next
+//! out of the IO, so the script also probes that pipeline's edges: a
+//! rejection of the round's last arrival, two rejections in one round,
+//! an IO that breaks its contract and one that panics. Those cases run
+//! on a thread of their own under a deadline, so a deadlock fails the
+//! test instead of stalling the suite.
 
 use gluefl_core::engine::{Arrival, Broadcast, RoundEngine, RoundIo};
 use gluefl_core::strategies::Group;
@@ -23,8 +30,13 @@ use gluefl_wire::{
     frame_len_from_header, FrameWriter, Rounding, WireError, WirePolicy, HEADER_BYTES,
 };
 use std::collections::VecDeque;
+use std::sync::mpsc;
+use std::time::Duration;
 
 const ROUNDS: u32 = 4;
+
+/// What [`Scripted::next_upload`] panics with when told to.
+const IO_PANIC: &str = "scripted IO lost its connection table";
 
 /// What the lowest granted slot delivers instead of its upload.
 #[derive(Debug, Clone, Copy)]
@@ -57,6 +69,19 @@ struct Scripted {
     queue: VecDeque<(usize, Vec<u8>)>,
     collected: bool,
     rejected: Vec<(u32, usize, WireError)>,
+    /// How many of the lowest granted slots deliver the fault (1) — or,
+    /// with `fault_last`, how many of the round's last arrivals.
+    faults: usize,
+    fault_last: bool,
+    /// Breaks the contract: the round's last arrival is delivered twice.
+    twice: bool,
+    /// Panics with [`IO_PANIC`] on this call of `next_upload` in a round.
+    panic_at: Option<usize>,
+    /// The round's forged slots, its arrivals in delivery order, and its
+    /// `next_upload` calls so far.
+    forged: Vec<usize>,
+    arrived: Vec<usize>,
+    calls: usize,
 }
 
 /// The frames of an upload payload, split at their boundaries.
@@ -123,6 +148,9 @@ impl RoundIo for Scripted {
     fn invite(&mut self, round: u32, invited: &[(usize, Group)], broadcast: &Broadcast<'_>) {
         self.silent = invited.len() - 1;
         self.collected = false;
+        self.forged.clear();
+        self.arrived.clear();
+        self.calls = 0;
         self.clients.invite(round, invited, broadcast);
     }
 
@@ -141,17 +169,32 @@ impl RoundIo for Scripted {
     }
 
     fn next_upload(&mut self, round: u32, payload: &mut Vec<u8>) -> Option<Arrival> {
+        self.calls += 1;
+        if self.panic_at == Some(self.calls) {
+            panic!("{IO_PANIC}");
+        }
         if !self.collected {
             self.collected = true;
             let mut buf = Vec::new();
             while let Some(Arrival::Delivered(i)) = self.clients.next_upload(round, &mut buf) {
                 self.queue.push_back((i, std::mem::take(&mut buf)));
             }
-            // (b) the lowest granted slot delivers the scripted fault.
-            let at = (0..self.queue.len())
-                .min_by_key(|&at| self.queue[at].0)
-                .expect("kept");
-            self.queue[at].1 = self.forge(round, &self.queue[at].1);
+            // (b) the lowest granted slots (or the last arrivals)
+            // deliver the scripted fault.
+            let mut order: Vec<usize> = (0..self.queue.len()).collect();
+            if !self.fault_last {
+                order.sort_unstable_by_key(|&at| self.queue[at].0);
+            } else if !self.reverse {
+                order.reverse();
+            }
+            for &at in &order[..self.faults] {
+                self.queue[at].1 = self.forge(round, &self.queue[at].1);
+                self.forged.push(self.queue[at].0);
+            }
+            if self.twice {
+                let again = self.queue.back().expect("kept").clone();
+                self.queue.push_back(again);
+            }
         }
         // (c) the rest arrive in the scripted order.
         let (i, bytes) = if self.reverse {
@@ -160,6 +203,7 @@ impl RoundIo for Scripted {
             self.queue.pop_front()?
         };
         *payload = bytes;
+        self.arrived.push(i);
         Some(Arrival::Delivered(i))
     }
 
@@ -207,6 +251,13 @@ fn scripted(cfg: &SimConfig, setup: &RunSetup, fault: Fault, reverse: bool) -> S
         queue: VecDeque::new(),
         collected: false,
         rejected: Vec::new(),
+        faults: 1,
+        fault_last: false,
+        twice: false,
+        panic_at: None,
+        forged: Vec::new(),
+        arrived: Vec::new(),
+        calls: 0,
     }
 }
 
@@ -346,5 +397,144 @@ fn each_unusable_upload_is_rejected_with_its_own_typed_error() {
             u64::from(ROUNDS),
             "{fault:?}: one count per rejection"
         );
+    }
+}
+
+/// How long a pipeline-edge case may take before it counts as hung; a
+/// case takes about a second unoptimised.
+const DEADLINE: Duration = Duration::from_secs(60);
+
+/// Runs `case` on a thread of its own and returns how it ended, or fails
+/// once [`DEADLINE`] passes without an outcome: a deadlock between the
+/// engine and its producer must fail the test, not stall the suite.
+fn within_deadline(case: impl FnOnce() + Send + 'static) -> std::thread::Result<()> {
+    let (done, outcome) = mpsc::channel();
+    let worker = std::thread::spawn(move || {
+        let _ = done.send(std::panic::catch_unwind(std::panic::AssertUnwindSafe(case)));
+    });
+    let outcome = outcome
+        .recv_timeout(DEADLINE)
+        .unwrap_or_else(|_| panic!("no outcome within {DEADLINE:?}: the step hung"));
+    worker.join().expect("the case's panic was caught");
+    outcome
+}
+
+/// Runs `case` under [`within_deadline`]; it must pass.
+fn passes(case: impl FnOnce() + Send + 'static) {
+    within_deadline(case).unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+}
+
+/// Runs `case` under [`within_deadline`]; it must panic, and this is the
+/// message it panicked with.
+fn panic_message(case: impl FnOnce() + Send + 'static) -> String {
+    let payload = within_deadline(case).expect_err("the step returned instead of panicking");
+    payload
+        .downcast_ref::<String>()
+        .cloned()
+        .or_else(|| payload.downcast_ref::<&str>().map(|s| (*s).to_owned()))
+        .expect("a panic with a message")
+}
+
+/// The faulty slot is the round's last arrival, so no later
+/// `next_upload` call follows its rejection — it still reaches the IO,
+/// once, before `step` returns.
+#[test]
+fn the_last_arrivals_rejection_lands_before_the_step_returns() {
+    for reverse in [false, true] {
+        passes(move || {
+            let cfg = tiny_gluefl();
+            let setup = RunSetup::new(&cfg);
+            let mut io = scripted(&cfg, &setup, Fault::Garbage, reverse);
+            io.fault_last = true;
+            let mut engine = RoundEngine::new(cfg, setup);
+            for round in 0..ROUNDS {
+                let _ = engine.step(&mut io);
+                let last = *io.arrived.last().expect("kept slots arrive");
+                assert_eq!(io.forged, [last], "round {round}: the fault arrives last");
+                assert_eq!(io.rejected.len(), round as usize + 1, "round {round}");
+                let (at, slot, _) = io.rejected[round as usize];
+                assert_eq!((at, slot), (round, last));
+            }
+        });
+    }
+}
+
+/// Two unusable uploads in one round are rejected exactly once each, in
+/// the order they arrived, and both count as skipped.
+#[test]
+fn two_faulty_slots_are_rejected_once_each_in_arrival_order() {
+    for reverse in [false, true] {
+        passes(move || {
+            let cfg = tiny_gluefl();
+            let keep = cfg.round_size;
+            let setup = RunSetup::new(&cfg);
+            let mut io = scripted(&cfg, &setup, Fault::Garbage, reverse);
+            io.faults = 2;
+            let mut engine = RoundEngine::new(cfg, setup);
+            for round in 0..ROUNDS {
+                let before = io.rejected.len();
+                let rec = engine.step(&mut io);
+                assert_eq!(rec.kept, keep);
+                let slots: Vec<usize> = io.rejected[before..]
+                    .iter()
+                    .map(|&(at, slot, _)| {
+                        assert_eq!(at, round);
+                        slot
+                    })
+                    .collect();
+                let forged_in_arrival_order: Vec<usize> = io
+                    .arrived
+                    .iter()
+                    .copied()
+                    .filter(|i| io.forged.contains(i))
+                    .collect();
+                assert_eq!(forged_in_arrival_order.len(), 2);
+                assert_eq!(
+                    slots, forged_in_arrival_order,
+                    "reverse {reverse}, round {round}"
+                );
+                assert_eq!(engine.skipped_uploads(), 2 * (round as usize + 1));
+            }
+        });
+    }
+}
+
+/// An IO that delivers one slot twice breaks the contract, whether the
+/// copy arrives first or last: the step panics on the engine thread and
+/// the producer, wherever it is blocked, lets go.
+#[test]
+fn an_io_that_delivers_a_slot_twice_panics_the_step() {
+    for reverse in [false, true] {
+        let message = panic_message(move || {
+            let cfg = tiny_gluefl();
+            let setup = RunSetup::new(&cfg);
+            let mut io = scripted(&cfg, &setup, Fault::Garbage, reverse);
+            io.twice = true;
+            let mut engine = RoundEngine::new(cfg, setup);
+            let _ = engine.step(&mut io);
+        });
+        assert!(
+            message.contains("RoundIo resolves each kept slot exactly once"),
+            "reverse {reverse}: {message}"
+        );
+    }
+}
+
+/// A panic inside the IO's `next_upload` runs on the producer thread;
+/// `step` re-raises it with the IO's own message — before the first
+/// arrival, mid-round, and on the call that would have ended the round.
+#[test]
+fn a_panic_inside_the_io_surfaces_with_its_own_message() {
+    let keep = tiny_gluefl().round_size;
+    for call in [1, 2, keep + 1] {
+        let message = panic_message(move || {
+            let cfg = tiny_gluefl();
+            let setup = RunSetup::new(&cfg);
+            let mut io = scripted(&cfg, &setup, Fault::Garbage, false);
+            io.panic_at = Some(call);
+            let mut engine = RoundEngine::new(cfg, setup);
+            let _ = engine.step(&mut io);
+        });
+        assert!(message.contains(IO_PANIC), "call {call}: {message}");
     }
 }

@@ -21,11 +21,15 @@ pub enum Phase {
     /// the delta and pricing the upload — on the in-process clients and
     /// on a socket client (its `INVITE` handler) alike.
     Train,
-    /// Collecting offers and serializing the kept uploads' frames. On
-    /// the in-process clients that is only the kept uploads'
-    /// serialization, their compress and pricing having run in
-    /// [`Phase::Train`]; on the socket server it includes the wait for
-    /// the clients' `OFFER`s.
+    /// Collecting offers and waiting for the kept uploads' bytes. The
+    /// round engine serializes nothing itself: its IO produces each kept
+    /// upload on a producer thread while the engine decodes and folds the
+    /// previous one, so this phase is the engine's *un-overlapped* wait
+    /// for the next arrival. On the in-process clients that is the part
+    /// of the next upload's serialization the previous fold did not hide
+    /// (their compress and pricing ran in [`Phase::Train`]); on the
+    /// socket server it includes the wait for the clients' `OFFER`s and
+    /// uploads.
     Encode,
     /// Parsing received upload frames back into sparse updates.
     Decode,

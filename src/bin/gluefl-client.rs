@@ -10,18 +10,50 @@
 //! The config flags must match the server's — both sides derive the
 //! dataset, model init, and training seeds from the same [`SimConfig`],
 //! which is what makes the run bit-identical to the in-process
-//! simulator. `--metrics-out` enables client-side telemetry (per-kind
-//! byte counters, Train/Encode phase spans) and dumps the final
-//! snapshot to a file.
+//! simulator. `--id` must be below `--clients`. `--metrics-out` enables
+//! client-side telemetry (per-kind byte counters, Train/Encode phase
+//! spans) and dumps the final snapshot to a file. `--help` prints the
+//! usage line; an unknown argument, a malformed value or an `--id`
+//! outside the population exits 2 before connecting.
 //!
 //! [`SimConfig`]: gluefl_suite::core::SimConfig
 
 use gluefl_suite::telemetry::{Field, Level, LogFormat, Logger, Telemetry};
 use gluefl_suite::transport::{run_client_traced, smoke_config};
+use gluefl_suite::ArgsError;
 use std::sync::Arc;
 
 const USAGE: &str = "usage: gluefl-client --addr HOST:PORT --id N [--strategy S] [--clients N] \
      [--rounds R] [--seed S] [--log-format text|json] [--log-level L] [--metrics-out FILE]";
+
+const FLAGS: &[&str] = &[
+    "--addr",
+    "--id",
+    "--strategy",
+    "--clients",
+    "--rounds",
+    "--seed",
+    "--log-format",
+    "--log-level",
+    "--metrics-out",
+];
+
+/// `--help` prints the usage and ends the process with status 0; any
+/// argument that is not a known flag or its value ends it with the
+/// message, the usage line and status 2.
+fn check_args(args: &[String]) {
+    match gluefl_suite::check_args(args, FLAGS) {
+        Ok(()) => {}
+        Err(ArgsError::Help) => {
+            println!("{USAGE}");
+            std::process::exit(0)
+        }
+        Err(ArgsError::Unknown(arg)) => {
+            eprintln!("error: unknown argument '{arg}'\n{USAGE}");
+            std::process::exit(2)
+        }
+    }
+}
 
 /// A flag's value, or its default when absent; a malformed or missing
 /// value ends the process with the message, the usage line and status 2.
@@ -34,6 +66,7 @@ fn parse_flag<T: std::str::FromStr>(args: &[String], flag: &str, default: T) -> 
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    check_args(&args);
     let addr: String = parse_flag(&args, "--addr", String::new());
     let id: usize = parse_flag(&args, "--id", usize::MAX);
     let strategy: String = parse_flag(&args, "--strategy", "gluefl".to_string());
@@ -46,6 +79,10 @@ fn main() {
     let log = Logger::stdout(level, format);
     if addr.is_empty() || id == usize::MAX {
         eprintln!("{USAGE}");
+        std::process::exit(2);
+    }
+    if id >= clients {
+        eprintln!("error: --id {id} is outside a population of {clients}\n{USAGE}");
         std::process::exit(2);
     }
     let tel = (!metrics_out.is_empty()).then(|| Arc::new(Telemetry::new()));

@@ -14,10 +14,12 @@
 //! exposition over HTTP for the duration of the run; `--metrics-out`
 //! dumps the final snapshot to a file. Either flag enables telemetry;
 //! without them the round loop runs with telemetry compiled out of the
-//! hot path entirely.
+//! hot path entirely. `--help` prints the usage line; an unknown
+//! argument or a malformed value exits 2 before binding.
 
 use gluefl_suite::telemetry::{Field, Level, LogFormat, Logger, Telemetry};
 use gluefl_suite::transport::{smoke_config, Server, ServerConfig};
+use gluefl_suite::ArgsError;
 use std::io::{Read as _, Write as _};
 use std::sync::Arc;
 use std::time::Duration;
@@ -25,6 +27,37 @@ use std::time::Duration;
 const USAGE: &str = "usage: gluefl-server [--addr HOST:PORT] [--strategy S] [--clients N] \
      [--rounds R] [--seed S] [--offer-timeout-secs T] [--upload-timeout-secs T] \
      [--log-format text|json] [--log-level L] [--metrics-addr HOST:PORT] [--metrics-out FILE]";
+
+const FLAGS: &[&str] = &[
+    "--addr",
+    "--strategy",
+    "--clients",
+    "--rounds",
+    "--seed",
+    "--offer-timeout-secs",
+    "--upload-timeout-secs",
+    "--log-format",
+    "--log-level",
+    "--metrics-addr",
+    "--metrics-out",
+];
+
+/// `--help` prints the usage and ends the process with status 0; any
+/// argument that is not a known flag or its value ends it with the
+/// message, the usage line and status 2.
+fn check_args(args: &[String]) {
+    match gluefl_suite::check_args(args, FLAGS) {
+        Ok(()) => {}
+        Err(ArgsError::Help) => {
+            println!("{USAGE}");
+            std::process::exit(0)
+        }
+        Err(ArgsError::Unknown(arg)) => {
+            eprintln!("error: unknown argument '{arg}'\n{USAGE}");
+            std::process::exit(2)
+        }
+    }
+}
 
 /// A flag's value, or its default when absent; a malformed or missing
 /// value ends the process with the message, the usage line and status 2.
@@ -60,6 +93,7 @@ fn serve_metrics(addr: &str, tel: Arc<Telemetry>) -> std::io::Result<String> {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    check_args(&args);
     let addr: String = parse_flag(&args, "--addr", "127.0.0.1:0".to_string());
     let strategy: String = parse_flag(&args, "--strategy", "gluefl".to_string());
     let clients: usize = parse_flag(&args, "--clients", 8);

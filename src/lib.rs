@@ -55,9 +55,41 @@ pub fn parse_flag<T: std::str::FromStr>(
         .map_err(|_| format!("invalid value '{value}' for {flag}"))
 }
 
+/// Why [`check_args`] refused a command line.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum ArgsError {
+    /// `-h` or `--help`: the caller prints its usage and succeeds.
+    Help,
+    /// An argument that is neither one of the known flags nor the value
+    /// right after one — a typo such as `--round 5` must not start a run
+    /// with defaults.
+    Unknown(String),
+}
+
+/// Checks that every argument in `args` is one of `flags` or the value
+/// right after one, under [`parse_flag`]'s rule that a value never
+/// starts with `--`.
+///
+/// # Errors
+/// [`ArgsError::Help`] at the first `-h` / `--help` in flag position,
+/// [`ArgsError::Unknown`] at the first argument that is anything else.
+pub fn check_args(args: &[String], flags: &[&str]) -> Result<(), ArgsError> {
+    let mut rest = args.iter().peekable();
+    while let Some(arg) = rest.next() {
+        match arg.as_str() {
+            "-h" | "--help" => return Err(ArgsError::Help),
+            flag if flags.contains(&flag) => {
+                let _ = rest.next_if(|v| !v.starts_with("--"));
+            }
+            other => return Err(ArgsError::Unknown(other.to_owned())),
+        }
+    }
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
-    use super::parse_flag;
+    use super::{check_args, parse_flag, ArgsError};
 
     fn args(list: &[&str]) -> Vec<String> {
         list.iter().map(|s| (*s).to_owned()).collect()
@@ -88,5 +120,49 @@ mod tests {
         assert!(e.contains("--seed"), "{e}");
         let swallowed = args(&["--metrics-out", "--rounds", "3"]);
         assert!(parse_flag(&swallowed, "--metrics-out", String::new()).is_err());
+    }
+
+    const FLAGS: &[&str] = &["--rounds", "--seed", "--metrics-out"];
+
+    #[test]
+    fn known_flags_with_their_values_pass() {
+        assert_eq!(check_args(&args(&[]), FLAGS), Ok(()));
+        let line = args(&["--rounds", "5", "--seed", "-h", "--metrics-out", "x.prom"]);
+        assert_eq!(check_args(&line, FLAGS), Ok(()), "`-h` is --seed's value");
+        // A missing value is parse_flag's error to report, not an
+        // unknown argument.
+        let swallowed = args(&["--metrics-out", "--rounds", "3"]);
+        assert_eq!(check_args(&swallowed, FLAGS), Ok(()));
+    }
+
+    #[test]
+    fn an_unknown_flag_is_named() {
+        let typo = args(&["--round", "5"]);
+        assert_eq!(
+            check_args(&typo, FLAGS),
+            Err(ArgsError::Unknown("--round".into()))
+        );
+        let spelled = args(&["--seed", "1", "--rounds=5"]);
+        assert_eq!(
+            check_args(&spelled, FLAGS),
+            Err(ArgsError::Unknown("--rounds=5".into()))
+        );
+    }
+
+    #[test]
+    fn a_stray_positional_is_named() {
+        let stray = args(&["--rounds", "3", "5"]);
+        assert_eq!(
+            check_args(&stray, FLAGS),
+            Err(ArgsError::Unknown("5".into()))
+        );
+    }
+
+    #[test]
+    fn help_wins_in_flag_position() {
+        for help in ["-h", "--help"] {
+            let line = args(&["--rounds", "3", help, "--bogus"]);
+            assert_eq!(check_args(&line, FLAGS), Err(ArgsError::Help), "{help}");
+        }
     }
 }
