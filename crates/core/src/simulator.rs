@@ -499,8 +499,8 @@ impl InProcessClients {
     /// Storage that outlives the round — a missing shard, a delta buffer
     /// that may become a residual — is allocated here and only filled on
     /// the workers. Allocated on a worker it would come from that
-    /// thread's malloc arena, and which thread runs which job changes
-    /// from round to round, so the shard cache and the residual bank
+    /// thread's malloc arena, and every round spawns fresh workers that
+    /// may draw any arena, so the shard cache and the residual bank
     /// would scatter across arenas that never shrink back.
     fn take_turns(&mut self, round: u32, global: &[f32]) {
         let n = self.invited.len();

@@ -7,7 +7,7 @@
 //!   ([`Clock::manual`]) so tests can advance time deterministically.
 //! * **A recorder** ([`Telemetry`]): named counters, gauges, and
 //!   power-of-two histograms plus a fixed per-[`Phase`] span table.
-//!   Hot paths that must not contend (the `gluefl-pool` work-stealing
+//!   Hot paths that must not contend (the `gluefl-pool` fork-join
 //!   workers) record into plain per-thread [`LocalCells`] and merge
 //!   once; merging is a pure sum, so snapshots are **order
 //!   independent** — any interleaving of merges yields the same

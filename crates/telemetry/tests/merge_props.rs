@@ -1,5 +1,5 @@
 //! Order-independence of per-thread cell merges, and exact counter
-//! summation under the real work-stealing pool.
+//! summation under the real fork-join pool.
 
 use gluefl_telemetry::{Clock, LocalCells, Phase, Telemetry};
 use proptest::prelude::*;
@@ -107,8 +107,7 @@ proptest! {
 
 /// Counters and histograms recorded from real `gluefl-pool` workers —
 /// both through shared atomic handles and through per-job
-/// [`LocalCells`] — sum exactly, with nothing lost to contention or
-/// stealing.
+/// [`LocalCells`] — sum exactly, with nothing lost to contention.
 #[test]
 fn counters_sum_exactly_across_pool_workers() {
     let tel = std::sync::Arc::new(Telemetry::new());

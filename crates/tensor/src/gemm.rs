@@ -32,7 +32,7 @@
 //!
 //! * the thread count does not change the bits: eval-sized batches shard
 //!   only **disjoint row blocks** of `out` across the vendored
-//!   `gluefl_pool` work-stealing pool, each job running the serial
+//!   `gluefl_pool` fork-join pool, each job running the serial
 //!   kernel;
 //! * the SIMD width does not change the bits (CI also runs the suites
 //!   built with `RUSTFLAGS="-C target-cpu=x86-64"`, i.e. SSE2);
@@ -161,7 +161,7 @@ pub fn gemm_nn(a: &[f32], b: &[f32], bias: &[f32], m: usize, n: usize, k: usize,
 
 /// Row-sharded [`gemm_nn`]: each [`gluefl_pool`] job runs the serial
 /// kernel on a disjoint row block, so the output bits cannot depend on
-/// the schedule.
+/// the worker count.
 fn gemm_nn_sharded(
     a: &[f32],
     b: &[f32],

@@ -68,6 +68,11 @@ fn parse_flag<T: std::str::FromStr>(args: &[String], flag: &str, default: T) -> 
     })
 }
 
+/// How long one scrape connection may hold the metrics thread: it serves
+/// connections one at a time, so a peer that never sends (or never
+/// reads) must not stall every later scrape.
+const SCRAPE_IO_TIMEOUT: Duration = Duration::from_millis(500);
+
 /// Serves `GET /metrics` (or any request) with the hub's current text
 /// exposition until the process exits. Returns the bound address.
 fn serve_metrics(addr: &str, tel: Arc<Telemetry>) -> std::io::Result<String> {
@@ -76,7 +81,10 @@ fn serve_metrics(addr: &str, tel: Arc<Telemetry>) -> std::io::Result<String> {
     std::thread::spawn(move || {
         for stream in listener.incoming() {
             let Ok(mut stream) = stream else { continue };
-            // Drain the request line; the response is the same either way.
+            let _ = stream.set_read_timeout(Some(SCRAPE_IO_TIMEOUT));
+            let _ = stream.set_write_timeout(Some(SCRAPE_IO_TIMEOUT));
+            // Drain the request line; the response is the same either way,
+            // even when the read times out.
             let mut buf = [0u8; 1024];
             let _ = stream.read(&mut buf);
             let body = tel.snapshot().render_text();
@@ -195,5 +203,30 @@ fn main() {
             log.error("server failed", &[("error", Field::Str(&e.to_string()))]);
             std::process::exit(1);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::net::TcpStream;
+
+    #[test]
+    fn a_silent_connection_does_not_block_the_next_scrape() {
+        let addr = serve_metrics("127.0.0.1:0", Arc::new(Telemetry::new())).unwrap();
+        let _silent = TcpStream::connect(&addr).unwrap();
+        let mut scrape = TcpStream::connect(&addr).unwrap();
+        // Bounds the test itself: without the server's own timeout the
+        // read below would wait on the silent connection forever.
+        scrape
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .unwrap();
+        scrape.write_all(b"GET /metrics HTTP/1.0\r\n\r\n").unwrap();
+        let mut response = String::new();
+        scrape
+            .read_to_string(&mut response)
+            .expect("the scrape is answered within 5 s");
+        assert!(response.starts_with("HTTP/1.0 200 OK"), "{response}");
+        assert!(response.contains("gluefl_journal_events_total"));
     }
 }
