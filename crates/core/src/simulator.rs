@@ -10,8 +10,11 @@
 //!
 //! * on `invite`, every invited client takes its whole turn, as a
 //!   socket client does on its `INVITE`, through the one per-client
-//!   routine ([`ClientTurn::run`]): it builds its data shard if that is
-//!   not resident, trains `E` local SGD steps from the broadcast weights
+//!   routine ([`ClientTurn::run`]), after filling the rows of its data
+//!   shard that its minibatches will read and that are not filled yet
+//!   ([`ClientTurn::fill_rows`] — the rows follow from the turn's seed,
+//!   so about 5 % of a wide-shape shard is synthesised, not all of it):
+//!   it trains `E` local SGD steps from the broadcast weights
 //!   ([`train_client_into`]), compresses the delta in place with the
 //!   client half and prices the staged upload
 //!   ([`ClientCompressor::offer`]) — nothing is serialized before the
@@ -29,15 +32,17 @@
 //!   workers start, checked back in after they join) and the round mask,
 //!   and its RNG is derived from `(seed, round, client)`, so results do
 //!   not depend on the worker count or the thread schedule;
-//! * a shard, once built, is kept: once a round is over at most `S`
-//!   shards stay, those whose clients were invited most recently. `S` is
-//!   the sticky group's size (0 without one), because the sticky group
-//!   is who the sampler invites again — about 70 % of a paper-shape
-//!   round's invitations find their shard resident — while a cache of
-//!   the whole population would cost memory for clients drawn once in
-//!   `N/K` rounds. A shard is a pure function of `(seed, client)`
-//!   ([`SyntheticFlDataset::client`]), so neither residency nor which
-//!   worker builds it changes a bit;
+//! * a shard, once built, is kept with the rows it has filled: once a
+//!   round is over at most `S` shards stay, those whose clients were
+//!   invited most recently, and a later turn fills only the rows it reads
+//!   that no earlier turn did. `S` is the sticky group's size (0 without
+//!   one), because the sticky group is who the sampler invites again —
+//!   about 70 % of a paper-shape round's invitations find their shard
+//!   resident — while a cache of the whole population would cost memory
+//!   for clients drawn once in `N/K` rounds. A shard's rows are a pure
+//!   function of `(seed, client)` ([`SyntheticFlDataset::fill_rows`]), so
+//!   neither residency, nor which rows are filled, nor which worker fills
+//!   them changes a bit;
 //! * `offers` hands the engine the prices the turns staged;
 //! * each granted upload is serialized into the engine's buffer
 //!   ([`ClientCompressor::encode_kept`]) when the engine asks for the
@@ -52,7 +57,7 @@ use crate::scratch::{ScratchPool, TrainSlot};
 use crate::staleness::StalenessTracker;
 use crate::strategies::{Group, Upload};
 use gluefl_compress::Residual;
-use gluefl_data::{ClientDataset, SyntheticFlDataset};
+use gluefl_data::{batch_rows, ClientDataset, SyntheticFlDataset};
 use gluefl_ml::{BatchTrainScratch, Mlp, MlpTopology};
 use gluefl_net::timing::ClientRoundTime;
 use gluefl_sampling::ClientId;
@@ -94,6 +99,7 @@ impl Simulation {
             update_norm_milli: tel.histogram("gluefl_client_update_norm_milli", &[]),
             shards_built: tel.counter("gluefl_client_shards_built_total", &[]),
             shards_reused: tel.counter("gluefl_client_shards_reused_total", &[]),
+            rows_filled: tel.counter("gluefl_client_rows_filled_total", &[]),
             hub: Arc::clone(&tel),
         });
         self.engine.set_telemetry(tel);
@@ -167,13 +173,16 @@ struct ClientRecorder {
     /// statistic Optimal Client Sampling–style importance sampling
     /// needs each round).
     update_norm_milli: Histogram,
-    /// Invitations whose shard was synthesised, and those that found it
-    /// resident: together the shard cache's hit rate.
+    /// Invitations whose shard was not resident (new storage), and those
+    /// that found it resident: together the shard cache's hit rate.
     shards_built: Counter,
     shards_reused: Counter,
+    /// Feature rows synthesised: the shard rows turns filled.
+    rows_filled: Counter,
 }
 
-/// A resident client shard and the last round its client was invited.
+/// A resident client shard, with the rows it has filled, and the last
+/// round its client was invited.
 struct Resident {
     id: ClientId,
     last: u32,
@@ -197,33 +206,24 @@ struct ShardCache {
 impl ShardCache {
     /// Readies the cache for `round`'s invitations `ids`: marks their
     /// resident shards invited again, and makes room for the missing
-    /// ones, which the workers that train their clients build and
-    /// [`insert`](Self::insert) after the join. A missing id invited
-    /// more than once — no strategy does that; MD-FedAvg folds repeated
-    /// draws into one invitation — is built here, once, so that every
-    /// occurrence finds it resident. Returns how many distinct shards
-    /// were missing.
-    fn admit(&mut self, data: &SyntheticFlDataset, round: u32, ids: &[ClientId]) -> usize {
+    /// ones, which are [`put`](Self::put) in once the round's turns have
+    /// filled them. Returns how many distinct shards were missing.
+    fn admit(&mut self, round: u32, ids: &[ClientId]) -> usize {
         // Hits first, so no miss evicts a shard invited this round.
         for r in &mut self.resident {
             if ids.contains(&r.id) {
                 r.last = round;
             }
         }
-        let (mut misses, mut on_workers) = (0, 0);
+        let mut misses = 0;
         for (i, &id) in ids.iter().enumerate() {
-            if self.get(id).is_some() {
+            if self.get(id).is_some() || ids[..i].contains(&id) {
                 continue;
             }
-            misses += 1;
-            if self.resident.len() + on_workers >= self.capacity {
+            if self.resident.len() + misses >= self.capacity {
                 self.evict_stale(round);
             }
-            if ids[i + 1..].contains(&id) {
-                self.insert(id, round, data.client(id));
-            } else {
-                on_workers += 1;
-            }
+            misses += 1;
         }
         misses
     }
@@ -248,13 +248,25 @@ impl ShardCache {
         r.map(|r| &r.shard)
     }
 
-    /// Makes `shard`, built for client `id` invited in `round`, resident.
-    fn insert(&mut self, id: ClientId, round: u32, shard: ClientDataset) {
-        self.resident.push(Resident {
-            id,
-            last: round,
-            shard,
-        });
+    /// Client `id`'s resident shard, taken out for a turn to fill and
+    /// train on (an empty placeholder holds its place until
+    /// [`put`](Self::put) returns it), or `None` if it is not resident.
+    fn take(&mut self, id: ClientId) -> Option<ClientDataset> {
+        let r = self.resident.iter_mut().find(|r| r.id == id);
+        r.map(|r| std::mem::take(&mut r.shard))
+    }
+
+    /// Makes `shard`, client `id`'s as filled in `round`, resident: back
+    /// in the place [`take`](Self::take) left, or new.
+    fn put(&mut self, id: ClientId, round: u32, shard: ClientDataset) {
+        match self.resident.iter_mut().find(|r| r.id == id) {
+            Some(r) => r.shard = shard,
+            None => self.resident.push(Resident {
+                id,
+                last: round,
+                shard,
+            }),
+        }
     }
 
     /// Evicts the least recently invited shards down to `S`.
@@ -312,10 +324,11 @@ pub struct InProcessClients {
 /// slots, and the job's own [`ScratchPool`].
 struct CohortJob<'a> {
     invited: &'a [(ClientId, Group)],
-    /// Each client's resident shard, or `None` for the job to synthesise
-    /// one into the storage waiting in `built`.
-    resident: &'a [Option<&'a ClientDataset>],
-    built: &'a mut [Option<ClientDataset>],
+    /// Each client's shard for the job to fill and train on, or `None`
+    /// for a client invited more than once, whose whole shard is in
+    /// `shared`.
+    owned: &'a mut [Option<ClientDataset>],
+    shared: &'a [Option<&'a ClientDataset>],
     deltas: &'a mut [Vec<f32>],
     stats: &'a mut [f32],
     residuals: &'a mut [Residual],
@@ -324,20 +337,22 @@ struct CohortJob<'a> {
 }
 
 impl CohortJob<'_> {
-    /// Runs every client's [`ClientTurn::run`] in invitation order,
-    /// building the shards that are not resident. With `trace`, every
-    /// run of eight clients is one [`Phase::Train`] span.
+    /// Runs every client's [`ClientTurn::run`] in invitation order, each
+    /// after [`ClientTurn::fill_rows`] on its owned shard, and counts the
+    /// rows filled on `rows_filled`. With `trace`, every run of eight
+    /// clients is one [`Phase::Train`] span.
     fn run(
         self,
         turn: &ClientTurn<'_>,
         data: &SyntheticFlDataset,
         trace: Option<(&Telemetry, u32)>,
+        rows_filled: Option<&Counter>,
     ) {
         let stats_len = turn.stats_positions.len();
         let CohortJob {
             invited,
-            resident,
-            built,
+            owned,
+            shared,
             deltas,
             stats,
             residuals,
@@ -346,11 +361,14 @@ impl CohortJob<'_> {
         } = self;
         in_spans(invited.len(), trace, |c| {
             let (id, group) = invited[c];
-            let shard = match resident[c] {
+            let shard = match shared[c] {
                 Some(shard) => shard,
                 None => {
-                    let shard = built[c].as_mut().expect("every miss has storage");
-                    data.client_into(id, shard);
+                    let shard = owned[c].as_mut().expect("an unshared turn owns its shard");
+                    let filled = turn.fill_rows(data, id, shard);
+                    if let Some(counter) = rows_filled {
+                        counter.add(filled as u64);
+                    }
                     shard
                 }
             };
@@ -483,18 +501,22 @@ impl InProcessClients {
         }
     }
 
-    /// Runs every invited client's turn from `global` ([`ClientTurn::run`]:
-    /// build the shard if it is not resident, train, compress, price),
-    /// staging in invitation order the uploads and their prices in
-    /// `self.uploads`, the BN-statistic drift in `self.stats`
-    /// (`invited × stats` flat) and the buffers compression handed back
-    /// in `self.deltas`. The cohort is cut into one job of consecutive
-    /// invitations per pool worker — a single job on a one-CPU machine —
-    /// each with its own [`ScratchPool`]; a job is scheduling, not a
-    /// second way to take a turn. The invited clients' residuals are
+    /// Runs every invited client's turn from `global` ([`ClientTurn::run`]
+    /// after [`ClientTurn::fill_rows`]: fill the shard rows the turn
+    /// reads, train, compress, price), staging in invitation order the
+    /// uploads and their prices in `self.uploads`, the BN-statistic drift
+    /// in `self.stats` (`invited × stats` flat) and the buffers
+    /// compression handed back in `self.deltas`. The cohort is cut into
+    /// one job of consecutive invitations per pool worker — a single job
+    /// on a one-CPU machine — each with its own [`ScratchPool`]; a job is
+    /// scheduling, not a second way to take a turn. The invited clients' residuals are
     /// checked out before the workers start and checked back in, in
-    /// invitation order, after they join; the shards the workers built
-    /// become resident then too.
+    /// invitation order, after they join. Each turn owns its shard for
+    /// the round — taken out of the cache, or new storage for a miss —
+    /// and the shards go back in the cache after the join. A client
+    /// invited more than once (no strategy does that; MD-FedAvg folds
+    /// repeated draws into one invitation) gets its whole shard filled
+    /// here, once, and every occurrence reads it.
     ///
     /// Storage that outlives the round — a missing shard, a delta buffer
     /// that may become a residual — is allocated here and only filled on
@@ -516,17 +538,36 @@ impl InProcessClients {
             .filter(|_| !lone)
             .map(|(t, round)| t.span(Phase::Train, round));
         let ids: Vec<ClientId> = self.invited.iter().map(|&(id, _)| id).collect();
-        let misses = self.cache.admit(&self.data, round, &ids);
+        let misses = self.cache.admit(round, &ids);
+        let mut repeats_filled = 0;
+        let mut owned: Vec<Option<ClientDataset>> = Vec::with_capacity(n);
+        for (i, &id) in ids.iter().enumerate() {
+            if ids[..i].contains(&id) {
+                owned.push(None);
+                continue;
+            }
+            let mut shard = self
+                .cache
+                .take(id)
+                .unwrap_or_else(|| self.data.client_storage(id));
+            if ids[i + 1..].contains(&id) {
+                let rows = shard.len();
+                repeats_filled += self.data.fill_rows(id, &mut shard, 0..rows);
+                self.cache.put(id, round, shard);
+                owned.push(None);
+            } else {
+                owned.push(Some(shard));
+            }
+        }
         if let Some(t) = &self.tel {
             t.shards_built.add(misses as u64);
             t.shards_reused.add((n - misses) as u64);
+            t.rows_filled.add(repeats_filled as u64);
         }
-        let resident: Vec<Option<&ClientDataset>> =
-            ids.iter().map(|&id| self.cache.get(id)).collect();
-        let mut built: Vec<Option<ClientDataset>> = ids
+        let shared: Vec<Option<&ClientDataset>> = ids
             .iter()
-            .zip(&resident)
-            .map(|(&id, shard)| shard.is_none().then(|| self.data.client_storage(id)))
+            .zip(&owned)
+            .map(|(&id, shard)| shard.is_none().then(|| self.cache.get(id)).flatten())
             .collect();
 
         let stats_len = self.stats_positions.len();
@@ -564,11 +605,11 @@ impl InProcessClients {
         // statistics (chunk size zero).
         let mut stats_rest = &mut self.stats[..];
         let mut jobs = Vec::with_capacity(threads);
-        for ((((((invited, resident), built), deltas), residuals), uploads), scratch) in self
+        for ((((((invited, owned), shared), deltas), residuals), uploads), scratch) in self
             .invited
             .chunks(chunk)
-            .zip(resident.chunks(chunk))
-            .zip(built.chunks_mut(chunk))
+            .zip(owned.chunks_mut(chunk))
+            .zip(shared.chunks(chunk))
             .zip(self.deltas.chunks_mut(chunk))
             .zip(residuals.chunks_mut(chunk))
             .zip(self.uploads.chunks_mut(chunk))
@@ -578,8 +619,8 @@ impl InProcessClients {
             stats_rest = rest;
             jobs.push(CohortJob {
                 invited,
-                resident,
-                built,
+                owned,
+                shared,
                 deltas,
                 stats,
                 residuals,
@@ -588,16 +629,18 @@ impl InProcessClients {
             });
         }
         let data = &*self.data;
+        let rows_filled = self.tel.as_ref().map(|t| &t.rows_filled);
         gluefl_pool::run(threads, jobs, |job| {
-            job.run(&turn, data, trace.filter(|_| lone));
+            job.run(&turn, data, trace.filter(|_| lone), rows_filled);
         });
         drop(enclosing);
         for (&id, residual) in ids.iter().zip(residuals) {
             self.compressor.check_in(id, residual);
         }
-        for (&id, shard) in ids.iter().zip(built) {
+        drop(shared);
+        for (&id, shard) in ids.iter().zip(owned) {
             if let Some(shard) = shard {
-                self.cache.insert(id, round, shard);
+                self.cache.put(id, round, shard);
             }
         }
     }
@@ -638,6 +681,31 @@ pub struct ClientTurn<'a> {
 }
 
 impl ClientTurn<'_> {
+    /// The seed of client `id`'s training this turn.
+    fn train_seed(&self, id: ClientId) -> u64 {
+        local_train_seed(self.cfg.seed, self.round, id)
+    }
+
+    /// Fills the rows of client `id`'s `shard` that [`run`](Self::run)
+    /// will read and that are not filled yet, and returns how many that
+    /// was: the rows of the `steps × batch` draws [`train_client_into`]
+    /// makes from the turn's seed, named by the same [`batch_rows`] its
+    /// sampler reads through.
+    ///
+    /// # Panics
+    /// As [`SyntheticFlDataset::fill_rows`].
+    pub fn fill_rows(
+        &self,
+        data: &SyntheticFlDataset,
+        id: ClientId,
+        shard: &mut ClientDataset,
+    ) -> usize {
+        let mut rng = StdRng::seed_from_u64(self.train_seed(id));
+        let draws = self.cfg.local_steps * self.cfg.batch_size;
+        let rows = batch_rows(&mut rng, shard.len(), draws);
+        data.fill_rows(id, shard, rows)
+    }
+
     /// Client `id`'s whole turn — the routine every driver runs, the
     /// in-process cohort job for each of its clients and a socket
     /// client's `INVITE` handler alike: train on `shard` from the
@@ -645,7 +713,8 @@ impl ClientTurn<'_> {
     /// [`local_train_seed`]), then compress the delta
     /// ([`ClientCompressor::compress`], on the client's checked-out
     /// `residual`) and price the staged upload
-    /// ([`ClientCompressor::offer`]). Returns the upload and its
+    /// ([`ClientCompressor::offer`]). Every row the training reads must be
+    /// filled ([`fill_rows`](Self::fill_rows)). Returns the upload and its
     /// `(analytic, wire)` bytes; the BN-statistic drift is left in
     /// `stats_out`.
     ///
@@ -685,7 +754,7 @@ impl ClientTurn<'_> {
             cfg.batch_size,
             cfg.lr_at_round(self.round),
             cfg.momentum,
-            local_train_seed(cfg.seed, self.round, id),
+            self.train_seed(id),
             delta,
             self.stats_positions,
             stats_out,
@@ -727,8 +796,9 @@ impl ClientTurn<'_> {
 /// `slot` served before — and allocation-free once `slot` is warm.
 ///
 /// # Panics
-/// Panics if `lr <= 0`, `momentum` is outside `[0, 1)`, or the buffer
-/// shapes disagree with the topology.
+/// Panics if `lr <= 0`, `momentum` is outside `[0, 1)`, the buffer
+/// shapes disagree with the topology, or a minibatch draws a row of `ds`
+/// that is not filled.
 #[allow(clippy::too_many_arguments)]
 pub fn train_client_into(
     topo: &MlpTopology,
@@ -891,6 +961,7 @@ mod tests {
     use gluefl_data::DatasetProfile;
     use gluefl_ml::DatasetModel;
     use gluefl_telemetry::{EventKind, PHASE_COUNT};
+    use std::collections::BTreeSet;
 
     fn tiny_cfg(strategy: StrategyConfig) -> SimConfig {
         let mut cfg = SimConfig::paper_setup(
@@ -1439,6 +1510,130 @@ mod tests {
                 (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3)
             });
         assert_eq!(fnv, 0x8c8e_6051_e662_1177);
+    }
+
+    /// A config whose turns read a few rows of each shard: two steps of
+    /// four draws, against shards of 22 rows and more.
+    fn few_rows_cfg(strategy: StrategyConfig) -> SimConfig {
+        let mut cfg = tiny_cfg(strategy);
+        cfg.local_steps = 2;
+        cfg.batch_size = 4;
+        cfg
+    }
+
+    /// The distinct rows client `id`'s training in `round` reads,
+    /// straight from its seeded draws.
+    fn rows_read(cfg: &SimConfig, round: u32, id: ClientId, len: usize) -> BTreeSet<usize> {
+        use rand::Rng;
+        let mut rng = StdRng::seed_from_u64(local_train_seed(cfg.seed, round, id));
+        let draws = cfg.local_steps * cfg.batch_size;
+        (0..draws).map(|_| rng.gen_range(0..len)).collect()
+    }
+
+    fn filled_rows(shard: &ClientDataset) -> BTreeSet<usize> {
+        (0..shard.len()).filter(|&i| shard.is_filled(i)).collect()
+    }
+
+    /// A turn fills exactly the distinct rows its sampler reads, trains
+    /// to the bits a whole shard gives, and a later turn on the same
+    /// shard fills only the rows no earlier turn filled.
+    #[test]
+    fn a_turn_fills_exactly_the_rows_it_reads() {
+        let cfg = few_rows_cfg(StrategyConfig::FedAvg);
+        let sim = Simulation::new(cfg.clone());
+        let c = &sim.clients;
+        let global = sim.model().params().to_vec();
+        let dim = global.len();
+        let train = |turn: &ClientTurn<'_>, id: ClientId, shard: &ClientDataset| {
+            let mut out = vec![0.0f32; dim];
+            let mut stats = vec![0.0f32; c.stats_positions.len()];
+            train_client_into(
+                turn.topo,
+                turn.global,
+                shard,
+                cfg.local_steps,
+                cfg.batch_size,
+                0.05,
+                cfg.momentum,
+                turn.train_seed(id),
+                &mut out,
+                &c.stats_positions,
+                &mut stats,
+                &mut TrainSlot::default(),
+            );
+            out.iter()
+                .chain(&stats)
+                .map(|v| v.to_bits())
+                .collect::<Vec<u32>>()
+        };
+        for id in [0, 9, 31] {
+            let mut shard = c.data.client_storage(id);
+            let whole = c.data.client(id);
+            let mut read = BTreeSet::new();
+            for round in [0, 1, 5] {
+                let turn = ClientTurn {
+                    cfg: &cfg,
+                    topo: &c.topo,
+                    stats_positions: &c.stats_positions,
+                    compressor: &c.compressor,
+                    round,
+                    global: &global,
+                    round_mask: None,
+                    update_norm: None,
+                };
+                let rows = rows_read(&cfg, round, id, shard.len());
+                let fresh = rows.difference(&read).count();
+                assert_eq!(turn.fill_rows(&c.data, id, &mut shard), fresh);
+                read.extend(rows);
+                assert_eq!(filled_rows(&shard), read, "client {id}, round {round}");
+                assert!(
+                    read.len() < shard.len(),
+                    "client {id}: the turns read every row"
+                );
+                assert_eq!(train(&turn, id, &shard), train(&turn, id, &whole));
+            }
+        }
+    }
+
+    /// A resident shard keeps its rows between turns: once a round is
+    /// over each resident shard holds exactly the rows its client's turns
+    /// read since it was built, and the rows-filled counter is the sum of
+    /// what each turn found unfilled — fewer than the turns read, because
+    /// a hit fills only the rows no earlier turn did.
+    #[test]
+    fn resident_shards_fill_each_row_once() {
+        let mut cfg = few_rows_cfg(StrategyConfig::FedAvg);
+        cfg.strategy = StrategyConfig::GlueFl(tiny_gluefl_params(cfg.round_size));
+        let tel = Arc::new(Telemetry::new());
+        let mut sim = Simulation::new(cfg.clone()).with_telemetry(Arc::clone(&tel));
+        let mut read: std::collections::HashMap<ClientId, BTreeSet<usize>> = Default::default();
+        let (mut fresh, mut turn_rows) = (0, 0);
+        for _ in 0..8 {
+            let mut probe = CacheProbe {
+                clients: &mut sim.clients,
+                resident_in_round: 0,
+                invited: Vec::new(),
+            };
+            let rec = sim.engine.step(&mut probe);
+            for id in probe.invited {
+                let rows = rows_read(&cfg, rec.round, id, sim.data().client_len(id));
+                let had = read.entry(id).or_default();
+                fresh += rows.difference(had).count();
+                turn_rows += rows.len();
+                had.extend(rows);
+            }
+            let resident = &sim.clients.cache.resident;
+            read.retain(|id, _| resident.iter().any(|r| r.id == *id));
+            assert_eq!(resident.len(), read.len());
+            for r in resident {
+                assert_eq!(filled_rows(&r.shard), read[&r.id], "client {}", r.id);
+                assert_eq!(r.shard.labels(), sim.data().client_labels(r.id));
+            }
+        }
+        let snap = tel.snapshot();
+        let count = |name| snap.value(name, &[]).unwrap();
+        assert_eq!(count("gluefl_client_rows_filled_total"), fresh as f64);
+        assert!(fresh < turn_rows, "no hit found a row already filled");
     }
 
     #[test]

@@ -40,15 +40,31 @@ struct ClientMeta {
     label_probs: Vec<(u32, f32)>,
 }
 
-/// One client's materialised local dataset.
+/// One client's local dataset: a row table whose features are filled on
+/// demand.
 ///
-/// `x` is row-major `[len × feature_dim]`, `y` holds class labels.
-#[derive(Debug, Clone, PartialEq)]
+/// A shard from [`SyntheticFlDataset::client`] has every row filled. One
+/// from [`SyntheticFlDataset::client_storage`] has none: each
+/// [`SyntheticFlDataset::fill_rows`] fills the rows it is asked for (and
+/// the first one draws every row's label), and reading a row that is not
+/// filled panics. A filled row holds exactly the bits `client` gives it,
+/// whichever rows were filled before or after it.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ClientDataset {
-    /// Flattened features, `len × feature_dim` row-major.
-    pub x: Vec<f32>,
-    /// Labels, one per row.
-    pub y: Vec<usize>,
+    /// Features, `rows × feature_dim` row-major once a row is filled and
+    /// empty before; a row not filled holds zeros.
+    x: Vec<f32>,
+    /// Labels, one per row once the shard's stream has been walked and
+    /// empty before.
+    y: Vec<usize>,
+    /// The client's feature bias, drawn by the first fill that fills a
+    /// row and empty before.
+    bias: Vec<f32>,
+    /// Bit `i` set when row `i`'s features are filled.
+    filled: Vec<u64>,
+    /// Rows the fill in progress is to fill; clear between fills.
+    wanted: Vec<u64>,
+    rows: usize,
     feature_dim: usize,
 }
 
@@ -56,13 +72,13 @@ impl ClientDataset {
     /// Number of samples.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.y.len()
+        self.rows
     }
 
     /// Returns `true` when the client holds no samples.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.y.is_empty()
+        self.rows == 0
     }
 
     /// Feature dimension of each sample.
@@ -71,11 +87,31 @@ impl ClientDataset {
         self.feature_dim
     }
 
+    /// Whether row `i`'s features are filled.
+    ///
+    /// # Panics
+    /// Panics if `i` is out of range.
+    #[must_use]
+    pub fn is_filled(&self, i: usize) -> bool {
+        assert!(i < self.rows, "row {i} of a {}-row shard", self.rows);
+        self.filled[i / 64] >> (i % 64) & 1 == 1
+    }
+
+    /// Every row's label.
+    ///
+    /// # Panics
+    /// Panics if no fill has drawn the labels yet.
+    #[must_use]
+    pub fn labels(&self) -> &[usize] {
+        assert_eq!(self.y.len(), self.rows, "no fill has drawn the labels");
+        &self.y
+    }
+
     /// Draws a minibatch of `batch` rows uniformly with replacement,
     /// returning `(features, labels)`.
     ///
     /// # Panics
-    /// Panics if the dataset is empty.
+    /// As [`sample_batch_into`](Self::sample_batch_into).
     #[must_use]
     pub fn sample_batch<R: Rng>(&self, rng: &mut R, batch: usize) -> (Vec<f32>, Vec<usize>) {
         let mut bx = Vec::with_capacity(batch * self.feature_dim);
@@ -88,10 +124,10 @@ impl ClientDataset {
     /// staging buffers (cleared first) — the allocation-free form used by
     /// the simulator's pooled training loop. Draws the exact same RNG
     /// stream as `sample_batch`, so the two are interchangeable
-    /// bit-for-bit.
+    /// bit-for-bit. The rows are the ones [`batch_rows`] names.
     ///
     /// # Panics
-    /// Panics if the dataset is empty.
+    /// Panics if the dataset is empty or a drawn row is not filled.
     pub fn sample_batch_into<R: Rng>(
         &self,
         rng: &mut R,
@@ -102,12 +138,40 @@ impl ClientDataset {
         assert!(!self.is_empty(), "cannot sample from an empty dataset");
         bx.clear();
         by.clear();
-        for _ in 0..batch {
-            let i = rng.gen_range(0..self.len());
-            bx.extend_from_slice(&self.x[i * self.feature_dim..(i + 1) * self.feature_dim]);
-            by.push(self.y[i]);
+        let Self {
+            x,
+            y,
+            filled,
+            rows,
+            feature_dim: dim,
+            ..
+        } = self;
+        for i in batch_rows(rng, *rows, batch) {
+            assert!(
+                filled[i / 64] >> (i % 64) & 1 == 1,
+                "sampled row {i}, which is not filled"
+            );
+            bx.extend_from_slice(&x[i * dim..(i + 1) * dim]);
+            by.push(y[i]);
         }
     }
+}
+
+/// The rows of a `batch`-row minibatch drawn from `rng`, uniform with
+/// replacement over `len` rows: one draw per row and nothing else drawn,
+/// so `k` consecutive minibatches read exactly the rows
+/// `batch_rows(rng, len, k · batch)` names. The one place a minibatch's
+/// rows are chosen — [`ClientDataset::sample_batch_into`] reads through
+/// it, and a caller that knows the seed fills exactly these rows first.
+///
+/// # Panics
+/// The iterator panics if `len == 0`.
+pub fn batch_rows<'r, R: Rng>(
+    rng: &'r mut R,
+    len: usize,
+    batch: usize,
+) -> impl Iterator<Item = usize> + 'r {
+    (0..batch).map(move |_| rng.gen_range(0..len))
 }
 
 /// A synthetic cross-device federated dataset.
@@ -253,22 +317,23 @@ impl SyntheticFlDataset {
         &self.weights
     }
 
-    /// Materialises client `id`'s local dataset. Deterministic: the same
-    /// `id` always yields identical samples.
+    /// Materialises client `id`'s local dataset, every row filled.
+    /// Deterministic: the same `id` always yields identical samples.
     ///
     /// # Panics
     /// Panics if `id` is out of range.
     #[must_use]
     pub fn client(&self, id: usize) -> ClientDataset {
         let mut out = self.client_storage(id);
-        self.client_into(id, &mut out);
+        let n = out.len();
+        self.fill_rows(id, &mut out, 0..n);
         out
     }
 
-    /// An empty dataset with exactly the capacity client `id`'s samples
-    /// take, for [`client_into`](Self::client_into) to fill without
-    /// allocating — so a caller can allocate a shard on one thread and
-    /// synthesise it on another.
+    /// Client `id`'s shard with no row filled and no label drawn, holding
+    /// exactly the capacity its samples take, for
+    /// [`fill_rows`](Self::fill_rows) to fill without allocating — so a
+    /// caller can allocate a shard on one thread and fill it on another.
     ///
     /// # Panics
     /// Panics if `id` is out of range.
@@ -279,35 +344,114 @@ impl SyntheticFlDataset {
         ClientDataset {
             x: Vec::with_capacity(n * dim),
             y: Vec::with_capacity(n),
+            bias: Vec::with_capacity(dim),
+            filled: vec![0; n.div_ceil(64)],
+            wanted: vec![0; n.div_ceil(64)],
+            rows: n,
             feature_dim: dim,
         }
     }
 
-    /// [`client`](Self::client) into `out`, replacing what it held and
-    /// reusing its storage.
+    /// Client `id`'s labels, from a walk of its stream that fills no row.
     ///
     /// # Panics
     /// Panics if `id` is out of range.
-    pub fn client_into(&self, id: usize, out: &mut ClientDataset) {
+    #[must_use]
+    pub fn client_labels(&self, id: usize) -> Vec<usize> {
+        let n = self.client_meta[id].num_samples;
+        let mut out = ClientDataset {
+            filled: vec![0; n.div_ceil(64)],
+            wanted: vec![0; n.div_ceil(64)],
+            rows: n,
+            feature_dim: self.cfg.feature_dim,
+            ..ClientDataset::default()
+        };
+        self.fill_rows(id, &mut out, std::iter::empty());
+        out.y
+    }
+
+    /// Fills the rows of `shard`, client `id`'s, that `rows` names and
+    /// that are not filled yet, and returns how many that was; the first
+    /// fill also draws every row's label. Repeats in `rows` are allowed.
+    ///
+    /// One walk of the client's seeded stream, in the order
+    /// [`client`](Self::client) draws it: a row that is filled evaluates
+    /// its Box–Muller normals, every other row draws the same uniforms
+    /// and skips the transcendentals, so a row's bits do not depend on
+    /// which rows are filled. Once the labels are drawn, a walk stops
+    /// after the last row it fills and is skipped when there is nothing
+    /// to fill. Allocates nothing in storage from
+    /// [`client_storage`](Self::client_storage).
+    ///
+    /// # Panics
+    /// Panics if `id` is out of range, `shard` is not sized for client
+    /// `id`, or a row is out of range.
+    pub fn fill_rows(
+        &self,
+        id: usize,
+        shard: &mut ClientDataset,
+        rows: impl IntoIterator<Item = usize>,
+    ) -> usize {
         let meta = &self.client_meta[id];
-        let mut rng = StdRng::seed_from_u64(meta.seed);
-        let dim = self.cfg.feature_dim;
-        // Per-client feature bias.
-        let bias: Vec<f32> = (0..dim)
-            .map(|_| (self.cfg.client_bias_sigma * normal(&mut rng)) as f32)
-            .collect();
-        let ClientDataset { x, y, feature_dim } = out;
-        *feature_dim = dim;
-        x.clear();
-        y.clear();
-        for _ in 0..meta.num_samples {
-            let c = sample_label(&meta.label_probs, rng.gen::<f32>());
-            let mean = &self.class_means[c * dim..(c + 1) * dim];
-            for (j, &m) in mean.iter().enumerate() {
-                x.push(m + bias[j] + (self.cfg.noise_sigma * normal(&mut rng)) as f32);
+        let (n, dim) = (meta.num_samples, self.cfg.feature_dim);
+        assert!(
+            shard.rows == n && shard.feature_dim == dim,
+            "the shard is not sized for client {id}"
+        );
+        let ClientDataset {
+            x,
+            y,
+            bias,
+            filled,
+            wanted,
+            ..
+        } = shard;
+        let (mut todo, mut end) = (0, 0);
+        for i in rows {
+            assert!(i < n, "row {i} of client {id}'s {n}");
+            let (w, bit) = (i / 64, 1u64 << (i % 64));
+            if (filled[w] | wanted[w]) & bit == 0 {
+                wanted[w] |= bit;
+                todo += 1;
+                end = end.max(i + 1);
             }
-            y.push(c);
         }
+        let draw_labels = y.is_empty();
+        if draw_labels {
+            end = n;
+        } else if todo == 0 {
+            return 0;
+        }
+        if todo > 0 && x.is_empty() {
+            x.resize(n * dim, 0.0);
+        }
+        let mut rng = StdRng::seed_from_u64(meta.seed);
+        // The per-client feature bias leads the stream: evaluated by the
+        // first fill that fills a row, passed over by every other walk.
+        if todo > 0 && bias.is_empty() {
+            let sigma = self.cfg.client_bias_sigma;
+            bias.extend((0..dim).map(|_| (sigma * normal(&mut rng)) as f32));
+        } else {
+            (0..dim).for_each(|_| skip_normal(&mut rng));
+        }
+        for i in 0..end {
+            let c = sample_label(&meta.label_probs, rng.gen::<f32>());
+            if draw_labels {
+                y.push(c);
+            }
+            if wanted[i / 64] >> (i % 64) & 1 == 0 {
+                (0..dim).for_each(|_| skip_normal(&mut rng));
+                continue;
+            }
+            let mean = &self.class_means[c * dim..(c + 1) * dim];
+            for ((v, &m), &b) in x[i * dim..(i + 1) * dim].iter_mut().zip(mean).zip(&*bias) {
+                *v = m + b + (self.cfg.noise_sigma * normal(&mut rng)) as f32;
+            }
+        }
+        for (f, w) in filled.iter_mut().zip(wanted) {
+            *f |= std::mem::take(w);
+        }
+        todo
     }
 
     /// The held-out, class-balanced test set `(features, labels)`: row
@@ -362,6 +506,19 @@ fn normal<R: Rng>(rng: &mut R) -> f64 {
         if u1 > f64::EPSILON {
             let u2: f64 = rng.gen();
             return (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos();
+        }
+    }
+}
+
+/// Draws exactly what [`normal`] draws, its `u1 ≤ ε` retries included,
+/// without evaluating the `ln`, `sqrt` and `cos`: how a walk passes over
+/// a value it does not keep.
+fn skip_normal<R: Rng>(rng: &mut R) {
+    loop {
+        let u1: f64 = rng.gen();
+        if u1 > f64::EPSILON {
+            let _u2: f64 = rng.gen();
+            return;
         }
     }
 }
@@ -637,13 +794,125 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "cannot sample from an empty dataset")]
-    fn empty_batch_panics() {
-        let c = ClientDataset {
-            x: vec![],
-            y: vec![],
-            feature_dim: 4,
-        };
+    fn sampling_an_empty_dataset_panics() {
+        let c = ClientDataset::default();
         let mut rng = StdRng::seed_from_u64(0);
         let _ = c.sample_batch(&mut rng, 1);
+    }
+
+    fn rows_filled(shard: &ClientDataset) -> usize {
+        shard.filled.iter().map(|w| w.count_ones() as usize).sum()
+    }
+
+    /// Fills `shard` in random subsets, in random order and with repeats,
+    /// then every row, in the storage `client_storage` allocated, and
+    /// returns it.
+    fn fill_piecewise(d: &SyntheticFlDataset, id: usize, rng: &mut StdRng) -> ClientDataset {
+        let mut shard = d.client_storage(id);
+        let n = shard.len();
+        let storage = (shard.x.as_ptr(), shard.y.as_ptr(), shard.bias.as_ptr());
+        for _ in 0..rng.gen_range(1..5usize) {
+            let k = rng.gen_range(0..2 * n);
+            let rows: Vec<usize> = (0..k).map(|_| rng.gen_range(0..n)).collect();
+            let before = rows_filled(&shard);
+            let mut fresh = rows.clone();
+            fresh.sort_unstable();
+            fresh.dedup();
+            fresh.retain(|&i| !shard.is_filled(i));
+            assert_eq!(d.fill_rows(id, &mut shard, rows), fresh.len());
+            assert_eq!(rows_filled(&shard), before + fresh.len());
+        }
+        let rest = n - rows_filled(&shard);
+        assert_eq!(d.fill_rows(id, &mut shard, (0..n).rev()), rest);
+        assert_eq!(d.fill_rows(id, &mut shard, 0..n), 0, "a full shard refills");
+        let filled_in = (shard.x.as_ptr(), shard.y.as_ptr(), shard.bias.as_ptr());
+        assert_eq!(filled_in, storage, "a fill reallocated the storage");
+        shard
+    }
+
+    /// A shard filled piecewise is bit for bit the one filled in one go,
+    /// on every client of the small config and on FEMNIST-0.1 clients
+    /// that include the 22-row and the 400-row shards.
+    #[test]
+    fn a_shard_filled_piecewise_equals_the_whole_client() {
+        let mut rng = StdRng::seed_from_u64(17);
+        let small = small();
+        for id in 0..small.num_clients() {
+            assert_eq!(fill_piecewise(&small, id, &mut rng), small.client(id));
+        }
+        let femnist = SyntheticFlDataset::generate(DatasetProfile::Femnist.config(0.1), 31);
+        let ids: Vec<usize> = (0..femnist.num_clients()).collect();
+        let shortest = *ids.iter().min_by_key(|&&i| femnist.client_len(i)).unwrap();
+        let longest = *ids.iter().max_by_key(|&&i| femnist.client_len(i)).unwrap();
+        assert_eq!(femnist.client_len(shortest), 22);
+        assert_eq!(femnist.client_len(longest), 400);
+        for id in [shortest, longest, 0, 1, 279] {
+            assert_eq!(fill_piecewise(&femnist, id, &mut rng), femnist.client(id));
+        }
+    }
+
+    /// A labels-only walk draws the labels a full fill draws.
+    #[test]
+    fn client_labels_match_the_full_shard() {
+        let d = small();
+        for id in 0..d.num_clients() {
+            assert_eq!(d.client_labels(id), d.client(id).labels());
+        }
+    }
+
+    /// A bit generator that replays a script of words and counts them.
+    struct Scripted {
+        words: Vec<u64>,
+        drawn: usize,
+    }
+
+    impl rand::RngCore for Scripted {
+        fn next_u64(&mut self) -> u64 {
+            self.drawn += 1;
+            self.words[self.drawn - 1]
+        }
+    }
+
+    /// Skipping a normal consumes exactly the words drawing it does,
+    /// retries of the `u1 ≤ ε` branch included: `u1` is `word >> 11`
+    /// times 2⁻⁵³, so words below `3 << 11` are retried.
+    #[test]
+    fn skip_normal_draws_what_normal_draws() {
+        let mut rng = StdRng::seed_from_u64(5);
+        let mut script: Vec<u64> = vec![0, 1 << 11, (2 << 11) | 0x7ff, 3 << 11, 9, u64::MAX, 1];
+        script.extend((0..64).map(|_| rng.gen::<u64>()));
+        script.extend([0, 0, 2 << 11, u64::MAX, 0]);
+        let mut a = Scripted {
+            words: script.clone(),
+            drawn: 0,
+        };
+        let mut b = Scripted {
+            words: script,
+            drawn: 0,
+        };
+        let mut retried = false;
+        while a.drawn + 4 <= a.words.len() {
+            let start = a.drawn;
+            let _ = normal(&mut a);
+            skip_normal(&mut b);
+            assert_eq!(
+                b.drawn, a.drawn,
+                "skip diverged from a draw at word {start}"
+            );
+            retried |= a.drawn - start > 2;
+        }
+        assert!(retried, "the script never reached the retry branch");
+    }
+
+    /// Sampling reads only filled rows: with just the labels drawn, the
+    /// first draw hits a row that is not filled.
+    #[test]
+    #[should_panic(expected = "which is not filled")]
+    fn sampling_an_unfilled_row_panics() {
+        let d = small();
+        let mut shard = d.client_storage(4);
+        assert_eq!(d.fill_rows(4, &mut shard, std::iter::empty()), 0);
+        assert_eq!(shard.labels(), d.client(4).labels());
+        let _ = shard.sample_batch(&mut StdRng::seed_from_u64(0), 1);
     }
 }

@@ -21,7 +21,8 @@ pub struct Heterogeneity {
 }
 
 /// Computes heterogeneity metrics over the first `sample_clients` clients
-/// (materialising only those).
+/// from their labels alone ([`SyntheticFlDataset::client_labels`]: a walk
+/// of each client's stream that fills no feature row).
 ///
 /// # Panics
 /// Panics if `sample_clients == 0` or exceeds the population.
@@ -38,15 +39,15 @@ pub fn heterogeneity(data: &SyntheticFlDataset, sample_clients: usize) -> Hetero
     let mut distinct_total = 0usize;
     let (mut min_len, mut max_len) = (usize::MAX, 0usize);
     for id in 0..sample_clients {
-        let c = data.client(id);
-        min_len = min_len.min(c.len());
-        max_len = max_len.max(c.len());
+        let labels = data.client_labels(id);
+        min_len = min_len.min(labels.len());
+        max_len = max_len.max(labels.len());
         let mut hist = vec![0.0f64; classes];
-        for &label in &c.y {
+        for &label in &labels {
             hist[label] += 1.0;
         }
         distinct_total += hist.iter().filter(|&&h| h > 0.0).count();
-        let n = c.len() as f64;
+        let n = labels.len() as f64;
         for (g, h) in global.iter_mut().zip(&mut hist) {
             *g += *h;
             *h /= n;

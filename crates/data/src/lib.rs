@@ -2,8 +2,11 @@
 //!
 //! The paper trains on FEMNIST, OpenImage, and Google Speech, partitioned
 //! across thousands of clients with FedScale's real-world non-IID mapping.
-//! We substitute synthetic datasets that preserve the properties the
-//! evaluation actually depends on (DESIGN.md §2):
+//! We substitute synthetic datasets, so that every run is reproducible
+//! from one seed with no external data, and keep the properties the
+//! evaluation actually depends on — sampling, masking and compression
+//! react to gradient heterogeneity across clients and to skewed client
+//! sizes, not to the pixels themselves:
 //!
 //! * **class-conditional Gaussian features** — a learnable task whose
 //!   accuracy-vs-rounds curve has the usual saturating shape;
@@ -26,6 +29,14 @@
 //! holds at least one sample — [`SyntheticFlDataset::generate`] refuses a
 //! config that would allow an empty client, which could never be trained.
 //!
+//! A shard is a **row table filled on demand**
+//! ([`SyntheticFlDataset::fill_rows`]): a training turn reads only the
+//! rows its minibatches draw ([`batch_rows`]), and those are known from
+//! its seed before it starts, so it fills just them. One walk of the
+//! client's stream fills any set of rows; the rows it passes over draw
+//! the same uniforms without evaluating the normals, so a row's bits never
+//! depend on which other rows are filled.
+//!
 //! # Example
 //!
 //! ```
@@ -45,5 +56,5 @@ mod dataset;
 pub mod diagnostics;
 mod profiles;
 
-pub use dataset::{ClientDataset, DatasetConfig, SyntheticFlDataset};
+pub use dataset::{batch_rows, ClientDataset, DatasetConfig, SyntheticFlDataset};
 pub use profiles::DatasetProfile;

@@ -53,11 +53,11 @@ impl std::str::FromStr for DatasetModel {
 
 /// A scaled-down stand-in for one of the paper's architectures.
 ///
-/// The substitution rationale (see DESIGN.md §2): sparsification and mask
-/// dynamics are dimension-generic, so we train a smaller MLP whose
-/// parameter vector plays the role of the full network, and remember the
-/// original's `reference_params` so bandwidth can optionally be reported
-/// at paper scale via [`ModelProfile::paper_scale_factor`].
+/// The substitution rationale: sparsification and mask dynamics are
+/// dimension-generic, so we train a smaller MLP whose parameter vector
+/// plays the role of the full network, and remember the original's
+/// `reference_params` so bandwidth can optionally be reported at paper
+/// scale via [`ModelProfile::paper_scale_factor`].
 ///
 /// # Example
 ///

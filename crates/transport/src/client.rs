@@ -52,8 +52,8 @@ pub struct ClientNode {
     topology: MlpTopology,
     /// Flat indices of the BN-statistic positions, ascending.
     stats_positions: Vec<usize>,
-    /// This client's shard, materialised once — synthesising it is a
-    /// full pass over the client's samples, too much to repeat per invite.
+    /// This client's shard, every row filled once at construction, so
+    /// no `INVITE` pays for synthesis inside a timed round.
     shard: ClientDataset,
     compressor: ClientCompressor,
     scratch: ScratchPool,
