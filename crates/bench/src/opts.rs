@@ -101,13 +101,14 @@ impl ExptOpts {
                 "--wire" => {
                     opts.wire = Some(parse_wire_policy(it.next().ok_or("--wire needs a value")?)?);
                 }
-                "--quick" => {
-                    opts.quick = true;
-                    opts.rounds = opts.rounds.min(20);
-                    opts.scale = opts.scale.min(0.02);
-                }
+                "--quick" => opts.quick = true,
                 other => return Err(format!("unknown flag '{other}'")),
             }
+        }
+        // After the loop, so the caps hold wherever `--quick` stands.
+        if opts.quick {
+            opts.rounds = opts.rounds.min(20);
+            opts.scale = opts.scale.min(0.02);
         }
         Ok(opts)
     }
@@ -189,6 +190,11 @@ mod tests {
         let o = parse(&["--quick"]).unwrap();
         assert!(o.rounds <= 20);
         assert!(o.scale <= 0.02);
+        let flags = ["--rounds", "99", "--scale", "0.5"];
+        let before = parse(&[&["--quick"][..], &flags[..]].concat()).unwrap();
+        let after = parse(&[&flags[..], &["--quick"][..]].concat()).unwrap();
+        assert_eq!(before, after);
+        assert_eq!((before.rounds, before.scale), (20, 0.02));
     }
 
     #[test]

@@ -124,17 +124,6 @@ impl Apf {
         }
     }
 
-    /// Fraction of parameters currently frozen.
-    #[must_use]
-    pub fn frozen_fraction(&self) -> f64 {
-        let frozen = self
-            .frozen_until
-            .iter()
-            .filter(|&&until| until > self.round)
-            .count();
-        frozen as f64 / self.dim().max(1) as f64
-    }
-
     /// Effective perturbation of parameter `i`:
     /// `|EMA(update)| / EMA(|update|)` ∈ [0, 1]. High values mean the
     /// parameter still moves consistently in one direction; low values
@@ -285,7 +274,7 @@ mod tests {
             apf.observe(&u);
         }
         assert!(
-            apf.frozen_fraction() > 0.0,
+            apf.active_mask().count_ones() < 4,
             "oscillating parameter never froze"
         );
         // The steadily-moving parameter must stay active.
@@ -373,8 +362,8 @@ mod tests {
                 );
             }
         }
-        assert!(dense_apf.frozen_fraction() > 0.0);
-        assert_eq!(dense_apf.frozen_fraction(), packed_apf.frozen_fraction());
+        assert!(dense_apf.active_mask().count_ones() < 6);
+        assert_eq!(dense_apf.active_mask(), packed_apf.active_mask());
     }
 
     #[test]

@@ -45,13 +45,12 @@ impl std::str::FromStr for CompensationMode {
 /// bank instead of copying — a returning client costs no dimension-sized
 /// copy or allocation at all.
 ///
-/// A client's memory can leave the bank for the length of its compress:
+/// A client's memory leaves the bank for the length of its compress:
 /// [`check_out`](Self::check_out) hands it over as a [`Residual`],
-/// [`compress_split_with`](Self::compress_split_with) walks it through a
-/// shared `&self`, and [`check_in`](Self::check_in) puts it back. Every
+/// [`compress_split`](Self::compress_split) walks it through a shared
+/// `&self`, and [`check_in`](Self::check_in) puts it back. Every
 /// client's compress reads only its own memory, so a cohort's clients can
-/// be compressed on as many threads as there are clients, and
-/// `compress_split` is exactly that sequence for one client.
+/// be compressed on as many threads as there are clients.
 ///
 /// # Example
 ///
@@ -299,12 +298,6 @@ impl ErrorCompensator {
         mem.weight = weight;
         mem
     }
-
-    /// Drops a client's stored residual (e.g. when it leaves the
-    /// population).
-    pub fn forget(&mut self, client: usize) {
-        self.memory.remove(&client);
-    }
 }
 
 #[cfg(test)]
@@ -379,17 +372,6 @@ mod tests {
                 "coordinate {i}"
             );
         }
-    }
-
-    #[test]
-    fn forget_removes_memory() {
-        let mut ec = ErrorCompensator::new(CompensationMode::Raw, 1);
-        ec.record(3, &[1.0], &[0.0], 1.0);
-        assert_eq!(ec.tracked_clients(), 1);
-        ec.forget(3);
-        let mut d = vec![0.0f32];
-        ec.apply(3, &mut d, 1.0);
-        assert_eq!(d, vec![0.0]);
     }
 
     #[test]

@@ -11,8 +11,9 @@
 //!    ([`shift_mask`]), so consecutive model updates overlap in at least
 //!    `q_shr·d` positions;
 //! 3. every `I` rounds the mask is *regenerated* from the unique part only
-//!    ([`regenerate_mask`], §3.3), letting newly-unstable parameters enter
-//!    the mask wholesale.
+//!    (§3.3: the regeneration rounds of `gluefl_core`'s `GlueFlStrategy`
+//!    shift from an update whose shared part was left out), letting
+//!    newly-unstable parameters enter the mask wholesale.
 
 use crate::stc::keep_count;
 use gluefl_tensor::{
@@ -156,21 +157,6 @@ pub fn shift_mask_packed_into(
     }
 }
 
-/// Mask regeneration (§3.3): rebuild the shared mask from the *unique*
-/// aggregate only, as if `q_shr = 0` that round — the mask is re-seeded
-/// from fresh locally-important coordinates rather than shifted.
-///
-/// # Panics
-/// Same contract as [`shift_mask`].
-#[must_use]
-pub fn regenerate_mask(
-    unique_aggregate: &[f32],
-    q_shr: f64,
-    eligible: Option<&BitMask>,
-) -> BitMask {
-    shift_mask(unique_aggregate, q_shr, eligible)
-}
-
 /// Lower bound on the overlap of two consecutive *model updates* under
 /// mask shifting: both rounds' updates cover the shared mask, so they
 /// overlap in at least `q_shr·d` positions (§3.2, last paragraph).
@@ -304,13 +290,6 @@ mod tests {
         let combined = vec![9.0f32, 8.0, 7.0, 6.0];
         let eligible = BitMask::from_indices(4, [2usize, 3]);
         let m = shift_mask(&combined, 0.5, Some(&eligible));
-        assert_eq!(m.iter_ones().collect::<Vec<_>>(), vec![2, 3]);
-    }
-
-    #[test]
-    fn regenerate_uses_unique_aggregate() {
-        let unique_agg = vec![0.0f32, 0.0, 5.0, 4.0, 0.0, 0.0];
-        let m = regenerate_mask(&unique_agg, 1.0 / 3.0, None);
         assert_eq!(m.iter_ones().collect::<Vec<_>>(), vec![2, 3]);
     }
 

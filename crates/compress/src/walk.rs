@@ -190,14 +190,20 @@ impl ErrorCompensator {
         }
     }
 
-    /// Compresses client `client`'s `delta` into its two-part upload in
-    /// one walk: the carried-over residual is added at the weight `ν` the
+    /// Compresses a client's `delta` into its two-part upload in one
+    /// walk: the carried-over residual is added at the weight `ν` the
     /// client has this round (Equation 7; as [`apply`](Self::apply)), the
     /// values under `walk.mask` and the `walk.unique_k` largest outside
     /// `mask ∪ excluded` are sent (Algorithm 3 lines 16–17; as
     /// [`crate::mask_shift::client_split`]), and `Δ − sent` is the
     /// client's new residual (as [`record`](Self::record)) — bit for bit
     /// what that sequence computes, sign of zero included.
+    ///
+    /// `memory` is the client's, checked out with
+    /// [`check_out`](Self::check_out) and returned with
+    /// [`check_in`](Self::check_in): the walk reads and rewrites only
+    /// it, so any number of clients compress concurrently through one
+    /// shared compensator.
     ///
     /// The delta is **handed over**, never copied: its buffer becomes the
     /// residual, and `delta` is left holding the client's previous
@@ -211,26 +217,6 @@ impl ErrorCompensator {
     /// `dim`-long, or if a stored residual is to be re-scaled to a
     /// non-positive `weight`.
     pub fn compress_split(
-        &mut self,
-        client: usize,
-        delta: &mut Vec<f32>,
-        weight: f64,
-        walk: SplitWalk<'_>,
-    ) -> ClientSplit {
-        let mut memory = self.check_out(client);
-        let split = self.compress_split_with(&mut memory, delta, weight, walk);
-        self.check_in(client, memory);
-        split
-    }
-
-    /// [`compress_split`](Self::compress_split) on a memory checked out
-    /// with [`check_out`](Self::check_out): reads and rewrites only
-    /// `memory`, so any number of clients compress concurrently through
-    /// one shared compensator.
-    ///
-    /// # Panics
-    /// As [`compress_split`](Self::compress_split).
-    pub fn compress_split_with(
         &self,
         memory: &mut Residual,
         delta: &mut Vec<f32>,
@@ -253,24 +239,6 @@ impl ErrorCompensator {
     /// As [`compress_split`](Self::compress_split), and if `walk` names a
     /// mask.
     pub fn compress_ternary(
-        &mut self,
-        client: usize,
-        delta: &mut Vec<f32>,
-        weight: f64,
-        walk: SplitWalk<'_>,
-    ) -> TernaryUpdate {
-        let mut memory = self.check_out(client);
-        let ternary = self.compress_ternary_with(&mut memory, delta, weight, walk);
-        self.check_in(client, memory);
-        ternary
-    }
-
-    /// [`compress_ternary`](Self::compress_ternary) on a checked-out
-    /// memory, as [`compress_split_with`](Self::compress_split_with).
-    ///
-    /// # Panics
-    /// As [`compress_ternary`](Self::compress_ternary).
-    pub fn compress_ternary_with(
         &self,
         memory: &mut Residual,
         delta: &mut Vec<f32>,
@@ -315,6 +283,21 @@ mod tests {
         v.iter().map(|x| x.to_bits()).collect()
     }
 
+    /// A client turn's compress: check the memory out, walk, check it
+    /// back in.
+    fn compress_banked(
+        ec: &mut ErrorCompensator,
+        client: usize,
+        delta: &mut Vec<f32>,
+        weight: f64,
+        walk: SplitWalk<'_>,
+    ) -> ClientSplit {
+        let mut memory = ec.check_out(client);
+        let split = ec.compress_split(&mut memory, delta, weight, walk);
+        ec.check_in(client, memory);
+        split
+    }
+
     /// The walk stores exactly the bits the dense reference stores — NaN
     /// and ∞ included — and trades buffers instead of copying: the
     /// delta's allocation becomes the residual, the previous residual's
@@ -356,7 +339,8 @@ mod tests {
             let mut handed = delta.clone();
             let delta_ptr = handed.as_ptr();
             let previous_ptr = walking.stored(4).map(|(h, _)| h.as_ptr());
-            let got = walking.compress_split(
+            let got = compress_banked(
+                &mut walking,
                 4,
                 &mut handed,
                 2.0,
@@ -388,7 +372,8 @@ mod tests {
         let mut off = ErrorCompensator::new(CompensationMode::None, dim);
         let mut delta = deltas[0].clone();
         let ptr = delta.as_ptr();
-        let split = off.compress_split(
+        let split = compress_banked(
+            &mut off,
             4,
             &mut delta,
             1.0,
@@ -412,7 +397,8 @@ mod tests {
         for k in [0, dim] {
             let mut ec = ErrorCompensator::new(CompensationMode::Rescaled, dim);
             let mut handed = delta.clone();
-            let got = ec.compress_split(
+            let got = compress_banked(
+                &mut ec,
                 0,
                 &mut handed,
                 1.0,
@@ -432,23 +418,32 @@ mod tests {
         let mut topk = TopKScratch::new();
         let mut ec = ErrorCompensator::new(CompensationMode::Raw, dim);
         let mut delta = vec![4.0f32, -3.0, 0.5, 0.0, 2.0, -1.0];
-        let t = ec.compress_ternary(0, &mut delta, 1.0, walk(None, &excluded, 4, &mut topk));
+        let mut memory = ec.check_out(0);
+        let t = ec.compress_ternary(
+            &mut memory,
+            &mut delta,
+            1.0,
+            walk(None, &excluded, 4, &mut topk),
+        );
+        ec.check_in(0, memory);
         assert_eq!(t.indices, [0, 1, 4, 5]);
         assert_eq!(t.mu, 2.5);
         let (stored, _) = ec.stored(0).expect("banked");
         assert_eq!(stored, [1.5, -0.5, 0.5, 0.0, -0.5, 1.5]);
     }
 
-    /// Compressing on a checked-out memory is invisible: over every mode,
-    /// a first participation and returning ones at changing weights, the
-    /// check-out → walk → check-in sequence sends, hands back and stores
-    /// the bits, at the weight, that `compress_split` on the bank does —
-    /// while the memory is out the bank reports none for the client.
+    /// Compressing on a checked-out memory is invisible until check-in:
+    /// over every mode, a first participation and returning ones at
+    /// changing weights, the bank reports nothing for the client while
+    /// its memory is out, and the check-out → walk → check-in sequence
+    /// sends, hands back and stores the bits, at the weight, that the
+    /// reference sequence (`apply`, split, `record`) leaves in a bank.
     #[test]
     fn a_checked_out_walk_matches_the_banked_one() {
         let dim = 150;
         let mask = BitMask::from_indices(dim, (0..dim).step_by(7));
         let excluded = BitMask::from_indices(dim, [3usize, 80]);
+        let scope = mask.or(&excluded);
         let mut topk = TopKScratch::new();
         for mode in [
             CompensationMode::None,
@@ -461,17 +456,25 @@ mod tests {
                 let delta: Vec<f32> = (0..dim)
                     .map(|i| ((i * (round + 3)) as f32 * 0.37).sin())
                     .collect();
-                let mut want_handed = delta.clone();
-                let want = banked.compress_split(
-                    9,
-                    &mut want_handed,
-                    weight,
-                    walk(Some(&mask), &excluded, 6, &mut topk),
-                );
+                let previous = banked.stored(9).map(|(h, _)| h.to_vec());
+                let mut compensated = delta.clone();
+                banked.apply(9, &mut compensated, weight);
+                let want = ClientSplit {
+                    shared: MaskAligned::gather(&compensated, &mask),
+                    unique: client_split(&compensated, &scope, 6).unique,
+                };
+                let mut sent = want.shared.to_dense(&mask);
+                want.unique.apply(&mut sent);
+                banked.record(9, &compensated, &sent, weight);
+                let want_handed = match mode {
+                    CompensationMode::None => delta.clone(),
+                    _ => previous.unwrap_or_default(),
+                };
+
                 let mut memory = out.check_out(9);
                 assert_eq!(out.stored(9), None, "{mode:?}: visible while out");
                 let mut handed = delta.clone();
-                let got = out.compress_split_with(
+                let got = out.compress_split(
                     &mut memory,
                     &mut handed,
                     weight,
@@ -516,7 +519,8 @@ mod tests {
         let mut ec = ErrorCompensator::new(CompensationMode::Raw, 2);
         let excluded = BitMask::zeros(2);
         let mut topk = TopKScratch::new();
-        let _ = ec.compress_split(
+        let _ = compress_banked(
+            &mut ec,
             0,
             &mut vec![0.0f32; 3],
             1.0,

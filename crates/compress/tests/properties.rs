@@ -221,6 +221,21 @@ fn reference_round(
     (split, handed_back)
 }
 
+/// What the hot path sends for one participation: check the client's
+/// memory out, walk, check it back in.
+fn walked_round(
+    ec: &mut ErrorCompensator,
+    client: usize,
+    delta: &mut Vec<f32>,
+    weight: f64,
+    walk: SplitWalk<'_>,
+) -> ClientSplit {
+    let mut memory = ec.check_out(client);
+    let split = ec.compress_split(&mut memory, delta, weight, walk);
+    ec.check_in(client, memory);
+    split
+}
+
 /// What one participation left behind: the upload, the buffer handed
 /// back, and the compensator it was recorded in.
 struct Outcome<'a> {
@@ -286,7 +301,7 @@ proptest! {
             let (want, want_handed) = reference_round(
                 &mut reference, 7, &delta, weight, mask.as_ref(), &excluded, unique_k);
             let mut handed = delta.clone();
-            let split = walking.compress_split(7, &mut handed, weight, SplitWalk {
+            let split = walked_round(&mut walking, 7, &mut handed, weight, SplitWalk {
                 mask: mask.as_ref(),
                 excluded: &excluded,
                 unique_k,
@@ -320,7 +335,8 @@ proptest! {
             let want = TernaryUpdate::quantize(&client_split(&d, &excluded, k).unique);
             reference.record(3, &d, &want.dequantize().to_dense(), 1.0);
             let mut handed = delta.clone();
-            let got = walking.compress_ternary(3, &mut handed, 1.0, SplitWalk {
+            let mut memory = walking.check_out(3);
+            let got = walking.compress_ternary(&mut memory, &mut handed, 1.0, SplitWalk {
                 mask: None,
                 excluded: &excluded,
                 unique_k: k,
@@ -328,6 +344,7 @@ proptest! {
                 shared: Vec::new(),
                 unique: (Vec::new(), Vec::new()),
             });
+            walking.check_in(3, memory);
             prop_assert_eq!(&got.indices, &want.indices, "round {}", round);
             prop_assert_eq!(&got.signs, &want.signs);
             prop_assert_eq!(got.mu.to_bits(), want.mu.to_bits());
@@ -378,7 +395,8 @@ fn a_bracket_miss_does_not_compensate_twice() {
         let (want, want_handed) =
             reference_round(&mut reference, 7, &delta, weight, Some(&mask), &excluded, k);
         let mut handed = delta.clone();
-        let split = walking.compress_split(
+        let split = walked_round(
+            &mut walking,
             7,
             &mut handed,
             weight,

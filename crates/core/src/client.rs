@@ -244,7 +244,7 @@ impl ClientCompressor {
     /// **once**: adding the carried-over residual, peeling off the values
     /// under the round mask, listing the top-k candidates and leaving
     /// `Δ − sent` behind are the per-word steps of the one pass the
-    /// selection makes ([`ErrorCompensator::compress_split_with`]). A
+    /// selection makes ([`ErrorCompensator::compress_split`]). A
     /// mask-aligned part leaves as a plain value run ([`MaskAligned`]):
     /// its positions are the round mask's, which the server holds.
     ///
@@ -290,11 +290,11 @@ impl ClientCompressor {
                     // (the dequantized values), so quantization loss is
                     // carried into the next round too.
                     Ok(Upload::Ternary(
-                        ec.compress_ternary_with(residual, delta, 1.0, walk),
+                        ec.compress_ternary(residual, delta, 1.0, walk),
                     ))
                 } else {
                     Ok(Upload::Sparse(
-                        ec.compress_split_with(residual, delta, 1.0, walk).unique,
+                        ec.compress_split(residual, delta, 1.0, walk).unique,
                     ))
                 }
             }
@@ -329,7 +329,7 @@ impl ClientCompressor {
                     topk: &mut scratch.topk,
                 };
                 Ok(Upload::MaskSplit(
-                    ec.compress_split_with(residual, delta, weight, walk),
+                    ec.compress_split(residual, delta, weight, walk),
                 ))
             }
         }

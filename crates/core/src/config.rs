@@ -188,14 +188,6 @@ pub struct SimConfig {
     pub device: DeviceProfile,
     /// Client availability churn (`None` = always online).
     pub availability: Option<AvailabilityConfig>,
-    /// Model the round *timing* at the reference architecture's scale:
-    /// transfer times use bytes multiplied by
-    /// `reference_params / simulated_params` and compute times use the
-    /// reference parameter count. Byte *metrics* stay at simulated scale
-    /// (rescale at display time with the harness's `--paper-scale`).
-    /// This keeps the time-domain results (DT/TT, Figure 9, Table 3)
-    /// comparable to the paper even when the stand-in model is small.
-    pub paper_time_model: bool,
     /// Wire encoding policy for round messages: the value codec for
     /// client uploads (and their BN-statistic frames), whether the
     /// entropy position layouts (delta-coded varint index lists,
@@ -270,7 +262,6 @@ impl SimConfig {
                 online_fraction: 0.8,
                 mean_session_rounds: 40.0,
             }),
-            paper_time_model: true,
             wire: gluefl_wire::WirePolicy::default(),
             eval_every: 5,
             use_top5: dataset.uses_top5(),

@@ -237,22 +237,9 @@ impl RunResult {
         m
     }
 
-    /// Cumulative downstream bytes after each round — the x-axis of the
-    /// paper's Figures 5–8, 10, 11.
-    #[must_use]
-    pub fn cumulative_down_bytes(&self) -> Vec<u64> {
-        let mut acc = 0u64;
-        self.rounds
-            .iter()
-            .map(|r| {
-                acc += r.down_bytes;
-                acc
-            })
-            .collect()
-    }
-
-    /// `(cumulative_down_bytes, accuracy)` pairs at evaluation rounds —
-    /// one series of the accuracy-vs-bandwidth plots.
+    /// `(cumulative downstream bytes, accuracy)` pairs at evaluation
+    /// rounds — one series of the paper's accuracy-vs-bandwidth plots
+    /// (Figures 5–8, 10, 11).
     #[must_use]
     pub fn accuracy_curve(&self) -> Vec<(u64, f64)> {
         let mut acc_bytes = 0u64;
@@ -374,20 +361,6 @@ mod tests {
         let r = RunResult::from_rounds("t", rounds, Some(0.99));
         assert_eq!(r.target_round, None);
         assert_eq!(r.at_target, r.total);
-    }
-
-    #[test]
-    fn cumulative_series_is_monotone() {
-        let r = RunResult::from_rounds(
-            "t",
-            vec![
-                record(0, 5, 0, None),
-                record(1, 7, 0, None),
-                record(2, 1, 0, None),
-            ],
-            None,
-        );
-        assert_eq!(r.cumulative_down_bytes(), vec![5, 12, 13]);
     }
 
     #[test]

@@ -1627,7 +1627,7 @@ mod tests {
             assert_eq!(resident.len(), read.len());
             for r in resident {
                 assert_eq!(filled_rows(&r.shard), read[&r.id], "client {}", r.id);
-                assert_eq!(r.shard.labels(), sim.data().client_labels(r.id));
+                assert_eq!(r.shard.labels(), sim.data().client(r.id).labels());
             }
         }
         let snap = tel.snapshot();

@@ -63,12 +63,6 @@ impl RoundPlan {
             .map(|&c| (c, Group::Sticky))
             .chain(self.fresh_invites.iter().map(|&c| (c, Group::Fresh)))
     }
-
-    /// Total invitations.
-    #[must_use]
-    pub fn total_invited(&self) -> usize {
-        self.sticky_invites.len() + self.fresh_invites.len()
-    }
 }
 
 /// A compressed client upload.
@@ -385,7 +379,6 @@ mod tests {
         assert_eq!(invited.len(), 3);
         assert_eq!(invited[0], (1, Group::Sticky));
         assert_eq!(invited[2], (7, Group::Fresh));
-        assert_eq!(plan.total_invited(), 3);
     }
 
     #[test]

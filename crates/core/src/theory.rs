@@ -75,51 +75,6 @@ pub fn convergence_bound(e: usize, sigma2: f64, k: usize, t: u32, a: f64) -> f64
     term1 + term2
 }
 
-/// Estimates the local gradient-variance bound σ² of Assumption 1 from
-/// repeated stochastic gradients at a fixed parameter point.
-///
-/// Given `m` minibatch gradients `g_1..g_m` computed at the same weights,
-/// the unbiased estimator is the mean squared deviation from their mean:
-/// `σ̂² = 1/(m−1) · Σ ‖g_j − ḡ‖²`. Feed the result into
-/// [`theorem2_learning_rate`] to pick the theorem's step size without
-/// hand-tuning.
-///
-/// # Panics
-/// Panics if fewer than two gradients are provided or their lengths
-/// differ.
-///
-/// # Example
-/// ```
-/// // Two antipodal gradients around zero mean: σ̂² = ‖g‖² · 2/(2−1) / ...
-/// let g1 = vec![1.0f32, 0.0];
-/// let g2 = vec![-1.0f32, 0.0];
-/// let s2 = gluefl_core::theory::estimate_sigma2(&[g1, g2]);
-/// assert!((s2 - 2.0).abs() < 1e-9);
-/// ```
-#[must_use]
-pub fn estimate_sigma2(gradients: &[Vec<f32>]) -> f64 {
-    assert!(gradients.len() >= 2, "need at least two gradient samples");
-    let dim = gradients[0].len();
-    for g in gradients {
-        assert_eq!(g.len(), dim, "gradient dimension mismatch");
-    }
-    let m = gradients.len() as f64;
-    let mut mean = vec![0.0f64; dim];
-    for g in gradients {
-        for (mu, &v) in mean.iter_mut().zip(g) {
-            *mu += f64::from(v) / m;
-        }
-    }
-    let mut total = 0.0f64;
-    for g in gradients {
-        for (mu, &v) in mean.iter().zip(g) {
-            let d = f64::from(v) - mu;
-            total += d * d;
-        }
-    }
-    total / (m - 1.0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -180,57 +135,5 @@ mod tests {
     fn rejects_c_above_s() {
         let p = vec![0.5, 0.5];
         let _ = variance_constant_a(2, 1, 0, 1, &p);
-    }
-
-    #[test]
-    fn sigma2_of_identical_gradients_is_zero() {
-        let g = vec![vec![0.5f32; 8]; 5];
-        assert!(estimate_sigma2(&g) < 1e-12);
-    }
-
-    #[test]
-    fn sigma2_matches_known_variance() {
-        // Gradients ±v around zero mean in one coordinate:
-        // Σ‖g−ḡ‖² = m·v², estimator divides by m−1.
-        let m = 10usize;
-        let v = 2.0f32;
-        let grads: Vec<Vec<f32>> = (0..m)
-            .map(|j| vec![if j % 2 == 0 { v } else { -v }])
-            .collect();
-        let s2 = estimate_sigma2(&grads);
-        let expected = (m as f64) * f64::from(v) * f64::from(v) / (m as f64 - 1.0);
-        assert!((s2 - expected).abs() < 1e-9, "{s2} vs {expected}");
-    }
-
-    #[test]
-    fn sigma2_on_real_model_gradients_is_positive_and_finite() {
-        use gluefl_ml::{Mlp, MlpConfig};
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
-        let mut rng = StdRng::seed_from_u64(4);
-        let mut model = Mlp::new(
-            MlpConfig {
-                input_dim: 6,
-                hidden: vec![8],
-                classes: 3,
-                batch_norm: false,
-            },
-            &mut rng,
-        );
-        let grads: Vec<Vec<f32>> = (0..6)
-            .map(|_| {
-                let x: Vec<f32> = (0..6 * 4).map(|_| rng.gen_range(-1.0..1.0)).collect();
-                let y: Vec<usize> = (0..4).map(|_| rng.gen_range(0..3)).collect();
-                model.loss_and_grad_frozen_stats(&x, &y).1
-            })
-            .collect();
-        let s2 = estimate_sigma2(&grads);
-        assert!(s2.is_finite() && s2 > 0.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least two")]
-    fn sigma2_rejects_single_sample() {
-        let _ = estimate_sigma2(&[vec![1.0]]);
     }
 }

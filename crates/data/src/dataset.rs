@@ -352,24 +352,6 @@ impl SyntheticFlDataset {
         }
     }
 
-    /// Client `id`'s labels, from a walk of its stream that fills no row.
-    ///
-    /// # Panics
-    /// Panics if `id` is out of range.
-    #[must_use]
-    pub fn client_labels(&self, id: usize) -> Vec<usize> {
-        let n = self.client_meta[id].num_samples;
-        let mut out = ClientDataset {
-            filled: vec![0; n.div_ceil(64)],
-            wanted: vec![0; n.div_ceil(64)],
-            rows: n,
-            feature_dim: self.cfg.feature_dim,
-            ..ClientDataset::default()
-        };
-        self.fill_rows(id, &mut out, std::iter::empty());
-        out.y
-    }
-
     /// Fills the rows of `shard`, client `id`'s, that `rows` names and
     /// that are not filled yet, and returns how many that was; the first
     /// fill also draws every row's label. Repeats in `rows` are allowed.
@@ -848,15 +830,6 @@ mod tests {
         assert_eq!(femnist.client_len(longest), 400);
         for id in [shortest, longest, 0, 1, 279] {
             assert_eq!(fill_piecewise(&femnist, id, &mut rng), femnist.client(id));
-        }
-    }
-
-    /// A labels-only walk draws the labels a full fill draws.
-    #[test]
-    fn client_labels_match_the_full_shard() {
-        let d = small();
-        for id in 0..d.num_clients() {
-            assert_eq!(d.client_labels(id), d.client(id).labels());
         }
     }
 

@@ -53,7 +53,6 @@
 #![warn(missing_docs)]
 
 mod dataset;
-pub mod diagnostics;
 mod profiles;
 
 pub use dataset::{batch_rows, ClientDataset, DatasetConfig, SyntheticFlDataset};

@@ -217,39 +217,6 @@ impl MlpTopology {
         )
     }
 
-    /// Training-mode loss only (batch statistics, no side effects, no
-    /// gradient work).
-    #[must_use]
-    pub fn training_loss_into(
-        &self,
-        params: &[f32],
-        x: &[f32],
-        y: &[usize],
-        scratch: &mut TrainScratch,
-    ) -> f64 {
-        self.check_params(params);
-        let batch = self.check_batch(x, y);
-        scratch.ensure(self, batch);
-        let TrainScratch {
-            layers,
-            logits,
-            d_logits,
-            ..
-        } = scratch;
-        self.forward_into(
-            params,
-            x,
-            batch,
-            Mode::Train {
-                update_stats: false,
-            },
-            layers,
-            logits,
-        );
-        log_softmax_rows(logits, batch, self.cfg.classes);
-        nll_and_grad(logits, y, self.cfg.classes, d_logits)
-    }
-
     /// Evaluates loss / top-1 / top-5 on a labelled set, in eval mode
     /// (running statistics, no side effects, no model clone).
     ///
@@ -283,27 +250,6 @@ impl MlpTopology {
             top1: accuracy(logits, y, self.cfg.classes),
             top5: top5_accuracy(logits, y, self.cfg.classes),
         }
-    }
-
-    /// Row-wise log-probabilities in eval mode, left in (and returned
-    /// from) the scratch's logit buffer.
-    ///
-    /// # Panics
-    /// Panics on shape mismatches.
-    pub fn predict_log_probs_into<'s>(
-        &self,
-        params: &[f32],
-        x: &[f32],
-        scratch: &'s mut TrainScratch,
-    ) -> &'s [f32] {
-        self.check_params(params);
-        assert_eq!(x.len() % self.cfg.input_dim, 0, "input shape mismatch");
-        let batch = x.len() / self.cfg.input_dim;
-        scratch.ensure(self, batch);
-        let TrainScratch { layers, logits, .. } = scratch;
-        self.forward_into(params, x, batch, Mode::Eval, layers, logits);
-        log_softmax_rows(logits, batch, self.cfg.classes);
-        logits
     }
 
     fn loss_and_grad_mode_into(
@@ -865,14 +811,6 @@ impl Mlp {
         (loss, std::mem::take(&mut scratch.grad))
     }
 
-    /// Training-mode loss only (batch statistics, no side effects).
-    #[must_use]
-    pub fn training_loss(&self, x: &[f32], y: &[usize]) -> f64 {
-        let mut scratch = TrainScratch::new();
-        self.topo
-            .training_loss_into(&self.params, x, y, &mut scratch)
-    }
-
     /// Evaluates loss / top-1 / top-5 on a labelled set, in eval mode
     /// (running statistics, no side effects — and no model clone; the
     /// forward pass reads `&self` directly).
@@ -890,15 +828,6 @@ impl Mlp {
     #[must_use]
     pub fn evaluate_into(&self, x: &[f32], y: &[usize], scratch: &mut TrainScratch) -> EvalMetrics {
         self.topo.evaluate_into(&self.params, x, y, scratch)
-    }
-
-    /// Row-wise log-probabilities in eval mode.
-    #[must_use]
-    pub fn predict_log_probs(&self, x: &[f32]) -> Vec<f32> {
-        let mut scratch = TrainScratch::new();
-        self.topo
-            .predict_log_probs_into(&self.params, x, &mut scratch)
-            .to_vec()
     }
 }
 
@@ -993,9 +922,9 @@ mod tests {
             }
             let orig = model.params()[i];
             model.params_mut()[i] = orig + eps;
-            let lp = model.training_loss(&x, &y);
+            let lp = model.loss_and_grad_frozen_stats(&x, &y).0;
             model.params_mut()[i] = orig - eps;
-            let lm = model.training_loss(&x, &y);
+            let lm = model.loss_and_grad_frozen_stats(&x, &y).0;
             model.params_mut()[i] = orig;
             let numeric = (lp - lm) / (2.0 * f64::from(eps));
             let analytic = f64::from(grad[i]);
@@ -1231,18 +1160,6 @@ mod tests {
         let (x2, y2) = toy_batch(35, 7, 5, 4);
         let c = model.evaluate_into(&x2, &y2, &mut scratch);
         assert_eq!(c, model.evaluate(&x2, &y2));
-    }
-
-    #[test]
-    fn predict_log_probs_matches_topology_kernel() {
-        let model = toy_model(true, 36);
-        let (x, _) = toy_batch(37, 6, 5, 4);
-        let owned = model.predict_log_probs(&x);
-        let mut scratch = TrainScratch::new();
-        let borrowed = model
-            .topology()
-            .predict_log_probs_into(model.params(), &x, &mut scratch);
-        assert_eq!(owned, borrowed);
     }
 
     #[test]

@@ -51,15 +51,6 @@ impl Sgd {
         self.lr
     }
 
-    /// Replaces the learning rate (used for the 0.98-every-10-rounds decay).
-    ///
-    /// # Panics
-    /// Panics if `lr <= 0`.
-    pub fn set_lr(&mut self, lr: f32) {
-        assert!(lr > 0.0, "learning rate must be positive");
-        self.lr = lr;
-    }
-
     /// Applies one update step in place.
     ///
     /// # Panics
@@ -147,15 +138,6 @@ mod tests {
         assert_eq!(step_decay_lr(0.01, 0.98, 10, 9), 0.01);
         assert!((step_decay_lr(0.01, 0.98, 10, 10) - 0.0098).abs() < 1e-9);
         assert!((step_decay_lr(0.01, 0.98, 10, 100) - 0.01 * 0.98f32.powi(10)).abs() < 1e-9);
-    }
-
-    #[test]
-    fn set_lr_takes_effect() {
-        let mut opt = Sgd::new(1, 1.0, 0.0);
-        opt.set_lr(0.1);
-        let mut w = vec![1.0f32];
-        opt.step(&mut w, &[1.0]);
-        assert!((w[0] - 0.9).abs() < 1e-6);
     }
 
     #[test]

@@ -46,17 +46,6 @@ impl DeviceProfile {
         }
     }
 
-    /// Uniform fast hardware (datacenter GPUs): 3 ms per step per million
-    /// parameters, almost no spread.
-    #[must_use]
-    pub fn uniform_fast() -> Self {
-        Self {
-            base_secs_per_mparam: 0.003,
-            speed_sigma: 0.05,
-            clamp: (0.8, 1.25),
-        }
-    }
-
     /// Samples one client's speed multiplier (1.0 = median device;
     /// larger = slower).
     #[must_use]
@@ -65,14 +54,6 @@ impl DeviceProfile {
         (self.speed_sigma * z)
             .exp()
             .clamp(self.clamp.0, self.clamp.1)
-    }
-
-    /// Samples `n` speed multipliers eagerly — O(N). Retained for
-    /// population statistics; the simulator samples on demand via
-    /// [`SpeedCache`].
-    #[must_use]
-    pub fn sample_speeds<R: Rng>(&self, rng: &mut R, n: usize) -> Vec<f64> {
-        (0..n).map(|_| self.sample_speed(rng)).collect()
     }
 
     /// Client `client`'s speed multiplier, derived on demand from
@@ -142,14 +123,11 @@ impl SpeedCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
     #[test]
     fn speeds_are_clamped_and_centered() {
         let p = DeviceProfile::mobile();
-        let mut rng = StdRng::seed_from_u64(5);
-        let speeds = p.sample_speeds(&mut rng, 10_000);
+        let speeds: Vec<f64> = (0..10_000).map(|id| p.speed_for(5, id)).collect();
         assert!(speeds.iter().all(|&s| (0.2..=8.0).contains(&s)));
         let mean_log: f64 = speeds.iter().map(|s| s.ln()).sum::<f64>() / speeds.len() as f64;
         assert!(
@@ -182,15 +160,5 @@ mod tests {
         assert_eq!(s.to_bits(), p.speed_for(11, 4).to_bits());
         let _ = cache.get(4);
         assert_eq!(cache.cached(), 1);
-    }
-
-    #[test]
-    fn fast_profile_has_low_spread() {
-        let p = DeviceProfile::uniform_fast();
-        let mut rng = StdRng::seed_from_u64(6);
-        let speeds = p.sample_speeds(&mut rng, 1000);
-        let min = speeds.iter().cloned().fold(f64::INFINITY, f64::min);
-        let max = speeds.iter().cloned().fold(0.0, f64::max);
-        assert!(max / min < 1.6, "spread {}", max / min);
     }
 }

@@ -7,7 +7,8 @@
 //! dominates uniform sampling for long enough to keep downloads small.
 
 /// Probability that a uniformly-sampled client is next sampled exactly `r`
-/// rounds later: `(K/N)·(1 − K/N)^{r−1}` (Proposition 1).
+/// rounds later: `(K/N)·(1 − K/N)^{r−1}` (Proposition 1). Its mean is
+/// `N/K` rounds.
 ///
 /// # Panics
 /// Panics if `k > n`, `n == 0`, or `r == 0`.
@@ -26,17 +27,6 @@ pub fn uniform_resample_prob(n: usize, k: usize, r: u32) -> f64 {
     p * (1.0 - p).powi(r as i32 - 1)
 }
 
-/// Expected number of rounds until a client is re-sampled under uniform
-/// sampling: `N/K` (Proposition 1).
-///
-/// # Panics
-/// Panics if `k == 0` or `k > n`.
-#[must_use]
-pub fn uniform_expected_resample_rounds(n: usize, k: usize) -> f64 {
-    assert!(k > 0 && k <= n, "need 0 < k <= n");
-    n as f64 / k as f64
-}
-
 /// Probability that a client *currently in the sticky group* is next
 /// sampled exactly `r` rounds later (Proposition 2):
 ///
@@ -48,7 +38,9 @@ pub fn uniform_expected_resample_rounds(n: usize, k: usize) -> f64 {
 ///
 /// The first term is the path where the client stays sticky until being
 /// drawn from `S`; the second is the path where it is evicted and later
-/// drawn from the non-sticky pool.
+/// drawn from the non-sticky pool. The mean is `N/K`, as under uniform
+/// sampling: stickiness shifts probability mass toward small `r` without
+/// changing the mean.
 ///
 /// # Panics
 /// Panics unless `0 < c <= k <= s < n` is *not required*, but the formula
@@ -80,17 +72,6 @@ pub fn sticky_resample_prob(n: usize, k: usize, s: usize, c: usize, r: u32) -> f
     (kf * (nf * cf - sf * kf) / sf * stay + (kf - cf).powi(2) * exit) / denom
 }
 
-/// Expected number of rounds until a sticky client is re-sampled: `N/K`,
-/// identical to uniform sampling (Proposition 2) — stickiness shifts
-/// probability mass toward small `r` without changing the mean.
-///
-/// # Panics
-/// Panics if `k == 0` or `k > n`.
-#[must_use]
-pub fn sticky_expected_resample_rounds(n: usize, k: usize) -> f64 {
-    uniform_expected_resample_rounds(n, k)
-}
-
 /// The horizon `r_max` (Appendix A.3) up to which a sticky client's
 /// stay-in-group re-sampling probability `C/S·(1−K/S)^{r−1}` dominates the
 /// uniform probability `K/N·(1−K/N)^{r−1}`:
@@ -120,19 +101,6 @@ pub fn sticky_advantage_horizon(n: usize, k: usize, s: usize, c: usize) -> Optio
     Some(1 + (num / den).floor() as u32)
 }
 
-/// Sums `P(r)` for `r = 1..=horizon` — the probability that a sticky
-/// client participates again within `horizon` rounds. Useful for planning
-/// mask-regeneration intervals against expected staleness.
-///
-/// # Panics
-/// Same requirements as [`sticky_resample_prob`].
-#[must_use]
-pub fn sticky_resample_within(n: usize, k: usize, s: usize, c: usize, horizon: u32) -> f64 {
-    (1..=horizon)
-        .map(|r| sticky_resample_prob(n, k, s, c, r))
-        .sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -157,10 +125,11 @@ mod tests {
 
     #[test]
     fn uniform_expectation_matches_geometric_mean() {
+        let (n, k) = (100, 10);
         let mean: f64 = (1..100_000u32)
-            .map(|r| uniform_resample_prob(100, 10, r) * f64::from(r))
+            .map(|r| uniform_resample_prob(n, k, r) * f64::from(r))
             .sum();
-        assert!((mean - uniform_expected_resample_rounds(100, 10)).abs() < 1e-6);
+        assert!((mean - n as f64 / k as f64).abs() < 1e-6);
     }
 
     #[test]
@@ -184,10 +153,11 @@ mod tests {
 
     #[test]
     fn sticky_mean_is_n_over_k() {
+        let (n, k) = (200, 10);
         let mean: f64 = (1..400_000u32)
-            .map(|r| sticky_resample_prob(200, 10, 40, 8, r) * f64::from(r))
+            .map(|r| sticky_resample_prob(n, k, 40, 8, r) * f64::from(r))
             .sum();
-        assert!((mean - 20.0).abs() < 1e-6, "mean {mean}");
+        assert!((mean - n as f64 / k as f64).abs() < 1e-6, "mean {mean}");
     }
 
     #[test]
@@ -199,16 +169,6 @@ mod tests {
     fn horizon_none_when_not_advantaged() {
         // C/S = 1/100 < K/N = 10/200: stickiness is a disadvantage.
         assert_eq!(sticky_advantage_horizon(200, 10, 100, 1), None);
-    }
-
-    #[test]
-    fn within_probability_is_monotone_and_bounded() {
-        let mut prev = 0.0;
-        for h in 1..50 {
-            let p = sticky_resample_within(2800, 30, 120, 24, h);
-            assert!(p >= prev && p <= 1.0 + 1e-12);
-            prev = p;
-        }
     }
 
     /// Monte-Carlo validation of Proposition 2 against the actual

@@ -136,20 +136,6 @@ impl Event {
         s.push('}');
         s
     }
-
-    /// Renders the event as one `key=value` text line.
-    #[must_use]
-    pub fn to_text(&self) -> String {
-        let (name, fields) = self.fields();
-        let mut s = format!(
-            "t_ns={} round={} client={} event={}",
-            self.nanos, self.round, self.client, name
-        );
-        for (k, v) in fields {
-            let _ = write!(s, " {k}={v}");
-        }
-        s
-    }
 }
 
 struct JournalInner {
@@ -243,7 +229,7 @@ mod tests {
     }
 
     #[test]
-    fn json_and_text_render() {
+    fn bytes_event_renders_as_json() {
         let e = Event {
             nanos: 42,
             round: 7,
@@ -259,10 +245,6 @@ mod tests {
             "{\"t_ns\":42,\"round\":7,\"client\":3,\"event\":\"bytes\",\
              \"dir\":\"up\",\"frame\":\"upload\",\"bytes\":128}"
         );
-        assert_eq!(
-            e.to_text(),
-            "t_ns=42 round=7 client=3 event=bytes dir=up frame=upload bytes=128"
-        );
     }
 
     #[test]
@@ -277,6 +259,6 @@ mod tests {
             },
         };
         assert!(e.to_json().contains("\"phase\":\"topk\""));
-        assert!(e.to_text().contains("phase=topk dur_ns=9"));
+        assert!(e.to_json().contains("\"dur_ns\":9"));
     }
 }

@@ -197,17 +197,6 @@ impl BitMask {
         self.clear_tail();
     }
 
-    /// Merges `other` into `self` in place (set union).
-    ///
-    /// # Panics
-    /// Panics if the lengths differ.
-    pub fn union_with(&mut self, other: &Self) {
-        assert_eq!(self.len, other.len, "mask length mismatch");
-        for (a, b) in self.words.iter_mut().zip(&other.words) {
-            *a |= b;
-        }
-    }
-
     /// Number of positions set in both masks (overlap `|A ∩ B|`).
     ///
     /// # Panics
@@ -700,14 +689,6 @@ mod tests {
         assert_eq!(a.or(&b).iter_ones().collect::<Vec<_>>(), vec![1, 2, 3, 4]);
         assert_eq!(a.and_not(&b).iter_ones().collect::<Vec<_>>(), vec![1, 2]);
         assert_eq!(a.overlap(&b), 1);
-    }
-
-    #[test]
-    fn union_with_accumulates() {
-        let mut acc = BitMask::zeros(8);
-        acc.union_with(&BitMask::from_indices(8, [0usize]));
-        acc.union_with(&BitMask::from_indices(8, [7usize, 0]));
-        assert_eq!(acc.count_ones(), 2);
     }
 
     #[test]

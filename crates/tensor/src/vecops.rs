@@ -263,12 +263,6 @@ pub fn mean(x: &[f32]) -> f64 {
     }
 }
 
-/// Number of entries whose absolute value exceeds `eps`.
-#[must_use]
-pub fn count_above(x: &[f32], eps: f32) -> usize {
-    x.iter().filter(|v| v.abs() > eps).count()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -389,11 +383,6 @@ mod tests {
     fn mean_handles_empty() {
         assert_eq!(mean(&[]), 0.0);
         assert!((mean(&[1.0, 2.0, 3.0]) - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn count_above_threshold() {
-        assert_eq!(count_above(&[0.1, -0.5, 0.0, 2.0], 0.3), 2);
     }
 
     #[test]

@@ -13,8 +13,8 @@
 //! simulator. `--id` must be below `--clients`. `--metrics-out` enables
 //! client-side telemetry (per-kind byte counters, Train/Encode phase
 //! spans) and dumps the final snapshot to a file. `--help` prints the
-//! usage line; an unknown argument, a malformed value or an `--id`
-//! outside the population exits 2 before connecting.
+//! usage line; an unknown or repeated argument, a malformed value or
+//! an `--id` outside the population exits 2 before connecting.
 //!
 //! [`SimConfig`]: gluefl_suite::core::SimConfig
 
@@ -39,8 +39,8 @@ const FLAGS: &[&str] = &[
 ];
 
 /// `--help` prints the usage and ends the process with status 0; any
-/// argument that is not a known flag or its value ends it with the
-/// message, the usage line and status 2.
+/// argument that is not a known flag or its value, or a flag given
+/// twice, ends it with the message, the usage line and status 2.
 fn check_args(args: &[String]) {
     match gluefl_suite::check_args(args, FLAGS) {
         Ok(()) => {}
@@ -50,6 +50,10 @@ fn check_args(args: &[String]) {
         }
         Err(ArgsError::Unknown(arg)) => {
             eprintln!("error: unknown argument '{arg}'\n{USAGE}");
+            std::process::exit(2)
+        }
+        Err(ArgsError::Repeated(flag)) => {
+            eprintln!("error: {flag} given more than once\n{USAGE}");
             std::process::exit(2)
         }
     }

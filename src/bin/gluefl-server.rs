@@ -14,8 +14,8 @@
 //! exposition over HTTP for the duration of the run; `--metrics-out`
 //! dumps the final snapshot to a file. Either flag enables telemetry;
 //! without them the round loop runs with telemetry compiled out of the
-//! hot path entirely. `--help` prints the usage line; an unknown
-//! argument or a malformed value exits 2 before binding.
+//! hot path entirely. `--help` prints the usage line; an unknown or
+//! repeated argument or a malformed value exits 2 before binding.
 
 use gluefl_suite::telemetry::{Field, Level, LogFormat, Logger, Telemetry};
 use gluefl_suite::transport::{smoke_config, Server, ServerConfig};
@@ -43,8 +43,8 @@ const FLAGS: &[&str] = &[
 ];
 
 /// `--help` prints the usage and ends the process with status 0; any
-/// argument that is not a known flag or its value ends it with the
-/// message, the usage line and status 2.
+/// argument that is not a known flag or its value, or a flag given
+/// twice, ends it with the message, the usage line and status 2.
 fn check_args(args: &[String]) {
     match gluefl_suite::check_args(args, FLAGS) {
         Ok(()) => {}
@@ -54,6 +54,10 @@ fn check_args(args: &[String]) {
         }
         Err(ArgsError::Unknown(arg)) => {
             eprintln!("error: unknown argument '{arg}'\n{USAGE}");
+            std::process::exit(2)
+        }
+        Err(ArgsError::Repeated(flag)) => {
+            eprintln!("error: {flag} given more than once\n{USAGE}");
             std::process::exit(2)
         }
     }

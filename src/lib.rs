@@ -64,21 +64,28 @@ pub enum ArgsError {
     /// right after one — a typo such as `--round 5` must not start a run
     /// with defaults.
     Unknown(String),
+    /// A known flag given a second time: [`parse_flag`] reads only the
+    /// first, so `--rounds 3 --rounds 5` would silently run 3 rounds.
+    Repeated(String),
 }
 
-/// Checks that every argument in `args` is one of `flags` or the value
-/// right after one, under [`parse_flag`]'s rule that a value never
-/// starts with `--`.
+/// Checks that every argument in `args` is one of `flags`, at most once,
+/// or the value right after one, under [`parse_flag`]'s rule that a value
+/// never starts with `--`.
 ///
 /// # Errors
 /// [`ArgsError::Help`] at the first `-h` / `--help` in flag position,
+/// [`ArgsError::Repeated`] at the second occurrence of a flag,
 /// [`ArgsError::Unknown`] at the first argument that is anything else.
 pub fn check_args(args: &[String], flags: &[&str]) -> Result<(), ArgsError> {
+    let mut seen = Vec::new();
     let mut rest = args.iter().peekable();
     while let Some(arg) = rest.next() {
         match arg.as_str() {
             "-h" | "--help" => return Err(ArgsError::Help),
+            flag if seen.contains(&flag) => return Err(ArgsError::Repeated(flag.to_owned())),
             flag if flags.contains(&flag) => {
+                seen.push(flag);
                 let _ = rest.next_if(|v| !v.starts_with("--"));
             }
             other => return Err(ArgsError::Unknown(other.to_owned())),
@@ -146,6 +153,20 @@ mod tests {
         assert_eq!(
             check_args(&spelled, FLAGS),
             Err(ArgsError::Unknown("--rounds=5".into()))
+        );
+    }
+
+    #[test]
+    fn a_repeated_flag_is_named() {
+        let twice = args(&["--rounds", "3", "--seed", "1", "--rounds", "5"]);
+        assert_eq!(
+            check_args(&twice, FLAGS),
+            Err(ArgsError::Repeated("--rounds".into()))
+        );
+        let valueless = args(&["--metrics-out", "--metrics-out", "x.prom"]);
+        assert_eq!(
+            check_args(&valueless, FLAGS),
+            Err(ArgsError::Repeated("--metrics-out".into()))
         );
     }
 
