@@ -2,9 +2,10 @@
 //! from a [`SimConfig`] alone.
 //!
 //! A strategy is split along the line FedScale draws between its
-//! aggregator and its executors. The **server half** is the
-//! [`crate::strategies::Strategy`] trait: sampling, the round mask, the
-//! fold, the mask shift. The **client half** is [`ClientCompressor`]:
+//! aggregator and its executors. The **server half** is the engine's
+//! [`crate::strategies::Sampler`] (sampling and weights) and the
+//! [`crate::strategies::Strategy`] trait (the round mask, the fold, the
+//! mask shift). The **client half** is [`ClientCompressor`]:
 //! what a client does to its trained delta before it leaves the device —
 //! re-scaled error compensation, the split along the broadcast mask
 //! `M_t`, the unique top-k and the new residual, all in one walk of the
@@ -164,9 +165,10 @@ pub struct ClientCompressor {
 
 impl ClientCompressor {
     /// Builds the client half for `cfg.strategy` — the counterpart of
-    /// [`crate::strategies::build_strategy`], from the same layout
-    /// arguments: the population's importance `weights`, the number of
-    /// `trainable` positions, the model `dim`, and the BN-statistic mask.
+    /// [`crate::strategies::Sampler::new`] and
+    /// [`crate::strategies::build_strategy`], from the same arguments:
+    /// the population's importance `weights`, the number of `trainable`
+    /// positions, the model `dim`, and the BN-statistic mask.
     #[must_use]
     pub fn new(
         cfg: &SimConfig,

@@ -1,12 +1,14 @@
 //! The round engine: the server procedure of Algorithm 3, once.
 //!
 //! [`RoundEngine`] owns everything the server side of a run owns — the
-//! global model, the strategy's server half, the staleness tracker, the
-//! link/speed/availability models, the run RNG and the [`ScratchPool`] —
-//! and [`RoundEngine::step`] is the only place a round is sequenced:
+//! global model, the client [`Sampler`] and the strategy's fold, the
+//! staleness tracker, the link/speed/availability models, the run RNG
+//! and the [`ScratchPool`] — and [`RoundEngine::step`] is the only place
+//! a round is sequenced:
 //!
-//! 1. **plan** — the strategy draws invitations among clients that are
-//!    both online (availability model) and reachable ([`RoundIo`]);
+//! 1. **plan** — the sampler draws invitations among clients that are
+//!    both online (availability model) and reachable ([`RoundIo`]); no
+//!    client is invited twice;
 //! 2. **broadcast** — every invited client is charged the positions it
 //!    is stale on plus the strategy's mask, and the broadcast (one dense
 //!    `F32` model frame plus the mask frame, if any) is serialized once;
@@ -23,8 +25,9 @@
 //!    through the one upload grammar
 //!    ([`wire_link::decode_upload_with_stats`]), validated against the
 //!    strategy, the model dimension and the BN-statistic layout, and
-//!    folded on the spot through the [`StreamingAggregator`] — decoded
-//!    and folded while the IO produces the next arrival. A producer
+//!    folded on the spot, at the sampler's weight for its client,
+//!    through the [`StreamingAggregator`] — decoded and folded while
+//!    the IO produces the next arrival. A producer
 //!    thread owns the IO for this step and runs at most one arrival
 //!    ahead; arrivals are folded in the order the IO produces them, so
 //!    the overlap changes no bit. A lost or invalid upload is skipped
@@ -33,9 +36,9 @@
 //!    yields the [`gluefl_tensor::MaskedUpdate`], which is applied with
 //!    the word-level masked kernels; BN statistics get the Appendix-D
 //!    plain mean over the *delivered* uploads; the staleness tracker
-//!    records the changed positions; the strategy rebalances; the
-//!    modeled round time is the slowest kept client; the model is
-//!    evaluated on schedule.
+//!    records the changed positions; the sampler rebalances; the
+//!    modeled round time is the slowest kept client that offered; the
+//!    model is evaluated on schedule.
 //!
 //! Who the clients are is the [`RoundIo`]'s business. Its steps are per
 //! *round*, not per client, so an implementation is free to run every
@@ -54,7 +57,7 @@ use crate::config::{SimConfig, StrategyConfig};
 use crate::metrics::RoundRecord;
 use crate::scratch::ScratchPool;
 use crate::staleness::StalenessTracker;
-use crate::strategies::{build_strategy, Group, Strategy, Upload};
+use crate::strategies::{build_strategy, Group, Sampler, Strategy, Upload};
 use crate::stream::StreamingAggregator;
 use crate::wire_link;
 use gluefl_data::SyntheticFlDataset;
@@ -73,7 +76,8 @@ use std::sync::{mpsc, Arc};
 
 /// Modeled upload time of an invited client that never offered: large
 /// enough to lose every [`fastest`] comparison, finite so the sort never
-/// sees a NaN/∞ ordering panic.
+/// sees a NaN/∞ ordering panic. It never enters the round's modeled
+/// time, which covers only the kept clients that offered.
 const MISSING_OFFER_SECS: f64 = 1e30;
 
 /// What a round sends to every invited client.
@@ -184,6 +188,7 @@ pub struct RoundEngine {
     cfg: SimConfig,
     data: Arc<SyntheticFlDataset>,
     model: Mlp,
+    sampler: Sampler,
     strategy: Box<dyn Strategy>,
     staleness: StalenessTracker,
     /// On-demand per-client links; only participants are ever sampled.
@@ -221,8 +226,9 @@ pub struct RoundEngine {
 
 impl RoundEngine {
     /// Builds the server side of `cfg`'s run from what [`RunSetup`]
-    /// derived; every other piece of state (strategy, links, speeds,
-    /// availability, RNG) derives deterministically from `cfg.seed`.
+    /// derived; every other piece of state (sampler, strategy, links,
+    /// speeds, availability, RNG) derives deterministically from
+    /// `cfg.seed`.
     ///
     /// The engine is the run's one holder of weights and its one
     /// evaluator, so the two things only those need are paid for here,
@@ -243,15 +249,10 @@ impl RoundEngine {
         let _ = data.test_set();
         let n = data.num_clients();
         let dim = model.num_params();
+        // The sticky group, then GlueFL's initial shared mask.
         let mut strat_rng = seeded_rng(cfg.seed, "strategy", 0);
-        let strategy = build_strategy(
-            &cfg,
-            data.client_weights(),
-            trainable,
-            dim,
-            stats_excluded,
-            &mut strat_rng,
-        );
+        let sampler = Sampler::new(&cfg, data.client_weights(), &mut strat_rng);
+        let strategy = build_strategy(&cfg, trainable, dim, stats_excluded, &mut strat_rng);
         let availability = cfg.availability.map(|a| {
             LazyAvailability::new(
                 n,
@@ -270,6 +271,7 @@ impl RoundEngine {
             cfg,
             data,
             model,
+            sampler,
             strategy,
             availability,
             stats_positions,
@@ -324,7 +326,7 @@ impl RoundEngine {
     /// The strategy's display name.
     #[must_use]
     pub fn strategy_name(&self) -> String {
-        self.strategy.name()
+        self.cfg.strategy.name()
     }
 
     /// The staleness tracker (position change history + client versions).
@@ -344,11 +346,11 @@ impl RoundEngine {
     ///
     /// # Panics
     /// Panics if `io` breaks the [`RoundIo`] contract (a granted slot
-    /// reported twice or never, an index outside the keep set) — never
-    /// on the *content* of delivered bytes. A panic inside the IO's
-    /// [`RoundIo::next_upload`] or [`RoundIo::rejected`], which run on
-    /// the fold step's producer thread, is re-raised here with the IO's
-    /// own message.
+    /// reported twice or never, an index outside the keep set) or the
+    /// sampler invites a client twice — never on the *content* of
+    /// delivered bytes. A panic inside the IO's [`RoundIo::next_upload`]
+    /// or [`RoundIo::rejected`], which run on the fold step's producer
+    /// thread, is re-raised here with the IO's own message.
     pub fn step(&mut self, io: &mut dyn RoundIo) -> RoundRecord {
         let round = self.round;
         self.round += 1;
@@ -359,7 +361,7 @@ impl RoundEngine {
         let step_start = tick(&tel);
         let mut phase_ns = [0u64; PHASE_COUNT];
 
-        // --- Plan: the strategy asks about exactly the candidates it
+        // --- Plan: the sampler asks about exactly the candidates it
         // considers, each answered by the IO and by advancing that
         // client's private availability trajectory to `round`. No
         // per-round O(N) scan happens anywhere. ---
@@ -368,17 +370,23 @@ impl RoundEngine {
             match &mut self.availability {
                 Some(av) => {
                     let mut query = |id: ClientId| io.reachable(id) && av.is_online(id, round);
-                    self.strategy.plan_round(round, &mut self.rng, &mut query)
+                    self.sampler.plan(&mut self.rng, &mut query)
                 }
                 None => {
                     let mut query = |id: ClientId| io.reachable(id);
-                    self.strategy.plan_round(round, &mut self.rng, &mut query)
+                    self.sampler.plan(&mut self.rng, &mut query)
                 }
             }
         };
         let mut invited = std::mem::take(&mut self.invited);
         invited.clear();
         invited.extend(plan.invited());
+        let mut sorted_ids: Vec<ClientId> = invited.iter().map(|&(id, _)| id).collect();
+        sorted_ids.sort_unstable();
+        assert!(
+            sorted_ids.windows(2).all(|w| w[0] < w[1]),
+            "the sampler invites each client at most once"
+        );
         phase_ns[Phase::Draw.index()] = tick(&tel).saturating_sub(step_start);
         let mut rec = RoundRecord {
             round,
@@ -486,11 +494,22 @@ impl RoundEngine {
         // --- Fold each arrival the moment it resolves, while the IO
         // produces the next one. Arrival order is whatever the IO
         // produces; the gate parks early arrivals so the strategy folds
-        // in ascending client-id order regardless. ---
+        // in ascending client-id order regardless, each upload at its
+        // client's weight. ---
         let fold_start = tick(&tel);
-        let kept_pairs: Vec<(ClientId, Group)> = kept.iter().map(|&i| invited[i]).collect();
-        let mut gate =
-            StreamingAggregator::begin(round, &kept_pairs, &mut *self.strategy, &mut self.scratch);
+        let kept_weights: Vec<(ClientId, f32)> = kept
+            .iter()
+            .map(|&i| {
+                let (id, group) = invited[i];
+                (id, self.sampler.weight(id, group) as f32)
+            })
+            .collect();
+        let mut gate = StreamingAggregator::begin(
+            round,
+            &kept_weights,
+            &mut *self.strategy,
+            &mut self.scratch,
+        );
         let stats_len = self.stats_positions.len();
         self.stats_saved.clear();
         self.stats_saved.resize(kept.len() * stats_len, 0.0);
@@ -643,15 +662,22 @@ impl RoundEngine {
         // --- Post-round bookkeeping (sticky rebalance). ---
         let rebalance_start = tick(&tel);
         let ids = |idx: &[usize]| -> Vec<ClientId> { idx.iter().map(|&i| invited[i].0).collect() };
-        self.strategy
-            .finish_round(round, &mut self.rng, &ids(&kept_sticky), &ids(&kept_fresh));
+        self.sampler
+            .rebalance(&mut self.rng, &ids(&kept_sticky), &ids(&kept_fresh));
         phase_ns[Phase::Rebalance.index()] = tick(&tel).saturating_sub(rebalance_start);
         self.invited = invited;
 
-        // --- Modeled timing over kept clients: the round lasts as long
-        // as its slowest kept client. ---
-        let kn = kept.len().max(1) as f64;
-        for t in kept.iter().map(|&i| &times[i]) {
+        // --- Modeled timing over the kept clients that offered: the
+        // round lasts as long as the slowest of them. A kept client that
+        // never offered (a group with fewer offers than keeps) uploads
+        // nothing and takes no time. ---
+        let offered: Vec<&ClientRoundTime> = kept
+            .iter()
+            .filter(|&&i| offers[i].is_some())
+            .map(|&i| &times[i])
+            .collect();
+        let kn = offered.len().max(1) as f64;
+        for t in offered {
             rec.round_secs = rec.round_secs.max(t.total_secs());
             rec.slowest_download_secs = rec.slowest_download_secs.max(t.download_secs);
             rec.slowest_upload_secs = rec.slowest_upload_secs.max(t.upload_secs);
@@ -767,7 +793,7 @@ impl RoundEngine {
 impl std::fmt::Debug for RoundEngine {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("RoundEngine")
-            .field("strategy", &self.strategy.name())
+            .field("strategy", &self.cfg.strategy.name())
             .field("round", &self.round)
             .field("clients", &self.data.num_clients())
             .field("dim", &self.model.num_params())

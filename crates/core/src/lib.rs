@@ -8,15 +8,19 @@
 //! sampling ([`gluefl_sampling`]), and network simulation
 //! ([`gluefl_net`]) — into one deterministic round [`engine`], an
 //! in-process driver for it ([`Simulation`]; `gluefl-transport` holds the
-//! socket one), and four strategies, each split into a server half
-//! ([`strategies::Strategy`]) and a client half ([`ClientCompressor`]):
+//! socket one), and the paper's six strategy configurations. Each is a
+//! client [`strategies::Sampler`] (who is invited, what a kept upload
+//! weighs), a server fold ([`strategies::Strategy`]) and a client half
+//! ([`ClientCompressor`]):
 //!
-//! | Strategy | Sampling | Compression |
-//! |---|---|---|
-//! | [`strategies::FedAvgStrategy`] | uniform | none (dense) |
-//! | [`strategies::StcStrategy`] | uniform | top-`q` both sides + error feedback |
-//! | [`strategies::ApfStrategy`] | uniform | adaptive parameter freezing |
-//! | [`strategies::GlueFlStrategy`] | sticky (§3.1) | mask shifting (§3.2) + regeneration + REC (§3.3) |
+//! | Configuration | Sampler | Fold | Compression |
+//! |---|---|---|---|
+//! | FedAvg | uniform | [`strategies::FedAvgStrategy`] | none (dense) |
+//! | MD-FedAvg | multinomial | [`strategies::FedAvgStrategy`] | none (dense) |
+//! | STC | uniform | [`strategies::StcStrategy`] | top-`q` both sides + error feedback |
+//! | STC-quant | uniform | [`strategies::StcStrategy`] | STC + ternary values (footnote 1) |
+//! | APF | uniform | [`strategies::ApfStrategy`] | adaptive parameter freezing |
+//! | GlueFL (and its Equal-weights arm) | sticky (§3.1) | [`strategies::GlueFlStrategy`] | mask shifting (§3.2) + regeneration + REC (§3.3) |
 //!
 //! Each round's aggregate crosses the strategy seam as a [`MaskedUpdate`]
 //! (support mask + packed values; see the [`strategies::Strategy`] docs

@@ -204,10 +204,10 @@ struct ShardCache {
 }
 
 impl ShardCache {
-    /// Readies the cache for `round`'s invitations `ids`: marks their
-    /// resident shards invited again, and makes room for the missing
-    /// ones, which are [`put`](Self::put) in once the round's turns have
-    /// filled them. Returns how many distinct shards were missing.
+    /// Readies the cache for `round`'s invitations `ids` (distinct): marks
+    /// their resident shards invited again, and makes room for the
+    /// missing ones, which are [`put`](Self::put) in once the round's
+    /// turns have filled them. Returns how many shards were missing.
     fn admit(&mut self, round: u32, ids: &[ClientId]) -> usize {
         // Hits first, so no miss evicts a shard invited this round.
         for r in &mut self.resident {
@@ -216,8 +216,8 @@ impl ShardCache {
             }
         }
         let mut misses = 0;
-        for (i, &id) in ids.iter().enumerate() {
-            if self.get(id).is_some() || ids[..i].contains(&id) {
+        for &id in ids {
+            if self.get(id).is_some() {
                 continue;
             }
             if self.resident.len() + misses >= self.capacity {
@@ -324,11 +324,8 @@ pub struct InProcessClients {
 /// slots, and the job's own [`ScratchPool`].
 struct CohortJob<'a> {
     invited: &'a [(ClientId, Group)],
-    /// Each client's shard for the job to fill and train on, or `None`
-    /// for a client invited more than once, whose whole shard is in
-    /// `shared`.
-    owned: &'a mut [Option<ClientDataset>],
-    shared: &'a [Option<&'a ClientDataset>],
+    /// Each client's shard for the job to fill and train on.
+    shards: &'a mut [ClientDataset],
     deltas: &'a mut [Vec<f32>],
     stats: &'a mut [f32],
     residuals: &'a mut [Residual],
@@ -338,7 +335,7 @@ struct CohortJob<'a> {
 
 impl CohortJob<'_> {
     /// Runs every client's [`ClientTurn::run`] in invitation order, each
-    /// after [`ClientTurn::fill_rows`] on its owned shard, and counts the
+    /// after [`ClientTurn::fill_rows`] on its shard, and counts the
     /// rows filled on `rows_filled`. With `trace`, every run of eight
     /// clients is one [`Phase::Train`] span.
     fn run(
@@ -351,8 +348,7 @@ impl CohortJob<'_> {
         let stats_len = turn.stats_positions.len();
         let CohortJob {
             invited,
-            owned,
-            shared,
+            shards,
             deltas,
             stats,
             residuals,
@@ -361,17 +357,11 @@ impl CohortJob<'_> {
         } = self;
         in_spans(invited.len(), trace, |c| {
             let (id, group) = invited[c];
-            let shard = match shared[c] {
-                Some(shard) => shard,
-                None => {
-                    let shard = owned[c].as_mut().expect("an unshared turn owns its shard");
-                    let filled = turn.fill_rows(data, id, shard);
-                    if let Some(counter) = rows_filled {
-                        counter.add(filled as u64);
-                    }
-                    shard
-                }
-            };
+            let shard = &mut shards[c];
+            let filled = turn.fill_rows(data, id, shard);
+            if let Some(counter) = rows_filled {
+                counter.add(filled as u64);
+            }
             let staged = turn
                 .run(
                     id,
@@ -513,10 +503,9 @@ impl InProcessClients {
     /// checked out before the workers start and checked back in, in
     /// invitation order, after they join. Each turn owns its shard for
     /// the round — taken out of the cache, or new storage for a miss —
-    /// and the shards go back in the cache after the join. A client
-    /// invited more than once (no strategy does that; MD-FedAvg folds
-    /// repeated draws into one invitation) gets its whole shard filled
-    /// here, once, and every occurrence reads it.
+    /// and the shards go back in the cache after the join. The engine
+    /// invites each client at most once, so no two turns share a shard
+    /// or a residual.
     ///
     /// Storage that outlives the round — a missing shard, a delta buffer
     /// that may become a residual — is allocated here and only filled on
@@ -539,36 +528,18 @@ impl InProcessClients {
             .map(|(t, round)| t.span(Phase::Train, round));
         let ids: Vec<ClientId> = self.invited.iter().map(|&(id, _)| id).collect();
         let misses = self.cache.admit(round, &ids);
-        let mut repeats_filled = 0;
-        let mut owned: Vec<Option<ClientDataset>> = Vec::with_capacity(n);
-        for (i, &id) in ids.iter().enumerate() {
-            if ids[..i].contains(&id) {
-                owned.push(None);
-                continue;
-            }
-            let mut shard = self
-                .cache
-                .take(id)
-                .unwrap_or_else(|| self.data.client_storage(id));
-            if ids[i + 1..].contains(&id) {
-                let rows = shard.len();
-                repeats_filled += self.data.fill_rows(id, &mut shard, 0..rows);
-                self.cache.put(id, round, shard);
-                owned.push(None);
-            } else {
-                owned.push(Some(shard));
-            }
-        }
+        let mut shards: Vec<ClientDataset> = ids
+            .iter()
+            .map(|&id| {
+                self.cache
+                    .take(id)
+                    .unwrap_or_else(|| self.data.client_storage(id))
+            })
+            .collect();
         if let Some(t) = &self.tel {
             t.shards_built.add(misses as u64);
             t.shards_reused.add((n - misses) as u64);
-            t.rows_filled.add(repeats_filled as u64);
         }
-        let shared: Vec<Option<&ClientDataset>> = ids
-            .iter()
-            .zip(&owned)
-            .map(|(&id, shard)| shard.is_none().then(|| self.cache.get(id)).flatten())
-            .collect();
 
         let stats_len = self.stats_positions.len();
         self.stats.clear();
@@ -605,11 +576,10 @@ impl InProcessClients {
         // statistics (chunk size zero).
         let mut stats_rest = &mut self.stats[..];
         let mut jobs = Vec::with_capacity(threads);
-        for ((((((invited, owned), shared), deltas), residuals), uploads), scratch) in self
+        for (((((invited, shards), deltas), residuals), uploads), scratch) in self
             .invited
             .chunks(chunk)
-            .zip(owned.chunks_mut(chunk))
-            .zip(shared.chunks(chunk))
+            .zip(shards.chunks_mut(chunk))
             .zip(self.deltas.chunks_mut(chunk))
             .zip(residuals.chunks_mut(chunk))
             .zip(self.uploads.chunks_mut(chunk))
@@ -619,8 +589,7 @@ impl InProcessClients {
             stats_rest = rest;
             jobs.push(CohortJob {
                 invited,
-                owned,
-                shared,
+                shards,
                 deltas,
                 stats,
                 residuals,
@@ -637,11 +606,8 @@ impl InProcessClients {
         for (&id, residual) in ids.iter().zip(residuals) {
             self.compressor.check_in(id, residual);
         }
-        drop(shared);
-        for (&id, shard) in ids.iter().zip(owned) {
-            if let Some(shard) = shard {
-                self.cache.put(id, round, shard);
-            }
+        for (&id, shard) in ids.iter().zip(shards) {
+            self.cache.put(id, round, shard);
         }
     }
 }
@@ -1124,86 +1090,6 @@ mod tests {
             assert_eq!(sharded.2, serial.2, "{name}: banks track different clients");
             assert!(sharded.3 == serial.3, "{name}: a stored residual diverged");
         }
-    }
-
-    /// Invites `invited` in round 0 of a `strategy` run on `threads`
-    /// workers and returns the offers, the staged uploads, the
-    /// BN-statistic bits, the shards built and the shards resident.
-    #[allow(clippy::type_complexity)]
-    fn scripted_turns(
-        strategy: StrategyConfig,
-        threads: usize,
-        invited: &[(ClientId, Group)],
-    ) -> (
-        Vec<Option<(u64, u64)>>,
-        Vec<Option<Upload>>,
-        Vec<u32>,
-        f64,
-        usize,
-    ) {
-        let tel = Arc::new(Telemetry::new());
-        let mut sim = Simulation::new(tiny_cfg(strategy)).with_telemetry(Arc::clone(&tel));
-        sim.clients.threads = threads;
-        let params = sim.model().params().to_vec();
-        let broadcast = Broadcast {
-            frames: &[],
-            params: &params,
-            mask: None,
-        };
-        sim.clients.invite(0, invited, &broadcast);
-        let mut offers = vec![None; invited.len()];
-        sim.clients.offers(0, &[], &mut offers);
-        let c = &sim.clients;
-        let uploads = c
-            .uploads
-            .iter()
-            .map(|u| u.as_ref().map(|(up, _)| up.clone()));
-        let stats = c.stats.iter().map(|v| v.to_bits()).collect();
-        let built = tel
-            .snapshot()
-            .value("gluefl_client_shards_built_total", &[])
-            .unwrap();
-        (
-            offers,
-            uploads.collect(),
-            stats,
-            built,
-            c.cache.resident.len(),
-        )
-    }
-
-    /// One id invited twice in a round — no strategy does that today
-    /// (MD-FedAvg folds repeated draws into one invitation with a
-    /// multiplicity), but the in-process IO must not build that shard
-    /// twice, even with the two occurrences in different jobs, and the
-    /// worker count must still change no bit.
-    #[test]
-    fn a_repeated_invitation_builds_its_shard_once() {
-        let invited = [
-            (3, Group::Fresh),
-            (7, Group::Fresh),
-            (3, Group::Fresh),
-            (11, Group::Fresh),
-        ];
-        let serial = scripted_turns(StrategyConfig::FedAvg, 1, &invited);
-        assert_eq!(
-            (serial.3, serial.4),
-            (3.0, 3),
-            "one shard per distinct client"
-        );
-        assert_eq!(serial.1[0], serial.1[2], "one client, one turn's worth");
-        // Three workers: jobs of two, so id 3 opens both.
-        let sharded = scripted_turns(StrategyConfig::FedAvg, 3, &invited);
-        assert_eq!(sharded, serial);
-    }
-
-    /// A scheme with a residual bank cannot take two turns for one client
-    /// in a round: the second check-out would fork its residual.
-    #[test]
-    #[should_panic(expected = "already checked out")]
-    fn a_repeated_invitation_cannot_fork_a_residual() {
-        let invited = [(3, Group::Fresh), (3, Group::Fresh)];
-        let _ = scripted_turns(StrategyConfig::Stc { q: 0.2 }, 1, &invited);
     }
 
     /// Client training through a *shared* slot must not leak state

@@ -1,17 +1,16 @@
 //! APF: Adaptive Parameter Freezing as a server masking strategy
 //! (Chen et al. 2021; the paper's parameter-freezing baseline).
 
-use super::{FoldAcc, Group, RoundPlan, Strategy, Upload};
+use super::{FoldAcc, Strategy, Upload};
 use crate::scratch::ScratchPool;
 use gluefl_compress::{Apf, ApfConfig};
-use gluefl_sampling::{ClientId, OnlineQuery, UniformSampler};
 use gluefl_tensor::{vecops, BitMask, MaskedUpdate};
-use rand::rngs::StdRng;
 
-/// APF with uniform sampling: the server maintains a per-parameter freeze
-/// state; each round only *active* (unfrozen) parameters are trained,
-/// uploaded (values aligned to the known active mask), aggregated, and
-/// synchronised. The active mask itself is broadcast as a bitmap.
+/// APF's fold (it samples uniformly): the server maintains a
+/// per-parameter freeze state; each round only *active* (unfrozen)
+/// parameters are trained, uploaded (values aligned to the known active
+/// mask), aggregated, and synchronised. The active mask itself is
+/// broadcast as a bitmap.
 ///
 /// Because every upload of a round is aligned to the same active mask,
 /// aggregation runs entirely in the packed layout: the clients' value
@@ -19,10 +18,6 @@ use rand::rngs::StdRng;
 /// [`MaskedUpdate`] — no dense `d`-sized accumulator is ever built.
 #[derive(Debug)]
 pub struct ApfStrategy {
-    sampler: UniformSampler,
-    k: usize,
-    oc: f64,
-    weights: Vec<f64>,
     apf: Apf,
     /// Cached copy of [`Apf::active_mask`] for the current round
     /// (refreshed after each observe): the mask the round broadcasts.
@@ -31,59 +26,20 @@ pub struct ApfStrategy {
 }
 
 impl ApfStrategy {
-    /// Creates the strategy over `dim` flat parameters.
+    /// Creates the fold over `dim` flat parameters.
     ///
     /// BN statistics need no special casing here: they receive zero
     /// "update" signal from the strategy's viewpoint and [`Apf`] never
     /// freezes a zero-signal parameter.
     #[must_use]
-    pub fn new(
-        n: usize,
-        k: usize,
-        oc: f64,
-        weights: Vec<f64>,
-        config: ApfConfig,
-        dim: usize,
-    ) -> Self {
-        assert_eq!(weights.len(), n, "weights length must equal population");
+    pub fn new(config: ApfConfig, dim: usize) -> Self {
         let apf = Apf::new(dim, config);
         let active = apf.active_mask();
-        Self {
-            sampler: UniformSampler::new(n),
-            k,
-            oc,
-            weights,
-            apf,
-            active,
-            dim,
-        }
+        Self { apf, active, dim }
     }
 }
 
 impl Strategy for ApfStrategy {
-    fn name(&self) -> String {
-        "apf".into()
-    }
-
-    fn plan_round(
-        &mut self,
-        _round: u32,
-        rng: &mut StdRng,
-        online: &mut dyn OnlineQuery,
-    ) -> RoundPlan {
-        let invites = (self.k as f64 * self.oc).round() as usize;
-        RoundPlan {
-            sticky_invites: Vec::new(),
-            fresh_invites: self.sampler.draw(rng, invites, online),
-            keep_sticky: 0,
-            keep_fresh: self.k,
-        }
-    }
-
-    fn client_weight(&self, id: ClientId, _group: Group) -> f64 {
-        self.sampler.population() as f64 / self.k as f64 * self.weights[id]
-    }
-
     fn round_mask(&self, _round: u32) -> Option<&BitMask> {
         // The active mask: broadcast at sync time and the alignment of
         // every known-mask upload this round (fold_finish refreshes it
@@ -102,16 +58,7 @@ impl Strategy for ApfStrategy {
         }
     }
 
-    fn fold_upload(
-        &mut self,
-        _round: u32,
-        acc: &mut FoldAcc,
-        id: ClientId,
-        group: Group,
-        upload: &Upload,
-        _scratch: &mut ScratchPool,
-    ) {
-        let w = self.client_weight(id, group) as f32;
+    fn fold_upload(&mut self, _round: u32, acc: &mut FoldAcc, weight: f32, upload: &Upload) {
         let packed = acc
             .packed
             .as_mut()
@@ -123,7 +70,7 @@ impl Strategy for ApfStrategy {
                     packed.len(),
                     "upload not aligned to the active mask"
                 );
-                vecops::axpy(packed, w, u.values());
+                vecops::axpy(packed, weight, u.values());
             }
             other => panic!("APF aggregate received non-known-mask upload {other:?}"),
         }
@@ -143,15 +90,18 @@ impl Strategy for ApfStrategy {
         self.apf.fill_active_mask(&mut self.active);
         MaskedUpdate::new(mask, values)
     }
-
-    fn finish_round(&mut self, _round: u32, _rng: &mut StdRng, _s: &[ClientId], _f: &[ClientId]) {}
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::strategies::{Group, Sampler};
     use crate::stream::fold_in_id_order;
+    use crate::StrategyConfig;
+    use gluefl_sampling::ClientId;
     use gluefl_tensor::MaskAligned;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
 
     fn cfg() -> ApfConfig {
         ApfConfig {
@@ -164,22 +114,36 @@ mod tests {
     }
 
     fn strategy() -> ApfStrategy {
-        ApfStrategy::new(10, 3, 1.0, vec![0.1; 10], cfg(), 6)
+        ApfStrategy::new(cfg(), 6)
+    }
+
+    /// APF's sampler: uniform over ten clients with round size 3.
+    fn sampler() -> Sampler {
+        let mut rng = StdRng::seed_from_u64(0);
+        Sampler::for_test(
+            StrategyConfig::Apf { config: cfg() },
+            &[0.1; 10],
+            3,
+            1.0,
+            &mut rng,
+        )
     }
 
     /// Twenty rounds where positions 0..3 oscillate and 3..6 move
     /// steadily, three clients each uploading under the round's active
     /// mask; `each_round` sees the mask in force and the aggregate.
     fn drive(s: &mut ApfStrategy, mut each_round: impl FnMut(u32, &BitMask, &MaskedUpdate)) {
+        let sampler = sampler();
         let mut pool = ScratchPool::new();
         for r in 0..20 {
             let sign = if r % 2 == 0 { 1.0 } else { -1.0 };
             let delta = [sign * 0.5, sign * 0.5, sign * 0.5, 0.5, 0.5, 0.5];
             let active = s.round_mask(r).expect("APF broadcasts its mask").clone();
-            let kept: Vec<(ClientId, Group, Upload)> = (0..3)
+            let kept: Vec<(ClientId, f32, Upload)> = (0..3)
                 .map(|id| {
                     let up = MaskAligned::gather(&delta, &active);
-                    (id, Group::Fresh, Upload::KnownMask(up))
+                    let w = sampler.weight(id, Group::Fresh) as f32;
+                    (id, w, Upload::KnownMask(up))
                 })
                 .collect();
             let agg = fold_in_id_order(s, r, &kept, &mut pool);
@@ -226,7 +190,7 @@ mod tests {
 
     #[test]
     fn weight_matches_fedavg_rule() {
-        let s = strategy();
-        assert!((s.client_weight(2, Group::Fresh) - 10.0 / 3.0 * 0.1).abs() < 1e-12);
+        let s = sampler();
+        assert!((s.weight(2, Group::Fresh) - 10.0 / 3.0 * 0.1).abs() < 1e-12);
     }
 }

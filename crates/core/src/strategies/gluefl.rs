@@ -1,28 +1,25 @@
-//! GlueFL: sticky sampling + mask shifting (Algorithm 3).
+//! GlueFL's fold: mask shifting with shared-mask regeneration
+//! (Algorithm 3); its sticky sampling is [`super::Sampler::Sticky`].
 
-use super::{FoldAcc, Group, RoundPlan, Strategy, Upload};
+use super::{FoldAcc, Strategy, Upload};
 use crate::aggregate::{packed_rank, scatter_add_packed};
 use crate::config::GlueFlParams;
 use crate::scratch::ScratchPool;
 use gluefl_compress::mask_shift::shift_mask_packed_into;
 use gluefl_compress::stc::keep_count;
-use gluefl_sampling::overcommit::{plan as oc_plan, OcStrategy};
-use gluefl_sampling::{ClientId, OnlineQuery, StickySampler};
 use gluefl_tensor::{top_k_abs_packed_into, vecops, BitMask, MaskedUpdate, TopKScope};
 use rand::rngs::StdRng;
 
-/// The server half of the paper's framework: sticky sampling (§3.1) for
-/// client selection, mask shifting (§3.2) with shared-mask regeneration
-/// (§3.3). The client half — the split along `M_t`, the unique top-k and
-/// the re-scaled error compensation — is [`crate::ClientCompressor`].
+/// The server fold of the paper's framework: mask shifting (§3.2) with
+/// shared-mask regeneration (§3.3). Its sampling half, sticky sampling
+/// (§3.1), is [`super::Sampler::Sticky`]; the client half — the split
+/// along `M_t`, the unique top-k and the re-scaled error compensation —
+/// is [`crate::ClientCompressor`].
 #[derive(Debug)]
 pub struct GlueFlStrategy {
-    sampler: StickySampler,
     params: GlueFlParams,
-    k: usize,
-    oc: f64,
-    oc_strategy: OcStrategy,
-    weights: Vec<f64>,
+    /// Round size `K`: the most uploads one round folds.
+    max_kept: usize,
     /// Current shared mask `M_t` (⊆ trainable positions).
     shared_mask: BitMask,
     /// Cached `|M_t|` (the length of every mask-aligned shared upload).
@@ -37,41 +34,28 @@ pub struct GlueFlStrategy {
 }
 
 impl GlueFlStrategy {
-    /// Creates the strategy. The initial shared mask is a random
-    /// `q_shr`-fraction of trainable positions (before the first round
-    /// there is no update signal to select by).
+    /// Creates the fold for rounds of `round_size` kept uploads. The
+    /// initial shared mask is a random `q_shr`-fraction of trainable
+    /// positions, drawn from `rng` (before the first round there is no
+    /// update signal to select by).
     ///
     /// # Panics
-    /// Panics if the sticky configuration is inconsistent
-    /// (`C > S`, `S > N`, `C > K`, or `q_shr > q`).
-    #[allow(clippy::too_many_arguments)]
+    /// Panics if `q_shr > q`.
     #[must_use]
     pub fn new(
-        n: usize,
-        k: usize,
-        oc: f64,
-        oc_strategy: OcStrategy,
-        weights: Vec<f64>,
         params: GlueFlParams,
+        round_size: usize,
         trainable: usize,
         dim: usize,
         stats_excluded: BitMask,
         rng: &mut StdRng,
     ) -> Self {
-        assert_eq!(weights.len(), n, "weights length must equal population");
         assert!(
             params.q_shr <= params.q,
             "q_shr {} must not exceed q {}",
             params.q_shr,
             params.q
         );
-        assert!(
-            params.sticky_draw <= params.sticky_group
-                && params.sticky_group <= n
-                && params.sticky_draw <= k,
-            "invalid sticky configuration"
-        );
-        let sampler = StickySampler::new(n, params.sticky_group, rng);
         // Random initial mask over trainable positions (word-level
         // complement walk instead of d per-bit tests).
         let k_mask = keep_count(trainable, params.q_shr);
@@ -82,12 +66,8 @@ impl GlueFlStrategy {
         let shared_nnz = shared_mask.count_ones();
         let eligible = stats_excluded.not();
         Self {
-            sampler,
             params,
-            k,
-            oc,
-            oc_strategy,
-            weights,
+            max_kept: round_size,
             shared_mask,
             shared_nnz,
             stats_excluded,
@@ -101,12 +81,6 @@ impl GlueFlStrategy {
     #[must_use]
     pub fn shared_mask(&self) -> &BitMask {
         &self.shared_mask
-    }
-
-    /// The sticky sampler (for inspection in tests/experiments).
-    #[must_use]
-    pub fn sampler(&self) -> &StickySampler {
-        &self.sampler
     }
 
     /// The finishing steps of [`Strategy::fold_finish`], entirely in
@@ -184,37 +158,6 @@ impl GlueFlStrategy {
 }
 
 impl Strategy for GlueFlStrategy {
-    fn name(&self) -> String {
-        if self.params.equal_weights {
-            "gluefl-equal".into()
-        } else {
-            "gluefl".into()
-        }
-    }
-
-    fn plan_round(
-        &mut self,
-        _round: u32,
-        rng: &mut StdRng,
-        online: &mut dyn OnlineQuery,
-    ) -> RoundPlan {
-        let plan = oc_plan(self.k, self.params.sticky_draw, self.oc, self.oc_strategy);
-        let draw = self
-            .sampler
-            .draw(rng, plan.sticky_invites, plan.fresh_invites, online);
-        RoundPlan {
-            sticky_invites: draw.sticky,
-            fresh_invites: draw.fresh,
-            keep_sticky: plan.keep_sticky,
-            keep_fresh: plan.keep_fresh,
-        }
-    }
-
-    fn client_weight(&self, id: ClientId, group: Group) -> f64 {
-        self.params
-            .client_weight(self.sampler.population(), self.k, group, self.weights[id])
-    }
-
     fn round_mask(&self, _round: u32) -> Option<&BitMask> {
         // M_t: broadcast with each sync (Algorithm 3 line 7), and the
         // alignment of every shared-part upload until fold_finish
@@ -232,7 +175,7 @@ impl Strategy for GlueFlStrategy {
         // regeneration round than the pooled buffers of the shift rounds
         // before it: reserve it here, not by doubling inside the fold.
         let (mut stream_idx, mut stream_vals) = scratch.take_sparse();
-        let stream_len = self.k * self.params.unique_keep(self.trainable, round);
+        let stream_len = self.max_kept * self.params.unique_keep(self.trainable, round);
         stream_idx.reserve(stream_len);
         stream_vals.reserve(stream_len);
         FoldAcc {
@@ -243,17 +186,8 @@ impl Strategy for GlueFlStrategy {
         }
     }
 
-    fn fold_upload(
-        &mut self,
-        round: u32,
-        acc: &mut FoldAcc,
-        id: ClientId,
-        group: Group,
-        upload: &Upload,
-        _scratch: &mut ScratchPool,
-    ) {
+    fn fold_upload(&mut self, round: u32, acc: &mut FoldAcc, weight: f32, upload: &Upload) {
         let regen = self.params.is_regen_round(round);
-        let w = self.client_weight(id, group) as f32;
         let stream_vals = acc
             .dense
             .as_mut()
@@ -274,14 +208,14 @@ impl Strategy for GlueFlStrategy {
                         self.shared_nnz,
                         "shared part not aligned to the current mask"
                     );
-                    vecops::axpy(shr_acc, w, split.shared.values());
+                    vecops::axpy(shr_acc, weight, split.shared.values());
                 }
                 // Defer the unique part as a flat (position, w·v) stream;
                 // the fold_finish scatter replays these adds in exactly
                 // this order, so the packed sum is bit-identical to the
                 // dense per-upload `acc[i] += w·v` fold.
                 stream_idx.extend_from_slice(split.unique.indices());
-                stream_vals.extend(split.unique.values().iter().map(|&v| w * v));
+                stream_vals.extend(split.unique.values().iter().map(|&v| weight * v));
             }
             other => panic!("GlueFL aggregate received non-split upload {other:?}"),
         }
@@ -316,24 +250,17 @@ impl Strategy for GlueFlStrategy {
         scratch.put_sparse(stream_idx, stream_vals);
         update
     }
-
-    fn finish_round(
-        &mut self,
-        _round: u32,
-        rng: &mut StdRng,
-        kept_sticky: &[ClientId],
-        kept_fresh: &[ClientId],
-    ) {
-        self.sampler.rebalance(rng, kept_sticky, kept_fresh);
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::strategies::{Group, Sampler};
     use crate::stream::fold_in_id_order;
+    use crate::StrategyConfig;
     use gluefl_compress::mask_shift::client_split;
     use gluefl_compress::CompensationMode;
+    use gluefl_sampling::ClientId;
     use rand::SeedableRng;
 
     fn params() -> GlueFlParams {
@@ -348,24 +275,32 @@ mod tests {
         }
     }
 
-    fn strategy_with(p: GlueFlParams, dim: usize, seed: u64) -> GlueFlStrategy {
+    /// GlueFL's sampler and fold over twenty clients (`p_i = 0.05`) and
+    /// a `dim`-position model, drawn from one stream as the engine draws
+    /// them: the sticky group first, then the initial shared mask.
+    fn halves_with(p: GlueFlParams, dim: usize, seed: u64) -> (Sampler, GlueFlStrategy) {
         let mut rng = StdRng::seed_from_u64(seed);
-        GlueFlStrategy::new(
-            20,
-            4,
-            1.0,
-            OcStrategy::Proportional,
-            vec![0.05; 20],
-            p,
-            dim,
-            dim,
-            BitMask::zeros(dim),
-            &mut rng,
-        )
+        let cfg = StrategyConfig::GlueFl(p.clone());
+        let sampler = Sampler::for_test(cfg, &[0.05; 20], 4, 1.0, &mut rng);
+        let fold = GlueFlStrategy::new(p, 4, dim, dim, BitMask::zeros(dim), &mut rng);
+        (sampler, fold)
+    }
+
+    fn strategy_with(p: GlueFlParams, dim: usize, seed: u64) -> GlueFlStrategy {
+        halves_with(p, dim, seed).1
     }
 
     fn strategy(seed: u64) -> GlueFlStrategy {
         strategy_with(params(), 20, seed)
+    }
+
+    fn sampler(seed: u64) -> Sampler {
+        halves_with(params(), 20, seed).0
+    }
+
+    /// A sticky client's weight, `(S/C)·p_i`.
+    fn sticky_weight(id: ClientId) -> f32 {
+        sampler(0).weight(id, Group::Sticky) as f32
     }
 
     /// What an honest client uploads for `delta` in a mask-shift round.
@@ -382,9 +317,9 @@ mod tests {
 
     #[test]
     fn plan_draws_sticky_and_fresh() {
-        let mut s = strategy(1);
+        let mut s = sampler(1);
         let mut rng = StdRng::seed_from_u64(2);
-        let plan = s.plan_round(0, &mut rng, &mut gluefl_sampling::AllOnline);
+        let plan = s.plan(&mut rng, &mut gluefl_sampling::AllOnline);
         assert_eq!(plan.sticky_invites.len(), 3);
         assert_eq!(plan.fresh_invites.len(), 1);
         assert_eq!(plan.keep_sticky, 3);
@@ -392,25 +327,25 @@ mod tests {
         assert!(plan
             .sticky_invites
             .iter()
-            .all(|&c| s.sampler().is_sticky(c)));
+            .all(|&c| s.sticky().unwrap().is_sticky(c)));
     }
 
     #[test]
     fn weights_are_inverse_propensity() {
-        let s = strategy(3);
+        let s = sampler(3);
         // ν_s = (S/C)·p = (8/3)·0.05; ν_r = ((N−S)/(K−C))·p = 12·0.05.
-        assert!((s.client_weight(0, Group::Sticky) - 8.0 / 3.0 * 0.05).abs() < 1e-12);
-        assert!((s.client_weight(0, Group::Fresh) - 12.0 * 0.05).abs() < 1e-12);
+        assert!((s.weight(0, Group::Sticky) - 8.0 / 3.0 * 0.05).abs() < 1e-12);
+        assert!((s.weight(0, Group::Fresh) - 12.0 * 0.05).abs() < 1e-12);
     }
 
     #[test]
     fn equal_weights_variant() {
         let mut p = params();
         p.equal_weights = true;
-        let s = strategy_with(p, 20, 4);
-        assert_eq!(s.name(), "gluefl-equal");
-        assert_eq!(s.client_weight(0, Group::Sticky), 0.25);
-        assert_eq!(s.client_weight(0, Group::Fresh), 0.25);
+        assert_eq!(StrategyConfig::GlueFl(p.clone()).name(), "gluefl-equal");
+        let (s, _) = halves_with(p, 20, 4);
+        assert_eq!(s.weight(0, Group::Sticky), 0.25);
+        assert_eq!(s.weight(0, Group::Fresh), 0.25);
     }
 
     #[test]
@@ -429,7 +364,7 @@ mod tests {
         let delta: Vec<f32> = (0..20).map(|i| if i < 6 { 10.0 } else { 0.01 }).collect();
         let mut pool = ScratchPool::new();
         let up = split_upload(&s, 1, &delta);
-        let agg = fold_in_id_order(&mut s, 1, &[(1, Group::Sticky, up)], &mut pool);
+        let agg = fold_in_id_order(&mut s, 1, &[(1, sticky_weight(1), up)], &mut pool);
         assert_eq!(agg.dim(), 20);
         // New mask has q_shr density.
         assert_eq!(s.shared_mask().count_ones(), 4);
@@ -450,11 +385,11 @@ mod tests {
         let mut prev_support: Option<BitMask> = None;
         for round in 1..6u32 {
             // Three sticky clients with pseudo-random deltas.
-            let kept: Vec<(ClientId, Group, Upload)> = (0..3)
+            let kept: Vec<(ClientId, f32, Upload)> = (0..3)
                 .map(|id| {
                     use rand::Rng;
                     let delta: Vec<f32> = (0..20).map(|_| rng.gen_range(-1.0..1.0)).collect();
-                    (id, Group::Sticky, split_upload(&s, round, &delta))
+                    (id, sticky_weight(id), split_upload(&s, round, &delta))
                 })
                 .collect();
             let agg = fold_in_id_order(&mut s, round, &kept, &mut pool);
@@ -482,12 +417,12 @@ mod tests {
         p.q = 0.01;
         p.q_shr = 0.005;
         let mut s = strategy_with(p, dim, 21);
-        let kept: Vec<(ClientId, Group, Upload)> = (0..3)
+        let kept: Vec<(ClientId, f32, Upload)> = (0..3)
             .map(|id| {
                 let delta: Vec<f32> = (0..dim)
                     .map(|i| ((i * 7 + id * 13) % 101) as f32 / 50.0 - 1.0)
                     .collect();
-                (id, Group::Sticky, split_upload(&s, 1, &delta))
+                (id, sticky_weight(id), split_upload(&s, 1, &delta))
             })
             .collect();
         let mut pool = ScratchPool::new();
@@ -502,12 +437,13 @@ mod tests {
 
     #[test]
     fn finish_round_rebalances_sticky_group() {
-        let mut s = strategy(11);
+        let mut s = sampler(11);
         let mut rng = StdRng::seed_from_u64(12);
-        let plan = s.plan_round(0, &mut rng, &mut gluefl_sampling::AllOnline);
-        s.finish_round(0, &mut rng, &plan.sticky_invites, &plan.fresh_invites);
-        assert_eq!(s.sampler().group_size(), 8);
-        assert!(plan.fresh_invites.iter().all(|&c| s.sampler().is_sticky(c)));
+        let plan = s.plan(&mut rng, &mut gluefl_sampling::AllOnline);
+        s.rebalance(&mut rng, &plan.sticky_invites, &plan.fresh_invites);
+        let group = s.sticky().expect("GlueFL samples stickily");
+        assert_eq!(group.group_size(), 8);
+        assert!(plan.fresh_invites.iter().all(|&c| group.is_sticky(c)));
     }
 
     #[test]

@@ -1,185 +1,66 @@
-//! FedAvg with multinomial (MD) client sampling (Li et al. 2020a).
+//! MD-FedAvg (Li et al. 2020a) is [`super::Sampler::Multinomial`] plus
+//! FedAvg's dense fold, and has no type of its own; these tests pin that
+//! pairing.
 
-use super::{FoldAcc, Group, RoundPlan, Strategy, Upload};
-use crate::scratch::ScratchPool;
-use gluefl_sampling::{ClientId, MdSampler, OnlineQuery};
-use gluefl_tensor::MaskedUpdate;
-use rand::rngs::StdRng;
-
-/// FedAvg where each round's `K` participants are drawn i.i.d. from the
-/// multinomial distribution over importance weights `p_i` (§6, "Client
-/// sampling"). A client drawn `m` times contributes with weight `m/K`,
-/// which keeps the aggregate unbiased: `E[Δ] = Σ p_i Δ_i`.
-///
-/// Over-commitment is not applied: MD sampling is a statistical baseline
-/// and every drawn update is kept (duplicates collapse into one invitation
-/// with multiplicity).
-#[derive(Debug)]
-pub struct MdFedAvgStrategy {
-    sampler: MdSampler,
-    k: usize,
-    dim: usize,
-    /// The current round's draws as `(client, multiplicity)`, sorted by
-    /// client id — the *only* per-round state, O(K) entries. No O(N)
-    /// population-length vector exists anywhere in this strategy, so
-    /// construction and planning touch O(K) memory regardless of N.
-    drawn: Vec<(ClientId, u32)>,
-    /// Raw accepted draws of the round in draw order, reused across
-    /// rounds so planning allocates nothing in steady state.
-    raw: Vec<ClientId>,
-}
-
-impl MdFedAvgStrategy {
-    /// Creates the strategy for importance weights `p_i` (need not be
-    /// normalised) and model dimension `dim`.
-    ///
-    /// # Panics
-    /// Panics if the weights are not a valid distribution.
-    #[must_use]
-    pub fn new(weights: Vec<f64>, k: usize, dim: usize) -> Self {
-        Self {
-            sampler: MdSampler::new(weights).expect("valid client weights"),
-            k,
-            dim,
-            drawn: Vec::new(),
-            raw: Vec::new(),
-        }
-    }
-
-    /// Draw multiplicity of `id` in the current round (0 if not drawn).
-    fn multiplicity_of(&self, id: ClientId) -> u32 {
-        self.drawn
-            .binary_search_by_key(&id, |&(c, _)| c)
-            .map_or(0, |i| self.drawn[i].1)
-    }
-}
-
-impl Strategy for MdFedAvgStrategy {
-    fn name(&self) -> String {
-        "md-fedavg".into()
-    }
-
-    fn plan_round(
-        &mut self,
-        _round: u32,
-        rng: &mut StdRng,
-        online: &mut dyn OnlineQuery,
-    ) -> RoundPlan {
-        self.raw.clear();
-        let mut attempts = 0usize;
-        // Rejection-sample against availability (equivalent to MD sampling
-        // over the online sub-population, re-normalised). Each CDF draw is
-        // O(log N) and the accepted draws land in an O(K) scratch list, so
-        // a round is O(K log N) memory-touches included — independent of N.
-        while self.raw.len() < self.k && attempts < self.k * 200 {
-            attempts += 1;
-            let id = self.sampler.draw_one(rng);
-            if online.is_online(id) {
-                self.raw.push(id);
-            }
-        }
-        // Collapse the accepted draws into sorted (client, multiplicity)
-        // run-length pairs — duplicates become one invitation with weight.
-        self.raw.sort_unstable();
-        self.drawn.clear();
-        for &id in &self.raw {
-            match self.drawn.last_mut() {
-                Some((c, m)) if *c == id => *m += 1,
-                _ => self.drawn.push((id, 1)),
-            }
-        }
-        let invites: Vec<ClientId> = self.drawn.iter().map(|&(c, _)| c).collect();
-        RoundPlan {
-            sticky_invites: Vec::new(),
-            keep_fresh: invites.len(),
-            fresh_invites: invites,
-            keep_sticky: 0,
-        }
-    }
-
-    fn client_weight(&self, id: ClientId, _group: Group) -> f64 {
-        f64::from(self.multiplicity_of(id)) / self.k as f64
-    }
-
-    fn fold_begin(&mut self, _round: u32, scratch: &mut ScratchPool) -> FoldAcc {
-        FoldAcc {
-            dense: Some(scratch.take_zeroed(self.dim)),
-            packed: None,
-            indices: None,
-            count: 0,
-        }
-    }
-
-    fn fold_upload(
-        &mut self,
-        _round: u32,
-        acc: &mut FoldAcc,
-        id: ClientId,
-        group: Group,
-        upload: &Upload,
-        _scratch: &mut ScratchPool,
-    ) {
-        let w = self.client_weight(id, group) as f32;
-        let dense = acc
-            .dense
-            .as_mut()
-            .expect("fold_begin allocates the accumulator");
-        upload.add_weighted_into(dense, w);
-        acc.count += 1;
-    }
-
-    fn fold_finish(
-        &mut self,
-        _round: u32,
-        acc: FoldAcc,
-        scratch: &mut ScratchPool,
-    ) -> MaskedUpdate {
-        let values = acc.dense.expect("fold_begin allocates the accumulator");
-        let mut mask = scratch.take_mask(self.dim);
-        mask.fill_ones();
-        MaskedUpdate::new(mask, values)
-    }
-
-    fn finish_round(&mut self, _round: u32, _rng: &mut StdRng, _s: &[ClientId], _f: &[ClientId]) {}
-}
-
-#[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::scratch::ScratchPool;
+    use crate::strategies::{FedAvgStrategy, Group, Sampler, Upload};
+    use crate::StrategyConfig;
+    use gluefl_sampling::ClientId;
+    use rand::rngs::StdRng;
     use rand::SeedableRng;
 
-    fn strategy() -> MdFedAvgStrategy {
-        // Client 3 has triple the weight of the others.
+    /// Round size 4 over twelve clients; client 3 has triple the weight
+    /// of the others.
+    fn sampler() -> Sampler {
         let mut w = vec![1.0; 12];
         w[3] = 3.0;
-        MdFedAvgStrategy::new(w, 4, 6)
+        let mut rng = StdRng::seed_from_u64(0);
+        Sampler::for_test(StrategyConfig::MdFedAvg, &w, 4, 1.0, &mut rng)
+    }
+
+    fn drawn(s: &Sampler) -> &[(ClientId, u32)] {
+        match s {
+            Sampler::Multinomial { drawn, .. } => drawn,
+            other => panic!("MD-FedAvg samples multinomially, not {other:?}"),
+        }
     }
 
     #[test]
     fn plan_draws_k_with_multiplicity() {
-        let mut s = strategy();
+        let mut s = sampler();
         let mut rng = StdRng::seed_from_u64(0);
-        let plan = s.plan_round(0, &mut rng, &mut gluefl_sampling::AllOnline);
-        let total: u32 = s.drawn.iter().map(|&(_, m)| m).sum();
-        assert_eq!(total, 4);
-        assert_eq!(plan.keep_fresh, plan.fresh_invites.len());
-        assert!(plan.fresh_invites.len() <= 4);
-        // Touched-set bound: per-round state is O(K) pairs, never an O(N)
-        // population vector.
-        assert!(s.drawn.len() <= 4);
-        assert!(s.raw.len() <= 4);
+        let mut repeated = false;
+        for _ in 0..50 {
+            let plan = s.plan(&mut rng, &mut gluefl_sampling::AllOnline);
+            let total: u32 = drawn(&s).iter().map(|&(_, m)| m).sum();
+            assert_eq!(total, 4);
+            assert_eq!(plan.keep_fresh, plan.fresh_invites.len());
+            assert!(plan.fresh_invites.len() <= 4);
+            // A repeated draw is one invitation: the ids are distinct.
+            assert!(plan.fresh_invites.windows(2).all(|w| w[0] < w[1]));
+            repeated |= plan.fresh_invites.len() < 4;
+            // Touched-set bound: per-round state is O(K) pairs, never an
+            // O(N) population vector.
+            let Sampler::Multinomial { drawn, raw, .. } = &s else {
+                unreachable!()
+            };
+            assert!(drawn.len() <= 4);
+            assert!(raw.len() <= 4);
+        }
+        assert!(repeated, "twelve clients, fifty rounds: some draw repeats");
     }
 
     #[test]
     fn weights_sum_to_one_per_round() {
-        let mut s = strategy();
+        let mut s = sampler();
         let mut rng = StdRng::seed_from_u64(1);
         for round in 0..50 {
-            let plan = s.plan_round(round, &mut rng, &mut gluefl_sampling::AllOnline);
+            let plan = s.plan(&mut rng, &mut gluefl_sampling::AllOnline);
             let total: f64 = plan
                 .fresh_invites
                 .iter()
-                .map(|&id| s.client_weight(id, Group::Fresh))
+                .map(|&id| s.weight(id, Group::Fresh))
                 .sum();
             assert!((total - 1.0).abs() < 1e-12, "round {round}: {total}");
         }
@@ -187,12 +68,12 @@ mod tests {
 
     #[test]
     fn heavy_clients_drawn_more_often() {
-        let mut s = strategy();
+        let mut s = sampler();
         let mut rng = StdRng::seed_from_u64(2);
         let mut hits = [0u32; 12];
-        for round in 0..4000 {
-            let _ = s.plan_round(round, &mut rng, &mut gluefl_sampling::AllOnline);
-            for &(i, m) in &s.drawn {
+        for _ in 0..4000 {
+            let _ = s.plan(&mut rng, &mut gluefl_sampling::AllOnline);
+            for &(i, m) in drawn(&s) {
                 hits[i] += m;
             }
         }
@@ -203,28 +84,32 @@ mod tests {
 
     #[test]
     fn respects_availability() {
-        let mut s = strategy();
+        let mut s = sampler();
         let mut rng = StdRng::seed_from_u64(3);
         let mut avail = vec![true; 12];
         avail[3] = false;
         for round in 0..20 {
-            let plan = s.plan_round(round, &mut rng, &mut gluefl_sampling::DenseOnline(&avail));
+            let plan = s.plan(&mut rng, &mut gluefl_sampling::DenseOnline(&avail));
             assert!(!plan.fresh_invites.contains(&3), "round {round}");
         }
     }
 
     #[test]
     fn aggregate_uses_multiplicity_weights() {
-        let mut s = strategy();
+        let mut s = sampler();
         let mut rng = StdRng::seed_from_u64(4);
-        let plan = s.plan_round(0, &mut rng, &mut gluefl_sampling::AllOnline);
-        let kept: Vec<(ClientId, Group, Upload)> = plan
+        let plan = s.plan(&mut rng, &mut gluefl_sampling::AllOnline);
+        let kept: Vec<(ClientId, f32, Upload)> = plan
             .fresh_invites
             .iter()
-            .map(|&id| (id, Group::Fresh, Upload::Dense(vec![1.0f32; 6])))
+            .map(|&id| {
+                let w = s.weight(id, Group::Fresh) as f32;
+                (id, w, Upload::Dense(vec![1.0f32; 6]))
+            })
             .collect();
         let mut pool = ScratchPool::new();
-        let agg = crate::stream::fold_in_id_order(&mut s, 0, &kept, &mut pool);
+        let mut fold = FedAvgStrategy::new(6);
+        let agg = crate::stream::fold_in_id_order(&mut fold, 0, &kept, &mut pool);
         // Weights sum to 1, every delta is all-ones → aggregate all-ones.
         assert!(agg.is_dense());
         for v in agg.values() {

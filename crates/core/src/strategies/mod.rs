@@ -1,11 +1,16 @@
 //! The server halves of the paper's training strategies.
 //!
-//! Every strategy implements [`Strategy`], the seam between the generic
-//! round engine ([`crate::engine::RoundEngine`]) and algorithm-specific
-//! *server* behaviour: who is invited, which mask the round broadcasts,
-//! how arriving uploads are folded, and what bookkeeping happens between
-//! rounds. What a client does to its delta before uploading is the other
-//! half, [`crate::ClientCompressor`].
+//! The paper's title names two mechanisms, and the server side keeps
+//! them apart. *Client sampling* — who is invited, what each kept
+//! upload weighs, how the sticky group rebalances — is the [`Sampler`]
+//! ([`sampling`]), one closed enum the round engine
+//! ([`crate::engine::RoundEngine`]) owns. *Model masking and
+//! aggregation* — which mask the round broadcasts, how weighted uploads
+//! fold, what the server update is — is a [`Strategy`], of which there
+//! are four: FedAvg's dense fold (which MD-FedAvg shares: the weight is
+//! the only thing that sets the two apart), STC's, APF's and GlueFL's.
+//! What a client does to its delta before uploading is the other half
+//! of a strategy, [`crate::ClientCompressor`].
 //!
 //! Strategies operate on *trainable* positions only — BatchNorm statistics
 //! are zeroed in the deltas clients compress and are aggregated separately
@@ -14,56 +19,23 @@
 mod apf;
 mod fedavg;
 mod gluefl;
+#[cfg(test)]
 mod md_fedavg;
+pub mod sampling;
 mod stc;
 
 pub use apf::ApfStrategy;
 pub use fedavg::FedAvgStrategy;
 pub use gluefl::GlueFlStrategy;
-pub use md_fedavg::MdFedAvgStrategy;
+pub use sampling::{Group, RoundPlan, Sampler};
 pub use stc::StcStrategy;
 
 use crate::config::{SimConfig, StrategyConfig};
 use crate::scratch::ScratchPool;
 use gluefl_compress::mask_shift::ClientSplit;
-use gluefl_sampling::{ClientId, OnlineQuery};
 use gluefl_tensor::{MaskAligned, MaskedUpdate, SparseUpdate};
 use gluefl_wire::{Codec, WirePolicy};
 use rand::rngs::StdRng;
-
-/// Which pool a participant was drawn from.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Group {
-    /// The sticky group `S` (GlueFL only).
-    Sticky,
-    /// The non-sticky remainder (or the whole population for uniform
-    /// strategies).
-    Fresh,
-}
-
-/// One round's invitation plan.
-#[derive(Debug, Clone, Default)]
-pub struct RoundPlan {
-    /// Invited sticky-group clients (empty for uniform strategies).
-    pub sticky_invites: Vec<ClientId>,
-    /// Invited non-sticky clients.
-    pub fresh_invites: Vec<ClientId>,
-    /// How many sticky updates to keep (`C`).
-    pub keep_sticky: usize,
-    /// How many fresh updates to keep (`K − C`).
-    pub keep_fresh: usize,
-}
-
-impl RoundPlan {
-    /// All invited clients with their group tags, sticky first — an
-    /// iterator, so per-round consumers don't allocate.
-    pub fn invited(&self) -> impl Iterator<Item = (ClientId, Group)> + '_ {
-        self.sticky_invites
-            .iter()
-            .map(|&c| (c, Group::Sticky))
-            .chain(self.fresh_invites.iter().map(|&c| (c, Group::Fresh)))
-    }
-}
 
 /// A compressed client upload.
 #[derive(Debug, Clone, PartialEq)]
@@ -163,20 +135,23 @@ impl FoldAcc {
     }
 }
 
-/// The server half of a strategy, driven by the round engine.
+/// The fold half of a strategy's server side, driven by the round
+/// engine.
 ///
 /// Call order per round `t`:
-/// 1. [`Strategy::plan_round`] — invitations (with over-commitment);
+/// 1. the engine's [`Sampler::plan`] draws the invitations (with
+///    over-commitment);
 /// 2. [`Strategy::round_mask`] — what the broadcast carries besides the
 ///    model;
-/// 3. [`Strategy::fold_begin`], then [`Strategy::fold_upload`] once per
-///    delivered kept upload in **ascending client-id order**, then
-///    [`Strategy::fold_finish`], which returns the round's server update
-///    as a [`MaskedUpdate`] over trainable positions and shifts any mask
-///    state. [`crate::stream::StreamingAggregator`] is the ordering gate
-///    that turns arrival order into that order;
-/// 4. [`Strategy::finish_round`] — post-round bookkeeping (sticky group
-///    rebalancing).
+/// 3. the engine weighs each kept client with [`Sampler::weight`], then
+///    [`Strategy::fold_begin`], [`Strategy::fold_upload`] once per
+///    delivered kept upload with that weight, in **ascending client-id
+///    order**, and [`Strategy::fold_finish`], which returns the round's
+///    server update as a [`MaskedUpdate`] over trainable positions and
+///    shifts any mask state. [`crate::stream::StreamingAggregator`] is
+///    the ordering gate that turns arrival order into that order;
+/// 4. the engine's [`Sampler::rebalance`] — the sticky group's
+///    post-round bookkeeping.
 ///
 /// # Bit-exactness
 ///
@@ -192,9 +167,9 @@ impl FoldAcc {
 /// The fold returns a [`MaskedUpdate`] — a support mask plus values
 /// packed in position order — rather than a dense `Vec<f32>`. Masking
 /// strategies (GlueFL, STC, APF) cover only the `O(q·d)` positions their
-/// algorithm actually changes; dense strategies (FedAvg variants) return
-/// their accumulator under a full mask, which makes the packed layout
-/// coincide with the dense vector. The engine applies the update with
+/// algorithm actually changes; the dense fold (FedAvg, MD-FedAvg)
+/// returns its accumulator under a full mask, which makes the packed
+/// layout coincide with the dense vector. The engine applies the update with
 /// [`gluefl_tensor::MaskedUpdate::add_to`] (word-level scatter /
 /// [`gluefl_tensor::vecops::masked_axpy`]) and scans changed positions
 /// with [`gluefl_tensor::MaskedUpdate::for_each_nonzero`], so the apply
@@ -204,8 +179,8 @@ impl FoldAcc {
 ///
 /// BatchNorm statistic positions are either absent from the returned
 /// mask (STC and GlueFL exclude them from every top-k scope) or covered
-/// with *exact-zero* values (FedAvg's full mask and APF's active mask,
-/// since client deltas are zeroed at statistic positions before
+/// with *exact-zero* values (the dense fold's full mask and APF's active
+/// mask, since client deltas are zeroed at statistic positions before
 /// compression). Either way the masked apply leaves statistics untouched;
 /// the engine aggregates them separately (Appendix-D plain mean) and
 /// adds the means straight into the parameters afterwards.
@@ -220,25 +195,6 @@ impl FoldAcc {
 /// applying, and the gate returns every folded upload's buffers with
 /// [`ScratchPool::reclaim_upload`].
 pub trait Strategy: Send {
-    /// Display name for reports.
-    fn name(&self) -> String;
-
-    /// Plans invitations for round `round`, restricted to clients for
-    /// which `online` answers `true`. Implementations query `online` only
-    /// for the candidates they actually consider — O(participants)
-    /// queries, never a population sweep — so a lazy availability process
-    /// behind the query stays cheap.
-    fn plan_round(
-        &mut self,
-        round: u32,
-        rng: &mut StdRng,
-        online: &mut dyn OnlineQuery,
-    ) -> RoundPlan;
-
-    /// The aggregation weight applied to client `id` from `group`
-    /// (includes the importance weight `p_i`).
-    fn client_weight(&self, id: ClientId, group: Group) -> f64;
-
     /// The mask both sides hold during round `round`, if any: it is
     /// broadcast to syncing clients at download time (every synced
     /// client is charged its bitmap frame) and it implicitly positions
@@ -256,105 +212,50 @@ pub trait Strategy: Send {
     /// partial-sum accumulator(s) from `scratch`.
     fn fold_begin(&mut self, round: u32, scratch: &mut ScratchPool) -> FoldAcc;
 
-    /// Folds one kept upload into the accumulator. Must be called in
-    /// ascending client-id order across kept uploads (see the trait-level
-    /// bit-exactness note). The upload is borrowed — the caller keeps
-    /// ownership and can return its buffers to the pool immediately
-    /// afterwards, so a streaming server never stages more than the
-    /// out-of-order arrivals.
+    /// Folds one kept upload, scaled by its aggregation `weight`, into
+    /// the accumulator. Must be called in ascending client-id order
+    /// across kept uploads (see the trait-level bit-exactness note). The
+    /// upload is borrowed — the caller keeps ownership and can return its
+    /// buffers to the pool immediately afterwards, so a streaming server
+    /// never stages more than the out-of-order arrivals.
     ///
     /// # Panics
     /// Panics on an upload variant or alignment the strategy cannot fold
     /// (e.g. a non-split upload handed to GlueFL, or a known-mask upload
     /// misaligned with APF's active set); the engine validates arrivals
     /// before they reach the gate.
-    fn fold_upload(
-        &mut self,
-        round: u32,
-        acc: &mut FoldAcc,
-        id: ClientId,
-        group: Group,
-        upload: &Upload,
-        scratch: &mut ScratchPool,
-    );
+    fn fold_upload(&mut self, round: u32, acc: &mut FoldAcc, weight: f32, upload: &Upload);
 
     /// Completes the aggregation: performs the strategy's finishing work
     /// (top-k re-masking, mask shifting, state updates), returns the
     /// accumulator buffers to `scratch`, and yields the round's
     /// [`MaskedUpdate`].
     fn fold_finish(&mut self, round: u32, acc: FoldAcc, scratch: &mut ScratchPool) -> MaskedUpdate;
-
-    /// Post-round bookkeeping with the kept participants.
-    fn finish_round(
-        &mut self,
-        round: u32,
-        rng: &mut StdRng,
-        kept_sticky: &[ClientId],
-        kept_fresh: &[ClientId],
-    );
 }
 
-/// Builds the server half of the configured strategy
-/// ([`crate::ClientCompressor::new`] builds the client half from the
-/// same layout arguments).
+/// Builds the fold of the configured strategy ([`Sampler::new`] builds
+/// its sampler, [`crate::ClientCompressor::new`] its client half). Only
+/// GlueFL draws from `rng`, for its initial shared mask.
 ///
 /// # Panics
-/// Panics if the strategy parameters are inconsistent with the population
-/// (e.g. sticky group larger than `N`).
+/// Panics if the GlueFL mask ratios are inconsistent (`q_shr > q`).
 #[must_use]
 pub fn build_strategy(
     cfg: &SimConfig,
-    weights: &[f64],
     trainable_positions: usize,
     dim: usize,
     stats_excluded: gluefl_tensor::BitMask,
     rng: &mut StdRng,
 ) -> Box<dyn Strategy> {
-    let n = weights.len();
-    let k = cfg.round_size;
     match &cfg.strategy {
-        StrategyConfig::FedAvg => {
-            Box::new(FedAvgStrategy::new(n, k, cfg.oc, weights.to_vec(), dim))
-        }
-        StrategyConfig::MdFedAvg => Box::new(MdFedAvgStrategy::new(weights.to_vec(), k, dim)),
-        StrategyConfig::Stc { q } => Box::new(StcStrategy::new(
-            n,
-            k,
-            cfg.oc,
-            weights.to_vec(),
-            *q,
-            trainable_positions,
-            dim,
-            stats_excluded,
-        )),
-        StrategyConfig::StcQuantized { q } => Box::new(
-            StcStrategy::new(
-                n,
-                k,
-                cfg.oc,
-                weights.to_vec(),
-                *q,
-                trainable_positions,
-                dim,
-                stats_excluded,
-            )
-            .with_quantization(),
+        StrategyConfig::FedAvg | StrategyConfig::MdFedAvg => Box::new(FedAvgStrategy::new(dim)),
+        StrategyConfig::Stc { q } | StrategyConfig::StcQuantized { q } => Box::new(
+            StcStrategy::new(*q, trainable_positions, dim, stats_excluded),
         ),
-        StrategyConfig::Apf { config } => Box::new(ApfStrategy::new(
-            n,
-            k,
-            cfg.oc,
-            weights.to_vec(),
-            *config,
-            dim,
-        )),
+        StrategyConfig::Apf { config } => Box::new(ApfStrategy::new(*config, dim)),
         StrategyConfig::GlueFl(params) => Box::new(GlueFlStrategy::new(
-            n,
-            k,
-            cfg.oc,
-            cfg.oc_strategy,
-            weights.to_vec(),
             params.clone(),
+            cfg.round_size,
             trainable_positions,
             dim,
             stats_excluded,
@@ -366,6 +267,7 @@ pub fn build_strategy(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gluefl_sampling::ClientId;
 
     #[test]
     fn round_plan_tags_groups() {

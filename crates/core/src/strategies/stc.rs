@@ -1,132 +1,50 @@
 //! STC: top-`q` masking on clients and server (Sattler et al. 2019).
 
-use super::{FoldAcc, Group, RoundPlan, Strategy, Upload};
+use super::fedavg::{dense_begin, dense_upload};
+use super::{FoldAcc, Strategy, Upload};
 use crate::scratch::ScratchPool;
 use gluefl_compress::stc::keep_count;
-use gluefl_sampling::{ClientId, OnlineQuery, UniformSampler};
 use gluefl_tensor::{top_k_abs_masked_into, BitMask, MaskedUpdate, TopKScope};
-use rand::rngs::StdRng;
 
-/// The server half of the masking-only STC of Algorithm 1: clients upload
-/// `top_q(Δ_i)` with classic error feedback
-/// ([`crate::ClientCompressor`]), the server aggregates with `(N/K)p_i`
-/// weights and re-masks the aggregate with another `top_q`, so only
-/// `q·d` positions change per round.
+/// The server fold of the masking-only STC of Algorithm 1: clients upload
+/// `top_q(Δ_i)` with classic error feedback ([`crate::ClientCompressor`]),
+/// or its ternary-quantized form under STC-quant (footnote 1); the
+/// server folds them densely, as FedAvg does, at `(N/K)p_i` weights and
+/// re-masks the aggregate with another `top_q`, so only `q·d` positions
+/// change per round.
 #[derive(Debug)]
 pub struct StcStrategy {
-    sampler: UniformSampler,
-    k: usize,
-    oc: f64,
-    weights: Vec<f64>,
     q: f64,
     /// Number of trainable positions (ratio base).
     trainable: usize,
     dim: usize,
     /// Positions strategies must not select (BN statistics).
     stats_excluded: BitMask,
-    /// Clients ternary-quantize their uploads (footnote 1).
-    quantize: bool,
 }
 
 impl StcStrategy {
-    /// Creates the strategy. `stats_excluded` marks positions that may
-    /// never enter a mask (BN statistics).
-    #[allow(clippy::too_many_arguments)]
+    /// The fold for mask ratio `q` over `trainable` of `dim` positions.
+    /// `stats_excluded` marks positions that may never enter a mask (BN
+    /// statistics).
     #[must_use]
-    pub fn new(
-        n: usize,
-        k: usize,
-        oc: f64,
-        weights: Vec<f64>,
-        q: f64,
-        trainable: usize,
-        dim: usize,
-        stats_excluded: BitMask,
-    ) -> Self {
-        assert_eq!(weights.len(), n, "weights length must equal population");
+    pub fn new(q: f64, trainable: usize, dim: usize, stats_excluded: BitMask) -> Self {
         assert!((0.0..=1.0).contains(&q), "q must be in [0,1]");
         Self {
-            sampler: UniformSampler::new(n),
-            k,
-            oc,
-            weights,
             q,
             trainable,
             dim,
             stats_excluded,
-            quantize: false,
         }
-    }
-
-    /// Marks the run as ternary-quantized: clients send every kept value
-    /// as `sign·μ` (one bit each plus one shared magnitude), and the fold
-    /// consumes [`Upload::Ternary`].
-    #[must_use]
-    pub fn with_quantization(mut self) -> Self {
-        self.quantize = true;
-        self
-    }
-
-    /// The configured mask ratio `q`.
-    #[must_use]
-    pub fn q(&self) -> f64 {
-        self.q
     }
 }
 
 impl Strategy for StcStrategy {
-    fn name(&self) -> String {
-        if self.quantize {
-            "stc-quant".into()
-        } else {
-            "stc".into()
-        }
-    }
-
-    fn plan_round(
-        &mut self,
-        _round: u32,
-        rng: &mut StdRng,
-        online: &mut dyn OnlineQuery,
-    ) -> RoundPlan {
-        let invites = (self.k as f64 * self.oc).round() as usize;
-        RoundPlan {
-            sticky_invites: Vec::new(),
-            fresh_invites: self.sampler.draw(rng, invites, online),
-            keep_sticky: 0,
-            keep_fresh: self.k,
-        }
-    }
-
-    fn client_weight(&self, id: ClientId, _group: Group) -> f64 {
-        self.sampler.population() as f64 / self.k as f64 * self.weights[id]
-    }
-
     fn fold_begin(&mut self, _round: u32, scratch: &mut ScratchPool) -> FoldAcc {
-        FoldAcc {
-            dense: Some(scratch.take_zeroed(self.dim)),
-            packed: None,
-            indices: None,
-            count: 0,
-        }
+        dense_begin(self.dim, scratch)
     }
 
-    fn fold_upload(
-        &mut self,
-        _round: u32,
-        acc: &mut FoldAcc,
-        id: ClientId,
-        group: Group,
-        upload: &Upload,
-        _scratch: &mut ScratchPool,
-    ) {
-        let w = self.client_weight(id, group) as f32;
-        let dense = acc
-            .dense
-            .as_mut()
-            .expect("fold_begin allocates the accumulator");
-        upload.add_weighted_into(dense, w);
-        acc.count += 1;
+    fn fold_upload(&mut self, _round: u32, acc: &mut FoldAcc, weight: f32, upload: &Upload) {
+        dense_upload(acc, weight, upload);
     }
 
     fn fold_finish(
@@ -156,19 +74,31 @@ impl Strategy for StcStrategy {
         scratch.put(acc);
         MaskedUpdate::new(mask, values)
     }
-
-    fn finish_round(&mut self, _round: u32, _rng: &mut StdRng, _s: &[ClientId], _f: &[ClientId]) {}
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::strategies::{Group, Sampler};
     use crate::stream::fold_in_id_order;
+    use crate::StrategyConfig;
+    use gluefl_sampling::ClientId;
     use gluefl_tensor::SparseUpdate;
+    use rand::rngs::StdRng;
     use rand::SeedableRng;
 
     fn strategy(q: f64) -> StcStrategy {
-        StcStrategy::new(10, 3, 1.0, vec![0.1; 10], q, 8, 8, BitMask::zeros(8))
+        StcStrategy::new(q, 8, 8, BitMask::zeros(8))
+    }
+
+    /// STC's sampler: uniform over ten clients, `(N/K)·p_i = 1/3` each.
+    fn sampler() -> Sampler {
+        let mut rng = StdRng::seed_from_u64(0);
+        Sampler::for_test(StrategyConfig::Stc { q: 0.2 }, &[0.1; 10], 3, 1.0, &mut rng)
+    }
+
+    fn weight(id: ClientId) -> f32 {
+        sampler().weight(id, Group::Fresh) as f32
     }
 
     #[test]
@@ -177,8 +107,8 @@ mod tests {
         // Two clients agree on positions 0, 7; noise elsewhere.
         let mk = |vals: Vec<(u32, f32)>| Upload::Sparse(SparseUpdate::from_pairs(8, vals));
         let kept = vec![
-            (0usize, Group::Fresh, mk(vec![(0, 5.0), (6, 0.1)])),
-            (1usize, Group::Fresh, mk(vec![(0, 5.0), (7, 6.0)])),
+            (0usize, weight(0), mk(vec![(0, 5.0), (6, 0.1)])),
+            (1usize, weight(1), mk(vec![(0, 5.0), (7, 6.0)])),
         ];
         let mut pool = ScratchPool::new();
         let agg = fold_in_id_order(&mut s, 0, &kept, &mut pool);
@@ -191,14 +121,14 @@ mod tests {
     #[test]
     fn changed_positions_bounded_by_q() {
         let mut s = strategy(0.25);
-        let kept: Vec<(ClientId, Group, Upload)> = (0..3)
+        let kept: Vec<(ClientId, f32, Upload)> = (0..3)
             .map(|i| {
                 let vals: Vec<(u32, f32)> = (0..8)
                     .map(|j| (j as u32, (i + 1) as f32 * (j as f32 - 3.5)))
                     .collect();
                 (
                     i,
-                    Group::Fresh,
+                    weight(i),
                     Upload::Sparse(SparseUpdate::from_pairs(8, vals)),
                 )
             })
@@ -213,9 +143,9 @@ mod tests {
 
     #[test]
     fn plan_is_uniform_without_stickiness() {
-        let mut s = strategy(0.2);
+        let mut s = sampler();
         let mut rng = StdRng::seed_from_u64(1);
-        let plan = s.plan_round(0, &mut rng, &mut gluefl_sampling::AllOnline);
+        let plan = s.plan(&mut rng, &mut gluefl_sampling::AllOnline);
         assert!(plan.sticky_invites.is_empty());
         assert_eq!(plan.fresh_invites.len(), 3);
     }

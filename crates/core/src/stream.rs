@@ -16,7 +16,7 @@
 //! round.
 
 use crate::scratch::ScratchPool;
-use crate::strategies::{FoldAcc, Group, Strategy, Upload};
+use crate::strategies::{FoldAcc, Strategy, Upload};
 use gluefl_sampling::ClientId;
 use gluefl_tensor::MaskedUpdate;
 
@@ -63,8 +63,8 @@ enum Slot {
 #[derive(Debug)]
 pub struct StreamingAggregator {
     round: u32,
-    /// Kept `(client, group)` pairs sorted by client id.
-    expected: Vec<(ClientId, Group)>,
+    /// Kept `(client, aggregation weight)` pairs sorted by client id.
+    expected: Vec<(ClientId, f32)>,
     slots: Vec<Slot>,
     /// Index of the lowest unresolved slot — everything before it folded
     /// or died.
@@ -73,16 +73,17 @@ pub struct StreamingAggregator {
 }
 
 impl StreamingAggregator {
-    /// Opens the gate for round `round` over the kept `(client, group)`
-    /// pairs (any order; sorted internally). Calls
-    /// [`Strategy::fold_begin`] to allocate the partial-sum buffers.
+    /// Opens the gate for round `round` over the kept clients, each with
+    /// the weight its upload folds at (any order; sorted internally).
+    /// Calls [`Strategy::fold_begin`] to allocate the partial-sum
+    /// buffers.
     ///
     /// # Panics
     /// Panics if the keep set contains a duplicate client id.
     #[must_use]
     pub fn begin(
         round: u32,
-        kept: &[(ClientId, Group)],
+        kept: &[(ClientId, f32)],
         strategy: &mut dyn Strategy,
         scratch: &mut ScratchPool,
     ) -> Self {
@@ -203,8 +204,8 @@ impl StreamingAggregator {
                     else {
                         unreachable!("matched Parked above")
                     };
-                    let (id, group) = self.expected[self.next];
-                    strategy.fold_upload(self.round, &mut self.acc, id, group, &upload, scratch);
+                    let (_, weight) = self.expected[self.next];
+                    strategy.fold_upload(self.round, &mut self.acc, weight, &upload);
                     scratch.reclaim_upload(upload);
                     self.next += 1;
                 }
@@ -231,21 +232,22 @@ impl StreamingAggregator {
     }
 }
 
-/// The reference fold: opens the strategy's accumulator, folds `kept` in
-/// ascending client-id order, and finishes — no gate, no parking. Every
+/// The reference fold: opens the strategy's accumulator, folds the kept
+/// `(client, weight, upload)` triples in ascending client-id order, and
+/// finishes — no gate, no parking. Every
 /// arrival order through a [`StreamingAggregator`] must reproduce this
 /// bit for bit; tests use it wherever they need "the round's aggregate".
 pub fn fold_in_id_order(
     strategy: &mut dyn Strategy,
     round: u32,
-    kept: &[(ClientId, Group, Upload)],
+    kept: &[(ClientId, f32, Upload)],
     scratch: &mut ScratchPool,
 ) -> MaskedUpdate {
-    let mut order: Vec<&(ClientId, Group, Upload)> = kept.iter().collect();
+    let mut order: Vec<&(ClientId, f32, Upload)> = kept.iter().collect();
     order.sort_by_key(|(id, _, _)| *id);
     let mut acc = strategy.fold_begin(round, scratch);
-    for (id, group, upload) in order {
-        strategy.fold_upload(round, &mut acc, *id, *group, upload, scratch);
+    for (_, weight, upload) in order {
+        strategy.fold_upload(round, &mut acc, *weight, upload);
     }
     strategy.fold_finish(round, acc, scratch)
 }
@@ -255,13 +257,16 @@ mod tests {
     use super::*;
     use crate::strategies::FedAvgStrategy;
 
-    fn uploads(n: usize, dim: usize) -> Vec<(ClientId, Group, Upload)> {
+    /// Every upload's aggregation weight.
+    const W: f32 = 0.2;
+
+    fn uploads(n: usize, dim: usize) -> Vec<(ClientId, f32, Upload)> {
         (0..n)
             .map(|i| {
                 let v: Vec<f32> = (0..dim)
                     .map(|j| (i * dim + j) as f32 * 0.01 - 0.3)
                     .collect();
-                (i, Group::Fresh, Upload::Dense(v))
+                (i, W, Upload::Dense(v))
             })
             .collect()
     }
@@ -274,12 +279,12 @@ mod tests {
     fn reverse_arrival_matches_id_order() {
         let dim = 9;
         let kept = uploads(5, dim);
-        let mut ref_s = FedAvgStrategy::new(8, 5, 1.0, vec![0.125; 8], dim);
+        let mut ref_s = FedAvgStrategy::new(dim);
         let mut pool = ScratchPool::new();
         let want = fold_in_id_order(&mut ref_s, 0, &kept, &mut pool);
 
-        let mut stream_s = FedAvgStrategy::new(8, 5, 1.0, vec![0.125; 8], dim);
-        let ids: Vec<(ClientId, Group)> = kept.iter().map(|&(c, g, _)| (c, g)).collect();
+        let mut stream_s = FedAvgStrategy::new(dim);
+        let ids: Vec<(ClientId, f32)> = kept.iter().map(|&(c, w, _)| (c, w)).collect();
         let mut pool2 = ScratchPool::new();
         let mut gate = StreamingAggregator::begin(0, &ids, &mut stream_s, &mut pool2);
         for (id, _, upload) in kept.into_iter().rev() {
@@ -293,14 +298,9 @@ mod tests {
     #[test]
     fn unknown_and_duplicate_are_typed_errors() {
         let dim = 4;
-        let mut s = FedAvgStrategy::new(8, 2, 1.0, vec![0.125; 8], dim);
+        let mut s = FedAvgStrategy::new(dim);
         let mut pool = ScratchPool::new();
-        let mut gate = StreamingAggregator::begin(
-            0,
-            &[(1, Group::Fresh), (3, Group::Fresh)],
-            &mut s,
-            &mut pool,
-        );
+        let mut gate = StreamingAggregator::begin(0, &[(1, W), (3, W)], &mut s, &mut pool);
         assert_eq!(
             gate.accept(&mut s, 2, Upload::Dense(vec![0.0; dim]), &mut pool),
             Err(StreamError::UnknownClient(2))
@@ -323,13 +323,13 @@ mod tests {
         let dim = 4;
         let kept = uploads(3, dim);
         // Reference over clients {1, 2} only.
-        let mut ref_s = FedAvgStrategy::new(8, 3, 1.0, vec![0.125; 8], dim);
+        let mut ref_s = FedAvgStrategy::new(dim);
         let mut pool = ScratchPool::new();
         let survivors: Vec<_> = kept.iter().filter(|&&(c, _, _)| c != 0).cloned().collect();
         let want = fold_in_id_order(&mut ref_s, 0, &survivors, &mut pool);
 
-        let mut s = FedAvgStrategy::new(8, 3, 1.0, vec![0.125; 8], dim);
-        let ids: Vec<(ClientId, Group)> = kept.iter().map(|&(c, g, _)| (c, g)).collect();
+        let mut s = FedAvgStrategy::new(dim);
+        let ids: Vec<(ClientId, f32)> = kept.iter().map(|&(c, w, _)| (c, w)).collect();
         let mut pool2 = ScratchPool::new();
         let mut gate = StreamingAggregator::begin(0, &ids, &mut s, &mut pool2);
         // 1 and 2 arrive first and park behind the missing client 0.

@@ -538,3 +538,90 @@ fn a_panic_inside_the_io_surfaces_with_its_own_message() {
         assert!(message.contains(IO_PANIC), "call {call}: {message}");
     }
 }
+
+/// In-process clients whose fresh group never offers: the fresh keep
+/// slots go to clients without an offer, which then deliver nothing.
+struct SilentFresh {
+    clients: InProcessClients,
+    /// The round's fresh invitation indices.
+    silent: Vec<usize>,
+    /// Modeled times of the granted clients that offered, in grant order.
+    offered: Vec<ClientRoundTime>,
+    /// Granted clients that never offered.
+    granted_silent: usize,
+}
+
+impl RoundIo for SilentFresh {
+    fn reachable(&self, id: usize) -> bool {
+        self.clients.reachable(id)
+    }
+
+    fn invite(&mut self, round: u32, invited: &[(usize, Group)], broadcast: &Broadcast<'_>) {
+        self.silent = (0..invited.len())
+            .filter(|&i| invited[i].1 == Group::Fresh)
+            .collect();
+        self.clients.invite(round, invited, broadcast);
+    }
+
+    fn offers(&mut self, round: u32, times: &[ClientRoundTime], offers: &mut [Option<(u64, u64)>]) {
+        self.clients.offers(round, times, offers);
+        for &i in &self.silent {
+            offers[i] = None;
+        }
+    }
+
+    fn grant(&mut self, round: u32, kept: &[usize], times: &[ClientRoundTime]) {
+        let (silent, offered): (Vec<usize>, Vec<usize>) =
+            kept.iter().partition(|i| self.silent.contains(i));
+        self.granted_silent = silent.len();
+        self.offered = offered.iter().map(|&i| times[i]).collect();
+        self.clients.grant(round, kept, times);
+    }
+
+    fn next_upload(&mut self, round: u32, payload: &mut Vec<u8>) -> Option<Arrival> {
+        match self.clients.next_upload(round, payload)? {
+            Arrival::Delivered(i) if self.silent.contains(&i) => Some(Arrival::Lost(i)),
+            arrival => Some(arrival),
+        }
+    }
+
+    fn rejected(&mut self, round: u32, slot: usize, err: &WireError) {
+        self.clients.rejected(round, slot, err);
+    }
+}
+
+/// A group with fewer offers than keep slots keeps clients that never
+/// offered. They are granted, counted as kept and skipped, but the
+/// round's modeled time covers only the kept clients that offered: no
+/// silent client's placeholder upload time reaches the record.
+#[test]
+fn a_kept_client_without_an_offer_takes_no_modeled_time() {
+    let cfg = tiny_gluefl();
+    let keep = cfg.round_size;
+    let setup = RunSetup::new(&cfg);
+    let mut io = SilentFresh {
+        clients: InProcessClients::new(&cfg, &setup),
+        silent: Vec::new(),
+        offered: Vec::new(),
+        granted_silent: 0,
+    };
+    let mut engine = RoundEngine::new(cfg, setup);
+    for round in 0..ROUNDS {
+        let rec = engine.step(&mut io);
+        assert_eq!(rec.kept, keep, "round {round}");
+        assert!(
+            io.granted_silent > 0,
+            "round {round}: no silent client kept"
+        );
+        assert_eq!(
+            engine.skipped_uploads(),
+            (round as usize + 1) * io.granted_silent
+        );
+        let slowest = io.offered.iter().map(ClientRoundTime::total_secs);
+        assert_eq!(rec.round_secs, slowest.fold(0.0, f64::max), "round {round}");
+        let uploads = io.offered.iter().map(|t| t.upload_secs);
+        assert_eq!(rec.slowest_upload_secs, uploads.clone().fold(0.0, f64::max));
+        let mean = uploads.sum::<f64>() / io.offered.len() as f64;
+        assert_eq!(rec.mean_upload_secs, mean, "round {round}");
+    }
+}

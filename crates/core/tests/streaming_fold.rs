@@ -20,7 +20,7 @@
 //! kept set.
 
 use gluefl_compress::{ApfConfig, CompensationMode};
-use gluefl_core::strategies::{build_strategy, Group, Upload};
+use gluefl_core::strategies::{build_strategy, Group, Sampler, Upload};
 use gluefl_core::stream::{fold_in_id_order, StreamingAggregator};
 use gluefl_core::{
     wire_link, ClientCompressor, GlueFlParams, ScratchPool, SimConfig, StrategyConfig,
@@ -124,8 +124,10 @@ fn check_strategy(strategy_cfg: StrategyConfig, policy: WirePolicy, seed: u64, o
     let trainable = STATS_FROM;
     let mut rng_a = StdRng::seed_from_u64(derive_seed(seed, "fold-prop", 0));
     let mut rng_b = rng_a.clone();
-    let mut strat_a = build_strategy(&cfg, &weights, trainable, DIM, stats_excluded(), &mut rng_a);
-    let mut strat_b = build_strategy(&cfg, &weights, trainable, DIM, stats_excluded(), &mut rng_b);
+    let mut sampler_a = Sampler::new(&cfg, &weights, &mut rng_a);
+    let mut sampler_b = Sampler::new(&cfg, &weights, &mut rng_b);
+    let mut strat_a = build_strategy(&cfg, trainable, DIM, stats_excluded(), &mut rng_a);
+    let mut strat_b = build_strategy(&cfg, trainable, DIM, stats_excluded(), &mut rng_b);
     // One client half feeds both server halves: the same uploads reach
     // the reference fold and the gate.
     let mut clients = ClientCompressor::new(&cfg, &weights, trainable, DIM, stats_excluded());
@@ -136,8 +138,8 @@ fn check_strategy(strategy_cfg: StrategyConfig, policy: WirePolicy, seed: u64, o
         // Plan identically on both sides.
         let mut plan_rng_a = StdRng::seed_from_u64(derive_seed(seed, "fold-plan", round.into()));
         let mut plan_rng_b = plan_rng_a.clone();
-        let plan_a = strat_a.plan_round(round, &mut plan_rng_a, &mut AllOnline);
-        let plan_b = strat_b.plan_round(round, &mut plan_rng_b, &mut AllOnline);
+        let plan_a = sampler_a.plan(&mut plan_rng_a, &mut AllOnline);
+        let plan_b = sampler_b.plan(&mut plan_rng_b, &mut AllOnline);
         let invited: Vec<(usize, Group)> = plan_a.invited().collect();
         assert_eq!(invited, plan_b.invited().collect::<Vec<_>>());
 
@@ -180,8 +182,10 @@ fn check_strategy(strategy_cfg: StrategyConfig, policy: WirePolicy, seed: u64, o
         }
 
         // Wire round-trip each kept upload once; both folds consume the
-        // same decoded bytes, exactly like a server would.
-        let decoded: Vec<(usize, Group, Upload)> = {
+        // same decoded bytes, each at its own sampler's weight, exactly
+        // like a server would.
+        let groups: Vec<(usize, Group)> = kept.iter().map(|&(id, g, _)| (id, g)).collect();
+        let decoded: Vec<(usize, f32, Upload)> = {
             let mask = strat_a.round_mask(round);
             kept.iter()
                 .map(|(id, group, upload)| {
@@ -205,7 +209,7 @@ fn check_strategy(strategy_cfg: StrategyConfig, policy: WirePolicy, seed: u64, o
                     );
                     let (dec, _) = wire_link::decode_upload_with_stats(&buf, mask, &mut pool_a)
                         .expect("clean round-trip");
-                    (*id, *group, dec)
+                    (*id, sampler_a.weight(*id, *group) as f32, dec)
                 })
                 .collect()
         };
@@ -218,7 +222,10 @@ fn check_strategy(strategy_cfg: StrategyConfig, policy: WirePolicy, seed: u64, o
 
         // Streaming fold on side B, arrivals shuffled by the proptest
         // sort keys (stable sort, so equal keys stay deterministic).
-        let ids: Vec<(usize, Group)> = decoded.iter().map(|&(id, g, _)| (id, g)).collect();
+        let ids: Vec<(usize, f32)> = groups
+            .iter()
+            .map(|&(id, g)| (id, sampler_b.weight(id, g) as f32))
+            .collect();
         let mut arrival = decoded;
         arrival.sort_by_key(|(id, _, _)| order[*id % order.len()]);
         let mut gate = StreamingAggregator::begin(round, &ids, &mut *strat_b, &mut pool_b);
@@ -243,20 +250,20 @@ fn check_strategy(strategy_cfg: StrategyConfig, policy: WirePolicy, seed: u64, o
         pool_b.put_update(got);
 
         // Evolve sticky state identically on both sides.
-        let kept_sticky: Vec<usize> = ids
+        let kept_sticky: Vec<usize> = groups
             .iter()
             .filter(|(_, g)| *g == Group::Sticky)
             .map(|&(id, _)| id)
             .collect();
-        let kept_fresh: Vec<usize> = ids
+        let kept_fresh: Vec<usize> = groups
             .iter()
             .filter(|(_, g)| *g == Group::Fresh)
             .map(|&(id, _)| id)
             .collect();
         let mut fin_rng_a = StdRng::seed_from_u64(derive_seed(seed, "fold-fin", round.into()));
         let mut fin_rng_b = fin_rng_a.clone();
-        strat_a.finish_round(round, &mut fin_rng_a, &kept_sticky, &kept_fresh);
-        strat_b.finish_round(round, &mut fin_rng_b, &kept_sticky, &kept_fresh);
+        sampler_a.rebalance(&mut fin_rng_a, &kept_sticky, &kept_fresh);
+        sampler_b.rebalance(&mut fin_rng_b, &kept_sticky, &kept_fresh);
     }
 }
 

@@ -150,8 +150,8 @@ struct JournalInner {
 /// When full, recording overwrites the oldest entry and bumps the
 /// dropped counter — the journal never blocks or grows. The mutex is
 /// held only for the push itself; hot loops that cannot afford even
-/// that record into [`crate::LocalCells`] instead and emit no journal
-/// events.
+/// that record through counter and histogram handles, which are
+/// lock-free, and emit no journal events.
 pub struct Journal {
     inner: Mutex<JournalInner>,
 }

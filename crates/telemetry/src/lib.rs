@@ -7,11 +7,9 @@
 //!   ([`Clock::manual`]) so tests can advance time deterministically.
 //! * **A recorder** ([`Telemetry`]): named counters, gauges, and
 //!   power-of-two histograms plus a fixed per-[`Phase`] span table.
-//!   Hot paths that must not contend (the `gluefl-pool` fork-join
-//!   workers) record into plain per-thread [`LocalCells`] and merge
-//!   once; merging is a pure sum, so snapshots are **order
-//!   independent** — any interleaving of merges yields the same
-//!   [`Snapshot`] (property-tested in `tests/merge_props.rs`).
+//!   Handles are shared atomic cells, so `gluefl-pool` workers record
+//!   through them directly; counters and histogram sums are exact under
+//!   any interleaving (tested in `tests/merge_props.rs`).
 //! * **A bounded event journal** ([`Journal`]): a ring buffer of typed
 //!   [`Event`]s (spans, grants, deadlines, stalls, skips, kills,
 //!   decode errors, measured bytes) that overwrites the oldest entry
@@ -65,4 +63,4 @@ pub use expo::{Sample, Snapshot};
 pub use journal::{Dir, Event, EventKind, Journal};
 pub use log::{Field, Level, LogFormat, Logger};
 pub use phase::{Phase, PHASE_COUNT};
-pub use recorder::{Counter, Gauge, Histogram, LocalCells, Span, Telemetry, HIST_BUCKETS};
+pub use recorder::{Counter, Gauge, Histogram, Span, Telemetry, HIST_BUCKETS};

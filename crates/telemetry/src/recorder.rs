@@ -1,5 +1,5 @@
-//! The recorder hub: counters, gauges, histograms, per-phase span
-//! tables, and the per-thread [`LocalCells`] they merge from.
+//! The recorder hub: counters, gauges, histograms and per-phase span
+//! tables.
 
 use crate::clock::Clock;
 use crate::expo::{Sample, Snapshot};
@@ -55,13 +55,10 @@ impl HistCells {
 /// A monotonically increasing counter handle.
 ///
 /// Cloning is cheap (an [`Arc`] bump); increments are single relaxed
-/// atomic adds, safe from any thread. For contention-free recording in
-/// tight worker loops, pair the handle with [`LocalCells::add`] and
-/// merge once per worker.
+/// atomic adds, safe from any thread.
 #[derive(Clone)]
 pub struct Counter {
     cell: Arc<AtomicU64>,
-    id: usize,
 }
 
 impl Counter {
@@ -80,20 +77,12 @@ impl Counter {
     pub fn get(&self) -> u64 {
         self.cell.load(Ordering::Relaxed)
     }
-
-    /// Registry id — the index [`LocalCells`] records under.
-    #[must_use]
-    pub fn id(&self) -> usize {
-        self.id
-    }
 }
 
 /// A last-write-wins gauge handle.
 ///
-/// Gauges are instantaneous values (queue depth, live connections), so
-/// unlike counters and histograms they have no order-independent merge
-/// — handles write straight to the shared cell (still lock-free) and
-/// are deliberately absent from [`LocalCells`].
+/// Gauges are instantaneous values (queue depth, live connections):
+/// handles write straight to the shared cell, lock-free.
 #[derive(Clone)]
 pub struct Gauge {
     cell: Arc<AtomicU64>,
@@ -116,7 +105,6 @@ impl Gauge {
 #[derive(Clone)]
 pub struct Histogram {
     cells: Arc<HistCells>,
-    id: usize,
 }
 
 impl Histogram {
@@ -135,12 +123,6 @@ impl Histogram {
     #[must_use]
     pub fn sum(&self) -> u64 {
         self.cells.sum.load(Ordering::Relaxed)
-    }
-
-    /// Registry id — the index [`LocalCells`] records under.
-    #[must_use]
-    pub fn id(&self) -> usize {
-        self.id
     }
 }
 
@@ -174,88 +156,6 @@ fn owned_labels(labels: &[(&str, &str)]) -> Vec<(String, String)> {
         .iter()
         .map(|&(k, v)| (k.to_string(), v.to_string()))
         .collect()
-}
-
-/// Plain (non-atomic) per-thread metric cells.
-///
-/// A worker creates one with [`Telemetry::local`], records into it with
-/// zero synchronisation, and merges it back with [`Telemetry::merge`]
-/// (which drains the cells, so one `LocalCells` can be reused across
-/// batches). Counter and histogram merges are pure sums and min/max
-/// folds — all commutative and associative — so **any merge order
-/// yields the same snapshot**; `tests/merge_props.rs` pins this.
-#[derive(Debug, Clone, Default)]
-pub struct LocalCells {
-    phase_nanos: [u64; PHASE_COUNT],
-    phase_spans: [u64; PHASE_COUNT],
-    counters: Vec<u64>,
-    hists: Vec<LocalHist>,
-}
-
-#[derive(Debug, Clone)]
-struct LocalHist {
-    buckets: [u64; HIST_BUCKETS],
-    count: u64,
-    sum: u64,
-    min: u64,
-    max: u64,
-}
-
-impl Default for LocalHist {
-    fn default() -> Self {
-        Self {
-            buckets: [0; HIST_BUCKETS],
-            count: 0,
-            sum: 0,
-            min: u64::MAX,
-            max: 0,
-        }
-    }
-}
-
-impl LocalCells {
-    /// Adds `n` to the local cell of `counter`.
-    pub fn add(&mut self, counter: &Counter, n: u64) {
-        let id = counter.id();
-        if id >= self.counters.len() {
-            self.counters.resize(id + 1, 0);
-        }
-        self.counters[id] += n;
-    }
-
-    /// Adds one to the local cell of `counter`.
-    pub fn inc(&mut self, counter: &Counter) {
-        self.add(counter, 1);
-    }
-
-    /// Records one observation into the local cells of `hist`.
-    pub fn observe(&mut self, hist: &Histogram, v: u64) {
-        let id = hist.id();
-        if id >= self.hists.len() {
-            self.hists.resize(id + 1, LocalHist::default());
-        }
-        let h = &mut self.hists[id];
-        h.buckets[bucket_of(v)] += 1;
-        h.count += 1;
-        h.sum += v;
-        h.min = h.min.min(v);
-        h.max = h.max.max(v);
-    }
-
-    /// Accumulates one span of `dur_nanos` under `phase`.
-    pub fn span_add(&mut self, phase: Phase, dur_nanos: u64) {
-        self.phase_nanos[phase.index()] += dur_nanos;
-        self.phase_spans[phase.index()] += 1;
-    }
-
-    /// True if nothing has been recorded since creation or last merge.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.phase_spans.iter().all(|&c| c == 0)
-            && self.phase_nanos.iter().all(|&c| c == 0)
-            && self.counters.iter().all(|&c| c == 0)
-            && self.hists.iter().all(|h| h.count == 0)
-    }
 }
 
 /// The recorder hub. See the [crate docs](crate) for the full picture.
@@ -328,25 +228,22 @@ impl Telemetry {
     pub fn counter(&self, name: &str, labels: &[(&str, &str)]) -> Counter {
         let labels = owned_labels(labels);
         let mut reg = self.registry.lock().unwrap();
-        if let Some((id, e)) = reg
+        if let Some(e) = reg
             .counters
             .iter()
-            .enumerate()
-            .find(|(_, e)| e.name == name && e.labels == labels)
+            .find(|e| e.name == name && e.labels == labels)
         {
             return Counter {
                 cell: Arc::clone(&e.cell),
-                id,
             };
         }
         let cell = Arc::new(AtomicU64::new(0));
-        let id = reg.counters.len();
         reg.counters.push(CounterEntry {
             name: name.to_string(),
             labels,
             cell: Arc::clone(&cell),
         });
-        Counter { cell, id }
+        Counter { cell }
     }
 
     /// Registers (or finds) the gauge `name{labels}`.
@@ -377,75 +274,22 @@ impl Telemetry {
     pub fn histogram(&self, name: &str, labels: &[(&str, &str)]) -> Histogram {
         let labels = owned_labels(labels);
         let mut reg = self.registry.lock().unwrap();
-        if let Some((id, e)) = reg
+        if let Some(e) = reg
             .hists
             .iter()
-            .enumerate()
-            .find(|(_, e)| e.name == name && e.labels == labels)
+            .find(|e| e.name == name && e.labels == labels)
         {
             return Histogram {
                 cells: Arc::clone(&e.cells),
-                id,
             };
         }
         let cells = Arc::new(HistCells::new());
-        let id = reg.hists.len();
         reg.hists.push(HistEntry {
             name: name.to_string(),
             labels,
             cells: Arc::clone(&cells),
         });
-        Histogram { cells, id }
-    }
-
-    /// Fresh per-thread cells for contention-free recording.
-    #[must_use]
-    pub fn local(&self) -> LocalCells {
-        LocalCells::default()
-    }
-
-    /// Merges (and drains) per-thread cells into the hub.
-    ///
-    /// Merging is commutative: any order of merges across any number of
-    /// `LocalCells` produces the same totals.
-    pub fn merge(&self, cells: &mut LocalCells) {
-        for (i, n) in cells.phase_nanos.iter_mut().enumerate() {
-            if *n > 0 {
-                self.phase_nanos[i].fetch_add(*n, Ordering::Relaxed);
-                *n = 0;
-            }
-        }
-        for (i, n) in cells.phase_spans.iter_mut().enumerate() {
-            if *n > 0 {
-                self.phase_spans[i].fetch_add(*n, Ordering::Relaxed);
-                *n = 0;
-            }
-        }
-        let reg = self.registry.lock().unwrap();
-        for (id, n) in cells.counters.iter_mut().enumerate() {
-            if *n > 0 {
-                if let Some(e) = reg.counters.get(id) {
-                    e.cell.fetch_add(*n, Ordering::Relaxed);
-                }
-                *n = 0;
-            }
-        }
-        for (id, h) in cells.hists.iter_mut().enumerate() {
-            if h.count > 0 {
-                if let Some(e) = reg.hists.get(id) {
-                    for (b, &c) in e.cells.buckets.iter().zip(&h.buckets) {
-                        if c > 0 {
-                            b.fetch_add(c, Ordering::Relaxed);
-                        }
-                    }
-                    e.cells.count.fetch_add(h.count, Ordering::Relaxed);
-                    e.cells.sum.fetch_add(h.sum, Ordering::Relaxed);
-                    e.cells.min.fetch_min(h.min, Ordering::Relaxed);
-                    e.cells.max.fetch_max(h.max, Ordering::Relaxed);
-                }
-                *h = LocalHist::default();
-            }
-        }
+        Histogram { cells }
     }
 
     /// Adds one finished span of `dur_nanos` under `phase` and journals
@@ -609,30 +453,9 @@ mod tests {
         a.add(2);
         b.add(3);
         c.inc();
-        assert_eq!(a.get(), 5);
-        assert_eq!(a.id(), b.id());
-        assert_ne!(a.id(), c.id());
+        // One cell behind `a` and `b`, another behind `c`.
+        assert_eq!((a.get(), b.get()), (5, 5));
         assert_eq!(c.get(), 1);
-    }
-
-    #[test]
-    fn local_cells_drain_on_merge() {
-        let tel = Telemetry::new();
-        let n = tel.counter("n_total", &[]);
-        let h = tel.histogram("h", &[]);
-        let mut cells = tel.local();
-        cells.add(&n, 7);
-        cells.observe(&h, 100);
-        cells.span_add(Phase::Train, 50);
-        assert!(!cells.is_empty());
-        tel.merge(&mut cells);
-        assert!(cells.is_empty());
-        tel.merge(&mut cells); // idempotent once drained
-        assert_eq!(n.get(), 7);
-        assert_eq!(h.count(), 1);
-        assert_eq!(h.sum(), 100);
-        assert_eq!(tel.phase_nanos(Phase::Train), 50);
-        assert_eq!(tel.phase_spans(Phase::Train), 1);
     }
 
     #[test]

@@ -4,12 +4,12 @@
 //! to the dense-apply reference (densify the update, dense `add_assign`)
 //! over many rounds, for GlueFL, STC, and FedAvg.
 //!
-//! Both halves are built from one `SimConfig`, as every driver builds
-//! them: the server half by `build_strategy`, the client half by
-//! `ClientCompressor::new`.
+//! Every piece is built from one `SimConfig`, as every driver builds
+//! them: the sampler by `Sampler::new`, the fold by `build_strategy`,
+//! the client half by `ClientCompressor::new`.
 
 use gluefl_compress::{ApfConfig, CompensationMode};
-use gluefl_core::strategies::{build_strategy, Group, Upload};
+use gluefl_core::strategies::{build_strategy, Sampler, Upload};
 use gluefl_core::stream::fold_in_id_order;
 use gluefl_core::{ClientCompressor, GlueFlParams, ScratchPool, SimConfig, StrategyConfig};
 use gluefl_suite::tensor::{vecops, BitMask};
@@ -45,9 +45,10 @@ fn assert_masked_apply_matches_dense_reference(strategy_cfg: StrategyConfig, see
     cfg.oc = 1.0;
     let weights = vec![1.0 / N as f64; N];
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut strategy = build_strategy(&cfg, &weights, DIM - STATS, DIM, stats_excluded(), &mut rng);
+    let mut sampler = Sampler::new(&cfg, &weights, &mut rng);
+    let mut strategy = build_strategy(&cfg, DIM - STATS, DIM, stats_excluded(), &mut rng);
     let mut clients = ClientCompressor::new(&cfg, &weights, DIM - STATS, DIM, stats_excluded());
-    let name = strategy.name();
+    let name = cfg.strategy.name();
     let mut pool = ScratchPool::new();
     let mut delta_rng = StdRng::seed_from_u64(seed ^ 0xD17A);
     let mut params_masked: Vec<f32> = (0..DIM)
@@ -56,8 +57,8 @@ fn assert_masked_apply_matches_dense_reference(strategy_cfg: StrategyConfig, see
     let mut params_ref = params_masked.clone();
 
     for round in 0..ROUNDS {
-        let plan = strategy.plan_round(round, &mut rng, &mut gluefl_sampling::AllOnline);
-        let mut kept: Vec<(usize, Group, Upload)> = Vec::new();
+        let plan = sampler.plan(&mut rng, &mut gluefl_sampling::AllOnline);
+        let mut kept: Vec<(usize, f32, Upload)> = Vec::new();
         for (id, group) in plan.invited() {
             // Trainable random delta with BN-statistic positions zeroed,
             // exactly as local training hands deltas to the client half.
@@ -76,7 +77,7 @@ fn assert_masked_apply_matches_dense_reference(strategy_cfg: StrategyConfig, see
                 .compress(round, id, group, &mut delta, mask, &mut residual, &mut pool)
                 .expect("masking strategies expose their round mask");
             clients.check_in(id, residual);
-            kept.push((id, group, upload));
+            kept.push((id, sampler.weight(id, group) as f32, upload));
         }
         let update = fold_in_id_order(&mut *strategy, round, &kept, &mut pool);
 
@@ -115,7 +116,7 @@ fn assert_masked_apply_matches_dense_reference(strategy_cfg: StrategyConfig, see
             pool.reclaim_upload(upload);
         }
         pool.put_update(update);
-        strategy.finish_round(round, &mut rng, &plan.sticky_invites, &plan.fresh_invites);
+        sampler.rebalance(&mut rng, &plan.sticky_invites, &plan.fresh_invites);
     }
     assert!(
         pool.idle_buffers() > 0,

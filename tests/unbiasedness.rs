@@ -1,25 +1,27 @@
 //! Theorem-1 integration test: the sticky-sampling aggregation pipeline is
-//! unbiased end-to-end — Monte Carlo over the *actual* strategy code
-//! (plan → compress → fold → rebalance), not a re-derivation.
+//! unbiased end-to-end — Monte Carlo over the *actual* sampler, client
+//! and fold code (plan → compress → weigh → fold → rebalance), not a
+//! re-derivation.
 
 use gluefl_compress::CompensationMode;
-use gluefl_core::strategies::{GlueFlStrategy, Strategy};
+use gluefl_core::strategies::{GlueFlStrategy, Sampler, Strategy};
 use gluefl_core::stream::fold_in_id_order;
 use gluefl_core::{ClientCompressor, GlueFlParams, ScratchPool, SimConfig, StrategyConfig};
-use gluefl_sampling::overcommit::OcStrategy;
 use gluefl_suite::tensor::BitMask;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-/// Both halves of GlueFL over an `n`-dimensional model with no
-/// BN statistics: the server half drawn from `rng`, and the client half
-/// every invited client compresses through.
-fn gluefl_halves(
-    params: GlueFlParams,
-    weights: &[f64],
-    k: usize,
-    rng: &mut StdRng,
-) -> (GlueFlStrategy, ClientCompressor) {
+/// GlueFL's server side — the sticky sampler and the fold, drawn from
+/// `rng` in the engine's order — and its client half, which every
+/// invited client compresses through, over an `n`-dimensional model
+/// with no BN statistics and no over-commitment.
+struct GlueFl {
+    sampler: Sampler,
+    fold: GlueFlStrategy,
+    clients: ClientCompressor,
+}
+
+fn gluefl(params: GlueFlParams, weights: &[f64], k: usize, rng: &mut StdRng) -> GlueFl {
     let n = weights.len();
     let mut cfg = SimConfig::paper_setup(
         gluefl_data::DatasetProfile::Femnist,
@@ -30,56 +32,49 @@ fn gluefl_halves(
         0,
     );
     cfg.round_size = k;
-    let clients = ClientCompressor::new(&cfg, weights, n, n, BitMask::zeros(n));
-    let strategy = GlueFlStrategy::new(
-        n,
-        k,
-        1.0,
-        OcStrategy::Proportional,
-        weights.to_vec(),
-        params,
-        n,
-        n,
-        BitMask::zeros(n),
-        rng,
-    );
-    (strategy, clients)
+    cfg.oc = 1.0;
+    GlueFl {
+        sampler: Sampler::new(&cfg, weights, rng),
+        fold: GlueFlStrategy::new(params, k, n, n, BitMask::zeros(n), rng),
+        clients: ClientCompressor::new(&cfg, weights, n, n, BitMask::zeros(n)),
+    }
 }
 
 /// One round where client `i`'s delta is the indicator vector `e_i`;
 /// calls `sink(position, value)` for every nonzero of the aggregate.
 fn indicator_round(
-    strategy: &mut GlueFlStrategy,
-    clients: &mut ClientCompressor,
+    g: &mut GlueFl,
     round: u32,
     rng: &mut StdRng,
     pool: &mut ScratchPool,
     mut sink: impl FnMut(usize, f32),
 ) {
-    let n = strategy.shared_mask().len();
-    let plan = strategy.plan_round(round, rng, &mut gluefl_sampling::AllOnline);
+    let n = g.fold.shared_mask().len();
+    let plan = g.sampler.plan(rng, &mut gluefl_sampling::AllOnline);
     let mut kept = Vec::new();
     for (id, group) in plan.invited() {
         let mut delta = vec![0.0f32; n];
         delta[id] = 1.0;
-        let mut residual = clients.check_out(id);
-        let upload = clients
+        let mut residual = g.clients.check_out(id);
+        let upload = g
+            .clients
             .compress(
                 round,
                 id,
                 group,
                 &mut delta,
-                strategy.round_mask(round),
+                g.fold.round_mask(round),
                 &mut residual,
                 pool,
             )
             .expect("GlueFL exposes its round mask");
-        clients.check_in(id, residual);
-        kept.push((id, group, upload));
+        g.clients.check_in(id, residual);
+        kept.push((id, g.sampler.weight(id, group) as f32, upload));
     }
-    let agg = fold_in_id_order(strategy, round, &kept, pool);
+    let agg = fold_in_id_order(&mut g.fold, round, &kept, pool);
     agg.for_each_nonzero(&mut sink);
-    strategy.finish_round(round, rng, &plan.sticky_invites, &plan.fresh_invites);
+    g.sampler
+        .rebalance(rng, &plan.sticky_invites, &plan.fresh_invites);
 }
 
 /// Runs many rounds where client `i`'s delta is the indicator vector
@@ -105,20 +100,15 @@ fn gluefl_aggregate_is_unbiased_monte_carlo() {
     let weights: Vec<f64> = raw.iter().map(|w| w / total).collect();
 
     let mut rng = StdRng::seed_from_u64(99);
-    let (mut strategy, mut clients) = gluefl_halves(params, &weights, k, &mut rng);
+    let mut g = gluefl(params, &weights, k, &mut rng);
 
     let trials = 40_000u32;
     let mut acc = vec![0.0f64; n];
     let mut pool = ScratchPool::new();
     for round in 0..trials {
-        indicator_round(
-            &mut strategy,
-            &mut clients,
-            round,
-            &mut rng,
-            &mut pool,
-            |i, g| acc[i] += f64::from(g),
-        );
+        indicator_round(&mut g, round, &mut rng, &mut pool, |i, v| {
+            acc[i] += f64::from(v)
+        });
     }
 
     for i in 0..n {
@@ -149,26 +139,20 @@ fn equal_weights_are_biased_toward_sticky_clients() {
     let weights = vec![1.0 / n as f64; n];
     let mut pool = ScratchPool::new();
     let mut rng = StdRng::seed_from_u64(5);
-    let (mut strategy, mut clients) = gluefl_halves(params, &weights, k, &mut rng);
+    let mut g = gluefl(params, &weights, k, &mut rng);
     // Track how much aggregate weight lands on currently-sticky clients.
     let trials = 5_000u32;
     let mut sticky_mass = 0.0f64;
     let mut total_mass = 0.0f64;
     for round in 0..trials {
-        let was_sticky: Vec<bool> = (0..n).map(|i| strategy.sampler().is_sticky(i)).collect();
-        indicator_round(
-            &mut strategy,
-            &mut clients,
-            round,
-            &mut rng,
-            &mut pool,
-            |i, g| {
-                total_mass += f64::from(g);
-                if was_sticky[i] {
-                    sticky_mass += f64::from(g);
-                }
-            },
-        );
+        let group = g.sampler.sticky().expect("GlueFL samples stickily");
+        let was_sticky: Vec<bool> = (0..n).map(|i| group.is_sticky(i)).collect();
+        indicator_round(&mut g, round, &mut rng, &mut pool, |i, v| {
+            total_mass += f64::from(v);
+            if was_sticky[i] {
+                sticky_mass += f64::from(v);
+            }
+        });
     }
     let sticky_share = sticky_mass / total_mass;
     // Unbiased share would be S/N = 0.5; equal weights give C/K = 5/6.
