@@ -14,6 +14,9 @@
 //! on a thread of their own under a deadline, so a deadlock fails the
 //! test instead of stalling the suite.
 
+use gluefl_compress::mask_shift::ClientSplit;
+use gluefl_compress::stc::TernaryUpdate;
+use gluefl_compress::ApfConfig;
 use gluefl_core::engine::{Arrival, Broadcast, RoundEngine, RoundIo};
 use gluefl_core::strategies::Group;
 use gluefl_core::strategies::Upload;
@@ -24,27 +27,54 @@ use gluefl_core::{
 use gluefl_data::DatasetProfile;
 use gluefl_ml::DatasetModel;
 use gluefl_net::timing::ClientRoundTime;
-use gluefl_tensor::SparseUpdate;
+use gluefl_tensor::{BitMask, MaskAligned, SparseUpdate};
 use gluefl_wire::crc::{crc16, crc16_update};
 use gluefl_wire::{
-    frame_len_from_header, FrameWriter, Rounding, WireError, WirePolicy, HEADER_BYTES,
+    frame_kind_from_header, frame_len_from_header, FrameWriter, Rounding, WireError, WirePolicy,
+    HEADER_BYTES,
 };
 use std::collections::VecDeque;
-use std::sync::mpsc;
+use std::sync::{mpsc, Mutex};
 use std::time::Duration;
 
 const ROUNDS: u32 = 4;
 
+/// Held by the tests that reject uploads as a kind the strategy does not
+/// fold: the wire layer's decode-error table is one per process, and one
+/// of them counts its `UnexpectedKind` entries.
+static UNEXPECTED_KIND: Mutex<()> = Mutex::new(());
+
 /// What [`Scripted::next_upload`] panics with when told to.
 const IO_PANIC: &str = "scripted IO lost its connection table";
+
+/// The five kinds of [`Upload`] a client can send.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Variant {
+    Dense,
+    Sparse,
+    Ternary,
+    KnownMask,
+    MaskSplit,
+}
+
+const VARIANTS: [Variant; 5] = [
+    Variant::Dense,
+    Variant::Sparse,
+    Variant::Ternary,
+    Variant::KnownMask,
+    Variant::MaskSplit,
+];
 
 /// What the lowest granted slot delivers instead of its upload.
 #[derive(Debug, Clone, Copy)]
 enum Fault {
     /// Bytes that are no frame at all.
     Garbage,
-    /// A well-formed STC upload (sparse + stats frames) sent to GlueFL.
-    WrongVariant,
+    /// A well-formed upload of this variant, then a well-formed stats
+    /// frame. Mask-aligned parts follow the round's broadcast mask (an
+    /// empty one when the round broadcasts none), so only the variant
+    /// itself can be wrong.
+    WrongVariant(Variant),
     /// Its own split upload, the unique part replaced by a
     /// checksum-valid index frame whose two indices are out of order.
     UnsortedIndices,
@@ -60,6 +90,11 @@ struct Scripted {
     dim: usize,
     stats_len: usize,
     reverse: bool,
+    /// The round's broadcast mask, if it carried one.
+    mask: Option<BitMask>,
+    /// Whether the last invitation's offer is withheld: off for a
+    /// sampler without spares, which keeps every client it invites.
+    withhold: bool,
     /// The invitation index whose offer is withheld (the last one) —
     /// or, with `absurd_offer`, replaced by `(u64::MAX, u64::MAX)`.
     silent: usize,
@@ -105,8 +140,24 @@ impl Scripted {
         let mut out = Vec::new();
         match self.fault {
             Fault::Garbage => out = vec![0xA5; 64],
-            Fault::WrongVariant => {
-                let upload = sparse(vec![(1, 1.0), (5, 2.0)]);
+            Fault::WrongVariant(variant) => {
+                let dim = self.dim;
+                let shared = || {
+                    let nnz = self.mask.as_ref().map_or(0, BitMask::count_ones);
+                    MaskAligned::new(dim, vec![0.5; nnz])
+                };
+                let upload = match variant {
+                    Variant::Dense => Upload::Dense(vec![0.5; dim]),
+                    Variant::Sparse => sparse(vec![(1, 1.0), (5, 2.0)]),
+                    Variant::Ternary => Upload::Ternary(TernaryUpdate::quantize(
+                        &SparseUpdate::from_pairs(dim, vec![(1, 1.0), (5, -2.0)]),
+                    )),
+                    Variant::KnownMask => Upload::KnownMask(shared()),
+                    Variant::MaskSplit => Upload::MaskSplit(ClientSplit {
+                        shared: shared(),
+                        unique: SparseUpdate::from_pairs(dim, vec![(1, 1.0), (5, 2.0)]),
+                    }),
+                };
                 let _ = encode_upload(&upload, round, &WirePolicy::default(), 0, &mut out);
                 let stats = vec![0.0; self.stats_len];
                 let _ = writer.known_mask(&mut out, round, Rounding::Nearest, self.dim, &stats);
@@ -147,6 +198,7 @@ impl RoundIo for Scripted {
 
     fn invite(&mut self, round: u32, invited: &[(usize, Group)], broadcast: &Broadcast<'_>) {
         self.silent = invited.len() - 1;
+        self.mask = broadcast.mask.cloned();
         self.collected = false;
         self.forged.clear();
         self.arrived.clear();
@@ -157,12 +209,14 @@ impl RoundIo for Scripted {
     fn offers(&mut self, round: u32, times: &[ClientRoundTime], offers: &mut [Option<(u64, u64)>]) {
         self.clients.offers(round, times, offers);
         // (a) one client never answers, or answers nonsense.
-        offers[self.silent] = self.absurd_offer.then_some((u64::MAX, u64::MAX));
+        if self.withhold {
+            offers[self.silent] = self.absurd_offer.then_some((u64::MAX, u64::MAX));
+        }
     }
 
     fn grant(&mut self, round: u32, kept: &[usize], times: &[ClientRoundTime]) {
         assert!(
-            !kept.contains(&self.silent),
+            !self.withhold || !kept.contains(&self.silent),
             "a client without an offer must lose to the over-committed spares"
         );
         self.clients.grant(round, kept, times);
@@ -212,15 +266,26 @@ impl RoundIo for Scripted {
     }
 }
 
-fn tiny_gluefl() -> SimConfig {
+/// A small always-online run of `strategy`.
+fn tiny(strategy: StrategyConfig) -> SimConfig {
     let mut cfg = SimConfig::paper_setup(
         DatasetProfile::Femnist,
         DatasetModel::ShuffleNet,
-        StrategyConfig::FedAvg,
+        strategy,
         0.02,
         ROUNDS,
         7,
     );
+    cfg.model.hidden = vec![16];
+    cfg.dataset.feature_dim = 12;
+    cfg.dataset.classes = 8;
+    cfg.dataset.test_samples = 200;
+    cfg.availability = None;
+    cfg
+}
+
+fn tiny_gluefl() -> SimConfig {
+    let mut cfg = tiny(StrategyConfig::FedAvg);
     let k = cfg.round_size;
     cfg.strategy = StrategyConfig::GlueFl(GlueFlParams {
         q: 0.2,
@@ -231,11 +296,6 @@ fn tiny_gluefl() -> SimConfig {
         compensation: gluefl_compress::CompensationMode::Rescaled,
         equal_weights: false,
     });
-    cfg.model.hidden = vec![16];
-    cfg.dataset.feature_dim = 12;
-    cfg.dataset.classes = 8;
-    cfg.dataset.test_samples = 200;
-    cfg.availability = None;
     cfg
 }
 
@@ -246,6 +306,8 @@ fn scripted(cfg: &SimConfig, setup: &RunSetup, fault: Fault, reverse: bool) -> S
         dim: setup.topology.num_params(),
         stats_len: setup.stats_positions.len(),
         reverse,
+        mask: None,
+        withhold: true,
         silent: 0,
         absurd_offer: false,
         queue: VecDeque::new(),
@@ -362,11 +424,12 @@ fn each_unusable_upload_is_rejected_with_its_own_typed_error() {
             .find(|(n, _)| *n == name)
             .map_or(0, |&(_, c)| c)
     };
+    let _counting = UNEXPECTED_KIND.lock().unwrap_or_else(|e| e.into_inner());
     let cfg = tiny_gluefl();
     let stats_len = RunSetup::new(&cfg).stats_positions.len();
     let cases = [
         (
-            Fault::WrongVariant,
+            Fault::WrongVariant(Variant::Sparse),
             // Two indices over a 300-odd-position model: the v1 index
             // layout, kind id 2 — not the id of a dense frame.
             WireError::UnexpectedKind(2),
@@ -397,6 +460,63 @@ fn each_unusable_upload_is_rejected_with_its_own_typed_error() {
             u64::from(ROUNDS),
             "{fault:?}: one count per rejection"
         );
+    }
+}
+
+/// Each strategy folds exactly one upload variant. Every other variant
+/// — well-formed, at the model's `dim`, mask-aligned to the round's
+/// broadcast — is rejected as the kind its first frame declares, and the
+/// round folds without it.
+#[test]
+fn each_strategy_rejects_every_upload_variant_it_does_not_fold() {
+    let apf = StrategyConfig::Apf {
+        config: ApfConfig {
+            threshold: 0.5,
+            ema_beta: 0.5,
+            initial_period: 1,
+            max_period: 4,
+            warmup_rounds: 1,
+        },
+    };
+    let configs = [
+        (tiny(StrategyConfig::FedAvg), Variant::Dense),
+        (tiny(StrategyConfig::MdFedAvg), Variant::Dense),
+        (tiny(StrategyConfig::Stc { q: 0.25 }), Variant::Sparse),
+        (
+            tiny(StrategyConfig::StcQuantized { q: 0.25 }),
+            Variant::Ternary,
+        ),
+        (tiny(apf), Variant::KnownMask),
+        (tiny_gluefl(), Variant::MaskSplit),
+    ];
+    let _counting = UNEXPECTED_KIND.lock().unwrap_or_else(|e| e.into_inner());
+    for (cfg, folds) in configs {
+        let name = cfg.strategy.name();
+        // Multinomial sampling invites no spares and keeps everyone.
+        let withhold = cfg.strategy != StrategyConfig::MdFedAvg;
+        for forged in VARIANTS.into_iter().filter(|&v| v != folds) {
+            let setup = RunSetup::new(&cfg);
+            let mut io = scripted(&cfg, &setup, Fault::WrongVariant(forged), false);
+            io.withhold = withhold;
+            let mut engine = RoundEngine::new(cfg.clone(), setup);
+            for round in 0..ROUNDS {
+                let _ = engine.step(&mut io);
+                let bytes = io.forge(round, &[]);
+                let kind = frame_kind_from_header(&bytes).expect("a forged frame");
+                assert_eq!(io.forged.len(), 1, "{name}, {forged:?}, round {round}");
+                assert_eq!(
+                    io.rejected.get(round as usize),
+                    Some(&(round, io.forged[0], WireError::UnexpectedKind(kind.id()))),
+                    "{name}, {forged:?}, round {round}"
+                );
+                assert_eq!(io.rejected.len(), round as usize + 1);
+                assert_eq!(
+                    engine.skipped_uploads(),
+                    round as usize + 1,
+                    "{name}, {forged:?}, round {round}: the forged slot alone is skipped"
+                );
+            }
+        }
     }
 }
 
