@@ -234,11 +234,14 @@ fn report_shipped(
 /// upload-grammar violations as typed errors too — a mask broadcast
 /// arriving as an upload, or a stats slot holding anything but a
 /// known-mask frame ([`WireError::UnexpectedKind`]), a mask-aligned
-/// frame whose `dim` disagrees with the round mask
-/// ([`WireError::DimMismatch`]) or whose `nnz` disagrees with the
-/// mask's popcount ([`WireError::NnzMismatch`]), and bytes past the
-/// stats frame ([`WireError::TrailingBytes`]). Checksum-valid but
-/// hostile bytes never panic the receiver.
+/// frame whose `dim` disagrees with the round mask, or a split upload
+/// whose unique part's `dim` disagrees with its shared part's
+/// ([`WireError::DimMismatch`]), a mask-aligned frame whose `nnz`
+/// disagrees with the mask's popcount ([`WireError::NnzMismatch`]),
+/// and bytes past the stats frame ([`WireError::TrailingBytes`]).
+/// Grammar violations are counted in the wire layer's decode-error
+/// table, as frame-level errors are. Checksum-valid but hostile bytes
+/// never panic the receiver.
 pub fn decode_upload_with_stats<'a>(
     buf: &'a [u8],
     round_mask: Option<&BitMask>,
@@ -274,6 +277,12 @@ pub fn decode_upload_with_stats<'a>(
             // upload and the successor is the stats frame.
             let (second, tail) = decode_frame_prefix(rest)?;
             if second.kind.is_sparse() {
+                if second.dim != first.dim {
+                    return Err(refused(WireError::DimMismatch {
+                        declared: second.dim,
+                        expected: first.dim,
+                    }));
+                }
                 let shared = decode_known_mask_frame(&first, round_mask, scratch)?;
                 let unique = decode_sparse_frame(&second, scratch);
                 (Upload::MaskSplit(ClientSplit { shared, unique }), tail)
@@ -286,16 +295,23 @@ pub fn decode_upload_with_stats<'a>(
         }
         // A mask broadcast is a download-direction message; as an upload
         // it is a protocol violation, not corruption.
-        other => return Err(WireError::UnexpectedKind(other.id())),
+        other => return Err(refused(WireError::UnexpectedKind(other.id()))),
     };
     let (stats, tail) = decode_frame_prefix(rest)?;
     if stats.kind != FrameKind::KnownMask {
-        return Err(WireError::UnexpectedKind(stats.kind.id()));
+        return Err(refused(WireError::UnexpectedKind(stats.kind.id())));
     }
     if !tail.is_empty() {
-        return Err(WireError::TrailingBytes { extra: tail.len() });
+        return Err(refused(WireError::TrailingBytes { extra: tail.len() }));
     }
     Ok((upload, stats))
+}
+
+/// Counts an upload-grammar violation in the wire layer's decode-error
+/// table, where [`decode_frame_prefix`] counts frame-level errors.
+fn refused(e: WireError) -> WireError {
+    gluefl_wire::stats::record_decode_error(&e);
+    e
 }
 
 /// Rebuilds a [`SparseUpdate`] from an explicit-position sparse frame.
@@ -319,19 +335,21 @@ fn decode_known_mask_frame(
     if frame.nnz > 0 {
         let Some(mask) = round_mask else {
             // Mask-aligned values sent to a receiver that holds no mask.
-            return Err(WireError::UnexpectedKind(FrameKind::KnownMask.id()));
+            return Err(refused(WireError::UnexpectedKind(
+                FrameKind::KnownMask.id(),
+            )));
         };
         if mask.len() != frame.dim {
-            return Err(WireError::DimMismatch {
+            return Err(refused(WireError::DimMismatch {
                 declared: frame.dim,
                 expected: mask.len(),
-            });
+            }));
         }
         if mask.count_ones() != frame.nnz {
-            return Err(WireError::NnzMismatch {
+            return Err(refused(WireError::NnzMismatch {
                 declared: frame.nnz,
                 actual: mask.count_ones(),
-            });
+            }));
         }
     }
     let mut values = scratch.take_cleared();
@@ -776,5 +794,20 @@ mod tests {
             decode_upload(&buf, Some(&long_mask), &mut scratch),
             Err(WireError::DimMismatch { .. })
         ));
+
+        // Split upload whose unique part is wider than its shared part.
+        let split = Upload::MaskSplit(ClientSplit {
+            shared: MaskAligned::gather(&dense, &mask),
+            unique: SparseUpdate::from_pairs(114, vec![(5, 1.0)]),
+        });
+        let mut buf = Vec::new();
+        let _ = encode_upload(&split, 0, &WirePolicy::default(), 0, &mut buf);
+        assert_eq!(
+            decode_upload(&buf, Some(&mask), &mut scratch),
+            Err(WireError::DimMismatch {
+                declared: 114,
+                expected: 50
+            })
+        );
     }
 }

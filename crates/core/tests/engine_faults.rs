@@ -80,6 +80,10 @@ enum Fault {
     UnsortedIndices,
     /// Its own upload frames, then a stats frame one value too long.
     LongStats,
+    /// Its own split upload, the unique part replaced by a sparse frame
+    /// that declares a `dim` 64 wider than the model's, every index
+    /// still below the model's `dim`.
+    SplitDim,
 }
 
 /// In-process clients with a fault script between them and the engine.
@@ -178,6 +182,17 @@ impl Scripted {
                 unique[14..16].copy_from_slice(&crc.to_le_bytes());
                 out.extend_from_slice(honest[0]);
                 out.extend_from_slice(&unique);
+                out.extend_from_slice(honest[2]);
+            }
+            Fault::SplitDim => {
+                let honest = frames(payload);
+                assert_eq!(honest.len(), 3, "shared, unique, stats");
+                let wide = Upload::Sparse(SparseUpdate::from_pairs(
+                    self.dim + 64,
+                    vec![(3, 1.0), (9, 2.0)],
+                ));
+                out.extend_from_slice(honest[0]);
+                let _ = encode_upload(&wide, round, &WirePolicy::default(), 0, &mut out);
                 out.extend_from_slice(honest[2]);
             }
             Fault::LongStats => {
@@ -413,7 +428,8 @@ fn an_absurd_offer_saturates_the_ledger_and_changes_nothing_else() {
 
 /// Frames that decode but that the engine cannot use are rejected with
 /// the error that names the fault — the kind that arrived, the index
-/// that is out of order, the stats count that is off — counted once each
+/// that is out of order, the stats count that is off, the split part
+/// whose `dim` disagrees with its sibling's — counted once each
 /// in the wire layer's decode-error table, and the round folds without
 /// the slot.
 #[test]
@@ -426,7 +442,8 @@ fn each_unusable_upload_is_rejected_with_its_own_typed_error() {
     };
     let _counting = UNEXPECTED_KIND.lock().unwrap_or_else(|e| e.into_inner());
     let cfg = tiny_gluefl();
-    let stats_len = RunSetup::new(&cfg).stats_positions.len();
+    let setup = RunSetup::new(&cfg);
+    let (dim, stats_len) = (setup.topology.num_params(), setup.stats_positions.len());
     let cases = [
         (
             Fault::WrongVariant(Variant::Sparse),
@@ -443,6 +460,13 @@ fn each_unusable_upload_is_rejected_with_its_own_typed_error() {
             WireError::NnzMismatch {
                 declared: stats_len + 1,
                 actual: stats_len,
+            },
+        ),
+        (
+            Fault::SplitDim,
+            WireError::DimMismatch {
+                declared: dim + 64,
+                expected: dim,
             },
         ),
     ];
