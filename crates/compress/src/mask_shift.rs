@@ -11,8 +11,8 @@
 //!    ([`shift_mask`]), so consecutive model updates overlap in at least
 //!    `q_shr·d` positions;
 //! 3. every `I` rounds the mask is *regenerated* from the unique part only
-//!    (§3.3: the regeneration rounds of `gluefl_core`'s `GlueFlStrategy`
-//!    shift from an update whose shared part was left out), letting
+//!    (§3.3: the regeneration rounds of `gluefl_core`'s
+//!    `Strategy::GlueFl` fold shift from an update whose shared part was left out), letting
 //!    newly-unstable parameters enter the mask wholesale.
 
 use crate::stc::keep_count;

@@ -4,8 +4,8 @@
 //! A strategy is split along the line FedScale draws between its
 //! aggregator and its executors. The **server half** is the engine's
 //! [`crate::strategies::Sampler`] (sampling and weights) and the
-//! [`crate::strategies::Strategy`] trait (the round mask, the fold, the
-//! mask shift). The **client half** is [`ClientCompressor`]:
+//! [`crate::strategies::Strategy`] fold (the round mask, the upload it
+//! takes, the fold, the mask shift). The **client half** is [`ClientCompressor`]:
 //! what a client does to its trained delta before it leaves the device —
 //! re-scaled error compensation, the split along the broadcast mask
 //! `M_t`, the unique top-k and the new residual, all in one walk of the
@@ -166,7 +166,7 @@ pub struct ClientCompressor {
 impl ClientCompressor {
     /// Builds the client half for `cfg.strategy` — the counterpart of
     /// [`crate::strategies::Sampler::new`] and
-    /// [`crate::strategies::build_strategy`], from the same arguments:
+    /// [`crate::strategies::Strategy::new`], from the same arguments:
     /// the population's importance `weights`, the number of `trainable`
     /// positions, the model `dim`, and the BN-statistic mask.
     #[must_use]

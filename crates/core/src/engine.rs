@@ -53,11 +53,11 @@
 //! checks that the socket IO delivers what the in-process one does.
 
 use crate::client::RunSetup;
-use crate::config::{SimConfig, StrategyConfig};
+use crate::config::SimConfig;
 use crate::metrics::RoundRecord;
 use crate::scratch::ScratchPool;
 use crate::staleness::StalenessTracker;
-use crate::strategies::{build_strategy, Group, Sampler, Strategy, Upload};
+use crate::strategies::{Group, Sampler, Strategy, Upload};
 use crate::stream::StreamingAggregator;
 use crate::wire_link;
 use gluefl_data::SyntheticFlDataset;
@@ -189,7 +189,7 @@ pub struct RoundEngine {
     data: Arc<SyntheticFlDataset>,
     model: Mlp,
     sampler: Sampler,
-    strategy: Box<dyn Strategy>,
+    strategy: Strategy,
     staleness: StalenessTracker,
     /// On-demand per-client links; only participants are ever sampled.
     links: LinkCache,
@@ -252,7 +252,7 @@ impl RoundEngine {
         // The sticky group, then GlueFL's initial shared mask.
         let mut strat_rng = seeded_rng(cfg.seed, "strategy", 0);
         let sampler = Sampler::new(&cfg, data.client_weights(), &mut strat_rng);
-        let strategy = build_strategy(&cfg, trainable, dim, stats_excluded, &mut strat_rng);
+        let strategy = Strategy::new(&cfg, trainable, dim, stats_excluded, &mut strat_rng);
         let availability = cfg.availability.map(|a| {
             LazyAvailability::new(
                 n,
@@ -404,7 +404,7 @@ impl RoundEngine {
         let broadcast_start = tick(&tel);
         let mask_bytes = self
             .strategy
-            .round_mask(round)
+            .round_mask()
             .map_or(0, |mask| legacy_mask_len(mask.len()));
         let download_bytes: Vec<u64> = invited
             .iter()
@@ -420,7 +420,7 @@ impl RoundEngine {
             ..self.cfg.wire
         });
         let _ = writer.dense(&mut frames, round, Rounding::Nearest, self.model.params());
-        if let Some(mask) = self.strategy.round_mask(round) {
+        if let Some(mask) = self.strategy.round_mask() {
             let _ = writer.mask(&mut frames, round, mask);
         }
         rec.wire_broadcast_bytes = frames.len() as u64;
@@ -434,7 +434,7 @@ impl RoundEngine {
             &Broadcast {
                 frames: &frames,
                 params: self.model.params(),
-                mask: self.strategy.round_mask(round),
+                mask: self.strategy.round_mask(),
             },
         );
         self.scratch.put_bytes(frames);
@@ -504,12 +504,8 @@ impl RoundEngine {
                 (id, self.sampler.weight(id, group) as f32)
             })
             .collect();
-        let mut gate = StreamingAggregator::begin(
-            round,
-            &kept_weights,
-            &mut *self.strategy,
-            &mut self.scratch,
-        );
+        let mut gate =
+            StreamingAggregator::begin(round, &kept_weights, &mut self.strategy, &mut self.scratch);
         let stats_len = self.stats_positions.len();
         self.stats_saved.clear();
         self.stats_saved.resize(kept.len() * stats_len, 0.0);
@@ -573,7 +569,7 @@ impl RoundEngine {
                             slot != usize::MAX,
                             "RoundIo delivered a slot that was not kept"
                         );
-                        match self.decode_arrival(round, &payload, slot) {
+                        match self.decode_arrival(&payload, slot) {
                             Ok(upload) => {
                                 delivered[slot] = true;
                                 (i, Some(upload))
@@ -592,10 +588,10 @@ impl RoundEngine {
                 phase_ns[Phase::Decode.index()] += fold_start.saturating_sub(decode_start);
                 let id = invited[i].0;
                 match upload {
-                    Some(upload) => gate.accept(&mut *self.strategy, id, upload, &mut self.scratch),
+                    Some(upload) => gate.accept(&mut self.strategy, id, upload, &mut self.scratch),
                     None => {
                         self.skipped_uploads += 1;
-                        gate.skip(&mut *self.strategy, id, &mut self.scratch)
+                        gate.skip(&mut self.strategy, id, &mut self.scratch)
                     }
                 }
                 .expect("RoundIo resolves each kept slot exactly once");
@@ -613,7 +609,7 @@ impl RoundEngine {
             phase_ns[Phase::Encode.index()] += tick(&tel).saturating_sub(join_start);
         });
         let topk_start = tick(&tel);
-        let update = gate.finish(&mut *self.strategy, &mut self.scratch);
+        let update = gate.finish(&mut self.strategy, &mut self.scratch);
         phase_ns[Phase::TopK.index()] = tick(&tel).saturating_sub(topk_start);
 
         // --- Apply the masked update and record changed positions. A
@@ -695,22 +691,17 @@ impl RoundEngine {
     }
 
     /// Decodes one delivered payload and checks that the engine can use
-    /// it: the upload variant is the one the configured strategy folds,
+    /// it: the upload variant is one the fold [`Strategy::accepts`],
     /// dimensions agree with the model, explicit index lists are strictly
     /// increasing and in range (the accumulation kernels index with
     /// them), and the stats frame matches the BN-statistic layout. On
     /// success the stats values are in kept slot `slot` of `stats_saved`.
-    fn decode_arrival(
-        &mut self,
-        round: u32,
-        payload: &[u8],
-        slot: usize,
-    ) -> Result<Upload, WireError> {
+    fn decode_arrival(&mut self, payload: &[u8], slot: usize) -> Result<Upload, WireError> {
         let dim = self.model.num_params();
         let stats_len = self.stats_positions.len();
         let (upload, stats_frame) = wire_link::decode_upload_with_stats(
             payload,
-            self.strategy.round_mask(round),
+            self.strategy.round_mask(),
             &mut self.scratch,
         )?;
         let err = if upload.dim() != dim || stats_frame.dim != dim {
@@ -722,7 +713,7 @@ impl RoundEngine {
                 },
                 expected: dim,
             })
-        } else if !upload_matches(&self.cfg.strategy, &upload) {
+        } else if !self.strategy.accepts(&upload) {
             let arrived = frame_kind_from_header(payload)
                 .expect("the payload's first frame decoded a moment ago");
             Some(WireError::UnexpectedKind(arrived.id()))
@@ -801,21 +792,6 @@ impl std::fmt::Debug for RoundEngine {
     }
 }
 
-/// Whether the upload variant is the one the configured strategy's fold
-/// accepts (anything else would panic inside the fold).
-fn upload_matches(strategy_cfg: &StrategyConfig, upload: &Upload) -> bool {
-    matches!(
-        (strategy_cfg, upload),
-        (
-            StrategyConfig::FedAvg | StrategyConfig::MdFedAvg,
-            Upload::Dense(_)
-        ) | (StrategyConfig::Stc { .. }, Upload::Sparse(_))
-            | (StrategyConfig::StcQuantized { .. }, Upload::Ternary(_))
-            | (StrategyConfig::Apf { .. }, Upload::KnownMask(_))
-            | (StrategyConfig::GlueFl(_), Upload::MaskSplit(_))
-    )
-}
-
 /// Every explicit-position index list inside an upload must be strictly
 /// increasing and within the model dimension.
 fn check_upload_indices(upload: &Upload, dim: usize) -> Result<(), WireError> {
@@ -839,6 +815,7 @@ fn check_upload_indices(upload: &Upload, dim: usize) -> Result<(), WireError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::StrategyConfig;
     use gluefl_data::DatasetProfile;
     use gluefl_ml::DatasetModel;
 

@@ -15,12 +15,12 @@
 //!
 //! | Configuration | Sampler | Fold | Compression |
 //! |---|---|---|---|
-//! | FedAvg | uniform | [`strategies::FedAvgStrategy`] | none (dense) |
-//! | MD-FedAvg | multinomial | [`strategies::FedAvgStrategy`] | none (dense) |
-//! | STC | uniform | [`strategies::StcStrategy`] | top-`q` both sides + error feedback |
-//! | STC-quant | uniform | [`strategies::StcStrategy`] | STC + ternary values (footnote 1) |
-//! | APF | uniform | [`strategies::ApfStrategy`] | adaptive parameter freezing |
-//! | GlueFL (and its Equal-weights arm) | sticky (§3.1) | [`strategies::GlueFlStrategy`] | mask shifting (§3.2) + regeneration + REC (§3.3) |
+//! | FedAvg | uniform | [`strategies::Strategy::Dense`] | none (dense) |
+//! | MD-FedAvg | multinomial | [`strategies::Strategy::Dense`] | none (dense) |
+//! | STC | uniform | [`strategies::Strategy::Stc`] | top-`q` both sides + error feedback |
+//! | STC-quant | uniform | [`strategies::Strategy::Stc`] | STC + ternary values (footnote 1) |
+//! | APF | uniform | [`strategies::Strategy::Apf`] | adaptive parameter freezing |
+//! | GlueFL (and its Equal-weights arm) | sticky (§3.1) | [`strategies::Strategy::GlueFl`] | mask shifting (§3.2) + regeneration + REC (§3.3) |
 //!
 //! Each round's aggregate crosses the strategy seam as a [`MaskedUpdate`]
 //! (support mask + packed values; see the [`strategies::Strategy`] docs

@@ -1,8 +1,8 @@
 //! Scratch buffers for the round hot path.
 //!
 //! The round engine owns one [`ScratchPool`] and threads it through the
-//! strategy's fold ([`crate::strategies::Strategy::fold_upload`] and
-//! friends); each client side owns others — a socket client one, the
+//! strategy's fold ([`crate::strategies::Strategy::fold_begin`] and
+//! [`crate::strategies::Strategy::fold_finish`]); each client side owns others — a socket client one, the
 //! in-process clients one per cohort job — and threads them through
 //! [`crate::ClientTurn::run`]. The per-round kernels (top-k
 //! selection, dense accumulation, sparse extraction, mask algebra,

@@ -37,9 +37,9 @@ pub struct StalenessTracker {
     last_changed: Vec<u32>,
     /// Current global model version (= number of updates applied).
     version: u32,
-    /// hist[r] = number of positions with last_changed == r.
+    /// hist\[r\] = number of positions with last_changed == r.
     hist: Vec<usize>,
-    /// prefix[r] = Σ_{r' <= r} hist[r'] (rebuilt lazily per version).
+    /// prefix\[r\] = Σ_{r' <= r} hist\[r'\] (rebuilt lazily per version).
     prefix: Vec<usize>,
     /// Per-client model version.
     client_version: Vec<u32>,

@@ -1,89 +1,75 @@
 //! APF: Adaptive Parameter Freezing as a server masking strategy
 //! (Chen et al. 2021; the paper's parameter-freezing baseline).
 
-use super::{FoldAcc, Strategy, Upload};
+use super::Upload;
 use crate::scratch::ScratchPool;
 use gluefl_compress::{Apf, ApfConfig};
 use gluefl_tensor::{vecops, BitMask, MaskedUpdate};
 
-/// APF's fold (it samples uniformly): the server maintains a
-/// per-parameter freeze state; each round only *active* (unfrozen)
-/// parameters are trained, uploaded (values aligned to the known active
-/// mask), aggregated, and synchronised. The active mask itself is
-/// broadcast as a bitmap.
+/// APF's fold, [`super::Strategy::Apf`] (it samples uniformly): the
+/// server maintains a per-parameter freeze state; each round only
+/// *active* (unfrozen) parameters are trained, uploaded (values aligned
+/// to the known active mask), aggregated, and synchronised. The active
+/// mask itself is broadcast as a bitmap.
 ///
 /// Because every upload of a round is aligned to the same active mask,
 /// aggregation runs entirely in the packed layout: the clients' value
 /// arrays are summed contiguously and the result *is* the round's
 /// [`MaskedUpdate`] — no dense `d`-sized accumulator is ever built.
 #[derive(Debug)]
-pub struct ApfStrategy {
+pub struct ApfFold {
     apf: Apf,
     /// Cached copy of [`Apf::active_mask`] for the current round
-    /// (refreshed after each observe): the mask the round broadcasts.
-    active: BitMask,
+    /// (refreshed after each observe): the mask the round broadcasts,
+    /// and the alignment of every known-mask upload until
+    /// [`finish`](Self::finish) refreshes it.
+    pub(super) active: BitMask,
     dim: usize,
+    /// The round's partial sum, packed over `active`; empty between
+    /// rounds.
+    acc: Vec<f32>,
 }
 
-impl ApfStrategy {
+impl ApfFold {
     /// Creates the fold over `dim` flat parameters.
     ///
     /// BN statistics need no special casing here: they receive zero
     /// "update" signal from the strategy's viewpoint and [`Apf`] never
     /// freezes a zero-signal parameter.
-    #[must_use]
-    pub fn new(config: ApfConfig, dim: usize) -> Self {
+    pub(super) fn new(config: ApfConfig, dim: usize) -> Self {
         let apf = Apf::new(dim, config);
         let active = apf.active_mask();
-        Self { apf, active, dim }
-    }
-}
-
-impl Strategy for ApfStrategy {
-    fn round_mask(&self, _round: u32) -> Option<&BitMask> {
-        // The active mask: broadcast at sync time and the alignment of
-        // every known-mask upload this round (fold_finish refreshes it
-        // only after consuming the round's uploads).
-        Some(&self.active)
-    }
-
-    fn fold_begin(&mut self, _round: u32, scratch: &mut ScratchPool) -> FoldAcc {
-        // APF folds straight into the packed active-mask layout — no
-        // dense d-sized accumulator exists on the streaming path either.
-        FoldAcc {
-            dense: None,
-            packed: Some(scratch.take_zeroed(self.active.count_ones())),
-            indices: None,
-            count: 0,
+        Self {
+            apf,
+            active,
+            dim,
+            acc: Vec::new(),
         }
     }
 
-    fn fold_upload(&mut self, _round: u32, acc: &mut FoldAcc, weight: f32, upload: &Upload) {
-        let packed = acc
-            .packed
-            .as_mut()
-            .expect("fold_begin allocates the accumulator");
-        match upload {
-            Upload::KnownMask(u) => {
-                assert_eq!(
-                    u.nnz(),
-                    packed.len(),
-                    "upload not aligned to the active mask"
-                );
-                vecops::axpy(packed, weight, u.values());
-            }
-            other => panic!("APF aggregate received non-known-mask upload {other:?}"),
-        }
-        acc.count += 1;
+    /// Opens the packed sum over the active mask — no dense `d`-sized
+    /// accumulator exists on the streaming path either.
+    pub(super) fn begin(&mut self, scratch: &mut ScratchPool) {
+        self.acc = scratch.take_zeroed(self.active.count_ones());
     }
 
-    fn fold_finish(
-        &mut self,
-        _round: u32,
-        acc: FoldAcc,
-        scratch: &mut ScratchPool,
-    ) -> MaskedUpdate {
-        let values = acc.packed.expect("fold_begin allocates the accumulator");
+    /// Adds `weight ×` a known-mask upload into the packed sum.
+    pub(super) fn upload(&mut self, weight: f32, upload: &Upload) {
+        let Upload::KnownMask(u) = upload else {
+            panic!("APF aggregate received non-known-mask upload {upload:?}")
+        };
+        assert_eq!(
+            u.nnz(),
+            self.acc.len(),
+            "upload not aligned to the active mask"
+        );
+        vecops::axpy(&mut self.acc, weight, u.values());
+    }
+
+    /// The packed sum under the mask it was folded over; then the freeze
+    /// state observes it and the active mask moves on.
+    pub(super) fn finish(&mut self, scratch: &mut ScratchPool) -> MaskedUpdate {
+        let values = std::mem::take(&mut self.acc);
         self.apf.observe_masked(&values, &self.active);
         let mut mask = scratch.take_mask(self.dim);
         mask.copy_from(&self.active);
@@ -95,7 +81,7 @@ impl Strategy for ApfStrategy {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::strategies::{Group, Sampler};
+    use crate::strategies::{Group, Sampler, Strategy};
     use crate::stream::fold_in_id_order;
     use crate::StrategyConfig;
     use gluefl_sampling::ClientId;
@@ -113,8 +99,8 @@ mod tests {
         }
     }
 
-    fn strategy() -> ApfStrategy {
-        ApfStrategy::new(cfg(), 6)
+    fn strategy() -> Strategy {
+        Strategy::Apf(ApfFold::new(cfg(), 6))
     }
 
     /// APF's sampler: uniform over ten clients with round size 3.
@@ -132,13 +118,13 @@ mod tests {
     /// Twenty rounds where positions 0..3 oscillate and 3..6 move
     /// steadily, three clients each uploading under the round's active
     /// mask; `each_round` sees the mask in force and the aggregate.
-    fn drive(s: &mut ApfStrategy, mut each_round: impl FnMut(u32, &BitMask, &MaskedUpdate)) {
+    fn drive(s: &mut Strategy, mut each_round: impl FnMut(u32, &BitMask, &MaskedUpdate)) {
         let sampler = sampler();
         let mut pool = ScratchPool::new();
         for r in 0..20 {
             let sign = if r % 2 == 0 { 1.0 } else { -1.0 };
             let delta = [sign * 0.5, sign * 0.5, sign * 0.5, 0.5, 0.5, 0.5];
-            let active = s.round_mask(r).expect("APF broadcasts its mask").clone();
+            let active = s.round_mask().expect("APF broadcasts its mask").clone();
             let kept: Vec<(ClientId, f32, Upload)> = (0..3)
                 .map(|id| {
                     let up = MaskAligned::gather(&delta, &active);
@@ -154,7 +140,7 @@ mod tests {
     #[test]
     fn everything_active_initially() {
         let s = strategy();
-        assert_eq!(s.round_mask(0).unwrap().count_ones(), 6);
+        assert_eq!(s.round_mask().unwrap().count_ones(), 6);
     }
 
     #[test]
@@ -162,7 +148,7 @@ mod tests {
         let mut s = strategy();
         drive(&mut s, |_, _, _| {});
         // Steady positions must still be active.
-        let active = s.round_mask(20).unwrap();
+        let active = s.round_mask().unwrap();
         assert!(active.get(4) && active.get(5));
         assert!(active.count_ones() < 6, "no position was dropped");
     }
@@ -184,7 +170,7 @@ mod tests {
     #[test]
     fn mask_bitmap_is_charged_per_sync() {
         let s = strategy();
-        let mask = s.round_mask(0).expect("the active mask travels");
+        let mask = s.round_mask().expect("the active mask travels");
         assert_eq!(gluefl_wire::legacy_mask_len(mask.len()), 1 + 16); // ceil(6/8) + header
     }
 

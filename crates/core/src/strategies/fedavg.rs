@@ -1,63 +1,32 @@
 //! FedAvg's dense fold (McMahan et al. 2017; §2.1), shared by FedAvg and
 //! MD-FedAvg — the two differ only in their [`super::Sampler`].
 
-use super::{FoldAcc, Strategy, Upload};
 use crate::scratch::ScratchPool;
 use gluefl_tensor::MaskedUpdate;
 
-/// The no-compression baseline: dense uploads, dense aggregation
-/// `w ← w + Σ w_i Δ_i` — `w_i = (N/K)·p_i` under uniform sampling
-/// (Equation 2), `m_i/K` under multinomial sampling.
+/// The no-compression baseline, [`super::Strategy::Dense`]: dense
+/// uploads, dense aggregation `w ← w + Σ w_i Δ_i` — `w_i = (N/K)·p_i`
+/// under uniform sampling (Equation 2), `m_i/K` under multinomial
+/// sampling. STC folds the same way and re-masks the sum afterwards.
 #[derive(Debug)]
-pub struct FedAvgStrategy {
-    dim: usize,
+pub struct DenseFold {
+    pub(super) dim: usize,
+    /// The round's `dim`-length partial sum; empty between rounds.
+    pub(super) acc: Vec<f32>,
 }
 
-impl FedAvgStrategy {
+impl DenseFold {
     /// The dense fold over a model of `dim` parameters.
-    #[must_use]
-    pub fn new(dim: usize) -> Self {
-        Self { dim }
-    }
-}
-
-/// Opens a dense `dim`-length accumulator — the fold STC shares.
-pub(super) fn dense_begin(dim: usize, scratch: &mut ScratchPool) -> FoldAcc {
-    FoldAcc {
-        dense: Some(scratch.take_zeroed(dim)),
-        packed: None,
-        indices: None,
-        count: 0,
-    }
-}
-
-/// Adds `weight ×` an upload that carries its positions into the dense
-/// accumulator [`dense_begin`] opened.
-pub(super) fn dense_upload(acc: &mut FoldAcc, weight: f32, upload: &Upload) {
-    let dense = acc
-        .dense
-        .as_mut()
-        .expect("fold_begin allocates the accumulator");
-    upload.add_weighted_into(dense, weight);
-    acc.count += 1;
-}
-
-impl Strategy for FedAvgStrategy {
-    fn fold_begin(&mut self, _round: u32, scratch: &mut ScratchPool) -> FoldAcc {
-        dense_begin(self.dim, scratch)
+    pub(crate) fn new(dim: usize) -> Self {
+        Self {
+            dim,
+            acc: Vec::new(),
+        }
     }
 
-    fn fold_upload(&mut self, _round: u32, acc: &mut FoldAcc, weight: f32, upload: &Upload) {
-        dense_upload(acc, weight, upload);
-    }
-
-    fn fold_finish(
-        &mut self,
-        _round: u32,
-        acc: FoldAcc,
-        scratch: &mut ScratchPool,
-    ) -> MaskedUpdate {
-        let values = acc.dense.expect("fold_begin allocates the accumulator");
+    /// The round's sum under a full mask.
+    pub(super) fn finish(&mut self, scratch: &mut ScratchPool) -> MaskedUpdate {
+        let values = std::mem::take(&mut self.acc);
         let mut mask = scratch.take_mask(self.dim);
         mask.fill_ones();
         MaskedUpdate::new(mask, values)
@@ -67,7 +36,7 @@ impl Strategy for FedAvgStrategy {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::strategies::{Group, Sampler};
+    use crate::strategies::{Group, Sampler, Strategy, Upload};
     use crate::stream::fold_in_id_order;
     use crate::StrategyConfig;
     use gluefl_sampling::ClientId;
@@ -99,7 +68,7 @@ mod tests {
     fn aggregate_weighted_mean_of_dense() {
         let s = sampler();
         let w = |id| s.weight(id, Group::Fresh) as f32;
-        let mut fold = FedAvgStrategy::new(8);
+        let mut fold = Strategy::Dense(DenseFold::new(8));
         // Two clients with opposite unit deltas and equal weights: the
         // aggregate is zero.
         let kept = vec![
@@ -126,7 +95,7 @@ mod tests {
         let weights = vec![1.0 / n as f64; n];
         let mut rng = StdRng::seed_from_u64(7);
         let mut s = Sampler::for_test(StrategyConfig::FedAvg, &weights, k, 1.0, &mut rng);
-        let mut fold = FedAvgStrategy::new(n);
+        let mut fold = Strategy::Dense(DenseFold::new(n));
         let trials = 20_000;
         let mut acc = vec![0.0f64; n];
         for _ in 0..trials {
@@ -157,7 +126,7 @@ mod tests {
 
     #[test]
     fn no_mask_is_broadcast() {
-        let s = FedAvgStrategy::new(8);
-        assert!(s.round_mask(0).is_none());
+        let s = Strategy::Dense(DenseFold::new(8));
+        assert!(s.round_mask().is_none());
     }
 }

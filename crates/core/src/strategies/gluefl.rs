@@ -1,7 +1,7 @@
 //! GlueFL's fold: mask shifting with shared-mask regeneration
 //! (Algorithm 3); its sticky sampling is [`super::Sampler::Sticky`].
 
-use super::{FoldAcc, Strategy, Upload};
+use super::Upload;
 use crate::aggregate::{packed_rank, scatter_add_packed};
 use crate::config::GlueFlParams;
 use crate::scratch::ScratchPool;
@@ -10,18 +10,20 @@ use gluefl_compress::stc::keep_count;
 use gluefl_tensor::{top_k_abs_packed_into, vecops, BitMask, MaskedUpdate, TopKScope};
 use rand::rngs::StdRng;
 
-/// The server fold of the paper's framework: mask shifting (§3.2) with
-/// shared-mask regeneration (§3.3). Its sampling half, sticky sampling
-/// (§3.1), is [`super::Sampler::Sticky`]; the client half — the split
-/// along `M_t`, the unique top-k and the re-scaled error compensation —
-/// is [`crate::ClientCompressor`].
+/// The server fold of the paper's framework, [`super::Strategy::GlueFl`]:
+/// mask shifting (§3.2) with shared-mask regeneration (§3.3). Its
+/// sampling half, sticky sampling (§3.1), is [`super::Sampler::Sticky`];
+/// the client half — the split along `M_t`, the unique top-k and the
+/// re-scaled error compensation — is [`crate::ClientCompressor`].
 #[derive(Debug)]
-pub struct GlueFlStrategy {
+pub struct GlueFlFold {
     params: GlueFlParams,
     /// Round size `K`: the most uploads one round folds.
     max_kept: usize,
-    /// Current shared mask `M_t` (⊆ trainable positions).
-    shared_mask: BitMask,
+    /// Current shared mask `M_t` (⊆ trainable positions): broadcast with
+    /// each sync (Algorithm 3 line 7), and the alignment of every
+    /// shared-part upload until [`finish`](Self::finish) shifts it.
+    pub(super) shared_mask: BitMask,
     /// Cached `|M_t|` (the length of every mask-aligned shared upload).
     shared_nnz: usize,
     /// Positions that may never be masked/selected (BN statistics).
@@ -31,9 +33,21 @@ pub struct GlueFlStrategy {
     /// Number of trainable positions (base for `q` ratios).
     trainable: usize,
     dim: usize,
+    /// The round being folded, set by [`begin`](Self::begin).
+    round: u32,
+    /// The round's packed shared sum, aligned to `M_t`; empty between
+    /// rounds.
+    shr_acc: Vec<f32>,
+    /// The round's deferred unique parts, a flat `(position, weighted
+    /// value)` stream; empty between rounds. The union support and the
+    /// packed unique sum are built once, at [`finish`](Self::finish)
+    /// ([`crate::aggregate::scatter_add_packed`]), so no `dim`-length
+    /// buffer is ever staged.
+    stream_idx: Vec<u32>,
+    stream_vals: Vec<f32>,
 }
 
-impl GlueFlStrategy {
+impl GlueFlFold {
     /// Creates the fold for rounds of `round_size` kept uploads. The
     /// initial shared mask is a random `q_shr`-fraction of trainable
     /// positions, drawn from `rng` (before the first round there is no
@@ -41,8 +55,7 @@ impl GlueFlStrategy {
     ///
     /// # Panics
     /// Panics if `q_shr > q`.
-    #[must_use]
-    pub fn new(
+    pub(super) fn new(
         params: GlueFlParams,
         round_size: usize,
         trainable: usize,
@@ -74,23 +87,61 @@ impl GlueFlStrategy {
             eligible,
             trainable,
             dim,
+            round: 0,
+            shr_acc: Vec::new(),
+            stream_idx: Vec::new(),
+            stream_vals: Vec::new(),
         }
     }
 
-    /// The current shared mask `M_t`.
-    #[must_use]
-    pub fn shared_mask(&self) -> &BitMask {
-        &self.shared_mask
+    /// Opens the round: the packed shared sum (aligned to `M_t`) and the
+    /// deferred unique stream. The stream's final size is known — at
+    /// most `K` uploads of `unique_keep` entries each — and five times
+    /// larger on a regeneration round than the pooled buffers of the
+    /// shift rounds before it: reserve it here, not by doubling inside
+    /// the fold.
+    pub(super) fn begin(&mut self, round: u32, scratch: &mut ScratchPool) {
+        self.round = round;
+        (self.stream_idx, self.stream_vals) = scratch.take_sparse();
+        let stream_len = self.max_kept * self.params.unique_keep(self.trainable, round);
+        self.stream_idx.reserve(stream_len);
+        self.stream_vals.reserve(stream_len);
+        self.shr_acc = scratch.take_zeroed(self.shared_nnz);
     }
 
-    /// The finishing steps of [`Strategy::fold_finish`], entirely in
-    /// packed space — `O(q·d)` values touched, no dense `d`-length
-    /// staging:
+    /// Adds `weight ×` a split upload: its shared part into the packed
+    /// shared sum (except on a regeneration round, which drops it), its
+    /// unique part onto the deferred stream.
+    pub(super) fn upload(&mut self, weight: f32, upload: &Upload) {
+        let Upload::MaskSplit(split) = upload else {
+            panic!("GlueFL aggregate received non-split upload {upload:?}")
+        };
+        if !self.params.is_regen_round(self.round) {
+            assert_eq!(
+                split.shared.nnz(),
+                self.shared_nnz,
+                "shared part not aligned to the current mask"
+            );
+            vecops::axpy(&mut self.shr_acc, weight, split.shared.values());
+        }
+        // The finish scatter replays these adds in exactly this order,
+        // so the packed sum is bit-identical to the dense per-upload
+        // `acc[i] += w·v` fold.
+        self.stream_idx.extend_from_slice(split.unique.indices());
+        self.stream_vals
+            .extend(split.unique.values().iter().map(|&v| weight * v));
+    }
+
+    /// Completes the round entirely in packed space — `O(q·d)` values
+    /// touched, no dense `d`-length staging — and returns every round
+    /// buffer to `scratch`:
     ///
-    /// 1. Δ̃_uni = top `q−q_shr` of the packed unique aggregate (line 23),
+    /// 1. the deferred unique stream becomes a packed unique aggregate
+    ///    over its union support ([`scatter_add_packed`]);
+    /// 2. Δ̃_uni = top `q−q_shr` of the packed unique aggregate (line 23),
     ///    selected by the packed top-k (positions off `uni_support` are
     ///    exact zeros, so the selection equals the dense kernel's);
-    /// 2. Δ̃ = Δ̃_shr + Δ̃_uni (line 24) emitted directly as
+    /// 3. Δ̃ = Δ̃_shr + Δ̃_uni (line 24) emitted directly as
     ///    `(mask, values)`: the shared and unique supports are disjoint by
     ///    construction (clients pick unique coordinates outside
     ///    `M_t ∪ stats`), so each combined value is a plain copy — and a
@@ -98,28 +149,34 @@ impl GlueFlStrategy {
     ///    exact `0.0`, just as the dense staging held. Copying is bitwise
     ///    what the dense path computed: a sum started at `+0.0` is never
     ///    `-0.0`, so the old `0.0 + x·1.0` add reproduced `x` exactly;
-    /// 3. the shared mask shifts to the top `q_shr` of the packed combined
+    /// 4. the shared mask shifts to the top `q_shr` of the packed combined
     ///    update (line 26), regeneration rounds re-seeding it from the
     ///    unique part alone (§3.3).
-    fn finish_packed(
-        &mut self,
-        round: u32,
-        shr_vals: &[f32],
-        uni_support: &BitMask,
-        uni_offsets: &[u32],
-        uni_vals: &[f32],
-        scratch: &mut ScratchPool,
-    ) -> MaskedUpdate {
-        let regen = self.params.is_regen_round(round);
-        let unique_k = self.params.unique_keep(self.trainable, round);
+    pub(super) fn finish(&mut self, scratch: &mut ScratchPool) -> MaskedUpdate {
+        let shr_vals = std::mem::take(&mut self.shr_acc);
+        let stream_idx = std::mem::take(&mut self.stream_idx);
+        let stream_vals = std::mem::take(&mut self.stream_vals);
+        let mut uni_support = scratch.take_mask(self.dim);
+        let (mut uni_offsets, mut uni_vals) = scratch.take_sparse();
+        scatter_add_packed(
+            &stream_idx,
+            &stream_vals,
+            self.dim,
+            &mut uni_support,
+            &mut uni_offsets,
+            &mut uni_vals,
+        );
+
+        let regen = self.params.is_regen_round(self.round);
+        let unique_k = self.params.unique_keep(self.trainable, self.round);
         let mut mask = scratch.take_mask(self.dim);
         if !regen {
             mask.copy_from(&self.shared_mask);
         }
         {
             let idx = top_k_abs_packed_into(
-                uni_support,
-                uni_vals,
+                &uni_support,
+                &uni_vals,
                 unique_k,
                 TopKScope::Outside(&self.stats_excluded),
                 &mut scratch.topk,
@@ -136,7 +193,7 @@ impl GlueFlStrategy {
                 values.push(shr_vals[sp]);
                 sp += 1;
             } else if uni_support.get(i) {
-                values.push(uni_vals[packed_rank(uwords, uni_offsets, i)]);
+                values.push(uni_vals[packed_rank(uwords, &uni_offsets, i)]);
             } else {
                 values.push(0.0);
             }
@@ -153,109 +210,18 @@ impl GlueFlStrategy {
         );
         self.shared_nnz = next_mask.count_ones();
         scratch.put_mask(std::mem::replace(&mut self.shared_mask, next_mask));
-        MaskedUpdate::new(mask, values)
-    }
-}
-
-impl Strategy for GlueFlStrategy {
-    fn round_mask(&self, _round: u32) -> Option<&BitMask> {
-        // M_t: broadcast with each sync (Algorithm 3 line 7), and the
-        // alignment of every shared-part upload until fold_finish
-        // shifts it.
-        Some(&self.shared_mask)
-    }
-
-    fn fold_begin(&mut self, round: u32, scratch: &mut ScratchPool) -> FoldAcc {
-        // The packed shared sum (aligned to M_t) plus the deferred unique
-        // stream: positions in `indices`, weighted values in `dense` —
-        // the union support and packed unique sum are built once at
-        // fold_finish, so the streaming path stages no d-length buffer
-        // either. The stream's final size is known — at most K uploads
-        // of `unique_keep` entries each — and five times larger on a
-        // regeneration round than the pooled buffers of the shift rounds
-        // before it: reserve it here, not by doubling inside the fold.
-        let (mut stream_idx, mut stream_vals) = scratch.take_sparse();
-        let stream_len = self.max_kept * self.params.unique_keep(self.trainable, round);
-        stream_idx.reserve(stream_len);
-        stream_vals.reserve(stream_len);
-        FoldAcc {
-            dense: Some(stream_vals),
-            packed: Some(scratch.take_zeroed(self.shared_nnz)),
-            indices: Some(stream_idx),
-            count: 0,
-        }
-    }
-
-    fn fold_upload(&mut self, round: u32, acc: &mut FoldAcc, weight: f32, upload: &Upload) {
-        let regen = self.params.is_regen_round(round);
-        let stream_vals = acc
-            .dense
-            .as_mut()
-            .expect("fold_begin allocates the accumulator");
-        let shr_acc = acc
-            .packed
-            .as_mut()
-            .expect("fold_begin allocates the accumulator");
-        let stream_idx = acc
-            .indices
-            .as_mut()
-            .expect("fold_begin allocates the accumulator");
-        match upload {
-            Upload::MaskSplit(split) => {
-                if !regen {
-                    assert_eq!(
-                        split.shared.nnz(),
-                        self.shared_nnz,
-                        "shared part not aligned to the current mask"
-                    );
-                    vecops::axpy(shr_acc, weight, split.shared.values());
-                }
-                // Defer the unique part as a flat (position, w·v) stream;
-                // the fold_finish scatter replays these adds in exactly
-                // this order, so the packed sum is bit-identical to the
-                // dense per-upload `acc[i] += w·v` fold.
-                stream_idx.extend_from_slice(split.unique.indices());
-                stream_vals.extend(split.unique.values().iter().map(|&v| weight * v));
-            }
-            other => panic!("GlueFL aggregate received non-split upload {other:?}"),
-        }
-        acc.count += 1;
-    }
-
-    fn fold_finish(&mut self, round: u32, acc: FoldAcc, scratch: &mut ScratchPool) -> MaskedUpdate {
-        let shr_vals = acc.packed.expect("fold_begin allocates the accumulator");
-        let stream_vals = acc.dense.expect("fold_begin allocates the accumulator");
-        let stream_idx = acc.indices.expect("fold_begin allocates the accumulator");
-        let mut uni_support = scratch.take_mask(self.dim);
-        let (mut uni_offsets, mut uni_vals) = scratch.take_sparse();
-        scatter_add_packed(
-            &stream_idx,
-            &stream_vals,
-            self.dim,
-            &mut uni_support,
-            &mut uni_offsets,
-            &mut uni_vals,
-        );
-        let update = self.finish_packed(
-            round,
-            &shr_vals,
-            &uni_support,
-            &uni_offsets,
-            &uni_vals,
-            scratch,
-        );
         scratch.put(shr_vals);
         scratch.put_mask(uni_support);
         scratch.put_sparse(uni_offsets, uni_vals);
         scratch.put_sparse(stream_idx, stream_vals);
-        update
+        MaskedUpdate::new(mask, values)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::strategies::{Group, Sampler};
+    use crate::strategies::{Group, Sampler, Strategy};
     use crate::stream::fold_in_id_order;
     use crate::StrategyConfig;
     use gluefl_compress::mask_shift::client_split;
@@ -278,19 +244,19 @@ mod tests {
     /// GlueFL's sampler and fold over twenty clients (`p_i = 0.05`) and
     /// a `dim`-position model, drawn from one stream as the engine draws
     /// them: the sticky group first, then the initial shared mask.
-    fn halves_with(p: GlueFlParams, dim: usize, seed: u64) -> (Sampler, GlueFlStrategy) {
+    fn halves_with(p: GlueFlParams, dim: usize, seed: u64) -> (Sampler, Strategy) {
         let mut rng = StdRng::seed_from_u64(seed);
         let cfg = StrategyConfig::GlueFl(p.clone());
         let sampler = Sampler::for_test(cfg, &[0.05; 20], 4, 1.0, &mut rng);
-        let fold = GlueFlStrategy::new(p, 4, dim, dim, BitMask::zeros(dim), &mut rng);
-        (sampler, fold)
+        let fold = GlueFlFold::new(p, 4, dim, dim, BitMask::zeros(dim), &mut rng);
+        (sampler, Strategy::GlueFl(fold))
     }
 
-    fn strategy_with(p: GlueFlParams, dim: usize, seed: u64) -> GlueFlStrategy {
+    fn strategy_with(p: GlueFlParams, dim: usize, seed: u64) -> Strategy {
         halves_with(p, dim, seed).1
     }
 
-    fn strategy(seed: u64) -> GlueFlStrategy {
+    fn strategy(seed: u64) -> Strategy {
         strategy_with(params(), 20, seed)
     }
 
@@ -304,15 +270,18 @@ mod tests {
     }
 
     /// What an honest client uploads for `delta` in a mask-shift round.
-    fn split_upload(s: &GlueFlStrategy, round: u32, delta: &[f32]) -> Upload {
-        let unique_k = s.params.unique_keep(s.trainable, round);
-        Upload::MaskSplit(client_split(delta, s.shared_mask(), unique_k))
+    fn split_upload(s: &Strategy, round: u32, delta: &[f32]) -> Upload {
+        let Strategy::GlueFl(fold) = s else {
+            unreachable!("a GlueFL fold")
+        };
+        let unique_k = fold.params.unique_keep(fold.trainable, round);
+        Upload::MaskSplit(client_split(delta, &fold.shared_mask, unique_k))
     }
 
     #[test]
     fn initial_mask_has_qshr_density() {
         let s = strategy(0);
-        assert_eq!(s.shared_mask().count_ones(), 4); // 20% of 20
+        assert_eq!(s.round_mask().unwrap().count_ones(), 4); // 20% of 20
     }
 
     #[test]
@@ -367,7 +336,7 @@ mod tests {
         let agg = fold_in_id_order(&mut s, 1, &[(1, sticky_weight(1), up)], &mut pool);
         assert_eq!(agg.dim(), 20);
         // New mask has q_shr density.
-        assert_eq!(s.shared_mask().count_ones(), 4);
+        assert_eq!(s.round_mask().unwrap().count_ones(), 4);
     }
 
     #[test]

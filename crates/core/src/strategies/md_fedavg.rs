@@ -4,7 +4,7 @@
 
 mod tests {
     use crate::scratch::ScratchPool;
-    use crate::strategies::{FedAvgStrategy, Group, Sampler, Upload};
+    use crate::strategies::{DenseFold, Group, Sampler, Strategy, Upload};
     use crate::StrategyConfig;
     use gluefl_sampling::ClientId;
     use rand::rngs::StdRng;
@@ -108,7 +108,7 @@ mod tests {
             })
             .collect();
         let mut pool = ScratchPool::new();
-        let mut fold = FedAvgStrategy::new(6);
+        let mut fold = Strategy::Dense(DenseFold::new(6));
         let agg = crate::stream::fold_in_id_order(&mut fold, 0, &kept, &mut pool);
         // Weights sum to 1, every delta is all-ones → aggregate all-ones.
         assert!(agg.is_dense());

@@ -5,10 +5,11 @@
 //! upload weighs, how the sticky group rebalances — is the [`Sampler`]
 //! ([`sampling`]), one closed enum the round engine
 //! ([`crate::engine::RoundEngine`]) owns. *Model masking and
-//! aggregation* — which mask the round broadcasts, how weighted uploads
-//! fold, what the server update is — is a [`Strategy`], of which there
-//! are four: FedAvg's dense fold (which MD-FedAvg shares: the weight is
-//! the only thing that sets the two apart), STC's, APF's and GlueFL's.
+//! aggregation* — which mask the round broadcasts, which upload it
+//! takes, how weighted uploads fold, what the server update is — is the
+//! [`Strategy`], one closed enum of four folds: FedAvg's dense fold
+//! (which MD-FedAvg shares: the weight is the only thing that sets the
+//! two apart), STC's, APF's and GlueFL's.
 //! What a client does to its delta before uploading is the other half
 //! of a strategy, [`crate::ClientCompressor`].
 //!
@@ -24,16 +25,16 @@ mod md_fedavg;
 pub mod sampling;
 mod stc;
 
-pub use apf::ApfStrategy;
-pub use fedavg::FedAvgStrategy;
-pub use gluefl::GlueFlStrategy;
+pub use apf::ApfFold;
+pub use fedavg::DenseFold;
+pub use gluefl::GlueFlFold;
 pub use sampling::{Group, RoundPlan, Sampler};
-pub use stc::StcStrategy;
+pub use stc::StcFold;
 
 use crate::config::{SimConfig, StrategyConfig};
 use crate::scratch::ScratchPool;
 use gluefl_compress::mask_shift::ClientSplit;
-use gluefl_tensor::{MaskAligned, MaskedUpdate, SparseUpdate};
+use gluefl_tensor::{BitMask, MaskAligned, MaskedUpdate, SparseUpdate};
 use gluefl_wire::{Codec, WirePolicy};
 use rand::rngs::StdRng;
 
@@ -100,43 +101,11 @@ impl Upload {
     }
 }
 
-/// In-flight state of a round's aggregation between
-/// [`Strategy::fold_begin`] and [`Strategy::fold_finish`].
-///
-/// The accumulators are pooled buffers whose meaning is strategy-defined:
-/// dense strategies stage a full `dim`-length partial sum in `dense`; APF
-/// stages a packed active-mask-aligned sum in `packed`; GlueFL stages the
-/// mask-aligned shared sum in `packed` and defers its unique parts as a
-/// flat `(position, weighted value)` stream in `indices`/`dense` — the
-/// union support and packed sum are built once at `fold_finish`
-/// ([`crate::aggregate::scatter_add_packed`]), so no `dim`-length buffer
-/// is ever staged. Callers treat the struct as opaque and hand it back to
-/// the same strategy that produced it — `fold_finish` returns the buffers
-/// to the [`ScratchPool`].
-#[derive(Debug, Default)]
-pub struct FoldAcc {
-    /// Dense position-space partial sum (length = model `dim`) — or, for
-    /// strategies that defer, the value half of a sparse entry stream.
-    pub(crate) dense: Option<Vec<f32>>,
-    /// Packed mask-aligned partial sum, when the strategy stages one.
-    pub(crate) packed: Option<Vec<f32>>,
-    /// Position half of a deferred sparse entry stream, when the strategy
-    /// folds without densifying.
-    pub(crate) indices: Option<Vec<u32>>,
-    /// Uploads folded so far.
-    pub(crate) count: usize,
-}
-
-impl FoldAcc {
-    /// Number of uploads folded into this accumulator so far.
-    #[must_use]
-    pub fn folded(&self) -> usize {
-        self.count
-    }
-}
-
-/// The fold half of a strategy's server side, driven by the round
-/// engine.
+/// The fold half of a strategy's server side: which mask the round
+/// broadcasts, which upload variant it folds, and how weighted uploads
+/// fold into the round's server update. Built by [`Strategy::new`] and
+/// owned by the round engine, like its two siblings ([`Sampler::new`],
+/// [`crate::ClientCompressor::new`]).
 ///
 /// Call order per round `t`:
 /// 1. the engine's [`Sampler::plan`] draws the invitations (with
@@ -153,10 +122,13 @@ impl FoldAcc {
 /// 4. the engine's [`Sampler::rebalance`] — the sticky group's
 ///    post-round bookkeeping.
 ///
+/// Between `fold_begin` and `fold_finish` each variant holds the round's
+/// partial sums itself; between rounds it holds none.
+///
 /// # Bit-exactness
 ///
-/// Every strategy's fold adds per-position contributions as one `+= w·v`
-/// per upload, so the id-ordered fold is one fixed sequence of `f32`
+/// Every fold adds per-position contributions as one `+= w·v` per
+/// upload, so the id-ordered fold is one fixed sequence of `f32`
 /// operations per position: any driver that feeds the same uploads gets
 /// the same bits, whatever order they arrived in
 /// (`crates/core/tests/streaming_fold.rs` pins this for all six
@@ -166,7 +138,7 @@ impl FoldAcc {
 ///
 /// The fold returns a [`MaskedUpdate`] — a support mask plus values
 /// packed in position order — rather than a dense `Vec<f32>`. Masking
-/// strategies (GlueFL, STC, APF) cover only the `O(q·d)` positions their
+/// folds (GlueFL, STC, APF) cover only the `O(q·d)` positions their
 /// algorithm actually changes; the dense fold (FedAvg, MD-FedAvg)
 /// returns its accumulator under a full mask, which makes the packed
 /// layout coincide with the dense vector. The engine applies the update with
@@ -187,80 +159,136 @@ impl FoldAcc {
 ///
 /// # Pooling
 ///
-/// The fold methods receive the engine's [`ScratchPool`]; strategies
-/// route top-k selections, accumulators and support masks through it so
-/// the per-round hot path is allocation-free in steady state. The mask
-/// and values inside the returned [`MaskedUpdate`] come from the pool;
-/// the engine hands them back with [`ScratchPool::put_update`] after
-/// applying, and the gate returns every folded upload's buffers with
+/// [`Strategy::fold_begin`] and [`Strategy::fold_finish`] receive the
+/// engine's [`ScratchPool`]: the round's partial sums, top-k selections
+/// and support masks come from it, so the per-round hot path is
+/// allocation-free in steady state. The mask and values inside the
+/// returned [`MaskedUpdate`] come from the pool; the engine hands them
+/// back with [`ScratchPool::put_update`] after applying, and the gate
+/// returns every folded upload's buffers with
 /// [`ScratchPool::reclaim_upload`].
-pub trait Strategy: Send {
-    /// The mask both sides hold during round `round`, if any: it is
-    /// broadcast to syncing clients at download time (every synced
-    /// client is charged its bitmap frame) and it implicitly positions
-    /// any mask-aligned upload this round ([`Upload::KnownMask`] and the
-    /// shared part of [`Upload::MaskSplit`]). The engine encodes it as a
-    /// wire mask frame and hands it to the wire decoder to rebuild
-    /// mask-aligned payloads. `None` for strategies without a mask
-    /// (dense and explicit-position uploads).
-    fn round_mask(&self, round: u32) -> Option<&gluefl_tensor::BitMask> {
-        let _ = round;
-        None
-    }
-
-    /// Begins the aggregation for round `round`: allocates the strategy's
-    /// partial-sum accumulator(s) from `scratch`.
-    fn fold_begin(&mut self, round: u32, scratch: &mut ScratchPool) -> FoldAcc;
-
-    /// Folds one kept upload, scaled by its aggregation `weight`, into
-    /// the accumulator. Must be called in ascending client-id order
-    /// across kept uploads (see the trait-level bit-exactness note). The
-    /// upload is borrowed — the caller keeps ownership and can return its
-    /// buffers to the pool immediately afterwards, so a streaming server
-    /// never stages more than the out-of-order arrivals.
-    ///
-    /// # Panics
-    /// Panics on an upload variant or alignment the strategy cannot fold
-    /// (e.g. a non-split upload handed to GlueFL, or a known-mask upload
-    /// misaligned with APF's active set); the engine validates arrivals
-    /// before they reach the gate.
-    fn fold_upload(&mut self, round: u32, acc: &mut FoldAcc, weight: f32, upload: &Upload);
-
-    /// Completes the aggregation: performs the strategy's finishing work
-    /// (top-k re-masking, mask shifting, state updates), returns the
-    /// accumulator buffers to `scratch`, and yields the round's
-    /// [`MaskedUpdate`].
-    fn fold_finish(&mut self, round: u32, acc: FoldAcc, scratch: &mut ScratchPool) -> MaskedUpdate;
+#[derive(Debug)]
+pub enum Strategy {
+    /// FedAvg's dense fold, which MD-FedAvg shares.
+    Dense(DenseFold),
+    /// STC's fold, plain or ternary.
+    Stc(StcFold),
+    /// APF's fold over the active mask.
+    Apf(ApfFold),
+    /// GlueFL's mask-shifting fold.
+    GlueFl(GlueFlFold),
 }
 
-/// Builds the fold of the configured strategy ([`Sampler::new`] builds
-/// its sampler, [`crate::ClientCompressor::new`] its client half). Only
-/// GlueFL draws from `rng`, for its initial shared mask.
-///
-/// # Panics
-/// Panics if the GlueFL mask ratios are inconsistent (`q_shr > q`).
-#[must_use]
-pub fn build_strategy(
-    cfg: &SimConfig,
-    trainable_positions: usize,
-    dim: usize,
-    stats_excluded: gluefl_tensor::BitMask,
-    rng: &mut StdRng,
-) -> Box<dyn Strategy> {
-    match &cfg.strategy {
-        StrategyConfig::FedAvg | StrategyConfig::MdFedAvg => Box::new(FedAvgStrategy::new(dim)),
-        StrategyConfig::Stc { q } | StrategyConfig::StcQuantized { q } => Box::new(
-            StcStrategy::new(*q, trainable_positions, dim, stats_excluded),
-        ),
-        StrategyConfig::Apf { config } => Box::new(ApfStrategy::new(*config, dim)),
-        StrategyConfig::GlueFl(params) => Box::new(GlueFlStrategy::new(
-            params.clone(),
-            cfg.round_size,
-            trainable_positions,
-            dim,
-            stats_excluded,
-            rng,
-        )),
+impl Strategy {
+    /// The fold of the configured strategy, over `trainable` of `dim`
+    /// positions; `stats_excluded` marks the positions no mask may
+    /// cover (BN statistics). Only GlueFL draws from `rng`, for its
+    /// initial shared mask.
+    ///
+    /// # Panics
+    /// Panics if STC's `q` is outside `[0, 1]` or the GlueFL mask ratios
+    /// are inconsistent (`q_shr > q`).
+    #[must_use]
+    pub fn new(
+        cfg: &SimConfig,
+        trainable: usize,
+        dim: usize,
+        stats_excluded: BitMask,
+        rng: &mut StdRng,
+    ) -> Self {
+        match &cfg.strategy {
+            StrategyConfig::FedAvg | StrategyConfig::MdFedAvg => Self::Dense(DenseFold::new(dim)),
+            StrategyConfig::Stc { q } | StrategyConfig::StcQuantized { q } => {
+                let quantize = matches!(cfg.strategy, StrategyConfig::StcQuantized { .. });
+                Self::Stc(StcFold::new(*q, quantize, trainable, dim, stats_excluded))
+            }
+            StrategyConfig::Apf { config } => Self::Apf(ApfFold::new(*config, dim)),
+            StrategyConfig::GlueFl(params) => Self::GlueFl(GlueFlFold::new(
+                params.clone(),
+                cfg.round_size,
+                trainable,
+                dim,
+                stats_excluded,
+                rng,
+            )),
+        }
+    }
+
+    /// The mask both sides hold this round, if any: it is broadcast to
+    /// syncing clients at download time (every synced client is charged
+    /// its bitmap frame) and it implicitly positions any mask-aligned
+    /// upload this round ([`Upload::KnownMask`] and the shared part of
+    /// [`Upload::MaskSplit`]). The engine encodes it as a wire mask frame
+    /// and hands it to the wire decoder to rebuild mask-aligned payloads.
+    /// `None` for the folds without a mask (dense and explicit-position
+    /// uploads).
+    #[must_use]
+    pub fn round_mask(&self) -> Option<&BitMask> {
+        match self {
+            Self::Dense(_) | Self::Stc(_) => None,
+            Self::Apf(fold) => Some(&fold.active),
+            Self::GlueFl(fold) => Some(&fold.shared_mask),
+        }
+    }
+
+    /// Whether `upload` is the variant this fold takes — the engine
+    /// rejects any other before it reaches the gate.
+    #[must_use]
+    pub fn accepts(&self, upload: &Upload) -> bool {
+        match (self, upload) {
+            (Self::Stc(fold), Upload::Sparse(_)) => !fold.quantize,
+            (Self::Stc(fold), Upload::Ternary(_)) => fold.quantize,
+            (Self::Dense(_), Upload::Dense(_))
+            | (Self::Apf(_), Upload::KnownMask(_))
+            | (Self::GlueFl(_), Upload::MaskSplit(_)) => true,
+            _ => false,
+        }
+    }
+
+    /// Begins the aggregation for round `round`: takes the fold's
+    /// partial-sum buffers from `scratch`.
+    pub fn fold_begin(&mut self, round: u32, scratch: &mut ScratchPool) {
+        match self {
+            Self::Dense(DenseFold { dim, acc }) | Self::Stc(StcFold { dim, acc, .. }) => {
+                *acc = scratch.take_zeroed(*dim);
+            }
+            Self::Apf(fold) => fold.begin(scratch),
+            Self::GlueFl(fold) => fold.begin(round, scratch),
+        }
+    }
+
+    /// Folds one kept upload, scaled by its aggregation `weight`. Must be
+    /// called in ascending client-id order across kept uploads (see the
+    /// bit-exactness note). The upload is borrowed — the caller keeps
+    /// ownership and can return its buffers to the pool immediately
+    /// afterwards, so a streaming server never stages more than the
+    /// out-of-order arrivals.
+    ///
+    /// # Panics
+    /// Panics on an upload the fold does not [`accept`](Self::accepts),
+    /// or one misaligned with the round mask; the engine validates
+    /// arrivals before they reach the gate.
+    pub fn fold_upload(&mut self, weight: f32, upload: &Upload) {
+        match self {
+            Self::Dense(DenseFold { acc, .. }) | Self::Stc(StcFold { acc, .. }) => {
+                upload.add_weighted_into(acc, weight);
+            }
+            Self::Apf(fold) => fold.upload(weight, upload),
+            Self::GlueFl(fold) => fold.upload(weight, upload),
+        }
+    }
+
+    /// Completes the aggregation: performs the fold's finishing work
+    /// (top-k re-masking, mask shifting, state updates), returns the
+    /// partial-sum buffers to `scratch`, and yields the round's
+    /// [`MaskedUpdate`].
+    pub fn fold_finish(&mut self, scratch: &mut ScratchPool) -> MaskedUpdate {
+        match self {
+            Self::Dense(fold) => fold.finish(scratch),
+            Self::Stc(fold) => fold.finish(scratch),
+            Self::Apf(fold) => fold.finish(scratch),
+            Self::GlueFl(fold) => fold.finish(scratch),
+        }
     }
 }
 

@@ -1,63 +1,57 @@
 //! STC: top-`q` masking on clients and server (Sattler et al. 2019).
 
-use super::fedavg::{dense_begin, dense_upload};
-use super::{FoldAcc, Strategy, Upload};
 use crate::scratch::ScratchPool;
 use gluefl_compress::stc::keep_count;
 use gluefl_tensor::{top_k_abs_masked_into, BitMask, MaskedUpdate, TopKScope};
 
-/// The server fold of the masking-only STC of Algorithm 1: clients upload
-/// `top_q(Δ_i)` with classic error feedback ([`crate::ClientCompressor`]),
-/// or its ternary-quantized form under STC-quant (footnote 1); the
-/// server folds them densely, as FedAvg does, at `(N/K)p_i` weights and
-/// re-masks the aggregate with another `top_q`, so only `q·d` positions
-/// change per round.
+/// The server fold of the masking-only STC of Algorithm 1,
+/// [`super::Strategy::Stc`]: clients upload `top_q(Δ_i)` with classic
+/// error feedback ([`crate::ClientCompressor`]), or its ternary-quantized
+/// form under STC-quant (footnote 1); the server folds them densely, as
+/// FedAvg does, at `(N/K)p_i` weights and re-masks the aggregate with
+/// another `top_q`, so only `q·d` positions change per round.
 #[derive(Debug)]
-pub struct StcStrategy {
+pub struct StcFold {
     q: f64,
+    /// Whether clients upload ternary values (STC-quant) rather than
+    /// plain sparse ones: the one upload the fold takes.
+    pub(super) quantize: bool,
     /// Number of trainable positions (ratio base).
     trainable: usize,
-    dim: usize,
-    /// Positions strategies must not select (BN statistics).
+    pub(super) dim: usize,
+    /// Positions the server mask must not select (BN statistics).
     stats_excluded: BitMask,
+    /// The round's `dim`-length partial sum; empty between rounds.
+    pub(super) acc: Vec<f32>,
 }
 
-impl StcStrategy {
-    /// The fold for mask ratio `q` over `trainable` of `dim` positions.
-    /// `stats_excluded` marks positions that may never enter a mask (BN
-    /// statistics).
-    #[must_use]
-    pub fn new(q: f64, trainable: usize, dim: usize, stats_excluded: BitMask) -> Self {
+impl StcFold {
+    /// The fold for mask ratio `q` over `trainable` of `dim` positions,
+    /// taking ternary uploads if `quantize`. `stats_excluded` marks
+    /// positions that may never enter a mask (BN statistics).
+    pub(super) fn new(
+        q: f64,
+        quantize: bool,
+        trainable: usize,
+        dim: usize,
+        stats_excluded: BitMask,
+    ) -> Self {
         assert!((0.0..=1.0).contains(&q), "q must be in [0,1]");
         Self {
             q,
+            quantize,
             trainable,
             dim,
             stats_excluded,
+            acc: Vec::new(),
         }
     }
-}
 
-impl Strategy for StcStrategy {
-    fn fold_begin(&mut self, _round: u32, scratch: &mut ScratchPool) -> FoldAcc {
-        dense_begin(self.dim, scratch)
-    }
-
-    fn fold_upload(&mut self, _round: u32, acc: &mut FoldAcc, weight: f32, upload: &Upload) {
-        dense_upload(acc, weight, upload);
-    }
-
-    fn fold_finish(
-        &mut self,
-        _round: u32,
-        acc: FoldAcc,
-        scratch: &mut ScratchPool,
-    ) -> MaskedUpdate {
-        let acc = acc.dense.expect("fold_begin allocates the accumulator");
-        // Server-side masking (Algorithm 1 line 17): the update *is* the
-        // top q of the aggregate, emitted directly as mask + packed
-        // values. `idx` is strictly increasing, so pushes land in
-        // mask-bit order.
+    /// Server-side masking (Algorithm 1 line 17): the update *is* the
+    /// top `q` of the aggregate, emitted directly as mask + packed
+    /// values.
+    pub(super) fn finish(&mut self, scratch: &mut ScratchPool) -> MaskedUpdate {
+        let acc = std::mem::take(&mut self.acc);
         let mut mask = scratch.take_mask(self.dim);
         let mut values = scratch.take_cleared();
         let k = keep_count(self.trainable, self.q);
@@ -67,6 +61,7 @@ impl Strategy for StcStrategy {
             TopKScope::Outside(&self.stats_excluded),
             &mut scratch.topk,
         );
+        // `idx` is strictly increasing, so pushes land in mask-bit order.
         for &i in idx {
             mask.set(i, true);
             values.push(acc[i]);
@@ -79,7 +74,7 @@ impl Strategy for StcStrategy {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::strategies::{Group, Sampler};
+    use crate::strategies::{Group, Sampler, Strategy, Upload};
     use crate::stream::fold_in_id_order;
     use crate::StrategyConfig;
     use gluefl_sampling::ClientId;
@@ -87,8 +82,8 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
-    fn strategy(q: f64) -> StcStrategy {
-        StcStrategy::new(q, 8, 8, BitMask::zeros(8))
+    fn strategy(q: f64) -> Strategy {
+        Strategy::Stc(StcFold::new(q, false, 8, 8, BitMask::zeros(8)))
     }
 
     /// STC's sampler: uniform over ten clients, `(N/K)·p_i = 1/3` each.

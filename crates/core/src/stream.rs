@@ -1,7 +1,7 @@
 //! Streaming aggregation: fold kept uploads as they arrive.
 //!
 //! [`StreamingAggregator`] is the ordering gate between a transport that
-//! receives uploads in *arrival* order and the [`Strategy`] fold seam,
+//! receives uploads in *arrival* order and the [`Strategy`] fold,
 //! whose bit-exactness contract requires folding in ascending client-id
 //! order (see the [`Strategy`] docs). The gate folds an upload the moment
 //! every lower-id kept upload has been folded, and *parks* early arrivals
@@ -16,7 +16,7 @@
 //! round.
 
 use crate::scratch::ScratchPool;
-use crate::strategies::{FoldAcc, Strategy, Upload};
+use crate::strategies::{Strategy, Upload};
 use gluefl_sampling::ClientId;
 use gluefl_tensor::MaskedUpdate;
 
@@ -48,7 +48,7 @@ enum Slot {
     Waiting,
     /// Received out of order; staged until every lower id folds.
     Parked(Upload),
-    /// Folded into the accumulator (or skipped) — resolved either way.
+    /// Folded into the strategy's partial sums.
     Done,
     /// Skipped: the client failed and contributes nothing.
     Dead,
@@ -62,20 +62,18 @@ enum Slot {
 /// uploads.
 #[derive(Debug)]
 pub struct StreamingAggregator {
-    round: u32,
     /// Kept `(client, aggregation weight)` pairs sorted by client id.
     expected: Vec<(ClientId, f32)>,
     slots: Vec<Slot>,
     /// Index of the lowest unresolved slot — everything before it folded
     /// or died.
     next: usize,
-    acc: FoldAcc,
 }
 
 impl StreamingAggregator {
     /// Opens the gate for round `round` over the kept clients, each with
     /// the weight its upload folds at (any order; sorted internally).
-    /// Calls [`Strategy::fold_begin`] to allocate the partial-sum
+    /// Calls [`Strategy::fold_begin`], which takes the round's partial-sum
     /// buffers.
     ///
     /// # Panics
@@ -84,7 +82,7 @@ impl StreamingAggregator {
     pub fn begin(
         round: u32,
         kept: &[(ClientId, f32)],
-        strategy: &mut dyn Strategy,
+        strategy: &mut Strategy,
         scratch: &mut ScratchPool,
     ) -> Self {
         let mut expected = kept.to_vec();
@@ -94,20 +92,21 @@ impl StreamingAggregator {
             "duplicate client id in keep set"
         );
         let slots = expected.iter().map(|_| Slot::Waiting).collect();
-        let acc = strategy.fold_begin(round, scratch);
+        strategy.fold_begin(round, scratch);
         Self {
-            round,
             expected,
             slots,
             next: 0,
-            acc,
         }
     }
 
     /// Number of kept clients whose uploads have been folded so far.
     #[must_use]
     pub fn folded(&self) -> usize {
-        self.acc.folded()
+        self.slots
+            .iter()
+            .filter(|s| matches!(s, Slot::Done))
+            .count()
     }
 
     /// Number of kept clients still unresolved (neither folded, parked,
@@ -144,7 +143,7 @@ impl StreamingAggregator {
     /// or parked. The upload's buffers are reclaimed either way.
     pub fn accept(
         &mut self,
-        strategy: &mut dyn Strategy,
+        strategy: &mut Strategy,
         id: ClientId,
         upload: Upload,
         scratch: &mut ScratchPool,
@@ -174,7 +173,7 @@ impl StreamingAggregator {
     /// was already skipped.
     pub fn skip(
         &mut self,
-        strategy: &mut dyn Strategy,
+        strategy: &mut Strategy,
         id: ClientId,
         scratch: &mut ScratchPool,
     ) -> Result<(), StreamError> {
@@ -192,7 +191,7 @@ impl StreamingAggregator {
     }
 
     /// Folds every in-order parked upload, advancing past dead slots.
-    fn drain(&mut self, strategy: &mut dyn Strategy, scratch: &mut ScratchPool) {
+    fn drain(&mut self, strategy: &mut Strategy, scratch: &mut ScratchPool) {
         while self.next < self.expected.len() {
             match &self.slots[self.next] {
                 Slot::Dead => {
@@ -205,7 +204,7 @@ impl StreamingAggregator {
                         unreachable!("matched Parked above")
                     };
                     let (_, weight) = self.expected[self.next];
-                    strategy.fold_upload(self.round, &mut self.acc, weight, &upload);
+                    strategy.fold_upload(weight, &upload);
                     scratch.reclaim_upload(upload);
                     self.next += 1;
                 }
@@ -222,40 +221,45 @@ impl StreamingAggregator {
     /// ([`complete`](Self::complete)) — the caller decides when to give
     /// up on stragglers via [`skip`](Self::skip), never this type.
     #[must_use]
-    pub fn finish(self, strategy: &mut dyn Strategy, scratch: &mut ScratchPool) -> MaskedUpdate {
+    pub fn finish(self, strategy: &mut Strategy, scratch: &mut ScratchPool) -> MaskedUpdate {
         assert!(
             self.complete(),
             "streaming aggregation finished with unresolved uploads ({} waiting)",
             self.waiting()
         );
-        strategy.fold_finish(self.round, self.acc, scratch)
+        strategy.fold_finish(scratch)
     }
 }
 
-/// The reference fold: opens the strategy's accumulator, folds the kept
+/// The reference fold: opens the strategy's partial sums, folds the kept
 /// `(client, weight, upload)` triples in ascending client-id order, and
 /// finishes — no gate, no parking. Every
 /// arrival order through a [`StreamingAggregator`] must reproduce this
 /// bit for bit; tests use it wherever they need "the round's aggregate".
 pub fn fold_in_id_order(
-    strategy: &mut dyn Strategy,
+    strategy: &mut Strategy,
     round: u32,
     kept: &[(ClientId, f32, Upload)],
     scratch: &mut ScratchPool,
 ) -> MaskedUpdate {
     let mut order: Vec<&(ClientId, f32, Upload)> = kept.iter().collect();
     order.sort_by_key(|(id, _, _)| *id);
-    let mut acc = strategy.fold_begin(round, scratch);
+    strategy.fold_begin(round, scratch);
     for (_, weight, upload) in order {
-        strategy.fold_upload(round, &mut acc, *weight, upload);
+        strategy.fold_upload(*weight, upload);
     }
-    strategy.fold_finish(round, acc, scratch)
+    strategy.fold_finish(scratch)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::strategies::FedAvgStrategy;
+    use crate::strategies::DenseFold;
+
+    /// FedAvg's dense fold over `dim` positions.
+    fn dense(dim: usize) -> Strategy {
+        Strategy::Dense(DenseFold::new(dim))
+    }
 
     /// Every upload's aggregation weight.
     const W: f32 = 0.2;
@@ -279,11 +283,11 @@ mod tests {
     fn reverse_arrival_matches_id_order() {
         let dim = 9;
         let kept = uploads(5, dim);
-        let mut ref_s = FedAvgStrategy::new(dim);
+        let mut ref_s = dense(dim);
         let mut pool = ScratchPool::new();
         let want = fold_in_id_order(&mut ref_s, 0, &kept, &mut pool);
 
-        let mut stream_s = FedAvgStrategy::new(dim);
+        let mut stream_s = dense(dim);
         let ids: Vec<(ClientId, f32)> = kept.iter().map(|&(c, w, _)| (c, w)).collect();
         let mut pool2 = ScratchPool::new();
         let mut gate = StreamingAggregator::begin(0, &ids, &mut stream_s, &mut pool2);
@@ -298,7 +302,7 @@ mod tests {
     #[test]
     fn unknown_and_duplicate_are_typed_errors() {
         let dim = 4;
-        let mut s = FedAvgStrategy::new(dim);
+        let mut s = dense(dim);
         let mut pool = ScratchPool::new();
         let mut gate = StreamingAggregator::begin(0, &[(1, W), (3, W)], &mut s, &mut pool);
         assert_eq!(
@@ -323,12 +327,12 @@ mod tests {
         let dim = 4;
         let kept = uploads(3, dim);
         // Reference over clients {1, 2} only.
-        let mut ref_s = FedAvgStrategy::new(dim);
+        let mut ref_s = dense(dim);
         let mut pool = ScratchPool::new();
         let survivors: Vec<_> = kept.iter().filter(|&&(c, _, _)| c != 0).cloned().collect();
         let want = fold_in_id_order(&mut ref_s, 0, &survivors, &mut pool);
 
-        let mut s = FedAvgStrategy::new(dim);
+        let mut s = dense(dim);
         let ids: Vec<(ClientId, f32)> = kept.iter().map(|&(c, w, _)| (c, w)).collect();
         let mut pool2 = ScratchPool::new();
         let mut gate = StreamingAggregator::begin(0, &ids, &mut s, &mut pool2);

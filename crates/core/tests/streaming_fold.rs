@@ -20,7 +20,7 @@
 //! kept set.
 
 use gluefl_compress::{ApfConfig, CompensationMode};
-use gluefl_core::strategies::{build_strategy, Group, Sampler, Upload};
+use gluefl_core::strategies::{Group, Sampler, Strategy, Upload};
 use gluefl_core::stream::{fold_in_id_order, StreamingAggregator};
 use gluefl_core::{
     wire_link, ClientCompressor, GlueFlParams, ScratchPool, SimConfig, StrategyConfig,
@@ -126,8 +126,8 @@ fn check_strategy(strategy_cfg: StrategyConfig, policy: WirePolicy, seed: u64, o
     let mut rng_b = rng_a.clone();
     let mut sampler_a = Sampler::new(&cfg, &weights, &mut rng_a);
     let mut sampler_b = Sampler::new(&cfg, &weights, &mut rng_b);
-    let mut strat_a = build_strategy(&cfg, trainable, DIM, stats_excluded(), &mut rng_a);
-    let mut strat_b = build_strategy(&cfg, trainable, DIM, stats_excluded(), &mut rng_b);
+    let mut strat_a = Strategy::new(&cfg, trainable, DIM, stats_excluded(), &mut rng_a);
+    let mut strat_b = Strategy::new(&cfg, trainable, DIM, stats_excluded(), &mut rng_b);
     // One client half feeds both server halves: the same uploads reach
     // the reference fold and the gate.
     let mut clients = ClientCompressor::new(&cfg, &weights, trainable, DIM, stats_excluded());
@@ -145,11 +145,11 @@ fn check_strategy(strategy_cfg: StrategyConfig, policy: WirePolicy, seed: u64, o
 
         // Compress every *invited* client, kept or dropped (its
         // error-compensation residual evolves either way).
-        assert_eq!(strat_a.round_mask(round), strat_b.round_mask(round));
+        assert_eq!(strat_a.round_mask(), strat_b.round_mask());
         let mut uploads: Vec<(usize, Group, Upload)> = Vec::new();
         for &(id, group) in &invited {
             let mut delta = delta_for(seed, round, id);
-            let mask = strat_a.round_mask(round);
+            let mask = strat_a.round_mask();
             let mut residual = clients.check_out(id);
             let upload = clients
                 .compress(
@@ -186,7 +186,7 @@ fn check_strategy(strategy_cfg: StrategyConfig, policy: WirePolicy, seed: u64, o
         // like a server would.
         let groups: Vec<(usize, Group)> = kept.iter().map(|&(id, g, _)| (id, g)).collect();
         let decoded: Vec<(usize, f32, Upload)> = {
-            let mask = strat_a.round_mask(round);
+            let mask = strat_a.round_mask();
             kept.iter()
                 .map(|(id, group, upload)| {
                     let key = (u64::from(round) << 32) | *id as u64;
@@ -218,7 +218,7 @@ fn check_strategy(strategy_cfg: StrategyConfig, policy: WirePolicy, seed: u64, o
         }
 
         // Reference: the id-ordered fold on side A.
-        let want = fold_in_id_order(&mut *strat_a, round, &decoded, &mut pool_a);
+        let want = fold_in_id_order(&mut strat_a, round, &decoded, &mut pool_a);
 
         // Streaming fold on side B, arrivals shuffled by the proptest
         // sort keys (stable sort, so equal keys stay deterministic).
@@ -228,13 +228,13 @@ fn check_strategy(strategy_cfg: StrategyConfig, policy: WirePolicy, seed: u64, o
             .collect();
         let mut arrival = decoded;
         arrival.sort_by_key(|(id, _, _)| order[*id % order.len()]);
-        let mut gate = StreamingAggregator::begin(round, &ids, &mut *strat_b, &mut pool_b);
+        let mut gate = StreamingAggregator::begin(round, &ids, &mut strat_b, &mut pool_b);
         for (id, _, upload) in arrival {
-            gate.accept(&mut *strat_b, id, upload, &mut pool_b).unwrap();
+            gate.accept(&mut strat_b, id, upload, &mut pool_b).unwrap();
         }
         assert!(gate.complete());
         assert_eq!(gate.folded(), ids.len());
-        let got = gate.finish(&mut *strat_b, &mut pool_b);
+        let got = gate.finish(&mut strat_b, &mut pool_b);
 
         assert_eq!(
             want.mask(),

@@ -5,11 +5,11 @@
 //! over many rounds, for GlueFL, STC, and FedAvg.
 //!
 //! Every piece is built from one `SimConfig`, as every driver builds
-//! them: the sampler by `Sampler::new`, the fold by `build_strategy`,
+//! them: the sampler by `Sampler::new`, the fold by `Strategy::new`,
 //! the client half by `ClientCompressor::new`.
 
 use gluefl_compress::{ApfConfig, CompensationMode};
-use gluefl_core::strategies::{build_strategy, Sampler, Upload};
+use gluefl_core::strategies::{Sampler, Strategy, Upload};
 use gluefl_core::stream::fold_in_id_order;
 use gluefl_core::{ClientCompressor, GlueFlParams, ScratchPool, SimConfig, StrategyConfig};
 use gluefl_suite::tensor::{vecops, BitMask};
@@ -46,7 +46,7 @@ fn assert_masked_apply_matches_dense_reference(strategy_cfg: StrategyConfig, see
     let weights = vec![1.0 / N as f64; N];
     let mut rng = StdRng::seed_from_u64(seed);
     let mut sampler = Sampler::new(&cfg, &weights, &mut rng);
-    let mut strategy = build_strategy(&cfg, DIM - STATS, DIM, stats_excluded(), &mut rng);
+    let mut strategy = Strategy::new(&cfg, DIM - STATS, DIM, stats_excluded(), &mut rng);
     let mut clients = ClientCompressor::new(&cfg, &weights, DIM - STATS, DIM, stats_excluded());
     let name = cfg.strategy.name();
     let mut pool = ScratchPool::new();
@@ -71,7 +71,7 @@ fn assert_masked_apply_matches_dense_reference(strategy_cfg: StrategyConfig, see
                     }
                 })
                 .collect();
-            let mask = strategy.round_mask(round);
+            let mask = strategy.round_mask();
             let mut residual = clients.check_out(id);
             let upload = clients
                 .compress(round, id, group, &mut delta, mask, &mut residual, &mut pool)
@@ -79,7 +79,7 @@ fn assert_masked_apply_matches_dense_reference(strategy_cfg: StrategyConfig, see
             clients.check_in(id, residual);
             kept.push((id, sampler.weight(id, group) as f32, upload));
         }
-        let update = fold_in_id_order(&mut *strategy, round, &kept, &mut pool);
+        let update = fold_in_id_order(&mut strategy, round, &kept, &mut pool);
 
         // Masked pipeline: word-level scatter / masked AXPY.
         update.add_to(&mut params_masked);

@@ -4,7 +4,7 @@
 //! re-derivation.
 
 use gluefl_compress::CompensationMode;
-use gluefl_core::strategies::{GlueFlStrategy, Sampler, Strategy};
+use gluefl_core::strategies::{Sampler, Strategy};
 use gluefl_core::stream::fold_in_id_order;
 use gluefl_core::{ClientCompressor, GlueFlParams, ScratchPool, SimConfig, StrategyConfig};
 use gluefl_suite::tensor::BitMask;
@@ -17,7 +17,7 @@ use rand::SeedableRng;
 /// with no BN statistics and no over-commitment.
 struct GlueFl {
     sampler: Sampler,
-    fold: GlueFlStrategy,
+    fold: Strategy,
     clients: ClientCompressor,
 }
 
@@ -26,7 +26,7 @@ fn gluefl(params: GlueFlParams, weights: &[f64], k: usize, rng: &mut StdRng) -> 
     let mut cfg = SimConfig::paper_setup(
         gluefl_data::DatasetProfile::Femnist,
         gluefl_ml::DatasetModel::ShuffleNet,
-        StrategyConfig::GlueFl(params.clone()),
+        StrategyConfig::GlueFl(params),
         0.02,
         1,
         0,
@@ -35,7 +35,7 @@ fn gluefl(params: GlueFlParams, weights: &[f64], k: usize, rng: &mut StdRng) -> 
     cfg.oc = 1.0;
     GlueFl {
         sampler: Sampler::new(&cfg, weights, rng),
-        fold: GlueFlStrategy::new(params, k, n, n, BitMask::zeros(n), rng),
+        fold: Strategy::new(&cfg, n, n, BitMask::zeros(n), rng),
         clients: ClientCompressor::new(&cfg, weights, n, n, BitMask::zeros(n)),
     }
 }
@@ -49,7 +49,7 @@ fn indicator_round(
     pool: &mut ScratchPool,
     mut sink: impl FnMut(usize, f32),
 ) {
-    let n = g.fold.shared_mask().len();
+    let n = g.fold.round_mask().expect("GlueFL broadcasts M_t").len();
     let plan = g.sampler.plan(rng, &mut gluefl_sampling::AllOnline);
     let mut kept = Vec::new();
     for (id, group) in plan.invited() {
@@ -63,7 +63,7 @@ fn indicator_round(
                 id,
                 group,
                 &mut delta,
-                g.fold.round_mask(round),
+                g.fold.round_mask(),
                 &mut residual,
                 pool,
             )
