@@ -17,6 +17,7 @@
 //! Run with `expt scale [--quick] [--out DIR]`.
 
 use crate::ExptOpts;
+use gluefl_net::timing::{fastest, ClientRoundTime};
 use gluefl_net::{DeviceProfile, LazyAvailability, LinkCache, NetworkProfile, SpeedCache};
 use gluefl_sampling::overcommit::{plan as oc_plan, OcStrategy};
 use gluefl_sampling::StickySampler;
@@ -72,23 +73,24 @@ fn run_point(n: usize, rounds: u32, seed: u64) -> ScalePoint {
                 &mut online,
             )
         };
-        // Keep-fastest within each group: rank invites by simulated
-        // round time (upload over the client link + one local step).
-        let mut time_of = |id: usize| {
-            let link = links.get(id);
-            let speed = speeds.get(id);
-            PAYLOAD_MBIT / link.up_mbps.max(0.1) + 1.0 / speed.max(0.01)
-        };
-        let fastest = |ids: &[usize], keep: usize, time_of: &mut dyn FnMut(usize) -> f64| {
-            let mut timed: Vec<(f64, usize)> = ids.iter().map(|&id| (time_of(id), id)).collect();
-            timed.sort_by(|a, b| a.0.total_cmp(&b.0));
-            timed.truncate(keep);
-            let mut kept: Vec<usize> = timed.into_iter().map(|(_, id)| id).collect();
+        // Keep-fastest within each group, by the engine's rule: rank
+        // invites by simulated round time (upload over the client link +
+        // one local step).
+        let mut keep_fastest = |ids: &[usize], keep: usize| {
+            let times: Vec<ClientRoundTime> = ids
+                .iter()
+                .map(|&id| ClientRoundTime {
+                    upload_secs: PAYLOAD_MBIT / links.get(id).up_mbps.max(0.1),
+                    compute_secs: 1.0 / speeds.get(id).max(0.01),
+                    ..ClientRoundTime::default()
+                })
+                .collect();
+            let mut kept: Vec<usize> = fastest(&times, keep).into_iter().map(|i| ids[i]).collect();
             kept.sort_unstable();
             kept
         };
-        let kept_sticky = fastest(&draw.sticky, plan.keep_sticky, &mut time_of);
-        let kept_fresh = fastest(&draw.fresh, plan.keep_fresh, &mut time_of);
+        let kept_sticky = keep_fastest(&draw.sticky, plan.keep_sticky);
+        let kept_fresh = keep_fastest(&draw.fresh, plan.keep_fresh);
         sampler.rebalance(&mut rng, &kept_sticky, &kept_fresh);
     }
     let elapsed = start.elapsed();
