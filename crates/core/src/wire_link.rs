@@ -1,4 +1,4 @@
-//! The bridge between the strategies' [`Upload`] type and the
+//! The bridge between the strategy seam's [`Upload`] type and the
 //! [`gluefl_wire`] frame protocol.
 //!
 //! [`encode_upload`] serializes an upload into the wire frames a real
