@@ -26,7 +26,7 @@ use gluefl_telemetry::Telemetry;
 use gluefl_tensor::{BitMask, MaskAligned};
 use gluefl_transport::proto::{write_msg, MsgKind, ENVELOPE_BYTES, PROTO_MAGIC, PROTO_VERSION};
 use gluefl_transport::{
-    run_client, smoke_config, ClientNode, Server, ServerConfig, TransportError,
+    run_client, smoke_config, ClientNode, Server, ServerConfig, ServerReport, TransportError,
 };
 use gluefl_wire::{frame_len_from_header, Codec, FrameWriter, Rounding, WireError, WirePolicy};
 use std::io::{Read as _, Write as _};
@@ -255,6 +255,12 @@ enum Rogue {
     /// Never gets that far: answers its first invitation with
     /// `OFFER(u64::MAX, u64::MAX)`.
     AbsurdOffer,
+    /// Never answers an invitation, and stays connected.
+    NeverOffers,
+    /// Offers, is granted, never uploads, and stays connected.
+    NeverUploads,
+    /// Sends its granted upload twice, then plays on.
+    DuplicateUpload,
 }
 
 fn raw_envelope(kind: MsgKind, round: u32, len: usize) -> [u8; ENVELOPE_BYTES] {
@@ -268,7 +274,8 @@ fn raw_envelope(kind: MsgKind, round: u32, len: usize) -> [u8; ENVELOPE_BYTES] {
 
 /// Plays the protocol honestly until the first granted upload, then
 /// executes `mode`. Returns once the corruption is delivered (or at FIN
-/// if never granted).
+/// if never granted); the modes that stay connected return when the
+/// server cuts them off.
 fn run_rogue(addr: &str, cfg: gluefl_core::SimConfig, id: usize, mode: Rogue) {
     let mut node = ClientNode::new(cfg, id);
     let mut stream = TcpStream::connect(addr).expect("connect");
@@ -294,6 +301,9 @@ fn run_rogue(addr: &str, cfg: gluefl_core::SimConfig, id: usize, mode: Rogue) {
                     let _ = write_msg(&mut stream, MsgKind::Offer, env.round, &[0xFF; 16]);
                     return;
                 }
+                if let Rogue::NeverOffers = mode {
+                    continue;
+                }
                 let (analytic, wire) = node
                     .handle_invite(env.round, &payload)
                     .expect("rogue trains honestly");
@@ -305,7 +315,7 @@ fn run_rogue(addr: &str, cfg: gluefl_core::SimConfig, id: usize, mode: Rogue) {
                 }
             }
             MsgKind::Grant => {
-                if payload.first() != Some(&1) {
+                if payload.first() != Some(&1) || matches!(mode, Rogue::NeverUploads) {
                     node.discard_pending();
                     continue;
                 }
@@ -342,7 +352,15 @@ fn run_rogue(addr: &str, cfg: gluefl_core::SimConfig, id: usize, mode: Rogue) {
                         let _ = stream.flush();
                         let _ = stream.shutdown(Shutdown::Both);
                     }
-                    Rogue::AbsurdOffer => unreachable!("left at its first invitation"),
+                    Rogue::DuplicateUpload => {
+                        for _ in 0..2 {
+                            let _ = write_msg(&mut stream, MsgKind::Upload, env.round, &upload_buf);
+                        }
+                        continue;
+                    }
+                    Rogue::AbsurdOffer | Rogue::NeverOffers | Rogue::NeverUploads => {
+                        unreachable!("{mode:?} never uploads")
+                    }
                     Rogue::MaskFrameAsUpload => {
                         let mut buf = Vec::new();
                         let _ = FrameWriter::new(WirePolicy::default()).mask(
@@ -465,13 +483,24 @@ fn run_adversarial(strategy: &str, clients: usize, rounds: u32, seed: u64) -> (u
 /// so the rogue is granted deterministically in round 0. Returns the
 /// final metrics snapshot for exact counter assertions.
 fn run_single_rogue(mode: Rogue, seed: u64) -> gluefl_telemetry::Snapshot {
+    let deadlines = (Duration::from_secs(10), Duration::from_secs(3));
+    run_single_rogue_under(mode, seed, deadlines).1
+}
+
+/// [`run_single_rogue`] under the given `(offer, upload)` deadlines;
+/// returns the server's report beside the snapshot.
+fn run_single_rogue_under(
+    mode: Rogue,
+    seed: u64,
+    (offer_timeout, upload_timeout): (Duration, Duration),
+) -> (ServerReport, gluefl_telemetry::Snapshot) {
     let mut cfg = smoke_config("fedavg", 2, 2, seed).expect("valid smoke config");
     cfg.round_size = 2;
     cfg.oc = 1.0;
     let tel = Arc::new(Telemetry::new());
     let mut net = ServerConfig::local(2);
-    net.offer_timeout = Duration::from_secs(10);
-    net.upload_timeout = Duration::from_secs(3);
+    net.offer_timeout = offer_timeout;
+    net.upload_timeout = upload_timeout;
     net.stall_grace = Duration::from_millis(300);
     net.read_tick = Duration::from_millis(50);
     net.telemetry = Some(Arc::clone(&tel));
@@ -491,7 +520,83 @@ fn run_single_rogue(mode: Rogue, seed: u64) -> gluefl_telemetry::Snapshot {
         Err(e) => panic!("honest client failed: {e}"),
     }
     rogue.join().expect("rogue thread must not panic");
-    tel.snapshot()
+    (report, tel.snapshot())
+}
+
+/// Sub-second deadlines for the rogues that make the server wait one
+/// out.
+const SHORT_DEADLINES: (Duration, Duration) =
+    (Duration::from_millis(400), Duration::from_millis(400));
+
+/// Sums every sample of the counter family `name`.
+fn total(snap: &gluefl_telemetry::Snapshot, name: &str) -> f64 {
+    snap.samples
+        .iter()
+        .filter(|s| s.name == name)
+        .map(|s| s.value)
+        .sum()
+}
+
+/// The failure counters of a single-rogue run, in the order
+/// `(offer deadlines, upload deadlines, kills, skips, stalls, decode
+/// errors)`, after checking that kills and skips agree with the report.
+fn failure_counts(report: &ServerReport, snap: &gluefl_telemetry::Snapshot) -> [f64; 6] {
+    let kills = total(snap, "gluefl_server_clients_killed_total");
+    let skips = total(snap, "gluefl_server_uploads_skipped_total");
+    assert_eq!(kills as usize, report.dead_clients, "kills vs report");
+    assert_eq!(skips as usize, report.skipped_uploads, "skips vs report");
+    let expired = |phase| {
+        snap.value("gluefl_server_deadlines_expired_total", &[("phase", phase)])
+            .expect("deadline counters are registered up front")
+    };
+    [
+        expired("offer"),
+        expired("upload"),
+        kills,
+        skips,
+        total(snap, "gluefl_server_stalls_total"),
+        total(snap, "gluefl_server_decode_errors_total"),
+    ]
+}
+
+/// A client that never answers its invitation runs out its offer
+/// deadline: the server kills it and reports its kept slot lost.
+#[test]
+fn silent_invitee_expires_one_offer_deadline() {
+    let (report, snap) = run_single_rogue_under(Rogue::NeverOffers, 1, SHORT_DEADLINES);
+    assert_eq!(
+        failure_counts(&report, &snap),
+        [1.0, 0.0, 1.0, 1.0, 0.0, 0.0],
+        "(offer deadlines, upload deadlines, kills, skips, stalls, decode errors)"
+    );
+}
+
+/// A granted client that never uploads runs out its upload deadline:
+/// the server kills it and reports its slot lost.
+#[test]
+fn granted_client_that_never_uploads_expires_one_upload_deadline() {
+    let (report, snap) = run_single_rogue_under(Rogue::NeverUploads, 1, SHORT_DEADLINES);
+    assert_eq!(
+        failure_counts(&report, &snap),
+        [0.0, 1.0, 1.0, 1.0, 0.0, 0.0],
+        "(offer deadlines, upload deadlines, kills, skips, stalls, decode errors)"
+    );
+}
+
+/// A second copy of a delivered upload is owed by no one: it costs its
+/// sender the connection, and nothing waits for a deadline, decodes it
+/// or stalls. Whether the round that reads it had already granted the
+/// sender a new slot (one more skip) depends on the timing, so the skip
+/// count is only held to the report.
+#[test]
+fn duplicate_upload_counts_one_kill() {
+    let (report, snap) = run_single_rogue_under(Rogue::DuplicateUpload, 1, SHORT_DEADLINES);
+    let [offer, upload, kills, _, stalls, decode] = failure_counts(&report, &snap);
+    assert_eq!(
+        [offer, upload, kills, stalls, decode],
+        [0.0, 0.0, 1.0, 0.0, 0.0],
+        "(offer deadlines, upload deadlines, kills, stalls, decode errors)"
+    );
 }
 
 /// A client built for a different population (`--clients 9` against a
