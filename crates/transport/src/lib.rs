@@ -36,9 +36,10 @@
 //! `secs_per_modeled_sec`. Within a message, a connection that stops
 //! making byte progress for longer than the stall grace is cut off
 //! (slow-loris defense); between messages a connection may idle forever.
-//! A client that misses a deadline, disconnects, or sends hostile bytes
-//! is skipped — the streaming aggregator folds whoever remains and the
-//! round always completes.
+//! A client that misses a deadline, disconnects, sends a message it does
+//! not owe (an `UPLOAD` after `GRANT(0)`, say) or sends hostile bytes is
+//! cut off, and skipped if it held a kept slot — the streaming
+//! aggregator folds whoever remains and the round always completes.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

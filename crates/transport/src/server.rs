@@ -15,20 +15,24 @@
 //!   valid `HELLO`, are turned away and counted by reason;
 //! * `INVITE`: the engine's broadcast frames behind a group tag, written
 //!   to every invited client;
-//! * `OFFER` collection under per-client wall-clock deadlines derived
-//!   from the *modeled* download and compute times ([`wall_deadline`]);
+//! * one slot per invitation, recording what its client owes next and by
+//!   when: this round's `OFFER`, under a wall-clock deadline derived
+//!   from the *modeled* download and compute times ([`wall_deadline`]),
+//!   then, if granted, its `UPLOAD` under one derived from the modeled
+//!   upload time. Both waits of the round go through one routine
+//!   (`SocketIo::settle`);
 //! * `GRANT` to exactly the keep set — the over-committed remainder is
-//!   told to discard, so its upload bytes never reach the decoder; a
-//!   remainder client that uploads anyway has its payload drained and
-//!   dropped unread;
-//! * `UPLOAD` arrivals handed to the engine **as they arrive**, again
-//!   under deadlines — there is no collect-then-aggregate staging;
+//!   told to discard, so it owes nothing more this round and its upload
+//!   bytes never reach the decoder;
+//! * `UPLOAD` arrivals handed to the engine **as they arrive** — there
+//!   is no collect-then-aggregate staging;
 //! * the failure policy: a connection that closes, stalls mid-message,
-//!   breaks protocol, misses a deadline or delivers bytes the engine
-//!   rejects is shut down and never invited again, its kept slot is
-//!   reported lost, and the round completes without it. Kill, skip,
-//!   stall, deadline and decode-error counters fire at exactly those
-//!   points.
+//!   misses a deadline, sends a message no slot owes (a second upload,
+//!   an upload after `GRANT(0)`, a message from another round) or
+//!   delivers bytes the engine rejects is shut down and never invited
+//!   again, its kept slot is reported lost, and the round completes
+//!   without it. Kill, skip, stall, deadline and decode-error counters
+//!   fire at exactly those points.
 
 use crate::proto::{
     parse_envelope, parse_offer, read_exact_classified, read_msg, stall_ticks_for, write_msg,
@@ -108,8 +112,8 @@ impl ServerConfig {
 struct NetRecorder {
     hub: Arc<Telemetry>,
     offers_granted: Counter,
-    offer_deadlines: Counter,
-    upload_deadlines: Counter,
+    /// Deadlines expired, indexed by [`Owed`].
+    deadlines_expired: [Counter; Owed::ALL.len()],
     stalls: Counter,
     skips: Counter,
     kills: Counter,
@@ -135,14 +139,12 @@ impl NetRecorder {
         };
         Self {
             offers_granted: hub.counter("gluefl_server_offers_granted_total", &[]),
-            offer_deadlines: hub.counter(
-                "gluefl_server_deadlines_expired_total",
-                &[("phase", "offer")],
-            ),
-            upload_deadlines: hub.counter(
-                "gluefl_server_deadlines_expired_total",
-                &[("phase", "upload")],
-            ),
+            deadlines_expired: Owed::ALL.map(|owed| {
+                hub.counter(
+                    "gluefl_server_deadlines_expired_total",
+                    &[("phase", owed.kind().name())],
+                )
+            }),
             stalls: hub.counter("gluefl_server_stalls_total", &[]),
             skips: hub.counter("gluefl_server_uploads_skipped_total", &[]),
             kills: hub.counter("gluefl_server_clients_killed_total", &[]),
@@ -196,6 +198,13 @@ impl NetRecorder {
             | ReaderEvent::Closed
             | ReaderEvent::Failed(_) => {}
         }
+    }
+
+    fn expired(&self, round: u32, id: usize, owed: Owed) {
+        self.deadlines_expired[owed as usize].inc();
+        let which = owed.kind().name();
+        self.hub
+            .event(round, id as i64, EventKind::DeadlineExpired { which });
     }
 
     fn skip(&self, round: u32, id: usize) {
@@ -296,19 +305,49 @@ struct Conn {
     reader: Option<JoinHandle<()>>,
 }
 
-/// What a kept upload slot is waiting for.
+/// A message an invited client owes the round.
 #[derive(Clone, Copy, PartialEq)]
-enum UploadSlot {
-    /// Not granted this round.
-    NotKept,
-    /// Granted; the upload must arrive by the deadline.
-    Pending(Instant),
-    /// Delivered to the engine or reported lost.
-    Resolved,
+enum Owed {
+    /// This round's `OFFER`.
+    Offer,
+    /// The granted `UPLOAD`.
+    Upload,
+}
+
+impl Owed {
+    /// Every kind, in counter-index order.
+    const ALL: [Owed; 2] = [Owed::Offer, Owed::Upload];
+
+    fn kind(self) -> MsgKind {
+        match self {
+            Owed::Offer => MsgKind::Offer,
+            Owed::Upload => MsgKind::Upload,
+        }
+    }
+}
+
+/// One invitation's state within the round.
+#[derive(Clone, Copy, PartialEq)]
+enum Slot {
+    /// The client owes this message by the deadline.
+    Owes(Owed, Instant),
+    /// The client was killed while it owed a message; not yet reported.
+    Lost,
+    /// The client owes nothing more this round.
+    Done,
+}
+
+/// How [`SocketIo::settle`] resolved a slot.
+enum Settled {
+    /// The owed message arrived: the invitation index and its payload.
+    Paid(usize, Vec<u8>),
+    /// The client missed its deadline, broke protocol or failed, and was
+    /// killed: the invitation index.
+    Lost(usize),
 }
 
 /// The socket [`RoundIo`]: the registered connections, which of them are
-/// still alive, and one round's worth of offer/upload bookkeeping.
+/// still alive, and the round's slot table.
 struct SocketIo {
     net: ServerConfig,
     tel: Option<NetRecorder>,
@@ -328,22 +367,22 @@ struct SocketIo {
     /// (`usize::MAX` when not invited this round).
     invited: Vec<usize>,
     invited_ix: Vec<usize>,
-    /// Per invitation index: whether the client offered, and the state of
-    /// its upload slot.
-    offered: Vec<bool>,
-    uploads: Vec<UploadSlot>,
-    /// Kept slots already known lost, not yet reported to the engine.
-    lost: Vec<usize>,
+    /// Per invitation index: what the client owes next.
+    slots: Vec<Slot>,
     /// Reused `INVITE` payload (group tag + broadcast frames).
     invite_buf: Vec<u8>,
 }
 
 impl SocketIo {
-    /// Marks a connection dead: no further events are honored and the
-    /// socket is shut down so its reader thread unblocks and exits. The
-    /// kill counter and journal event fire on the same `alive` transition
+    /// Marks a connection dead: no further events are honored, the
+    /// socket is shut down so its reader thread unblocks and exits, and
+    /// a slot it still owed a message is lost. The kill counter and
+    /// journal event fire on the same `alive` transition
     /// [`ServerReport::dead_clients`] counts, so the two always agree.
     fn kill(&mut self, round: u32, id: usize) {
+        if let Some(slot @ Slot::Owes(..)) = self.slots.get_mut(self.invited_ix[id]) {
+            *slot = Slot::Lost;
+        }
         if self.alive[id] {
             self.alive[id] = false;
             self.dead_clients += 1;
@@ -396,14 +435,57 @@ impl SocketIo {
         }
     }
 
-    /// Reports a kept slot lost (the skip counter fires here and in
-    /// [`RoundIo::rejected`] — once per skipped upload).
-    fn lose(&mut self, round: u32, i: usize) -> Arrival {
-        self.uploads[i] = UploadSlot::Resolved;
-        if let Some(t) = &self.tel {
-            t.skip(round, self.invited[i]);
+    /// The round's one wait: resolves the next slot that owes a message,
+    /// or `None` once none does. A lost slot is reported first; then a
+    /// slot past its deadline expires (its client is killed); otherwise
+    /// the next reader event from a live client is taken. The message a
+    /// slot owes resolves that slot; anything else — a close, a failure,
+    /// a message no slot owes — kills its sender, which loses the slot
+    /// it owed, if any.
+    fn settle(&mut self, round: u32) -> Option<Settled> {
+        loop {
+            let now = Instant::now();
+            let mut next: Option<Instant> = None;
+            for i in 0..self.slots.len() {
+                match self.slots[i] {
+                    Slot::Owes(owed, deadline) if now >= deadline => {
+                        let id = self.invited[i];
+                        if let Some(t) = &self.tel {
+                            t.expired(round, id, owed);
+                        }
+                        // Loses the slot.
+                        self.kill(round, id);
+                    }
+                    Slot::Owes(_, deadline) => {
+                        next = Some(next.map_or(deadline, |n| n.min(deadline)));
+                    }
+                    Slot::Lost | Slot::Done => {}
+                }
+                if self.slots[i] == Slot::Lost {
+                    self.slots[i] = Slot::Done;
+                    return Some(Settled::Lost(i));
+                }
+            }
+            let Some((id, ix, event)) = self.next_event(round, next?) else {
+                continue;
+            };
+            let owed = match self.slots.get(ix) {
+                Some(&Slot::Owes(owed, _)) => Some(owed.kind()),
+                _ => None,
+            };
+            match event {
+                // An offer pays only if it parses.
+                ReaderEvent::Msg(env, payload)
+                    if env.round == round
+                        && owed == Some(env.kind)
+                        && (env.kind != MsgKind::Offer || parse_offer(&payload).is_some()) =>
+                {
+                    self.slots[ix] = Slot::Done;
+                    return Some(Settled::Paid(ix, payload));
+                }
+                _ => self.kill(round, id),
+            }
         }
-        Arrival::Lost(i)
     }
 
     /// The handshake phase: accepts connections until `net.clients`
@@ -553,6 +635,8 @@ impl RoundIo for SocketIo {
             self.invited_ix[id] = usize::MAX;
         }
         self.invited.clear();
+        self.slots.clear();
+        self.slots.resize(invited.len(), Slot::Done);
         for (i, &(id, group)) in invited.iter().enumerate() {
             self.invited.push(id);
             self.invited_ix[id] = i;
@@ -569,92 +653,46 @@ impl RoundIo for SocketIo {
 
     fn offers(&mut self, round: u32, times: &[ClientRoundTime], offers: &mut [Option<(u64, u64)>]) {
         let phase_start = Instant::now();
-        let deadlines: Vec<Instant> = times
-            .iter()
-            .map(|t| {
-                phase_start
-                    + wall_deadline(
-                        t.download_secs + t.compute_secs,
-                        self.net.offer_timeout,
-                        self.net.secs_per_modeled_sec,
-                    )
-            })
-            .collect();
-        // Resolved = offered, or dead.
-        let mut resolved: Vec<bool> = self.invited.iter().map(|&id| !self.alive[id]).collect();
-        loop {
-            let now = Instant::now();
-            for i in 0..resolved.len() {
-                if !resolved[i] && now >= deadlines[i] {
-                    resolved[i] = true;
-                    let id = self.invited[i];
-                    if let Some(t) = &self.tel {
-                        t.offer_deadlines.inc();
-                        t.hub.event(
-                            round,
-                            id as i64,
-                            EventKind::DeadlineExpired { which: "offer" },
-                        );
-                    }
-                    self.kill(round, id);
-                }
-            }
-            let pending = deadlines.iter().zip(&resolved).filter(|&(_, &r)| !r);
-            let Some(next) = pending.map(|(d, _)| *d).min() else {
-                break;
-            };
-            let Some((id, ix, event)) = self.next_event(round, next) else {
-                continue;
-            };
-            let offer = match &event {
-                ReaderEvent::Msg(env, payload)
-                    if env.kind == MsgKind::Offer
-                        && env.round == round
-                        && ix != usize::MAX
-                        && !resolved[ix] =>
-                {
-                    parse_offer(payload)
-                }
-                _ => None,
-            };
-            match offer {
-                Some(offer) => {
-                    offers[ix] = Some(offer);
-                    resolved[ix] = true;
-                }
-                None => {
-                    // Closed, failed, or a protocol violation.
-                    self.kill(round, id);
-                    if ix != usize::MAX {
-                        resolved[ix] = true;
-                    }
-                }
+        for (i, t) in times.iter().enumerate() {
+            if self.alive[self.invited[i]] {
+                let patience = wall_deadline(
+                    t.download_secs + t.compute_secs,
+                    self.net.offer_timeout,
+                    self.net.secs_per_modeled_sec,
+                );
+                self.slots[i] = Slot::Owes(Owed::Offer, phase_start + patience);
             }
         }
-        self.offered.clear();
-        self.offered.extend(offers.iter().map(Option::is_some));
+        while let Some(settled) = self.settle(round) {
+            if let Settled::Paid(i, payload) = settled {
+                // `settle` takes only an offer that parses.
+                offers[i] = parse_offer(&payload);
+            }
+        }
     }
 
     fn grant(&mut self, round: u32, kept: &[usize], times: &[ClientRoundTime]) {
+        // Every invited client still alive has offered: `settle` kills
+        // any that did not.
         let phase_start = Instant::now();
-        self.uploads.clear();
-        self.uploads.resize(self.invited.len(), UploadSlot::NotKept);
         for &i in kept {
-            self.uploads[i] = UploadSlot::Pending(
-                phase_start
-                    + wall_deadline(
-                        times[i].upload_secs,
-                        self.net.upload_timeout,
-                        self.net.secs_per_modeled_sec,
-                    ),
-            );
+            self.slots[i] = if self.alive[self.invited[i]] {
+                let patience = wall_deadline(
+                    times[i].upload_secs,
+                    self.net.upload_timeout,
+                    self.net.secs_per_modeled_sec,
+                );
+                Slot::Owes(Owed::Upload, phase_start + patience)
+            } else {
+                Slot::Lost
+            };
         }
         for i in 0..self.invited.len() {
             let id = self.invited[i];
-            if !self.alive[id] || !self.offered[i] {
+            if !self.alive[id] {
                 continue;
             }
-            let granted = self.uploads[i] != UploadSlot::NotKept;
+            let granted = self.slots[i] != Slot::Done;
             if self.send(round, id, MsgKind::Grant, &[u8::from(granted)]) && granted {
                 if let Some(t) = &self.tel {
                     t.offers_granted.inc();
@@ -662,77 +700,21 @@ impl RoundIo for SocketIo {
                 }
             }
         }
-        // A kept client that never offered, or died since, cannot deliver.
-        self.lost.clear();
-        for &i in kept.iter().rev() {
-            if !self.alive[self.invited[i]] || !self.offered[i] {
-                self.lost.push(i);
-            }
-        }
     }
 
     fn next_upload(&mut self, round: u32, payload: &mut Vec<u8>) -> Option<Arrival> {
-        loop {
-            if let Some(i) = self.lost.pop() {
-                return Some(self.lose(round, i));
+        match self.settle(round)? {
+            Settled::Paid(i, body) => {
+                *payload = body;
+                Some(Arrival::Delivered(i))
             }
-            // Expire the first overdue slot; otherwise wait for the
-            // earliest pending deadline.
-            let now = Instant::now();
-            let mut next: Option<Instant> = None;
-            for i in 0..self.uploads.len() {
-                let UploadSlot::Pending(deadline) = self.uploads[i] else {
-                    continue;
-                };
-                if now >= deadline {
-                    let id = self.invited[i];
-                    if let Some(t) = &self.tel {
-                        t.upload_deadlines.inc();
-                        t.hub.event(
-                            round,
-                            id as i64,
-                            EventKind::DeadlineExpired { which: "upload" },
-                        );
-                    }
-                    let lost = self.lose(round, i);
-                    self.kill(round, id);
-                    return Some(lost);
+            Settled::Lost(i) => {
+                // The skip counter fires here and in `rejected` — once
+                // per skipped upload.
+                if let Some(t) = &self.tel {
+                    t.skip(round, self.invited[i]);
                 }
-                next = Some(next.map_or(deadline, |n| n.min(deadline)));
-            }
-            let Some((id, ix, event)) = self.next_event(round, next?) else {
-                continue;
-            };
-            let slot = if ix == usize::MAX {
-                UploadSlot::NotKept
-            } else {
-                self.uploads[ix]
-            };
-            match event {
-                ReaderEvent::Msg(env, body)
-                    if env.kind == MsgKind::Upload && env.round == round =>
-                {
-                    match slot {
-                        // The over-committed remainder (or an uninvited
-                        // peer) sent bytes anyway: the reader already
-                        // drained them off the socket; drop the payload
-                        // without decoding a byte.
-                        UploadSlot::NotKept => drop(body),
-                        // Duplicate upload: protocol violation.
-                        UploadSlot::Resolved => self.kill(round, id),
-                        UploadSlot::Pending(_) => {
-                            self.uploads[ix] = UploadSlot::Resolved;
-                            *payload = body;
-                            return Some(Arrival::Delivered(ix));
-                        }
-                    }
-                }
-                _ => {
-                    self.kill(round, id);
-                    if matches!(slot, UploadSlot::Pending(_)) {
-                        return Some(self.lose(round, ix));
-                    }
-                }
+                Some(Arrival::Lost(i))
             }
         }
     }
@@ -821,9 +803,7 @@ impl Server {
             turned_away: Vec::new(),
             dead_clients: 0,
             invited: Vec::new(),
-            offered: Vec::new(),
-            uploads: Vec::new(),
-            lost: Vec::new(),
+            slots: Vec::new(),
             invite_buf: Vec::new(),
         };
         io.admit(&listener, &tx, &welcome, stall_ticks)?;

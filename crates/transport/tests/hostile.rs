@@ -261,6 +261,9 @@ enum Rogue {
     NeverUploads,
     /// Sends its granted upload twice, then plays on.
     DuplicateUpload,
+    /// Plays honestly, except that it answers every `GRANT(0)` with an
+    /// `UPLOAD` of 32 junk bytes.
+    JunkWhenDismissed,
 }
 
 fn raw_envelope(kind: MsgKind, round: u32, len: usize) -> [u8; ENVELOPE_BYTES] {
@@ -315,8 +318,12 @@ fn run_rogue(addr: &str, cfg: gluefl_core::SimConfig, id: usize, mode: Rogue) {
                 }
             }
             MsgKind::Grant => {
-                if payload.first() != Some(&1) || matches!(mode, Rogue::NeverUploads) {
+                let granted = payload.first() == Some(&1);
+                if !granted || matches!(mode, Rogue::NeverUploads) {
                     node.discard_pending();
+                    if !granted && matches!(mode, Rogue::JunkWhenDismissed) {
+                        let _ = write_msg(&mut stream, MsgKind::Upload, env.round, &[0xA5; 32]);
+                    }
                     continue;
                 }
                 upload_buf.clear();
@@ -352,8 +359,13 @@ fn run_rogue(addr: &str, cfg: gluefl_core::SimConfig, id: usize, mode: Rogue) {
                         let _ = stream.flush();
                         let _ = stream.shutdown(Shutdown::Both);
                     }
-                    Rogue::DuplicateUpload => {
-                        for _ in 0..2 {
+                    Rogue::DuplicateUpload | Rogue::JunkWhenDismissed => {
+                        let copies = if let Rogue::DuplicateUpload = mode {
+                            2
+                        } else {
+                            1
+                        };
+                        for _ in 0..copies {
                             let _ = write_msg(&mut stream, MsgKind::Upload, env.round, &upload_buf);
                         }
                         continue;
@@ -703,6 +715,54 @@ fn slow_loris_counts_one_stall() {
         snap.value("gluefl_server_stalls_total", &[]),
         Some(1.0),
         "the mid-envelope stall must register exactly once"
+    );
+}
+
+/// An upload no slot owes costs its sender the connection, whenever it
+/// is read: five clients that each answer `GRANT(0)` with junk
+/// (`K = 4`, `oc = 1.25`) lose exactly the first one dismissed — in the
+/// round that dismissed it or, when the junk lands after that round's
+/// last kept upload, in the next one. Four clients are then left for
+/// four kept slots, so no one is dismissed again; no kept slot is lost
+/// and the junk never reaches the decoder.
+#[test]
+fn upload_after_dismissal_kills_its_sender() {
+    let clients = 5;
+    let rounds = 4;
+    let cfg = smoke_config("fedavg", clients, rounds, 1).expect("valid smoke config");
+    assert_eq!((cfg.round_size, cfg.oc), (4, 1.25));
+    let tel = Arc::new(Telemetry::new());
+    let mut net = ServerConfig::local(clients);
+    net.telemetry = Some(Arc::clone(&tel));
+    let server = Server::bind(cfg.clone(), net).expect("bind");
+    let addr = server.local_addr().to_string();
+    let peers: Vec<_> = (0..clients)
+        .map(|id| {
+            let (addr, cfg) = (addr.clone(), cfg.clone());
+            std::thread::spawn(move || run_rogue(&addr, cfg, id, Rogue::JunkWhenDismissed))
+        })
+        .collect();
+    let report = server.run().expect("server completes");
+    for p in peers {
+        p.join().expect("client thread must not panic");
+    }
+    let snap = tel.snapshot();
+    assert_eq!(report.records.len(), rounds as usize);
+    assert_eq!(
+        (
+            report.dead_clients,
+            total(&snap, "gluefl_server_clients_killed_total")
+        ),
+        (1, 1.0),
+        "(dead clients, kills)"
+    );
+    assert_eq!(
+        (
+            report.skipped_uploads,
+            total(&snap, "gluefl_server_decode_errors_total")
+        ),
+        (0, 0.0),
+        "(skipped uploads, decode errors)"
     );
 }
 
