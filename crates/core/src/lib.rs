@@ -74,7 +74,7 @@ pub use engine::RoundEngine;
 pub use gluefl_tensor::MaskedUpdate;
 pub use gluefl_wire::Codec as WireCodec;
 pub use gluefl_wire::{LayoutMenu, WirePolicy};
-pub use metrics::{bytes_to_mb, CumulativeMetrics, RoundRecord, RunResult};
+pub use metrics::{bytes_to_mb, rolling_accuracy, CumulativeMetrics, RoundRecord, RunResult};
 pub use scratch::{ScratchPool, TrainSlot};
 pub use simulator::{
     batch_local_train_into, local_train_into, local_train_seed, train_client_into, ClientTurn,

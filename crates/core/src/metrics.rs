@@ -150,8 +150,9 @@ pub struct RunResult {
     pub strategy: String,
     /// Per-round records.
     pub rounds: Vec<RoundRecord>,
-    /// Round at which the 5-eval rolling-mean accuracy first reached the
-    /// target (paper §5.1 reporting rule), if it did.
+    /// Round at which the trailing-window accuracy
+    /// ([`rolling_accuracy`]) first reached the target (paper §5.1
+    /// reporting rule), if it did.
     pub target_round: Option<u32>,
     /// Cumulative metrics *at the target round* (or at the end if the
     /// target was not reached).
@@ -177,29 +178,49 @@ pub struct CumulativeMetrics {
     pub accuracy: f64,
 }
 
+/// Evaluations the paper's reporting rule averages over (§5.1).
+const TARGET_WINDOW: usize = 5;
+
+/// The paper's trailing-window accuracy (§5.1), the one rule both the
+/// target round and a common target are read from: with
+/// `w = min(5, evaluations in the run)`, one `(round, mean of the last w
+/// evaluations)` per evaluation round from the `w`-th evaluation on. A
+/// run with fewer than five evaluations averages all of them; one with
+/// none yields nothing.
+#[must_use]
+pub fn rolling_accuracy(rounds: &[RoundRecord]) -> Vec<(u32, f64)> {
+    let evals: Vec<(u32, f64)> = rounds
+        .iter()
+        .filter_map(|r| Some((r.round, r.accuracy?)))
+        .collect();
+    let w = evals.len().min(TARGET_WINDOW);
+    if w == 0 {
+        return Vec::new();
+    }
+    evals
+        .windows(w)
+        .map(|win| {
+            let mean = win.iter().map(|&(_, acc)| acc).sum::<f64>() / w as f64;
+            (win[w - 1].0, mean)
+        })
+        .collect()
+}
+
 impl RunResult {
     /// Builds a result from round records, computing target-time metrics
-    /// with the paper's 5-evaluation rolling mean rule.
+    /// with the paper's trailing-window rule ([`rolling_accuracy`]).
     #[must_use]
     pub fn from_rounds(
         strategy: impl Into<String>,
         rounds: Vec<RoundRecord>,
         target_accuracy: Option<f64>,
     ) -> Self {
-        let mut rolling: Vec<f64> = Vec::new();
-        let mut target_round: Option<u32> = None;
-        if let Some(target) = target_accuracy {
-            for r in &rounds {
-                if let Some(acc) = r.accuracy {
-                    rolling.push(acc);
-                    let window = &rolling[rolling.len().saturating_sub(5)..];
-                    let mean = window.iter().sum::<f64>() / window.len() as f64;
-                    if rolling.len() >= 5 && mean >= target && target_round.is_none() {
-                        target_round = Some(r.round);
-                    }
-                }
-            }
-        }
+        let target_round = target_accuracy.and_then(|target| {
+            rolling_accuracy(&rounds)
+                .into_iter()
+                .find(|&(_, mean)| mean >= target)
+                .map(|(round, _)| round)
+        });
         let total = Self::accumulate(&rounds, u32::MAX);
         let at_target = match target_round {
             Some(t) => Self::accumulate(&rounds, t),
@@ -346,6 +367,24 @@ mod tests {
         assert_eq!(r.target_round, Some(9));
         assert_eq!(r.at_target.rounds, 10);
         assert_eq!(r.at_target.down_bytes, 100);
+    }
+
+    /// A run with fewer than five evaluations averages all of them, and
+    /// only once all have happened.
+    #[test]
+    fn target_window_shrinks_to_a_short_run() {
+        let accs = [Some(0.25), None, Some(0.5), Some(1.0), None, Some(0.75)];
+        let rounds: Vec<RoundRecord> = accs
+            .iter()
+            .enumerate()
+            .map(|(i, &a)| record(i as u32, 10, 5, a))
+            .collect();
+        assert_eq!(rolling_accuracy(&rounds), [(5, 0.625)]);
+        let r = RunResult::from_rounds("t", rounds.clone(), Some(0.625));
+        assert_eq!(r.target_round, Some(5));
+        assert_eq!(r.at_target.rounds, 6);
+        let r = RunResult::from_rounds("t", rounds, Some(0.626));
+        assert_eq!(r.target_round, None);
     }
 
     #[test]
