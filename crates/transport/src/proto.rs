@@ -353,46 +353,21 @@ pub fn read_msg(
 }
 
 /// Convenience: a simple blocking read of one message with no timeout
-/// classification (client side, where the socket has no read timeout).
+/// classification (client side, where the socket has no read timeout):
+/// [`read_msg`] without idling, whose one-tick stall budget is never
+/// spent because such a socket never ticks.
 ///
 /// # Errors
 /// Every [`ProtoError`]; an EOF between messages is
 /// [`ProtoError::Truncated`] with `got == 0` (clients are always owed a
 /// next message until `FIN`).
 pub fn read_msg_blocking(r: &mut impl Read, payload: &mut Vec<u8>) -> Result<Envelope, ProtoError> {
-    let mut header = [0u8; ENVELOPE_BYTES];
-    let mut got = 0usize;
-    while got < ENVELOPE_BYTES {
-        match r.read(&mut header[got..]) {
-            Ok(0) => {
-                return Err(ProtoError::Truncated {
-                    got,
-                    needed: ENVELOPE_BYTES,
-                })
-            }
-            Ok(n) => got += n,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(ProtoError::Io(e)),
-        }
-    }
-    let env = parse_envelope(&header)?;
-    payload.clear();
-    payload.resize(env.len as usize, 0);
-    let mut got = 0usize;
-    while got < payload.len() {
-        match r.read(&mut payload[got..]) {
-            Ok(0) => {
-                return Err(ProtoError::Truncated {
-                    got,
-                    needed: env.len as usize,
-                })
-            }
-            Ok(n) => got += n,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(ProtoError::Io(e)),
-        }
-    }
-    Ok(env)
+    // A read that may not idle reports an EOF before the header as this
+    // very error, never as a clean close.
+    read_msg(r, payload, false, 1)?.ok_or(ProtoError::Truncated {
+        got: 0,
+        needed: ENVELOPE_BYTES,
+    })
 }
 
 /// Derives the per-tick stall budget from a grace duration and the
