@@ -66,7 +66,8 @@ pub fn common_target(results: &[RunResult]) -> f64 {
     for r in results {
         let best = rolling_accuracy(&r.rounds)
             .into_iter()
-            .fold(0.0, |best: f64, (_, mean)| best.max(mean));
+            .map(|(_, mean)| mean)
+            .fold(0.0, f64::max);
         target = target.min(best);
     }
     (target * 0.98).max(0.0)
