@@ -142,9 +142,12 @@ enum Scheme {
 /// [`compress`](Self::compress) once after local training, then
 /// [`offer`](Self::offer) to price the staged upload, then
 /// [`check_in`](Self::check_in) the residual, then — only if the server
-/// grants the upload — [`encode_kept`](Self::encode_kept). `compress`
-/// and `offer` take `&self`: between check-out and check-in, every
-/// client's turn can run on its own thread.
+/// grants the upload — [`encode_kept`](Self::encode_kept). Where
+/// [`shape_offer`](Self::shape_offer) prices the round from the
+/// broadcast, a driver may offer that price first and run the turn only
+/// once it is granted. `compress` and `offer` take `&self`: between
+/// check-out and check-in, every client's turn can run on its own
+/// thread.
 /// Uploads draw their storage from the caller's [`ScratchPool`] (or, for
 /// a dense upload, are the delta buffer itself) and go back to it with
 /// [`ScratchPool::reclaim_upload`].
@@ -370,6 +373,35 @@ impl ClientCompressor {
                 + FrameWriter::new(policy).known_mask_len(stats_len)
         };
         (price(WirePolicy::legacy(Codec::F32)), price(self.wire))
+    }
+
+    /// What [`offer`](Self::offer) will price every client's upload at
+    /// this round, known from the broadcast alone — or `None` when only
+    /// the trained upload can say. `Some` only for schemes whose upload
+    /// shape the broadcast fixes and whose turn writes no client state:
+    /// the dense scheme's `dim` values and APF's values under
+    /// `round_mask`. A driver can then price an invitation without
+    /// running its turn and run only the turns that are kept: a
+    /// dismissed turn would have left no trace. STC and GlueFL return
+    /// `None` — their index pattern prices the frame and their turn moves
+    /// the residual bank — and so does APF without a `round_mask`, whose
+    /// turn fails with [`MissingRoundMask`].
+    #[must_use]
+    pub fn shape_offer(
+        &self,
+        round_mask: Option<&BitMask>,
+        stats_len: usize,
+    ) -> Option<(u64, u64)> {
+        let price = |policy: WirePolicy| {
+            let w = FrameWriter::new(policy);
+            let upload = match &self.scheme {
+                Scheme::Dense => w.dense_len(self.dim),
+                Scheme::Apf => w.known_mask_len(round_mask?.count_ones()),
+                Scheme::Stc { .. } | Scheme::GlueFl { .. } => return None,
+            };
+            Some(upload + w.known_mask_len(stats_len))
+        };
+        Some((price(WirePolicy::legacy(Codec::F32))?, price(self.wire)?))
     }
 
     /// Serializes client `id`'s granted upload and its BN-statistic

@@ -13,14 +13,18 @@
 //!    is stale on plus the strategy's mask, and the broadcast (one dense
 //!    `F32` model frame plus the mask frame, if any) is serialized once;
 //! 3. **invite / offers** — [`RoundIo::invite`] hands the broadcast to
-//!    all invited clients, which each take their turn: train, compress,
-//!    price ([`crate::ClientTurn::run`]); [`RoundIo::offers`] collects
-//!    each one's predicted upload byte counts, which are the round's
-//!    upload volume and, over the sampled links, the modeled transfer
-//!    times;
+//!    all invited clients; [`RoundIo::offers`] collects each one's
+//!    predicted upload byte counts, which are the round's upload volume
+//!    and, over the sampled links, the modeled transfer times. A client's
+//!    turn — train, compress, price ([`crate::ClientTurn::run`]) — runs
+//!    when something first needs its result: at the invitation when only
+//!    the trained upload can price the offer, or, when the broadcast
+//!    alone prices it ([`crate::ClientCompressor::shape_offer`]), only
+//!    once the client is kept;
 //! 4. **keep** — the fastest `C` sticky / `K − C` fresh finishers are
 //!    kept (§5.6); [`RoundIo::grant`] tells the clients, and only kept
-//!    uploads are ever serialized;
+//!    uploads are ever serialized. Both `invite` and `grant` are timed as
+//!    [`Phase::Train`];
 //! 5. **fold** — each arrival from [`RoundIo::next_upload`] is decoded
 //!    through the one upload grammar
 //!    ([`wire_link::decode_upload_with_stats`]), validated against the
@@ -41,8 +45,9 @@
 //!    model is evaluated on schedule.
 //!
 //! Who the clients are is the [`RoundIo`]'s business. Its steps are per
-//! *round*, not per client, so an implementation is free to run every
-//! invited client's turn in one call ([`crate::Simulation`]) or to
+//! *round*, not per client, so an implementation is free to run a
+//! round's turns in one call ([`crate::Simulation`]: every invited
+//! client's at `invite`, or only the kept clients' at `grant`) or to
 //! wait on sockets under deadlines (`gluefl-transport`'s server). The
 //! engine never reads a clock except through the attached telemetry
 //! recorder, and never blocks except inside the IO or on its producer.
@@ -127,10 +132,13 @@ pub trait RoundIo: Send {
     fn reachable(&self, id: ClientId) -> bool;
 
     /// Delivers the broadcast to every invited client, with its group
-    /// tag; each client takes its turn — trains, compresses its delta
-    /// and prices the staged upload ([`crate::ClientTurn::run`]). The
-    /// in-process IO runs every turn before returning; a socket IO only
-    /// sends the invitations.
+    /// tag; a client takes its turn — trains, compresses its delta and
+    /// prices the staged upload ([`crate::ClientTurn::run`]) — once its
+    /// offer or its upload needs it. A socket IO only sends the
+    /// invitations, and each client trains on receipt. The in-process IO
+    /// runs every turn before returning, unless the broadcast alone
+    /// prices every upload ([`crate::ClientCompressor::shape_offer`]):
+    /// then it holds the broadcast weights and runs no turn yet.
     fn invite(&mut self, round: u32, invited: &[(ClientId, Group)], broadcast: &Broadcast<'_>);
 
     /// Collects the invited clients' offers: `offers[i]` becomes the
@@ -138,13 +146,15 @@ pub trait RoundIo: Send {
     /// its upload at, or stays `None` if it never answered. `times[i]`
     /// holds that client's modeled download and compute seconds, for an
     /// IO that turns modeled time into patience. The in-process IO only
-    /// copies the prices its turns staged; a socket IO waits for the
-    /// `OFFER`s.
+    /// copies the prices its turns staged, or reports the one shape price
+    /// for everyone; a socket IO waits for the `OFFER`s.
     fn offers(&mut self, round: u32, times: &[ClientRoundTime], offers: &mut [Option<(u64, u64)>]);
 
     /// Announces the keep decision: the invitation indices in `kept` are
     /// granted their upload slot, everyone else is dismissed. `times`
-    /// now carries the modeled upload seconds too.
+    /// now carries the modeled upload seconds too. An IO whose turns
+    /// waited for this decision takes the kept clients' turns here, so
+    /// the engine times this call as training.
     fn grant(&mut self, round: u32, kept: &[usize], times: &[ClientRoundTime]);
 
     /// Waits for the next granted slot to resolve. On
@@ -426,7 +436,7 @@ impl RoundEngine {
         rec.wire_broadcast_bytes = frames.len() as u64;
         phase_ns[Phase::Broadcast.index()] = tick(&tel).saturating_sub(broadcast_start);
 
-        // --- Invite: clients train. ---
+        // --- Invite: clients train, or wait to hear who is kept. ---
         let train_start = tick(&tel);
         io.invite(
             round,
@@ -489,7 +499,11 @@ impl RoundEngine {
         kept_fresh.iter_mut().for_each(|i| *i += sticky_n);
         let kept: Vec<usize> = kept_sticky.iter().chain(&kept_fresh).copied().collect();
         rec.kept = kept.len();
+        // An IO may take the kept clients' turns only now that it knows
+        // who they are, so the grant is training time.
+        let grant_start = tick(&tel);
         io.grant(round, &kept, &times);
+        phase_ns[Phase::Train.index()] += tick(&tel).saturating_sub(grant_start);
 
         // --- Fold each arrival the moment it resolves, while the IO
         // produces the next one. Arrival order is whatever the IO

@@ -62,7 +62,12 @@ pub fn rounding_for(codec: Codec, quant_seed: u64) -> Rounding {
 /// round engine's keep selection (and a socket server's deadline policy)
 /// price every invited client's upload *before* deciding whose bytes to
 /// encode, decode, or even receive: the over-committed remainder is
-/// never serialized at all. The in-process clients assert
+/// never serialized at all. Dense and mask-aligned frames name no
+/// positions, so under any policy their length is `dense_len(dim)` or
+/// `known_mask_len(nnz)`, fixed by the model and the broadcast mask:
+/// [`crate::ClientCompressor::shape_offer`] prices FedAvg and APF uploads
+/// that way before anyone trains, and the in-process clients train only
+/// the kept ones. The in-process clients assert
 /// `encoded_len == encode_upload(..)` for every kept upload each round.
 #[must_use]
 pub fn encoded_len(upload: &Upload, policy: &WirePolicy) -> u64 {

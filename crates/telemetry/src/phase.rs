@@ -16,10 +16,13 @@ pub enum Phase {
     Draw,
     /// Serializing and accounting the model/mask broadcast.
     Broadcast,
-    /// Local training on every invited client. A client's span covers
-    /// its whole turn — building its data shard, training, compressing
-    /// the delta and pricing the upload — on the in-process clients and
-    /// on a socket client (its `INVITE` handler) alike.
+    /// Local training: every client turn the round takes. A client's span
+    /// covers its whole turn — building its data shard, training,
+    /// compressing the delta and pricing the upload — on the in-process
+    /// clients and on a socket client (its `INVITE` handler) alike. The
+    /// round engine times both calls a turn may run in: the invitation,
+    /// and the grant, where the in-process clients take the kept clients'
+    /// turns when the broadcast alone prices every upload (FedAvg, APF).
     Train,
     /// Collecting offers and waiting for the kept uploads' bytes. The
     /// round engine serializes nothing itself: its IO produces each kept
