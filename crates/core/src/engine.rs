@@ -829,7 +829,7 @@ fn check_upload_indices(upload: &Upload, dim: usize) -> Result<(), WireError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::StrategyConfig;
+    use crate::{GlueFlParams, InProcessClients, StrategyConfig};
     use gluefl_data::DatasetProfile;
     use gluefl_ml::DatasetModel;
 
@@ -855,5 +855,138 @@ mod tests {
                 (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3)
             });
         assert_eq!((params.len(), fnv), (38_176, 0x79a0_562f_4922_5a8b));
+    }
+
+    /// The in-process clients behind a switch: while `cut_off` is set
+    /// nobody is reachable, and any call past planning in round 0 — the
+    /// round run with the switch on — panics.
+    struct Unreachable {
+        clients: InProcessClients,
+        cut_off: bool,
+    }
+
+    impl Unreachable {
+        fn only_after_round_0(round: u32, call: &str) {
+            assert!(round != 0, "{call} called in a round that invited nobody");
+        }
+    }
+
+    impl RoundIo for Unreachable {
+        fn reachable(&self, id: ClientId) -> bool {
+            !self.cut_off && self.clients.reachable(id)
+        }
+
+        fn invite(&mut self, round: u32, invited: &[(ClientId, Group)], broadcast: &Broadcast<'_>) {
+            Self::only_after_round_0(round, "invite");
+            self.clients.invite(round, invited, broadcast);
+        }
+
+        fn offers(
+            &mut self,
+            round: u32,
+            times: &[ClientRoundTime],
+            offers: &mut [Option<(u64, u64)>],
+        ) {
+            Self::only_after_round_0(round, "offers");
+            self.clients.offers(round, times, offers);
+        }
+
+        fn grant(&mut self, round: u32, kept: &[usize], times: &[ClientRoundTime]) {
+            Self::only_after_round_0(round, "grant");
+            self.clients.grant(round, kept, times);
+        }
+
+        fn next_upload(&mut self, round: u32, payload: &mut Vec<u8>) -> Option<Arrival> {
+            Self::only_after_round_0(round, "next_upload");
+            self.clients.next_upload(round, payload)
+        }
+
+        fn rejected(&mut self, round: u32, slot: usize, err: &WireError) {
+            self.clients.rejected(round, slot, err);
+        }
+    }
+
+    fn param_bits(engine: &RoundEngine) -> Vec<u32> {
+        engine
+            .model()
+            .params()
+            .iter()
+            .map(|v| v.to_bits())
+            .collect()
+    }
+
+    /// A round whose sampler invites nobody moves no byte and no weight,
+    /// yet is still a round: it is numbered, evaluated on schedule, and
+    /// the next round folds as usual.
+    #[test]
+    fn a_round_that_invites_nobody_changes_nothing() {
+        let mut cfg = SimConfig::paper_setup(
+            DatasetProfile::Femnist,
+            DatasetModel::ShuffleNet,
+            StrategyConfig::FedAvg,
+            0.02,
+            2,
+            7,
+        );
+        cfg.model.hidden = vec![16];
+        cfg.dataset.feature_dim = 12;
+        cfg.dataset.classes = 8;
+        cfg.dataset.test_samples = 200;
+        cfg.eval_every = 1;
+        cfg.availability = None;
+        let k = cfg.round_size;
+        let strategies = [
+            StrategyConfig::FedAvg,
+            StrategyConfig::MdFedAvg,
+            StrategyConfig::GlueFl(GlueFlParams {
+                q: 0.2,
+                q_shr: 0.16,
+                sticky_group: 4 * k,
+                sticky_draw: 4 * k / 5,
+                regen_interval: Some(5),
+                compensation: gluefl_compress::CompensationMode::Rescaled,
+                equal_weights: false,
+            }),
+        ];
+        for strategy in strategies {
+            cfg.strategy = strategy;
+            let name = cfg.strategy.name();
+            let setup = RunSetup::new(&cfg);
+            let mut io = Unreachable {
+                clients: InProcessClients::new(&cfg, &setup),
+                cut_off: true,
+            };
+            let mut engine = RoundEngine::new(cfg.clone(), setup);
+            let before = param_bits(&engine);
+
+            let rec = engine.step(&mut io);
+            assert_eq!((rec.round, rec.invited, rec.kept), (0, 0, 0), "{name}");
+            assert_eq!(
+                (
+                    rec.down_bytes,
+                    rec.up_bytes,
+                    rec.wire_up_bytes,
+                    rec.wire_broadcast_bytes
+                ),
+                (0, 0, 0, 0),
+                "{name}"
+            );
+            assert_eq!(rec.changed_positions, 0, "{name}");
+            assert!(param_bits(&engine) == before, "{name}: weights moved");
+            assert!(rec.accuracy.is_some(), "{name}: round 0 not evaluated");
+
+            io.cut_off = false;
+            let rec = engine.step(&mut io);
+            assert_eq!(rec.round, 1, "{name}");
+            assert!(rec.kept > 0 && rec.invited >= rec.kept, "{name}");
+            assert!(rec.down_bytes > 0 && rec.up_bytes > 0, "{name}");
+            assert!(rec.changed_positions > 0, "{name}");
+            assert!(
+                param_bits(&engine) != before,
+                "{name}: round 1 folded nothing"
+            );
+            assert_eq!(engine.skipped_uploads(), 0, "{name}");
+            assert!(rec.accuracy.is_some(), "{name}: round 1 not evaluated");
+        }
     }
 }
