@@ -6,13 +6,15 @@
 //! and the [`ScratchPool`] — and [`RoundEngine::step`] is the only place
 //! a round is sequenced:
 //!
-//! 1. **plan** — the sampler draws invitations among clients that are
-//!    both online (availability model) and reachable ([`RoundIo`]); no
-//!    client is invited twice;
-//! 2. **broadcast** — every invited client is charged the positions it
-//!    is stale on plus the strategy's mask, and the broadcast (one dense
-//!    `F32` model frame plus the mask frame, if any) is serialized once;
-//! 3. **invite / offers** — [`RoundIo::invite`] hands the broadcast to
+//! 1. `plan` ([`Phase::Draw`]) — the sampler draws invitations among
+//!    clients that are both online (availability model) and reachable
+//!    ([`RoundIo`]); no client is invited twice;
+//! 2. `broadcast` ([`Phase::Broadcast`]) — every invited client is
+//!    charged the positions it is stale on plus the strategy's mask, and
+//!    the broadcast (one dense `F32` model frame plus the mask frame, if
+//!    any) is serialized once;
+//! 3. `invite` ([`Phase::Train`]) and `collect_offers`
+//!    ([`Phase::Encode`]) — [`RoundIo::invite`] hands the broadcast to
 //!    all invited clients; [`RoundIo::offers`] collects each one's
 //!    predicted upload byte counts, which are the round's upload volume
 //!    and, over the sampled links, the modeled transfer times. A client's
@@ -21,28 +23,36 @@
 //!    the trained upload can price the offer, or, when the broadcast
 //!    alone prices it ([`crate::ClientCompressor::shape_offer`]), only
 //!    once the client is kept;
-//! 4. **keep** — the fastest `C` sticky / `K − C` fresh finishers are
-//!    kept (§5.6); [`RoundIo::grant`] tells the clients, and only kept
-//!    uploads are ever serialized. Both `invite` and `grant` are timed as
-//!    [`Phase::Train`];
-//! 5. **fold** — each arrival from [`RoundIo::next_upload`] is decoded
+//! 4. `keep` (untimed) — the fastest `C` sticky / `K − C` fresh
+//!    finishers are kept (§5.6); [`RoundIo::grant`] tells the clients,
+//!    and only kept uploads are ever serialized. The grant is timed as
+//!    [`Phase::Train`] too;
+//! 5. `fold` — each arrival from [`RoundIo::next_upload`] is decoded
 //!    through the one upload grammar
 //!    ([`wire_link::decode_upload_with_stats`]), validated against the
 //!    strategy, the model dimension and the BN-statistic layout, and
 //!    folded on the spot, at the sampler's weight for its client,
-//!    through the [`StreamingAggregator`] — decoded and folded while
-//!    the IO produces the next arrival. A producer
-//!    thread owns the IO for this step and runs at most one arrival
-//!    ahead; arrivals are folded in the order the IO produces them, so
-//!    the overlap changes no bit. A lost or invalid upload is skipped
-//!    and the round completes without it;
-//! 6. **finish** — the strategy's finishing step (top-k, mask shift)
-//!    yields the [`gluefl_tensor::MaskedUpdate`], which is applied with
-//!    the word-level masked kernels; BN statistics get the Appendix-D
-//!    plain mean over the *delivered* uploads; the staleness tracker
-//!    records the changed positions; the sampler rebalances; the
-//!    modeled round time is the slowest kept client that offered; the
-//!    model is evaluated on schedule.
+//!    through the [`StreamingAggregator`] — decoded and folded while the
+//!    IO produces the next arrival. A producer thread (`produce`) owns
+//!    the IO for this step and runs at most one arrival ahead; arrivals
+//!    are folded in the order the IO produces them, so the overlap
+//!    changes no bit. A lost or invalid upload is skipped and the round
+//!    completes without it. Setting up and folding are timed as
+//!    [`Phase::Fold`], decoding as [`Phase::Decode`], and waiting on the
+//!    producer as [`Phase::Encode`];
+//! 6. the strategy's finishing step ([`Phase::TopK`]: top-k, mask shift)
+//!    yields the [`gluefl_tensor::MaskedUpdate`]; `apply`
+//!    ([`Phase::Apply`]) adds it with the word-level masked kernels, adds
+//!    the Appendix-D plain mean of the BN statistics over the *delivered*
+//!    uploads, and records the changed positions with the staleness
+//!    tracker; `rebalance` ([`Phase::Rebalance`]) refreshes the sticky
+//!    group; `model_time` (untimed) makes the round as long as its
+//!    slowest kept client that offered. The step's clock then publishes
+//!    the phase table and the model is evaluated on schedule, outside
+//!    [`RoundRecord::step_nanos`].
+//!
+//! Each phase is timed at one call site in [`RoundEngine::step`], so the
+//! phases are disjoint slices of the step by construction.
 //!
 //! Who the clients are is the [`RoundIo`]'s business. Its steps are per
 //! *round*, not per client, so an implementation is free to run a
@@ -62,7 +72,7 @@ use crate::config::SimConfig;
 use crate::metrics::RoundRecord;
 use crate::scratch::ScratchPool;
 use crate::staleness::StalenessTracker;
-use crate::strategies::{Group, Sampler, Strategy, Upload};
+use crate::strategies::{Group, RoundPlan, Sampler, Strategy, Upload};
 use crate::stream::StreamingAggregator;
 use crate::wire_link;
 use gluefl_data::SyntheticFlDataset;
@@ -72,7 +82,7 @@ use gluefl_net::{LazyAvailability, LinkCache, SpeedCache};
 use gluefl_sampling::ClientId;
 use gluefl_telemetry::{EventKind, Histogram, Phase, Telemetry, PHASE_COUNT};
 use gluefl_tensor::rng::{derive_seed, seeded_rng};
-use gluefl_tensor::BitMask;
+use gluefl_tensor::{BitMask, MaskedUpdate};
 use gluefl_wire::{
     frame_kind_from_header, legacy_mask_len, Codec, FrameWriter, Rounding, WireError, WirePolicy,
 };
@@ -84,6 +94,11 @@ use std::sync::{mpsc, Arc};
 /// sees a NaN/∞ ordering panic. It never enters the round's modeled
 /// time, which covers only the kept clients that offered.
 const MISSING_OFFER_SECS: f64 = 1e30;
+
+/// An invited client's offer, as [`RoundIo::offers`] reports it: the
+/// `(analytic bytes, wire bytes)` it priced its upload at, or `None` if it
+/// never answered.
+type Offer = Option<(u64, u64)>;
 
 /// What a round sends to every invited client.
 #[derive(Debug, Clone, Copy)]
@@ -182,14 +197,53 @@ struct EngineRecorder {
     wire_up_bytes: Histogram,
 }
 
-/// Reads the recorder clock, or 0 with no recorder attached — the whole
-/// cost of disabled instrumentation is this one untaken branch per phase
-/// boundary.
-#[inline]
-fn tick(tel: &Option<EngineRecorder>) -> u64 {
-    match tel {
-        Some(t) => t.hub.now_nanos(),
-        None => 0,
+/// One step's phase table and the recorder clock it is charged from. The
+/// recorder handle is cloned out of the engine (two `Arc` bumps), so
+/// timing a phase never fights that phase's `&mut self` borrow. With no
+/// recorder every reading is 0 — the whole cost of disabled
+/// instrumentation is one untaken branch per phase boundary.
+struct PhaseClock {
+    tel: Option<EngineRecorder>,
+    start: u64,
+    ns: [u64; PHASE_COUNT],
+}
+
+impl PhaseClock {
+    fn start(tel: Option<EngineRecorder>) -> Self {
+        let start = tel.as_ref().map_or(0, |t| t.hub.now_nanos());
+        let ns = [0; PHASE_COUNT];
+        Self { tel, start, ns }
+    }
+
+    fn now(&self) -> u64 {
+        self.tel.as_ref().map_or(0, |t| t.hub.now_nanos())
+    }
+
+    /// Runs `f` and charges its wall time to `phase`.
+    fn time<R>(&mut self, phase: Phase, f: impl FnOnce() -> R) -> R {
+        let start = self.now();
+        let out = f();
+        self.ns[phase.index()] += self.now().saturating_sub(start);
+        out
+    }
+
+    /// Closes the step: the phase table and the step's wall time go into
+    /// `rec`, and the recorder gets one span per non-[`Phase::Train`]
+    /// phase — training spans are emitted by the training paths
+    /// themselves, block by block — and a round-done journal event
+    /// counting the `delivered` uploads.
+    fn close(self, rec: &mut RoundRecord, delivered: usize) {
+        rec.phase_nanos = self.ns;
+        rec.step_nanos = self.now().saturating_sub(self.start);
+        if let Some(t) = &self.tel {
+            for (p, n) in Phase::ALL.into_iter().zip(self.ns) {
+                if n > 0 && p != Phase::Train {
+                    t.hub.record_phase(p, n, rec.round, -1);
+                }
+            }
+            let kept = u32::try_from(delivered).unwrap_or(u32::MAX);
+            t.hub.event(rec.round, -1, EventKind::RoundDone { kept });
+        }
     }
 }
 
@@ -271,13 +325,13 @@ impl RoundEngine {
                 derive_seed(cfg.seed, "availability", 0),
             )
         });
-        let time_byte_factor = cfg.model.paper_scale_factor(dim);
-        let time_params = cfg.model.reference_params as usize;
         Self {
             links: LinkCache::new(cfg.network, derive_seed(cfg.seed, "network", 0)),
             speeds: SpeedCache::new(cfg.device, derive_seed(cfg.seed, "devices", 0)),
             staleness: StalenessTracker::new(dim, n),
             rng: seeded_rng(cfg.seed, "simulation", 0),
+            time_byte_factor: cfg.model.paper_scale_factor(dim),
+            time_params: cfg.model.reference_params as usize,
             cfg,
             data,
             model,
@@ -285,8 +339,6 @@ impl RoundEngine {
             strategy,
             availability,
             stats_positions,
-            time_byte_factor,
-            time_params,
             round: 0,
             skipped_uploads: 0,
             scratch: ScratchPool::new(),
@@ -364,277 +416,235 @@ impl RoundEngine {
     pub fn step(&mut self, io: &mut dyn RoundIo) -> RoundRecord {
         let round = self.round;
         self.round += 1;
-        // Phase boundaries accumulate into a local table; the recorder
-        // handle is cloned out of `self` (two `Arc` bumps) so measurement
-        // never fights the `&mut self` borrows below.
-        let tel = self.tel.clone();
-        let step_start = tick(&tel);
-        let mut phase_ns = [0u64; PHASE_COUNT];
-
-        // --- Plan: the sampler asks about exactly the candidates it
-        // considers, each answered by the IO and by advancing that
-        // client's private availability trajectory to `round`. No
-        // per-round O(N) scan happens anywhere. ---
-        let plan = {
-            let io = &*io;
-            match &mut self.availability {
-                Some(av) => {
-                    let mut query = |id: ClientId| io.reachable(id) && av.is_online(id, round);
-                    self.sampler.plan(&mut self.rng, &mut query)
-                }
-                None => {
-                    let mut query = |id: ClientId| io.reachable(id);
-                    self.sampler.plan(&mut self.rng, &mut query)
-                }
-            }
-        };
-        let mut invited = std::mem::take(&mut self.invited);
-        invited.clear();
-        invited.extend(plan.invited());
-        let mut sorted_ids: Vec<ClientId> = invited.iter().map(|&(id, _)| id).collect();
-        sorted_ids.sort_unstable();
-        assert!(
-            sorted_ids.windows(2).all(|w| w[0] < w[1]),
-            "the sampler invites each client at most once"
-        );
-        phase_ns[Phase::Draw.index()] = tick(&tel).saturating_sub(step_start);
+        let mut clock = PhaseClock::start(self.tel.clone());
+        let plan = clock.time(Phase::Draw, || self.plan(round, &*io));
         let mut rec = RoundRecord {
             round,
-            invited: invited.len(),
+            invited: self.invited.len(),
             ..Default::default()
         };
-        if invited.is_empty() {
-            self.invited = invited;
-            self.finish_record(&tel, step_start, phase_ns, 0, &mut rec);
-            return rec;
+        let mut delivered = 0;
+        if !self.invited.is_empty() {
+            let (down, frames) = clock.time(Phase::Broadcast, || self.broadcast(round, &mut rec));
+            clock.time(Phase::Train, || self.invite(io, round, frames));
+            let (times, offers) = clock.time(Phase::Encode, || {
+                self.collect_offers(io, round, &down, &mut rec)
+            });
+            let kept = keep(&plan, &times);
+            rec.kept = kept.len();
+            // An IO may take the kept clients' turns only now that it
+            // knows who they are, so the grant is training time.
+            clock.time(Phase::Train, || io.grant(round, &kept, &times));
+            let (gate, slots) = self.fold(io, round, &kept, &mut clock);
+            let update = clock.time(Phase::TopK, || {
+                gate.finish(&mut self.strategy, &mut self.scratch)
+            });
+            delivered = clock.time(Phase::Apply, || self.apply(update, &slots, &mut rec));
+            clock.time(Phase::Rebalance, || self.rebalance(&kept));
+            model_time(&mut rec, &kept, &times, &offers);
         }
+        clock.close(&mut rec, delivered);
+        self.evaluate(&mut rec);
+        rec
+    }
 
-        // --- Download accounting (every invited client syncs) and the
-        // broadcast frames. ---
-        let broadcast_start = tick(&tel);
-        let mask_bytes = self
-            .strategy
-            .round_mask()
-            .map_or(0, |mask| legacy_mask_len(mask.len()));
-        let download_bytes: Vec<u64> = invited
-            .iter()
-            .map(|&(id, _)| self.staleness.download_bytes(id) + mask_bytes)
-            .collect();
-        for &(id, _) in &invited {
+    /// Draws the round's invitations into `self.invited`, sticky first.
+    /// The sampler asks about exactly the candidates it considers, each
+    /// answered by the IO and then by advancing that client's private
+    /// availability trajectory to `round`; no per-round O(N) scan happens
+    /// anywhere.
+    fn plan(&mut self, round: u32, io: &dyn RoundIo) -> RoundPlan {
+        let av = &mut self.availability;
+        let mut query =
+            |id: ClientId| io.reachable(id) && av.as_mut().is_none_or(|a| a.is_online(id, round));
+        let plan = self.sampler.plan(&mut self.rng, &mut query);
+        self.invited.clear();
+        self.invited.extend(plan.invited());
+        let mut ids: Vec<ClientId> = self.invited.iter().map(|&(id, _)| id).collect();
+        ids.sort_unstable();
+        assert!(
+            ids.windows(2).all(|w| w[0] < w[1]),
+            "the sampler invites each client at most once"
+        );
+        plan
+    }
+
+    /// Charges every invited client the positions it is stale on plus the
+    /// strategy's mask, marks it synced, and serializes the broadcast once.
+    /// Returns each invited client's download bytes and the frames.
+    fn broadcast(&mut self, round: u32, rec: &mut RoundRecord) -> (Vec<u64>, Vec<u8>) {
+        let mask = self.strategy.round_mask();
+        let mask_bytes = mask.map_or(0, |m| legacy_mask_len(m.len()));
+        let mut download = Vec::with_capacity(self.invited.len());
+        for &(id, _) in &self.invited {
+            download.push(self.staleness.download_bytes(id) + mask_bytes);
             self.staleness.mark_synced(id);
         }
-        rec.down_bytes = download_bytes.iter().sum();
+        rec.down_bytes = download.iter().sum();
         let mut frames = self.scratch.take_bytes();
         let writer = FrameWriter::new(WirePolicy {
             codec: Codec::F32,
             ..self.cfg.wire
         });
         let _ = writer.dense(&mut frames, round, Rounding::Nearest, self.model.params());
-        if let Some(mask) = self.strategy.round_mask() {
+        if let Some(mask) = mask {
             let _ = writer.mask(&mut frames, round, mask);
         }
         rec.wire_broadcast_bytes = frames.len() as u64;
-        phase_ns[Phase::Broadcast.index()] = tick(&tel).saturating_sub(broadcast_start);
+        (download, frames)
+    }
 
-        // --- Invite: clients train, or wait to hear who is kept. ---
-        let train_start = tick(&tel);
-        io.invite(
-            round,
-            &invited,
-            &Broadcast {
-                frames: &frames,
-                params: self.model.params(),
-                mask: self.strategy.round_mask(),
-            },
-        );
+    /// Hands the broadcast to the invited clients, then the frames'
+    /// buffer back to the pool.
+    fn invite(&mut self, io: &mut dyn RoundIo, round: u32, frames: Vec<u8>) {
+        let broadcast = Broadcast {
+            frames: &frames,
+            params: self.model.params(),
+            mask: self.strategy.round_mask(),
+        };
+        io.invite(round, &self.invited, &broadcast);
         self.scratch.put_bytes(frames);
-        phase_ns[Phase::Train.index()] = tick(&tel).saturating_sub(train_start);
+    }
 
-        // --- Offers: predicted upload bytes → volume and modeled times.
-        // Nothing is serialized yet: a frame's length depends only on the
-        // upload's shape and index pattern, so the keep selection below
-        // runs on offered lengths, the information order of a real
-        // server. Every invited client's offered bytes count toward the
-        // volume metrics, kept or not. ---
-        let offer_start = tick(&tel);
-        let mut times: Vec<ClientRoundTime> = invited
-            .iter()
-            .zip(&download_bytes)
+    /// Collects the offers and turns them into the round's upload volume
+    /// and every invited client's modeled times; returns the times and
+    /// the offers. Nothing is serialized yet: a frame's length depends
+    /// only on the upload's shape and index pattern, so the keep
+    /// selection runs on offered lengths, the information order of a real
+    /// server. Every offer counts toward the volume metrics, kept or not.
+    fn collect_offers(
+        &mut self,
+        io: &mut dyn RoundIo,
+        round: u32,
+        download: &[u64],
+        rec: &mut RoundRecord,
+    ) -> (Vec<ClientRoundTime>, Vec<Offer>) {
+        let secs =
+            |b: u64, mbps| seconds_for_bytes((b as f64 * self.time_byte_factor) as u64, mbps);
+        let (steps, device) = (self.cfg.local_steps as f64, self.cfg.device);
+        let mut times: Vec<ClientRoundTime> = (self.invited.iter().zip(download))
             .map(|(&(id, _), &down)| ClientRoundTime {
-                download_secs: seconds_for_bytes(
-                    (down as f64 * self.time_byte_factor) as u64,
-                    self.links.get(id).down_mbps,
-                ),
-                compute_secs: self.cfg.local_steps as f64
-                    * self
-                        .cfg
-                        .device
-                        .step_seconds(self.time_params, self.speeds.get(id)),
+                download_secs: secs(down, self.links.get(id).down_mbps),
+                compute_secs: steps * device.step_seconds(self.time_params, self.speeds.get(id)),
                 upload_secs: MISSING_OFFER_SECS,
             })
             .collect();
-        let mut offers: Vec<Option<(u64, u64)>> = vec![None; invited.len()];
+        let mut offers = vec![None; self.invited.len()];
         io.offers(round, &times, &mut offers);
-        for ((&(id, _), time), offer) in invited.iter().zip(&mut times).zip(&offers) {
+        for ((&(id, _), time), offer) in self.invited.iter().zip(&mut times).zip(&offers) {
             if let Some((analytic, wire)) = *offer {
                 // Offers are the IO's numbers, not the engine's.
                 rec.up_bytes = rec.up_bytes.saturating_add(analytic);
                 rec.wire_up_bytes = rec.wire_up_bytes.saturating_add(wire);
-                if let Some(t) = &tel {
+                if let Some(t) = &self.tel {
                     t.wire_up_bytes.observe(wire);
                 }
-                time.upload_secs = seconds_for_bytes(
-                    (wire as f64 * self.time_byte_factor) as u64,
-                    self.links.get(id).up_mbps,
-                );
+                time.upload_secs = secs(wire, self.links.get(id).up_mbps);
             }
         }
-        phase_ns[Phase::Encode.index()] = tick(&tel).saturating_sub(offer_start);
+        (times, offers)
+    }
 
-        // --- Keep the fastest per group (over-commitment, §5.6). ---
-        let sticky_n = plan.sticky_invites.len();
-        let (sticky_times, fresh_times) = times.split_at(sticky_n);
-        let kept_sticky = fastest(sticky_times, plan.keep_sticky);
-        let mut kept_fresh = fastest(fresh_times, plan.keep_fresh);
-        kept_fresh.iter_mut().for_each(|i| *i += sticky_n);
-        let kept: Vec<usize> = kept_sticky.iter().chain(&kept_fresh).copied().collect();
-        rec.kept = kept.len();
-        // An IO may take the kept clients' turns only now that it knows
-        // who they are, so the grant is training time.
-        let grant_start = tick(&tel);
-        io.grant(round, &kept, &times);
-        phase_ns[Phase::Train.index()] += tick(&tel).saturating_sub(grant_start);
-
-        // --- Fold each arrival the moment it resolves, while the IO
-        // produces the next one. Arrival order is whatever the IO
-        // produces; the gate parks early arrivals so the strategy folds
-        // in ascending client-id order regardless, each upload at its
-        // client's weight. ---
-        let fold_start = tick(&tel);
-        let kept_weights: Vec<(ClientId, f32)> = kept
-            .iter()
-            .map(|&i| {
-                let (id, group) = invited[i];
-                (id, self.sampler.weight(id, group) as f32)
-            })
-            .collect();
-        let mut gate =
-            StreamingAggregator::begin(round, &kept_weights, &mut self.strategy, &mut self.scratch);
-        let stats_len = self.stats_positions.len();
-        self.stats_saved.clear();
-        self.stats_saved.resize(kept.len() * stats_len, 0.0);
-        // Kept-slot number of each invitation index, `usize::MAX` when
-        // not kept; a delivered slot is marked by `delivered`.
-        let mut slot_of = vec![usize::MAX; invited.len()];
-        for (slot, &i) in kept.iter().enumerate() {
-            slot_of[i] = slot;
-        }
+    /// Folds each arrival the moment it resolves, while the IO produces
+    /// the next one, and returns the gate with every kept slot resolved
+    /// plus which kept slots delivered. Two stages, one arrival apart:
+    /// the producer ([`produce`]) owns the IO and fills a payload buffer
+    /// with the next arrival while this thread decodes, validates and
+    /// folds the previous one; the two buffers cycle between them, and
+    /// rejections travel back to the producer. Every channel end lives
+    /// inside the scope, so a panic on either side drops the other side's
+    /// peer and nothing stays blocked. Arrival order is whatever the IO
+    /// produces; the gate parks early arrivals so the strategy folds in
+    /// ascending client-id order regardless, each upload at its client's
+    /// weight.
+    fn fold(
+        &mut self,
+        io: &mut dyn RoundIo,
+        round: u32,
+        kept: &[usize],
+        clock: &mut PhaseClock,
+    ) -> (StreamingAggregator, Vec<bool>) {
         let mut delivered = vec![false; kept.len()];
-        let payloads = [self.scratch.take_bytes(), self.scratch.take_bytes()];
-        // Two stages, one arrival apart. The producer owns the IO and
-        // fills a payload buffer with the next arrival while this thread
-        // decodes, validates and folds the previous one; the two buffers
-        // cycle between them, rejections travel back to the producer.
-        // Every channel end lives inside the scope, so a panic on either
-        // side drops the other side's peer and nothing stays blocked.
-        std::thread::scope(|s| {
-            let (arrival_tx, arrivals) = mpsc::sync_channel::<(Arrival, Vec<u8>)>(1);
-            let (empty_tx, empties) = mpsc::channel::<Vec<u8>>();
-            let (reject_tx, rejections) = mpsc::channel::<(usize, WireError)>();
-            for buf in payloads {
-                let _ = empty_tx.send(buf);
-            }
-            let producer = s.spawn(move || {
-                let mut last = None;
-                while let Ok(mut payload) = empties.recv() {
-                    for (slot, err) in rejections.try_iter() {
-                        io.rejected(round, slot, &err);
-                    }
-                    payload.clear();
-                    let Some(arrival) = io.next_upload(round, &mut payload) else {
-                        last = Some(payload);
-                        break;
-                    };
-                    if arrival_tx.send((arrival, payload)).is_err() {
-                        break;
-                    }
+        let gate = std::thread::scope(|s| {
+            let (arrival_tx, arrivals) = mpsc::sync_channel(1);
+            let (empty_tx, empties) = mpsc::channel();
+            let (reject_tx, rejections) = mpsc::channel();
+            let (mut gate, producer) = clock.time(Phase::Fold, || {
+                let gate = self.begin_fold(round, kept);
+                for _ in 0..2 {
+                    let _ = empty_tx.send(self.scratch.take_bytes());
                 }
-                // Every arrival is out: deliver the rejections still to
-                // come, then collect the buffers as the engine lets go.
-                drop(arrival_tx);
-                for (slot, err) in rejections {
-                    io.rejected(round, slot, &err);
-                }
-                last.into_iter().chain(empties).collect::<Vec<_>>()
+                let producer = s.spawn(move || produce(io, round, empties, arrival_tx, rejections));
+                (gate, producer)
             });
-            phase_ns[Phase::Fold.index()] = tick(&tel).saturating_sub(fold_start);
-            loop {
-                let wait_start = tick(&tel);
-                let next = arrivals.recv();
-                let decode_start = tick(&tel);
-                phase_ns[Phase::Encode.index()] += decode_start.saturating_sub(wait_start);
-                let Ok((arrival, payload)) = next else {
-                    break;
-                };
-                let (i, upload) = match arrival {
-                    Arrival::Delivered(i) => {
-                        let slot = slot_of[i];
-                        assert!(
-                            slot != usize::MAX,
-                            "RoundIo delivered a slot that was not kept"
-                        );
-                        match self.decode_arrival(&payload, slot) {
-                            Ok(upload) => {
-                                delivered[slot] = true;
-                                (i, Some(upload))
-                            }
-                            Err(e) => {
+            while let Ok((arrival, payload)) = clock.time(Phase::Encode, || arrivals.recv()) {
+                let (i, upload) = clock.time(Phase::Decode, || {
+                    let decoded = match arrival {
+                        Arrival::Delivered(i) => {
+                            let slot = kept.iter().position(|&k| k == i);
+                            let slot = slot.expect("RoundIo delivered a slot that was not kept");
+                            let decoded = self.decode_arrival(&payload, slot);
+                            if let Err(e) = decoded {
                                 let _ = reject_tx.send((i, e));
-                                (i, None)
                             }
+                            delivered[slot] = decoded.is_ok();
+                            (i, decoded.ok())
                         }
+                        Arrival::Lost(i) => (i, None),
+                    };
+                    // The bytes are spent; the producer may refill the buffer.
+                    let _ = empty_tx.send(payload);
+                    decoded
+                });
+                let id = self.invited[i].0;
+                clock.time(Phase::Fold, || {
+                    match upload {
+                        Some(u) => gate.accept(&mut self.strategy, id, u, &mut self.scratch),
+                        None => gate.skip(&mut self.strategy, id, &mut self.scratch),
                     }
-                    Arrival::Lost(i) => (i, None),
-                };
-                // The bytes are spent; the producer may refill the buffer.
-                let _ = empty_tx.send(payload);
-                let fold_start = tick(&tel);
-                phase_ns[Phase::Decode.index()] += fold_start.saturating_sub(decode_start);
-                let id = invited[i].0;
-                match upload {
-                    Some(upload) => gate.accept(&mut self.strategy, id, upload, &mut self.scratch),
-                    None => {
-                        self.skipped_uploads += 1;
-                        gate.skip(&mut self.strategy, id, &mut self.scratch)
-                    }
-                }
-                .expect("RoundIo resolves each kept slot exactly once");
-                phase_ns[Phase::Fold.index()] += tick(&tel).saturating_sub(fold_start);
+                    .expect("RoundIo resolves each kept slot exactly once");
+                });
             }
             // The producer ends once it holds every rejection and buffer.
-            let join_start = tick(&tel);
-            drop((empty_tx, reject_tx));
-            let buffers = producer
-                .join()
-                .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
-            for buf in buffers {
-                self.scratch.put_bytes(buf);
-            }
-            phase_ns[Phase::Encode.index()] += tick(&tel).saturating_sub(join_start);
+            clock.time(Phase::Encode, || {
+                drop((empty_tx, reject_tx));
+                for buf in producer
+                    .join()
+                    .unwrap_or_else(|p| std::panic::resume_unwind(p))
+                {
+                    self.scratch.put_bytes(buf);
+                }
+            });
+            gate
         });
-        let topk_start = tick(&tel);
-        let update = gate.finish(&mut self.strategy, &mut self.scratch);
-        phase_ns[Phase::TopK.index()] = tick(&tel).saturating_sub(topk_start);
+        (gate, delivered)
+    }
 
-        // --- Apply the masked update and record changed positions. A
-        // masking strategy's update covers O(q·d) positions; the
-        // word-level scatter / masked AXPY touches only those, and the
-        // changed-position scan walks the mask instead of the dense
-        // vector. ---
-        let apply_start = tick(&tel);
+    /// Opens the round's fold gate over the kept clients at their sampler
+    /// weights, and zeroes one BN-statistic row per kept slot.
+    fn begin_fold(&mut self, round: u32, kept: &[usize]) -> StreamingAggregator {
+        let weights: Vec<(ClientId, f32)> = kept
+            .iter()
+            .map(|&i| self.invited[i])
+            .map(|(id, group)| (id, self.sampler.weight(id, group) as f32))
+            .collect();
+        let rows = kept.len() * self.stats_positions.len();
+        self.stats_saved.clear();
+        self.stats_saved.resize(rows, 0.0);
+        StreamingAggregator::begin(round, &weights, &mut self.strategy, &mut self.scratch)
+    }
+
+    /// Applies the finished update and returns how many kept slots
+    /// `delivered`. A masking strategy's update covers O(q·d) positions;
+    /// the word-level scatter / masked AXPY touches only those, and the
+    /// changed-position scan walks the mask instead of the dense vector.
+    /// BatchNorm statistics then get the plain mean over the delivered
+    /// uploads' stats frames (Appendix D), added straight into the
+    /// parameters, and the staleness tracker records every changed
+    /// position.
+    fn apply(&mut self, update: MaskedUpdate, delivered: &[bool], rec: &mut RoundRecord) -> usize {
         update.add_to(self.model.params_mut());
-        let mut changed = std::mem::take(&mut self.changed);
-        changed.clear();
+        self.changed.clear();
         update.for_each_nonzero(|j, _| {
             // Strategy contract: BN-statistic positions are uncovered or
             // carry exact zeros — a nonzero here would double-apply with
@@ -643,65 +653,58 @@ impl RoundEngine {
                 self.stats_positions.binary_search(&j).is_err(),
                 "strategy update has a nonzero value at BN-statistic position {j}"
             );
-            changed.push(j);
+            self.changed.push(j);
         });
-        // BatchNorm statistics: plain mean over the delivered uploads'
-        // stats frames (Appendix D), added straight into the parameters.
+        let stats_len = self.stats_positions.len();
         let delivered_count = delivered.iter().filter(|&&d| d).count();
         if delivered_count > 0 {
             let inv_k = 1.0 / delivered_count as f32;
             let params = self.model.params_mut();
             for (j, &p) in self.stats_positions.iter().enumerate() {
-                let mean: f32 = (0..kept.len())
+                let mean: f32 = (0..delivered.len())
                     .filter(|&slot| delivered[slot])
                     .map(|slot| self.stats_saved[slot * stats_len + j])
                     .sum::<f32>()
                     * inv_k;
                 params[p] += mean;
                 if mean != 0.0 {
-                    changed.push(p);
+                    self.changed.push(p);
                 }
             }
         }
-        rec.changed_positions = changed.len();
-        self.staleness.record_update(changed.iter().copied());
-        self.changed = changed;
+        rec.changed_positions = self.changed.len();
+        self.staleness.record_update(self.changed.iter().copied());
         self.scratch.put_update(update);
-        phase_ns[Phase::Apply.index()] = tick(&tel).saturating_sub(apply_start);
+        self.skipped_uploads += delivered.len() - delivered_count;
+        delivered_count
+    }
 
-        // --- Post-round bookkeeping (sticky rebalance). ---
-        let rebalance_start = tick(&tel);
-        let ids = |idx: &[usize]| -> Vec<ClientId> { idx.iter().map(|&i| invited[i].0).collect() };
+    /// Rebalances the sticky group around the clients kept from each
+    /// group.
+    fn rebalance(&mut self, kept: &[usize]) {
+        let ids =
+            |kept: &[usize]| -> Vec<ClientId> { kept.iter().map(|&i| self.invited[i].0).collect() };
+        let sticky = kept.partition_point(|&i| self.invited[i].1 == Group::Sticky);
+        let (sticky, fresh) = kept.split_at(sticky);
         self.sampler
-            .rebalance(&mut self.rng, &ids(&kept_sticky), &ids(&kept_fresh));
-        phase_ns[Phase::Rebalance.index()] = tick(&tel).saturating_sub(rebalance_start);
-        self.invited = invited;
+            .rebalance(&mut self.rng, &ids(sticky), &ids(fresh));
+    }
 
-        // --- Modeled timing over the kept clients that offered: the
-        // round lasts as long as the slowest of them. A kept client that
-        // never offered (a group with fewer offers than keeps) uploads
-        // nothing and takes no time. ---
-        let offered: Vec<&ClientRoundTime> = kept
-            .iter()
-            .filter(|&&i| offers[i].is_some())
-            .map(|&i| &times[i])
-            .collect();
-        let kn = offered.len().max(1) as f64;
-        for t in offered {
-            rec.round_secs = rec.round_secs.max(t.total_secs());
-            rec.slowest_download_secs = rec.slowest_download_secs.max(t.download_secs);
-            rec.slowest_upload_secs = rec.slowest_upload_secs.max(t.upload_secs);
-            rec.slowest_compute_secs = rec.slowest_compute_secs.max(t.compute_secs);
-            rec.mean_download_secs += t.download_secs;
-            rec.mean_upload_secs += t.upload_secs;
-            rec.mean_compute_secs += t.compute_secs;
+    /// Evaluates the model into `rec` if the schedule asks for it, through
+    /// a pooled slot so eval rounds reuse warm forward buffers. The
+    /// forward pass is the same GEMM-backed kernel path training uses; at
+    /// test-set batch sizes it shards GEMM row blocks across threads
+    /// (bit-identical to one thread — rows never share an accumulator).
+    fn evaluate(&mut self, rec: &mut RoundRecord) {
+        let every = self.cfg.eval_every.max(1);
+        if (rec.round + 1).is_multiple_of(every) || rec.round + 1 == self.cfg.rounds {
+            let mut slot = self.scratch.take_train_slot();
+            let (tx, ty) = self.data.test_set();
+            let m = self.model.evaluate_into(tx, ty, &mut slot.scratch);
+            self.scratch.put_train_slot(slot);
+            rec.accuracy = Some(if self.cfg.use_top5 { m.top5 } else { m.top1 });
+            rec.loss = Some(m.loss);
         }
-        rec.mean_download_secs /= kn;
-        rec.mean_upload_secs /= kn;
-        rec.mean_compute_secs /= kn;
-
-        self.finish_record(&tel, step_start, phase_ns, delivered_count, &mut rec);
-        rec
     }
 
     /// Decodes one delivered payload and checks that the engine can use
@@ -718,13 +721,12 @@ impl RoundEngine {
             self.strategy.round_mask(),
             &mut self.scratch,
         )?;
-        let err = if upload.dim() != dim || stats_frame.dim != dim {
+        let wrong_dim = [upload.dim(), stats_frame.dim]
+            .into_iter()
+            .find(|&d| d != dim);
+        let err = if let Some(declared) = wrong_dim {
             Some(WireError::DimMismatch {
-                declared: if upload.dim() != dim {
-                    upload.dim()
-                } else {
-                    stats_frame.dim
-                },
+                declared,
                 expected: dim,
             })
         } else if !self.strategy.accepts(&upload) {
@@ -752,47 +754,6 @@ impl RoundEngine {
         stats_frame.values_to(&mut self.stats_saved[slot * stats_len..(slot + 1) * stats_len]);
         Ok(upload)
     }
-
-    /// Closes a round's record: publishes the measured phases (one span
-    /// per non-[`Phase::Train`] phase — training spans are emitted by the
-    /// training paths themselves, block by block) and a round-done
-    /// journal event, then evaluates on schedule. Evaluation is outside
-    /// [`RoundRecord::step_nanos`].
-    fn finish_record(
-        &mut self,
-        tel: &Option<EngineRecorder>,
-        step_start: u64,
-        phase_ns: [u64; PHASE_COUNT],
-        delivered: usize,
-        rec: &mut RoundRecord,
-    ) {
-        rec.phase_nanos = phase_ns;
-        rec.step_nanos = tick(tel).saturating_sub(step_start);
-        if let Some(t) = tel {
-            for p in Phase::ALL {
-                let n = phase_ns[p.index()];
-                if n > 0 && p != Phase::Train {
-                    t.hub.record_phase(p, n, rec.round, -1);
-                }
-            }
-            let kept = u32::try_from(delivered).unwrap_or(u32::MAX);
-            t.hub.event(rec.round, -1, EventKind::RoundDone { kept });
-        }
-        let every = self.cfg.eval_every.max(1);
-        if (rec.round + 1).is_multiple_of(every) || rec.round + 1 == self.cfg.rounds {
-            // Evaluate through a pooled slot so eval rounds reuse warm
-            // forward buffers. The forward pass is the same GEMM-backed
-            // kernel path training uses; at test-set batch sizes it
-            // shards GEMM row blocks across threads (bit-identical to one
-            // thread — rows never share an accumulator).
-            let mut slot = self.scratch.take_train_slot();
-            let (tx, ty) = self.data.test_set();
-            let m = self.model.evaluate_into(tx, ty, &mut slot.scratch);
-            self.scratch.put_train_slot(slot);
-            rec.accuracy = Some(if self.cfg.use_top5 { m.top5 } else { m.top1 });
-            rec.loss = Some(m.loss);
-        }
-    }
 }
 
 impl std::fmt::Debug for RoundEngine {
@@ -806,6 +767,70 @@ impl std::fmt::Debug for RoundEngine {
     }
 }
 
+/// Keeps the fastest `C` sticky and `K − C` fresh offers
+/// (over-commitment, §5.6); returns their invitation indices, the kept
+/// sticky ones first.
+fn keep(plan: &RoundPlan, times: &[ClientRoundTime]) -> Vec<usize> {
+    let sticky_n = plan.sticky_invites.len();
+    let (sticky, fresh) = times.split_at(sticky_n);
+    let mut kept = fastest(sticky, plan.keep_sticky);
+    kept.extend(fastest(fresh, plan.keep_fresh).iter().map(|i| i + sticky_n));
+    kept
+}
+
+/// The fold's producer: pulls each arrival out of `io` into the next
+/// empty buffer, and hands every rejection back to `io` before its next
+/// [`RoundIo::next_upload`]. Once every arrival is out it delivers the
+/// rejections still to come, then returns the buffers as the engine lets
+/// go of them.
+fn produce(
+    io: &mut dyn RoundIo,
+    round: u32,
+    empties: mpsc::Receiver<Vec<u8>>,
+    arrival_tx: mpsc::SyncSender<(Arrival, Vec<u8>)>,
+    rejections: mpsc::Receiver<(usize, WireError)>,
+) -> Vec<Vec<u8>> {
+    let mut last = None;
+    while let Ok(mut payload) = empties.recv() {
+        for (slot, err) in rejections.try_iter() {
+            io.rejected(round, slot, &err);
+        }
+        payload.clear();
+        let Some(arrival) = io.next_upload(round, &mut payload) else {
+            last = Some(payload);
+            break;
+        };
+        if arrival_tx.send((arrival, payload)).is_err() {
+            break;
+        }
+    }
+    drop(arrival_tx);
+    for (slot, err) in rejections {
+        io.rejected(round, slot, &err);
+    }
+    last.into_iter().chain(empties).collect()
+}
+
+/// The round's modeled timing, over the kept clients that offered: the
+/// round lasts as long as the slowest of them. A kept client that never
+/// offered (a group with fewer offers than keeps) uploads nothing and
+/// takes no time.
+fn model_time(rec: &mut RoundRecord, kept: &[usize], times: &[ClientRoundTime], offers: &[Offer]) {
+    let offered = kept.iter().filter(|&&i| offers[i].is_some());
+    let kn = offered.clone().count().max(1) as f64;
+    for t in offered.map(|&i| &times[i]) {
+        rec.round_secs = rec.round_secs.max(t.total_secs());
+        rec.slowest_download_secs = rec.slowest_download_secs.max(t.download_secs);
+        rec.slowest_upload_secs = rec.slowest_upload_secs.max(t.upload_secs);
+        rec.slowest_compute_secs = rec.slowest_compute_secs.max(t.compute_secs);
+        rec.mean_download_secs += t.download_secs;
+        rec.mean_upload_secs += t.upload_secs;
+        rec.mean_compute_secs += t.compute_secs;
+    }
+    rec.mean_download_secs /= kn;
+    rec.mean_upload_secs /= kn;
+    rec.mean_compute_secs /= kn;
+}
 /// Every explicit-position index list inside an upload must be strictly
 /// increasing and within the model dimension.
 fn check_upload_indices(upload: &Upload, dim: usize) -> Result<(), WireError> {

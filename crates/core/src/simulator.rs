@@ -1879,7 +1879,7 @@ mod tests {
             }
             // The hub aggregated the same spans (Train is recorded by the
             // training driver itself, inside the engine's Train window;
-            // the rest by `commit_phases`).
+            // the rest by the engine's `PhaseClock::close`).
             assert!(tel.phase_nanos(Phase::Train) > 0);
             assert!(
                 tel.phase_nanos(Phase::Train) <= train_window,

@@ -38,7 +38,12 @@ pub enum Phase {
     Decode,
     /// Streaming each decoded update into the aggregate.
     Fold,
-    /// The aggregator's final masked top-k selection.
+    /// The strategy's finishing step on the round's aggregate
+    /// (`Strategy::fold_finish` in `gluefl-core`), timed for every
+    /// strategy. For STC and GlueFL that is the server's masked top-k
+    /// (and GlueFL's mask shift); for APF, updating the freeze state; for
+    /// FedAvg, handing the dense average over under an all-ones mask — no
+    /// top-k at all. The name is kept because it is a metric label.
     TopK,
     /// Applying the masked update to the global model.
     Apply,
