@@ -42,17 +42,19 @@
 //!    producer as [`Phase::Encode`];
 //! 6. the strategy's finishing step ([`Phase::TopK`]: top-k, mask shift)
 //!    yields the [`gluefl_tensor::MaskedUpdate`]; `apply`
-//!    ([`Phase::Apply`]) adds it with the word-level masked kernels, adds
-//!    the Appendix-D plain mean of the BN statistics over the *delivered*
-//!    uploads, and records the changed positions with the staleness
-//!    tracker; `rebalance` ([`Phase::Rebalance`]) refreshes the sticky
-//!    group; `model_time` (untimed) makes the round as long as its
-//!    slowest kept client that offered. The step's clock then publishes
+//!    ([`Phase::Apply`]) applies it with the word-level masked kernels,
+//!    adds the Appendix-D plain mean of the BN statistics over the
+//!    *delivered* uploads, and records the changed positions with the
+//!    staleness tracker; `rebalance` ([`Phase::Rebalance`]) refreshes
+//!    the sticky group; `model_time` (untimed) makes the round as long
+//!    as its slowest kept client that offered. The step's clock then publishes
 //!    the phase table and the model is evaluated on schedule, outside
 //!    [`RoundRecord::step_nanos`].
 //!
-//! Each phase is timed at one call site in [`RoundEngine::step`], so the
-//! phases are disjoint slices of the step by construction.
+//! Each timed interval is charged to its phase at one call site — in
+//! [`RoundEngine::step`], or in `fold` for the fold loop's waits, decodes
+//! and folds — so the phases are disjoint slices of the step by
+//! construction.
 //!
 //! Who the clients are is the [`RoundIo`]'s business. Its steps are per
 //! *round*, not per client, so an implementation is free to run a
@@ -522,7 +524,10 @@ impl RoundEngine {
         let secs =
             |b: u64, mbps| seconds_for_bytes((b as f64 * self.time_byte_factor) as u64, mbps);
         let (steps, device) = (self.cfg.local_steps as f64, self.cfg.device);
-        let mut times: Vec<ClientRoundTime> = (self.invited.iter().zip(download))
+        let mut times: Vec<ClientRoundTime> = self
+            .invited
+            .iter()
+            .zip(download)
             .map(|(&(id, _), &down)| ClientRoundTime {
                 download_secs: secs(down, self.links.get(id).down_mbps),
                 compute_secs: steps * device.step_seconds(self.time_params, self.speeds.get(id)),
@@ -635,7 +640,7 @@ impl RoundEngine {
     }
 
     /// Applies the finished update and returns how many kept slots
-    /// `delivered`. A masking strategy's update covers O(q·d) positions;
+    /// `delivered`; the rest count as skipped uploads. A masking strategy's update covers O(q·d) positions;
     /// the word-level scatter / masked AXPY touches only those, and the
     /// changed-position scan walks the mask instead of the dense vector.
     /// BatchNorm statistics then get the plain mean over the delivered
