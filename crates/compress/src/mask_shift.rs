@@ -8,12 +8,18 @@
 //!    top `q − q_shr` coordinates *outside* `M_t` ([`client_split`]);
 //! 2. the server aggregates both parts, updates the model, and *shifts*
 //!    the mask to the top `q_shr` coordinates of the combined aggregate
-//!    ([`shift_mask`]), so consecutive model updates overlap in at least
-//!    `q_shr·d` positions;
+//!    ([`shift_mask_packed_into`]), so consecutive model updates overlap
+//!    in at least `q_shr·d` positions;
 //! 3. every `I` rounds the mask is *regenerated* from the unique part only
 //!    (§3.3: the regeneration rounds of `gluefl_core`'s
 //!    `Strategy::GlueFl` fold shift from an update whose shared part was left out), letting
 //!    newly-unstable parameters enter the mask wholesale.
+//!
+//! The whole round, mask shift included, is written out densely in the
+//! reference round (`crates/core/tests/reference/`), which the round
+//! engine is pinned against bit for bit and `packed_aggregate_properties.rs`
+//! holds [`shift_mask_packed_into`] to, ties included; the dense
+//! [`shift_mask_into`] stays for the benchmark's probe.
 
 use crate::stc::keep_count;
 use gluefl_tensor::{
@@ -64,7 +70,9 @@ pub fn client_split(delta: &[f32], mask: &BitMask, unique_k: usize) -> ClientSpl
 }
 
 /// Server-side mask shift (Algorithm 3 line 26): the next shared mask is
-/// the top `q_shr` of the *combined* aggregated update `Δ̃_shr + Δ̃_uni`.
+/// the top `q_shr` of the *combined* aggregated update `Δ̃_shr + Δ̃_uni`,
+/// selected through a caller-owned [`TopKScratch`] and written into `out`
+/// in place (reset to `combined.len()` zeros first).
 ///
 /// `eligible` restricts which positions may enter the mask (used to keep
 /// BatchNorm statistics out of masks; pass `None` to allow everything).
@@ -72,37 +80,6 @@ pub fn client_split(delta: &[f32], mask: &BitMask, unique_k: usize) -> ClientSpl
 /// # Panics
 /// Panics if `q_shr` is outside `[0, 1]` or `eligible` has a different
 /// length.
-#[must_use]
-pub fn shift_mask(combined: &[f32], q_shr: f64, eligible: Option<&BitMask>) -> BitMask {
-    let mut scratch = TopKScratch::new();
-    shift_mask_with(combined, q_shr, eligible, &mut scratch)
-}
-
-/// Allocation-aware [`shift_mask`]: routes the top-k selection through a
-/// caller-owned [`TopKScratch`] (the round hot path reuses one per
-/// simulation).
-///
-/// # Panics
-/// Same contract as [`shift_mask`].
-#[must_use]
-pub fn shift_mask_with(
-    combined: &[f32],
-    q_shr: f64,
-    eligible: Option<&BitMask>,
-    scratch: &mut TopKScratch,
-) -> BitMask {
-    let mut out = BitMask::zeros(combined.len());
-    shift_mask_into(combined, q_shr, eligible, scratch, &mut out);
-    out
-}
-
-/// Fully pooled [`shift_mask`]: the selection runs through a caller-owned
-/// [`TopKScratch`] and the next mask is written into `out` in place
-/// (reset to `combined.len()` zeros first), so a simulation can shift its
-/// shared mask every round without allocating.
-///
-/// # Panics
-/// Same contract as [`shift_mask`].
 pub fn shift_mask_into(
     combined: &[f32],
     q_shr: f64,
@@ -127,9 +104,8 @@ pub fn shift_mask_into(
 /// [`shift_mask_into`] over a *packed* combined update: `support` holds
 /// the aggregate's support and `packed` its values at the set positions in
 /// ascending order (exact zeros everywhere else). Selects the same next
-/// mask as densifying and calling [`shift_mask_into`] — pinned bitwise by
-/// the tests here — while scanning only `O(|support| + d/64)` instead of
-/// `O(d)` keys.
+/// mask as densifying and calling [`shift_mask_into`] while scanning only
+/// `O(|support| + d/64)` instead of `O(d)` keys.
 ///
 /// # Panics
 /// Panics if `packed.len()` differs from the support popcount, `q_shr` is
@@ -155,16 +131,6 @@ pub fn shift_mask_packed_into(
     for &i in idx {
         out.set(i, true);
     }
-}
-
-/// Lower bound on the overlap of two consecutive *model updates* under
-/// mask shifting: both rounds' updates cover the shared mask, so they
-/// overlap in at least `q_shr·d` positions (§3.2, last paragraph).
-///
-/// Returns `round(q_shr · dim)` — useful for assertions and planning.
-#[must_use]
-pub fn min_update_overlap(dim: usize, q_shr: f64) -> usize {
-    keep_count(dim, q_shr)
 }
 
 #[cfg(test)]
@@ -207,10 +173,17 @@ mod tests {
         assert_eq!(s.shared.nnz(), 1);
     }
 
+    /// The dense shift into a caller-owned mask.
+    fn shift(combined: &[f32], q_shr: f64, eligible: Option<&BitMask>) -> BitMask {
+        let mut out = BitMask::zeros(combined.len());
+        shift_mask_into(combined, q_shr, eligible, &mut TopKScratch::new(), &mut out);
+        out
+    }
+
     #[test]
     fn shift_selects_top_qshr_of_combined() {
         let combined = vec![0.1f32, 9.0, 0.2, -8.0, 0.3, 7.0, 0.4, -6.0];
-        let m = shift_mask(&combined, 0.25, None);
+        let m = shift(&combined, 0.25, None);
         assert_eq!(m.iter_ones().collect::<Vec<_>>(), vec![1, 3]);
     }
 
@@ -221,54 +194,7 @@ mod tests {
         // A dirty, differently-sized mask must be fully overwritten.
         let mut out = BitMask::ones(3);
         shift_mask_into(&combined, 0.25, None, &mut scratch, &mut out);
-        assert_eq!(out, shift_mask(&combined, 0.25, None));
-    }
-
-    /// The packed shift must select exactly the mask the dense shift
-    /// selects on the densified vector — across sparse supports, heavy
-    /// ties, zero fill-up (k larger than the support), and an eligibility
-    /// restriction.
-    #[test]
-    fn packed_shift_matches_dense_shift() {
-        let dim = 300;
-        let mut scratch = TopKScratch::new();
-        for (trial, q_shr) in [(0u64, 0.05), (1, 0.2), (2, 0.5), (3, 0.9)] {
-            // Deterministic pseudo-random support + values with ties.
-            let mut support = BitMask::zeros(dim);
-            let mut packed = Vec::new();
-            let mut dense = vec![0.0f32; dim];
-            for (i, slot) in dense.iter_mut().enumerate() {
-                let h = (i as u64).wrapping_mul(2654435761).wrapping_add(trial * 97);
-                if h.is_multiple_of(5) {
-                    let v = ((h % 13) as f32 - 6.0) / 4.0; // quantized → ties
-                    support.set(i, true);
-                    packed.push(v);
-                    *slot = v;
-                }
-            }
-            for eligible in [
-                None,
-                Some(BitMask::from_indices(dim, (0..dim).filter(|i| i % 3 != 0))),
-            ] {
-                let mut want = BitMask::zeros(dim);
-                shift_mask_into(&dense, q_shr, eligible.as_ref(), &mut scratch, &mut want);
-                let mut got = BitMask::ones(7); // dirty, wrong size
-                shift_mask_packed_into(
-                    &support,
-                    &packed,
-                    q_shr,
-                    eligible.as_ref(),
-                    &mut scratch,
-                    &mut got,
-                );
-                assert_eq!(
-                    got,
-                    want,
-                    "trial {trial} q_shr {q_shr} eligible {}",
-                    eligible.is_some()
-                );
-            }
-        }
+        assert_eq!(out, shift(&combined, 0.25, None));
     }
 
     #[test]
@@ -276,12 +202,12 @@ mod tests {
         // If the combined aggregate barely changes, the shifted mask is
         // nearly identical round over round.
         let base: Vec<f32> = (0..100).map(|i| ((i * 37) % 100) as f32 / 10.0).collect();
-        let m1 = shift_mask(&base, 0.2, None);
+        let m1 = shift(&base, 0.2, None);
         let mut drifted = base.clone();
         for v in drifted.iter_mut().take(5) {
             *v += 0.01;
         }
-        let m2 = shift_mask(&drifted, 0.2, None);
+        let m2 = shift(&drifted, 0.2, None);
         assert!(m1.overlap(&m2) >= 18, "overlap {}", m1.overlap(&m2));
     }
 
@@ -289,14 +215,8 @@ mod tests {
     fn eligible_restriction_is_respected() {
         let combined = vec![9.0f32, 8.0, 7.0, 6.0];
         let eligible = BitMask::from_indices(4, [2usize, 3]);
-        let m = shift_mask(&combined, 0.5, Some(&eligible));
+        let m = shift(&combined, 0.5, Some(&eligible));
         assert_eq!(m.iter_ones().collect::<Vec<_>>(), vec![2, 3]);
-    }
-
-    #[test]
-    fn min_overlap_formula() {
-        assert_eq!(min_update_overlap(1000, 0.16), 160);
-        assert_eq!(min_update_overlap(10, 0.0), 0);
     }
 
     #[test]

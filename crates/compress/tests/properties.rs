@@ -1,6 +1,6 @@
 //! Property-based tests for compression invariants.
 
-use gluefl_compress::mask_shift::{client_split, min_update_overlap, shift_mask};
+use gluefl_compress::mask_shift::{client_split, shift_mask_into};
 use gluefl_compress::stc::{keep_count, sparsify, TernaryUpdate};
 use gluefl_compress::{CompensationMode, ErrorCompensator};
 use gluefl_tensor::BitMask;
@@ -66,19 +66,19 @@ proptest! {
         }
     }
 
-    /// shift_mask density equals keep_count(q_shr) and respects the
-    /// eligibility restriction.
+    /// The shifted mask's density equals keep_count(q_shr) and it respects
+    /// the eligibility restriction.
     #[test]
     fn shift_mask_density(delta in delta_vec(), q_shr in 0.0f64..=1.0,
                           elig_bits in proptest::collection::vec(any::<bool>(), 1..300)) {
         let n = delta.len().min(elig_bits.len());
         let delta = &delta[..n];
         let eligible = BitMask::from_indices(n, (0..n).filter(|&i| elig_bits[i]));
-        let m = shift_mask(delta, q_shr, Some(&eligible));
+        let mut m = BitMask::zeros(n);
+        shift_mask_into(delta, q_shr, Some(&eligible), &mut TopKScratch::new(), &mut m);
         let want = keep_count(n, q_shr).min(eligible.count_ones());
         prop_assert_eq!(m.count_ones(), want);
         prop_assert_eq!(m.and_not(&eligible).count_ones(), 0, "mask escaped eligibility");
-        prop_assert_eq!(min_update_overlap(n, q_shr), keep_count(n, q_shr));
     }
 
     /// Error-feedback invariant: at any point, total-sent + residual ==

@@ -1,4 +1,4 @@
-//! Packed aggregation of sparse upload parts, and its dense reference.
+//! Packed aggregation of GlueFL's unique upload parts.
 //!
 //! Every strategy folds one arriving upload at a time, straight into its
 //! accumulator ([`crate::strategies::Upload::add_weighted_into`] for
@@ -13,29 +13,12 @@
 //!
 //! Floating-point addition is not associative, so the scatter keeps
 //! every position's adds in stream (= fold) order; that makes it
-//! bit-identical to [`accumulate_sparse`], the plain dense
-//! `acc[i] += w·v` loop the tests pin it against.
+//! bit-identical to the plain dense `acc[i] += w·v` fold of the
+//! reference round (`crates/core/tests/reference/`), which
+//! `packed_aggregate_properties.rs` pins it against, inside one cache
+//! shard and across several.
 
-use crate::scratch::ScratchPool;
-use gluefl_tensor::{BitMask, SparseUpdate};
-
-/// Accumulates `Σ wᵢ · sparseᵢ` into a dense pooled buffer — the
-/// reference the packed scatter is pinned against.
-///
-/// # Panics
-/// Panics if an update's dimension is not `dim`.
-#[must_use]
-pub fn accumulate_sparse(
-    entries: &[(f32, &SparseUpdate)],
-    dim: usize,
-    pool: &mut ScratchPool,
-) -> Vec<f32> {
-    let mut acc = pool.take_zeroed(dim);
-    for &(w, update) in entries {
-        update.add_scaled_into(&mut acc, w);
-    }
-    acc
-}
+use gluefl_tensor::BitMask;
 
 /// Rebuilds `offsets` as the per-word packed-rank prefix of `support`
 /// (`offsets[w]` = number of set bits strictly before word `w`) and
@@ -69,7 +52,7 @@ pub(crate) fn packed_rank(words: &[u64], offsets: &[u32], i: usize) -> usize {
 /// [`BitMask::as_words`] for O(1) rank lookups via `packed_rank`). Per
 /// packed position the adds replay in stream order from `+0.0`, so
 /// folding `w·v` pairs here is bit-identical to the dense
-/// `acc[i] += w·v` loop ([`accumulate_sparse`]).
+/// `acc[i] += w·v` loop.
 ///
 /// # Panics
 /// Panics if the streams' lengths differ or a position is at or above
@@ -135,72 +118,3 @@ pub fn scatter_add_packed(
 /// enough to stay cache-resident while every run's in-range entries are
 /// replayed over it.
 const SHARD: usize = 1 << 14;
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
-
-    /// The packed scatter must equal the dense accumulation exactly: same
-    /// union support, and at every set position the same bits as the
-    /// dense accumulator (including cancellations to ±0.0).
-    #[test]
-    fn packed_scatter_matches_dense_bitwise() {
-        // Past one shard, so the run-splitting sharded scatter runs too.
-        let dim = SHARD + 5000;
-        let mut rng = StdRng::seed_from_u64(11);
-        for n in [1usize, 2, 9] {
-            let updates: Vec<SparseUpdate> = (0..n)
-                .map(|_| {
-                    let mut pairs: Vec<(u32, f32)> = Vec::new();
-                    for i in 0..dim as u32 {
-                        if rng.gen::<f64>() < 0.05 {
-                            pairs.push((i, rng.gen_range(-1.0..1.0)));
-                        }
-                    }
-                    SparseUpdate::from_pairs(dim, pairs)
-                })
-                .collect();
-            let entries: Vec<(f32, &SparseUpdate)> = updates
-                .iter()
-                .enumerate()
-                .map(|(i, u)| (((i + 1) as f32).sin(), u))
-                .collect();
-            let mut pool = ScratchPool::new();
-            let dense = accumulate_sparse(&entries, dim, &mut pool);
-
-            let mut idx_stream: Vec<u32> = Vec::new();
-            let mut val_stream: Vec<f32> = Vec::new();
-            for (w, u) in &entries {
-                idx_stream.extend_from_slice(u.indices());
-                val_stream.extend(u.values().iter().map(|&v| *w * v));
-            }
-            let mut support = BitMask::zeros(dim);
-            let mut offsets = Vec::new();
-            let mut packed = Vec::new();
-            scatter_add_packed(
-                &idx_stream,
-                &val_stream,
-                dim,
-                &mut support,
-                &mut offsets,
-                &mut packed,
-            );
-            assert_eq!(support.count_ones(), packed.len());
-            let mut r = 0;
-            for (i, &dv) in dense.iter().enumerate() {
-                if support.get(i) {
-                    assert_eq!(
-                        dv.to_bits(),
-                        packed[r].to_bits(),
-                        "bit mismatch at position {i} (n={n})"
-                    );
-                    r += 1;
-                } else {
-                    assert_eq!(dv.to_bits(), 0.0f32.to_bits(), "dense nonzero off-support");
-                }
-            }
-        }
-    }
-}

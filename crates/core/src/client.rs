@@ -351,7 +351,6 @@ impl ClientCompressor {
     }
 
     /// Client `id`'s banked residual and the weight it was stored at.
-    #[cfg(test)]
     pub(crate) fn stored(&self, id: ClientId) -> Option<(&[f32], f64)> {
         match &self.scheme {
             Scheme::Stc { ec, .. } | Scheme::GlueFl { ec, .. } => ec.stored(id),

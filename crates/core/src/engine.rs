@@ -714,10 +714,12 @@ impl RoundEngine {
 
     /// Decodes one delivered payload and checks that the engine can use
     /// it: the upload variant is one the fold [`Strategy::accepts`],
-    /// dimensions agree with the model, explicit index lists are strictly
-    /// increasing and in range (the accumulation kernels index with
-    /// them), and the stats frame matches the BN-statistic layout. On
-    /// success the stats values are in kept slot `slot` of `stats_saved`.
+    /// dimensions agree with the model, and the stats frame matches the
+    /// BN-statistic layout. Explicit index lists need no check here: the
+    /// frame decoder refuses unsorted and out-of-range positions, and
+    /// [`wire_link::decode_upload_with_stats`] a split upload whose parts
+    /// disagree on `dim`. On success the stats values are in kept slot
+    /// `slot` of `stats_saved`.
     fn decode_arrival(&mut self, payload: &[u8], slot: usize) -> Result<Upload, WireError> {
         let dim = self.model.num_params();
         let stats_len = self.stats_positions.len();
@@ -738,8 +740,6 @@ impl RoundEngine {
             let arrived = frame_kind_from_header(payload)
                 .expect("the payload's first frame decoded a moment ago");
             Some(WireError::UnexpectedKind(arrived.id()))
-        } else if let Err(e) = check_upload_indices(&upload, dim) {
-            Some(e)
         } else if stats_frame.nnz != stats_len {
             Some(WireError::NnzMismatch {
                 declared: stats_frame.nnz,
@@ -836,26 +836,6 @@ fn model_time(rec: &mut RoundRecord, kept: &[usize], times: &[ClientRoundTime], 
     rec.mean_upload_secs /= kn;
     rec.mean_compute_secs /= kn;
 }
-/// Every explicit-position index list inside an upload must be strictly
-/// increasing and within the model dimension.
-fn check_upload_indices(upload: &Upload, dim: usize) -> Result<(), WireError> {
-    let check = |indices: &[u32]| {
-        if let Some(at) = indices.windows(2).position(|w| w[0] >= w[1]) {
-            return Err(WireError::IndicesNotIncreasing { position: at + 1 });
-        }
-        match indices.last() {
-            Some(&index) if index as usize >= dim => Err(WireError::IndexOutOfRange { index, dim }),
-            _ => Ok(()),
-        }
-    };
-    match upload {
-        Upload::Dense(_) | Upload::KnownMask(_) => Ok(()),
-        Upload::Sparse(u) => check(u.indices()),
-        Upload::Ternary(t) => check(&t.indices),
-        Upload::MaskSplit(s) => check(s.unique.indices()),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

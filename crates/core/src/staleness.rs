@@ -141,14 +141,6 @@ impl StalenessTracker {
             legacy_sparse_len(Codec::F32, self.dim(), stale)
         }
     }
-
-    /// Brute-force recomputation of [`StalenessTracker::stale_positions`]
-    /// straight from `last_changed` — used by tests to validate the
-    /// histogram fast path.
-    #[must_use]
-    pub fn stale_positions_bruteforce(&self, v: u32) -> usize {
-        self.last_changed.iter().filter(|&&r| r > v).count()
-    }
 }
 
 #[cfg(test)]
@@ -200,23 +192,6 @@ mod tests {
             let s = st.stale_positions(v);
             assert!(s >= prev, "staleness not monotone at version {v}");
             prev = s;
-        }
-    }
-
-    #[test]
-    fn histogram_matches_bruteforce_under_random_updates() {
-        let mut st = StalenessTracker::new(500, 3);
-        let mut rng = StdRng::seed_from_u64(9);
-        for _ in 0..50 {
-            let changed: Vec<usize> = (0..500).filter(|_| rng.gen::<f64>() < 0.2).collect();
-            st.record_update(changed);
-            for v in 0..=st.version() {
-                assert_eq!(
-                    st.stale_positions(v),
-                    st.stale_positions_bruteforce(v),
-                    "version {v}"
-                );
-            }
         }
     }
 

@@ -82,7 +82,7 @@ impl ApfFold {
 mod tests {
     use super::*;
     use crate::strategies::{Group, Sampler, Strategy};
-    use crate::stream::fold_in_id_order;
+    use crate::stream::fold_through_gate;
     use crate::StrategyConfig;
     use gluefl_sampling::ClientId;
     use gluefl_tensor::MaskAligned;
@@ -132,7 +132,7 @@ mod tests {
                     (id, w, Upload::KnownMask(up))
                 })
                 .collect();
-            let agg = fold_in_id_order(s, r, &kept, &mut pool);
+            let agg = fold_through_gate(s, r, &kept, &mut pool);
             each_round(r, &active, &agg);
         }
     }

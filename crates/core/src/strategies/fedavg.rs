@@ -37,7 +37,7 @@ impl DenseFold {
 mod tests {
     use super::*;
     use crate::strategies::{Group, Sampler, Strategy, Upload};
-    use crate::stream::fold_in_id_order;
+    use crate::stream::fold_through_gate;
     use crate::StrategyConfig;
     use gluefl_sampling::ClientId;
     use rand::rngs::StdRng;
@@ -76,12 +76,12 @@ mod tests {
             (1usize, w(1), Upload::Dense(vec![-1.0; 8])),
         ];
         let mut pool = ScratchPool::new();
-        let agg = fold_in_id_order(&mut fold, 0, &kept, &mut pool);
+        let agg = fold_through_gate(&mut fold, 0, &kept, &mut pool);
         assert!(agg.is_dense(), "FedAvg must return a full-mask update");
         assert!(agg.values().iter().all(|v| v.abs() < 1e-9));
         // One client: agg = weight · delta.
         let kept = vec![(2usize, w(2), Upload::Dense(vec![2.0; 8]))];
-        let agg = fold_in_id_order(&mut fold, 0, &kept, &mut pool);
+        let agg = fold_through_gate(&mut fold, 0, &kept, &mut pool);
         assert!(agg.values().iter().all(|v| (*v - 2.0 * w(2)).abs() < 1e-6));
     }
 
@@ -110,7 +110,7 @@ mod tests {
                 })
                 .collect();
             let mut pool = ScratchPool::new();
-            let agg = fold_in_id_order(&mut fold, 0, &kept, &mut pool);
+            let agg = fold_through_gate(&mut fold, 0, &kept, &mut pool);
             for (a, g) in acc.iter_mut().zip(agg.values()) {
                 *a += f64::from(*g);
             }

@@ -222,7 +222,7 @@ impl GlueFlFold {
 mod tests {
     use super::*;
     use crate::strategies::{Group, Sampler, Strategy};
-    use crate::stream::fold_in_id_order;
+    use crate::stream::fold_through_gate;
     use crate::StrategyConfig;
     use gluefl_compress::mask_shift::client_split;
     use gluefl_compress::CompensationMode;
@@ -333,7 +333,7 @@ mod tests {
         let delta: Vec<f32> = (0..20).map(|i| if i < 6 { 10.0 } else { 0.01 }).collect();
         let mut pool = ScratchPool::new();
         let up = split_upload(&s, 1, &delta);
-        let agg = fold_in_id_order(&mut s, 1, &[(1, sticky_weight(1), up)], &mut pool);
+        let agg = fold_through_gate(&mut s, 1, &[(1, sticky_weight(1), up)], &mut pool);
         assert_eq!(agg.dim(), 20);
         // New mask has q_shr density.
         assert_eq!(s.round_mask().unwrap().count_ones(), 4);
@@ -361,7 +361,7 @@ mod tests {
                     (id, sticky_weight(id), split_upload(&s, round, &delta))
                 })
                 .collect();
-            let agg = fold_in_id_order(&mut s, round, &kept, &mut pool);
+            let agg = fold_through_gate(&mut s, round, &kept, &mut pool);
             let mut nonzero = Vec::new();
             agg.for_each_nonzero(|i, _| nonzero.push(i));
             let support = BitMask::from_indices(20, nonzero);
@@ -395,7 +395,7 @@ mod tests {
             })
             .collect();
         let mut pool = ScratchPool::new();
-        let update = fold_in_id_order(&mut s, 1, &kept, &mut pool);
+        let update = fold_through_gate(&mut s, 1, &kept, &mut pool);
         assert!(update.mask().count_ones() > 0);
         assert!(
             pool.max_idle_value_capacity() < dim / 2,

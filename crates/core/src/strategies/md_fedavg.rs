@@ -109,7 +109,7 @@ mod tests {
             .collect();
         let mut pool = ScratchPool::new();
         let mut fold = Strategy::Dense(DenseFold::new(6));
-        let agg = crate::stream::fold_in_id_order(&mut fold, 0, &kept, &mut pool);
+        let agg = crate::stream::fold_through_gate(&mut fold, 0, &kept, &mut pool);
         // Weights sum to 1, every delta is all-ones → aggregate all-ones.
         assert!(agg.is_dense());
         for v in agg.values() {

@@ -130,9 +130,10 @@ impl Upload {
 /// Every fold adds per-position contributions as one `+= w·v` per
 /// upload, so the id-ordered fold is one fixed sequence of `f32`
 /// operations per position: any driver that feeds the same uploads gets
-/// the same bits, whatever order they arrived in
-/// (`crates/core/tests/streaming_fold.rs` pins this for all six
-/// configurations × five wire policies).
+/// the same bits, whatever order they arrived in. The reference round
+/// (`crates/core/tests/reference/`) folds that way, densely, and the
+/// engine plays it bit for bit (`reference_round.rs`), with uploads
+/// arriving in shuffled orders too (`streaming_fold.rs`).
 ///
 /// # The `MaskedUpdate` contract
 ///
@@ -146,8 +147,8 @@ impl Upload {
 /// [`gluefl_tensor::vecops::masked_axpy`]) and scans changed positions
 /// with [`gluefl_tensor::MaskedUpdate::for_each_nonzero`], so the apply
 /// path never walks the full parameter vector for a sparse round. The
-/// per-position arithmetic is a single `+=`, bit-identical to the dense
-/// reference (`add_assign` of the densified update).
+/// per-position arithmetic is a single `+=`, bit-identical to the
+/// reference round's dense apply.
 ///
 /// BatchNorm statistic positions are either absent from the returned
 /// mask (STC and GlueFL exclude them from every top-k scope) or covered

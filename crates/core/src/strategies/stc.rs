@@ -75,7 +75,7 @@ impl StcFold {
 mod tests {
     use super::*;
     use crate::strategies::{Group, Sampler, Strategy, Upload};
-    use crate::stream::fold_in_id_order;
+    use crate::stream::fold_through_gate;
     use crate::StrategyConfig;
     use gluefl_sampling::ClientId;
     use gluefl_tensor::SparseUpdate;
@@ -106,7 +106,7 @@ mod tests {
             (1usize, weight(1), mk(vec![(0, 5.0), (7, 6.0)])),
         ];
         let mut pool = ScratchPool::new();
-        let agg = fold_in_id_order(&mut s, 0, &kept, &mut pool);
+        let agg = fold_through_gate(&mut s, 0, &kept, &mut pool);
         // top 25% of 8 = 2 positions survive: 0 (sum 10·w) and 7 (6·w).
         let mut nonzero = Vec::new();
         agg.for_each_nonzero(|i, _| nonzero.push(i));
@@ -129,7 +129,7 @@ mod tests {
             })
             .collect();
         let mut pool = ScratchPool::new();
-        let agg = fold_in_id_order(&mut s, 0, &kept, &mut pool);
+        let agg = fold_through_gate(&mut s, 0, &kept, &mut pool);
         assert!(agg.nnz() <= 2, "mask covers {} > q·d = 2", agg.nnz());
         let mut changed = 0usize;
         agg.for_each_nonzero(|_, _| changed += 1);

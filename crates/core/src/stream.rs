@@ -8,7 +8,10 @@
 //! until their turn. Each folded upload's buffers go straight back to the
 //! [`ScratchPool`], so the only staging that ever exists is the
 //! out-of-order prefix of arrivals — the collect-then-aggregate
-//! `O(K·nnz)` buffer is gone.
+//! `O(K·nnz)` buffer is gone. What any arrival order must reproduce is
+//! the reference round's fold in ascending client-id order
+//! (`crates/core/tests/reference/`); `streaming_fold.rs` delivers the
+//! engine's uploads in shuffled orders and holds it to that.
 //!
 //! A kept client that fails mid-round (hostile bytes, disconnect,
 //! deadline miss) is [`StreamingAggregator::skip`]ped: its slot is marked
@@ -58,8 +61,10 @@ enum Slot {
 ///
 /// Construction fixes the keep set; [`accept`](Self::accept) feeds
 /// arrivals in any order; [`finish`](Self::finish) yields the round's
-/// [`MaskedUpdate`], bit-identical to [`fold_in_id_order`] over the same
-/// uploads.
+/// [`MaskedUpdate`], bit-identical to folding the same uploads in
+/// ascending client-id order — the order the reference round
+/// (`crates/core/tests/reference/`) folds in, and the one
+/// `crates/core/tests/streaming_fold.rs` holds shuffled arrivals to.
 #[derive(Debug)]
 pub struct StreamingAggregator {
     /// Kept `(client, aggregation weight)` pairs sorted by client id.
@@ -231,24 +236,22 @@ impl StreamingAggregator {
     }
 }
 
-/// The reference fold: opens the strategy's partial sums, folds the kept
-/// `(client, weight, upload)` triples in ascending client-id order, and
-/// finishes — no gate, no parking. Every
-/// arrival order through a [`StreamingAggregator`] must reproduce this
-/// bit for bit; tests use it wherever they need "the round's aggregate".
-pub fn fold_in_id_order(
+/// Folds `(client, weight, upload)` triples through a gate over exactly
+/// those clients, delivered in the order given.
+#[cfg(test)]
+pub(crate) fn fold_through_gate(
     strategy: &mut Strategy,
     round: u32,
     kept: &[(ClientId, f32, Upload)],
     scratch: &mut ScratchPool,
 ) -> MaskedUpdate {
-    let mut order: Vec<&(ClientId, f32, Upload)> = kept.iter().collect();
-    order.sort_by_key(|(id, _, _)| *id);
-    strategy.fold_begin(round, scratch);
-    for (_, weight, upload) in order {
-        strategy.fold_upload(*weight, upload);
+    let weights: Vec<(ClientId, f32)> = kept.iter().map(|&(id, w, _)| (id, w)).collect();
+    let mut gate = StreamingAggregator::begin(round, &weights, strategy, scratch);
+    for (id, _, upload) in kept {
+        gate.accept(strategy, *id, upload.clone(), scratch)
+            .expect("each kept client delivers once");
     }
-    strategy.fold_finish(scratch)
+    gate.finish(strategy, scratch)
 }
 
 #[cfg(test)]
@@ -285,7 +288,7 @@ mod tests {
         let kept = uploads(5, dim);
         let mut ref_s = dense(dim);
         let mut pool = ScratchPool::new();
-        let want = fold_in_id_order(&mut ref_s, 0, &kept, &mut pool);
+        let want = fold_through_gate(&mut ref_s, 0, &kept, &mut pool);
 
         let mut stream_s = dense(dim);
         let ids: Vec<(ClientId, f32)> = kept.iter().map(|&(c, w, _)| (c, w)).collect();
@@ -326,11 +329,11 @@ mod tests {
     fn skipped_client_unblocks_later_ids() {
         let dim = 4;
         let kept = uploads(3, dim);
-        // Reference over clients {1, 2} only.
+        // A gate over clients {1, 2} only.
         let mut ref_s = dense(dim);
         let mut pool = ScratchPool::new();
         let survivors: Vec<_> = kept.iter().filter(|&&(c, _, _)| c != 0).cloned().collect();
-        let want = fold_in_id_order(&mut ref_s, 0, &survivors, &mut pool);
+        let want = fold_through_gate(&mut ref_s, 0, &survivors, &mut pool);
 
         let mut s = dense(dim);
         let ids: Vec<(ClientId, f32)> = kept.iter().map(|&(c, w, _)| (c, w)).collect();

@@ -1,20 +1,21 @@
-//! Packed-aggregate twins, pinned bit-exact against their dense
-//! counterparts.
+//! Packed aggregation, pinned bit-exact against the reference round's
+//! dense fold and sort-based top-k (`reference/mod.rs`).
 //!
 //! GlueFL's O(q·d) aggregate never stages a dense `d`-length buffer: the
 //! fold scatters the unique parts' deferred `(position, w·v)` pairs
 //! straight into `(support, packed values)` form, and the mask shift's
-//! top-k runs over the packed pair. Each of
-//! those packed kernels promises *bit identity* with the dense code it
-//! replaced — per position, the same `+= w·v` adds replay in the same
-//! order from `+0.0`. These properties pin that promise across
+//! top-k runs over the packed pair. Each promises *bit identity* with the
+//! dense round the paper writes — per position, the same `+= w·v` adds
+//! replay in the same order from `+0.0`, and the same positions win the
+//! top-k, ties included. These properties pin that promise across
 //! adversarial supports (empty, overlapping, single-client, full-width)
-//! and weights, so the packed rewrite can never drift the simulated
-//! trajectory.
+//! and weights, so the packed code can never drift the trajectory.
 
-use gluefl_compress::mask_shift::{shift_mask_into, shift_mask_packed_into};
-use gluefl_core::aggregate::{accumulate_sparse, scatter_add_packed};
-use gluefl_core::ScratchPool;
+mod reference;
+
+use gluefl_compress::mask_shift::shift_mask_packed_into;
+use gluefl_compress::stc::keep_count;
+use gluefl_core::aggregate::scatter_add_packed;
 use gluefl_tensor::{BitMask, SparseUpdate, TopKScratch};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -59,24 +60,27 @@ proptest! {
     /// in fold order — lands on the same bits as the dense accumulation,
     /// including the exact `+0.0` at union-support positions whose
     /// contributions cancel, and untouched positions staying exactly
-    /// `0.0`.
+    /// `0.0`. Half the cases run past the scatter's 16 Ki-position cache
+    /// shard, so the run-splitting sharded walk is pinned too.
     #[test]
     fn packed_scatter_is_bit_exact(
         dim in 1usize..800,
+        wide in any::<bool>(),
         clients in 1usize..7,
         seed in any::<u64>(),
     ) {
+        let dim = if wide { dim + (1 << 14) } else { dim };
         let mut rng = StdRng::seed_from_u64(seed);
         let updates = random_updates(&mut rng, dim, clients);
-        let entries: Vec<(f32, &SparseUpdate)> =
-            updates.iter().map(|(w, u)| (*w, u)).collect();
-
-        let mut pool = ScratchPool::new();
-        let dense = accumulate_sparse(&entries, dim, &mut pool);
+        let entries: Vec<(f32, reference::Entries)> = updates
+            .iter()
+            .map(|(w, u)| (*w, u.iter().map(|(i, v)| (i, v, false)).collect()))
+            .collect();
+        let [dense, _] = reference::fold(dim, entries.iter().map(|(w, e)| (*w, e)));
 
         let mut stream_idx = Vec::new();
         let mut stream_vals = Vec::new();
-        for (w, u) in &entries {
+        for (w, u) in &updates {
             stream_idx.extend_from_slice(u.indices());
             stream_vals.extend(u.values().iter().map(|&v| *w * v));
         }
@@ -95,9 +99,10 @@ proptest! {
         prop_assert_eq!(bits(&densify(&support, &packed)), bits(&dense));
     }
 
-    /// Packed mask shift selects the same next shared mask as densifying
-    /// the combined update first, for every `q_shr` and eligibility
-    /// scope — ties included (values are quantized to force collisions).
+    /// Packed mask shift selects the same next shared mask as the
+    /// reference's top-k over the densified combined update, for every
+    /// `q_shr` and eligibility scope — ties included (values are
+    /// quantized to force collisions).
     #[test]
     fn packed_mask_shift_matches_dense(
         dim in 1usize..500,
@@ -120,10 +125,11 @@ proptest! {
             .then(|| BitMask::from_indices(dim, (0..dim).filter(|i| i % 3 != 0)));
         let dense = densify(&support, &packed);
 
+        let in_scope = |i: usize| eligible.as_ref().is_none_or(|e| e.get(i));
+        let want = reference::top_k(&dense, keep_count(dim, q_shr), in_scope);
+        let want = BitMask::from_indices(dim, want);
         let mut scratch = TopKScratch::new();
-        let mut want = BitMask::zeros(1);
-        shift_mask_into(&dense, q_shr, eligible.as_ref(), &mut scratch, &mut want);
-        let mut got = BitMask::zeros(1);
+        let mut got = BitMask::ones(7); // dirty, wrong size
         shift_mask_packed_into(
             &support,
             &packed,

@@ -1,26 +1,35 @@
 //! Property-based tests for the staleness tracker: the histogram fast
-//! path must agree with brute force under arbitrary update histories,
-//! the monotonicity facts the evaluation relies on must always hold, and
-//! the download price must be the length of a frame that can be encoded.
+//! path must agree with the reference round's brute-force recount
+//! (`reference/mod.rs`) under arbitrary update histories, the
+//! monotonicity facts the evaluation relies on must always hold, and the
+//! download price must be the length of a frame that can be encoded.
+
+mod reference;
 
 use gluefl_core::{StalenessTracker, WireCodec, WirePolicy};
 use gluefl_wire::{FrameWriter, Rounding};
 use proptest::prelude::*;
 
 proptest! {
-    /// Fast path == brute force for every version, under random updates.
+    /// Fast path == the reference's recount for every version, under
+    /// random updates.
     #[test]
     fn histogram_matches_bruteforce(
         dim in 1usize..400,
         rounds in proptest::collection::vec(
             proptest::collection::btree_set(0usize..400, 0..80), 0..30)) {
         let mut st = StalenessTracker::new(dim, 2);
+        let mut last_changed = vec![0u32; dim];
         for changed in &rounds {
-            st.record_update(changed.iter().copied().filter(|&j| j < dim));
+            let changed: Vec<usize> = changed.iter().copied().filter(|&j| j < dim).collect();
+            st.record_update(changed.iter().copied());
+            for &j in &changed {
+                last_changed[j] = st.version();
+            }
             for v in 0..=st.version() {
                 prop_assert_eq!(
                     st.stale_positions(v),
-                    st.stale_positions_bruteforce(v),
+                    reference::stale_positions(&last_changed, v).len(),
                     "version {}", v
                 );
             }

@@ -20,7 +20,7 @@
 
 use gluefl_suite::telemetry::{Field, Level, LogFormat, Logger, Telemetry};
 use gluefl_suite::transport::{run_client_traced, smoke_config};
-use gluefl_suite::ArgsError;
+use gluefl_suite::CommandLine;
 use std::sync::Arc;
 
 const USAGE: &str = "usage: gluefl-client --addr HOST:PORT --id N [--strategy S] [--clients N] \
@@ -38,62 +38,27 @@ const FLAGS: &[&str] = &[
     "--metrics-out",
 ];
 
-/// `--help` prints the usage and ends the process with status 0; any
-/// argument that is not a known flag or its value, or a flag given
-/// twice, ends it with the message, the usage line and status 2.
-fn check_args(args: &[String]) {
-    match gluefl_suite::check_args(args, FLAGS) {
-        Ok(()) => {}
-        Err(ArgsError::Help) => {
-            println!("{USAGE}");
-            std::process::exit(0)
-        }
-        Err(ArgsError::Unknown(arg)) => {
-            eprintln!("error: unknown argument '{arg}'\n{USAGE}");
-            std::process::exit(2)
-        }
-        Err(ArgsError::Repeated(flag)) => {
-            eprintln!("error: {flag} given more than once\n{USAGE}");
-            std::process::exit(2)
-        }
-    }
-}
-
-/// A flag's value, or its default when absent; a malformed or missing
-/// value ends the process with the message, the usage line and status 2.
-fn parse_flag<T: std::str::FromStr>(args: &[String], flag: &str, default: T) -> T {
-    gluefl_suite::parse_flag(args, flag, default).unwrap_or_else(|e| {
-        eprintln!("error: {e}\n{USAGE}");
-        std::process::exit(2)
-    })
-}
-
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    check_args(&args);
-    let addr: String = parse_flag(&args, "--addr", String::new());
-    let id: usize = parse_flag(&args, "--id", usize::MAX);
-    let strategy: String = parse_flag(&args, "--strategy", "gluefl".to_string());
-    let clients: usize = parse_flag(&args, "--clients", 8);
-    let rounds: u32 = parse_flag(&args, "--rounds", 3);
-    let seed: u64 = parse_flag(&args, "--seed", 42);
-    let format: LogFormat = parse_flag(&args, "--log-format", LogFormat::Text);
-    let level: Level = parse_flag(&args, "--log-level", Level::Info);
-    let metrics_out: String = parse_flag(&args, "--metrics-out", String::new());
+    let cli = CommandLine::parse(FLAGS, USAGE);
+    let addr: String = cli.flag("--addr", String::new());
+    let id: usize = cli.flag("--id", usize::MAX);
+    let strategy: String = cli.flag("--strategy", "gluefl".to_string());
+    let clients: usize = cli.flag("--clients", 8);
+    let rounds: u32 = cli.flag("--rounds", 3);
+    let seed: u64 = cli.flag("--seed", 42);
+    let format: LogFormat = cli.flag("--log-format", LogFormat::Text);
+    let level: Level = cli.flag("--log-level", Level::Info);
+    let metrics_out: String = cli.flag("--metrics-out", String::new());
     let log = Logger::stdout(level, format);
     if addr.is_empty() || id == usize::MAX {
         eprintln!("{USAGE}");
         std::process::exit(2);
     }
     if id >= clients {
-        eprintln!("error: --id {id} is outside a population of {clients}\n{USAGE}");
-        std::process::exit(2);
+        cli.refuse(&format!("--id {id} is outside a population of {clients}"));
     }
     let tel = (!metrics_out.is_empty()).then(|| Arc::new(Telemetry::new()));
-    let cfg = smoke_config(&strategy, clients, rounds, seed).unwrap_or_else(|e| {
-        eprintln!("error: {e}\n{USAGE}");
-        std::process::exit(2)
-    });
+    let cfg = smoke_config(&strategy, clients, rounds, seed).unwrap_or_else(|e| cli.refuse(&e));
     if let Err(e) = run_client_traced(&addr, cfg, id, tel.clone()) {
         log.error(
             "client failed",

@@ -19,7 +19,7 @@
 
 use gluefl_suite::telemetry::{Field, Level, LogFormat, Logger, Telemetry};
 use gluefl_suite::transport::{smoke_config, Server, ServerConfig};
-use gluefl_suite::ArgsError;
+use gluefl_suite::CommandLine;
 use std::io::{Read as _, Write as _};
 use std::sync::Arc;
 use std::time::Duration;
@@ -41,36 +41,6 @@ const FLAGS: &[&str] = &[
     "--metrics-addr",
     "--metrics-out",
 ];
-
-/// `--help` prints the usage and ends the process with status 0; any
-/// argument that is not a known flag or its value, or a flag given
-/// twice, ends it with the message, the usage line and status 2.
-fn check_args(args: &[String]) {
-    match gluefl_suite::check_args(args, FLAGS) {
-        Ok(()) => {}
-        Err(ArgsError::Help) => {
-            println!("{USAGE}");
-            std::process::exit(0)
-        }
-        Err(ArgsError::Unknown(arg)) => {
-            eprintln!("error: unknown argument '{arg}'\n{USAGE}");
-            std::process::exit(2)
-        }
-        Err(ArgsError::Repeated(flag)) => {
-            eprintln!("error: {flag} given more than once\n{USAGE}");
-            std::process::exit(2)
-        }
-    }
-}
-
-/// A flag's value, or its default when absent; a malformed or missing
-/// value ends the process with the message, the usage line and status 2.
-fn parse_flag<T: std::str::FromStr>(args: &[String], flag: &str, default: T) -> T {
-    gluefl_suite::parse_flag(args, flag, default).unwrap_or_else(|e| {
-        eprintln!("error: {e}\n{USAGE}");
-        std::process::exit(2)
-    })
-}
 
 /// How long one scrape connection may hold the metrics thread: it serves
 /// connections one at a time, so a peer that never sends (or never
@@ -104,19 +74,18 @@ fn serve_metrics(addr: &str, tel: Arc<Telemetry>) -> std::io::Result<String> {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    check_args(&args);
-    let addr: String = parse_flag(&args, "--addr", "127.0.0.1:0".to_string());
-    let strategy: String = parse_flag(&args, "--strategy", "gluefl".to_string());
-    let clients: usize = parse_flag(&args, "--clients", 8);
-    let rounds: u32 = parse_flag(&args, "--rounds", 3);
-    let seed: u64 = parse_flag(&args, "--seed", 42);
-    let offer_secs: u64 = parse_flag(&args, "--offer-timeout-secs", 30);
-    let upload_secs: u64 = parse_flag(&args, "--upload-timeout-secs", 30);
-    let format: LogFormat = parse_flag(&args, "--log-format", LogFormat::Text);
-    let level: Level = parse_flag(&args, "--log-level", Level::Info);
-    let metrics_addr: String = parse_flag(&args, "--metrics-addr", String::new());
-    let metrics_out: String = parse_flag(&args, "--metrics-out", String::new());
+    let cli = CommandLine::parse(FLAGS, USAGE);
+    let addr: String = cli.flag("--addr", "127.0.0.1:0".to_string());
+    let strategy: String = cli.flag("--strategy", "gluefl".to_string());
+    let clients: usize = cli.flag("--clients", 8);
+    let rounds: u32 = cli.flag("--rounds", 3);
+    let seed: u64 = cli.flag("--seed", 42);
+    let offer_secs: u64 = cli.flag("--offer-timeout-secs", 30);
+    let upload_secs: u64 = cli.flag("--upload-timeout-secs", 30);
+    let format: LogFormat = cli.flag("--log-format", LogFormat::Text);
+    let level: Level = cli.flag("--log-level", Level::Info);
+    let metrics_addr: String = cli.flag("--metrics-addr", String::new());
+    let metrics_out: String = cli.flag("--metrics-out", String::new());
     let log = Logger::stdout(level, format);
 
     // Telemetry costs one untaken branch per phase boundary when off;
@@ -124,10 +93,7 @@ fn main() {
     let tel =
         (!metrics_addr.is_empty() || !metrics_out.is_empty()).then(|| Arc::new(Telemetry::new()));
 
-    let cfg = smoke_config(&strategy, clients, rounds, seed).unwrap_or_else(|e| {
-        eprintln!("error: {e}\n{USAGE}");
-        std::process::exit(2)
-    });
+    let cfg = smoke_config(&strategy, clients, rounds, seed).unwrap_or_else(|e| cli.refuse(&e));
     let mut net = ServerConfig::local(clients);
     net.addr = addr;
     net.offer_timeout = Duration::from_secs(offer_secs);

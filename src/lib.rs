@@ -94,6 +94,50 @@ pub fn check_args(args: &[String], flags: &[&str]) -> Result<(), ArgsError> {
     Ok(())
 }
 
+/// The `gluefl-server` / `gluefl-client` command line: the process's
+/// arguments, checked against the binary's flags ([`check_args`]) before
+/// anything reads them. Every refusal ends the process: `--help` prints
+/// the usage line and exits 0; an unknown or repeated argument, a
+/// malformed or missing value ([`parse_flag`]), or whatever the binary
+/// [`refuse`](Self::refuse)s, prints `error: …` and the usage line and
+/// exits 2.
+#[derive(Debug)]
+pub struct CommandLine {
+    args: Vec<String>,
+    usage: &'static str,
+}
+
+impl CommandLine {
+    /// The process's arguments, checked against `flags`.
+    #[must_use]
+    pub fn parse(flags: &[&str], usage: &'static str) -> Self {
+        let cli = Self {
+            args: std::env::args().skip(1).collect(),
+            usage,
+        };
+        match check_args(&cli.args, flags) {
+            Ok(()) => cli,
+            Err(ArgsError::Help) => {
+                println!("{usage}");
+                std::process::exit(0)
+            }
+            Err(ArgsError::Unknown(arg)) => cli.refuse(&format!("unknown argument '{arg}'")),
+            Err(ArgsError::Repeated(flag)) => cli.refuse(&format!("{flag} given more than once")),
+        }
+    }
+
+    /// `flag`'s value, or `default` when it is absent.
+    pub fn flag<T: std::str::FromStr>(&self, flag: &str, default: T) -> T {
+        parse_flag(&self.args, flag, default).unwrap_or_else(|e| self.refuse(&e))
+    }
+
+    /// Prints `error: {message}` and the usage line, and exits 2.
+    pub fn refuse(&self, message: &str) -> ! {
+        eprintln!("error: {message}\n{}", self.usage);
+        std::process::exit(2)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::{check_args, parse_flag, ArgsError};

@@ -1,28 +1,23 @@
-//! Theorem-1 integration test: the sticky-sampling aggregation pipeline is
-//! unbiased end-to-end — Monte Carlo over the *actual* sampler, client
-//! and fold code (plan → compress → weigh → fold → rebalance), not a
-//! re-derivation.
+//! Theorem-1 integration test: the sticky-sampling aggregate is unbiased
+//! — Monte Carlo over the *actual* sticky sampler (plan → weigh →
+//! rebalance) and the reference round's fold
+//! (`crates/core/tests/reference/`), which the round engine plays bit
+//! for bit. With `q = q_shr = 1` masking is the identity and no client is
+//! dismissed, so a round's update is exactly that fold of the invited
+//! clients' deltas at their weights.
+
+#[path = "../crates/core/tests/reference/mod.rs"]
+mod reference;
 
 use gluefl_compress::CompensationMode;
-use gluefl_core::strategies::{Sampler, Strategy};
-use gluefl_core::stream::fold_in_id_order;
-use gluefl_core::{ClientCompressor, GlueFlParams, ScratchPool, SimConfig, StrategyConfig};
-use gluefl_suite::tensor::BitMask;
+use gluefl_core::strategies::Sampler;
+use gluefl_core::{GlueFlParams, SimConfig, StrategyConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-/// GlueFL's server side — the sticky sampler and the fold, drawn from
-/// `rng` in the engine's order — and its client half, which every
-/// invited client compresses through, over an `n`-dimensional model
-/// with no BN statistics and no over-commitment.
-struct GlueFl {
-    sampler: Sampler,
-    fold: Strategy,
-    clients: ClientCompressor,
-}
-
-fn gluefl(params: GlueFlParams, weights: &[f64], k: usize, rng: &mut StdRng) -> GlueFl {
-    let n = weights.len();
+/// GlueFL's sampler over a population with importance weights
+/// `weights`, round size `k`, no over-commitment.
+fn sampler(params: GlueFlParams, weights: &[f64], k: usize, rng: &mut StdRng) -> Sampler {
     let mut cfg = SimConfig::paper_setup(
         gluefl_data::DatasetProfile::Femnist,
         gluefl_ml::DatasetModel::ShuffleNet,
@@ -33,48 +28,25 @@ fn gluefl(params: GlueFlParams, weights: &[f64], k: usize, rng: &mut StdRng) -> 
     );
     cfg.round_size = k;
     cfg.oc = 1.0;
-    GlueFl {
-        sampler: Sampler::new(&cfg, weights, rng),
-        fold: Strategy::new(&cfg, n, n, BitMask::zeros(n), rng),
-        clients: ClientCompressor::new(&cfg, weights, n, n, BitMask::zeros(n)),
-    }
+    Sampler::new(&cfg, weights, rng)
 }
 
-/// One round where client `i`'s delta is the indicator vector `e_i`;
-/// calls `sink(position, value)` for every nonzero of the aggregate.
-fn indicator_round(
-    g: &mut GlueFl,
-    round: u32,
-    rng: &mut StdRng,
-    pool: &mut ScratchPool,
-    mut sink: impl FnMut(usize, f32),
-) {
-    let n = g.fold.round_mask().expect("GlueFL broadcasts M_t").len();
-    let plan = g.sampler.plan(rng, &mut gluefl_sampling::AllOnline);
-    let mut kept = Vec::new();
-    for (id, group) in plan.invited() {
-        let mut delta = vec![0.0f32; n];
-        delta[id] = 1.0;
-        let mut residual = g.clients.check_out(id);
-        let upload = g
-            .clients
-            .compress(
-                round,
-                id,
-                group,
-                &mut delta,
-                g.fold.round_mask(),
-                &mut residual,
-                pool,
-            )
-            .expect("GlueFL exposes its round mask");
-        g.clients.check_in(id, residual);
-        kept.push((id, g.sampler.weight(id, group) as f32, upload));
+/// One round where client `i`'s delta is the indicator vector `e_i`,
+/// folded in ascending client id at the sampler's weights; calls
+/// `sink(position, value)` for every nonzero of the aggregate.
+fn indicator_round(s: &mut Sampler, n: usize, rng: &mut StdRng, mut sink: impl FnMut(usize, f32)) {
+    let plan = s.plan(rng, &mut gluefl_sampling::AllOnline);
+    let mut invited: Vec<_> = plan.invited().collect();
+    invited.sort_by_key(|&(id, _)| id);
+    let uploads: Vec<(f32, reference::Entries)> = invited
+        .into_iter()
+        .map(|(id, group)| (s.weight(id, group) as f32, vec![(id, 1.0, true)]))
+        .collect();
+    let [_, shared] = reference::fold(n, uploads.iter().map(|(w, e)| (*w, e)));
+    for (i, &v) in shared.iter().enumerate().filter(|(_, v)| **v != 0.0) {
+        sink(i, v);
     }
-    let agg = fold_in_id_order(&mut g.fold, round, &kept, pool);
-    agg.for_each_nonzero(&mut sink);
-    g.sampler
-        .rebalance(rng, &plan.sticky_invites, &plan.fresh_invites);
+    s.rebalance(rng, &plan.sticky_invites, &plan.fresh_invites);
 }
 
 /// Runs many rounds where client `i`'s delta is the indicator vector
@@ -100,15 +72,12 @@ fn gluefl_aggregate_is_unbiased_monte_carlo() {
     let weights: Vec<f64> = raw.iter().map(|w| w / total).collect();
 
     let mut rng = StdRng::seed_from_u64(99);
-    let mut g = gluefl(params, &weights, k, &mut rng);
+    let mut s = sampler(params, &weights, k, &mut rng);
 
     let trials = 40_000u32;
     let mut acc = vec![0.0f64; n];
-    let mut pool = ScratchPool::new();
-    for round in 0..trials {
-        indicator_round(&mut g, round, &mut rng, &mut pool, |i, v| {
-            acc[i] += f64::from(v)
-        });
+    for _ in 0..trials {
+        indicator_round(&mut s, n, &mut rng, |i, v| acc[i] += f64::from(v));
     }
 
     for i in 0..n {
@@ -137,17 +106,16 @@ fn equal_weights_are_biased_toward_sticky_clients() {
         equal_weights: true,
     };
     let weights = vec![1.0 / n as f64; n];
-    let mut pool = ScratchPool::new();
     let mut rng = StdRng::seed_from_u64(5);
-    let mut g = gluefl(params, &weights, k, &mut rng);
+    let mut s = sampler(params, &weights, k, &mut rng);
     // Track how much aggregate weight lands on currently-sticky clients.
     let trials = 5_000u32;
     let mut sticky_mass = 0.0f64;
     let mut total_mass = 0.0f64;
-    for round in 0..trials {
-        let group = g.sampler.sticky().expect("GlueFL samples stickily");
+    for _ in 0..trials {
+        let group = s.sticky().expect("GlueFL samples stickily");
         let was_sticky: Vec<bool> = (0..n).map(|i| group.is_sticky(i)).collect();
-        indicator_round(&mut g, round, &mut rng, &mut pool, |i, v| {
+        indicator_round(&mut s, n, &mut rng, |i, v| {
             total_mass += f64::from(v);
             if was_sticky[i] {
                 sticky_mass += f64::from(v);
