@@ -19,7 +19,8 @@
 //! reference round (`crates/core/tests/reference/`), which the round
 //! engine is pinned against bit for bit and `packed_aggregate_properties.rs`
 //! holds [`shift_mask_packed_into`] to, ties included; the dense
-//! [`shift_mask_into`] stays for the benchmark's probe.
+//! [`shift_mask_into`] stays for the benchmark's probe and the fixed
+//! packed-versus-dense cases tested here.
 
 use crate::stc::keep_count;
 use gluefl_tensor::{
@@ -195,6 +196,52 @@ mod tests {
         let mut out = BitMask::ones(3);
         shift_mask_into(&combined, 0.25, None, &mut scratch, &mut out);
         assert_eq!(out, shift(&combined, 0.25, None));
+    }
+
+    /// The packed shift must select exactly the mask the dense shift
+    /// selects on the densified vector — across sparse supports, heavy
+    /// ties, zero fill-up (k larger than the support), and an eligibility
+    /// restriction.
+    #[test]
+    fn packed_shift_matches_dense_shift() {
+        let dim = 300;
+        let mut scratch = TopKScratch::new();
+        for (trial, q_shr) in [(0u64, 0.05), (1, 0.2), (2, 0.5), (3, 0.9)] {
+            // Deterministic pseudo-random support + values with ties.
+            let mut support = BitMask::zeros(dim);
+            let mut packed = Vec::new();
+            let mut dense = vec![0.0f32; dim];
+            for (i, slot) in dense.iter_mut().enumerate() {
+                let h = (i as u64).wrapping_mul(2654435761).wrapping_add(trial * 97);
+                if h.is_multiple_of(5) {
+                    let v = ((h % 13) as f32 - 6.0) / 4.0; // quantized → ties
+                    support.set(i, true);
+                    packed.push(v);
+                    *slot = v;
+                }
+            }
+            for eligible in [
+                None,
+                Some(BitMask::from_indices(dim, (0..dim).filter(|i| i % 3 != 0))),
+            ] {
+                let want = shift(&dense, q_shr, eligible.as_ref());
+                let mut got = BitMask::ones(7); // dirty, wrong size
+                shift_mask_packed_into(
+                    &support,
+                    &packed,
+                    q_shr,
+                    eligible.as_ref(),
+                    &mut scratch,
+                    &mut got,
+                );
+                assert_eq!(
+                    got,
+                    want,
+                    "trial {trial} q_shr {q_shr} eligible {}",
+                    eligible.is_some()
+                );
+            }
+        }
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //! bit-identical to the plain dense `acc[i] += w·v` fold of the
 //! reference round (`crates/core/tests/reference/`), which
 //! `packed_aggregate_properties.rs` pins it against, inside one cache
-//! shard and across several.
+//! shard and across several; the test here checks one fixed case.
 
 use gluefl_tensor::BitMask;
 
@@ -118,3 +118,75 @@ pub fn scatter_add_packed(
 /// enough to stay cache-resident while every run's in-range entries are
 /// replayed over it.
 const SHARD: usize = 1 << 14;
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use gluefl_tensor::SparseUpdate;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    /// The packed scatter must equal the dense accumulation exactly: same
+    /// union support, and at every set position the same bits as the
+    /// dense `acc[i] += w·v` fold (including cancellations to ±0.0).
+    #[test]
+    fn packed_scatter_matches_dense_bitwise() {
+        // Past one shard, so the run-splitting sharded scatter runs too.
+        let dim = SHARD + 5000;
+        let mut rng = StdRng::seed_from_u64(11);
+        for n in [1usize, 2, 9] {
+            let updates: Vec<SparseUpdate> = (0..n)
+                .map(|_| {
+                    let mut pairs: Vec<(u32, f32)> = Vec::new();
+                    for i in 0..dim as u32 {
+                        if rng.gen::<f64>() < 0.05 {
+                            pairs.push((i, rng.gen_range(-1.0..1.0)));
+                        }
+                    }
+                    SparseUpdate::from_pairs(dim, pairs)
+                })
+                .collect();
+            let entries: Vec<(f32, &SparseUpdate)> = updates
+                .iter()
+                .enumerate()
+                .map(|(i, u)| (((i + 1) as f32).sin(), u))
+                .collect();
+            let mut dense = vec![0.0f32; dim];
+            for &(w, u) in &entries {
+                u.add_scaled_into(&mut dense, w);
+            }
+
+            let mut idx_stream: Vec<u32> = Vec::new();
+            let mut val_stream: Vec<f32> = Vec::new();
+            for (w, u) in &entries {
+                idx_stream.extend_from_slice(u.indices());
+                val_stream.extend(u.values().iter().map(|&v| *w * v));
+            }
+            let mut support = BitMask::zeros(dim);
+            let mut offsets = Vec::new();
+            let mut packed = Vec::new();
+            scatter_add_packed(
+                &idx_stream,
+                &val_stream,
+                dim,
+                &mut support,
+                &mut offsets,
+                &mut packed,
+            );
+            assert_eq!(support.count_ones(), packed.len());
+            let mut r = 0;
+            for (i, &dv) in dense.iter().enumerate() {
+                if support.get(i) {
+                    assert_eq!(
+                        dv.to_bits(),
+                        packed[r].to_bits(),
+                        "bit mismatch at position {i} (n={n})"
+                    );
+                    r += 1;
+                } else {
+                    assert_eq!(dv.to_bits(), 0.0f32.to_bits(), "dense nonzero off-support");
+                }
+            }
+        }
+    }
+}
