@@ -16,13 +16,15 @@
 //! a client lacks (samplers, mask evolution) it never needs: the round's
 //! mask arrives in every `INVITE`.
 
-use crate::proto::{read_msg_blocking, write_msg, MsgKind, ProtoError, PROTO_VERSION};
-use crate::TransportError;
+use crate::proto::{
+    offer_payload, read_msg_blocking, write_msg, MsgKind, ProtoError, PROTO_VERSION,
+};
+use crate::{ByteCounters, TransportError};
 use gluefl_core::strategies::{Group, Upload};
 use gluefl_core::{ClientCompressor, ClientTurn, RunSetup, ScratchPool, SimConfig};
 use gluefl_data::ClientDataset;
 use gluefl_ml::MlpTopology;
-use gluefl_telemetry::{Counter, Phase, Telemetry};
+use gluefl_telemetry::{Phase, Telemetry};
 use gluefl_tensor::BitMask;
 use gluefl_wire::{decode_frame_prefix, FrameKind};
 use std::io::Write as _;
@@ -225,41 +227,7 @@ impl ClientNode {
 /// counters plus the hub for the Train/Encode phase spans.
 struct ClientRecorder {
     hub: Arc<Telemetry>,
-    /// Bytes sent to / received from the server, indexed by
-    /// `MsgKind::id() - 1`.
-    bytes_up: Vec<Counter>,
-    bytes_down: Vec<Counter>,
-}
-
-impl ClientRecorder {
-    fn new(hub: Arc<Telemetry>) -> Self {
-        let dir_counters = |dir: &'static str| -> Vec<Counter> {
-            MsgKind::ALL
-                .iter()
-                .map(|k| {
-                    hub.counter(
-                        "gluefl_client_bytes_total",
-                        &[("dir", dir), ("frame", k.name())],
-                    )
-                })
-                .collect()
-        };
-        Self {
-            bytes_up: dir_counters("up"),
-            bytes_down: dir_counters("down"),
-            hub,
-        }
-    }
-
-    fn sent(&self, kind: MsgKind, payload_len: usize) {
-        self.bytes_up[kind.id() as usize - 1]
-            .add((crate::proto::ENVELOPE_BYTES + payload_len) as u64);
-    }
-
-    fn received(&self, kind: MsgKind, payload_len: usize) {
-        self.bytes_down[kind.id() as usize - 1]
-            .add((crate::proto::ENVELOPE_BYTES + payload_len) as u64);
-    }
+    bytes: ByteCounters,
 }
 
 /// Connects to `addr` and runs the full client protocol until the server
@@ -287,7 +255,10 @@ pub fn run_client_traced(
     id: usize,
     tel: Option<Arc<Telemetry>>,
 ) -> Result<(), TransportError> {
-    let tel = tel.map(ClientRecorder::new);
+    let tel = tel.map(|hub| ClientRecorder {
+        bytes: ByteCounters::new(&hub, "gluefl_client_bytes_total"),
+        hub,
+    });
     let mut node = ClientNode::new(cfg, id);
     let mut stream = TcpStream::connect(addr).map_err(ProtoError::Io)?;
     stream.set_nodelay(true).map_err(ProtoError::Io)?;
@@ -297,7 +268,7 @@ pub fn run_client_traced(
     hello[4..].copy_from_slice(&(u32::try_from(id).expect("id fits u32")).to_le_bytes());
     write_msg(&mut stream, MsgKind::Hello, 0, &hello)?;
     if let Some(t) = &tel {
-        t.sent(MsgKind::Hello, hello.len());
+        t.bytes.up(MsgKind::Hello, hello.len());
     }
 
     let mut payload = Vec::new();
@@ -306,7 +277,7 @@ pub fn run_client_traced(
         return Err(TransportError::UnexpectedMessage(env.kind));
     }
     if let Some(t) = &tel {
-        t.received(MsgKind::Welcome, payload.len());
+        t.bytes.down(MsgKind::Welcome, payload.len());
     }
     // The server announces the run it is about to drive; a client built
     // from a different config would train on a different population.
@@ -332,19 +303,17 @@ pub fn run_client_traced(
     loop {
         let env = read_msg_blocking(&mut stream, &mut payload)?;
         if let Some(t) = &tel {
-            t.received(env.kind, payload.len());
+            t.bytes.down(env.kind, payload.len());
         }
         match env.kind {
             MsgKind::Invite => {
                 let span = tel.as_ref().map(|t| t.hub.span(Phase::Train, env.round));
                 let (analytic, wire) = node.handle_invite(env.round, &payload)?;
                 drop(span);
-                let mut offer = [0u8; 16];
-                offer[..8].copy_from_slice(&analytic.to_le_bytes());
-                offer[8..].copy_from_slice(&wire.to_le_bytes());
+                let offer = offer_payload(analytic, wire);
                 write_msg(&mut stream, MsgKind::Offer, env.round, &offer)?;
                 if let Some(t) = &tel {
-                    t.sent(MsgKind::Offer, offer.len());
+                    t.bytes.up(MsgKind::Offer, offer.len());
                 }
             }
             MsgKind::Grant => {
@@ -355,7 +324,7 @@ pub fn run_client_traced(
                     drop(span);
                     write_msg(&mut stream, MsgKind::Upload, env.round, &out)?;
                     if let Some(t) = &tel {
-                        t.sent(MsgKind::Upload, out.len());
+                        t.bytes.up(MsgKind::Upload, out.len());
                     }
                 } else {
                     node.discard_pending();

@@ -30,16 +30,22 @@
 //! The server never blocks indefinitely on a client, and during the
 //! handshake never on one at all: each connection's `HELLO` is read on
 //! its own thread, so a connection that stays silent past the stall
-//! grace is turned away without delaying the others. Each round phase arms a
-//! per-client wall-clock deadline via [`gluefl_net::timing::wall_deadline`]:
-//! a flat floor plus the client's *modeled* phase time scaled by
-//! `secs_per_modeled_sec`. Within a message, a connection that stops
-//! making byte progress for longer than the stall grace is cut off
-//! (slow-loris defense); between messages a connection may idle forever.
-//! A client that misses a deadline, disconnects, sends a message it does
-//! not owe (an `UPLOAD` after `GRANT(0)`, say) or sends hostile bytes is
-//! cut off, and skipped if it held a kept slot — the streaming
-//! aggregator folds whoever remains and the round always completes.
+//! grace is turned away without delaying the others. Within a message, a
+//! connection that stops making byte progress for longer than the stall
+//! grace is cut off (slow-loris defense); between messages a connection
+//! may idle forever.
+//!
+//! Each round phase arms one slot per invitation: what its client owes
+//! and by when. The deadline is a flat floor (`offer_timeout`,
+//! `upload_timeout`) plus the client's *modeled* phase time scaled by
+//! `secs_per_modeled_sec` ([`gluefl_net::timing::wall_deadline`]); at the
+//! default scale of 0 every deadline is the flat floor. One IO-free
+//! table (`slots`) decides, from a clock reading and at most one reader
+//! event, which slot is paid, which is lost and whom that kills: a client
+//! that misses a deadline, disconnects, sends a message it does not owe
+//! (an `UPLOAD` after `GRANT(0)`, say) or sends hostile bytes is cut
+//! off, and skipped if it held a kept slot — the streaming aggregator
+//! folds whoever remains and the round always completes.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -47,12 +53,14 @@
 pub mod client;
 pub mod proto;
 pub mod server;
+mod slots;
 
 pub use client::{run_client, run_client_traced, ClientNode};
 pub use proto::{MsgKind, ProtoError, ENVELOPE_BYTES, PROTO_MAGIC, PROTO_VERSION};
 pub use server::{Server, ServerConfig, ServerReport};
 
 use gluefl_core::SimConfig;
+use gluefl_telemetry::{Counter, Telemetry};
 use gluefl_wire::WireError;
 
 /// Everything that can go wrong on a transport endpoint.
@@ -142,6 +150,41 @@ impl From<ProtoError> for TransportError {
 impl From<WireError> for TransportError {
     fn from(e: WireError) -> Self {
         Self::Wire(e)
+    }
+}
+
+/// Measured bytes (envelope + payload) per message kind and direction:
+/// the `{dir, frame}` table of one endpoint's `…_bytes_total` family.
+struct ByteCounters {
+    /// Indexed by `MsgKind::id() - 1`.
+    up: [Counter; MsgKind::ALL.len()],
+    down: [Counter; MsgKind::ALL.len()],
+}
+
+impl ByteCounters {
+    fn new(hub: &Telemetry, family: &str) -> Self {
+        let dir =
+            |dir| MsgKind::ALL.map(|k| hub.counter(family, &[("dir", dir), ("frame", k.name())]));
+        Self {
+            up: dir("up"),
+            down: dir("down"),
+        }
+    }
+
+    /// Counts one message sent up (client to server); returns its bytes.
+    fn up(&self, kind: MsgKind, payload_len: usize) -> u64 {
+        Self::add(&self.up, kind, payload_len)
+    }
+
+    /// Counts one message sent down (server to client); returns its bytes.
+    fn down(&self, kind: MsgKind, payload_len: usize) -> u64 {
+        Self::add(&self.down, kind, payload_len)
+    }
+
+    fn add(table: &[Counter], kind: MsgKind, payload_len: usize) -> u64 {
+        let bytes = (ENVELOPE_BYTES + payload_len) as u64;
+        table[kind.id() as usize - 1].add(bytes);
+        bytes
     }
 }
 

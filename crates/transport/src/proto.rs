@@ -255,6 +255,15 @@ pub fn parse_envelope(header: &[u8; ENVELOPE_BYTES]) -> Result<Envelope, ProtoEr
     Ok(Envelope { kind, round, len })
 }
 
+/// The `OFFER` payload pricing an upload at `analytic` and `wire` bytes.
+#[must_use]
+pub fn offer_payload(analytic: u64, wire: u64) -> [u8; 16] {
+    let mut offer = [0u8; 16];
+    offer[..8].copy_from_slice(&analytic.to_le_bytes());
+    offer[8..].copy_from_slice(&wire.to_le_bytes());
+    offer
+}
+
 /// Parses an `OFFER` payload into `(analytic bytes, wire bytes)`.
 /// `None` — a protocol violation — unless it is exactly two `u64`s,
 /// neither above [`MAX_PAYLOAD`]: an upload that large could never be
@@ -324,16 +333,24 @@ pub fn read_exact_classified(
     Ok(ReadOutcome::Full)
 }
 
+/// The payload buffer's first size; it doubles from there as bytes
+/// arrive, up to the header's `len`.
+const FIRST_CHUNK: usize = 64 << 10;
+
 /// Reads one full message: envelope, then payload into `payload`
-/// (cleared and resized). `Ok(None)` is a clean close between messages.
+/// (cleared, then grown as its bytes arrive). `Ok(None)` is a clean close
+/// between messages.
 ///
 /// `allow_idle`/`stall_ticks` follow [`read_exact_classified`]; the
 /// payload section never allows idling (its bytes were promised by the
-/// header).
+/// header). The buffer grows with the bytes received — 64 KiB first,
+/// then never more than twice what has arrived — so a header that claims
+/// [`MAX_PAYLOAD`] and stalls holds 64 KiB, not the claim.
 ///
 /// # Errors
 /// Every [`ProtoError`]; a malformed header fails before any payload
-/// allocation.
+/// allocation. [`ProtoError::Truncated`] and [`ProtoError::Stalled`]
+/// count the payload's bytes against its `len`.
 pub fn read_msg(
     r: &mut impl Read,
     payload: &mut Vec<u8>,
@@ -346,9 +363,23 @@ pub fn read_msg(
         ReadOutcome::Full => {}
     }
     let env = parse_envelope(&header)?;
+    let needed = env.len as usize;
     payload.clear();
-    payload.resize(env.len as usize, 0);
-    read_exact_classified(r, payload, false, stall_ticks)?;
+    while payload.len() < needed {
+        let got = payload.len();
+        payload.resize(needed.min((2 * got).max(FIRST_CHUNK)), 0);
+        read_exact_classified(r, &mut payload[got..], false, stall_ticks).map_err(|e| match e {
+            ProtoError::Truncated { got: n, .. } => ProtoError::Truncated {
+                got: got + n,
+                needed,
+            },
+            ProtoError::Stalled { got: n, .. } => ProtoError::Stalled {
+                got: got + n,
+                needed,
+            },
+            other => other,
+        })?;
+    }
     Ok(Some(env))
 }
 
@@ -405,11 +436,7 @@ mod tests {
 
     #[test]
     fn offers_are_two_bounded_u64s() {
-        let offer = |analytic: u64, wire: u64| {
-            let mut payload = analytic.to_le_bytes().to_vec();
-            payload.extend_from_slice(&wire.to_le_bytes());
-            payload
-        };
+        let offer = |analytic, wire| offer_payload(analytic, wire).to_vec();
         let cap = u64::from(MAX_PAYLOAD);
         assert_eq!(parse_offer(&offer(1200, 800)), Some((1200, 800)));
         assert_eq!(parse_offer(&offer(cap, cap)), Some((cap, cap)));
@@ -434,34 +461,154 @@ mod tests {
         ));
     }
 
+    /// EOF inside the envelope truncates the envelope; EOF at any cut
+    /// inside the payload (the disconnect rogue's half) truncates that.
     #[test]
     fn truncated_message_is_typed() {
         let mut buf = Vec::new();
         write_msg(&mut buf, MsgKind::Upload, 0, &[0xAB; 32]).unwrap();
-        for cut in [3usize, ENVELOPE_BYTES, ENVELOPE_BYTES + 10] {
+        // (cut, got, needed): a cut envelope, then payload cuts.
+        for (cut, got, needed) in [
+            (3, 3, ENVELOPE_BYTES),
+            (10, 0, 32),
+            (20, 10, 32),
+            (41, 31, 32),
+        ] {
             let mut r = &buf[..cut];
-            let mut payload = Vec::new();
             assert!(
                 matches!(
-                    read_msg_blocking(&mut r, &mut payload),
-                    Err(ProtoError::Truncated { .. })
+                    read_msg_blocking(&mut r, &mut Vec::new()),
+                    Err(ProtoError::Truncated { got: g, needed: n }) if (g, n) == (got, needed)
                 ),
                 "cut at {cut}"
             );
         }
     }
 
+    /// One scripted `read` result: bytes, a read-timeout tick with no
+    /// progress, or EOF (also once the script runs out).
+    enum Step {
+        Bytes(Vec<u8>),
+        Tick,
+    }
+
+    /// A `Read` that plays its steps in order, counting the ticks it gave.
+    struct Script {
+        steps: std::collections::VecDeque<Step>,
+        ticks: u32,
+    }
+
+    impl Script {
+        fn new(steps: impl IntoIterator<Item = Step>) -> Self {
+            Self {
+                steps: steps.into_iter().collect(),
+                ticks: 0,
+            }
+        }
+    }
+
+    impl Read for Script {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            match self.steps.pop_front() {
+                None => Ok(0),
+                Some(Step::Tick) => {
+                    self.ticks += 1;
+                    Err(io::ErrorKind::WouldBlock.into())
+                }
+                Some(Step::Bytes(mut bytes)) => {
+                    let n = bytes.len().min(buf.len());
+                    buf[..n].copy_from_slice(&bytes[..n]);
+                    if n < bytes.len() {
+                        self.steps.push_front(Step::Bytes(bytes.split_off(n)));
+                    }
+                    Ok(n)
+                }
+            }
+        }
+    }
+
+    fn message(kind: MsgKind, payload: &[u8]) -> Vec<u8> {
+        let mut buf = Vec::new();
+        write_msg(&mut buf, kind, 7, payload).unwrap();
+        buf
+    }
+
+    /// A header that claims the cap and then dies grows the buffer only
+    /// as far as the bytes that came: the read fails typed, holding
+    /// kilobytes, not the 256 MiB it was promised.
+    #[test]
+    fn a_huge_claim_that_stops_short_holds_no_huge_buffer() {
+        let mut header = message(MsgKind::Upload, &[])[..ENVELOPE_BYTES].to_vec();
+        header[6..10].copy_from_slice(&MAX_PAYLOAD.to_le_bytes());
+        let mut r = Script::new([Step::Bytes(header), Step::Bytes(vec![0xAB; 100])]);
+        let mut payload = Vec::new();
+        let needed = MAX_PAYLOAD as usize;
+        assert!(matches!(
+            read_msg(&mut r, &mut payload, true, 4),
+            Err(ProtoError::Truncated { got: 100, needed: n }) if n == needed
+        ));
+        assert!(payload.capacity() <= 1 << 20, "{}", payload.capacity());
+    }
+
+    /// Payloads past the first chunk arrive whole, however they are cut.
+    #[test]
+    fn a_payload_past_the_first_chunk_arrives_whole() {
+        let body: Vec<u8> = (0..3 * FIRST_CHUNK + 5).map(|i| i as u8).collect();
+        let wire = message(MsgKind::Invite, &body);
+        let (a, b) = wire.split_at(FIRST_CHUNK + 17);
+        let mut r = Script::new([Step::Bytes(a.to_vec()), Step::Tick, Step::Bytes(b.to_vec())]);
+        let mut payload = Vec::new();
+        let env = read_msg(&mut r, &mut payload, true, 2).unwrap().unwrap();
+        assert_eq!((env.kind, env.len as usize), (MsgKind::Invite, body.len()));
+        assert_eq!(payload, body);
+        assert!(matches!(read_msg(&mut r, &mut payload, true, 2), Ok(None)));
+    }
+
+    /// The slow-loris half of a reader: once an envelope has begun, the
+    /// `stall_ticks`-th tick without progress fails it, and not before.
+    #[test]
+    fn a_stall_inside_the_envelope_fails_after_the_grace_ticks() {
+        let start = message(MsgKind::Upload, &[1; 8])[..4].to_vec();
+        let stalled = |ticks| {
+            let mut steps = vec![Step::Bytes(start.clone())];
+            steps.extend((0..ticks).map(|_| Step::Tick));
+            steps.push(Step::Bytes(message(MsgKind::Upload, &[1; 8])[4..].to_vec()));
+            let mut r = Script::new(steps);
+            (read_msg(&mut r, &mut Vec::new(), true, 3), r.ticks)
+        };
+        assert!(matches!(stalled(2), (Ok(Some(_)), 2)));
+        assert!(matches!(
+            stalled(3),
+            (
+                Err(ProtoError::Stalled {
+                    got: 4,
+                    needed: ENVELOPE_BYTES
+                }),
+                3
+            )
+        ));
+    }
+
+    /// Between messages a connection may stay quiet for any number of
+    /// ticks: idling spends no stall budget.
+    #[test]
+    fn a_connection_idle_between_messages_never_stalls() {
+        let mut steps = vec![Step::Bytes(message(MsgKind::Offer, &[2; 16]))];
+        steps.extend((0..1000).map(|_| Step::Tick));
+        steps.push(Step::Bytes(message(MsgKind::Offer, &[3; 16])));
+        let mut r = Script::new(steps);
+        let mut payload = Vec::new();
+        for fill in [2u8, 3] {
+            let env = read_msg(&mut r, &mut payload, true, 1).unwrap().unwrap();
+            assert_eq!((env.kind, &payload[..]), (MsgKind::Offer, &[fill; 16][..]));
+        }
+        assert_eq!(r.ticks, 1000);
+        assert!(matches!(read_msg(&mut r, &mut payload, true, 1), Ok(None)));
+    }
+
     #[test]
     fn every_kind_round_trips_its_id() {
-        for kind in [
-            MsgKind::Hello,
-            MsgKind::Welcome,
-            MsgKind::Invite,
-            MsgKind::Offer,
-            MsgKind::Grant,
-            MsgKind::Upload,
-            MsgKind::Fin,
-        ] {
+        for kind in MsgKind::ALL {
             assert_eq!(MsgKind::from_id(kind.id()), Some(kind));
         }
         assert_eq!(MsgKind::from_id(0), None);

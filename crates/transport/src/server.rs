@@ -15,34 +15,41 @@
 //!   valid `HELLO`, are turned away and counted by reason;
 //! * `INVITE`: the engine's broadcast frames behind a group tag, written
 //!   to every invited client;
-//! * one slot per invitation, recording what its client owes next and by
-//!   when: this round's `OFFER`, under a wall-clock deadline derived
-//!   from the *modeled* download and compute times ([`wall_deadline`]),
-//!   then, if granted, its `UPLOAD` under one derived from the modeled
-//!   upload time. Both waits of the round go through one routine
-//!   (`SocketIo::settle`);
-//! * `GRANT` to exactly the keep set — the over-committed remainder is
-//!   told to discard, so it owes nothing more this round and its upload
-//!   bytes never reach the decoder;
+//! * `INVITE`/`GRANT`/`FIN` writes, `GRANT` going to exactly the keep
+//!   set — the over-committed remainder is told to discard, so it owes
+//!   nothing more this round and its upload bytes never reach the
+//!   decoder;
 //! * `UPLOAD` arrivals handed to the engine **as they arrive** — there
 //!   is no collect-then-aggregate staging;
-//! * the failure policy: a connection that closes, stalls mid-message,
-//!   misses a deadline, sends a message no slot owes (a second upload,
-//!   an upload after `GRANT(0)`, a message from another round) or
-//!   delivers bytes the engine rejects is shut down and never invited
-//!   again, its kept slot is reported lost, and the round completes
-//!   without it. Kill, skip, stall, deadline and decode-error counters
-//!   fire at exactly those points.
+//! * driving the round's slot table (`crate::slots`), which makes every
+//!   decision of the round's two waits without IO: what each invitation
+//!   owes (its `OFFER`, then, if granted, its `UPLOAD`) and by when —
+//!   the flat `offer_timeout`/`upload_timeout` floor plus, at a non-zero
+//!   `secs_per_modeled_sec`, the client's scaled *modeled* time
+//!   ([`gluefl_net::timing::wall_deadline`]) — and whom a message, a
+//!   closed connection or a passed deadline kills. The driver reads the
+//!   clock once per wait iteration, waits for one reader event until
+//!   the table's next deadline, and turns its effects into socket
+//!   shutdowns and counters;
+//! * the failure policy that table states: a connection that closes,
+//!   stalls mid-message, misses a deadline, sends a message no slot owes
+//!   (a second upload, an upload after `GRANT(0)`, a message from
+//!   another round, anything before its first `INVITE`) or delivers
+//!   bytes the engine rejects is shut down and never invited again, its
+//!   kept slot is reported lost, and the round completes without it.
+//!   Kill, skip, stall, deadline and decode-error counters fire at
+//!   exactly those points.
 
 use crate::proto::{
     parse_envelope, parse_offer, read_exact_classified, read_msg, stall_ticks_for, write_msg,
     MsgKind, ProtoError, ENVELOPE_BYTES, PROTO_VERSION,
 };
-use crate::TransportError;
+use crate::slots::{Effect, Heard, Owed, Slots, Verdict};
+use crate::{ByteCounters, TransportError};
 use gluefl_core::engine::{Arrival, Broadcast, RoundIo};
 use gluefl_core::strategies::Group;
 use gluefl_core::{RoundEngine, RoundRecord, RunSetup, SimConfig};
-use gluefl_net::timing::{wall_deadline, ClientRoundTime};
+use gluefl_net::timing::ClientRoundTime;
 use gluefl_telemetry::{Counter, Dir, EventKind, Telemetry};
 use gluefl_wire::WireError;
 use std::io;
@@ -71,8 +78,9 @@ pub struct ServerConfig {
     /// Flat floor of every upload deadline.
     pub upload_timeout: Duration,
     /// Wall seconds of extra patience per *modeled* second
-    /// ([`wall_deadline`]'s `scale`); 0 keeps deadlines flat — right for
-    /// loopback, where modeled hours must not become real ones.
+    /// ([`gluefl_net::timing::wall_deadline`]'s `scale`); 0 keeps
+    /// deadlines flat — right for loopback, where modeled hours must not
+    /// become real ones.
     pub secs_per_modeled_sec: f64,
     /// Grace budget for a connection that started a message and stopped
     /// making progress (slow-loris kill threshold), and for a new
@@ -119,24 +127,11 @@ struct NetRecorder {
     kills: Counter,
     /// Connections turned away before `WELCOME`, indexed by [`Refusal`].
     refused: [Counter; Refusal::ALL.len()],
-    /// Bytes received / sent, indexed by `MsgKind::id() - 1`.
-    bytes_up: Vec<Counter>,
-    bytes_down: Vec<Counter>,
+    bytes: ByteCounters,
 }
 
 impl NetRecorder {
     fn new(hub: Arc<Telemetry>) -> Self {
-        let dir_counters = |dir: &'static str| -> Vec<Counter> {
-            MsgKind::ALL
-                .iter()
-                .map(|k| {
-                    hub.counter(
-                        "gluefl_server_bytes_total",
-                        &[("dir", dir), ("frame", k.name())],
-                    )
-                })
-                .collect()
-        };
         Self {
             offers_granted: hub.counter("gluefl_server_offers_granted_total", &[]),
             deadlines_expired: Owed::ALL.map(|owed| {
@@ -154,23 +149,15 @@ impl NetRecorder {
                     &[("reason", r.name())],
                 )
             }),
-            bytes_up: dir_counters("up"),
-            bytes_down: dir_counters("down"),
+            bytes: ByteCounters::new(&hub, "gluefl_server_bytes_total"),
             hub,
         }
-    }
-
-    /// Records one sent message's measured bytes (envelope + payload).
-    fn sent(&self, kind: MsgKind, payload_len: usize) {
-        self.bytes_down[kind.id() as usize - 1]
-            .add((crate::proto::ENVELOPE_BYTES + payload_len) as u64);
     }
 
     /// Records one received message's measured bytes, journaling the
     /// big ones (uploads) per client.
     fn received(&self, round: u32, id: usize, kind: MsgKind, payload_len: usize) {
-        let bytes = (crate::proto::ENVELOPE_BYTES + payload_len) as u64;
-        self.bytes_up[kind.id() as usize - 1].add(bytes);
+        let bytes = self.bytes.up(kind, payload_len);
         if kind == MsgKind::Upload {
             self.hub.event(
                 round,
@@ -305,56 +292,17 @@ struct Conn {
     reader: Option<JoinHandle<()>>,
 }
 
-/// A message an invited client owes the round.
-#[derive(Clone, Copy, PartialEq)]
-enum Owed {
-    /// This round's `OFFER`.
-    Offer,
-    /// The granted `UPLOAD`.
-    Upload,
-}
-
-impl Owed {
-    /// Every kind, in counter-index order.
-    const ALL: [Owed; 2] = [Owed::Offer, Owed::Upload];
-
-    fn kind(self) -> MsgKind {
-        match self {
-            Owed::Offer => MsgKind::Offer,
-            Owed::Upload => MsgKind::Upload,
-        }
-    }
-}
-
-/// One invitation's state within the round.
-#[derive(Clone, Copy, PartialEq)]
-enum Slot {
-    /// The client owes this message by the deadline.
-    Owes(Owed, Instant),
-    /// The client was killed while it owed a message; not yet reported.
-    Lost,
-    /// The client owes nothing more this round.
-    Done,
-}
-
-/// How [`SocketIo::settle`] resolved a slot.
-enum Settled {
-    /// The owed message arrived: the invitation index and its payload.
-    Paid(usize, Vec<u8>),
-    /// The client missed its deadline, broke protocol or failed, and was
-    /// killed: the invitation index.
-    Lost(usize),
-}
-
-/// The socket [`RoundIo`]: the registered connections, which of them are
-/// still alive, and the round's slot table.
+/// The socket [`RoundIo`]: the registered connections and the driver of
+/// their [`Slots`], which decides who is alive and what each invitation
+/// still owes.
 struct SocketIo {
     net: ServerConfig,
     tel: Option<NetRecorder>,
     /// Indexed by client id.
     conns: Vec<Option<Conn>>,
-    /// Indexed by client id; an id past the connected range is never alive.
-    alive: Vec<bool>,
+    /// Who is alive (an id past the connected range never is) and what
+    /// each invitation owes, on the wall clock.
+    slots: Slots<Instant>,
     /// Reader events, keyed by connection number (accept order).
     rx: mpsc::Receiver<(usize, ReaderEvent)>,
     /// Per connection number, the client id it was welcomed as
@@ -362,36 +310,37 @@ struct SocketIo {
     client_of: Vec<usize>,
     /// Reader threads of the connections turned away, joined at teardown.
     turned_away: Vec<JoinHandle<()>>,
-    dead_clients: usize,
-    /// The round's invited client ids, and each id's invitation index
-    /// (`usize::MAX` when not invited this round).
-    invited: Vec<usize>,
-    invited_ix: Vec<usize>,
-    /// Per invitation index: what the client owes next.
-    slots: Vec<Slot>,
     /// Reused `INVITE` payload (group tag + broadcast frames).
     invite_buf: Vec<u8>,
 }
 
 impl SocketIo {
-    /// Marks a connection dead: no further events are honored, the
-    /// socket is shut down so its reader thread unblocks and exits, and
-    /// a slot it still owed a message is lost. The kill counter and
-    /// journal event fire on the same `alive` transition
-    /// [`ServerReport::dead_clients`] counts, so the two always agree.
+    /// Kills client `id` (see [`Slots::kill`]).
     fn kill(&mut self, round: u32, id: usize) {
-        if let Some(slot @ Slot::Owes(..)) = self.slots.get_mut(self.invited_ix[id]) {
-            *slot = Slot::Lost;
-        }
-        if self.alive[id] {
-            self.alive[id] = false;
-            self.dead_clients += 1;
-            if let Some(t) = &self.tel {
-                t.kills.inc();
-                t.hub.event(round, id as i64, EventKind::ClientKilled);
-            }
-            if let Some(conn) = &self.conns[id] {
-                let _ = conn.writer.shutdown(Shutdown::Both);
+        self.slots.kill(id);
+        self.apply(round);
+    }
+
+    /// Carries out the machine's effects: the expiry and kill counters
+    /// and journal events, and a killed client's socket shutdown, which
+    /// unblocks its reader thread.
+    fn apply(&mut self, round: u32) {
+        for effect in self.slots.drain_effects() {
+            match effect {
+                Effect::Expired(id, owed) => {
+                    if let Some(t) = &self.tel {
+                        t.expired(round, id, owed);
+                    }
+                }
+                Effect::Killed(id) => {
+                    if let Some(t) = &self.tel {
+                        t.kills.inc();
+                        t.hub.event(round, id as i64, EventKind::ClientKilled);
+                    }
+                    if let Some(conn) = &self.conns[id] {
+                        let _ = conn.writer.shutdown(Shutdown::Both);
+                    }
+                }
             }
         }
     }
@@ -407,84 +356,48 @@ impl SocketIo {
             return false;
         }
         if let Some(t) = &self.tel {
-            t.sent(kind, payload.len());
+            t.bytes.down(kind, payload.len());
         }
         true
     }
 
-    /// Blocks for the next reader event from a live connection, at most
-    /// until `deadline`. Returns the sender's id, its invitation index
-    /// (`usize::MAX` when not invited this round) and the event; `None`
-    /// on timeout (or when every reader thread is gone).
-    fn next_event(&mut self, round: u32, deadline: Instant) -> Option<(usize, usize, ReaderEvent)> {
-        loop {
-            let timeout = deadline
-                .saturating_duration_since(Instant::now())
-                .max(Duration::from_millis(1));
-            let (conn, event) = self.rx.recv_timeout(timeout).ok()?;
-            let id = self.client_of[conn];
-            if id == usize::MAX {
-                continue; // the last words of a connection turned away
-            }
-            if let Some(t) = &self.tel {
-                t.reader_event(round, id, &event);
-            }
-            if self.alive[id] {
-                return Some((id, self.invited_ix[id], event));
-            }
+    /// A welcomed connection's event, recorded on receipt and put in the
+    /// machine's terms; `None` for a connection never welcomed (the last
+    /// words of one turned away).
+    fn welcomed(&self, round: u32, conn: usize, event: ReaderEvent) -> Option<(usize, Heard)> {
+        let id = self.client_of[conn];
+        if id == usize::MAX {
+            return None;
         }
+        if let Some(t) = &self.tel {
+            t.reader_event(round, id, &event);
+        }
+        let heard = match event {
+            ReaderEvent::Msg(env, payload) => Heard::Msg(env, payload),
+            _ => Heard::Gone,
+        };
+        Some((id, heard))
     }
 
-    /// The round's one wait: resolves the next slot that owes a message,
-    /// or `None` once none does. A lost slot is reported first; then a
-    /// slot past its deadline expires (its client is killed); otherwise
-    /// the next reader event from a live client is taken. The message a
-    /// slot owes resolves that slot; anything else — a close, a failure,
-    /// a message no slot owes — kills its sender, which loses the slot
-    /// it owed, if any.
-    fn settle(&mut self, round: u32) -> Option<Settled> {
+    /// The round's one wait: polls the machine at the clock's reading,
+    /// carries out its effects, and otherwise waits for one reader event
+    /// until the machine's deadline. Returns [`Verdict::Paid`],
+    /// [`Verdict::Lost`] or, once no slot owes anything,
+    /// [`Verdict::Idle`].
+    fn settle(&mut self, round: u32) -> Verdict<Instant> {
+        let mut heard = None;
         loop {
             let now = Instant::now();
-            let mut next: Option<Instant> = None;
-            for i in 0..self.slots.len() {
-                match self.slots[i] {
-                    Slot::Owes(owed, deadline) if now >= deadline => {
-                        let id = self.invited[i];
-                        if let Some(t) = &self.tel {
-                            t.expired(round, id, owed);
-                        }
-                        // Loses the slot.
-                        self.kill(round, id);
-                    }
-                    Slot::Owes(_, deadline) => {
-                        next = Some(next.map_or(deadline, |n| n.min(deadline)));
-                    }
-                    Slot::Lost | Slot::Done => {}
-                }
-                if self.slots[i] == Slot::Lost {
-                    self.slots[i] = Slot::Done;
-                    return Some(Settled::Lost(i));
-                }
-            }
-            let Some((id, ix, event)) = self.next_event(round, next?) else {
-                continue;
+            let verdict = self.slots.poll(now, heard.take());
+            self.apply(round);
+            let Verdict::Wait(deadline) = verdict else {
+                return verdict;
             };
-            let owed = match self.slots.get(ix) {
-                Some(&Slot::Owes(owed, _)) => Some(owed.kind()),
-                _ => None,
+            let timeout = deadline.saturating_duration_since(now);
+            heard = match self.rx.recv_timeout(timeout) {
+                Ok((conn, event)) => self.welcomed(round, conn, event),
+                Err(_) => None,
             };
-            match event {
-                // An offer pays only if it parses.
-                ReaderEvent::Msg(env, payload)
-                    if env.round == round
-                        && owed == Some(env.kind)
-                        && (env.kind != MsgKind::Offer || parse_offer(&payload).is_some()) =>
-                {
-                    self.slots[ix] = Slot::Done;
-                    return Some(Settled::Paid(ix, payload));
-                }
-                _ => self.kill(round, id),
-            }
         }
     }
 
@@ -504,11 +417,12 @@ impl SocketIo {
         stall_ticks: u32,
     ) -> Result<(), TransportError> {
         listener.set_nonblocking(true).map_err(ProtoError::Io)?;
-        let deadline = Instant::now() + self.net.hello_timeout;
+        let mut now = Instant::now();
+        let deadline = now + self.net.hello_timeout;
         // Accepted connections yet to be welcomed, by connection number.
         let mut lobby: Vec<Option<Conn>> = Vec::new();
         let mut connected = 0usize;
-        while connected < self.net.clients && Instant::now() < deadline {
+        while connected < self.net.clients && now < deadline {
             match listener.accept() {
                 Ok((stream, _)) => {
                     lobby.push(open(stream, lobby.len(), &self.net, stall_ticks, tx));
@@ -516,15 +430,17 @@ impl SocketIo {
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
                     if let Ok((conn, event)) = self.rx.recv_timeout(Duration::from_millis(2)) {
-                        connected += usize::from(self.introduce(conn, event, &mut lobby, welcome));
+                        let welcomed = self.introduce(now, conn, event, &mut lobby, welcome);
+                        connected += usize::from(welcomed);
                     }
                 }
                 Err(e) => return Err(ProtoError::Io(e).into()),
             }
+            now = Instant::now();
         }
         // HELLOs already read still get their answer.
         while let Ok((conn, event)) = self.rx.try_recv() {
-            connected += usize::from(self.introduce(conn, event, &mut lobby, welcome));
+            connected += usize::from(self.introduce(now, conn, event, &mut lobby, welcome));
         }
         for conn in lobby.into_iter().flatten() {
             self.turn_away(conn, Refusal::Silent);
@@ -539,23 +455,22 @@ impl SocketIo {
         Ok(())
     }
 
-    /// Handles one reader event of the handshake phase; returns whether
-    /// it welcomed a client.
+    /// Handles one reader event of the handshake phase, read at `now`;
+    /// returns whether it welcomed a client.
     fn introduce(
         &mut self,
+        now: Instant,
         conn: usize,
         event: ReaderEvent,
         lobby: &mut [Option<Conn>],
         welcome: &[u8; 8],
     ) -> bool {
-        let welcomed = self.client_of[conn];
-        if welcomed != usize::MAX {
-            // A client spoke (or hung up) before any INVITE: as in the
-            // round loop, that costs it its connection.
-            if let Some(t) = &self.tel {
-                t.reader_event(0, welcomed, &event);
-            }
-            self.kill(0, welcomed);
+        if self.client_of[conn] != usize::MAX {
+            // A client spoke (or hung up) before any INVITE: no slot owes
+            // it anything, so the machine kills it as it would mid-round.
+            let heard = self.welcomed(0, conn, event);
+            self.slots.poll(now, heard);
+            self.apply(0);
             return false;
         }
         let Some(c) = lobby[conn].take() else {
@@ -589,7 +504,7 @@ impl SocketIo {
         };
         self.conns[id] = Some(c);
         self.client_of[conn] = id;
-        self.alive[id] = true;
+        self.slots.welcome(id);
         if let Some(t) = &self.tel {
             t.received(0, id, MsgKind::Hello, HELLO_BYTES);
         }
@@ -627,20 +542,13 @@ impl SocketIo {
 
 impl RoundIo for SocketIo {
     fn reachable(&self, id: usize) -> bool {
-        self.alive[id]
+        self.slots.alive(id)
     }
 
     fn invite(&mut self, round: u32, invited: &[(usize, Group)], broadcast: &Broadcast<'_>) {
-        for &id in &self.invited {
-            self.invited_ix[id] = usize::MAX;
-        }
-        self.invited.clear();
-        self.slots.clear();
-        self.slots.resize(invited.len(), Slot::Done);
-        for (i, &(id, group)) in invited.iter().enumerate() {
-            self.invited.push(id);
-            self.invited_ix[id] = i;
-            if self.alive[id] {
+        self.slots.invite(round, invited.iter().map(|&(id, _)| id));
+        for &(id, group) in invited {
+            if self.slots.alive(id) {
                 let mut buf = std::mem::take(&mut self.invite_buf);
                 buf.clear();
                 buf.push(u8::from(group == Group::Sticky));
@@ -652,47 +560,27 @@ impl RoundIo for SocketIo {
     }
 
     fn offers(&mut self, round: u32, times: &[ClientRoundTime], offers: &mut [Option<(u64, u64)>]) {
-        let phase_start = Instant::now();
-        for (i, t) in times.iter().enumerate() {
-            if self.alive[self.invited[i]] {
-                let patience = wall_deadline(
-                    t.download_secs + t.compute_secs,
-                    self.net.offer_timeout,
-                    self.net.secs_per_modeled_sec,
-                );
-                self.slots[i] = Slot::Owes(Owed::Offer, phase_start + patience);
-            }
-        }
-        while let Some(settled) = self.settle(round) {
-            if let Settled::Paid(i, payload) = settled {
-                // `settle` takes only an offer that parses.
-                offers[i] = parse_offer(&payload);
+        self.slots.arm_offers(Instant::now(), times);
+        loop {
+            match self.settle(round) {
+                // The machine takes only an offer that parses.
+                Verdict::Paid(i, payload) => offers[i] = parse_offer(&payload),
+                Verdict::Lost(_) => {}
+                Verdict::Wait(_) | Verdict::Idle => return,
             }
         }
     }
 
     fn grant(&mut self, round: u32, kept: &[usize], times: &[ClientRoundTime]) {
-        // Every invited client still alive has offered: `settle` kills
-        // any that did not.
-        let phase_start = Instant::now();
-        for &i in kept {
-            self.slots[i] = if self.alive[self.invited[i]] {
-                let patience = wall_deadline(
-                    times[i].upload_secs,
-                    self.net.upload_timeout,
-                    self.net.secs_per_modeled_sec,
-                );
-                Slot::Owes(Owed::Upload, phase_start + patience)
-            } else {
-                Slot::Lost
-            };
-        }
-        for i in 0..self.invited.len() {
-            let id = self.invited[i];
-            if !self.alive[id] {
+        // Every invited client still alive has offered: the offer wait
+        // kills any that did not.
+        self.slots.arm_uploads(Instant::now(), kept, times);
+        for i in 0..self.slots.invited().len() {
+            let id = self.slots.invited()[i];
+            if !self.slots.alive(id) {
                 continue;
             }
-            let granted = self.slots[i] != Slot::Done;
+            let granted = self.slots.granted(i);
             if self.send(round, id, MsgKind::Grant, &[u8::from(granted)]) && granted {
                 if let Some(t) = &self.tel {
                     t.offers_granted.inc();
@@ -703,24 +591,25 @@ impl RoundIo for SocketIo {
     }
 
     fn next_upload(&mut self, round: u32, payload: &mut Vec<u8>) -> Option<Arrival> {
-        match self.settle(round)? {
-            Settled::Paid(i, body) => {
+        match self.settle(round) {
+            Verdict::Paid(i, body) => {
                 *payload = body;
                 Some(Arrival::Delivered(i))
             }
-            Settled::Lost(i) => {
+            Verdict::Lost(i) => {
                 // The skip counter fires here and in `rejected` — once
                 // per skipped upload.
                 if let Some(t) = &self.tel {
-                    t.skip(round, self.invited[i]);
+                    t.skip(round, self.slots.invited()[i]);
                 }
                 Some(Arrival::Lost(i))
             }
+            Verdict::Wait(_) | Verdict::Idle => None,
         }
     }
 
     fn rejected(&mut self, round: u32, slot: usize, err: &WireError) {
-        let id = self.invited[slot];
+        let id = self.slots.invited()[slot];
         if let Some(t) = &self.tel {
             t.decode_error(round, id, err);
             t.skip(round, id);
@@ -792,18 +681,15 @@ impl Server {
         welcome[..4].copy_from_slice(&population.to_le_bytes());
         welcome[4..].copy_from_slice(&rounds.to_le_bytes());
         let ids = net.clients.max(n);
+        let floors = [net.offer_timeout, net.upload_timeout];
         let mut io = SocketIo {
             conns: (0..net.clients).map(|_| None).collect(),
-            alive: vec![false; ids],
-            invited_ix: vec![usize::MAX; ids],
+            slots: Slots::new(ids, floors, net.secs_per_modeled_sec),
             net,
             tel,
             rx,
             client_of: Vec::new(),
             turned_away: Vec::new(),
-            dead_clients: 0,
-            invited: Vec::new(),
-            slots: Vec::new(),
             invite_buf: Vec::new(),
         };
         io.admit(&listener, &tx, &welcome, stall_ticks)?;
@@ -815,9 +701,11 @@ impl Server {
         // --- FIN + teardown. ---
         for (id, conn) in io.conns.iter_mut().enumerate() {
             if let Some(conn) = conn {
-                if io.alive[id] && write_msg(&mut conn.writer, MsgKind::Fin, rounds, &[]).is_ok() {
+                if io.slots.alive(id)
+                    && write_msg(&mut conn.writer, MsgKind::Fin, rounds, &[]).is_ok()
+                {
                     if let Some(t) = &io.tel {
-                        t.sent(MsgKind::Fin, 0);
+                        t.bytes.down(MsgKind::Fin, 0);
                     }
                 }
             }
@@ -829,7 +717,7 @@ impl Server {
             strategy: engine.strategy_name(),
             final_params_fnv: crate::fnv1a_f32_bits(engine.model().params()),
             skipped_uploads: engine.skipped_uploads(),
-            dead_clients: io.dead_clients,
+            dead_clients: io.slots.dead_clients(),
         })
     }
 }

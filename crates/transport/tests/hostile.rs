@@ -9,13 +9,21 @@
 //!    must be an error (the grammar requires a complete stats frame).
 //! 2. **Socket adversaries**: a real server run where rogue clients
 //!    truncate mid-frame, flip checksummed bytes, slow-loris the
-//!    envelope, disconnect mid-upload, send a mask frame as an
-//!    upload, or offer an upload of `u64::MAX` bytes. The server must
-//!    finish every round, the honest clients
+//!    envelope, disconnect mid-upload or send a mask frame as an
+//!    upload. The server must finish every round, the honest clients
 //!    must finish cleanly, and each rogue must show up as a skipped
 //!    upload or dead connection — never a panic or a stalled round.
-//!    Before the rounds, connections that never say `HELLO` or say it
-//!    wrong are turned away, counted by reason, and delay no one.
+//!    Three of them run alone too, to pin their counters to the wiring
+//!    (decode error, stall). Before the rounds, connections that never
+//!    say `HELLO` or say it wrong are turned away, counted by reason,
+//!    and delay no one.
+//!
+//! Which schedule costs whom what — a silent invitee, a granted client
+//! that never uploads, a duplicate upload, an absurd offer, an upload
+//! after `GRANT(0)` — is the server's slot machine's rule, pinned
+//! without sockets or sleeps by its own tests (`src/slots.rs`); the
+//! reader's halves of the slow-loris, truncation and disconnect rogues
+//! are pinned by `src/proto.rs`'s scripted-reader tests.
 
 use gluefl_compress::mask_shift::client_split;
 use gluefl_compress::stc::{sparsify, TernaryUpdate};
@@ -24,9 +32,11 @@ use gluefl_core::wire_link::{decode_upload_with_stats, encode_upload};
 use gluefl_core::ScratchPool;
 use gluefl_telemetry::Telemetry;
 use gluefl_tensor::{BitMask, MaskAligned};
-use gluefl_transport::proto::{write_msg, MsgKind, ENVELOPE_BYTES, PROTO_MAGIC, PROTO_VERSION};
+use gluefl_transport::proto::{
+    offer_payload, write_msg, MsgKind, ENVELOPE_BYTES, PROTO_MAGIC, PROTO_VERSION,
+};
 use gluefl_transport::{
-    run_client, smoke_config, ClientNode, Server, ServerConfig, ServerReport, TransportError,
+    run_client, smoke_config, ClientNode, Server, ServerConfig, TransportError,
 };
 use gluefl_wire::{frame_len_from_header, Codec, FrameWriter, Rounding, WireError, WirePolicy};
 use std::io::{Read as _, Write as _};
@@ -252,18 +262,6 @@ enum Rogue {
     DisconnectMidUpload,
     /// Sends a wire *mask* frame where an upload belongs.
     MaskFrameAsUpload,
-    /// Never gets that far: answers its first invitation with
-    /// `OFFER(u64::MAX, u64::MAX)`.
-    AbsurdOffer,
-    /// Never answers an invitation, and stays connected.
-    NeverOffers,
-    /// Offers, is granted, never uploads, and stays connected.
-    NeverUploads,
-    /// Sends its granted upload twice, then plays on.
-    DuplicateUpload,
-    /// Plays honestly, except that it answers every `GRANT(0)` with an
-    /// `UPLOAD` of 32 junk bytes.
-    JunkWhenDismissed,
 }
 
 fn raw_envelope(kind: MsgKind, round: u32, len: usize) -> [u8; ENVELOPE_BYTES] {
@@ -277,8 +275,7 @@ fn raw_envelope(kind: MsgKind, round: u32, len: usize) -> [u8; ENVELOPE_BYTES] {
 
 /// Plays the protocol honestly until the first granted upload, then
 /// executes `mode`. Returns once the corruption is delivered (or at FIN
-/// if never granted); the modes that stay connected return when the
-/// server cuts them off.
+/// if never granted).
 fn run_rogue(addr: &str, cfg: gluefl_core::SimConfig, id: usize, mode: Rogue) {
     let mut node = ClientNode::new(cfg, id);
     let mut stream = TcpStream::connect(addr).expect("connect");
@@ -300,30 +297,17 @@ fn run_rogue(addr: &str, cfg: gluefl_core::SimConfig, id: usize, mode: Rogue) {
         };
         match env.kind {
             MsgKind::Invite => {
-                if let Rogue::AbsurdOffer = mode {
-                    let _ = write_msg(&mut stream, MsgKind::Offer, env.round, &[0xFF; 16]);
-                    return;
-                }
-                if let Rogue::NeverOffers = mode {
-                    continue;
-                }
                 let (analytic, wire) = node
                     .handle_invite(env.round, &payload)
                     .expect("rogue trains honestly");
-                let mut offer = [0u8; 16];
-                offer[..8].copy_from_slice(&analytic.to_le_bytes());
-                offer[8..].copy_from_slice(&wire.to_le_bytes());
+                let offer = offer_payload(analytic, wire);
                 if write_msg(&mut stream, MsgKind::Offer, env.round, &offer).is_err() {
                     return;
                 }
             }
             MsgKind::Grant => {
-                let granted = payload.first() == Some(&1);
-                if !granted || matches!(mode, Rogue::NeverUploads) {
+                if payload.first() != Some(&1) {
                     node.discard_pending();
-                    if !granted && matches!(mode, Rogue::JunkWhenDismissed) {
-                        let _ = write_msg(&mut stream, MsgKind::Upload, env.round, &[0xA5; 32]);
-                    }
                     continue;
                 }
                 upload_buf.clear();
@@ -358,20 +342,6 @@ fn run_rogue(addr: &str, cfg: gluefl_core::SimConfig, id: usize, mode: Rogue) {
                         let _ = stream.write_all(&upload_buf[..upload_buf.len() / 2]);
                         let _ = stream.flush();
                         let _ = stream.shutdown(Shutdown::Both);
-                    }
-                    Rogue::DuplicateUpload | Rogue::JunkWhenDismissed => {
-                        let copies = if let Rogue::DuplicateUpload = mode {
-                            2
-                        } else {
-                            1
-                        };
-                        for _ in 0..copies {
-                            let _ = write_msg(&mut stream, MsgKind::Upload, env.round, &upload_buf);
-                        }
-                        continue;
-                    }
-                    Rogue::AbsurdOffer | Rogue::NeverOffers | Rogue::NeverUploads => {
-                        unreachable!("{mode:?} never uploads")
                     }
                     Rogue::MaskFrameAsUpload => {
                         let mut buf = Vec::new();
@@ -478,7 +448,8 @@ fn run_adversarial(strategy: &str, clients: usize, rounds: u32, seed: u64) -> (u
     // Which rogues fire depends on the round draws, so the typed
     // decode-error and stall counts are bounded, not pinned: every
     // decode error skips exactly one upload, and every stall kills one
-    // connection. (The single-rogue tests below pin exact counts.)
+    // connection. (The single-rogue tests below pin exact counts for
+    // three of them; the slot machine's own tests pin every schedule.)
     assert!(
         counter("gluefl_server_decode_errors_total") <= report.skipped_uploads as f64,
         "more decode errors than skipped uploads"
@@ -495,24 +466,13 @@ fn run_adversarial(strategy: &str, clients: usize, rounds: u32, seed: u64) -> (u
 /// so the rogue is granted deterministically in round 0. Returns the
 /// final metrics snapshot for exact counter assertions.
 fn run_single_rogue(mode: Rogue, seed: u64) -> gluefl_telemetry::Snapshot {
-    let deadlines = (Duration::from_secs(10), Duration::from_secs(3));
-    run_single_rogue_under(mode, seed, deadlines).1
-}
-
-/// [`run_single_rogue`] under the given `(offer, upload)` deadlines;
-/// returns the server's report beside the snapshot.
-fn run_single_rogue_under(
-    mode: Rogue,
-    seed: u64,
-    (offer_timeout, upload_timeout): (Duration, Duration),
-) -> (ServerReport, gluefl_telemetry::Snapshot) {
     let mut cfg = smoke_config("fedavg", 2, 2, seed).expect("valid smoke config");
     cfg.round_size = 2;
     cfg.oc = 1.0;
     let tel = Arc::new(Telemetry::new());
     let mut net = ServerConfig::local(2);
-    net.offer_timeout = offer_timeout;
-    net.upload_timeout = upload_timeout;
+    net.offer_timeout = Duration::from_secs(10);
+    net.upload_timeout = Duration::from_secs(3);
     net.stall_grace = Duration::from_millis(300);
     net.read_tick = Duration::from_millis(50);
     net.telemetry = Some(Arc::clone(&tel));
@@ -532,83 +492,7 @@ fn run_single_rogue_under(
         Err(e) => panic!("honest client failed: {e}"),
     }
     rogue.join().expect("rogue thread must not panic");
-    (report, tel.snapshot())
-}
-
-/// Sub-second deadlines for the rogues that make the server wait one
-/// out.
-const SHORT_DEADLINES: (Duration, Duration) =
-    (Duration::from_millis(400), Duration::from_millis(400));
-
-/// Sums every sample of the counter family `name`.
-fn total(snap: &gluefl_telemetry::Snapshot, name: &str) -> f64 {
-    snap.samples
-        .iter()
-        .filter(|s| s.name == name)
-        .map(|s| s.value)
-        .sum()
-}
-
-/// The failure counters of a single-rogue run, in the order
-/// `(offer deadlines, upload deadlines, kills, skips, stalls, decode
-/// errors)`, after checking that kills and skips agree with the report.
-fn failure_counts(report: &ServerReport, snap: &gluefl_telemetry::Snapshot) -> [f64; 6] {
-    let kills = total(snap, "gluefl_server_clients_killed_total");
-    let skips = total(snap, "gluefl_server_uploads_skipped_total");
-    assert_eq!(kills as usize, report.dead_clients, "kills vs report");
-    assert_eq!(skips as usize, report.skipped_uploads, "skips vs report");
-    let expired = |phase| {
-        snap.value("gluefl_server_deadlines_expired_total", &[("phase", phase)])
-            .expect("deadline counters are registered up front")
-    };
-    [
-        expired("offer"),
-        expired("upload"),
-        kills,
-        skips,
-        total(snap, "gluefl_server_stalls_total"),
-        total(snap, "gluefl_server_decode_errors_total"),
-    ]
-}
-
-/// A client that never answers its invitation runs out its offer
-/// deadline: the server kills it and reports its kept slot lost.
-#[test]
-fn silent_invitee_expires_one_offer_deadline() {
-    let (report, snap) = run_single_rogue_under(Rogue::NeverOffers, 1, SHORT_DEADLINES);
-    assert_eq!(
-        failure_counts(&report, &snap),
-        [1.0, 0.0, 1.0, 1.0, 0.0, 0.0],
-        "(offer deadlines, upload deadlines, kills, skips, stalls, decode errors)"
-    );
-}
-
-/// A granted client that never uploads runs out its upload deadline:
-/// the server kills it and reports its slot lost.
-#[test]
-fn granted_client_that_never_uploads_expires_one_upload_deadline() {
-    let (report, snap) = run_single_rogue_under(Rogue::NeverUploads, 1, SHORT_DEADLINES);
-    assert_eq!(
-        failure_counts(&report, &snap),
-        [0.0, 1.0, 1.0, 1.0, 0.0, 0.0],
-        "(offer deadlines, upload deadlines, kills, skips, stalls, decode errors)"
-    );
-}
-
-/// A second copy of a delivered upload is owed by no one: it costs its
-/// sender the connection, and nothing waits for a deadline, decodes it
-/// or stalls. Whether the round that reads it had already granted the
-/// sender a new slot (one more skip) depends on the timing, so the skip
-/// count is only held to the report.
-#[test]
-fn duplicate_upload_counts_one_kill() {
-    let (report, snap) = run_single_rogue_under(Rogue::DuplicateUpload, 1, SHORT_DEADLINES);
-    let [offer, upload, kills, _, stalls, decode] = failure_counts(&report, &snap);
-    assert_eq!(
-        [offer, upload, kills, stalls, decode],
-        [0.0, 0.0, 1.0, 0.0, 0.0],
-        "(offer deadlines, upload deadlines, kills, stalls, decode errors)"
-    );
+    tel.snapshot()
 }
 
 /// A client built for a different population (`--clients 9` against a
@@ -681,33 +565,6 @@ fn granted_byte_flip_counts_one_typed_decode_error() {
     );
 }
 
-/// An offer no upload could honour is a protocol violation like any
-/// other: the connection is cut once, on receipt — nothing waits for a
-/// deadline, nothing reaches the decoder, and the numbers never reach
-/// the round's byte sums.
-#[test]
-fn absurd_offer_counts_one_kill() {
-    let snap = run_single_rogue(Rogue::AbsurdOffer, 46);
-    assert_eq!(
-        snap.value("gluefl_server_clients_killed_total", &[]),
-        Some(1.0),
-        "the absurd offer must cost exactly its sender"
-    );
-    for quiet in [
-        "gluefl_server_stalls_total",
-        "gluefl_server_decode_errors_total",
-        "gluefl_server_deadlines_expired_total",
-    ] {
-        let total: f64 = snap
-            .samples
-            .iter()
-            .filter(|s| s.name == quiet)
-            .map(|s| s.value)
-            .sum();
-        assert_eq!(total, 0.0, "{quiet}");
-    }
-}
-
 #[test]
 fn slow_loris_counts_one_stall() {
     let snap = run_single_rogue(Rogue::SlowLoris, 44);
@@ -715,54 +572,6 @@ fn slow_loris_counts_one_stall() {
         snap.value("gluefl_server_stalls_total", &[]),
         Some(1.0),
         "the mid-envelope stall must register exactly once"
-    );
-}
-
-/// An upload no slot owes costs its sender the connection, whenever it
-/// is read: five clients that each answer `GRANT(0)` with junk
-/// (`K = 4`, `oc = 1.25`) lose exactly the first one dismissed — in the
-/// round that dismissed it or, when the junk lands after that round's
-/// last kept upload, in the next one. Four clients are then left for
-/// four kept slots, so no one is dismissed again; no kept slot is lost
-/// and the junk never reaches the decoder.
-#[test]
-fn upload_after_dismissal_kills_its_sender() {
-    let clients = 5;
-    let rounds = 4;
-    let cfg = smoke_config("fedavg", clients, rounds, 1).expect("valid smoke config");
-    assert_eq!((cfg.round_size, cfg.oc), (4, 1.25));
-    let tel = Arc::new(Telemetry::new());
-    let mut net = ServerConfig::local(clients);
-    net.telemetry = Some(Arc::clone(&tel));
-    let server = Server::bind(cfg.clone(), net).expect("bind");
-    let addr = server.local_addr().to_string();
-    let peers: Vec<_> = (0..clients)
-        .map(|id| {
-            let (addr, cfg) = (addr.clone(), cfg.clone());
-            std::thread::spawn(move || run_rogue(&addr, cfg, id, Rogue::JunkWhenDismissed))
-        })
-        .collect();
-    let report = server.run().expect("server completes");
-    for p in peers {
-        p.join().expect("client thread must not panic");
-    }
-    let snap = tel.snapshot();
-    assert_eq!(report.records.len(), rounds as usize);
-    assert_eq!(
-        (
-            report.dead_clients,
-            total(&snap, "gluefl_server_clients_killed_total")
-        ),
-        (1, 1.0),
-        "(dead clients, kills)"
-    );
-    assert_eq!(
-        (
-            report.skipped_uploads,
-            total(&snap, "gluefl_server_decode_errors_total")
-        ),
-        (0, 0.0),
-        "(skipped uploads, decode errors)"
     );
 }
 
