@@ -2,10 +2,10 @@
 //!
 //! Runs the full per-round control plane — availability queries, sticky
 //! draw, link/speed lookups, keep-fastest selection, rebalance — at
-//! population sizes N = 10⁴, 10⁵, 10⁶ (quick mode: 10⁴ only) **without**
-//! instantiating any per-client training state. Every layer it exercises
-//! is lazy: [`LazyAvailability`] materialises session cursors only for
-//! touched clients, [`LinkCache`]/[`SpeedCache`] sample links on first
+//! population sizes N = 10⁴, 10⁵, 10⁶ (200 rounds each, quick mode 50)
+//! **without** instantiating any per-client training state. Every layer
+//! it exercises is lazy: [`LazyAvailability`] materialises session
+//! cursors only for touched clients, [`LinkCache`]/[`SpeedCache`] sample links on first
 //! use, and the [`StickySampler`] draws fresh candidates by rejection, so
 //! the measured per-round wall-clock should stay flat (O(participants +
 //! log N)) while N grows 100×.
@@ -111,14 +111,8 @@ fn run_point(n: usize, rounds: u32, seed: u64) -> ScalePoint {
 /// Fails if the measured per-round cost grows anywhere near linearly
 /// with N (the sweep exists to pin the O(participants + log N) claim).
 pub fn run(opts: &ExptOpts) -> Result<(), String> {
-    let sizes: &[usize] = if opts.quick {
-        &[10_000]
-    } else {
-        &[10_000, 100_000, 1_000_000]
-    };
     let rounds: u32 = if opts.quick { 50 } else { 200 };
-
-    let points: Vec<ScalePoint> = sizes
+    let points: Vec<ScalePoint> = [10_000, 100_000, 1_000_000]
         .iter()
         .map(|&n| run_point(n, rounds, opts.seed))
         .collect();
@@ -154,21 +148,27 @@ pub fn run(opts: &ExptOpts) -> Result<(), String> {
          'avail touched' is the number of clients ever materialised)"
     );
     crate::write_csv(&opts.out_dir, "scale.csv", &csv);
+    check_sublinear(&points)
+}
 
-    // Sublinearity gate: across a 100× growth in N the per-round cost
-    // must grow far less than 100× (generous 10× bound absorbs timer
-    // noise at microsecond scales).
-    if let (Some(first), Some(last)) = (points.first(), points.last()) {
-        if last.n > first.n {
-            let growth = last.us_per_round / first.us_per_round.max(1e-9);
-            let n_growth = last.n as f64 / first.n as f64;
-            if growth > n_growth / 10.0 {
-                return Err(format!(
-                    "per-round cost grew {growth:.1}x over a {n_growth:.0}x \
-                     population growth — control plane is not sublinear"
-                ));
-            }
-        }
+/// The sublinearity gate: from the smallest to the largest population the
+/// per-round cost must grow less than a tenth as much as N does (a 100×
+/// growth in N allows 10×; the slack absorbs timer noise at microsecond
+/// scales).
+///
+/// # Errors
+/// Names both growth factors when the cost grows faster than that.
+fn check_sublinear(points: &[ScalePoint]) -> Result<(), String> {
+    let (Some(first), Some(last)) = (points.first(), points.last()) else {
+        return Ok(());
+    };
+    let growth = last.us_per_round / first.us_per_round.max(1e-9);
+    let n_growth = last.n as f64 / first.n as f64;
+    if growth > n_growth / 10.0 {
+        return Err(format!(
+            "per-round cost grew {growth:.1}x over a {n_growth:.0}x \
+             population growth — control plane is not sublinear"
+        ));
     }
     Ok(())
 }
@@ -190,7 +190,47 @@ mod tests {
         run(&opts).unwrap();
         let csv = std::fs::read_to_string(dir.join("scale.csv")).unwrap();
         assert!(csv.starts_with("n,rounds,us_per_round"));
-        assert!(csv.contains("10000,50,"));
+        for n in ["10000", "100000", "1000000"] {
+            assert!(
+                csv.contains(&format!("\n{n},50,")),
+                "no N = {n} row:\n{csv}"
+            );
+        }
+    }
+
+    fn point(n: usize, us_per_round: f64) -> ScalePoint {
+        ScalePoint {
+            n,
+            rounds: 50,
+            us_per_round,
+            avail_touched: 0,
+            links_cached: 0,
+            rss_mb: 0.0,
+        }
+    }
+
+    /// The gate passes a flat sweep, and fails one whose per-round cost
+    /// grows faster than N or just past a tenth of N's growth.
+    #[test]
+    fn sublinear_gate_rejects_cost_that_grows_with_n() {
+        let flat = [
+            point(10_000, 26.8),
+            point(100_000, 34.8),
+            point(1_000_000, 32.1),
+        ];
+        assert_eq!(check_sublinear(&flat), Ok(()));
+        let superlinear = [
+            point(10_000, 20.0),
+            point(100_000, 400.0),
+            point(1_000_000, 8_000.0),
+        ];
+        let err = check_sublinear(&superlinear).unwrap_err();
+        assert!(err.contains("grew 400.0x over a 100x"), "{err}");
+        assert!(check_sublinear(&[point(10_000, 20.0), point(1_000_000, 201.0)]).is_err());
+        assert_eq!(
+            check_sublinear(&[point(10_000, 20.0), point(1_000_000, 199.0)]),
+            Ok(())
+        );
     }
 
     /// Per-round work at N = 10⁵ touches O(participants · rounds) state,

@@ -75,11 +75,18 @@ impl ExptOpts {
     /// --quick --wire SPEC` from raw arguments.
     ///
     /// # Errors
-    /// Returns a message naming the offending flag or value.
+    /// Returns a message naming the offending flag or value: an unknown
+    /// flag, a flag given twice, or a missing value — a value never starts
+    /// with `--`, so `--out --quick` is `--out` without one.
     pub fn parse(args: &[String]) -> Result<Self, String> {
         let mut opts = Self::default();
+        let mut seen: Vec<&str> = Vec::new();
         let mut it = args.iter();
         while let Some(arg) = it.next() {
+            if seen.contains(&arg.as_str()) {
+                return Err(format!("{arg} given more than once"));
+            }
+            seen.push(arg);
             match arg.as_str() {
                 "--rounds" => {
                     opts.rounds = next_value(&mut it, "--rounds")?;
@@ -94,13 +101,9 @@ impl ExptOpts {
                     }
                 }
                 "--seed" => opts.seed = next_value(&mut it, "--seed")?,
-                "--out" => {
-                    opts.out_dir = PathBuf::from(it.next().ok_or("--out needs a value")?.clone());
-                }
+                "--out" => opts.out_dir = PathBuf::from(next_str(&mut it, "--out")?),
                 "--paper-scale" => opts.paper_scale = true,
-                "--wire" => {
-                    opts.wire = Some(parse_wire_policy(it.next().ok_or("--wire needs a value")?)?);
-                }
+                "--wire" => opts.wire = Some(parse_wire_policy(next_str(&mut it, "--wire")?)?),
                 "--quick" => opts.quick = true,
                 other => return Err(format!("unknown flag '{other}'")),
             }
@@ -114,12 +117,18 @@ impl ExptOpts {
     }
 }
 
+fn next_str<'a>(it: &mut impl Iterator<Item = &'a String>, flag: &str) -> Result<&'a str, String> {
+    it.next()
+        .filter(|v| !v.starts_with("--"))
+        .map(String::as_str)
+        .ok_or_else(|| format!("{flag} needs a value"))
+}
+
 fn next_value<'a, T: std::str::FromStr>(
     it: &mut impl Iterator<Item = &'a String>,
     flag: &str,
 ) -> Result<T, String> {
-    it.next()
-        .ok_or_else(|| format!("{flag} needs a value"))?
+    next_str(it, flag)?
         .parse()
         .map_err(|_| format!("invalid value for {flag}"))
 }
@@ -204,5 +213,25 @@ mod tests {
         assert!(parse(&["--scale", "2.0"]).is_err());
         assert!(parse(&["--bogus"]).is_err());
         assert!(parse(&["--rounds"]).is_err());
+        assert_eq!(
+            parse(&["--seed", "1", "--seed", "2"]),
+            Err("--seed given more than once".into())
+        );
+        assert_eq!(
+            parse(&["--quick", "--quick"]),
+            Err("--quick given more than once".into())
+        );
+        assert_eq!(
+            parse(&["--out", "--quick"]),
+            Err("--out needs a value".into())
+        );
+        assert_eq!(
+            parse(&["--wire", "--quick"]),
+            Err("--wire needs a value".into())
+        );
+        assert_eq!(
+            parse(&["--seed", "--quick"]),
+            Err("--seed needs a value".into())
+        );
     }
 }

@@ -1841,9 +1841,23 @@ mod tests {
                     .unwrap()
                     > 0.0
             );
-            // Round-trips through the text exposition parser.
-            let parsed = gluefl_telemetry::Snapshot::parse_text(&snap.render_text()).unwrap();
-            assert_eq!(parsed, snap);
+            // The snapshot exports the hub's phase table as it stands, and
+            // the exposition renders one line per sample.
+            for p in Phase::ALL {
+                assert_eq!(
+                    snap.value("gluefl_phase_nanos_total", &[("phase", p.name())]),
+                    Some(tel.phase_nanos(p) as f64),
+                    "{name}: {}",
+                    p.name()
+                );
+                assert_eq!(
+                    snap.value("gluefl_phase_spans_total", &[("phase", p.name())]),
+                    Some(tel.phase_spans(p) as f64),
+                    "{name}: {}",
+                    p.name()
+                );
+            }
+            assert_eq!(snap.render_text().lines().count(), snap.samples.len());
             // The journal saw one RoundDone per round.
             let done = tel
                 .journal()

@@ -1,5 +1,4 @@
-//! Prometheus-style text exposition: render and (for tests and tools)
-//! parse it back losslessly.
+//! Prometheus-style text exposition of a metric snapshot.
 
 use std::fmt::Write as _;
 
@@ -11,7 +10,7 @@ pub struct Sample {
     /// Label pairs, in render order.
     pub labels: Vec<(String, String)>,
     /// The value. Rendered with Rust's shortest-round-trip `f64`
-    /// formatting, so `parse_text(render_text(s)) == s` exactly.
+    /// formatting, so the text reads back as exactly this value.
     pub value: f64,
 }
 
@@ -34,8 +33,7 @@ impl Sample {
 ///
 /// Snapshots from [`crate::Telemetry::snapshot`] are sorted by
 /// `(name, labels)`, making them independent of registration and merge
-/// order; external sources (pool stats, wire stats) can be appended
-/// with [`Snapshot::push`] and re-sorted.
+/// order.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct Snapshot {
     /// The samples, in render order.
@@ -54,17 +52,6 @@ fn escape_into(out: &mut String, v: &str) {
 }
 
 impl Snapshot {
-    /// Appends a sample built from borrowed label pairs.
-    pub fn push(&mut self, name: &str, labels: &[(&str, &str)], value: f64) {
-        self.samples.push(Sample::new(name, labels, value));
-    }
-
-    /// Sorts samples by `(name, labels)` for stable output.
-    pub fn sort(&mut self) {
-        self.samples
-            .sort_by(|a, b| (&a.name, &a.labels).cmp(&(&b.name, &b.labels)));
-    }
-
     /// The value of `name` with exactly the given labels, if present.
     #[must_use]
     pub fn value(&self, name: &str, labels: &[(&str, &str)]) -> Option<f64> {
@@ -106,100 +93,6 @@ impl Snapshot {
         }
         out
     }
-
-    /// Parses text exposition produced by [`Snapshot::render_text`]
-    /// (or any Prometheus-style exposition without type/help
-    /// metadata). Blank lines and `#` comment lines are skipped.
-    ///
-    /// # Errors
-    /// Returns a message naming the first malformed line.
-    pub fn parse_text(text: &str) -> Result<Self, String> {
-        let mut samples = Vec::new();
-        for (lineno, raw) in text.lines().enumerate() {
-            let line = raw.trim();
-            if line.is_empty() || line.starts_with('#') {
-                continue;
-            }
-            let err = |what: &str| format!("line {}: {what}: {raw:?}", lineno + 1);
-            let (name, rest) = match line.find(['{', ' ']) {
-                Some(i) => (line[..i].to_string(), &line[i..]),
-                None => return Err(err("missing value")),
-            };
-            if name.is_empty() {
-                return Err(err("missing metric name"));
-            }
-            let mut labels = Vec::new();
-            let rest = if let Some(body) = rest.strip_prefix('{') {
-                let mut chars = body.char_indices();
-                let after: String;
-                'outer: loop {
-                    // Key up to '='.
-                    let mut key = String::new();
-                    for (_, c) in chars.by_ref() {
-                        match c {
-                            '=' => break,
-                            '}' if key.is_empty() => {
-                                // `{}` or trailing comma tolerance not needed:
-                                // render never emits either, so treat as done.
-                                after = String::new();
-                                break 'outer;
-                            }
-                            _ => key.push(c),
-                        }
-                    }
-                    match chars.next() {
-                        Some((_, '"')) => {}
-                        _ => return Err(err("label value must be quoted")),
-                    }
-                    let mut value = String::new();
-                    let mut closed = false;
-                    while let Some((_, c)) = chars.next() {
-                        match c {
-                            '\\' => match chars.next() {
-                                Some((_, '\\')) => value.push('\\'),
-                                Some((_, '"')) => value.push('"'),
-                                Some((_, 'n')) => value.push('\n'),
-                                _ => return Err(err("bad escape in label value")),
-                            },
-                            '"' => {
-                                closed = true;
-                                break;
-                            }
-                            _ => value.push(c),
-                        }
-                    }
-                    if !closed {
-                        return Err(err("unterminated label value"));
-                    }
-                    labels.push((key, value));
-                    match chars.next() {
-                        Some((_, ',')) => {}
-                        Some((i, '}')) => {
-                            after = body[i + 1..].to_string();
-                            break;
-                        }
-                        _ => return Err(err("expected ',' or '}' after label")),
-                    }
-                }
-                after
-            } else {
-                rest.to_string()
-            };
-            let value_str = rest.trim();
-            if value_str.is_empty() {
-                return Err(err("missing value"));
-            }
-            let value: f64 = value_str
-                .parse()
-                .map_err(|_| err("value is not a number"))?;
-            samples.push(Sample {
-                name,
-                labels,
-                value,
-            });
-        }
-        Ok(Self { samples })
-    }
 }
 
 #[cfg(test)]
@@ -207,43 +100,37 @@ mod tests {
     use super::*;
 
     #[test]
-    fn render_parse_round_trips() {
-        let mut snap = Snapshot::default();
-        snap.push("plain", &[], 3.0);
-        snap.push(
-            "labeled_total",
-            &[("kind", "upload"), ("codec", "f32")],
-            12.0,
+    fn render_text_matches_golden() {
+        let snap = Snapshot {
+            samples: vec![
+                Sample::new("fractional", &[], 0.125),
+                Sample::new("huge", &[], 9.007199254740992e15),
+                Sample::new(
+                    "labeled_total",
+                    &[("kind", "upload"), ("codec", "f32")],
+                    12.0,
+                ),
+                Sample::new("plain", &[], 3.0),
+                Sample::new("tenth", &[], 0.1),
+                Sample::new("tricky", &[("msg", "a \"b\"\\n\nc")], 1.0),
+            ],
+        };
+        assert_eq!(
+            snap.render_text(),
+            "fractional 0.125\n\
+             huge 9007199254740992\n\
+             labeled_total{kind=\"upload\",codec=\"f32\"} 12\n\
+             plain 3\n\
+             tenth 0.1\n\
+             tricky{msg=\"a \\\"b\\\"\\\\n\\nc\"} 1\n"
         );
-        snap.push("fractional", &[], 0.125);
-        snap.push("huge", &[], 9.007199254740992e15);
-        snap.push("tricky", &[("msg", "a \"b\"\\n\nc")], 1.0);
-        snap.sort();
-        let text = snap.render_text();
-        let parsed = Snapshot::parse_text(&text).expect("parses");
-        assert_eq!(parsed, snap);
-    }
-
-    #[test]
-    fn parser_skips_comments_and_blanks() {
-        let text = "# HELP x whatever\n\nx 4\n";
-        let snap = Snapshot::parse_text(text).unwrap();
-        assert_eq!(snap.samples.len(), 1);
-        assert_eq!(snap.value("x", &[]), Some(4.0));
-    }
-
-    #[test]
-    fn parser_rejects_garbage() {
-        assert!(Snapshot::parse_text("just_a_name\n").is_err());
-        assert!(Snapshot::parse_text("m{k=unquoted} 1\n").is_err());
-        assert!(Snapshot::parse_text("m{k=\"open} 1\n").is_err());
-        assert!(Snapshot::parse_text("m notanumber\n").is_err());
     }
 
     #[test]
     fn value_lookup_matches_exact_labels() {
-        let mut snap = Snapshot::default();
-        snap.push("m", &[("a", "1")], 5.0);
+        let snap = Snapshot {
+            samples: vec![Sample::new("m", &[("a", "1")], 5.0)],
+        };
         assert_eq!(snap.value("m", &[("a", "1")]), Some(5.0));
         assert_eq!(snap.value("m", &[]), None);
         assert_eq!(snap.value("m", &[("a", "2")]), None);

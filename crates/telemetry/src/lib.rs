@@ -1,12 +1,11 @@
 //! Telemetry core for the GlueFL workspace — vendored-style, zero
 //! external dependencies, matching the `vendor/` shim philosophy.
 //!
-//! The crate provides four pieces that the rest of the stack composes:
+//! The crate provides three pieces that the rest of the stack composes:
 //!
-//! * **A clock seam** ([`Clock`]): monotonic by default, injectable
-//!   ([`Clock::manual`]) so tests can advance time deterministically.
-//! * **A recorder** ([`Telemetry`]): named counters, gauges, and
-//!   power-of-two histograms plus a fixed per-[`Phase`] span table.
+//! * **A recorder** ([`Telemetry`]): named counters and power-of-two
+//!   histograms plus a fixed per-[`Phase`] span table, timed on the
+//!   monotonic clock from the hub's creation.
 //!   Handles are shared atomic cells, so `gluefl-pool` workers record
 //!   through them directly; counters and histogram sums are exact under
 //!   any interleaving (tested in `tests/merge_props.rs`).
@@ -14,10 +13,9 @@
 //!   [`Event`]s (spans, grants, deadlines, stalls, skips, kills,
 //!   decode errors, measured bytes) that overwrites the oldest entry
 //!   when full and counts what it dropped. Events render as JSON
-//!   lines or text.
+//!   lines ([`Event::to_json`]).
 //! * **Export surfaces**: [`Snapshot`] renders to Prometheus-style
-//!   `name{label="value"} value` text exposition and parses back
-//!   losslessly ([`Snapshot::parse_text`]), and [`Logger`] is the
+//!   `name{label="value"} value` text exposition, and [`Logger`] is the
 //!   structured (text/JSON) replacement for ad-hoc `println!` in the
 //!   binaries.
 //!
@@ -35,32 +33,30 @@
 //! # Example
 //!
 //! ```
-//! use gluefl_telemetry::{Clock, Phase, Snapshot, Telemetry};
+//! use gluefl_telemetry::{Phase, Telemetry};
 //!
-//! let (clock, handle) = Clock::manual();
-//! let tel = Telemetry::with_clock(clock);
+//! let tel = Telemetry::new();
 //! let frames = tel.counter("wire_frames_total", &[("kind", "upload")]);
 //! frames.add(3);
-//! handle.advance(1_000);
 //! tel.record_phase(Phase::Train, 1_000, 0, -1);
-//! let text = tel.snapshot().render_text();
-//! let parsed = Snapshot::parse_text(&text).unwrap();
-//! assert_eq!(parsed, tel.snapshot());
+//! let snap = tel.snapshot();
+//! assert_eq!(snap.value("wire_frames_total", &[("kind", "upload")]), Some(3.0));
+//! assert!(snap
+//!     .render_text()
+//!     .contains("gluefl_phase_nanos_total{phase=\"train\"} 1000\n"));
 //! ```
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-mod clock;
 mod expo;
 mod journal;
 mod log;
 mod phase;
 mod recorder;
 
-pub use clock::{Clock, ManualHandle};
 pub use expo::{Sample, Snapshot};
 pub use journal::{Dir, Event, EventKind, Journal};
 pub use log::{Field, Level, LogFormat, Logger};
 pub use phase::{Phase, PHASE_COUNT};
-pub use recorder::{Counter, Gauge, Histogram, Span, Telemetry, HIST_BUCKETS};
+pub use recorder::{Counter, Histogram, Span, Telemetry, HIST_BUCKETS};

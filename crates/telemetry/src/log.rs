@@ -74,12 +74,6 @@ pub enum Field<'a> {
     Str(&'a str),
     /// An unsigned integer.
     U64(u64),
-    /// A signed integer.
-    I64(i64),
-    /// A float, rendered with shortest-round-trip formatting.
-    F64(f64),
-    /// A boolean.
-    Bool(bool),
     /// An unsigned integer rendered as `0x`-prefixed 16-digit hex
     /// (parameter fingerprints).
     Hex(u64),
@@ -101,43 +95,32 @@ fn json_escape_into(out: &mut String, s: &str) {
     }
 }
 
+/// True when a text-mode string value must be quoted to stay one field
+/// on one line.
+fn needs_quotes(t: &str) -> bool {
+    t.is_empty()
+        || t.chars()
+            .any(|c| c.is_whitespace() || c.is_control() || matches!(c, '"' | '\\' | '='))
+}
+
 /// A levelled structured logger writing one line per event.
 ///
-/// Text mode renders `level event key=value ...` (string values with
-/// spaces are quoted), JSON mode renders one object per line. Events
+/// Text mode renders `level event key=value ...` (a string value that is
+/// empty or holds whitespace, a quote, a backslash, `=` or a control
+/// character is quoted and escaped, so one event stays one line and one
+/// field per `key=`), JSON mode renders one object per line. Events
 /// below the configured level are dropped before any formatting work.
 #[derive(Debug)]
 pub struct Logger {
     level: Level,
     format: LogFormat,
-    to_stderr: bool,
 }
 
 impl Logger {
     /// A logger writing to stdout.
     #[must_use]
     pub fn stdout(level: Level, format: LogFormat) -> Self {
-        Self {
-            level,
-            format,
-            to_stderr: false,
-        }
-    }
-
-    /// A logger writing to stderr.
-    #[must_use]
-    pub fn stderr(level: Level, format: LogFormat) -> Self {
-        Self {
-            level,
-            format,
-            to_stderr: true,
-        }
-    }
-
-    /// The configured format.
-    #[must_use]
-    pub fn format(&self) -> LogFormat {
-        self.format
+        Self { level, format }
     }
 
     /// True if `level` would be emitted.
@@ -155,14 +138,9 @@ impl Logger {
                 let mut s = format!("{} {}", level.name(), event);
                 for (k, v) in fields {
                     let _ = match v {
-                        Field::Str(t) if t.contains(' ') || t.is_empty() => {
-                            write!(s, " {k}={t:?}")
-                        }
+                        Field::Str(t) if needs_quotes(t) => write!(s, " {k}={t:?}"),
                         Field::Str(t) => write!(s, " {k}={t}"),
                         Field::U64(n) => write!(s, " {k}={n}"),
-                        Field::I64(n) => write!(s, " {k}={n}"),
-                        Field::F64(x) => write!(s, " {k}={x}"),
-                        Field::Bool(b) => write!(s, " {k}={b}"),
                         Field::Hex(n) => write!(s, " {k}={n:#018x}"),
                     };
                 }
@@ -183,18 +161,6 @@ impl Logger {
                         Field::U64(n) => {
                             let _ = write!(s, "{n}");
                         }
-                        Field::I64(n) => {
-                            let _ = write!(s, "{n}");
-                        }
-                        Field::F64(x) if x.is_finite() => {
-                            let _ = write!(s, "{x}");
-                        }
-                        Field::F64(x) => {
-                            let _ = write!(s, "\"{x}\"");
-                        }
-                        Field::Bool(b) => {
-                            let _ = write!(s, "{b}");
-                        }
                         Field::Hex(n) => {
                             let _ = write!(s, "\"{n:#018x}\"");
                         }
@@ -212,26 +178,12 @@ impl Logger {
             return;
         }
         let line = self.render(level, event, fields);
-        if self.to_stderr {
-            let _ = writeln!(std::io::stderr().lock(), "{line}");
-        } else {
-            let _ = writeln!(std::io::stdout().lock(), "{line}");
-        }
-    }
-
-    /// [`Logger::log`] at [`Level::Debug`].
-    pub fn debug(&self, event: &str, fields: &[(&str, Field<'_>)]) {
-        self.log(Level::Debug, event, fields);
+        let _ = writeln!(std::io::stdout().lock(), "{line}");
     }
 
     /// [`Logger::log`] at [`Level::Info`].
     pub fn info(&self, event: &str, fields: &[(&str, Field<'_>)]) {
         self.log(Level::Info, event, fields);
-    }
-
-    /// [`Logger::log`] at [`Level::Warn`].
-    pub fn warn(&self, event: &str, fields: &[(&str, Field<'_>)]) {
-        self.log(Level::Warn, event, fields);
     }
 
     /// [`Logger::log`] at [`Level::Error`].
@@ -262,6 +214,27 @@ mod tests {
             "info done strategy=gluefl params_fnv=0x0000000000002198 skipped=0 dead=0"
         );
         assert!(line.contains("skipped=0 dead=0"));
+    }
+
+    #[test]
+    fn text_values_that_would_split_a_field_or_line_are_quoted() {
+        let log = Logger::stdout(Level::Info, LogFormat::Text);
+        let cases = [
+            ("plain", "v=plain"),
+            ("", "v=\"\""),
+            ("a b", "v=\"a b\""),
+            ("a\nb", "v=\"a\\nb\""),
+            ("a\tb", "v=\"a\\tb\""),
+            ("x=y", "v=\"x=y\""),
+            ("say \"hi\"", "v=\"say \\\"hi\\\"\""),
+            ("C:\\dir", "v=\"C:\\\\dir\""),
+            ("bell\u{7}", "v=\"bell\\u{7}\""),
+            ("127.0.0.1:9000", "v=127.0.0.1:9000"),
+        ];
+        for (value, field) in cases {
+            let line = log.render(Level::Info, "e", &[("v", Field::Str(value))]);
+            assert_eq!(line, format!("info e {field}"), "value {value:?}");
+        }
     }
 
     #[test]

@@ -1,13 +1,12 @@
-//! The recorder hub: counters, gauges, histograms and per-phase span
-//! tables.
+//! The recorder hub: counters, histograms and per-phase span tables.
 
-use crate::clock::Clock;
 use crate::expo::{Sample, Snapshot};
 use crate::journal::{Event, EventKind, Journal};
 use crate::phase::{Phase, PHASE_COUNT};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
+use std::time::Instant;
 
 /// Number of power-of-two histogram buckets. Bucket `k` counts values
 /// whose bit length is `k` (i.e. `v == 0` lands in bucket 0, `v` in
@@ -79,28 +78,6 @@ impl Counter {
     }
 }
 
-/// A last-write-wins gauge handle.
-///
-/// Gauges are instantaneous values (queue depth, live connections):
-/// handles write straight to the shared cell, lock-free.
-#[derive(Clone)]
-pub struct Gauge {
-    cell: Arc<AtomicU64>,
-}
-
-impl Gauge {
-    /// Stores an absolute value.
-    pub fn set(&self, v: u64) {
-        self.cell.store(v, Ordering::Relaxed);
-    }
-
-    /// Current value.
-    #[must_use]
-    pub fn get(&self) -> u64 {
-        self.cell.load(Ordering::Relaxed)
-    }
-}
-
 /// A power-of-two-bucket histogram handle (see [`HIST_BUCKETS`]).
 #[derive(Clone)]
 pub struct Histogram {
@@ -112,27 +89,9 @@ impl Histogram {
     pub fn observe(&self, v: u64) {
         self.cells.observe(v);
     }
-
-    /// Number of observations so far.
-    #[must_use]
-    pub fn count(&self) -> u64 {
-        self.cells.count.load(Ordering::Relaxed)
-    }
-
-    /// Sum of all observations so far.
-    #[must_use]
-    pub fn sum(&self) -> u64 {
-        self.cells.sum.load(Ordering::Relaxed)
-    }
 }
 
 struct CounterEntry {
-    name: String,
-    labels: Vec<(String, String)>,
-    cell: Arc<AtomicU64>,
-}
-
-struct GaugeEntry {
     name: String,
     labels: Vec<(String, String)>,
     cell: Arc<AtomicU64>,
@@ -147,7 +106,6 @@ struct HistEntry {
 #[derive(Default)]
 struct Registry {
     counters: Vec<CounterEntry>,
-    gauges: Vec<GaugeEntry>,
     hists: Vec<HistEntry>,
 }
 
@@ -164,7 +122,7 @@ fn owned_labels(labels: &[(&str, &str)]) -> Vec<(String, String)> {
 /// share one hub with `Arc<Telemetry>`. Instrumented code holds an
 /// `Option` of it and skips everything when `None`.
 pub struct Telemetry {
-    clock: Clock,
+    origin: Instant,
     phase_nanos: [AtomicU64; PHASE_COUNT],
     phase_spans: [AtomicU64; PHASE_COUNT],
     registry: Mutex<Registry>,
@@ -184,18 +142,12 @@ impl Default for Telemetry {
 }
 
 impl Telemetry {
-    /// A hub on the real monotonic clock with the default journal
+    /// A hub whose clock starts at zero now, with the default journal
     /// capacity ([`Journal::DEFAULT_CAPACITY`]).
     #[must_use]
     pub fn new() -> Self {
-        Self::with_clock(Clock::monotonic())
-    }
-
-    /// A hub on an injected clock (use [`Clock::manual`] in tests).
-    #[must_use]
-    pub fn with_clock(clock: Clock) -> Self {
         Self {
-            clock,
+            origin: Instant::now(),
             phase_nanos: std::array::from_fn(|_| AtomicU64::new(0)),
             phase_spans: std::array::from_fn(|_| AtomicU64::new(0)),
             registry: Mutex::new(Registry::default()),
@@ -203,16 +155,11 @@ impl Telemetry {
         }
     }
 
-    /// The hub's clock.
-    #[must_use]
-    pub fn clock(&self) -> &Clock {
-        &self.clock
-    }
-
-    /// Current time on the hub's clock, nanoseconds.
+    /// Monotonic nanoseconds since the hub was created; saturates at
+    /// `u64::MAX` (~584 years).
     #[must_use]
     pub fn now_nanos(&self) -> u64 {
-        self.clock.now_nanos()
+        u64::try_from(self.origin.elapsed().as_nanos()).unwrap_or(u64::MAX)
     }
 
     /// The hub's event journal.
@@ -244,29 +191,6 @@ impl Telemetry {
             cell: Arc::clone(&cell),
         });
         Counter { cell }
-    }
-
-    /// Registers (or finds) the gauge `name{labels}`.
-    #[must_use]
-    pub fn gauge(&self, name: &str, labels: &[(&str, &str)]) -> Gauge {
-        let labels = owned_labels(labels);
-        let mut reg = self.registry.lock().unwrap();
-        if let Some(e) = reg
-            .gauges
-            .iter()
-            .find(|e| e.name == name && e.labels == labels)
-        {
-            return Gauge {
-                cell: Arc::clone(&e.cell),
-            };
-        }
-        let cell = Arc::new(AtomicU64::new(0));
-        reg.gauges.push(GaugeEntry {
-            name: name.to_string(),
-            labels,
-            cell: Arc::clone(&cell),
-        });
-        Gauge { cell }
     }
 
     /// Registers (or finds) the histogram `name{labels}`.
@@ -363,13 +287,6 @@ impl Telemetry {
                 value: e.cell.load(Ordering::Relaxed) as f64,
             });
         }
-        for e in &reg.gauges {
-            samples.push(Sample {
-                name: e.name.clone(),
-                labels: e.labels.clone(),
-                value: e.cell.load(Ordering::Relaxed) as f64,
-            });
-        }
         for e in &reg.hists {
             let count = e.cells.count.load(Ordering::Relaxed);
             for (k, b) in e.cells.buckets.iter().enumerate() {
@@ -418,9 +335,8 @@ impl Telemetry {
             &[],
             self.journal.dropped() as f64,
         ));
-        let mut snap = Snapshot { samples };
-        snap.sort();
-        snap
+        samples.sort_by(|a, b| (&a.name, &a.labels).cmp(&(&b.name, &b.labels)));
+        Snapshot { samples }
     }
 }
 
@@ -460,23 +376,26 @@ mod tests {
 
     #[test]
     fn span_guard_records_on_drop() {
-        let (clock, handle) = Clock::manual();
-        let tel = Telemetry::with_clock(clock);
-        {
-            let _s = tel.span(Phase::Fold, 3);
-            handle.advance(250);
-        }
-        assert_eq!(tel.phase_nanos(Phase::Fold), 250);
-        assert_eq!(tel.phase_spans(Phase::Fold), 1);
+        let tel = Telemetry::new();
+        tel.record_phase(Phase::Fold, 250, 3, 7);
+        drop(tel.span(Phase::Fold, 3));
+        assert_eq!(tel.phase_spans(Phase::Fold), 2);
         let events = tel.journal().events();
-        assert_eq!(events.len(), 1);
-        match events[0].kind {
-            EventKind::Span { phase, dur_nanos } => {
-                assert_eq!(phase, Phase::Fold);
-                assert_eq!(dur_nanos, 250);
-            }
-            other => panic!("unexpected event {other:?}"),
-        }
+        let durs: Vec<u64> = events
+            .iter()
+            .map(|e| match e.kind {
+                EventKind::Span { phase, dur_nanos } => {
+                    assert_eq!((phase, e.round), (Phase::Fold, 3));
+                    dur_nanos
+                }
+                other => panic!("unexpected event {other:?}"),
+            })
+            .collect();
+        assert_eq!(durs.len(), 2);
+        assert_eq!((durs[0], events[0].client), (250, 7));
+        // The guard's span is not client-scoped and adds what it measured.
+        assert_eq!(events[1].client, -1);
+        assert_eq!(tel.phase_nanos(Phase::Fold), 250 + durs[1]);
     }
 
     #[test]
@@ -487,14 +406,5 @@ mod tests {
         assert_eq!(bucket_of(3), 2);
         assert_eq!(bucket_of(4), 3);
         assert_eq!(bucket_of(u64::MAX), HIST_BUCKETS - 1);
-    }
-
-    #[test]
-    fn gauge_is_last_write_wins() {
-        let tel = Telemetry::new();
-        let g = tel.gauge("depth", &[]);
-        g.set(9);
-        g.set(4);
-        assert_eq!(g.get(), 4);
     }
 }

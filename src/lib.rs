@@ -11,7 +11,7 @@
 //! * [`gluefl_sampling`] — uniform/MD/sticky samplers.
 //! * [`gluefl_net`] — bandwidth, device, availability simulation.
 //! * [`gluefl_tensor`] — bitmasks, top-k, sparse updates.
-//! * [`gluefl_telemetry`] — clocks, counters, phase spans, journal,
+//! * [`gluefl_telemetry`] — counters, histograms, phase spans, journal,
 //!   text exposition, structured logging.
 //! * [`gluefl_wire`] — framed binary wire codec for round messages.
 //! * [`gluefl_transport`] — real-socket client/server round loop with
