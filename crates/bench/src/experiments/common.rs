@@ -8,7 +8,9 @@ use gluefl_core::{
 use gluefl_data::DatasetProfile;
 use gluefl_ml::DatasetModel;
 
-/// Builds the scaled paper setup for `(dataset, model, strategy)`.
+/// Builds the paper setup for `(dataset, model, strategy)` at the
+/// paper's client population, `opts.rounds` rounds, `opts.seed` and
+/// `opts.wire`.
 ///
 /// Evaluation every fifth round (rounds `4, 9, 14, …`); target
 /// accuracy left unset (experiments derive a common achievable target
@@ -21,13 +23,10 @@ pub fn setup(
     strategy: StrategyConfig,
     opts: &ExptOpts,
 ) -> SimConfig {
-    let mut cfg =
-        SimConfig::paper_setup(dataset, model, strategy, opts.scale, opts.rounds, opts.seed);
+    let mut cfg = SimConfig::paper_setup(dataset, model, strategy, 1.0, opts.rounds, opts.seed);
     cfg.eval_every = 5;
     cfg.target_accuracy = None;
-    if let Some(wire) = opts.wire {
-        cfg.wire = wire;
-    }
+    cfg.wire = opts.wire;
     cfg
 }
 
@@ -82,12 +81,14 @@ pub fn with_target(results: Vec<RunResult>, target: f64) -> Vec<RunResult> {
         .collect()
 }
 
-/// Bytes → display gigabytes, optionally re-scaled to the paper's model
-/// size (`reference_params / simulated_params`).
+/// Bytes → display gigabytes, optionally (`--paper-scale`) re-scaled to
+/// the paper's model size (`reference_params / simulated_params`).
 #[must_use]
-pub fn display_gb(bytes: u64, cfg: &SimConfig, sim_dim: usize, opts: &ExptOpts) -> f64 {
+pub fn display_gb(bytes: u64, cfg: &SimConfig, opts: &ExptOpts) -> f64 {
     let factor = if opts.paper_scale {
-        cfg.model.paper_scale_factor(sim_dim)
+        let (features, classes) = (cfg.dataset.feature_dim, cfg.dataset.classes);
+        cfg.model
+            .paper_scale_factor(cfg.model.topology(features, classes).num_params())
     } else {
         1.0
     };
@@ -146,37 +147,25 @@ pub fn run_sweep(
     ]);
     let mut csv = String::from("arm,cum_down_gb,accuracy\n");
     let cfg0 = setup(dataset, model, StrategyConfig::FedAvg, opts);
-    let sim_dim = {
-        let mut rng = gluefl_tensor::rng::seeded_rng(opts.seed, "sweep-dim", 0);
-        cfg0.model
-            .build(cfg0.dataset.feature_dim, cfg0.dataset.classes, &mut rng)
-            .num_params()
-    };
     for (arm, r) in all_arms.iter().zip(&results) {
         for (bytes, acc) in r.accuracy_curve() {
             csv.push_str(&format!(
                 "{},{:.5},{:.4}\n",
                 arm.label,
-                display_gb(bytes, &cfg0, sim_dim, opts),
+                display_gb(bytes, &cfg0, opts),
                 acc
             ));
         }
         table.row([
             arm.label.clone(),
-            format!(
-                "{:.3}",
-                display_gb(r.at_target.down_bytes, &cfg0, sim_dim, opts)
-            ),
+            format!("{:.3}", display_gb(r.at_target.down_bytes, &cfg0, opts)),
             if r.target_round.is_some() {
                 "yes".into()
             } else {
                 "no".to_owned()
             },
             format!("{:.1}%", r.total.accuracy * 100.0),
-            format!(
-                "{:.3}",
-                display_gb(r.total.down_bytes, &cfg0, sim_dim, opts)
-            ),
+            format!("{:.3}", display_gb(r.total.down_bytes, &cfg0, opts)),
         ]);
     }
     println!(
@@ -196,7 +185,7 @@ pub fn run_sweep(
                 arm.label.clone(),
                 r.accuracy_curve()
                     .into_iter()
-                    .map(|(bytes, acc)| (display_gb(bytes, &cfg0, sim_dim, opts), acc))
+                    .map(|(bytes, acc)| (display_gb(bytes, &cfg0, opts), acc))
                     .collect(),
             )
         })
@@ -318,6 +307,18 @@ mod tests {
     }
 
     #[test]
+    fn setup_runs_at_the_paper_population() {
+        let opts = ExptOpts::default();
+        for (dataset, model, clients) in [
+            (DatasetProfile::Femnist, DatasetModel::ShuffleNet, 2_800),
+            (DatasetProfile::OpenImage, DatasetModel::MobileNet, 10_625),
+        ] {
+            let cfg = setup(dataset, model, StrategyConfig::FedAvg, &opts);
+            assert_eq!(cfg.dataset.clients, clients, "{}", dataset.name());
+        }
+    }
+
+    #[test]
     fn display_units() {
         let opts = ExptOpts::default();
         let cfg = setup(
@@ -326,7 +327,7 @@ mod tests {
             StrategyConfig::FedAvg,
             &opts,
         );
-        assert!((display_gb(2_000_000_000, &cfg, 1000, &opts) - 2.0).abs() < 1e-9);
+        assert!((display_gb(2_000_000_000, &cfg, &opts) - 2.0).abs() < 1e-9);
         assert!((hours(7200.0) - 2.0).abs() < 1e-12);
     }
 }

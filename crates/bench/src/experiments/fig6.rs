@@ -10,10 +10,9 @@ use crate::ExptOpts;
 use gluefl_core::{GlueFlParams, StrategyConfig};
 use gluefl_ml::DatasetModel;
 
-fn arms(k: usize, n: usize, model: DatasetModel) -> Vec<SweepArm> {
+fn arms(k: usize, model: DatasetModel) -> Vec<SweepArm> {
     [1usize, 2, 4, 8]
         .into_iter()
-        .filter(|m| m * k < n) // sticky group must leave non-sticky clients
         .map(|m| {
             let mut p = GlueFlParams::paper_default(k, model);
             p.sticky_group = m * k;
@@ -35,14 +34,7 @@ pub fn run(opts: &ExptOpts) -> Result<(), String> {
     println!("Figure 6: effect of sticky group size S (paper: S = 30..240, K = 30)");
     for (dataset, model) in common::sensitivity_pairs(opts) {
         let cfg = common::setup(dataset, model, StrategyConfig::FedAvg, opts);
-        let n = cfg.dataset.clients;
-        common::run_sweep(
-            "fig6",
-            dataset,
-            model,
-            &arms(cfg.round_size, n, model),
-            opts,
-        );
+        common::run_sweep("fig6", dataset, model, &arms(cfg.round_size, model), opts);
     }
     println!(
         "paper check: very small S hurts accuracy (little data diversity in the \

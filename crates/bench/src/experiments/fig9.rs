@@ -8,7 +8,7 @@
 
 use crate::experiments::common;
 use crate::{write_csv, ExptOpts, Table};
-use gluefl_core::StrategyConfig;
+use gluefl_core::{RoundRecord, StrategyConfig};
 use gluefl_data::DatasetProfile;
 use gluefl_ml::DatasetModel;
 use gluefl_net::{DeviceProfile, NetworkProfile};
@@ -42,43 +42,15 @@ pub fn run(opts: &ExptOpts) -> Result<(), String> {
             cfg.device = DeviceProfile::mobile();
             let result = common::run_config(cfg);
             let n = result.rounds.len().max(1) as f64;
-            let dl: f64 = result
-                .rounds
-                .iter()
-                .map(|r| r.mean_download_secs)
-                .sum::<f64>()
-                / n;
-            let ul: f64 = result
-                .rounds
-                .iter()
-                .map(|r| r.mean_upload_secs)
-                .sum::<f64>()
-                / n;
-            let cp: f64 = result
-                .rounds
-                .iter()
-                .map(|r| r.mean_compute_secs)
-                .sum::<f64>()
-                / n;
-            let sdl: f64 = result
-                .rounds
-                .iter()
-                .map(|r| r.slowest_download_secs)
-                .sum::<f64>()
-                / n;
-            let sul: f64 = result
-                .rounds
-                .iter()
-                .map(|r| r.slowest_upload_secs)
-                .sum::<f64>()
-                / n;
-            let scp: f64 = result
-                .rounds
-                .iter()
-                .map(|r| r.slowest_compute_secs)
-                .sum::<f64>()
-                / n;
-            let total: f64 = result.rounds.iter().map(|r| r.round_secs).sum::<f64>() / n;
+            let mean =
+                |secs: fn(&RoundRecord) -> f64| result.rounds.iter().map(secs).sum::<f64>() / n;
+            let dl = mean(|r| r.mean_download_secs);
+            let ul = mean(|r| r.mean_upload_secs);
+            let cp = mean(|r| r.mean_compute_secs);
+            let sdl = mean(|r| r.slowest_download_secs);
+            let sul = mean(|r| r.slowest_upload_secs);
+            let scp = mean(|r| r.slowest_compute_secs);
+            let total = mean(|r| r.round_secs);
             table.row([
                 result.strategy.clone(),
                 format!("{dl:.2}"),

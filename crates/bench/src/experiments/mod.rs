@@ -19,42 +19,93 @@ pub mod wire;
 
 use crate::ExptOpts;
 
-/// All experiment ids, in the paper's order.
-pub const ALL: &[&str] = &[
-    "fig1", "fig2", "table2", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11", "table3a",
-    "table3b", "prop12", "wire", "scale",
+/// Every flag an experiment may read.
+const EVERY: &[&str] = &[
+    "--rounds",
+    "--seed",
+    "--out",
+    "--wire",
+    "--quick",
+    "--paper-scale",
+];
+/// `fig9` reports seconds, not bytes.
+const SECONDS: &[&str] = &["--rounds", "--seed", "--out", "--wire", "--quick"];
+/// `wire` sets every arm's policy itself.
+const OWN_WIRE: &[&str] = &["--rounds", "--seed", "--out", "--quick"];
+/// The flags of the experiments that run no simulation.
+const NO_SIM: &[&str] = &["--seed", "--out", "--quick"];
+
+type Run = fn(&ExptOpts) -> Result<(), String>;
+
+/// Every experiment in the paper's order: its id, its run, and the flags
+/// it reads, directly or through [`common::setup`] (`--rounds`, which
+/// `--quick` caps, `--seed`, `--wire`), [`common::display_gb`]
+/// (`--paper-scale`) and [`common::sensitivity_pairs`] (`--quick`).
+const EXPERIMENTS: &[(&str, Run, &[&str])] = &[
+    ("fig1", fig1::run, NO_SIM),
+    ("fig2", fig2::run, EVERY),
+    ("table2", table2::run, EVERY),
+    ("fig5", fig5::run, EVERY),
+    ("fig6", fig6::run, EVERY),
+    ("fig7", fig7::run, EVERY),
+    ("fig8", fig8::run, EVERY),
+    ("fig9", fig9::run, SECONDS),
+    ("fig10", fig10::run, EVERY),
+    ("fig11", fig11::run, EVERY),
+    ("table3a", table3::run_3a, EVERY),
+    ("table3b", table3::run_3b, EVERY),
+    ("prop12", prop12::run, NO_SIM),
+    ("wire", wire::run, OWN_WIRE),
+    ("scale", scale::run, NO_SIM),
 ];
 
-/// Dispatches an experiment by id.
+/// All experiment ids, in the paper's order.
+pub fn ids() -> impl Iterator<Item = &'static str> {
+    EXPERIMENTS.iter().map(|(id, ..)| *id)
+}
+
+/// The flags experiment `id` reads (`all` takes their union), or `None`
+/// for an unknown id. `expt` refuses every other flag, so none is
+/// ignored silently.
+#[must_use]
+pub fn flags(id: &str) -> Option<&'static [&'static str]> {
+    if id == "all" {
+        return Some(EVERY);
+    }
+    EXPERIMENTS.iter().find(|(i, ..)| *i == id).map(|e| e.2)
+}
+
+/// Dispatches an experiment by id; `all` runs every one in order.
 ///
 /// # Errors
-/// Returns an error for unknown ids.
+/// Returns an error for unknown ids, or the first experiment's error.
 pub fn run(id: &str, opts: &ExptOpts) -> Result<(), String> {
-    match id {
-        "fig1" => fig1::run(opts),
-        "fig2" => fig2::run(opts),
-        "table2" => table2::run(opts),
-        "fig5" => fig5::run(opts),
-        "fig6" => fig6::run(opts),
-        "fig7" => fig7::run(opts),
-        "fig8" => fig8::run(opts),
-        "fig9" => fig9::run(opts),
-        "fig10" => fig10::run(opts),
-        "fig11" => fig11::run(opts),
-        "table3a" => table3::run_3a(opts),
-        "table3b" => table3::run_3b(opts),
-        "prop12" => prop12::run(opts),
-        "wire" => wire::run(opts),
-        "scale" => scale::run(opts),
-        "all" => {
-            for id in ALL {
-                println!("\n================ {id} ================");
-                run(id, opts)?;
-            }
-            Ok(())
+    if id == "all" {
+        for (name, run, _) in EXPERIMENTS {
+            println!("\n================ {name} ================");
+            run(opts)?;
         }
-        other => Err(format!(
-            "unknown experiment '{other}' (expected one of {ALL:?} or 'all')"
-        )),
+        return Ok(());
+    }
+    let (_, run, _) = EXPERIMENTS
+        .iter()
+        .find(|(name, ..)| *name == id)
+        .ok_or_else(|| format!("unknown experiment '{id}' (`expt --help` lists them)"))?;
+    run(opts)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn all_takes_the_union_of_the_experiments_flags() {
+        let mut union: Vec<&str> = ids().flat_map(|id| flags(id).unwrap()).copied().collect();
+        union.sort_unstable();
+        union.dedup();
+        let mut all = flags("all").unwrap().to_vec();
+        all.sort_unstable();
+        assert_eq!(union, all);
+        assert_eq!(flags("tabel2"), None);
     }
 }

@@ -86,12 +86,8 @@ fn emit_row(
     cfg: &SimConfig,
     opts: &ExptOpts,
 ) {
-    // Display at the simulated model size (or paper scale with the flag);
-    // the simulated dimension is recoverable from any round's byte counts,
-    // but we use the config's built model dimension for exactness.
-    let sim_dim = sim_dim_of(cfg, opts);
-    let dv = common::display_gb(r.at_target.down_bytes, cfg, sim_dim, opts);
-    let tv = common::display_gb(r.at_target.total_bytes, cfg, sim_dim, opts);
+    let dv = common::display_gb(r.at_target.down_bytes, cfg, opts);
+    let tv = common::display_gb(r.at_target.total_bytes, cfg, opts);
     let dt = common::hours(r.at_target.download_secs);
     let tt = common::hours(r.at_target.total_secs);
     let reached = r.target_round.is_some();
@@ -124,12 +120,4 @@ fn emit_row(
         tt,
         r.total.accuracy,
     ));
-}
-
-fn sim_dim_of(cfg: &SimConfig, opts: &ExptOpts) -> usize {
-    // Rebuild a throwaway model to read the exact simulated dimension.
-    let mut rng = gluefl_tensor::rng::seeded_rng(opts.seed, "table2-dim", 0);
-    cfg.model
-        .build(cfg.dataset.feature_dim, cfg.dataset.classes, &mut rng)
-        .num_params()
 }

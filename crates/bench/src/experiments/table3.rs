@@ -37,16 +37,9 @@ fn run_arms(
     let results = common::with_target(results, target);
     let mut table = Table::new(["arm", "DV (GB)", "TV (GB)", "DT (h)", "TT (h)", "reached"]);
     let mut csv = String::from("arm,dv_gb,tv_gb,dt_h,tt_h,reached,target\n");
-    let sim_dim = {
-        let cfg0 = &label_cfgs[0].1;
-        let mut rng = gluefl_tensor::rng::seeded_rng(opts.seed, "table3-dim", 0);
-        cfg0.model
-            .build(cfg0.dataset.feature_dim, cfg0.dataset.classes, &mut rng)
-            .num_params()
-    };
     for ((label, cfg), r) in label_cfgs.iter().zip(&results) {
-        let dv = common::display_gb(r.at_target.down_bytes, cfg, sim_dim, opts);
-        let tv = common::display_gb(r.at_target.total_bytes, cfg, sim_dim, opts);
+        let dv = common::display_gb(r.at_target.down_bytes, cfg, opts);
+        let tv = common::display_gb(r.at_target.total_bytes, cfg, opts);
         let dt = common::hours(r.at_target.download_secs);
         let tt = common::hours(r.at_target.total_secs);
         let reached = r.target_round.is_some();

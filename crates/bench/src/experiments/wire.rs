@@ -26,7 +26,7 @@
 //! dropped — a real systems effect, but one that would entangle cohort
 //! luck with codec quality in the accuracy column.
 //!
-//! Run with `expt wire [--quick] [--rounds N] [--scale F] [--out DIR]`;
+//! Run with `expt wire [--quick] [--rounds N] [--seed N] [--out DIR]`;
 //! writes `wire_policies.csv` into the output directory.
 
 use super::common::{run_config, setup};
@@ -92,7 +92,7 @@ pub fn run(opts: &ExptOpts) -> Result<(), String> {
 
 /// The sweep behind [`run`]; `shape` edits every arm's config after the
 /// paper setup and before the arm's overrides (the unit test shrinks the
-/// model and dataset with it).
+/// population, model and dataset with it).
 fn sweep(opts: &ExptOpts, shape: impl Fn(&mut SimConfig)) -> Result<(), String> {
     let (dataset, model) = (DatasetProfile::Femnist, DatasetModel::ShuffleNet);
     let k = {
@@ -212,21 +212,22 @@ fn sweep(opts: &ExptOpts, shape: impl Fn(&mut SimConfig)) -> Result<(), String> 
 mod tests {
     use super::*;
 
-    /// The sweep runs end to end over all 14 arms on a small model and
-    /// dataset (CI runs the unshrunk `expt wire --quick` in release),
-    /// writes its CSV, and the structural assertions (F32 measured ≡
-    /// analytic; entropy F32 accuracy ≡ legacy F32 at ≤ bytes) hold.
+    /// The sweep runs end to end over all 14 arms on a small population,
+    /// model and dataset (CI runs the unshrunk `expt wire --quick` in
+    /// release), writes its CSV, and the structural assertions (F32
+    /// measured ≡ analytic; entropy F32 accuracy ≡ legacy F32 at ≤ bytes)
+    /// hold.
     #[test]
     fn sweep_runs_and_writes_csv() {
         let dir = std::env::temp_dir().join("gluefl_wire_sweep_test");
         let opts = ExptOpts {
             quick: true,
             rounds: 3,
-            scale: 0.01,
             out_dir: dir.clone(),
             ..ExptOpts::default()
         };
         sweep(&opts, |cfg| {
+            cfg.dataset.clients = 150;
             cfg.model.hidden = vec![16];
             cfg.dataset.feature_dim = 12;
             cfg.dataset.classes = 8;

@@ -1,13 +1,15 @@
 //! Experiment harness regenerating every table and figure of the paper.
 //!
-//! The `expt` binary dispatches on an experiment id (`fig1`, `fig2`,
-//! `table2`, `fig5`–`fig11`, `table3a`, `table3b`, `prop12`, `wire`,
-//! `scale`); each experiment prints a paper-style table to stdout and
-//! writes CSV under `results/`.
+//! The root package's `expt` binary dispatches on an experiment id
+//! (`fig1`, `fig2`, `table2`, `fig5`–`fig11`, `table3a`, `table3b`,
+//! `prop12`, `wire`, `scale`) through [`experiments::run`]; each
+//! experiment prints a paper-style table to stdout and writes CSV under
+//! `results/`.
 //!
-//! Experiments default to laptop scale (a few percent of the paper's
-//! client populations, hundreds of rounds); `--scale`, `--rounds`, and
-//! `--paper-scale` restore paper fidelity.
+//! Every simulation runs at the paper's client population; `--rounds`
+//! (150 by default) sets the training length and `--paper-scale` reports
+//! bytes at the paper's model sizes. Each experiment takes only the
+//! flags it reads ([`experiments::flags`]).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -17,5 +19,5 @@ mod opts;
 pub mod plot;
 mod report;
 
-pub use opts::ExptOpts;
+pub use opts::{parse_wire_policy, ExptOpts};
 pub use report::{format_table, write_csv, Table};

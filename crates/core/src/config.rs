@@ -225,11 +225,15 @@ impl SimConfig {
     /// governed by `C` and `K − C` (Theorem 2's `A` constant), so
     /// shrinking `K` proportionally would concentrate each round's update
     /// on one or two fresh clients and change the algorithm's behaviour
-    /// qualitatively. Scaling only `N` (and the number of rounds)
-    /// preserves the per-round dynamics while compressing the staleness
-    /// timescale `N/K` by the same factor as the training length.
-    /// The population is floored at `5K` so the sticky group (`S = 4K`)
-    /// always leaves a non-sticky pool.
+    /// qualitatively. Scaling only `N` keeps uniform sampling's per-round
+    /// dynamics (it compresses the staleness timescale `N/K`), but not
+    /// GlueFL's: the sticky group `S = 4K` stays fixed, so it covers a
+    /// larger share of a smaller population and the fresh clients'
+    /// expected share of the aggregate, `(N − S)/N`, falls — 96 % at the
+    /// paper's FEMNIST N = 2 800, 57 % at 280 (scale 0.1), 20 % at 150.
+    /// Below scale 1.0 this is a different algorithm from the paper's;
+    /// `expt` always runs at 1.0. The population is floored at `5K` so
+    /// the sticky group always leaves a non-sticky pool.
     #[must_use]
     pub fn paper_setup(
         dataset: DatasetProfile,

@@ -39,7 +39,7 @@ const FLAGS: &[&str] = &[
 ];
 
 fn main() {
-    let cli = CommandLine::parse(FLAGS, USAGE);
+    let cli = CommandLine::parse(std::env::args().skip(1), FLAGS, &[], USAGE);
     let addr: String = cli.flag("--addr", String::new());
     let id: usize = cli.flag("--id", usize::MAX);
     let strategy: String = cli.flag("--strategy", "gluefl".to_string());

@@ -74,7 +74,7 @@ fn serve_metrics(addr: &str, tel: Arc<Telemetry>) -> std::io::Result<String> {
 }
 
 fn main() {
-    let cli = CommandLine::parse(FLAGS, USAGE);
+    let cli = CommandLine::parse(std::env::args().skip(1), FLAGS, &[], USAGE);
     let addr: String = cli.flag("--addr", "127.0.0.1:0".to_string());
     let strategy: String = cli.flag("--strategy", "gluefl".to_string());
     let clients: usize = cli.flag("--clients", 8);

@@ -30,8 +30,9 @@ pub use gluefl_tensor as tensor;
 pub use gluefl_transport as transport;
 pub use gluefl_wire as wire;
 
-/// Looks up `flag`'s value in `args` for the `gluefl-server` /
-/// `gluefl-client` command lines: `default` when the flag is absent.
+/// Looks up `flag`'s value in `args` for the `gluefl-server`,
+/// `gluefl-client` and `expt` command lines: `default` when the flag is
+/// absent.
 ///
 /// # Errors
 /// Returns a message naming the flag when it is present but its value is
@@ -71,13 +72,14 @@ pub enum ArgsError {
 
 /// Checks that every argument in `args` is one of `flags`, at most once,
 /// or the value right after one, under [`parse_flag`]'s rule that a value
-/// never starts with `--`.
+/// never starts with `--`. The flags also named in `switches` never take
+/// a value: what follows one is checked as an argument of its own.
 ///
 /// # Errors
 /// [`ArgsError::Help`] at the first `-h` / `--help` in flag position,
 /// [`ArgsError::Repeated`] at the second occurrence of a flag,
 /// [`ArgsError::Unknown`] at the first argument that is anything else.
-pub fn check_args(args: &[String], flags: &[&str]) -> Result<(), ArgsError> {
+pub fn check_args(args: &[String], flags: &[&str], switches: &[&str]) -> Result<(), ArgsError> {
     let mut seen = Vec::new();
     let mut rest = args.iter().peekable();
     while let Some(arg) = rest.next() {
@@ -86,7 +88,9 @@ pub fn check_args(args: &[String], flags: &[&str]) -> Result<(), ArgsError> {
             flag if seen.contains(&flag) => return Err(ArgsError::Repeated(flag.to_owned())),
             flag if flags.contains(&flag) => {
                 seen.push(flag);
-                let _ = rest.next_if(|v| !v.starts_with("--"));
+                if !switches.contains(&flag) {
+                    let _ = rest.next_if(|v| !v.starts_with("--"));
+                }
             }
             other => return Err(ArgsError::Unknown(other.to_owned())),
         }
@@ -94,28 +98,33 @@ pub fn check_args(args: &[String], flags: &[&str]) -> Result<(), ArgsError> {
     Ok(())
 }
 
-/// The `gluefl-server` / `gluefl-client` command line: the process's
-/// arguments, checked against the binary's flags ([`check_args`]) before
-/// anything reads them. Every refusal ends the process: `--help` prints
-/// the usage line and exits 0; an unknown or repeated argument, a
+/// The `gluefl-server` / `gluefl-client` / `expt` command line: the
+/// process's arguments after the program name (and after `expt`'s
+/// experiment id), checked against the binary's flags ([`check_args`])
+/// before anything reads them. Every refusal ends the process: `--help`
+/// prints the usage and exits 0; an unknown or repeated argument, a
 /// malformed or missing value ([`parse_flag`]), or whatever the binary
-/// [`refuse`](Self::refuse)s, prints `error: …` and the usage line and
-/// exits 2.
+/// [`refuse`](Self::refuse)s, prints `error: …` and the usage and exits 2.
 #[derive(Debug)]
 pub struct CommandLine {
     args: Vec<String>,
-    usage: &'static str,
+    usage: String,
 }
 
 impl CommandLine {
-    /// The process's arguments, checked against `flags`.
+    /// `args`, checked against `flags`, of which `switches` take no value.
     #[must_use]
-    pub fn parse(flags: &[&str], usage: &'static str) -> Self {
+    pub fn parse(
+        args: impl IntoIterator<Item = String>,
+        flags: &[&str],
+        switches: &[&str],
+        usage: &str,
+    ) -> Self {
         let cli = Self {
-            args: std::env::args().skip(1).collect(),
-            usage,
+            args: args.into_iter().collect(),
+            usage: usage.to_owned(),
         };
-        match check_args(&cli.args, flags) {
+        match check_args(&cli.args, flags, switches) {
             Ok(()) => cli,
             Err(ArgsError::Help) => {
                 println!("{usage}");
@@ -129,6 +138,12 @@ impl CommandLine {
     /// `flag`'s value, or `default` when it is absent.
     pub fn flag<T: std::str::FromStr>(&self, flag: &str, default: T) -> T {
         parse_flag(&self.args, flag, default).unwrap_or_else(|e| self.refuse(&e))
+    }
+
+    /// Whether `switch` is given.
+    #[must_use]
+    pub fn switch(&self, switch: &str) -> bool {
+        self.args.iter().any(|a| a == switch)
     }
 
     /// Prints `error: {message}` and the usage line, and exits 2.
@@ -173,61 +188,58 @@ mod tests {
         assert!(parse_flag(&swallowed, "--metrics-out", String::new()).is_err());
     }
 
-    const FLAGS: &[&str] = &["--rounds", "--seed", "--metrics-out"];
+    const FLAGS: &[&str] = &["--rounds", "--seed", "--metrics-out", "--quick"];
+
+    /// [`check_args`] over `FLAGS`, of which `--quick` is a switch.
+    fn check(list: &[&str]) -> Result<(), ArgsError> {
+        check_args(&args(list), FLAGS, &["--quick"])
+    }
+
+    fn unknown(arg: &str) -> Result<(), ArgsError> {
+        Err(ArgsError::Unknown(arg.to_owned()))
+    }
 
     #[test]
     fn known_flags_with_their_values_pass() {
-        assert_eq!(check_args(&args(&[]), FLAGS), Ok(()));
-        let line = args(&["--rounds", "5", "--seed", "-h", "--metrics-out", "x.prom"]);
-        assert_eq!(check_args(&line, FLAGS), Ok(()), "`-h` is --seed's value");
+        assert_eq!(check(&[]), Ok(()));
+        let line = ["--rounds", "5", "--seed", "-h", "--metrics-out", "x.prom"];
+        assert_eq!(check(&line), Ok(()), "`-h` is --seed's value");
         // A missing value is parse_flag's error to report, not an
         // unknown argument.
-        let swallowed = args(&["--metrics-out", "--rounds", "3"]);
-        assert_eq!(check_args(&swallowed, FLAGS), Ok(()));
+        assert_eq!(check(&["--metrics-out", "--rounds", "3"]), Ok(()));
     }
 
     #[test]
     fn an_unknown_flag_is_named() {
-        let typo = args(&["--round", "5"]);
-        assert_eq!(
-            check_args(&typo, FLAGS),
-            Err(ArgsError::Unknown("--round".into()))
-        );
-        let spelled = args(&["--seed", "1", "--rounds=5"]);
-        assert_eq!(
-            check_args(&spelled, FLAGS),
-            Err(ArgsError::Unknown("--rounds=5".into()))
-        );
+        assert_eq!(check(&["--round", "5"]), unknown("--round"));
+        assert_eq!(check(&["--seed", "1", "--rounds=5"]), unknown("--rounds=5"));
     }
 
     #[test]
     fn a_repeated_flag_is_named() {
-        let twice = args(&["--rounds", "3", "--seed", "1", "--rounds", "5"]);
-        assert_eq!(
-            check_args(&twice, FLAGS),
-            Err(ArgsError::Repeated("--rounds".into()))
-        );
-        let valueless = args(&["--metrics-out", "--metrics-out", "x.prom"]);
-        assert_eq!(
-            check_args(&valueless, FLAGS),
-            Err(ArgsError::Repeated("--metrics-out".into()))
-        );
+        let twice = ["--rounds", "3", "--seed", "1", "--rounds", "5"];
+        assert_eq!(check(&twice), Err(ArgsError::Repeated("--rounds".into())));
+        let valueless = ["--metrics-out", "--metrics-out", "x.prom"];
+        let repeated = Err(ArgsError::Repeated("--metrics-out".into()));
+        assert_eq!(check(&valueless), repeated);
     }
 
     #[test]
     fn a_stray_positional_is_named() {
-        let stray = args(&["--rounds", "3", "5"]);
-        assert_eq!(
-            check_args(&stray, FLAGS),
-            Err(ArgsError::Unknown("5".into()))
-        );
+        assert_eq!(check(&["--rounds", "3", "5"]), unknown("5"));
+    }
+
+    #[test]
+    fn a_switch_never_takes_a_value() {
+        assert_eq!(check(&["--quick", "--rounds", "3"]), Ok(()));
+        assert_eq!(check(&["--quick", "5"]), unknown("5"));
     }
 
     #[test]
     fn help_wins_in_flag_position() {
         for help in ["-h", "--help"] {
-            let line = args(&["--rounds", "3", help, "--bogus"]);
-            assert_eq!(check_args(&line, FLAGS), Err(ArgsError::Help), "{help}");
+            let line = ["--rounds", "3", help, "--bogus"];
+            assert_eq!(check(&line), Err(ArgsError::Help), "{help}");
         }
     }
 }
