@@ -12,7 +12,7 @@
 //!
 //! Reports microseconds per round, the number of clients whose
 //! availability state was ever materialised, the number of cached links,
-//! and resident memory; writes `scale.csv` into the output directory.
+//! and the point's own resident-set growth; writes `scale.csv`.
 //!
 //! Run with `expt scale [--quick] [--out DIR]`.
 
@@ -37,7 +37,7 @@ struct ScalePoint {
     us_per_round: f64,
     avail_touched: usize,
     links_cached: usize,
-    rss_mb: f64,
+    rss_growth_mb: f64,
 }
 
 /// Resident set size in MB via `/proc/self/statm` (0.0 where
@@ -53,6 +53,7 @@ fn resident_mb() -> f64 {
 /// Runs the control plane for `rounds` rounds at population size `n` and
 /// returns the measurements.
 fn run_point(n: usize, rounds: u32, seed: u64) -> ScalePoint {
+    let rss_before = resident_mb();
     let plan = oc_plan(30, 24, 1.3, OcStrategy::Proportional);
     let group_size = 120.min(n / 2).max(plan.sticky_invites);
     let mut rng = StdRng::seed_from_u64(derive_seed(seed, "scale-rng", n as u64));
@@ -101,7 +102,7 @@ fn run_point(n: usize, rounds: u32, seed: u64) -> ScalePoint {
         us_per_round: elapsed.as_secs_f64() * 1e6 / f64::from(rounds),
         avail_touched: availability.touched(),
         links_cached: links.cached(),
-        rss_mb: resident_mb(),
+        rss_growth_mb: resident_mb() - rss_before,
     }
 }
 
@@ -123,9 +124,9 @@ pub fn run(opts: &ExptOpts) -> Result<(), String> {
         "us/round",
         "avail touched",
         "links cached",
-        "RSS (MB)",
+        "RSS growth (MB)",
     ]);
-    let mut csv = String::from("n,rounds,us_per_round,avail_touched,links_cached,rss_mb\n");
+    let mut csv = String::from("n,rounds,us_per_round,avail_touched,links_cached,rss_growth_mb\n");
     for p in &points {
         table.row([
             format!("{}", p.n),
@@ -133,11 +134,11 @@ pub fn run(opts: &ExptOpts) -> Result<(), String> {
             format!("{:.1}", p.us_per_round),
             format!("{}", p.avail_touched),
             format!("{}", p.links_cached),
-            format!("{:.1}", p.rss_mb),
+            format!("{:.1}", p.rss_growth_mb),
         ]);
         csv.push_str(&format!(
             "{},{},{:.3},{},{},{:.1}\n",
-            p.n, p.rounds, p.us_per_round, p.avail_touched, p.links_cached, p.rss_mb
+            p.n, p.rounds, p.us_per_round, p.avail_touched, p.links_cached, p.rss_growth_mb
         ));
     }
     println!("\nscaling sweep — lazy control plane, K = 30, OC = 1.3, S = 120");
@@ -205,7 +206,7 @@ mod tests {
             us_per_round,
             avail_touched: 0,
             links_cached: 0,
-            rss_mb: 0.0,
+            rss_growth_mb: 0.0,
         }
     }
 
@@ -231,6 +232,16 @@ mod tests {
             check_sublinear(&[point(10_000, 20.0), point(1_000_000, 199.0)]),
             Ok(())
         );
+    }
+
+    /// A point reports its own growth: 64 MB held resident by earlier
+    /// work in the process is not charged to it.
+    #[test]
+    fn rss_is_the_points_own_growth() {
+        let ballast = std::hint::black_box(vec![1u8; 64 << 20]);
+        let p = run_point(10_000, 5, 7);
+        drop(ballast);
+        assert!(p.rss_growth_mb < 16.0, "{} MB", p.rss_growth_mb);
     }
 
     /// Per-round work at N = 10⁵ touches O(participants · rounds) state,

@@ -351,7 +351,8 @@ impl ClientCompressor {
     }
 
     /// Client `id`'s banked residual and the weight it was stored at.
-    pub(crate) fn stored(&self, id: ClientId) -> Option<(&[f32], f64)> {
+    #[must_use]
+    pub fn stored(&self, id: ClientId) -> Option<(&[f32], f64)> {
         match &self.scheme {
             Scheme::Stc { ec, .. } | Scheme::GlueFl { ec, .. } => ec.stored(id),
             Scheme::Dense | Scheme::Apf => None,

@@ -64,10 +64,10 @@
 //! engine never reads a clock except through the attached telemetry
 //! recorder, and never blocks except inside the IO or on its producer.
 //!
-//! Because both drivers run this one sequence over the same client half
-//! ([`crate::ClientCompressor`]), their [`RoundRecord`]s and final
-//! parameters are equal bit for bit by construction; the loopback suite
-//! checks that the socket IO delivers what the in-process one does.
+//! Both drivers run this one sequence over the same client half
+//! ([`crate::ClientCompressor`]), and the reference round of
+//! `tests/reference/` pins both, banked residuals included: the in-process
+//! one in `reference_round.rs`, the socket one in `socket_reference.rs`.
 
 use crate::client::RunSetup;
 use crate::config::SimConfig;

@@ -9,9 +9,9 @@ use gluefl_telemetry::{Phase, PHASE_COUNT};
 /// `PartialEq` compares the *modelled* round — bytes, analytic times,
 /// accuracy, counts — and deliberately ignores the measured wall-time
 /// fields ([`RoundRecord::phase_nanos`], [`RoundRecord::step_nanos`]):
-/// the loopback suite pins socket rounds bit-exact against simulator
-/// rounds by record equality, and wall-clock nanoseconds are the one
-/// thing two bit-identical executions legitimately disagree on.
+/// wall-clock nanoseconds are the one thing two bit-identical executions
+/// legitimately disagree on. `gluefl-transport`'s `socket_reference`
+/// test pins every socket round's modelled fields to the reference round.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct RoundRecord {
     /// Round index (0-based).

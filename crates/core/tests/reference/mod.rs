@@ -34,7 +34,8 @@ use gluefl_compress::stc::keep_count;
 use gluefl_compress::{Apf, CompensationMode};
 use gluefl_core::strategies::{Group, Sampler};
 use gluefl_core::{local_train_seed, train_client_into, RunSetup, SimConfig};
-use gluefl_core::{StrategyConfig as Strat, TrainSlot};
+use gluefl_core::{RoundRecord, StrategyConfig as Strat, TrainSlot};
+use gluefl_ml::TrainScratch;
 use gluefl_net::timing::{seconds_for_bytes, ClientRoundTime};
 use gluefl_net::AvailabilityTraceRef;
 use gluefl_sampling::{ClientId, DenseOnline};
@@ -177,9 +178,9 @@ pub struct Played {
     /// Invitation indices of the kept clients: sticky first, each group
     /// fastest first.
     pub kept: Vec<usize>,
-    /// `[up, wire up, down, wire broadcast]` bytes.
-    pub bytes: [u64; 4],
-    pub changed_positions: usize,
+    /// Every field a driver's record compares on: the bytes, the
+    /// modeled seconds, the changed positions and the evaluation.
+    pub record: RoundRecord,
 }
 
 /// A run of the paper's rounds; see the module docs.
@@ -385,10 +386,26 @@ impl Reference {
         }
     }
 
-    /// Plays the next round.
+    /// Plays the next round, and evaluates the new model every
+    /// `eval_every` rounds and after the last one.
     pub fn round(&mut self) -> Played {
-        let (round, dim, cfg) = (self.round, self.params.len(), self.cfg.clone());
+        let round = self.round;
         self.round += 1;
+        let mut played = self.play(round);
+        let cfg = &self.cfg;
+        if (round + 1).is_multiple_of(cfg.eval_every.max(1)) || round + 1 == cfg.rounds {
+            let (x, y) = self.setup.data.test_set();
+            let topology = &self.setup.topology;
+            let m = topology.evaluate_into(&self.params, x, y, &mut TrainScratch::new());
+            played.record.accuracy = Some(if cfg.use_top5 { m.top5 } else { m.top1 });
+            played.record.loss = Some(m.loss);
+        }
+        played
+    }
+
+    /// Round `round`, up to the new model.
+    fn play(&mut self, round: u32) -> Played {
+        let (dim, cfg) = (self.params.len(), self.cfg.clone());
         let everyone = vec![true; self.setup.data.num_clients()];
         let online = self
             .availability
@@ -403,6 +420,7 @@ impl Reference {
             invited: invited.clone(),
             ..Played::default()
         };
+        (played.record.round, played.record.invited) = (round, invited.len());
         if invited.is_empty() {
             return played;
         }
@@ -432,7 +450,9 @@ impl Reference {
             ..cfg.wire
         });
         let masks = mask.as_ref().map_or(0, |m| broadcast.mask_len(m));
-        played.bytes[2..].copy_from_slice(&[down.iter().sum(), broadcast.dense_len(dim) + masks]);
+        let rec = &mut played.record;
+        (rec.down_bytes, rec.wire_broadcast_bytes) =
+            (down.iter().sum(), broadcast.dense_len(dim) + masks);
 
         // Every invited client trains, compresses and prices its upload.
         // Dismissed-client ruling: an STC or GlueFL client's bank holds
@@ -449,8 +469,8 @@ impl Reference {
             let seeds = ["wire-quant", "wire-quant-stats"].map(|s| derive_seed(cfg.seed, s, key));
             let frames = sent.encode(&stats, dim, round, cfg.wire, seeds);
             let analytic = sent.encode(&stats, dim, round, WirePolicy::legacy(Codec::F32), seeds);
-            played.bytes[0] += analytic.len() as u64;
-            played.bytes[1] += frames.len() as u64;
+            played.record.up_bytes += analytic.len() as u64;
+            played.record.wire_up_bytes += frames.len() as u64;
             let link = cfg.network.link_for(link_seed, id);
             let speed = cfg.device.speed_for(speed_seed, id);
             let step = cfg
@@ -461,13 +481,14 @@ impl Reference {
                 compute_secs: cfg.local_steps as f64 * step,
                 upload_secs: secs(frames.len() as u64, link.up_mbps),
             };
-            turns.push((time.total_secs(), sent, frames));
+            turns.push((time, sent, frames));
         }
 
         // Over-commitment (§5.6): the fastest C sticky and K − C fresh.
         let fastest = |from: usize, to: usize, keep: usize| {
             let mut order: Vec<usize> = (from..to).collect();
-            order.sort_by(|&a, &b| turns[a].0.total_cmp(&turns[b].0).then(a.cmp(&b)));
+            let secs = |i: usize| turns[i].0.total_secs();
+            order.sort_by(|&a, &b| secs(a).total_cmp(&secs(b)).then(a.cmp(&b)));
             order.into_iter().take(keep)
         };
         let sticky = plan.sticky_invites.len();
@@ -475,6 +496,23 @@ impl Reference {
         played
             .kept
             .extend(fastest(sticky, invited.len(), plan.keep_fresh));
+
+        // The round lasts as long as its slowest kept client.
+        let rec = &mut played.record;
+        rec.kept = played.kept.len();
+        for t in played.kept.iter().map(|&i| &turns[i].0) {
+            rec.round_secs = rec.round_secs.max(t.total_secs());
+            rec.slowest_download_secs = rec.slowest_download_secs.max(t.download_secs);
+            rec.slowest_upload_secs = rec.slowest_upload_secs.max(t.upload_secs);
+            rec.slowest_compute_secs = rec.slowest_compute_secs.max(t.compute_secs);
+            rec.mean_download_secs += t.download_secs;
+            rec.mean_upload_secs += t.upload_secs;
+            rec.mean_compute_secs += t.compute_secs;
+        }
+        let n_kept = rec.kept.max(1) as f64;
+        rec.mean_download_secs /= n_kept;
+        rec.mean_upload_secs /= n_kept;
+        rec.mean_compute_secs /= n_kept;
 
         // The kept uploads reach the server as decoded; a lossy codec's
         // loss goes back into their banks. Unbiasedness ruling: each
@@ -524,7 +562,7 @@ impl Reference {
         for &j in &changed {
             self.last_changed[j] = self.version;
         }
-        played.changed_positions = changed.len();
+        played.record.changed_positions = changed.len();
 
         // The kept fresh clients join the sticky group.
         let kept: Vec<ClientId> = played.kept.iter().map(|&i| invited[i].0).collect();

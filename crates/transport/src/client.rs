@@ -103,10 +103,10 @@ impl ClientNode {
         }
     }
 
-    /// This client's id.
+    /// This client's banked residual and weight; see [`ClientCompressor::stored`].
     #[must_use]
-    pub fn id(&self) -> usize {
-        self.id
+    pub fn stored(&self) -> Option<(&[f32], f64)> {
+        self.compressor.stored(self.id)
     }
 
     /// Decodes an `INVITE` payload (`[group u8]` + broadcast frames),
@@ -255,6 +255,16 @@ pub fn run_client_traced(
     id: usize,
     tel: Option<Arc<Telemetry>>,
 ) -> Result<(), TransportError> {
+    serve(addr, cfg, id, tel).map(drop)
+}
+
+/// [`run_client_traced`], returning the node as `FIN` left it.
+pub(crate) fn serve(
+    addr: &str,
+    cfg: SimConfig,
+    id: usize,
+    tel: Option<Arc<Telemetry>>,
+) -> Result<ClientNode, TransportError> {
     let tel = tel.map(|hub| ClientRecorder {
         bytes: ByteCounters::new(&hub, "gluefl_client_bytes_total"),
         hub,
@@ -332,7 +342,7 @@ pub fn run_client_traced(
             }
             MsgKind::Fin => {
                 let _ = stream.flush();
-                return Ok(());
+                return Ok(node);
             }
             other => return Err(TransportError::UnexpectedMessage(other)),
         }

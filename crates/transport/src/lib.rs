@@ -54,6 +54,8 @@ pub mod client;
 pub mod proto;
 pub mod server;
 mod slots;
+#[cfg(test)]
+mod socket_reference;
 
 pub use client::{run_client, run_client_traced, ClientNode};
 pub use proto::{MsgKind, ProtoError, ENVELOPE_BYTES, PROTO_MAGIC, PROTO_VERSION};

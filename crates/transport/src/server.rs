@@ -209,12 +209,12 @@ impl NetRecorder {
     }
 }
 
-/// What a run produced: the per-round records (comparable with
-/// `PartialEq` against a [`gluefl_core::Simulation`] run), plus
-/// robustness counters.
+/// What a run produced: the per-round records, plus robustness
+/// counters. The socket reference test (`socket_reference`) holds every
+/// round to the reference round of `gluefl-core`'s `tests/reference/`.
 #[derive(Debug)]
 pub struct ServerReport {
-    /// One record per round, field-for-field what the simulator emits.
+    /// One record per round, the fields the in-process driver emits.
     pub records: Vec<RoundRecord>,
     /// The strategy's display name.
     pub strategy: String,
@@ -659,6 +659,14 @@ impl Server {
     /// Panics only on internal invariant violations (a kept slot left
     /// unresolved), never on hostile input.
     pub fn run(self) -> Result<ServerReport, TransportError> {
+        self.run_with(|engine, io| engine.step(io))
+    }
+
+    /// [`Server::run`], each round played by `step` on the socket IO.
+    pub(crate) fn run_with(
+        self,
+        mut step: impl FnMut(&mut RoundEngine, &mut dyn RoundIo) -> RoundRecord,
+    ) -> Result<ServerReport, TransportError> {
         let Server {
             listener,
             sim: cfg,
@@ -696,7 +704,7 @@ impl Server {
         // Only reader threads hold senders from here on.
         drop(tx);
 
-        let records: Vec<RoundRecord> = (0..rounds).map(|_| engine.step(&mut io)).collect();
+        let records: Vec<RoundRecord> = (0..rounds).map(|_| step(&mut engine, &mut io)).collect();
 
         // --- FIN + teardown. ---
         for (id, conn) in io.conns.iter_mut().enumerate() {

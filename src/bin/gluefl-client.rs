@@ -13,8 +13,9 @@
 //! simulator. `--id` must be below `--clients`. `--metrics-out` enables
 //! client-side telemetry (per-kind byte counters, Train/Encode phase
 //! spans) and dumps the final snapshot to a file. `--help` prints the
-//! usage line; an unknown or repeated argument, a malformed value or
-//! an `--id` outside the population exits 2 before connecting.
+//! usage line; a missing `--addr` or `--id`, an unknown or repeated
+//! argument, a malformed value or an `--id` outside the population exits
+//! 2 before connecting.
 //!
 //! [`SimConfig`]: gluefl_suite::core::SimConfig
 
@@ -50,9 +51,11 @@ fn main() {
     let level: Level = cli.flag("--log-level", Level::Info);
     let metrics_out: String = cli.flag("--metrics-out", String::new());
     let log = Logger::stdout(level, format);
-    if addr.is_empty() || id == usize::MAX {
-        eprintln!("{USAGE}");
-        std::process::exit(2);
+    if addr.is_empty() {
+        cli.refuse("--addr is required");
+    }
+    if id == usize::MAX {
+        cli.refuse("--id is required");
     }
     if id >= clients {
         cli.refuse(&format!("--id {id} is outside a population of {clients}"));

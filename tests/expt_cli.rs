@@ -1,13 +1,30 @@
-//! The `expt` command line, run as a process: every case here exits
-//! before any experiment starts.
+//! The `expt` and `gluefl-client` command lines, run as processes: every
+//! case here exits before any experiment starts or any socket connects.
 
 use std::process::{Command, Output};
 
+fn run(binary: &str, args: &[&str]) -> Output {
+    let out = Command::new(binary).args(args).output();
+    out.unwrap_or_else(|e| panic!("{binary} starts: {e}"))
+}
+
 fn expt(args: &[&str]) -> Output {
-    Command::new(env!("CARGO_BIN_EXE_expt"))
-        .args(args)
-        .output()
-        .expect("expt starts")
+    run(env!("CARGO_BIN_EXE_expt"), args)
+}
+
+/// Each command line of `binary` exits 2 and names its offender in its
+/// `error:` line.
+fn assert_refused(binary: &str, cases: &[(&[&str], &str)]) {
+    for (args, offender) in cases {
+        let out = run(binary, args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        let error = stderr.lines().next().unwrap_or_default();
+        assert!(
+            error.starts_with("error: ") && error.contains(offender),
+            "{args:?}: {stderr}"
+        );
+    }
 }
 
 #[test]
@@ -46,14 +63,20 @@ fn bad_command_lines_exit_2_naming_the_argument() {
         (&["table2", "--rounds", "many"], "'many' for --rounds"),
         (&["table2", "--wire", "f32"], "--wire 'f32'"),
     ];
-    for (args, offender) in cases {
-        let out = expt(args);
-        let stderr = String::from_utf8_lossy(&out.stderr);
-        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
-        let error = stderr.lines().next().unwrap_or_default();
-        assert!(
-            error.starts_with("error: ") && error.contains(offender),
-            "{args:?}: {stderr}"
-        );
-    }
+    assert_refused(env!("CARGO_BIN_EXE_expt"), cases);
+}
+
+/// The client refuses a command line it cannot run before it connects:
+/// a connection attempt to port 1 would fail with exit 1 instead.
+#[test]
+fn client_refuses_a_missing_flag_or_an_id_outside_the_population() {
+    let cases: &[(&[&str], &str)] = &[
+        (&[], "--addr"),
+        (&["--addr", "127.0.0.1:1"], "--id"),
+        (
+            &["--addr", "127.0.0.1:1", "--id", "9", "--clients", "8"],
+            "population of 8",
+        ),
+    ];
+    assert_refused(env!("CARGO_BIN_EXE_gluefl-client"), cases);
 }
