@@ -1625,6 +1625,176 @@ mod tests {
         }
     }
 
+    /// Forwards every call to the simulator's clients; before the
+    /// invitation reaches them, takes every invited client's turn from
+    /// the broadcast on a copy of its banked residual — so the run is
+    /// not disturbed — and keeps each trained upload and its offer.
+    struct PriceProbe<'a> {
+        clients: &'a mut InProcessClients,
+        /// Per invited client: the trained upload and its offer.
+        trained: Vec<(Upload, (u64, u64))>,
+        /// The broadcast mask.
+        mask: Option<BitMask>,
+    }
+
+    impl RoundIo for PriceProbe<'_> {
+        fn reachable(&self, id: ClientId) -> bool {
+            self.clients.reachable(id)
+        }
+
+        fn invite(&mut self, round: u32, invited: &[(ClientId, Group)], broadcast: &Broadcast<'_>) {
+            let c = &mut *self.clients;
+            let residuals: Vec<Residual> = invited
+                .iter()
+                .map(|&(id, _)| c.compressor.check_out(id))
+                .collect();
+            let turn = ClientTurn {
+                cfg: &c.cfg,
+                topo: &c.topo,
+                stats_positions: &c.stats_positions,
+                compressor: &c.compressor,
+                round,
+                global: broadcast.params,
+                round_mask: broadcast.mask,
+                update_norm: None,
+            };
+            let mut stats = vec![0.0f32; c.stats_positions.len()];
+            self.trained = invited
+                .iter()
+                .zip(&residuals)
+                .map(|(&(id, group), residual)| {
+                    turn.run(
+                        id,
+                        group,
+                        &c.data.client(id),
+                        &mut Vec::new(),
+                        &mut stats,
+                        &mut residual.clone(),
+                        &mut ScratchPool::new(),
+                    )
+                    .expect("the engine broadcasts the mask of every masking strategy")
+                })
+                .collect();
+            for (&(id, _), residual) in invited.iter().zip(residuals) {
+                c.compressor.check_in(id, residual);
+            }
+            self.mask = broadcast.mask.cloned();
+            self.clients.invite(round, invited, broadcast);
+        }
+
+        fn offers(
+            &mut self,
+            round: u32,
+            times: &[ClientRoundTime],
+            offers: &mut [Option<(u64, u64)>],
+        ) {
+            self.clients.offers(round, times, offers);
+        }
+
+        fn grant(&mut self, round: u32, kept: &[usize], times: &[ClientRoundTime]) {
+            self.clients.grant(round, kept, times);
+        }
+
+        fn next_upload(&mut self, round: u32, payload: &mut Vec<u8>) -> Option<Arrival> {
+            self.clients.next_upload(round, payload)
+        }
+
+        fn rejected(&mut self, round: u32, slot: usize, err: &WireError) {
+            self.clients.rejected(round, slot, err);
+        }
+    }
+
+    proptest::proptest! {
+        /// The price assumption that lets a round of STC or GlueFL train
+        /// only its kept clients: top-k never skips a zero, so an
+        /// upload's shape is fixed by the broadcast. Over six rounds of
+        /// STC (sparse and ternary) and GlueFL (shifted rounds and the
+        /// round-5 regeneration), under each codec, with and without BN
+        /// statistics and with zero local steps (an all-zero delta),
+        /// every invited client's trained upload — dismissed ones
+        /// included — holds `keep_count(trainable, q)` values (STC), or
+        /// the mask's popcount of shared values (none when regenerating)
+        /// plus `unique_keep(trainable, round)` unique ones (GlueFL).
+        /// Under a legacy policy every such upload's offer is one price,
+        /// [`ClientCompressor::shape_offer`]'s whenever it gives one;
+        /// under an entropy policy the index pattern prices the frame and
+        /// there is no shape price.
+        #[test]
+        fn every_top_k_offer_is_priced_by_its_shape(
+            strategy in 0usize..3,
+            codec in 0usize..3,
+            entropy in proptest::prelude::any::<bool>(),
+            batch_norm in proptest::prelude::any::<bool>(),
+            zero_steps in proptest::prelude::any::<bool>(),
+            seed in 0u64..1_000,
+        ) {
+            use gluefl_compress::stc::keep_count;
+            use gluefl_wire::{Codec, WirePolicy};
+            let strategy = match strategy {
+                0 => StrategyConfig::Stc { q: 0.2 },
+                1 => StrategyConfig::StcQuantized { q: 0.2 },
+                _ => StrategyConfig::GlueFl(tiny_gluefl_params(7)),
+            };
+            let mut cfg = tiny_cfg(strategy);
+            let codec = [Codec::F32, Codec::F16, Codec::QuantU8][codec];
+            cfg.wire = if entropy {
+                WirePolicy::entropy(codec)
+            } else {
+                WirePolicy::legacy(codec)
+            };
+            cfg.model.batch_norm = batch_norm;
+            if zero_steps {
+                cfg.local_steps = 0;
+            }
+            cfg.seed = seed;
+            let mut sim = Simulation::new(cfg.clone());
+            let stats_len = sim.clients.stats_positions.len();
+            let trainable = sim.model().num_params() - stats_len;
+            for round in 0..6 {
+                let mut probe = PriceProbe {
+                    clients: &mut sim.clients,
+                    trained: Vec::new(),
+                    mask: None,
+                };
+                let rec = sim.engine.step(&mut probe);
+                let (trained, mask) = (probe.trained, probe.mask);
+                proptest::prop_assert_eq!(trained.len(), rec.invited);
+                let c = &sim.clients.compressor;
+                let shape = c.shape_offer(mask.as_ref(), stats_len);
+                if entropy {
+                    proptest::prop_assert_eq!(shape, None);
+                }
+                for (upload, priced) in &trained {
+                    proptest::prop_assert_eq!(*priced, c.offer(upload, stats_len));
+                    match (upload, &cfg.strategy) {
+                        (Upload::Sparse(u), StrategyConfig::Stc { q }) => {
+                            proptest::prop_assert_eq!(u.nnz(), keep_count(trainable, *q));
+                        }
+                        (Upload::Ternary(t), StrategyConfig::StcQuantized { q }) => {
+                            proptest::prop_assert_eq!(t.indices.len(), keep_count(trainable, *q));
+                        }
+                        (Upload::MaskSplit(split), StrategyConfig::GlueFl(p)) => {
+                            let shared = if p.is_regen_round(round) {
+                                0
+                            } else {
+                                mask.as_ref().expect("GlueFL broadcasts M_t").count_ones()
+                            };
+                            proptest::prop_assert_eq!(split.shared.nnz(), shared);
+                            let unique = p.unique_keep(trainable, round);
+                            proptest::prop_assert_eq!(split.unique.nnz(), unique);
+                        }
+                        (upload, strategy) => {
+                            panic!("{} staged {upload:?}", strategy.name());
+                        }
+                    }
+                    if !entropy {
+                        proptest::prop_assert_eq!(*priced, shape.unwrap_or(trained[0].1));
+                    }
+                }
+            }
+        }
+    }
+
     /// Which shards are resident never changes a bit: 25 rounds of the
     /// evicting config end on the weights captured before the cache
     /// existed, when every invitation synthesised its shard afresh.
