@@ -45,12 +45,14 @@ impl std::str::FromStr for CompensationMode {
 /// bank instead of copying — a returning client costs no dimension-sized
 /// copy or allocation at all.
 ///
-/// A client's memory leaves the bank for the length of its compress:
+/// A client's memory leaves the bank for the length of its turn:
 /// [`check_out`](Self::check_out) hands it over as a [`Residual`],
 /// [`compress_split`](Self::compress_split) walks it through a shared
-/// `&self`, and [`check_in`](Self::check_in) puts it back. Every
-/// client's compress reads only its own memory, so a cohort's clients can
-/// be compressed on as many threads as there are clients.
+/// `&self`, and [`check_in`](Self::check_in) puts it back, keeping what
+/// the walk banked — or [`roll_back`](Self::roll_back) first undoes the
+/// walk, for a turn whose upload is never sent. Every client's compress
+/// reads only its own memory, so a cohort's clients can be compressed on
+/// as many threads as there are clients.
 ///
 /// # Example
 ///
@@ -88,13 +90,19 @@ struct ClientMemory {
 /// "no memory" — a client that has not participated yet, or any client
 /// under [`CompensationMode::None`].
 #[derive(Debug, Clone, Default)]
-pub struct Residual(Option<ClientMemory>);
+pub struct Residual {
+    memory: Option<ClientMemory>,
+    /// Set while a walk's banking can still be rolled back: the weight
+    /// of the memory the walk replaced, `None` if there was none. The
+    /// replaced residual itself is the buffer the walk handed back.
+    replaced: Option<Option<f64>>,
+}
 
 impl Residual {
     /// Whether this holds no memory.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.0.is_none()
+        self.memory.is_none()
     }
 }
 
@@ -122,18 +130,21 @@ impl ErrorCompensator {
             self.checked_out.insert(client),
             "client {client}'s residual is already checked out"
         );
-        Residual(self.memory.remove(&client))
+        Residual {
+            memory: self.memory.remove(&client),
+            replaced: None,
+        }
     }
 
-    /// Returns `client`'s memory to the bank. Checking in an empty
-    /// [`Residual`] stores nothing.
+    /// Returns `client`'s memory to the bank, keeping what a walk banked
+    /// into it. Checking in an empty [`Residual`] stores nothing.
     ///
     /// # Panics
     /// Panics if a non-empty `residual` is checked in for a client that
     /// is not checked out.
     pub fn check_in(&mut self, client: usize, residual: Residual) {
         let was_out = self.checked_out.remove(&client);
-        if let Some(mem) = residual.0 {
+        if let Some(mem) = residual.memory {
             assert!(
                 was_out,
                 "client {client}'s residual was checked in without being checked out"
@@ -201,7 +212,7 @@ impl ErrorCompensator {
         memory: &'a Residual,
         current_weight: f64,
     ) -> Option<(&'a [f32], f32)> {
-        let mem = memory.0.as_ref()?;
+        let mem = memory.memory.as_ref()?;
         let scale = match self.mode {
             CompensationMode::None => return None,
             CompensationMode::Raw => 1.0,
@@ -238,12 +249,45 @@ impl ErrorCompensator {
 
     /// Makes the buffer behind `delta` — which by now holds `Δ − sent` —
     /// the residual in `memory`, at `weight`, without copying: `delta` is
-    /// left holding the previous residual buffer (`dim` stale values,
-    /// ready to be overwritten by the next round's delta) or an empty
-    /// vector on the client's first participation.
+    /// left holding the previous residual buffer (its values untouched:
+    /// the walk read them read-only) or an empty vector on the client's
+    /// first participation. Until the memory is checked in, that buffer
+    /// and the previous weight are what [`roll_back`](Self::roll_back)
+    /// restores.
+    ///
+    /// # Panics
+    /// Panics if a walk banked into `memory` is still pending.
     pub(crate) fn bank(&self, memory: &mut Residual, delta: &mut Vec<f32>, weight: f64) {
         debug_assert_ne!(self.mode, CompensationMode::None, "mode None banks nothing");
+        assert!(
+            memory.replaced.is_none(),
+            "a walk was banked before the previous one was kept or rolled back"
+        );
+        memory.replaced = Some(memory.memory.as_ref().map(|mem| mem.weight));
         std::mem::swap(&mut Self::memory_of(memory, weight).residual, delta);
+    }
+
+    /// Undoes the walk banked into the checked-out `memory`, for a turn
+    /// whose upload is never sent: `memory` is again what
+    /// [`check_out`](Self::check_out) handed over — the same residual
+    /// bits at the same weight, or no memory at all. `handed_back` must
+    /// be the buffer the walk left in its `delta`, the replaced residual;
+    /// it receives the walk's own residual buffer in exchange, `dim`
+    /// stale values ready for the next delta. No copy is made. A no-op
+    /// when no walk is pending (mode `None`, or no walk yet).
+    pub fn roll_back(&self, memory: &mut Residual, handed_back: &mut Vec<f32>) {
+        match memory.replaced.take() {
+            None => {}
+            Some(None) => {
+                debug_assert!(handed_back.is_empty(), "a first walk hands back nothing");
+                *handed_back = memory.memory.take().expect("a walk banked").residual;
+            }
+            Some(Some(weight)) => {
+                let mem = memory.memory.as_mut().expect("a walk banked");
+                std::mem::swap(&mut mem.residual, handed_back);
+                mem.weight = weight;
+            }
+        }
     }
 
     /// Folds the wire codec's loss into a client's residual bank after
@@ -291,7 +335,7 @@ impl ErrorCompensator {
     /// The memory in `memory` — created with no residual buffer yet on
     /// the client's first participation — with its weight updated.
     fn memory_of(memory: &mut Residual, weight: f64) -> &mut ClientMemory {
-        let mem = memory.0.get_or_insert_with(|| ClientMemory {
+        let mem = memory.memory.get_or_insert_with(|| ClientMemory {
             residual: Vec::new(),
             weight,
         });

@@ -140,14 +140,16 @@ enum Scheme {
 /// Call order per round, for each client it serves:
 /// [`check_out`](Self::check_out) the client's residual,
 /// [`compress`](Self::compress) once after local training, then
-/// [`offer`](Self::offer) to price the staged upload, then
-/// [`check_in`](Self::check_in) the residual, then — only if the server
-/// grants the upload — [`encode_kept`](Self::encode_kept). Where
-/// [`shape_offer`](Self::shape_offer) prices the round from the
-/// broadcast, a driver may offer that price first and run the turn only
-/// once it is granted. `compress` and `offer` take `&self`: between
-/// check-out and check-in, every client's turn can run on its own
-/// thread.
+/// [`offer`](Self::offer) to price the staged upload. The grant is the
+/// commit point: if the server grants the upload,
+/// [`check_in`](Self::check_in) the residual as the turn left it, then
+/// [`encode_kept`](Self::encode_kept); if it dismisses the client,
+/// [`roll_back`](Self::roll_back) the turn first, so the bank ends the
+/// round as it began. Where [`shape_offer`](Self::shape_offer) prices
+/// the round from the broadcast, a driver may offer that price first and
+/// run the turn only once it is granted. `compress` and `offer` take
+/// `&self`: between check-out and check-in, every client's turn can run
+/// on its own thread.
 /// Uploads draw their storage from the caller's [`ScratchPool`] (or, for
 /// a dense upload, are the delta buffer itself) and go back to it with
 /// [`ScratchPool::reclaim_upload`].
@@ -230,7 +232,8 @@ impl ClientCompressor {
         }
     }
 
-    /// Returns client `id`'s residual to the bank after its turn.
+    /// Returns client `id`'s residual to the bank after its turn, keeping
+    /// what the turn banked unless it was [rolled back](Self::roll_back).
     pub fn check_in(&mut self, id: ClientId, residual: Residual) {
         match &mut self.scheme {
             Scheme::Stc { ec, .. } | Scheme::GlueFl { ec, .. } => ec.check_in(id, residual),
@@ -337,6 +340,19 @@ impl ClientCompressor {
                     ec.compress_split(residual, delta, weight, walk),
                 ))
             }
+        }
+    }
+
+    /// Undoes a dismissed client's turn on its checked-out `residual`:
+    /// the memory is again the residual bits and weight it was checked
+    /// out with (or none, on a first turn). `delta` must hold what
+    /// [`compress`](Self::compress) handed back, and receives the turn's
+    /// residual buffer in exchange; nothing is copied. A no-op for
+    /// schemes without a bank.
+    pub fn roll_back(&self, residual: &mut Residual, delta: &mut Vec<f32>) {
+        match &self.scheme {
+            Scheme::Stc { ec, .. } | Scheme::GlueFl { ec, .. } => ec.roll_back(residual, delta),
+            Scheme::Dense | Scheme::Apf => {}
         }
     }
 

@@ -332,6 +332,9 @@ pub struct InProcessClients {
     /// kept for the next round's deltas.
     deltas: Vec<Vec<f32>>,
     delta_bufs: Vec<Vec<f32>>,
+    /// Per turn taken, its invitation index and the client's residual,
+    /// checked out until `grant` settles the turn.
+    residuals: Vec<(usize, Residual)>,
     /// BN-statistic drift per invited client (invited × stats).
     stats: Vec<f32>,
     /// Staged uploads, per invited client (`None` until its turn runs),
@@ -485,6 +488,19 @@ impl RoundIo for InProcessClients {
                 );
             }
         }
+        // The grant is the commit point: a kept client's residual is
+        // banked as its turn left it, a dismissed client's rolled back to
+        // what it was before the turn.
+        let mut granted = vec![false; self.invited.len()];
+        for &i in kept {
+            granted[i] = true;
+        }
+        for ((i, mut residual), delta) in self.residuals.drain(..).zip(&mut self.deltas) {
+            if !granted[i] {
+                self.compressor.roll_back(&mut residual, delta);
+            }
+            self.compressor.check_in(self.invited[i].0, residual);
+        }
         // Training is over: down to the `S` most recently used shards.
         self.cache.trim();
         // Delivered in descending pop order = ascending client id, the
@@ -550,6 +566,7 @@ impl InProcessClients {
             pool_of: Vec::new(),
             deltas: Vec::new(),
             delta_bufs: Vec::new(),
+            residuals: Vec::new(),
             stats: Vec::new(),
             uploads: Vec::new(),
             pending: Vec::new(),
@@ -576,8 +593,9 @@ impl InProcessClients {
     /// consecutive turns per pool worker — a single job on a one-CPU
     /// machine — each with its own [`ScratchPool`]; a job is scheduling,
     /// not a second way to take a turn. The turns' residuals are checked
-    /// out before the workers start and checked back in, in invitation
-    /// order, after they join. Each turn owns its shard for the round —
+    /// out before the workers start and wait in `self.residuals`, in turn
+    /// order, for `grant` to keep or roll back each turn and check it
+    /// back in. Each turn owns its shard for the round —
     /// taken out of the cache, or new storage for a miss — and the shards
     /// go back in the cache after the join. The engine invites each
     /// client at most once, so no two turns share a shard or a residual.
@@ -686,9 +704,7 @@ impl InProcessClients {
             job.run(&turn, data, trace.filter(|_| lone), rows_filled);
         });
         drop(enclosing);
-        for (&id, residual) in ids.iter().zip(residuals) {
-            self.compressor.check_in(id, residual);
-        }
+        self.residuals.extend(turns.iter().copied().zip(residuals));
         for (&id, shard) in ids.iter().zip(shards) {
             self.cache.put(id, round, shard);
         }
@@ -1531,6 +1547,124 @@ mod tests {
             dismissed.difference(&kept).next().is_some(),
             "every dismissed client was kept in another round"
         );
+    }
+
+    /// A client's banked residual bits and weight.
+    type Banked = Option<(Vec<u32>, f64)>;
+
+    fn banked(c: &InProcessClients, id: ClientId) -> Banked {
+        c.stored(id)
+            .map(|(h, w)| (h.iter().map(|v| v.to_bits()).collect(), w))
+    }
+
+    /// Forwards every call to the simulator's clients; snapshots every
+    /// invited client's bank before the invitation, and after the grant
+    /// counts the dismissed clients whose bank still equals its snapshot
+    /// and those whose does not.
+    struct BankProbe<'a> {
+        clients: &'a mut InProcessClients,
+        invited: Vec<ClientId>,
+        before: Vec<Banked>,
+        /// Dismissed clients with a residual before the round, whose bank
+        /// is unchanged after the grant.
+        unchanged: usize,
+        /// Dismissed clients whose bank moved.
+        moved: Vec<ClientId>,
+    }
+
+    impl RoundIo for BankProbe<'_> {
+        fn reachable(&self, id: ClientId) -> bool {
+            self.clients.reachable(id)
+        }
+
+        fn invite(&mut self, round: u32, invited: &[(ClientId, Group)], broadcast: &Broadcast<'_>) {
+            self.invited = invited.iter().map(|&(id, _)| id).collect();
+            self.before = self
+                .invited
+                .iter()
+                .map(|&id| banked(self.clients, id))
+                .collect();
+            self.clients.invite(round, invited, broadcast);
+        }
+
+        fn offers(
+            &mut self,
+            round: u32,
+            times: &[ClientRoundTime],
+            offers: &mut [Option<(u64, u64)>],
+        ) {
+            self.clients.offers(round, times, offers);
+        }
+
+        fn grant(&mut self, round: u32, kept: &[usize], times: &[ClientRoundTime]) {
+            self.clients.grant(round, kept, times);
+            for (i, (&id, before)) in self.invited.iter().zip(&self.before).enumerate() {
+                if kept.contains(&i) {
+                    continue;
+                }
+                if banked(self.clients, id) != *before {
+                    self.moved.push(id);
+                } else if before.is_some() {
+                    self.unchanged += 1;
+                }
+            }
+        }
+
+        fn next_upload(&mut self, round: u32, payload: &mut Vec<u8>) -> Option<Arrival> {
+            self.clients.next_upload(round, payload)
+        }
+
+        fn rejected(&mut self, round: u32, slot: usize, err: &WireError) {
+            self.clients.rejected(round, slot, err);
+        }
+    }
+
+    /// The grant is the commit point: under an entropy policy, where
+    /// every invited STC or GlueFL client trains at the invitation,
+    /// every dismissed client's bank is bit for bit what it was before
+    /// its turn — the residual and its weight, or no memory at all for a
+    /// first-timer — over a run long enough that returning clients are
+    /// dismissed too.
+    #[test]
+    fn a_dismissed_client_s_bank_ends_the_round_as_it_began() {
+        use gluefl_wire::{Codec, WirePolicy};
+        let gluefl = StrategyConfig::GlueFl(tiny_gluefl_params(
+            tiny_cfg(StrategyConfig::FedAvg).round_size,
+        ));
+        let cases = [
+            (StrategyConfig::Stc { q: 0.2 }, Codec::F32),
+            (StrategyConfig::StcQuantized { q: 0.2 }, Codec::F32),
+            (gluefl.clone(), Codec::F32),
+            (gluefl, Codec::QuantU8),
+        ];
+        for (strategy, codec) in cases {
+            let name = strategy.name();
+            let mut cfg = tiny_cfg(strategy);
+            cfg.wire = WirePolicy::entropy(codec);
+            let mut sim = Simulation::new(cfg);
+            let mut probe_unchanged = 0;
+            for round in 0..12 {
+                let mut probe = BankProbe {
+                    clients: &mut sim.clients,
+                    invited: Vec::new(),
+                    before: Vec::new(),
+                    unchanged: 0,
+                    moved: Vec::new(),
+                };
+                let rec = sim.engine.step(&mut probe);
+                assert!(rec.invited > rec.kept, "{name}: no over-commitment");
+                assert_eq!(
+                    probe.moved,
+                    [],
+                    "{name}, round {round}: a dismissed bank moved"
+                );
+                probe_unchanged += probe.unchanged;
+            }
+            assert!(
+                probe_unchanged > 0,
+                "{name}: no client with a residual was ever dismissed"
+            );
+        }
     }
 
     proptest::proptest! {

@@ -18,10 +18,11 @@
 //!
 //! Two rulings the paper leaves open are written here as code, as
 //! production stands today:
-//! * **dismissed clients** — every invited STC or GlueFL client banks
-//!   `Δ + s·h − sent` before the keep decision; a dismissed client's
-//!   `sent` reaches neither the aggregate nor its bank, and only kept
-//!   clients fold their codec loss back ([`Reference::round`]);
+//! * **dismissed clients** — the grant is the commit point: a kept STC
+//!   or GlueFL client banks `Δ + s·h − sent` and folds its codec loss
+//!   back, while a dismissed client's bank ends the round as it began,
+//!   the same residual bits at the same weight `ν`, as for a device that
+//!   discards an unsent turn ([`Reference::round`]);
 //! * **unbiasedness** — a kept client folds at the sampler's designed
 //!   inclusion weight ([`Sampler::weight`]), not at its probability of
 //!   being invited *and* kept, so over-commitment leans the aggregate
@@ -171,6 +172,10 @@ fn decoded(mut frames: &[u8]) -> Vec<f32> {
     values
 }
 
+/// A client's upload, and the residual `h` and weight `ν` it banks if it
+/// is kept (`None` for the strategies without error feedback).
+type Turn = (Sent, Option<(Vec<f32>, f64)>);
+
 /// What one reference round decided and priced.
 #[derive(Debug, Default)]
 pub struct Played {
@@ -290,17 +295,21 @@ impl Reference {
     }
 
     /// Client `id`'s upload for its trained `delta` at aggregation weight
-    /// `weight`; banks `Δ − sent` for the strategies with error feedback.
-    fn compress(&mut self, round: u32, id: ClientId, weight: f64, mut delta: Vec<f32>) -> Sent {
+    /// `weight`, and for the strategies with error feedback the residual
+    /// `Δ − sent` and weight it banks if it is kept.
+    fn compress(&self, round: u32, id: ClientId, weight: f64, mut delta: Vec<f32>) -> Turn {
         let (stats, trainable) = (&self.stats, self.setup.trainable());
         let under = |m: &[bool], delta: &[f32]| -> Vec<f32> { ones(m).map(|i| delta[i]).collect() };
         let at = |idx: Vec<usize>, delta: &[f32]| -> (Vec<u32>, Vec<f32>) {
             idx.into_iter().map(|i| (i as u32, delta[i])).unzip()
         };
         let (sent, banked) = match &self.cfg.strategy {
-            Strat::FedAvg | Strat::MdFedAvg => return Sent::Dense(delta),
+            Strat::FedAvg | Strat::MdFedAvg => return (Sent::Dense(delta), None),
             Strat::Apf { .. } => {
-                return Sent::Known(under(self.mask.as_ref().expect("mask"), &delta))
+                return (
+                    Sent::Known(under(self.mask.as_ref().expect("mask"), &delta)),
+                    None,
+                )
             }
             Strat::Stc { q } | Strat::StcQuantized { q } => {
                 self.compensate(id, &mut delta, 1.0, CompensationMode::Raw);
@@ -333,13 +342,13 @@ impl Reference {
                 (Sent::Split(under(m, &delta), idx, values), banked)
             }
         };
-        if let Some(weight) = banked {
+        let banked = banked.map(|weight| {
             for (i, v, _) in sent.entries(self.mask.as_deref()) {
                 delta[i] -= v;
             }
-            self.bank.insert(id, (delta, weight));
-        }
-        sent
+            (delta, weight)
+        });
+        (sent, banked)
     }
 
     /// Turns the round's sums ([`fold`]) into the update — its mask and
@@ -454,9 +463,9 @@ impl Reference {
         (rec.down_bytes, rec.wire_broadcast_bytes) =
             (down.iter().sum(), broadcast.dense_len(dim) + masks);
 
-        // Every invited client trains, compresses and prices its upload.
-        // Dismissed-client ruling: an STC or GlueFL client's bank holds
-        // `Δ + s·h − sent` from here on, kept or not.
+        // Every invited client trains, compresses and prices its upload;
+        // what an STC or GlueFL client would bank waits for the keep
+        // decision.
         let link_seed = derive_seed(cfg.seed, "network", 0);
         let speed_seed = derive_seed(cfg.seed, "devices", 0);
         let factor = cfg.model.paper_scale_factor(dim);
@@ -464,7 +473,7 @@ impl Reference {
         let mut turns = Vec::new();
         for (&(id, group), &down) in invited.iter().zip(&down) {
             let (delta, stats) = self.train(round, id);
-            let sent = self.compress(round, id, self.sampler.weight(id, group), delta);
+            let (sent, banked) = self.compress(round, id, self.sampler.weight(id, group), delta);
             let key = (u64::from(round) << 32) | id as u64;
             let seeds = ["wire-quant", "wire-quant-stats"].map(|s| derive_seed(cfg.seed, s, key));
             let frames = sent.encode(&stats, dim, round, cfg.wire, seeds);
@@ -481,7 +490,7 @@ impl Reference {
                 compute_secs: cfg.local_steps as f64 * step,
                 upload_secs: secs(frames.len() as u64, link.up_mbps),
             };
-            turns.push((time, sent, frames));
+            turns.push((time, sent, frames, banked));
         }
 
         // Over-commitment (§5.6): the fastest C sticky and K − C fresh.
@@ -514,14 +523,18 @@ impl Reference {
         rec.mean_upload_secs /= n_kept;
         rec.mean_compute_secs /= n_kept;
 
-        // The kept uploads reach the server as decoded; a lossy codec's
-        // loss goes back into their banks. Unbiasedness ruling: each
-        // folds at the designed inclusion weight, whoever was dismissed.
+        // Dismissed-client ruling: only the kept bank their residual, and
+        // their uploads reach the server as decoded; a lossy codec's loss
+        // goes back into their banks. Unbiasedness ruling: each folds at
+        // the designed inclusion weight, whoever was dismissed.
         let mask = self.mask.clone();
         let lossy = cfg.wire.quant_ec && cfg.wire.codec != Codec::F32;
         let mut received = Vec::new();
         for &i in &played.kept {
             let (id, group) = invited[i];
+            if let Some(banked) = turns[i].3.take() {
+                self.bank.insert(id, banked);
+            }
             let (sent, mut shipped) = (turns[i].1.entries(mask.as_deref()), decoded(&turns[i].2));
             let stats = shipped.split_off(shipped.len() - self.setup.stats_positions.len());
             let entries: Entries = match turns[i].1 {

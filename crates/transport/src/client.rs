@@ -20,6 +20,7 @@ use crate::proto::{
     offer_payload, read_msg_blocking, write_msg, MsgKind, ProtoError, PROTO_VERSION,
 };
 use crate::{ByteCounters, TransportError};
+use gluefl_compress::Residual;
 use gluefl_core::strategies::{Group, Upload};
 use gluefl_core::{ClientCompressor, ClientTurn, RunSetup, ScratchPool, SimConfig};
 use gluefl_data::ClientDataset;
@@ -68,8 +69,10 @@ pub struct ClientNode {
     delta: Vec<f32>,
     /// Reused BN-statistic drift buffer.
     stats_out: Vec<f32>,
-    /// The compressed upload awaiting a `GRANT` decision.
-    pending: Option<(u32, Upload)>,
+    /// The turn awaiting a `GRANT` decision: its round, the compressed
+    /// upload, and the client's residual, checked out until the grant
+    /// keeps the turn or a dismissal rolls it back.
+    pending: Option<(u32, Upload, Residual)>,
 }
 
 impl ClientNode {
@@ -103,7 +106,9 @@ impl ClientNode {
         }
     }
 
-    /// This client's banked residual and weight; see [`ClientCompressor::stored`].
+    /// This client's banked residual and weight; see
+    /// [`ClientCompressor::stored`]. `None` while a turn awaits its
+    /// `GRANT`.
     #[must_use]
     pub fn stored(&self) -> Option<(&[f32], f64)> {
         self.compressor.stored(self.id)
@@ -151,9 +156,9 @@ impl ClientNode {
             Some(mask)
         };
 
-        // The turn — identical inputs to the simulator's worker. Any
-        // stale pending upload, from a round whose grant never arrived,
-        // goes back to the pool first.
+        // The turn — identical inputs to the simulator's worker. A
+        // stale pending turn, from a round whose grant never arrived, is
+        // rolled back first.
         self.discard_pending();
         self.stats_out.clear();
         self.stats_out.resize(self.stats_positions.len(), 0.0);
@@ -177,47 +182,55 @@ impl ClientNode {
             &mut residual,
             &mut self.scratch,
         );
-        self.compressor.check_in(self.id, residual);
-        let (upload, offer) = staged.map_err(|_| TransportError::MissingBroadcastMask)?;
-        self.pending = Some((round, upload));
+        let Ok((upload, offer)) = staged else {
+            self.compressor.check_in(self.id, residual);
+            return Err(TransportError::MissingBroadcastMask);
+        };
+        self.pending = Some((round, upload, residual));
         Ok(offer)
     }
 
-    /// Serializes the staged upload (frames + BN-statistics frame) into
-    /// `out` — the byte-exact payload the simulator stages in-process —
-    /// folding any lossy-codec residual into the client's own
-    /// error-compensation bank: a grant means this upload is kept.
-    /// Consumes the pending upload.
+    /// Keeps the pending turn — a grant is the commit point, so the
+    /// residual it banked is checked in — and serializes its upload
+    /// (frames + BN-statistics frame) into `out`, the byte-exact payload
+    /// the simulator stages in-process, folding any lossy-codec residual
+    /// into the client's own error-compensation bank. Consumes the
+    /// pending turn.
     ///
     /// # Errors
-    /// [`TransportError::NoPendingUpload`] when no upload is staged for
-    /// `round`.
+    /// [`TransportError::NoPendingUpload`] when no turn is pending for
+    /// `round`; a turn pending for another round is discarded.
     pub fn encode_granted(&mut self, round: u32, out: &mut Vec<u8>) -> Result<(), TransportError> {
-        let staged = self.pending.take();
-        let result = match &staged {
-            Some((r, upload)) if *r == round => {
+        match self.pending.take() {
+            Some((r, upload, residual)) if r == round => {
+                self.compressor.check_in(self.id, residual);
                 let _ = self.compressor.encode_kept(
                     round,
                     self.id,
-                    upload,
+                    &upload,
                     self.round_mask.as_ref(),
                     &self.stats_out,
                     out,
                 );
+                self.scratch.reclaim_upload(upload);
                 Ok(())
             }
-            _ => Err(TransportError::NoPendingUpload),
-        };
-        if let Some((_, upload)) = staged {
-            self.scratch.reclaim_upload(upload);
+            stale => {
+                self.pending = stale;
+                self.discard_pending();
+                Err(TransportError::NoPendingUpload)
+            }
         }
-        result
     }
 
-    /// Discards the staged upload after a negative grant (the client was
-    /// over-committed out of the keep set).
+    /// Discards the pending turn after a negative grant (the client was
+    /// over-committed out of the keep set), or when a new `INVITE` finds
+    /// it never granted: the upload is dropped and the turn rolled back,
+    /// so the client's residual and weight end as they were before it.
     pub fn discard_pending(&mut self) {
-        if let Some((_, upload)) = self.pending.take() {
+        if let Some((_, upload, mut residual)) = self.pending.take() {
+            self.compressor.roll_back(&mut residual, &mut self.delta);
+            self.compressor.check_in(self.id, residual);
             self.scratch.reclaim_upload(upload);
         }
     }
