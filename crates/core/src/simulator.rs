@@ -1930,23 +1930,32 @@ mod tests {
     }
 
     /// Which shards are resident never changes a bit: 25 rounds of the
-    /// evicting config end on the weights captured before the cache
-    /// existed, when every invitation synthesised its shard afresh.
+    /// evicting config (`S = 20`, evicting every round) end on the same
+    /// weights as with no shard kept between rounds, when every
+    /// invitation synthesises its shard afresh, and as with every shard
+    /// kept.
     #[test]
     fn shard_evictions_leave_the_run_unchanged() {
-        let mut sim = Simulation::new(evicting_cfg());
-        for _ in 0..25 {
-            let _ = sim.step();
-        }
-        let fnv = sim
-            .model()
-            .params()
-            .iter()
-            .flat_map(|v| v.to_bits().to_le_bytes())
-            .fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
-                (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3)
-            });
-        assert_eq!(fnv, 0x8c8e_6051_e662_1177);
+        let weights = |capacity: Option<usize>| {
+            let mut sim = Simulation::new(evicting_cfg());
+            if let Some(capacity) = capacity {
+                sim.clients.cache.capacity = capacity;
+            }
+            for _ in 0..25 {
+                let _ = sim.step();
+            }
+            let bits: Vec<u32> = sim.model().params().iter().map(|v| v.to_bits()).collect();
+            bits
+        };
+        let evicting = weights(None);
+        assert!(
+            weights(Some(0)) == evicting,
+            "a fresh shard per turn diverged"
+        );
+        assert!(
+            weights(Some(usize::MAX)) == evicting,
+            "keeping every shard diverged"
+        );
     }
 
     /// A config whose turns read a few rows of each shard: two steps of
