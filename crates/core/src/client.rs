@@ -392,28 +392,57 @@ impl ClientCompressor {
     }
 
     /// What [`offer`](Self::offer) will price every client's upload at
-    /// this round, known from the broadcast alone — or `None` when only
-    /// the trained upload can say. `Some` only for schemes whose upload
-    /// shape the broadcast fixes and whose turn writes no client state:
-    /// the dense scheme's `dim` values and APF's values under
-    /// `round_mask`. A driver can then price an invitation without
-    /// running its turn and run only the turns that are kept: a
-    /// dismissed turn would have left no trace. STC and GlueFL return
-    /// `None` — their index pattern prices the frame and their turn moves
-    /// the residual bank — and so does APF without a `round_mask`, whose
-    /// turn fails with [`MissingRoundMask`].
+    /// in `round`, known from the broadcast alone — or `None` when only
+    /// the trained upload can say. A driver can then price an invitation
+    /// without running its turn and run only the turns that are kept: a
+    /// dismissed turn leaves no trace, since the grant is the commit
+    /// point of a client's residual.
+    ///
+    /// The broadcast fixes every upload's shape: the dense scheme's `dim`
+    /// values, APF's values under `round_mask`, STC's top-k of
+    /// `keep_count(trainable, q)` values (sparse or ternary), and
+    /// GlueFL's values under `round_mask` (none in a regeneration round)
+    /// plus its unique top-k of `unique_keep(trainable, round)` — a top-k
+    /// never skips a zero, so it always lists that many, or the whole
+    /// scope when the scope is smaller. A top-k frame's length then
+    /// follows from its shape only where positions are priced by count:
+    /// under the legacy layout menu. Under the entropy menu the index
+    /// pattern prices STC's and GlueFL's frames, and this is `None`; so
+    /// it is for a masking scheme without a `round_mask`, whose turn
+    /// fails with [`MissingRoundMask`].
     #[must_use]
     pub fn shape_offer(
         &self,
+        round: u32,
         round_mask: Option<&BitMask>,
         stats_len: usize,
     ) -> Option<(u64, u64)> {
+        // Positions a top-k outside `mask` and the BN statistics may list.
+        let scope = |mask: Option<&BitMask>| {
+            let excluded = &self.stats_excluded;
+            let outside = mask.map_or(0, |m| m.count_ones() - m.overlap(excluded));
+            self.dim - excluded.count_ones() - outside
+        };
         let price = |policy: WirePolicy| {
             let w = FrameWriter::new(policy);
             let upload = match &self.scheme {
                 Scheme::Dense => w.dense_len(self.dim),
                 Scheme::Apf => w.known_mask_len(round_mask?.count_ones()),
-                Scheme::Stc { .. } | Scheme::GlueFl { .. } => return None,
+                Scheme::Stc { q, quantize, .. } => {
+                    let nnz = keep_count(self.trainable, *q).min(scope(None));
+                    if *quantize {
+                        w.ternary_len_of_count(self.dim, nnz)?
+                    } else {
+                        w.sparse_len_of_count(self.dim, nnz)?
+                    }
+                }
+                Scheme::GlueFl { params, .. } => {
+                    let mask = round_mask?;
+                    let shared = (!params.is_regen_round(round)).then_some(mask);
+                    let unique = params.unique_keep(self.trainable, round).min(scope(shared));
+                    w.known_mask_len(shared.map_or(0, BitMask::count_ones))
+                        + w.sparse_len_of_count(self.dim, unique)?
+                }
             };
             Some(upload + w.known_mask_len(stats_len))
         };

@@ -20,12 +20,18 @@
 //!    and, over the sampled links, the modeled transfer times. A client's
 //!    turn — train, compress, price ([`crate::ClientTurn::run`]) — runs
 //!    when something first needs its result: at the invitation when only
-//!    the trained upload can price the offer, or, when the broadcast
-//!    alone prices it ([`crate::ClientCompressor::shape_offer`]), only
-//!    once the client is kept;
+//!    the trained upload can price the offer (STC and GlueFL under an
+//!    entropy wire policy, and every socket client), or, when the
+//!    broadcast alone prices it ([`crate::ClientCompressor::shape_offer`]:
+//!    every strategy under a legacy policy, FedAvg and APF under any),
+//!    only once the client is kept;
 //! 4. `keep` (untimed) — the fastest `C` sticky / `K − C` fresh
 //!    finishers are kept (§5.6); [`RoundIo::grant`] tells the clients,
-//!    and only kept uploads are ever serialized. The grant is timed as
+//!    and only kept uploads are ever serialized. The grant is the commit
+//!    point of a client's error-feedback residual: a kept client banks
+//!    what its turn left, a dismissed client's bank ends the round as it
+//!    began ([`crate::ClientCompressor::roll_back`]), as for a device
+//!    that discards an unsent turn. The grant is timed as
 //!    [`Phase::Train`] too;
 //! 5. `fold` — each arrival from [`RoundIo::next_upload`] is decoded
 //!    through the one upload grammar
@@ -58,8 +64,8 @@
 //!
 //! Who the clients are is the [`RoundIo`]'s business. Its steps are per
 //! *round*, not per client, so an implementation is free to run a
-//! round's turns in one call ([`crate::Simulation`]: every invited
-//! client's at `invite`, or only the kept clients' at `grant`) or to
+//! round's turns in one call ([`crate::Simulation`]: only the kept
+//! clients' at `grant`, or every invited client's at `invite`) or to
 //! wait on sockets under deadlines (`gluefl-transport`'s server). The
 //! engine never reads a clock except through the attached telemetry
 //! recorder, and never blocks except inside the IO or on its producer.
@@ -155,7 +161,8 @@ pub trait RoundIo: Send {
     /// invitations, and each client trains on receipt. The in-process IO
     /// runs every turn before returning, unless the broadcast alone
     /// prices every upload ([`crate::ClientCompressor::shape_offer`]):
-    /// then it holds the broadcast weights and runs no turn yet.
+    /// then it holds the broadcast weights and runs no turn yet. A turn
+    /// taken here commits nothing: its residual waits for the grant.
     fn invite(&mut self, round: u32, invited: &[(ClientId, Group)], broadcast: &Broadcast<'_>);
 
     /// Collects the invited clients' offers: `offers[i]` becomes the
@@ -168,10 +175,13 @@ pub trait RoundIo: Send {
     fn offers(&mut self, round: u32, times: &[ClientRoundTime], offers: &mut [Option<(u64, u64)>]);
 
     /// Announces the keep decision: the invitation indices in `kept` are
-    /// granted their upload slot, everyone else is dismissed. `times`
-    /// now carries the modeled upload seconds too. An IO whose turns
-    /// waited for this decision takes the kept clients' turns here, so
-    /// the engine times this call as training.
+    /// granted their upload slot, everyone else is dismissed. This is the
+    /// commit point of every turn: a kept client's residual is banked as
+    /// its turn left it, and a dismissed client's turn is rolled back, so
+    /// its bank ends the round as it began. `times` now carries the
+    /// modeled upload seconds too. An IO whose turns waited for this
+    /// decision takes the kept clients' turns here, so the engine times
+    /// this call as training.
     fn grant(&mut self, round: u32, kept: &[usize], times: &[ClientRoundTime]);
 
     /// Waits for the next granted slot to resolve. On

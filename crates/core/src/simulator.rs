@@ -8,17 +8,22 @@
 //! by the engine ([`crate::engine`]); this module supplies what clients
 //! do:
 //!
-//! * a turn runs when something first needs its result. When the
-//!   broadcast fixes every upload's price and a turn writes no client
-//!   state ([`ClientCompressor::shape_offer`]: FedAvg's `dim` values,
-//!   APF's values under the broadcast mask), `offers` reports that price
-//!   for every invited client and only the kept clients take their turns,
-//!   on `grant`, from a copy of the broadcast weights held since
-//!   `invite`: a dismissed turn could have changed no bit, since each
-//!   turn's RNG comes from `(seed, round, client)`. Otherwise (STC,
-//!   GlueFL, whose index pattern prices the frame and whose turn moves
-//!   the residual bank) every invited client takes its turn on `invite`,
-//!   as a socket client does on its `INVITE`;
+//! * a turn runs when something first needs its result. The grant is
+//!   the commit point of a client's residual: a dismissed client's bank
+//!   ends the round as it began, so a dismissed turn leaves no trace.
+//!   When the broadcast fixes every upload's price
+//!   ([`ClientCompressor::shape_offer`]: FedAvg's `dim` values, APF's
+//!   values under the broadcast mask, and under a legacy wire policy
+//!   STC's and GlueFL's top-k, whose frame length follows from its
+//!   count), `offers` reports that price for every invited client and
+//!   only the kept clients take their turns, on `grant`, from a copy of
+//!   the broadcast weights held since `invite`: a dismissed turn could
+//!   have changed no bit, since each turn's RNG comes from
+//!   `(seed, round, client)`. Otherwise (STC and GlueFL under an entropy
+//!   policy, whose index pattern prices the frame) every invited client
+//!   takes its turn on `invite`, as a socket client does on its
+//!   `INVITE`, and `grant` rolls the dismissed clients' turns back
+//!   ([`ClientCompressor::roll_back`]);
 //! * either way a turn is the one per-client
 //!   routine ([`ClientTurn::run`]), after filling the rows of its data
 //!   shard that its minibatches will read and that are not filled yet
@@ -39,7 +44,7 @@
 //!   (as many as [`gluefl_pool::threads`]), each with its own
 //!   [`ScratchPool`] — scheduling only. A client's compress reads only
 //!   its own delta, its own residual (checked out of the bank before the
-//!   workers start, checked back in after they join) and the round mask,
+//!   workers start, checked back in at `grant`) and the round mask,
 //!   and its RNG is derived from `(seed, round, client)`, so results do
 //!   not depend on the worker count or the thread schedule;
 //! * a shard, once built, is kept with the rows it has filled: once a
@@ -448,7 +453,7 @@ impl RoundIo for InProcessClients {
         self.stats.resize(n * stats_len, 0.0);
         self.shape_price = self
             .compressor
-            .shape_offer(self.round_mask.as_ref(), stats_len);
+            .shape_offer(round, self.round_mask.as_ref(), stats_len);
         if self.shape_price.is_some() {
             // Nobody's turn can change a price: train the kept at `grant`.
             self.global.clear();
@@ -576,8 +581,9 @@ impl InProcessClients {
     }
 
     /// Client `id`'s banked error-feedback residual and the weight it was
-    /// stored at — `None` before its first turn, and always for a
-    /// strategy without error feedback.
+    /// stored at — `None` before its first kept turn, while a turn taken
+    /// at `invite` awaits its grant, and always for a strategy without
+    /// error feedback.
     #[must_use]
     pub fn stored(&self, id: ClientId) -> Option<(&[f32], f64)> {
         self.compressor.stored(id)
@@ -1243,18 +1249,22 @@ mod tests {
         assert!(tel.phase_nanos(Phase::Train) <= rec.step_nanos);
     }
 
-    /// The turns a round of `cfg` takes: every invited client's when only
-    /// its trained upload can price it (STC, GlueFL), only the kept
-    /// clients' when the broadcast fixes every price (FedAvg, MD-FedAvg,
-    /// APF; [`ClientCompressor::shape_offer`]).
+    /// The turns a round of `cfg` takes: only the kept clients' when the
+    /// broadcast fixes every price ([`ClientCompressor::shape_offer`]:
+    /// FedAvg, MD-FedAvg, APF, and STC and GlueFL under a legacy policy),
+    /// every invited client's when only its trained upload can price it
+    /// (STC and GlueFL under an entropy policy).
     fn turns_taken(cfg: &SimConfig, rec: &RoundRecord) -> usize {
-        match cfg.strategy {
+        let top_k = matches!(
+            cfg.strategy,
             StrategyConfig::Stc { .. }
-            | StrategyConfig::StcQuantized { .. }
-            | StrategyConfig::GlueFl(_) => rec.invited,
-            StrategyConfig::FedAvg | StrategyConfig::MdFedAvg | StrategyConfig::Apf { .. } => {
-                rec.kept
-            }
+                | StrategyConfig::StcQuantized { .. }
+                | StrategyConfig::GlueFl(_)
+        );
+        if top_k && cfg.wire.menu == gluefl_wire::LayoutMenu::Entropy {
+            rec.invited
+        } else {
+            rec.kept
         }
     }
 
@@ -1342,12 +1352,15 @@ mod tests {
     }
 
     /// Forwards every call to the simulator's clients and records the
-    /// round's invitations and how many shards are resident once the
-    /// round's training is done.
+    /// round's invitations, the clients that took a turn, and how many
+    /// shards are resident once the round's invitations are out.
     struct CacheProbe<'a> {
         clients: &'a mut InProcessClients,
         resident_in_round: usize,
         invited: Vec<ClientId>,
+        /// Every invited client when the turns ran at the invitation,
+        /// else the kept ones.
+        took: Vec<ClientId>,
     }
 
     impl RoundIo for CacheProbe<'_> {
@@ -1371,6 +1384,11 @@ mod tests {
         }
 
         fn grant(&mut self, round: u32, kept: &[usize], times: &[ClientRoundTime]) {
+            self.took = if self.clients.shape_price.is_some() {
+                kept.iter().map(|&i| self.invited[i]).collect()
+            } else {
+                self.invited.clone()
+            };
             self.clients.grant(round, kept, times);
         }
 
@@ -1407,10 +1425,12 @@ mod tests {
                     clients: &mut sim.clients,
                     resident_in_round: 0,
                     invited: Vec::new(),
+                    took: Vec::new(),
                 };
                 let rec = sim.engine.step(&mut probe);
                 // Residency peaks once the round's turns are over, which
-                // for FedAvg is at the grant, not at the invitation.
+                // for shape-priced turns is at the grant, not at the
+                // invitation.
                 let at_invite = probe.resident_in_round;
                 let during = sim.clients.cache.untrimmed;
                 assert!(at_invite <= during);
@@ -1435,36 +1455,48 @@ mod tests {
     }
 
     /// Under over-commitment a round takes exactly the turns its prices
-    /// need: FedAvg and APF train only the kept clients, STC and GlueFL
-    /// every invited one (MD-FedAvg keeps everyone it invites). Each turn
-    /// builds or reuses one shard and observes one update norm, so both
-    /// counters count turns.
+    /// need: FedAvg and APF train only the kept clients, and so do STC,
+    /// quantized STC and GlueFL under a legacy policy, whose top-k
+    /// uploads the broadcast prices too; under an entropy policy they
+    /// train every invited client (MD-FedAvg keeps everyone it invites).
+    /// Each turn builds or reuses one shard and observes one update norm,
+    /// so both counters count turns.
     #[test]
     fn a_round_takes_only_the_turns_its_prices_need() {
+        use gluefl_wire::{Codec, WirePolicy};
         let apf = StrategyConfig::Apf {
             config: gluefl_compress::ApfConfig::default(),
         };
         let gluefl = StrategyConfig::GlueFl(tiny_gluefl_params(tiny_cfg(apf.clone()).round_size));
-        let cases = [
-            (StrategyConfig::FedAvg, false),
-            (apf, false),
-            (StrategyConfig::Stc { q: 0.2 }, true),
-            (StrategyConfig::StcQuantized { q: 0.2 }, true),
-            (gluefl, true),
+        let top_k = [
+            StrategyConfig::Stc { q: 0.2 },
+            StrategyConfig::StcQuantized { q: 0.2 },
+            gluefl,
         ];
-        for (strategy, every_invitation) in cases {
-            let name = strategy.name();
+        let legacy = [
+            WirePolicy::legacy(Codec::F32),
+            WirePolicy::legacy(Codec::QuantU8),
+        ];
+        let mut cases = vec![
+            (StrategyConfig::FedAvg, WirePolicy::default()),
+            (apf, WirePolicy::default()),
+        ];
+        for strategy in top_k {
+            for wire in legacy.into_iter().chain([WirePolicy::entropy(Codec::F32)]) {
+                cases.push((strategy.clone(), wire));
+            }
+        }
+        for (strategy, wire) in cases {
+            let name = format!("{} {wire:?}", strategy.name());
+            let mut cfg = tiny_cfg(strategy);
+            cfg.wire = wire;
             let tel = Arc::new(Telemetry::new());
-            let mut sim = Simulation::new(tiny_cfg(strategy)).with_telemetry(Arc::clone(&tel));
+            let mut sim = Simulation::new(cfg.clone()).with_telemetry(Arc::clone(&tel));
             let mut turns = 0;
             for round in 0..4 {
                 let rec = sim.step();
                 assert!(rec.invited > rec.kept, "{name}: no over-commitment");
-                turns += if every_invitation {
-                    rec.invited
-                } else {
-                    rec.kept
-                };
+                turns += turns_taken(&cfg, &rec);
                 let snap = tel.snapshot();
                 let count = |name| snap.value(name, &[]).unwrap() as usize;
                 let shards = count("gluefl_client_shards_built_total")
@@ -1516,37 +1548,60 @@ mod tests {
         }
     }
 
-    /// A dismissed FedAvg client's shard is never built: with room for
-    /// every shard, exactly the shards of the clients kept so far are
-    /// resident after each round, and some client was only ever dismissed.
+    /// A dismissed client takes no turn wherever the broadcast prices
+    /// its offer — FedAvg, and STC, quantized STC and GlueFL under a
+    /// legacy policy: with room for every shard, exactly the shards of
+    /// the clients kept so far are resident after each round, some
+    /// client was only ever dismissed, and no such client banked a
+    /// residual.
     #[test]
-    fn a_dismissed_fedavg_client_builds_no_shard() {
-        let mut sim = Simulation::new(tiny_cfg(StrategyConfig::FedAvg));
-        sim.clients.cache.capacity = usize::MAX;
-        let (mut kept, mut dismissed) = (BTreeSet::new(), BTreeSet::new());
-        for round in 0..4 {
-            let mut probe = KeepProbe {
-                clients: &mut sim.clients,
-                invited: Vec::new(),
-                kept: Vec::new(),
-            };
-            let _ = sim.engine.step(&mut probe);
-            kept.extend(probe.kept.iter().copied());
-            let round_kept = probe.kept;
-            dismissed.extend(
-                probe
-                    .invited
-                    .into_iter()
-                    .filter(|id| !round_kept.contains(id)),
+    fn a_dismissed_client_builds_no_shard() {
+        use gluefl_wire::{Codec, WirePolicy};
+        let gluefl = StrategyConfig::GlueFl(tiny_gluefl_params(
+            tiny_cfg(StrategyConfig::FedAvg).round_size,
+        ));
+        let cases = [
+            (StrategyConfig::FedAvg, Codec::F32),
+            (StrategyConfig::Stc { q: 0.2 }, Codec::F32),
+            (StrategyConfig::StcQuantized { q: 0.2 }, Codec::F16),
+            (gluefl.clone(), Codec::F32),
+            (gluefl, Codec::QuantU8),
+        ];
+        for (strategy, codec) in cases {
+            let name = strategy.name();
+            let mut cfg = tiny_cfg(strategy);
+            cfg.wire = WirePolicy::legacy(codec);
+            let mut sim = Simulation::new(cfg);
+            sim.clients.cache.capacity = usize::MAX;
+            let (mut kept, mut dismissed) = (BTreeSet::new(), BTreeSet::new());
+            for round in 0..4 {
+                let mut probe = KeepProbe {
+                    clients: &mut sim.clients,
+                    invited: Vec::new(),
+                    kept: Vec::new(),
+                };
+                let _ = sim.engine.step(&mut probe);
+                kept.extend(probe.kept.iter().copied());
+                let round_kept = probe.kept;
+                dismissed.extend(
+                    probe
+                        .invited
+                        .into_iter()
+                        .filter(|id| !round_kept.contains(id)),
+                );
+                let resident: BTreeSet<ClientId> =
+                    sim.clients.cache.resident.iter().map(|r| r.id).collect();
+                assert_eq!(resident, kept, "{name}, round {round}");
+            }
+            let only_dismissed: Vec<ClientId> = dismissed.difference(&kept).copied().collect();
+            assert!(
+                !only_dismissed.is_empty(),
+                "{name}: every dismissed client was kept in another round"
             );
-            let resident: BTreeSet<ClientId> =
-                sim.clients.cache.resident.iter().map(|r| r.id).collect();
-            assert_eq!(resident, kept, "round {round}");
+            for id in only_dismissed {
+                assert_eq!(sim.clients.stored(id), None, "{name}: client {id} banked");
+            }
         }
-        assert!(
-            dismissed.difference(&kept).next().is_some(),
-            "every dismissed client was kept in another round"
-        );
     }
 
     /// A client's banked residual bits and weight.
@@ -1674,9 +1729,11 @@ mod tests {
         /// without BN statistics, the price
         /// [`ClientCompressor::shape_offer`] reads off the broadcast is bit
         /// for bit the [`ClientCompressor::offer`] of the upload a trained
-        /// turn stages — and the length that upload encodes to. STC,
-        /// quantized STC and GlueFL, whose index pattern prices the frame,
-        /// have no shape price.
+        /// turn stages — and the length that upload encodes to. So it is
+        /// for STC, quantized STC and GlueFL under a legacy policy, over
+        /// masks that may also cover BN statistics; under an entropy
+        /// policy their index pattern prices the frame, and they have no
+        /// shape price.
         #[test]
         fn shape_offer_is_the_offer_of_the_trained_upload(
             strategy in 0usize..6,
@@ -1720,9 +1777,12 @@ mod tests {
             let (mask, shape_priced) = match cfg.strategy {
                 StrategyConfig::FedAvg | StrategyConfig::MdFedAvg => (None, true),
                 StrategyConfig::Apf { .. } => (Some(&random_mask), true),
-                _ => (Some(&random_mask), false),
+                StrategyConfig::Stc { .. } | StrategyConfig::StcQuantized { .. } => {
+                    (None, !entropy)
+                }
+                StrategyConfig::GlueFl(_) => (Some(&random_mask), !entropy),
             };
-            let shape = c.compressor.shape_offer(mask, stats_len);
+            let shape = c.compressor.shape_offer(round, mask, stats_len);
             proptest::prop_assert_eq!(shape.is_some(), shape_priced);
             let Some(shape) = shape else {
                 return;
@@ -1849,10 +1909,10 @@ mod tests {
         /// included — holds `keep_count(trainable, q)` values (STC), or
         /// the mask's popcount of shared values (none when regenerating)
         /// plus `unique_keep(trainable, round)` unique ones (GlueFL).
-        /// Under a legacy policy every such upload's offer is one price,
-        /// [`ClientCompressor::shape_offer`]'s whenever it gives one;
-        /// under an entropy policy the index pattern prices the frame and
-        /// there is no shape price.
+        /// Under a legacy policy every such upload's offer is
+        /// [`ClientCompressor::shape_offer`]'s price; under an entropy
+        /// policy the index pattern prices the frame and there is no
+        /// shape price.
         #[test]
         fn every_top_k_offer_is_priced_by_its_shape(
             strategy in 0usize..3,
@@ -1894,10 +1954,8 @@ mod tests {
                 let (trained, mask) = (probe.trained, probe.mask);
                 proptest::prop_assert_eq!(trained.len(), rec.invited);
                 let c = &sim.clients.compressor;
-                let shape = c.shape_offer(mask.as_ref(), stats_len);
-                if entropy {
-                    proptest::prop_assert_eq!(shape, None);
-                }
+                let shape = c.shape_offer(round, mask.as_ref(), stats_len);
+                proptest::prop_assert_eq!(shape.is_some(), !entropy);
                 for (upload, priced) in &trained {
                     proptest::prop_assert_eq!(*priced, c.offer(upload, stats_len));
                     match (upload, &cfg.strategy) {
@@ -1921,8 +1979,8 @@ mod tests {
                             panic!("{} staged {upload:?}", strategy.name());
                         }
                     }
-                    if !entropy {
-                        proptest::prop_assert_eq!(*priced, shape.unwrap_or(trained[0].1));
+                    if let Some(shape) = shape {
+                        proptest::prop_assert_eq!(*priced, shape);
                     }
                 }
             }
@@ -2059,9 +2117,10 @@ mod tests {
                 clients: &mut sim.clients,
                 resident_in_round: 0,
                 invited: Vec::new(),
+                took: Vec::new(),
             };
             let rec = sim.engine.step(&mut probe);
-            for id in probe.invited {
+            for id in probe.took {
                 let rows = rows_read(&cfg, rec.round, id, sim.data().client_len(id));
                 let had = read.entry(id).or_default();
                 fresh += rows.difference(had).count();
@@ -2082,17 +2141,17 @@ mod tests {
         assert!(fresh < turn_rows, "no hit found a row already filled");
     }
 
-    /// Phase spans cover the step under GlueFL, which takes every invited
-    /// client's turn at the invitation, and under over-committed FedAvg,
-    /// which takes the kept clients' turns at the grant: either way the
-    /// engine's `Train` window holds every training span the clients
-    /// journal.
+    /// Phase spans cover the step under GlueFL with an entropy policy,
+    /// which takes every invited client's turn at the invitation, and
+    /// under over-committed FedAvg and legacy-wire GlueFL, which take the
+    /// kept clients' turns at the grant: either way the engine's `Train`
+    /// window holds every training span the clients journal.
     #[test]
     fn telemetry_measures_phases_that_cover_the_step() {
-        let configs = [
-            tiny_cfg(StrategyConfig::GlueFl(tiny_gluefl_params(7))),
-            tiny_cfg(StrategyConfig::FedAvg),
-        ];
+        let gluefl = || tiny_cfg(StrategyConfig::GlueFl(tiny_gluefl_params(7)));
+        let mut entropy = gluefl();
+        entropy.wire = gluefl_wire::WirePolicy::entropy(gluefl_wire::Codec::F32);
+        let configs = [entropy, gluefl(), tiny_cfg(StrategyConfig::FedAvg)];
         for mut cfg in configs {
             let name = cfg.strategy.name();
             cfg.rounds = 3;

@@ -69,8 +69,8 @@ use crate::codec::{
 use crate::crc::{crc16, crc16_update};
 use crate::error::WireError;
 use crate::policy::{
-    for_each_delta, for_each_index_run, for_each_mask_run, legacy_positions, rle_section_len,
-    PositionLayout, WirePolicy,
+    for_each_delta, for_each_index_run, for_each_mask_run, rle_section_len, PositionLayout,
+    WirePolicy,
 };
 use crate::varint::{push_varint, read_varint};
 use gluefl_tensor::BitMask;
@@ -545,9 +545,25 @@ impl FrameWriter {
     /// indices.
     #[must_use]
     pub fn sparse_len(&self, dim: usize, indices: &[u32]) -> u64 {
-        HEADER_BYTES as u64
-            + self.policy.position_section_len(dim, indices)
-            + self.policy.codec.value_section_len(indices.len()) as u64
+        let positions = self.policy.position_section_len(dim, indices);
+        self.sparse_frame_len(positions, indices.len())
+    }
+
+    /// [`sparse_len`](Self::sparse_len) for *any* `nnz` of `dim`
+    /// positions, when the policy prices a position section by its count
+    /// alone (the legacy menu); `None` under the entropy menu, where the
+    /// index pattern prices the frame.
+    ///
+    /// # Panics
+    /// Panics if `nnz > dim`.
+    #[must_use]
+    pub fn sparse_len_of_count(&self, dim: usize, nnz: usize) -> Option<u64> {
+        let positions = self.policy.count_position_section_len(dim, nnz)?;
+        Some(self.sparse_frame_len(positions, nnz))
+    }
+
+    fn sparse_frame_len(&self, positions: u64, nnz: usize) -> u64 {
+        HEADER_BYTES as u64 + positions + self.policy.codec.value_section_len(nnz) as u64
     }
 
     /// Exact byte length [`FrameWriter::known_mask`] will emit for `nnz`
@@ -571,11 +587,26 @@ impl FrameWriter {
     /// indices.
     #[must_use]
     pub fn ternary_len(&self, dim: usize, indices: &[u32]) -> u64 {
-        HEADER_BYTES as u64
-            + self.policy.position_section_len(dim, indices)
-            + 4
-            + (indices.len() as u64).div_ceil(8)
+        let positions = self.policy.position_section_len(dim, indices);
+        ternary_frame_len(positions, indices.len())
     }
+
+    /// [`ternary_len`](Self::ternary_len) for *any* `nnz` of `dim`
+    /// positions, when the policy prices a position section by its count
+    /// alone; `None` under the entropy menu.
+    ///
+    /// # Panics
+    /// Panics if `nnz > dim`.
+    #[must_use]
+    pub fn ternary_len_of_count(&self, dim: usize, nnz: usize) -> Option<u64> {
+        let positions = self.policy.count_position_section_len(dim, nnz)?;
+        Some(ternary_frame_len(positions, nnz))
+    }
+}
+
+/// A ternary frame's length: header, position section, `µ`, sign bits.
+fn ternary_frame_len(positions: u64, nnz: usize) -> u64 {
+    HEADER_BYTES as u64 + positions + 4 + (nnz as u64).div_ceil(8)
 }
 
 fn assert_sorted_in_range(indices: &[u32], dim: usize) {
@@ -641,8 +672,9 @@ pub struct Frame<'a> {
 /// Panics if `nnz > dim`.
 #[must_use]
 pub fn legacy_sparse_len(codec: Codec, dim: usize, nnz: usize) -> u64 {
-    assert!(nnz <= dim, "nnz {nnz} exceeds dim {dim}");
-    HEADER_BYTES as u64 + legacy_positions(dim, nnz).1 + codec.value_section_len(nnz) as u64
+    FrameWriter::new(WirePolicy::legacy(codec))
+        .sparse_len_of_count(dim, nnz)
+        .expect("the legacy menu prices positions by count")
 }
 
 /// Exact length of the v1 mask broadcast frame over `dim` positions

@@ -117,6 +117,17 @@ impl WirePolicy {
         self.priced_layout(dim, indices).1
     }
 
+    /// [`position_section_len`](Self::position_section_len) for any
+    /// `nnz` of `dim` positions, when the menu prices positions by their
+    /// count alone (legacy); `None` under the entropy menu.
+    ///
+    /// # Panics
+    /// Panics if `nnz > dim`.
+    pub(crate) fn count_position_section_len(&self, dim: usize, nnz: usize) -> Option<u64> {
+        assert!(nnz <= dim, "nnz {nnz} exceeds dim {dim}");
+        (self.menu == LayoutMenu::Legacy).then(|| legacy_positions(dim, nnz).1)
+    }
+
     pub(crate) fn position_layout(&self, dim: usize, indices: &[u32]) -> PositionLayout {
         self.priced_layout(dim, indices).0
     }

@@ -127,6 +127,27 @@ proptest! {
         prop_assert_eq!(n as u64, legacy(Codec::F32).ternary_len(dim, &indices));
     }
 
+    /// The count predictors are the index predictors wherever positions
+    /// are priced by count: under every legacy policy, a sparse or
+    /// ternary frame over any index set costs what its count says. The
+    /// entropy menu prices the pattern, and has no count price.
+    #[test]
+    fn count_predictors_match_the_index_predictors(
+        dim in 1usize..4000,
+        ones in proptest::collection::vec(any::<bool>(), 1..64),
+    ) {
+        let (indices, _) = sparse_case(dim, &ones);
+        let nnz = indices.len();
+        for codec in [Codec::F32, Codec::F16, Codec::QuantU8] {
+            let w = legacy(codec);
+            prop_assert_eq!(w.sparse_len_of_count(dim, nnz), Some(w.sparse_len(dim, &indices)));
+            prop_assert_eq!(w.ternary_len_of_count(dim, nnz), Some(w.ternary_len(dim, &indices)));
+            let entropy = FrameWriter::new(WirePolicy::entropy(codec));
+            prop_assert_eq!(entropy.sparse_len_of_count(dim, nnz), None);
+            prop_assert_eq!(entropy.ternary_len_of_count(dim, nnz), None);
+        }
+    }
+
     /// Ternary quantization never increases the frame: one sign bit per
     /// value plus µ against four bytes per value, same positions.
     #[test]
