@@ -1039,7 +1039,7 @@ mod tests {
             DatasetProfile::Femnist,
             DatasetModel::ShuffleNet,
             strategy,
-            0.02, // 56 clients
+            0.02, // 150 clients: `paper_setup` floors N at 5K
             12,
             7,
         );
@@ -1093,8 +1093,10 @@ mod tests {
 
     /// Client-sharded turns must not change a bit: every strategy's
     /// client half — the quantized STC upload, MD-FedAvg's repeated
-    /// invitations, and a QuantU8 wire under FedAvg and under GlueFL,
-    /// whose codec loss is folded into residuals the workers produced —
+    /// invitations, a QuantU8 wire under FedAvg and under GlueFL, whose
+    /// codec loss is folded into residuals the workers produced, and an
+    /// entropy wire under STC and GlueFL, whose turns run at the
+    /// invitation and whose dismissed turns are rolled back at the grant —
     /// runs 4 rounds on one worker and on three, and whole records, final
     /// weights and the residual bank agree bit for bit. Three workers
     /// need not exist on the machine — the pool spawns them regardless —
@@ -1110,6 +1112,10 @@ mod tests {
             cfg.wire = gluefl_wire::WirePolicy::legacy(gluefl_wire::Codec::QuantU8);
             cfg
         };
+        let entropy = |mut cfg: SimConfig| {
+            cfg.wire = gluefl_wire::WirePolicy::entropy(gluefl_wire::Codec::QuantU8);
+            cfg
+        };
         let configs = [
             tiny_cfg(StrategyConfig::FedAvg),
             tiny_cfg(StrategyConfig::MdFedAvg),
@@ -1121,6 +1127,8 @@ mod tests {
             gluefl(),
             quant(tiny_cfg(StrategyConfig::FedAvg)),
             quant(gluefl()),
+            entropy(tiny_cfg(StrategyConfig::Stc { q: 0.2 })),
+            entropy(gluefl()),
         ];
         for cfg in configs {
             let name = cfg.strategy.name();

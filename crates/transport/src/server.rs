@@ -629,6 +629,13 @@ pub struct Server {
 impl Server {
     /// Binds the listen socket.
     ///
+    /// The socket is std's [`TcpListener::bind`], which listens with a
+    /// backlog of 128 pending connections. Connects past the backlog are
+    /// not accepted at once: more than 128 clients connecting at the same
+    /// instant leaves the rest to join on their SYN retry, about a second
+    /// later, so a larger fleet should start its clients in staggered
+    /// waves of at most 128.
+    ///
     /// # Errors
     /// Socket errors from bind.
     pub fn bind(sim: SimConfig, net: ServerConfig) -> io::Result<Self> {
