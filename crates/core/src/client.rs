@@ -417,19 +417,13 @@ impl ClientCompressor {
         round_mask: Option<&BitMask>,
         stats_len: usize,
     ) -> Option<(u64, u64)> {
-        // Positions a top-k outside `mask` and the BN statistics may list.
-        let scope = |mask: Option<&BitMask>| {
-            let excluded = &self.stats_excluded;
-            let outside = mask.map_or(0, |m| m.count_ones() - m.overlap(excluded));
-            self.dim - excluded.count_ones() - outside
-        };
         let price = |policy: WirePolicy| {
             let w = FrameWriter::new(policy);
             let upload = match &self.scheme {
                 Scheme::Dense => w.dense_len(self.dim),
                 Scheme::Apf => w.known_mask_len(round_mask?.count_ones()),
                 Scheme::Stc { q, quantize, .. } => {
-                    let nnz = keep_count(self.trainable, *q).min(scope(None));
+                    let nnz = keep_count(self.trainable, *q);
                     if *quantize {
                         w.ternary_len_of_count(self.dim, nnz)?
                     } else {
@@ -439,7 +433,11 @@ impl ClientCompressor {
                 Scheme::GlueFl { params, .. } => {
                     let mask = round_mask?;
                     let shared = (!params.is_regen_round(round)).then_some(mask);
-                    let unique = params.unique_keep(self.trainable, round).min(scope(shared));
+                    // The unique top-k's scope: the trainable positions
+                    // outside the shared part.
+                    let scope = self.trainable
+                        - shared.map_or(0, |m| m.count_ones() - m.overlap(&self.stats_excluded));
+                    let unique = params.unique_keep(self.trainable, round).min(scope);
                     w.known_mask_len(shared.map_or(0, BitMask::count_ones))
                         + w.sparse_len_of_count(self.dim, unique)?
                 }

@@ -4,11 +4,9 @@
 //! and hashes every [`RoundRecord`] field that record equality compares,
 //! then the final parameter bits. The other round suites compare two
 //! production paths against each other, which a refactor changes
-//! together; these constants were captured once and pin the round bits
-//! themselves — sampling order, weights, folds, timing and eval. The
-//! STC-quantized and GlueFL constants were re-captured when the grant
-//! became the commit point of a client's residual (a dismissed client's
-//! bank ends the round as it began).
+//! together; these constants pin the round bits themselves — sampling
+//! order, weights, folds, timing and eval — and move only with a ruling
+//! that moves them on purpose.
 
 use gluefl_compress::{ApfConfig, CompensationMode};
 use gluefl_core::{
