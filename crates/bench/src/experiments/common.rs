@@ -72,6 +72,30 @@ pub fn common_target(results: &[RunResult]) -> f64 {
     (target * 0.98).max(0.0)
 }
 
+/// Whether `r` first reaches its target only at its final evaluation.
+/// Its rounds to target then read the round budget, not learning speed:
+/// the run is censored, having needed at least its `R` rounds.
+#[must_use]
+pub fn censored(r: &RunResult) -> bool {
+    let last = rolling_accuracy(&r.rounds).last().map(|&(round, _)| round);
+    r.target_round.is_some() && r.target_round == last
+}
+
+/// A run's "reached" cell: `yes`, `no`, or `≥ R` for a [`censored`] run
+/// of `R` rounds.
+#[must_use]
+pub fn reached_cell(r: &RunResult) -> String {
+    match r.target_round {
+        None => "no".into(),
+        Some(_) if censored(r) => format!("≥ {}", r.rounds.len()),
+        Some(_) => "yes".into(),
+    }
+}
+
+/// What the tables print under themselves about a `≥ R` cell.
+pub const CENSORED_NOTE: &str =
+    "≥ R: reached the target only at the final evaluation (censored at the R-round budget)";
+
 /// Re-derives at-target metrics for every run against a common target.
 #[must_use]
 pub fn with_target(results: Vec<RunResult>, target: f64) -> Vec<RunResult> {
@@ -145,25 +169,22 @@ pub fn run_sweep(
         "final acc",
         "total DV (GB)",
     ]);
-    let mut csv = String::from("arm,cum_down_gb,accuracy\n");
+    let mut csv = String::from("arm,cum_down_gb,accuracy,censored\n");
     let cfg0 = setup(dataset, model, StrategyConfig::FedAvg, opts);
     for (arm, r) in all_arms.iter().zip(&results) {
         for (bytes, acc) in r.accuracy_curve() {
             csv.push_str(&format!(
-                "{},{:.5},{:.4}\n",
+                "{},{:.5},{:.4},{}\n",
                 arm.label,
                 display_gb(bytes, &cfg0, opts),
-                acc
+                acc,
+                censored(r)
             ));
         }
         table.row([
             arm.label.clone(),
             format!("{:.3}", display_gb(r.at_target.down_bytes, &cfg0, opts)),
-            if r.target_round.is_some() {
-                "yes".into()
-            } else {
-                "no".to_owned()
-            },
+            reached_cell(r),
             format!("{:.1}%", r.total.accuracy * 100.0),
             format!("{:.3}", display_gb(r.total.down_bytes, &cfg0, opts)),
         ]);
@@ -176,6 +197,7 @@ pub fn run_sweep(
         target * 100.0
     );
     println!("{}", table.render());
+    println!("{CENSORED_NOTE}");
     // Terminal rendition of the paper's accuracy-vs-bandwidth panel.
     let chart_series: Vec<crate::plot::Series> = all_arms
         .iter()
@@ -281,6 +303,48 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// A run that first reaches the common target at its last evaluation
+    /// is censored at its round budget; one that reaches it earlier, or
+    /// never, is not.
+    #[test]
+    fn a_run_reaching_the_target_only_at_its_last_evaluation_is_censored() {
+        let evals = |accs: &[f64]| {
+            let rounds = accs
+                .iter()
+                .enumerate()
+                .map(|(i, &a)| RoundRecord {
+                    round: i as u32,
+                    accuracy: (i % 2 == 1).then_some(a),
+                    ..Default::default()
+                })
+                .collect();
+            RunResult::from_rounds("run", rounds, None)
+        };
+        let early = evals(&[0.0, 0.9, 0.0, 0.9, 0.0, 0.9, 0.0, 0.9, 0.0, 0.9, 0.0, 0.9]);
+        let late = evals(&[0.0, 0.1, 0.0, 0.1, 0.0, 0.1, 0.0, 0.1, 0.0, 0.1, 0.0, 0.9]);
+        let never = evals(&[0.0, 0.1, 0.0, 0.1, 0.0, 0.1, 0.0, 0.1, 0.0, 0.1, 0.0, 0.1]);
+        let runs = with_target(vec![early, late, never], 0.2);
+        let cells: Vec<(bool, String)> = runs
+            .iter()
+            .map(|r| (censored(r), reached_cell(r)))
+            .collect();
+        assert_eq!(
+            cells,
+            [
+                (false, "yes".to_owned()),
+                (true, "≥ 12".to_owned()),
+                (false, "no".to_owned())
+            ]
+        );
+        // The common target of a set whose slowest run is still climbing
+        // is that run's last trailing mean: it is censored, the others not.
+        let climbing = evals(&[0.0, 0.1, 0.0, 0.2, 0.0, 0.3, 0.0, 0.4, 0.0, 0.5, 0.0, 0.6]);
+        let flat = evals(&[0.0, 0.9, 0.0, 0.9, 0.0, 0.9, 0.0, 0.9, 0.0, 0.9, 0.0, 0.9]);
+        let target = common_target(&[climbing.clone(), flat.clone()]);
+        let runs = with_target(vec![climbing, flat], target);
+        assert_eq!(runs.iter().map(censored).collect::<Vec<_>>(), [true, false]);
     }
 
     #[test]

@@ -41,7 +41,7 @@ pub fn run(opts: &ExptOpts) -> Result<(), String> {
         "reached",
     ]);
     let mut csv = String::from(
-        "dataset,model,strategy,target,reached,target_round,dv_gb,tv_gb,dt_h,tt_h,final_acc\n",
+        "dataset,model,strategy,target,reached,censored,target_round,dv_gb,tv_gb,dt_h,tt_h,final_acc\n",
     );
 
     for (dataset, model) in pairs {
@@ -68,6 +68,7 @@ pub fn run(opts: &ExptOpts) -> Result<(), String> {
     }
     write_csv(&opts.out_dir, "table2.csv", &csv);
     println!("{}", table.render());
+    println!("{}", common::CENSORED_NOTE);
     println!(
         "paper check: GlueFL has the lowest DV and DT in every row; STC/APF \
          beat FedAvg on TV but not on DV"
@@ -100,19 +101,16 @@ fn emit_row(
         format!("{tv:.3}"),
         format!("{dt:.4}"),
         format!("{tt:.4}"),
-        if reached {
-            "yes".into()
-        } else {
-            "no".to_owned()
-        },
+        common::reached_cell(r),
     ]);
     csv.push_str(&format!(
-        "{},{},{},{:.4},{},{},{:.4},{:.4},{:.3},{:.3},{:.4}\n",
+        "{},{},{},{:.4},{},{},{},{:.4},{:.4},{:.3},{:.3},{:.4}\n",
         dataset.name(),
         model.name(),
         r.strategy,
         target,
         reached,
+        common::censored(r),
         r.target_round.map_or(String::new(), |t| t.to_string()),
         dv,
         tv,

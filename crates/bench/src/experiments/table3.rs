@@ -36,31 +36,28 @@ fn run_arms(
     let target = common::common_target(&results);
     let results = common::with_target(results, target);
     let mut table = Table::new(["arm", "DV (GB)", "TV (GB)", "DT (h)", "TT (h)", "reached"]);
-    let mut csv = String::from("arm,dv_gb,tv_gb,dt_h,tt_h,reached,target\n");
+    let mut csv = String::from("arm,dv_gb,tv_gb,dt_h,tt_h,reached,censored,target\n");
     for ((label, cfg), r) in label_cfgs.iter().zip(&results) {
         let dv = common::display_gb(r.at_target.down_bytes, cfg, opts);
         let tv = common::display_gb(r.at_target.total_bytes, cfg, opts);
         let dt = common::hours(r.at_target.download_secs);
         let tt = common::hours(r.at_target.total_secs);
-        let reached = r.target_round.is_some();
+        let (reached, censored) = (r.target_round.is_some(), common::censored(r));
         table.row([
             label.clone(),
             format!("{dv:.3}"),
             format!("{tv:.3}"),
             format!("{dt:.3}"),
             format!("{tt:.3}"),
-            if reached {
-                "yes".into()
-            } else {
-                "no".to_owned()
-            },
+            common::reached_cell(r),
         ]);
         csv.push_str(&format!(
-            "{label},{dv:.4},{tv:.4},{dt:.4},{tt:.4},{reached},{target:.4}\n"
+            "{label},{dv:.4},{tv:.4},{dt:.4},{tt:.4},{reached},{censored},{target:.4}\n"
         ));
     }
     println!("(common target {:.1}%) {header_note}", target * 100.0);
     println!("{}", table.render());
+    println!("{}", common::CENSORED_NOTE);
     write_csv(&opts.out_dir, csv_name, &csv);
 }
 

@@ -137,22 +137,16 @@ enum Scheme {
 
 /// The client half of the configured strategy (see the module docs).
 ///
-/// Call order per round, for each client it serves:
-/// [`check_out`](Self::check_out) the client's residual,
-/// [`compress`](Self::compress) once after local training, then
-/// [`offer`](Self::offer) to price the staged upload. The grant is the
-/// commit point: if the server grants the upload,
-/// [`check_in`](Self::check_in) the residual as the turn left it, then
-/// [`encode_kept`](Self::encode_kept); if it dismisses the client,
-/// [`roll_back`](Self::roll_back) the turn first, so the bank ends the
-/// round as it began. Where [`shape_offer`](Self::shape_offer) prices
-/// the round from the broadcast, a driver may offer that price first and
-/// run the turn only once it is granted. `compress` and `offer` take
-/// `&self`: between check-out and check-in, every client's turn can run
-/// on its own thread.
-/// Uploads draw their storage from the caller's [`ScratchPool`] (or, for
-/// a dense upload, are the delta buffer itself) and go back to it with
-/// [`ScratchPool::reclaim_upload`].
+/// A driver runs one client's turn through a [`StagedTurn`]:
+/// [`StagedTurn::stage`] checks the client's residual out,
+/// [`crate::ClientTurn::run`] trains, [`compress`](Self::compress)es and
+/// [`offer`](Self::offer)s the price, and the grant settles the turn
+/// ([`StagedTurn::keep`] or [`StagedTurn::dismiss`]). Where
+/// [`shape_offer`](Self::shape_offer) prices the round from the
+/// broadcast, a driver may offer that price first and stage the turn only
+/// once it is granted. `compress` and `offer` take `&self`: between
+/// check-out and settlement, every client's turn can run on its own
+/// thread.
 #[derive(Debug)]
 pub struct ClientCompressor {
     scheme: Scheme,
@@ -225,7 +219,7 @@ impl ClientCompressor {
     ///
     /// # Panics
     /// Panics if the client's residual is already checked out.
-    pub fn check_out(&mut self, id: ClientId) -> Residual {
+    fn check_out(&mut self, id: ClientId) -> Residual {
         match &mut self.scheme {
             Scheme::Stc { ec, .. } | Scheme::GlueFl { ec, .. } => ec.check_out(id),
             Scheme::Dense | Scheme::Apf => Residual::default(),
@@ -234,7 +228,7 @@ impl ClientCompressor {
 
     /// Returns client `id`'s residual to the bank after its turn, keeping
     /// what the turn banked unless it was [rolled back](Self::roll_back).
-    pub fn check_in(&mut self, id: ClientId, residual: Residual) {
+    fn check_in(&mut self, id: ClientId, residual: Residual) {
         match &mut self.scheme {
             Scheme::Stc { ec, .. } | Scheme::GlueFl { ec, .. } => ec.check_in(id, residual),
             Scheme::Dense | Scheme::Apf => debug_assert!(residual.is_empty()),
@@ -244,7 +238,7 @@ impl ClientCompressor {
     /// Compresses client `id`'s trainable delta (BN-statistic positions
     /// zeroed) into its upload, applying and recording error
     /// compensation in place on `residual`, the client's memory as
-    /// [`check_out`](Self::check_out) handed it over. `round_mask` is the
+    /// [`StagedTurn::stage`] checked it out. `round_mask` is the
     /// mask the server broadcast for this round (`None` for strategies
     /// without one).
     ///
@@ -343,13 +337,11 @@ impl ClientCompressor {
         }
     }
 
-    /// Undoes a dismissed client's turn on its checked-out `residual`:
-    /// the memory is again the residual bits and weight it was checked
-    /// out with (or none, on a first turn). `delta` must hold what
-    /// [`compress`](Self::compress) handed back, and receives the turn's
-    /// residual buffer in exchange; nothing is copied. A no-op for
+    /// Undoes a dismissed client's turn on its checked-out `residual`.
+    /// `delta` must hold what [`compress`](Self::compress) handed back,
+    /// and receives the turn's residual buffer in exchange. A no-op for
     /// schemes without a bank.
-    pub fn roll_back(&self, residual: &mut Residual, delta: &mut Vec<f32>) {
+    fn roll_back(&self, residual: &mut Residual, delta: &mut Vec<f32>) {
         match &self.scheme {
             Scheme::Stc { ec, .. } | Scheme::GlueFl { ec, .. } => ec.roll_back(residual, delta),
             Scheme::Dense | Scheme::Apf => {}
@@ -378,8 +370,8 @@ impl ClientCompressor {
     /// Prices a staged upload plus its `stats_len`-value BN-statistic
     /// frame as `(analytic bytes, wire bytes)`: one predictor under two
     /// policies — the ledger's ([`WirePolicy::legacy`], F32 values) and
-    /// the run's, the latter being the exact length
-    /// [`encode_kept`](Self::encode_kept) would produce — computed from
+    /// the run's, the latter being the exact length [`StagedTurn::keep`]
+    /// would produce — computed from
     /// the upload's shape and index pattern, so nothing is serialized
     /// before the keep decision.
     #[must_use]
@@ -448,21 +440,15 @@ impl ClientCompressor {
     }
 
     /// Serializes client `id`'s granted upload and its BN-statistic
-    /// values into `out` (upload frame(s), then one mask-aligned stats
-    /// frame) and returns the byte count. Under a lossy codec with
-    /// `quant_ec` on, what each frame failed to ship is folded into the
-    /// client's residual bank, so codec loss re-enters the next round
-    /// alongside the top-k residual. Only granted uploads are ever
-    /// serialized, which is what keeps every driver's banks identical.
-    /// `round_mask` is the mask [`compress`](Self::compress) was given:
-    /// the loss of a mask-aligned frame is folded back at its one-bits.
-    /// Quantization seeds derive from `(seed, round, id)`, never from
-    /// processing order.
+    /// values into `out` and returns the byte count, folding codec loss
+    /// into the bank (see [`StagedTurn::keep`]). Only granted uploads are
+    /// ever serialized, which is what keeps every driver's banks
+    /// identical.
     ///
     /// # Panics
     /// Panics if a lossy mask-aligned frame was encoded and `round_mask`
     /// is not the mask its values are aligned to.
-    pub fn encode_kept(
+    fn encode_kept(
         &mut self,
         round: u32,
         id: ClientId,
@@ -505,6 +491,122 @@ impl ClientCompressor {
             stats,
         );
         ulen + slen
+    }
+}
+
+/// One client's turn between [`crate::ClientTurn::run`] and the grant:
+/// the client's residual, checked out of the bank; the delta buffer,
+/// which after the turn holds what compression handed back; the
+/// BN-statistic drift; and the staged upload with its `(analytic, wire)`
+/// price.
+///
+/// The grant is the commit point, and this is where it is written: a
+/// staged turn is settled once, by the grant. [`keep`](Self::keep) banks
+/// the residual as the turn left it, serializes the upload and reclaims
+/// its buffers; [`dismiss`](Self::dismiss) first rolls the turn back, so
+/// the client's bank ends the round as it began, then checks the residual
+/// in and reclaims. Settling takes the turn's residual and upload; its
+/// buffers stay for the next turn staged here, so a driver keeps one
+/// `StagedTurn` per turn it runs at a time and allocates nothing in
+/// steady state.
+#[derive(Debug, Default)]
+pub struct StagedTurn {
+    /// The turn's round and client, and the client's residual, checked
+    /// out of the bank until the turn is settled.
+    pub(crate) held: Option<(u32, ClientId, Residual)>,
+    /// The buffer the turn trains into; after it, what
+    /// [`ClientCompressor::compress`] handed back.
+    pub(crate) delta: Vec<f32>,
+    pub(crate) stats: Vec<f32>,
+    pub(crate) upload: Option<(Upload, (u64, u64))>,
+}
+
+impl StagedTurn {
+    /// Stages client `id`'s turn in `round`: checks its residual out of
+    /// `compressor`'s bank and readies the buffers the turn fills — a
+    /// delta buffer from `scratch` unless the last turn handed back one of
+    /// the model's length. Storage that outlives the turn is allocated
+    /// here, on the caller's thread, never on a worker running the turn.
+    ///
+    /// # Panics
+    /// Panics if a turn is staged here and not yet settled, or if client
+    /// `id`'s residual is already checked out.
+    pub fn stage(
+        &mut self,
+        compressor: &mut ClientCompressor,
+        round: u32,
+        id: ClientId,
+        scratch: &mut ScratchPool,
+    ) {
+        assert!(self.held.is_none(), "a staged turn was never settled");
+        let dim = compressor.dim;
+        if self.delta.len() != dim {
+            self.delta = scratch.take_full(dim);
+        }
+        self.stats.resize(dim - compressor.trainable, 0.0);
+        self.held = Some((round, id, compressor.check_out(id)));
+    }
+
+    /// The round of the turn staged here and not yet settled.
+    #[must_use]
+    pub fn round(&self) -> Option<u32> {
+        self.held.as_ref().map(|&(round, ..)| round)
+    }
+
+    /// The `(analytic, wire)` bytes the staged upload was priced at, once
+    /// the turn has run.
+    #[must_use]
+    pub fn price(&self) -> Option<(u64, u64)> {
+        self.upload.as_ref().map(|&(_, price)| price)
+    }
+
+    /// Keeps the turn: checks the residual in as the turn left it, then
+    /// serializes the upload and the BN-statistic drift into `out`
+    /// (upload frame(s), then one mask-aligned stats frame) and reclaims
+    /// the upload's buffers into `scratch`. Returns the byte count, which
+    /// is the turn's offered wire price. Under a lossy codec with
+    /// `quant_ec` on, what each frame failed to ship is folded into the
+    /// client's bank, at the one-bits of `round_mask` (the mask the turn
+    /// was given) for a mask-aligned frame. Quantization seeds derive from
+    /// `(seed, round, id)`, never from processing order.
+    ///
+    /// # Panics
+    /// Panics if no turn has run here since it was staged, or if the
+    /// encoded length is not the offered one.
+    pub fn keep(
+        &mut self,
+        compressor: &mut ClientCompressor,
+        round_mask: Option<&BitMask>,
+        out: &mut Vec<u8>,
+        scratch: &mut ScratchPool,
+    ) -> usize {
+        let (round, id, residual) = self.held.take().expect("a turn is staged");
+        compressor.check_in(id, residual);
+        let (upload, (_, offered)) = self.upload.take().expect("the staged turn ran");
+        let len = compressor.encode_kept(round, id, &upload, round_mask, &self.stats, out);
+        // The ledger is a prediction; this is where it meets the encoder.
+        assert_eq!(
+            len as u64, offered,
+            "encoded frame bytes diverged from the offered length"
+        );
+        scratch.reclaim_upload(upload);
+        len
+    }
+
+    /// Dismisses the turn: rolls it back, so the client's residual is
+    /// again the bits and weight it was checked out with (or none, on a
+    /// first turn), checks it in and reclaims the upload's buffers into
+    /// `scratch`. Nothing is copied: the delta buffer trades places with
+    /// the residual buffer the turn banked. A no-op when no turn is
+    /// staged.
+    pub fn dismiss(&mut self, compressor: &mut ClientCompressor, scratch: &mut ScratchPool) {
+        if let Some((_, id, mut residual)) = self.held.take() {
+            compressor.roll_back(&mut residual, &mut self.delta);
+            compressor.check_in(id, residual);
+        }
+        if let Some((upload, _)) = self.upload.take() {
+            scratch.reclaim_upload(upload);
+        }
     }
 }
 
@@ -570,7 +672,10 @@ mod tests {
         let mut c = compressor(StrategyConfig::FedAvg, 8, BitMask::zeros(8));
         let up = compress(&mut c, 0, 0, Group::Fresh, &mut vec![1.0; 8], None).unwrap();
         assert_eq!(up, Upload::Dense(vec![1.0; 8]));
-        assert_eq!(up.bytes(), 8 * 4 + 16);
+        assert_eq!(
+            wire_link::encoded_len(&up, &WirePolicy::default()),
+            8 * 4 + 16
+        );
     }
 
     #[test]
@@ -611,7 +716,8 @@ mod tests {
         );
         let up_plain = compress(&mut plain, 0, 0, Group::Fresh, &mut delta.clone(), None).unwrap();
         let up_quant = compress(&mut quant, 0, 0, Group::Fresh, &mut delta.clone(), None).unwrap();
-        assert!(up_quant.bytes() < up_plain.bytes());
+        let bytes = |u: &Upload| wire_link::encoded_len(u, &WirePolicy::default());
+        assert!(bytes(&up_quant) < bytes(&up_plain));
         match up_quant {
             Upload::Ternary(t) => {
                 let back = t.dequantize();

@@ -30,8 +30,8 @@
 //!    and only kept uploads are ever serialized. The grant is the commit
 //!    point of a client's error-feedback residual: a kept client banks
 //!    what its turn left, a dismissed client's bank ends the round as it
-//!    began ([`crate::ClientCompressor::roll_back`]), as for a device
-//!    that discards an unsent turn. The grant is timed as
+//!    began, as for a device that discards an unsent turn — both settled
+//!    by the client's [`crate::StagedTurn`]. The grant is timed as
 //!    [`Phase::Train`] too;
 //! 5. `fold` — each arrival from [`RoundIo::next_upload`] is decoded
 //!    through the one upload grammar
@@ -156,13 +156,14 @@ pub trait RoundIo: Send {
 
     /// Delivers the broadcast to every invited client, with its group
     /// tag; a client takes its turn — trains, compresses its delta and
-    /// prices the staged upload ([`crate::ClientTurn::run`]) — once its
-    /// offer or its upload needs it. A socket IO only sends the
-    /// invitations, and each client trains on receipt. The in-process IO
-    /// runs every turn before returning, unless the broadcast alone
-    /// prices every upload ([`crate::ClientCompressor::shape_offer`]):
-    /// then it holds the broadcast weights and runs no turn yet. A turn
-    /// taken here commits nothing: its residual waits for the grant.
+    /// prices the upload ([`crate::ClientTurn::run`]) — once its offer
+    /// or its upload needs it. A socket IO only sends the invitations,
+    /// and each client trains on receipt. The in-process IO runs every
+    /// turn before returning, unless the broadcast alone prices every
+    /// upload ([`crate::ClientCompressor::shape_offer`]): then it holds
+    /// the broadcast weights and runs no turn yet. A turn taken here
+    /// commits nothing: it waits for the grant as a
+    /// [`crate::StagedTurn`].
     fn invite(&mut self, round: u32, invited: &[(ClientId, Group)], broadcast: &Broadcast<'_>);
 
     /// Collects the invited clients' offers: `offers[i]` becomes the
@@ -176,12 +177,14 @@ pub trait RoundIo: Send {
 
     /// Announces the keep decision: the invitation indices in `kept` are
     /// granted their upload slot, everyone else is dismissed. This is the
-    /// commit point of every turn: a kept client's residual is banked as
-    /// its turn left it, and a dismissed client's turn is rolled back, so
-    /// its bank ends the round as it began. `times` now carries the
-    /// modeled upload seconds too. An IO whose turns waited for this
-    /// decision takes the kept clients' turns here, so the engine times
-    /// this call as training.
+    /// commit point of every turn, which each client's
+    /// [`crate::StagedTurn`] settles: a kept turn banks the residual as it
+    /// left it ([`crate::StagedTurn::keep`], when its upload is
+    /// serialized), a dismissed one rolls back, so the client's bank ends
+    /// the round as it began ([`crate::StagedTurn::dismiss`]). `times`
+    /// now carries the modeled upload seconds too. An IO whose turns
+    /// waited for this decision takes the kept clients' turns here, so
+    /// the engine times this call as training.
     fn grant(&mut self, round: u32, kept: &[usize], times: &[ClientRoundTime]);
 
     /// Waits for the next granted slot to resolve. On

@@ -68,7 +68,7 @@ pub mod stream;
 pub mod theory;
 pub mod wire_link;
 
-pub use client::{ClientCompressor, MissingRoundMask, RunSetup};
+pub use client::{ClientCompressor, MissingRoundMask, RunSetup, StagedTurn};
 pub use config::{AvailabilityConfig, GlueFlParams, SimConfig, StrategyConfig};
 pub use engine::RoundEngine;
 pub use gluefl_tensor::MaskedUpdate;

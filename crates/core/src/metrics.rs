@@ -22,7 +22,8 @@ pub struct RoundRecord {
     /// emit for it.
     pub down_bytes: u64,
     /// Upstream bytes this round (all invited clients) in the analytic
-    /// ledger ([`crate::strategies::Upload::bytes`]).
+    /// ledger: each offer's F32 [`WirePolicy::legacy`](crate::WirePolicy::legacy)
+    /// price ([`crate::ClientCompressor::offer`]).
     pub up_bytes: u64,
     /// *Measured* upstream bytes this round: every invited client's
     /// upload and BN-statistic frames as actually serialized by the

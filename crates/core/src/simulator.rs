@@ -8,25 +8,24 @@
 //! by the engine ([`crate::engine`]); this module supplies what clients
 //! do:
 //!
-//! * a turn runs when something first needs its result. The grant is
-//!   the commit point of a client's residual: a dismissed client's bank
-//!   ends the round as it began, so a dismissed turn leaves no trace.
-//!   When the broadcast fixes every upload's price
+//! * a client's turn is staged in a [`StagedTurn`] and settled by the
+//!   grant, the commit point of its residual: a kept turn banks what it
+//!   left, a dismissed one rolls back, so a dismissed turn leaves no
+//!   trace. A turn runs when something first needs its result. When the
+//!   broadcast fixes every upload's price
 //!   ([`ClientCompressor::shape_offer`]: FedAvg's `dim` values, APF's
 //!   values under the broadcast mask, and under a legacy wire policy
 //!   STC's and GlueFL's top-k, whose frame length follows from its
-//!   count), `offers` reports that price for every invited client and
-//!   only the kept clients take their turns, on `grant`, from a copy of
-//!   the broadcast weights held since `invite`: a dismissed turn could
-//!   have changed no bit, since each turn's RNG comes from
+//!   count), only the kept clients take their turns, on `grant`, from a
+//!   copy of the broadcast weights held since `invite`: a dismissed turn
+//!   could have changed no bit, since each turn's RNG comes from
 //!   `(seed, round, client)`. Otherwise (STC and GlueFL under an entropy
 //!   policy, whose index pattern prices the frame) every invited client
 //!   takes its turn on `invite`, as a socket client does on its
-//!   `INVITE`, and `grant` rolls the dismissed clients' turns back
-//!   ([`ClientCompressor::roll_back`]);
-//! * either way a turn is the one per-client
-//!   routine ([`ClientTurn::run`]), after filling the rows of its data
-//!   shard that its minibatches will read and that are not filled yet
+//!   `INVITE`, and `grant` dismisses the turns not kept;
+//! * either way a turn is the one per-client routine
+//!   ([`ClientTurn::run`]), after filling the rows of its data shard that
+//!   its minibatches will read and that are not filled yet
 //!   ([`ClientTurn::fill_rows`] — the rows follow from the turn's seed,
 //!   so about 5 % of a wide-shape shard is synthesised, not all of it):
 //!   it trains `E` local SGD steps from the broadcast weights
@@ -38,15 +37,15 @@
 //!   cohort streams through it, each step touches each weight once, and
 //!   a turn allocates nothing in steady state. The delta's buffer is
 //!   handed over, not copied: it becomes the client's residual (and the
-//!   previous residual's buffer the next round's delta buffer) or, for a
-//!   dense strategy, the upload itself. The round's turns are cut into one
-//!   job of consecutive turns per worker of the vendored [`gluefl_pool`]
-//!   (as many as [`gluefl_pool::threads`]), each with its own
-//!   [`ScratchPool`] — scheduling only. A client's compress reads only
-//!   its own delta, its own residual (checked out of the bank before the
-//!   workers start, checked back in at `grant`) and the round mask,
-//!   and its RNG is derived from `(seed, round, client)`, so results do
-//!   not depend on the worker count or the thread schedule;
+//!   previous residual's buffer the next turn's delta buffer) or, for a
+//!   dense strategy, the upload itself. The round's turns are cut into
+//!   one job of consecutive turns per worker of the vendored
+//!   [`gluefl_pool`] (as many as [`gluefl_pool::threads`]), each with its
+//!   own [`ScratchPool`] — scheduling only. A client's compress reads
+//!   only its own delta, its own residual (checked out before the
+//!   workers start) and the round mask, and its RNG is derived from
+//!   `(seed, round, client)`, so results do not depend on the worker
+//!   count or the thread schedule;
 //! * a shard, once built, is kept with the rows it has filled: once a
 //!   round is over at most `S` shards stay, those whose clients took a
 //!   turn most recently, and a later turn fills only the rows it reads
@@ -60,19 +59,17 @@
 //!   them changes a bit;
 //! * `offers` hands the engine the shape price, or else the prices the
 //!   turns staged;
-//! * each granted upload is serialized into the engine's buffer
-//!   ([`ClientCompressor::encode_kept`]) when the engine asks for the
-//!   next arrival; dropped clients are never serialized at all, their
-//!   pooled buffers go straight back.
+//! * a kept turn is settled when the engine asks for the next arrival,
+//!   its upload serialized into the engine's buffer
+//!   ([`StagedTurn::keep`]); a dismissed upload is never serialized.
 
-use crate::client::{ClientCompressor, MissingRoundMask, RunSetup};
+use crate::client::{ClientCompressor, MissingRoundMask, RunSetup, StagedTurn};
 use crate::config::{SimConfig, StrategyConfig};
 use crate::engine::{Arrival, Broadcast, RoundEngine, RoundIo};
 use crate::metrics::{RoundRecord, RunResult};
 use crate::scratch::{ScratchPool, TrainSlot};
 use crate::staleness::StalenessTracker;
-use crate::strategies::{Group, Upload};
-use gluefl_compress::Residual;
+use crate::strategies::Group;
 use gluefl_data::{batch_rows, ClientDataset, SyntheticFlDataset};
 use gluefl_ml::{BatchTrainScratch, Mlp, MlpTopology};
 use gluefl_net::timing::ClientRoundTime;
@@ -303,12 +300,11 @@ impl ShardCache {
 }
 
 /// The in-process [`RoundIo`]: every client of the population, simulated
-/// here. Holds one round's worth of client state between the engine's
-/// steps — staged uploads and their prices, BN-statistic drift, the
-/// buffers compression handed back — in buffers recycled from round to
-/// round, plus the shards of the clients that most recently took a turn
-/// (at most the sticky group's size `S` between rounds). Public so a
-/// test can wrap it and script what the engine gets to see.
+/// here. Holds the round's [`StagedTurn`]s between the engine's steps, in
+/// buffers recycled from round to round, plus the shards of the clients
+/// that most recently took a turn (at most the sticky group's size `S`
+/// between rounds). Public so a test can wrap it and script what the
+/// engine gets to see.
 pub struct InProcessClients {
     cfg: SimConfig,
     data: Arc<SyntheticFlDataset>,
@@ -329,92 +325,19 @@ pub struct InProcessClients {
     shape_price: Option<(u64, u64)>,
     /// The broadcast weights, held for turns taken at `grant`.
     global: Vec<f32>,
-    /// Per invited client, the cohort job its turn ran in: its upload
-    /// goes back to that job's pool.
-    pool_of: Vec<usize>,
-    /// Per turn taken, what [`ClientCompressor::compress`] handed back in
-    /// exchange for the delta — and the full-length buffers among those,
-    /// kept for the next round's deltas.
-    deltas: Vec<Vec<f32>>,
-    delta_bufs: Vec<Vec<f32>>,
-    /// Per turn taken, its invitation index and the client's residual,
-    /// checked out until `grant` settles the turn.
-    residuals: Vec<(usize, Residual)>,
-    /// BN-statistic drift per invited client (invited × stats).
-    stats: Vec<f32>,
-    /// Staged uploads, per invited client (`None` until its turn runs),
-    /// each with the `(analytic, wire)` bytes it was priced at.
-    uploads: Vec<Option<(Upload, (u64, u64))>>,
-    /// Granted invitation indices not yet handed to the engine.
-    pending: Vec<usize>,
+    /// The round's turns in turn order — every invited client's when
+    /// taken at `invite` (turn `i` is invitation `i`), the kept clients'
+    /// in invitation order when taken at `grant` — and past them the
+    /// settled turns of earlier rounds, whose buffers the next turns reuse.
+    turns: Vec<StagedTurn>,
+    /// Turns per cohort job this round: turn `t` ran in `pools[t / chunk]`.
+    chunk: usize,
+    /// Granted (invitation index, turn index) pairs not yet handed to the
+    /// engine.
+    pending: Vec<(usize, usize)>,
     tel: Option<ClientRecorder>,
     /// Cohort jobs per round (fewer when fewer turns are taken).
     threads: usize,
-}
-
-/// One pool worker's share of a round's turns: a run of consecutive
-/// turns, with their clients' shards, buffers and residuals (one per
-/// turn), the window of invitation-indexed stats and upload slots from
-/// the run's first turn to its last, and the job's own [`ScratchPool`].
-struct CohortJob<'a> {
-    /// The invitation indices whose turns the job runs, ascending; the
-    /// first is slot 0 of `stats` and `uploads`.
-    turns: &'a [usize],
-    invited: &'a [(ClientId, Group)],
-    /// Each turn's shard for the job to fill and train on.
-    shards: &'a mut [ClientDataset],
-    deltas: &'a mut [Vec<f32>],
-    residuals: &'a mut [Residual],
-    stats: &'a mut [f32],
-    uploads: &'a mut [Option<(Upload, (u64, u64))>],
-    scratch: &'a mut ScratchPool,
-}
-
-impl CohortJob<'_> {
-    /// Runs every turn's [`ClientTurn::run`] in invitation order, each
-    /// after [`ClientTurn::fill_rows`] on its shard, and counts the
-    /// rows filled on `rows_filled`. With `trace`, every run of eight
-    /// turns is one [`Phase::Train`] span.
-    fn run(
-        self,
-        turn: &ClientTurn<'_>,
-        data: &SyntheticFlDataset,
-        trace: Option<(&Telemetry, u32)>,
-        rows_filled: Option<&Counter>,
-    ) {
-        let stats_len = turn.stats_positions.len();
-        let CohortJob {
-            turns,
-            invited,
-            shards,
-            deltas,
-            residuals,
-            stats,
-            uploads,
-            scratch,
-        } = self;
-        in_spans(turns.len(), trace, |c| {
-            let (id, group) = invited[turns[c]];
-            let slot = turns[c] - turns[0];
-            let shard = &mut shards[c];
-            let filled = turn.fill_rows(data, id, shard);
-            if let Some(counter) = rows_filled {
-                counter.add(filled as u64);
-            }
-            let staged = turn
-                .run(
-                    id,
-                    group,
-                    shard,
-                    &mut deltas[c],
-                    &mut stats[slot * stats_len..(slot + 1) * stats_len],
-                    &mut residuals[c],
-                    scratch,
-                )
-                .expect("the engine broadcasts the mask of every masking strategy");
-            uploads[slot] = Some(staged);
-        });
-    }
 }
 
 impl std::fmt::Debug for InProcessClients {
@@ -431,35 +354,23 @@ impl RoundIo for InProcessClients {
     }
 
     fn invite(&mut self, round: u32, invited: &[(ClientId, Group)], broadcast: &Broadcast<'_>) {
-        // Recycle the previous round: its dropped clients' uploads were
-        // priced but never encoded.
-        for (staged, &pool) in self.uploads.drain(..).zip(&self.pool_of) {
-            if let Some((upload, _)) = staged {
-                self.pools[pool].reclaim_upload(upload);
-            }
-        }
-        self.delta_bufs
-            .extend(self.deltas.drain(..).filter(|buf| !buf.is_empty()));
         self.invited.clear();
         self.invited.extend_from_slice(invited);
         match (broadcast.mask, &mut self.round_mask) {
             (Some(mask), Some(own)) => own.copy_from(mask),
             (mask, own) => *own = mask.cloned(),
         }
-        let (n, stats_len) = (invited.len(), self.stats_positions.len());
-        self.uploads.resize_with(n, || None);
-        self.pool_of.resize(n, 0);
-        self.stats.clear();
-        self.stats.resize(n * stats_len, 0.0);
-        self.shape_price = self
-            .compressor
-            .shape_offer(round, self.round_mask.as_ref(), stats_len);
+        self.shape_price = self.compressor.shape_offer(
+            round,
+            self.round_mask.as_ref(),
+            self.stats_positions.len(),
+        );
         if self.shape_price.is_some() {
             // Nobody's turn can change a price: train the kept at `grant`.
             self.global.clear();
             self.global.extend_from_slice(broadcast.params);
         } else {
-            let every: Vec<usize> = (0..n).collect();
+            let every: Vec<usize> = (0..invited.len()).collect();
             self.take_turns(round, broadcast.params, &every);
         }
     }
@@ -470,71 +381,51 @@ impl RoundIo for InProcessClients {
         _times: &[ClientRoundTime],
         offers: &mut [Option<(u64, u64)>],
     ) {
-        for (offer, staged) in offers.iter_mut().zip(&self.uploads) {
-            *offer = self
-                .shape_price
-                .or_else(|| staged.as_ref().map(|&(_, priced)| priced));
+        for (i, offer) in offers.iter_mut().enumerate() {
+            *offer = self.shape_price.or_else(|| self.turns[i].price());
         }
     }
 
     fn grant(&mut self, round: u32, kept: &[usize], _times: &[ClientRoundTime]) {
+        let mut kept = kept.to_vec();
+        kept.sort_unstable();
+        self.pending.clear();
         if let Some(price) = self.shape_price {
-            let mut turns = kept.to_vec();
-            turns.sort_unstable();
             let global = std::mem::take(&mut self.global);
-            self.take_turns(round, &global, &turns);
+            self.take_turns(round, &global, &kept);
             self.global = global;
-            for &i in kept {
-                let staged = self.uploads[i].as_ref().map(|&(_, priced)| priced);
+            for turn in &self.turns[..kept.len()] {
                 assert_eq!(
-                    staged,
+                    turn.price(),
                     Some(price),
                     "a kept upload's price diverged from its shape price"
                 );
             }
-        }
-        // The grant is the commit point: a kept client's residual is
-        // banked as its turn left it, a dismissed client's rolled back to
-        // what it was before the turn.
-        let mut granted = vec![false; self.invited.len()];
-        for &i in kept {
-            granted[i] = true;
-        }
-        for ((i, mut residual), delta) in self.residuals.drain(..).zip(&mut self.deltas) {
-            if !granted[i] {
-                self.compressor.roll_back(&mut residual, delta);
+            self.pending.extend(kept.iter().copied().zip(0..));
+        } else {
+            let turns = self.turns[..self.invited.len()].iter_mut().enumerate();
+            for (i, turn) in turns.filter(|(i, _)| kept.binary_search(i).is_err()) {
+                turn.dismiss(&mut self.compressor, &mut self.pools[i / self.chunk]);
             }
-            self.compressor.check_in(self.invited[i].0, residual);
+            self.pending.extend(kept.iter().map(|&i| (i, i)));
         }
         // Training is over: down to the `S` most recently used shards.
         self.cache.trim();
         // Delivered in descending pop order = ascending client id, the
         // order the engine's gate folds in: it never has to park, so at
         // most one decoded upload is alive at a time.
-        self.pending.clear();
-        self.pending.extend_from_slice(kept);
         self.pending
-            .sort_unstable_by_key(|&i| std::cmp::Reverse(self.invited[i].0));
+            .sort_unstable_by_key(|&(i, _)| std::cmp::Reverse(self.invited[i].0));
     }
 
-    fn next_upload(&mut self, round: u32, payload: &mut Vec<u8>) -> Option<Arrival> {
-        let i = self.pending.pop()?;
-        let (upload, (_, offered)) = self.uploads[i].take().expect("kept indices are unique");
-        let stats_len = self.stats_positions.len();
-        let len = self.compressor.encode_kept(
-            round,
-            self.invited[i].0,
-            &upload,
+    fn next_upload(&mut self, _round: u32, payload: &mut Vec<u8>) -> Option<Arrival> {
+        let (i, t) = self.pending.pop()?;
+        self.turns[t].keep(
+            &mut self.compressor,
             self.round_mask.as_ref(),
-            &self.stats[i * stats_len..(i + 1) * stats_len],
             payload,
+            &mut self.pools[t / self.chunk],
         );
-        // The ledger is a prediction; this is where it meets the encoder.
-        assert_eq!(
-            len as u64, offered,
-            "encoded frame bytes diverged from the offered length"
-        );
-        self.pools[self.pool_of[i]].reclaim_upload(upload);
         Some(Arrival::Delivered(i))
     }
 
@@ -568,12 +459,8 @@ impl InProcessClients {
             round_mask: None,
             shape_price: None,
             global: Vec::new(),
-            pool_of: Vec::new(),
-            deltas: Vec::new(),
-            delta_bufs: Vec::new(),
-            residuals: Vec::new(),
-            stats: Vec::new(),
-            uploads: Vec::new(),
+            turns: Vec::new(),
+            chunk: 1,
             pending: Vec::new(),
             tel: None,
             threads: gluefl_pool::threads(),
@@ -581,41 +468,37 @@ impl InProcessClients {
     }
 
     /// Client `id`'s banked error-feedback residual and the weight it was
-    /// stored at — `None` before its first kept turn, while a turn taken
-    /// at `invite` awaits its grant, and always for a strategy without
-    /// error feedback.
+    /// stored at — `None` before its first kept turn, while a turn of its
+    /// is staged, and always for a strategy without error feedback.
     #[must_use]
     pub fn stored(&self, id: ClientId) -> Option<(&[f32], f64)> {
         self.compressor.stored(id)
     }
 
-    /// Runs the turns of the invitations listed in `turns` (ascending)
-    /// from `global` ([`ClientTurn::run`] after [`ClientTurn::fill_rows`]:
-    /// fill the shard rows the turn reads, train, compress, price),
-    /// staging at each turn's invitation index the upload and its price in
-    /// `self.uploads` and the BN-statistic drift in `self.stats`
-    /// (`invited × stats` flat), and in turn order the buffers compression
-    /// handed back in `self.deltas`. The turns are cut into one job of
+    /// Runs the turns of the invitations listed in `invitations`
+    /// (ascending) from `global`, turn `t` staged in `self.turns[t]`
+    /// ([`StagedTurn::stage`], then [`ClientTurn::run`] after
+    /// [`ClientTurn::fill_rows`]: fill the shard rows the turn reads,
+    /// train, compress, price). The turns are cut into one job of
     /// consecutive turns per pool worker — a single job on a one-CPU
     /// machine — each with its own [`ScratchPool`]; a job is scheduling,
-    /// not a second way to take a turn. The turns' residuals are checked
-    /// out before the workers start and wait in `self.residuals`, in turn
-    /// order, for `grant` to keep or roll back each turn and check it
-    /// back in. Each turn owns its shard for the round —
-    /// taken out of the cache, or new storage for a miss — and the shards
-    /// go back in the cache after the join. The engine invites each
-    /// client at most once, so no two turns share a shard or a residual.
+    /// not a second way to take a turn. Each turn owns its shard for the
+    /// round — taken out of the cache, or new storage for a miss — and
+    /// the shards go back in the cache after the join. The engine invites
+    /// each client at most once, so no two turns share a shard or a
+    /// residual.
     ///
-    /// Storage that outlives the round — a missing shard, a delta buffer
-    /// that may become a residual — is allocated here and only filled on
-    /// the workers. Allocated on a worker it would come from that
-    /// thread's malloc arena, and every round spawns fresh workers that
-    /// may draw any arena, so the shard cache and the residual bank
-    /// would scatter across arenas that never shrink back.
-    fn take_turns(&mut self, round: u32, global: &[f32], turns: &[usize]) {
-        let n = turns.len();
+    /// Storage that outlives the round — a missing shard, a staged turn's
+    /// buffers — is allocated here and only filled on the workers.
+    /// Allocated on a worker it would come from that thread's malloc
+    /// arena, and every round spawns fresh workers that may draw any
+    /// arena, so the shard cache and the residual bank would scatter
+    /// across arenas that never shrink back.
+    fn take_turns(&mut self, round: u32, global: &[f32], invitations: &[usize]) {
+        let n = invitations.len();
         let threads = self.threads.min(n).max(1);
         let chunk = n.div_ceil(threads).max(1);
+        self.chunk = chunk;
         // Concurrent jobs would each time the same wall-clock window, so
         // they share one enclosing span; a lone job records its spans
         // block by block.
@@ -624,7 +507,8 @@ impl InProcessClients {
         let enclosing = trace
             .filter(|_| !lone)
             .map(|(t, round)| t.span(Phase::Train, round));
-        let ids: Vec<ClientId> = turns.iter().map(|&i| self.invited[i].0).collect();
+        let cohort: Vec<(ClientId, Group)> = invitations.iter().map(|&i| self.invited[i]).collect();
+        let ids: Vec<ClientId> = cohort.iter().map(|&(id, _)| id).collect();
         let misses = self.cache.admit(round, &ids);
         let mut shards: Vec<ClientDataset> = ids
             .iter()
@@ -642,21 +526,12 @@ impl InProcessClients {
         if self.pools.len() < threads {
             self.pools.resize_with(threads, ScratchPool::new);
         }
-        // A turn overwrites every position of its delta buffer, so last
-        // round's hand-backs are reused as they are, then the buffers the
-        // job's dense uploads returned.
-        let (recycled, pools) = (&mut self.delta_bufs, &mut self.pools);
-        self.deltas.extend((0..n).map(|t| {
-            recycled
-                .pop()
-                .unwrap_or_else(|| pools[t / chunk].take_full(global.len()))
-        }));
-        let mut residuals: Vec<Residual> = ids
-            .iter()
-            .map(|&id| self.compressor.check_out(id))
-            .collect();
-        for (t, &i) in turns.iter().enumerate() {
-            self.pool_of[i] = t / chunk;
+        if self.turns.len() < n {
+            self.turns.resize_with(n, StagedTurn::default);
+        }
+        for (t, &id) in ids.iter().enumerate() {
+            let pool = &mut self.pools[t / chunk];
+            self.turns[t].stage(&mut self.compressor, round, id, pool);
         }
         let turn = ClientTurn {
             cfg: &self.cfg,
@@ -668,49 +543,27 @@ impl InProcessClients {
             round_mask: self.round_mask.as_ref(),
             update_norm: self.tel.as_ref().map(|t| &t.update_norm_milli),
         };
-        // Each job's window of the invitation-indexed slots runs from its
-        // first turn to its last; what lies between windows is left as it
-        // is. NOTE: the stats windows are carved by client count —
-        // `chunks_mut(chunk * stats_len)` would reject models without BN
-        // statistics (chunk size zero).
-        let stats_len = self.stats_positions.len();
-        let (mut stats_rest, mut uploads_rest) = (&mut self.stats[..], &mut self.uploads[..]);
-        let mut next = 0;
-        let mut jobs = Vec::with_capacity(threads);
-        for ((((turns, shards), deltas), residuals), scratch) in turns
+        let jobs: Vec<_> = cohort
             .chunks(chunk)
             .zip(shards.chunks_mut(chunk))
-            .zip(self.deltas.chunks_mut(chunk))
-            .zip(residuals.chunks_mut(chunk))
+            .zip(self.turns[..n].chunks_mut(chunk))
             .zip(&mut self.pools)
-        {
-            let (first, end) = (turns[0], turns[turns.len() - 1] + 1);
-            let window = std::mem::take(&mut stats_rest);
-            let (stats, rest) =
-                window[(first - next) * stats_len..].split_at_mut((end - first) * stats_len);
-            stats_rest = rest;
-            let window = std::mem::take(&mut uploads_rest);
-            let (uploads, rest) = window[first - next..].split_at_mut(end - first);
-            uploads_rest = rest;
-            next = end;
-            jobs.push(CohortJob {
-                turns,
-                invited: &self.invited,
-                shards,
-                deltas,
-                residuals,
-                stats,
-                uploads,
-                scratch,
-            });
-        }
+            .collect();
         let data = &*self.data;
         let rows_filled = self.tel.as_ref().map(|t| &t.rows_filled);
-        gluefl_pool::run(threads, jobs, |job| {
-            job.run(&turn, data, trace.filter(|_| lone), rows_filled);
+        gluefl_pool::run(threads, jobs, |(((cohort, shards), staged), scratch)| {
+            // Every run of eight turns is one span, when the job is alone.
+            in_spans(cohort.len(), trace.filter(|_| lone), |c| {
+                let (id, group) = cohort[c];
+                let filled = turn.fill_rows(data, id, &mut shards[c]);
+                if let Some(counter) = rows_filled {
+                    counter.add(filled as u64);
+                }
+                turn.run(group, &shards[c], &mut staged[c], scratch)
+                    .expect("the engine broadcasts the mask of every masking strategy");
+            });
         });
         drop(enclosing);
-        self.residuals.extend(turns.iter().copied().zip(residuals));
         for (&id, shard) in ids.iter().zip(shards) {
             self.cache.put(id, round, shard);
         }
@@ -777,44 +630,39 @@ impl ClientTurn<'_> {
         data.fill_rows(id, shard, rows)
     }
 
-    /// Client `id`'s whole turn — the routine every driver runs, the
-    /// in-process cohort job for each of its clients and a socket
-    /// client's `INVITE` handler alike: train on `shard` from the
-    /// broadcast weights ([`train_client_into`], seeded by
-    /// [`local_train_seed`]), then compress the delta
-    /// ([`ClientCompressor::compress`], on the client's checked-out
-    /// `residual`) and price the staged upload
-    /// ([`ClientCompressor::offer`]). Every row the training reads must be
-    /// filled ([`fill_rows`](Self::fill_rows)). Returns the upload and its
-    /// `(analytic, wire)` bytes; the BN-statistic drift is left in
-    /// `stats_out`.
-    ///
-    /// `delta` is the buffer the client's previous compress handed back:
-    /// reused as it is when it is `dim` long, otherwise replaced by one
-    /// from `scratch`, whose [`TrainSlot`] the training runs in. On
-    /// return it holds what this compress handed back.
+    /// The whole turn [`StagedTurn::stage`]d in `staged` — the routine
+    /// every driver runs, the in-process cohort job for each of its
+    /// clients and a socket client's `INVITE` handler alike: train on
+    /// `shard` from the broadcast weights ([`train_client_into`], seeded
+    /// by [`local_train_seed`]) into the staged delta and BN-statistic
+    /// buffers, then compress the delta ([`ClientCompressor::compress`],
+    /// on the client's checked-out residual) and stage the upload with
+    /// its price ([`ClientCompressor::offer`]), which it returns. Every
+    /// row the training reads must be filled
+    /// ([`fill_rows`](Self::fill_rows)); `scratch`'s [`TrainSlot`] is
+    /// where the training runs.
     ///
     /// # Errors
     /// [`MissingRoundMask`] when a masking strategy's broadcast carried
     /// no mask.
     ///
     /// # Panics
-    /// As [`train_client_into`].
-    #[allow(clippy::too_many_arguments)]
+    /// Panics if no turn is staged in `staged`, and as
+    /// [`train_client_into`].
     pub fn run(
         &self,
-        id: ClientId,
         group: Group,
         shard: &ClientDataset,
-        delta: &mut Vec<f32>,
-        stats_out: &mut [f32],
-        residual: &mut Residual,
+        staged: &mut StagedTurn,
         scratch: &mut ScratchPool,
-    ) -> Result<(Upload, (u64, u64)), MissingRoundMask> {
-        let dim = self.topo.num_params();
-        if delta.len() != dim {
-            *delta = scratch.take_full(dim);
-        }
+    ) -> Result<(u64, u64), MissingRoundMask> {
+        let StagedTurn {
+            held,
+            delta,
+            stats,
+            upload,
+        } = staged;
+        let (_, id, residual) = held.as_mut().expect("a turn is staged");
         let cfg = self.cfg;
         let mut slot = scratch.take_train_slot();
         train_client_into(
@@ -825,10 +673,10 @@ impl ClientTurn<'_> {
             cfg.batch_size,
             cfg.lr_at_round(self.round),
             cfg.momentum,
-            self.train_seed(id),
+            self.train_seed(*id),
             delta,
             self.stats_positions,
-            stats_out,
+            stats,
             &mut slot,
         );
         scratch.put_train_slot(slot);
@@ -836,17 +684,18 @@ impl ClientTurn<'_> {
             // Measured on the raw delta, before compression consumes it.
             norm.observe((vecops::l2_norm(delta) * 1e3) as u64);
         }
-        let upload = self.compressor.compress(
+        let compressed = self.compressor.compress(
             self.round,
-            id,
+            *id,
             group,
             delta,
             self.round_mask,
             residual,
             scratch,
         )?;
-        let priced = self.compressor.offer(&upload, stats_out.len());
-        Ok((upload, priced))
+        let price = self.compressor.offer(&compressed, stats.len());
+        *upload = Some((compressed, price));
+        Ok(price)
     }
 }
 
@@ -1029,6 +878,7 @@ pub fn batch_local_train_into(
 mod tests {
     use super::*;
     use crate::config::GlueFlParams;
+    use crate::strategies::Upload;
     use gluefl_data::DatasetProfile;
     use gluefl_ml::DatasetModel;
     use gluefl_telemetry::{EventKind, PHASE_COUNT};
@@ -1277,12 +1127,14 @@ mod tests {
     }
 
     /// Dimension-sized buffers alive on the client side after a round,
-    /// outside the residual bank: hand-backs waiting to be the next
-    /// deltas, dense uploads still staged, dense uploads back in any
-    /// job's pool.
+    /// outside the residual bank: hand-backs waiting in the settled turns
+    /// to be the next deltas, and dense uploads back in any job's pool.
     fn live_delta_buffers(c: &InProcessClients, dim: usize) -> usize {
-        let handed_back = c.deltas.iter().chain(&c.delta_bufs);
-        let staged = c.uploads.iter().flatten();
+        assert!(
+            c.turns.iter().all(|t| t.held.is_none()),
+            "a turn is unsettled"
+        );
+        let handed_back = c.turns.iter().filter(|t| t.delta.len() == dim);
         let pooled = c.pools.iter().map(|pool| {
             if pool.max_idle_value_capacity() >= dim {
                 pool.idle_buffers()
@@ -1290,9 +1142,7 @@ mod tests {
                 0
             }
         });
-        handed_back.filter(|buf| buf.len() == dim).count()
-            + staged.filter(|u| matches!(u.0, Upload::Dense(_))).count()
-            + pooled.sum::<usize>()
+        handed_back.count() + pooled.sum::<usize>()
     }
 
     /// The delta hand-off leaks nothing and copies nothing: every round
@@ -1359,27 +1209,35 @@ mod tests {
         cfg
     }
 
-    /// Forwards every call to the simulator's clients and records the
-    /// round's invitations, the clients that took a turn, and how many
-    /// shards are resident once the round's invitations are out.
-    struct CacheProbe<'a> {
-        clients: &'a mut InProcessClients,
-        resident_in_round: usize,
-        invited: Vec<ClientId>,
-        /// Every invited client when the turns ran at the invitation,
-        /// else the kept ones.
-        took: Vec<ClientId>,
+    /// Where a [`step_recorded`] hook is called.
+    enum At<'b> {
+        /// Before the invitation reaches the clients: the round, the
+        /// invitations and the broadcast.
+        Invite(u32, &'b [(ClientId, Group)], &'b Broadcast<'b>),
+        /// After the invitation.
+        Invited,
     }
 
-    impl RoundIo for CacheProbe<'_> {
+    /// Forwards every call to the simulator's clients, records the
+    /// round's invitations and kept indices, and calls `hook` with the
+    /// clients around the invitation.
+    struct Recorder<'a, H> {
+        clients: &'a mut InProcessClients,
+        invited: Vec<(ClientId, Group)>,
+        kept: Vec<usize>,
+        hook: H,
+    }
+
+    impl<H: FnMut(At<'_>, &mut InProcessClients) + Send> RoundIo for Recorder<'_, H> {
         fn reachable(&self, id: ClientId) -> bool {
             self.clients.reachable(id)
         }
 
         fn invite(&mut self, round: u32, invited: &[(ClientId, Group)], broadcast: &Broadcast<'_>) {
+            self.invited = invited.to_vec();
+            (self.hook)(At::Invite(round, invited, broadcast), self.clients);
             self.clients.invite(round, invited, broadcast);
-            self.resident_in_round = self.clients.cache.resident.len();
-            self.invited = invited.iter().map(|&(id, _)| id).collect();
+            (self.hook)(At::Invited, self.clients);
         }
 
         fn offers(
@@ -1392,11 +1250,7 @@ mod tests {
         }
 
         fn grant(&mut self, round: u32, kept: &[usize], times: &[ClientRoundTime]) {
-            self.took = if self.clients.shape_price.is_some() {
-                kept.iter().map(|&i| self.invited[i]).collect()
-            } else {
-                self.invited.clone()
-            };
+            self.kept = kept.to_vec();
             self.clients.grant(round, kept, times);
         }
 
@@ -1407,6 +1261,22 @@ mod tests {
         fn rejected(&mut self, round: u32, slot: usize, err: &WireError) {
             self.clients.rejected(round, slot, err);
         }
+    }
+
+    /// Steps `sim` one round through a [`Recorder`] that calls `hook`;
+    /// returns the round's record, invitations and kept indices.
+    fn step_recorded(
+        sim: &mut Simulation,
+        hook: impl FnMut(At<'_>, &mut InProcessClients) + Send,
+    ) -> (RoundRecord, Vec<(ClientId, Group)>, Vec<usize>) {
+        let mut io = Recorder {
+            clients: &mut sim.clients,
+            invited: Vec::new(),
+            kept: Vec::new(),
+            hook,
+        };
+        let rec = sim.engine.step(&mut io);
+        (rec, io.invited, io.kept)
     }
 
     /// Between rounds at most `S` shards stay resident and during a
@@ -1429,17 +1299,15 @@ mod tests {
             assert_eq!(sim.clients.cache.capacity, s);
             let (mut peak, mut turns) = (0, 0);
             for round in 0..12 {
-                let mut probe = CacheProbe {
-                    clients: &mut sim.clients,
-                    resident_in_round: 0,
-                    invited: Vec::new(),
-                    took: Vec::new(),
-                };
-                let rec = sim.engine.step(&mut probe);
+                let mut at_invite = 0;
+                let (rec, ..) = step_recorded(&mut sim, |at, c| {
+                    if matches!(at, At::Invited) {
+                        at_invite = c.cache.resident.len();
+                    }
+                });
                 // Residency peaks once the round's turns are over, which
                 // for shape-priced turns is at the grant, not at the
                 // invitation.
-                let at_invite = probe.resident_in_round;
                 let during = sim.clients.cache.untrimmed;
                 assert!(at_invite <= during);
                 let taken = turns_taken(&cfg, &rec);
@@ -1515,47 +1383,6 @@ mod tests {
         }
     }
 
-    /// Forwards every call to the simulator's clients and records the
-    /// round's invitations and the clients granted an upload slot.
-    struct KeepProbe<'a> {
-        clients: &'a mut InProcessClients,
-        invited: Vec<ClientId>,
-        kept: Vec<ClientId>,
-    }
-
-    impl RoundIo for KeepProbe<'_> {
-        fn reachable(&self, id: ClientId) -> bool {
-            self.clients.reachable(id)
-        }
-
-        fn invite(&mut self, round: u32, invited: &[(ClientId, Group)], broadcast: &Broadcast<'_>) {
-            self.invited = invited.iter().map(|&(id, _)| id).collect();
-            self.clients.invite(round, invited, broadcast);
-        }
-
-        fn offers(
-            &mut self,
-            round: u32,
-            times: &[ClientRoundTime],
-            offers: &mut [Option<(u64, u64)>],
-        ) {
-            self.clients.offers(round, times, offers);
-        }
-
-        fn grant(&mut self, round: u32, kept: &[usize], times: &[ClientRoundTime]) {
-            self.kept = kept.iter().map(|&i| self.invited[i]).collect();
-            self.clients.grant(round, kept, times);
-        }
-
-        fn next_upload(&mut self, round: u32, payload: &mut Vec<u8>) -> Option<Arrival> {
-            self.clients.next_upload(round, payload)
-        }
-
-        fn rejected(&mut self, round: u32, slot: usize, err: &WireError) {
-            self.clients.rejected(round, slot, err);
-        }
-    }
-
     /// A dismissed client takes no turn wherever the broadcast prices
     /// its offer — FedAvg, and STC, quantized STC and GlueFL under a
     /// legacy policy: with room for every shard, exactly the shards of
@@ -1583,20 +1410,14 @@ mod tests {
             sim.clients.cache.capacity = usize::MAX;
             let (mut kept, mut dismissed) = (BTreeSet::new(), BTreeSet::new());
             for round in 0..4 {
-                let mut probe = KeepProbe {
-                    clients: &mut sim.clients,
-                    invited: Vec::new(),
-                    kept: Vec::new(),
-                };
-                let _ = sim.engine.step(&mut probe);
-                kept.extend(probe.kept.iter().copied());
-                let round_kept = probe.kept;
-                dismissed.extend(
-                    probe
-                        .invited
-                        .into_iter()
-                        .filter(|id| !round_kept.contains(id)),
-                );
+                let (_, invited, round_kept) = step_recorded(&mut sim, |_, _| {});
+                for (i, &(id, _)) in invited.iter().enumerate() {
+                    if round_kept.contains(&i) {
+                        kept.insert(id);
+                    } else {
+                        dismissed.insert(id);
+                    }
+                }
                 let resident: BTreeSet<ClientId> =
                     sim.clients.cache.resident.iter().map(|r| r.id).collect();
                 assert_eq!(resident, kept, "{name}, round {round}");
@@ -1609,124 +1430,6 @@ mod tests {
             for id in only_dismissed {
                 assert_eq!(sim.clients.stored(id), None, "{name}: client {id} banked");
             }
-        }
-    }
-
-    /// A client's banked residual bits and weight.
-    type Banked = Option<(Vec<u32>, f64)>;
-
-    fn banked(c: &InProcessClients, id: ClientId) -> Banked {
-        c.stored(id)
-            .map(|(h, w)| (h.iter().map(|v| v.to_bits()).collect(), w))
-    }
-
-    /// Forwards every call to the simulator's clients; snapshots every
-    /// invited client's bank before the invitation, and after the grant
-    /// counts the dismissed clients whose bank still equals its snapshot
-    /// and those whose does not.
-    struct BankProbe<'a> {
-        clients: &'a mut InProcessClients,
-        invited: Vec<ClientId>,
-        before: Vec<Banked>,
-        /// Dismissed clients with a residual before the round, whose bank
-        /// is unchanged after the grant.
-        unchanged: usize,
-        /// Dismissed clients whose bank moved.
-        moved: Vec<ClientId>,
-    }
-
-    impl RoundIo for BankProbe<'_> {
-        fn reachable(&self, id: ClientId) -> bool {
-            self.clients.reachable(id)
-        }
-
-        fn invite(&mut self, round: u32, invited: &[(ClientId, Group)], broadcast: &Broadcast<'_>) {
-            self.invited = invited.iter().map(|&(id, _)| id).collect();
-            self.before = self
-                .invited
-                .iter()
-                .map(|&id| banked(self.clients, id))
-                .collect();
-            self.clients.invite(round, invited, broadcast);
-        }
-
-        fn offers(
-            &mut self,
-            round: u32,
-            times: &[ClientRoundTime],
-            offers: &mut [Option<(u64, u64)>],
-        ) {
-            self.clients.offers(round, times, offers);
-        }
-
-        fn grant(&mut self, round: u32, kept: &[usize], times: &[ClientRoundTime]) {
-            self.clients.grant(round, kept, times);
-            for (i, (&id, before)) in self.invited.iter().zip(&self.before).enumerate() {
-                if kept.contains(&i) {
-                    continue;
-                }
-                if banked(self.clients, id) != *before {
-                    self.moved.push(id);
-                } else if before.is_some() {
-                    self.unchanged += 1;
-                }
-            }
-        }
-
-        fn next_upload(&mut self, round: u32, payload: &mut Vec<u8>) -> Option<Arrival> {
-            self.clients.next_upload(round, payload)
-        }
-
-        fn rejected(&mut self, round: u32, slot: usize, err: &WireError) {
-            self.clients.rejected(round, slot, err);
-        }
-    }
-
-    /// The grant is the commit point: under an entropy policy, where
-    /// every invited STC or GlueFL client trains at the invitation,
-    /// every dismissed client's bank is bit for bit what it was before
-    /// its turn — the residual and its weight, or no memory at all for a
-    /// first-timer — over a run long enough that returning clients are
-    /// dismissed too.
-    #[test]
-    fn a_dismissed_client_s_bank_ends_the_round_as_it_began() {
-        use gluefl_wire::{Codec, WirePolicy};
-        let gluefl = StrategyConfig::GlueFl(tiny_gluefl_params(
-            tiny_cfg(StrategyConfig::FedAvg).round_size,
-        ));
-        let cases = [
-            (StrategyConfig::Stc { q: 0.2 }, Codec::F32),
-            (StrategyConfig::StcQuantized { q: 0.2 }, Codec::F32),
-            (gluefl.clone(), Codec::F32),
-            (gluefl, Codec::QuantU8),
-        ];
-        for (strategy, codec) in cases {
-            let name = strategy.name();
-            let mut cfg = tiny_cfg(strategy);
-            cfg.wire = WirePolicy::entropy(codec);
-            let mut sim = Simulation::new(cfg);
-            let mut probe_unchanged = 0;
-            for round in 0..12 {
-                let mut probe = BankProbe {
-                    clients: &mut sim.clients,
-                    invited: Vec::new(),
-                    before: Vec::new(),
-                    unchanged: 0,
-                    moved: Vec::new(),
-                };
-                let rec = sim.engine.step(&mut probe);
-                assert!(rec.invited > rec.kept, "{name}: no over-commitment");
-                assert_eq!(
-                    probe.moved,
-                    [],
-                    "{name}, round {round}: a dismissed bank moved"
-                );
-                probe_unchanged += probe.unchanged;
-            }
-            assert!(
-                probe_unchanged > 0,
-                "{name}: no client with a residual was ever dismissed"
-            );
         }
     }
 
@@ -1795,7 +1498,8 @@ mod tests {
             let Some(shape) = shape else {
                 return;
             };
-            let mut residual = c.compressor.check_out(id);
+            let (mut staged, mut scratch) = (StagedTurn::default(), ScratchPool::new());
+            staged.stage(&mut c.compressor, round, id, &mut scratch);
             let turn = ClientTurn {
                 cfg: &cfg,
                 topo: &c.topo,
@@ -1806,103 +1510,14 @@ mod tests {
                 round_mask: mask,
                 update_norm: None,
             };
-            let mut stats = vec![0.0f32; stats_len];
-            let (upload, priced) = turn
-                .run(
-                    id,
-                    Group::Fresh,
-                    &c.data.client(id),
-                    &mut Vec::new(),
-                    &mut stats,
-                    &mut residual,
-                    &mut ScratchPool::new(),
-                )
+            let priced = turn
+                .run(Group::Fresh, &c.data.client(id), &mut staged, &mut scratch)
                 .unwrap();
-            proptest::prop_assert_eq!(priced, c.compressor.offer(&upload, stats_len));
+            let upload = &staged.upload.as_ref().unwrap().0;
+            proptest::prop_assert_eq!(priced, c.compressor.offer(upload, stats_len));
             proptest::prop_assert_eq!(shape, priced);
-            c.compressor.check_in(id, residual);
-            let mut out = Vec::new();
-            let len = c.compressor.encode_kept(round, id, &upload, mask, &stats, &mut out);
+            let len = staged.keep(&mut c.compressor, mask, &mut Vec::new(), &mut scratch);
             proptest::prop_assert_eq!(len as u64, shape.1);
-        }
-    }
-
-    /// Forwards every call to the simulator's clients; before the
-    /// invitation reaches them, takes every invited client's turn from
-    /// the broadcast on a copy of its banked residual — so the run is
-    /// not disturbed — and keeps each trained upload and its offer.
-    struct PriceProbe<'a> {
-        clients: &'a mut InProcessClients,
-        /// Per invited client: the trained upload and its offer.
-        trained: Vec<(Upload, (u64, u64))>,
-        /// The broadcast mask.
-        mask: Option<BitMask>,
-    }
-
-    impl RoundIo for PriceProbe<'_> {
-        fn reachable(&self, id: ClientId) -> bool {
-            self.clients.reachable(id)
-        }
-
-        fn invite(&mut self, round: u32, invited: &[(ClientId, Group)], broadcast: &Broadcast<'_>) {
-            let c = &mut *self.clients;
-            let residuals: Vec<Residual> = invited
-                .iter()
-                .map(|&(id, _)| c.compressor.check_out(id))
-                .collect();
-            let turn = ClientTurn {
-                cfg: &c.cfg,
-                topo: &c.topo,
-                stats_positions: &c.stats_positions,
-                compressor: &c.compressor,
-                round,
-                global: broadcast.params,
-                round_mask: broadcast.mask,
-                update_norm: None,
-            };
-            let mut stats = vec![0.0f32; c.stats_positions.len()];
-            self.trained = invited
-                .iter()
-                .zip(&residuals)
-                .map(|(&(id, group), residual)| {
-                    turn.run(
-                        id,
-                        group,
-                        &c.data.client(id),
-                        &mut Vec::new(),
-                        &mut stats,
-                        &mut residual.clone(),
-                        &mut ScratchPool::new(),
-                    )
-                    .expect("the engine broadcasts the mask of every masking strategy")
-                })
-                .collect();
-            for (&(id, _), residual) in invited.iter().zip(residuals) {
-                c.compressor.check_in(id, residual);
-            }
-            self.mask = broadcast.mask.cloned();
-            self.clients.invite(round, invited, broadcast);
-        }
-
-        fn offers(
-            &mut self,
-            round: u32,
-            times: &[ClientRoundTime],
-            offers: &mut [Option<(u64, u64)>],
-        ) {
-            self.clients.offers(round, times, offers);
-        }
-
-        fn grant(&mut self, round: u32, kept: &[usize], times: &[ClientRoundTime]) {
-            self.clients.grant(round, kept, times);
-        }
-
-        fn next_upload(&mut self, round: u32, payload: &mut Vec<u8>) -> Option<Arrival> {
-            self.clients.next_upload(round, payload)
-        }
-
-        fn rejected(&mut self, round: u32, slot: usize, err: &WireError) {
-            self.clients.rejected(round, slot, err);
         }
     }
 
@@ -1953,13 +1568,34 @@ mod tests {
             let stats_len = sim.clients.stats_positions.len();
             let trainable = sim.model().num_params() - stats_len;
             for round in 0..6 {
-                let mut probe = PriceProbe {
-                    clients: &mut sim.clients,
-                    trained: Vec::new(),
-                    mask: None,
-                };
-                let rec = sim.engine.step(&mut probe);
-                let (trained, mask) = (probe.trained, probe.mask);
+                // Before the invitation reaches the clients, every invited
+                // client's turn, taken from the broadcast and dismissed —
+                // so the run is not disturbed — with its upload and offer.
+                let (mut trained, mut mask) = (Vec::new(), None);
+                let (rec, ..) = step_recorded(&mut sim, |at, c| {
+                    let At::Invite(round, invited, broadcast) = at else {
+                        return;
+                    };
+                    mask = broadcast.mask.cloned();
+                    for &(id, group) in invited {
+                        let (mut staged, mut scratch) = (StagedTurn::default(), ScratchPool::new());
+                        staged.stage(&mut c.compressor, round, id, &mut scratch);
+                        let turn = ClientTurn {
+                            cfg: &c.cfg,
+                            topo: &c.topo,
+                            stats_positions: &c.stats_positions,
+                            compressor: &c.compressor,
+                            round,
+                            global: broadcast.params,
+                            round_mask: broadcast.mask,
+                            update_norm: None,
+                        };
+                        turn.run(group, &c.data.client(id), &mut staged, &mut scratch)
+                            .expect("the engine broadcasts the mask of every masking strategy");
+                        trained.push(staged.upload.take().expect("the turn ran"));
+                        staged.dismiss(&mut c.compressor, &mut scratch);
+                    }
+                });
                 proptest::prop_assert_eq!(trained.len(), rec.invited);
                 let c = &sim.clients.compressor;
                 let shape = c.shape_offer(round, mask.as_ref(), stats_len);
@@ -2121,14 +1757,14 @@ mod tests {
         let mut read: std::collections::HashMap<ClientId, BTreeSet<usize>> = Default::default();
         let (mut fresh, mut turn_rows) = (0, 0);
         for _ in 0..8 {
-            let mut probe = CacheProbe {
-                clients: &mut sim.clients,
-                resident_in_round: 0,
-                invited: Vec::new(),
-                took: Vec::new(),
-            };
-            let rec = sim.engine.step(&mut probe);
-            for id in probe.took {
+            let (rec, invited, kept) = step_recorded(&mut sim, |_, _| {});
+            // Shape-priced turns are the kept clients', the rest every
+            // invited client's.
+            let took = invited
+                .iter()
+                .enumerate()
+                .filter(|(i, _)| sim.clients.shape_price.is_none() || kept.contains(i));
+            for (_, &(id, _)) in took {
                 let rows = rows_read(&cfg, rec.round, id, sim.data().client_len(id));
                 let had = read.entry(id).or_default();
                 fresh += rows.difference(had).count();

@@ -35,7 +35,6 @@ use crate::config::{SimConfig, StrategyConfig};
 use crate::scratch::ScratchPool;
 use gluefl_compress::mask_shift::ClientSplit;
 use gluefl_tensor::{BitMask, MaskAligned, MaskedUpdate, SparseUpdate};
-use gluefl_wire::{Codec, WirePolicy};
 use rand::rngs::StdRng;
 
 /// A compressed client upload.
@@ -56,14 +55,6 @@ pub enum Upload {
 }
 
 impl Upload {
-    /// The analytic ledger's price of this upload: the bytes of the
-    /// frame(s) it travels in under [`WirePolicy::legacy`] with F32
-    /// values, whatever policy the run encodes with.
-    #[must_use]
-    pub fn bytes(&self) -> u64 {
-        crate::wire_link::encoded_len(self, &WirePolicy::legacy(Codec::F32))
-    }
-
     /// Dimension of the underlying parameter vector.
     #[must_use]
     pub fn dim(&self) -> usize {
@@ -321,8 +312,10 @@ mod tests {
             (0..100).map(|i| (i as u32, 1.0)).collect(),
         ));
         let known = Upload::KnownMask(MaskAligned::new(1000, vec![1.0; 100]));
-        assert!(dense.bytes() > sparse.bytes());
-        assert!(sparse.bytes() > known.bytes());
+        let bytes =
+            |u: &Upload| crate::wire_link::encoded_len(u, &gluefl_wire::WirePolicy::default());
+        assert!(bytes(&dense) > bytes(&sparse));
+        assert!(bytes(&sparse) > bytes(&known));
     }
 
     #[test]

@@ -19,17 +19,17 @@
 //! compete with the v1 bitmap/index pair on exact byte cost. Decoding is
 //! policy-free; frames self-describe their layout.
 //!
-//! With [`Codec::F32`] the round trip is bit-exact, and
-//! [`Upload::bytes`] — the analytic ledger — *is* [`encoded_len`] under
-//! the legacy F32 policy; the in-process clients check every encoded
-//! upload against its offer, and the `wire_roundtrip` integration suite
-//! pins predicted ≡ encoded end-to-end. With the lossy
-//! codecs ([`Codec::F16`], [`Codec::QuantU8`]) the decoded values differ
-//! within the codec's error envelope; when [`WirePolicy::quant_ec`] is
-//! on, [`encode_upload_with_feedback`] reports the *dequantized* values
-//! each frame actually shipped back to the sender, so a client half with
-//! error-compensation memory folds the codec residual into the next
-//! round alongside the top-k residual.
+//! With [`Codec::F32`] the round trip is bit-exact, and the analytic
+//! ledger ([`crate::ClientCompressor::offer`]) *is* [`encoded_len`] under
+//! the legacy F32 policy; every kept turn checks its encoded upload
+//! against its offer ([`crate::StagedTurn::keep`]), and the
+//! `wire_roundtrip` integration suite pins predicted ≡ encoded end to
+//! end. With the lossy codecs ([`Codec::F16`], [`Codec::QuantU8`]) the
+//! decoded values differ within the codec's error envelope; when
+//! [`WirePolicy::quant_ec`] is on, [`encode_upload_with_feedback`]
+//! reports the *dequantized* values each frame actually shipped back to
+//! the sender, so a client half with error-compensation memory folds the
+//! codec residual into the next round alongside the top-k residual.
 
 use crate::scratch::ScratchPool;
 use crate::strategies::Upload;
@@ -127,7 +127,7 @@ pub fn encode_upload(
 /// sit, the values handed to the encoder, and the dequantized values a
 /// receiver will reconstruct. The client half folds
 /// `sent − shipped` into its residual bank
-/// ([`crate::ClientCompressor::encode_kept`]), so codec loss is carried
+/// ([`crate::StagedTurn::keep`]), so codec loss is carried
 /// into the next round instead of silently dropped.
 ///
 /// The callback never fires under [`Codec::F32`] (shipped ≡ sent), for
@@ -399,7 +399,7 @@ mod tests {
         let upload = Upload::Dense((0..130).map(|i| (i as f32).sin()).collect());
         let (decoded, n) = roundtrip(&upload, None);
         assert_eq!(decoded, upload);
-        assert_eq!(n as u64, upload.bytes());
+        assert_eq!(n as u64, encoded_len(&upload, &WirePolicy::default()));
     }
 
     #[test]
@@ -408,7 +408,7 @@ mod tests {
         let upload = Upload::Sparse(sparsify(&dense, 0.05));
         let (decoded, n) = roundtrip(&upload, None);
         assert_eq!(decoded, upload);
-        assert_eq!(n as u64, upload.bytes());
+        assert_eq!(n as u64, encoded_len(&upload, &WirePolicy::default()));
     }
 
     #[test]
@@ -418,7 +418,7 @@ mod tests {
         let upload = Upload::KnownMask(MaskAligned::gather(&dense, &mask));
         let (decoded, n) = roundtrip(&upload, Some(&mask));
         assert_eq!(decoded, upload);
-        assert_eq!(n as u64, upload.bytes());
+        assert_eq!(n as u64, encoded_len(&upload, &WirePolicy::default()));
     }
 
     #[test]
@@ -427,7 +427,7 @@ mod tests {
         let upload = Upload::Ternary(TernaryUpdate::quantize(&sparsify(&dense, 0.01)));
         let (decoded, n) = roundtrip(&upload, None);
         assert_eq!(decoded, upload);
-        assert_eq!(n as u64, upload.bytes());
+        assert_eq!(n as u64, encoded_len(&upload, &WirePolicy::default()));
     }
 
     #[test]
@@ -438,7 +438,7 @@ mod tests {
             Upload::MaskSplit(gluefl_compress::mask_shift::client_split(&dense, &mask, 30));
         let (decoded, n) = roundtrip(&upload, Some(&mask));
         assert_eq!(decoded, upload);
-        assert_eq!(n as u64, upload.bytes());
+        assert_eq!(n as u64, encoded_len(&upload, &WirePolicy::default()));
     }
 
     #[test]
@@ -451,7 +451,7 @@ mod tests {
         });
         let (decoded, n) = roundtrip(&upload, None);
         assert_eq!(decoded, upload);
-        assert_eq!(n as u64, upload.bytes());
+        assert_eq!(n as u64, encoded_len(&upload, &WirePolicy::default()));
     }
 
     #[test]
@@ -467,7 +467,7 @@ mod tests {
             42,
             &mut buf,
         );
-        assert!((n as u64) < upload.bytes());
+        assert!((n as u64) < encoded_len(&upload, &WirePolicy::default()));
         let decoded = decode_upload(&buf, None, &mut scratch).unwrap();
         match (&upload, &decoded) {
             (Upload::Sparse(a), Upload::Sparse(b)) => {

@@ -71,6 +71,11 @@ fn every_strategy_plays_the_reference_under_entropy_f32() {
 }
 
 #[test]
+fn every_strategy_plays_the_reference_under_entropy_quant_u8() {
+    grid(WirePolicy::entropy(Codec::QuantU8), 500);
+}
+
+#[test]
 fn every_strategy_plays_the_reference_under_f16() {
     grid(WirePolicy::legacy(Codec::F16), 300);
 }

@@ -12,7 +12,9 @@
 //! its turn — train, compress, price — is the simulator's per-client
 //! routine, [`ClientTurn::run`], over the strategy's client half
 //! [`ClientCompressor`]: one instance here serving one client, one
-//! instance in the simulator serving all of them. The server-side state
+//! instance in the simulator serving all of them. The turn waits for its
+//! `GRANT` as the simulator's do, in a [`StagedTurn`], which keeps it on
+//! a positive grant and dismisses it otherwise. The server-side state
 //! a client lacks (samplers, mask evolution) it never needs: the round's
 //! mask arrives in every `INVITE`.
 
@@ -20,9 +22,8 @@ use crate::proto::{
     offer_payload, read_msg_blocking, write_msg, MsgKind, ProtoError, PROTO_VERSION,
 };
 use crate::{ByteCounters, TransportError};
-use gluefl_compress::Residual;
-use gluefl_core::strategies::{Group, Upload};
-use gluefl_core::{ClientCompressor, ClientTurn, RunSetup, ScratchPool, SimConfig};
+use gluefl_core::strategies::Group;
+use gluefl_core::{ClientCompressor, ClientTurn, RunSetup, ScratchPool, SimConfig, StagedTurn};
 use gluefl_data::ClientDataset;
 use gluefl_ml::MlpTopology;
 use gluefl_telemetry::{Phase, Telemetry};
@@ -33,8 +34,8 @@ use std::net::TcpStream;
 use std::sync::Arc;
 
 /// One real client: its data shard, model topology, scratch pool (its
-/// training slot included) and compression state, all derived from the
-/// shared [`SimConfig`].
+/// training slot included), compression state and staged turn, all
+/// derived from the shared [`SimConfig`].
 ///
 /// A node holds only its own slice of the run. Its weights arrive in
 /// every `INVITE` and it never evaluates, so it has no initial weights
@@ -64,15 +65,9 @@ pub struct ClientNode {
     global: Vec<f32>,
     /// The round's decoded broadcast mask, if the strategy ships one.
     round_mask: Option<BitMask>,
-    /// The trained delta; between rounds, the buffer
-    /// [`ClientCompressor::compress`] handed back for the next one.
-    delta: Vec<f32>,
-    /// Reused BN-statistic drift buffer.
-    stats_out: Vec<f32>,
-    /// The turn awaiting a `GRANT` decision: its round, the compressed
-    /// upload, and the client's residual, checked out until the grant
-    /// keeps the turn or a dismissal rolls it back.
-    pending: Option<(u32, Upload, Residual)>,
+    /// The turn awaiting a `GRANT` decision, if any, in buffers reused
+    /// from turn to turn.
+    turn: StagedTurn,
 }
 
 impl ClientNode {
@@ -100,9 +95,7 @@ impl ClientNode {
             scratch: ScratchPool::new(),
             global: Vec::new(),
             round_mask: None,
-            delta: Vec::new(),
-            stats_out: Vec::new(),
-            pending: None,
+            turn: StagedTurn::default(),
         }
     }
 
@@ -115,9 +108,10 @@ impl ClientNode {
     }
 
     /// Decodes an `INVITE` payload (`[group u8]` + broadcast frames),
-    /// trains locally, compresses, and stages the upload. Returns the
-    /// offer pair `(analytic_bytes, wire_bytes)` — the exact values the
-    /// simulator predicts for this upload.
+    /// trains locally, compresses, and stages the upload in the node's
+    /// [`StagedTurn`] ([`ClientTurn::run`]). Returns the offer pair
+    /// `(analytic_bytes, wire_bytes)` — the exact values the simulator
+    /// predicts for this upload.
     ///
     /// # Errors
     /// Typed errors on malformed broadcast frames.
@@ -158,11 +152,10 @@ impl ClientNode {
 
         // The turn — identical inputs to the simulator's worker. A
         // stale pending turn, from a round whose grant never arrived, is
-        // rolled back first.
+        // dismissed first.
         self.discard_pending();
-        self.stats_out.clear();
-        self.stats_out.resize(self.stats_positions.len(), 0.0);
-        let mut residual = self.compressor.check_out(self.id);
+        self.turn
+            .stage(&mut self.compressor, round, self.id, &mut self.scratch);
         let turn = ClientTurn {
             cfg: &self.cfg,
             topo: &self.topology,
@@ -173,66 +166,41 @@ impl ClientNode {
             round_mask: self.round_mask.as_ref(),
             update_norm: None,
         };
-        let staged = turn.run(
-            self.id,
-            group,
-            &self.shard,
-            &mut self.delta,
-            &mut self.stats_out,
-            &mut residual,
-            &mut self.scratch,
-        );
-        let Ok((upload, offer)) = staged else {
-            self.compressor.check_in(self.id, residual);
-            return Err(TransportError::MissingBroadcastMask);
-        };
-        self.pending = Some((round, upload, residual));
-        Ok(offer)
+        turn.run(group, &self.shard, &mut self.turn, &mut self.scratch)
+            .map_err(|_| {
+                self.discard_pending();
+                TransportError::MissingBroadcastMask
+            })
     }
 
-    /// Keeps the pending turn — a grant is the commit point, so the
-    /// residual it banked is checked in — and serializes its upload
-    /// (frames + BN-statistics frame) into `out`, the byte-exact payload
-    /// the simulator stages in-process, folding any lossy-codec residual
-    /// into the client's own error-compensation bank. Consumes the
-    /// pending turn.
+    /// Keeps the pending turn ([`StagedTurn::keep`]: a grant is the
+    /// commit point, so the residual it banked is checked in) and
+    /// serializes its upload (frames + BN-statistics frame) into `out`,
+    /// the byte-exact payload the simulator stages in-process, folding
+    /// any lossy-codec residual into the client's own error-compensation
+    /// bank.
     ///
     /// # Errors
     /// [`TransportError::NoPendingUpload`] when no turn is pending for
     /// `round`; a turn pending for another round is discarded.
     pub fn encode_granted(&mut self, round: u32, out: &mut Vec<u8>) -> Result<(), TransportError> {
-        match self.pending.take() {
-            Some((r, upload, residual)) if r == round => {
-                self.compressor.check_in(self.id, residual);
-                let _ = self.compressor.encode_kept(
-                    round,
-                    self.id,
-                    &upload,
-                    self.round_mask.as_ref(),
-                    &self.stats_out,
-                    out,
-                );
-                self.scratch.reclaim_upload(upload);
-                Ok(())
-            }
-            stale => {
-                self.pending = stale;
-                self.discard_pending();
-                Err(TransportError::NoPendingUpload)
-            }
+        if self.turn.round() != Some(round) {
+            self.discard_pending();
+            return Err(TransportError::NoPendingUpload);
         }
+        let mask = self.round_mask.as_ref();
+        self.turn
+            .keep(&mut self.compressor, mask, out, &mut self.scratch);
+        Ok(())
     }
 
-    /// Discards the pending turn after a negative grant (the client was
-    /// over-committed out of the keep set), or when a new `INVITE` finds
-    /// it never granted: the upload is dropped and the turn rolled back,
-    /// so the client's residual and weight end as they were before it.
+    /// Discards the pending turn ([`StagedTurn::dismiss`]) after a
+    /// negative grant (the client was over-committed out of the keep
+    /// set), or when a new `INVITE` finds it never granted: the upload is
+    /// dropped and the turn rolled back, so the client's residual and
+    /// weight end as they were before it.
     pub fn discard_pending(&mut self) {
-        if let Some((_, upload, mut residual)) = self.pending.take() {
-            self.compressor.roll_back(&mut residual, &mut self.delta);
-            self.compressor.check_in(self.id, residual);
-            self.scratch.reclaim_upload(upload);
-        }
+        self.turn.dismiss(&mut self.compressor, &mut self.scratch);
     }
 }
 
