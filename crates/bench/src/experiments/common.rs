@@ -12,10 +12,9 @@ use gluefl_ml::DatasetModel;
 /// paper's client population, `opts.rounds` rounds, `opts.seed` and
 /// `opts.wire`.
 ///
-/// Evaluation every fifth round (rounds `4, 9, 14, …`); target
-/// accuracy left unset (experiments derive a common achievable target
-/// post-hoc, matching the paper's "highest achievable by all approaches"
-/// rule).
+/// Evaluation every [`eval_interval`] rounds; target accuracy left unset
+/// (experiments derive a common achievable target post-hoc, matching the
+/// paper's "highest achievable by all approaches" rule).
 #[must_use]
 pub fn setup(
     dataset: DatasetProfile,
@@ -24,10 +23,23 @@ pub fn setup(
     opts: &ExptOpts,
 ) -> SimConfig {
     let mut cfg = SimConfig::paper_setup(dataset, model, strategy, 1.0, opts.rounds, opts.seed);
-    cfg.eval_every = 5;
+    cfg.eval_every = eval_interval(opts.rounds);
     cfg.target_accuracy = None;
     cfg.wire = opts.wire;
     cfg
+}
+
+/// Evaluations a run of [`setup`] holds at least, so the paper's
+/// five-evaluation trailing mean ([`rolling_accuracy`]) has two points or
+/// more to rank learning speed by.
+const MIN_EVALUATIONS: u32 = 6;
+
+/// Rounds between evaluations for a run of `rounds`: every fifth round
+/// (`4, 9, 14, …`) when that still gives [`MIN_EVALUATIONS`], and more
+/// often in shorter runs — every third round of a 20-round `--quick` run.
+#[must_use]
+pub fn eval_interval(rounds: u32) -> u32 {
+    (rounds / MIN_EVALUATIONS).clamp(1, 5)
 }
 
 /// The paper's four Table-2 strategies for a given round size and model.
@@ -274,7 +286,7 @@ mod tests {
     }
 
     /// Every run of a set reaches the set's common target, however many
-    /// evaluations the runs hold — the quick runs hold four.
+    /// evaluations the runs hold — one to nine here.
     #[test]
     fn every_run_reaches_the_common_target() {
         let mut seed = 0x9E37_79B9_7F4A_7C15u64;
@@ -379,6 +391,44 @@ mod tests {
         ] {
             let cfg = setup(dataset, model, StrategyConfig::FedAvg, &opts);
             assert_eq!(cfg.dataset.clients, clients, "{}", dataset.name());
+        }
+    }
+
+    /// A `--quick` run and a default-length one hold enough evaluations
+    /// for the trailing mean to have two points or more, and a 60-round
+    /// run still evaluates every fifth round.
+    #[test]
+    fn setup_evaluates_often_enough_to_rank_learning_speed() {
+        assert_eq!(eval_interval(60), 5);
+        let quick = ExptOpts {
+            rounds: 20,
+            quick: true,
+            ..ExptOpts::default()
+        };
+        for opts in [quick, ExptOpts::default()] {
+            let cfg = setup(
+                DatasetProfile::Femnist,
+                DatasetModel::ShuffleNet,
+                StrategyConfig::FedAvg,
+                &opts,
+            );
+            let rounds: Vec<RoundRecord> = (0..cfg.rounds)
+                .map(|round| {
+                    let last = round + 1 == cfg.rounds;
+                    let evaluated = (round + 1).is_multiple_of(cfg.eval_every) || last;
+                    RoundRecord {
+                        round,
+                        accuracy: evaluated.then_some(0.5),
+                        ..Default::default()
+                    }
+                })
+                .collect();
+            let points = rolling_accuracy(&rounds).len();
+            assert!(
+                points >= 2,
+                "{} rounds: {points} trailing points",
+                cfg.rounds
+            );
         }
     }
 

@@ -124,12 +124,14 @@ fn sweep(opts: &ExptOpts, shape: impl Fn(&mut SimConfig)) -> Result<(), String> 
         for arm in arms() {
             let mut cfg = setup(dataset, model, strategy.clone(), opts);
             shape(&mut cfg);
-            // No over-commitment: measured frame lengths drive upload
-            // times, so under keep-fastest a cheaper encoding can change
-            // which stragglers are dropped. Pinning keep == invited puts
-            // every arm on the same kept cohort — the accuracy column
-            // then isolates the encoding, and the entropy-F32 invariance
-            // assert below is exact rather than seed-dependent.
+            // No over-commitment: an offer is priced in the legacy layout
+            // under the arm's codec, so arms with different codecs offer
+            // different prices, and under keep-fastest they could keep
+            // different stragglers. Pinning keep == invited puts every
+            // arm on the same kept cohort, so the accuracy column
+            // isolates the encoding. (The layout menu alone moves no
+            // offer, so the entropy-F32 invariance assert below would
+            // hold at any `oc`.)
             cfg.oc = 1.0;
             cfg.wire = arm.policy;
             let result: RunResult = run_config(cfg);

@@ -48,11 +48,10 @@ impl std::str::FromStr for CompensationMode {
 /// A client's memory leaves the bank for the length of its turn:
 /// [`check_out`](Self::check_out) hands it over as a [`Residual`],
 /// [`compress_split`](Self::compress_split) walks it through a shared
-/// `&self`, and [`check_in`](Self::check_in) puts it back, keeping what
-/// the walk banked — or [`roll_back`](Self::roll_back) first undoes the
-/// walk, for a turn whose upload is never sent. Every client's compress
-/// reads only its own memory, so a cohort's clients can be compressed on
-/// as many threads as there are clients.
+/// `&self`, and [`check_in`](Self::check_in) puts it back with what the
+/// walk banked. Every client's compress reads only its own memory, so a
+/// cohort's clients can be compressed on as many threads as there are
+/// clients.
 ///
 /// # Example
 ///
@@ -92,10 +91,6 @@ struct ClientMemory {
 #[derive(Debug, Clone, Default)]
 pub struct Residual {
     memory: Option<ClientMemory>,
-    /// Set while a walk's banking can still be rolled back: the weight
-    /// of the memory the walk replaced, `None` if there was none. The
-    /// replaced residual itself is the buffer the walk handed back.
-    replaced: Option<Option<f64>>,
 }
 
 impl Residual {
@@ -132,7 +127,6 @@ impl ErrorCompensator {
         );
         Residual {
             memory: self.memory.remove(&client),
-            replaced: None,
         }
     }
 
@@ -251,43 +245,10 @@ impl ErrorCompensator {
     /// the residual in `memory`, at `weight`, without copying: `delta` is
     /// left holding the previous residual buffer (its values untouched:
     /// the walk read them read-only) or an empty vector on the client's
-    /// first participation. Until the memory is checked in, that buffer
-    /// and the previous weight are what [`roll_back`](Self::roll_back)
-    /// restores.
-    ///
-    /// # Panics
-    /// Panics if a walk banked into `memory` is still pending.
+    /// first participation.
     pub(crate) fn bank(&self, memory: &mut Residual, delta: &mut Vec<f32>, weight: f64) {
         debug_assert_ne!(self.mode, CompensationMode::None, "mode None banks nothing");
-        assert!(
-            memory.replaced.is_none(),
-            "a walk was banked before the previous one was kept or rolled back"
-        );
-        memory.replaced = Some(memory.memory.as_ref().map(|mem| mem.weight));
         std::mem::swap(&mut Self::memory_of(memory, weight).residual, delta);
-    }
-
-    /// Undoes the walk banked into the checked-out `memory`, for a turn
-    /// whose upload is never sent: `memory` is again what
-    /// [`check_out`](Self::check_out) handed over — the same residual
-    /// bits at the same weight, or no memory at all. `handed_back` must
-    /// be the buffer the walk left in its `delta`, the replaced residual;
-    /// it receives the walk's own residual buffer in exchange, `dim`
-    /// stale values ready for the next delta. No copy is made. A no-op
-    /// when no walk is pending (mode `None`, or no walk yet).
-    pub fn roll_back(&self, memory: &mut Residual, handed_back: &mut Vec<f32>) {
-        match memory.replaced.take() {
-            None => {}
-            Some(None) => {
-                debug_assert!(handed_back.is_empty(), "a first walk hands back nothing");
-                *handed_back = memory.memory.take().expect("a walk banked").residual;
-            }
-            Some(Some(weight)) => {
-                let mem = memory.memory.as_mut().expect("a walk banked");
-                std::mem::swap(&mut mem.residual, handed_back);
-                mem.weight = weight;
-            }
-        }
     }
 
     /// Folds the wire codec's loss into a client's residual bank after

@@ -491,72 +491,6 @@ mod tests {
         }
     }
 
-    /// A rolled-back walk leaves no trace: over every mode, for a first
-    /// participation and for returning ones at a changed weight, with the
-    /// split and the ternary walk, the bank holds after roll-back and
-    /// check-in exactly the bits and weight it held before — and a
-    /// dismissed first-timer no memory at all. Nothing is copied: the
-    /// replaced residual's buffer goes back into the bank, and the walk's
-    /// own buffer comes back for the next delta.
-    #[test]
-    fn a_rolled_back_walk_leaves_the_bank_as_it_was() {
-        let dim = 150;
-        let mask = BitMask::from_indices(dim, (0..dim).step_by(7));
-        let excluded = BitMask::from_indices(dim, [3usize, 80]);
-        let mut topk = TopKScratch::new();
-        let delta = |round: usize| -> Vec<f32> {
-            (0..dim)
-                .map(|i| ((i * (round + 3)) as f32 * 0.37).sin())
-                .collect()
-        };
-        for mode in [
-            CompensationMode::None,
-            CompensationMode::Raw,
-            CompensationMode::Rescaled,
-        ] {
-            for ternary in [false, true] {
-                let mut ec = ErrorCompensator::new(mode, dim);
-                // A dismissed first-timer: no memory before, none after.
-                let mut memory = ec.check_out(9);
-                let mut handed = delta(0);
-                let ptr = handed.as_ptr();
-                let w = walk((!ternary).then_some(&mask), &excluded, 6, &mut topk);
-                if ternary {
-                    let _ = ec.compress_ternary(&mut memory, &mut handed, 2.0, w);
-                } else {
-                    let _ = ec.compress_split(&mut memory, &mut handed, 2.0, w);
-                }
-                ec.roll_back(&mut memory, &mut handed);
-                ec.check_in(9, memory);
-                assert_eq!(ec.stored(9), None, "{mode:?}: a first-timer banked");
-                assert_eq!((handed.as_ptr(), handed.len()), (ptr, dim), "{mode:?}");
-                // Kept once, then dismissed at another weight.
-                let _ = compress_banked(
-                    &mut ec,
-                    9,
-                    &mut delta(1),
-                    2.0,
-                    walk(None, &excluded, 6, &mut topk),
-                );
-                let before = ec.stored(9).map(|(h, w)| (bits(h), w, h.as_ptr()));
-                let mut memory = ec.check_out(9);
-                let mut handed = delta(2);
-                let ptr = handed.as_ptr();
-                let w = walk((!ternary).then_some(&mask), &excluded, 6, &mut topk);
-                if ternary {
-                    let _ = ec.compress_ternary(&mut memory, &mut handed, 0.5, w);
-                } else {
-                    let _ = ec.compress_split(&mut memory, &mut handed, 0.5, w);
-                }
-                ec.roll_back(&mut memory, &mut handed);
-                ec.check_in(9, memory);
-                let after = ec.stored(9).map(|(h, w)| (bits(h), w, h.as_ptr()));
-                assert_eq!(after, before, "{mode:?} ternary={ternary}");
-                assert_eq!(handed.as_ptr(), ptr, "{mode:?}: the walk's buffer");
-            }
-        }
-    }
-
     /// Checking in nothing stores nothing, and clears the check-out.
     #[test]
     fn an_empty_check_in_leaves_the_bank_as_it_was() {

@@ -32,7 +32,7 @@ use gluefl_ml::MlpTopology;
 use gluefl_sampling::ClientId;
 use gluefl_tensor::rng::derive_seed;
 use gluefl_tensor::{BitMask, MaskAligned};
-use gluefl_wire::{Codec, FrameWriter, WirePolicy};
+use gluefl_wire::{Codec, FrameWriter, LayoutMenu, WirePolicy};
 use std::sync::Arc;
 
 /// What every participant of a run — the round engine, the in-process
@@ -137,16 +137,16 @@ enum Scheme {
 
 /// The client half of the configured strategy (see the module docs).
 ///
-/// A driver runs one client's turn through a [`StagedTurn`]:
-/// [`StagedTurn::stage`] checks the client's residual out,
-/// [`crate::ClientTurn::run`] trains, [`compress`](Self::compress)es and
-/// [`offer`](Self::offer)s the price, and the grant settles the turn
-/// ([`StagedTurn::keep`] or [`StagedTurn::dismiss`]). Where
-/// [`shape_offer`](Self::shape_offer) prices the round from the
-/// broadcast, a driver may offer that price first and stage the turn only
-/// once it is granted. `compress` and `offer` take `&self`: between
-/// check-out and settlement, every client's turn can run on its own
-/// thread.
+/// A driver answers an invitation with
+/// [`shape_offer`](Self::shape_offer), the price the broadcast alone
+/// fixes, and runs a client's turn only once the grant keeps it, through
+/// a [`StagedTurn`]: [`StagedTurn::stage`] checks the client's residual
+/// out, [`crate::ClientTurn::run`] trains and
+/// [`compress`](Self::compress)es, and [`StagedTurn::keep`] banks the
+/// residual and serializes the upload. A dismissed client runs no turn,
+/// so its bank ends the round as it began. `compress` takes `&self`:
+/// between check-out and [`StagedTurn::keep`], every kept client's turn
+/// can run on its own thread.
 #[derive(Debug)]
 pub struct ClientCompressor {
     scheme: Scheme,
@@ -226,8 +226,8 @@ impl ClientCompressor {
         }
     }
 
-    /// Returns client `id`'s residual to the bank after its turn, keeping
-    /// what the turn banked unless it was [rolled back](Self::roll_back).
+    /// Returns client `id`'s residual to the bank after its turn, with
+    /// what the turn banked.
     fn check_in(&mut self, id: ClientId, residual: Residual) {
         match &mut self.scheme {
             Scheme::Stc { ec, .. } | Scheme::GlueFl { ec, .. } => ec.check_in(id, residual),
@@ -337,17 +337,6 @@ impl ClientCompressor {
         }
     }
 
-    /// Undoes a dismissed client's turn on its checked-out `residual`.
-    /// `delta` must hold what [`compress`](Self::compress) handed back,
-    /// and receives the turn's residual buffer in exchange. A no-op for
-    /// schemes without a bank.
-    fn roll_back(&self, residual: &mut Residual, delta: &mut Vec<f32>) {
-        match &self.scheme {
-            Scheme::Stc { ec, .. } | Scheme::GlueFl { ec, .. } => ec.roll_back(residual, delta),
-            Scheme::Dense | Scheme::Apf => {}
-        }
-    }
-
     /// Number of clients whose residual the error-feedback bank holds —
     /// one dimension-sized buffer each (0 for schemes without a bank).
     #[must_use]
@@ -367,28 +356,14 @@ impl ClientCompressor {
         }
     }
 
-    /// Prices a staged upload plus its `stats_len`-value BN-statistic
-    /// frame as `(analytic bytes, wire bytes)`: one predictor under two
-    /// policies — the ledger's ([`WirePolicy::legacy`], F32 values) and
-    /// the run's, the latter being the exact length [`StagedTurn::keep`]
-    /// would produce — computed from
-    /// the upload's shape and index pattern, so nothing is serialized
-    /// before the keep decision.
-    #[must_use]
-    pub fn offer(&self, upload: &Upload, stats_len: usize) -> (u64, u64) {
-        let price = |policy: WirePolicy| {
-            wire_link::encoded_len(upload, &policy)
-                + FrameWriter::new(policy).known_mask_len(stats_len)
-        };
-        (price(WirePolicy::legacy(Codec::F32)), price(self.wire))
-    }
-
-    /// What [`offer`](Self::offer) will price every client's upload at
-    /// in `round`, known from the broadcast alone — or `None` when only
-    /// the trained upload can say. A driver can then price an invitation
-    /// without running its turn and run only the turns that are kept: a
-    /// dismissed turn leaves no trace, since the grant is the commit
-    /// point of a client's residual.
+    /// The `(analytic, wire)` price of every client's upload plus its
+    /// `stats_len`-value BN-statistic frame in `round`, known from the
+    /// broadcast alone: the nominal offer a client answers an invitation
+    /// with, before anyone trains. The analytic price is the ledger's
+    /// ([`WirePolicy::legacy`], F32 values), the wire price the run's
+    /// codec in the legacy layout. `None` only for a masking scheme
+    /// without a `round_mask`, whose turn would fail with
+    /// [`MissingRoundMask`].
     ///
     /// The broadcast fixes every upload's shape: the dense scheme's `dim`
     /// values, APF's values under `round_mask`, STC's top-k of
@@ -396,12 +371,10 @@ impl ClientCompressor {
     /// GlueFL's values under `round_mask` (none in a regeneration round)
     /// plus its unique top-k of `unique_keep(trainable, round)` — a top-k
     /// never skips a zero, so it always lists that many, or the whole
-    /// scope when the scope is smaller. A top-k frame's length then
-    /// follows from its shape only where positions are priced by count:
-    /// under the legacy layout menu. Under the entropy menu the index
-    /// pattern prices STC's and GlueFL's frames, and this is `None`; so
-    /// it is for a masking scheme without a `round_mask`, whose turn
-    /// fails with [`MissingRoundMask`].
+    /// scope when the scope is smaller. Under the legacy layout menu,
+    /// which prices positions by their count, the wire price is the
+    /// encoded length exactly. Under the entropy menu it is an upper
+    /// bound: the writer keeps a v1 section whenever that is cheaper.
     #[must_use]
     pub fn shape_offer(
         &self,
@@ -417,9 +390,9 @@ impl ClientCompressor {
                 Scheme::Stc { q, quantize, .. } => {
                     let nnz = keep_count(self.trainable, *q);
                     if *quantize {
-                        w.ternary_len_of_count(self.dim, nnz)?
+                        w.ternary_len_of_count(self.dim, nnz)
                     } else {
-                        w.sparse_len_of_count(self.dim, nnz)?
+                        w.sparse_len_of_count(self.dim, nnz)
                     }
                 }
                 Scheme::GlueFl { params, .. } => {
@@ -431,7 +404,7 @@ impl ClientCompressor {
                         - shared.map_or(0, |m| m.count_ones() - m.overlap(&self.stats_excluded));
                     let unique = params.unique_keep(self.trainable, round).min(scope);
                     w.known_mask_len(shared.map_or(0, BitMask::count_ones))
-                        + w.sparse_len_of_count(self.dim, unique)?
+                        + w.sparse_len_of_count(self.dim, unique)
                 }
             };
             Some(upload + w.known_mask_len(stats_len))
@@ -494,31 +467,26 @@ impl ClientCompressor {
     }
 }
 
-/// One client's turn between [`crate::ClientTurn::run`] and the grant:
-/// the client's residual, checked out of the bank; the delta buffer,
-/// which after the turn holds what compression handed back; the
-/// BN-statistic drift; and the staged upload with its `(analytic, wire)`
-/// price.
+/// One kept client's turn: the client's residual, checked out of the
+/// bank; the delta buffer, which after the turn holds what compression
+/// handed back; the BN-statistic drift; and the staged upload.
 ///
-/// The grant is the commit point, and this is where it is written: a
-/// staged turn is settled once, by the grant. [`keep`](Self::keep) banks
-/// the residual as the turn left it, serializes the upload and reclaims
-/// its buffers; [`dismiss`](Self::dismiss) first rolls the turn back, so
-/// the client's bank ends the round as it began, then checks the residual
-/// in and reclaims. Settling takes the turn's residual and upload; its
-/// buffers stay for the next turn staged here, so a driver keeps one
-/// `StagedTurn` per turn it runs at a time and allocates nothing in
-/// steady state.
+/// A driver stages a turn only once the grant keeps its client, so every
+/// staged turn is kept: [`keep`](Self::keep) banks the residual as the
+/// turn left it, serializes the upload and reclaims its buffers. Keeping
+/// takes the turn's residual and upload; its buffers stay for the next
+/// turn staged here, so a driver keeps one `StagedTurn` per turn it runs
+/// at a time and allocates nothing in steady state.
 #[derive(Debug, Default)]
 pub struct StagedTurn {
     /// The turn's round and client, and the client's residual, checked
-    /// out of the bank until the turn is settled.
+    /// out of the bank until the turn is kept.
     pub(crate) held: Option<(u32, ClientId, Residual)>,
     /// The buffer the turn trains into; after it, what
     /// [`ClientCompressor::compress`] handed back.
     pub(crate) delta: Vec<f32>,
     pub(crate) stats: Vec<f32>,
-    pub(crate) upload: Option<(Upload, (u64, u64))>,
+    pub(crate) upload: Option<Upload>,
 }
 
 impl StagedTurn {
@@ -529,7 +497,7 @@ impl StagedTurn {
     /// here, on the caller's thread, never on a worker running the turn.
     ///
     /// # Panics
-    /// Panics if a turn is staged here and not yet settled, or if client
+    /// Panics if a turn is staged here and not yet kept, or if client
     /// `id`'s residual is already checked out.
     pub fn stage(
         &mut self,
@@ -538,7 +506,7 @@ impl StagedTurn {
         id: ClientId,
         scratch: &mut ScratchPool,
     ) {
-        assert!(self.held.is_none(), "a staged turn was never settled");
+        assert!(self.held.is_none(), "a staged turn was never kept");
         let dim = compressor.dim;
         if self.delta.len() != dim {
             self.delta = scratch.take_full(dim);
@@ -547,32 +515,20 @@ impl StagedTurn {
         self.held = Some((round, id, compressor.check_out(id)));
     }
 
-    /// The round of the turn staged here and not yet settled.
-    #[must_use]
-    pub fn round(&self) -> Option<u32> {
-        self.held.as_ref().map(|&(round, ..)| round)
-    }
-
-    /// The `(analytic, wire)` bytes the staged upload was priced at, once
-    /// the turn has run.
-    #[must_use]
-    pub fn price(&self) -> Option<(u64, u64)> {
-        self.upload.as_ref().map(|&(_, price)| price)
-    }
-
     /// Keeps the turn: checks the residual in as the turn left it, then
     /// serializes the upload and the BN-statistic drift into `out`
     /// (upload frame(s), then one mask-aligned stats frame) and reclaims
     /// the upload's buffers into `scratch`. Returns the byte count, which
-    /// is the turn's offered wire price. Under a lossy codec with
-    /// `quant_ec` on, what each frame failed to ship is folded into the
-    /// client's bank, at the one-bits of `round_mask` (the mask the turn
-    /// was given) for a mask-aligned frame. Quantization seeds derive from
-    /// `(seed, round, id)`, never from processing order.
+    /// the turn's nominal wire price ([`ClientCompressor::shape_offer`])
+    /// bounds, and equals under the legacy layout menu. Under a lossy
+    /// codec with `quant_ec` on, what each frame failed to ship is folded
+    /// into the client's bank, at the one-bits of `round_mask` (the mask
+    /// the turn was given) for a mask-aligned frame. Quantization seeds
+    /// derive from `(seed, round, id)`, never from processing order.
     ///
     /// # Panics
     /// Panics if no turn has run here since it was staged, or if the
-    /// encoded length is not the offered one.
+    /// encoded length breaks its nominal price.
     pub fn keep(
         &mut self,
         compressor: &mut ClientCompressor,
@@ -582,31 +538,19 @@ impl StagedTurn {
     ) -> usize {
         let (round, id, residual) = self.held.take().expect("a turn is staged");
         compressor.check_in(id, residual);
-        let (upload, (_, offered)) = self.upload.take().expect("the staged turn ran");
+        let upload = self.upload.take().expect("the staged turn ran");
         let len = compressor.encode_kept(round, id, &upload, round_mask, &self.stats, out);
-        // The ledger is a prediction; this is where it meets the encoder.
-        assert_eq!(
-            len as u64, offered,
-            "encoded frame bytes diverged from the offered length"
-        );
+        // The offer is a prediction; this is where it meets the encoder.
+        let (_, nominal) = compressor
+            .shape_offer(round, round_mask, self.stats.len())
+            .expect("the turn ran, so its mask was broadcast");
+        if compressor.wire.menu == LayoutMenu::Legacy {
+            assert_eq!(len as u64, nominal, "encoded bytes diverged from the offer");
+        } else {
+            assert!(len as u64 <= nominal, "encoded bytes exceed the offer");
+        }
         scratch.reclaim_upload(upload);
         len
-    }
-
-    /// Dismisses the turn: rolls it back, so the client's residual is
-    /// again the bits and weight it was checked out with (or none, on a
-    /// first turn), checks it in and reclaims the upload's buffers into
-    /// `scratch`. Nothing is copied: the delta buffer trades places with
-    /// the residual buffer the turn banked. A no-op when no turn is
-    /// staged.
-    pub fn dismiss(&mut self, compressor: &mut ClientCompressor, scratch: &mut ScratchPool) {
-        if let Some((_, id, mut residual)) = self.held.take() {
-            compressor.roll_back(&mut residual, &mut self.delta);
-            compressor.check_in(id, residual);
-        }
-        if let Some((upload, _)) = self.upload.take() {
-            scratch.reclaim_upload(upload);
-        }
     }
 }
 
@@ -862,19 +806,36 @@ mod tests {
         assert_eq!(bits(&stored(&c)), bits(&expected));
     }
 
+    /// The nominal offer is the encoded length under the legacy menu,
+    /// and bounds it under the entropy menu.
     #[test]
     fn offer_predicts_the_encoded_length() {
-        let mut c = compressor(StrategyConfig::Stc { q: 0.25 }, 8, BitMask::zeros(8));
-        let mut delta = vec![4.0f32, 3.0, 2.0, 1.0, 0.0, 0.0, 0.0, 0.0];
-        let up = compress(&mut c, 0, 3, Group::Fresh, &mut delta, None).unwrap();
-        let stats = [0.5f32, -0.25];
-        let (analytic, wire) = c.offer(&up, stats.len());
-        let mut out = Vec::new();
-        assert_eq!(
-            c.encode_kept(0, 3, &up, None, &stats, &mut out) as u64,
-            wire
-        );
-        assert_eq!(out.len() as u64, wire);
-        assert_eq!(analytic, wire, "legacy F32 frames match the analytic model");
+        for wire in [
+            WirePolicy::legacy(Codec::F32),
+            WirePolicy::entropy(Codec::F32),
+        ] {
+            let mut c = compressor(StrategyConfig::Stc { q: 0.25 }, 64, BitMask::zeros(64));
+            c.wire = wire;
+            let mut delta = vec![0.0f32; 64];
+            (delta[3], delta[4], delta[5]) = (4.0, 3.0, 2.0);
+            let up = compress(&mut c, 0, 3, Group::Fresh, &mut delta, None).unwrap();
+            let stats = [0.5f32, -0.25];
+            let (analytic, nominal) = c.shape_offer(0, None, stats.len()).unwrap();
+            let mut out = Vec::new();
+            let len = c.encode_kept(0, 3, &up, None, &stats, &mut out) as u64;
+            assert_eq!(out.len() as u64, len);
+            assert_eq!(
+                analytic, nominal,
+                "{wire:?}: F32 prices match the analytic model"
+            );
+            if wire.menu == LayoutMenu::Legacy {
+                assert_eq!(len, nominal);
+            } else {
+                assert!(
+                    len < nominal,
+                    "{wire:?}: a run of indices costs less than its list"
+                );
+            }
+        }
     }
 }

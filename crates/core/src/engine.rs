@@ -16,23 +16,17 @@
 //! 3. `invite` ([`Phase::Train`]) and `collect_offers`
 //!    ([`Phase::Encode`]) — [`RoundIo::invite`] hands the broadcast to
 //!    all invited clients; [`RoundIo::offers`] collects each one's
-//!    predicted upload byte counts, which are the round's upload volume
-//!    and, over the sampled links, the modeled transfer times. A client's
-//!    turn — train, compress, price ([`crate::ClientTurn::run`]) — runs
-//!    when something first needs its result: at the invitation when only
-//!    the trained upload can price the offer (STC and GlueFL under an
-//!    entropy wire policy, and every socket client), or, when the
-//!    broadcast alone prices it ([`crate::ClientCompressor::shape_offer`]:
-//!    every strategy under a legacy policy, FedAvg and APF under any),
-//!    only once the client is kept;
+//!    predicted upload byte counts, which over the sampled links give the
+//!    modeled transfer times. Every client prices its invitation from the
+//!    broadcast alone ([`crate::ClientCompressor::shape_offer`]), before
+//!    anyone trains: exactly under the legacy layout menu, as an upper
+//!    bound under the entropy menu;
 //! 4. `keep` (untimed) — the fastest `C` sticky / `K − C` fresh
-//!    finishers are kept (§5.6); [`RoundIo::grant`] tells the clients,
-//!    and only kept uploads are ever serialized. The grant is the commit
-//!    point of a client's error-feedback residual: a kept client banks
-//!    what its turn left, a dismissed client's bank ends the round as it
-//!    began, as for a device that discards an unsent turn — both settled
-//!    by the client's [`crate::StagedTurn`]. The grant is timed as
-//!    [`Phase::Train`] too;
+//!    finishers are kept (§5.6), and [`RoundIo::grant`] tells the
+//!    clients. Only the kept clients take their turns — train, compress
+//!    ([`crate::ClientTurn::run`]) — so the grant is timed as
+//!    [`Phase::Train`]. A dismissed client runs nothing and sends
+//!    nothing, so its error-feedback bank ends the round as it began;
 //! 5. `fold` — each arrival from [`RoundIo::next_upload`] is decoded
 //!    through the one upload grammar
 //!    ([`wire_link::decode_upload_with_stats`]), validated against the
@@ -43,7 +37,10 @@
 //!    the IO for this step and runs at most one arrival ahead; arrivals
 //!    are folded in the order the IO produces them, so the overlap
 //!    changes no bit. A lost or invalid upload is skipped and the round
-//!    completes without it. Setting up and folding are timed as
+//!    completes without it. Each folded upload, and no other, enters the
+//!    upload ledger: its payload length as
+//!    [`RoundRecord::wire_up_bytes`], its legacy-F32 price as
+//!    [`RoundRecord::up_bytes`]. Setting up and folding are timed as
 //!    [`Phase::Fold`], decoding as [`Phase::Decode`], and waiting on the
 //!    producer as [`Phase::Encode`];
 //! 6. the strategy's finishing step ([`Phase::TopK`]: top-k, mask shift)
@@ -64,9 +61,9 @@
 //!
 //! Who the clients are is the [`RoundIo`]'s business. Its steps are per
 //! *round*, not per client, so an implementation is free to run a
-//! round's turns in one call ([`crate::Simulation`]: only the kept
-//! clients' at `grant`, or every invited client's at `invite`) or to
-//! wait on sockets under deadlines (`gluefl-transport`'s server). The
+//! round's turns in one call ([`crate::Simulation`]: the kept clients'
+//! at `grant`) or to wait on sockets under deadlines
+//! (`gluefl-transport`'s server). The
 //! engine never reads a clock except through the attached telemetry
 //! recorder, and never blocks except inside the IO or on its producer.
 //!
@@ -155,36 +152,31 @@ pub trait RoundIo: Send {
     fn reachable(&self, id: ClientId) -> bool;
 
     /// Delivers the broadcast to every invited client, with its group
-    /// tag; a client takes its turn — trains, compresses its delta and
-    /// prices the upload ([`crate::ClientTurn::run`]) — once its offer
-    /// or its upload needs it. A socket IO only sends the invitations,
-    /// and each client trains on receipt. The in-process IO runs every
-    /// turn before returning, unless the broadcast alone prices every
-    /// upload ([`crate::ClientCompressor::shape_offer`]): then it holds
-    /// the broadcast weights and runs no turn yet. A turn taken here
-    /// commits nothing: it waits for the grant as a
-    /// [`crate::StagedTurn`].
+    /// tag. Nobody trains yet: the in-process IO holds the broadcast
+    /// weights, and a socket IO sends the invitations, which each client
+    /// holds until its `GRANT`.
     fn invite(&mut self, round: u32, invited: &[(ClientId, Group)], broadcast: &Broadcast<'_>);
 
     /// Collects the invited clients' offers: `offers[i]` becomes the
     /// `(analytic bytes, wire bytes)` the `i`-th invited client priced
     /// its upload at, or stays `None` if it never answered. `times[i]`
     /// holds that client's modeled download and compute seconds, for an
-    /// IO that turns modeled time into patience. The in-process IO only
-    /// copies the prices its turns staged, or reports the one shape price
-    /// for everyone; a socket IO waits for the `OFFER`s.
+    /// IO that turns modeled time into patience. An offer is the nominal
+    /// price the broadcast fixes ([`crate::ClientCompressor::shape_offer`]):
+    /// the in-process IO reports that one price for everyone, a socket IO
+    /// waits for the `OFFER`s. Offers rank the keep and set the modeled
+    /// upload times; they are not the upload ledger, which counts only
+    /// what is folded.
     fn offers(&mut self, round: u32, times: &[ClientRoundTime], offers: &mut [Option<(u64, u64)>]);
 
     /// Announces the keep decision: the invitation indices in `kept` are
-    /// granted their upload slot, everyone else is dismissed. This is the
-    /// commit point of every turn, which each client's
-    /// [`crate::StagedTurn`] settles: a kept turn banks the residual as it
-    /// left it ([`crate::StagedTurn::keep`], when its upload is
-    /// serialized), a dismissed one rolls back, so the client's bank ends
-    /// the round as it began ([`crate::StagedTurn::dismiss`]). `times`
-    /// now carries the modeled upload seconds too. An IO whose turns
-    /// waited for this decision takes the kept clients' turns here, so
-    /// the engine times this call as training.
+    /// granted their upload slot, everyone else is dismissed. Only a kept
+    /// client takes its turn ([`crate::ClientTurn::run`]) and banks the
+    /// residual it leaves ([`crate::StagedTurn::keep`]); a dismissed one
+    /// runs nothing, so its bank ends the round as it began. The
+    /// in-process IO takes the kept clients' turns here, so the engine
+    /// times this call as training. `times` now carries the modeled
+    /// upload seconds too.
     fn grant(&mut self, round: u32, kept: &[usize], times: &[ClientRoundTime]);
 
     /// Waits for the next granted slot to resolve. On
@@ -208,7 +200,8 @@ pub trait RoundIo: Send {
 #[derive(Clone)]
 struct EngineRecorder {
     hub: Arc<Telemetry>,
-    /// Per-upload offered wire bytes (upload + BN-statistic frames).
+    /// Per folded upload, its payload bytes (upload + BN-statistic
+    /// frames).
     wire_up_bytes: Histogram,
 }
 
@@ -442,15 +435,14 @@ impl RoundEngine {
         if !self.invited.is_empty() {
             let (down, frames) = clock.time(Phase::Broadcast, || self.broadcast(round, &mut rec));
             clock.time(Phase::Train, || self.invite(io, round, frames));
-            let (times, offers) = clock.time(Phase::Encode, || {
-                self.collect_offers(io, round, &down, &mut rec)
-            });
+            let (times, offers) =
+                clock.time(Phase::Encode, || self.collect_offers(io, round, &down));
             let kept = keep(&plan, &times);
             rec.kept = kept.len();
             // An IO may take the kept clients' turns only now that it
             // knows who they are, so the grant is training time.
             clock.time(Phase::Train, || io.grant(round, &kept, &times));
-            let (gate, slots) = self.fold(io, round, &kept, &mut clock);
+            let (gate, slots) = self.fold(io, round, &kept, &mut clock, &mut rec);
             let update = clock.time(Phase::TopK, || {
                 gate.finish(&mut self.strategy, &mut self.scratch)
             });
@@ -521,18 +513,16 @@ impl RoundEngine {
         self.scratch.put_bytes(frames);
     }
 
-    /// Collects the offers and turns them into the round's upload volume
-    /// and every invited client's modeled times; returns the times and
-    /// the offers. Nothing is serialized yet: a frame's length depends
-    /// only on the upload's shape and index pattern, so the keep
-    /// selection runs on offered lengths, the information order of a real
-    /// server. Every offer counts toward the volume metrics, kept or not.
+    /// Collects the offers and turns them into every invited client's
+    /// modeled times; returns the times and the offers. Nothing is
+    /// trained or serialized yet: an offer is the price the broadcast
+    /// fixes, so the keep selection runs on offered lengths, the
+    /// information order of a real server.
     fn collect_offers(
         &mut self,
         io: &mut dyn RoundIo,
         round: u32,
         download: &[u64],
-        rec: &mut RoundRecord,
     ) -> (Vec<ClientRoundTime>, Vec<Offer>) {
         let secs =
             |b: u64, mbps| seconds_for_bytes((b as f64 * self.time_byte_factor) as u64, mbps);
@@ -550,13 +540,7 @@ impl RoundEngine {
         let mut offers = vec![None; self.invited.len()];
         io.offers(round, &times, &mut offers);
         for ((&(id, _), time), offer) in self.invited.iter().zip(&mut times).zip(&offers) {
-            if let Some((analytic, wire)) = *offer {
-                // Offers are the IO's numbers, not the engine's.
-                rec.up_bytes = rec.up_bytes.saturating_add(analytic);
-                rec.wire_up_bytes = rec.wire_up_bytes.saturating_add(wire);
-                if let Some(t) = &self.tel {
-                    t.wire_up_bytes.observe(wire);
-                }
+            if let Some((_, wire)) = *offer {
                 time.upload_secs = secs(wire, self.links.get(id).up_mbps);
             }
         }
@@ -574,13 +558,14 @@ impl RoundEngine {
     /// peer and nothing stays blocked. Arrival order is whatever the IO
     /// produces; the gate parks early arrivals so the strategy folds in
     /// ascending client-id order regardless, each upload at its client's
-    /// weight.
+    /// weight, and each folded upload enters `rec`'s upload ledger.
     fn fold(
         &mut self,
         io: &mut dyn RoundIo,
         round: u32,
         kept: &[usize],
         clock: &mut PhaseClock,
+        rec: &mut RoundRecord,
     ) -> (StreamingAggregator, Vec<bool>) {
         let mut delivered = vec![false; kept.len()];
         let gate = std::thread::scope(|s| {
@@ -602,8 +587,11 @@ impl RoundEngine {
                             let slot = kept.iter().position(|&k| k == i);
                             let slot = slot.expect("RoundIo delivered a slot that was not kept");
                             let decoded = self.decode_arrival(&payload, slot);
-                            if let Err(e) = decoded {
-                                let _ = reject_tx.send((i, e));
+                            match &decoded {
+                                Ok(upload) => self.charge_upload(upload, payload.len(), rec),
+                                Err(e) => {
+                                    let _ = reject_tx.send((i, *e));
+                                }
                             }
                             delivered[slot] = decoded.is_ok();
                             (i, decoded.ok())
@@ -636,6 +624,19 @@ impl RoundEngine {
             gate
         });
         (gate, delivered)
+    }
+
+    /// Enters one folded upload into the round's upload ledger: the
+    /// `len` bytes its payload took on the wire, and what the same upload
+    /// and BN-statistic frame cost as legacy-F32 frames.
+    fn charge_upload(&self, upload: &Upload, len: usize, rec: &mut RoundRecord) {
+        let legacy = WirePolicy::legacy(Codec::F32);
+        let stats = FrameWriter::new(legacy).known_mask_len(self.stats_positions.len());
+        rec.up_bytes += wire_link::encoded_len(upload, &legacy) + stats;
+        rec.wire_up_bytes += len as u64;
+        if let Some(t) = &self.tel {
+            t.wire_up_bytes.observe(len as u64);
+        }
     }
 
     /// Opens the round's fold gate over the kept clients at their sampler

@@ -21,15 +21,18 @@ pub struct RoundRecord {
     /// F32 [`WirePolicy::legacy`](crate::WirePolicy::legacy) writer would
     /// emit for it.
     pub down_bytes: u64,
-    /// Upstream bytes this round (all invited clients) in the analytic
-    /// ledger: each offer's F32 [`WirePolicy::legacy`](crate::WirePolicy::legacy)
-    /// price ([`crate::ClientCompressor::offer`]).
+    /// Upstream bytes this round in the analytic ledger: each upload the
+    /// engine folds — a kept client's, delivered and valid; a dismissed
+    /// client sends nothing — priced as the upload and BN-statistic
+    /// frames an F32 [`WirePolicy::legacy`](crate::WirePolicy::legacy)
+    /// writer would emit for it. The upload half of Table 2's total
+    /// volume.
     pub up_bytes: u64,
-    /// *Measured* upstream bytes this round: every invited client's
-    /// upload and BN-statistic frames as actually serialized by the
-    /// configured [`crate::WireCodec`]. Equals [`RoundRecord::up_bytes`]
-    /// bit-for-bit under the default `F32` codec; smaller under the
-    /// quantized codecs.
+    /// *Measured* upstream bytes this round: the payload length of each
+    /// upload the engine folds, as serialized under the run's
+    /// [`crate::WirePolicy`]. Equals [`RoundRecord::up_bytes`] under the
+    /// legacy `F32` policy; smaller under the lossy codecs and the
+    /// entropy layouts.
     pub wire_up_bytes: u64,
     /// *Measured* bytes of this round's reference broadcast: one dense
     /// full-model frame plus the strategy's mask frame (when it ships

@@ -8,34 +8,27 @@
 //! by the engine ([`crate::engine`]); this module supplies what clients
 //! do:
 //!
-//! * a client's turn is staged in a [`StagedTurn`] and settled by the
-//!   grant, the commit point of its residual: a kept turn banks what it
-//!   left, a dismissed one rolls back, so a dismissed turn leaves no
-//!   trace. A turn runs when something first needs its result. When the
-//!   broadcast fixes every upload's price
+//! * every invitation is priced from the broadcast alone
 //!   ([`ClientCompressor::shape_offer`]: FedAvg's `dim` values, APF's
-//!   values under the broadcast mask, and under a legacy wire policy
-//!   STC's and GlueFL's top-k, whose frame length follows from its
-//!   count), only the kept clients take their turns, on `grant`, from a
-//!   copy of the broadcast weights held since `invite`: a dismissed turn
-//!   could have changed no bit, since each turn's RNG comes from
-//!   `(seed, round, client)`. Otherwise (STC and GlueFL under an entropy
-//!   policy, whose index pattern prices the frame) every invited client
-//!   takes its turn on `invite`, as a socket client does on its
-//!   `INVITE`, and `grant` dismisses the turns not kept;
-//! * either way a turn is the one per-client routine
-//!   ([`ClientTurn::run`]), after filling the rows of its data shard that
-//!   its minibatches will read and that are not filled yet
-//!   ([`ClientTurn::fill_rows`] — the rows follow from the turn's seed,
-//!   so about 5 % of a wide-shape shard is synthesised, not all of it):
-//!   it trains `E` local SGD steps from the broadcast weights
-//!   ([`train_client_into`]), compresses the delta in place with the
-//!   client half and prices the staged upload
-//!   ([`ClientCompressor::offer`]) — nothing is serialized before the
-//!   keep decision. One client's whole training state stays
-//!   cache-resident in the worker's pooled [`TrainSlot`] while the
-//!   cohort streams through it, each step touches each weight once, and
-//!   a turn allocates nothing in steady state. The delta's buffer is
+//!   values under the broadcast mask, STC's and GlueFL's top-k counts in
+//!   the legacy layout under the run's codec — exact under the legacy
+//!   layout menu, an upper bound under the entropy menu), so `offers`
+//!   hands the engine that one nominal price for everyone, and only the
+//!   kept clients take their turns, on `grant`, from a copy of the
+//!   broadcast weights held since `invite`. A dismissed client runs no
+//!   turn, so it leaves no trace: each turn's RNG comes from
+//!   `(seed, round, client)`, and its residual is banked only by its
+//!   turn;
+//! * a turn is the one per-client routine ([`ClientTurn::run`]), after
+//!   filling the rows of its data shard that its minibatches will read
+//!   and that are not filled yet ([`ClientTurn::fill_rows`] — the rows
+//!   follow from the turn's seed, so about 5 % of a wide-shape shard is
+//!   synthesised, not all of it): it trains `E` local SGD steps from the
+//!   broadcast weights ([`train_client_into`]) and compresses the delta
+//!   in place with the client half into the staged upload. One client's
+//!   whole training state stays cache-resident in the worker's pooled
+//!   [`TrainSlot`] while the cohort streams through it, each step touches
+//!   each weight once, and a turn allocates nothing in steady state. The delta's buffer is
 //!   handed over, not copied: it becomes the client's residual (and the
 //!   previous residual's buffer the next turn's delta buffer) or, for a
 //!   dense strategy, the upload itself. The round's turns are cut into
@@ -57,11 +50,9 @@
 //!   function of `(seed, client)` ([`SyntheticFlDataset::fill_rows`]), so
 //!   neither residency, nor which rows are filled, nor which worker fills
 //!   them changes a bit;
-//! * `offers` hands the engine the shape price, or else the prices the
-//!   turns staged;
-//! * a kept turn is settled when the engine asks for the next arrival,
-//!   its upload serialized into the engine's buffer
-//!   ([`StagedTurn::keep`]); a dismissed upload is never serialized.
+//! * a kept turn is settled when the engine asks for the next arrival:
+//!   its residual is banked and its upload serialized into the engine's
+//!   buffer ([`StagedTurn::keep`]).
 
 use crate::client::{ClientCompressor, MissingRoundMask, RunSetup, StagedTurn};
 use crate::config::{SimConfig, StrategyConfig};
@@ -319,16 +310,15 @@ pub struct InProcessClients {
     /// The round's invitation list and broadcast mask.
     invited: Vec<(ClientId, Group)>,
     round_mask: Option<BitMask>,
-    /// The price of every upload this round when the broadcast fixes it
-    /// ([`ClientCompressor::shape_offer`]): the turns then wait for the
-    /// keep decision and only the kept ones run, from `global`.
-    shape_price: Option<(u64, u64)>,
-    /// The broadcast weights, held for turns taken at `grant`.
+    /// The price of every upload this round, fixed by the broadcast
+    /// ([`ClientCompressor::shape_offer`]).
+    price: (u64, u64),
+    /// The broadcast weights, held from `invite` for the kept clients'
+    /// turns at `grant`.
     global: Vec<f32>,
-    /// The round's turns in turn order — every invited client's when
-    /// taken at `invite` (turn `i` is invitation `i`), the kept clients'
-    /// in invitation order when taken at `grant` — and past them the
-    /// settled turns of earlier rounds, whose buffers the next turns reuse.
+    /// The round's turns, the kept clients' in invitation order, and past
+    /// them the kept turns of earlier rounds, whose buffers the next
+    /// turns reuse.
     turns: Vec<StagedTurn>,
     /// Turns per cohort job this round: turn `t` ran in `pools[t / chunk]`.
     chunk: usize,
@@ -360,19 +350,12 @@ impl RoundIo for InProcessClients {
             (Some(mask), Some(own)) => own.copy_from(mask),
             (mask, own) => *own = mask.cloned(),
         }
-        self.shape_price = self.compressor.shape_offer(
-            round,
-            self.round_mask.as_ref(),
-            self.stats_positions.len(),
-        );
-        if self.shape_price.is_some() {
-            // Nobody's turn can change a price: train the kept at `grant`.
-            self.global.clear();
-            self.global.extend_from_slice(broadcast.params);
-        } else {
-            let every: Vec<usize> = (0..invited.len()).collect();
-            self.take_turns(round, broadcast.params, &every);
-        }
+        self.price = self
+            .compressor
+            .shape_offer(round, self.round_mask.as_ref(), self.stats_positions.len())
+            .expect("the engine broadcasts the mask of every masking strategy");
+        self.global.clear();
+        self.global.extend_from_slice(broadcast.params);
     }
 
     fn offers(
@@ -381,34 +364,17 @@ impl RoundIo for InProcessClients {
         _times: &[ClientRoundTime],
         offers: &mut [Option<(u64, u64)>],
     ) {
-        for (i, offer) in offers.iter_mut().enumerate() {
-            *offer = self.shape_price.or_else(|| self.turns[i].price());
-        }
+        offers.fill(Some(self.price));
     }
 
     fn grant(&mut self, round: u32, kept: &[usize], _times: &[ClientRoundTime]) {
         let mut kept = kept.to_vec();
         kept.sort_unstable();
+        let global = std::mem::take(&mut self.global);
+        self.take_turns(round, &global, &kept);
+        self.global = global;
         self.pending.clear();
-        if let Some(price) = self.shape_price {
-            let global = std::mem::take(&mut self.global);
-            self.take_turns(round, &global, &kept);
-            self.global = global;
-            for turn in &self.turns[..kept.len()] {
-                assert_eq!(
-                    turn.price(),
-                    Some(price),
-                    "a kept upload's price diverged from its shape price"
-                );
-            }
-            self.pending.extend(kept.iter().copied().zip(0..));
-        } else {
-            let turns = self.turns[..self.invited.len()].iter_mut().enumerate();
-            for (i, turn) in turns.filter(|(i, _)| kept.binary_search(i).is_err()) {
-                turn.dismiss(&mut self.compressor, &mut self.pools[i / self.chunk]);
-            }
-            self.pending.extend(kept.iter().map(|&i| (i, i)));
-        }
+        self.pending.extend(kept.iter().copied().zip(0..));
         // Training is over: down to the `S` most recently used shards.
         self.cache.trim();
         // Delivered in descending pop order = ascending client id, the
@@ -457,7 +423,7 @@ impl InProcessClients {
             pools: Vec::new(),
             invited: Vec::new(),
             round_mask: None,
-            shape_price: None,
+            price: (0, 0),
             global: Vec::new(),
             turns: Vec::new(),
             chunk: 1,
@@ -468,8 +434,8 @@ impl InProcessClients {
     }
 
     /// Client `id`'s banked error-feedback residual and the weight it was
-    /// stored at — `None` before its first kept turn, while a turn of its
-    /// is staged, and always for a strategy without error feedback.
+    /// stored at — `None` before its first kept turn and always for a
+    /// strategy without error feedback.
     #[must_use]
     pub fn stored(&self, id: ClientId) -> Option<(&[f32], f64)> {
         self.compressor.stored(id)
@@ -479,7 +445,7 @@ impl InProcessClients {
     /// (ascending) from `global`, turn `t` staged in `self.turns[t]`
     /// ([`StagedTurn::stage`], then [`ClientTurn::run`] after
     /// [`ClientTurn::fill_rows`]: fill the shard rows the turn reads,
-    /// train, compress, price). The turns are cut into one job of
+    /// train, compress). The turns are cut into one job of
     /// consecutive turns per pool worker — a single job on a one-CPU
     /// machine — each with its own [`ScratchPool`]; a job is scheduling,
     /// not a second way to take a turn. Each turn owns its shard for the
@@ -631,14 +597,14 @@ impl ClientTurn<'_> {
     }
 
     /// The whole turn [`StagedTurn::stage`]d in `staged` — the routine
-    /// every driver runs, the in-process cohort job for each of its
-    /// clients and a socket client's `INVITE` handler alike: train on
-    /// `shard` from the broadcast weights ([`train_client_into`], seeded
-    /// by [`local_train_seed`]) into the staged delta and BN-statistic
-    /// buffers, then compress the delta ([`ClientCompressor::compress`],
-    /// on the client's checked-out residual) and stage the upload with
-    /// its price ([`ClientCompressor::offer`]), which it returns. Every
-    /// row the training reads must be filled
+    /// every driver runs for a kept client, the in-process cohort job for
+    /// each of its clients and a socket client's granted upload alike:
+    /// train on `shard` from the broadcast weights ([`train_client_into`],
+    /// seeded by [`local_train_seed`]) into the staged delta and
+    /// BN-statistic buffers, then compress the delta
+    /// ([`ClientCompressor::compress`], on the client's checked-out
+    /// residual) and stage the upload. Every row the training reads must
+    /// be filled
     /// ([`fill_rows`](Self::fill_rows)); `scratch`'s [`TrainSlot`] is
     /// where the training runs.
     ///
@@ -655,7 +621,7 @@ impl ClientTurn<'_> {
         shard: &ClientDataset,
         staged: &mut StagedTurn,
         scratch: &mut ScratchPool,
-    ) -> Result<(u64, u64), MissingRoundMask> {
+    ) -> Result<(), MissingRoundMask> {
         let StagedTurn {
             held,
             delta,
@@ -684,7 +650,7 @@ impl ClientTurn<'_> {
             // Measured on the raw delta, before compression consumes it.
             norm.observe((vecops::l2_norm(delta) * 1e3) as u64);
         }
-        let compressed = self.compressor.compress(
+        *upload = Some(self.compressor.compress(
             self.round,
             *id,
             group,
@@ -692,10 +658,8 @@ impl ClientTurn<'_> {
             self.round_mask,
             residual,
             scratch,
-        )?;
-        let price = self.compressor.offer(&compressed, stats.len());
-        *upload = Some((compressed, price));
-        Ok(price)
+        )?);
+        Ok(())
     }
 }
 
@@ -945,9 +909,8 @@ mod tests {
     /// client half — the quantized STC upload, MD-FedAvg's repeated
     /// invitations, a QuantU8 wire under FedAvg and under GlueFL, whose
     /// codec loss is folded into residuals the workers produced, and an
-    /// entropy wire under STC and GlueFL, whose turns run at the
-    /// invitation and whose dismissed turns are rolled back at the grant —
-    /// runs 4 rounds on one worker and on three, and whole records, final
+    /// entropy wire under STC and GlueFL, whose frames are priced
+    /// nominally and encoded by pattern — runs 4 rounds on one worker and on three, and whole records, final
     /// weights and the residual bank agree bit for bit. Three workers
     /// need not exist on the machine — the pool spawns them regardless —
     /// so this compares on any core count.
@@ -1107,32 +1070,13 @@ mod tests {
         assert!(tel.phase_nanos(Phase::Train) <= rec.step_nanos);
     }
 
-    /// The turns a round of `cfg` takes: only the kept clients' when the
-    /// broadcast fixes every price ([`ClientCompressor::shape_offer`]:
-    /// FedAvg, MD-FedAvg, APF, and STC and GlueFL under a legacy policy),
-    /// every invited client's when only its trained upload can price it
-    /// (STC and GlueFL under an entropy policy).
-    fn turns_taken(cfg: &SimConfig, rec: &RoundRecord) -> usize {
-        let top_k = matches!(
-            cfg.strategy,
-            StrategyConfig::Stc { .. }
-                | StrategyConfig::StcQuantized { .. }
-                | StrategyConfig::GlueFl(_)
-        );
-        if top_k && cfg.wire.menu == gluefl_wire::LayoutMenu::Entropy {
-            rec.invited
-        } else {
-            rec.kept
-        }
-    }
-
     /// Dimension-sized buffers alive on the client side after a round,
-    /// outside the residual bank: hand-backs waiting in the settled turns
-    /// to be the next deltas, and dense uploads back in any job's pool.
+    /// outside the residual bank: hand-backs waiting in the kept turns to
+    /// be the next deltas, and dense uploads back in any job's pool.
     fn live_delta_buffers(c: &InProcessClients, dim: usize) -> usize {
         assert!(
             c.turns.iter().all(|t| t.held.is_none()),
-            "a turn is unsettled"
+            "a turn was not kept"
         );
         let handed_back = c.turns.iter().filter(|t| t.delta.len() == dim);
         let pooled = c.pools.iter().map(|pool| {
@@ -1148,8 +1092,8 @@ mod tests {
     /// The delta hand-off leaks nothing and copies nothing: every round
     /// allocates exactly one dimension-sized buffer per *first-time*
     /// client (its residual-to-be) and otherwise trades buffers, so the
-    /// live count is `tracked residuals + turns taken` under GlueFL and a
-    /// flat `turns taken` under FedAvg, which keeps no bank.
+    /// live count is `tracked residuals + kept` under GlueFL and a flat
+    /// `kept` under FedAvg, which keeps no bank.
     #[test]
     fn delta_hand_off_keeps_the_live_buffer_count_flat() {
         let rounds = 8;
@@ -1161,8 +1105,7 @@ mod tests {
         let mut turns = None;
         for round in 0..rounds {
             let tracked_before = sim.clients.compressor.tracked_residuals();
-            let rec = sim.step();
-            let taken = turns_taken(&cfg, &rec);
+            let taken = sim.step().kept;
             assert_eq!(*turns.get_or_insert(taken), taken);
             let c = &sim.clients;
             let tracked = c.compressor.tracked_residuals();
@@ -1184,14 +1127,13 @@ mod tests {
         );
 
         // FedAvg: the delta is the upload; kept or dropped, it returns.
-        let cfg = tiny_cfg(StrategyConfig::FedAvg);
-        let mut sim = Simulation::new(cfg.clone());
+        let mut sim = Simulation::new(tiny_cfg(StrategyConfig::FedAvg));
         for round in 0..rounds {
             let rec = sim.step();
             assert_eq!(sim.clients.compressor.tracked_residuals(), 0);
             assert_eq!(
                 live_delta_buffers(&sim.clients, dim),
-                turns_taken(&cfg, &rec),
+                rec.kept,
                 "round {round}: dense uploads must circulate, not accumulate"
             );
         }
@@ -1280,7 +1222,7 @@ mod tests {
     }
 
     /// Between rounds at most `S` shards stay resident and during a
-    /// round at most `max(S, turns taken)`, so a strategy without a
+    /// round at most `max(S, kept)`, so a strategy without a
     /// sticky group (FedAvg, `S = 0`) keeps no more than one round's
     /// turns. Every turn either builds its shard or reuses a resident
     /// one, and with a sticky group some do reuse theirs.
@@ -1305,12 +1247,11 @@ mod tests {
                         at_invite = c.cache.resident.len();
                     }
                 });
-                // Residency peaks once the round's turns are over, which
-                // for shape-priced turns is at the grant, not at the
-                // invitation.
+                // Residency peaks once the round's turns are over, at
+                // the grant, not at the invitation.
                 let during = sim.clients.cache.untrimmed;
                 assert!(at_invite <= during);
-                let taken = turns_taken(&cfg, &rec);
+                let taken = rec.kept;
                 assert!(
                     during <= s.max(taken),
                     "S = {s}, round {round}: {during} resident"
@@ -1331,12 +1272,12 @@ mod tests {
     }
 
     /// Under over-commitment a round takes exactly the turns its prices
-    /// need: FedAvg and APF train only the kept clients, and so do STC,
-    /// quantized STC and GlueFL under a legacy policy, whose top-k
-    /// uploads the broadcast prices too; under an entropy policy they
-    /// train every invited client (MD-FedAvg keeps everyone it invites).
-    /// Each turn builds or reuses one shard and observes one update norm,
-    /// so both counters count turns.
+    /// need, which are the kept clients' under every policy: the
+    /// broadcast prices FedAvg's and APF's uploads, and STC's, quantized
+    /// STC's and GlueFL's top-k nominally, under a legacy or an entropy
+    /// policy alike (MD-FedAvg keeps everyone it invites). Each turn
+    /// builds or reuses one shard and observes one update norm, so both
+    /// counters count turns.
     #[test]
     fn a_round_takes_only_the_turns_its_prices_need() {
         use gluefl_wire::{Codec, WirePolicy};
@@ -1372,7 +1313,7 @@ mod tests {
             for round in 0..4 {
                 let rec = sim.step();
                 assert!(rec.invited > rec.kept, "{name}: no over-commitment");
-                turns += turns_taken(&cfg, &rec);
+                turns += rec.kept;
                 let snap = tel.snapshot();
                 let count = |name| snap.value(name, &[]).unwrap() as usize;
                 let shards = count("gluefl_client_shards_built_total")
@@ -1383,12 +1324,11 @@ mod tests {
         }
     }
 
-    /// A dismissed client takes no turn wherever the broadcast prices
-    /// its offer — FedAvg, and STC, quantized STC and GlueFL under a
-    /// legacy policy: with room for every shard, exactly the shards of
-    /// the clients kept so far are resident after each round, some
-    /// client was only ever dismissed, and no such client banked a
-    /// residual.
+    /// A dismissed client takes no turn under any policy — FedAvg, and
+    /// STC, quantized STC and GlueFL under legacy and entropy policies:
+    /// with room for every shard, exactly the shards of the clients kept
+    /// so far are resident after each round, some client was only ever
+    /// dismissed, and no such client banked a residual.
     #[test]
     fn a_dismissed_client_builds_no_shard() {
         use gluefl_wire::{Codec, WirePolicy};
@@ -1396,16 +1336,27 @@ mod tests {
             tiny_cfg(StrategyConfig::FedAvg).round_size,
         ));
         let cases = [
-            (StrategyConfig::FedAvg, Codec::F32),
-            (StrategyConfig::Stc { q: 0.2 }, Codec::F32),
-            (StrategyConfig::StcQuantized { q: 0.2 }, Codec::F16),
-            (gluefl.clone(), Codec::F32),
-            (gluefl, Codec::QuantU8),
+            (StrategyConfig::FedAvg, WirePolicy::legacy(Codec::F32)),
+            (
+                StrategyConfig::Stc { q: 0.2 },
+                WirePolicy::legacy(Codec::F32),
+            ),
+            (
+                StrategyConfig::Stc { q: 0.2 },
+                WirePolicy::entropy(Codec::F32),
+            ),
+            (
+                StrategyConfig::StcQuantized { q: 0.2 },
+                WirePolicy::legacy(Codec::F16),
+            ),
+            (gluefl.clone(), WirePolicy::legacy(Codec::F32)),
+            (gluefl.clone(), WirePolicy::entropy(Codec::F32)),
+            (gluefl, WirePolicy::legacy(Codec::QuantU8)),
         ];
-        for (strategy, codec) in cases {
-            let name = strategy.name();
+        for (strategy, wire) in cases {
+            let name = format!("{} {wire:?}", strategy.name());
             let mut cfg = tiny_cfg(strategy);
-            cfg.wire = WirePolicy::legacy(codec);
+            cfg.wire = wire;
             let mut sim = Simulation::new(cfg);
             sim.clients.cache.capacity = usize::MAX;
             let (mut kept, mut dismissed) = (BTreeSet::new(), BTreeSet::new());
@@ -1433,18 +1384,40 @@ mod tests {
         }
     }
 
+    /// What `upload` plus a `stats_len`-value BN-statistic frame costs:
+    /// `(legacy-F32 bytes, bytes under wire)`, as the engine's upload
+    /// ledger counts a folded upload.
+    fn measured(upload: &Upload, stats_len: usize, wire: gluefl_wire::WirePolicy) -> (u64, u64) {
+        use gluefl_wire::{Codec, FrameWriter, WirePolicy};
+        let price = |policy: WirePolicy| {
+            crate::wire_link::encoded_len(upload, &policy)
+                + FrameWriter::new(policy).known_mask_len(stats_len)
+        };
+        (price(WirePolicy::legacy(Codec::F32)), price(wire))
+    }
+
+    /// The nominal wire price `shape` against the `measured` one: equal
+    /// under the legacy layout menu, an upper bound under the entropy
+    /// menu. The analytic prices are equal under both.
+    fn assert_bounds(shape: (u64, u64), measured: (u64, u64), entropy: bool) {
+        assert_eq!(shape.0, measured.0);
+        if entropy {
+            assert!(measured.1 <= shape.1, "{measured:?} over {shape:?}");
+        } else {
+            assert_eq!(shape.1, measured.1);
+        }
+    }
+
     proptest::proptest! {
-        /// The price assumption that lets a round train only its kept
-        /// clients: for FedAvg, MD-FedAvg and APF, under every codec and
-        /// both layout menus, over random APF mask densities and with and
-        /// without BN statistics, the price
-        /// [`ClientCompressor::shape_offer`] reads off the broadcast is bit
-        /// for bit the [`ClientCompressor::offer`] of the upload a trained
-        /// turn stages — and the length that upload encodes to. So it is
-        /// for STC, quantized STC and GlueFL under a legacy policy, over
-        /// masks that may also cover BN statistics; under an entropy
-        /// policy their index pattern prices the frame, and they have no
-        /// shape price.
+        /// The price that lets a round train only its kept clients: for
+        /// every strategy, under every codec and both layout menus, over
+        /// random mask densities (masks that may also cover BN statistics)
+        /// and with and without BN statistics, the price
+        /// [`ClientCompressor::shape_offer`] reads off the broadcast is
+        /// the upload a trained turn stages, priced: the analytic price
+        /// exactly, and the wire price exactly under a legacy policy and
+        /// as an upper bound under an entropy policy, whose index pattern
+        /// prices the frame. The kept turn encodes to the measured length.
         #[test]
         fn shape_offer_is_the_offer_of_the_trained_upload(
             strategy in 0usize..6,
@@ -1485,19 +1458,11 @@ mod tests {
             let c = &mut sim.clients;
             let stats_len = c.stats_positions.len();
             proptest::prop_assert_eq!(stats_len == 0, !batch_norm);
-            let (mask, shape_priced) = match cfg.strategy {
-                StrategyConfig::FedAvg | StrategyConfig::MdFedAvg => (None, true),
-                StrategyConfig::Apf { .. } => (Some(&random_mask), true),
-                StrategyConfig::Stc { .. } | StrategyConfig::StcQuantized { .. } => {
-                    (None, !entropy)
-                }
-                StrategyConfig::GlueFl(_) => (Some(&random_mask), !entropy),
+            let mask = match cfg.strategy {
+                StrategyConfig::Apf { .. } | StrategyConfig::GlueFl(_) => Some(&random_mask),
+                _ => None,
             };
-            let shape = c.compressor.shape_offer(round, mask, stats_len);
-            proptest::prop_assert_eq!(shape.is_some(), shape_priced);
-            let Some(shape) = shape else {
-                return;
-            };
+            let shape = c.compressor.shape_offer(round, mask, stats_len).unwrap();
             let (mut staged, mut scratch) = (StagedTurn::default(), ScratchPool::new());
             staged.stage(&mut c.compressor, round, id, &mut scratch);
             let turn = ClientTurn {
@@ -1510,32 +1475,29 @@ mod tests {
                 round_mask: mask,
                 update_norm: None,
             };
-            let priced = turn
-                .run(Group::Fresh, &c.data.client(id), &mut staged, &mut scratch)
+            turn.run(Group::Fresh, &c.data.client(id), &mut staged, &mut scratch)
                 .unwrap();
-            let upload = &staged.upload.as_ref().unwrap().0;
-            proptest::prop_assert_eq!(priced, c.compressor.offer(upload, stats_len));
-            proptest::prop_assert_eq!(shape, priced);
+            let priced = measured(staged.upload.as_ref().unwrap(), stats_len, cfg.wire);
+            assert_bounds(shape, priced, entropy);
             let len = staged.keep(&mut c.compressor, mask, &mut Vec::new(), &mut scratch);
-            proptest::prop_assert_eq!(len as u64, shape.1);
+            proptest::prop_assert_eq!(len as u64, priced.1);
         }
     }
 
     proptest::proptest! {
-        /// The price assumption that lets a round of STC or GlueFL train
-        /// only its kept clients: top-k never skips a zero, so an
-        /// upload's shape is fixed by the broadcast. Over six rounds of
-        /// STC (sparse and ternary) and GlueFL (shifted rounds and the
-        /// round-5 regeneration), under each codec, with and without BN
-        /// statistics and with zero local steps (an all-zero delta),
-        /// every invited client's trained upload — dismissed ones
-        /// included — holds `keep_count(trainable, q)` values (STC), or
-        /// the mask's popcount of shared values (none when regenerating)
-        /// plus `unique_keep(trainable, round)` unique ones (GlueFL).
-        /// Under a legacy policy every such upload's offer is
-        /// [`ClientCompressor::shape_offer`]'s price; under an entropy
-        /// policy the index pattern prices the frame and there is no
-        /// shape price.
+        /// Why the broadcast can price every top-k upload: top-k never
+        /// skips a zero, so an upload's shape is fixed by the broadcast.
+        /// Over six rounds of STC (sparse and ternary) and GlueFL (shifted
+        /// rounds and the round-5 regeneration), under each codec and both
+        /// layout menus, with and without BN statistics and with zero
+        /// local steps (an all-zero delta), every invited client's upload
+        /// — trained beside the run, on a compressor of its own, the
+        /// dismissed clients' included — holds `keep_count(trainable, q)`
+        /// values (STC), or the mask's popcount of shared values (none
+        /// when regenerating) plus `unique_keep(trainable, round)` unique
+        /// ones (GlueFL). Its price is [`ClientCompressor::shape_offer`]'s
+        /// under a legacy policy, and bounded by it under an entropy
+        /// policy.
         #[test]
         fn every_top_k_offer_is_priced_by_its_shape(
             strategy in 0usize..3,
@@ -1564,27 +1526,30 @@ mod tests {
                 cfg.local_steps = 0;
             }
             cfg.seed = seed;
+            let setup = RunSetup::new(&cfg);
             let mut sim = Simulation::new(cfg.clone());
             let stats_len = sim.clients.stats_positions.len();
             let trainable = sim.model().num_params() - stats_len;
             for round in 0..6 {
                 // Before the invitation reaches the clients, every invited
-                // client's turn, taken from the broadcast and dismissed —
-                // so the run is not disturbed — with its upload and offer.
+                // client's turn, taken from the broadcast on a compressor
+                // of the round's own — so the run is not disturbed — with
+                // its upload.
                 let (mut trained, mut mask) = (Vec::new(), None);
                 let (rec, ..) = step_recorded(&mut sim, |at, c| {
                     let At::Invite(round, invited, broadcast) = at else {
                         return;
                     };
                     mask = broadcast.mask.cloned();
+                    let mut beside = ClientCompressor::for_run(&c.cfg, &setup);
                     for &(id, group) in invited {
                         let (mut staged, mut scratch) = (StagedTurn::default(), ScratchPool::new());
-                        staged.stage(&mut c.compressor, round, id, &mut scratch);
+                        staged.stage(&mut beside, round, id, &mut scratch);
                         let turn = ClientTurn {
                             cfg: &c.cfg,
                             topo: &c.topo,
                             stats_positions: &c.stats_positions,
-                            compressor: &c.compressor,
+                            compressor: &beside,
                             round,
                             global: broadcast.params,
                             round_mask: broadcast.mask,
@@ -1593,15 +1558,13 @@ mod tests {
                         turn.run(group, &c.data.client(id), &mut staged, &mut scratch)
                             .expect("the engine broadcasts the mask of every masking strategy");
                         trained.push(staged.upload.take().expect("the turn ran"));
-                        staged.dismiss(&mut c.compressor, &mut scratch);
                     }
                 });
                 proptest::prop_assert_eq!(trained.len(), rec.invited);
                 let c = &sim.clients.compressor;
-                let shape = c.shape_offer(round, mask.as_ref(), stats_len);
-                proptest::prop_assert_eq!(shape.is_some(), !entropy);
-                for (upload, priced) in &trained {
-                    proptest::prop_assert_eq!(*priced, c.offer(upload, stats_len));
+                let shape = c.shape_offer(round, mask.as_ref(), stats_len).unwrap();
+                for upload in &trained {
+                    assert_bounds(shape, measured(upload, stats_len, cfg.wire), entropy);
                     match (upload, &cfg.strategy) {
                         (Upload::Sparse(u), StrategyConfig::Stc { q }) => {
                             proptest::prop_assert_eq!(u.nnz(), keep_count(trainable, *q));
@@ -1622,9 +1585,6 @@ mod tests {
                         (upload, strategy) => {
                             panic!("{} staged {upload:?}", strategy.name());
                         }
-                    }
-                    if let Some(shape) = shape {
-                        proptest::prop_assert_eq!(*priced, shape);
                     }
                 }
             }
@@ -1758,12 +1718,8 @@ mod tests {
         let (mut fresh, mut turn_rows) = (0, 0);
         for _ in 0..8 {
             let (rec, invited, kept) = step_recorded(&mut sim, |_, _| {});
-            // Shape-priced turns are the kept clients', the rest every
-            // invited client's.
-            let took = invited
-                .iter()
-                .enumerate()
-                .filter(|(i, _)| sim.clients.shape_price.is_none() || kept.contains(i));
+            // The turns taken are the kept clients'.
+            let took = invited.iter().enumerate().filter(|(i, _)| kept.contains(i));
             for (_, &(id, _)) in took {
                 let rows = rows_read(&cfg, rec.round, id, sim.data().client_len(id));
                 let had = read.entry(id).or_default();
@@ -1785,10 +1741,9 @@ mod tests {
         assert!(fresh < turn_rows, "no hit found a row already filled");
     }
 
-    /// Phase spans cover the step under GlueFL with an entropy policy,
-    /// which takes every invited client's turn at the invitation, and
-    /// under over-committed FedAvg and legacy-wire GlueFL, which take the
-    /// kept clients' turns at the grant: either way the engine's `Train`
+    /// Phase spans cover the step under GlueFL with an entropy and with
+    /// a legacy policy and under over-committed FedAvg, each of which
+    /// takes the kept clients' turns at the grant: the engine's `Train`
     /// window holds every training span the clients journal.
     #[test]
     fn telemetry_measures_phases_that_cover_the_step() {

@@ -20,9 +20,10 @@
 //! policy-free; frames self-describe their layout.
 //!
 //! With [`Codec::F32`] the round trip is bit-exact, and the analytic
-//! ledger ([`crate::ClientCompressor::offer`]) *is* [`encoded_len`] under
-//! the legacy F32 policy; every kept turn checks its encoded upload
-//! against its offer ([`crate::StagedTurn::keep`]), and the
+//! ledger (`RoundRecord::up_bytes`) *is* [`encoded_len`] under the legacy
+//! F32 policy; every kept turn checks its encoded upload against its
+//! nominal offer ([`crate::StagedTurn::keep`]: equal under the legacy
+//! layout menu, bounded under the entropy menu), and the
 //! `wire_roundtrip` integration suite pins predicted ≡ encoded end to
 //! end. With the lossy codecs ([`Codec::F16`], [`Codec::QuantU8`]) the
 //! decoded values differ within the codec's error envelope; when
@@ -58,17 +59,13 @@ pub fn rounding_for(codec: Codec, quant_seed: u64) -> Rounding {
 /// Under the legacy menu frame lengths depend only on the upload's
 /// *shape* `(kind, codec, dim, nnz)`; the entropy layouts price the
 /// actual index pattern — but the upload carries its indices, so the
-/// prediction stays exact either way. This is the seam that lets the
-/// round engine's keep selection (and a socket server's deadline policy)
-/// price every invited client's upload *before* deciding whose bytes to
-/// encode, decode, or even receive: the over-committed remainder is
-/// never serialized at all. Dense and mask-aligned frames name no
-/// positions, so under any policy their length is `dense_len(dim)` or
-/// `known_mask_len(nnz)`, fixed by the model and the broadcast mask:
-/// [`crate::ClientCompressor::shape_offer`] prices FedAvg and APF uploads
-/// that way before anyone trains, and the in-process clients train only
-/// the kept ones. The in-process clients assert
-/// `encoded_len == encode_upload(..)` for every kept upload each round.
+/// prediction stays exact either way. The engine's upload ledger prices
+/// each folded upload with it under the legacy F32 policy. The shape
+/// alone is what [`crate::ClientCompressor::shape_offer`] prices before
+/// anyone trains: dense and mask-aligned frames name no positions, so
+/// under any policy their length is `dense_len(dim)` or
+/// `known_mask_len(nnz)`, and a top-k frame's nominal length is its
+/// count's in the legacy layout.
 #[must_use]
 pub fn encoded_len(upload: &Upload, policy: &WirePolicy) -> u64 {
     let w = FrameWriter::new(*policy);

@@ -16,13 +16,17 @@
 //! materialised shard), APF's freeze state ([`Apf::observe`]), and the
 //! wire codec's frame lengths and shipped values.
 //!
-//! Two rulings the paper leaves open are written here as code, as
+//! Three rulings the paper leaves open are written here as code, as
 //! production stands today:
-//! * **dismissed clients** — the grant is the commit point: a kept STC
-//!   or GlueFL client banks `Δ + s·h − sent` and folds its codec loss
-//!   back, while a dismissed client's bank ends the round as it began,
-//!   the same residual bits at the same weight `ν`, as for a device that
-//!   discards an unsent turn ([`Reference::round`]);
+//! * **dismissed clients** — the keep is decided before anyone trains,
+//!   on the nominal price of each upload: the length its count takes in
+//!   the legacy layout under the run's codec, which the broadcast fixes.
+//!   A kept STC or GlueFL client banks `Δ + s·h − sent` and folds its
+//!   codec loss back; a dismissed client trains nothing, so its bank
+//!   ends the round as it began ([`Reference::round`]);
+//! * **the upload ledger** — only the kept uploads are sent, so only they
+//!   count: each one's frames as `wire_up_bytes`, and the same upload's
+//!   legacy-F32 frames as `up_bytes`;
 //! * **unbiasedness** — a kept client folds at the sampler's designed
 //!   inclusion weight ([`Sampler::weight`]), not at its probability of
 //!   being invited *and* kept, so over-commitment leans the aggregate
@@ -463,9 +467,10 @@ impl Reference {
         (rec.down_bytes, rec.wire_broadcast_bytes) =
             (down.iter().sum(), broadcast.dense_len(dim) + masks);
 
-        // Every invited client trains, compresses and prices its upload;
-        // what an STC or GlueFL client would bank waits for the keep
-        // decision.
+        // Every invited client is priced at its upload's nominal length
+        // (the legacy layout of its count, under the run's codec); the
+        // turn is played here for its shape, and what a client sends and
+        // banks waits for the keep decision.
         let link_seed = derive_seed(cfg.seed, "network", 0);
         let speed_seed = derive_seed(cfg.seed, "devices", 0);
         let factor = cfg.model.paper_scale_factor(dim);
@@ -476,10 +481,8 @@ impl Reference {
             let (sent, banked) = self.compress(round, id, self.sampler.weight(id, group), delta);
             let key = (u64::from(round) << 32) | id as u64;
             let seeds = ["wire-quant", "wire-quant-stats"].map(|s| derive_seed(cfg.seed, s, key));
-            let frames = sent.encode(&stats, dim, round, cfg.wire, seeds);
-            let analytic = sent.encode(&stats, dim, round, WirePolicy::legacy(Codec::F32), seeds);
-            played.record.up_bytes += analytic.len() as u64;
-            played.record.wire_up_bytes += frames.len() as u64;
+            let nominal = WirePolicy::legacy(cfg.wire.codec);
+            let nominal = sent.encode(&stats, dim, round, nominal, seeds).len() as u64;
             let link = cfg.network.link_for(link_seed, id);
             let speed = cfg.device.speed_for(speed_seed, id);
             let step = cfg
@@ -488,9 +491,9 @@ impl Reference {
             let time = ClientRoundTime {
                 download_secs: secs(down, link.down_mbps),
                 compute_secs: cfg.local_steps as f64 * step,
-                upload_secs: secs(frames.len() as u64, link.up_mbps),
+                upload_secs: secs(nominal, link.up_mbps),
             };
-            turns.push((time, sent, frames, banked));
+            turns.push((time, sent, stats, banked));
         }
 
         // Over-commitment (§5.6): the fastest C sticky and K − C fresh.
@@ -523,10 +526,11 @@ impl Reference {
         rec.mean_upload_secs /= n_kept;
         rec.mean_compute_secs /= n_kept;
 
-        // Dismissed-client ruling: only the kept bank their residual, and
-        // their uploads reach the server as decoded; a lossy codec's loss
-        // goes back into their banks. Unbiasedness ruling: each folds at
-        // the designed inclusion weight, whoever was dismissed.
+        // Dismissed-client ruling: only the kept bank their residual and
+        // send their uploads, which reach the server as decoded; a lossy
+        // codec's loss goes back into their banks. Ledger ruling: only
+        // the kept uploads count. Unbiasedness ruling: each folds at the
+        // designed inclusion weight, whoever was dismissed.
         let mask = self.mask.clone();
         let lossy = cfg.wire.quant_ec && cfg.wire.codec != Codec::F32;
         let mut received = Vec::new();
@@ -535,7 +539,14 @@ impl Reference {
             if let Some(banked) = turns[i].3.take() {
                 self.bank.insert(id, banked);
             }
-            let (sent, mut shipped) = (turns[i].1.entries(mask.as_deref()), decoded(&turns[i].2));
+            let key = (u64::from(round) << 32) | id as u64;
+            let seeds = ["wire-quant", "wire-quant-stats"].map(|s| derive_seed(cfg.seed, s, key));
+            let (sent, stats) = (&turns[i].1, &turns[i].2);
+            let frames = sent.encode(stats, dim, round, cfg.wire, seeds);
+            let analytic = sent.encode(stats, dim, round, WirePolicy::legacy(Codec::F32), seeds);
+            played.record.up_bytes += analytic.len() as u64;
+            played.record.wire_up_bytes += frames.len() as u64;
+            let (sent, mut shipped) = (sent.entries(mask.as_deref()), decoded(&frames));
             let stats = shipped.split_off(shipped.len() - self.setup.stats_positions.len());
             let entries: Entries = match turns[i].1 {
                 Sent::Ternary(..) => sent.clone(),

@@ -12,11 +12,13 @@
 //! its turn — train, compress, price — is the simulator's per-client
 //! routine, [`ClientTurn::run`], over the strategy's client half
 //! [`ClientCompressor`]: one instance here serving one client, one
-//! instance in the simulator serving all of them. The turn waits for its
-//! `GRANT` as the simulator's do, in a [`StagedTurn`], which keeps it on
-//! a positive grant and dismisses it otherwise. The server-side state
-//! a client lacks (samplers, mask evolution) it never needs: the round's
-//! mask arrives in every `INVITE`.
+//! instance in the simulator serving all of them. It follows the
+//! simulator's schedule too: an `INVITE` is answered with the nominal
+//! price the broadcast fixes ([`ClientCompressor::shape_offer`]), and the
+//! turn runs only on a positive `GRANT`, in a [`StagedTurn`] that is kept
+//! as soon as it has run. A dismissed client never trains. The
+//! server-side state a client lacks (samplers, mask evolution) it never
+//! needs: the round's mask arrives in every `INVITE`.
 
 use crate::proto::{
     offer_payload, read_msg_blocking, write_msg, MsgKind, ProtoError, PROTO_VERSION,
@@ -34,8 +36,8 @@ use std::net::TcpStream;
 use std::sync::Arc;
 
 /// One real client: its data shard, model topology, scratch pool (its
-/// training slot included), compression state and staged turn, all
-/// derived from the shared [`SimConfig`].
+/// training slot included), compression state and the buffers of its
+/// turn, all derived from the shared [`SimConfig`].
 ///
 /// A node holds only its own slice of the run. Its weights arrive in
 /// every `INVITE` and it never evaluates, so it has no initial weights
@@ -65,8 +67,10 @@ pub struct ClientNode {
     global: Vec<f32>,
     /// The round's decoded broadcast mask, if the strategy ships one.
     round_mask: Option<BitMask>,
-    /// The turn awaiting a `GRANT` decision, if any, in buffers reused
-    /// from turn to turn.
+    /// The round and group of the invitation awaiting its `GRANT`, if
+    /// any; the broadcast it carried is `global` and `round_mask`.
+    invited: Option<(u32, Group)>,
+    /// The buffers of the turn a `GRANT` runs, reused from turn to turn.
     turn: StagedTurn,
 }
 
@@ -95,31 +99,35 @@ impl ClientNode {
             scratch: ScratchPool::new(),
             global: Vec::new(),
             round_mask: None,
+            invited: None,
             turn: StagedTurn::default(),
         }
     }
 
     /// This client's banked residual and weight; see
-    /// [`ClientCompressor::stored`]. `None` while a turn awaits its
-    /// `GRANT`.
+    /// [`ClientCompressor::stored`].
     #[must_use]
     pub fn stored(&self) -> Option<(&[f32], f64)> {
         self.compressor.stored(self.id)
     }
 
-    /// Decodes an `INVITE` payload (`[group u8]` + broadcast frames),
-    /// trains locally, compresses, and stages the upload in the node's
-    /// [`StagedTurn`] ([`ClientTurn::run`]). Returns the offer pair
-    /// `(analytic_bytes, wire_bytes)` — the exact values the simulator
-    /// predicts for this upload.
+    /// Decodes an `INVITE` payload (`[group u8]` + broadcast frames) and
+    /// holds the broadcast for the `GRANT`, forgetting any invitation
+    /// whose grant never arrived. Returns the offer pair
+    /// `(analytic_bytes, wire_bytes)`: the nominal price the broadcast
+    /// fixes ([`ClientCompressor::shape_offer`]), the one the simulator
+    /// offers for every invited client. Nothing is trained yet.
     ///
     /// # Errors
-    /// Typed errors on malformed broadcast frames.
+    /// Typed errors on malformed broadcast frames, and
+    /// [`TransportError::MissingBroadcastMask`] when a masking strategy's
+    /// broadcast carries no mask.
     pub fn handle_invite(
         &mut self,
         round: u32,
         payload: &[u8],
     ) -> Result<(u64, u64), TransportError> {
+        self.discard_pending();
         let (&group_byte, frames) = payload.split_first().ok_or(TransportError::EmptyInvite)?;
         let group = match group_byte {
             0 => Group::Fresh,
@@ -150,10 +158,30 @@ impl ClientNode {
             Some(mask)
         };
 
-        // The turn — identical inputs to the simulator's worker. A
-        // stale pending turn, from a round whose grant never arrived, is
-        // dismissed first.
-        self.discard_pending();
+        let stats_len = self.stats_positions.len();
+        let price = self
+            .compressor
+            .shape_offer(round, self.round_mask.as_ref(), stats_len)
+            .ok_or(TransportError::MissingBroadcastMask)?;
+        self.invited = Some((round, group));
+        Ok(price)
+    }
+
+    /// Runs the turn of the invitation granted for `round` — identical
+    /// inputs to the simulator's worker ([`ClientTurn::run`]) — and keeps
+    /// it ([`StagedTurn::keep`]): the residual it leaves is banked, and
+    /// its upload (frames + BN-statistics frame) is serialized into
+    /// `out`, the byte-exact payload the simulator produces in-process,
+    /// with any lossy-codec residual folded into the client's own
+    /// error-compensation bank.
+    ///
+    /// # Errors
+    /// [`TransportError::NoPendingUpload`] when no invitation is held for
+    /// `round`; one held for another round is forgotten.
+    pub fn encode_granted(&mut self, round: u32, out: &mut Vec<u8>) -> Result<(), TransportError> {
+        let Some((_, group)) = self.invited.take().filter(|&(r, _)| r == round) else {
+            return Err(TransportError::NoPendingUpload);
+        };
         self.turn
             .stage(&mut self.compressor, round, self.id, &mut self.scratch);
         let turn = ClientTurn {
@@ -167,40 +195,18 @@ impl ClientNode {
             update_norm: None,
         };
         turn.run(group, &self.shard, &mut self.turn, &mut self.scratch)
-            .map_err(|_| {
-                self.discard_pending();
-                TransportError::MissingBroadcastMask
-            })
-    }
-
-    /// Keeps the pending turn ([`StagedTurn::keep`]: a grant is the
-    /// commit point, so the residual it banked is checked in) and
-    /// serializes its upload (frames + BN-statistics frame) into `out`,
-    /// the byte-exact payload the simulator stages in-process, folding
-    /// any lossy-codec residual into the client's own error-compensation
-    /// bank.
-    ///
-    /// # Errors
-    /// [`TransportError::NoPendingUpload`] when no turn is pending for
-    /// `round`; a turn pending for another round is discarded.
-    pub fn encode_granted(&mut self, round: u32, out: &mut Vec<u8>) -> Result<(), TransportError> {
-        if self.turn.round() != Some(round) {
-            self.discard_pending();
-            return Err(TransportError::NoPendingUpload);
-        }
+            .expect("the invitation was priced, so its mask was broadcast");
         let mask = self.round_mask.as_ref();
         self.turn
             .keep(&mut self.compressor, mask, out, &mut self.scratch);
         Ok(())
     }
 
-    /// Discards the pending turn ([`StagedTurn::dismiss`]) after a
-    /// negative grant (the client was over-committed out of the keep
-    /// set), or when a new `INVITE` finds it never granted: the upload is
-    /// dropped and the turn rolled back, so the client's residual and
-    /// weight end as they were before it.
+    /// Forgets the held invitation after a negative grant (the client was
+    /// over-committed out of the keep set): the client trains nothing, so
+    /// its residual and weight stay as they were.
     pub fn discard_pending(&mut self) {
-        self.turn.dismiss(&mut self.compressor, &mut self.scratch);
+        self.invited = None;
     }
 }
 
@@ -212,8 +218,9 @@ struct ClientRecorder {
 }
 
 /// Connects to `addr` and runs the full client protocol until the server
-/// sends `FIN`: `HELLO` → `WELCOME`, then per round `INVITE` → `OFFER`,
-/// and on a positive `GRANT` the upload bytes.
+/// sends `FIN`: `HELLO` → `WELCOME`, then per round `INVITE` → `OFFER`
+/// (the nominal price, nothing trained yet), and on a positive `GRANT`
+/// the turn and its upload bytes.
 ///
 /// # Errors
 /// Any socket or protocol failure; a clean `FIN` returns `Ok(())`.
@@ -222,11 +229,10 @@ pub fn run_client(addr: &str, cfg: SimConfig, id: usize) -> Result<(), Transport
 }
 
 /// [`run_client`] with an optional telemetry hub: per-kind byte
-/// counters (`gluefl_client_bytes_total{dir,frame}`), a
-/// [`Phase::Train`] span around each invite's local training and
-/// compression, and a [`Phase::Encode`] span around each granted
-/// upload's serialization. `tel: None` is the zero-overhead path
-/// [`run_client`] takes.
+/// counters (`gluefl_client_bytes_total{dir,frame}`) and a
+/// [`Phase::Train`] span around each granted turn: local training,
+/// compression and the upload's serialization. `tel: None` is the
+/// zero-overhead path [`run_client`] takes.
 ///
 /// # Errors
 /// Any socket or protocol failure; a clean `FIN` returns `Ok(())`.
@@ -298,9 +304,7 @@ pub(crate) fn serve(
         }
         match env.kind {
             MsgKind::Invite => {
-                let span = tel.as_ref().map(|t| t.hub.span(Phase::Train, env.round));
                 let (analytic, wire) = node.handle_invite(env.round, &payload)?;
-                drop(span);
                 let offer = offer_payload(analytic, wire);
                 write_msg(&mut stream, MsgKind::Offer, env.round, &offer)?;
                 if let Some(t) = &tel {
@@ -310,7 +314,7 @@ pub(crate) fn serve(
             MsgKind::Grant => {
                 if payload.first() == Some(&1) {
                     out.clear();
-                    let span = tel.as_ref().map(|t| t.hub.span(Phase::Encode, env.round));
+                    let span = tel.as_ref().map(|t| t.hub.span(Phase::Train, env.round));
                     node.encode_granted(env.round, &mut out)?;
                     drop(span);
                     write_msg(&mut stream, MsgKind::Upload, env.round, &out)?;

@@ -19,8 +19,8 @@
 //! client:  ◄───────────WELCOME  server
 //! repeat per round (only when invited):
 //! client:  ◄──────────── INVITE server   group tag + model/mask frames
-//! client:  OFFER ─────────────► server   predicted upload byte counts
-//! client:  ◄───────────── GRANT server   1 = send, 0 = discard
+//! client:  OFFER ─────────────► server   nominal upload byte counts
+//! client:  ◄───────────── GRANT server   1 = train and send, 0 = dismissed
 //! client:  UPLOAD ────────────► server   only when granted
 //! finally: ◄─────────────── FIN server
 //! ```

@@ -53,11 +53,15 @@ pub enum MsgKind {
     /// `[group u8]` (0 = fresh, 1 = sticky) followed by the broadcast —
     /// one dense F32 model frame plus the strategy's mask frame, if any.
     Invite,
-    /// Client → server, pricing the trained upload before sending it:
-    /// `[analytic_bytes u64 LE][wire_bytes u64 LE]`.
+    /// Client → server, answering an `INVITE` before training: the
+    /// nominal price the broadcast fixes for the client's upload
+    /// (`gluefl_core::ClientCompressor::shape_offer`),
+    /// `[analytic_bytes u64 LE][wire_bytes u64 LE]`. The server ranks the
+    /// keep and models upload times by it.
     Offer,
-    /// Server → client, the keep decision: `[granted u8]` (1 = send the
-    /// upload, 0 = discard it — the over-committed remainder).
+    /// Server → client, the keep decision: `[granted u8]` (1 = train and
+    /// send the upload, 0 = forget the invitation — the over-committed
+    /// remainder, which trains nothing).
     Grant,
     /// Client → server: the upload frames followed by the BN-statistics
     /// known-mask frame — exactly the payload
@@ -267,7 +271,7 @@ pub fn offer_payload(analytic: u64, wire: u64) -> [u8; 16] {
 /// Parses an `OFFER` payload into `(analytic bytes, wire bytes)`.
 /// `None` — a protocol violation — unless it is exactly two `u64`s,
 /// neither above [`MAX_PAYLOAD`]: an upload that large could never be
-/// read, and the server sums what it accepts here.
+/// read.
 #[must_use]
 pub fn parse_offer(payload: &[u8]) -> Option<(u64, u64)> {
     let (analytic, wire) = payload.split_first_chunk::<8>()?;

@@ -15,10 +15,9 @@
 //!   valid `HELLO`, are turned away and counted by reason;
 //! * `INVITE`: the engine's broadcast frames behind a group tag, written
 //!   to every invited client;
-//! * `INVITE`/`GRANT`/`FIN` writes, `GRANT` going to exactly the keep
-//!   set — the over-committed remainder is told to discard, so it owes
-//!   nothing more this round and its upload bytes never reach the
-//!   decoder;
+//! * `INVITE`/`GRANT`/`FIN` writes, `GRANT(1)` going to exactly the
+//!   keep set — the over-committed remainder gets `GRANT(0)`, so it
+//!   trains nothing and owes nothing more this round;
 //! * `UPLOAD` arrivals handed to the engine **as they arrive** — there
 //!   is no collect-then-aggregate staging;
 //! * driving the round's slot table (`crate::slots`), which makes every

@@ -2,8 +2,8 @@
 //! `tests/reference/`, bit for bit. Each case runs [`Server`] over
 //! loopback TCP, one client per thread, beside the [`Player`] that holds
 //! the in-process driver to the reference, compares every round, and
-//! after `FIN` compares every client's banked residual, a dismissed
-//! client's included.
+//! after `FIN` compares every client's banked residual, that of a client
+//! that was only ever dismissed included.
 
 // The in-process driver's entry point goes unused here.
 #[allow(dead_code)]

@@ -549,17 +549,18 @@ impl FrameWriter {
         self.sparse_frame_len(positions, indices.len())
     }
 
-    /// [`sparse_len`](Self::sparse_len) for *any* `nnz` of `dim`
-    /// positions, when the policy prices a position section by its count
-    /// alone (the legacy menu); `None` under the entropy menu, where the
-    /// index pattern prices the frame.
+    /// The nominal length of a sparse frame over *any* `nnz` of `dim`
+    /// positions: the legacy layout's under this policy's codec. Under
+    /// the legacy menu it is [`sparse_len`](Self::sparse_len) of every
+    /// such index set; under the entropy menu, where the index pattern
+    /// prices the frame, it bounds `sparse_len` from above.
     ///
     /// # Panics
     /// Panics if `nnz > dim`.
     #[must_use]
-    pub fn sparse_len_of_count(&self, dim: usize, nnz: usize) -> Option<u64> {
-        let positions = self.policy.count_position_section_len(dim, nnz)?;
-        Some(self.sparse_frame_len(positions, nnz))
+    pub fn sparse_len_of_count(&self, dim: usize, nnz: usize) -> u64 {
+        let positions = self.policy.count_position_section_len(dim, nnz);
+        self.sparse_frame_len(positions, nnz)
     }
 
     fn sparse_frame_len(&self, positions: u64, nnz: usize) -> u64 {
@@ -591,16 +592,17 @@ impl FrameWriter {
         ternary_frame_len(positions, indices.len())
     }
 
-    /// [`ternary_len`](Self::ternary_len) for *any* `nnz` of `dim`
-    /// positions, when the policy prices a position section by its count
-    /// alone; `None` under the entropy menu.
+    /// The nominal length of a ternary frame over *any* `nnz` of `dim`
+    /// positions, as [`sparse_len_of_count`](Self::sparse_len_of_count):
+    /// [`ternary_len`](Self::ternary_len) under the legacy menu, an upper
+    /// bound on it under the entropy menu.
     ///
     /// # Panics
     /// Panics if `nnz > dim`.
     #[must_use]
-    pub fn ternary_len_of_count(&self, dim: usize, nnz: usize) -> Option<u64> {
-        let positions = self.policy.count_position_section_len(dim, nnz)?;
-        Some(ternary_frame_len(positions, nnz))
+    pub fn ternary_len_of_count(&self, dim: usize, nnz: usize) -> u64 {
+        let positions = self.policy.count_position_section_len(dim, nnz);
+        ternary_frame_len(positions, nnz)
     }
 }
 
@@ -672,9 +674,7 @@ pub struct Frame<'a> {
 /// Panics if `nnz > dim`.
 #[must_use]
 pub fn legacy_sparse_len(codec: Codec, dim: usize, nnz: usize) -> u64 {
-    FrameWriter::new(WirePolicy::legacy(codec))
-        .sparse_len_of_count(dim, nnz)
-        .expect("the legacy menu prices positions by count")
+    FrameWriter::new(WirePolicy::legacy(codec)).sparse_len_of_count(dim, nnz)
 }
 
 /// Exact length of the v1 mask broadcast frame over `dim` positions

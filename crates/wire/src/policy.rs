@@ -117,15 +117,17 @@ impl WirePolicy {
         self.priced_layout(dim, indices).1
     }
 
-    /// [`position_section_len`](Self::position_section_len) for any
-    /// `nnz` of `dim` positions, when the menu prices positions by their
-    /// count alone (legacy); `None` under the entropy menu.
+    /// The v1 position section's length for `nnz` of `dim` positions:
+    /// [`position_section_len`](Self::position_section_len) of any such
+    /// index set under the legacy menu, and an upper bound on it under
+    /// the entropy menu, which keeps a v1 section whenever that is
+    /// cheaper.
     ///
     /// # Panics
     /// Panics if `nnz > dim`.
-    pub(crate) fn count_position_section_len(&self, dim: usize, nnz: usize) -> Option<u64> {
+    pub(crate) fn count_position_section_len(&self, dim: usize, nnz: usize) -> u64 {
         assert!(nnz <= dim, "nnz {nnz} exceeds dim {dim}");
-        (self.menu == LayoutMenu::Legacy).then(|| legacy_positions(dim, nnz).1)
+        legacy_positions(dim, nnz).1
     }
 
     pub(crate) fn position_layout(&self, dim: usize, indices: &[u32]) -> PositionLayout {

@@ -130,7 +130,8 @@ proptest! {
     /// The count predictors are the index predictors wherever positions
     /// are priced by count: under every legacy policy, a sparse or
     /// ternary frame over any index set costs what its count says. The
-    /// entropy menu prices the pattern, and has no count price.
+    /// entropy menu prices the pattern, and its count price — the legacy
+    /// layout's — bounds every frame it writes.
     #[test]
     fn count_predictors_match_the_index_predictors(
         dim in 1usize..4000,
@@ -140,11 +141,13 @@ proptest! {
         let nnz = indices.len();
         for codec in [Codec::F32, Codec::F16, Codec::QuantU8] {
             let w = legacy(codec);
-            prop_assert_eq!(w.sparse_len_of_count(dim, nnz), Some(w.sparse_len(dim, &indices)));
-            prop_assert_eq!(w.ternary_len_of_count(dim, nnz), Some(w.ternary_len(dim, &indices)));
+            prop_assert_eq!(w.sparse_len_of_count(dim, nnz), w.sparse_len(dim, &indices));
+            prop_assert_eq!(w.ternary_len_of_count(dim, nnz), w.ternary_len(dim, &indices));
             let entropy = FrameWriter::new(WirePolicy::entropy(codec));
-            prop_assert_eq!(entropy.sparse_len_of_count(dim, nnz), None);
-            prop_assert_eq!(entropy.ternary_len_of_count(dim, nnz), None);
+            prop_assert_eq!(entropy.sparse_len_of_count(dim, nnz), w.sparse_len_of_count(dim, nnz));
+            prop_assert_eq!(entropy.ternary_len_of_count(dim, nnz), w.ternary_len_of_count(dim, nnz));
+            prop_assert!(entropy.sparse_len(dim, &indices) <= entropy.sparse_len_of_count(dim, nnz));
+            prop_assert!(entropy.ternary_len(dim, &indices) <= entropy.ternary_len_of_count(dim, nnz));
         }
     }
 

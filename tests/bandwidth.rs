@@ -116,19 +116,32 @@ fn stc_staleness_grows_gradually() {
     assert!(ten > one, "staleness must grow with skip length");
 }
 
+/// Over-commitment invites more clients, and every invited client
+/// downloads; but only the `K` kept clients upload, so the upload volume
+/// is theirs at any `oc`. STC's legacy-F32 uploads all cost the same, so
+/// the two runs' upload volumes are equal to the byte.
 #[test]
-fn upload_volume_scales_with_overcommitment() {
+fn overcommitment_scales_download_volume_not_upload() {
     let rounds = 10;
-    let mut low = cfg(StrategyConfig::Stc { q: 0.2 }, rounds);
-    low.oc = 1.0;
-    let mut high = cfg(StrategyConfig::Stc { q: 0.2 }, rounds);
-    high.oc = 1.5;
-    let low_up: u64 = Simulation::new(low).run().total.total_bytes;
-    let high_up: u64 = Simulation::new(high).run().total.total_bytes;
+    let run = |oc| {
+        let mut c = cfg(StrategyConfig::Stc { q: 0.2 }, rounds);
+        c.oc = oc;
+        let result = Simulation::new(c).run();
+        let sum = |f: fn(&gluefl_core::RoundRecord) -> u64| result.rounds.iter().map(f).sum();
+        let (down, up): (u64, u64) = (sum(|r| r.down_bytes), sum(|r| r.up_bytes));
+        assert!(result
+            .rounds
+            .iter()
+            .all(|r| r.kept == result.rounds[0].kept));
+        (down, up)
+    };
+    let (low_down, low_up) = run(1.0);
+    let (high_down, high_up) = run(1.5);
     assert!(
-        high_up as f64 > low_up as f64 * 1.2,
-        "OC=1.5 volume {high_up} not clearly above OC=1.0 {low_up}"
+        high_down as f64 > low_down as f64 * 1.2,
+        "OC=1.5 download volume {high_down} not clearly above OC=1.0 {low_down}"
     );
+    assert_eq!(high_up, low_up, "dismissed clients uploaded");
 }
 
 #[test]
