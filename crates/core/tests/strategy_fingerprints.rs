@@ -147,7 +147,7 @@ fn fedavg() {
     check(
         "fedavg",
         tiny(StrategyConfig::FedAvg, WirePolicy::default()),
-        (0xe956_dda7_3ca8_caf0, 0x76c9_67ce_1f0f_129d),
+        (0x65eb_c612_1f8f_66b0, 0x76c9_67ce_1f0f_129d),
     );
 }
 
@@ -165,7 +165,7 @@ fn stc() {
     check(
         "stc",
         tiny(StrategyConfig::Stc { q: 0.25 }, WirePolicy::default()),
-        (0x09af_b6d2_8a5f_0111, 0x5dad_8e05_3a5a_7d9c),
+        (0xe86e_98cc_5f9f_b811, 0x5dad_8e05_3a5a_7d9c),
     );
 }
 
@@ -177,7 +177,7 @@ fn stc_quant() {
             StrategyConfig::StcQuantized { q: 0.25 },
             WirePolicy::default(),
         ),
-        (0xee6e_6068_2db5_8a90, 0xf4bb_6f66_2b6e_812e),
+        (0x5c20_34c6_cc4e_32f0, 0xf4bb_6f66_2b6e_812e),
     );
 }
 
@@ -186,7 +186,7 @@ fn apf_default() {
     check(
         "apf",
         tiny(apf(), WirePolicy::default()),
-        (0x7bd7_8dfb_6df2_ce29, 0x30ed_e368_647c_1437),
+        (0x66ae_9e81_04fb_ba79, 0x30ed_e368_647c_1437),
     );
 }
 
@@ -195,7 +195,7 @@ fn gluefl_default() {
     check(
         "gluefl",
         tiny(gluefl(Some(3), false), WirePolicy::default()),
-        (0xabb2_b9d2_e315_6468, 0x2794_2df4_48a5_d9f2),
+        (0x3927_575c_419d_afb8, 0x2794_2df4_48a5_d9f2),
     );
 }
 
@@ -204,7 +204,7 @@ fn gluefl_equal() {
     check(
         "gluefl-equal",
         tiny(gluefl(Some(3), true), WirePolicy::default()),
-        (0xad29_6bba_0efe_cf1d, 0xba56_83b7_ade5_eaf0),
+        (0x1860_56b8_ce3f_e27d, 0xba56_83b7_ade5_eaf0),
     );
 }
 
@@ -213,7 +213,7 @@ fn gluefl_without_regeneration() {
     check(
         "gluefl regen=None",
         tiny(gluefl(None, false), WirePolicy::default()),
-        (0x31ac_c7e1_09be_9438, 0xe4e4_7d61_2005_fa5d),
+        (0xbf96_0865_184f_db18, 0xe4e4_7d61_2005_fa5d),
     );
 }
 
@@ -225,7 +225,7 @@ fn stc_quant_u8_wire() {
             StrategyConfig::Stc { q: 0.25 },
             WirePolicy::legacy(Codec::QuantU8),
         ),
-        (0xfbcb_6eff_4a6a_e000, 0x30d6_40dc_c2d5_5a69),
+        (0x9da7_44ca_c6f1_bf88, 0x30d6_40dc_c2d5_5a69),
     );
 }
 
@@ -234,6 +234,6 @@ fn gluefl_quant_u8_wire() {
     check(
         "gluefl QuantU8",
         tiny(gluefl(Some(3), false), WirePolicy::legacy(Codec::QuantU8)),
-        (0x0489_2872_6323_2648, 0x89eb_b593_bb78_61a6),
+        (0xe3a9_5473_1235_5c20, 0x89eb_b593_bb78_61a6),
     );
 }
