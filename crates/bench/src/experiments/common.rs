@@ -12,9 +12,10 @@ use gluefl_ml::DatasetModel;
 /// paper's client population, `opts.rounds` rounds, `opts.seed` and
 /// `opts.wire`.
 ///
-/// Evaluation every [`eval_interval`] rounds; target accuracy left unset
-/// (experiments derive a common achievable target post-hoc, matching the
-/// paper's "highest achievable by all approaches" rule).
+/// Evaluation every fifth round, or more often when that would leave the
+/// run fewer than six evaluations (`eval_interval`); target accuracy
+/// left unset (experiments derive a common achievable target post-hoc,
+/// matching the paper's "highest achievable by all approaches" rule).
 #[must_use]
 pub fn setup(
     dataset: DatasetProfile,
@@ -38,7 +39,7 @@ const MIN_EVALUATIONS: u32 = 6;
 /// (`4, 9, 14, …`) when that still gives [`MIN_EVALUATIONS`], and more
 /// often in shorter runs — every third round of a 20-round `--quick` run.
 #[must_use]
-pub fn eval_interval(rounds: u32) -> u32 {
+fn eval_interval(rounds: u32) -> u32 {
     (rounds / MIN_EVALUATIONS).clamp(1, 5)
 }
 

@@ -63,9 +63,9 @@
 //! *round*, not per client, so an implementation is free to run a
 //! round's turns in one call ([`crate::Simulation`]: the kept clients'
 //! at `grant`) or to wait on sockets under deadlines
-//! (`gluefl-transport`'s server). The
-//! engine never reads a clock except through the attached telemetry
-//! recorder, and never blocks except inside the IO or on its producer.
+//! (`gluefl-transport`'s server). The engine never reads a clock except
+//! through the attached telemetry recorder, and never blocks except
+//! inside the IO or on its producer.
 //!
 //! Both drivers run this one sequence over the same client half
 //! ([`crate::ClientCompressor`]), and the reference round of

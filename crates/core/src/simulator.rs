@@ -28,14 +28,14 @@
 //!   in place with the client half into the staged upload. One client's
 //!   whole training state stays cache-resident in the worker's pooled
 //!   [`TrainSlot`] while the cohort streams through it, each step touches
-//!   each weight once, and a turn allocates nothing in steady state. The delta's buffer is
-//!   handed over, not copied: it becomes the client's residual (and the
-//!   previous residual's buffer the next turn's delta buffer) or, for a
-//!   dense strategy, the upload itself. The round's turns are cut into
-//!   one job of consecutive turns per worker of the vendored
-//!   [`gluefl_pool`] (as many as [`gluefl_pool::threads`]), each with its
-//!   own [`ScratchPool`] — scheduling only. A client's compress reads
-//!   only its own delta, its own residual (checked out before the
+//!   each weight once, and a turn allocates nothing in steady state. The
+//!   delta's buffer is handed over, not copied: it becomes the client's
+//!   residual (and the previous residual's buffer the next turn's delta
+//!   buffer) or, for a dense strategy, the upload itself. The round's
+//!   turns are cut into one job of consecutive turns per worker of the
+//!   vendored [`gluefl_pool`] (as many as [`gluefl_pool::threads`]), each
+//!   with its own [`ScratchPool`] — scheduling only. A client's compress
+//!   reads only its own delta, its own residual (checked out before the
 //!   workers start) and the round mask, and its RNG is derived from
 //!   `(seed, round, client)`, so results do not depend on the worker
 //!   count or the thread schedule;

@@ -475,14 +475,17 @@ impl Reference {
         let speed_seed = derive_seed(cfg.seed, "devices", 0);
         let factor = cfg.model.paper_scale_factor(dim);
         let secs = |bytes: u64, mbps| seconds_for_bytes((bytes as f64 * factor) as u64, mbps);
+        // The quantization seeds of client `id`'s two frames.
+        let seeds = |id: ClientId| {
+            let key = (u64::from(round) << 32) | id as u64;
+            ["wire-quant", "wire-quant-stats"].map(|s| derive_seed(cfg.seed, s, key))
+        };
         let mut turns = Vec::new();
         for (&(id, group), &down) in invited.iter().zip(&down) {
             let (delta, stats) = self.train(round, id);
             let (sent, banked) = self.compress(round, id, self.sampler.weight(id, group), delta);
-            let key = (u64::from(round) << 32) | id as u64;
-            let seeds = ["wire-quant", "wire-quant-stats"].map(|s| derive_seed(cfg.seed, s, key));
             let nominal = WirePolicy::legacy(cfg.wire.codec);
-            let nominal = sent.encode(&stats, dim, round, nominal, seeds).len() as u64;
+            let nominal = sent.encode(&stats, dim, round, nominal, seeds(id)).len() as u64;
             let link = cfg.network.link_for(link_seed, id);
             let speed = cfg.device.speed_for(speed_seed, id);
             let step = cfg
@@ -539,11 +542,10 @@ impl Reference {
             if let Some(banked) = turns[i].3.take() {
                 self.bank.insert(id, banked);
             }
-            let key = (u64::from(round) << 32) | id as u64;
-            let seeds = ["wire-quant", "wire-quant-stats"].map(|s| derive_seed(cfg.seed, s, key));
             let (sent, stats) = (&turns[i].1, &turns[i].2);
-            let frames = sent.encode(stats, dim, round, cfg.wire, seeds);
-            let analytic = sent.encode(stats, dim, round, WirePolicy::legacy(Codec::F32), seeds);
+            let frames = sent.encode(stats, dim, round, cfg.wire, seeds(id));
+            let legacy = WirePolicy::legacy(Codec::F32);
+            let analytic = sent.encode(stats, dim, round, legacy, seeds(id));
             played.record.up_bytes += analytic.len() as u64;
             played.record.wire_up_bytes += frames.len() as u64;
             let (sent, mut shipped) = (sent.entries(mask.as_deref()), decoded(&frames));

@@ -158,10 +158,10 @@ impl ClientNode {
             Some(mask)
         };
 
-        let stats_len = self.stats_positions.len();
+        let mask = self.round_mask.as_ref();
         let price = self
             .compressor
-            .shape_offer(round, self.round_mask.as_ref(), stats_len)
+            .shape_offer(round, mask, self.stats_positions.len())
             .ok_or(TransportError::MissingBroadcastMask)?;
         self.invited = Some((round, group));
         Ok(price)
@@ -182,6 +182,7 @@ impl ClientNode {
         let Some((_, group)) = self.invited.take().filter(|&(r, _)| r == round) else {
             return Err(TransportError::NoPendingUpload);
         };
+        let mask = self.round_mask.as_ref();
         self.turn
             .stage(&mut self.compressor, round, self.id, &mut self.scratch);
         let turn = ClientTurn {
@@ -191,12 +192,11 @@ impl ClientNode {
             compressor: &self.compressor,
             round,
             global: &self.global,
-            round_mask: self.round_mask.as_ref(),
+            round_mask: mask,
             update_norm: None,
         };
         turn.run(group, &self.shard, &mut self.turn, &mut self.scratch)
             .expect("the invitation was priced, so its mask was broadcast");
-        let mask = self.round_mask.as_ref();
         self.turn
             .keep(&mut self.compressor, mask, out, &mut self.scratch);
         Ok(())
@@ -211,7 +211,7 @@ impl ClientNode {
 }
 
 /// The client's pre-registered telemetry handles: per-kind byte
-/// counters plus the hub for the Train/Encode phase spans.
+/// counters plus the hub for the Train phase spans.
 struct ClientRecorder {
     hub: Arc<Telemetry>,
     bytes: ByteCounters,

@@ -83,7 +83,8 @@ pub enum TransportError {
     BadBroadcast,
     /// The strategy requires a broadcast mask but the `INVITE` carried none.
     MissingBroadcastMask,
-    /// A `GRANT` arrived for a round with no staged upload.
+    /// A `GRANT` arrived for a round whose invitation this client does
+    /// not hold.
     NoPendingUpload,
     /// The run the server announced in `WELCOME` is not the one this
     /// client was configured for.
@@ -114,7 +115,7 @@ impl std::fmt::Display for TransportError {
             Self::BadGroup(g) => write!(f, "INVITE group tag {g} is neither fresh nor sticky"),
             Self::BadBroadcast => write!(f, "broadcast frames do not match the model"),
             Self::MissingBroadcastMask => write!(f, "strategy requires a mask frame; none sent"),
-            Self::NoPendingUpload => write!(f, "GRANT for a round with no staged upload"),
+            Self::NoPendingUpload => write!(f, "GRANT for a round with no held invitation"),
             Self::ConfigMismatch {
                 field,
                 ours,
