@@ -310,9 +310,6 @@ pub struct InProcessClients {
     /// The round's invitation list and broadcast mask.
     invited: Vec<(ClientId, Group)>,
     round_mask: Option<BitMask>,
-    /// The price of every upload this round, fixed by the broadcast
-    /// ([`ClientCompressor::shape_offer`]).
-    price: (u64, u64),
     /// The broadcast weights, held from `invite` for the kept clients'
     /// turns at `grant`.
     global: Vec<f32>,
@@ -343,28 +340,28 @@ impl RoundIo for InProcessClients {
         true
     }
 
-    fn invite(&mut self, round: u32, invited: &[(ClientId, Group)], broadcast: &Broadcast<'_>) {
+    fn invite(&mut self, _round: u32, invited: &[(ClientId, Group)], broadcast: &Broadcast<'_>) {
         self.invited.clear();
         self.invited.extend_from_slice(invited);
         match (broadcast.mask, &mut self.round_mask) {
             (Some(mask), Some(own)) => own.copy_from(mask),
             (mask, own) => *own = mask.cloned(),
         }
-        self.price = self
-            .compressor
-            .shape_offer(round, self.round_mask.as_ref(), self.stats_positions.len())
-            .expect("the engine broadcasts the mask of every masking strategy");
         self.global.clear();
         self.global.extend_from_slice(broadcast.params);
     }
 
     fn offers(
         &mut self,
-        _round: u32,
+        round: u32,
         _times: &[ClientRoundTime],
         offers: &mut [Option<(u64, u64)>],
     ) {
-        offers.fill(Some(self.price));
+        let price = self
+            .compressor
+            .shape_offer(round, self.round_mask.as_ref(), self.stats_positions.len())
+            .expect("the engine broadcasts the mask of every masking strategy");
+        offers.fill(Some(price));
     }
 
     fn grant(&mut self, round: u32, kept: &[usize], _times: &[ClientRoundTime]) {
@@ -423,7 +420,6 @@ impl InProcessClients {
             pools: Vec::new(),
             invited: Vec::new(),
             round_mask: None,
-            price: (0, 0),
             global: Vec::new(),
             turns: Vec::new(),
             chunk: 1,
