@@ -85,7 +85,7 @@ use gluefl_ml::Mlp;
 use gluefl_net::timing::{fastest, seconds_for_bytes, ClientRoundTime};
 use gluefl_net::{LazyAvailability, LinkCache, SpeedCache};
 use gluefl_sampling::ClientId;
-use gluefl_telemetry::{EventKind, Histogram, Phase, Telemetry, PHASE_COUNT};
+use gluefl_telemetry::{Histogram, Phase, Telemetry, PHASE_COUNT};
 use gluefl_tensor::rng::{derive_seed, seeded_rng};
 use gluefl_tensor::{BitMask, MaskedUpdate};
 use gluefl_wire::{
@@ -101,9 +101,8 @@ use std::sync::{mpsc, Arc};
 const MISSING_OFFER_SECS: f64 = 1e30;
 
 /// An invited client's offer, as [`RoundIo::offers`] reports it: the
-/// `(analytic bytes, wire bytes)` it priced its upload at, or `None` if it
-/// never answered.
-type Offer = Option<(u64, u64)>;
+/// wire bytes it priced its upload at, or `None` if it never answered.
+type Offer = Option<u64>;
 
 /// What a round sends to every invited client.
 #[derive(Debug, Clone, Copy)]
@@ -158,16 +157,16 @@ pub trait RoundIo: Send {
     fn invite(&mut self, round: u32, invited: &[(ClientId, Group)], broadcast: &Broadcast<'_>);
 
     /// Collects the invited clients' offers: `offers[i]` becomes the
-    /// `(analytic bytes, wire bytes)` the `i`-th invited client priced
-    /// its upload at, or stays `None` if it never answered. `times[i]`
-    /// holds that client's modeled download and compute seconds, for an
-    /// IO that turns modeled time into patience. An offer is the nominal
-    /// price the broadcast fixes ([`crate::ClientCompressor::shape_offer`]):
+    /// wire bytes the `i`-th invited client priced its upload at, or
+    /// stays `None` if it never answered. `times[i]` holds that client's
+    /// modeled download and compute seconds, for an IO that turns modeled
+    /// time into patience. An offer is the nominal price the broadcast
+    /// fixes ([`crate::ClientCompressor::shape_offer`]):
     /// the in-process IO reports that one price for everyone, a socket IO
     /// waits for the `OFFER`s. Offers rank the keep and set the modeled
     /// upload times; they are not the upload ledger, which counts only
     /// what is folded.
-    fn offers(&mut self, round: u32, times: &[ClientRoundTime], offers: &mut [Option<(u64, u64)>]);
+    fn offers(&mut self, round: u32, times: &[ClientRoundTime], offers: &mut [Option<u64>]);
 
     /// Announces the keep decision: the invitation indices in `kept` are
     /// granted their upload slot, everyone else is dismissed. Only a kept
@@ -238,19 +237,16 @@ impl PhaseClock {
     /// Closes the step: the phase table and the step's wall time go into
     /// `rec`, and the recorder gets one span per non-[`Phase::Train`]
     /// phase — training spans are emitted by the training paths
-    /// themselves, block by block — and a round-done journal event
-    /// counting the `delivered` uploads.
-    fn close(self, rec: &mut RoundRecord, delivered: usize) {
+    /// themselves, block by block.
+    fn close(self, rec: &mut RoundRecord) {
         rec.phase_nanos = self.ns;
         rec.step_nanos = self.now().saturating_sub(self.start);
         if let Some(t) = &self.tel {
             for (p, n) in Phase::ALL.into_iter().zip(self.ns) {
                 if n > 0 && p != Phase::Train {
-                    t.hub.record_phase(p, n, rec.round, -1);
+                    t.hub.record_phase(p, n);
                 }
             }
-            let kept = u32::try_from(delivered).unwrap_or(u32::MAX);
-            t.hub.event(rec.round, -1, EventKind::RoundDone { kept });
         }
     }
 }
@@ -359,9 +355,9 @@ impl RoundEngine {
 
     /// Attaches a telemetry recorder: every subsequent
     /// [`RoundEngine::step`] measures its phases into
-    /// [`RoundRecord::phase_nanos`], records them on the recorder's
-    /// per-phase span table, and journals a round-done event. Without a
-    /// recorder all of that is skipped and the measured fields stay zero.
+    /// [`RoundRecord::phase_nanos`] and records them on the recorder's
+    /// per-phase span table. Without a recorder all of that is skipped
+    /// and the measured fields stay zero.
     pub fn set_telemetry(&mut self, tel: Arc<Telemetry>) {
         self.tel = Some(EngineRecorder {
             wire_up_bytes: tel.histogram("gluefl_wire_up_bytes", &[]),
@@ -431,7 +427,6 @@ impl RoundEngine {
             invited: self.invited.len(),
             ..Default::default()
         };
-        let mut delivered = 0;
         if !self.invited.is_empty() {
             let (down, frames) = clock.time(Phase::Broadcast, || self.broadcast(round, &mut rec));
             clock.time(Phase::Train, || self.invite(io, round, frames));
@@ -446,11 +441,11 @@ impl RoundEngine {
             let update = clock.time(Phase::TopK, || {
                 gate.finish(&mut self.strategy, &mut self.scratch)
             });
-            delivered = clock.time(Phase::Apply, || self.apply(update, &slots, &mut rec));
+            clock.time(Phase::Apply, || self.apply(update, &slots, &mut rec));
             clock.time(Phase::Rebalance, || self.rebalance(&kept));
             model_time(&mut rec, &kept, &times, &offers);
         }
-        clock.close(&mut rec, delivered);
+        clock.close(&mut rec);
         self.evaluate(&mut rec);
         rec
     }
@@ -540,7 +535,7 @@ impl RoundEngine {
         let mut offers = vec![None; self.invited.len()];
         io.offers(round, &times, &mut offers);
         for ((&(id, _), time), offer) in self.invited.iter().zip(&mut times).zip(&offers) {
-            if let Some((_, wire)) = *offer {
+            if let Some(wire) = *offer {
                 time.upload_secs = secs(wire, self.links.get(id).up_mbps);
             }
         }
@@ -653,15 +648,16 @@ impl RoundEngine {
         StreamingAggregator::begin(round, &weights, &mut self.strategy, &mut self.scratch)
     }
 
-    /// Applies the finished update and returns how many kept slots
-    /// `delivered`; the rest count as skipped uploads. A masking strategy's update covers O(q·d) positions;
-    /// the word-level scatter / masked AXPY touches only those, and the
-    /// changed-position scan walks the mask instead of the dense vector.
+    /// Applies the finished update; the kept slots that did not deliver
+    /// count as skipped uploads. A masking strategy's update covers
+    /// O(q·d) positions; the word-level scatter / masked AXPY touches
+    /// only those, and the changed-position scan walks the mask instead
+    /// of the dense vector.
     /// BatchNorm statistics then get the plain mean over the delivered
     /// uploads' stats frames (Appendix D), added straight into the
     /// parameters, and the staleness tracker records every changed
     /// position.
-    fn apply(&mut self, update: MaskedUpdate, delivered: &[bool], rec: &mut RoundRecord) -> usize {
+    fn apply(&mut self, update: MaskedUpdate, delivered: &[bool], rec: &mut RoundRecord) {
         update.add_to(self.model.params_mut());
         self.changed.clear();
         update.for_each_nonzero(|j, _| {
@@ -695,7 +691,6 @@ impl RoundEngine {
         self.staleness.record_update(self.changed.iter().copied());
         self.scratch.put_update(update);
         self.skipped_uploads += delivered.len() - delivered_count;
-        delivered_count
     }
 
     /// Rebalances the sticky group around the clients kept from each
@@ -905,12 +900,7 @@ mod tests {
             self.clients.invite(round, invited, broadcast);
         }
 
-        fn offers(
-            &mut self,
-            round: u32,
-            times: &[ClientRoundTime],
-            offers: &mut [Option<(u64, u64)>],
-        ) {
+        fn offers(&mut self, round: u32, times: &[ClientRoundTime], offers: &mut [Option<u64>]) {
             Self::only_after_round_0(round, "offers");
             self.clients.offers(round, times, offers);
         }

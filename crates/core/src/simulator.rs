@@ -95,9 +95,8 @@ impl Simulation {
 
     /// Attaches a telemetry recorder: every subsequent [`Simulation::step`]
     /// measures its phases into [`RoundRecord::phase_nanos`], records
-    /// them on the recorder's per-phase span table, and journals span
-    /// and round events. Without a recorder all of that is skipped and
-    /// the measured fields stay zero.
+    /// them on the recorder's per-phase span table. Without a recorder
+    /// all of that is skipped and the measured fields stay zero.
     pub fn set_telemetry(&mut self, tel: Arc<Telemetry>) {
         self.clients.tel = Some(ClientRecorder {
             update_norm_milli: tel.histogram("gluefl_client_update_norm_milli", &[]),
@@ -351,17 +350,12 @@ impl RoundIo for InProcessClients {
         self.global.extend_from_slice(broadcast.params);
     }
 
-    fn offers(
-        &mut self,
-        round: u32,
-        _times: &[ClientRoundTime],
-        offers: &mut [Option<(u64, u64)>],
-    ) {
+    fn offers(&mut self, round: u32, _times: &[ClientRoundTime], offers: &mut [Option<u64>]) {
         let price = self
             .compressor
             .shape_offer(round, self.round_mask.as_ref(), self.stats_positions.len())
             .expect("the engine broadcasts the mask of every masking strategy");
-        offers.fill(Some(price));
+        offers.fill(Some(price.1));
     }
 
     fn grant(&mut self, round: u32, kept: &[usize], _times: &[ClientRoundTime]) {
@@ -717,8 +711,8 @@ pub fn train_client_into(
 }
 
 /// Clients per [`Phase::Train`] span of a cohort: a cohort's training
-/// shows in the journal as a few spans, not one per client and not one
-/// opaque block.
+/// shows on the phase table as a few spans, not one per client and not
+/// one opaque block.
 const CLIENTS_PER_TRAIN_SPAN: usize = 8;
 
 /// Calls `f` on `0..n` in order, each run of [`CLIENTS_PER_TRAIN_SPAN`]
@@ -841,7 +835,7 @@ mod tests {
     use crate::strategies::Upload;
     use gluefl_data::DatasetProfile;
     use gluefl_ml::DatasetModel;
-    use gluefl_telemetry::{EventKind, PHASE_COUNT};
+    use gluefl_telemetry::PHASE_COUNT;
     use std::collections::BTreeSet;
 
     fn tiny_cfg(strategy: StrategyConfig) -> SimConfig {
@@ -1006,7 +1000,7 @@ mod tests {
         assert_eq!(reused.scratch.batch_y.as_ptr(), batch_y_ptr);
     }
 
-    /// The cohort entry point journals one [`Phase::Train`] span per run
+    /// The cohort entry point records one [`Phase::Train`] span per run
     /// of eight clients (the last run may be short) and nothing without
     /// a recorder — the span count a traced round is read against.
     #[test]
@@ -1052,7 +1046,7 @@ mod tests {
     }
 
     /// Concurrent shards all time the same wall-clock window, so a
-    /// sharded round journals one enclosing [`Phase::Train`] span, not a
+    /// sharded round records one enclosing [`Phase::Train`] span, not a
     /// sum that exceeds the step.
     #[test]
     fn sharded_training_records_one_enclosing_span() {
@@ -1178,12 +1172,7 @@ mod tests {
             (self.hook)(At::Invited, self.clients);
         }
 
-        fn offers(
-            &mut self,
-            round: u32,
-            times: &[ClientRoundTime],
-            offers: &mut [Option<(u64, u64)>],
-        ) {
+        fn offers(&mut self, round: u32, times: &[ClientRoundTime], offers: &mut [Option<u64>]) {
             self.clients.offers(round, times, offers);
         }
 
@@ -1740,7 +1729,7 @@ mod tests {
     /// Phase spans cover the step under GlueFL with an entropy and with
     /// a legacy policy and under over-committed FedAvg, each of which
     /// takes the kept clients' turns at the grant: the engine's `Train`
-    /// window holds every training span the clients journal.
+    /// window holds every training span the clients record.
     #[test]
     fn telemetry_measures_phases_that_cover_the_step() {
         let gluefl = || tiny_cfg(StrategyConfig::GlueFl(tiny_gluefl_params(7)));
@@ -1753,7 +1742,7 @@ mod tests {
             cfg.eval_every = 100; // keep evaluation out of the measured window
             let tel = Arc::new(Telemetry::new());
             let mut sim = Simulation::new(cfg).with_telemetry(Arc::clone(&tel));
-            let mut train_window = 0;
+            let (mut train_window, mut kept) = (0, 0);
             for round in 0..3 {
                 let rec = sim.step();
                 assert!(rec.invited > rec.kept, "{name}: no over-commitment");
@@ -1786,6 +1775,7 @@ mod tests {
                     "{name}: train phase unmeasured"
                 );
                 train_window += rec.phase_nanos_of(Phase::Train);
+                kept += rec.kept;
             }
             // The hub aggregated the same spans (Train is recorded by the
             // training driver itself, inside the engine's Train window;
@@ -1825,14 +1815,13 @@ mod tests {
                 );
             }
             assert_eq!(snap.render_text().lines().count(), snap.samples.len());
-            // The journal saw one RoundDone per round.
-            let done = tel
-                .journal()
-                .events()
-                .iter()
-                .filter(|e| matches!(e.kind, EventKind::RoundDone { .. }))
-                .count();
-            assert_eq!(done, 3);
+            // One upload-bytes observation per folded upload: every kept
+            // in-process client delivers.
+            assert_eq!(
+                snap.value("gluefl_wire_up_bytes_count", &[]),
+                Some(kept as f64),
+                "{name}"
+            );
         }
     }
 

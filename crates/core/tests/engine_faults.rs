@@ -100,7 +100,7 @@ struct Scripted {
     /// sampler without spares, which keeps every client it invites.
     withhold: bool,
     /// The invitation index whose offer is withheld (the last one) —
-    /// or, with `absurd_offer`, replaced by `(u64::MAX, u64::MAX)`.
+    /// or, with `absurd_offer`, replaced by `u64::MAX`.
     silent: usize,
     absurd_offer: bool,
     /// The round's arrivals, collected from the clients up front (they
@@ -221,11 +221,11 @@ impl RoundIo for Scripted {
         self.clients.invite(round, invited, broadcast);
     }
 
-    fn offers(&mut self, round: u32, times: &[ClientRoundTime], offers: &mut [Option<(u64, u64)>]) {
+    fn offers(&mut self, round: u32, times: &[ClientRoundTime], offers: &mut [Option<u64>]) {
         self.clients.offers(round, times, offers);
         // (a) one client never answers, or answers nonsense.
         if self.withhold {
-            offers[self.silent] = self.absurd_offer.then_some((u64::MAX, u64::MAX));
+            offers[self.silent] = self.absurd_offer.then_some(u64::MAX);
         }
     }
 
@@ -400,11 +400,10 @@ fn faulty_rounds_complete_identically_in_any_delivery_order() {
     assert_eq!(reverse_bits, again_bits, "two identical runs diverged");
 }
 
-/// An offer is two numbers from the other side of the IO. The socket
+/// An offer is a number from the other side of the IO. The socket
 /// server refuses one no upload could honour
-/// (`gluefl_transport::proto::parse_offer`); an IO that lets
-/// `(u64::MAX, u64::MAX)` through must still get a finished round out of
-/// a debug build. Offers rank the keep and set the modeled times, but the
+/// (`gluefl_transport::proto::parse_offer`); an IO that lets `u64::MAX`
+/// through must still get a finished round out of a debug build. Offers rank the keep and set the modeled times, but the
 /// upload ledger counts only the uploads the engine folds: the sender
 /// prices itself out of the keep set, and the whole round, bytes
 /// included, is the one everyone would have had with that client silent.
@@ -697,7 +696,7 @@ impl RoundIo for SilentFresh {
         self.clients.invite(round, invited, broadcast);
     }
 
-    fn offers(&mut self, round: u32, times: &[ClientRoundTime], offers: &mut [Option<(u64, u64)>]) {
+    fn offers(&mut self, round: u32, times: &[ClientRoundTime], offers: &mut [Option<u64>]) {
         self.clients.offers(round, times, offers);
         for &i in &self.silent {
             offers[i] = None;

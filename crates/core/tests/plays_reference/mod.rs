@@ -112,7 +112,7 @@ impl RoundIo for Recorded<'_> {
         self.io.invite(round, invited, broadcast);
     }
 
-    fn offers(&mut self, round: u32, times: &[ClientRoundTime], offers: &mut [Option<(u64, u64)>]) {
+    fn offers(&mut self, round: u32, times: &[ClientRoundTime], offers: &mut [Option<u64>]) {
         self.io.offers(round, times, offers);
     }
 

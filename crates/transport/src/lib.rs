@@ -174,20 +174,18 @@ impl ByteCounters {
         }
     }
 
-    /// Counts one message sent up (client to server); returns its bytes.
-    fn up(&self, kind: MsgKind, payload_len: usize) -> u64 {
-        Self::add(&self.up, kind, payload_len)
+    /// Counts one message sent up (client to server).
+    fn up(&self, kind: MsgKind, payload_len: usize) {
+        Self::add(&self.up, kind, payload_len);
     }
 
-    /// Counts one message sent down (server to client); returns its bytes.
-    fn down(&self, kind: MsgKind, payload_len: usize) -> u64 {
-        Self::add(&self.down, kind, payload_len)
+    /// Counts one message sent down (server to client).
+    fn down(&self, kind: MsgKind, payload_len: usize) {
+        Self::add(&self.down, kind, payload_len);
     }
 
-    fn add(table: &[Counter], kind: MsgKind, payload_len: usize) -> u64 {
-        let bytes = (ENVELOPE_BYTES + payload_len) as u64;
-        table[kind.id() as usize - 1].add(bytes);
-        bytes
+    fn add(table: &[Counter], kind: MsgKind, payload_len: usize) {
+        table[kind.id() as usize - 1].add((ENVELOPE_BYTES + payload_len) as u64);
     }
 }
 

@@ -49,7 +49,7 @@ use gluefl_core::engine::{Arrival, Broadcast, RoundIo};
 use gluefl_core::strategies::Group;
 use gluefl_core::{RoundEngine, RoundRecord, RunSetup, SimConfig};
 use gluefl_net::timing::ClientRoundTime;
-use gluefl_telemetry::{Counter, Dir, EventKind, Telemetry};
+use gluefl_telemetry::{Counter, Telemetry};
 use gluefl_wire::WireError;
 use std::io;
 use std::net::{Shutdown, TcpListener, TcpStream};
@@ -87,11 +87,11 @@ pub struct ServerConfig {
     pub stall_grace: Duration,
     /// Socket read-timeout tick of the per-connection reader threads.
     pub read_tick: Duration,
-    /// Telemetry hub the run reports into: per-round / per-connection
-    /// journal events (offers granted, expired deadlines, mid-message
-    /// stalls, skips and kills) and counters, including measured bytes
-    /// up and down by envelope message kind. `None` (the default) skips
-    /// every recording branch.
+    /// Telemetry hub the run reports into: counters of offers granted,
+    /// expired deadlines, mid-message stalls, skips, kills, refused
+    /// handshakes and decode errors, and measured bytes up and down by
+    /// envelope message kind. `None` (the default) skips every recording
+    /// branch.
     pub telemetry: Option<Arc<Telemetry>>,
 }
 
@@ -153,58 +153,17 @@ impl NetRecorder {
         }
     }
 
-    /// Records one received message's measured bytes, journaling the
-    /// big ones (uploads) per client.
-    fn received(&self, round: u32, id: usize, kind: MsgKind, payload_len: usize) {
-        let bytes = self.bytes.up(kind, payload_len);
-        if kind == MsgKind::Upload {
-            self.hub.event(
-                round,
-                id as i64,
-                EventKind::Bytes {
-                    dir: Dir::Up,
-                    frame: kind.name(),
-                    bytes,
-                },
-            );
-        }
-    }
-
     /// Inspects every reader event once, on receipt: byte accounting
     /// for complete messages, the stall counter for mid-message stalls.
-    fn reader_event(&self, round: u32, id: usize, event: &ReaderEvent) {
+    fn reader_event(&self, event: &ReaderEvent) {
         match event {
-            ReaderEvent::Msg(env, payload) => self.received(round, id, env.kind, payload.len()),
-            ReaderEvent::Failed(ProtoError::Stalled { .. }) => {
-                self.stalls.inc();
-                self.hub.event(round, id as i64, EventKind::Stall);
-            }
+            ReaderEvent::Msg(env, payload) => self.bytes.up(env.kind, payload.len()),
+            ReaderEvent::Failed(ProtoError::Stalled { .. }) => self.stalls.inc(),
             ReaderEvent::Hello { .. }
             | ReaderEvent::NoHello(_)
             | ReaderEvent::Closed
             | ReaderEvent::Failed(_) => {}
         }
-    }
-
-    fn expired(&self, round: u32, id: usize, owed: Owed) {
-        self.deadlines_expired[owed as usize].inc();
-        let which = owed.kind().name();
-        self.hub
-            .event(round, id as i64, EventKind::DeadlineExpired { which });
-    }
-
-    fn skip(&self, round: u32, id: usize) {
-        self.skips.inc();
-        self.hub.event(round, id as i64, EventKind::UploadSkipped);
-    }
-
-    fn decode_error(&self, round: u32, id: usize, err: &gluefl_wire::WireError) {
-        let kind = err.stat_name();
-        self.hub
-            .counter("gluefl_server_decode_errors_total", &[("kind", kind)])
-            .inc();
-        self.hub
-            .event(round, id as i64, EventKind::DecodeError { kind });
     }
 }
 
@@ -315,26 +274,25 @@ struct SocketIo {
 
 impl SocketIo {
     /// Kills client `id` (see [`Slots::kill`]).
-    fn kill(&mut self, round: u32, id: usize) {
+    fn kill(&mut self, id: usize) {
         self.slots.kill(id);
-        self.apply(round);
+        self.apply();
     }
 
-    /// Carries out the machine's effects: the expiry and kill counters
-    /// and journal events, and a killed client's socket shutdown, which
-    /// unblocks its reader thread.
-    fn apply(&mut self, round: u32) {
+    /// Carries out the machine's effects: the expiry and kill counters,
+    /// and a killed client's socket shutdown, which unblocks its reader
+    /// thread.
+    fn apply(&mut self) {
         for effect in self.slots.drain_effects() {
             match effect {
-                Effect::Expired(id, owed) => {
+                Effect::Expired(_, owed) => {
                     if let Some(t) = &self.tel {
-                        t.expired(round, id, owed);
+                        t.deadlines_expired[owed as usize].inc();
                     }
                 }
                 Effect::Killed(id) => {
                     if let Some(t) = &self.tel {
                         t.kills.inc();
-                        t.hub.event(round, id as i64, EventKind::ClientKilled);
                     }
                     if let Some(conn) = &self.conns[id] {
                         let _ = conn.writer.shutdown(Shutdown::Both);
@@ -351,7 +309,7 @@ impl SocketIo {
             .as_mut()
             .expect("alive client has a connection");
         if write_msg(&mut conn.writer, kind, round, payload).is_err() {
-            self.kill(round, id);
+            self.kill(id);
             return false;
         }
         if let Some(t) = &self.tel {
@@ -363,13 +321,13 @@ impl SocketIo {
     /// A welcomed connection's event, recorded on receipt and put in the
     /// machine's terms; `None` for a connection never welcomed (the last
     /// words of one turned away).
-    fn welcomed(&self, round: u32, conn: usize, event: ReaderEvent) -> Option<(usize, Heard)> {
+    fn welcomed(&self, conn: usize, event: ReaderEvent) -> Option<(usize, Heard)> {
         let id = self.client_of[conn];
         if id == usize::MAX {
             return None;
         }
         if let Some(t) = &self.tel {
-            t.reader_event(round, id, &event);
+            t.reader_event(&event);
         }
         let heard = match event {
             ReaderEvent::Msg(env, payload) => Heard::Msg(env, payload),
@@ -383,18 +341,18 @@ impl SocketIo {
     /// until the machine's deadline. Returns [`Verdict::Paid`],
     /// [`Verdict::Lost`] or, once no slot owes anything,
     /// [`Verdict::Idle`].
-    fn settle(&mut self, round: u32) -> Verdict<Instant> {
+    fn settle(&mut self) -> Verdict<Instant> {
         let mut heard = None;
         loop {
             let now = Instant::now();
             let verdict = self.slots.poll(now, heard.take());
-            self.apply(round);
+            self.apply();
             let Verdict::Wait(deadline) = verdict else {
                 return verdict;
             };
             let timeout = deadline.saturating_duration_since(now);
             heard = match self.rx.recv_timeout(timeout) {
-                Ok((conn, event)) => self.welcomed(round, conn, event),
+                Ok((conn, event)) => self.welcomed(conn, event),
                 Err(_) => None,
             };
         }
@@ -467,9 +425,9 @@ impl SocketIo {
         if self.client_of[conn] != usize::MAX {
             // A client spoke (or hung up) before any INVITE: no slot owes
             // it anything, so the machine kills it as it would mid-round.
-            let heard = self.welcomed(0, conn, event);
+            let heard = self.welcomed(conn, event);
             self.slots.poll(now, heard);
-            self.apply(0);
+            self.apply();
             return false;
         }
         let Some(c) = lobby[conn].take() else {
@@ -505,7 +463,7 @@ impl SocketIo {
         self.client_of[conn] = id;
         self.slots.welcome(id);
         if let Some(t) = &self.tel {
-            t.received(0, id, MsgKind::Hello, HELLO_BYTES);
+            t.bytes.up(MsgKind::Hello, HELLO_BYTES);
         }
         // A failed WELCOME kills the client like any failed send.
         self.send(0, id, MsgKind::Welcome, welcome);
@@ -558,12 +516,13 @@ impl RoundIo for SocketIo {
         }
     }
 
-    fn offers(&mut self, round: u32, times: &[ClientRoundTime], offers: &mut [Option<(u64, u64)>]) {
+    fn offers(&mut self, _round: u32, times: &[ClientRoundTime], offers: &mut [Option<u64>]) {
         self.slots.arm_offers(Instant::now(), times);
         loop {
-            match self.settle(round) {
-                // The machine takes only an offer that parses.
-                Verdict::Paid(i, payload) => offers[i] = parse_offer(&payload),
+            match self.settle() {
+                // The machine takes only an offer that parses; the engine
+                // reads its wire price.
+                Verdict::Paid(i, payload) => offers[i] = parse_offer(&payload).map(|p| p.1),
                 Verdict::Lost(_) => {}
                 Verdict::Wait(_) | Verdict::Idle => return,
             }
@@ -583,14 +542,13 @@ impl RoundIo for SocketIo {
             if self.send(round, id, MsgKind::Grant, &[u8::from(granted)]) && granted {
                 if let Some(t) = &self.tel {
                     t.offers_granted.inc();
-                    t.hub.event(round, id as i64, EventKind::OfferGranted);
                 }
             }
         }
     }
 
-    fn next_upload(&mut self, round: u32, payload: &mut Vec<u8>) -> Option<Arrival> {
-        match self.settle(round) {
+    fn next_upload(&mut self, _round: u32, payload: &mut Vec<u8>) -> Option<Arrival> {
+        match self.settle() {
             Verdict::Paid(i, body) => {
                 *payload = body;
                 Some(Arrival::Delivered(i))
@@ -599,7 +557,7 @@ impl RoundIo for SocketIo {
                 // The skip counter fires here and in `rejected` — once
                 // per skipped upload.
                 if let Some(t) = &self.tel {
-                    t.skip(round, self.slots.invited()[i]);
+                    t.skips.inc();
                 }
                 Some(Arrival::Lost(i))
             }
@@ -607,13 +565,15 @@ impl RoundIo for SocketIo {
         }
     }
 
-    fn rejected(&mut self, round: u32, slot: usize, err: &WireError) {
-        let id = self.slots.invited()[slot];
+    fn rejected(&mut self, _round: u32, slot: usize, err: &WireError) {
         if let Some(t) = &self.tel {
-            t.decode_error(round, id, err);
-            t.skip(round, id);
+            let kind = [("kind", err.stat_name())];
+            t.hub
+                .counter("gluefl_server_decode_errors_total", &kind)
+                .inc();
+            t.skips.inc();
         }
-        self.kill(round, id);
+        self.kill(self.slots.invited()[slot]);
     }
 }
 

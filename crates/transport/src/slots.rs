@@ -5,8 +5,8 @@
 //! [`Slots`] does no IO and reads no clock. Its driver (`SocketIo` in
 //! [`crate::server`]) reads the clock once per wait, hands [`Slots::poll`]
 //! that instant and at most one reader event, turns the [`Effect`]s into
-//! socket shutdowns, counters and journal events, and waits for the next
-//! event until the [`Verdict::Wait`] deadline. Time is any point type a
+//! socket shutdowns and counters, and waits for the next event until
+//! the [`Verdict::Wait`] deadline. Time is any point type a
 //! `Duration` can be added to: the server runs the table on
 //! `std::time::Instant`, its tests on a virtual `Duration` clock.
 

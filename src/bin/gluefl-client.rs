@@ -11,11 +11,11 @@
 //! dataset, model init, and training seeds from the same [`SimConfig`],
 //! which is what makes the run bit-identical to the in-process
 //! simulator. `--id` must be below `--clients`. `--metrics-out` enables
-//! client-side telemetry (per-kind byte counters, Train/Encode phase
-//! spans) and dumps the final snapshot to a file. `--help` prints the
-//! usage line; a missing `--addr` or `--id`, an unknown or repeated
-//! argument, a malformed value or an `--id` outside the population exits
-//! 2 before connecting.
+//! client-side telemetry (per-kind byte counters, one Train phase span
+//! around each granted turn) and dumps the final snapshot to a file.
+//! `--help` prints the usage line; a missing `--addr` or `--id`, an
+//! unknown or repeated argument, a malformed value or an `--id` outside
+//! the population exits 2 before connecting.
 //!
 //! [`SimConfig`]: gluefl_suite::core::SimConfig
 

@@ -183,7 +183,11 @@ mod tests {
 
     #[test]
     fn a_silent_connection_does_not_block_the_next_scrape() {
-        let addr = serve_metrics("127.0.0.1:0", Arc::new(Telemetry::new())).unwrap();
+        let tel = Arc::new(Telemetry::new());
+        // Registered on the hub as the server's recorder registers it,
+        // before the handshake.
+        let _granted = tel.counter("gluefl_server_offers_granted_total", &[]);
+        let addr = serve_metrics("127.0.0.1:0", tel).unwrap();
         let _silent = TcpStream::connect(&addr).unwrap();
         let mut scrape = TcpStream::connect(&addr).unwrap();
         // Bounds the test itself: without the server's own timeout the
@@ -197,6 +201,6 @@ mod tests {
             .read_to_string(&mut response)
             .expect("the scrape is answered within 5 s");
         assert!(response.starts_with("HTTP/1.0 200 OK"), "{response}");
-        assert!(response.contains("gluefl_journal_events_total"));
+        assert!(response.contains("gluefl_server_offers_granted_total"));
     }
 }
