@@ -158,15 +158,13 @@ pub trait RoundIo: Send {
 
     /// Collects the invited clients' offers: `offers[i]` becomes the
     /// wire bytes the `i`-th invited client priced its upload at, or
-    /// stays `None` if it never answered. `times[i]` holds that client's
-    /// modeled download and compute seconds, for an IO that turns modeled
-    /// time into patience. An offer is the nominal price the broadcast
-    /// fixes ([`crate::ClientCompressor::shape_offer`]):
+    /// stays `None` if it never answered. An offer is the nominal price
+    /// the broadcast fixes ([`crate::ClientCompressor::shape_offer`]):
     /// the in-process IO reports that one price for everyone, a socket IO
     /// waits for the `OFFER`s. Offers rank the keep and set the modeled
     /// upload times; they are not the upload ledger, which counts only
     /// what is folded.
-    fn offers(&mut self, round: u32, times: &[ClientRoundTime], offers: &mut [Option<u64>]);
+    fn offers(&mut self, round: u32, offers: &mut [Option<u64>]);
 
     /// Announces the keep decision: the invitation indices in `kept` are
     /// granted their upload slot, everyone else is dismissed. Only a kept
@@ -174,9 +172,8 @@ pub trait RoundIo: Send {
     /// residual it leaves ([`crate::StagedTurn::keep`]); a dismissed one
     /// runs nothing, so its bank ends the round as it began. The
     /// in-process IO takes the kept clients' turns here, so the engine
-    /// times this call as training. `times` now carries the modeled
-    /// upload seconds too.
-    fn grant(&mut self, round: u32, kept: &[usize], times: &[ClientRoundTime]);
+    /// times this call as training.
+    fn grant(&mut self, round: u32, kept: &[usize]);
 
     /// Waits for the next granted slot to resolve. On
     /// [`Arrival::Delivered`] the upload's bytes (upload frames, then the
@@ -436,7 +433,7 @@ impl RoundEngine {
             rec.kept = kept.len();
             // An IO may take the kept clients' turns only now that it
             // knows who they are, so the grant is training time.
-            clock.time(Phase::Train, || io.grant(round, &kept, &times));
+            clock.time(Phase::Train, || io.grant(round, &kept));
             let (gate, slots) = self.fold(io, round, &kept, &mut clock, &mut rec);
             let update = clock.time(Phase::TopK, || {
                 gate.finish(&mut self.strategy, &mut self.scratch)
@@ -508,7 +505,7 @@ impl RoundEngine {
         self.scratch.put_bytes(frames);
     }
 
-    /// Collects the offers and turns them into every invited client's
+    /// Collects the offers, then turns them into every invited client's
     /// modeled times; returns the times and the offers. Nothing is
     /// trained or serialized yet: an offer is the price the broadcast
     /// fixes, so the keep selection runs on offered lengths, the
@@ -519,26 +516,25 @@ impl RoundEngine {
         round: u32,
         download: &[u64],
     ) -> (Vec<ClientRoundTime>, Vec<Offer>) {
+        let mut offers = vec![None; self.invited.len()];
+        io.offers(round, &mut offers);
         let secs =
             |b: u64, mbps| seconds_for_bytes((b as f64 * self.time_byte_factor) as u64, mbps);
         let (steps, device) = (self.cfg.local_steps as f64, self.cfg.device);
-        let mut times: Vec<ClientRoundTime> = self
+        let times = self
             .invited
             .iter()
             .zip(download)
-            .map(|(&(id, _), &down)| ClientRoundTime {
-                download_secs: secs(down, self.links.get(id).down_mbps),
-                compute_secs: steps * device.step_seconds(self.time_params, self.speeds.get(id)),
-                upload_secs: MISSING_OFFER_SECS,
+            .zip(&offers)
+            .map(|((&(id, _), &down), offer)| {
+                let (link, speed) = (self.links.get(id), self.speeds.get(id));
+                ClientRoundTime {
+                    download_secs: secs(down, link.down_mbps),
+                    compute_secs: steps * device.step_seconds(self.time_params, speed),
+                    upload_secs: offer.map_or(MISSING_OFFER_SECS, |wire| secs(wire, link.up_mbps)),
+                }
             })
             .collect();
-        let mut offers = vec![None; self.invited.len()];
-        io.offers(round, &times, &mut offers);
-        for ((&(id, _), time), offer) in self.invited.iter().zip(&mut times).zip(&offers) {
-            if let Some(wire) = *offer {
-                time.upload_secs = secs(wire, self.links.get(id).up_mbps);
-            }
-        }
         (times, offers)
     }
 
@@ -876,6 +872,39 @@ mod tests {
         assert_eq!((params.len(), fnv), (38_176, 0x79a0_562f_4922_5a8b));
     }
 
+    /// Only the kept clients that offered time the round: a kept client
+    /// without an offer (its placeholder upload time is
+    /// [`MISSING_OFFER_SECS`]) and a client that offered but was not kept
+    /// set neither the round's time nor its slowest or mean upload.
+    #[test]
+    fn model_time_covers_only_the_kept_clients_that_offered() {
+        let time = |download_secs, compute_secs, upload_secs| ClientRoundTime {
+            download_secs,
+            compute_secs,
+            upload_secs,
+        };
+        let times = [
+            time(1.0, 2.0, 3.0),
+            time(4.0, 1.0, 2.0),
+            time(0.5, 0.5, MISSING_OFFER_SECS),
+            time(9.0, 9.0, 9.0),
+        ];
+        let offers = [Some(10), Some(20), None, Some(30)];
+        let mut rec = RoundRecord::default();
+        model_time(&mut rec, &[0, 1, 2], &times, &offers);
+        assert_eq!(rec.round_secs, 7.0);
+        assert_eq!(rec.slowest_upload_secs, 3.0);
+        assert_eq!(rec.mean_upload_secs, 2.5);
+        assert_eq!(
+            (rec.slowest_download_secs, rec.mean_download_secs),
+            (4.0, 2.5)
+        );
+        assert_eq!(
+            (rec.slowest_compute_secs, rec.mean_compute_secs),
+            (2.0, 1.5)
+        );
+    }
+
     /// The in-process clients behind a switch: while `cut_off` is set
     /// nobody is reachable, and any call past planning in round 0 — the
     /// round run with the switch on — panics.
@@ -900,14 +929,14 @@ mod tests {
             self.clients.invite(round, invited, broadcast);
         }
 
-        fn offers(&mut self, round: u32, times: &[ClientRoundTime], offers: &mut [Option<u64>]) {
+        fn offers(&mut self, round: u32, offers: &mut [Option<u64>]) {
             Self::only_after_round_0(round, "offers");
-            self.clients.offers(round, times, offers);
+            self.clients.offers(round, offers);
         }
 
-        fn grant(&mut self, round: u32, kept: &[usize], times: &[ClientRoundTime]) {
+        fn grant(&mut self, round: u32, kept: &[usize]) {
             Self::only_after_round_0(round, "grant");
-            self.clients.grant(round, kept, times);
+            self.clients.grant(round, kept);
         }
 
         fn next_upload(&mut self, round: u32, payload: &mut Vec<u8>) -> Option<Arrival> {

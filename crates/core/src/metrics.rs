@@ -40,19 +40,22 @@ pub struct RoundRecord {
     /// accounting stays analytic (it depends on each client's staleness);
     /// this measures what one fully-stale sync would transfer.
     pub wire_broadcast_bytes: u64,
-    /// Wall-clock seconds of the round (slowest kept client).
+    /// *Modeled* seconds of the round, not a clock reading: the slowest
+    /// kept client that offered, from the engine's link and speed draws.
     pub round_secs: f64,
     /// Download seconds of the slowest kept client (the paper's DT
     /// contribution: "we pick the slowest client in each round and sum up
     /// their download time", §5.1).
     pub slowest_download_secs: f64,
-    /// Upload seconds of the slowest kept client.
+    /// Longest upload seconds among the kept clients that offered: each
+    /// one's nominal offer over its uplink (the exact encoded length under
+    /// the legacy layout menu, an upper bound under the entropy menu).
     pub slowest_upload_secs: f64,
     /// Compute seconds of the slowest kept client.
     pub slowest_compute_secs: f64,
     /// Mean download seconds over kept clients.
     pub mean_download_secs: f64,
-    /// Mean upload seconds over kept clients.
+    /// Mean upload seconds over the kept clients that offered.
     pub mean_upload_secs: f64,
     /// Mean compute seconds over kept clients.
     pub mean_compute_secs: f64,

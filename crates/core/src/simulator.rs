@@ -63,7 +63,6 @@ use crate::staleness::StalenessTracker;
 use crate::strategies::Group;
 use gluefl_data::{batch_rows, ClientDataset, SyntheticFlDataset};
 use gluefl_ml::{BatchTrainScratch, Mlp, MlpTopology};
-use gluefl_net::timing::ClientRoundTime;
 use gluefl_sampling::ClientId;
 use gluefl_telemetry::{Counter, Histogram, Phase, Telemetry};
 use gluefl_tensor::rng::derive_seed;
@@ -350,7 +349,7 @@ impl RoundIo for InProcessClients {
         self.global.extend_from_slice(broadcast.params);
     }
 
-    fn offers(&mut self, round: u32, _times: &[ClientRoundTime], offers: &mut [Option<u64>]) {
+    fn offers(&mut self, round: u32, offers: &mut [Option<u64>]) {
         let price = self
             .compressor
             .shape_offer(round, self.round_mask.as_ref(), self.stats_positions.len())
@@ -358,7 +357,7 @@ impl RoundIo for InProcessClients {
         offers.fill(Some(price.1));
     }
 
-    fn grant(&mut self, round: u32, kept: &[usize], _times: &[ClientRoundTime]) {
+    fn grant(&mut self, round: u32, kept: &[usize]) {
         let mut kept = kept.to_vec();
         kept.sort_unstable();
         let global = std::mem::take(&mut self.global);
@@ -1172,13 +1171,13 @@ mod tests {
             (self.hook)(At::Invited, self.clients);
         }
 
-        fn offers(&mut self, round: u32, times: &[ClientRoundTime], offers: &mut [Option<u64>]) {
-            self.clients.offers(round, times, offers);
+        fn offers(&mut self, round: u32, offers: &mut [Option<u64>]) {
+            self.clients.offers(round, offers);
         }
 
-        fn grant(&mut self, round: u32, kept: &[usize], times: &[ClientRoundTime]) {
+        fn grant(&mut self, round: u32, kept: &[usize]) {
             self.kept = kept.to_vec();
-            self.clients.grant(round, kept, times);
+            self.clients.grant(round, kept);
         }
 
         fn next_upload(&mut self, round: u32, payload: &mut Vec<u8>) -> Option<Arrival> {

@@ -13,7 +13,6 @@ use gluefl_core::engine::{Arrival, Broadcast, RoundEngine, RoundIo};
 use gluefl_core::strategies::Group;
 use gluefl_core::{AvailabilityConfig, GlueFlParams, InProcessClients, RunSetup, SimConfig};
 use gluefl_core::{RoundRecord, StrategyConfig, WirePolicy};
-use gluefl_net::timing::ClientRoundTime;
 use gluefl_sampling::ClientId;
 use gluefl_wire::WireError;
 use rand::rngs::StdRng;
@@ -112,13 +111,13 @@ impl RoundIo for Recorded<'_> {
         self.io.invite(round, invited, broadcast);
     }
 
-    fn offers(&mut self, round: u32, times: &[ClientRoundTime], offers: &mut [Option<u64>]) {
-        self.io.offers(round, times, offers);
+    fn offers(&mut self, round: u32, offers: &mut [Option<u64>]) {
+        self.io.offers(round, offers);
     }
 
-    fn grant(&mut self, round: u32, kept: &[usize], times: &[ClientRoundTime]) {
+    fn grant(&mut self, round: u32, kept: &[usize]) {
         self.kept = kept.to_vec();
-        self.io.grant(round, kept, times);
+        self.io.grant(round, kept);
         let mut payload = Vec::new();
         while let Some(arrival) = self.io.next_upload(round, &mut payload) {
             self.queue.push((arrival, std::mem::take(&mut payload)));

@@ -33,7 +33,7 @@ pub struct ClientRoundTime {
 }
 
 impl ClientRoundTime {
-    /// Total wall-clock seconds for this client's round.
+    /// Total modeled seconds of this client's round.
     #[must_use]
     pub fn total_secs(&self) -> f64 {
         self.download_secs + self.compute_secs + self.upload_secs
@@ -68,34 +68,6 @@ pub fn fastest(times: &[ClientRoundTime], keep: usize) -> Vec<usize> {
     });
     order.truncate(keep.min(times.len()));
     order
-}
-
-/// Maps a *modeled* client duration onto a wall-clock deadline for a real
-/// transport: `floor + scale · modeled_secs`, capped at one hour so a
-/// pathological model value cannot produce an unbounded wait.
-///
-/// A server granting a client its upload slot knows the client's modeled
-/// upload time (predicted bytes over the sampled link) before any bytes
-/// arrive; `scale` (`secs_per_modeled_sec`) converts that simulated time
-/// into real patience. `scale = 0` degenerates to the flat `floor` —
-/// useful for loopback tests where modeled hours must not become real
-/// ones.
-///
-/// # Example
-/// ```
-/// use std::time::Duration;
-/// use gluefl_net::timing::wall_deadline;
-/// let d = wall_deadline(20.0, Duration::from_secs(5), 0.1);
-/// assert_eq!(d, Duration::from_secs(7)); // 5 + 0.1·20
-/// ```
-#[must_use]
-pub fn wall_deadline(
-    modeled_secs: f64,
-    floor: std::time::Duration,
-    scale: f64,
-) -> std::time::Duration {
-    let extra = (modeled_secs.max(0.0) * scale.max(0.0)).min(3600.0);
-    floor + std::time::Duration::from_secs_f64(extra)
 }
 
 #[cfg(test)]
@@ -147,23 +119,5 @@ mod tests {
     #[should_panic(expected = "bandwidth must be positive")]
     fn rejects_zero_bandwidth() {
         let _ = seconds_for_bytes(1, 0.0);
-    }
-
-    #[test]
-    fn wall_deadline_scales_and_caps() {
-        use std::time::Duration;
-        let floor = Duration::from_secs(2);
-        assert_eq!(wall_deadline(0.0, floor, 1.0), floor);
-        assert_eq!(wall_deadline(10.0, floor, 0.0), floor);
-        assert_eq!(wall_deadline(-5.0, floor, 1.0), floor);
-        assert_eq!(
-            wall_deadline(4.0, floor, 0.5),
-            floor + Duration::from_secs(2)
-        );
-        // A pathological modeled time cannot exceed floor + 1h.
-        assert_eq!(
-            wall_deadline(1e12, floor, 1.0),
-            floor + Duration::from_secs(3600)
-        );
     }
 }

@@ -36,10 +36,8 @@
 //! may idle forever.
 //!
 //! Each round phase arms one slot per invitation: what its client owes
-//! and by when. The deadline is a flat floor (`offer_timeout`,
-//! `upload_timeout`) plus the client's *modeled* phase time scaled by
-//! `secs_per_modeled_sec` ([`gluefl_net::timing::wall_deadline`]); at the
-//! default scale of 0 every deadline is the flat floor. One IO-free
+//! and by when: `offer_timeout` or `upload_timeout` after the phase's
+//! wait begins, the same for every client. One IO-free
 //! table (`slots`) decides, from a clock reading and at most one reader
 //! event, which slot is paid, which is lost and whom that kills: a client
 //! that misses a deadline, disconnects, sends a message it does not owe

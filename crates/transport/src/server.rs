@@ -23,11 +23,11 @@
 //! * driving the round's slot table (`crate::slots`), which makes every
 //!   decision of the round's two waits without IO: what each invitation
 //!   owes (its `OFFER`, then, if granted, its `UPLOAD`) and by when —
-//!   the flat `offer_timeout`/`upload_timeout` floor plus, at a non-zero
-//!   `secs_per_modeled_sec`, the client's scaled *modeled* time
-//!   ([`gluefl_net::timing::wall_deadline`]) — and whom a message, a
-//!   closed connection or a passed deadline kills. The driver reads the
-//!   clock once per wait iteration, waits for one reader event until
+//!   `offer_timeout` or `upload_timeout` after its wait begins — and
+//!   whom a message, a closed connection or a passed deadline kills.
+//!   The engine keeps clients by their offers, not by when anything
+//!   arrives, so no modeled time reaches a deadline. `SocketIo` reads
+//!   the clock once per wait iteration, waits for one reader event until
 //!   the table's next deadline, and turns its effects into socket
 //!   shutdowns and counters;
 //! * the failure policy that table states: a connection that closes,
@@ -48,7 +48,6 @@ use crate::{ByteCounters, TransportError};
 use gluefl_core::engine::{Arrival, Broadcast, RoundIo};
 use gluefl_core::strategies::Group;
 use gluefl_core::{RoundEngine, RoundRecord, RunSetup, SimConfig};
-use gluefl_net::timing::ClientRoundTime;
 use gluefl_telemetry::{Counter, Telemetry};
 use gluefl_wire::WireError;
 use std::io;
@@ -72,15 +71,13 @@ pub struct ServerConfig {
     pub clients: usize,
     /// How long to wait for all clients to say `HELLO`.
     pub hello_timeout: Duration,
-    /// Flat floor of every offer deadline.
+    /// How long an invited client has to send its `OFFER` once the offer
+    /// wait begins; at most a day, or the deadline `Instant` overflows
+    /// (`gluefl-server` refuses more).
     pub offer_timeout: Duration,
-    /// Flat floor of every upload deadline.
+    /// How long a granted client has to deliver its `UPLOAD` once the
+    /// upload wait begins (just before the `GRANT`s); at most a day.
     pub upload_timeout: Duration,
-    /// Wall seconds of extra patience per *modeled* second
-    /// ([`gluefl_net::timing::wall_deadline`]'s `scale`); 0 keeps
-    /// deadlines flat — right for loopback, where modeled hours must not
-    /// become real ones.
-    pub secs_per_modeled_sec: f64,
     /// Grace budget for a connection that started a message and stopped
     /// making progress (slow-loris kill threshold), and for a new
     /// connection that has sent no byte of its `HELLO`.
@@ -105,7 +102,6 @@ impl ServerConfig {
             hello_timeout: Duration::from_secs(30),
             offer_timeout: Duration::from_secs(30),
             upload_timeout: Duration::from_secs(30),
-            secs_per_modeled_sec: 0.0,
             stall_grace: Duration::from_secs(2),
             read_tick: Duration::from_millis(50),
             telemetry: None,
@@ -516,8 +512,8 @@ impl RoundIo for SocketIo {
         }
     }
 
-    fn offers(&mut self, _round: u32, times: &[ClientRoundTime], offers: &mut [Option<u64>]) {
-        self.slots.arm_offers(Instant::now(), times);
+    fn offers(&mut self, _round: u32, offers: &mut [Option<u64>]) {
+        self.slots.arm_offers(Instant::now());
         loop {
             match self.settle() {
                 // The machine takes only an offer that parses; the engine
@@ -529,10 +525,10 @@ impl RoundIo for SocketIo {
         }
     }
 
-    fn grant(&mut self, round: u32, kept: &[usize], times: &[ClientRoundTime]) {
+    fn grant(&mut self, round: u32, kept: &[usize]) {
         // Every invited client still alive has offered: the offer wait
         // kills any that did not.
-        self.slots.arm_uploads(Instant::now(), kept, times);
+        self.slots.arm_uploads(Instant::now(), kept);
         for i in 0..self.slots.invited().len() {
             let id = self.slots.invited()[i];
             if !self.slots.alive(id) {
@@ -658,7 +654,7 @@ impl Server {
         let floors = [net.offer_timeout, net.upload_timeout];
         let mut io = SocketIo {
             conns: (0..net.clients).map(|_| None).collect(),
-            slots: Slots::new(ids, floors, net.secs_per_modeled_sec),
+            slots: Slots::new(ids, floors),
             net,
             tel,
             rx,

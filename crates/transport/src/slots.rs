@@ -11,7 +11,6 @@
 //! `std::time::Instant`, its tests on a virtual `Duration` clock.
 
 use crate::proto::{parse_offer, Envelope, MsgKind};
-use gluefl_net::timing::{wall_deadline, ClientRoundTime};
 use std::ops::Add;
 use std::time::Duration;
 
@@ -80,10 +79,8 @@ pub(crate) enum Effect {
 
 /// The clients' liveness and the round's slots.
 pub(crate) struct Slots<T> {
-    /// Flat patience floors, indexed by [`Owed`].
+    /// Patience per message after its wait begins, indexed by [`Owed`].
     floors: [Duration; 2],
-    /// Wall seconds of extra patience per modeled second.
-    scale: f64,
     /// The round being played; a message stamped with another pays nothing.
     round: u32,
     /// Indexed by client id.
@@ -101,12 +98,10 @@ pub(crate) struct Slots<T> {
 
 impl<T: Copy + Ord + Add<Duration, Output = T>> Slots<T> {
     /// A table for client ids below `ids`, none of them alive yet.
-    /// `floors` are the offer and upload patience floors, `scale` the
-    /// wall seconds per modeled second ([`wall_deadline`]).
-    pub(crate) fn new(ids: usize, floors: [Duration; 2], scale: f64) -> Self {
+    /// `floors` are the offer and upload patience.
+    pub(crate) fn new(ids: usize, floors: [Duration; 2]) -> Self {
         Self {
             floors,
-            scale,
             round: 0,
             alive: vec![false; ids],
             dead_clients: 0,
@@ -156,28 +151,27 @@ impl<T: Copy + Ord + Add<Duration, Output = T>> Slots<T> {
         self.slots.resize(self.invited.len(), Slot::Done);
     }
 
-    /// Every invitation owes its `OFFER`, by `start` plus the patience
-    /// for its modeled download and compute seconds.
-    pub(crate) fn arm_offers(&mut self, start: T, times: &[ClientRoundTime]) {
-        for (i, t) in times.iter().enumerate() {
-            self.arm(i, Owed::Offer, start, t.download_secs + t.compute_secs);
+    /// Every invitation owes its `OFFER`, by `start` plus the offer
+    /// patience.
+    pub(crate) fn arm_offers(&mut self, start: T) {
+        for i in 0..self.slots.len() {
+            self.arm(i, Owed::Offer, start);
         }
     }
 
     /// The `kept` invitations owe their `UPLOAD`, by `start` plus the
-    /// patience for their modeled upload seconds; the rest owe nothing.
-    pub(crate) fn arm_uploads(&mut self, start: T, kept: &[usize], times: &[ClientRoundTime]) {
+    /// upload patience; the rest owe nothing.
+    pub(crate) fn arm_uploads(&mut self, start: T, kept: &[usize]) {
         for &i in kept {
-            self.arm(i, Owed::Upload, start, times[i].upload_secs);
+            self.arm(i, Owed::Upload, start);
         }
     }
 
     /// Invitation `i` owes `owed` if its client is alive, and is lost
     /// otherwise.
-    fn arm(&mut self, i: usize, owed: Owed, start: T, modeled_secs: f64) {
+    fn arm(&mut self, i: usize, owed: Owed, start: T) {
         self.slots[i] = if self.alive[self.invited[i]] {
-            let patience = wall_deadline(modeled_secs, self.floors[owed as usize], self.scale);
-            Slot::Owes(owed, start + patience)
+            Slot::Owes(owed, start + self.floors[owed as usize])
         } else {
             Slot::Lost
         };
@@ -262,10 +256,9 @@ mod tests {
         Duration::from_millis(n)
     }
 
-    /// `clients` welcomed clients under flat 400 ms deadlines, the
-    /// server's default zero scale.
+    /// `clients` welcomed clients under 400 ms deadlines.
     fn machine(clients: usize) -> Slots<Duration> {
-        let mut s = Slots::new(clients, [FLOOR; 2], 0.0);
+        let mut s = Slots::new(clients, [FLOOR; 2]);
         (0..clients).for_each(|id| s.welcome(id));
         s
     }
@@ -286,10 +279,6 @@ mod tests {
         Some((id, msg(MsgKind::Upload, round, &UPLOAD)))
     }
 
-    fn times(n: usize) -> Vec<ClientRoundTime> {
-        vec![ClientRoundTime::default(); n]
-    }
-
     fn effects(s: &mut Slots<Duration>) -> Vec<Effect> {
         s.drain_effects().collect()
     }
@@ -298,7 +287,7 @@ mod tests {
     /// each, read in invitation order.
     fn offered(s: &mut Slots<Duration>, round: u32, ids: &[usize], start: Duration) {
         s.invite(round, ids.iter().copied());
-        s.arm_offers(start, &times(ids.len()));
+        s.arm_offers(start);
         for (i, &id) in ids.iter().enumerate() {
             assert_eq!(s.poll(start, offer(id, round)), Paid(i, OFFER.to_vec()));
         }
@@ -309,7 +298,7 @@ mod tests {
     fn a_silent_invitee_expires_its_offer_deadline_and_loses_its_kept_slot() {
         let mut s = machine(1);
         s.invite(0, [0]);
-        s.arm_offers(T0, &times(1));
+        s.arm_offers(T0);
         assert_eq!(s.poll(T0, None), Wait(FLOOR));
         assert_eq!(s.poll(FLOOR - ms(1), None), Wait(FLOOR));
         assert_eq!(effects(&mut s), []);
@@ -317,7 +306,7 @@ mod tests {
         assert_eq!(effects(&mut s), [Expired(0, Owed::Offer), Killed(0)]);
         assert_eq!(s.poll(FLOOR, None), Idle);
         // Kept all the same (no offer prices it slowest): one skip.
-        s.arm_uploads(FLOOR, &[0], &times(1));
+        s.arm_uploads(FLOOR, &[0]);
         assert!(s.granted(0));
         assert_eq!(s.poll(FLOOR, None), Lost(0));
         assert_eq!(s.poll(FLOOR, None), Idle);
@@ -328,7 +317,7 @@ mod tests {
     fn a_granted_client_that_never_uploads_expires_its_upload_deadline() {
         let mut s = machine(2);
         offered(&mut s, 0, &[0, 1], T0);
-        s.arm_uploads(ms(10), &[0, 1], &times(2));
+        s.arm_uploads(ms(10), &[0, 1]);
         assert_eq!(s.poll(ms(20), upload(1, 0)), Paid(1, UPLOAD.to_vec()));
         assert_eq!(s.poll(ms(20), None), Wait(ms(410)));
         assert_eq!(s.poll(ms(410), None), Lost(0));
@@ -346,7 +335,7 @@ mod tests {
         // lost, and a dead client is invited no more — no skip.
         let mut s = machine(2);
         offered(&mut s, 0, &[0, 1], T0);
-        s.arm_uploads(T0, &[0, 1], &times(2));
+        s.arm_uploads(T0, &[0, 1]);
         assert_eq!(s.poll(ms(1), upload(0, 0)), Paid(0, UPLOAD.to_vec()));
         assert_eq!(s.poll(ms(2), upload(0, 0)), Wait(FLOOR));
         assert_eq!(s.poll(ms(3), upload(1, 0)), Paid(1, UPLOAD.to_vec()));
@@ -360,12 +349,12 @@ mod tests {
         for before_grant in [true, false] {
             let mut s = machine(2);
             offered(&mut s, 0, &[0, 1], T0);
-            s.arm_uploads(T0, &[0, 1], &times(2));
+            s.arm_uploads(T0, &[0, 1]);
             assert_eq!(s.poll(ms(1), upload(0, 0)), Paid(0, UPLOAD.to_vec()));
             assert_eq!(s.poll(ms(2), upload(1, 0)), Paid(1, UPLOAD.to_vec()));
             assert_eq!(s.poll(ms(2), None), Idle);
             s.invite(1, [0, 1]);
-            s.arm_offers(ms(5), &times(2));
+            s.arm_offers(ms(5));
             let (offer_wait, upload_wait) = if before_grant {
                 ((upload(0, 0), Lost(0)), None)
             } else {
@@ -374,7 +363,7 @@ mod tests {
             assert_eq!(s.poll(ms(6), offer_wait.0), offer_wait.1);
             assert_eq!(s.poll(ms(7), offer(1, 1)), Paid(1, OFFER.to_vec()));
             assert_eq!(s.poll(ms(7), None), Idle);
-            s.arm_uploads(ms(8), &[0, 1], &times(2));
+            s.arm_uploads(ms(8), &[0, 1]);
             assert_eq!(s.poll(ms(9), upload_wait), Lost(0));
             assert_eq!(s.poll(ms(10), upload(1, 1)), Paid(1, UPLOAD.to_vec()));
             assert_eq!(s.poll(ms(10), None), Idle);
@@ -388,7 +377,7 @@ mod tests {
     fn an_absurd_offer_kills_its_sender_on_receipt() {
         let mut s = machine(2);
         s.invite(0, [0, 1]);
-        s.arm_offers(T0, &times(2));
+        s.arm_offers(T0);
         let absurd = Some((1, msg(MsgKind::Offer, 0, &[0xFF; 16])));
         assert_eq!(s.poll(ms(1), absurd), Lost(1));
         assert_eq!(s.poll(ms(1), offer(0, 0)), Paid(0, OFFER.to_vec()));
@@ -402,7 +391,7 @@ mod tests {
     fn an_upload_after_grant_zero_kills_its_sender() {
         let mut s = machine(3);
         offered(&mut s, 0, &[0, 1, 2], T0);
-        s.arm_uploads(T0, &[0, 1], &times(3));
+        s.arm_uploads(T0, &[0, 1]);
         assert_eq!(
             [0, 1, 2].map(|i| s.granted(i)),
             [true, true, false],
@@ -421,7 +410,7 @@ mod tests {
     fn a_wrong_round_a_wrong_kind_or_a_closed_connection_loses_the_slot() {
         let mut s = machine(4);
         s.invite(3, [0, 1, 2, 3]);
-        s.arm_offers(T0, &times(4));
+        s.arm_offers(T0);
         let events = [
             offer(0, 2),
             offer(1, 4),
@@ -440,11 +429,11 @@ mod tests {
     /// counts nothing.
     #[test]
     fn losses_are_reported_at_once_and_dead_clients_count_once() {
-        let mut s = Slots::new(2, [FLOOR; 2], 0.0);
+        let mut s = Slots::new(2, [FLOOR; 2]);
         s.welcome(0);
         s.welcome(1);
         s.invite(0, [0, 1]);
-        s.arm_offers(T0, &times(2));
+        s.arm_offers(T0);
         s.kill(1);
         assert_eq!(s.poll(ms(1), None), Lost(1));
         assert_eq!(s.poll(ms(1), None), Wait(FLOOR));
@@ -459,54 +448,6 @@ mod tests {
         assert_eq!(effects(&mut s), [Killed(0)]);
     }
 
-    /// At a non-zero scale a slot's deadline is its floor plus `scale ×`
-    /// its modeled seconds — download plus compute for the offer, upload
-    /// for the upload — capped at one hour: its message 1 ms before pays,
-    /// 1 ms after finds it expired.
-    #[test]
-    fn scaled_deadlines_add_modeled_seconds_up_to_an_hour() {
-        let secs = Duration::from_secs;
-        let fast = ClientRoundTime {
-            download_secs: 3.0,
-            compute_secs: 1.0,
-            upload_secs: 6.0,
-        };
-        let slow = ClientRoundTime {
-            download_secs: 1e9,
-            compute_secs: 1e9,
-            upload_secs: 1e12,
-        };
-        let times = [fast, slow, fast, slow];
-        for owed in Owed::ALL {
-            let mut s = Slots::new(4, [secs(2), secs(3)], 0.5);
-            (0..4).for_each(|id| s.welcome(id));
-            // (patience of the fast pair, the message each slot owes)
-            let (fast_patience, hear): (_, fn(usize, u32) -> _) = match owed {
-                Owed::Offer => {
-                    s.invite(0, 0..4);
-                    s.arm_offers(T0, &times);
-                    (secs(2 + 2), offer)
-                }
-                Owed::Upload => {
-                    offered(&mut s, 0, &[0, 1, 2, 3], T0);
-                    s.arm_uploads(T0, &[0, 1, 2, 3], &times);
-                    (secs(3 + 3), upload)
-                }
-            };
-            let capped = s.floors[owed as usize] + secs(3600);
-            for (i, deadline) in [fast_patience, capped].into_iter().enumerate() {
-                let paid = s.poll(deadline - ms(1), hear(i, 0));
-                assert!(
-                    matches!(paid, Paid(j, _) if j == i),
-                    "{owed:?} {i}: {paid:?}"
-                );
-                assert_eq!(s.poll(deadline + ms(1), hear(i + 2, 0)), Lost(i + 2));
-            }
-            let expired = [Expired(2, owed), Killed(2), Expired(3, owed), Killed(3)];
-            assert_eq!(effects(&mut s), expired);
-        }
-    }
-
     /// Over random schedules — up to eight invitations, arrivals at
     /// random instants, closes, duplicates, wrong kinds and rounds, dead
     /// senders and clock jumps past deadlines — every wait ends, every
@@ -518,27 +459,18 @@ mod tests {
             let mut rng = StdRng::seed_from_u64(seed);
             let n = rng.gen_range(1..=8usize);
             let floors = [ms(rng.gen_range(1..200)), ms(rng.gen_range(1..200))];
-            let scale = if rng.gen_bool(0.5) { 0.0 } else { 0.01 };
-            let mut s = Slots::new(n, floors, scale);
+            let mut s = Slots::new(n, floors);
             (0..n).for_each(|id| s.welcome(id));
             let mut now = T0;
             let mut kills = 0;
             for round in 0..3u32 {
                 let ids: Vec<usize> = (0..n).filter(|_| rng.gen_bool(0.7)).collect();
-                let modeled: Vec<ClientRoundTime> = ids
-                    .iter()
-                    .map(|_| ClientRoundTime {
-                        download_secs: rng.gen_range(0.0..5.0),
-                        compute_secs: rng.gen_range(0.0..5.0),
-                        upload_secs: rng.gen_range(0.0..5.0),
-                    })
-                    .collect();
                 s.invite(round, ids.iter().copied());
-                s.arm_offers(now, &modeled);
+                s.arm_offers(now);
                 let all: Vec<usize> = (0..ids.len()).collect();
                 kills += drive(&mut s, &mut rng, &mut now, n, round, &all, seed);
                 let kept: Vec<usize> = all.into_iter().filter(|_| rng.gen_bool(0.6)).collect();
-                s.arm_uploads(now, &kept, &modeled);
+                s.arm_uploads(now, &kept);
                 kills += drive(&mut s, &mut rng, &mut now, n, round, &kept, seed);
             }
             assert_eq!(kills, s.dead_clients(), "seed {seed}");

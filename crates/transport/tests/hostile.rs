@@ -14,7 +14,9 @@
 //!    must finish cleanly, and each rogue must show up as a skipped
 //!    upload or dead connection — never a panic or a stalled round.
 //!    Three of them run alone too, to pin their counters to the wiring
-//!    (decode error, stall). Before the rounds, connections that never
+//!    (decode error, stall), and so does a rogue that goes silent once
+//!    granted, to let an upload deadline pass on a real socket. Before
+//!    the rounds, connections that never
 //!    say `HELLO` or say it wrong are turned away, counted by reason,
 //!    and delay no one.
 //!
@@ -262,6 +264,10 @@ enum Rogue {
     DisconnectMidUpload,
     /// Sends a wire *mask* frame where an upload belongs.
     MaskFrameAsUpload,
+    /// Sends nothing and keeps the connection open, blocked on a read,
+    /// until the server shuts it: its upload deadline expires, where a
+    /// close would be a disconnect.
+    SilentAfterGrant,
 }
 
 fn raw_envelope(kind: MsgKind, round: u32, len: usize) -> [u8; ENVELOPE_BYTES] {
@@ -351,6 +357,9 @@ fn run_rogue(addr: &str, cfg: gluefl_core::SimConfig, id: usize, mode: Rogue) {
                             &BitMask::from_indices(64, [1usize, 5, 9]),
                         );
                         let _ = write_msg(&mut stream, MsgKind::Upload, env.round, &buf);
+                    }
+                    Rogue::SilentAfterGrant => {
+                        let _ = stream.read(&mut [0u8; 1]);
                     }
                 }
                 return;
@@ -449,7 +458,9 @@ fn run_adversarial(strategy: &str, clients: usize, rounds: u32, seed: u64) -> (u
     // decode-error and stall counts are bounded, not pinned: every
     // decode error skips exactly one upload, and every stall kills one
     // connection. (The single-rogue tests below pin exact counts for
-    // three of them; the slot machine's own tests pin every schedule.)
+    // three of them, and an upload deadline passing for a rogue kept out
+    // of `MODES`, where it would add the upload timeout to every round
+    // it is granted in; the slot machine's own tests pin every schedule.)
     assert!(
         counter("gluefl_server_decode_errors_total") <= report.skipped_uploads as f64,
         "more decode errors than skipped uploads"
@@ -572,6 +583,26 @@ fn slow_loris_counts_one_stall() {
         snap.value("gluefl_server_stalls_total", &[]),
         Some(1.0),
         "the mid-envelope stall must register exactly once"
+    );
+}
+
+/// A granted client that holds its connection open and never uploads
+/// expires exactly one upload deadline: it is killed and its slot
+/// skipped, and the round completes without it.
+#[test]
+fn a_silent_granted_client_expires_one_upload_deadline() {
+    let snap = run_single_rogue(Rogue::SilentAfterGrant, 46);
+    let expired = |phase| snap.value("gluefl_server_deadlines_expired_total", &[("phase", phase)]);
+    assert_eq!(
+        (expired("upload"), expired("offer")),
+        (Some(1.0), Some(0.0))
+    );
+    assert_eq!(
+        (
+            snap.value("gluefl_server_clients_killed_total", &[]),
+            snap.value("gluefl_server_uploads_skipped_total", &[]),
+        ),
+        (Some(1.0), Some(1.0))
     );
 }
 

@@ -15,7 +15,8 @@
 //! dumps the final snapshot to a file. Either flag enables telemetry;
 //! without them the round loop runs with telemetry compiled out of the
 //! hot path entirely. `--help` prints the usage line; an unknown or
-//! repeated argument or a malformed value exits 2 before binding.
+//! repeated argument, a malformed value or a timeout over one day exits
+//! 2 before binding.
 
 use gluefl_suite::telemetry::{Field, Level, LogFormat, Logger, Telemetry};
 use gluefl_suite::transport::{smoke_config, Server, ServerConfig};
@@ -41,6 +42,11 @@ const FLAGS: &[&str] = &[
     "--metrics-addr",
     "--metrics-out",
 ];
+
+/// The longest offer or upload timeout accepted, one day: a deadline is
+/// an `Instant` plus the timeout, and a value near `u64::MAX` seconds
+/// overflows it mid-run.
+const MAX_TIMEOUT_SECS: u64 = 86_400;
 
 /// How long one scrape connection may hold the metrics thread: it serves
 /// connections one at a time, so a peer that never sends (or never
@@ -82,6 +88,16 @@ fn main() {
     let seed: u64 = cli.flag("--seed", 42);
     let offer_secs: u64 = cli.flag("--offer-timeout-secs", 30);
     let upload_secs: u64 = cli.flag("--upload-timeout-secs", 30);
+    for (flag, secs) in [
+        ("--offer-timeout-secs", offer_secs),
+        ("--upload-timeout-secs", upload_secs),
+    ] {
+        if secs > MAX_TIMEOUT_SECS {
+            cli.refuse(&format!(
+                "{flag} {secs} exceeds one day ({MAX_TIMEOUT_SECS} s)"
+            ));
+        }
+    }
     let format: LogFormat = cli.flag("--log-format", LogFormat::Text);
     let level: Level = cli.flag("--log-level", Level::Info);
     let metrics_addr: String = cli.flag("--metrics-addr", String::new());

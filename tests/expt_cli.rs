@@ -1,5 +1,6 @@
-//! The `expt` and `gluefl-client` command lines, run as processes: every
-//! case here exits before any experiment starts or any socket connects.
+//! The `expt`, `gluefl-client` and `gluefl-server` command lines, run as
+//! processes: every case here exits before any experiment starts, any
+//! socket connects or any listener binds.
 
 use std::process::{Command, Output};
 
@@ -79,4 +80,18 @@ fn client_refuses_a_missing_flag_or_an_id_outside_the_population() {
         ),
     ];
     assert_refused(env!("CARGO_BIN_EXE_gluefl-client"), cases);
+}
+
+/// The server refuses a timeout longer than a day before it binds: a
+/// deadline past what an `Instant` can hold would panic in round 0.
+#[test]
+fn server_refuses_a_timeout_longer_than_a_day() {
+    let cases: &[(&[&str], &str)] = &[
+        (
+            &["--offer-timeout-secs", "18446744073709551615"],
+            "--offer-timeout-secs",
+        ),
+        (&["--upload-timeout-secs", "86401"], "--upload-timeout-secs"),
+    ];
+    assert_refused(env!("CARGO_BIN_EXE_gluefl-server"), cases);
 }
