@@ -273,7 +273,7 @@ impl ClientCompressor {
         round_mask: Option<&BitMask>,
         residual: &mut Residual,
         scratch: &mut ScratchPool,
-    ) -> Result<Upload, MissingRoundMask> {
+    ) -> Result<Upload<'static>, MissingRoundMask> {
         match &self.scheme {
             Scheme::Dense => Ok(Upload::Dense(std::mem::take(delta))),
             Scheme::Stc { q, quantize, ec } => {
@@ -486,7 +486,7 @@ pub struct StagedTurn {
     /// [`ClientCompressor::compress`] handed back.
     pub(crate) delta: Vec<f32>,
     pub(crate) stats: Vec<f32>,
-    pub(crate) upload: Option<Upload>,
+    pub(crate) upload: Option<Upload<'static>>,
 }
 
 impl StagedTurn {
@@ -583,7 +583,7 @@ mod tests {
         group: Group,
         delta: &mut Vec<f32>,
         round_mask: Option<&BitMask>,
-    ) -> Result<Upload, MissingRoundMask> {
+    ) -> Result<Upload<'static>, MissingRoundMask> {
         let mut residual = c.check_out(id);
         let mut pool = ScratchPool::new();
         let upload = c.compress(

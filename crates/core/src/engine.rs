@@ -33,10 +33,15 @@
 //!    strategy, the model dimension and the BN-statistic layout, and
 //!    folded on the spot, at the sampler's weight for its client,
 //!    through the [`StreamingAggregator`] — decoded and folded while the
-//!    IO produces the next arrival. A producer thread (`produce`) owns
-//!    the IO for this step and runs at most one arrival ahead; arrivals
-//!    are folded in the order the IO produces them, so the overlap
-//!    changes no bit. A lost or invalid upload is skipped and the round
+//!    IO produces the next arrival. Every check runs before anything is
+//!    folded; a dense upload is then folded straight from the verified
+//!    frame bytes in the payload buffer ([`Upload::DenseFrame`]), which
+//!    goes back to the producer only after the fold. Only an upload the
+//!    gate must park — it arrived ahead of a lower client id — is
+//!    materialized into a pooled buffer. A producer thread (`produce`)
+//!    owns the IO for this step and runs at most one arrival ahead;
+//!    arrivals are folded in the order the IO produces them, so the
+//!    overlap changes no bit. A lost or invalid upload is skipped and the round
 //!    completes without it. Each folded upload, and no other, enters the
 //!    upload ledger: its payload length as
 //!    [`RoundRecord::wire_up_bytes`], its legacy-F32 price as
@@ -87,7 +92,7 @@ use gluefl_net::{LazyAvailability, LinkCache, SpeedCache};
 use gluefl_sampling::ClientId;
 use gluefl_telemetry::{Histogram, Phase, Telemetry, PHASE_COUNT};
 use gluefl_tensor::rng::{derive_seed, seeded_rng};
-use gluefl_tensor::{BitMask, MaskedUpdate};
+use gluefl_tensor::{vecops, BitMask, MaskedUpdate};
 use gluefl_wire::{
     frame_kind_from_header, legacy_mask_len, Codec, FrameWriter, Rounding, WireError, WirePolicy,
 };
@@ -284,7 +289,7 @@ pub struct RoundEngine {
     /// Decoded BN-statistic values of the round's kept uploads
     /// (kept × stats).
     stats_saved: Vec<f32>,
-    /// Reused list of changed positions per round.
+    /// Reused list of the BN-statistic positions a round's means moved.
     changed: Vec<usize>,
     tel: Option<EngineRecorder>,
 }
@@ -543,8 +548,10 @@ impl RoundEngine {
     /// plus which kept slots delivered. Two stages, one arrival apart:
     /// the producer ([`produce`]) owns the IO and fills a payload buffer
     /// with the next arrival while this thread decodes, validates and
-    /// folds the previous one; the two buffers cycle between them, and
-    /// rejections travel back to the producer. Every channel end lives
+    /// folds the previous one, reading a dense upload in the buffer it
+    /// arrived in; the two buffers cycle between them, each going back
+    /// once its upload is folded or parked, and rejections travel back
+    /// to the producer. Every channel end lives
     /// inside the scope, so a panic on either side drops the other side's
     /// peer and nothing stays blocked. Arrival order is whatever the IO
     /// produces; the gate parks early arrivals so the strategy folds in
@@ -572,26 +579,21 @@ impl RoundEngine {
                 (gate, producer)
             });
             while let Ok((arrival, payload)) = clock.time(Phase::Encode, || arrivals.recv()) {
-                let (i, upload) = clock.time(Phase::Decode, || {
-                    let decoded = match arrival {
-                        Arrival::Delivered(i) => {
-                            let slot = kept.iter().position(|&k| k == i);
-                            let slot = slot.expect("RoundIo delivered a slot that was not kept");
-                            let decoded = self.decode_arrival(&payload, slot);
-                            match &decoded {
-                                Ok(upload) => self.charge_upload(upload, payload.len(), rec),
-                                Err(e) => {
-                                    let _ = reject_tx.send((i, *e));
-                                }
+                let (i, upload) = clock.time(Phase::Decode, || match arrival {
+                    Arrival::Delivered(i) => {
+                        let slot = kept.iter().position(|&k| k == i);
+                        let slot = slot.expect("RoundIo delivered a slot that was not kept");
+                        let decoded = self.decode_arrival(&payload, slot);
+                        match &decoded {
+                            Ok(upload) => self.charge_upload(upload, payload.len(), rec),
+                            Err(e) => {
+                                let _ = reject_tx.send((i, *e));
                             }
-                            delivered[slot] = decoded.is_ok();
-                            (i, decoded.ok())
                         }
-                        Arrival::Lost(i) => (i, None),
-                    };
-                    // The bytes are spent; the producer may refill the buffer.
-                    let _ = empty_tx.send(payload);
-                    decoded
+                        delivered[slot] = decoded.is_ok();
+                        (i, decoded.ok())
+                    }
+                    Arrival::Lost(i) => (i, None),
                 });
                 let id = self.invited[i].0;
                 clock.time(Phase::Fold, || {
@@ -601,6 +603,9 @@ impl RoundEngine {
                     }
                     .expect("RoundIo resolves each kept slot exactly once");
                 });
+                // Folded or parked, the upload no longer reads the bytes;
+                // the producer may refill the buffer.
+                let _ = empty_tx.send(payload);
             }
             // The producer ends once it holds every rejection and buffer.
             clock.time(Phase::Encode, || {
@@ -648,43 +653,49 @@ impl RoundEngine {
     /// count as skipped uploads. A masking strategy's update covers
     /// O(q·d) positions; the word-level scatter / masked AXPY touches
     /// only those, and the changed-position scan walks the mask instead
-    /// of the dense vector.
+    /// of the dense vector (a full-mask update's scan walks its values).
     /// BatchNorm statistics then get the plain mean over the delivered
     /// uploads' stats frames (Appendix D), added straight into the
-    /// parameters, and the staleness tracker records every changed
-    /// position.
+    /// parameters, and the staleness tracker stamps every changed
+    /// position straight from the scan.
     fn apply(&mut self, update: MaskedUpdate, delivered: &[bool], rec: &mut RoundRecord) {
         update.add_to(self.model.params_mut());
         self.changed.clear();
-        update.for_each_nonzero(|j, _| {
-            // Strategy contract: BN-statistic positions are uncovered or
-            // carry exact zeros — a nonzero here would double-apply with
-            // the Appendix-D mean below.
-            debug_assert!(
-                self.stats_positions.binary_search(&j).is_err(),
-                "strategy update has a nonzero value at BN-statistic position {j}"
-            );
-            self.changed.push(j);
-        });
         let stats_len = self.stats_positions.len();
         let delivered_count = delivered.iter().filter(|&&d| d).count();
-        if delivered_count > 0 {
+        if delivered_count > 0 && stats_len > 0 {
+            // The delivered rows are summed into the first, row by row:
+            // each statistic still adds up its values in slot order.
+            let mut rows = (self.stats_saved.chunks_exact_mut(stats_len).zip(delivered))
+                .filter_map(|(row, &d)| d.then_some(row));
+            let sums = rows.next().expect("a kept slot delivered");
+            for row in rows {
+                vecops::add_assign(sums, row);
+            }
             let inv_k = 1.0 / delivered_count as f32;
             let params = self.model.params_mut();
-            for (j, &p) in self.stats_positions.iter().enumerate() {
-                let mean: f32 = (0..delivered.len())
-                    .filter(|&slot| delivered[slot])
-                    .map(|slot| self.stats_saved[slot * stats_len + j])
-                    .sum::<f32>()
-                    * inv_k;
+            for (&p, &sum) in self.stats_positions.iter().zip(&*sums) {
+                let mean = sum * inv_k;
                 params[p] += mean;
                 if mean != 0.0 {
                     self.changed.push(p);
                 }
             }
         }
-        rec.changed_positions = self.changed.len();
-        self.staleness.record_update(self.changed.iter().copied());
+        let stats_positions = &self.stats_positions;
+        rec.changed_positions = self.staleness.record_update_with(|stamp| {
+            update.for_each_nonzero(|j, _| {
+                // Strategy contract: BN-statistic positions are uncovered
+                // or carry exact zeros — a nonzero here would double-apply
+                // with the Appendix-D mean above.
+                debug_assert!(
+                    stats_positions.binary_search(&j).is_err(),
+                    "strategy update has a nonzero value at BN-statistic position {j}"
+                );
+                stamp.mark(j);
+            });
+            self.changed.iter().for_each(|&p| stamp.mark(p));
+        });
         self.scratch.put_update(update);
         self.skipped_uploads += delivered.len() - delivered_count;
     }
@@ -725,7 +736,17 @@ impl RoundEngine {
     /// [`wire_link::decode_upload_with_stats`] a split upload whose parts
     /// disagree on `dim`. On success the stats values are in kept slot
     /// `slot` of `stats_saved`.
-    fn decode_arrival(&mut self, payload: &[u8], slot: usize) -> Result<Upload, WireError> {
+    ///
+    /// Every check runs here, before anything is folded, and a rejection
+    /// is typed and counted once. A dense upload comes back as the
+    /// verified frame's values ([`Upload::DenseFrame`], borrowing
+    /// `payload`): the fold reads them in place, and only the gate's
+    /// parking of an early arrival copies them.
+    fn decode_arrival<'p>(
+        &mut self,
+        payload: &'p [u8],
+        slot: usize,
+    ) -> Result<Upload<'p>, WireError> {
         let dim = self.model.num_params();
         let stats_len = self.stats_positions.len();
         let (upload, stats_frame) = wire_link::decode_upload_with_stats(
@@ -946,6 +967,122 @@ mod tests {
 
         fn rejected(&mut self, round: u32, slot: usize, err: &WireError) {
             self.clients.rejected(round, slot, err);
+        }
+    }
+
+    /// A small FedAvg run: 16 hidden units, everyone always online.
+    fn tiny_fedavg() -> SimConfig {
+        let mut cfg = SimConfig::paper_setup(
+            DatasetProfile::Femnist,
+            DatasetModel::ShuffleNet,
+            StrategyConfig::FedAvg,
+            0.02,
+            3,
+            11,
+        );
+        cfg.model.hidden = vec![16];
+        cfg.dataset.feature_dim = 12;
+        cfg.dataset.classes = 8;
+        cfg.dataset.test_samples = 200;
+        cfg.availability = None;
+        cfg
+    }
+
+    /// The in-process clients, their uploads delivered in descending
+    /// client id: every upload but a round's last arrives ahead of a
+    /// lower id, so the gate parks it.
+    struct Descending {
+        clients: InProcessClients,
+        /// The round's uploads, lowest id last, once the first is asked for.
+        ready: Option<Vec<(Arrival, Vec<u8>)>>,
+    }
+
+    impl RoundIo for Descending {
+        fn reachable(&self, id: ClientId) -> bool {
+            self.clients.reachable(id)
+        }
+
+        fn invite(&mut self, round: u32, invited: &[(ClientId, Group)], broadcast: &Broadcast<'_>) {
+            self.clients.invite(round, invited, broadcast);
+        }
+
+        fn offers(&mut self, round: u32, offers: &mut [Option<u64>]) {
+            self.clients.offers(round, offers);
+        }
+
+        fn grant(&mut self, round: u32, kept: &[usize]) {
+            self.ready = None;
+            self.clients.grant(round, kept);
+        }
+
+        fn next_upload(&mut self, round: u32, payload: &mut Vec<u8>) -> Option<Arrival> {
+            let clients = &mut self.clients;
+            let ready = self.ready.get_or_insert_with(|| {
+                let mut bytes = Vec::new();
+                std::iter::from_fn(|| {
+                    Some((
+                        clients.next_upload(round, &mut bytes)?,
+                        std::mem::take(&mut bytes),
+                    ))
+                })
+                .collect()
+            });
+            let (arrival, bytes) = ready.pop()?;
+            payload.extend_from_slice(&bytes);
+            Some(arrival)
+        }
+
+        fn rejected(&mut self, round: u32, slot: usize, err: &WireError) {
+            self.clients.rejected(round, slot, err);
+        }
+    }
+
+    /// A FedAvg round folded in client-id order — the in-process
+    /// clients' order — folds every dense upload from its frame bytes:
+    /// the only `f32` buffer the engine's pool ever lends is the round's
+    /// accumulator, which comes back with the applied update.
+    #[test]
+    fn an_in_order_dense_round_takes_no_value_buffer_for_its_uploads() {
+        let cfg = tiny_fedavg();
+        let setup = RunSetup::new(&cfg);
+        let mut io = InProcessClients::new(&cfg, &setup);
+        let mut engine = RoundEngine::new(cfg.clone(), setup);
+        for _ in 0..cfg.rounds {
+            let rec = engine.step(&mut io);
+            assert!(rec.kept > 1 && rec.changed_positions > 0);
+            assert_eq!(engine.scratch.idle_buffers(), 1, "round {}", rec.round);
+        }
+    }
+
+    /// Uploads arriving in descending client id are parked, each
+    /// materialized into a pooled `f32` buffer, and folded in id order
+    /// once the lowest arrives: the round's weights are the in-order
+    /// round's bit for bit, and every buffer the round takes from the
+    /// pool comes back — the fold's two payload buffers (one shared with
+    /// the broadcast) and, beside the accumulator, one value buffer per
+    /// parked upload, the same ones round after round.
+    #[test]
+    fn a_descending_round_returns_every_buffer_it_parks_in() {
+        let cfg = tiny_fedavg();
+        let setup = RunSetup::new(&cfg);
+        let mut in_order = InProcessClients::new(&cfg, &setup);
+        let mut reference = RoundEngine::new(cfg.clone(), setup);
+        let setup = RunSetup::new(&cfg);
+        let mut io = Descending {
+            clients: InProcessClients::new(&cfg, &setup),
+            ready: None,
+        };
+        let mut engine = RoundEngine::new(cfg.clone(), setup);
+        for _ in 0..cfg.rounds {
+            let _ = reference.step(&mut in_order);
+            let rec = engine.step(&mut io);
+            assert!(rec.kept > 1, "nothing was parked");
+            let pooled = (
+                engine.scratch.idle_byte_buffers(),
+                engine.scratch.idle_buffers(),
+            );
+            assert_eq!(pooled, (2, rec.kept), "round {}", rec.round);
+            assert!(param_bits(&engine) == param_bits(&reference));
         }
     }
 

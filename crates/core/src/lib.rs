@@ -80,4 +80,4 @@ pub use simulator::{
     batch_local_train_into, local_train_into, local_train_seed, train_client_into, ClientTurn,
     InProcessClients, Simulation,
 };
-pub use staleness::StalenessTracker;
+pub use staleness::{StalenessTracker, Stamp};

@@ -159,6 +159,8 @@ impl ScratchPool {
     pub fn reclaim_upload(&mut self, upload: Upload) {
         match upload {
             Upload::Dense(values) => self.put(values),
+            // The values are the frame's bytes, which the receiver owns.
+            Upload::DenseFrame(_) => {}
             Upload::Sparse(u) => {
                 let (ix, vals) = u.into_buffers();
                 self.put_sparse(ix, vals);

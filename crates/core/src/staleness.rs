@@ -92,17 +92,36 @@ impl StalenessTracker {
     }
 
     /// Records the positions changed by this round's aggregated update and
-    /// bumps the global version.
+    /// bumps the global version. A position listed twice is stamped once.
     pub fn record_update<I: IntoIterator<Item = usize>>(&mut self, changed: I) {
-        let new_version = self.version + 1;
+        let _ = self.record_update_with(|stamp| changed.into_iter().for_each(|j| stamp.mark(j)));
+    }
+
+    /// [`record_update`](Self::record_update) for a caller that walks the
+    /// changed positions itself, with a callback scan such as
+    /// [`gluefl_tensor::MaskedUpdate::for_each_nonzero`]: `walk` marks
+    /// each one on the [`Stamp`] it is handed, so no list of positions is
+    /// built in between. Returns the number of positions marked, each
+    /// counted once.
+    ///
+    /// Positions move between histogram buckets a run at a time:
+    /// consecutive positions that last changed at the same version —
+    /// every position of a FedAvg round, the blocks of a masked one — cost
+    /// one bucket update per run, not one per position.
+    #[must_use]
+    pub fn record_update_with(&mut self, walk: impl FnOnce(&mut Stamp<'_>)) -> usize {
+        let version = self.version + 1;
         self.hist.push(0);
-        for j in changed {
-            let old = self.last_changed[j] as usize;
-            self.hist[old] -= 1;
-            self.last_changed[j] = new_version;
-            *self.hist.last_mut().expect("hist non-empty") += 1;
-        }
-        self.version = new_version;
+        let mut stamp = Stamp {
+            last_changed: &mut self.last_changed,
+            hist: &mut self.hist,
+            version,
+            run_from: 0,
+            run_len: 0,
+        };
+        walk(&mut stamp);
+        stamp.end_run(0);
+        self.version = version;
         // Rebuild prefix sums once per version.
         self.prefix.resize(self.hist.len(), 0);
         let mut acc = 0usize;
@@ -110,6 +129,7 @@ impl StalenessTracker {
             acc += h;
             *p = acc;
         }
+        self.hist[version as usize]
     }
 
     /// Number of positions that changed after version `v` — the size of
@@ -140,6 +160,44 @@ impl StalenessTracker {
         } else {
             legacy_sparse_len(Codec::F32, self.dim(), stale)
         }
+    }
+}
+
+/// One round's marking of changed positions, handed out by
+/// [`StalenessTracker::record_update_with`].
+#[derive(Debug)]
+pub struct Stamp<'a> {
+    last_changed: &'a mut [u32],
+    hist: &'a mut [usize],
+    /// The version being recorded.
+    version: u32,
+    /// The current run: the version its positions leave, and its length.
+    run_from: u32,
+    run_len: usize,
+}
+
+impl Stamp<'_> {
+    /// Marks position `j` as changed in the version being recorded; a
+    /// position marked twice counts once.
+    ///
+    /// # Panics
+    /// Panics if `j` is out of range.
+    #[inline]
+    pub fn mark(&mut self, j: usize) {
+        let old = std::mem::replace(&mut self.last_changed[j], self.version);
+        if old != self.run_from {
+            self.end_run(old);
+        }
+        self.run_len += 1;
+    }
+
+    /// Moves the current run into the new version's bucket and starts an
+    /// empty one leaving version `from`. A run of positions marked twice
+    /// leaves the new version for itself: it moves nothing.
+    fn end_run(&mut self, from: u32) {
+        self.hist[self.version as usize] += self.run_len;
+        self.hist[self.run_from as usize] -= self.run_len;
+        (self.run_from, self.run_len) = (from, 0);
     }
 }
 

@@ -270,7 +270,7 @@ mod tests {
     }
 
     /// What an honest client uploads for `delta` in a mask-shift round.
-    fn split_upload(s: &Strategy, round: u32, delta: &[f32]) -> Upload {
+    fn split_upload(s: &Strategy, round: u32, delta: &[f32]) -> Upload<'static> {
         let Strategy::GlueFl(fold) = s else {
             unreachable!("a GlueFL fold")
         };

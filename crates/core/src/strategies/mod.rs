@@ -35,13 +35,27 @@ use crate::config::{SimConfig, StrategyConfig};
 use crate::scratch::ScratchPool;
 use gluefl_compress::mask_shift::ClientSplit;
 use gluefl_tensor::{BitMask, MaskAligned, MaskedUpdate, SparseUpdate};
+use gluefl_wire::ValueView;
 use rand::rngs::StdRng;
 
 /// A compressed client upload.
+///
+/// A client builds one from owned buffers; a receiver decodes one from
+/// verified frames ([`crate::wire_link::decode_upload_with_stats`]).
+/// Decoding copies the values of every variant into pooled buffers
+/// except a dense upload's: those stay in the frame bytes they arrived
+/// in ([`Upload::DenseFrame`], borrowing the payload for `'a`), and the
+/// dense fold reads them there. A received dense upload is materialized
+/// into [`Upload::Dense`] — the only copy the receive path makes of it —
+/// when the streaming gate must park it behind a lower client id
+/// ([`crate::stream::StreamingAggregator::accept`]).
 #[derive(Debug, Clone, PartialEq)]
-pub enum Upload {
-    /// Full dense delta (FedAvg).
+pub enum Upload<'a> {
+    /// Full dense delta (FedAvg), in a buffer of its own.
     Dense(Vec<f32>),
+    /// Full dense delta as received: the values of a verified dense
+    /// frame, read in place.
+    DenseFrame(ValueView<'a>),
     /// Top-`q` sparse delta with explicit positions (STC).
     Sparse(SparseUpdate),
     /// Top-`q` sparse delta, ternary-quantized (STC + footnote-1
@@ -54,12 +68,13 @@ pub enum Upload {
     MaskSplit(ClientSplit),
 }
 
-impl Upload {
+impl Upload<'_> {
     /// Dimension of the underlying parameter vector.
     #[must_use]
     pub fn dim(&self) -> usize {
         match self {
             Upload::Dense(v) => v.len(),
+            Upload::DenseFrame(v) => v.len(),
             Upload::Sparse(u) => u.dim(),
             Upload::KnownMask(u) => u.dim(),
             Upload::Ternary(t) => t.dim(),
@@ -68,7 +83,9 @@ impl Upload {
     }
 
     /// Accumulates `weight ×` this upload into a dense vector — the fold
-    /// of the strategies whose uploads carry their positions.
+    /// of the strategies whose uploads carry their positions. A received
+    /// dense upload is folded straight from its frame bytes, bit-identical
+    /// to folding its copied values.
     ///
     /// # Panics
     /// Panics on dimension mismatch (`acc.len()` must equal the upload's
@@ -79,6 +96,7 @@ impl Upload {
         assert_eq!(acc.len(), self.dim(), "upload dimension mismatch");
         match self {
             Upload::Dense(v) => gluefl_tensor::vecops::axpy(acc, weight, v),
+            Upload::DenseFrame(v) => v.add_scaled_into(acc, weight),
             Upload::Sparse(u) => u.add_scaled_into(acc, weight),
             Upload::Ternary(t) => {
                 for (&i, &sign) in t.indices.iter().zip(&t.signs) {
@@ -88,6 +106,26 @@ impl Upload {
             Upload::KnownMask(_) | Upload::MaskSplit(_) => {
                 panic!("a mask-aligned upload has no positions to accumulate at")
             }
+        }
+    }
+
+    /// This upload with every value in a buffer of its own, so it can
+    /// outlive the bytes it was received in: a received dense upload's
+    /// values are copied out of their frame into a buffer from
+    /// `scratch` (returned by [`ScratchPool::reclaim_upload`]); every
+    /// other variant already owns its buffers and moves as it is.
+    pub(crate) fn into_owned(self, scratch: &mut ScratchPool) -> Upload<'static> {
+        match self {
+            Upload::DenseFrame(v) => {
+                let mut values = scratch.take_cleared();
+                v.extend_into(&mut values);
+                Upload::Dense(values)
+            }
+            Upload::Dense(v) => Upload::Dense(v),
+            Upload::Sparse(u) => Upload::Sparse(u),
+            Upload::Ternary(t) => Upload::Ternary(t),
+            Upload::KnownMask(u) => Upload::KnownMask(u),
+            Upload::MaskSplit(s) => Upload::MaskSplit(s),
         }
     }
 }
@@ -230,7 +268,7 @@ impl Strategy {
         match (self, upload) {
             (Self::Stc(fold), Upload::Sparse(_)) => !fold.quantize,
             (Self::Stc(fold), Upload::Ternary(_)) => fold.quantize,
-            (Self::Dense(_), Upload::Dense(_))
+            (Self::Dense(_), Upload::Dense(_) | Upload::DenseFrame(_))
             | (Self::Apf(_), Upload::KnownMask(_))
             | (Self::GlueFl(_), Upload::MaskSplit(_)) => true,
             _ => false,
@@ -254,7 +292,10 @@ impl Strategy {
     /// bit-exactness note). The upload is borrowed — the caller keeps
     /// ownership and can return its buffers to the pool immediately
     /// afterwards, so a streaming server never stages more than the
-    /// out-of-order arrivals.
+    /// out-of-order arrivals. A received dense upload
+    /// ([`Upload::DenseFrame`]) is read in place from its verified frame
+    /// bytes, one `+= w·v` per position as for an owned one, so the
+    /// receiver never copies an upload it folds on arrival.
     ///
     /// # Panics
     /// Panics on an upload the fold does not [`accept`](Self::accepts),

@@ -5,13 +5,16 @@
 //! whose bit-exactness contract requires folding in ascending client-id
 //! order (see the [`Strategy`] docs). The gate folds an upload the moment
 //! every lower-id kept upload has been folded, and *parks* early arrivals
-//! until their turn. Each folded upload's buffers go straight back to the
-//! [`ScratchPool`], so the only staging that ever exists is the
-//! out-of-order prefix of arrivals — the collect-then-aggregate
-//! `O(K·nnz)` buffer is gone. What any arrival order must reproduce is
-//! the reference round's fold in ascending client-id order
-//! (`crates/core/tests/reference/`); `streaming_fold.rs` delivers the
-//! engine's uploads in shuffled orders and holds it to that.
+//! until their turn. An upload folded on arrival is folded as it came —
+//! a received dense upload straight from its frame bytes
+//! ([`Upload::DenseFrame`]) — and its buffers go straight back to the
+//! [`ScratchPool`]. Only a parked upload outlives its arrival, so only a
+//! parked upload is materialized into buffers of its own: the only
+//! staging that ever exists is the out-of-order prefix of arrivals — the
+//! collect-then-aggregate `O(K·nnz)` buffer is gone. What any arrival
+//! order must reproduce is the reference round's fold in ascending
+//! client-id order (`crates/core/tests/reference/`); `streaming_fold.rs`
+//! delivers the engine's uploads in shuffled orders and holds it to that.
 //!
 //! A kept client that fails mid-round (hostile bytes, disconnect,
 //! deadline miss) is [`StreamingAggregator::skip`]ped: its slot is marked
@@ -49,8 +52,9 @@ impl std::error::Error for StreamError {}
 enum Slot {
     /// Nothing received yet.
     Waiting,
-    /// Received out of order; staged until every lower id folds.
-    Parked(Upload),
+    /// Received out of order; staged, in buffers of its own, until every
+    /// lower id folds.
+    Parked(Upload<'static>),
     /// Folded into the strategy's partial sums.
     Done,
     /// Skipped: the client failed and contributes nothing.
@@ -140,7 +144,11 @@ impl StreamingAggregator {
     /// Delivers client `id`'s upload. Folds it immediately when `id` is
     /// the lowest unresolved client (then drains any parked successors),
     /// otherwise parks it. Takes ownership: folded uploads' buffers are
-    /// returned to `scratch` on the spot.
+    /// returned to `scratch` on the spot. An upload folded on arrival is
+    /// read where it lies — a received dense upload in its frame bytes;
+    /// a parked one must outlive those bytes, so it is first
+    /// materialized into buffers of its own (for a dense frame, a pooled
+    /// copy of its values).
     ///
     /// # Errors
     /// [`StreamError::UnknownClient`] if `id` is not kept;
@@ -164,9 +172,22 @@ impl StreamingAggregator {
             scratch.reclaim_upload(upload);
             return Err(StreamError::DuplicateUpload(id));
         }
-        self.slots[idx] = Slot::Parked(upload);
+        if idx == self.next {
+            self.fold_next(strategy, &upload);
+            scratch.reclaim_upload(upload);
+        } else {
+            self.slots[idx] = Slot::Parked(upload.into_owned(scratch));
+        }
         self.drain(strategy, scratch);
         Ok(())
+    }
+
+    /// Folds `upload` as the lowest unresolved slot's, at its weight.
+    fn fold_next(&mut self, strategy: &mut Strategy, upload: &Upload) {
+        let (_, weight) = self.expected[self.next];
+        strategy.fold_upload(weight, upload);
+        self.slots[self.next] = Slot::Done;
+        self.next += 1;
     }
 
     /// Marks kept client `id` as failed: it contributes nothing, later
@@ -208,10 +229,8 @@ impl StreamingAggregator {
                     else {
                         unreachable!("matched Parked above")
                     };
-                    let (_, weight) = self.expected[self.next];
-                    strategy.fold_upload(weight, &upload);
+                    self.fold_next(strategy, &upload);
                     scratch.reclaim_upload(upload);
-                    self.next += 1;
                 }
                 Slot::Waiting | Slot::Done => break,
             }
@@ -267,7 +286,7 @@ mod tests {
     /// Every upload's aggregation weight.
     const W: f32 = 0.2;
 
-    fn uploads(n: usize, dim: usize) -> Vec<(ClientId, f32, Upload)> {
+    fn uploads(n: usize, dim: usize) -> Vec<(ClientId, f32, Upload<'static>)> {
         (0..n)
             .map(|i| {
                 let v: Vec<f32> = (0..dim)

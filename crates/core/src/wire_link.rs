@@ -8,7 +8,9 @@
 //! upload payload (those frames plus the stats frame every sender
 //! appends) back into an `Upload`, drawing index/value storage from the
 //! [`ScratchPool`] so the receive path is allocation-free in steady
-//! state. Mask-aligned payloads carry no position bytes and decode to
+//! state. A dense upload's values are not copied at all: they stay in
+//! the verified frame ([`Upload::DenseFrame`]), where the dense fold
+//! reads them. Mask-aligned payloads carry no position bytes and decode to
 //! plain value runs ([`MaskAligned`]) — no positions are rebuilt either;
 //! the round's mask ([`crate::strategies::Strategy::round_mask`]) is
 //! what such a frame's `dim` and `nnz` are checked against.
@@ -71,6 +73,7 @@ pub fn encoded_len(upload: &Upload, policy: &WirePolicy) -> u64 {
     let w = FrameWriter::new(*policy);
     match upload {
         Upload::Dense(values) => w.dense_len(values.len()),
+        Upload::DenseFrame(values) => w.dense_len(values.len()),
         Upload::Sparse(u) => w.sparse_len(u.dim(), u.indices()),
         Upload::KnownMask(u) => w.known_mask_len(u.nnz()),
         Upload::Ternary(t) => w.ternary_len(t.dim(), &t.indices),
@@ -148,6 +151,13 @@ pub fn encode_upload_with_feedback(
     let lossy = policy.quant_ec && policy.codec != Codec::F32;
     match upload {
         Upload::Dense(values) => w.dense(out, round, rounding, values),
+        Upload::DenseFrame(values) => {
+            // A received upload sent on: its values are staged in the
+            // caller's scratch, which the dense frame reports nothing to.
+            shipped.clear();
+            values.extend_into(shipped);
+            w.dense(out, round, rounding, shipped)
+        }
         Upload::Sparse(u) => {
             let start = out.len();
             let n = w.sparse(out, round, rounding, u.dim(), u.indices(), u.values());
@@ -224,8 +234,15 @@ fn report_shipped(
 /// frame. The grammar is prefix-decidable with [`decode_frame_prefix`]
 /// alone (a known-mask first frame is a split upload iff a sparse frame
 /// follows it), so a streaming receiver needs no out-of-band length
-/// split between the upload and stats sections. All rebuilt storage is
-/// pooled through `scratch`; `round_mask` supplies the mask that
+/// split between the upload and stats sections. Every check runs before
+/// the upload is returned — checksums, kinds, the grammar, trailing
+/// bytes — so what comes back is verified. A dense frame's values are
+/// then left where they are: the upload is an [`Upload::DenseFrame`]
+/// borrowing `buf`, which the fold reads in place and which is copied
+/// only if the receiver must keep it past `buf`
+/// ([`crate::stream::StreamingAggregator::accept`] parking an early
+/// arrival). Every other variant's rebuilt storage is pooled through
+/// `scratch`; `round_mask` supplies the mask that
 /// positions mask-aligned payloads (required unless such a frame is
 /// empty). The returned stats [`Frame`] borrows `buf`; the caller
 /// decodes its values (the frame's `dim`/`nnz` are validated against
@@ -248,14 +265,10 @@ pub fn decode_upload_with_stats<'a>(
     buf: &'a [u8],
     round_mask: Option<&BitMask>,
     scratch: &mut ScratchPool,
-) -> Result<(Upload, Frame<'a>), WireError> {
+) -> Result<(Upload<'a>, Frame<'a>), WireError> {
     let (first, rest) = decode_frame_prefix(buf)?;
     let (upload, rest) = match first.kind {
-        FrameKind::Dense => {
-            let mut values = scratch.take_cleared();
-            first.values_into(&mut values);
-            (Upload::Dense(values), rest)
-        }
+        FrameKind::Dense => (Upload::DenseFrame(first.value_view()), rest),
         k if k.is_sparse() => (Upload::Sparse(decode_sparse_frame(&first, scratch)), rest),
         k if k.is_ternary() => {
             let (mut indices, spare_values) = scratch.take_sparse();
@@ -370,7 +383,7 @@ mod tests {
         frames: &[u8],
         mask: Option<&BitMask>,
         scratch: &mut ScratchPool,
-    ) -> Result<Upload, WireError> {
+    ) -> Result<Upload<'static>, WireError> {
         let mut payload = frames.to_vec();
         let _ = FrameWriter::new(WirePolicy::default()).known_mask(
             &mut payload,
@@ -379,10 +392,11 @@ mod tests {
             0,
             &[],
         );
-        decode_upload_with_stats(&payload, mask, scratch).map(|(upload, _)| upload)
+        decode_upload_with_stats(&payload, mask, scratch)
+            .map(|(upload, _)| upload.into_owned(scratch))
     }
 
-    fn roundtrip(upload: &Upload, mask: Option<&BitMask>) -> (Upload, usize) {
+    fn roundtrip(upload: &Upload, mask: Option<&BitMask>) -> (Upload<'static>, usize) {
         let mut scratch = ScratchPool::new();
         let mut buf = Vec::new();
         let n = encode_upload(upload, 3, &WirePolicy::default(), 0, &mut buf);
@@ -653,7 +667,12 @@ mod tests {
             assert_eq!(n as u64, encoded_len(&upload, &WirePolicy::default()));
             let (decoded, stats_frame) =
                 decode_upload_with_stats(&buf, round_mask, &mut scratch).expect("valid payload");
-            assert_eq!(decoded, upload);
+            // Only a dense upload is left in its frame.
+            assert_eq!(
+                matches!(decoded, Upload::DenseFrame(_)),
+                matches!(upload, Upload::Dense(_))
+            );
+            assert_eq!(decoded.into_owned(&mut scratch), upload);
             assert_eq!(stats_frame.nnz, stats.len());
             let mut got = Vec::new();
             stats_frame.values_into(&mut got);

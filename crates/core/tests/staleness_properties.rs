@@ -10,18 +10,35 @@ use gluefl_core::{StalenessTracker, WireCodec, WirePolicy};
 use gluefl_wire::{FrameWriter, Rounding};
 use proptest::prelude::*;
 
+/// What one round changes, as an update pattern lists it: the drawn
+/// positions themselves (`0`); every position, FedAvg's round (`1`);
+/// or the ranges between consecutive drawn positions, overlapping and so
+/// listing some positions twice (`2`) — positions whose old versions
+/// come in long runs, which the tracker moves between buckets a run at a
+/// time.
+fn changed_in(pattern: usize, dim: usize, drawn: &std::collections::BTreeSet<usize>) -> Vec<usize> {
+    let drawn: Vec<usize> = drawn.iter().copied().filter(|&j| j < dim).collect();
+    match pattern {
+        0 => drawn,
+        1 => (0..dim).collect(),
+        _ => drawn.windows(3).flat_map(|w| w[0]..w[2]).collect(),
+    }
+}
+
 proptest! {
     /// Fast path == the reference's recount for every version, under
-    /// random updates.
+    /// random updates, FedAvg's every-position rounds and long runs of
+    /// equal old versions, each round drawing its own pattern.
     #[test]
     fn histogram_matches_bruteforce(
         dim in 1usize..400,
+        patterns in proptest::collection::vec(0usize..3, 30),
         rounds in proptest::collection::vec(
             proptest::collection::btree_set(0usize..400, 0..80), 0..30)) {
         let mut st = StalenessTracker::new(dim, 2);
         let mut last_changed = vec![0u32; dim];
-        for changed in &rounds {
-            let changed: Vec<usize> = changed.iter().copied().filter(|&j| j < dim).collect();
+        for (drawn, &pattern) in rounds.iter().zip(&patterns) {
+            let changed = changed_in(pattern, dim, drawn);
             st.record_update(changed.iter().copied());
             for &j in &changed {
                 last_changed[j] = st.version();

@@ -131,8 +131,18 @@ impl MaskedUpdate {
     /// is non-zero, in increasing position order.
     ///
     /// This is the changed-position scan of the round loop: `O(d/64 +
-    /// nnz)` instead of a dense `O(d)` walk.
+    /// nnz)` instead of a dense `O(d)` walk. A full-mask update's packed
+    /// values are the dense vector, so it is walked by value alone, with
+    /// no bit walk beside it.
     pub fn for_each_nonzero(&self, mut f: impl FnMut(usize, f32)) {
+        if self.is_dense() {
+            for (i, &v) in self.values.iter().enumerate() {
+                if v != 0.0 {
+                    f(i, v);
+                }
+            }
+            return;
+        }
         let mut j = 0usize;
         self.mask.for_each_one(|i| {
             let v = self.values[j];

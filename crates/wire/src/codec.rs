@@ -134,6 +134,22 @@ pub(crate) fn extend_le_words<T: Copy>(
 /// [`Codec::F32`] sections are written in bulk (a staged copy at memory
 /// speed); the other codecs convert value by value.
 pub fn encode_values(out: &mut Vec<u8>, codec: Codec, rounding: Rounding, values: &[f32]) -> usize {
+    encode_values_at(out, codec, rounding, values, 0)
+}
+
+/// [`encode_values`] for the part of a section that starts at value
+/// `first`: stochastic rounding draws value `first + j`'s bit for
+/// `values[j]`, so a section written part by part — each part starting
+/// on a [`QUANT_BLOCK`] boundary — is byte-identical to one written
+/// whole.
+pub(crate) fn encode_values_at(
+    out: &mut Vec<u8>,
+    codec: Codec,
+    rounding: Rounding,
+    values: &[f32],
+    first: usize,
+) -> usize {
+    debug_assert!(first.is_multiple_of(QUANT_BLOCK), "parts start on a block");
     let start = out.len();
     match codec {
         Codec::F32 => extend_le_words(out, values, f32::to_le_bytes),
@@ -150,7 +166,8 @@ pub fn encode_values(out: &mut Vec<u8>, codec: Codec, rounding: Rounding, values
                 let scale = max_abs / 127.0;
                 out.extend_from_slice(&scale.to_le_bytes());
                 for (j, &v) in block.iter().enumerate() {
-                    out.push(quantize_u8(v, scale, rounding, b * QUANT_BLOCK + j));
+                    let index = first + b * QUANT_BLOCK + j;
+                    out.push(quantize_u8(v, scale, rounding, index));
                 }
             }
         }
@@ -158,18 +175,21 @@ pub fn encode_values(out: &mut Vec<u8>, codec: Codec, rounding: Rounding, values
     out.len() - start
 }
 
-/// The values of an F32 section, in order.
+/// The values of an F32 section, in order: the one little-endian reader
+/// every F32 value section is read through.
 fn f32_values(bytes: &[u8]) -> impl Iterator<Item = f32> + '_ {
-    bytes
-        .chunks_exact(4)
-        .map(|chunk| f32::from_le_bytes(chunk.try_into().expect("4-byte chunk")))
+    let (words, rest) = bytes.as_chunks::<4>();
+    debug_assert!(rest.is_empty(), "an F32 section is whole words");
+    words.iter().map(|word| f32::from_le_bytes(*word))
 }
 
 /// The values of an F16 section, in order.
 fn f16_values(bytes: &[u8]) -> impl Iterator<Item = f32> + '_ {
-    bytes
-        .chunks_exact(2)
-        .map(|chunk| f16_bits_to_f32(u16::from_le_bytes(chunk.try_into().expect("2-byte chunk"))))
+    let (halves, rest) = bytes.as_chunks::<2>();
+    debug_assert!(rest.is_empty(), "an F16 section is whole half-words");
+    halves
+        .iter()
+        .map(|half| f16_bits_to_f32(u16::from_le_bytes(*half)))
 }
 
 /// The values of a QuantU8 section, in order: every block is a 4-byte
@@ -192,47 +212,101 @@ pub(crate) fn fill(out: &mut [f32], values: impl Iterator<Item = f32>) {
     }
 }
 
-/// Decodes a value section of exactly `n` values into `out` (appended).
-///
-/// Each codec's section is one iterator handed to `Vec::extend`; for the
-/// fixed-width codecs its length is known up front, so the F32 case is a
-/// bulk copy rather than a per-value `push`.
-///
-/// # Panics
-/// Panics if `bytes.len() != codec.value_section_len(n)` — frame decoding
-/// guarantees the equality.
-pub fn decode_values_into(out: &mut Vec<f32>, codec: Codec, bytes: &[u8], n: usize) {
-    assert_eq!(
-        bytes.len(),
-        codec.value_section_len(n),
-        "value section length mismatch"
-    );
-    match codec {
-        Codec::F32 => out.extend(f32_values(bytes)),
-        Codec::F16 => out.extend(f16_values(bytes)),
-        Codec::QuantU8 => {
-            out.reserve(n);
-            out.extend(quant_values(bytes));
-        }
+/// `acc[i] += weight · values[i]`, slot by slot: one rounded product and
+/// one `+=` per position, the arithmetic of [`gluefl_tensor::vecops::axpy`].
+fn add_scaled(acc: &mut [f32], weight: f32, values: impl Iterator<Item = f32>) {
+    for (a, v) in acc.iter_mut().zip(values) {
+        *a += weight * v;
     }
 }
 
-/// Decodes a value section of exactly `out.len()` values over `out`, for
-/// a receiver that already owns the destination (one zipped pass, no
-/// intermediate vector).
+/// A codec value section read in place — the values of a verified frame
+/// ([`crate::Frame::value_view`]), still in the bytes they arrived in.
 ///
-/// # Panics
-/// Panics if `bytes.len() != codec.value_section_len(out.len())`.
-pub(crate) fn decode_values_to(out: &mut [f32], codec: Codec, bytes: &[u8]) {
-    assert_eq!(
-        bytes.len(),
-        codec.value_section_len(out.len()),
-        "value section length mismatch"
-    );
-    match codec {
-        Codec::F32 => fill(out, f32_values(bytes)),
-        Codec::F16 => fill(out, f16_values(bytes)),
-        Codec::QuantU8 => fill(out, quant_values(bytes)),
+/// A receiver that only needs the values once folds them straight from
+/// the bytes ([`add_scaled_into`](Self::add_scaled_into)) and never
+/// copies them; one that must keep them past the frame's buffer copies
+/// them out ([`extend_into`](Self::extend_into),
+/// [`write_to`](Self::write_to)). All three walk the section through
+/// the codec's one reader, so a fold from the bytes and a fold of the
+/// copied values compute the same bits.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ValueView<'a> {
+    codec: Codec,
+    bytes: &'a [u8],
+    len: usize,
+}
+
+impl<'a> ValueView<'a> {
+    /// The `len` values `codec` laid out in `bytes`.
+    ///
+    /// # Panics
+    /// Panics if `bytes.len() != codec.value_section_len(len)` — frame
+    /// decoding guarantees the equality.
+    pub(crate) fn new(codec: Codec, bytes: &'a [u8], len: usize) -> Self {
+        assert_eq!(
+            bytes.len(),
+            codec.value_section_len(len),
+            "value section length mismatch"
+        );
+        Self { codec, bytes, len }
+    }
+
+    /// Number of values in the section.
+    #[must_use]
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Whether the section holds no values.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Appends the values to `out`.
+    ///
+    /// For the fixed-width codecs the reader's length is known up front,
+    /// so the F32 case is a bulk copy rather than a per-value `push`.
+    pub fn extend_into(&self, out: &mut Vec<f32>) {
+        match self.codec {
+            Codec::F32 => out.extend(f32_values(self.bytes)),
+            Codec::F16 => out.extend(f16_values(self.bytes)),
+            Codec::QuantU8 => {
+                out.reserve(self.len);
+                out.extend(quant_values(self.bytes));
+            }
+        }
+    }
+
+    /// Writes the values over `out`, for a receiver that already owns
+    /// their destination (one zipped pass, no intermediate vector).
+    ///
+    /// # Panics
+    /// Panics if `out.len()` differs from [`len`](Self::len).
+    pub fn write_to(&self, out: &mut [f32]) {
+        assert_eq!(out.len(), self.len, "value count mismatch");
+        match self.codec {
+            Codec::F32 => fill(out, f32_values(self.bytes)),
+            Codec::F16 => fill(out, f16_values(self.bytes)),
+            Codec::QuantU8 => fill(out, quant_values(self.bytes)),
+        }
+    }
+
+    /// Folds the values into `acc` in place: `acc[i] += weight · v[i]`,
+    /// read straight from the bytes. Bit-identical to copying the values
+    /// out and running [`gluefl_tensor::vecops::axpy`] over them — the
+    /// same reader, then the same single `+=` per position.
+    ///
+    /// # Panics
+    /// Panics if `acc.len()` differs from [`len`](Self::len).
+    pub fn add_scaled_into(&self, acc: &mut [f32], weight: f32) {
+        assert_eq!(acc.len(), self.len, "value count mismatch");
+        match self.codec {
+            Codec::F32 => add_scaled(acc, weight, f32_values(self.bytes)),
+            Codec::F16 => add_scaled(acc, weight, f16_values(self.bytes)),
+            Codec::QuantU8 => add_scaled(acc, weight, quant_values(self.bytes)),
+        }
     }
 }
 
@@ -369,7 +443,7 @@ mod tests {
         let n = encode_values(&mut buf, Codec::F32, Rounding::Nearest, &values);
         assert_eq!(n, 24);
         let mut back = Vec::new();
-        decode_values_into(&mut back, Codec::F32, &buf, values.len());
+        ValueView::new(Codec::F32, &buf, values.len()).extend_into(&mut back);
         for (a, b) in values.iter().zip(&back) {
             assert_eq!(a.to_bits(), b.to_bits());
         }
@@ -434,7 +508,7 @@ mod tests {
         let mut buf = Vec::new();
         encode_values(&mut buf, Codec::QuantU8, Rounding::Nearest, &values);
         let mut back = Vec::new();
-        decode_values_into(&mut back, Codec::QuantU8, &buf, values.len());
+        ValueView::new(Codec::QuantU8, &buf, values.len()).extend_into(&mut back);
         for (block, decoded) in values.chunks(QUANT_BLOCK).zip(back.chunks(QUANT_BLOCK)) {
             let scale = block.iter().fold(0.0f32, |m, v| m.max(v.abs())) / 127.0;
             for (v, d) in block.iter().zip(decoded) {
@@ -473,7 +547,7 @@ mod tests {
         );
         assert_ne!(a, other, "different seeds should round differently");
         let mut back = Vec::new();
-        decode_values_into(&mut back, Codec::QuantU8, &a, values.len());
+        ValueView::new(Codec::QuantU8, &a, values.len()).extend_into(&mut back);
         for (block, decoded) in values.chunks(QUANT_BLOCK).zip(back.chunks(QUANT_BLOCK)) {
             let scale = block.iter().fold(0.0f32, |m, v| m.max(v.abs())) / 127.0;
             for (v, d) in block.iter().zip(decoded) {
@@ -488,7 +562,7 @@ mod tests {
         let mut buf = Vec::new();
         encode_values(&mut buf, Codec::QuantU8, Rounding::Nearest, &values);
         let mut back = Vec::new();
-        decode_values_into(&mut back, Codec::QuantU8, &buf, values.len());
+        ValueView::new(Codec::QuantU8, &buf, values.len()).extend_into(&mut back);
         assert!(back.iter().all(|&v| v == 0.0));
     }
 
@@ -512,7 +586,7 @@ mod tests {
             &vals,
         );
         let mut back = Vec::new();
-        decode_values_into(&mut back, Codec::QuantU8, &buf, vals.len());
+        ValueView::new(Codec::QuantU8, &buf, vals.len()).extend_into(&mut back);
         let (mut sum, mut count) = (0.0f64, 0usize);
         for (i, &v) in back.iter().enumerate() {
             if i % QUANT_BLOCK != 0 {

@@ -64,7 +64,7 @@
 //! untrusted input never panics.
 
 use crate::codec::{
-    decode_values_into, decode_values_to, encode_values, extend_le_words, fill, Codec, Rounding,
+    encode_values, encode_values_at, extend_le_words, fill, Codec, Rounding, ValueView, QUANT_BLOCK,
 };
 use crate::crc::{crc16, crc16_update};
 use crate::error::WireError;
@@ -87,6 +87,13 @@ pub const VERSION_ENTROPY: u8 = 2;
 
 /// Fixed frame header length in bytes.
 pub const HEADER_BYTES: usize = 16;
+
+/// Values [`FrameWriter::dense`] writes and checksums at a time: 256 KB
+/// of F32 values, checksummed while they are still in cache. A whole
+/// number of quantization blocks, so a chunked QuantU8 section is the
+/// one-pass section byte for byte.
+const DENSE_CHUNK_VALUES: usize = 1 << 16;
+const _: () = assert!(DENSE_CHUNK_VALUES.is_multiple_of(QUANT_BLOCK));
 
 /// What a frame's value section holds — with the position layout, the
 /// two things a [`FrameKind`] names.
@@ -354,6 +361,12 @@ fn begin_frame(
 /// Stamps the checksum over the finished frame starting at `start`.
 fn finish_frame(out: &mut [u8], start: usize) -> usize {
     let crc = crc16_update(crc16(&out[start..start + 14]), &out[start + HEADER_BYTES..]);
+    stamp_checksum(out, start, crc)
+}
+
+/// Writes `crc` into the header of the finished frame starting at
+/// `start`; returns the frame's length.
+fn stamp_checksum(out: &mut [u8], start: usize, crc: u16) -> usize {
     out[start + 14..start + 16].copy_from_slice(&crc.to_le_bytes());
     out.len() - start
 }
@@ -407,6 +420,11 @@ impl FrameWriter {
     /// Encodes a dense frame over all of `values` (e.g. a model
     /// broadcast). Returns the frame length in bytes (appended to `out`).
     ///
+    /// The value section is written and checksummed one 256 KB chunk at
+    /// a time (CRC updates compose), so a megabyte-sized frame is never
+    /// read back from memory just to be checksummed; the bytes are those
+    /// of a one-pass encoding.
+    ///
     /// # Panics
     /// Panics if `values.len()` exceeds `u32::MAX`.
     pub fn dense(
@@ -416,16 +434,23 @@ impl FrameWriter {
         rounding: Rounding,
         values: &[f32],
     ) -> usize {
+        let codec = self.policy.codec;
         let start = begin_frame(
             out,
             FrameKind::Dense,
-            self.policy.codec,
+            codec,
             round,
             values.len(),
             values.len(),
         );
-        encode_values(out, self.policy.codec, rounding, values);
-        finish_frame(out, start)
+        out.reserve(codec.value_section_len(values.len()));
+        let mut crc = crc16(&out[start..start + 14]);
+        for (c, chunk) in values.chunks(DENSE_CHUNK_VALUES).enumerate() {
+            let at = out.len();
+            encode_values_at(out, codec, rounding, chunk, c * DENSE_CHUNK_VALUES);
+            crc = crc16_update(crc, &out[at..]);
+        }
+        stamp_checksum(out, start, crc)
     }
 
     /// Encodes a sparse frame: `values[j]` lives at coordinate
@@ -645,6 +670,12 @@ fn extend_positions(out: &mut Vec<u8>, layout: PositionLayout, dim: usize, indic
 /// position and value sections. Produced by [`decode_frame`] /
 /// [`decode_frame_prefix`], which validate everything up front — the
 /// accessor methods only panic when called on an inapplicable kind.
+///
+/// Nothing is copied out of the frame's buffer until an accessor is
+/// asked to: [`value_view`](Self::value_view) reads a dense, sparse or
+/// known-mask frame's values where they lie, and
+/// [`values_into`](Self::values_into) / [`values_to`](Self::values_to)
+/// copy them out through that same view.
 #[derive(Debug, Clone, Copy)]
 pub struct Frame<'a> {
     /// Payload shape.
@@ -973,7 +1004,7 @@ pub fn decode_frame(buf: &[u8]) -> Result<Frame<'_>, WireError> {
     Ok(frame)
 }
 
-impl Frame<'_> {
+impl<'a> Frame<'a> {
     /// Number of values the frame decodes to: `dim` for dense frames,
     /// `nnz` for sparse/known-mask frames and (as copies of `±µ`) for
     /// ternary frames, none for mask frames.
@@ -998,6 +1029,23 @@ impl Frame<'_> {
         })
     }
 
+    /// The codec value section of a dense, sparse or known-mask frame,
+    /// read in place: `dim` values for dense frames, `nnz` otherwise.
+    /// It borrows the frame's buffer, not the frame, so it lives as long
+    /// as the bytes do.
+    ///
+    /// # Panics
+    /// Panics for mask and ternary frames, which carry no codec values.
+    #[must_use]
+    pub fn value_view(&self) -> ValueView<'a> {
+        assert!(
+            self.kind.uses_value_codec(),
+            "frame kind {:?} carries no codec values",
+            self.kind
+        );
+        ValueView::new(self.codec, self.values, self.value_count())
+    }
+
     /// Appends the decoded values to `out`: `dim` values for dense
     /// frames, `nnz` for sparse/known-mask frames, `nnz` copies of `±µ`
     /// for ternary frames, nothing for mask frames.
@@ -1005,7 +1053,7 @@ impl Frame<'_> {
         match self.kind.payload() {
             Payload::Mask => {}
             Payload::Ternary => out.extend(self.ternary_values()),
-            _ => decode_values_into(out, self.codec, self.values, self.value_count()),
+            _ => self.value_view().extend_into(out),
         }
     }
 
@@ -1019,7 +1067,7 @@ impl Frame<'_> {
         match self.kind.payload() {
             Payload::Mask => {}
             Payload::Ternary => fill(out, self.ternary_values()),
-            _ => decode_values_to(out, self.codec, self.values),
+            _ => self.value_view().write_to(out),
         }
     }
 

@@ -41,7 +41,10 @@
 //! [`Frame`] borrows its position and value sections, and every
 //! malformation (truncation, checksum damage, `nnz`/`dim` inconsistency,
 //! out-of-range or unsorted indices, non-canonical padding) is a typed
-//! [`WireError`] — untrusted input never panics.
+//! [`WireError`] — untrusted input never panics. A verified frame's
+//! values can be used where they lie ([`Frame::value_view`], a
+//! [`ValueView`]): a receiver that folds a dense upload once reads it
+//! straight from the bytes and never copies it.
 //!
 //! # Example
 //!
@@ -86,7 +89,7 @@ pub mod policy;
 pub mod stats;
 mod varint;
 
-pub use codec::{Codec, Rounding, QUANT_BLOCK};
+pub use codec::{Codec, Rounding, ValueView, QUANT_BLOCK};
 pub use error::WireError;
 pub use frame::{
     decode_frame, decode_frame_prefix, frame_kind_from_header, frame_len_from_header,

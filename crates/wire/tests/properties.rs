@@ -15,9 +15,15 @@
 //!   frame length equals the `FrameWriter` predictor exactly, the chosen
 //!   position section equals its analytic cost
 //!   ([`delta_section_len`] / [`rle_section_len`]), never exceeds the
-//!   legacy layout, and the round trip stays bit-exact.
+//!   legacy layout, and the round trip stays bit-exact;
+//! * **In-place fold** — folding a verified dense frame's values straight
+//!   from its bytes equals copying them out and running `vecops::axpy`,
+//!   bit for bit, and a dense frame written chunk by chunk is the
+//!   one-pass encoding byte for byte.
 
-use gluefl_tensor::BitMask;
+use gluefl_tensor::rng::splitmix64;
+use gluefl_tensor::{vecops, BitMask};
+use gluefl_wire::crc::crc16_bitwise;
 use gluefl_wire::{
     decode_frame, delta_section_len, legacy_mask_len, legacy_sparse_len, rle_section_len,
     rle_section_len_from_indices, Codec, FrameKind, FrameWriter, Rounding, WirePolicy, QUANT_BLOCK,
@@ -315,6 +321,111 @@ proptest! {
         };
         prop_assert_eq!(enc(seed), enc(seed));
         prop_assert_ne!(enc(seed), enc(seed ^ 0x1234_5678_9abc_def0));
+    }
+}
+
+/// `n` values from `seed`, laced with the edge cases of `f32`
+/// arithmetic: signed zeros, subnormals, infinities and the extremes.
+fn laced_values(n: usize, seed: u64) -> Vec<f32> {
+    const EDGES: [f32; 10] = [
+        0.0,
+        -0.0,
+        f32::MIN_POSITIVE,
+        -f32::MIN_POSITIVE / 4.0, // subnormal
+        1.0e-44,                  // subnormal
+        f32::INFINITY,
+        f32::NEG_INFINITY,
+        f32::MAX,
+        -f32::MAX,
+        1.0,
+    ];
+    let mut state = seed;
+    (0..n)
+        .map(|_| {
+            state = splitmix64(state);
+            if state.is_multiple_of(5) {
+                EDGES[(state >> 8) as usize % EDGES.len()]
+            } else {
+                ((state >> 40) as f32 / (1u64 << 24) as f32 - 0.5) * 8.0
+            }
+        })
+        .collect()
+}
+
+/// Folds a verified dense F32 frame over `dim` laced values into a laced
+/// accumulator at the edge-case weights and a drawn one, in place and
+/// through a copy: every result bit must agree.
+fn check_in_place_fold(dim: usize, seed: u64) {
+    let values = laced_values(dim, seed);
+    let mut buf = Vec::new();
+    let _ = legacy(Codec::F32).dense(&mut buf, 3, Rounding::Nearest, &values);
+    let frame = decode_frame(&buf).unwrap();
+    let mut copied = Vec::new();
+    frame.values_into(&mut copied);
+    let drawn = ((splitmix64(seed) >> 40) as f32 / (1u64 << 24) as f32 - 0.5) * 3.0;
+    for weight in [0.0f32, -0.0, 1.0, drawn] {
+        let start = laced_values(dim, seed ^ 0x5EED);
+        let mut in_place = start.clone();
+        frame.value_view().add_scaled_into(&mut in_place, weight);
+        let mut reference = start;
+        vecops::axpy(&mut reference, weight, &copied);
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(
+            bits(&in_place),
+            bits(&reference),
+            "dim={dim} weight={weight}"
+        );
+    }
+}
+
+/// The in-place fold at the lane edges of the vectorized loops: empty,
+/// one value, one short of a lane, a lane, one past it, two lanes and one.
+#[test]
+fn in_place_fold_matches_copy_then_axpy_at_lane_edges() {
+    for dim in [0, 1, 7, 8, 9, 17] {
+        for seed in 0..8 {
+            check_in_place_fold(dim, seed);
+        }
+    }
+}
+
+proptest! {
+    /// The in-place fold ≡ `values_into` + `vecops::axpy`, bit for bit,
+    /// up to four 2¹⁶-value encoder chunks and a ragged tail.
+    #[test]
+    fn in_place_fold_matches_copy_then_axpy(dim in 0usize..=(1 << 18) + 3, seed in any::<u64>()) {
+        check_in_place_fold(dim, seed);
+    }
+}
+
+/// `FrameWriter::dense` writes and checksums the value section 2¹⁶
+/// values (256 KB of F32) at a time. Whatever the codec, a frame whose
+/// value count straddles that chunk is the one-pass encoding byte for
+/// byte — QuantU8's stochastic rounding included — and its checksum is
+/// the definitional CRC over the header and the whole payload.
+#[test]
+fn chunked_dense_frames_are_the_one_pass_encoding() {
+    const CHUNK: usize = 1 << 16;
+    for dim in [CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 3, (1 << 18) + 3] {
+        let values: Vec<f32> = (0..dim).map(|i| (i as f32 * 0.37).sin()).collect();
+        for codec in [Codec::F32, Codec::F16, Codec::QuantU8] {
+            let rounding = Rounding::Stochastic { seed: dim as u64 };
+            let mut frame = Vec::new();
+            let n = legacy(codec).dense(&mut frame, 5, rounding, &values);
+            assert_eq!(n as u64, legacy(codec).dense_len(dim));
+            let mut one_pass = Vec::new();
+            let _ = gluefl_wire::codec::encode_values(&mut one_pass, codec, rounding, &values);
+            assert!(frame[16..] == one_pass[..], "dim={dim} {codec:?}: payload");
+            let mut summed = frame[..14].to_vec();
+            summed.extend_from_slice(&one_pass);
+            let stored = u16::from_le_bytes([frame[14], frame[15]]);
+            assert_eq!(
+                stored,
+                crc16_bitwise(&summed),
+                "dim={dim} {codec:?}: checksum"
+            );
+            assert_eq!(decode_frame(&frame).unwrap().dim, dim);
+        }
     }
 }
 
