@@ -712,10 +712,12 @@ impl RoundEngine {
     }
 
     /// Evaluates the model into `rec` if the schedule asks for it, through
-    /// a pooled slot so eval rounds reuse warm forward buffers. The
-    /// forward pass is the same GEMM-backed kernel path training uses; at
-    /// test-set batch sizes it shards GEMM row blocks across threads
-    /// (bit-identical to one thread — rows never share an accumulator).
+    /// a pooled slot so eval rounds reuse warm forward buffers. The test
+    /// set streams through the same GEMM-backed forward pass training
+    /// uses, one block of [`gluefl_ml::EVAL_BLOCK_ROWS`] rows at a time,
+    /// so the slot keeps one block's activations; each block's larger
+    /// layers shard GEMM row blocks across threads (bit-identical to one
+    /// thread — rows never share an accumulator).
     fn evaluate(&mut self, rec: &mut RoundRecord) {
         let every = self.cfg.eval_every.max(1);
         if (rec.round + 1).is_multiple_of(every) || rec.round + 1 == self.cfg.rounds {

@@ -900,7 +900,10 @@ mod tests {
     /// codec loss is folded into residuals the workers produced, and an
     /// entropy wire under STC and GlueFL, whose frames are priced
     /// nominally and encoded by pattern — runs 4 rounds on one worker and on three, and whole records, final
-    /// weights and the residual bank agree bit for bit. Three workers
+    /// weights and the residual bank agree bit for bit. One GlueFL run
+    /// evaluates every round on a test set of more than three
+    /// [`gluefl_ml::EVAL_BLOCK_ROWS`]-row blocks, so the records pin the
+    /// blocked evaluation's loss and accuracy too. Three workers
     /// need not exist on the machine — the pool spawns them regardless —
     /// so this compares on any core count.
     #[test]
@@ -918,6 +921,11 @@ mod tests {
             cfg.wire = gluefl_wire::WirePolicy::entropy(gluefl_wire::Codec::QuantU8);
             cfg
         };
+        let multi_block_eval = |mut cfg: SimConfig| {
+            cfg.dataset.test_samples = 3 * gluefl_ml::EVAL_BLOCK_ROWS + 5;
+            cfg.eval_every = 1;
+            cfg
+        };
         let configs = [
             tiny_cfg(StrategyConfig::FedAvg),
             tiny_cfg(StrategyConfig::MdFedAvg),
@@ -931,6 +939,7 @@ mod tests {
             quant(gluefl()),
             entropy(tiny_cfg(StrategyConfig::Stc { q: 0.2 })),
             entropy(gluefl()),
+            multi_block_eval(gluefl()),
         ];
         for cfg in configs {
             let name = cfg.strategy.name();

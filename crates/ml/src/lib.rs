@@ -35,8 +35,9 @@
 //!   shims over the blocked `gluefl_tensor::gemm` micro-kernels
 //!   (forward, backward-data, and accumulating backward-weights
 //!   layouts), which preserve every reduction order — training
-//!   trajectories are bit-identical to the naive per-element loops, and
-//!   large eval batches shard GEMM row blocks across threads.
+//!   trajectories are bit-identical to the naive per-element loops.
+//!   Evaluation streams its set in blocks of [`EVAL_BLOCK_ROWS`] rows,
+//!   whose larger layers shard GEMM row blocks across threads.
 //! * [`Sgd`] — minibatch SGD with momentum and step decay (the paper's
 //!   optimizer: momentum 0.9, decay 0.98 every 10 rounds), plus the
 //!   pooled-velocity form [`sgd_momentum_step`] used by the scratch path
@@ -82,7 +83,7 @@ mod profiles;
 mod scratch;
 
 pub use layout::{ParamKind, ParamLayout, ParamLayoutBuilder, Segment};
-pub use mlp::{BatchNorm, EvalMetrics, Mlp, MlpConfig, MlpTopology};
+pub use mlp::{BatchNorm, EvalMetrics, Mlp, MlpConfig, MlpTopology, EVAL_BLOCK_ROWS};
 pub use optimizer::{sgd_momentum_step, step_decay_lr, Sgd};
 pub use profiles::{DatasetModel, ModelProfile};
 pub use scratch::{BatchTrainScratch, TrainScratch, TrainSlot};

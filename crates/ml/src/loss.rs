@@ -1,4 +1,4 @@
-//! Softmax cross-entropy loss and classification metrics.
+//! Softmax cross-entropy loss and the per-row classification hits.
 
 /// Computes a numerically-stable log-softmax of `logits` in place,
 /// row by row for a batch of `rows` examples with `classes` columns.
@@ -50,53 +50,18 @@ pub fn nll_and_grad(
     loss / rows.max(1) as f64
 }
 
-/// Fraction of rows whose arg-max log-probability matches the label.
-///
-/// # Panics
-/// Panics on shape mismatch.
-#[must_use]
-pub fn accuracy(log_probs: &[f32], labels: &[usize], classes: usize) -> f64 {
-    let rows = labels.len();
-    assert_eq!(log_probs.len(), rows * classes, "log-probs shape mismatch");
-    if rows == 0 {
-        return 0.0;
-    }
-    let mut correct = 0usize;
-    for (r, &label) in labels.iter().enumerate() {
-        let row = &log_probs[r * classes..(r + 1) * classes];
-        let pred = argmax(row);
-        if pred == label {
-            correct += 1;
-        }
-    }
-    correct as f64 / rows as f64
+/// Whether `label` is the row's top-1 prediction: its first arg-max.
+pub(crate) fn top1_hit(row: &[f32], label: usize) -> bool {
+    argmax(row) == label
 }
 
-/// Fraction of rows whose label is within the top-5 predicted classes
-/// (the paper reports Top-5 accuracy for OpenImage).
-///
-/// # Panics
-/// Panics on shape mismatch.
-#[must_use]
-pub fn top5_accuracy(log_probs: &[f32], labels: &[usize], classes: usize) -> f64 {
-    let rows = labels.len();
-    assert_eq!(log_probs.len(), rows * classes, "log-probs shape mismatch");
-    if rows == 0 {
-        return 0.0;
-    }
-    let mut correct = 0usize;
-    for (r, &label) in labels.iter().enumerate() {
-        let row = &log_probs[r * classes..(r + 1) * classes];
-        let target = row[label];
-        // label is in the top-5 iff fewer than 5 classes strictly beat it
-        // (ties resolved toward counting as a hit, matching torch.topk
-        // index order closely enough for evaluation).
-        let better = row.iter().filter(|&&v| v > target).count();
-        if better < 5 {
-            correct += 1;
-        }
-    }
-    correct as f64 / rows as f64
+/// Whether `label` is within the row's top-5 predicted classes (the
+/// paper reports Top-5 accuracy for OpenImage): fewer than 5 classes
+/// strictly beat it, so ties count as a hit, matching `torch.topk`'s
+/// index order closely enough for evaluation.
+pub(crate) fn top5_hit(row: &[f32], label: usize) -> bool {
+    let target = row[label];
+    row.iter().filter(|&&v| v > target).count() < 5
 }
 
 fn argmax(row: &[f32]) -> usize {
@@ -181,9 +146,15 @@ mod tests {
             2.0f32, 0.0, 0.0, // pred 0
             0.0, 3.0, 0.0, // pred 1
             0.0, 0.0, 1.0, // pred 2
+            1.0, 1.0, 0.0, // tie: the first maximum wins
         ];
-        log_softmax_rows(&mut logits, 3, 3);
-        assert!((accuracy(&logits, &[0, 1, 0], 3) - 2.0 / 3.0).abs() < 1e-12);
+        log_softmax_rows(&mut logits, 4, 3);
+        let hits: Vec<bool> = logits
+            .chunks_exact(3)
+            .zip([0, 1, 0, 1])
+            .map(|(row, label)| top1_hit(row, label))
+            .collect();
+        assert_eq!(hits, [true, true, false, false]);
     }
 
     #[test]
@@ -191,7 +162,7 @@ mod tests {
         let mut logits = vec![0.1f32, 0.2, 0.3];
         log_softmax_rows(&mut logits, 1, 3);
         // With 3 classes everything is in the top 5.
-        assert_eq!(top5_accuracy(&logits, &[0], 3), 1.0);
+        assert!(top5_hit(&logits, 0));
     }
 
     #[test]
@@ -199,14 +170,16 @@ mod tests {
         // Label ranked 6th → miss; ranked 5th → hit.
         let mut logits: Vec<f32> = (0..10).map(|i| -(i as f32)).collect();
         log_softmax_rows(&mut logits, 1, 10);
-        assert_eq!(top5_accuracy(&logits, &[5], 10), 0.0);
-        assert_eq!(top5_accuracy(&logits, &[4], 10), 1.0);
+        assert!(!top5_hit(&logits, 5));
+        assert!(top5_hit(&logits, 4));
     }
 
     #[test]
-    fn empty_batch_accuracy_is_zero() {
-        assert_eq!(accuracy(&[], &[], 3), 0.0);
-        assert_eq!(top5_accuracy(&[], &[], 3), 0.0);
+    fn top5_counts_ties_as_hits() {
+        // Six classes tie at the top: none strictly beats the label.
+        let row = [0.0f32, 0.0, 0.0, 0.0, 0.0, 0.0, -1.0];
+        assert!(top5_hit(&row, 5));
+        assert!(!top5_hit(&row, 6));
     }
 
     #[test]

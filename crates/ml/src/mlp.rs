@@ -18,10 +18,19 @@
 
 use crate::init::kaiming_uniform;
 use crate::layout::{ParamKind, ParamLayout};
-use crate::loss::{accuracy, log_softmax_rows, nll_and_grad, top5_accuracy};
+use crate::loss::{log_softmax_rows, nll_and_grad, top1_hit, top5_hit};
 use crate::scratch::{LayerScratch, TrainScratch};
 use gluefl_tensor::gemm;
 use rand::Rng;
+
+/// Rows per forward block in [`MlpTopology::evaluate_into`].
+///
+/// Each block's large GEMMs must stay above `gemm_nn`'s row-sharding
+/// threshold (128 rows and 2²¹ multiplies), so evaluation still uses
+/// every pool worker: at 128 rows the paper shape's 64 → 192 layer
+/// would fall to one thread. At 512 rows the wide shape's block
+/// scratch doubles to ≈ 27 MB.
+pub const EVAL_BLOCK_ROWS: usize = 256;
 
 /// Configuration of an [`Mlp`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -220,8 +229,23 @@ impl MlpTopology {
     /// Evaluates loss / top-1 / top-5 on a labelled set, in eval mode
     /// (running statistics, no side effects, no model clone).
     ///
+    /// The set streams through the forward pass in consecutive blocks of
+    /// [`EVAL_BLOCK_ROWS`] rows, so `scratch` holds one block's
+    /// activations and logits whatever the set's size — at the wide
+    /// shape one block's `z`, `x_hat`, `act` and ReLU mask take ≈ 14 MB,
+    /// where a 2 000-row set in one batch would take ≈ 106 MB. Only the forward buffers
+    /// are sized; no logit gradient is computed, since evaluation reads
+    /// only each row's `log p[label]`.
+    ///
+    /// The result is bit-identical to one whole-set batch: every
+    /// eval-mode operation is row-local (GEMM rows share no accumulator,
+    /// BatchNorm reads its running statistics, log-softmax normalises
+    /// each row), the loss is the same `f64` sum of `−log p[label]` in
+    /// row order divided by the row count once at the end, and the hits
+    /// are integer counts.
+    ///
     /// # Panics
-    /// Panics on shape mismatches.
+    /// Panics on shape mismatches or out-of-range labels.
     #[must_use]
     pub fn evaluate_into(
         &self,
@@ -231,24 +255,31 @@ impl MlpTopology {
         scratch: &mut TrainScratch,
     ) -> EvalMetrics {
         self.check_params(params);
-        let batch = self.check_batch(x, y);
-        if batch == 0 {
+        let rows = self.check_batch(x, y);
+        if rows == 0 {
             return EvalMetrics::default();
         }
-        scratch.ensure(self, batch);
-        let TrainScratch {
-            layers,
-            logits,
-            d_logits,
-            ..
-        } = scratch;
-        self.forward_into(params, x, batch, Mode::Eval, layers, logits);
-        log_softmax_rows(logits, batch, self.cfg.classes);
-        let loss = nll_and_grad(logits, y, self.cfg.classes, d_logits);
+        let classes = self.cfg.classes;
+        let (mut nll, mut top1, mut top5) = (0.0f64, 0usize, 0usize);
+        let x_blocks = x.chunks(EVAL_BLOCK_ROWS * self.cfg.input_dim);
+        for (xb, yb) in x_blocks.zip(y.chunks(EVAL_BLOCK_ROWS)) {
+            let block = yb.len();
+            scratch.ensure_forward(self, block);
+            let TrainScratch { layers, logits, .. } = scratch;
+            self.forward_into(params, xb, block, Mode::Eval, layers, logits);
+            log_softmax_rows(logits, block, classes);
+            for (row, &label) in logits.chunks_exact(classes).zip(yb) {
+                assert!(label < classes, "label {label} out of range {classes}");
+                nll -= f64::from(row[label]);
+                top1 += usize::from(top1_hit(row, label));
+                top5 += usize::from(top5_hit(row, label));
+            }
+        }
+        let n = rows as f64;
         EvalMetrics {
-            loss,
-            top1: accuracy(logits, y, self.cfg.classes),
-            top5: top5_accuracy(logits, y, self.cfg.classes),
+            loss: nll / n,
+            top1: top1 as f64 / n,
+            top5: top5 as f64 / n,
         }
     }
 
@@ -452,8 +483,9 @@ impl MlpTopology {
 ///
 /// A thin shim over the blocked [`gemm::gemm_nn`] kernel (`out = x·Wᵀ + b`,
 /// the forward layout). Bit-identical to the per-element loop it replaced
-/// — the GEMM preserves every output's reduction order — and large eval
-/// batches shard row blocks across threads inside the kernel.
+/// — the GEMM preserves every output's reduction order — and an
+/// evaluation block's larger layers shard row blocks across threads
+/// inside the kernel.
 fn linear_forward_into(
     params: &[f32],
     lin: LinearSpec,
@@ -1160,6 +1192,139 @@ mod tests {
         let (x2, y2) = toy_batch(35, 7, 5, 4);
         let c = model.evaluate_into(&x2, &y2, &mut scratch);
         assert_eq!(c, model.evaluate(&x2, &y2));
+    }
+
+    /// What [`MlpTopology::evaluate_into`] computed before it streamed
+    /// blocks: one eval-mode forward pass over every row, then the
+    /// training loss (whose logit gradient it discarded) and the
+    /// whole-batch accuracy fractions.
+    fn whole_batch_oracle(model: &Mlp, x: &[f32], y: &[usize]) -> EvalMetrics {
+        let topo = model.topology();
+        let (rows, classes) = (y.len(), topo.cfg.classes);
+        if rows == 0 {
+            return EvalMetrics::default();
+        }
+        let mut scratch = TrainScratch::new();
+        scratch.ensure(topo, rows);
+        let TrainScratch {
+            layers,
+            logits,
+            d_logits,
+            ..
+        } = &mut scratch;
+        topo.forward_into(model.params(), x, rows, Mode::Eval, layers, logits);
+        log_softmax_rows(logits, rows, classes);
+        let loss = nll_and_grad(logits, y, classes, d_logits);
+        EvalMetrics {
+            loss,
+            top1: accuracy(logits, y, classes),
+            top5: top5_accuracy(logits, y, classes),
+        }
+    }
+
+    fn accuracy(log_probs: &[f32], labels: &[usize], classes: usize) -> f64 {
+        let correct = labels
+            .iter()
+            .enumerate()
+            .filter(|&(r, &label)| {
+                let row = &log_probs[r * classes..(r + 1) * classes];
+                let mut best = 0usize;
+                for (i, &v) in row.iter().enumerate() {
+                    if v > row[best] {
+                        best = i;
+                    }
+                }
+                best == label
+            })
+            .count();
+        correct as f64 / labels.len() as f64
+    }
+
+    fn top5_accuracy(log_probs: &[f32], labels: &[usize], classes: usize) -> f64 {
+        let correct = labels
+            .iter()
+            .enumerate()
+            .filter(|&(r, &label)| {
+                let row = &log_probs[r * classes..(r + 1) * classes];
+                row.iter().filter(|&&v| v > row[label]).count() < 5
+            })
+            .count();
+        correct as f64 / labels.len() as f64
+    }
+
+    /// A model with more than five classes, so top-5 can miss, and — with
+    /// BatchNorm — running statistics moved off their initial values.
+    fn eval_model(hidden: &[usize], batch_norm: bool) -> Mlp {
+        let mut rng = StdRng::seed_from_u64(40 + hidden.len() as u64);
+        let cfg = MlpConfig {
+            input_dim: 5,
+            hidden: hidden.to_vec(),
+            classes: 8,
+            batch_norm,
+        };
+        let mut model = Mlp::new(cfg, &mut rng);
+        let mut scratch = TrainScratch::new();
+        for step in 0..3 {
+            let (x, y) = toy_batch(41 + step, 12, 5, 8);
+            let _ = model.loss_and_grad_into(&x, &y, &mut scratch);
+            scratch.sgd_step(model.params_mut(), 0.1, 0.9);
+        }
+        model
+    }
+
+    /// Streaming the set in blocks moves no bit: loss, top-1 and top-5
+    /// match one whole-set batch on every row count around the block
+    /// edges, with one scratch reused as the sizes go up and down.
+    #[test]
+    fn blocked_evaluation_matches_whole_batch_oracle() {
+        const B: usize = EVAL_BLOCK_ROWS;
+        let sizes = [0, 1, B - 1, B, B + 1, 3 * B + 5, B + 1, B, B - 1, 1, 0];
+        for hidden in [&[][..], &[7, 6][..]] {
+            for batch_norm in [false, true] {
+                let model = eval_model(hidden, batch_norm);
+                let mut scratch = TrainScratch::new();
+                for (i, &rows) in sizes.iter().enumerate() {
+                    let (x, y) = toy_batch(50 + i as u64, rows, 5, 8);
+                    let got = model.evaluate_into(&x, &y, &mut scratch);
+                    let want = whole_batch_oracle(&model, &x, &y);
+                    let case = format!("hidden {hidden:?}, bn {batch_norm}, {rows} rows");
+                    assert_eq!(got.loss.to_bits(), want.loss.to_bits(), "{case}: loss");
+                    assert_eq!(got.top1.to_bits(), want.top1.to_bits(), "{case}: top-1");
+                    assert_eq!(got.top5.to_bits(), want.top5.to_bits(), "{case}: top-5");
+                }
+            }
+        }
+    }
+
+    /// Evaluating ten blocks' worth of rows leaves one block's working
+    /// set: no forward buffer grows past [`EVAL_BLOCK_ROWS`] rows, and
+    /// the logit gradient, which evaluation never computes, stays within
+    /// one block too.
+    #[test]
+    fn evaluation_working_set_is_one_block() {
+        const B: usize = EVAL_BLOCK_ROWS;
+        let model = eval_model(&[7, 6], true);
+        let (x, y) = toy_batch(60, 10 * B, 5, 8);
+        let mut scratch = TrainScratch::new();
+        let _ = model.evaluate_into(&x, &y, &mut scratch);
+        let at_most = |what: &str, len: usize, cap: usize, limit: usize| {
+            assert!(len <= limit, "{what}: length {len} > {limit}");
+            assert!(cap <= limit, "{what}: capacity {cap} > {limit}");
+        };
+        for (ls, &h) in scratch.layers.iter().zip(&model.config().hidden) {
+            at_most("z", ls.z.len(), ls.z.capacity(), B * h);
+            at_most("act", ls.act.len(), ls.act.capacity(), B * h);
+            let mask = &ls.relu_mask;
+            at_most("relu_mask", mask.len(), mask.capacity(), B * h);
+            at_most("x_hat", ls.x_hat.len(), ls.x_hat.capacity(), B * h);
+            at_most("mu", ls.mu.len(), ls.mu.capacity(), h);
+            at_most("var", ls.var.len(), ls.var.capacity(), h);
+            at_most("inv_std", ls.inv_std.len(), ls.inv_std.capacity(), h);
+        }
+        let classes = model.config().classes;
+        let (logits, d_logits) = (&scratch.logits, &scratch.d_logits);
+        at_most("logits", logits.len(), logits.capacity(), B * classes);
+        at_most("d_logits", d_logits.len(), d_logits.capacity(), B * classes);
     }
 
     #[test]

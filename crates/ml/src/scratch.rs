@@ -17,7 +17,9 @@
 //! `ensure`: the velocity by the optimizer steps, the flat gradient only
 //! by the reference path that materialises it
 //! ([`crate::MlpTopology::loss_and_grad_into`]) — local training never
-//! stores a gradient, and evaluation needs neither.
+//! stores a gradient, and evaluation needs neither. Evaluation sizes
+//! only the forward buffers, for one block of
+//! [`crate::EVAL_BLOCK_ROWS`] rows, whatever the labelled set's size.
 //!
 //! A [`TrainSlot`] is what one training worker holds: a scratch plus the
 //! client's working weights. It is independent of how many clients the
@@ -143,13 +145,31 @@ impl TrainScratch {
     /// Sizes every buffer for one `(topology, batch)` shape. Idempotent
     /// and allocation-free once capacities have grown to the working set.
     pub fn ensure(&mut self, topo: &MlpTopology, batch: usize) {
+        self.ensure_forward(topo, batch);
+        let cfg = topo.config();
+        let max_h = cfg.hidden.iter().copied().max().unwrap_or(0);
+        size_to(&mut self.d_logits, batch * cfg.classes);
+        for d in &mut self.d_bufs {
+            reserve_total(d, batch * cfg.input_dim.max(max_h).max(cfg.classes));
+        }
+        reserve_total(&mut self.sum_dy, max_h);
+        reserve_total(&mut self.sum_dy_xhat, max_h);
+        // `batch_x`/`batch_y` are deliberately NOT reserved here: callers
+        // `mem::take` them around the step loop (the fields are empty
+        // placeholders meanwhile), so reserving would allocate a buffer
+        // that gets dropped when the warm one is put back.
+    }
+
+    /// Sizes only what a forward pass of `batch` rows writes: the
+    /// per-layer caches and the logits. Evaluation needs nothing more, so
+    /// it leaves the backward buffers as they are.
+    pub(crate) fn ensure_forward(&mut self, topo: &MlpTopology, batch: usize) {
         let cfg = topo.config();
         let n_hidden = cfg.hidden.len();
         if self.layers.len() != n_hidden {
             self.layers.clear();
             self.layers.resize(n_hidden, LayerScratch::default());
         }
-        let mut max_width = cfg.input_dim;
         for (ls, &h) in self.layers.iter_mut().zip(&cfg.hidden) {
             size_to(&mut ls.z, batch * h);
             size_to(&mut ls.act, batch * h);
@@ -161,20 +181,8 @@ impl TrainScratch {
             size_to(&mut ls.var, h);
             size_to(&mut ls.inv_std, h);
             size_to(&mut ls.x_hat, batch * h);
-            max_width = max_width.max(h);
         }
         size_to(&mut self.logits, batch * cfg.classes);
-        size_to(&mut self.d_logits, batch * cfg.classes);
-        for d in &mut self.d_bufs {
-            reserve_total(d, batch * max_width.max(cfg.classes));
-        }
-        let max_h = cfg.hidden.iter().copied().max().unwrap_or(0);
-        reserve_total(&mut self.sum_dy, max_h);
-        reserve_total(&mut self.sum_dy_xhat, max_h);
-        // `batch_x`/`batch_y` are deliberately NOT reserved here: callers
-        // `mem::take` them around the step loop (the fields are empty
-        // placeholders meanwhile), so reserving would allocate a buffer
-        // that gets dropped when the warm one is put back.
     }
 
     /// The flat parameter gradient written by the last

@@ -30,8 +30,9 @@
 //! reduction dimension, not from reordered arithmetic. Three contracts
 //! follow:
 //!
-//! * the thread count does not change the bits: eval-sized batches shard
-//!   only **disjoint row blocks** of `out` across the vendored
+//! * the thread count does not change the bits: evaluation's row blocks
+//!   (`gluefl_ml::EVAL_BLOCK_ROWS` rows) shard only **disjoint row
+//!   blocks** of `out` across the vendored
 //!   `gluefl_pool` fork-join pool, each job running the serial
 //!   kernel;
 //! * the SIMD width does not change the bits (CI also runs the suites
@@ -139,10 +140,12 @@ fn check_dims(a: &[f32], b: &[f32], m: usize, ak: usize, bk: usize, out: &[f32],
 /// is overwritten).
 ///
 /// Bit-exact against [`gemm_nn_ref`], and allocation-free (see "The
-/// forward kernel" in the module docs). Calls with enough rows of work
-/// (large eval batches) shard disjoint row blocks of `out` across
-/// `gluefl_pool::run` jobs; the result is bit-identical to the serial
-/// kernel because rows never share an accumulator.
+/// forward kernel" in the module docs). Calls with at least
+/// `PAR_MIN_ROWS` rows and `PAR_MIN_MULS` multiplies — an evaluation
+/// block's larger layers; training batches never reach it — shard
+/// disjoint row blocks of `out` across `gluefl_pool::run` jobs; the
+/// result is bit-identical to the serial kernel because rows never
+/// share an accumulator.
 ///
 /// # Panics
 /// Panics if any slice length disagrees with `(m, n, k)`.
