@@ -35,8 +35,9 @@
 //!   blocks** of `out` across the vendored
 //!   `gluefl_pool` fork-join pool, each job running the serial
 //!   kernel;
-//! * the SIMD width does not change the bits (CI also runs the suites
-//!   built with `RUSTFLAGS="-C target-cpu=x86-64"`, i.e. SSE2);
+//! * the SIMD width and the tile sizes do not change the bits (CI also
+//!   runs the suites built with `RUSTFLAGS="-C target-cpu=x86-64-v3"`,
+//!   i.e. AVX2 and its tiles, and `-C target-cpu=x86-64`, i.e. SSE2);
 //! * training/eval trajectories upstream stay bit-identical to the
 //!   pre-GEMM per-element loops (`tests/gemm_properties.rs` pins every
 //!   kernel to its reference twin).
@@ -45,14 +46,46 @@
 //!
 //! [`gemm_nn`] reduces along the rows of both `a` and `W`, so neither has
 //! independent outputs side by side. The kernel transposes each block of
-//! eight rows of `a` into a t-major stack panel, `panel[t] = [a[r0][t],
-//! …, a[r7][t]]` (one 256-bit vector), and a tile of eight features
+//! `L` rows of `a` into a t-major stack panel, `panel[t] = [a[r0][t],
+//! …, a[r(L−1)][t]]` (one vector), and a tile of eight features
 //! multiplies each panel vector by `W[o][t]`, broadcast from `W` **read
-//! in place**. `W` is not repacked: the previous kernel, features in the
-//! lanes, copied `W` t-major on every call — an `n × k` copy that the
-//! batch of 16 (wide shape: 4) rows used only 16 (4) times, and ran its
-//! feature edge (14 of 62 logits) as scalar dot products. A k-tile
+//! in place**. `L` is sixteen (one 512-bit vector) for every full block
+//! of sixteen rows on an AVX-512 build, and eight (one 256-bit vector)
+//! otherwise — on AVX2 and SSE2 builds, and for the rows past the last
+//! full block, such as the wide shape's batch of 4, which sixteen lanes
+//! would run three-quarters empty. One const-generic kernel serves both
+//! lane counts. `W` is not repacked: the previous kernel, features in
+//! the lanes, copied `W` t-major on every call — an `n × k` copy that
+//! the batch of 16 (wide shape: 4) rows used only 16 (4) times, and ran
+//! its feature edge (14 of 62 logits) as scalar dot products. A k-tile
 //! carries its partial sums to the next in `out`, so there is no heap.
+//!
+//! # Tile sizes
+//!
+//! Every tile is sized for the build's vector registers: AVX-512's 32
+//! registers of 512 bits (the workspace's `.cargo/config.toml` lifts
+//! LLVM's preference for 256-bit ones), or AVX2's 16 of 256 bits. Each
+//! constant's note says what it was measured against. Median µs per call
+//! on the 2-core AVX-512 box (`(batch, in, out)` = `gemm_nn(m = batch,
+//! n = out, k = in)`, `gemm_tn(m = batch, p = out, n = in)`,
+//! `gemm_nt_sgd(m = batch, p = out, n = in)`; 2 000 calls per shape,
+//! warm caches, the fastest of twelve alternating processes per side,
+//! as the box's speed swings between processes), before — the 256-bit
+//! build with the AVX2 tiles — and after:
+//!
+//! | `(batch, in, out)` | `gemm_nn`   | `gemm_tn`   | `gemm_nt_sgd` |
+//! |--------------------|-------------|-------------|---------------|
+//! | (16, 64, 192)      | 8.5 → 6.8   | 7.5 → 4.9   | 10.4 → 6.9    |
+//! | (16, 192, 96)      | 11.0 → 9.2  | 11.6 → 7.3  | 15.1 → 10.3   |
+//! | (16, 96, 62)       | 4.1 → 3.7   | 3.5 → 2.3   | 5.3 → 3.6     |
+//! | (4, 64, 4096)      | 84.7 → 82.3 | 41.8 → 25.9 | 107.6 → 80.9  |
+//! | (4, 4096, 62)      | 76.5 → 79.5 | 50.5 → 28.3 | 123.3 → 93.4  |
+//!
+//! Batch 16 is the paper shape, batch 4 the wide one, whose forward
+//! product keeps eight lanes and so its code (1.00–1.01× in-process).
+//!
+//! The bits are those of the naive loop at every size; the build's
+//! register file only picks the fastest tiles.
 //!
 //! # The backward-weights epilogue
 //!
@@ -97,24 +130,61 @@
 //! assert_eq!(out, expected); // bit-exact, not approximately equal
 //! ```
 
-/// Batch rows per vector in [`gemm_nn`]: eight `f32` lanes, one 256-bit
-/// vector. Measured over 4, 8 and 16: four runs the batch-16 layers
-/// ≈ 1.6× slower, sixteen the batch-4 wide layers ≈ 2× slower.
-const NN_LANES: usize = 8;
-/// Features per register tile in [`gemm_nn`] (measured against 4 and 6).
+/// Whether the build targets AVX-512: thirty-two vector registers of
+/// sixteen `f32` lanes (512 bits; `.cargo/config.toml` lifts LLVM's
+/// preference for 256-bit ones), where AVX2 has sixteen registers of
+/// eight lanes and SSE2 sixteen of four. The register tiles below are
+/// sized for the build's register file; the bits are the same for both
+/// sizes. Measured on AVX-512 with 256-bit vectors as well, the larger
+/// tiles still win (the 32 registers are what they need), and under
+/// `target-cpu=x86-64-v3` (AVX2) they lose: `gemm_nn` 1.05–1.09×,
+/// `gemm_tn` 1.24–1.32×, `gemm_nt_sgd` 1.26–1.68×.
+const AVX512: bool = cfg!(target_feature = "avx512f");
+
+/// Batch rows per vector in [`gemm_nn`]'s full row blocks: one 512-bit
+/// vector of sixteen lanes with AVX-512, else eight (one 256-bit vector,
+/// two 128-bit ones). Measured over 4, 8 and 16 at 256 bits: four runs
+/// the batch-16 layers ≈ 1.6× slower, sixteen the batch-4 wide layers
+/// ≈ 2× slower. At 512 bits sixteen takes the batch-16 layers to
+/// 0.72–0.90× of eight's time.
+const NN_LANES: usize = if AVX512 { 16 } else { 8 };
+/// Lanes for the rows past [`gemm_nn`]'s last full `NN_LANES` block —
+/// the wide shape's whole batch of 4. Measured at 512 bits: four lanes
+/// run the batch-4 wide layers 1.3–1.6× slower than eight, sixteen
+/// 1.35–1.7× slower.
+const NN_EDGE_LANES: usize = 8;
+/// Features per register tile in [`gemm_nn`] (measured against 4 and 6
+/// at 256 bits; at 512 bits sixteen runs batch 16 at 1.00–1.02× and
+/// batch 4 at 1.04–1.11× of eight's time).
 const NN_TILE: usize = 8;
-/// Features staged per chunk in [`gemm_nn`] (a multiple of `NN_TILE`).
-const NN_CHUNK: usize = 64;
-/// k-tile of [`gemm_nn`]'s transposed panel (16 KiB of stack).
-const NN_KT: usize = 512;
+/// `f32`s of [`gemm_nn`]'s chain stage (2 KiB of stack). A chunk is
+/// `NN_STAGE / L` features at `L` lanes: 32 at sixteen, 64 at eight. At
+/// 512 bits, 32 features run the sixteen-lane batch-16 layers at
+/// 0.93–0.98× of 64's time; at eight lanes (batch 4) 32 features ran
+/// 0.99–1.02×, so they keep 64.
+const NN_STAGE: usize = 512;
+/// `f32`s of [`gemm_nn`]'s transposed panel (16 KiB of stack). A k-tile
+/// is `NN_PANEL / L` reductions deep at `L` lanes: 256 at sixteen, 512
+/// at eight. At 512 bits, 2 048 splits the batch-16 `k = 192` layer in
+/// two (1.16–1.17×) and 8 192, which zeroes 32 KiB per call, gains
+/// nothing (0.98–1.07×).
+const NN_PANEL: usize = 4096;
 
 /// Output columns per register tile in [`gemm_tn`] / [`gemm_nt`] —
-/// sixteen consecutive `f32`s, two 256-bit vectors of independent
-/// accumulator chains.
-const JB: usize = 16;
-/// Rows of `a` per register tile in [`gemm_tn`].
+/// thirty-two consecutive `f32`s with AVX-512 (two 512-bit vectors),
+/// else sixteen (two 256-bit vectors) — of independent accumulator
+/// chains. Measured at 512 bits against 16, 48 and 64: 32 runs
+/// [`gemm_tn`] at 0.60–0.96× and [`gemm_nt_sgd`] at 0.76–0.99× of 16's
+/// time; 48 leaves 64-wide rows a scalar edge (≈ 5× slower); 64 runs
+/// [`gemm_nt_sgd`] at 0.97–1.92× of 32's time, and [`gemm_tn`] leaves
+/// the 96-wide layer a 32-column scalar edge (8–10×).
+const JB: usize = if AVX512 { 32 } else { 16 };
+/// Rows of `a` per register tile in [`gemm_tn`]. Eight leaves the wide
+/// shape's batch of 4 wholly to the scalar edge (≈ 17× slower).
 const TN_MR: usize = 4;
-/// Rows of `out` per register tile in [`gemm_nt`].
+/// Rows of `out` per register tile in [`gemm_nt`] (at 512 bits eight
+/// runs batch 16 at 0.92–1.21× and batch 4 at 1.17–1.76× of four's
+/// time).
 const NT_OR: usize = 4;
 /// Reduction cache tile in [`gemm_tn`].
 const RED_C: usize = 512;
@@ -123,6 +193,19 @@ const RED_C: usize = 512;
 const PAR_MIN_ROWS: usize = 128;
 /// Minimum `m·n·k` multiply count before sharding is worth a thread spawn.
 const PAR_MIN_MULS: usize = 1 << 21;
+
+// The tile invariants, checked where a re-tune would break them: a
+// chunk that is not whole tiles runs its last tile past the stage, and
+// the stack panel stays as small as the 256-bit kernel's was.
+const _: () = assert!(
+    (NN_STAGE / NN_LANES).is_multiple_of(NN_TILE)
+        && (NN_STAGE / NN_EDGE_LANES).is_multiple_of(NN_TILE),
+    "a chunk is whole tiles at either lane count"
+);
+const _: () = assert!(
+    NN_PANEL * size_of::<f32>() <= 16 << 10,
+    "the stack panel stays within 16 KiB"
+);
 
 #[inline]
 fn check_dims(a: &[f32], b: &[f32], m: usize, ak: usize, bk: usize, out: &[f32], on: usize) {
@@ -183,8 +266,9 @@ fn gemm_nn_sharded(
     });
 }
 
-/// Per block of `NN_LANES` rows and k-tile, one transposed `a` panel;
-/// per chunk of `NN_CHUNK` features, the chains staged lane by lane.
+/// Full blocks of `NN_LANES` rows, then the rest at `NN_EDGE_LANES`:
+/// one kernel, two lane counts. Rows never share a chain, so how they
+/// are blocked cannot change a bit.
 fn gemm_nn_serial(
     a: &[f32],
     b: &[f32],
@@ -194,17 +278,43 @@ fn gemm_nn_serial(
     k: usize,
     out: &mut [f32],
 ) {
-    let mut panel = [[0.0f32; NN_LANES]; NN_KT];
-    let mut stage = [[0.0f32; NN_LANES]; NN_CHUNK];
+    let full = m - m % NN_LANES;
+    let (a_full, a_rest) = a.split_at(full * k);
+    let (out_full, out_rest) = out.split_at_mut(full * n);
+    nn_blocks::<NN_LANES>(a_full, b, bias, full, n, k, out_full);
+    nn_blocks::<NN_EDGE_LANES>(a_rest, b, bias, m - full, n, k, out_rest);
+}
+
+/// Per block of `L` rows and k-tile, one transposed `a` panel; per chunk
+/// of features, the chains staged lane by lane.
+fn nn_blocks<const L: usize>(
+    a: &[f32],
+    b: &[f32],
+    bias: &[f32],
+    m: usize,
+    n: usize,
+    k: usize,
+    out: &mut [f32],
+) {
+    // No rows at this lane count: skip zeroing the stack buffers.
+    if m == 0 {
+        return;
+    }
+    // `NN_PANEL / L` t-rows of `L` lanes: the k-tile.
+    let mut panel = [0.0f32; NN_PANEL];
+    let (panel, _) = panel.as_chunks_mut::<L>();
+    // `NN_STAGE / L` features of `L` chains: the chunk.
+    let mut stage = [0.0f32; NN_STAGE];
+    let (stage, _) = stage.as_chunks_mut::<L>();
     let mut i0 = 0;
     while i0 < m {
-        let mt = (m - i0).min(NN_LANES);
+        let mt = (m - i0).min(L);
         let mut k0 = 0;
         // At least one pass, so that `k == 0` still writes the bias.
         loop {
-            let kt = (k - k0).min(NN_KT);
+            let kt = (k - k0).min(panel.len());
             // Lanes past the last row repeat it; they are never stored.
-            let rows: [&[f32]; NN_LANES] =
+            let rows: [&[f32]; L] =
                 std::array::from_fn(|l| &a[(i0 + l.min(mt - 1)) * k + k0..][..kt]);
             for (t, lanes) in panel[..kt].iter_mut().enumerate() {
                 *lanes = std::array::from_fn(|l| rows[l][t]);
@@ -212,12 +322,12 @@ fn gemm_nn_serial(
             let panel = &panel[..kt];
             let mut c0 = 0;
             while c0 < n {
-                let nc = (n - c0).min(NN_CHUNK);
+                let nc = (n - c0).min(stage.len());
                 // Every chain starts at its bias term, and later k-tiles
                 // continue the partial sums the previous one left in `out`.
                 for (j, chains) in stage[..nc].iter_mut().enumerate() {
                     if k0 == 0 {
-                        *chains = [bias[c0 + j]; NN_LANES];
+                        *chains = [bias[c0 + j]; L];
                     } else {
                         for (l, s) in chains[..mt].iter_mut().enumerate() {
                             *s = out[(i0 + l) * n + c0 + j];
@@ -235,7 +345,7 @@ fn gemm_nn_serial(
                     nn_tile(panel, w, tile);
                 }
                 for (l, row) in out[i0 * n..].chunks_exact_mut(n).take(mt).enumerate() {
-                    for (o, chains) in row[c0..c0 + nc].iter_mut().zip(&stage) {
+                    for (o, chains) in row[c0..c0 + nc].iter_mut().zip(&*stage) {
                         *o = chains[l];
                     }
                 }
@@ -250,13 +360,17 @@ fn gemm_nn_serial(
     }
 }
 
-/// `NN_TILE` features × `NN_LANES` rows of chains, each adding
+/// `NN_TILE` features × `L` rows of chains, each adding
 /// `panel[t][l]·w[f][t]` in ascending `t` — vectorized across rows,
 /// never across `t`. The tile moves to and from the stage as whole lane
 /// vectors: LLVM's SLP vectorizer builds the vector chains from those
 /// stores (a tile scattered straight to `out` compiles to scalar code).
 #[inline(always)]
-fn nn_tile(panel: &[[f32; NN_LANES]], w: [&[f32]; NN_TILE], tile: &mut [[f32; NN_LANES]; NN_TILE]) {
+fn nn_tile<const L: usize>(
+    panel: &[[f32; L]],
+    w: [&[f32]; NN_TILE],
+    tile: &mut [[f32; L]; NN_TILE],
+) {
     let mut acc = *tile;
     for (t, x) in panel.iter().enumerate() {
         for (chains, w) in acc.iter_mut().zip(&w) {
@@ -336,7 +450,7 @@ pub fn gemm_tn(a: &[f32], b: &[f32], m: usize, p: usize, n: usize, out: &mut [f3
 }
 
 /// Full `TN_MR × JB` register tile: four output rows share every
-/// streamed `b` row, and the sixteen-wide column block vectorizes across
+/// streamed `b` row, and the `JB`-wide column block vectorizes across
 /// independent output columns (never across `o`, the reduction).
 #[allow(clippy::too_many_arguments)]
 #[inline]
@@ -797,8 +911,13 @@ mod tests {
             (1, 192, 64),
             (5, 7, 9),
             (3, 13, 17),
-            (NN_LANES + 1, NN_CHUNK + 1, NN_KT + 3),
-            (NN_LANES - 1, NN_TILE - 1, 2 * NN_KT + 1),
+            (
+                NN_LANES + 1,
+                NN_STAGE / NN_EDGE_LANES + 1,
+                NN_PANEL / NN_EDGE_LANES + 3,
+            ),
+            (NN_LANES - 1, NN_TILE - 1, 2 * NN_PANEL / NN_EDGE_LANES + 1),
+            (2 * NN_LANES + 1, NN_TILE + 1, NN_PANEL / NN_LANES + 1),
             (2, JB - 1, 3),
             (7, JB + 1, 2),
         ]
@@ -806,6 +925,33 @@ mod tests {
         .enumerate()
         {
             check_all(m, n, k, 100 + i as u64);
+        }
+    }
+
+    /// Both lane counts of the forward kernel, whichever the build's
+    /// `gemm_nn` picks: rows straddling one and two blocks of either,
+    /// reductions straddling either k-tile.
+    #[test]
+    fn nn_blocks_match_reference_at_both_lane_counts() {
+        let mut rng = StdRng::seed_from_u64(11);
+        for m in [1, 7, 8, 9, 15, 16, 17, 31, 32, 33] {
+            for (n, k) in [
+                (13, 5),
+                (NN_STAGE / 8 + 3, NN_PANEL / 16 + 1),
+                (9, NN_PANEL / 8 + 1),
+            ] {
+                let a = fill(&mut rng, m * k);
+                let w = fill(&mut rng, n * k);
+                let bias = fill(&mut rng, n);
+                let mut want = vec![0.0f32; m * n];
+                gemm_nn_ref(&a, &w, &bias, m, n, k, &mut want);
+                let mut got = fill(&mut rng, m * n);
+                nn_blocks::<16>(&a, &w, &bias, m, n, k, &mut got);
+                assert_bits_eq(&got, &want, "nn at 16 lanes");
+                let mut got = fill(&mut rng, m * n);
+                nn_blocks::<8>(&a, &w, &bias, m, n, k, &mut got);
+                assert_bits_eq(&got, &want, "nn at 8 lanes");
+            }
         }
     }
 

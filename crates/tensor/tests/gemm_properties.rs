@@ -41,10 +41,13 @@ fn bits_eq_or_both_nan(got: &[f32], want: &[f32]) -> bool {
 }
 
 /// Dimension strategy: small enough to hit batch 1 / unit dims often,
-/// wide enough to straddle the register tiles — the forward kernel's
-/// 8-row lane blocks, 8-feature tiles and 64-feature chunks, the
-/// backward kernels' 4 × 16 tiles. The forward kernel's 512-deep k-tile
-/// is straddled by [`nn_rows_straddle_the_lanes_and_k_tiles`].
+/// wide enough to straddle the register tiles — the forward kernel's 8-
+/// and 16-row lane blocks, 8-feature tiles and 32- or 64-feature chunks,
+/// the backward kernels' tiles of 4 rows by 16 or 32 columns (the sizes
+/// depend on the build's vector registers). The forward kernel's
+/// k-tiles and row blocks are straddled by
+/// [`nn_rows_straddle_the_lanes_and_k_tiles`], the backward kernels'
+/// column tiles by [`backward_columns_straddle_the_tiles`].
 fn dim() -> impl Strategy<Value = usize> {
     1usize..70
 }
@@ -93,12 +96,14 @@ proptest! {
         prop_assert!(ok, "nn diverged at m={} n={} k={}", m, n, k);
     }
 
-    /// Batches from one row to past two 8-row lane blocks (full, short
-    /// and repeated-row lanes), reductions one to three 512-deep k-tiles
-    /// long (partial sums carried across tiles in `out`).
+    /// Batches from one row to past two 16-row lane blocks — so past
+    /// four 8-row ones (full, short and repeated-row lanes, and rows past
+    /// the last 16-row block) — and reductions two to five 256-deep or
+    /// one to three 512-deep k-tiles long (partial sums carried across
+    /// tiles in `out`).
     #[test]
     fn nn_rows_straddle_the_lanes_and_k_tiles(
-        m in 1usize..=17,
+        m in 1usize..=33,
         n in dim(),
         k in 500usize..1100,
         seed in any::<u64>(),
@@ -344,6 +349,43 @@ proptest! {
         for mu in [0.0f32, 0.9] {
             let bad = sgd_forms_diverge(&d_out, &x, (m, p, n), (0.05, mu), &w0, &v0, &base);
             prop_assert!(bad.is_none(), "{:?} form diverged at m={} p={} n={} mu={}", bad, m, p, n, mu);
+        }
+    }
+}
+
+/// Column counts straddling the backward kernels' column tiles: one and
+/// two tiles of 32 columns (AVX-512 builds), one to four of 16 (AVX2
+/// and SSE2 builds).
+const STRADDLE_COLS: [usize; 12] = [15, 16, 17, 31, 32, 33, 47, 48, 49, 63, 64, 65];
+
+/// Every straddling column count, under batches and output rows on and
+/// off the 4-row tiles: backward data, accumulating backward weights and
+/// all four SGD forms, each against its reference.
+#[test]
+fn backward_columns_straddle_the_tiles() {
+    for (i, &n) in STRADDLE_COLS.iter().enumerate() {
+        for (j, &(m, p)) in [(1, 3), (4, 4), (5, 9), (16, 7)].iter().enumerate() {
+            let mut rng = StdRng::seed_from_u64(0xC0 ^ (i * 8 + j) as u64);
+            // Backward data: `a` is m × p, `b` is p × n.
+            let a = fill(&mut rng, m * p);
+            let b = fill(&mut rng, p * n);
+            let mut got = fill(&mut rng, m * n);
+            let mut want = vec![0.0f32; m * n];
+            gemm_tn(&a, &b, m, p, n, &mut got);
+            gemm_tn_ref(&a, &b, m, p, n, &mut want);
+            assert!(bits_eq(&got, &want), "tn diverged at {m}x{p}x{n}");
+            // Backward weights: `a` is m × p, `b` is m × n.
+            let x = fill(&mut rng, m * n);
+            let w0 = fill(&mut rng, p * n);
+            let v0 = fill(&mut rng, p * n);
+            let base = fill(&mut rng, p * n);
+            let mut got = w0.clone();
+            let mut want = w0.clone();
+            gemm_nt(&a, &x, m, p, n, &mut got);
+            gemm_nt_ref(&a, &x, m, p, n, &mut want);
+            assert!(bits_eq(&got, &want), "nt diverged at {m}x{p}x{n}");
+            let bad = sgd_forms_diverge(&a, &x, (m, p, n), (0.05, 0.9), &w0, &v0, &base);
+            assert!(bad.is_none(), "{bad:?} form diverged at {m}x{p}x{n}");
         }
     }
 }

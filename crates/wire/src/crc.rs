@@ -55,13 +55,21 @@
 //! table anyway. That single 256-entry table is the only one.
 //!
 //! **Why `k = 8`.** Measured on this repo's 2-core AVX-512 box over
-//! `k ∈ 6..=9` with the workspace's `target-cpu=native`: on the 2.1 MB
-//! dense frame `k = 8` takes ≈ 50–60 µs warm (6 → ≈ 155, 7 → ≈ 90,
-//! 9 → ≈ 120) and 110–180 µs streaming from L3 (7 and 9: 270–350),
-//! against ≈ 1 890 µs for the four-lane sliced table it replaces; on a
-//! 157 KB frame 7 and 8 tie at ≈ 5 µs. At `k = 8` a block is 128 B and
-//! the whole 512 B ring fits in vector registers; at 9 it no longer
-//! does, and below 8 the per-block overhead shows. Without
+//! `k ∈ 6..=9` with `target-cpu=native` at LLVM's default 256-bit
+//! vectors: on the 2.1 MB dense frame `k = 8` takes ≈ 50–60 µs warm
+//! (6 → ≈ 155, 7 → ≈ 90, 9 → ≈ 120) and 110–180 µs streaming from L3
+//! (7 and 9: 270–350), against ≈ 1 890 µs for the four-lane sliced
+//! table it replaces; on a 157 KB frame 7 and 8 tie at ≈ 5 µs. At
+//! `k = 8` a block is 128 B and the whole 512 B ring fits in vector
+//! registers; at 9 it no longer does, and below 8 the per-block overhead
+//! shows. Re-measured with the workspace's 512-bit vectors
+//! (`.cargo/config.toml`), `k = 8` still wins: 7 and 9 take 1.5–1.7× as
+//! long warm on the 2.1 MB frame (9 ties with 8 streaming from L3, 7 is
+//! ≈ 1.1× slower), and 1.45× and ≈ 2× as long on the 157 KB frame. At
+//! that width the fold takes what the 256-bit build took, warm (fastest
+//! of six processes, 2.1 MB: 55.6 against 56.2 µs; 157 KB: 5.3 against
+//! 5.1 µs), and ≈ 5 % longer streaming from L3 — once `fold_block`
+//! gathers its middle term first (see there). Without
 //! `target-cpu=native` (baseline SSE2) the same code runs the 2.1 MB
 //! frame in 150–270 µs, the sliced table in ≈ 1 670 µs.
 //!
@@ -78,6 +86,9 @@ const INIT: u16 = 0xFFFF;
 
 /// Fold exponent `k` (see the module docs; any of `6..=9` is correct).
 const FOLD_K: u32 = 8;
+// Below 6 a block is not four whole words, so `MID_SKEW` is not a
+// whole word either.
+const _: () = assert!(FOLD_K >= 6, "the fold's distances are whole words");
 /// `u64` words per fold block: the `4·2^k` bits from a dropped word to
 /// its nearest target.
 const BLOCK_WORDS: usize = (4 << FOLD_K) / 64;
@@ -191,19 +202,23 @@ fn fold_span(ring: &mut [Block; RING_BLOCKS], span: &[u8], more: bool) {
 /// `t[q] = in[q] ^ t[q − 4·2^k/64] ^ t[q − 11·2^k/64] ^ t[q − 16·2^k/64]`,
 /// where `slot` still holds `t[q − 16·2^k/64]` (four blocks back), `near`
 /// is the previous block, and `mid_a`, `mid_b` are three and two blocks
-/// back. No word depends on another word of the same block, so each
-/// loop is a plain element-wise xor.
+/// back. No word depends on another word of the same block, so the loop
+/// is a plain element-wise xor. The middle term is gathered into one
+/// block first, so the xor is a single full-width loop: split into one
+/// loop per source range, it starts and ends mid-vector at 512 bits
+/// (`MID_SKEW` is half a vector), and the fold ran 5–16 % slower.
 #[inline]
 fn fold_block(slot: &mut Block, near: &Block, mid_a: &Block, mid_b: &Block, input: &[u8]) {
-    for ((t, n), word) in slot.iter_mut().zip(near).zip(input.chunks_exact(8)) {
-        *t ^= n ^ u64::from_ne_bytes(word.try_into().expect("8-byte chunk"));
-    }
-    let (head, tail) = slot.split_at_mut(BLOCK_WORDS - MID_SKEW);
-    for (t, m) in head.iter_mut().zip(&mid_a[MID_SKEW..]) {
-        *t ^= m;
-    }
-    for (t, m) in tail.iter_mut().zip(&mid_b[..MID_SKEW]) {
-        *t ^= m;
+    let mid: Block = std::array::from_fn(|q| {
+        if q < BLOCK_WORDS - MID_SKEW {
+            mid_a[q + MID_SKEW]
+        } else {
+            mid_b[q + MID_SKEW - BLOCK_WORDS]
+        }
+    });
+    let words = input.chunks_exact(8);
+    for (((t, n), m), word) in slot.iter_mut().zip(near).zip(&mid).zip(words) {
+        *t ^= n ^ m ^ u64::from_ne_bytes(word.try_into().expect("8-byte chunk"));
     }
 }
 
