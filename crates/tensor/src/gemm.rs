@@ -84,6 +84,16 @@
 //! Batch 16 is the paper shape, batch 4 the wide one, whose forward
 //! product keeps eight lanes and so its code (1.00–1.01× in-process).
 //!
+//! The backward tiles assume layer widths (the `n` of [`gemm_tn`] and
+//! [`gemm_nt_sgd`]) that are multiples of sixteen, as every model
+//! profile's are (64, 160, 80, 192, 96, 256, 128 and 4 096): a width of
+//! 16 mod 32 runs its last sixteen columns in one `JB_REST`-wide tile of
+//! the same kernel, not in the scalar edge. `mobilenet_like`'s 80-wide
+//! layer at batch 16 (`(16, 80, 62)`, fastest of six alternating
+//! processes per side): [`gemm_tn`] 2.9 → 2.1 µs and [`gemm_nt_sgd`]
+//! 4.2 → 2.9 µs, where 32-column tiles with a scalar edge took 14.3 and
+//! 5.5 µs.
+//!
 //! The bits are those of the naive loop at every size; the build's
 //! register file only picks the fastest tiles.
 //!
@@ -170,15 +180,28 @@ const NN_STAGE: usize = 512;
 /// nothing (0.98–1.07×).
 const NN_PANEL: usize = 4096;
 
-/// Output columns per register tile in [`gemm_tn`] / [`gemm_nt`] —
+/// Output columns per full register tile in [`gemm_tn`] / [`gemm_nt`] —
 /// thirty-two consecutive `f32`s with AVX-512 (two 512-bit vectors),
 /// else sixteen (two 256-bit vectors) — of independent accumulator
 /// chains. Measured at 512 bits against 16, 48 and 64: 32 runs
 /// [`gemm_tn`] at 0.60–0.96× and [`gemm_nt_sgd`] at 0.76–0.99× of 16's
 /// time; 48 leaves 64-wide rows a scalar edge (≈ 5× slower); 64 runs
 /// [`gemm_nt_sgd`] at 0.97–1.92× of 32's time, and [`gemm_tn`] leaves
-/// the 96-wide layer a 32-column scalar edge (8–10×).
+/// the 96-wide layer a 32-column scalar edge (8–10×). With the
+/// `JB_REST` tile after the full ones, the walkers run the layers whose
+/// width is a multiple of 32 at 0.96–1.03× of their time without it
+/// (medians of six processes).
 const JB: usize = if AVX512 { 32 } else { 16 };
+/// Columns of the one narrower register tile that takes a rest of at
+/// least sixteen columns past the last full `JB` tile (the same kernel
+/// at this width), so only the last `n mod 16` columns of a row go to
+/// the scalar edge: the 80-wide `mobilenet_like` layer is two `JB` = 32
+/// tiles and one of sixteen, as it is five tiles of sixteen with AVX2.
+/// Never reached where `JB` is sixteen. Without it that layer's sixteen
+/// columns took the scalar edge: [`gemm_tn`] 4.6–5.3× and
+/// [`gemm_nt_sgd`] 1.4–1.8× the time of sixteen-column tiles in the
+/// same build.
+const JB_REST: usize = 16;
 /// Rows of `a` per register tile in [`gemm_tn`]. Eight leaves the wide
 /// shape's batch of 4 wholly to the scalar edge (≈ 17× slower).
 const TN_MR: usize = 4;
@@ -425,8 +448,14 @@ pub fn gemm_nn_ref(
 pub fn gemm_tn(a: &[f32], b: &[f32], m: usize, p: usize, n: usize, out: &mut [f32]) {
     check_dims(a, b, m, p, p * n, out, m * n);
     out.fill(0.0);
-    // Reduction tiles ascend over o, so each element's chain is the naive
-    // `acc = 0; for o { acc += a[r][o]·b[o][j] }` exactly.
+    tn_tiles::<JB>(a, b, m, p, n, out);
+}
+
+/// [`gemm_tn`]'s tile walker over a zeroed `out`: `W`-column full tiles,
+/// then one `JB_REST`-wide tile where a full one no longer fits.
+/// Reduction tiles ascend over o, so each element's chain is the naive
+/// `acc = 0; for o { acc += a[r][o]·b[o][j] }` exactly.
+fn tn_tiles<const W: usize>(a: &[f32], b: &[f32], m: usize, p: usize, n: usize, out: &mut [f32]) {
     let mut o0 = 0;
     while o0 < p {
         let ot = (p - o0).min(RED_C);
@@ -435,9 +464,12 @@ pub fn gemm_tn(a: &[f32], b: &[f32], m: usize, p: usize, n: usize, out: &mut [f3
             let mt = (m - i0).min(TN_MR);
             let mut j0 = 0;
             while j0 < n {
-                let jt = (n - j0).min(JB);
-                if mt == TN_MR && jt == JB {
-                    tn_micro(a, b, p, n, i0, o0, ot, j0, out);
+                let mut jt = (n - j0).min(W);
+                if mt == TN_MR && jt == W {
+                    tn_micro::<W>(a, b, p, n, i0, o0, ot, j0, out);
+                } else if mt == TN_MR && jt >= JB_REST {
+                    jt = JB_REST;
+                    tn_micro::<JB_REST>(a, b, p, n, i0, o0, ot, j0, out);
                 } else {
                     tn_edge(a, b, p, n, i0, mt, o0, ot, j0, jt, out);
                 }
@@ -449,12 +481,12 @@ pub fn gemm_tn(a: &[f32], b: &[f32], m: usize, p: usize, n: usize, out: &mut [f3
     }
 }
 
-/// Full `TN_MR × JB` register tile: four output rows share every
-/// streamed `b` row, and the `JB`-wide column block vectorizes across
+/// Full `TN_MR × W` register tile: four output rows share every
+/// streamed `b` row, and the `W`-wide column block vectorizes across
 /// independent output columns (never across `o`, the reduction).
 #[allow(clippy::too_many_arguments)]
 #[inline]
-fn tn_micro(
+fn tn_micro<const W: usize>(
     a: &[f32],
     b: &[f32],
     p: usize,
@@ -471,15 +503,13 @@ fn tn_micro(
         &a[(i0 + 2) * p + o0..][..ot],
         &a[(i0 + 3) * p + o0..][..ot],
     ];
-    let mut acc = [[0.0f32; JB]; TN_MR];
+    let mut acc = [[0.0f32; W]; TN_MR];
     for (i, row) in acc.iter_mut().enumerate() {
-        row.copy_from_slice(&out[(i0 + i) * n + j0..][..JB]);
+        row.copy_from_slice(&out[(i0 + i) * n + j0..][..W]);
     }
     let [acc0, acc1, acc2, acc3] = &mut acc;
     for o_rel in 0..ot {
-        let br: &[f32; JB] = b[(o0 + o_rel) * n + j0..][..JB]
-            .try_into()
-            .expect("JB block");
+        let br: &[f32; W] = b[(o0 + o_rel) * n + j0..][..W].try_into().expect("W block");
         let (x0, x1, x2, x3) = (ar[0][o_rel], ar[1][o_rel], ar[2][o_rel], ar[3][o_rel]);
         // Rows hand-jammed into one flat column loop — see [`nt_micro`].
         for (j, &w) in br.iter().enumerate() {
@@ -490,7 +520,7 @@ fn tn_micro(
         }
     }
     for (i, row) in acc.iter().enumerate() {
-        out[(i0 + i) * n + j0..][..JB].copy_from_slice(row);
+        out[(i0 + i) * n + j0..][..W].copy_from_slice(row);
     }
 }
 
@@ -546,27 +576,28 @@ pub fn gemm_tn_ref(a: &[f32], b: &[f32], m: usize, p: usize, n: usize, out: &mut
 // ---------------------------------------------------------------------------
 
 /// What the backward-weights tile walker does with each reduced run of
-/// `len ≤ JB` consecutive elements of the `p × n` product: where the
-/// chains start, and where the finished values go. `at` is the run's
-/// flat offset (`o·n + j`); only the first `len` lanes of `acc` count.
+/// `len ≤ W` consecutive elements of the `p × n` product, held in a
+/// tile-wide block of `W` lanes: where the chains start, and where the
+/// finished values go. `at` is the run's flat offset (`o·n + j`); only
+/// the first `len` lanes of `acc` count.
 trait NtEpilogue {
     /// Writes the starting value of every chain of the run into `acc`.
-    fn start(&self, at: usize, len: usize, acc: &mut [f32; JB]);
+    fn start<const W: usize>(&self, at: usize, len: usize, acc: &mut [f32; W]);
     /// Consumes the finished chains of the run.
-    fn finish(&mut self, at: usize, len: usize, acc: &[f32; JB]);
+    fn finish<const W: usize>(&mut self, at: usize, len: usize, acc: &[f32; W]);
 }
 
 /// The run `src[at..at + len]` in a register-sized block (lanes past
-/// `len` are zero), so the epilogue arithmetic is always `JB` wide.
+/// `len` are zero), so the epilogue arithmetic is always `W` wide.
 #[inline(always)]
-fn load_run(src: &[f32], at: usize, len: usize) -> [f32; JB] {
-    let mut run = [0.0f32; JB];
+fn load_run<const W: usize>(src: &[f32], at: usize, len: usize) -> [f32; W] {
+    let mut run = [0.0f32; W];
     run[..len].copy_from_slice(&src[at..at + len]);
     run
 }
 
 #[inline(always)]
-fn store_run(dst: &mut [f32], at: usize, len: usize, run: &[f32; JB]) {
+fn store_run<const W: usize>(dst: &mut [f32], at: usize, len: usize, run: &[f32; W]) {
     dst[at..at + len].copy_from_slice(&run[..len]);
 }
 
@@ -575,12 +606,12 @@ struct Accumulate<'a>(&'a mut [f32]);
 
 impl NtEpilogue for Accumulate<'_> {
     #[inline(always)]
-    fn start(&self, at: usize, len: usize, acc: &mut [f32; JB]) {
+    fn start<const W: usize>(&self, at: usize, len: usize, acc: &mut [f32; W]) {
         *acc = load_run(self.0, at, len);
     }
 
     #[inline(always)]
-    fn finish(&mut self, at: usize, len: usize, acc: &[f32; JB]) {
+    fn finish<const W: usize>(&mut self, at: usize, len: usize, acc: &[f32; W]) {
         store_run(self.0, at, len, acc);
     }
 }
@@ -594,7 +625,7 @@ impl NtEpilogue for Accumulate<'_> {
 /// Panics if any slice length disagrees with `(m, p, n)`.
 pub fn gemm_nt(a: &[f32], b: &[f32], m: usize, p: usize, n: usize, out: &mut [f32]) {
     check_dims(a, b, m, p, m * n, out, p * n);
-    nt_tiles(a, b, m, p, n, &mut Accumulate(out));
+    nt_tiles::<JB, _>(a, b, m, p, n, &mut Accumulate(out));
 }
 
 /// Where one SGD-with-momentum step of [`gemm_nt_sgd`] reads the weights
@@ -654,26 +685,26 @@ struct Sgd<'a> {
 
 impl NtEpilogue for Sgd<'_> {
     #[inline(always)]
-    fn start(&self, _at: usize, _len: usize, acc: &mut [f32; JB]) {
-        *acc = [0.0; JB];
+    fn start<const W: usize>(&self, _at: usize, _len: usize, acc: &mut [f32; W]) {
+        *acc = [0.0; W];
     }
 
     #[inline(always)]
-    fn finish(&mut self, at: usize, len: usize, g: &[f32; JB]) {
-        const ZERO: [f32; JB] = [0.0; JB];
+    fn finish<const W: usize>(&mut self, at: usize, len: usize, g: &[f32; W]) {
+        let zero = [0.0f32; W];
         let (lr, mu) = (self.lr, self.momentum);
         // The one place the update is written: `(w, v) → (w', v')`. A
         // velocity known to be zero still goes through it (`μ·0.0 + g`):
         // that is what turns a `-0.0` gradient into the `+0.0` velocity
         // the unfused update stores.
-        let step = |mut w: [f32; JB], mut v: [f32; JB]| {
+        let step = |mut w: [f32; W], mut v: [f32; W]| {
             for ((w, v), g) in w.iter_mut().zip(&mut v).zip(g) {
                 *v = mu * *v + g;
                 *w -= lr * *v;
             }
             (w, v)
         };
-        let minus = |mut w: [f32; JB], base: [f32; JB]| {
+        let minus = |mut w: [f32; W], base: [f32; W]| {
             for (w, b) in w.iter_mut().zip(base) {
                 *w -= b;
             }
@@ -686,7 +717,7 @@ impl NtEpilogue for Sgd<'_> {
                 store_run(v, at, len, &v1);
             }
             SgdIo::First { from, w, v } => {
-                let (w1, v1) = step(load_run(from, at, len), ZERO);
+                let (w1, v1) = step(load_run(from, at, len), zero);
                 store_run(w, at, len, &w1);
                 store_run(v, at, len, &v1);
             }
@@ -696,7 +727,7 @@ impl NtEpilogue for Sgd<'_> {
             }
             SgdIo::Only { base, out } => {
                 let base = load_run(base, at, len);
-                let (w1, _) = step(base, ZERO);
+                let (w1, _) = step(base, zero);
                 store_run(out, at, len, &minus(w1, base));
             }
         }
@@ -739,25 +770,36 @@ pub fn gemm_nt_sgd(
     assert!(operands_fit, "gemm: SGD operand shape mismatch");
     assert_eq!(a.len(), m * p, "gemm: `a` shape mismatch");
     assert_eq!(b.len(), m * n, "gemm: `b` shape mismatch");
-    nt_tiles(a, b, m, p, n, &mut Sgd { lr, momentum, io });
+    nt_tiles::<JB, _>(a, b, m, p, n, &mut Sgd { lr, momentum, io });
 }
 
-/// The one backward-weights tile walker: every `NT_OR × JB` tile of the
-/// `p × n` product is reduced over the whole batch in registers and
-/// handed to the epilogue once. Each element's chain is its starting
-/// value plus `a[r][o]·b[r][j]` in ascending `r` — the naive loop's
-/// order, for any `m`.
-fn nt_tiles<E: NtEpilogue>(a: &[f32], b: &[f32], m: usize, p: usize, n: usize, ep: &mut E) {
+/// The one backward-weights tile walker: every `NT_OR × W` tile of the
+/// `p × n` product (a `JB_REST`-wide one where a full tile no longer
+/// fits) is reduced over the whole batch in registers and handed to the
+/// epilogue once. Each element's chain is its starting value plus
+/// `a[r][o]·b[r][j]` in ascending `r` — the naive loop's order, for any
+/// `m`.
+fn nt_tiles<const W: usize, E: NtEpilogue>(
+    a: &[f32],
+    b: &[f32],
+    m: usize,
+    p: usize,
+    n: usize,
+    ep: &mut E,
+) {
     let mut o0 = 0;
     while o0 < p {
         let pt = (p - o0).min(NT_OR);
         let mut j0 = 0;
         while j0 < n {
-            let jt = (n - j0).min(JB);
-            if pt == NT_OR && jt == JB {
-                nt_micro(a, b, m, p, n, o0, j0, ep);
+            let mut jt = (n - j0).min(W);
+            if pt == NT_OR && jt == W {
+                nt_micro::<W, E>(a, b, m, p, n, o0, j0, ep);
+            } else if pt == NT_OR && jt >= JB_REST {
+                jt = JB_REST;
+                nt_micro::<JB_REST, E>(a, b, m, p, n, o0, j0, ep);
             } else {
-                nt_edge(a, b, m, p, n, o0, pt, j0, jt, ep);
+                nt_edge::<W, E>(a, b, m, p, n, o0, pt, j0, jt, ep);
             }
             j0 += jt;
         }
@@ -765,13 +807,13 @@ fn nt_tiles<E: NtEpilogue>(a: &[f32], b: &[f32], m: usize, p: usize, n: usize, e
     }
 }
 
-/// Full `NT_OR × JB` register tile: four gradient rows share every
+/// Full `NT_OR × W` register tile: four gradient rows share every
 /// streamed `b` row while the batch dimension reduces in registers; the
-/// sixteen-wide column block vectorizes across independent gradient
-/// columns (never across `r`, the reduction).
+/// `W`-wide column block vectorizes across independent gradient columns
+/// (never across `r`, the reduction).
 #[allow(clippy::too_many_arguments)]
 #[inline(always)]
-fn nt_micro<E: NtEpilogue>(
+fn nt_micro<const W: usize, E: NtEpilogue>(
     a: &[f32],
     b: &[f32],
     m: usize,
@@ -781,14 +823,14 @@ fn nt_micro<E: NtEpilogue>(
     j0: usize,
     ep: &mut E,
 ) {
-    let mut acc = [[0.0f32; JB]; NT_OR];
+    let mut acc = [[0.0f32; W]; NT_OR];
     for (o, row) in acc.iter_mut().enumerate() {
-        ep.start((o0 + o) * n + j0, JB, row);
+        ep.start((o0 + o) * n + j0, W, row);
     }
     let [acc0, acc1, acc2, acc3] = &mut acc;
     for r in 0..m {
         let av: &[f32; NT_OR] = a[r * p + o0..][..NT_OR].try_into().expect("NT_OR block");
-        let br: &[f32; JB] = b[r * n + j0..][..JB].try_into().expect("JB block");
+        let br: &[f32; W] = b[r * n + j0..][..W].try_into().expect("W block");
         // One flat loop over columns with the rows hand-jammed: the only
         // dimension the vectorizer can widen is `j`. (A nested
         // rows-within-columns loop lets it interleave across rows
@@ -801,14 +843,14 @@ fn nt_micro<E: NtEpilogue>(
         }
     }
     for (o, row) in acc.iter().enumerate() {
-        ep.finish((o0 + o) * n + j0, JB, row);
+        ep.finish((o0 + o) * n + j0, W, row);
     }
 }
 
-/// Remainder tile of [`nt_tiles`]: one row run at a time, per-element
-/// chains in the same ascending-r order.
+/// Remainder tile of [`nt_tiles`]: one row run of `jt ≤ W` columns at a
+/// time, per-element chains in the same ascending-r order.
 #[allow(clippy::too_many_arguments)]
-fn nt_edge<E: NtEpilogue>(
+fn nt_edge<const W: usize, E: NtEpilogue>(
     a: &[f32],
     b: &[f32],
     m: usize,
@@ -821,7 +863,7 @@ fn nt_edge<E: NtEpilogue>(
     ep: &mut E,
 ) {
     for o in o0..o0 + pt {
-        let mut acc = [0.0f32; JB];
+        let mut acc = [0.0f32; W];
         ep.start(o * n + j0, jt, &mut acc);
         for r in 0..m {
             let x = a[r * p + o];
@@ -951,6 +993,109 @@ mod tests {
                 let mut got = fill(&mut rng, m * n);
                 nn_blocks::<8>(&a, &w, &bias, m, n, k, &mut got);
                 assert_bits_eq(&got, &want, "nn at 8 lanes");
+            }
+        }
+    }
+
+    /// Every output of the backward walkers at full tile width `W`:
+    /// backward data, accumulating backward weights, then the SGD forms
+    /// in-place (`w'`, `v'`), last (delta), first (`w'`, `v'`), only
+    /// (delta).
+    fn backward_at_width<const W: usize>(
+        a: &[f32],
+        wt: &[f32],
+        x: &[f32],
+        (m, p, n): (usize, usize, usize),
+        [w0, v0, base]: [&[f32]; 3],
+    ) -> Vec<Vec<f32>> {
+        let (lr, momentum) = (0.05, 0.9);
+        let mut tn = vec![0.0f32; m * n];
+        tn_tiles::<W>(a, wt, m, p, n, &mut tn);
+        let mut nt = w0.to_vec();
+        nt_tiles::<W, _>(a, x, m, p, n, &mut Accumulate(&mut nt));
+        let sgd = |io| nt_tiles::<W, _>(a, x, m, p, n, &mut Sgd { lr, momentum, io });
+        let (mut w, mut v) = (w0.to_vec(), v0.to_vec());
+        sgd(SgdIo::InPlace {
+            w: &mut w,
+            v: &mut v,
+        });
+        let mut last = vec![f32::NAN; p * n];
+        sgd(SgdIo::Last {
+            w: w0,
+            v: v0,
+            base,
+            out: &mut last,
+        });
+        let (mut w1, mut v1) = (vec![f32::NAN; p * n], vec![f32::NAN; p * n]);
+        sgd(SgdIo::First {
+            from: w0,
+            w: &mut w1,
+            v: &mut v1,
+        });
+        let mut only = vec![f32::NAN; p * n];
+        sgd(SgdIo::Only {
+            base: w0,
+            out: &mut only,
+        });
+        vec![tn, nt, w, v, last, w1, v1, only]
+    }
+
+    /// Both full tile widths of the backward walkers, whichever `JB` the
+    /// build picks: rows straddling one and two tiles of either and the
+    /// 16-column rest tile (80 is `mobilenet_like`'s layer), against the
+    /// reference twins and the unfused SGD update.
+    #[test]
+    fn backward_tiles_match_reference_at_both_widths() {
+        let mut rng = StdRng::seed_from_u64(13);
+        for n in [15, 16, 17, 31, 32, 33, 47, 48, 49, 63, 64, 65, 79, 80, 81] {
+            for (m, p) in [(1, 3), (4, 4), (5, 9), (16, 7)] {
+                let (a, wt, x) = (
+                    fill(&mut rng, m * p),
+                    fill(&mut rng, p * n),
+                    fill(&mut rng, m * n),
+                );
+                let [w0, v0, base] = [(); 3].map(|()| fill(&mut rng, p * n));
+                let mut tn = vec![0.0f32; m * n];
+                gemm_tn_ref(&a, &wt, m, p, n, &mut tn);
+                let mut nt = w0.clone();
+                gemm_nt_ref(&a, &x, m, p, n, &mut nt);
+                let mut g = vec![0.0f32; p * n];
+                gemm_nt_ref(&a, &x, m, p, n, &mut g);
+                let update = |w: &[f32], v: &[f32]| -> (Vec<f32>, Vec<f32>) {
+                    let (mut w, mut v) = (w.to_vec(), v.to_vec());
+                    for ((w, v), g) in w.iter_mut().zip(&mut v).zip(&g) {
+                        *v = 0.9 * *v + g;
+                        *w -= 0.05 * *v;
+                    }
+                    (w, v)
+                };
+                let minus = |w: &[f32], b: &[f32]| -> Vec<f32> {
+                    w.iter().zip(b).map(|(w, b)| w - b).collect()
+                };
+                let (w, v) = update(&w0, &v0);
+                let last = minus(&w, &base);
+                let (w1, v1) = update(&w0, &vec![0.0; p * n]);
+                let only = minus(&w1, &w0);
+                let want = [tn, nt, w, v, last, w1, v1, only];
+                let ops = [&w0[..], &v0, &base];
+                let wide = backward_at_width::<32>(&a, &wt, &x, (m, p, n), ops);
+                let narrow = backward_at_width::<16>(&a, &wt, &x, (m, p, n), ops);
+                let names = [
+                    "tn",
+                    "nt",
+                    "in-place w",
+                    "in-place v",
+                    "last",
+                    "first w",
+                    "first v",
+                    "only",
+                ];
+                for ((name, want), (wide, narrow)) in
+                    names.iter().zip(&want).zip(wide.iter().zip(&narrow))
+                {
+                    assert_bits_eq(wide, want, &format!("{name} at 32 columns, {m}x{p}x{n}"));
+                    assert_bits_eq(narrow, want, &format!("{name} at 16 columns, {m}x{p}x{n}"));
+                }
             }
         }
     }

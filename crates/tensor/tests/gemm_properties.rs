@@ -354,9 +354,9 @@ proptest! {
 }
 
 /// Column counts straddling the backward kernels' column tiles: one and
-/// two tiles of 32 columns (AVX-512 builds), one to four of 16 (AVX2
-/// and SSE2 builds).
-const STRADDLE_COLS: [usize; 12] = [15, 16, 17, 31, 32, 33, 47, 48, 49, 63, 64, 65];
+/// two tiles of 32 columns and the 16-column rest tile after them
+/// (AVX-512 builds), one to five tiles of 16 (AVX2 and SSE2 builds).
+const STRADDLE_COLS: [usize; 15] = [15, 16, 17, 31, 32, 33, 47, 48, 49, 63, 64, 65, 79, 80, 81];
 
 /// Every straddling column count, under batches and output rows on and
 /// off the 4-row tiles: backward data, accumulating backward weights and
