@@ -251,38 +251,35 @@ impl ErrorCompensator {
         std::mem::swap(&mut Self::memory_of(memory, weight).residual, delta);
     }
 
-    /// Folds the wire codec's loss into a client's residual bank after
-    /// its upload was serialized: `sent` is what the strategy handed the
-    /// encoder at `positions` — an explicit index list, or the one-bits
-    /// of the mask a mask-aligned part travels under — and `shipped` is
-    /// what a lossy codec actually delivered to the receiver. The true
-    /// residual of the round is
+    /// Folds the wire codec's loss into a client's checked-out `memory`
+    /// after its upload was serialized, before it is checked back in:
+    /// `sent` is what the strategy handed the encoder at `positions` — an
+    /// explicit index list, or the one-bits of the mask a mask-aligned
+    /// part travels under — and `shipped` is what a lossy codec actually
+    /// delivered to the receiver. The true residual of the round is
     /// `Δ − shipped = (Δ − sent) + (sent − shipped)`; the compress walk
-    /// already stored the first term, so this adds the second. No-op when
-    /// compensation is off or the client has no stored memory (nothing
+    /// already left the first term in `memory`, so this adds the second.
+    /// No-op when compensation is off or `memory` holds nothing (nothing
     /// was recorded this round); the stored weight is untouched — codec
     /// loss happened at the same reference weight as the top-k loss.
+    /// Like the walk, it reads and writes only `memory`, so it runs on
+    /// whichever thread holds the client's turn.
     ///
     /// # Panics
-    /// Panics if `sent`, `shipped` and `positions` disagree in length, a
-    /// position is out of range for the model dimension, or the client's
-    /// memory is checked out.
+    /// Panics if `sent`, `shipped` and `positions` disagree in length, or
+    /// a position is out of range for the model dimension.
     pub fn fold_shipped_error(
-        &mut self,
-        client: usize,
+        &self,
+        memory: &mut Residual,
         positions: impl IntoIterator<Item = usize>,
         sent: &[f32],
         shipped: &[f32],
     ) {
         assert_eq!(sent.len(), shipped.len());
-        assert!(
-            !self.checked_out.contains(&client),
-            "client {client}'s residual is checked out"
-        );
         if self.mode == CompensationMode::None {
             return;
         }
-        let Some(mem) = self.memory.get_mut(&client) else {
+        let Some(mem) = memory.memory.as_mut() else {
             return;
         };
         let mut positions = positions.into_iter();
@@ -402,7 +399,9 @@ mod tests {
         // Round: delta [1, -2, 0.5, 0], sent the first two coordinates.
         ec.record(0, &[1.0, -2.0, 0.5, 0.0], &[1.0, -2.0, 0.0, 0.0], 1.0);
         // Wire codec delivered [0.9, -2.1] instead of [1.0, -2.0].
-        ec.fold_shipped_error(0, [0, 1], &[1.0, -2.0], &[0.9, -2.1]);
+        let mut memory = ec.check_out(0);
+        ec.fold_shipped_error(&mut memory, [0, 1], &[1.0, -2.0], &[0.9, -2.1]);
+        ec.check_in(0, memory);
         let mut probe = vec![0.0f32; 4];
         ec.apply(0, &mut probe, 1.0);
         // Residual = (Δ − sent) + (sent − shipped) = Δ − shipped.
@@ -415,12 +414,16 @@ mod tests {
     fn fold_shipped_error_without_memory_or_mode_is_inert() {
         // No memory stored: nothing to fold into.
         let mut ec = ErrorCompensator::new(CompensationMode::Raw, 2);
-        ec.fold_shipped_error(7, [0], &[1.0], &[0.5]);
+        let mut memory = ec.check_out(7);
+        ec.fold_shipped_error(&mut memory, [0], &[1.0], &[0.5]);
+        ec.check_in(7, memory);
         assert_eq!(ec.tracked_clients(), 0);
         // Mode None: inert even after a (no-op) record.
         let mut off = ErrorCompensator::new(CompensationMode::None, 2);
         off.record(0, &[1.0, 0.0], &[0.0, 0.0], 1.0);
-        off.fold_shipped_error(0, [0], &[1.0], &[0.5]);
+        let mut memory = off.check_out(0);
+        off.fold_shipped_error(&mut memory, [0], &[1.0], &[0.5]);
+        off.check_in(0, memory);
         assert_eq!(off.tracked_clients(), 0);
     }
 

@@ -142,11 +142,11 @@ enum Scheme {
 /// fixes, and runs a client's turn only once the grant keeps it, through
 /// a [`StagedTurn`]: [`StagedTurn::stage`] checks the client's residual
 /// out, [`crate::ClientTurn::run`] trains and
-/// [`compress`](Self::compress)es, and [`StagedTurn::keep`] banks the
-/// residual and serializes the upload. A dismissed client runs no turn,
-/// so its bank ends the round as it began. `compress` takes `&self`:
-/// between check-out and [`StagedTurn::keep`], every kept client's turn
-/// can run on its own thread.
+/// [`compress`](Self::compress)es, [`StagedTurn::encode`] serializes the
+/// upload, and [`StagedTurn::check_in`] banks the residual. A dismissed
+/// client runs no turn, so its bank ends the round as it began.
+/// `compress` and the encode take `&self`: between check-out and
+/// check-in, every kept client's turn can run on its own thread.
 #[derive(Debug)]
 pub struct ClientCompressor {
     scheme: Scheme,
@@ -157,9 +157,6 @@ pub struct ClientCompressor {
     stats_excluded: BitMask,
     wire: WirePolicy,
     seed: u64,
-    /// Dequantized values of the lossy frame just encoded (scratch for
-    /// [`wire_link::encode_upload_with_feedback`]).
-    shipped: Vec<f32>,
 }
 
 impl ClientCompressor {
@@ -198,7 +195,6 @@ impl ClientCompressor {
             stats_excluded,
             wire: cfg.wire,
             seed: cfg.seed,
-            shipped: Vec::new(),
         }
     }
 
@@ -223,6 +219,19 @@ impl ClientCompressor {
         match &mut self.scheme {
             Scheme::Stc { ec, .. } | Scheme::GlueFl { ec, .. } => ec.check_out(id),
             Scheme::Dense | Scheme::Apf => Residual::default(),
+        }
+    }
+
+    /// Whether a turn on the checked-out `residual` makes its delta's
+    /// buffer a new residual: the client's first turn under a scheme that
+    /// banks one (STC, GlueFL, compensation on). That buffer outlives the
+    /// round.
+    fn banks_new_residual(&self, residual: &Residual) -> bool {
+        match &self.scheme {
+            Scheme::Stc { ec, .. } | Scheme::GlueFl { ec, .. } => {
+                residual.is_empty() && ec.mode() != CompensationMode::None
+            }
+            Scheme::Dense | Scheme::Apf => false,
         }
     }
 
@@ -414,40 +423,43 @@ impl ClientCompressor {
 
     /// Serializes client `id`'s granted upload and its BN-statistic
     /// values into `out` and returns the byte count, folding codec loss
-    /// into the bank (see [`StagedTurn::keep`]). Only granted uploads are
-    /// ever serialized, which is what keeps every driver's banks
-    /// identical.
+    /// into the client's checked-out `residual` (see
+    /// [`StagedTurn::encode`]); `shipped` is scratch for the dequantized
+    /// values. Only granted uploads are ever serialized, which is what
+    /// keeps every driver's banks identical.
     ///
     /// # Panics
     /// Panics if a lossy mask-aligned frame was encoded and `round_mask`
     /// is not the mask its values are aligned to.
+    #[allow(clippy::too_many_arguments)]
     fn encode_kept(
-        &mut self,
+        &self,
         round: u32,
         id: ClientId,
         upload: &Upload,
         round_mask: Option<&BitMask>,
         stats: &[f32],
         out: &mut Vec<u8>,
+        residual: &mut Residual,
+        shipped: &mut Vec<f32>,
     ) -> usize {
         let key = (u64::from(round) << 32) | id as u64;
-        let scheme = &mut self.scheme;
         let ulen = wire_link::encode_upload_with_feedback(
             upload,
             round,
             &self.wire,
             derive_seed(self.seed, "wire-quant", key),
             out,
-            &mut self.shipped,
-            &mut |at, sent, shipped| match scheme {
+            shipped,
+            &mut |at, sent, shipped| match &self.scheme {
                 Scheme::Stc { ec, .. } | Scheme::GlueFl { ec, .. } => match at {
                     ShippedAt::Indices(indices) => {
                         let positions = indices.iter().map(|&i| i as usize);
-                        ec.fold_shipped_error(id, positions, sent, shipped);
+                        ec.fold_shipped_error(residual, positions, sent, shipped);
                     }
                     ShippedAt::RoundMask => {
                         let mask = round_mask.expect("a mask-aligned part was compressed");
-                        ec.fold_shipped_error(id, mask.iter_ones(), sent, shipped);
+                        ec.fold_shipped_error(residual, mask.iter_ones(), sent, shipped);
                     }
                 },
                 Scheme::Dense | Scheme::Apf => {}
@@ -468,22 +480,29 @@ impl ClientCompressor {
 }
 
 /// One kept client's turn: the client's residual, checked out of the
-/// bank; the delta buffer, which after the turn holds what compression
-/// handed back; the BN-statistic drift; and the staged upload.
+/// bank; the delta buffer the turn trains into, which after the turn
+/// holds what compression handed back; the BN-statistic drift; and the
+/// staged upload.
 ///
-/// A driver stages a turn only once the grant keeps its client, so every
-/// staged turn is kept: [`keep`](Self::keep) banks the residual as the
-/// turn left it, serializes the upload and reclaims its buffers. Keeping
-/// takes the turn's residual and upload; its buffers stay for the next
-/// turn staged here, so a driver keeps one `StagedTurn` per turn it runs
-/// at a time and allocates nothing in steady state.
+/// A driver stages a turn only once the grant keeps it, so every staged
+/// turn is kept, in three steps: [`stage`](Self::stage) (or, in the
+/// in-process driver, a check-out alone) before the turn runs,
+/// [`encode`](Self::encode) after it — which needs only `&`
+/// [`ClientCompressor`], so it runs on whichever thread ran the turn —
+/// and [`check_in`](Self::check_in) last, which banks the residual as the
+/// turn and its encode left it. The buffers stay for the next turn staged
+/// here, so a socket client keeps one `StagedTurn` and allocates nothing
+/// in steady state; the in-process driver lends each turn its worker's
+/// delta and statistics buffers instead, so a round holds one of each
+/// per worker, not per kept client.
 #[derive(Debug, Default)]
 pub struct StagedTurn {
     /// The turn's round and client, and the client's residual, checked
-    /// out of the bank until the turn is kept.
+    /// out of the bank until the turn is checked in.
     pub(crate) held: Option<(u32, ClientId, Residual)>,
     /// The buffer the turn trains into; after it, what
-    /// [`ClientCompressor::compress`] handed back.
+    /// [`ClientCompressor::compress`] handed back, and after the encode
+    /// a dense upload's buffer.
     pub(crate) delta: Vec<f32>,
     pub(crate) stats: Vec<f32>,
     pub(crate) upload: Option<Upload<'static>>,
@@ -492,13 +511,13 @@ pub struct StagedTurn {
 impl StagedTurn {
     /// Stages client `id`'s turn in `round`: checks its residual out of
     /// `compressor`'s bank and readies the buffers the turn fills — a
-    /// delta buffer from `scratch` unless the last turn handed back one of
-    /// the model's length. Storage that outlives the turn is allocated
-    /// here, on the caller's thread, never on a worker running the turn.
+    /// delta buffer from `scratch` unless the turn holds one of the
+    /// model's length. Storage that outlives the turn is allocated here,
+    /// on the caller's thread, never on a worker running the turn.
     ///
     /// # Panics
-    /// Panics if a turn is staged here and not yet kept, or if client
-    /// `id`'s residual is already checked out.
+    /// Panics if a turn is staged here and not yet checked in, or if
+    /// client `id`'s residual is already checked out.
     pub fn stage(
         &mut self,
         compressor: &mut ClientCompressor,
@@ -506,51 +525,94 @@ impl StagedTurn {
         id: ClientId,
         scratch: &mut ScratchPool,
     ) {
-        assert!(self.held.is_none(), "a staged turn was never kept");
+        let _ = self.hold(compressor, round, id);
         let dim = compressor.dim;
         if self.delta.len() != dim {
             self.delta = scratch.take_full(dim);
         }
         self.stats.resize(dim - compressor.trainable, 0.0);
-        self.held = Some((round, id, compressor.check_out(id)));
     }
 
-    /// Keeps the turn: checks the residual in as the turn left it, then
-    /// serializes the upload and the BN-statistic drift into `out`
+    /// Checks client `id`'s residual out of `compressor`'s bank for its
+    /// turn in `round`, and returns whether the turn's delta buffer will
+    /// become the client's first residual — and so outlive the round.
+    ///
+    /// # Panics
+    /// Panics if a turn is staged here and not yet checked in, or if
+    /// client `id`'s residual is already checked out.
+    pub(crate) fn hold(
+        &mut self,
+        compressor: &mut ClientCompressor,
+        round: u32,
+        id: ClientId,
+    ) -> bool {
+        assert!(self.held.is_none(), "a staged turn was never checked in");
+        let residual = compressor.check_out(id);
+        let banks = compressor.banks_new_residual(&residual);
+        self.held = Some((round, id, residual));
+        banks
+    }
+
+    /// Serializes the turn's upload and BN-statistic drift into `out`
     /// (upload frame(s), then one mask-aligned stats frame) and reclaims
-    /// the upload's buffers into `scratch`. Returns the byte count, which
-    /// the turn's nominal wire price ([`ClientCompressor::shape_offer`])
-    /// bounds, and equals under the legacy layout menu. Under a lossy
-    /// codec with `quant_ec` on, what each frame failed to ship is folded
-    /// into the client's bank, at the one-bits of `round_mask` (the mask
-    /// the turn was given) for a mask-aligned frame. Quantization seeds
-    /// derive from `(seed, round, id)`, never from processing order.
+    /// the upload's buffers into `scratch` — a dense upload's back into
+    /// the turn's delta buffer. Returns the byte count, which the turn's
+    /// nominal wire price ([`ClientCompressor::shape_offer`]) bounds, and
+    /// equals under the legacy layout menu. Under a lossy codec with
+    /// `quant_ec` on, what each frame failed to ship is folded into the
+    /// turn's checked-out residual, at the one-bits of `round_mask` (the
+    /// mask the turn was given) for a mask-aligned frame; `scratch` holds
+    /// the shipped values meanwhile. Quantization seeds derive from
+    /// `(seed, round, id)`, never from processing order.
     ///
     /// # Panics
     /// Panics if no turn has run here since it was staged, or if the
     /// encoded length breaks its nominal price.
-    pub fn keep(
+    pub fn encode(
         &mut self,
-        compressor: &mut ClientCompressor,
+        compressor: &ClientCompressor,
         round_mask: Option<&BitMask>,
         out: &mut Vec<u8>,
         scratch: &mut ScratchPool,
     ) -> usize {
-        let (round, id, residual) = self.held.take().expect("a turn is staged");
-        compressor.check_in(id, residual);
+        let (round, id, residual) = self.held.as_mut().expect("a turn is staged");
         let upload = self.upload.take().expect("the staged turn ran");
-        let len = compressor.encode_kept(round, id, &upload, round_mask, &self.stats, out);
+        let len = compressor.encode_kept(
+            *round,
+            *id,
+            &upload,
+            round_mask,
+            &self.stats,
+            out,
+            residual,
+            &mut scratch.shipped,
+        );
         // The offer is a prediction; this is where it meets the encoder.
         let (_, nominal) = compressor
-            .shape_offer(round, round_mask, self.stats.len())
+            .shape_offer(*round, round_mask, self.stats.len())
             .expect("the turn ran, so its mask was broadcast");
         if compressor.wire.menu == LayoutMenu::Legacy {
             assert_eq!(len as u64, nominal, "encoded bytes diverged from the offer");
         } else {
             assert!(len as u64 <= nominal, "encoded bytes exceed the offer");
         }
-        scratch.reclaim_upload(upload);
+        match upload {
+            Upload::Dense(values) => self.delta = values,
+            upload => scratch.reclaim_upload(upload),
+        }
         len
+    }
+
+    /// Checks the turn's residual back into `compressor`'s bank, as the
+    /// turn and its [`encode`](Self::encode) left it.
+    ///
+    /// # Panics
+    /// Panics if no turn is staged here, or if it ran and was not
+    /// encoded.
+    pub fn check_in(&mut self, compressor: &mut ClientCompressor) {
+        assert!(self.upload.is_none(), "a turn is checked in unencoded");
+        let (_, id, residual) = self.held.take().expect("a turn is staged");
+        compressor.check_in(id, residual);
     }
 }
 
@@ -781,7 +843,18 @@ mod tests {
         let stored = |c: &ClientCompressor| c.stored(2).expect("banked").0.to_vec();
         let mut expected = stored(&c);
         let mut out = Vec::new();
-        let _ = c.encode_kept(1, 2, &upload, Some(&mask), &[], &mut out);
+        let mut residual = c.check_out(2);
+        let _ = c.encode_kept(
+            1,
+            2,
+            &upload,
+            Some(&mask),
+            &[],
+            &mut out,
+            &mut residual,
+            &mut pool.shipped,
+        );
+        c.check_in(2, residual);
         let (received, _) =
             wire_link::decode_upload_with_stats(&out, Some(&mask), &mut pool).unwrap();
         let Upload::MaskSplit(shipped) = received else {
@@ -821,8 +894,19 @@ mod tests {
             let up = compress(&mut c, 0, 3, Group::Fresh, &mut delta, None).unwrap();
             let stats = [0.5f32, -0.25];
             let (analytic, nominal) = c.shape_offer(0, None, stats.len()).unwrap();
-            let mut out = Vec::new();
-            let len = c.encode_kept(0, 3, &up, None, &stats, &mut out) as u64;
+            let (mut out, mut residual) = (Vec::new(), c.check_out(3));
+            let len = c.encode_kept(
+                0,
+                3,
+                &up,
+                None,
+                &stats,
+                &mut out,
+                &mut residual,
+                &mut Vec::new(),
+            );
+            c.check_in(3, residual);
+            let len = len as u64;
             assert_eq!(out.len() as u64, len);
             assert_eq!(
                 analytic, nominal,

@@ -23,31 +23,38 @@
 //!    bound under the entropy menu;
 //! 4. `keep` (untimed) — the fastest `C` sticky / `K − C` fresh
 //!    finishers are kept (§5.6), and [`RoundIo::grant`] tells the
-//!    clients. Only the kept clients take their turns — train, compress
-//!    ([`crate::ClientTurn::run`]) — so the grant is timed as
-//!    [`Phase::Train`]. A dismissed client runs nothing and sends
-//!    nothing, so its error-feedback bank ends the round as it began;
-//! 5. `fold` — each arrival from [`RoundIo::next_upload`] is decoded
-//!    through the one upload grammar
-//!    ([`wire_link::decode_upload_with_stats`]), validated against the
-//!    strategy, the model dimension and the BN-statistic layout, and
-//!    folded on the spot, at the sampler's weight for its client,
-//!    through the [`StreamingAggregator`] — decoded and folded while the
-//!    IO produces the next arrival. Every check runs before anything is
-//!    folded; a dense upload is then folded straight from the verified
-//!    frame bytes in the payload buffer ([`Upload::DenseFrame`]), which
-//!    goes back to the producer only after the fold. Only an upload the
-//!    gate must park — it arrived ahead of a lower client id — is
-//!    materialized into a pooled buffer. A producer thread (`produce`)
-//!    owns the IO for this step and runs at most one arrival ahead;
-//!    arrivals are folded in the order the IO produces them, so the
-//!    overlap changes no bit. A lost or invalid upload is skipped and the round
-//!    completes without it. Each folded upload, and no other, enters the
+//!    clients ([`Phase::Train`]: the in-process IO stages the kept turns
+//!    there, socket clients start training on it). Only the kept clients
+//!    take their turns — train, compress, encode
+//!    ([`crate::ClientTurn::run`], [`crate::StagedTurn::encode`]). A
+//!    dismissed client runs nothing and sends nothing, so its
+//!    error-feedback bank ends the round as it began;
+//! 5. `fold` — a producer thread runs [`RoundIo::uploads`], which
+//!    delivers each kept slot's arrival into the engine's
+//!    [`UploadSink`] as it resolves: the in-process IO's workers claim
+//!    the kept turns one at a time in fold order and hand each finished
+//!    upload over in that order, so the engine folds while the clients
+//!    are still training. Each arrival is decoded through the one upload
+//!    grammar ([`wire_link::decode_upload_with_stats`]), validated
+//!    against the strategy, the model dimension and the BN-statistic
+//!    layout, and folded on the spot, at the sampler's weight for its
+//!    client, through the [`StreamingAggregator`]. Every check runs
+//!    before anything is folded; a dense upload is then folded straight
+//!    from the verified frame bytes in its payload buffer
+//!    ([`Upload::DenseFrame`]), which goes back to the sink's budget
+//!    ([`payload_budget`] buffers) only after the fold. Only an upload
+//!    the gate must park — it arrived ahead of a lower client id — is
+//!    materialized into a pooled buffer. Arrivals are folded in the
+//!    order the IO delivers them, so the overlap changes no bit. A lost
+//!    or invalid upload is skipped and the round completes without it;
+//!    the IO hears of each rejection ([`RoundIo::rejected`]) once its
+//!    producer is done. Each folded upload, and no other, enters the
 //!    upload ledger: its payload length as
 //!    [`RoundRecord::wire_up_bytes`], its legacy-F32 price as
 //!    [`RoundRecord::up_bytes`]. Setting up and folding are timed as
-//!    [`Phase::Fold`], decoding as [`Phase::Decode`], and waiting on the
-//!    producer as [`Phase::Encode`];
+//!    [`Phase::Fold`], decoding and the rejections as [`Phase::Decode`],
+//!    and waiting for the next arrival — for the clients' turns — as
+//!    [`Phase::Train`];
 //! 6. the strategy's finishing step ([`Phase::TopK`]: top-k, mask shift)
 //!    yields the [`gluefl_tensor::MaskedUpdate`]; `apply`
 //!    ([`Phase::Apply`]) applies it with the word-level masked kernels,
@@ -62,15 +69,19 @@
 //! Each timed interval is charged to its phase at one call site — in
 //! [`RoundEngine::step`], or in `fold` for the fold loop's waits, decodes
 //! and folds — so the phases are disjoint slices of the step by
-//! construction.
+//! construction. [`Phase::Train`] is the engine's view of the clients'
+//! turns: the grant plus every wait for an arrival. The turns themselves
+//! overlap the fold's decodes and folds, so the training spans a client
+//! side records lie inside the step, not inside that phase; and
+//! [`Phase::Encode`] is the offer collection alone, since each upload is
+//! serialized by the client that trained it.
 //!
 //! Who the clients are is the [`RoundIo`]'s business. Its steps are per
 //! *round*, not per client, so an implementation is free to run a
-//! round's turns in one call ([`crate::Simulation`]: the kept clients'
-//! at `grant`) or to wait on sockets under deadlines
-//! (`gluefl-transport`'s server). The engine never reads a clock except
-//! through the attached telemetry recorder, and never blocks except
-//! inside the IO or on its producer.
+//! round's turns on a worker pool as one stream ([`crate::Simulation`])
+//! or to wait on sockets under deadlines (`gluefl-transport`'s server).
+//! The engine never reads a clock except through the attached telemetry
+//! recorder, and never blocks except inside the IO or on its producer.
 //!
 //! Both drivers run this one sequence over the same client half
 //! ([`crate::ClientCompressor`]), and the reference round of
@@ -97,7 +108,7 @@ use gluefl_wire::{
     frame_kind_from_header, legacy_mask_len, Codec, FrameWriter, Rounding, WireError, WirePolicy,
 };
 use rand::rngs::StdRng;
-use std::sync::{mpsc, Arc};
+use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
 /// Modeled upload time of an invited client that never offered: large
 /// enough to lose every [`fastest`] comparison, finite so the sort never
@@ -125,7 +136,7 @@ pub struct Broadcast<'a> {
     pub mask: Option<&'a BitMask>,
 }
 
-/// One resolved kept slot, as reported by [`RoundIo::next_upload`]. The
+/// One resolved kept slot, as handed to [`UploadSink::deliver`]. The
 /// index is the client's position in the round's invitation list.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Arrival {
@@ -136,19 +147,51 @@ pub enum Arrival {
     Lost(usize),
 }
 
+/// Where [`RoundIo::uploads`] puts a round's arrivals: the engine's end of
+/// the fold, which decodes and folds each one while the IO produces the
+/// next. `Sync`, so an IO may deliver from as many threads as it runs
+/// turns on; arrivals are folded in the order their `deliver` calls
+/// return.
+///
+/// The engine's sink lends the round a fixed budget of payload buffers
+/// ([`buffer`](Self::buffer) blocks while every one is out) and takes
+/// each back once its upload is folded. An IO that serializes its
+/// uploads itself takes a buffer per upload, so the bytes a round holds
+/// at once are bounded by that budget, not by its keep count; an IO that
+/// receives its bytes elsewhere (a socket reader) delivers those and
+/// takes none.
+pub trait UploadSink: Sync {
+    /// An empty payload buffer to serialize an upload into. Blocks until
+    /// the engine has folded an earlier upload when the budget is out;
+    /// once the engine has stopped folding, returns a new empty buffer at
+    /// once, so no IO thread stays blocked.
+    fn buffer(&self) -> Vec<u8>;
+
+    /// Hands the engine the next arrival. On [`Arrival::Delivered`]
+    /// `payload` holds the upload's bytes (upload frames, then the
+    /// BN-statistic frame); on [`Arrival::Lost`] it is any buffer — one
+    /// taken with [`buffer`](Self::buffer) goes back to the budget, an
+    /// empty `Vec::new()` costs nothing. Never blocks.
+    fn deliver(&self, arrival: Arrival, payload: Vec<u8>);
+
+    /// Returns a buffer taken with [`buffer`](Self::buffer) that carried
+    /// no arrival.
+    fn recycle(&self, payload: Vec<u8>);
+}
+
 /// How the engine reaches a round's clients. One call per step per
 /// round, in this order: [`invite`](Self::invite),
 /// [`offers`](Self::offers), [`grant`](Self::grant), then
-/// [`next_upload`](Self::next_upload) until it returns `None` — by which
-/// time every granted slot must have been reported exactly once, as
-/// [`Arrival::Delivered`] or [`Arrival::Lost`].
+/// [`uploads`](Self::uploads) — which returns once every granted slot has
+/// been delivered to its sink exactly once, as [`Arrival::Delivered`] or
+/// [`Arrival::Lost`] — and then [`rejected`](Self::rejected) once per
+/// delivery the engine could not use.
 ///
 /// The trait is `Send` because the fold step is a two-stage pipeline:
-/// [`next_upload`](Self::next_upload) and [`rejected`](Self::rejected)
-/// run on a producer thread the engine spawns for that step, while the
-/// engine thread decodes and folds the previous arrival. The other calls
-/// run on the thread that called [`RoundEngine::step`]; no two calls
-/// ever overlap.
+/// [`uploads`](Self::uploads) runs on a producer thread the engine spawns
+/// for that step, while the engine thread decodes and folds each arrival
+/// as it comes. The other calls run on the thread that called
+/// [`RoundEngine::step`]; no two calls ever overlap.
 pub trait RoundIo: Send {
     /// Whether client `id` can be invited at all (a socket IO answers
     /// "is its connection alive"). Queried during planning, only for the
@@ -174,25 +217,143 @@ pub trait RoundIo: Send {
     /// Announces the keep decision: the invitation indices in `kept` are
     /// granted their upload slot, everyone else is dismissed. Only a kept
     /// client takes its turn ([`crate::ClientTurn::run`]) and banks the
-    /// residual it leaves ([`crate::StagedTurn::keep`]); a dismissed one
-    /// runs nothing, so its bank ends the round as it began. The
-    /// in-process IO takes the kept clients' turns here, so the engine
-    /// times this call as training.
+    /// residual it leaves; a dismissed one runs nothing, so its bank ends
+    /// the round as it began. A socket IO's clients start training on
+    /// the grant; the in-process IO stages the kept turns here and runs
+    /// them in [`uploads`](Self::uploads). The engine times this call as
+    /// training.
     fn grant(&mut self, round: u32, kept: &[usize]);
 
-    /// Waits for the next granted slot to resolve. On
-    /// [`Arrival::Delivered`] the upload's bytes (upload frames, then the
-    /// BN-statistic frame) have been placed in `payload`. `None` once
-    /// every granted slot has been reported.
-    fn next_upload(&mut self, round: u32, payload: &mut Vec<u8>) -> Option<Arrival>;
+    /// Delivers every granted slot's arrival into `sink`, each exactly
+    /// once, in any order, and returns when the last one is out. Runs on
+    /// the fold's producer thread while the engine folds what has
+    /// arrived; a panic here reaches [`RoundEngine::step`]'s caller with
+    /// its own message.
+    fn uploads(&mut self, round: u32, sink: &dyn UploadSink);
 
     /// The engine could not use the bytes delivered for invitation index
     /// `slot` and folded without them. Called exactly once per rejected
-    /// delivery, in arrival order, and before [`RoundEngine::step`]
-    /// returns — but not necessarily before the next
-    /// [`next_upload`](Self::next_upload): the producer may already be
-    /// waiting on a later arrival when the engine rejects this one.
+    /// delivery, in arrival order, after [`uploads`](Self::uploads) has
+    /// returned and before [`RoundEngine::step`] returns.
     fn rejected(&mut self, round: u32, slot: usize, err: &WireError);
+}
+
+/// Payload buffers one round's fold lends its IO: [`payload_budget`] of
+/// them. A buffer is out from [`UploadSink::buffer`] until the engine has
+/// folded the upload it carried (or it is recycled unused); at most the
+/// budget is kept, so a buffer an IO delivers without taking one is
+/// dropped once folded.
+struct Payloads {
+    free: Mutex<FreeBuffers>,
+    returned: Condvar,
+}
+
+struct FreeBuffers {
+    bufs: Vec<Vec<u8>>,
+    budget: usize,
+    /// The engine stopped folding: nothing will come back, so nobody
+    /// waits for a buffer any more.
+    closed: bool,
+}
+
+impl Payloads {
+    fn new(budget: usize) -> Self {
+        let bufs = Vec::with_capacity(budget);
+        Self {
+            free: Mutex::new(FreeBuffers {
+                bufs,
+                budget,
+                closed: false,
+            }),
+            returned: Condvar::new(),
+        }
+    }
+
+    fn lock(&self) -> MutexGuard<'_, FreeBuffers> {
+        self.free.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn take(&self) -> Vec<u8> {
+        let mut free = self.lock();
+        loop {
+            if let Some(mut buf) = free.bufs.pop() {
+                buf.clear();
+                return buf;
+            }
+            if free.closed {
+                return Vec::new();
+            }
+            free = self
+                .returned
+                .wait(free)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+    }
+
+    fn put(&self, buf: Vec<u8>) {
+        let mut free = self.lock();
+        if free.bufs.len() < free.budget {
+            free.bufs.push(buf);
+            self.returned.notify_one();
+        }
+    }
+
+    /// Stops lending: every waiter, present and future, gets a new empty
+    /// buffer instead of waiting.
+    fn close(&self) {
+        self.lock().closed = true;
+        self.returned.notify_all();
+    }
+
+    fn into_buffers(self) -> Vec<Vec<u8>> {
+        self.free
+            .into_inner()
+            .unwrap_or_else(PoisonError::into_inner)
+            .bufs
+    }
+}
+
+/// Closes [`Payloads`] when the fold loop ends — also when it unwinds, so
+/// an IO thread waiting for a buffer lets go.
+struct CloseOnDrop<'a>(&'a Payloads);
+
+impl Drop for CloseOnDrop<'_> {
+    fn drop(&mut self) {
+        self.0.close();
+    }
+}
+
+/// The engine's [`UploadSink`]: arrivals go down a channel to the fold
+/// loop, buffers come from the round's [`Payloads`]. The producer thread
+/// owns it, so the channel closes — and the fold loop ends — when
+/// [`RoundIo::uploads`] returns or unwinds.
+struct FoldSink<'a> {
+    arrivals: mpsc::Sender<(Arrival, Vec<u8>)>,
+    payloads: &'a Payloads,
+}
+
+impl UploadSink for FoldSink<'_> {
+    fn buffer(&self) -> Vec<u8> {
+        self.payloads.take()
+    }
+
+    fn deliver(&self, arrival: Arrival, payload: Vec<u8>) {
+        // A closed receiver means the engine is unwinding; the arrival
+        // has nowhere to go.
+        let _ = self.arrivals.send((arrival, payload));
+    }
+
+    fn recycle(&self, payload: Vec<u8>) {
+        self.payloads.put(payload);
+    }
+}
+
+/// The payload buffers a round's fold lends its IO: one per pool worker
+/// ([`gluefl_pool::threads`]) — each turn in flight holds one — plus two,
+/// so the engine folds one upload while the next already waits.
+#[must_use]
+pub fn payload_budget() -> usize {
+    gluefl_pool::threads() + 2
 }
 
 /// The attached recorder plus the instrument the round hot path records
@@ -403,6 +564,13 @@ impl RoundEngine {
         &self.staleness
     }
 
+    /// The engine's buffer pool, for tests that count what a round
+    /// leaves in it.
+    #[cfg(test)]
+    pub(crate) fn scratch(&self) -> &ScratchPool {
+        &self.scratch
+    }
+
     /// Kept uploads folded without so far: lost by the IO, or delivered
     /// as bytes the engine rejected. 0 in a failure-free run.
     #[must_use]
@@ -416,9 +584,9 @@ impl RoundEngine {
     /// Panics if `io` breaks the [`RoundIo`] contract (a granted slot
     /// reported twice or never, an index outside the keep set) or the
     /// sampler invites a client twice — never on the *content* of
-    /// delivered bytes. A panic inside the IO's [`RoundIo::next_upload`]
-    /// or [`RoundIo::rejected`], which run on the fold step's producer
-    /// thread, is re-raised here with the IO's own message.
+    /// delivered bytes. A panic inside the IO's [`RoundIo::uploads`],
+    /// which runs on the fold step's producer thread, is re-raised here
+    /// with the IO's own message.
     pub fn step(&mut self, io: &mut dyn RoundIo) -> RoundRecord {
         let round = self.round;
         self.round += 1;
@@ -436,8 +604,7 @@ impl RoundEngine {
                 clock.time(Phase::Encode, || self.collect_offers(io, round, &down));
             let kept = keep(&plan, &times);
             rec.kept = kept.len();
-            // An IO may take the kept clients' turns only now that it
-            // knows who they are, so the grant is training time.
+            // The clients' turns start with the grant: training time.
             clock.time(Phase::Train, || io.grant(round, &kept));
             let (gate, slots) = self.fold(io, round, &kept, &mut clock, &mut rec);
             let update = clock.time(Phase::TopK, || {
@@ -544,19 +711,19 @@ impl RoundEngine {
     }
 
     /// Folds each arrival the moment it resolves, while the IO produces
-    /// the next one, and returns the gate with every kept slot resolved
-    /// plus which kept slots delivered. Two stages, one arrival apart:
-    /// the producer ([`produce`]) owns the IO and fills a payload buffer
-    /// with the next arrival while this thread decodes, validates and
-    /// folds the previous one, reading a dense upload in the buffer it
-    /// arrived in; the two buffers cycle between them, each going back
-    /// once its upload is folded or parked, and rejections travel back
-    /// to the producer. Every channel end lives
-    /// inside the scope, so a panic on either side drops the other side's
-    /// peer and nothing stays blocked. Arrival order is whatever the IO
+    /// the next, and returns the gate with every kept slot resolved plus
+    /// which kept slots delivered. Two stages: a producer thread runs
+    /// [`RoundIo::uploads`] into a [`FoldSink`] while this thread decodes,
+    /// validates and folds each arrival, reading a dense upload in the
+    /// buffer it arrived in, and hands the buffer back to the round's
+    /// [`Payloads`] once its upload is folded or parked. The sink's
+    /// channel closes when the producer is done, which ends the loop; a
+    /// panic here closes the payloads, so the producer never waits on a
+    /// buffer that will not come back. Arrival order is whatever the IO
     /// produces; the gate parks early arrivals so the strategy folds in
     /// ascending client-id order regardless, each upload at its client's
     /// weight, and each folded upload enters `rec`'s upload ledger.
+    /// Rejections reach the IO once its producer is done.
     fn fold(
         &mut self,
         io: &mut dyn RoundIo,
@@ -566,19 +733,28 @@ impl RoundEngine {
         rec: &mut RoundRecord,
     ) -> (StreamingAggregator, Vec<bool>) {
         let mut delivered = vec![false; kept.len()];
+        let mut rejections = Vec::new();
+        let budget = payload_budget();
+        let payloads = Payloads::new(budget);
+        let producer_io = &mut *io;
         let gate = std::thread::scope(|s| {
-            let (arrival_tx, arrivals) = mpsc::sync_channel(1);
-            let (empty_tx, empties) = mpsc::channel();
-            let (reject_tx, rejections) = mpsc::channel();
+            let (arrival_tx, arrivals) = mpsc::channel();
             let (mut gate, producer) = clock.time(Phase::Fold, || {
                 let gate = self.begin_fold(round, kept);
-                for _ in 0..2 {
-                    let _ = empty_tx.send(self.scratch.take_bytes());
+                for _ in 0..budget {
+                    payloads.put(self.scratch.take_bytes());
                 }
-                let producer = s.spawn(move || produce(io, round, empties, arrival_tx, rejections));
+                let sink = FoldSink {
+                    arrivals: arrival_tx,
+                    payloads: &payloads,
+                };
+                let producer = s.spawn(move || producer_io.uploads(round, &sink));
                 (gate, producer)
             });
-            while let Ok((arrival, payload)) = clock.time(Phase::Encode, || arrivals.recv()) {
+            let closing = CloseOnDrop(&payloads);
+            // Waiting for the next arrival is waiting for the clients'
+            // turns: training time.
+            while let Ok((arrival, payload)) = clock.time(Phase::Train, || arrivals.recv()) {
                 let (i, upload) = clock.time(Phase::Decode, || match arrival {
                     Arrival::Delivered(i) => {
                         let slot = kept.iter().position(|&k| k == i);
@@ -586,9 +762,7 @@ impl RoundEngine {
                         let decoded = self.decode_arrival(&payload, slot);
                         match &decoded {
                             Ok(upload) => self.charge_upload(upload, payload.len(), rec),
-                            Err(e) => {
-                                let _ = reject_tx.send((i, *e));
-                            }
+                            Err(e) => rejections.push((i, *e)),
                         }
                         delivered[slot] = decoded.is_ok();
                         (i, decoded.ok())
@@ -604,20 +778,24 @@ impl RoundEngine {
                     .expect("RoundIo resolves each kept slot exactly once");
                 });
                 // Folded or parked, the upload no longer reads the bytes;
-                // the producer may refill the buffer.
-                let _ = empty_tx.send(payload);
+                // the IO may refill the buffer.
+                payloads.put(payload);
             }
-            // The producer ends once it holds every rejection and buffer.
-            clock.time(Phase::Encode, || {
-                drop((empty_tx, reject_tx));
-                for buf in producer
+            drop(closing);
+            clock.time(Phase::Train, || {
+                producer
                     .join()
-                    .unwrap_or_else(|p| std::panic::resume_unwind(p))
-                {
-                    self.scratch.put_bytes(buf);
-                }
+                    .unwrap_or_else(|p| std::panic::resume_unwind(p));
             });
             gate
+        });
+        for buf in payloads.into_buffers() {
+            self.scratch.put_bytes(buf);
+        }
+        clock.time(Phase::Decode, || {
+            for (slot, err) in &rejections {
+                io.rejected(round, *slot, err);
+            }
         });
         (gate, delivered)
     }
@@ -811,39 +989,6 @@ fn keep(plan: &RoundPlan, times: &[ClientRoundTime]) -> Vec<usize> {
     kept
 }
 
-/// The fold's producer: pulls each arrival out of `io` into the next
-/// empty buffer, and hands every rejection back to `io` before its next
-/// [`RoundIo::next_upload`]. Once every arrival is out it delivers the
-/// rejections still to come, then returns the buffers as the engine lets
-/// go of them.
-fn produce(
-    io: &mut dyn RoundIo,
-    round: u32,
-    empties: mpsc::Receiver<Vec<u8>>,
-    arrival_tx: mpsc::SyncSender<(Arrival, Vec<u8>)>,
-    rejections: mpsc::Receiver<(usize, WireError)>,
-) -> Vec<Vec<u8>> {
-    let mut last = None;
-    while let Ok(mut payload) = empties.recv() {
-        for (slot, err) in rejections.try_iter() {
-            io.rejected(round, slot, &err);
-        }
-        payload.clear();
-        let Some(arrival) = io.next_upload(round, &mut payload) else {
-            last = Some(payload);
-            break;
-        };
-        if arrival_tx.send((arrival, payload)).is_err() {
-            break;
-        }
-    }
-    drop(arrival_tx);
-    for (slot, err) in rejections {
-        io.rejected(round, slot, &err);
-    }
-    last.into_iter().chain(empties).collect()
-}
-
 /// The round's modeled timing, over the kept clients that offered: the
 /// round lasts as long as the slowest of them. A kept client that never
 /// offered (a group with fewer offers than keeps) uploads nothing and
@@ -962,9 +1107,9 @@ mod tests {
             self.clients.grant(round, kept);
         }
 
-        fn next_upload(&mut self, round: u32, payload: &mut Vec<u8>) -> Option<Arrival> {
-            Self::only_after_round_0(round, "next_upload");
-            self.clients.next_upload(round, payload)
+        fn uploads(&mut self, round: u32, sink: &dyn UploadSink) {
+            Self::only_after_round_0(round, "uploads");
+            self.clients.uploads(round, sink);
         }
 
         fn rejected(&mut self, round: u32, slot: usize, err: &WireError) {
@@ -990,13 +1135,36 @@ mod tests {
         cfg
     }
 
+    /// A sink that keeps every arrival in delivery order and lends
+    /// buffers without a budget: what a test IO collects an inner IO's
+    /// round through before it scripts the engine's.
+    #[derive(Default)]
+    pub(crate) struct Collect(Mutex<Vec<(Arrival, Vec<u8>)>>);
+
+    impl Collect {
+        /// The arrivals, in the order they were delivered.
+        pub(crate) fn arrivals(self) -> Vec<(Arrival, Vec<u8>)> {
+            self.0.into_inner().unwrap()
+        }
+    }
+
+    impl UploadSink for Collect {
+        fn buffer(&self) -> Vec<u8> {
+            Vec::new()
+        }
+
+        fn deliver(&self, arrival: Arrival, payload: Vec<u8>) {
+            self.0.lock().unwrap().push((arrival, payload));
+        }
+
+        fn recycle(&self, _payload: Vec<u8>) {}
+    }
+
     /// The in-process clients, their uploads delivered in descending
     /// client id: every upload but a round's last arrives ahead of a
     /// lower id, so the gate parks it.
     struct Descending {
         clients: InProcessClients,
-        /// The round's uploads, lowest id last, once the first is asked for.
-        ready: Option<Vec<(Arrival, Vec<u8>)>>,
     }
 
     impl RoundIo for Descending {
@@ -1013,25 +1181,17 @@ mod tests {
         }
 
         fn grant(&mut self, round: u32, kept: &[usize]) {
-            self.ready = None;
             self.clients.grant(round, kept);
         }
 
-        fn next_upload(&mut self, round: u32, payload: &mut Vec<u8>) -> Option<Arrival> {
-            let clients = &mut self.clients;
-            let ready = self.ready.get_or_insert_with(|| {
-                let mut bytes = Vec::new();
-                std::iter::from_fn(|| {
-                    Some((
-                        clients.next_upload(round, &mut bytes)?,
-                        std::mem::take(&mut bytes),
-                    ))
-                })
-                .collect()
-            });
-            let (arrival, bytes) = ready.pop()?;
-            payload.extend_from_slice(&bytes);
-            Some(arrival)
+        fn uploads(&mut self, round: u32, sink: &dyn UploadSink) {
+            let collected = Collect::default();
+            self.clients.uploads(round, &collected);
+            for (arrival, bytes) in collected.arrivals().into_iter().rev() {
+                let mut payload = sink.buffer();
+                payload.extend_from_slice(&bytes);
+                sink.deliver(arrival, payload);
+            }
         }
 
         fn rejected(&mut self, round: u32, slot: usize, err: &WireError) {
@@ -1060,9 +1220,9 @@ mod tests {
     /// materialized into a pooled `f32` buffer, and folded in id order
     /// once the lowest arrives: the round's weights are the in-order
     /// round's bit for bit, and every buffer the round takes from the
-    /// pool comes back — the fold's two payload buffers (one shared with
-    /// the broadcast) and, beside the accumulator, one value buffer per
-    /// parked upload, the same ones round after round.
+    /// pool comes back — beside the accumulator, one value buffer per
+    /// parked upload, the same ones round after round — and the fold's
+    /// payload budget of byte buffers (one shared with the broadcast).
     #[test]
     fn a_descending_round_returns_every_buffer_it_parks_in() {
         let cfg = tiny_fedavg();
@@ -1072,7 +1232,6 @@ mod tests {
         let setup = RunSetup::new(&cfg);
         let mut io = Descending {
             clients: InProcessClients::new(&cfg, &setup),
-            ready: None,
         };
         let mut engine = RoundEngine::new(cfg.clone(), setup);
         for _ in 0..cfg.rounds {
@@ -1083,7 +1242,7 @@ mod tests {
                 engine.scratch.idle_byte_buffers(),
                 engine.scratch.idle_buffers(),
             );
-            assert_eq!(pooled, (2, rec.kept), "round {}", rec.round);
+            assert_eq!(pooled, (payload_budget(), rec.kept), "round {}", rec.round);
             assert!(param_bits(&engine) == param_bits(&reference));
         }
     }

@@ -3,7 +3,7 @@
 //! The round engine owns one [`ScratchPool`] and threads it through the
 //! strategy's fold ([`crate::strategies::Strategy::fold_begin`] and
 //! [`crate::strategies::Strategy::fold_finish`]); each client side owns others — a socket client one, the
-//! in-process clients one per cohort job — and threads them through
+//! in-process clients one per pool worker — and threads them through
 //! [`crate::ClientTurn::run`]. The per-round kernels (top-k
 //! selection, dense accumulation, sparse extraction, mask algebra,
 //! residual bookkeeping) so reuse the same allocations round after round.
@@ -49,6 +49,9 @@ const MAX_IDLE: usize = 64;
 pub struct ScratchPool {
     /// Shared top-k selection arena (one selection at a time).
     pub topk: TopKScratch,
+    /// Dequantized values of the lossy frame a client just encoded (one
+    /// frame at a time; see [`crate::StagedTurn::encode`]).
+    pub shipped: Vec<f32>,
     free: Vec<Vec<f32>>,
     free_indices: Vec<Vec<u32>>,
     free_masks: Vec<BitMask>,

@@ -14,31 +14,39 @@
 //!   the legacy layout under the run's codec — exact under the legacy
 //!   layout menu, an upper bound under the entropy menu), so `offers`
 //!   hands the engine that one nominal price for everyone, and only the
-//!   kept clients take their turns, on `grant`, from a copy of the
-//!   broadcast weights held since `invite`. A dismissed client runs no
-//!   turn, so it leaves no trace: each turn's RNG comes from
-//!   `(seed, round, client)`, and its residual is banked only by its
-//!   turn;
-//! * a turn is the one per-client routine ([`ClientTurn::run`]), after
-//!   filling the rows of its data shard that its minibatches will read
-//!   and that are not filled yet ([`ClientTurn::fill_rows`] — the rows
-//!   follow from the turn's seed, so about 5 % of a wide-shape shard is
-//!   synthesised, not all of it): it trains `E` local SGD steps from the
-//!   broadcast weights ([`train_client_into`]) and compresses the delta
-//!   in place with the client half into the staged upload. One client's
-//!   whole training state stays cache-resident in the worker's pooled
-//!   [`TrainSlot`] while the cohort streams through it, each step touches
-//!   each weight once, and a turn allocates nothing in steady state. The
-//!   delta's buffer is handed over, not copied: it becomes the client's
-//!   residual (and the previous residual's buffer the next turn's delta
-//!   buffer) or, for a dense strategy, the upload itself. The round's
-//!   turns are cut into one job of consecutive turns per worker of the
-//!   vendored [`gluefl_pool`] (as many as [`gluefl_pool::threads`]), each
-//!   with its own [`ScratchPool`] — scheduling only. A client's compress
-//!   reads only its own delta, its own residual (checked out before the
-//!   workers start) and the round mask, and its RNG is derived from
-//!   `(seed, round, client)`, so results do not depend on the worker
-//!   count or the thread schedule;
+//!   kept clients take their turns, from a copy of the broadcast weights
+//!   held since `invite`. A dismissed client runs no turn, so it leaves
+//!   no trace: each turn's RNG comes from `(seed, round, client)`, and
+//!   its residual is banked only by its turn;
+//! * `grant` stages the kept turns on the calling thread — residual
+//!   check-outs, shard admits, and every buffer that outlives the round
+//!   — and `uploads` runs them as a stream into the engine's fold. Each
+//!   worker of the vendored [`gluefl_pool`] (as many as
+//!   [`gluefl_pool::threads`]) claims turns one at a time in fold order
+//!   (ascending client id), each with a payload buffer from the engine's
+//!   sink, and takes the whole turn: it fills the rows of the client's
+//!   shard that its minibatches will read and that are not filled yet
+//!   ([`ClientTurn::fill_rows`] — the rows follow from the turn's seed,
+//!   so about 5 % of a wide-shape shard is synthesised, not all of it),
+//!   trains `E` local SGD steps from the broadcast weights
+//!   ([`train_client_into`]), compresses the delta in place with the
+//!   client half ([`ClientTurn::run`]) and serializes the upload
+//!   ([`StagedTurn::encode`]). A finished turn goes to the engine as
+//!   soon as every lower one has, so the engine never parks an
+//!   in-process upload, and the round holds a payload buffer per turn
+//!   in flight rather than one per kept client. One client's whole
+//!   training state stays cache-resident in the worker's pooled
+//!   [`TrainSlot`], each step touches each weight once, and a turn
+//!   allocates nothing in steady state. The delta's buffer is the
+//!   worker's, lent to each turn and handed back, not copied: compression
+//!   returns the client's previous residual in its place, or the dense
+//!   upload's buffer after the encode. Only a client's first turn under
+//!   error feedback trains into a buffer of its own, staged at `grant`,
+//!   which becomes its residual. The residuals go back in the bank once
+//!   the pool joins. A client's compress and encode read only its own
+//!   delta, its own residual and the round mask, and its RNG is derived
+//!   from `(seed, round, client)`, so results do not depend on the worker
+//!   count or on which worker claims which turn;
 //! * a shard, once built, is kept with the rows it has filled: once a
 //!   round is over at most `S` shards stay, those whose clients took a
 //!   turn most recently, and a later turn fills only the rows it reads
@@ -49,14 +57,11 @@
 //!   for clients drawn once in `N/K` rounds. A shard's rows are a pure
 //!   function of `(seed, client)` ([`SyntheticFlDataset::fill_rows`]), so
 //!   neither residency, nor which rows are filled, nor which worker fills
-//!   them changes a bit;
-//! * a kept turn is settled when the engine asks for the next arrival:
-//!   its residual is banked and its upload serialized into the engine's
-//!   buffer ([`StagedTurn::keep`]).
+//!   them changes a bit.
 
 use crate::client::{ClientCompressor, MissingRoundMask, RunSetup, StagedTurn};
 use crate::config::{SimConfig, StrategyConfig};
-use crate::engine::{Arrival, Broadcast, RoundEngine, RoundIo};
+use crate::engine::{Arrival, Broadcast, RoundEngine, RoundIo, UploadSink};
 use crate::metrics::{RoundRecord, RunResult};
 use crate::scratch::{ScratchPool, TrainSlot};
 use crate::staleness::StalenessTracker;
@@ -70,7 +75,8 @@ use gluefl_tensor::{vecops, BitMask};
 use gluefl_wire::WireError;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// A configured, running federated-learning simulation.
 #[derive(Debug)]
@@ -289,11 +295,11 @@ impl ShardCache {
 }
 
 /// The in-process [`RoundIo`]: every client of the population, simulated
-/// here. Holds the round's [`StagedTurn`]s between the engine's steps, in
-/// buffers recycled from round to round, plus the shards of the clients
-/// that most recently took a turn (at most the sticky group's size `S`
-/// between rounds). Public so a test can wrap it and script what the
-/// engine gets to see.
+/// here. Holds the round's kept turns ([`StagedTurn`]s, in fold order)
+/// between the engine's steps, one worker state per pool worker, and the
+/// shards of the clients that most recently took a turn (at most the
+/// sticky group's size `S` between rounds). Public so a test can wrap it
+/// and script what the engine gets to see.
 pub struct InProcessClients {
     cfg: SimConfig,
     data: Arc<SyntheticFlDataset>,
@@ -302,27 +308,166 @@ pub struct InProcessClients {
     stats_positions: Vec<usize>,
     cache: ShardCache,
     compressor: ClientCompressor,
-    /// One pool per cohort job: the job's training slot, selection arena
-    /// and upload arenas, and the buffers its dense uploads return.
-    pools: Vec<ScratchPool>,
+    /// One per pool worker: its scratch pool and the buffers it lends
+    /// each turn it claims.
+    workers: Vec<Worker>,
     /// The round's invitation list and broadcast mask.
     invited: Vec<(ClientId, Group)>,
     round_mask: Option<BitMask>,
     /// The broadcast weights, held from `invite` for the kept clients'
-    /// turns at `grant`.
+    /// turns.
     global: Vec<f32>,
-    /// The round's turns, the kept clients' in invitation order, and past
-    /// them the kept turns of earlier rounds, whose buffers the next
-    /// turns reuse.
+    /// The round's kept invitation indices in fold order (ascending
+    /// client id); turn `t` is `kept[t]`'s.
+    kept: Vec<usize>,
+    /// The round's turns, `turns[t]` kept client `t`'s, and past them
+    /// the turns of earlier rounds, whose buffers the next ones reuse.
     turns: Vec<StagedTurn>,
-    /// Turns per cohort job this round: turn `t` ran in `pools[t / chunk]`.
-    chunk: usize,
-    /// Granted (invitation index, turn index) pairs not yet handed to the
-    /// engine.
-    pending: Vec<(usize, usize)>,
+    /// The round's shards, `shards[t]` kept client `t`'s, from `grant`
+    /// until they go back in the cache.
+    shards: Vec<ClientDataset>,
     tel: Option<ClientRecorder>,
-    /// Cohort jobs per round (fewer when fewer turns are taken).
+    /// Pool workers per round (fewer when fewer turns are taken).
     threads: usize,
+}
+
+/// One pool worker's state: its [`ScratchPool`] (training slot,
+/// selection and upload arenas) and the delta and BN-statistic buffers it
+/// lends each turn it claims. A turn hands back a delta buffer of the
+/// model's length — the dense upload's, the client's previous residual,
+/// or the delta itself — so the worker keeps one however many turns it
+/// takes; only a client's first turn under error feedback trains into a
+/// buffer of its own, staged at the grant, which becomes its residual.
+#[derive(Default)]
+struct Worker {
+    scratch: ScratchPool,
+    delta: Vec<f32>,
+    stats: Vec<f32>,
+}
+
+impl Worker {
+    /// Runs turn `staged` of client `id` on `shard`: fills the rows the
+    /// turn reads, lends the turn the worker's buffers (the delta buffer
+    /// unless the turn holds one), trains, compresses and encodes into
+    /// `payload`, and takes the buffers back.
+    fn take_turn(
+        &mut self,
+        turn: &ClientTurn<'_>,
+        data: &SyntheticFlDataset,
+        (id, group): (ClientId, Group),
+        staged: &mut StagedTurn,
+        shard: &mut ClientDataset,
+        payload: &mut Vec<u8>,
+    ) -> usize {
+        let filled = turn.fill_rows(data, id, shard);
+        let dim = turn.global.len();
+        if staged.delta.len() != dim {
+            std::mem::swap(&mut staged.delta, &mut self.delta);
+        }
+        std::mem::swap(&mut staged.stats, &mut self.stats);
+        turn.run(group, shard, staged, &mut self.scratch)
+            .expect("the engine broadcasts the mask of every masking strategy");
+        let _ = staged.encode(turn.compressor, turn.round_mask, payload, &mut self.scratch);
+        std::mem::swap(&mut staged.stats, &mut self.stats);
+        if staged.delta.len() == dim {
+            self.delta = std::mem::take(&mut staged.delta);
+        }
+        filled
+    }
+}
+
+/// Hands a round's finished turns to the engine strictly in fold order:
+/// a turn that finishes ahead of a lower one waits here with its payload
+/// until every lower turn has gone. If a worker panics, the turns waiting
+/// here give their buffers back and no worker claims another turn, so a
+/// worker waiting for a buffer gets one and the pool can join.
+struct InOrder<'a> {
+    sink: &'a dyn UploadSink,
+    /// Invitation index of each turn, in fold order.
+    kept: &'a [usize],
+    /// Turns claimed so far (the next one to claim).
+    claimed: AtomicUsize,
+    aborted: AtomicBool,
+    waiting: Mutex<Waiting>,
+}
+
+struct Waiting {
+    /// Finished turns' payloads, by turn.
+    done: Vec<Option<Vec<u8>>>,
+    /// Turns handed to the engine so far.
+    sent: usize,
+}
+
+impl<'a> InOrder<'a> {
+    fn new(sink: &'a dyn UploadSink, kept: &'a [usize]) -> Self {
+        let waiting = Waiting {
+            done: vec![None; kept.len()],
+            sent: 0,
+        };
+        Self {
+            sink,
+            kept,
+            claimed: AtomicUsize::new(0),
+            aborted: AtomicBool::new(false),
+            waiting: Mutex::new(waiting),
+        }
+    }
+
+    fn lock(&self) -> MutexGuard<'_, Waiting> {
+        self.waiting.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Claims the next turn with a payload buffer to encode it into, or
+    /// `None` once every turn is claimed. The buffer is taken before the
+    /// turn is: every claimed turn holds one, so the lowest unfinished
+    /// turn can always finish and be sent, and the buffers held by the
+    /// turns waiting behind it come back.
+    fn claim(&self) -> Option<(usize, Vec<u8>)> {
+        if self.claimed.load(Ordering::Relaxed) >= self.kept.len() {
+            return None;
+        }
+        let payload = self.sink.buffer();
+        let t = self.claimed.fetch_add(1, Ordering::Relaxed);
+        if t >= self.kept.len() || self.aborted.load(Ordering::Relaxed) {
+            self.sink.recycle(payload);
+            return None;
+        }
+        Some((t, payload))
+    }
+
+    /// Turn `t` is encoded in `payload`: sends it, and every finished
+    /// turn after it in an unbroken run, or leaves it waiting for a lower
+    /// one.
+    fn finish(&self, t: usize, payload: Vec<u8>) {
+        let mut waiting = self.lock();
+        if self.aborted.load(Ordering::Relaxed) {
+            self.sink.recycle(payload);
+            return;
+        }
+        let Waiting { done, sent } = &mut *waiting;
+        done[t] = Some(payload);
+        while let Some(payload) = done.get_mut(*sent).and_then(Option::take) {
+            self.sink
+                .deliver(Arrival::Delivered(self.kept[*sent]), payload);
+            *sent += 1;
+        }
+    }
+}
+
+/// Aborts an [`InOrder`] stream if its worker unwinds.
+struct AbortOnPanic<'s, 'a>(&'s InOrder<'a>);
+
+impl Drop for AbortOnPanic<'_, '_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            let stream = self.0;
+            let mut waiting = stream.lock();
+            stream.aborted.store(true, Ordering::Relaxed);
+            for payload in waiting.done.iter_mut().filter_map(Option::take) {
+                stream.sink.recycle(payload);
+            }
+        }
+    }
 }
 
 impl std::fmt::Debug for InProcessClients {
@@ -358,31 +503,19 @@ impl RoundIo for InProcessClients {
     }
 
     fn grant(&mut self, round: u32, kept: &[usize]) {
-        let mut kept = kept.to_vec();
-        kept.sort_unstable();
-        let global = std::mem::take(&mut self.global);
-        self.take_turns(round, &global, &kept);
-        self.global = global;
-        self.pending.clear();
-        self.pending.extend(kept.iter().copied().zip(0..));
-        // Training is over: down to the `S` most recently used shards.
-        self.cache.trim();
-        // Delivered in descending pop order = ascending client id, the
-        // order the engine's gate folds in: it never has to park, so at
-        // most one decoded upload is alive at a time.
-        self.pending
-            .sort_unstable_by_key(|&(i, _)| std::cmp::Reverse(self.invited[i].0));
+        // Taken and delivered in ascending client id, the order the
+        // engine's gate folds in: it never has to park an upload.
+        self.kept.clear();
+        self.kept.extend_from_slice(kept);
+        let invited = &self.invited;
+        self.kept.sort_unstable_by_key(|&i| invited[i].0);
+        self.stage_turns(round);
     }
 
-    fn next_upload(&mut self, _round: u32, payload: &mut Vec<u8>) -> Option<Arrival> {
-        let (i, t) = self.pending.pop()?;
-        self.turns[t].keep(
-            &mut self.compressor,
-            self.round_mask.as_ref(),
-            payload,
-            &mut self.pools[t / self.chunk],
-        );
-        Some(Arrival::Delivered(i))
+    fn uploads(&mut self, round: u32, sink: &dyn UploadSink) {
+        let global = std::mem::take(&mut self.global);
+        self.take_turns(round, &global, sink);
+        self.global = global;
     }
 
     fn rejected(&mut self, round: u32, slot: usize, err: &WireError) {
@@ -410,13 +543,13 @@ impl InProcessClients {
                 untrimmed: 0,
             },
             compressor: ClientCompressor::for_run(cfg, setup),
-            pools: Vec::new(),
+            workers: Vec::new(),
             invited: Vec::new(),
             round_mask: None,
             global: Vec::new(),
+            kept: Vec::new(),
             turns: Vec::new(),
-            chunk: 1,
-            pending: Vec::new(),
+            shards: Vec::new(),
             tel: None,
             threads: gluefl_pool::threads(),
         }
@@ -430,64 +563,73 @@ impl InProcessClients {
         self.compressor.stored(id)
     }
 
-    /// Runs the turns of the invitations listed in `invitations`
-    /// (ascending) from `global`, turn `t` staged in `self.turns[t]`
-    /// ([`StagedTurn::stage`], then [`ClientTurn::run`] after
-    /// [`ClientTurn::fill_rows`]: fill the shard rows the turn reads,
-    /// train, compress). The turns are cut into one job of
-    /// consecutive turns per pool worker — a single job on a one-CPU
-    /// machine — each with its own [`ScratchPool`]; a job is scheduling,
-    /// not a second way to take a turn. Each turn owns its shard for the
-    /// round — taken out of the cache, or new storage for a miss — and
-    /// the shards go back in the cache after the join. The engine invites
-    /// each client at most once, so no two turns share a shard or a
-    /// residual.
-    ///
-    /// Storage that outlives the round — a missing shard, a staged turn's
-    /// buffers — is allocated here and only filled on the workers.
-    /// Allocated on a worker it would come from that thread's malloc
-    /// arena, and every round spawns fresh workers that may draw any
-    /// arena, so the shard cache and the residual bank would scatter
-    /// across arenas that never shrink back.
-    fn take_turns(&mut self, round: u32, global: &[f32], invitations: &[usize]) {
-        let n = invitations.len();
-        let threads = self.threads.min(n).max(1);
-        let chunk = n.div_ceil(threads).max(1);
-        self.chunk = chunk;
-        // Concurrent jobs would each time the same wall-clock window, so
-        // they share one enclosing span; a lone job records its spans
-        // block by block.
-        let lone = n <= chunk;
-        let trace = self.tel.as_ref().map(|t| (&*t.hub, round));
-        let enclosing = trace
-            .filter(|_| !lone)
-            .map(|(t, round)| t.span(Phase::Train, round));
-        let cohort: Vec<(ClientId, Group)> = invitations.iter().map(|&i| self.invited[i]).collect();
-        let ids: Vec<ClientId> = cohort.iter().map(|&(id, _)| id).collect();
+    /// Pool workers for a round of `turns` turns.
+    fn workers_for(&self, turns: usize) -> usize {
+        self.threads.min(turns).max(1)
+    }
+
+    /// Stages the kept turns (`self.kept`) on the calling thread: checks
+    /// each client's residual out, takes its shard out of the cache (or
+    /// new storage for a miss), and allocates every buffer that outlives
+    /// the round — a first-time client's residual-to-be, the workers'
+    /// delta and statistics buffers. Allocated on a worker they would
+    /// come from that thread's malloc arena, and every round spawns
+    /// fresh workers that may draw any arena, so the shard cache and the
+    /// residual bank would scatter across arenas that never shrink back.
+    /// The engine invites each client at most once, so no two turns share
+    /// a shard or a residual.
+    fn stage_turns(&mut self, round: u32) {
+        let n = self.kept.len();
+        let ids: Vec<ClientId> = self.kept.iter().map(|&i| self.invited[i].0).collect();
         let misses = self.cache.admit(round, &ids);
-        let mut shards: Vec<ClientDataset> = ids
-            .iter()
-            .map(|&id| {
-                self.cache
-                    .take(id)
-                    .unwrap_or_else(|| self.data.client_storage(id))
-            })
-            .collect();
+        self.shards.clear();
+        for &id in &ids {
+            let shard = self.cache.take(id);
+            self.shards
+                .push(shard.unwrap_or_else(|| self.data.client_storage(id)));
+        }
         if let Some(t) = &self.tel {
             t.shards_built.add(misses as u64);
             t.shards_reused.add((n - misses) as u64);
         }
-
-        if self.pools.len() < threads {
-            self.pools.resize_with(threads, ScratchPool::new);
-        }
+        let dim = self.global.len();
         if self.turns.len() < n {
             self.turns.resize_with(n, StagedTurn::default);
         }
-        for (t, &id) in ids.iter().enumerate() {
-            let pool = &mut self.pools[t / chunk];
-            self.turns[t].stage(&mut self.compressor, round, id, pool);
+        for (turn, &id) in self.turns.iter_mut().zip(&ids) {
+            if turn.hold(&mut self.compressor, round, id) && turn.delta.len() != dim {
+                turn.delta = vec![0.0; dim];
+            }
         }
+        let workers = self.workers_for(n);
+        if self.workers.len() < workers {
+            self.workers.resize_with(workers, Worker::default);
+        }
+        for worker in &mut self.workers[..workers] {
+            if worker.delta.len() != dim {
+                worker.delta = vec![0.0; dim];
+            }
+            worker.stats.resize(self.stats_positions.len(), 0.0);
+        }
+    }
+
+    /// Runs the staged turns from `global` as a stream into `sink`: every
+    /// pool worker claims turns one at a time, in fold order, each with a
+    /// payload buffer, and trains, compresses and encodes it
+    /// ([`Worker::take_turn`]); a finished turn goes to the engine as
+    /// soon as every lower one has ([`InOrder`]), so the engine folds
+    /// while the workers train, and a round holds a payload buffer per
+    /// turn in flight, not per kept client. Workers and their
+    /// [`ScratchPool`]s are scheduling only: a turn's result depends on
+    /// `(seed, round, client)` alone. Once the pool joins, the residuals
+    /// are checked in and the shards go back in the cache, down to the
+    /// `S` most recently used.
+    fn take_turns(&mut self, round: u32, global: &[f32], sink: &dyn UploadSink) {
+        let n = self.kept.len();
+        let workers = self.workers_for(n);
+        // Concurrent workers, and the engine's fold beside them, all time
+        // one wall-clock window: one enclosing span.
+        let span = self.tel.as_ref().map(|t| t.hub.span(Phase::Train, round));
         let turn = ClientTurn {
             cfg: &self.cfg,
             topo: &self.topo,
@@ -498,30 +640,35 @@ impl InProcessClients {
             round_mask: self.round_mask.as_ref(),
             update_norm: self.tel.as_ref().map(|t| &t.update_norm_milli),
         };
-        let jobs: Vec<_> = cohort
-            .chunks(chunk)
-            .zip(shards.chunks_mut(chunk))
-            .zip(self.turns[..n].chunks_mut(chunk))
-            .zip(&mut self.pools)
+        let claims: Vec<_> = (self.kept.iter().map(|&i| self.invited[i]))
+            .zip(&mut self.turns[..n])
+            .zip(&mut self.shards)
+            .map(Mutex::new)
             .collect();
+        let stream = InOrder::new(sink, &self.kept);
         let data = &*self.data;
         let rows_filled = self.tel.as_ref().map(|t| &t.rows_filled);
-        gluefl_pool::run(threads, jobs, |(((cohort, shards), staged), scratch)| {
-            // Every run of eight turns is one span, when the job is alone.
-            in_spans(cohort.len(), trace.filter(|_| lone), |c| {
-                let (id, group) = cohort[c];
-                let filled = turn.fill_rows(data, id, &mut shards[c]);
+        let jobs: Vec<&mut Worker> = self.workers[..workers].iter_mut().collect();
+        gluefl_pool::run(workers, jobs, |worker| {
+            let _abort = AbortOnPanic(&stream);
+            while let Some((t, mut payload)) = stream.claim() {
+                let mut claim = claims[t].lock().unwrap_or_else(PoisonError::into_inner);
+                let ((client, staged), shard) = &mut *claim;
+                let filled = worker.take_turn(&turn, data, *client, staged, shard, &mut payload);
                 if let Some(counter) = rows_filled {
                     counter.add(filled as u64);
                 }
-                turn.run(group, &shards[c], &mut staged[c], scratch)
-                    .expect("the engine broadcasts the mask of every masking strategy");
-            });
+                stream.finish(t, payload);
+            }
         });
-        drop(enclosing);
-        for (&id, shard) in ids.iter().zip(shards) {
-            self.cache.put(id, round, shard);
+        drop((span, claims));
+        for turn in &mut self.turns[..n] {
+            turn.check_in(&mut self.compressor);
         }
+        for (&i, shard) in self.kept.iter().zip(self.shards.drain(..)) {
+            self.cache.put(self.invited[i].0, round, shard);
+        }
+        self.cache.trim();
     }
 }
 
@@ -586,8 +733,8 @@ impl ClientTurn<'_> {
     }
 
     /// The whole turn [`StagedTurn::stage`]d in `staged` — the routine
-    /// every driver runs for a kept client, the in-process cohort job for
-    /// each of its clients and a socket client's granted upload alike:
+    /// every driver runs for a kept client, an in-process worker for
+    /// each turn it claims and a socket client's granted upload alike:
     /// train on `shard` from the broadcast weights ([`train_client_into`],
     /// seeded by [`local_train_seed`]) into the staged delta and
     /// BN-statistic buffers, then compress the delta
@@ -894,18 +1041,21 @@ mod tests {
         (recs, params, c.tracked_residuals(), bank)
     }
 
-    /// Client-sharded turns must not change a bit: every strategy's
-    /// client half — the quantized STC upload, MD-FedAvg's repeated
-    /// invitations, a QuantU8 wire under FedAvg and under GlueFL, whose
-    /// codec loss is folded into residuals the workers produced, and an
-    /// entropy wire under STC and GlueFL, whose frames are priced
-    /// nominally and encoded by pattern — runs 4 rounds on one worker and on three, and whole records, final
-    /// weights and the residual bank agree bit for bit. One GlueFL run
-    /// evaluates every round on a test set of more than three
-    /// [`gluefl_ml::EVAL_BLOCK_ROWS`]-row blocks, so the records pin the
-    /// blocked evaluation's loss and accuracy too. Three workers
-    /// need not exist on the machine — the pool spawns them regardless —
-    /// so this compares on any core count.
+    /// Which worker claims which turn must not change a bit: every
+    /// strategy's client half — the quantized STC upload, MD-FedAvg's
+    /// repeated invitations, a QuantU8 wire under FedAvg and under
+    /// GlueFL, whose codec loss the workers fold into the residuals they
+    /// hold, and an entropy wire under STC and GlueFL, whose frames are
+    /// priced nominally and encoded by pattern — runs 4 rounds on one
+    /// worker and on two, three and eight (more claimers than some
+    /// rounds have turns), and whole records, final weights and the
+    /// residual bank agree bit for bit. One run keeps at least three
+    /// times the fold's payload budget a round, so workers wait for
+    /// buffers; one GlueFL run evaluates every round on a test set of
+    /// more than three [`gluefl_ml::EVAL_BLOCK_ROWS`]-row blocks, so the
+    /// records pin the blocked evaluation's loss and accuracy too.
+    /// Workers need not exist on the machine — the pool spawns them
+    /// regardless — so this compares on any core count.
     #[test]
     fn parallel_round_bit_identical_to_serial() {
         let gluefl = || {
@@ -926,6 +1076,11 @@ mod tests {
             cfg.eval_every = 1;
             cfg
         };
+        let budget_binds = |mut cfg: SimConfig| {
+            cfg.round_size = cfg.round_size.max(3 * crate::engine::payload_budget());
+            cfg.dataset.clients = cfg.dataset.clients.max(5 * cfg.round_size);
+            cfg
+        };
         let configs = [
             tiny_cfg(StrategyConfig::FedAvg),
             tiny_cfg(StrategyConfig::MdFedAvg),
@@ -940,14 +1095,19 @@ mod tests {
             entropy(tiny_cfg(StrategyConfig::Stc { q: 0.2 })),
             entropy(gluefl()),
             multi_block_eval(gluefl()),
+            budget_binds(quant(tiny_cfg(StrategyConfig::Stc { q: 0.2 }))),
         ];
         for cfg in configs {
             let name = cfg.strategy.name();
-            let (serial, sharded) = (run_bits(cfg.clone(), 1, 4), run_bits(cfg, 3, 4));
-            assert_eq!(sharded.0, serial.0, "{name}: records diverged");
-            assert!(sharded.1 == serial.1, "{name}: weights diverged");
-            assert_eq!(sharded.2, serial.2, "{name}: banks track different clients");
-            assert!(sharded.3 == serial.3, "{name}: a stored residual diverged");
+            let serial = run_bits(cfg.clone(), 1, 4);
+            for threads in [2, 3, 8] {
+                let sharded = run_bits(cfg.clone(), threads, 4);
+                let name = format!("{name}, {threads} workers");
+                assert_eq!(sharded.0, serial.0, "{name}: records diverged");
+                assert!(sharded.1 == serial.1, "{name}: weights diverged");
+                assert_eq!(sharded.2, serial.2, "{name}: banks track different clients");
+                assert!(sharded.3 == serial.3, "{name}: a stored residual diverged");
+            }
         }
     }
 
@@ -1069,71 +1229,97 @@ mod tests {
     }
 
     /// Dimension-sized buffers alive on the client side after a round,
-    /// outside the residual bank: hand-backs waiting in the kept turns to
-    /// be the next deltas, and dense uploads back in any job's pool.
+    /// outside the residual bank: the workers' delta buffers, any left
+    /// in a turn, and any in a worker's pool.
     fn live_delta_buffers(c: &InProcessClients, dim: usize) -> usize {
         assert!(
             c.turns.iter().all(|t| t.held.is_none()),
-            "a turn was not kept"
+            "a turn was not checked in"
         );
-        let handed_back = c.turns.iter().filter(|t| t.delta.len() == dim);
-        let pooled = c.pools.iter().map(|pool| {
-            if pool.max_idle_value_capacity() >= dim {
-                pool.idle_buffers()
-            } else {
-                0
-            }
+        let in_turns = c.turns.iter().filter(|t| t.delta.len() == dim).count();
+        let with_workers = c.workers.iter().map(|w| {
+            let pooled = w.scratch.max_idle_value_capacity() >= dim;
+            usize::from(w.delta.len() == dim) + if pooled { w.scratch.idle_buffers() } else { 0 }
         });
-        handed_back.count() + pooled.sum::<usize>()
+        in_turns + with_workers.sum::<usize>()
     }
 
-    /// The delta hand-off leaks nothing and copies nothing: every round
-    /// allocates exactly one dimension-sized buffer per *first-time*
-    /// client (its residual-to-be) and otherwise trades buffers, so the
-    /// live count is `tracked residuals + kept` under GlueFL and a flat
-    /// `kept` under FedAvg, which keeps no bank.
+    /// Upload-sized buffers alive after a round: the client side's
+    /// [`live_delta_buffers`] plus the payload buffers the engine keeps.
+    fn live_upload_buffers(sim: &Simulation, dim: usize) -> usize {
+        live_delta_buffers(&sim.clients, dim) + sim.engine.scratch().idle_byte_buffers()
+    }
+
+    /// The delta hand-off leaks nothing and copies nothing, and what a
+    /// round holds does not grow with its keep count: at two round sizes,
+    /// the upload-sized buffers alive after every round are at most one
+    /// per worker plus the fold's payload budget. Under GlueFL every
+    /// round allocates exactly one dimension-sized buffer per
+    /// *first-time* client (its residual-to-be), which the bank keeps,
+    /// and otherwise trades buffers, so the client side's live count
+    /// stays where the first round left it; FedAvg keeps no bank.
     #[test]
     fn delta_hand_off_keeps_the_live_buffer_count_flat() {
         let rounds = 8;
-        // GlueFL: residual bank + swapped delta buffers.
-        let mut cfg = tiny_cfg(StrategyConfig::FedAvg);
-        cfg.strategy = StrategyConfig::GlueFl(tiny_gluefl_params(cfg.round_size));
-        let mut sim = Simulation::new(cfg.clone());
-        let dim = sim.model().num_params();
-        let mut turns = None;
-        for round in 0..rounds {
-            let tracked_before = sim.clients.compressor.tracked_residuals();
-            let taken = sim.step().kept;
-            assert_eq!(*turns.get_or_insert(taken), taken);
-            let c = &sim.clients;
-            let tracked = c.compressor.tracked_residuals();
-            // Each first-time client kept its delta as its residual and
-            // handed nothing back; everyone else traded one for one.
-            assert_eq!(
-                tracked + live_delta_buffers(c, dim),
-                tracked_before + taken,
-                "round {round}: a delta buffer leaked or was copied"
-            );
+        let bound = |sim: &Simulation| sim.clients.threads + crate::engine::payload_budget();
+        for k in [6, 24] {
+            // GlueFL: residual bank + swapped delta buffers.
+            let mut cfg = tiny_cfg(StrategyConfig::FedAvg);
+            cfg.round_size = k;
+            cfg.strategy = StrategyConfig::GlueFl(tiny_gluefl_params(k));
+            let mut sim = Simulation::new(cfg.clone());
+            let dim = sim.model().num_params();
+            let mut live = None;
+            for round in 0..rounds {
+                let tracked_before = sim.clients.compressor.tracked_residuals();
+                let mut banked = Vec::new();
+                let (rec, _, kept) = step_recorded(&mut sim, |at, c| {
+                    if let At::Invite(_, invited, _) = at {
+                        banked = invited
+                            .iter()
+                            .map(|&(id, _)| c.stored(id).is_some())
+                            .collect();
+                    }
+                });
+                let first_timers = kept.iter().filter(|&&i| !banked[i]).count();
+                let c = &sim.clients;
+                // Each first-time client banked a buffer of its own;
+                // everyone else traded one for one.
+                assert_eq!(
+                    c.compressor.tracked_residuals(),
+                    tracked_before + first_timers,
+                    "K = {k}, round {round}"
+                );
+                let now = live_delta_buffers(c, dim);
+                assert_eq!(
+                    *live.get_or_insert(now),
+                    now,
+                    "K = {k}, round {round}: a delta buffer leaked or was copied"
+                );
+                assert!(
+                    live_upload_buffers(&sim, dim) <= bound(&sim),
+                    "K = {k}, round {round}: {} kept, buffers grew with them",
+                    rec.kept
+                );
+            }
             assert!(
-                c.pools.iter().all(|p| p.max_idle_value_capacity() < dim),
-                "round {round}: a delta-sized buffer strayed into a sparse pool"
+                sim.clients.compressor.tracked_residuals() > k,
+                "the run must outlast its first cohort for the bound to mean anything"
             );
-        }
-        assert!(
-            sim.clients.compressor.tracked_residuals() > turns.unwrap(),
-            "the run must outlast its first cohort for the bound to mean anything"
-        );
 
-        // FedAvg: the delta is the upload; kept or dropped, it returns.
-        let mut sim = Simulation::new(tiny_cfg(StrategyConfig::FedAvg));
-        for round in 0..rounds {
-            let rec = sim.step();
-            assert_eq!(sim.clients.compressor.tracked_residuals(), 0);
-            assert_eq!(
-                live_delta_buffers(&sim.clients, dim),
-                rec.kept,
-                "round {round}: dense uploads must circulate, not accumulate"
-            );
+            // FedAvg: the delta is the upload; it returns to its worker.
+            let mut cfg = tiny_cfg(StrategyConfig::FedAvg);
+            cfg.round_size = k;
+            let mut sim = Simulation::new(cfg);
+            for round in 0..rounds {
+                let rec = sim.step();
+                assert_eq!(sim.clients.compressor.tracked_residuals(), 0);
+                assert!(rec.kept >= k, "K = {k}: the round keeps its size");
+                assert!(
+                    live_upload_buffers(&sim, dim) <= bound(&sim),
+                    "K = {k}, round {round}: dense uploads must circulate, not accumulate"
+                );
+            }
         }
     }
 
@@ -1189,8 +1375,8 @@ mod tests {
             self.clients.grant(round, kept);
         }
 
-        fn next_upload(&mut self, round: u32, payload: &mut Vec<u8>) -> Option<Arrival> {
-            self.clients.next_upload(round, payload)
+        fn uploads(&mut self, round: u32, sink: &dyn UploadSink) {
+            self.clients.uploads(round, sink);
         }
 
         fn rejected(&mut self, round: u32, slot: usize, err: &WireError) {
@@ -1472,7 +1658,8 @@ mod tests {
                 .unwrap();
             let priced = measured(staged.upload.as_ref().unwrap(), stats_len, cfg.wire);
             assert_bounds(shape, priced, entropy);
-            let len = staged.keep(&mut c.compressor, mask, &mut Vec::new(), &mut scratch);
+            let len = staged.encode(&c.compressor, mask, &mut Vec::new(), &mut scratch);
+            staged.check_in(&mut c.compressor);
             proptest::prop_assert_eq!(len as u64, priced.1);
         }
     }
@@ -1735,9 +1922,10 @@ mod tests {
     }
 
     /// Phase spans cover the step under GlueFL with an entropy and with
-    /// a legacy policy and under over-committed FedAvg, each of which
-    /// takes the kept clients' turns at the grant: the engine's `Train`
-    /// window holds every training span the clients record.
+    /// a legacy policy and under over-committed FedAvg. The kept
+    /// clients' turns stream into the fold, so their training overlaps
+    /// the engine's decode and fold: every training span the clients
+    /// record lies inside the step.
     #[test]
     fn telemetry_measures_phases_that_cover_the_step() {
         let gluefl = || tiny_cfg(StrategyConfig::GlueFl(tiny_gluefl_params(7)));
@@ -1750,7 +1938,7 @@ mod tests {
             cfg.eval_every = 100; // keep evaluation out of the measured window
             let tel = Arc::new(Telemetry::new());
             let mut sim = Simulation::new(cfg).with_telemetry(Arc::clone(&tel));
-            let (mut train_window, mut kept) = (0, 0);
+            let (mut steps, mut kept) = (0, 0);
             for round in 0..3 {
                 let rec = sim.step();
                 assert!(rec.invited > rec.kept, "{name}: no over-commitment");
@@ -1782,16 +1970,16 @@ mod tests {
                     rec.phase_nanos_of(Phase::Train) > 0,
                     "{name}: train phase unmeasured"
                 );
-                train_window += rec.phase_nanos_of(Phase::Train);
+                steps += rec.step_nanos;
                 kept += rec.kept;
             }
             // The hub aggregated the same spans (Train is recorded by the
-            // training driver itself, inside the engine's Train window;
-            // the rest by the engine's `PhaseClock::close`).
+            // training driver itself, inside the step; the rest by the
+            // engine's `PhaseClock::close`).
             assert!(tel.phase_nanos(Phase::Train) > 0);
             assert!(
-                tel.phase_nanos(Phase::Train) <= train_window,
-                "{name}: training spans fell outside the Train phase"
+                tel.phase_nanos(Phase::Train) <= steps,
+                "{name}: training spans fell outside the step"
             );
             assert!(tel.phase_nanos(Phase::Encode) > 0);
             let snap = tel.snapshot();

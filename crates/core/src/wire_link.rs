@@ -24,7 +24,7 @@
 //! With [`Codec::F32`] the round trip is bit-exact, and the analytic
 //! ledger (`RoundRecord::up_bytes`) *is* [`encoded_len`] under the legacy
 //! F32 policy; every kept turn checks its encoded upload against its
-//! nominal offer ([`crate::StagedTurn::keep`]: equal under the legacy
+//! nominal offer ([`crate::StagedTurn::encode`]: equal under the legacy
 //! layout menu, bounded under the entropy menu), and the
 //! `wire_roundtrip` integration suite pins predicted ≡ encoded end to
 //! end. With the lossy codecs ([`Codec::F16`], [`Codec::QuantU8`]) the
@@ -126,8 +126,8 @@ pub fn encode_upload(
 /// on), `feedback(at, sent, shipped)` receives where the frame's values
 /// sit, the values handed to the encoder, and the dequantized values a
 /// receiver will reconstruct. The client half folds
-/// `sent − shipped` into its residual bank
-/// ([`crate::StagedTurn::keep`]), so codec loss is carried
+/// `sent − shipped` into the turn's residual before banking it
+/// ([`crate::StagedTurn::encode`]), so codec loss is carried
 /// into the next round instead of silently dropped.
 ///
 /// The callback never fires under [`Codec::F32`] (shipped ≡ sent), for

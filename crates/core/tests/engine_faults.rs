@@ -7,17 +7,18 @@
 //! the corrupted slot, and land on the same parameters — bit for bit —
 //! whatever the delivery order, run after run.
 //!
-//! The engine folds one arrival while a producer thread pulls the next
-//! out of the IO, so the script also probes that pipeline's edges: a
-//! rejection of the round's last arrival, two rejections in one round,
-//! an IO that breaks its contract and one that panics. Those cases run
-//! on a thread of their own under a deadline, so a deadlock fails the
-//! test instead of stalling the suite.
+//! The engine folds one arrival while the IO, on a producer thread,
+//! delivers the next into the engine's sink, so the script also probes
+//! that pipeline's edges: a rejection of the round's last arrival, two
+//! rejections in one round, an IO that breaks its contract, one that
+//! panics, and one that panics holding payload buffers it took. Those
+//! cases run on a thread of their own under a deadline, so a deadlock
+//! fails the test instead of stalling the suite.
 
 use gluefl_compress::mask_shift::ClientSplit;
 use gluefl_compress::stc::TernaryUpdate;
 use gluefl_compress::ApfConfig;
-use gluefl_core::engine::{Arrival, Broadcast, RoundEngine, RoundIo};
+use gluefl_core::engine::{Arrival, Broadcast, RoundEngine, RoundIo, UploadSink};
 use gluefl_core::strategies::Group;
 use gluefl_core::strategies::Upload;
 use gluefl_core::wire_link::encode_upload;
@@ -43,7 +44,7 @@ const ROUNDS: u32 = 4;
 /// of them counts its `UnexpectedKind` entries.
 static UNEXPECTED_KIND: Mutex<()> = Mutex::new(());
 
-/// What [`Scripted::next_upload`] panics with when told to.
+/// What [`Scripted::uploads`] panics with when told to.
 const IO_PANIC: &str = "scripted IO lost its connection table";
 
 /// The five kinds of [`Upload`] a client can send.
@@ -105,7 +106,6 @@ struct Scripted {
     /// The round's arrivals, collected from the clients up front (they
     /// deliver in ascending client-id order).
     queue: VecDeque<(usize, Vec<u8>)>,
-    collected: bool,
     rejected: Vec<(u32, usize, WireError)>,
     /// How many of the lowest granted slots deliver the fault (1) — or,
     /// with `fault_last`, how many of the round's last arrivals.
@@ -113,13 +113,34 @@ struct Scripted {
     fault_last: bool,
     /// Breaks the contract: the round's last arrival is delivered twice.
     twice: bool,
-    /// Panics with [`IO_PANIC`] on this call of `next_upload` in a round.
+    /// Panics with [`IO_PANIC`] before this delivery of a round (one
+    /// past the last: once every arrival is out).
     panic_at: Option<usize>,
+    /// Payload buffers taken from the engine's sink before the round's
+    /// first delivery and held, never delivered.
+    hoard: usize,
     /// The round's forged slots, its arrivals in delivery order, and its
-    /// `next_upload` calls so far.
+    /// deliveries so far, the next one included.
     forged: Vec<usize>,
     arrived: Vec<usize>,
     calls: usize,
+}
+
+/// A sink that keeps every arrival in delivery order and lends buffers
+/// without a budget.
+#[derive(Default)]
+struct Collect(Mutex<Vec<(Arrival, Vec<u8>)>>);
+
+impl UploadSink for Collect {
+    fn buffer(&self) -> Vec<u8> {
+        Vec::new()
+    }
+
+    fn deliver(&self, arrival: Arrival, payload: Vec<u8>) {
+        self.0.lock().unwrap().push((arrival, payload));
+    }
+
+    fn recycle(&self, _payload: Vec<u8>) {}
 }
 
 /// The frames of an upload payload, split at their boundaries.
@@ -213,7 +234,6 @@ impl RoundIo for Scripted {
     fn invite(&mut self, round: u32, invited: &[(usize, Group)], broadcast: &Broadcast<'_>) {
         self.silent = invited.len() - 1;
         self.mask = broadcast.mask.cloned();
-        self.collected = false;
         self.forged.clear();
         self.arrived.clear();
         self.calls = 0;
@@ -236,43 +256,53 @@ impl RoundIo for Scripted {
         self.clients.grant(round, kept);
     }
 
-    fn next_upload(&mut self, round: u32, payload: &mut Vec<u8>) -> Option<Arrival> {
-        self.calls += 1;
-        if self.panic_at == Some(self.calls) {
-            panic!("{IO_PANIC}");
+    fn uploads(&mut self, round: u32, sink: &dyn UploadSink) {
+        let collected = Collect::default();
+        self.clients.uploads(round, &collected);
+        for (arrival, bytes) in collected.0.into_inner().unwrap() {
+            let Arrival::Delivered(i) = arrival else {
+                panic!("the in-process clients lose nothing")
+            };
+            self.queue.push_back((i, bytes));
         }
-        if !self.collected {
-            self.collected = true;
-            let mut buf = Vec::new();
-            while let Some(Arrival::Delivered(i)) = self.clients.next_upload(round, &mut buf) {
-                self.queue.push_back((i, std::mem::take(&mut buf)));
-            }
-            // (b) the lowest granted slots (or the last arrivals)
-            // deliver the scripted fault.
-            let mut order: Vec<usize> = (0..self.queue.len()).collect();
-            if !self.fault_last {
-                order.sort_unstable_by_key(|&at| self.queue[at].0);
-            } else if !self.reverse {
-                order.reverse();
-            }
-            for &at in &order[..self.faults] {
-                self.queue[at].1 = self.forge(round, &self.queue[at].1);
-                self.forged.push(self.queue[at].0);
-            }
-            if self.twice {
-                let again = self.queue.back().expect("kept").clone();
-                self.queue.push_back(again);
-            }
+        // (b) the lowest granted slots (or the last arrivals) deliver the
+        // scripted fault.
+        let mut order: Vec<usize> = (0..self.queue.len()).collect();
+        if !self.fault_last {
+            order.sort_unstable_by_key(|&at| self.queue[at].0);
+        } else if !self.reverse {
+            order.reverse();
         }
-        // (c) the rest arrive in the scripted order.
-        let (i, bytes) = if self.reverse {
-            self.queue.pop_back()?
-        } else {
-            self.queue.pop_front()?
-        };
-        *payload = bytes;
-        self.arrived.push(i);
-        Some(Arrival::Delivered(i))
+        for &at in &order[..self.faults] {
+            self.queue[at].1 = self.forge(round, &self.queue[at].1);
+            self.forged.push(self.queue[at].0);
+        }
+        if self.twice {
+            let again = self.queue.back().expect("kept").clone();
+            self.queue.push_back(again);
+        }
+        let hoard: Vec<Vec<u8>> = (0..self.hoard).map(|_| sink.buffer()).collect();
+        // (c) the rest arrive in the scripted order, each serialized into
+        // a buffer of the engine's.
+        loop {
+            self.calls += 1;
+            if self.panic_at == Some(self.calls) {
+                panic!("{IO_PANIC} (holding {} buffers)", hoard.len());
+            }
+            let next = if self.reverse {
+                self.queue.pop_back()
+            } else {
+                self.queue.pop_front()
+            };
+            let Some((i, bytes)) = next else { break };
+            let mut payload = sink.buffer();
+            payload.extend_from_slice(&bytes);
+            self.arrived.push(i);
+            sink.deliver(Arrival::Delivered(i), payload);
+        }
+        for buf in hoard {
+            sink.recycle(buf);
+        }
     }
 
     fn rejected(&mut self, round: u32, slot: usize, err: &WireError) {
@@ -325,12 +355,12 @@ fn scripted(cfg: &SimConfig, setup: &RunSetup, fault: Fault, reverse: bool) -> S
         silent: 0,
         absurd_offer: false,
         queue: VecDeque::new(),
-        collected: false,
         rejected: Vec::new(),
         faults: 1,
         fault_last: false,
         twice: false,
         panic_at: None,
+        hoard: 0,
         forged: Vec::new(),
         arrived: Vec::new(),
         calls: 0,
@@ -567,9 +597,9 @@ fn panic_message(case: impl FnOnce() + Send + 'static) -> String {
         .expect("a panic with a message")
 }
 
-/// The faulty slot is the round's last arrival, so no later
-/// `next_upload` call follows its rejection — it still reaches the IO,
-/// once, before `step` returns.
+/// The faulty slot is the round's last arrival, so no later delivery
+/// follows its rejection — it still reaches the IO, once, before `step`
+/// returns.
 #[test]
 fn the_last_arrivals_rejection_lands_before_the_step_returns() {
     for reverse in [false, true] {
@@ -652,9 +682,9 @@ fn an_io_that_delivers_a_slot_twice_panics_the_step() {
     }
 }
 
-/// A panic inside the IO's `next_upload` runs on the producer thread;
+/// A panic inside the IO's `uploads` runs on the producer thread;
 /// `step` re-raises it with the IO's own message — before the first
-/// arrival, mid-round, and on the call that would have ended the round.
+/// arrival, mid-round, and once every arrival is out.
 #[test]
 fn a_panic_inside_the_io_surfaces_with_its_own_message() {
     let keep = tiny_gluefl().round_size;
@@ -668,6 +698,30 @@ fn a_panic_inside_the_io_surfaces_with_its_own_message() {
             let _ = engine.step(&mut io);
         });
         assert!(message.contains(IO_PANIC), "call {call}: {message}");
+    }
+}
+
+/// An IO that panics after delivering some arrivals while it still
+/// holds payload buffers it took from the engine's sink: the buffers
+/// never come back, yet the engine — which folds what arrived and then
+/// finds the producer gone — waits for nothing, and `step` re-raises the
+/// IO's own message.
+#[test]
+fn a_panic_holding_payload_buffers_surfaces_and_blocks_nothing() {
+    for call in [1, 3] {
+        let message = panic_message(move || {
+            let cfg = tiny_gluefl();
+            let setup = RunSetup::new(&cfg);
+            let mut io = scripted(&cfg, &setup, Fault::Garbage, false);
+            (io.hoard, io.panic_at) = (2, Some(call));
+            let mut engine = RoundEngine::new(cfg, setup);
+            let _ = engine.step(&mut io);
+        });
+        assert!(message.contains(IO_PANIC), "call {call}: {message}");
+        assert!(
+            message.contains("holding 2 buffers"),
+            "call {call}: {message}"
+        );
     }
 }
 
@@ -705,15 +759,42 @@ impl RoundIo for SilentFresh {
         self.clients.grant(round, kept);
     }
 
-    fn next_upload(&mut self, round: u32, payload: &mut Vec<u8>) -> Option<Arrival> {
-        match self.clients.next_upload(round, payload)? {
-            Arrival::Delivered(i) if self.silent.contains(&i) => Some(Arrival::Lost(i)),
-            arrival => Some(arrival),
-        }
+    fn uploads(&mut self, round: u32, sink: &dyn UploadSink) {
+        let silencing = Silencing {
+            sink,
+            silent: &self.silent,
+        };
+        self.clients.uploads(round, &silencing);
     }
 
     fn rejected(&mut self, round: u32, slot: usize, err: &WireError) {
         self.clients.rejected(round, slot, err);
+    }
+}
+
+/// The engine's sink as the silent clients' uploads reach it: each one
+/// becomes a lost slot, its payload buffer going back to the budget.
+struct Silencing<'a> {
+    sink: &'a dyn UploadSink,
+    silent: &'a [usize],
+}
+
+impl UploadSink for Silencing<'_> {
+    fn buffer(&self) -> Vec<u8> {
+        self.sink.buffer()
+    }
+
+    fn deliver(&self, arrival: Arrival, payload: Vec<u8>) {
+        match arrival {
+            Arrival::Delivered(i) if self.silent.contains(&i) => {
+                self.sink.deliver(Arrival::Lost(i), payload);
+            }
+            arrival => self.sink.deliver(arrival, payload),
+        }
+    }
+
+    fn recycle(&self, payload: Vec<u8>) {
+        self.sink.recycle(payload);
     }
 }
 

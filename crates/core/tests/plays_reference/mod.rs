@@ -9,7 +9,7 @@
 
 use super::reference::Reference;
 use gluefl_compress::{ApfConfig, CompensationMode};
-use gluefl_core::engine::{Arrival, Broadcast, RoundEngine, RoundIo};
+use gluefl_core::engine::{Arrival, Broadcast, RoundEngine, RoundIo, UploadSink};
 use gluefl_core::strategies::Group;
 use gluefl_core::{AvailabilityConfig, GlueFlParams, InProcessClients, RunSetup, SimConfig};
 use gluefl_core::{RoundRecord, StrategyConfig, WirePolicy};
@@ -18,6 +18,7 @@ use gluefl_wire::WireError;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
+use std::sync::Mutex;
 
 /// GlueFL at `q = 0.25`, `q_shr = 0.2`, a sticky group of 24 drawing 4.
 pub fn gluefl(regen: Option<u32>, equal: bool, compensation: CompensationMode) -> StrategyConfig {
@@ -91,14 +92,30 @@ pub fn tiny(strategy: StrategyConfig, wire: WirePolicy, seed: u64) -> SimConfig 
 }
 
 /// Any IO, with the engine's invitations and grants recorded, and each
-/// round's uploads delivered from a queue: in the IO's own order, or
-/// shuffled.
+/// round's uploads collected from it and then delivered: in the IO's own
+/// order, or shuffled.
 struct Recorded<'a> {
     io: &'a mut dyn RoundIo,
     invited: Vec<(ClientId, Group)>,
     kept: Vec<usize>,
     shuffle: Option<&'a mut StdRng>,
-    queue: Vec<(Arrival, Vec<u8>)>,
+}
+
+/// A sink that keeps every arrival in delivery order and lends buffers
+/// without a budget.
+#[derive(Default)]
+struct Collect(Mutex<Vec<(Arrival, Vec<u8>)>>);
+
+impl UploadSink for Collect {
+    fn buffer(&self) -> Vec<u8> {
+        Vec::new()
+    }
+
+    fn deliver(&self, arrival: Arrival, payload: Vec<u8>) {
+        self.0.lock().unwrap().push((arrival, payload));
+    }
+
+    fn recycle(&self, _payload: Vec<u8>) {}
 }
 
 impl RoundIo for Recorded<'_> {
@@ -118,20 +135,18 @@ impl RoundIo for Recorded<'_> {
     fn grant(&mut self, round: u32, kept: &[usize]) {
         self.kept = kept.to_vec();
         self.io.grant(round, kept);
-        let mut payload = Vec::new();
-        while let Some(arrival) = self.io.next_upload(round, &mut payload) {
-            self.queue.push((arrival, std::mem::take(&mut payload)));
-        }
-        match &mut self.shuffle {
-            Some(rng) => self.queue.shuffle(rng),
-            None => self.queue.reverse(),
-        }
     }
 
-    fn next_upload(&mut self, _round: u32, payload: &mut Vec<u8>) -> Option<Arrival> {
-        let (arrival, bytes) = self.queue.pop()?;
-        *payload = bytes;
-        Some(arrival)
+    fn uploads(&mut self, round: u32, sink: &dyn UploadSink) {
+        let collected = Collect::default();
+        self.io.uploads(round, &collected);
+        let mut queue = collected.0.into_inner().unwrap();
+        if let Some(rng) = &mut self.shuffle {
+            queue.shuffle(rng);
+        }
+        for (arrival, bytes) in queue {
+            sink.deliver(arrival, bytes);
+        }
     }
 
     fn rejected(&mut self, round: u32, slot: usize, err: &WireError) {
@@ -185,14 +200,13 @@ impl Player {
     /// records (bytes, modeled seconds, changed positions, evaluation)
     /// and hold the same parameter bits.
     pub fn step(&mut self, engine: &mut RoundEngine, io: &mut dyn RoundIo) -> RoundRecord {
-        let (invited, kept, queue) = (Vec::new(), Vec::new(), Vec::new());
+        let (invited, kept) = (Vec::new(), Vec::new());
         let shuffle = self.shuffle.as_mut();
         let mut io = Recorded {
             io,
             invited,
             kept,
             shuffle,
-            queue,
         };
         let rec = engine.step(&mut io);
         let (want, f) = (self.reference.round(), &mut self.found);

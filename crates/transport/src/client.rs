@@ -169,11 +169,11 @@ impl ClientNode {
 
     /// Runs the turn of the invitation granted for `round` — identical
     /// inputs to the simulator's worker ([`ClientTurn::run`]) — and keeps
-    /// it ([`StagedTurn::keep`]): the residual it leaves is banked, and
-    /// its upload (frames + BN-statistics frame) is serialized into
-    /// `out`, the byte-exact payload the simulator produces in-process,
-    /// with any lossy-codec residual folded into the client's own
-    /// error-compensation bank.
+    /// it: its upload (frames + BN-statistics frame) is serialized into
+    /// `out` ([`StagedTurn::encode`]), the byte-exact payload the
+    /// simulator produces in-process, with any lossy-codec loss folded
+    /// into the turn's residual, which is then banked in the client's own
+    /// error-compensation bank ([`StagedTurn::check_in`]).
     ///
     /// # Errors
     /// [`TransportError::NoPendingUpload`] when no invitation is held for
@@ -197,8 +197,10 @@ impl ClientNode {
         };
         turn.run(group, &self.shard, &mut self.turn, &mut self.scratch)
             .expect("the invitation was priced, so its mask was broadcast");
-        self.turn
-            .keep(&mut self.compressor, mask, out, &mut self.scratch);
+        let _ = self
+            .turn
+            .encode(&self.compressor, mask, out, &mut self.scratch);
+        self.turn.check_in(&mut self.compressor);
         Ok(())
     }
 

@@ -45,7 +45,7 @@ use crate::proto::{
 };
 use crate::slots::{Effect, Heard, Owed, Slots, Verdict};
 use crate::{ByteCounters, TransportError};
-use gluefl_core::engine::{Arrival, Broadcast, RoundIo};
+use gluefl_core::engine::{Arrival, Broadcast, RoundIo, UploadSink};
 use gluefl_core::strategies::Group;
 use gluefl_core::{RoundEngine, RoundRecord, RunSetup, SimConfig};
 use gluefl_telemetry::{Counter, Telemetry};
@@ -543,21 +543,22 @@ impl RoundIo for SocketIo {
         }
     }
 
-    fn next_upload(&mut self, _round: u32, payload: &mut Vec<u8>) -> Option<Arrival> {
-        match self.settle() {
-            Verdict::Paid(i, body) => {
-                *payload = body;
-                Some(Arrival::Delivered(i))
-            }
-            Verdict::Lost(i) => {
-                // The skip counter fires here and in `rejected` — once
-                // per skipped upload.
-                if let Some(t) = &self.tel {
-                    t.skips.inc();
+    fn uploads(&mut self, _round: u32, sink: &dyn UploadSink) {
+        loop {
+            match self.settle() {
+                // The reader thread's buffer is the payload: nothing is
+                // copied, and no buffer of the engine's is taken.
+                Verdict::Paid(i, body) => sink.deliver(Arrival::Delivered(i), body),
+                Verdict::Lost(i) => {
+                    // The skip counter fires here and in `rejected` —
+                    // once per skipped upload.
+                    if let Some(t) = &self.tel {
+                        t.skips.inc();
+                    }
+                    sink.deliver(Arrival::Lost(i), Vec::new());
                 }
-                Some(Arrival::Lost(i))
+                Verdict::Wait(_) | Verdict::Idle => return,
             }
-            Verdict::Wait(_) | Verdict::Idle => None,
         }
     }
 
